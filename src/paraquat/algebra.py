@@ -146,7 +146,7 @@ def frobenius_gram(triple: LocalBasisTriple, p: Point) -> np.ndarray:
     return np.einsum("aij,bij->ab", J, J)
 
 
-def check_triple_algebra(triple: LocalBasisTriple, p: Point, tol: float = 1e-12) -> AlgebraReport:
+def check_triple_algebra(triple: LocalBasisTriple, p: Point) -> AlgebraReport:
     """Residuals of the tau-algebra relations at p.
 
     square:      max_a  |J_a^2 + tau_a I|
@@ -200,7 +200,6 @@ def check_transition(
     B: LocalBasisTriple,
     s: TransitionMap,
     p: Point,
-    tol: float = 1e-10,
 ) -> float:
     """max_a |B.J_a(p) - sum_b s(p)[a,b] A.J_b(p)| (inf norm)."""
     JA = A.matrices(p)
@@ -276,7 +275,6 @@ def check_atlas(
     atlas: StructureAtlas,
     count: int = 5,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> float:
     """Worst transition residual over sampled points of each declared overlap."""
     worst = 0.0

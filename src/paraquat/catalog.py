@@ -72,25 +72,23 @@ def _rotated(angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _metric_neutral4(chart: ManifoldSpec) -> MetricField:
     _require_dim(chart, 4, "neutral4")
-    return MetricField(constant_field(chart, 0, 2, ETA4, "neutral4"), signature_hint=(2, 2))
+    return MetricField(constant_field(chart, 0, 2, ETA4, "neutral4"))
 
 
 def _metric_euclidean4(chart: ManifoldSpec) -> MetricField:
     _require_dim(chart, 4, "euclidean4")
-    return MetricField(constant_field(chart, 0, 2, np.eye(4), "euclidean4"), signature_hint=(4, 0))
+    return MetricField(constant_field(chart, 0, 2, np.eye(4), "euclidean4"))
 
 
 def _metric_conformal_neutral4(chart: ManifoldSpec) -> MetricField:
     _require_dim(chart, 4, "conformal-neutral4")
     comp = lambda p: np.exp(2.0 * p.coords[0]) * ETA4
-    return MetricField(
-        TensorField(chart, 0, 2, comp, "conformal-neutral4"), signature_hint=(2, 2)
-    )
+    return MetricField(TensorField(chart, 0, 2, comp, "conformal-neutral4"))
 
 
 def _metric_neutral8(chart: ManifoldSpec) -> MetricField:
     _require_dim(chart, 8, "neutral8")
-    return MetricField(constant_field(chart, 0, 2, ETA8, "neutral8"), signature_hint=(4, 4))
+    return MetricField(constant_field(chart, 0, 2, ETA8, "neutral8"))
 
 
 METRICS: dict[str, Callable[[ManifoldSpec], MetricField]] = {

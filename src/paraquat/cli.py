@@ -16,7 +16,7 @@ import json
 import sys
 
 from .catalog import scenario_names
-from .errors import ParaquatError, ParseError, ValidationError
+from .errors import EmptyDomainError, ParaquatError, ParseError, ValidationError
 from .scenario import CHECKS, run_scenario
 
 
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, ValidationError, EmptyDomainError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParaquatError as exc:

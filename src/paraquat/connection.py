@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, ShapeError, ValidationError
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, eval_field, fd_partial
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, eval_field, fd_gradient
 
 DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -34,7 +34,6 @@ class MetricField:
     symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for."""
 
     field: TensorField
-    signature_hint: tuple[int, int] | None = None
 
     def __post_init__(self):
         if (self.field.r, self.field.s) != (0, 2):
@@ -102,10 +101,9 @@ def covariant_derivative_11(
     """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j]."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
-    n = g.chart.dim
     gam = christoffel(g, p, cfg).gamma
     Tp = eval_field(T, p)
-    dT = np.stack([fd_partial(T, p, i, cfg) for i in range(n)])  # [i, k, j]
+    dT = fd_gradient(T, p, cfg)  # [i, k, j]
     return (
         dT
         + np.einsum("kil,lj->ikj", gam, Tp)
@@ -125,7 +123,7 @@ def covariant_derivative_vector(
     if u.shape != (n,):
         raise ShapeError(f"direction has shape {u.shape}, expected ({n},)")
     gam = christoffel(g, p, cfg).gamma
-    dW = np.stack([fd_partial(W, p, m, cfg) for m in range(n)])  # dW[m, k]
+    dW = fd_gradient(W, p, cfg)  # dW[m, k]
     return np.einsum("m,mk->k", u, dW) + np.einsum("kml,m,l->k", gam, u, eval_field(W, p))
 
 
@@ -134,9 +132,8 @@ def lie_bracket(U: TensorField, W: TensorField, p: Point, cfg: FdConfig = FdConf
     for f in (U, W):
         if (f.r, f.s) != (1, 0):
             raise ValidationError("lie_bracket expects (1,0) fields")
-    n = U.chart.dim
-    dW = np.stack([fd_partial(W, p, m, cfg) for m in range(n)])
-    dU = np.stack([fd_partial(U, p, m, cfg) for m in range(n)])
+    dW = fd_gradient(W, p, cfg)
+    dU = fd_gradient(U, p, cfg)
     return np.einsum("m,mk->k", eval_field(U, p), dW) - np.einsum(
         "m,mk->k", eval_field(W, p), dU
     )
@@ -153,10 +150,9 @@ def covariant_derivative_02(
     """
     if (T.r, T.s) != (0, 2):
         raise ValidationError("covariant_derivative_02 expects a (0,2) field")
-    n = g.chart.dim
     gam = christoffel(g, p, cfg).gamma
     Tp = eval_field(T, p)
-    dT = np.stack([fd_partial(T, p, i, cfg) for i in range(n)])  # [i, j, k]
+    dT = fd_gradient(T, p, cfg)  # [i, j, k]
     return (
         dT
         - np.einsum("lij,lk->ijk", gam, Tp)
@@ -199,9 +195,8 @@ def nijenhuis(F: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarra
     """
     if (F.r, F.s) != (1, 1):
         raise ValidationError("nijenhuis expects a (1,1) field")
-    n = F.chart.dim
     Fp = eval_field(F, p)
-    dF = np.stack([fd_partial(F, p, m, cfg) for m in range(n)])  # [m, k, j]
+    dF = fd_gradient(F, p, cfg)  # [m, k, j]
     t1 = np.einsum("mi,mkj->kij", Fp, dF)
     t2 = np.einsum("mj,mki->kij", Fp, dF)
     t3 = np.einsum("km,jmi->kij", Fp, dF)

@@ -23,9 +23,10 @@ from .errors import (
 )
 
 DEFAULT_STEP = 1e-3
-# sample_points keeps this much distance from the box walls so that nested
+# sampled points keep MARGIN_STEPS FD steps from the box walls so that nested
 # central-difference stencils (up to a few steps deep) never leave the domain
-INTERIOR_MARGIN = 10 * DEFAULT_STEP
+MARGIN_STEPS = 10
+INTERIOR_MARGIN = MARGIN_STEPS * DEFAULT_STEP
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +127,13 @@ class TensorField:
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference parameters.  Only the 2nd-order central scheme is
-    implemented; the field exists so reports can state it."""
+    """Finite-difference parameters of the 2nd-order central scheme."""
 
     step: float = DEFAULT_STEP
-    scheme: str = "central-2"
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValidationError("FD step must be positive")
-        if self.scheme != "central-2":
-            raise ValidationError(f"unsupported FD scheme: {self.scheme!r}")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValidationError(f"FD step must be finite and positive, got {self.step}")
 
 
 def eval_field(field: TensorField, p: Point) -> np.ndarray:
@@ -171,6 +168,11 @@ def fd_partial(field: TensorField, p: Point, k: int, cfg: FdConfig = FdConfig())
             f"stencil around {p} in direction {k} leaves the domain"
         )
     return (eval_field(field, plus) - eval_field(field, minus)) / (2.0 * h)
+
+
+def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+    """Central differences along every coordinate, stacked: out[m] = d_m."""
+    return np.stack([fd_partial(field, p, m, cfg) for m in range(field.chart.dim)])
 
 
 def sample_points(

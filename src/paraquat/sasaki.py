@@ -29,6 +29,7 @@ from .connection import (
     MetricField,
     christoffel,
     covariant_derivative_11,
+    covariant_derivative_vector,
     curvature_operator,
     lie_bracket,
     riemann,
@@ -40,10 +41,10 @@ from .fields import (
     Point,
     TensorField,
     eval_field,
-    fd_partial,
+    fd_gradient,
     sample_points,
 )
-from .structures import check_hermitian, fit_kahler_oneforms
+from .structures import check_hermitian, fit_kahler_oneforms, span_combination
 from .submersion import SubmersionMap
 
 LIFT_PRECONDITION_TOL = 1e-8
@@ -80,40 +81,18 @@ def connection_shift(g: MetricField, xi: Point, cfg: FdConfig = FdConfig()) -> n
     return np.einsum("kji,j->ki", gam, u)
 
 
-def vertical_lift(X, xi: Point) -> np.ndarray:
-    n = xi.chart.dim // 2
-    X = np.asarray(X, dtype=float)
-    if X.shape != (n,):
-        raise ShapeError(f"base vector has shape {X.shape}, expected ({n},)")
-    return np.concatenate([np.zeros(n), X])
+def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
+    """X^h = (X, -M X) for kind "h", X^v = (0, X) for kind "v".
 
-
-def horizontal_lift(X, g: MetricField, xi: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    n = g.chart.dim
-    if X.shape != (n,):
-        raise ShapeError(f"base vector has shape {X.shape}, expected ({n},)")
-    M = connection_shift(g, xi, cfg)
-    return np.concatenate([X, -M @ X])
-
-
-@dataclass(frozen=True)
-class LiftFrame:
-    """Horizontal and vertical lifts of the base coordinate frame, as columns."""
-
-    point: Point
-    horizontal: np.ndarray  # (2n, n)
-    vertical: np.ndarray    # (2n, n)
-
-
-def lift_frame(g: MetricField, xi: Point, cfg: FdConfig = FdConfig()) -> LiftFrame:
-    n = g.chart.dim
-    M = connection_shift(g, xi, cfg)
-    return LiftFrame(
-        point=xi,
-        horizontal=np.vstack([np.eye(n), -M]),
-        vertical=np.vstack([np.zeros((n, n)), np.eye(n)]),
-    )
+    V is a base vector, or a matrix whose columns are lifted one by one; M is
+    the connection shift at the bundle point and is only read for "h".
+    """
+    V = np.asarray(V, dtype=float)
+    if kind == "h":
+        return np.concatenate([V, -M @ V])
+    if kind == "v":
+        return np.concatenate([np.zeros_like(V), V])
+    raise ValidationError("kind must be 'h' or 'v'")
 
 
 @dataclass(frozen=True)
@@ -172,9 +151,7 @@ def build_tangent_bundle(
 
     def frames_at(xi: Point) -> tuple[np.ndarray, np.ndarray, Point]:
         x = Point(base, xi.coords[:n])
-        u = xi.coords[n:]
-        gam = christoffel(g, x, cfg).gamma
-        M = np.einsum("kji,j->ki", gam, u)
+        M = connection_shift(g, xi, cfg)
         eye, zero = np.eye(n), np.zeros((n, n))
         L = np.block([[eye, zero], [-M, eye]])
         Linv = np.block([[eye, zero], [M, eye]])
@@ -186,13 +163,7 @@ def build_tangent_bundle(
         zero = np.zeros((n, n))
         return Linv.T @ np.block([[gx, zero], [zero, gx]]) @ Linv
 
-    hint = None
-    if g.signature_hint is not None:
-        hint = (2 * g.signature_hint[0], 2 * g.signature_hint[1])
-    G = MetricField(
-        TensorField(bundle, 0, 2, metric_components, label="lifted metric"),
-        signature_hint=hint,
-    )
+    G = MetricField(TensorField(bundle, 0, 2, metric_components, label="lifted metric"))
 
     def lifted_member(a: int) -> TensorField:
         def comps(xi: Point, a=a) -> np.ndarray:
@@ -238,43 +209,25 @@ def lifted_field(bundle: SasakiBundle, X, kind: str) -> TensorField:
         if Xc.shape != (n,):
             raise ShapeError(f"base vector has shape {Xc.shape}, expected ({n},)")
         value = lambda x: Xc
-    if kind == "v":
-        comps = lambda xi: np.concatenate(
-            [np.zeros(n), value(Point(base, xi.coords[:n]))]
-        )
-    elif kind == "h":
-        g, cfg = bundle.base_metric, bundle.cfg
-
-        def comps(xi: Point) -> np.ndarray:
-            x = Point(base, xi.coords[:n])
-            M = connection_shift(g, xi, cfg)
-            Xx = value(x)
-            return np.concatenate([Xx, -M @ Xx])
-
-    else:
+    if kind not in ("h", "v"):
         raise ValidationError("kind must be 'h' or 'v'")
+    g, cfg = bundle.base_metric, bundle.cfg
+
+    def comps(xi: Point) -> np.ndarray:
+        M = connection_shift(g, xi, cfg) if kind == "h" else None
+        return lift(kind, value(Point(base, xi.coords[:n])), M)
+
     return TensorField(bundle.spec, 1, 0, comps, label=f"{kind}-lift")
-
-
-def _base_data(
-    g: MetricField, x: Point, cfg: FdConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    return christoffel(g, x, cfg).gamma, riemann(g, x, cfg).riem
 
 
 def _value_and_derivative(
     g: MetricField, X: np.ndarray, Y, x: Point, cfg: FdConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Y(x), (nabla_X Y)(x)) for Y a constant vector or a (1,0) base field."""
-    gam = christoffel(g, x, cfg).gamma
     if isinstance(Y, TensorField):
-        Yx = eval_field(Y, x)
-        n = g.chart.dim
-        dY = np.stack([fd_partial(Y, x, m, cfg) for m in range(n)])
-        cov = np.einsum("m,mk->k", X, dY) + np.einsum("kml,m,l->k", gam, X, Yx)
-        return Yx, cov
+        return eval_field(Y, x), covariant_derivative_vector(g, Y, X, x, cfg)
     Yx = np.asarray(Y, dtype=float)
-    return Yx, np.einsum("kml,m,l->k", gam, X, Yx)
+    return Yx, np.einsum("kml,m,l->k", christoffel(g, x, cfg).gamma, X, Yx)
 
 
 def oracle_tilde_nabla(
@@ -297,21 +250,18 @@ def oracle_tilde_nabla(
     treated as a constant-component field, or a (1,0) base field.
     """
     x, u = _split_xi(g.chart, xi)
-    n = g.chart.dim
+    if kind_x == "v" and kind_y == "v":
+        return np.zeros(2 * g.chart.dim)
     X = np.asarray(X, dtype=float)
     M = connection_shift(g, xi, cfg)
-    hl = lambda V: np.concatenate([V, -M @ V])
-    vl = lambda V: np.concatenate([np.zeros(n), V])
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * n)
     R = riemann(g, x, cfg).riem
     Yx, covXY = _value_and_derivative(g, X, Y, x, cfg)
     if kind_x == "h" and kind_y == "h":
-        return hl(covXY) + vl(-0.5 * curvature_operator(R, X, Yx, u))
+        return lift("h", covXY, M) + lift("v", -0.5 * curvature_operator(R, X, Yx, u))
     if kind_x == "h" and kind_y == "v":
-        return vl(covXY) + hl(0.5 * curvature_operator(R, u, Yx, X))
+        return lift("v", covXY) + lift("h", 0.5 * curvature_operator(R, u, Yx, X), M)
     if kind_x == "v" and kind_y == "h":
-        return hl(0.5 * curvature_operator(R, u, X, Yx))
+        return lift("h", 0.5 * curvature_operator(R, u, X, Yx), M)
     raise ValidationError("kinds must be 'h' or 'v'")
 
 
@@ -340,25 +290,22 @@ def oracle_tilde_nabla_J(
     if a not in (0, 1, 2):
         raise ValidationError("a must be 0, 1 or 2")
     x, u = _split_xi(g.chart, xi)
-    n = g.chart.dim
+    if kind_x == "v" and kind_y == "v":
+        return np.zeros(2 * g.chart.dim)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     M = connection_shift(g, xi, cfg)
-    hl = lambda V: np.concatenate([V, -M @ V])
-    vl = lambda V: np.concatenate([np.zeros(n), V])
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * n)
     Ja = eval_field(T.fields[a], x)
     R = riemann(g, x, cfg).riem
     Rop = lambda A, B, C: curvature_operator(R, A, B, C)
     if kind_x == "v" and kind_y == "h":
-        return hl(0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)))
+        return lift("h", 0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)), M)
     DJa = covariant_derivative_11(g, T.fields[a], x, cfg)  # [i, k, j]
     nXJY = np.einsum("ikj,i,j->k", DJa, X, Y)
     if kind_x == "h" and kind_y == "h":
-        return vl(-0.5 * (Rop(X, Ja @ Y, u) - Ja @ Rop(X, Y, u))) + hl(nXJY)
+        return lift("v", -0.5 * (Rop(X, Ja @ Y, u) - Ja @ Rop(X, Y, u))) + lift("h", nXJY, M)
     if kind_x == "h" and kind_y == "v":
-        return vl(nXJY) + hl(0.5 * (Rop(u, Ja @ Y, X) - Ja @ Rop(u, Y, X)))
+        return lift("v", nXJY) + lift("h", 0.5 * (Rop(u, Ja @ Y, X) - Ja @ Rop(u, Y, X)), M)
     raise ValidationError("kinds must be 'h' or 'v'")
 
 
@@ -382,14 +329,10 @@ def check_connection_oracle(
         for Y in dirs:
             W = lifted_field(bundle, Y, ky)
             Wxi = eval_field(W, xi)
-            dW = np.stack([fd_partial(W, xi, A, cfg) for A in range(2 * n)])
+            dW = fd_gradient(W, xi, cfg)
             for kx in ("h", "v"):
                 for X in dirs:
-                    U = (
-                        np.concatenate([X, -M @ X])
-                        if kx == "h"
-                        else np.concatenate([np.zeros(n), X])
-                    )
+                    U = lift(kx, X, M)
                     fd = np.einsum("a,ak->k", U, dW) + np.einsum(
                         "kab,a,b->k", gamG, U, Wxi
                     )
@@ -403,8 +346,8 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     form, over the lifted coordinate frame and all three members."""
     g, cfg = bundle.base_metric, bundle.cfg
     n = bundle.base_dim
-    fr = lift_frame(g, xi, cfg)
-    lifts = {"h": fr.horizontal, "v": fr.vertical}
+    M = connection_shift(g, xi, cfg)
+    lifts = {k: lift(k, np.eye(n), M) for k in ("h", "v")}
     worst = 0.0
     for a in range(3):
         D = covariant_derivative_11(bundle.metric, bundle.triple.fields[a], xi, cfg)
@@ -450,18 +393,14 @@ def check_structure_derivative_span(bundle: SasakiBundle, xi: Point) -> float:
         covariant_derivative_11(bundle.metric, f, xi, cfg)
         for f in bundle.triple.fields
     ]  # D[a][A, k, j]
-    fr = lift_frame(g, xi, cfg)
+    M = connection_shift(g, xi, cfg)
+    H, V = lift("h", np.eye(n), M), lift("v", np.eye(n))
     worst = 0.0
     for i in range(n):
-        w1, w2, w3 = fit.omega[:, i]
-        predicted = (
-            -w3 * Jt[1] + w2 * Jt[2],
-            w1 * Jt[2] + w3 * Jt[0],
-            w2 * Jt[0] + w1 * Jt[1],
-        )
+        predicted = span_combination(fit.omega[:, i], Jt)
         for a in range(3):
-            got_h = np.einsum("akj,a->kj", D[a], fr.horizontal[:, i])
-            got_v = np.einsum("akj,a->kj", D[a], fr.vertical[:, i])
+            got_h = np.einsum("akj,a->kj", D[a], H[:, i])
+            got_v = np.einsum("akj,a->kj", D[a], V[:, i])
             worst = max(worst, float(np.abs(got_h - predicted[a]).max()))
             worst = max(worst, float(np.abs(got_v).max()))
     return worst
@@ -492,7 +431,6 @@ class BracketReport:
 
 def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
     g, cfg = bundle.base_metric, bundle.cfg
-    n = bundle.base_dim
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     x, u = _split_xi(g.chart, xi)
@@ -500,16 +438,15 @@ def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
     Yh = lifted_field(bundle, Y, "h")
     Xv = lifted_field(bundle, X, "v")
     Yv = lifted_field(bundle, Y, "v")
-    vl = lambda V: np.concatenate([np.zeros(n), V])
     gam = christoffel(g, x, cfg).gamma
     R = riemann(g, x, cfg).riem
     covXY = np.einsum("kml,m,l->k", gam, X, Y)
     RXYu = curvature_operator(R, X, Y, u)
     vv = float(np.abs(lie_bracket(Xv, Yv, xi, cfg)).max())
-    hv = float(np.abs(lie_bracket(Xh, Yv, xi, cfg) - vl(covXY)).max())
+    hv = float(np.abs(lie_bracket(Xh, Yv, xi, cfg) - lift("v", covXY)).max())
     hh_val = lie_bracket(Xh, Yh, xi, cfg)
-    hh = float(np.abs(hh_val - vl(-RXYu)).max())
-    hh_flipped = float(np.abs(hh_val - vl(+RXYu)).max())
+    hh = float(np.abs(hh_val - lift("v", -RXYu)).max())
+    hh_flipped = float(np.abs(hh_val - lift("v", +RXYu)).max())
     return BracketReport(
         vv_residual=vv,
         hv_residual=hv,

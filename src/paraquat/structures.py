@@ -36,11 +36,22 @@ class StructureClass(str, Enum):
     LHPK_BASIS = "LhPK-basis"
 
 
-def check_hermitian(g: MetricField, T: LocalBasisTriple, p: Point, tol: float = 1e-12) -> float:
+def check_hermitian(g: MetricField, T: LocalBasisTriple, p: Point) -> float:
     """max_a |J_a^T g + g J_a| at p; zero means every J_a is g-skew."""
     gp = g.matrix(p)
     J = T.matrices(p)
     return max(float(np.abs(J[a].T @ gp + gp @ J[a]).max()) for a in range(3))
+
+
+def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The span-parallel values of (nabla J_1, nabla J_2, nabla J_3) along one
+    direction, given w = (w1, w2, w3) on it and J the stacked triple."""
+    w1, w2, w3 = w
+    return (
+        -w3 * J[1] + w2 * J[2],
+        w1 * J[2] + w3 * J[0],
+        w2 * J[0] + w1 * J[1],
+    )
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,7 @@ class KahlerFit:
     point: Point
     omega: np.ndarray  # (3, dim): omega[a-1, i] = w_a(d_i)
     residual: float
+    nabla: np.ndarray  # (3, dim, dim, dim): nabla[a-1] = D[i, k, j] of J_a
 
 
 def fit_kahler_oneforms(
@@ -59,7 +71,7 @@ def fit_kahler_oneforms(
     traces = np.array([np.trace(J[b] @ J[b]) for b in range(3)])
     if np.any(np.abs(traces) < TRACE_FLOOR):
         raise IllConditionedError(f"degenerate trace pairing at {p}: {traces}")
-    D = [covariant_derivative_11(g, f, p, cfg) for f in T.fields]  # D[a][i,k,j]
+    D = np.stack([covariant_derivative_11(g, f, p, cfg) for f in T.fields])  # D[a, i, k, j]
 
     def slot(a: int, b: int, i: int) -> float:
         # coefficient of J_b inside (nabla_i J_a)
@@ -75,15 +87,10 @@ def fit_kahler_oneforms(
         omega[2, i] = 0.5 * (c21 - c12)
     residual = 0.0
     for i in range(n):
-        w1, w2, w3 = omega[:, i]
-        recon = (
-            -w3 * J[1] + w2 * J[2],
-            w1 * J[2] + w3 * J[0],
-            w2 * J[0] + w1 * J[1],
-        )
+        recon = span_combination(omega[:, i], J)
         for a in range(3):
             residual = max(residual, float(np.abs(D[a][i] - recon[a]).max()))
-    return KahlerFit(point=p, omega=omega, residual=residual)
+    return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,7 @@ def classify_structure(
     for p in pts:
         fit = fit_kahler_oneforms(g, T, p, cfg)
         fit_res = max(fit_res, fit.residual)
-        for f in T.fields:
-            nab = max(nab, float(np.abs(covariant_derivative_11(g, f, p, cfg)).max()))
+        nab = max(nab, float(np.abs(fit.nabla).max()))
     if herm >= tol:
         cls = StructureClass.NOT_HERMITIAN
     elif nab < tol:

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, fd_partial
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, fd_gradient
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -69,9 +69,10 @@ def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarr
 
 @dataclass(frozen=True)
 class SplitFrame:
-    """Pointwise vertical/horizontal data: frames and projectors."""
+    """Pointwise vertical/horizontal data: differential, frames, projectors."""
 
     point: Point
+    df: np.ndarray          # (n', n), the Jacobian the split was taken from
     vertical: np.ndarray    # (n, n - n'), columns span ker(df)
     horizontal: np.ndarray  # (n, n'), columns span the g-complement
     v: np.ndarray           # (n, n) projector onto vertical along horizontal
@@ -100,7 +101,7 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def vh_split(f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> SplitFrame:
     J = jacobian(f, p, cfg)
     V, H, Pv, Ph = _split_matrices(J, g.matrix(p))
-    return SplitFrame(point=p, vertical=V, horizontal=H, v=Pv, h=Ph)
+    return SplitFrame(point=p, df=J, vertical=V, horizontal=H, v=Pv, h=Ph)
 
 
 def check_semi_riemannian(
@@ -113,9 +114,8 @@ def check_semi_riemannian(
     """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at the sample."""
     worst = 0.0
     for p in pts:
-        J = jacobian(f, p, cfg)
         fr = vh_split(f, g, p, cfg)
-        down = J @ fr.horizontal
+        down = fr.df @ fr.horizontal
         up = fr.horizontal.T @ g.matrix(p) @ fr.horizontal
         dn = down.T @ g_target.matrix(f.map_point(p)) @ down
         worst = max(worst, float(np.abs(up - dn).max()))
@@ -214,7 +214,7 @@ def oneill_tensors(
         return _split_matrices(J, g.matrix(q))[2]
 
     pv_field = TensorField(f.source, 1, 1, pv_at, label="vertical projector")
-    dPv = np.stack([fd_partial(pv_field, p, m, cfg) for m in range(n)])  # (n, n, n)
+    dPv = fd_gradient(pv_field, p, cfg)  # (n, n, n)
 
     def covd(u: np.ndarray, w_proj_is_v: bool, j: int) -> np.ndarray:
         # nabla_u W at p for W(x) = P(x) e_j with P = Pv or Ph = I - Pv
@@ -246,9 +246,8 @@ def basic_lift(
     w = np.asarray(target_vector, dtype=float)
     if w.shape != (f.target.dim,):
         raise ShapeError(f"target vector has shape {w.shape}, expected ({f.target.dim},)")
-    J = jacobian(f, p, cfg)
     fr = vh_split(f, g, p, cfg)
-    JH = J @ fr.horizontal
+    JH = fr.df @ fr.horizontal
     return fr.horizontal @ np.linalg.solve(JH, w)
 
 

@@ -101,3 +101,52 @@ def test_run_options_recorded_in_environment(capsys):
     assert env["seed"] == 42
     assert env["points"] == 3
     assert env["step"] == 1e-4
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "0.2")],
+)
+def test_bad_override_exits_two(flag, value, capsys):
+    # 0.2 is a valid step, but its 10-step sampling margin leaves no interior
+    assert main(["run", "flat-lhpk", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_step_keeps_sample_inside_the_stencil_margin(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "sasaki-over-flat", "--step", "2e-2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["checks"]) == 10
+    assert all(c["passed"] for c in report["checks"])
+
+
+def test_errored_check_is_not_an_expected_failure(tmp_path, capsys):
+    doc = {
+        "name": "errored-negative-control",
+        "description": "a fiber outside the chart box errors instead of failing",
+        "expect": "fail",
+        "geometry": {
+            "dim": 8,
+            "metric": "neutral8",
+            "triple": "product8-rotated",
+            "submersion": {"components": ["x1", "x2", "x3", "x4"]},
+            "target": {"dim": 4, "metric": "neutral4", "triple": "rotated4"},
+        },
+        "checks": [
+            {
+                "check": "descend-oneforms",
+                "fiber": [
+                    [0.1, 0.2, -0.1, 0.05, 1.5, 0.0, 0.0, 0.0],
+                    [0.1, 0.2, -0.1, 0.05, 1.7, 0.0, 0.0, 0.0],
+                ],
+            }
+        ],
+    }
+    f = tmp_path / "errored.json"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["data"] == {"error": "OutOfDomainError"}
+    assert not report["overall"] and not report["final"]

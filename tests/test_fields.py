@@ -93,8 +93,6 @@ def test_sample_points_deterministic(chart4):
 def test_fdconfig_validation():
     with pytest.raises(ValidationError):
         FdConfig(step=0.0)
-    with pytest.raises(ValidationError):
-        FdConfig(scheme="forward-1")
 
 
 def test_chart_with_custom_domain():

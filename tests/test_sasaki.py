@@ -19,8 +19,7 @@ from paraquat import (
     eval_field,
     fd_partial,
     fit_kahler_oneforms,
-    horizontal_lift,
-    lift_frame,
+    lift,
     lifted_field,
     oracle_tilde_nabla,
     signature,
@@ -66,7 +65,7 @@ def test_horizontal_lift_u_part(conformal4, cfg):
     tb = tangent_bundle_chart(conformal4.chart)
     e1 = np.array([1.0, 0, 0, 0])
     xi = Point(tb, np.concatenate([np.zeros(4), e1]))
-    lifted = horizontal_lift(e1, conformal4, xi, cfg)
+    lifted = lift("h", e1, connection_shift(conformal4, xi, cfg))
     # at the origin with u = e1 the shift matrix is the identity
     assert np.abs(lifted[:4] - e1).max() < 1e-5
     assert np.abs(lifted[4:] + e1).max() < 1e-5
@@ -93,8 +92,8 @@ def test_lifted_metric_on_frames(conformal4, std_triple, cfg):
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     G = bundle.metric.matrix(xi)
     gx = conformal4.matrix(bundle.base_point(xi))
-    fr = lift_frame(conformal4, xi, cfg)
-    H, V = fr.horizontal, fr.vertical
+    M = connection_shift(conformal4, xi, cfg)
+    H, V = lift("h", np.eye(4), M), lift("v", np.eye(4))
     assert np.abs(H.T @ G @ H - gx).max() < 1e-9
     assert np.abs(H.T @ G @ V).max() < 1e-9
     assert np.abs(V.T @ G @ V - gx).max() < 1e-9
