@@ -17,6 +17,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,35 @@ DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
+def _memo():
+    """A per-instance cache that takes no part in init, repr, eq or hash."""
+    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _store(memo: dict, key, value: np.ndarray) -> np.ndarray:
+    """Keep a read-only copy of value under key and return it; the copy is the
+    memo's own, so neither the caller's array nor a later hit can be changed."""
+    stored = np.array(value, dtype=float)
+    stored.flags.writeable = False
+    memo[key] = stored
+    return stored
+
+
 @dataclass(frozen=True)
 class MetricField:
     """A (0,2) field validated as a semi-Riemannian metric at evaluation time:
-    symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for."""
+    symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for.
+
+    The instance memoises g (per point) and, through ``christoffel`` and
+    ``riemann``, Gamma and R (per point and FD step).  Only evaluations that
+    passed every check are stored, as read-only arrays; a hit repeats the
+    chart check, so a point of another chart still raises.
+    """
 
     field: TensorField
+    _g: dict = _memo()
+    _gamma: dict = _memo()
+    _riem: dict = _memo()
 
     def __post_init__(self):
         if (self.field.r, self.field.s) != (0, 2):
@@ -43,13 +67,23 @@ class MetricField:
     def chart(self) -> ManifoldSpec:
         return self.field.chart
 
+    def _hit(self, memo: dict, key, p: Point) -> np.ndarray | None:
+        hit = memo.get(key)
+        if hit is not None and p.chart is not self.chart and p.chart != self.chart:
+            raise ValidationError("point and field live on different charts")
+        return hit
+
     def matrix(self, p: Point) -> np.ndarray:
+        key = p.coords.tobytes()
+        g = self._hit(self._g, key, p)
+        if g is not None:
+            return g
         g = eval_field(self.field, p)
         if np.abs(g - g.T).max() > SYMMETRY_TOL:
             raise ValidationError(f"metric not symmetric at {p}")
         if abs(np.linalg.det(g)) <= DET_FLOOR:
             raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {p}")
-        return g
+        return _store(self._g, key, g)
 
 
 @dataclass(frozen=True)
@@ -77,6 +111,10 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> Christo
     Metric partials are central differences; the metric's nondegeneracy is
     checked at the center and at every stencil point.
     """
+    key = (p.coords.tobytes(), cfg.step)
+    gamma = g._hit(g._gamma, key, p)
+    if gamma is not None:
+        return ChristoffelData(point=p, gamma=gamma)
     n = g.chart.dim
     h = cfg.step
     gp = g.matrix(p)
@@ -92,7 +130,7 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> Christo
         - partials
     )
     gamma = 0.5 * np.einsum("kl,lij->kij", ginv, term)
-    return ChristoffelData(point=p, gamma=gamma)
+    return ChristoffelData(point=p, gamma=_store(g._gamma, key, gamma))
 
 
 def covariant_derivative_11(
@@ -162,6 +200,10 @@ def covariant_derivative_02(
 
 def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> CurvatureData:
     """Riemann curvature R^l_{kij} at p (convention in the module docstring)."""
+    key = (p.coords.tobytes(), cfg.step)
+    riem = g._hit(g._riem, key, p)
+    if riem is not None:
+        return CurvatureData(point=p, riem=riem)
     n = g.chart.dim
     h = cfg.step
     gam = christoffel(g, p, cfg).gamma
@@ -176,7 +218,7 @@ def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> CurvatureDa
         + np.einsum("lim,mjk->lkij", gam, gam)
         - np.einsum("ljm,mik->lkij", gam, gam)
     )
-    return CurvatureData(point=p, riem=riem)
+    return CurvatureData(point=p, riem=_store(g._riem, key, riem))
 
 
 def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:

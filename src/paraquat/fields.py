@@ -200,6 +200,8 @@ def sample_points(
 
 
 def constant_field(chart: ManifoldSpec, r: int, s: int, value: np.ndarray, label: str = "") -> TensorField:
-    """Field whose components are the same array everywhere."""
-    vals = np.asarray(value, dtype=float)
+    """Field whose components are the same array everywhere: a read-only copy
+    of ``value``, so later changes to the caller's array do not reach it."""
+    vals = np.array(value, dtype=float)
+    vals.flags.writeable = False
     return TensorField(chart, r, s, lambda p: vals, label=label)

@@ -130,9 +130,16 @@ def _f(x) -> float:
     return float(x)
 
 
+def _points_cap(k) -> int:
+    """A check's ``points`` cap; 0 would check nothing and -1 drop a point."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValidationError(f"a check's 'points' must be an integer >= 1, got {k!r}")
+    return k
+
+
 def _pts(ctx: ScenarioContext, params: dict, default: int | None = None) -> list[Point]:
     k = params.get("points", default)
-    return ctx.points if k is None else ctx.points[: int(k)]
+    return ctx.points if k is None else ctx.points[: _points_cap(k)]
 
 
 def _need_bundle(ctx: ScenarioContext, check: str) -> SasakiBundle:
@@ -669,6 +676,11 @@ def run_scenario(
         name = spec.get("check")
         if name not in CHECKS:
             raise ParseError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        if "points" in spec:
+            _points_cap(spec["points"])
+    expect = config.get("expect", "pass")
+    if expect not in ("pass", "fail"):
+        raise ParseError("expect must be 'pass' or 'fail'")
     ctx = build_context(config, seed=seed, step=step, points=points)
     results: list[CheckResult] = []
     for spec in check_specs:
@@ -685,9 +697,6 @@ def run_scenario(
             passed, data, note = False, {"error": type(exc).__name__}, str(exc)
         results.append(CheckResult(cdef.name, cdef.anchor, passed, data, note))
     overall = all(r.passed for r in results)
-    expect = config.get("expect", "pass")
-    if expect not in ("pass", "fail"):
-        raise ParseError("expect must be 'pass' or 'fail'")
     # an error is never the failure a negative control documents
     errored = any("error" in r.data for r in results)
     final = overall if expect == "pass" else not (overall or errored)

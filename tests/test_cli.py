@@ -4,7 +4,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from paraquat.catalog import scenario_names
+from paraquat import scenario
+from paraquat.catalog import load_catalog_scenario, scenario_names
 from paraquat.cli import main
 
 SCHEMA = json.loads(
@@ -150,3 +151,40 @@ def test_errored_check_is_not_an_expected_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["checks"][0]["data"] == {"error": "OutOfDomainError"}
     assert not report["overall"] and not report["final"]
+
+
+def _no_geometry(*args, **kwargs):
+    raise AssertionError("the geometry was built before the scenario was validated")
+
+
+@pytest.mark.parametrize("check", ["hermitian", "kahler-fit", "flatness"])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_bad_points_cap_exits_two_before_any_work(check, cap, monkeypatch, tmp_path, capsys):
+    # at 0 a check would look at no point at all, at -1 it would drop the last
+    doc = {
+        "name": "bad-cap",
+        "description": "",
+        "expect": "pass",
+        "points": 3,
+        "geometry": {"dim": 4, "metric": "neutral4", "triple": "standard4"},
+        "checks": [{"check": check, "points": cap}],
+    }
+    f = tmp_path / "cap.json"
+    f.write_text(json.dumps(doc))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "points" in err
+
+
+def test_bad_expect_exits_two_before_any_work(monkeypatch, tmp_path, capsys):
+    doc = load_catalog_scenario("sasaki-over-flat")
+    doc["expect"] = "pas"
+    f = tmp_path / "typo.json"
+    f.write_text(json.dumps(doc))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expect" in err

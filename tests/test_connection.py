@@ -10,9 +10,12 @@ import pytest
 
 from paraquat import (
     DegenerateMetricError,
+    FdConfig,
     MetricField,
+    OutOfDomainError,
     Point,
     TensorField,
+    ValidationError,
     christoffel,
     constant_field,
     covariant_derivative_02,
@@ -25,6 +28,7 @@ from paraquat import (
     riemann,
     signature,
 )
+from paraquat.catalog import ETA4, METRICS, make_chart
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -183,3 +187,111 @@ def test_covariant_derivative_11_leibniz_against_parts(conformal4, chart4, cfg):
     p = Point(chart4, [0.2, 0.1, -0.3, 0.05])
     D = covariant_derivative_11(conformal4, eye, p, cfg)
     assert np.abs(D).max() < 1e-10
+
+
+# ------------------------------------------------------------------ memo
+
+MEMO_POINT = [0.1, -0.2, 0.3, 0.05]
+
+
+def _conformal(p):
+    return np.exp(2.0 * p.coords[0]) * ETA
+
+
+def _counted_metric(chart, comps=_conformal):
+    """A fresh MetricField and the list its component callable appends to."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return comps(p)
+
+    return MetricField(TensorField(chart, 0, 2, counted, "counted")), calls
+
+
+EVALUATIONS = {
+    "matrix": lambda g, p, cfg: g.matrix(p),
+    "christoffel": lambda g, p, cfg: christoffel(g, p, cfg).gamma,
+    "riemann": lambda g, p, cfg: riemann(g, p, cfg).riem,
+}
+
+
+@pytest.mark.parametrize("what", sorted(EVALUATIONS))
+def test_memo_hit_is_read_only_and_skips_the_components(chart4, cfg, what):
+    evaluate = EVALUATIONS[what]
+    g, calls = _counted_metric(chart4)
+    p = Point(chart4, MEMO_POINT)
+    first = evaluate(g, p, cfg)
+    made = len(calls)
+    assert made > 0
+    again = evaluate(g, Point(chart4, MEMO_POINT), cfg)
+    assert len(calls) == made
+    assert again.tobytes() == first.tobytes()
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[(0,) * again.ndim] = 1.0
+    fresh, _ = _counted_metric(chart4)
+    assert evaluate(fresh, p, cfg).tobytes() == first.tobytes()
+
+
+def test_memo_never_freezes_the_callers_array(chart4):
+    value = np.diag([2.0, 1.0, -1.0, -1.0])
+    g, _ = _counted_metric(chart4, lambda p: value)
+    p = Point(chart4, MEMO_POINT)
+    assert not g.matrix(p).flags.writeable
+    assert value.flags.writeable
+    METRICS["neutral4"](chart4).matrix(p)
+    assert ETA4.flags.writeable
+
+
+@pytest.mark.parametrize("what", ["christoffel", "riemann"])
+def test_memo_computes_another_step_afresh(chart4, what):
+    evaluate = EVALUATIONS[what]
+    g, calls = _counted_metric(chart4)
+    p = Point(chart4, MEMO_POINT)
+    coarse, fine = FdConfig(step=2e-3), FdConfig(step=1e-3)
+    at_coarse = evaluate(g, p, coarse)
+    made = len(calls)
+    at_fine = evaluate(g, p, fine)
+    assert len(calls) > made
+    assert not np.array_equal(at_coarse, at_fine)
+    fresh, _ = _counted_metric(chart4)
+    assert at_fine.tobytes() == evaluate(fresh, p, fine).tobytes()
+    assert evaluate(g, p, coarse).tobytes() == at_coarse.tobytes()
+
+
+@pytest.mark.parametrize("what", sorted(EVALUATIONS))
+def test_memo_hit_still_rejects_a_point_of_another_chart(chart4, cfg, what):
+    evaluate = EVALUATIONS[what]
+    g, _ = _counted_metric(chart4)
+    evaluate(g, Point(chart4, MEMO_POINT), cfg)
+    other = make_chart(4, coords=("a", "b", "c", "d"))
+    with pytest.raises(ValidationError, match="different charts"):
+        evaluate(g, Point(other, MEMO_POINT), cfg)
+
+
+H = FdConfig().step
+
+RAISING = {
+    # evaluation, component callable, point, error
+    "outside the box": ("matrix", _conformal, [2.0, 0.0, 0.0, 0.0], OutOfDomainError),
+    "degenerate": (
+        "matrix", lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]), [0.0, 0.1, 0.2, 0.3],
+        DegenerateMetricError,
+    ),
+    "not symmetric": (
+        "matrix", lambda p: ETA + np.triu(np.ones((4, 4)), 1), MEMO_POINT, ValidationError,
+    ),
+    "Gamma stencil off the box": ("christoffel", _conformal, [1.0 - 0.5 * H, 0.0, 0.0, 0.0], OutOfDomainError),
+    "R stencil off the box": ("riemann", _conformal, [1.0 - 1.5 * H, 0.0, 0.0, 0.0], OutOfDomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISING))
+def test_memo_stores_nothing_when_an_evaluation_raises(chart4, cfg, case):
+    what, comps, coords, error = RAISING[case]
+    g, _ = _counted_metric(chart4, comps)
+    p = Point(chart4, coords)
+    for _ in range(2):
+        with pytest.raises(error):
+            EVALUATIONS[what](g, p, cfg)

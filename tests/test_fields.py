@@ -54,6 +54,17 @@ def test_eval_field_guards(chart4):
         eval_field(bad, p)
 
 
+def test_constant_field_keeps_its_own_copy(chart4):
+    value = np.eye(4)
+    f = constant_field(chart4, 1, 1, value, "id")
+    p = Point(chart4, [0.0, 0.0, 0.0, 0.0])
+    value[0, 0] = 5.0  # the caller's array changes after construction
+    got = eval_field(f, p)
+    assert np.array_equal(got, np.eye(4))
+    assert not got.flags.writeable
+    assert value.flags.writeable
+
+
 def test_fd_partial_accuracy(chart4, cfg):
     # d/dx1 sin(x1) = cos(x1); the central scheme is O(h^2)
     f = TensorField(chart4, 0, 0, lambda p: np.sin(p.coords[0]), "sin")
