@@ -23,24 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, ShapeError, ValidationError
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, eval_field, fd_gradient
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, eval_field, fd_gradient
 
 DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
-
-
-def _memo():
-    """A per-instance cache that takes no part in init, repr, eq or hash."""
-    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _store(memo: dict, key, value: np.ndarray) -> np.ndarray:
-    """Keep a read-only copy of value under key and return it; the copy is the
-    memo's own, so neither the caller's array nor a later hit can be changed."""
-    stored = np.array(value, dtype=float)
-    stored.flags.writeable = False
-    memo[key] = stored
-    return stored
 
 
 @dataclass(frozen=True)
@@ -55,9 +41,7 @@ class MetricField:
     """
 
     field: TensorField
-    _g: dict = _memo()
-    _gamma: dict = _memo()
-    _riem: dict = _memo()
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.field.r, self.field.s) != (0, 2):
@@ -67,35 +51,31 @@ class MetricField:
     def chart(self) -> ManifoldSpec:
         return self.field.chart
 
-    def _hit(self, memo: dict, key, p: Point) -> np.ndarray | None:
-        hit = memo.get(key)
-        if hit is not None and p.chart is not self.chart and p.chart != self.chart:
-            raise ValidationError("point and field live on different charts")
-        return hit
+    def _memoised(self, kind: str, p: Point, step: float | None, compute) -> np.ndarray:
+        """The memo's array for (kind, p, step), else compute() stored there as
+        a read-only copy the memo owns, so neither the caller's array nor a
+        later hit can be changed; a compute that raises stores nothing."""
+        key = (kind, p.coords.tobytes(), step)
+        hit = self._memo.get(key)
+        if hit is not None:
+            if p.chart is not self.chart and p.chart != self.chart:
+                raise ValidationError("point and field live on different charts")
+            return hit
+        stored = np.array(compute(), dtype=float)
+        stored.flags.writeable = False
+        self._memo[key] = stored
+        return stored
 
     def matrix(self, p: Point) -> np.ndarray:
-        key = p.coords.tobytes()
-        g = self._hit(self._g, key, p)
-        if g is not None:
+        def compute():
+            g = eval_field(self.field, p)
+            if np.abs(g - g.T).max() > SYMMETRY_TOL:
+                raise ValidationError(f"metric not symmetric at {p}")
+            if abs(np.linalg.det(g)) <= DET_FLOOR:
+                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {p}")
             return g
-        g = eval_field(self.field, p)
-        if np.abs(g - g.T).max() > SYMMETRY_TOL:
-            raise ValidationError(f"metric not symmetric at {p}")
-        if abs(np.linalg.det(g)) <= DET_FLOOR:
-            raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {p}")
-        return _store(self._g, key, g)
 
-
-@dataclass(frozen=True)
-class ChristoffelData:
-    point: Point
-    gamma: np.ndarray  # (dim, dim, dim), gamma[k, i, j] = Gamma^k_{ij}
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    point: Point
-    riem: np.ndarray  # (dim,)*4, riem[l, k, i, j] = R^l_{kij}
+        return self._memoised("g", p, None, compute)
 
 
 @dataclass(frozen=True)
@@ -105,32 +85,25 @@ class FlatnessVerdict:
     points_checked: int
 
 
-def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> ChristoffelData:
-    """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}).
+def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+    """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
+    read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
 
     Metric partials are central differences; the metric's nondegeneracy is
     checked at the center and at every stencil point.
     """
-    key = (p.coords.tobytes(), cfg.step)
-    gamma = g._hit(g._gamma, key, p)
-    if gamma is not None:
-        return ChristoffelData(point=p, gamma=gamma)
-    n = g.chart.dim
-    h = cfg.step
-    gp = g.matrix(p)
-    ginv = np.linalg.inv(gp)
-    partials = np.empty((n, n, n))  # partials[i, l, j] = d_i g_{lj}
-    for i in range(n):
-        plus = g.matrix(p.shifted(i, +h))
-        minus = g.matrix(p.shifted(i, -h))
-        partials[i] = (plus - minus) / (2.0 * h)
-    term = (
-        np.einsum("ilj->lij", partials)
-        + np.einsum("jli->lij", partials)
-        - partials
-    )
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, term)
-    return ChristoffelData(point=p, gamma=_store(g._gamma, key, gamma))
+
+    def compute():
+        ginv = np.linalg.inv(g.matrix(p))
+        partials = central_difference(g.matrix, p, cfg)  # partials[i, l, j] = d_i g_{lj}
+        term = (
+            np.einsum("ilj->lij", partials)
+            + np.einsum("jli->lij", partials)
+            - partials
+        )
+        return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+
+    return g._memoised("gamma", p, cfg.step, compute)
 
 
 def covariant_derivative_11(
@@ -139,7 +112,7 @@ def covariant_derivative_11(
     """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j]."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
-    gam = christoffel(g, p, cfg).gamma
+    gam = christoffel(g, p, cfg)
     Tp = eval_field(T, p)
     dT = fd_gradient(T, p, cfg)  # [i, k, j]
     return (
@@ -160,7 +133,7 @@ def covariant_derivative_vector(
     u = np.asarray(u, dtype=float)
     if u.shape != (n,):
         raise ShapeError(f"direction has shape {u.shape}, expected ({n},)")
-    gam = christoffel(g, p, cfg).gamma
+    gam = christoffel(g, p, cfg)
     dW = fd_gradient(W, p, cfg)  # dW[m, k]
     return np.einsum("m,mk->k", u, dW) + np.einsum("kml,m,l->k", gam, u, eval_field(W, p))
 
@@ -188,7 +161,7 @@ def covariant_derivative_02(
     """
     if (T.r, T.s) != (0, 2):
         raise ValidationError("covariant_derivative_02 expects a (0,2) field")
-    gam = christoffel(g, p, cfg).gamma
+    gam = christoffel(g, p, cfg)
     Tp = eval_field(T, p)
     dT = fd_gradient(T, p, cfg)  # [i, j, k]
     return (
@@ -198,27 +171,22 @@ def covariant_derivative_02(
     )
 
 
-def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> CurvatureData:
-    """Riemann curvature R^l_{kij} at p (convention in the module docstring)."""
-    key = (p.coords.tobytes(), cfg.step)
-    riem = g._hit(g._riem, key, p)
-    if riem is not None:
-        return CurvatureData(point=p, riem=riem)
-    n = g.chart.dim
-    h = cfg.step
-    gam = christoffel(g, p, cfg).gamma
-    dgam = np.empty((n, n, n, n))  # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-    for i in range(n):
-        plus = christoffel(g, p.shifted(i, +h), cfg).gamma
-        minus = christoffel(g, p.shifted(i, -h), cfg).gamma
-        dgam[i] = (plus - minus) / (2.0 * h)
-    riem = (
-        np.einsum("iljk->lkij", dgam)
-        - np.einsum("jlik->lkij", dgam)
-        + np.einsum("lim,mjk->lkij", gam, gam)
-        - np.einsum("ljm,mik->lkij", gam, gam)
-    )
-    return CurvatureData(point=p, riem=_store(g._riem, key, riem))
+def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+    """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
+    ``riem[l, k, i, j]`` (convention in the module docstring)."""
+
+    def compute():
+        gam = christoffel(g, p, cfg)
+        # dgam[i, l, j, k] = d_i Gamma^l_{jk}
+        dgam = central_difference(lambda q: christoffel(g, q, cfg), p, cfg)
+        return (
+            np.einsum("iljk->lkij", dgam)
+            - np.einsum("jlik->lkij", dgam)
+            + np.einsum("lim,mjk->lkij", gam, gam)
+            - np.einsum("ljm,mik->lkij", gam, gam)
+        )
+
+    return g._memoised("riem", p, cfg.step, compute)
 
 
 def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:
@@ -252,7 +220,7 @@ def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3, cfg: FdConfig =
         raise ValidationError("is_flat needs at least one point")
     worst = 0.0
     for p in pts:
-        worst = max(worst, float(np.abs(riemann(g, p, cfg).riem).max()))
+        worst = max(worst, float(np.abs(riemann(g, p, cfg)).max()))
     return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 
 

@@ -154,25 +154,27 @@ def eval_field(field: TensorField, p: Point) -> np.ndarray:
     return vals
 
 
-def fd_partial(field: TensorField, p: Point, k: int, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Central difference of the components along coordinate k.
+def central_difference(
+    f: Callable[[Point], np.ndarray], p: Point, cfg: FdConfig = FdConfig()
+) -> np.ndarray:
+    """Second-order central differences of ``f`` along every coordinate,
+    stacked: ``out[m] = (f(p + h e_m) - f(p - h e_m)) / 2h`` with h = cfg.step.
 
-    Exact for affine component functions; O(h^2) otherwise.
+    Exact for affine f; O(h^2) otherwise.  The whole stencil must lie in p's
+    chart, else StencilOutOfDomainError.  This is the package's one
+    derivative stencil.
     """
     h = cfg.step
-    if not (0 <= k < field.chart.dim):
-        raise ValidationError(f"direction {k} out of range for dim {field.chart.dim}")
-    plus, minus = p.shifted(k, +h), p.shifted(k, -h)
-    if not (field.chart.contains(plus.coords) and field.chart.contains(minus.coords)):
-        raise StencilOutOfDomainError(
-            f"stencil around {p} in direction {k} leaves the domain"
-        )
-    return (eval_field(field, plus) - eval_field(field, minus)) / (2.0 * h)
+    if not p.chart.contains(p.coords, margin=h):
+        raise StencilOutOfDomainError(f"stencil of step {h} around {p} leaves the domain")
+    return np.stack(
+        [(f(p.shifted(m, +h)) - f(p.shifted(m, -h))) / (2.0 * h) for m in range(p.chart.dim)]
+    )
 
 
 def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Central differences along every coordinate, stacked: out[m] = d_m."""
-    return np.stack([fd_partial(field, p, m, cfg) for m in range(field.chart.dim)])
+    """Central differences of a tensor field's components, stacked: out[m] = d_m."""
+    return central_difference(lambda q: eval_field(field, q), p, cfg)
 
 
 def sample_points(

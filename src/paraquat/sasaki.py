@@ -77,7 +77,7 @@ def _split_xi(base: ManifoldSpec, xi: Point) -> tuple[Point, np.ndarray]:
 def connection_shift(g: MetricField, xi: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """M^k_i = Gamma^k_{ji}(x) u^j — the u-part of horizontal lifts is -M X."""
     x, u = _split_xi(g.chart, xi)
-    gam = christoffel(g, x, cfg).gamma
+    gam = christoffel(g, x, cfg)
     return np.einsum("kji,j->ki", gam, u)
 
 
@@ -227,7 +227,7 @@ def _value_and_derivative(
     if isinstance(Y, TensorField):
         return eval_field(Y, x), covariant_derivative_vector(g, Y, X, x, cfg)
     Yx = np.asarray(Y, dtype=float)
-    return Yx, np.einsum("kml,m,l->k", christoffel(g, x, cfg).gamma, X, Yx)
+    return Yx, np.einsum("kml,m,l->k", christoffel(g, x, cfg), X, Yx)
 
 
 def oracle_tilde_nabla(
@@ -254,7 +254,7 @@ def oracle_tilde_nabla(
         return np.zeros(2 * g.chart.dim)
     X = np.asarray(X, dtype=float)
     M = connection_shift(g, xi, cfg)
-    R = riemann(g, x, cfg).riem
+    R = riemann(g, x, cfg)
     Yx, covXY = _value_and_derivative(g, X, Y, x, cfg)
     if kind_x == "h" and kind_y == "h":
         return lift("h", covXY, M) + lift("v", -0.5 * curvature_operator(R, X, Yx, u))
@@ -296,7 +296,7 @@ def oracle_tilde_nabla_J(
     Y = np.asarray(Y, dtype=float)
     M = connection_shift(g, xi, cfg)
     Ja = eval_field(T.fields[a], x)
-    R = riemann(g, x, cfg).riem
+    R = riemann(g, x, cfg)
     Rop = lambda A, B, C: curvature_operator(R, A, B, C)
     if kind_x == "v" and kind_y == "h":
         return lift("h", 0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)), M)
@@ -322,7 +322,7 @@ def check_connection_oracle(
         if directions is None
         else [np.asarray(d, dtype=float) for d in directions]
     )
-    gamG = christoffel(bundle.metric, xi, cfg).gamma
+    gamG = christoffel(bundle.metric, xi, cfg)
     M = connection_shift(g, xi, cfg)
     worst = 0.0
     for ky in ("h", "v"):
@@ -378,7 +378,7 @@ def check_structure_derivative_span(bundle: SasakiBundle, xi: Point) -> float:
     g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
     n = bundle.base_dim
     x = bundle.base_point(xi)
-    base_R = float(np.abs(riemann(g, x, cfg).riem).max())
+    base_R = float(np.abs(riemann(g, x, cfg)).max())
     if base_R >= FLAT_BASE_TOL:
         raise PreconditionFailedError(
             f"base curvature {base_R:.3e} at {x}; the span form needs a flat base"
@@ -438,8 +438,8 @@ def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
     Yh = lifted_field(bundle, Y, "h")
     Xv = lifted_field(bundle, X, "v")
     Yv = lifted_field(bundle, Y, "v")
-    gam = christoffel(g, x, cfg).gamma
-    R = riemann(g, x, cfg).riem
+    gam = christoffel(g, x, cfg)
+    R = riemann(g, x, cfg)
     covXY = np.einsum("kml,m,l->k", gam, X, Y)
     RXYu = curvature_operator(R, X, Y, u)
     vv = float(np.abs(lie_bracket(Xv, Yv, xi, cfg)).max())

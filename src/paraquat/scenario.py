@@ -130,16 +130,22 @@ def _f(x) -> float:
     return float(x)
 
 
-def _points_cap(k) -> int:
-    """A check's ``points`` cap; 0 would check nothing and -1 drop a point."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(f"a check's 'points' must be an integer >= 1, got {k!r}")
-    return k
+def _integer(value, what: str, least: int) -> int:
+    # bool is a subclass of int, and JSON gives 2.7 as a float
+    if type(value) is not int or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _real(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _pts(ctx: ScenarioContext, params: dict, default: int | None = None) -> list[Point]:
+    # a cap of 0 would check nothing and -1 drop a point
     k = params.get("points", default)
-    return ctx.points if k is None else ctx.points[: _points_cap(k)]
+    return ctx.points if k is None else ctx.points[: _integer(k, "a check's 'points'", 1)]
 
 
 def _need_bundle(ctx: ScenarioContext, check: str) -> SasakiBundle:
@@ -357,6 +363,11 @@ def _run_bracket(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     bundle = _need_bundle(ctx, "bracket")
     n = bundle.base_dim
     pairs = p.get("pairs", [[1, 2], [2, 3]])
+    if not isinstance(pairs, list) or not all(
+        isinstance(q, list) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
+        for q in pairs
+    ):
+        raise ValidationError(f"bracket 'pairs' must be [i, j] with 1 <= i, j <= {n}, got {pairs!r}")
     tol = p.get("tol", 1e-3)
     flip_above = p.get("flip_above")
     worst = 0.0
@@ -590,17 +601,51 @@ def load_scenario(source) -> dict:
     return load_catalog_scenario(s)
 
 
+def _validate(config) -> list[dict]:
+    """Reject a malformed scenario document before any geometry is built;
+    returns its check entries."""
+    if not isinstance(config, dict):
+        raise ParseError(f"a scenario must be a JSON object, got {type(config).__name__}")
+    checks = config.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(spec, dict) for spec in checks):
+        raise ParseError("'checks' must be a list of objects, one per check")
+    for spec in checks:
+        name = spec.get("check")
+        if not isinstance(name, str) or name not in CHECKS:
+            raise ParseError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        for key, value in spec.items():
+            if key == "points":
+                _integer(value, "a check's 'points'", 1)
+            elif key in ("tol", "threshold") or key.endswith(("_tol", "_below", "_above")):
+                _real(value, f"{name} '{key}'")
+    if config.get("expect", "pass") not in ("pass", "fail"):
+        raise ParseError("expect must be 'pass' or 'fail'")
+    geo = config.get("geometry")
+    if not isinstance(geo, dict):
+        raise ParseError("scenario needs a 'geometry' block")
+    for block, where in ((geo, "geometry"), (geo.get("target"), "target")):
+        if block is not None:
+            if not isinstance(block, dict) or "dim" not in block:
+                raise ParseError(f"{where} needs a 'dim'")
+            _integer(block["dim"], f"{where} 'dim'", 1)
+    for key, least in (("seed", 0), ("points", 1)):
+        if key in config:
+            _integer(config[key], f"'{key}'", least)
+    if "step" in config:
+        _real(config["step"], "'step'")
+    return checks
+
+
 def build_context(
     config: dict,
     seed: int | None = None,
     step: float | None = None,
     points: int | None = None,
 ) -> ScenarioContext:
-    if "geometry" not in config:
-        raise ParseError("scenario needs a 'geometry' block")
+    """The geometry, sample and FD settings of a scenario document; seed,
+    step and points override the document's."""
+    _validate(config)
     geo = config["geometry"]
-    if "dim" not in geo:
-        raise ParseError("geometry needs 'dim'")
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
     metric = metric_from_config(geo.get("metric", "neutral4"), chart)
     triple = triple_from_config(geo.get("triple", "standard4"), chart)
@@ -671,16 +716,8 @@ def run_scenario(
     timestamp: str | None = None,
 ) -> VerificationReport:
     config = load_scenario(source)
-    check_specs = config.get("checks", [])
-    for spec in check_specs:
-        name = spec.get("check")
-        if name not in CHECKS:
-            raise ParseError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        if "points" in spec:
-            _points_cap(spec["points"])
+    check_specs = _validate(config)
     expect = config.get("expect", "pass")
-    if expect not in ("pass", "fail"):
-        raise ParseError("expect must be 'pass' or 'fail'")
     ctx = build_context(config, seed=seed, step=step, points=points)
     results: list[CheckResult] = []
     for spec in check_specs:

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, fd_gradient
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, fd_gradient
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -54,13 +54,14 @@ class SubmersionMap:
 
 
 def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """df at p as an (n', n) matrix; raises RankDeficientError if not onto."""
+    """df at p as a C-contiguous (n', n) matrix; raises RankDeficientError if
+    not onto and StencilOutOfDomainError if the stencil leaves p's chart."""
     n, m = f.source.dim, f.target.dim
-    J = np.empty((m, n))
-    for i in range(n):
-        hi = np.asarray(f.components(p.shifted(i, cfg.step).coords), dtype=float)
-        lo = np.asarray(f.components(p.shifted(i, -cfg.step).coords), dtype=float)
-        J[:, i] = (hi - lo) / (2.0 * cfg.step)
+    J = np.ascontiguousarray(
+        central_difference(lambda q: np.asarray(f.components(q.coords), dtype=float), p, cfg).T
+    )
+    if J.shape != (m, n):
+        raise ShapeError(f"map differential has shape {J.shape}, expected ({m}, {n})")
     sv = np.linalg.svd(J, compute_uv=False)
     if sv.size < m or sv[-1] <= RANK_FLOOR:
         raise RankDeficientError(f"differential drops rank at {p} (singular values {sv})")
@@ -206,7 +207,7 @@ def oneill_tensors(
     f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()
 ) -> ONeillTensors:
     n = f.source.dim
-    gam = christoffel(g, p, cfg).gamma
+    gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
 
     def pv_at(q: Point) -> np.ndarray:

@@ -188,3 +188,81 @@ def test_bad_expect_exits_two_before_any_work(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "expect" in err
+
+
+def _inline(**changes):
+    doc = {
+        "name": "inline",
+        "description": "",
+        "expect": "pass",
+        "points": 2,
+        "geometry": {"dim": 4, "metric": "neutral4", "triple": "standard4"},
+        "checks": [{"check": "hermitian"}],
+    }
+    doc.update(changes)
+    return doc
+
+
+MALFORMED = {
+    "top-level list": [_inline()],
+    "checks null": _inline(checks=None),
+    "check as a bare name": _inline(checks=["hermitian"]),
+    "step not a number": _inline(step="abc"),
+    "seed not a number": _inline(seed="x"),
+    "dim not a number": _inline(geometry={"dim": "four", "metric": "neutral4", "triple": "standard4"}),
+    "points not an integer": _inline(points=2.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_two_before_any_work(case, monkeypatch, tmp_path, capsys):
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(MALFORMED[case]))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "check, key, value",
+    [
+        ("hermitian", "tol", "1e-6"),
+        ("hermitian", "tol", True),
+        ("hermitian", "tol", float("nan")),
+        ("flatness", "threshold", None),
+        ("oneill", "a_below", "small"),
+        ("oneill", "antisymmetry_tol", [1e-5]),
+        ("product-structure", "nijenhuis_above", float("inf")),
+        ("parallel-equivalence", "failing_above", False),
+        ("bracket", "flip_above", "1"),
+    ],
+)
+def test_non_numeric_bound_exits_two_before_any_work(check, key, value, monkeypatch, tmp_path, capsys):
+    f = tmp_path / "bound.json"
+    f.write_text(json.dumps(_inline(checks=[{"check": check, key: value}])))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[0, 1]], [[1, 9]], [[1, 2, 3]], [[1.0, 2]]],
+    ids=["index 0", "past the base", "three indices", "float index"],
+)
+def test_bracket_pairs_must_be_base_indices(pairs, tmp_path, capsys):
+    # at 0 the index would wrap round to the last base direction
+    doc = _inline(
+        points=1,
+        geometry={"dim": 4, "metric": "neutral4", "triple": "standard4", "sasaki": True},
+        checks=[{"check": "bracket", "pairs": pairs}],
+    )
+    f = tmp_path / "pairs.json"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pairs" in err

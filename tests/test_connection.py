@@ -14,6 +14,7 @@ from paraquat import (
     MetricField,
     OutOfDomainError,
     Point,
+    StencilOutOfDomainError,
     TensorField,
     ValidationError,
     christoffel,
@@ -48,19 +49,19 @@ def conformal_christoffel_exact(dim=4):
 
 def test_flat_christoffel_vanishes(flat4, pts4, cfg):
     for p in pts4:
-        assert np.abs(christoffel(flat4, p, cfg).gamma).max() < 1e-12
+        assert np.abs(christoffel(flat4, p, cfg)).max() < 1e-12
 
 
 def test_conformal_christoffel_matches_exact(conformal4, pts4, cfg):
     exact = conformal_christoffel_exact()
     for p in pts4:
-        got = christoffel(conformal4, p, cfg).gamma
+        got = christoffel(conformal4, p, cfg)
         assert np.abs(got - exact).max() < 1e-5
 
 
 def test_christoffel_symmetric_lower_indices(conformal4, pts4, cfg):
     for p in pts4:
-        gam = christoffel(conformal4, p, cfg).gamma
+        gam = christoffel(conformal4, p, cfg)
         assert np.abs(gam - gam.transpose(0, 2, 1)).max() < 1e-10
 
 
@@ -73,19 +74,19 @@ def test_metric_compatibility(conformal4, pts4, cfg):
 
 def test_conformal_curvature_magnitude(conformal4, cfg):
     p = Point(conformal4.chart, [0.2, -0.3, 0.4, 0.1])
-    R = riemann(conformal4, p, cfg).riem
+    R = riemann(conformal4, p, cfg)
     assert abs(float(np.abs(R).max()) - 1.0) < 1e-4
 
 
 def test_riemann_antisymmetry_last_pair(conformal4, pts4, cfg):
     for p in pts4[:2]:
-        R = riemann(conformal4, p, cfg).riem
+        R = riemann(conformal4, p, cfg)
         assert np.abs(R + R.transpose(0, 1, 3, 2)).max() < 1e-4
 
 
 def test_first_bianchi(conformal4, cfg):
     p = Point(conformal4.chart, [0.1, 0.2, -0.2, 0.3])
-    R = riemann(conformal4, p, cfg).riem  # R[l, k, i, j]
+    R = riemann(conformal4, p, cfg)  # R[l, k, i, j]
     cyc = R + R.transpose(0, 3, 1, 2) + R.transpose(0, 2, 3, 1)
     assert np.abs(cyc).max() < 1e-4
 
@@ -94,7 +95,7 @@ def test_curvature_operator_values(conformal4, cfg):
     # for g = e^{2 x1} eta the only curvature is in the planes not touching
     # x1, with unit strength: R(e2, e3) e3 = e2 at every point
     p = Point(conformal4.chart, [0.15, -0.1, 0.25, 0.0])
-    R = riemann(conformal4, p, cfg).riem
+    R = riemann(conformal4, p, cfg)
     e = np.eye(4)
     assert np.allclose(curvature_operator(R, e[1], e[2], e[2]), e[1], atol=1e-4)
     # antisymmetric in the first two slots
@@ -164,7 +165,7 @@ def test_covariant_derivative_vector_gamma_term(conformal4, chart4, cfg):
     W = constant_field(chart4, 1, 0, np.array([0, 0, 1.0, 0]), "e3")
     p = Point(chart4, [0.1, 0.2, 0.3, -0.2])
     u = np.array([1.0, 0, 0, 0])
-    gam = christoffel(conformal4, p, cfg).gamma
+    gam = christoffel(conformal4, p, cfg)
     expected = np.einsum("kml,m,l->k", gam, u, np.array([0, 0, 1.0, 0]))
     got = covariant_derivative_vector(conformal4, W, u, p, cfg)
     assert np.allclose(got, expected, atol=1e-10)
@@ -211,8 +212,8 @@ def _counted_metric(chart, comps=_conformal):
 
 EVALUATIONS = {
     "matrix": lambda g, p, cfg: g.matrix(p),
-    "christoffel": lambda g, p, cfg: christoffel(g, p, cfg).gamma,
-    "riemann": lambda g, p, cfg: riemann(g, p, cfg).riem,
+    "christoffel": christoffel,
+    "riemann": riemann,
 }
 
 
@@ -282,8 +283,12 @@ RAISING = {
     "not symmetric": (
         "matrix", lambda p: ETA + np.triu(np.ones((4, 4)), 1), MEMO_POINT, ValidationError,
     ),
-    "Gamma stencil off the box": ("christoffel", _conformal, [1.0 - 0.5 * H, 0.0, 0.0, 0.0], OutOfDomainError),
-    "R stencil off the box": ("riemann", _conformal, [1.0 - 1.5 * H, 0.0, 0.0, 0.0], OutOfDomainError),
+    "Gamma stencil off the box": (
+        "christoffel", _conformal, [1.0 - 0.5 * H, 0.0, 0.0, 0.0], StencilOutOfDomainError,
+    ),
+    "R stencil off the box": (
+        "riemann", _conformal, [1.0 - 1.5 * H, 0.0, 0.0, 0.0], StencilOutOfDomainError,
+    ),
 }
 
 

@@ -10,9 +10,10 @@ from paraquat import (
     StencilOutOfDomainError,
     TensorField,
     ValidationError,
+    central_difference,
     constant_field,
     eval_field,
-    fd_partial,
+    fd_gradient,
     sample_points,
 )
 from paraquat.catalog import make_chart
@@ -69,23 +70,47 @@ def test_fd_partial_accuracy(chart4, cfg):
     # d/dx1 sin(x1) = cos(x1); the central scheme is O(h^2)
     f = TensorField(chart4, 0, 0, lambda p: np.sin(p.coords[0]), "sin")
     p = Point(chart4, [0.3, 0.0, 0.0, 0.0])
-    got = fd_partial(f, p, 0, cfg)
+    got = fd_gradient(f, p, cfg)[0]
     assert abs(float(got) - np.cos(0.3)) < 1e-6
 
 
 def test_fd_partial_exact_for_affine(chart4, cfg):
     f = TensorField(chart4, 1, 0, lambda p: np.array([2 * p.coords[1], 0, 0, 1.0]), "aff")
     p = Point(chart4, [0.0, 0.5, 0.0, 0.0])
-    assert np.allclose(fd_partial(f, p, 1, cfg), [2, 0, 0, 0], atol=1e-12)
+    assert np.allclose(fd_gradient(f, p, cfg)[1], [2, 0, 0, 0], atol=1e-12)
 
 
 def test_fd_partial_stencil_guard(chart4, cfg):
     f = constant_field(chart4, 0, 0, np.array(1.0), "one")
     wall = Point(chart4, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(StencilOutOfDomainError):
-        fd_partial(f, wall, 0, cfg)
-    with pytest.raises(ValidationError):
-        fd_partial(f, Point(chart4, [0, 0, 0, 0]), 7, cfg)
+        fd_gradient(f, wall, cfg)
+
+
+def test_central_difference_is_the_per_direction_formula(chart4, cfg):
+    def f(q):
+        x = q.coords
+        return np.array([[np.sin(x[0] * x[1]), np.exp(x[2])], [x[3] ** 3, np.cos(x[0] - x[3])]])
+
+    p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
+    h = cfg.step
+    explicit = np.stack(
+        [(f(p.shifted(m, +h)) - f(p.shifted(m, -h))) / (2.0 * h) for m in range(4)]
+    )
+    got = central_difference(f, p, cfg)
+    assert got.shape == (4, 2, 2)
+    assert got.tobytes() == explicit.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.5, 0.999])
+def test_central_difference_checks_the_whole_stencil(chart4, cfg, offset):
+    calls = []
+    near = Point(chart4, [0.0, 0.0, 0.0, -1.0 + offset * cfg.step])  # inside the box
+    with pytest.raises(StencilOutOfDomainError):
+        central_difference(calls.append, near, cfg)
+    assert calls == []  # rejected before any evaluation
+    edge = Point(chart4, [0.0, 0.0, 0.0, -1.0 + 2 * cfg.step])
+    assert central_difference(lambda q: q.coords, edge, cfg).shape == (4, 4)
 
 
 def test_sample_points_deterministic(chart4):

@@ -17,7 +17,7 @@ from paraquat import (
     check_triple_algebra,
     connection_shift,
     eval_field,
-    fd_partial,
+    fd_gradient,
     fit_kahler_oneforms,
     lift,
     lifted_field,
@@ -132,12 +132,12 @@ def test_oracle_accepts_position_dependent_field(conformal4, cfg):
     X = np.array([0.0, 1.0, 0.0, 0.0])
     from paraquat import christoffel
 
-    gamG = christoffel(bundle.metric, xi, cfg).gamma
+    gamG = christoffel(bundle.metric, xi, cfg)
     M = connection_shift(conformal4, xi, cfg)
     for ky in ("h", "v"):
         W = lifted_field(bundle, Y, ky)
         Wxi = eval_field(W, xi)
-        dW = np.stack([fd_partial(W, xi, A, cfg) for A in range(8)])
+        dW = fd_gradient(W, xi, cfg)
         U = np.concatenate([X, -M @ X])
         fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
         closed = oracle_tilde_nabla(conformal4, "h", X, ky, Y, xi, cfg)

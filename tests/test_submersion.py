@@ -6,6 +6,7 @@ from paraquat import (
     Point,
     PreconditionFailedError,
     RankDeficientError,
+    StencilOutOfDomainError,
     SubmersionMap,
     basic_lift,
     check_paraholomorphic,
@@ -35,6 +36,22 @@ def test_jacobian_of_projection(proj8to4, cfg):
     J = jacobian(f, p, cfg)
     expected = np.hstack([np.eye(4), np.zeros((4, 4))])
     assert np.abs(J - expected).max() < 1e-12
+    assert J.shape == (4, 8) and J.flags.c_contiguous
+
+
+def test_jacobian_stencil_must_stay_in_the_source_box(proj8to4, cfg):
+    chart8, chart4, _ = proj8to4
+    seen = []
+
+    def recording(c):
+        seen.append(c.copy())
+        return c[:4]
+
+    f = SubmersionMap(chart8, chart4, recording, "recording proj")
+    near_wall = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 - 0.5 * cfg.step, -0.5, 0.2, 0.1])
+    with pytest.raises(StencilOutOfDomainError):
+        jacobian(f, near_wall, cfg)
+    assert seen == []  # rejected before the map is evaluated off the box
 
 
 def test_rank_deficient_map_rejected(proj8to4, cfg):
