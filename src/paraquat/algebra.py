@@ -13,18 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyDomainError,
-    IllConditionedError,
-    SingularTransitionError,
-    ValidationError,
-)
-from .fields import ManifoldSpec, Point, TensorField, eval_field, sample_points
+from .errors import SingularTransitionError, ValidationError
+from .fields import ManifoldSpec, Point, TensorField, eval_field
 
 TAU = (-1.0, -1.0, 1.0)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
-GRAM_DET_FLOOR = 1e-6
 TRANSITION_DET_FLOOR = 1e-9
 
 
@@ -195,20 +189,6 @@ class TransitionMap:
         return m
 
 
-def check_transition(
-    A: LocalBasisTriple,
-    B: LocalBasisTriple,
-    s: TransitionMap,
-    p: Point,
-) -> float:
-    """max_a |B.J_a(p) - sum_b s(p)[a,b] A.J_b(p)| (inf norm)."""
-    JA = A.matrices(p)
-    JB = B.matrices(p)
-    m = s.matrix(p)
-    recon = np.einsum("ab,bij->aij", m, JA)
-    return float(np.abs(JB - recon).max())
-
-
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p)."""
     chart = A.chart
@@ -220,77 +200,3 @@ def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> 
         return TensorField(chart, 1, 1, comps, label=f"{label or s.label}[{a + 1}]")
 
     return LocalBasisTriple(member(0), member(1), member(2), label=label or s.label)
-
-
-def span_gap(A: LocalBasisTriple, B: LocalBasisTriple, p: Point) -> float:
-    """Frobenius least-squares distance from each B.J_a to span{A.J_1..3},
-    maximized over a.  Zero (to roundoff) iff the pointwise spans agree."""
-    JA = A.matrices(p)
-    JB = B.matrices(p)
-    gram = np.einsum("aij,bij->ab", JA, JA)
-    if abs(np.linalg.det(gram)) < 1e-9:
-        raise IllConditionedError(f"triple A is numerically dependent at {p}")
-    M = JA.reshape(3, -1).T  # columns span the subspace
-    worst = 0.0
-    for a in range(3):
-        target = JB[a].reshape(-1)
-        coef, *_ = np.linalg.lstsq(M, target, rcond=None)
-        worst = max(worst, float(np.linalg.norm(target - M @ coef)))
-    return worst
-
-
-@dataclass(frozen=True)
-class AtlasPatch:
-    box: np.ndarray  # (dim, 2)
-    triple: LocalBasisTriple
-
-    def __post_init__(self):
-        object.__setattr__(self, "box", np.asarray(self.box, dtype=float))
-
-
-@dataclass(frozen=True)
-class AtlasTransition:
-    i: int
-    j: int
-    s: TransitionMap
-
-
-@dataclass(frozen=True)
-class StructureAtlas:
-    """Patches with declared overlap transitions gluing their triples."""
-
-    patches: tuple[AtlasPatch, ...]
-    transitions: tuple[AtlasTransition, ...]
-
-
-def overlap_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lo = np.maximum(a[:, 0], b[:, 0])
-    hi = np.minimum(a[:, 1], b[:, 1])
-    if np.any(lo >= hi):
-        raise EmptyDomainError("patches do not overlap")
-    return np.stack([lo, hi], axis=1)
-
-
-def check_atlas(
-    atlas: StructureAtlas,
-    count: int = 5,
-    seed: int = 0,
-) -> float:
-    """Worst transition residual over sampled points of each declared overlap."""
-    worst = 0.0
-    for tr in atlas.transitions:
-        pa = atlas.patches[tr.i]
-        pb = atlas.patches[tr.j]
-        box = overlap_box(pa.box, pb.box)
-        chart = ManifoldSpec(coords=pa.triple.chart.coords, domain=box)
-        width = float((box[:, 1] - box[:, 0]).min())
-        pts = sample_points(chart, count, seed, margin=min(0.05 * width, 1e-2))
-        for q in pts:
-            # evaluate both triples at the shared coordinates
-            p_in_a = Point(pa.triple.chart, q.coords)
-            p_in_b = Point(pb.triple.chart, q.coords)
-            JA = pa.triple.matrices(p_in_a)
-            JB = pb.triple.matrices(p_in_b)
-            m = tr.s.matrix(p_in_a)
-            worst = max(worst, float(np.abs(JB - np.einsum("ab,bij->aij", m, JA)).max()))
-    return worst

@@ -190,39 +190,31 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 }
 
 
-def expression_matrix(
-    rows: Sequence[Sequence[str]], chart: ManifoldSpec
-) -> Callable[[Point], np.ndarray]:
-    """Compile a matrix of expression strings into a components callable.
+def expression_array(
+    entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a nested list of expression strings into a function of the
+    chart's coordinate vector returning their values as an array of ``shape``.
 
-    Parsing and symbol binding happen here, so malformed entries fail at
-    scenario-build time rather than mid-run.
+    The nesting is checked against ``shape`` and every entry is parsed and
+    bound here, so a malformed array fails with ParseError at scenario-build
+    time rather than mid-run.
     """
-    n = chart.dim
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValidationError(f"expected an {n}x{n} matrix of expressions")
-    compiled = [[bind_expr(parse_expr(str(e)), chart.coords) for e in row] for row in rows]
 
-    def comps(p: Point) -> np.ndarray:
-        return np.array([[f(p.coords) for f in row] for row in compiled])
+    def compile_level(node, dims: tuple[int, ...]) -> list:
+        if not dims:
+            return [bind_expr(parse_expr(str(node)), chart.coords)]
+        if not isinstance(node, (list, tuple)) or len(node) != dims[0]:
+            raise ParseError(f"{what} must be nested lists of expressions of shape {shape}")
+        return [f for item in node for f in compile_level(item, dims[1:])]
 
-    return comps
-
-
-def expression_metric(rows: Sequence[Sequence[str]], chart: ManifoldSpec) -> MetricField:
-    return MetricField(TensorField(chart, 0, 2, expression_matrix(rows, chart), "expression metric"))
+    compiled = compile_level(entries, shape)
+    return lambda c: np.array([f(c) for f in compiled]).reshape(shape)
 
 
-def expression_triple(
-    matrices: Sequence[Sequence[Sequence[str]]], chart: ManifoldSpec
-) -> LocalBasisTriple:
-    if len(matrices) != 3:
-        raise ValidationError("a triple needs exactly three matrices")
-    members = [
-        TensorField(chart, 1, 1, expression_matrix(m, chart), f"J{a + 1} (expression)")
-        for a, m in enumerate(matrices)
-    ]
-    return LocalBasisTriple(*members)
+def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
+    values = expression_array(rows, (chart.dim, chart.dim), chart, label)
+    return TensorField(chart, r, s, lambda p: values(p.coords), label)
 
 
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:
@@ -231,7 +223,7 @@ def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:
             raise ParseError(f"unknown metric {spec!r}; catalog has {sorted(METRICS)}")
         return METRICS[spec](chart)
     if isinstance(spec, dict) and "matrix" in spec:
-        return expression_metric(spec["matrix"], chart)
+        return MetricField(_expression_field(spec["matrix"], chart, 0, 2, "expression metric"))
     raise ParseError("metric must be a catalog name or {'matrix': [[expr, ...], ...]}")
 
 
@@ -241,7 +233,12 @@ def triple_from_config(spec, chart: ManifoldSpec) -> LocalBasisTriple:
             raise ParseError(f"unknown triple {spec!r}; catalog has {sorted(TRIPLES)}")
         return TRIPLES[spec](chart)
     if isinstance(spec, dict) and "matrices" in spec:
-        return expression_triple(spec["matrices"], chart)
+        matrices = spec["matrices"]
+        if not isinstance(matrices, list) or len(matrices) != 3:
+            raise ParseError("a triple needs exactly three matrices")
+        return LocalBasisTriple(
+            *(_expression_field(m, chart, 1, 1, f"J{a + 1} (expression)") for a, m in enumerate(matrices))
+        )
     raise ParseError("triple must be a catalog name or {'matrices': [m1, m2, m3]}")
 
 
@@ -252,8 +249,7 @@ def structure_from_config(spec, chart: ManifoldSpec) -> ProductStructureField:
         return STRUCTURES[spec](chart)
     if isinstance(spec, dict) and "matrix" in spec:
         return ProductStructureField(
-            TensorField(chart, 1, 1, expression_matrix(spec["matrix"], chart), "expression structure"),
-            "expression structure",
+            _expression_field(spec["matrix"], chart, 1, 1, "expression structure"), "expression structure"
         )
     raise ParseError("structure must be a catalog name or {'matrix': [[expr, ...], ...]}")
 

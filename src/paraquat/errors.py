@@ -64,7 +64,11 @@ class NotAFiberError(ParaquatError):
     """Points handed to a fiber computation do not share one image."""
 
 
-class ExprSyntaxError(ParaquatError):
+class ParseError(ParaquatError):
+    """A scenario file is not valid JSON or is structurally malformed."""
+
+
+class ExprSyntaxError(ParseError):
     """Malformed expression text.  Carries the 0-based offset of the error."""
 
     def __init__(self, message: str, position: int):
@@ -72,9 +76,5 @@ class ExprSyntaxError(ParaquatError):
         self.position = position
 
 
-class UnknownSymbolError(ParaquatError):
+class UnknownSymbolError(ParseError):
     """An expression references a name that is not a coordinate of the chart."""
-
-
-class ParseError(ParaquatError):
-    """A scenario file is not valid JSON or is structurally malformed."""

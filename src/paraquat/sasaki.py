@@ -20,7 +20,6 @@ differences of G itself rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -126,27 +125,25 @@ def build_tangent_bundle(
     T: LocalBasisTriple,
     u_box=(-1.0, 1.0),
     cfg: FdConfig = FdConfig(),
-    validate: bool = True,
 ) -> SasakiBundle:
     """Assemble the lifted metric, triple and projection over (g, T).
 
     The construction only makes sense over a pair whose triple satisfies the
-    tau algebra and is g-skew; with validate=True this is spot-checked and a
+    tau algebra and is g-skew; this is spot-checked and a
     PreconditionFailedError raised on violation.
     """
     if T.chart != g.chart:
         raise ValidationError("metric and triple live on different charts")
     base = g.chart
     n = base.dim
-    if validate:
-        for p in sample_points(base, 3, seed=20):
-            rep = check_triple_algebra(T, p)
-            herm = check_hermitian(g, T, p)
-            if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
-                raise PreconditionFailedError(
-                    f"base pair fails at {p}: algebra {rep.max_residual:.3e}, "
-                    f"hermitian {herm:.3e}"
-                )
+    for p in sample_points(base, 3, seed=20):
+        rep = check_triple_algebra(T, p)
+        herm = check_hermitian(g, T, p)
+        if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
+            raise PreconditionFailedError(
+                f"base pair fails at {p}: algebra {rep.max_residual:.3e}, "
+                f"hermitian {herm:.3e}"
+            )
     bundle = tangent_bundle_chart(base, u_box)
 
     def frames_at(xi: Point) -> tuple[np.ndarray, np.ndarray, Point]:
@@ -309,19 +306,13 @@ def oracle_tilde_nabla_J(
     raise ValidationError("kinds must be 'h' or 'v'")
 
 
-def check_connection_oracle(
-    bundle: SasakiBundle, xi: Point, directions: Sequence[np.ndarray] | None = None
-) -> float:
+def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between finite differences of the lifted metric's own
-    connection and the closed form, over lifts of the given base directions
-    (default: the coordinate frame) in all four kind combinations."""
+    connection and the closed form, over lifts of the base coordinate frame
+    in all four kind combinations."""
     g, cfg = bundle.base_metric, bundle.cfg
     n = bundle.base_dim
-    dirs = (
-        [np.eye(n)[i] for i in range(n)]
-        if directions is None
-        else [np.asarray(d, dtype=float) for d in directions]
-    )
+    dirs = [np.eye(n)[i] for i in range(n)]
     gamG = christoffel(bundle.metric, xi, cfg)
     M = connection_shift(g, xi, cfg)
     worst = 0.0

@@ -26,6 +26,7 @@ import numpy as np
 from ._version import __version__
 from .algebra import LocalBasisTriple, TransitionMap, apply_transition, check_triple_algebra
 from .catalog import (
+    expression_array,
     load_catalog_scenario,
     make_chart,
     metric_from_config,
@@ -34,7 +35,6 @@ from .catalog import (
 )
 from .connection import MetricField, covariant_derivative_11, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
-from .exprlang import bind_expr, parse_expr
 from .fields import MARGIN_STEPS, FdConfig, ManifoldSpec, Point, sample_points
 from .sasaki import (
     SasakiBundle,
@@ -44,6 +44,7 @@ from .sasaki import (
     check_structure_derivative_span,
 )
 from .structures import (
+    StructureClass,
     check_hermitian,
     check_parallel_equivalence,
     check_product_structure,
@@ -142,6 +143,16 @@ def _real(value, what: str) -> None:
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
+def _numbers(value, what: str) -> None:
+    # the shape is checked where the array is used
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim < 1 or not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be a list of finite numbers, got {value!r}")
+
+
 def _pts(ctx: ScenarioContext, params: dict, default: int | None = None) -> list[Point]:
     # a cap of 0 would check nothing and -1 drop a point
     k = params.get("points", default)
@@ -193,9 +204,7 @@ def _run_triple_algebra(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
 
 
 def _run_classify(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    expected = p.get("expected")
-    if expected is None:
-        raise ValidationError("classify needs an 'expected' class")
+    expected = p["expected"]
     tol = p.get("tol", 1e-6)
     v = classify_structure(ctx.metric, ctx.triple, _pts(ctx, p), tol=tol, cfg=ctx.cfg)
     return v.cls.value == expected, {
@@ -338,7 +347,7 @@ def _run_descend_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     f = _need_submersion(ctx, "descend-oneforms")
     if "fiber" not in p:
         raise ValidationError("descend-oneforms needs explicit 'fiber' sample points")
-    fiber = [Point(ctx.chart, np.asarray(c, dtype=float)) for c in p["fiber"]]
+    fiber = [Point(ctx.chart, c) for c in p["fiber"]]
     constancy_tol = p.get("constancy_tol", 1e-6)
     match_tol = p.get("match_tol", 1e-5)
     rep = descend_one_forms(f, ctx.metric, ctx.triple, fiber, ctx.cfg)
@@ -403,16 +412,9 @@ def _run_lifted_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
 
 
 def _run_parallel_witness(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    if "transition" not in p:
-        raise ValidationError("parallel-witness needs a 3x3 'transition' expression matrix")
-    rows = p["transition"]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValidationError("parallel-witness transition must be 3x3")
-    compiled = [[bind_expr(parse_expr(str(e)), ctx.chart.coords) for e in row] for row in rows]
-    trans = TransitionMap(
-        s=lambda pt: np.array([[f(pt.coords) for f in row] for row in compiled]),
-        label="witness transition",
-    )
+    rows = p.get("transition")
+    values = expression_array(rows, (3, 3), ctx.chart, "parallel-witness 'transition'")
+    trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition")
     witness = apply_transition(ctx.triple, trans, label="witness")
     tol = p.get("tol", 1e-6)
     worst = 0.0
@@ -443,6 +445,7 @@ class CheckDef:
     anchor: str
     description: str
     runner: Callable[[ScenarioContext, dict], tuple[bool, dict]]
+    params: tuple[str, ...]  # the keys the runner reads, besides "points"
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -454,6 +457,7 @@ CHECKS: dict[str, CheckDef] = {
             "Pointwise relations of the basis triple, with tau = (-1, -1, 1); "
             "also records the Frobenius Gram determinant as an independence witness.",
             _run_triple_algebra,
+            ("tol",),
         ),
         CheckDef(
             "hermitian",
@@ -462,12 +466,14 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-10, lambda ctx, pts: max(
                 check_hermitian(ctx.metric, ctx.triple, q) for q in pts
             )),
+            ("tol",),
         ),
         CheckDef(
             "classify",
             "ladder: NotHermitian -> LhPK-basis -> PQK -> HermitianOnly",
             "Classifies the pair over the sample and compares with the expected class.",
             _run_classify,
+            ("expected", "tol"),
         ),
         CheckDef(
             "kahler-fit",
@@ -475,6 +481,7 @@ CHECKS: dict[str, CheckDef] = {
             "Fits the connection 1-forms and checks the off-span residual; "
             "optionally compares the fitted coefficients with expected values.",
             _run_kahler_fit,
+            ("tol", "oneform_values", "value_tol"),
         ),
         CheckDef(
             "flatness",
@@ -482,6 +489,7 @@ CHECKS: dict[str, CheckDef] = {
             "Max curvature component over the sample, against a flat or "
             "deliberately non-flat expectation.",
             _run_flatness,
+            ("expect_flat", "tol", "threshold"),
         ),
         CheckDef(
             "product-structure",
@@ -489,6 +497,10 @@ CHECKS: dict[str, CheckDef] = {
             "Involution and isometry residuals of an almost product structure, "
             "with optional bounds on its Nijenhuis tensor and covariant derivative.",
             _run_product_structure,
+            (
+                "structure", "involution_tol", "metric_tol",
+                "nijenhuis_below", "nijenhuis_above", "parallel_below", "parallel_above",
+            ),
         ),
         CheckDef(
             "sigma-invariance",
@@ -496,6 +508,7 @@ CHECKS: dict[str, CheckDef] = {
             "Whether the operator commutes with the whole triple, i.e. preserves "
             "the structure bundle.",
             _run_sigma_invariance,
+            ("structure", "tol"),
         ),
         CheckDef(
             "parallel-equivalence",
@@ -503,6 +516,7 @@ CHECKS: dict[str, CheckDef] = {
             "The three conditions must stand or fall together for a "
             "sigma-invariant operator on a PQK pair.",
             _run_parallel_equivalence,
+            ("structure", "tol", "expect", "failing_above"),
         ),
         CheckDef(
             "semi-riemannian",
@@ -511,6 +525,7 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
                 _need_submersion(ctx, "semi-riemannian"), ctx.metric, ctx.target_metric, pts, ctx.cfg
             )),
+            ("tol",),
         ),
         CheckDef(
             "paraholomorphic",
@@ -519,12 +534,14 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
                 _need_submersion(ctx, "paraholomorphic"), ctx.triple, ctx.target_triple, pts, ctx.cfg
             )),
+            ("tol",),
         ),
         CheckDef(
             "vh-invariance",
             "J_a(V) subset V;  J_a(H) subset H",
             "Each J_a preserves the vertical and horizontal distributions.",
             _run_vh_invariance,
+            ("tol",),
         ),
         CheckDef(
             "oneill",
@@ -532,6 +549,7 @@ CHECKS: dict[str, CheckDef] = {
             "Computes both fundamental tensors; bounds the A-tensor on horizontal "
             "pairs (its antisymmetry is always enforced) and optionally the T-tensor.",
             _run_oneill,
+            ("antisymmetry_tol", "a_below", "a_above", "t_below"),
         ),
         CheckDef(
             "descend-oneforms",
@@ -539,6 +557,7 @@ CHECKS: dict[str, CheckDef] = {
             "Evaluates the fitted 1-forms on basic lifts at explicit fiber points "
             "and, when a target pair is present, compares with the downstairs fit.",
             _run_descend_oneforms,
+            ("fiber", "constancy_tol", "match_tol"),
         ),
         CheckDef(
             "bracket",
@@ -546,6 +565,7 @@ CHECKS: dict[str, CheckDef] = {
             "Lifted-frame bracket identities; the deliberately sign-flipped "
             "curvature comparison must stay large when curvature is present.",
             _run_bracket,
+            ("pairs", "tol", "flip_above"),
         ),
         CheckDef(
             "sasaki-consistency",
@@ -556,6 +576,7 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-3, lambda ctx, pts: max(
                 check_connection_oracle(_need_bundle(ctx, "sasaki-consistency"), q) for q in pts
             ), 2),
+            ("tol",),
         ),
         CheckDef(
             "sasaki-nabla-j",
@@ -565,6 +586,7 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-6, lambda ctx, pts: max(
                 check_structure_derivative_span(_need_bundle(ctx, "sasaki-nabla-j"), q) for q in pts
             ), 2),
+            ("tol",),
         ),
         CheckDef(
             "lifted-oneforms",
@@ -572,6 +594,7 @@ CHECKS: dict[str, CheckDef] = {
             "Fits the 1-forms upstairs and checks they are the pullbacks: fiber "
             "components vanish, base components match the downstairs fit.",
             _run_lifted_oneforms,
+            ("tol",),
         ),
         CheckDef(
             "parallel-witness",
@@ -580,6 +603,7 @@ CHECKS: dict[str, CheckDef] = {
             "result is parallel — the witness that a PQK pair is parallelizable "
             "after a basis rotation.",
             _run_parallel_witness,
+            ("transition", "tol"),
         ),
     )
 }
@@ -609,15 +633,24 @@ def _validate(config) -> list[dict]:
     checks = config.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(spec, dict) for spec in checks):
         raise ParseError("'checks' must be a list of objects, one per check")
+    classes = [c.value for c in StructureClass]
     for spec in checks:
         name = spec.get("check")
         if not isinstance(name, str) or name not in CHECKS:
             raise ParseError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
         for key, value in spec.items():
+            if key not in ("check", "points") + CHECKS[name].params:
+                raise ParseError(f"{name} has no parameter {key!r}; it reads {list(CHECKS[name].params)}")
             if key == "points":
                 _integer(value, "a check's 'points'", 1)
             elif key in ("tol", "threshold") or key.endswith(("_tol", "_below", "_above")):
                 _real(value, f"{name} '{key}'")
+            elif key == "expect_flat" and not isinstance(value, bool):
+                raise ParseError(f"flatness 'expect_flat' must be true or false, got {value!r}")
+            elif key in ("fiber", "oneform_values"):
+                _numbers(value, f"{name} '{key}'")
+        if name == "classify" and spec.get("expected") not in classes:
+            raise ParseError(f"classify 'expected' must be one of {classes}, got {spec.get('expected')!r}")
     if config.get("expect", "pass") not in ("pass", "fail"):
         raise ParseError("expect must be 'pass' or 'fail'")
     geo = config.get("geometry")
@@ -628,6 +661,15 @@ def _validate(config) -> list[dict]:
             if not isinstance(block, dict) or "dim" not in block:
                 raise ParseError(f"{where} needs a 'dim'")
             _integer(block["dim"], f"{where} 'dim'", 1)
+            coords = block.get("coords", [])
+            if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+                raise ParseError(f"{where} 'coords' must be a list of names, got {coords!r}")
+            if "domain" in block:
+                _numbers(block["domain"], f"{where} 'domain'")
+    if "u_box" in geo:
+        _numbers(geo["u_box"], "'u_box'")
+    if not isinstance(geo.get("submersion", {}), dict):
+        raise ParseError("'submersion' must be an object {\"components\": [expr, ...]}")
     for key, least in (("seed", 0), ("points", 1)):
         if key in config:
             _integer(config[key], f"'{key}'", least)
@@ -666,7 +708,7 @@ def build_context(
         if "submersion" in geo:
             raise ParseError("a geometry cannot set both 'sasaki' and 'submersion'")
         bundle = build_tangent_bundle(
-            metric, triple, u_box=tuple(geo.get("u_box", (-1.0, 1.0))), cfg=cfg
+            metric, triple, u_box=geo.get("u_box", (-1.0, 1.0)), cfg=cfg
         )
         working_chart = bundle.spec
         working_metric = bundle.metric
@@ -681,15 +723,12 @@ def build_context(
         target_chart = make_chart(int(tgt["dim"]), tgt.get("coords"), tgt.get("domain"))
         target_metric = metric_from_config(tgt.get("metric", "neutral4"), target_chart)
         target_triple = triple_from_config(tgt.get("triple", "standard4"), target_chart)
-        comps = [bind_expr(parse_expr(str(e)), chart.coords) for e in sub["components"]]
-        if len(comps) != target_chart.dim:
-            raise ParseError(
-                f"submersion has {len(comps)} components, target dim is {target_chart.dim}"
-            )
         submersion = SubmersionMap(
             source=chart,
             target=target_chart,
-            components=lambda c: np.array([f(c) for f in comps]),
+            components=expression_array(
+                sub.get("components"), (target_chart.dim,), chart, "submersion 'components'"
+            ),
             label=config.get("name", "submersion"),
         )
 

@@ -1,31 +1,22 @@
-"""The tau-algebra of basis triples, transitions between them, and atlases."""
+"""The tau-algebra of basis triples and transitions between them."""
 
 import numpy as np
 import pytest
 
 from paraquat import (
-    AtlasPatch,
-    AtlasTransition,
-    EmptyDomainError,
     LocalBasisTriple,
     Point,
     SingularTransitionError,
     SplitQuaternion,
-    StructureAtlas,
     TransitionMap,
     ValidationError,
     apply_transition,
-    check_atlas,
-    check_transition,
     check_triple_algebra,
     constant_field,
     frobenius_gram,
-    overlap_box,
     represent,
-    span_gap,
     splitq_mul,
 )
-from paraquat.catalog import STD_J1, STD_J2, STD_J3, make_chart
 
 
 def test_splitq_basis_table():
@@ -106,12 +97,6 @@ ROTATE = TransitionMap(
 )
 
 
-def test_transition_standard_to_rotated(std_triple, rot_triple, pts4):
-    # rotated.J1 = cos(x1) J1 + sin(x1) J2, etc.
-    for p in pts4:
-        assert check_transition(std_triple, rot_triple, ROTATE, p) < 1e-12
-
-
 def test_apply_transition_reproduces_rotated(std_triple, rot_triple, pts4):
     built = apply_transition(std_triple, ROTATE, label="built")
     for p in pts4:
@@ -125,59 +110,3 @@ def test_singular_transition_rejected(std_triple):
     wrong_shape = TransitionMap(s=lambda p: np.eye(2), label="2x2")
     with pytest.raises(ValidationError):
         wrong_shape.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
-
-
-def test_span_gap(std_triple, rot_triple, chart4):
-    p = Point(chart4, [0.1, -0.2, 0.3, 0.05])
-    # rotation stays inside the span
-    assert span_gap(std_triple, rot_triple, p) < 1e-12
-    # conjugation by a shear leaves it
-    Q = np.eye(4)
-    Q[0, 1] = 0.3
-    Qi = np.linalg.inv(Q)
-    conj = LocalBasisTriple(
-        constant_field(chart4, 1, 1, Q @ STD_J1 @ Qi, "qJ1"),
-        constant_field(chart4, 1, 1, Q @ STD_J2 @ Qi, "qJ2"),
-        constant_field(chart4, 1, 1, Q @ STD_J3 @ Qi, "qJ3"),
-    )
-    assert span_gap(std_triple, conj, p) > 1e-3
-
-
-def test_overlap_box():
-    a = np.array([[-1.0, 0.5], [-1, 1]])
-    b = np.array([[0.0, 1.0], [-1, 1]])
-    got = overlap_box(a, b)
-    assert np.allclose(got, [[0.0, 0.5], [-1, 1]])
-    with pytest.raises(EmptyDomainError):
-        overlap_box(np.array([[0.0, 0.2]]), np.array([[0.5, 1.0]]))
-
-
-def _patch(lo, hi, triple_factory):
-    chart = make_chart(4, domain=[[lo, hi]] + [[-1, 1]] * 3)
-    return AtlasPatch(box=chart.domain, triple=triple_factory(chart))
-
-
-def test_atlas_glues_standard_and_rotated():
-    from paraquat.catalog import TRIPLES
-
-    a = _patch(-1.0, 0.3, TRIPLES["standard4"])
-    b = _patch(-0.3, 1.0, TRIPLES["rotated4"])
-    atlas = StructureAtlas(
-        patches=(a, b),
-        transitions=(AtlasTransition(i=0, j=1, s=ROTATE),),
-    )
-    assert check_atlas(atlas) < 1e-10
-
-
-def test_atlas_flags_wrong_transition():
-    from paraquat.catalog import TRIPLES
-
-    a = _patch(-1.0, 0.3, TRIPLES["standard4"])
-    b = _patch(-0.3, 1.0, TRIPLES["rotated4"])
-    identity = TransitionMap(s=lambda p: np.eye(3), label="id")
-    atlas = StructureAtlas(
-        patches=(a, b),
-        transitions=(AtlasTransition(i=0, j=1, s=identity),),
-    )
-    # claiming the triples agree on the overlap is off by the rotation angle
-    assert check_atlas(atlas) > 1e-2

@@ -211,6 +211,16 @@ MALFORMED = {
     "seed not a number": _inline(seed="x"),
     "dim not a number": _inline(geometry={"dim": "four", "metric": "neutral4", "triple": "standard4"}),
     "points not an integer": _inline(points=2.7),
+    "misspelt parameter": _inline(checks=[{"check": "hermitian", "tl": 1e-300}]),
+    "parameter the check does not read": _inline(checks=[{"check": "oneill", "t_above": 1e9}]),
+    "expect_flat as a string": _inline(checks=[{"check": "flatness", "expect_flat": "false"}]),
+    "unknown classify class": _inline(checks=[{"check": "classify", "expected": "PQKK"}]),
+    "classify class in a list": _inline(checks=[{"check": "classify", "expected": ["PQK"]}]),
+    "domain not numbers": _inline(geometry={"dim": 4, "domain": "abc"}),
+    "u_box not numbers": _inline(geometry={"dim": 4, "sasaki": True, "u_box": "ab"}),
+    "coords not a list": _inline(geometry={"dim": 4, "coords": 5}),
+    "submersion not an object": _inline(geometry={"dim": 4, "submersion": "x"}),
+    "fiber not numbers": _inline(checks=[{"check": "descend-oneforms", "fiber": "abc"}]),
 }
 
 
@@ -266,3 +276,36 @@ def test_bracket_pairs_must_be_base_indices(pairs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "pairs" in err
+
+
+def _metric(first_entry):
+    rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    rows[0][0] = first_entry
+    return {"dim": 4, "metric": {"matrix": rows}, "triple": "standard4"}
+
+
+SUBMERSION = {
+    "dim": 8,
+    "metric": "neutral8",
+    "triple": "product8",
+    "target": {"dim": 4, "metric": "neutral4", "triple": "standard4"},
+}
+
+MALFORMED_CONTENTS = {
+    "unknown symbol in the metric": _inline(geometry=_metric("y1")),
+    "metric entry not an expression": _inline(geometry=_metric("1+")),
+    "metric matrix not a list": _inline(geometry={"dim": 4, "metric": {"matrix": 5}}),
+    "triple matrices not a list": _inline(geometry={"dim": 4, "triple": {"matrices": 5}}),
+    "components not a list": _inline(geometry=dict(SUBMERSION, submersion={"components": 5})),
+    "transition not a list": _inline(checks=[{"check": "parallel-witness", "transition": 5}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONTENTS))
+def test_malformed_contents_exit_two(case, tmp_path, capsys):
+    # these are found while the geometry is built or the check starts
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(MALFORMED_CONTENTS[case]))
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
