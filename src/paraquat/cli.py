@@ -2,7 +2,8 @@
 
 ``paraquat-verify run`` executes a scenario (a JSON file or a shipped catalog
 name) and emits the report; ``catalog`` lists what ships with the package;
-``explain`` prints the identity a named check verifies.
+``explain`` prints the identity a named check verifies and the parameters its
+check entry accepts.
 
 Exit codes: 0 when the final verdict is pass, 1 when it is fail (or the
 geometry itself fails a mathematical precondition), 2 for configuration and
@@ -12,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -56,6 +58,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(cdef.name)
     print(f"  identity: {cdef.anchor}")
     print(f"  {cdef.description}")
+    params = (
+        f"{key} (required)" if default is inspect.Parameter.empty
+        else f"{key} (optional)" if default is None
+        else f"{key}={json.dumps(default)}"
+        for key, default in cdef.params.items()
+    )
+    print(f"  parameters: {', '.join(params)}")
     return 0
 
 

@@ -16,9 +16,11 @@ without consulting the code.
 from __future__ import annotations
 
 import datetime as _dt
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -153,12 +155,6 @@ def _numbers(value, what: str) -> None:
         raise ValidationError(f"{what} must be a list of finite numbers, got {value!r}")
 
 
-def _pts(ctx: ScenarioContext, params: dict, default: int | None = None) -> list[Point]:
-    # a cap of 0 would check nothing and -1 drop a point
-    k = params.get("points", default)
-    return ctx.points if k is None else ctx.points[: _integer(k, "a check's 'points'", 1)]
-
-
 def _need_bundle(ctx: ScenarioContext, check: str) -> SasakiBundle:
     if ctx.bundle is None:
         raise ValidationError(f"check {check!r} needs a geometry with \"sasaki\": true")
@@ -173,20 +169,15 @@ def _need_submersion(ctx: ScenarioContext, check: str) -> SubmersionMap:
     return ctx.submersion
 
 
-def _resolve_structure(ctx: ScenarioContext, params: dict, check: str):
-    if "structure" not in params:
-        raise ValidationError(f"check {check!r} needs a 'structure' parameter")
-    return structure_from_config(params["structure"], ctx.chart)
-
-
 # ---------------------------------------------------------------- runners
+# A runner's parameters after ``ctx`` are the keys its check entry accepts;
+# a ``points`` cap of None checks the whole sample.
 
 
-def _run_triple_algebra(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    tol = p.get("tol", 1e-12)
+def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[bool, dict]:
     worst_sq = worst_pr = worst_ac = 0.0
     min_gram = float("inf")
-    for pt in _pts(ctx, p):
+    for pt in ctx.points[:points]:
         rep = check_triple_algebra(ctx.triple, pt)
         worst_sq = max(worst_sq, rep.square_residual)
         worst_pr = max(worst_pr, rep.product_residual)
@@ -203,10 +194,8 @@ def _run_triple_algebra(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     }
 
 
-def _run_classify(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    expected = p["expected"]
-    tol = p.get("tol", 1e-6)
-    v = classify_structure(ctx.metric, ctx.triple, _pts(ctx, p), tol=tol, cfg=ctx.cfg)
+def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tuple[bool, dict]:
+    v = classify_structure(ctx.metric, ctx.triple, ctx.points[:points], tol=tol, cfg=ctx.cfg)
     return v.cls.value == expected, {
         "tol": tol,
         "expected": expected,
@@ -217,59 +206,58 @@ def _run_classify(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     }
 
 
-def _run_kahler_fit(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    tol = p.get("tol", 1e-6)
-    expected = p.get("oneform_values")
-    value_tol = p.get("value_tol", 1e-5)
+def _run_kahler_fit(
+    ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
+) -> tuple[bool, dict]:
     worst_fit = 0.0
     worst_val = 0.0
-    for pt in _pts(ctx, p):
+    for pt in ctx.points[:points]:
         fit = fit_kahler_oneforms(ctx.metric, ctx.triple, pt, ctx.cfg)
         worst_fit = max(worst_fit, fit.residual)
-        if expected is not None:
-            worst_val = max(worst_val, float(np.abs(fit.omega - np.asarray(expected, dtype=float)).max()))
-    passed = worst_fit < tol and (expected is None or worst_val < value_tol)
+        if oneform_values is not None:
+            worst_val = max(worst_val, float(np.abs(fit.omega - np.asarray(oneform_values, dtype=float)).max()))
+    passed = worst_fit < tol and (oneform_values is None or worst_val < value_tol)
     data = {"tol": tol, "max_fit_residual": _f(worst_fit)}
-    if expected is not None:
+    if oneform_values is not None:
         data["value_tol"] = value_tol
         data["max_value_error"] = _f(worst_val)
     return passed, data
 
 
-def _run_flatness(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    expect_flat = p.get("expect_flat", True)
-    verdict = is_flat(ctx.metric, _pts(ctx, p), cfg=ctx.cfg)
+def _run_flatness(
+    ctx: ScenarioContext, points=None, expect_flat=True, tol=1e-6, threshold=1e-2
+) -> tuple[bool, dict]:
+    verdict = is_flat(ctx.metric, ctx.points[:points], cfg=ctx.cfg)
     if expect_flat:
-        tol = p.get("tol", 1e-6)
         passed = verdict.max_residual < tol
         data = {"expect_flat": True, "tol": tol, "max_residual": _f(verdict.max_residual)}
     else:
-        threshold = p.get("threshold", 1e-2)
         passed = verdict.max_residual > threshold
         data = {"expect_flat": False, "threshold": threshold, "max_residual": _f(verdict.max_residual)}
     return passed, data
 
 
-def _run_product_structure(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    F = _resolve_structure(ctx, p, "product-structure")
+def _run_product_structure(
+    ctx: ScenarioContext, structure, points=None, involution_tol=1e-10, metric_tol=1e-10,
+    nijenhuis_below=None, nijenhuis_above=None, parallel_below=None, parallel_above=None,
+) -> tuple[bool, dict]:
+    F = structure_from_config(structure, ctx.chart)
     inv = met = nij = par = 0.0
-    for pt in _pts(ctx, p):
+    for pt in ctx.points[:points]:
         rep = check_product_structure(ctx.metric, F, pt, ctx.cfg)
         inv = max(inv, rep.involution_residual)
         met = max(met, rep.metric_residual)
         nij = max(nij, rep.nijenhuis_residual)
         par = max(par, rep.parallel_residual)
-    conditions = [
-        inv < p.get("involution_tol", 1e-10),
-        met < p.get("metric_tol", 1e-10),
-    ]
-    for key, value in (("nijenhuis", nij), ("parallel", par)):
-        if f"{key}_below" in p:
-            conditions.append(value < p[f"{key}_below"])
-        if f"{key}_above" in p:
-            conditions.append(value > p[f"{key}_above"])
+    conditions = [inv < involution_tol, met < metric_tol]
+    bounds = ((nij, nijenhuis_below, nijenhuis_above), (par, parallel_below, parallel_above))
+    for value, below, above in bounds:
+        if below is not None:
+            conditions.append(value < below)
+        if above is not None:
+            conditions.append(value > above)
     return all(conditions), {
-        "structure": p.get("structure"),
+        "structure": structure,
         "involution_residual": _f(inv),
         "metric_residual": _f(met),
         "nijenhuis_residual": _f(nij),
@@ -277,30 +265,26 @@ def _run_product_structure(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     }
 
 
-def _run_sigma_invariance(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    F = _resolve_structure(ctx, p, "sigma-invariance")
-    tol = p.get("tol", 1e-10)
-    worst = max(check_sigma_invariant_operator(F, ctx.triple, pt) for pt in _pts(ctx, p))
+def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
+    F = structure_from_config(structure, ctx.chart)
+    worst = max(check_sigma_invariant_operator(F, ctx.triple, pt) for pt in ctx.points[:points])
     return worst < tol, {
-        "structure": p.get("structure"), "tol": tol, "max_residual": _f(worst),
+        "structure": structure, "tol": tol, "max_residual": _f(worst),
     }
 
 
-def _run_parallel_equivalence(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    F = _resolve_structure(ctx, p, "parallel-equivalence")
-    tol = p.get("tol", 1e-6)
-    expect = p.get("expect", "parallel")
-    rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, _pts(ctx, p), ctx.cfg, tol)
+def _run_parallel_equivalence(
+    ctx: ScenarioContext, structure, points=None, tol=1e-6, expect="parallel", failing_above=1e-3
+) -> tuple[bool, dict]:
+    F = structure_from_config(structure, ctx.chart)
+    rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, ctx.points[:points], ctx.cfg, tol)
     if expect == "parallel":
         passed = rep.agree and all(rep.flags)
-    elif expect == "non-parallel":
-        floor = p.get("failing_above", 1e-3)
-        residuals = (rep.parallel_residual, rep.nijenhuis_residual, rep.mixed_residual)
-        passed = rep.agree and not any(rep.flags) and min(residuals) > floor
     else:
-        raise ValidationError("parallel-equivalence expect must be 'parallel' or 'non-parallel'")
+        residuals = (rep.parallel_residual, rep.nijenhuis_residual, rep.mixed_residual)
+        passed = rep.agree and not any(rep.flags) and min(residuals) > failing_above
     return passed, {
-        "structure": p.get("structure"),
+        "structure": structure,
         "tol": tol,
         "expect": expect,
         "flags": list(rep.flags),
@@ -311,31 +295,32 @@ def _run_parallel_equivalence(ctx: ScenarioContext, p: dict) -> tuple[bool, dict
     }
 
 
-def _run_vh_invariance(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
+def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
     f = _need_submersion(ctx, "vh-invariance")
-    tol = p.get("tol", 1e-6)
-    rep = check_vh_invariance(f, ctx.metric, ctx.triple, ctx.target_triple, _pts(ctx, p), ctx.cfg, tol)
+    rep = check_vh_invariance(f, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], ctx.cfg, tol)
     worst = max(rep.v_residual, rep.h_residual)
     return worst < tol, {
         "tol": tol, "v_residual": _f(rep.v_residual), "h_residual": _f(rep.h_residual),
     }
 
 
-def _run_oneill(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
+def _run_oneill(
+    ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
+) -> tuple[bool, dict]:
     f = _need_submersion(ctx, "oneill")
     max_a = anti = max_t = 0.0
-    for pt in _pts(ctx, p, default=3):
+    for pt in ctx.points[:points]:
         rep = oneill_tensors(f, ctx.metric, pt, ctx.cfg)
         max_a = max(max_a, rep.max_a_horizontal)
         anti = max(anti, rep.antisymmetry_residual)
         max_t = max(max_t, float(np.abs(rep.t_full).max()))
-    conditions = [anti < p.get("antisymmetry_tol", 1e-5)]
-    if "a_below" in p:
-        conditions.append(max_a < p["a_below"])
-    if "a_above" in p:
-        conditions.append(max_a > p["a_above"])
-    if "t_below" in p:
-        conditions.append(max_t < p["t_below"])
+    conditions = [anti < antisymmetry_tol]
+    if a_below is not None:
+        conditions.append(max_a < a_below)
+    if a_above is not None:
+        conditions.append(max_a > a_above)
+    if t_below is not None:
+        conditions.append(max_t < t_below)
     return all(conditions), {
         "max_a_horizontal": _f(max_a),
         "antisymmetry_residual": _f(anti),
@@ -343,14 +328,9 @@ def _run_oneill(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     }
 
 
-def _run_descend_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
+def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
     f = _need_submersion(ctx, "descend-oneforms")
-    if "fiber" not in p:
-        raise ValidationError("descend-oneforms needs explicit 'fiber' sample points")
-    fiber = [Point(ctx.chart, c) for c in p["fiber"]]
-    constancy_tol = p.get("constancy_tol", 1e-6)
-    match_tol = p.get("match_tol", 1e-5)
-    rep = descend_one_forms(f, ctx.metric, ctx.triple, fiber, ctx.cfg)
+    rep = descend_one_forms(f, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber], ctx.cfg)
     data = {
         "constancy_tol": constancy_tol,
         "constancy_residual": _f(rep.constancy_residual),
@@ -368,38 +348,39 @@ def _run_descend_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     return passed, data
 
 
-def _run_bracket(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
+def _run_bracket(
+    ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
+) -> tuple[bool, dict]:
     bundle = _need_bundle(ctx, "bracket")
     n = bundle.base_dim
-    pairs = p.get("pairs", [[1, 2], [2, 3]])
-    if not isinstance(pairs, list) or not all(
-        isinstance(q, list) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(q, (list, tuple)) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
         for q in pairs
     ):
         raise ValidationError(f"bracket 'pairs' must be [i, j] with 1 <= i, j <= {n}, got {pairs!r}")
-    tol = p.get("tol", 1e-3)
-    flip_above = p.get("flip_above")
     worst = 0.0
     flipped = 0.0
-    for pt in _pts(ctx, p, default=2):
+    for pt in ctx.points[:points]:
         for i, j in pairs:
             rep = check_bracket(bundle, np.eye(n)[i - 1], np.eye(n)[j - 1], pt)
             worst = max(worst, rep.max_residual)
             flipped = max(flipped, rep.hh_flipped_residual)
     passed = worst < tol and (flip_above is None or flipped > flip_above)
-    data = {"tol": tol, "pairs": pairs, "max_residual": _f(worst), "max_flipped_residual": _f(flipped)}
+    data = {
+        "tol": tol, "pairs": [list(q) for q in pairs],
+        "max_residual": _f(worst), "max_flipped_residual": _f(flipped),
+    }
     if flip_above is not None:
         data["flip_above"] = flip_above
     return passed, data
 
 
-def _run_lifted_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
+def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool, dict]:
     bundle = _need_bundle(ctx, "lifted-oneforms")
-    tol = p.get("tol", 1e-5)
     n = bundle.base_dim
     max_u = 0.0
     max_pull = 0.0
-    for pt in _pts(ctx, p, default=3):
+    for pt in ctx.points[:points]:
         fit = fit_kahler_oneforms(bundle.metric, bundle.triple, pt, ctx.cfg)
         base_fit = fit_kahler_oneforms(
             bundle.base_metric, bundle.base_triple, bundle.base_point(pt), ctx.cfg
@@ -411,29 +392,26 @@ def _run_lifted_oneforms(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
     }
 
 
-def _run_parallel_witness(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-    rows = p.get("transition")
-    values = expression_array(rows, (3, 3), ctx.chart, "parallel-witness 'transition'")
+def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
+    values = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
     trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition")
     witness = apply_transition(ctx.triple, trans, label="witness")
-    tol = p.get("tol", 1e-6)
     worst = 0.0
-    for pt in _pts(ctx, p, default=3):
+    for pt in ctx.points[:points]:
         for member in witness.fields:
             worst = max(worst, float(np.abs(covariant_derivative_11(ctx.metric, member, pt, ctx.cfg)).max()))
-    return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": rows}
+    return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
 
 
 def _max_residual(
     default_tol: float,
     residual: Callable[[ScenarioContext, list[Point]], float],
     default_points: int | None = None,
-) -> Callable[[ScenarioContext, dict], tuple[bool, dict]]:
+) -> Callable[..., tuple[bool, dict]]:
     """Runner for a check whose verdict is one residual below a tolerance."""
 
-    def run(ctx: ScenarioContext, p: dict) -> tuple[bool, dict]:
-        tol = p.get("tol", default_tol)
-        worst = residual(ctx, _pts(ctx, p, default=default_points))
+    def run(ctx: ScenarioContext, points=default_points, tol=default_tol) -> tuple[bool, dict]:
+        worst = residual(ctx, ctx.points[:points])
         return worst < tol, {"tol": tol, "max_residual": _f(worst)}
 
     return run
@@ -444,8 +422,15 @@ class CheckDef:
     name: str
     anchor: str
     description: str
-    runner: Callable[[ScenarioContext, dict], tuple[bool, dict]]
-    params: tuple[str, ...]  # the keys the runner reads, besides "points"
+    runner: Callable[..., tuple[bool, dict]]
+
+    @cached_property
+    def params(self) -> dict[str, Any]:
+        """The keys a check entry accepts besides ``check``: the runner's
+        parameters after the context, each with its default
+        (``inspect.Parameter.empty`` when the key is required)."""
+        parameters = list(inspect.signature(self.runner).parameters.values())[1:]
+        return {q.name: q.default for q in parameters}
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -457,7 +442,6 @@ CHECKS: dict[str, CheckDef] = {
             "Pointwise relations of the basis triple, with tau = (-1, -1, 1); "
             "also records the Frobenius Gram determinant as an independence witness.",
             _run_triple_algebra,
-            ("tol",),
         ),
         CheckDef(
             "hermitian",
@@ -466,14 +450,12 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-10, lambda ctx, pts: max(
                 check_hermitian(ctx.metric, ctx.triple, q) for q in pts
             )),
-            ("tol",),
         ),
         CheckDef(
             "classify",
             "ladder: NotHermitian -> LhPK-basis -> PQK -> HermitianOnly",
             "Classifies the pair over the sample and compares with the expected class.",
             _run_classify,
-            ("expected", "tol"),
         ),
         CheckDef(
             "kahler-fit",
@@ -481,7 +463,6 @@ CHECKS: dict[str, CheckDef] = {
             "Fits the connection 1-forms and checks the off-span residual; "
             "optionally compares the fitted coefficients with expected values.",
             _run_kahler_fit,
-            ("tol", "oneform_values", "value_tol"),
         ),
         CheckDef(
             "flatness",
@@ -489,7 +470,6 @@ CHECKS: dict[str, CheckDef] = {
             "Max curvature component over the sample, against a flat or "
             "deliberately non-flat expectation.",
             _run_flatness,
-            ("expect_flat", "tol", "threshold"),
         ),
         CheckDef(
             "product-structure",
@@ -497,10 +477,6 @@ CHECKS: dict[str, CheckDef] = {
             "Involution and isometry residuals of an almost product structure, "
             "with optional bounds on its Nijenhuis tensor and covariant derivative.",
             _run_product_structure,
-            (
-                "structure", "involution_tol", "metric_tol",
-                "nijenhuis_below", "nijenhuis_above", "parallel_below", "parallel_above",
-            ),
         ),
         CheckDef(
             "sigma-invariance",
@@ -508,7 +484,6 @@ CHECKS: dict[str, CheckDef] = {
             "Whether the operator commutes with the whole triple, i.e. preserves "
             "the structure bundle.",
             _run_sigma_invariance,
-            ("structure", "tol"),
         ),
         CheckDef(
             "parallel-equivalence",
@@ -516,7 +491,6 @@ CHECKS: dict[str, CheckDef] = {
             "The three conditions must stand or fall together for a "
             "sigma-invariant operator on a PQK pair.",
             _run_parallel_equivalence,
-            ("structure", "tol", "expect", "failing_above"),
         ),
         CheckDef(
             "semi-riemannian",
@@ -525,7 +499,6 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
                 _need_submersion(ctx, "semi-riemannian"), ctx.metric, ctx.target_metric, pts, ctx.cfg
             )),
-            ("tol",),
         ),
         CheckDef(
             "paraholomorphic",
@@ -534,14 +507,12 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
                 _need_submersion(ctx, "paraholomorphic"), ctx.triple, ctx.target_triple, pts, ctx.cfg
             )),
-            ("tol",),
         ),
         CheckDef(
             "vh-invariance",
             "J_a(V) subset V;  J_a(H) subset H",
             "Each J_a preserves the vertical and horizontal distributions.",
             _run_vh_invariance,
-            ("tol",),
         ),
         CheckDef(
             "oneill",
@@ -549,7 +520,6 @@ CHECKS: dict[str, CheckDef] = {
             "Computes both fundamental tensors; bounds the A-tensor on horizontal "
             "pairs (its antisymmetry is always enforced) and optionally the T-tensor.",
             _run_oneill,
-            ("antisymmetry_tol", "a_below", "a_above", "t_below"),
         ),
         CheckDef(
             "descend-oneforms",
@@ -557,7 +527,6 @@ CHECKS: dict[str, CheckDef] = {
             "Evaluates the fitted 1-forms on basic lifts at explicit fiber points "
             "and, when a target pair is present, compares with the downstairs fit.",
             _run_descend_oneforms,
-            ("fiber", "constancy_tol", "match_tol"),
         ),
         CheckDef(
             "bracket",
@@ -565,7 +534,6 @@ CHECKS: dict[str, CheckDef] = {
             "Lifted-frame bracket identities; the deliberately sign-flipped "
             "curvature comparison must stay large when curvature is present.",
             _run_bracket,
-            ("pairs", "tol", "flip_above"),
         ),
         CheckDef(
             "sasaki-consistency",
@@ -576,7 +544,6 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-3, lambda ctx, pts: max(
                 check_connection_oracle(_need_bundle(ctx, "sasaki-consistency"), q) for q in pts
             ), 2),
-            ("tol",),
         ),
         CheckDef(
             "sasaki-nabla-j",
@@ -586,7 +553,6 @@ CHECKS: dict[str, CheckDef] = {
             _max_residual(1e-6, lambda ctx, pts: max(
                 check_structure_derivative_span(_need_bundle(ctx, "sasaki-nabla-j"), q) for q in pts
             ), 2),
-            ("tol",),
         ),
         CheckDef(
             "lifted-oneforms",
@@ -594,7 +560,6 @@ CHECKS: dict[str, CheckDef] = {
             "Fits the 1-forms upstairs and checks they are the pullbacks: fiber "
             "components vanish, base components match the downstairs fit.",
             _run_lifted_oneforms,
-            ("tol",),
         ),
         CheckDef(
             "parallel-witness",
@@ -603,9 +568,17 @@ CHECKS: dict[str, CheckDef] = {
             "result is parallel — the witness that a PQK pair is parallelizable "
             "after a basis rotation.",
             _run_parallel_witness,
-            ("transition", "tol"),
         ),
     )
+}
+
+# The keys each block of a scenario document may hold; a check entry holds
+# ``check`` and its runner's parameters.
+DOCUMENT_KEYS: dict[str, tuple[str, ...]] = {
+    "scenario": ("name", "description", "expect", "seed", "points", "step", "geometry", "checks"),
+    "geometry": ("dim", "coords", "domain", "metric", "triple", "sasaki", "u_box", "submersion", "target"),
+    "target": ("dim", "coords", "domain", "metric", "triple"),
+    "submersion": ("components",),
 }
 
 
@@ -625,22 +598,30 @@ def load_scenario(source) -> dict:
     return load_catalog_scenario(s)
 
 
+def _known_keys(block: dict, where: str) -> None:
+    for key in block:
+        if key not in DOCUMENT_KEYS[where]:
+            raise ParseError(f"{where} has no key {key!r}; it takes {list(DOCUMENT_KEYS[where])}")
+
+
 def _validate(config) -> list[dict]:
     """Reject a malformed scenario document before any geometry is built;
     returns its check entries."""
     if not isinstance(config, dict):
         raise ParseError(f"a scenario must be a JSON object, got {type(config).__name__}")
-    checks = config.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(spec, dict) for spec in checks):
-        raise ParseError("'checks' must be a list of objects, one per check")
+    _known_keys(config, "scenario")
+    checks = config.get("checks")
+    if not isinstance(checks, list) or not checks or not all(isinstance(spec, dict) for spec in checks):
+        raise ParseError("'checks' must be a non-empty list of objects, one per check")
     classes = [c.value for c in StructureClass]
     for spec in checks:
         name = spec.get("check")
         if not isinstance(name, str) or name not in CHECKS:
             raise ParseError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        params = CHECKS[name].params
         for key, value in spec.items():
-            if key not in ("check", "points") + CHECKS[name].params:
-                raise ParseError(f"{name} has no parameter {key!r}; it reads {list(CHECKS[name].params)}")
+            if key != "check" and key not in params:
+                raise ParseError(f"{name} has no parameter {key!r}; it reads {list(params)}")
             if key == "points":
                 _integer(value, "a check's 'points'", 1)
             elif key in ("tol", "threshold") or key.endswith(("_tol", "_below", "_above")):
@@ -649,8 +630,13 @@ def _validate(config) -> list[dict]:
                 raise ParseError(f"flatness 'expect_flat' must be true or false, got {value!r}")
             elif key in ("fiber", "oneform_values"):
                 _numbers(value, f"{name} '{key}'")
-        if name == "classify" and spec.get("expected") not in classes:
-            raise ParseError(f"classify 'expected' must be one of {classes}, got {spec.get('expected')!r}")
+            elif key == "expected" and value not in classes:
+                raise ParseError(f"classify 'expected' must be one of {classes}, got {value!r}")
+            elif key == "expect" and value not in ("parallel", "non-parallel"):
+                raise ParseError(f"{name} 'expect' must be 'parallel' or 'non-parallel', got {value!r}")
+        for key, default in params.items():
+            if default is inspect.Parameter.empty and key not in spec:
+                raise ParseError(f"{name} needs the parameter {key!r}")
     if config.get("expect", "pass") not in ("pass", "fail"):
         raise ParseError("expect must be 'pass' or 'fail'")
     geo = config.get("geometry")
@@ -660,6 +646,7 @@ def _validate(config) -> list[dict]:
         if block is not None:
             if not isinstance(block, dict) or "dim" not in block:
                 raise ParseError(f"{where} needs a 'dim'")
+            _known_keys(block, where)
             _integer(block["dim"], f"{where} 'dim'", 1)
             coords = block.get("coords", [])
             if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
@@ -668,8 +655,11 @@ def _validate(config) -> list[dict]:
                 _numbers(block["domain"], f"{where} 'domain'")
     if "u_box" in geo:
         _numbers(geo["u_box"], "'u_box'")
+    if not isinstance(geo.get("sasaki", False), bool):
+        raise ParseError(f"'sasaki' must be true or false, got {geo['sasaki']!r}")
     if not isinstance(geo.get("submersion", {}), dict):
         raise ParseError("'submersion' must be an object {\"components\": [expr, ...]}")
+    _known_keys(geo.get("submersion", {}), "submersion")
     for key, least in (("seed", 0), ("points", 1)):
         if key in config:
             _integer(config[key], f"'{key}'", least)
@@ -763,7 +753,7 @@ def run_scenario(
         cdef = CHECKS[spec["check"]]
         params = {k: v for k, v in spec.items() if k != "check"}
         try:
-            passed, data = cdef.runner(ctx, params)
+            passed, data = cdef.runner(ctx, **params)
             note = ""
         except (ParseError, ValidationError):
             # malformed check parameters are a configuration problem, not a

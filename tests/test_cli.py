@@ -92,6 +92,7 @@ def test_explain(capsys):
     assert main(["explain", "oneill"]) == 0
     out = capsys.readouterr().out
     assert "identity:" in out
+    assert "antisymmetry_tol=1e-05" in out and "a_below (optional)" in out
     assert main(["explain", "frobnicate"]) == 2
 
 
@@ -221,6 +222,33 @@ MALFORMED = {
     "coords not a list": _inline(geometry={"dim": 4, "coords": 5}),
     "submersion not an object": _inline(geometry={"dim": 4, "submersion": "x"}),
     "fiber not numbers": _inline(checks=[{"check": "descend-oneforms", "fiber": "abc"}]),
+    "points on a check that does not sample": _inline(
+        checks=[{"check": "descend-oneforms", "fiber": [[0.0] * 8], "points": 1}]
+    ),
+    "structure missing": _inline(checks=[{"check": "sigma-invariance"}]),
+    "fiber missing": _inline(checks=[{"check": "descend-oneforms"}]),
+    "transition missing": _inline(checks=[{"check": "parallel-witness"}]),
+    "misspelt geometry key": _inline(geometry={"dim": 4, "metrc": "euclidean4", "triple": "standard4"}),
+    "misspelt top-level key": {"chekcs" if k == "checks" else k: v for k, v in _inline().items()},
+    "unknown target key": _inline(
+        geometry={
+            "dim": 8,
+            "submersion": {"components": ["x1", "x2", "x3", "x4"]},
+            "target": {"dim": 4, "metrc": "neutral4"},
+        }
+    ),
+    "unknown submersion key": _inline(
+        geometry={
+            "dim": 8,
+            "submersion": {"components": ["x1", "x2", "x3", "x4"], "map": "projection"},
+            "target": {"dim": 4},
+        }
+    ),
+    "sasaki as a string": _inline(geometry={"dim": 4, "sasaki": "false"}),
+    "no checks": _inline(checks=[]),
+    "unknown parallel-equivalence expect": _inline(
+        checks=[{"check": "parallel-equivalence", "structure": "split8", "expect": "nonparallel"}]
+    ),
 }
 
 
