@@ -83,6 +83,15 @@ def splitq_mul(q: SplitQuaternion, r: SplitQuaternion) -> SplitQuaternion:
     return SplitQuaternion(*out)
 
 
+def doubled(X: np.ndarray) -> np.ndarray:
+    """diag(X, X): the same entries as ``np.block([[X, 0], [0, X]])``."""
+    n = X.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = X
+    out[n:, n:] = X
+    return out
+
+
 @dataclass(frozen=True)
 class LocalBasisTriple:
     """Three (1,1) fields on one chart, intended to satisfy the tau algebra."""

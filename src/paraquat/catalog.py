@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import LocalBasisTriple
+from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
 from .exprlang import bind_expr, parse_expr
@@ -22,9 +22,7 @@ from .fields import ManifoldSpec, Point, TensorField, constant_field
 from .structures import ProductStructureField
 
 ETA4 = np.diag([1.0, 1.0, -1.0, -1.0])
-ETA8 = np.block(
-    [[ETA4, np.zeros((4, 4))], [np.zeros((4, 4)), ETA4]]
-)
+ETA8 = doubled(ETA4)
 
 # The standard triple on R^{2,2}: J3 rotates the (12) and (34) planes in
 # opposite senses, J1 swaps the factors, J2 = J1 J3.  All three are
@@ -58,11 +56,6 @@ def make_chart(
 def _require_dim(chart: ManifoldSpec, dim: int, what: str) -> None:
     if chart.dim != dim:
         raise ValidationError(f"{what} needs a {dim}-dim chart, got {chart.dim}")
-
-
-def _block(J: np.ndarray) -> np.ndarray:
-    z = np.zeros((4, 4))
-    return np.block([[J, z], [z, J]])
 
 
 def _rotated(angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,9 +116,9 @@ def _triple_rotated4(chart: ManifoldSpec) -> LocalBasisTriple:
 def _triple_product8(chart: ManifoldSpec) -> LocalBasisTriple:
     _require_dim(chart, 8, "product8")
     return LocalBasisTriple(
-        constant_field(chart, 1, 1, _block(STD_J1), "J1+J1"),
-        constant_field(chart, 1, 1, _block(STD_J2), "J2+J2"),
-        constant_field(chart, 1, 1, _block(STD_J3), "J3+J3"),
+        constant_field(chart, 1, 1, doubled(STD_J1), "J1+J1"),
+        constant_field(chart, 1, 1, doubled(STD_J2), "J2+J2"),
+        constant_field(chart, 1, 1, doubled(STD_J3), "J3+J3"),
     )
 
 
@@ -134,7 +127,7 @@ def _product_rotated_member(chart: ManifoldSpec, a: int, coord: int) -> TensorFi
         chart,
         1,
         1,
-        lambda p, a=a: _block(_rotated(p.coords[coord])[a]),
+        lambda p, a=a: doubled(_rotated(p.coords[coord])[a]),
         f"J{a + 1}'+J{a + 1}'",
     )
 
@@ -179,7 +172,10 @@ def _structure_split8_rotated(chart: ManifoldSpec) -> ProductStructureField:
         th = 0.1 * p.coords[1]
         c, s = np.cos(2.0 * th), np.sin(2.0 * th)
         eye = np.eye(4)
-        return np.block([[c * eye, s * eye], [s * eye, -c * eye]])
+        F = np.empty((8, 8))
+        F[:4, :4], F[:4, 4:] = c * eye, s * eye
+        F[4:, :4], F[4:, 4:] = s * eye, -c * eye
+        return F
 
     return ProductStructureField(TensorField(chart, 1, 1, comp, "split8-rotated"), "split8-rotated")
 

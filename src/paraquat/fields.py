@@ -70,8 +70,8 @@ class ManifoldSpec:
     def contains(self, coords: np.ndarray, margin: float = 0.0) -> bool:
         c = np.asarray(coords, dtype=float)
         return bool(
-            np.all(c >= self.domain[:, 0] + margin)
-            and np.all(c <= self.domain[:, 1] - margin)
+            (c >= self.domain[:, 0] + margin).all()
+            and (c <= self.domain[:, 1] - margin).all()
         )
 
 

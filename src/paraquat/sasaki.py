@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LocalBasisTriple, check_triple_algebra
+from .algebra import LocalBasisTriple, check_triple_algebra, doubled
 from .connection import (
     MetricField,
     christoffel,
@@ -145,29 +145,37 @@ def build_tangent_bundle(
                 f"hermitian {herm:.3e}"
             )
     bundle = tangent_bundle_chart(base, u_box)
+    # Each bundle point's frame (L, L^-1, x) under its coordinate bytes, and
+    # each lifted member's components under (a, coordinate bytes): computed
+    # once, stored read-only, and only once the evaluation has succeeded.
+    memo: dict = {}
 
     def frames_at(xi: Point) -> tuple[np.ndarray, np.ndarray, Point]:
-        x = Point(base, xi.coords[:n])
-        M = connection_shift(g, xi, cfg)
-        eye, zero = np.eye(n), np.zeros((n, n))
-        L = np.block([[eye, zero], [-M, eye]])
-        Linv = np.block([[eye, zero], [M, eye]])
-        return L, Linv, x
+        key = xi.coords.tobytes()
+        if key not in memo:
+            M = connection_shift(g, xi, cfg)
+            L, Linv = np.eye(2 * n), np.eye(2 * n)
+            L[n:, :n] = -M
+            Linv[n:, :n] = M
+            L.flags.writeable = Linv.flags.writeable = False
+            memo[key] = (L, Linv, Point(base, xi.coords[:n]))
+        return memo[key]
 
     def metric_components(xi: Point) -> np.ndarray:
         _, Linv, x = frames_at(xi)
-        gx = g.matrix(x)
-        zero = np.zeros((n, n))
-        return Linv.T @ np.block([[gx, zero], [zero, gx]]) @ Linv
+        return Linv.T @ doubled(g.matrix(x)) @ Linv
 
     G = MetricField(TensorField(bundle, 0, 2, metric_components, label="lifted metric"))
 
     def lifted_member(a: int) -> TensorField:
         def comps(xi: Point, a=a) -> np.ndarray:
-            L, Linv, x = frames_at(xi)
-            Jx = eval_field(T.fields[a], x)
-            zero = np.zeros((n, n))
-            return L @ np.block([[Jx, zero], [zero, Jx]]) @ Linv
+            key = (a, xi.coords.tobytes())
+            if key not in memo:
+                L, Linv, x = frames_at(xi)
+                Jt = L @ doubled(eval_field(T.fields[a], x)) @ Linv
+                Jt.flags.writeable = False
+                memo[key] = Jt
+            return memo[key]
 
         return TensorField(bundle, 1, 1, comps, label=f"lifted J{a + 1}")
 

@@ -155,18 +155,13 @@ def _numbers(value, what: str) -> None:
         raise ValidationError(f"{what} must be a list of finite numbers, got {value!r}")
 
 
-def _need_bundle(ctx: ScenarioContext, check: str) -> SasakiBundle:
-    if ctx.bundle is None:
-        raise ValidationError(f"check {check!r} needs a geometry with \"sasaki\": true")
-    return ctx.bundle
-
-
-def _need_submersion(ctx: ScenarioContext, check: str) -> SubmersionMap:
-    if ctx.submersion is None:
-        raise ValidationError(
-            f"check {check!r} needs a submersion (or a sasaki geometry, whose projection is used)"
-        )
-    return ctx.submersion
+def _index_pairs(value, n: int, what: str) -> None:
+    # a 0 would wrap round to the last direction
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(q, (list, tuple)) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
+        for q in value
+    ):
+        raise ValidationError(f"{what} must be [i, j] with 1 <= i, j <= {n}, got {value!r}")
 
 
 # ---------------------------------------------------------------- runners
@@ -296,8 +291,7 @@ def _run_parallel_equivalence(
 
 
 def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
-    f = _need_submersion(ctx, "vh-invariance")
-    rep = check_vh_invariance(f, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], ctx.cfg, tol)
+    rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], ctx.cfg, tol)
     worst = max(rep.v_residual, rep.h_residual)
     return worst < tol, {
         "tol": tol, "v_residual": _f(rep.v_residual), "h_residual": _f(rep.h_residual),
@@ -307,10 +301,9 @@ def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[boo
 def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
-    f = _need_submersion(ctx, "oneill")
     max_a = anti = max_t = 0.0
     for pt in ctx.points[:points]:
-        rep = oneill_tensors(f, ctx.metric, pt, ctx.cfg)
+        rep = oneill_tensors(ctx.submersion, ctx.metric, pt, ctx.cfg)
         max_a = max(max_a, rep.max_a_horizontal)
         anti = max(anti, rep.antisymmetry_residual)
         max_t = max(max_t, float(np.abs(rep.t_full).max()))
@@ -329,8 +322,7 @@ def _run_oneill(
 
 
 def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
-    f = _need_submersion(ctx, "descend-oneforms")
-    rep = descend_one_forms(f, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber], ctx.cfg)
+    rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber], ctx.cfg)
     data = {
         "constancy_tol": constancy_tol,
         "constancy_residual": _f(rep.constancy_residual),
@@ -351,13 +343,8 @@ def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match
 def _run_bracket(
     ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
 ) -> tuple[bool, dict]:
-    bundle = _need_bundle(ctx, "bracket")
+    bundle = ctx.bundle
     n = bundle.base_dim
-    if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(q, (list, tuple)) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
-        for q in pairs
-    ):
-        raise ValidationError(f"bracket 'pairs' must be [i, j] with 1 <= i, j <= {n}, got {pairs!r}")
     worst = 0.0
     flipped = 0.0
     for pt in ctx.points[:points]:
@@ -376,7 +363,7 @@ def _run_bracket(
 
 
 def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool, dict]:
-    bundle = _need_bundle(ctx, "lifted-oneforms")
+    bundle = ctx.bundle
     n = bundle.base_dim
     max_u = 0.0
     max_pull = 0.0
@@ -423,6 +410,10 @@ class CheckDef:
     anchor: str
     description: str
     runner: Callable[..., tuple[bool, dict]]
+    # what the runner reads from the geometry besides the base pair: "bundle"
+    # (a sasaki geometry) or "submersion" (a submersion or a sasaki geometry,
+    # whose projection is used); _validate rejects a geometry without it
+    needs: str | None = None
 
     @cached_property
     def params(self) -> dict[str, Any]:
@@ -497,22 +488,25 @@ CHECKS: dict[str, CheckDef] = {
             "g(X, Y) = g'(df X, df Y)  for horizontal X, Y",
             "The differential restricted to horizontal spaces is a linear isometry.",
             _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
-                _need_submersion(ctx, "semi-riemannian"), ctx.metric, ctx.target_metric, pts, ctx.cfg
+                ctx.submersion, ctx.metric, ctx.target_metric, pts, ctx.cfg
             )),
+            needs="submersion",
         ),
         CheckDef(
             "paraholomorphic",
             "df o J_a = J'_a o df",
             "The map intertwines the upstairs and downstairs triples.",
             _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
-                _need_submersion(ctx, "paraholomorphic"), ctx.triple, ctx.target_triple, pts, ctx.cfg
+                ctx.submersion, ctx.triple, ctx.target_triple, pts, ctx.cfg
             )),
+            needs="submersion",
         ),
         CheckDef(
             "vh-invariance",
             "J_a(V) subset V;  J_a(H) subset H",
             "Each J_a preserves the vertical and horizontal distributions.",
             _run_vh_invariance,
+            needs="submersion",
         ),
         CheckDef(
             "oneill",
@@ -520,6 +514,7 @@ CHECKS: dict[str, CheckDef] = {
             "Computes both fundamental tensors; bounds the A-tensor on horizontal "
             "pairs (its antisymmetry is always enforced) and optionally the T-tensor.",
             _run_oneill,
+            needs="submersion",
         ),
         CheckDef(
             "descend-oneforms",
@@ -527,6 +522,7 @@ CHECKS: dict[str, CheckDef] = {
             "Evaluates the fitted 1-forms on basic lifts at explicit fiber points "
             "and, when a target pair is present, compares with the downstairs fit.",
             _run_descend_oneforms,
+            needs="submersion",
         ),
         CheckDef(
             "bracket",
@@ -534,6 +530,7 @@ CHECKS: dict[str, CheckDef] = {
             "Lifted-frame bracket identities; the deliberately sign-flipped "
             "curvature comparison must stay large when curvature is present.",
             _run_bracket,
+            needs="bundle",
         ),
         CheckDef(
             "sasaki-consistency",
@@ -542,8 +539,9 @@ CHECKS: dict[str, CheckDef] = {
             "Finite differences of the lifted metric's own connection against the "
             "closed form, in all four kind combinations.",
             _max_residual(1e-3, lambda ctx, pts: max(
-                check_connection_oracle(_need_bundle(ctx, "sasaki-consistency"), q) for q in pts
+                check_connection_oracle(ctx.bundle, q) for q in pts
             ), 2),
+            needs="bundle",
         ),
         CheckDef(
             "sasaki-nabla-j",
@@ -551,8 +549,9 @@ CHECKS: dict[str, CheckDef] = {
             "Over a flat base the lifted triple's derivative is the span "
             "combination with pulled-back coefficients.",
             _max_residual(1e-6, lambda ctx, pts: max(
-                check_structure_derivative_span(_need_bundle(ctx, "sasaki-nabla-j"), q) for q in pts
+                check_structure_derivative_span(ctx.bundle, q) for q in pts
             ), 2),
+            needs="bundle",
         ),
         CheckDef(
             "lifted-oneforms",
@@ -560,6 +559,7 @@ CHECKS: dict[str, CheckDef] = {
             "Fits the 1-forms upstairs and checks they are the pullbacks: fiber "
             "components vanish, base components match the downstairs fit.",
             _run_lifted_oneforms,
+            needs="bundle",
         ),
         CheckDef(
             "parallel-witness",
@@ -660,6 +660,22 @@ def _validate(config) -> list[dict]:
     if not isinstance(geo.get("submersion", {}), dict):
         raise ParseError("'submersion' must be an object {\"components\": [expr, ...]}")
     _known_keys(geo.get("submersion", {}), "submersion")
+    sasaki = geo.get("sasaki", False)
+    if sasaki and "submersion" in geo:
+        raise ParseError("a geometry cannot set both 'sasaki' and 'submersion'")
+    if "submersion" in geo and "target" not in geo:
+        raise ParseError("a submersion geometry needs a 'target' block")
+    n = geo["dim"]  # the base dimension of a sasaki geometry
+    for spec in checks:
+        name, cdef = spec["check"], CHECKS[spec["check"]]
+        if cdef.needs == "bundle" and not sasaki:
+            raise ValidationError(f"check {name!r} needs a geometry with \"sasaki\": true")
+        if cdef.needs == "submersion" and not (sasaki or "submersion" in geo):
+            raise ValidationError(
+                f"check {name!r} needs a submersion (or a sasaki geometry, whose projection is used)"
+            )
+        if "pairs" in cdef.params:
+            _index_pairs(spec.get("pairs", cdef.params["pairs"]), n, f"{name} 'pairs'")
     for key, least in (("seed", 0), ("points", 1)):
         if key in config:
             _integer(config[key], f"'{key}'", least)
@@ -695,8 +711,6 @@ def build_context(
     working_chart, working_metric, working_triple = chart, metric, triple
 
     if geo.get("sasaki"):
-        if "submersion" in geo:
-            raise ParseError("a geometry cannot set both 'sasaki' and 'submersion'")
         bundle = build_tangent_bundle(
             metric, triple, u_box=geo.get("u_box", (-1.0, 1.0)), cfg=cfg
         )
@@ -707,8 +721,6 @@ def build_context(
         target_metric, target_triple = metric, triple
     elif "submersion" in geo:
         sub = geo["submersion"]
-        if "target" not in geo:
-            raise ParseError("a submersion geometry needs a 'target' block")
         tgt = geo["target"]
         target_chart = make_chart(int(tgt["dim"]), tgt.get("coords"), tgt.get("domain"))
         target_metric = metric_from_config(tgt.get("metric", "neutral4"), target_chart)

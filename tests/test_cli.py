@@ -245,6 +245,12 @@ MALFORMED = {
         }
     ),
     "sasaki as a string": _inline(geometry={"dim": 4, "sasaki": "false"}),
+    "sasaki and submersion together": _inline(
+        geometry={"dim": 4, "sasaki": True, "submersion": {"components": ["x1", "x2"]}}
+    ),
+    "submersion without a target": _inline(
+        geometry={"dim": 8, "submersion": {"components": ["x1", "x2", "x3", "x4"]}}
+    ),
     "no checks": _inline(checks=[]),
     "unknown parallel-equivalence expect": _inline(
         checks=[{"check": "parallel-equivalence", "structure": "split8", "expect": "nonparallel"}]
@@ -291,8 +297,9 @@ def test_non_numeric_bound_exits_two_before_any_work(check, key, value, monkeypa
     [[[0, 1]], [[1, 9]], [[1, 2, 3]], [[1.0, 2]]],
     ids=["index 0", "past the base", "three indices", "float index"],
 )
-def test_bracket_pairs_must_be_base_indices(pairs, tmp_path, capsys):
-    # at 0 the index would wrap round to the last base direction
+def test_bracket_pairs_must_be_base_indices(pairs, monkeypatch, tmp_path, capsys):
+    # at 0 the index would wrap round to the last base direction; the base
+    # dimension is known from the document, so no geometry is built
     doc = _inline(
         points=1,
         geometry={"dim": 4, "metric": "neutral4", "triple": "standard4", "sasaki": True},
@@ -300,10 +307,23 @@ def test_bracket_pairs_must_be_base_indices(pairs, tmp_path, capsys):
     )
     f = tmp_path / "pairs.json"
     f.write_text(json.dumps(doc))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "pairs" in err
+
+
+@pytest.mark.parametrize("check", sorted(name for name, c in scenario.CHECKS.items() if c.needs))
+def test_check_without_its_geometry_exits_two_before_any_work(check, monkeypatch, tmp_path, capsys):
+    entry = {"check": check, "fiber": [[0.0] * 4]} if check == "descend-oneforms" else {"check": check}
+    f = tmp_path / "needs.json"
+    f.write_text(json.dumps(_inline(checks=[{"check": "hermitian"}, entry])))
+    monkeypatch.setattr(scenario, "build_context", _no_geometry)
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert check in err
 
 
 def _metric(first_entry):

@@ -30,6 +30,25 @@ def test_chart_validation():
     assert c.dim == 2
 
 
+@pytest.mark.parametrize(
+    "coords, margin, inside",
+    [
+        ([-1.0, 2.0], 0.0, True),  # on two walls
+        ([1.0, 0.0], 0.0, True),
+        ([np.nextafter(1.0, 2.0), 1.0], 0.0, False),
+        ([-0.75, 1.75], 0.25, True),  # exactly the margin from two walls
+        ([0.75, 0.25], 0.25, True),
+        ([np.nextafter(-0.75, -1.0), 1.0], 0.25, False),
+        ([0.0, np.nextafter(0.25, 0.0)], 0.25, False),
+        ([np.nan, 1.0], 0.0, False),
+        ([0.0, np.nan], 0.25, False),
+    ],
+)
+def test_contains_truth_table(coords, margin, inside):
+    chart = ManifoldSpec(("a", "b"), [[-1, 1], [0, 2]])
+    assert chart.contains(np.array(coords), margin=margin) is inside
+
+
 def test_point_validation_and_immutability(chart4):
     with pytest.raises(ValidationError):
         Point(chart4, [1, 2, 3])

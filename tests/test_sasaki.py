@@ -7,6 +7,7 @@ from paraquat import (
     FdConfig,
     Point,
     PreconditionFailedError,
+    StencilOutOfDomainError,
     TensorField,
     ValidationError,
     build_tangent_bundle,
@@ -25,6 +26,7 @@ from paraquat import (
     signature,
     tangent_bundle_chart,
 )
+from paraquat import sasaki
 from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart
 
 
@@ -200,3 +202,86 @@ def test_lifted_oneform_components(flat4, rot_triple, cfg):
     expected = np.zeros((3, 8))
     expected[2, 0] = -1.0
     assert np.abs(fit.omega - expected).max() < 1e-5
+
+
+def _textbook_lift(g, T, xi, cfg):
+    """G and the three Jt_a at xi from the np.block formulas of the module
+    docstring, with no memo in between."""
+    x = Point(g.chart, xi.coords[:4])
+    M = connection_shift(g, xi, cfg)
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    L = np.block([[eye, zero], [-M, eye]])
+    Linv = np.block([[eye, zero], [M, eye]])
+    gx = g.matrix(x)
+    G = Linv.T @ np.block([[gx, zero], [zero, gx]]) @ Linv
+    Jt = []
+    for f in T.fields:
+        Jx = eval_field(f, x)
+        Jt.append(L @ np.block([[Jx, zero], [zero, Jx]]) @ Linv)
+    return G, Jt
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """Bundle points at which the bundle's frame asks for the shift M."""
+    calls = []
+    real = sasaki.connection_shift
+
+    def counted(g, xi, cfg=FdConfig()):
+        calls.append(xi.coords.tobytes())
+        return real(g, xi, cfg)
+
+    monkeypatch.setattr(sasaki, "connection_shift", counted)
+    return calls
+
+
+def test_memoised_lift_is_the_block_formula_bit_for_bit(conformal4, rot_triple, cfg):
+    bundle = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
+    for x, u in [
+        ([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]),
+        ([-0.6, 0.4, 0.0, 0.7], [0.9, 0.0, -0.5, 0.1]),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.9, 0.0]),
+    ]:
+        xi = bundle.point(x, u)
+        G, Jt = _textbook_lift(conformal4, rot_triple, xi, cfg)
+        for _ in range(2):  # a miss, then a hit
+            assert eval_field(bundle.metric.field, xi).tobytes() == G.tobytes()
+            for f, expected in zip(bundle.triple.fields, Jt):
+                assert eval_field(f, xi).tobytes() == expected.tobytes()
+
+
+def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, cfg, shift_calls):
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    first = eval_field(bundle.triple.fields[0], xi)
+    assert len(shift_calls) == 1
+    again = eval_field(bundle.triple.fields[0], xi)
+    for f in bundle.triple.fields[1:]:
+        eval_field(f, xi)
+    eval_field(bundle.metric.field, xi)
+    assert len(shift_calls) == 1
+    assert again is first
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.0
+
+
+def test_failed_lift_stores_nothing(conformal4, std_triple, cfg, shift_calls):
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    # inside the box, but the base stencil of Gamma crosses the x1 wall
+    xi = bundle.point([1.0 - cfg.step / 2, 0.0, 0.0, 0.0], [0.2, -0.1, 0.15, 0.3])
+    for _ in range(2):
+        with pytest.raises(StencilOutOfDomainError):
+            eval_field(bundle.triple.fields[0], xi)
+    assert len(shift_calls) == 2
+
+
+def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, cfg, shift_calls):
+    one = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    two = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    xi = one.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    a = eval_field(one.triple.fields[2], xi)
+    b = eval_field(two.triple.fields[2], Point(two.spec, xi.coords))
+    assert len(shift_calls) == 2
+    assert a is not b
+    assert a.tobytes() == b.tobytes()
