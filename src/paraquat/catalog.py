@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
-from .exprlang import bind_expr, parse_expr
+from .exprlang import compile_exprs, parse_expr
 from .fields import ManifoldSpec, Point, TensorField, constant_field
 from .structures import ProductStructureField
 
@@ -189,23 +189,25 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 def expression_array(
     entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a nested list of expression strings into a function of the
+    """Compile a nested list of expression strings into one function of the
     chart's coordinate vector returning their values as an array of ``shape``.
 
     The nesting is checked against ``shape`` and every entry is parsed and
-    bound here, so a malformed array fails with ParseError at scenario-build
-    time rather than mid-run.
+    bound here, in order, so a malformed array fails with ParseError at
+    scenario-build time rather than mid-run.
     """
 
-    def compile_level(node, dims: tuple[int, ...]) -> list:
+    def leaves(node, dims: tuple[int, ...]):
         if not dims:
-            return [bind_expr(parse_expr(str(node)), chart.coords)]
+            yield parse_expr(str(node))
+            return
         if not isinstance(node, (list, tuple)) or len(node) != dims[0]:
             raise ParseError(f"{what} must be nested lists of expressions of shape {shape}")
-        return [f for item in node for f in compile_level(item, dims[1:])]
+        for item in node:
+            yield from leaves(item, dims[1:])
 
-    compiled = compile_level(entries, shape)
-    return lambda c: np.array([f(c) for f in compiled]).reshape(shape)
+    values = compile_exprs(leaves(entries, shape), chart.coords)
+    return lambda c: np.array(values(c)).reshape(shape)
 
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:

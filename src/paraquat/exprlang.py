@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -249,70 +250,159 @@ def free_symbols(e: Expr) -> set[str]:
     return set()
 
 
-def bind_expr(e: Expr, names: Sequence[str]) -> Callable[[np.ndarray], float]:
-    """Compile to a function of a coordinate vector ordered like ``names``.
+def _check_symbols(e: Expr, index: dict[str, int], names: Sequence[str]) -> None:
+    """Raise UnknownSymbolError for the first free name of ``e``, read left
+    to right, that is not a coordinate."""
+    if isinstance(e, Sym):
+        if e.name not in index:
+            raise UnknownSymbolError(f"unknown symbol {e.name!r}; coordinates are {tuple(names)}")
+    elif isinstance(e, Neg):
+        _check_symbols(e.arg, index, names)
+    elif isinstance(e, Bin):
+        _check_symbols(e.left, index, names)
+        _check_symbols(e.right, index, names)
+    elif isinstance(e, Call):
+        for a in e.args:
+            _check_symbols(a, index, names)
 
-    Unknown free names raise UnknownSymbolError here, not at call time.
-    Division by zero and non-finite results raise EvaluationError when the
-    compiled function runs.
+
+# Failure paths of the generated code; each receives the node being evaluated.
+_CAUGHT = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _caught(node: Expr, exc: Exception):
+    raise EvaluationError(f"cannot evaluate {print_expr(node)!r}: {exc}") from exc
+
+
+def _nonfinite(node: Expr):
+    raise EvaluationError(f"non-finite value from {print_expr(node)!r}")
+
+
+def _zero_divisor(node: Expr):
+    raise EvaluationError(f"division by zero in {print_expr(node)!r}")
+
+
+class _Emitter:
+    """Straight-line Python source for a list of trees.
+
+    Every distinct subtree gets one temporary ``tN``: a subtree is keyed on
+    its operator and the operands its children were given, so a repeated
+    subtree is a dict hit and is evaluated once.  Constants ``kN`` and the
+    nodes ``_n[N]`` that error messages quote live in the namespace; the
+    source holds only generated names, integer indices, operator characters
+    and FUNCTIONS names, never text from the expressions themselves.
+    """
+
+    def __init__(self, index: dict[str, int]):
+        self.index = index
+        self.lines: list[str] = []
+        self.namespace: dict = {
+            "_CAUGHT": _CAUGHT,
+            "_caught": _caught,
+            "_nonfinite": _nonfinite,
+            "_zero_divisor": _zero_divisor,
+            "isfinite": math.isfinite,
+        }
+        self.nodes: list[Expr] = []
+        self.operands: dict[tuple, str] = {}
+        self.nonzero: set[str] = set()  # divisors already tested for zero
+
+    def _temp(self, key: tuple, value: str) -> str:
+        name = f"t{len(self.operands)}"
+        self.lines.append(f"{name} = {value}")
+        self.operands[key] = name
+        return name
+
+    def _checked(self, key: tuple, value: str, node: Expr) -> str:
+        """A temporary computed under the checks of a Call, '/' or '^'."""
+        name = f"t{len(self.operands)}"
+        n = f"_n[{len(self.nodes)}]"
+        self.nodes.append(node)
+        self.lines += [
+            "try:",
+            f"    {name} = {value}",
+            "except _CAUGHT as exc:",
+            f"    _caught({n}, exc)",
+            f"if isinstance({name}, complex) or not isfinite({name}):",
+            f"    _nonfinite({n})",
+        ]
+        self.operands[key] = name
+        return name
+
+    def operand(self, e: Expr) -> str:
+        if isinstance(e, Num):
+            value = float(e.value)
+            key = ("num", struct.pack("d", value))  # 0.0 and -0.0 stay apart
+            if key not in self.operands:
+                name = f"k{len(self.operands)}"
+                self.namespace[name] = value
+                self.operands[key] = name
+            return self.operands[key]
+        if isinstance(e, Sym):
+            key = ("sym", self.index[e.name])
+            return self.operands.get(key) or self._temp(key, f"float(_c[{key[1]}])")
+        if isinstance(e, Neg):
+            arg = self.operand(e.arg)
+            key = ("neg", arg)
+            return self.operands.get(key) or self._temp(key, f"-{arg}")
+        if isinstance(e, Call):
+            args = tuple(self.operand(a) for a in e.args)
+            key = (e.fn,) + args
+            if key in self.operands:
+                return self.operands[key]
+            self.namespace[e.fn] = _IMPL[e.fn]
+            return self._checked(key, f"{e.fn}({', '.join(args)})", e)
+        if e.op == "/":
+            # the divisor is evaluated, and tested for zero, before the dividend
+            right = self.operand(e.right)
+            if right not in self.nonzero:
+                n = f"_n[{len(self.nodes)}]"
+                self.nodes.append(e)
+                self.lines += [f"if {right} == 0.0:", f"    _zero_divisor({n})"]
+                self.nonzero.add(right)
+            left = self.operand(e.left)
+        else:
+            left = self.operand(e.left)
+            right = self.operand(e.right)
+        key = (e.op, left, right)
+        if key in self.operands:
+            return self.operands[key]
+        if e.op in "+-*":
+            return self._temp(key, f"{left} {e.op} {right}")
+        return self._checked(key, f"{left} {'/' if e.op == '/' else '**'} {right}", e)
+
+
+def compile_exprs(trees: Iterable[Expr], names: Sequence[str]) -> Callable[[np.ndarray], list[float]]:
+    """Compile trees into one function of a float coordinate array ordered
+    like ``names``, returning the list of their values.
+
+    The trees are taken in order and each one's free names are checked as it
+    is taken, so an unknown name raises UnknownSymbolError here, before
+    anything a later tree (or the iterable producing it) raises.  The result
+    is one straight-line function, built once with ``compile``: operands are
+    evaluated left before right, except that '/' evaluates and tests its
+    divisor first, and every Call, '/' and '^' raises EvaluationError on a
+    zero divisor, a caught arithmetic error or a complex or non-finite value.
     """
     index = {name: k for k, name in enumerate(names)}
-
-    def compile_node(node: Expr) -> Callable[[np.ndarray], float]:
-        if isinstance(node, Num):
-            v = float(node.value)
-            return lambda c: v
-        if isinstance(node, Sym):
-            if node.name not in index:
-                raise UnknownSymbolError(
-                    f"unknown symbol {node.name!r}; coordinates are {tuple(names)}"
-                )
-            k = index[node.name]
-            return lambda c: float(c[k])
-        if isinstance(node, Neg):
-            f = compile_node(node.arg)
-            return lambda c: -f(c)
-        if isinstance(node, Call):
-            fn = _IMPL[node.fn]
-            args = [compile_node(a) for a in node.args]
-            if len(args) == 1:
-                f0 = args[0]
-                return lambda c: _apply(fn, (f0(c),), node)
-            f0, f1 = args
-            return lambda c: _apply(fn, (f0(c), f1(c)), node)
-        left = compile_node(node.left)
-        right = compile_node(node.right)
-        op = node.op
-        if op == "+":
-            return lambda c: left(c) + right(c)
-        if op == "-":
-            return lambda c: left(c) - right(c)
-        if op == "*":
-            return lambda c: left(c) * right(c)
-        if op == "/":
-
-            def divide(c: np.ndarray) -> float:
-                d = right(c)
-                if d == 0.0:
-                    raise EvaluationError(
-                        f"division by zero in {print_expr(node)!r}"
-                    )
-                return _apply(lambda a, b: a / b, (left(c), d), node)
-
-            return divide
-        return lambda c: _apply(lambda a, b: a ** b, (left(c), right(c)), node)
-
-    return compile_node(e)
+    taken: list[Expr] = []
+    for e in trees:
+        _check_symbols(e, index, names)
+        taken.append(e)
+    em = _Emitter(index)
+    results = [em.operand(e) for e in taken]
+    em.namespace["_n"] = tuple(em.nodes)
+    body = ["_c = _x.tolist()"] + em.lines + [f"return [{', '.join(results)}]"]
+    source = "def _compiled(_x):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<paraquat expression>", "exec"), em.namespace)
+    return em.namespace["_compiled"]
 
 
-def _apply(fn, args: tuple, node: Expr):
-    try:
-        v = fn(*args)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise EvaluationError(f"cannot evaluate {print_expr(node)!r}: {exc}") from exc
-    if isinstance(v, complex) or not math.isfinite(v):
-        raise EvaluationError(f"non-finite value from {print_expr(node)!r}")
-    return float(v)
+def bind_expr(e: Expr, names: Sequence[str]) -> Callable[[np.ndarray], float]:
+    """Compile one tree to a function of a float coordinate array ordered
+    like ``names``; the one-tree case of :func:`compile_exprs`."""
+    values = compile_exprs([e], names)
+    return lambda c: values(c)[0]
 
 
 def evaluate(src: str, names: Sequence[str], coords: np.ndarray) -> float:

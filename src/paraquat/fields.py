@@ -52,6 +52,8 @@ class ManifoldSpec:
             raise ValidationError("every domain interval needs lo < hi")
         dom.flags.writeable = False
         object.__setattr__(self, "domain", dom)
+        # (lo, hi) as Python floats: contains compares lists, not arrays
+        object.__setattr__(self, "_bounds", (dom[:, 0].tolist(), dom[:, 1].tolist()))
 
     def __eq__(self, other):
         return (
@@ -68,11 +70,16 @@ class ManifoldSpec:
         return len(self.coords)
 
     def contains(self, coords: np.ndarray, margin: float = 0.0) -> bool:
+        """Whether every coordinate lies in its interval shrunk by ``margin``;
+        a NaN coordinate lies in none."""
+        lows, highs = self._bounds
         c = np.asarray(coords, dtype=float)
-        return bool(
-            (c >= self.domain[:, 0] + margin).all()
-            and (c <= self.domain[:, 1] - margin).all()
-        )
+        if c.shape != (len(lows),):
+            raise ValidationError(f"chart needs {len(lows)} coordinates, got {c.shape}")
+        for x, lo, hi in zip(c.tolist(), lows, highs):
+            if not lo + margin <= x <= hi - margin:
+                return False
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +99,15 @@ class Point:
         object.__setattr__(self, "coords", c)
 
     def shifted(self, k: int, delta: float) -> "Point":
+        """This point moved by ``delta`` along coordinate k; the coordinates
+        are already validated, so the new point skips ``__post_init__``."""
         c = self.coords.copy()
         c[k] += delta
-        return Point(self.chart, c)
+        c.flags.writeable = False
+        q = object.__new__(Point)
+        object.__setattr__(q, "chart", self.chart)
+        object.__setattr__(q, "coords", c)
+        return q
 
     def __repr__(self):  # keeps pytest output readable
         vals = ", ".join(f"{n}={v:.4g}" for n, v in zip(self.chart.coords, self.coords))
@@ -147,7 +160,7 @@ def eval_field(field: TensorField, p: Point) -> np.ndarray:
         raise ShapeError(
             f"field {field.label or '<unnamed>'}: expected {field.shape}, got {vals.shape}"
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise EvaluationError(
             f"field {field.label or '<unnamed>'} returned non-finite components at {p}"
         )

@@ -19,7 +19,8 @@ differences of G itself rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -104,11 +105,20 @@ class SasakiBundle:
     projection: SubmersionMap
     base_metric: MetricField
     base_triple: LocalBasisTriple
+    # (L, L^-1, x) at a bundle point, memoised per bundle (build_tangent_bundle)
+    frames: Callable[[Point], tuple[np.ndarray, np.ndarray, Point]] = field(repr=False, compare=False)
     cfg: FdConfig = FdConfig()
 
     @property
     def base_dim(self) -> int:
         return self.base_metric.chart.dim
+
+    def shift(self, xi: Point) -> np.ndarray:
+        """The connection shift M at xi, read from the frame memo: L^-1 is
+        [[I, 0], [M, I]], so its lower-left block holds connection_shift's
+        values bit for bit."""
+        n = self.base_dim
+        return self.frames(xi)[1][n:, :n]
 
     def point(self, x, u) -> Point:
         return Point(self.spec, np.concatenate([np.asarray(x, float), np.asarray(u, float)]))
@@ -193,6 +203,7 @@ def build_tangent_bundle(
         projection=projection,
         base_metric=g,
         base_triple=T,
+        frames=frames_at,
         cfg=cfg,
     )
 
@@ -216,11 +227,12 @@ def lifted_field(bundle: SasakiBundle, X, kind: str) -> TensorField:
         value = lambda x: Xc
     if kind not in ("h", "v"):
         raise ValidationError("kind must be 'h' or 'v'")
-    g, cfg = bundle.base_metric, bundle.cfg
 
     def comps(xi: Point) -> np.ndarray:
-        M = connection_shift(g, xi, cfg) if kind == "h" else None
-        return lift(kind, value(Point(base, xi.coords[:n])), M)
+        if kind == "v":
+            return lift("v", value(Point(base, xi.coords[:n])))
+        _, Linv, x = bundle.frames(xi)
+        return lift("h", value(x), Linv[n:, :n])
 
     return TensorField(bundle.spec, 1, 0, comps, label=f"{kind}-lift")
 
@@ -322,7 +334,7 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     n = bundle.base_dim
     dirs = [np.eye(n)[i] for i in range(n)]
     gamG = christoffel(bundle.metric, xi, cfg)
-    M = connection_shift(g, xi, cfg)
+    M = bundle.shift(xi)
     worst = 0.0
     for ky in ("h", "v"):
         for Y in dirs:
@@ -345,7 +357,7 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     form, over the lifted coordinate frame and all three members."""
     g, cfg = bundle.base_metric, bundle.cfg
     n = bundle.base_dim
-    M = connection_shift(g, xi, cfg)
+    M = bundle.shift(xi)
     lifts = {k: lift(k, np.eye(n), M) for k in ("h", "v")}
     worst = 0.0
     for a in range(3):
@@ -392,7 +404,7 @@ def check_structure_derivative_span(bundle: SasakiBundle, xi: Point) -> float:
         covariant_derivative_11(bundle.metric, f, xi, cfg)
         for f in bundle.triple.fields
     ]  # D[a][A, k, j]
-    M = connection_shift(g, xi, cfg)
+    M = bundle.shift(xi)
     H, V = lift("h", np.eye(n), M), lift("v", np.eye(n))
     worst = 0.0
     for i in range(n):

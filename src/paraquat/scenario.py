@@ -691,8 +691,16 @@ def build_context(
     points: int | None = None,
 ) -> ScenarioContext:
     """The geometry, sample and FD settings of a scenario document; seed,
-    step and points override the document's."""
+    step and points override the document's.  The document is validated
+    first."""
     _validate(config)
+    return _build_context(config, seed, step, points)
+
+
+def _build_context(
+    config: dict, seed: int | None, step: float | None, points: int | None
+) -> ScenarioContext:
+    """build_context for a document that has already been validated."""
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
     metric = metric_from_config(geo.get("metric", "neutral4"), chart)
@@ -759,7 +767,7 @@ def run_scenario(
     config = load_scenario(source)
     check_specs = _validate(config)
     expect = config.get("expect", "pass")
-    ctx = build_context(config, seed=seed, step=step, points=points)
+    ctx = _build_context(config, seed, step, points)
     results: list[CheckResult] = []
     for spec in check_specs:
         cdef = CHECKS[spec["check"]]

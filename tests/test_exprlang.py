@@ -1,6 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraquat import (
@@ -13,7 +16,9 @@ from paraquat import (
     parse_expr,
     print_expr,
 )
-from paraquat.exprlang import Bin, Call, Neg, Num, Sym
+from paraquat import exprlang
+from paraquat.catalog import expression_array, make_chart
+from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_exprs
 
 # The parser never produces a negative literal (a leading minus becomes Neg),
 # so generated Num values are nonnegative and finite.
@@ -78,19 +83,187 @@ def test_evaluate():
 def test_unknown_symbol_raised_at_bind_time():
     with pytest.raises(UnknownSymbolError):
         bind_expr(parse_expr("x1 + q"), ["x1", "x2"])
+    # the first unknown name, left to right, across the trees of an array
+    with pytest.raises(UnknownSymbolError) as exc:
+        compile_exprs([parse_expr("x1"), parse_expr("a/b"), parse_expr("c")], ["x1"])
+    assert str(exc.value) == "unknown symbol 'a'; coordinates are ('x1',)"
 
 
 def test_evaluation_errors():
     x0 = np.array([0.0])
-    with pytest.raises(EvaluationError):
-        evaluate("1/x1", ["x1"], x0)  # division by zero
-    with pytest.raises(EvaluationError):
-        evaluate("exp(x1)", ["x1"], np.array([1000.0]))  # overflow
-    with pytest.raises(EvaluationError):
-        evaluate("pow(0 - 1, 0.5)", ["x1"], x0)  # complex result
+    for src, message in [
+        ("1/x1", "division by zero in '1.0/x1'"),
+        ("exp(x1 + 1000)", "cannot evaluate 'exp(x1 + 1000.0)': math range error"),  # overflow
+        ("cos(10^300*10^300)", "cannot evaluate 'cos(10.0^300.0*10.0^300.0)': math domain error"),
+        ("pow(0 - 1, 0.5)", "non-finite value from 'pow(0.0 - 1.0, 0.5)'"),  # complex result
+        ("(0 - 8)^(1/3)", "non-finite value from '(0.0 - 8.0)^(1.0/3.0)'"),
+        ("(10^300*10^300)/2", "non-finite value from '10.0^300.0*10.0^300.0/2.0'"),
+        ("0^(0 - 1)", "cannot evaluate '0.0^(0.0 - 1.0)': 0.0 cannot be raised to a negative power"),
+        ("10^400", "cannot evaluate '10.0^400.0': (34, 'Numerical result out of range')"),
+    ]:
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(src, ["x1"], x0)
+        assert str(exc.value) == message
 
 
 def test_free_symbols():
     assert free_symbols(parse_expr("sin(x1)*x2 + 3")) == {"x1", "x2"}
     assert free_symbols(parse_expr("1 + 2")) == set()
     assert free_symbols(parse_expr("pow(a, b) - a")) == {"a", "b"}
+
+
+# --- the compiler against a tree-walking reference --------------------------
+#
+# The reference evaluates a tree recursively with the language's rules: left
+# operand before right except that '/' evaluates and tests its divisor first,
+# and every Call, '/' and '^' turns an arithmetic error, a complex or a
+# non-finite value into EvaluationError.  It lives only here, so the package
+# keeps one evaluator.
+
+
+def _ref_check(fn, args, node):
+    try:
+        v = fn(*args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise EvaluationError(f"cannot evaluate {print_expr(node)!r}: {exc}") from exc
+    if isinstance(v, complex) or not math.isfinite(v):
+        raise EvaluationError(f"non-finite value from {print_expr(node)!r}")
+    return float(v)
+
+
+def _ref_eval(e, names, c):
+    if isinstance(e, Num):
+        return float(e.value)
+    if isinstance(e, Sym):
+        return float(c[names.index(e.name)])
+    if isinstance(e, Neg):
+        return -_ref_eval(e.arg, names, c)
+    if isinstance(e, Call):
+        args = [_ref_eval(a, names, c) for a in e.args]
+        return _ref_check(exprlang._IMPL[e.fn], args, e)
+    if e.op == "/":
+        d = _ref_eval(e.right, names, c)
+        if d == 0.0:
+            raise EvaluationError(f"division by zero in {print_expr(e)!r}")
+        return _ref_check(lambda a, b: a / b, (_ref_eval(e.left, names, c), d), e)
+    a, b = _ref_eval(e.left, names, c), _ref_eval(e.right, names, c)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    return _ref_check(lambda x, y: x ** y, (a, b), e)
+
+
+def _ref_unknown(e, names):
+    """The first free name of e, left to right, that is not in names."""
+    if isinstance(e, Sym):
+        return None if e.name in names else e.name
+    if isinstance(e, Num):
+        return None
+    children = (e.arg,) if isinstance(e, Neg) else (e.left, e.right) if isinstance(e, Bin) else e.args
+    for child in children:
+        name = _ref_unknown(child, names)
+        if name is not None:
+            return name
+    return None
+
+
+def _reference(trees, names, c):
+    for e in trees:
+        name = _ref_unknown(e, names)
+        if name is not None:
+            raise UnknownSymbolError(f"unknown symbol {name!r}; coordinates are {tuple(names)}")
+    return [_ref_eval(e, list(names), c) for e in trees]
+
+
+def _outcome(fn):
+    try:
+        return "value", [struct.pack("d", v) for v in fn()]
+    except (EvaluationError, UnknownSymbolError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_NAMES = ("x1", "x2", "x3")
+# few distinct leaves and coordinates, so that generated arrays repeat
+# subtrees and hit every failure path; -0.0 and 0.0 must never be merged
+_small_nums = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e300]).map(Num)
+_trees = st.recursive(_small_nums | st.sampled_from(_NAMES + ("q",)).map(Sym), _compound, max_leaves=10)
+_coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0, -2.5, 1e-300, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(_trees, min_size=1, max_size=4).flatmap(
+        lambda ts: st.lists(st.sampled_from(ts), min_size=1, max_size=6)  # shared subtrees
+    ).map(lambda ts: ts + [Neg(t) for t in ts[:2]] + [Bin("*", ts[0], ts[-1])]),
+    st.lists(_coord, min_size=3, max_size=3),
+)
+# both operands fail: the left one is reported, except under '/'
+@example([Bin("+", Call("exp", (Num(1e300),)), Call("cos", (Sym("x1"),)))], [math.inf, 0.0, 0.0])
+@example([Bin("/", Call("exp", (Num(1e300),)), Bin("-", Sym("x1"), Sym("x1")))], [1.0, 0.0, 0.0])
+@example([Bin("^", Neg(Sym("x1")), Num(0.5))], [1.0, 0.0, 0.0])  # a complex power
+def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
+    c = np.array(coords, dtype=float)
+    expected = _outcome(lambda: _reference(trees, _NAMES, c))
+    assert _outcome(lambda: compile_exprs(trees, _NAMES)(c)) == expected
+
+
+_safe_trees = st.recursive(
+    _small_nums | st.sampled_from(_NAMES).map(Sym),
+    lambda inner: st.tuples(st.sampled_from("+-*"), inner, inner).map(lambda t: Bin(*t)) | inner.map(Neg),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_safe_trees, _safe_trees, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coords):
+    twins = [
+        Bin("+", a, b), Bin("-", a, b), Bin("*", a, b), Neg(a), Neg(b),
+        Call("sin", (a,)), Call("cos", (a,)), Bin("*", a, Num(0.0)), Bin("*", a, Num(-0.0)),
+    ]
+    c = np.array(coords, dtype=float)
+    expected = _outcome(lambda: _reference(twins, _NAMES, c))
+    assert _outcome(lambda: compile_exprs(twins, _NAMES)(c)) == expected
+    if expected[0] == "value":
+        for e, v in zip(twins, expected[1]):
+            assert struct.pack("d", bind_expr(e, _NAMES)(c)) == v
+
+
+def test_shared_subexpression_is_evaluated_once(monkeypatch):
+    calls = []
+    real = exprlang._IMPL["exp"]
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setitem(exprlang._IMPL, "exp", counted)
+    f = "0.1 + (0.5)*x1 - (0.4)*x2 + (0.03)*sin(0.7*x2)*cos(0.8*x3)"
+    plus, minus = f"exp(2*({f}))", f"-exp(2*({f}))"
+    diag = (plus, plus, minus, minus)
+    matrix = [[diag[r] if r == k else "0" for k in range(4)] for r in range(4)]
+    values = expression_array(matrix, (4, 4), make_chart(4), "metric")
+    x = np.array([0.1, -0.2, 0.3, 0.4])
+    g = values(x)
+    assert len(calls) == 1
+    e = real(2 * (0.1 + 0.5 * 0.1 - 0.4 * -0.2 + 0.03 * math.sin(0.7 * -0.2) * math.cos(0.8 * 0.3)))
+    assert g.tobytes() == np.diag([e, e, -e, -e]).tobytes()
+    values(x)
+    assert len(calls) == 2
+
+
+def test_coordinate_names_never_meet_generated_names():
+    names = ("c", "_c", "t0", "exp", "lambda")
+    src = ["exp(exp) + c*_c - t0/lambda", "t0", "-lambda", "pow(_c, c)", "1.5"]
+    trees = [parse_expr(s) for s in src]
+    x = np.array([0.5, 2.0, -1.25, 0.75, 3.0])
+    got = compile_exprs(trees, names)(x)
+    assert [struct.pack("d", v) for v in got] == [
+        struct.pack("d", v) for v in _reference(trees, names, x)
+    ]
+    assert got[1] == -1.25 and got[2] == -3.0
+    with pytest.raises(UnknownSymbolError, match="'t1'"):
+        compile_exprs([parse_expr("t0 + t1")], names)

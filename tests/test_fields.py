@@ -49,6 +49,30 @@ def test_contains_truth_table(coords, margin, inside):
     assert chart.contains(np.array(coords), margin=margin) is inside
 
 
+@pytest.mark.parametrize("coords", [[0.0], [0.0, 1.0, 1.0], [[0.0, 1.0]], 0.5])
+def test_contains_rejects_a_vector_of_the_wrong_length(coords):
+    chart = ManifoldSpec(("a", "b"), [[-1, 1], [0, 2]])
+    with pytest.raises(ValidationError):
+        chart.contains(np.array(coords))
+
+
+def test_shifted_point_is_a_frozen_point_of_the_same_chart(chart4):
+    p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
+    q = p.shifted(1, 1e-3)
+    assert q.chart is p.chart
+    c = p.coords.copy()
+    c[1] += 1e-3
+    assert q.coords.tobytes() == Point(chart4, c).coords.tobytes()
+    assert q.coords.dtype == np.float64 and q.coords.shape == (4,)
+    with pytest.raises(ValueError):
+        q.coords[0] = 5.0
+    # a shift off the box still leaves the chart domain
+    f = constant_field(chart4, 0, 0, np.array(1.0), "one")
+    assert eval_field(f, q) == 1.0
+    with pytest.raises(OutOfDomainError):
+        eval_field(f, p.shifted(3, 0.7))
+
+
 def test_point_validation_and_immutability(chart4):
     with pytest.raises(ValidationError):
         Point(chart4, [1, 2, 3])

@@ -285,3 +285,18 @@ def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, cfg, shift_
     assert len(shift_calls) == 2
     assert a is not b
     assert a.tobytes() == b.tobytes()
+
+
+def test_h_lift_reads_the_frame_memo(conformal4, std_triple, cfg, shift_calls):
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    X = np.array([0.3, -1.0, 0.5, 2.0])
+    W = lifted_field(bundle, X, "h")
+    first = eval_field(W, xi)
+    assert len(shift_calls) == 1
+    assert eval_field(W, xi).tobytes() == first.tobytes()
+    eval_field(bundle.triple.fields[1], xi)  # the same frame serves the triple
+    assert len(shift_calls) == 1
+    M = connection_shift(conformal4, xi, cfg)  # the unwrapped function: not counted
+    assert first.tobytes() == lift("h", X, M).tobytes()
+    assert bundle.shift(xi).tobytes() == M.tobytes()

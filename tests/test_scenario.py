@@ -160,3 +160,24 @@ def test_bundle_checks_require_sasaki_geometry():
     cfg = _inline(checks=[{"check": "bracket"}])
     with pytest.raises(ValidationError):
         run_scenario(cfg, points=2)
+
+
+def test_a_run_validates_its_document_once(monkeypatch):
+    from paraquat import scenario
+
+    calls = []
+    real = scenario._validate
+
+    def counted(config):
+        calls.append(config.get("name"))
+        return real(config)
+
+    monkeypatch.setattr(scenario, "_validate", counted)
+    assert run_scenario("flat-lhpk").final
+    assert calls == ["flat-lhpk"]
+    # a direct caller of build_context is still validated
+    doc = load_scenario("flat-lhpk")
+    doc["geometry"]["metrc"] = "euclidean4"
+    with pytest.raises(ParseError):
+        scenario.build_context(doc)
+    assert len(calls) == 2
