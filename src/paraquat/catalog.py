@@ -58,9 +58,13 @@ def _require_dim(chart: ManifoldSpec, dim: int, what: str) -> None:
         raise ValidationError(f"{what} needs a {dim}-dim chart, got {chart.dim}")
 
 
-def _rotated(angle: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rotated(angle: float, a: int) -> np.ndarray:
+    """Member a of standard4 rotated by ``angle`` in the span of (J1, J2);
+    only that member is built."""
+    if a == 2:
+        return STD_J3
     c, s = np.cos(angle), np.sin(angle)
-    return c * STD_J1 + s * STD_J2, -s * STD_J1 + c * STD_J2, STD_J3
+    return c * STD_J1 + s * STD_J2 if a == 0 else -s * STD_J1 + c * STD_J2
 
 
 def _metric_neutral4(chart: ManifoldSpec) -> MetricField:
@@ -107,7 +111,7 @@ def _triple_rotated4(chart: ManifoldSpec) -> LocalBasisTriple:
 
     def member(a: int) -> TensorField:
         return TensorField(
-            chart, 1, 1, lambda p, a=a: _rotated(p.coords[0])[a], f"J{a + 1}'"
+            chart, 1, 1, lambda p, a=a: _rotated(p.coords[0], a), f"J{a + 1}'"
         )
 
     return LocalBasisTriple(member(0), member(1), member(2))
@@ -127,7 +131,7 @@ def _product_rotated_member(chart: ManifoldSpec, a: int, coord: int) -> TensorFi
         chart,
         1,
         1,
-        lambda p, a=a: doubled(_rotated(p.coords[coord])[a]),
+        lambda p: doubled(_rotated(p.coords[coord], a)),
         f"J{a + 1}'+J{a + 1}'",
     )
 

@@ -19,11 +19,22 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateMetricError, ShapeError, ValidationError
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, eval_field, fd_gradient
+from .fields import (
+    FdConfig,
+    ManifoldSpec,
+    Point,
+    TensorField,
+    _check_point,
+    _checked_values,
+    central_difference,
+    eval_field,
+    fd_gradient,
+)
 
 DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -34,10 +45,11 @@ class MetricField:
     """A (0,2) field validated as a semi-Riemannian metric at evaluation time:
     symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for.
 
-    The instance memoises g (per point) and, through ``christoffel`` and
-    ``riemann``, Gamma and R (per point and FD step).  Only evaluations that
-    passed every check are stored, as read-only arrays; a hit repeats the
-    chart check, so a point of another chart still raises.
+    The instance memoises g (per point) and, through ``christoffel``,
+    ``riemann`` and ``structures.fit_kahler_oneforms``, Gamma, R and the
+    Kähler 1-form fits (per point and FD step, a fit also per triple).  Only
+    evaluations that passed every check are stored, as read-only arrays; a
+    hit repeats the chart check, so a point of another chart still raises.
     """
 
     field: TensorField
@@ -51,31 +63,93 @@ class MetricField:
     def chart(self) -> ManifoldSpec:
         return self.field.chart
 
-    def _memoised(self, kind: str, p: Point, step: float | None, compute) -> np.ndarray:
-        """The memo's array for (kind, p, step), else compute() stored there as
-        a read-only copy the memo owns, so neither the caller's array nor a
-        later hit can be changed; a compute that raises stores nothing."""
-        key = (kind, p.coords.tobytes(), step)
+    def _lookup(self, key, p: Point):
+        """The memo's value under key, None on a miss; a hit at a point of
+        another chart raises as an evaluation there would."""
         hit = self._memo.get(key)
-        if hit is not None:
-            if p.chart is not self.chart and p.chart != self.chart:
-                raise ValidationError("point and field live on different charts")
-            return hit
-        stored = np.array(compute(), dtype=float)
-        stored.flags.writeable = False
-        self._memo[key] = stored
-        return stored
+        if hit is not None and p.chart is not self.chart and p.chart != self.chart:
+            raise ValidationError("point and field live on different charts")
+        return hit
+
+    def _memoised(self, kind, p: Point, step: float | None, compute):
+        """The memo's value for (kind, p, step), else compute()'s, stored
+        there; compute returns what the memo may own and hand out (read-only
+        arrays), and a compute that raises stores nothing."""
+        key = (kind, p.coords.tobytes(), step)
+        hit = self._lookup(key, p)
+        if hit is None:
+            hit = self._memo[key] = compute()
+        return hit
 
     def matrix(self, p: Point) -> np.ndarray:
-        def compute():
-            g = eval_field(self.field, p)
-            if np.abs(g - g.T).max() > SYMMETRY_TOL:
-                raise ValidationError(f"metric not symmetric at {p}")
-            if abs(np.linalg.det(g)) <= DET_FLOOR:
-                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {p}")
-            return g
+        return self.matrices([p])[0]
 
-        return self._memoised("g", p, None, compute)
+    def matrices(self, points: Sequence[Point]) -> list[np.ndarray]:
+        """g at each point, as the memo's read-only arrays: the batch form
+        of ``matrix``.
+
+        Memo hits are reused.  The components of each miss are evaluated
+        once, in order; then the misses' chart, shape, finiteness, symmetry
+        and determinant checks run as one test, and the first point that
+        fails one, or whose components raised, raises what it would raise
+        alone.  A batch that raises stores nothing.
+        """
+        memo, field = self._memo, self.field
+        keys, fresh, values = [], {}, []
+        stop = None  # (point, exception, components) where the batch ended
+        for q in points:
+            key = ("g", q.coords.tobytes(), None)
+            keys.append(key)
+            if q.chart is not self.chart and q.chart != self.chart:
+                stop = (q, None, None)
+                break
+            if key in memo or key in fresh:
+                continue
+            try:
+                v = np.asarray(field.components(q), dtype=float)
+            except Exception as exc:
+                stop = (q, exc, None)
+                break
+            if v.shape != field.shape:
+                stop = (q, None, v)
+                break
+            fresh[key] = q
+            values.append(v)
+        if fresh:
+            V = np.array(values)
+            pts = list(fresh.values())
+            bad = self._first_invalid(pts, V)
+            if bad is not None:  # raise its first failure, as eval_field would
+                q = pts[bad]
+                _check_point(field, q)
+                g = _checked_values(field, q, V[bad])
+                if np.abs(g - g.T).max() > SYMMETRY_TOL:
+                    raise ValidationError(f"metric not symmetric at {q}")
+                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {q}")
+        if stop is not None:
+            q, exc, v = stop
+            _check_point(field, q)
+            if exc is not None:
+                raise exc
+            _checked_values(field, q, v)
+        if fresh:
+            V.flags.writeable = False
+            memo.update(zip(fresh, V))
+        return [memo[key] for key in keys]
+
+    def _first_invalid(self, pts: list[Point], V: np.ndarray) -> int | None:
+        """Index of the first point that fails a check of ``matrix``, tested
+        at once over the stack: the domain of each point, then the
+        finiteness, symmetry and determinant of its value ``V[i]``."""
+        lo, hi = self.chart.domain[:, 0], self.chart.domain[:, 1]
+        C = np.array([q.coords for q in pts])
+        bad = ~((lo <= C) & (C <= hi)).all(axis=1) | ~np.isfinite(V).all(axis=(1, 2))
+        k = int(bad.argmax()) if bad.any() else len(V)
+        if k:  # symmetry and determinant only of the finite values before that
+            W = V[:k]
+            bad[:k] |= np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
+            bad[:k] |= np.abs(np.linalg.det(W)) <= DET_FLOOR
+        return int(bad.argmax()) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -92,18 +166,31 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndar
     Metric partials are central differences; the metric's nondegeneracy is
     checked at the center and at every stencil point.
     """
+    return _christoffels(g, [p], cfg)[0]
 
-    def compute():
-        ginv = np.linalg.inv(g.matrix(p))
-        partials = central_difference(g.matrix, p, cfg)  # partials[i, l, j] = d_i g_{lj}
+
+def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """``christoffel`` at each centre, as the memo's read-only arrays.  The
+    misses are assembled together: g at the centres, then g on all their
+    stencils in one ``central_difference``, one ``inv`` and one ``einsum``
+    over the stack; each result is stored as it would be alone."""
+    keys = [("gamma", q.coords.tobytes(), cfg.step) for q in centres]
+    out = [g._lookup(key, q) for key, q in zip(keys, centres)]
+    todo = [k for k, hit in enumerate(out) if hit is None]
+    if todo:
+        pts = [centres[k] for k in todo]
+        ginv = np.linalg.inv(g.matrices(pts))
+        partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
         term = (
-            np.einsum("ilj->lij", partials)
-            + np.einsum("jli->lij", partials)
+            np.einsum("cilj->clij", partials)
+            + np.einsum("cjli->clij", partials)
             - partials
         )
-        return 0.5 * np.einsum("kl,lij->kij", ginv, term)
-
-    return g._memoised("gamma", p, cfg.step, compute)
+        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, term)
+        gam.flags.writeable = False
+        for k, value in zip(todo, gam):
+            out[k] = g._memo[keys[k]] = value
+    return out
 
 
 def covariant_derivative_11(
@@ -173,18 +260,21 @@ def covariant_derivative_02(
 
 def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
-    ``riem[l, k, i, j]`` (convention in the module docstring)."""
+    ``riem[l, k, i, j]`` (convention in the module docstring).  Gamma at the
+    2n stencil neighbours of p, and g on their stencils, come in one batch."""
 
     def compute():
         gam = christoffel(g, p, cfg)
         # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-        dgam = central_difference(lambda q: christoffel(g, q, cfg), p, cfg)
-        return (
+        dgam = central_difference(lambda qs: _christoffels(g, qs, cfg), p, cfg)
+        riem = (
             np.einsum("iljk->lkij", dgam)
             - np.einsum("jlik->lkij", dgam)
             + np.einsum("lim,mjk->lkij", gam, gam)
             - np.einsum("ljm,mik->lkij", gam, gam)
         )
+        riem.flags.writeable = False
+        return riem
 
     return g._memoised("riem", p, cfg.step, compute)
 

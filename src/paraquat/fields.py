@@ -9,7 +9,7 @@ statement downstream is explicit about its stencil.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -151,11 +151,23 @@ class FdConfig:
 
 def eval_field(field: TensorField, p: Point) -> np.ndarray:
     """Evaluate a tensor field, enforcing domain, shape and finiteness."""
+    _check_point(field, p)
+    return _checked_values(field, p, field.components(p))
+
+
+def _check_point(field: TensorField, p: Point) -> None:
+    """The checks ``eval_field`` makes before evaluating: p lies on the
+    field's chart and inside its domain."""
     if p.chart is not field.chart and p.chart != field.chart:
         raise ValidationError("point and field live on different charts")
     if not field.chart.contains(p.coords):
         raise OutOfDomainError(f"{p} outside the chart domain")
-    vals = np.asarray(field.components(p), dtype=float)
+
+
+def _checked_values(field: TensorField, p: Point, values) -> np.ndarray:
+    """The checks ``eval_field`` makes after evaluating: ``values``, the
+    components at p, as a float array of the field's shape, all finite."""
+    vals = np.asarray(values, dtype=float)
     if vals.shape != field.shape:
         raise ShapeError(
             f"field {field.label or '<unnamed>'}: expected {field.shape}, got {vals.shape}"
@@ -168,26 +180,45 @@ def eval_field(field: TensorField, p: Point) -> np.ndarray:
 
 
 def central_difference(
-    f: Callable[[Point], np.ndarray], p: Point, cfg: FdConfig = FdConfig()
+    f: Callable[[list[Point]], Sequence[np.ndarray]],
+    p: Point | Sequence[Point],
+    cfg: FdConfig = FdConfig(),
 ) -> np.ndarray:
     """Second-order central differences of ``f`` along every coordinate,
     stacked: ``out[m] = (f(p + h e_m) - f(p - h e_m)) / 2h`` with h = cfg.step.
 
-    Exact for affine f; O(h^2) otherwise.  The whole stencil must lie in p's
-    chart, else StencilOutOfDomainError.  This is the package's one
-    derivative stencil.
+    ``f`` gets the whole stencil in one call, as the list p + h e_1,
+    p - h e_1, p + h e_2, ..., and returns the values there in that order,
+    as a list of equal-shape arrays or as one array stacked along its first
+    axis.  ``p`` may also be a sequence of centres: their stencils go to
+    ``f`` in one call, one after the other, and the result is stacked per
+    centre, ``out[c, m]``.
+
+    Exact for affine f; O(h^2) otherwise.  Every stencil must lie in its
+    centre's chart, else StencilOutOfDomainError, raised before ``f`` sees
+    that stencil; the stencils of the centres before it are evaluated first,
+    so a failure there surfaces first.  This is the package's one derivative
+    stencil.
     """
     h = cfg.step
-    if not p.chart.contains(p.coords, margin=h):
-        raise StencilOutOfDomainError(f"stencil of step {h} around {p} leaves the domain")
-    return np.stack(
-        [(f(p.shifted(m, +h)) - f(p.shifted(m, -h))) / (2.0 * h) for m in range(p.chart.dim)]
-    )
+    centres = [p] if isinstance(p, Point) else list(p)
+    stencil: list[Point] = []
+    for c in centres:
+        if not c.chart.contains(c.coords, margin=h):
+            if stencil:
+                f(stencil)
+            raise StencilOutOfDomainError(f"stencil of step {h} around {c} leaves the domain")
+        for m in range(c.chart.dim):
+            stencil += (c.shifted(m, +h), c.shifted(m, -h))
+    F = np.asarray(f(stencil))
+    F = F.reshape(len(centres), -1, 2, *F.shape[1:])
+    out = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)
+    return out[0] if isinstance(p, Point) else out
 
 
 def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central differences of a tensor field's components, stacked: out[m] = d_m."""
-    return central_difference(lambda q: eval_field(field, q), p, cfg)
+    return central_difference(lambda qs: [eval_field(field, q) for q in qs], p, cfg)
 
 
 def sample_points(

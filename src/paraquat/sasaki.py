@@ -269,9 +269,16 @@ def oracle_tilde_nabla(
     x, u = _split_xi(g.chart, xi)
     if kind_x == "v" and kind_y == "v":
         return np.zeros(2 * g.chart.dim)
-    X = np.asarray(X, dtype=float)
     M = connection_shift(g, xi, cfg)
-    R = riemann(g, x, cfg)
+    return _oracle_nabla(g, kind_x, X, kind_y, Y, x, u, M, riemann(g, x, cfg), cfg)
+
+
+def _oracle_nabla(g, kind_x, X, kind_y, Y, x, u, M, R, cfg) -> np.ndarray:
+    """``oracle_tilde_nabla`` at the bundle point (x, u), given its
+    connection shift M and the base curvature R at x."""
+    if kind_x == "v" and kind_y == "v":
+        return np.zeros(2 * g.chart.dim)
+    X = np.asarray(X, dtype=float)
     Yx, covXY = _value_and_derivative(g, X, Y, x, cfg)
     if kind_x == "h" and kind_y == "h":
         return lift("h", covXY, M) + lift("v", -0.5 * curvature_operator(R, X, Yx, u))
@@ -309,15 +316,25 @@ def oracle_tilde_nabla_J(
     x, u = _split_xi(g.chart, xi)
     if kind_x == "v" and kind_y == "v":
         return np.zeros(2 * g.chart.dim)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     M = connection_shift(g, xi, cfg)
     Ja = eval_field(T.fields[a], x)
     R = riemann(g, x, cfg)
+    # (v, h) does not read nabla J_a
+    DJa = None if (kind_x, kind_y) == ("v", "h") else covariant_derivative_11(g, T.fields[a], x, cfg)
+    return _oracle_nabla_J(Ja, DJa, kind_x, X, kind_y, Y, u, M, R)
+
+
+def _oracle_nabla_J(Ja, DJa, kind_x, X, kind_y, Y, u, M, R) -> np.ndarray:
+    """``oracle_tilde_nabla_J`` at a bundle point with fiber vector u, given
+    its connection shift M, the base curvature R, and J_a and
+    DJa[i, k, j] = (nabla_i J_a)^k_j at its base point."""
+    if kind_x == "v" and kind_y == "v":
+        return np.zeros(2 * len(u))
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     Rop = lambda A, B, C: curvature_operator(R, A, B, C)
     if kind_x == "v" and kind_y == "h":
         return lift("h", 0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)), M)
-    DJa = covariant_derivative_11(g, T.fields[a], x, cfg)  # [i, k, j]
     nXJY = np.einsum("ikj,i,j->k", DJa, X, Y)
     if kind_x == "h" and kind_y == "h":
         return lift("v", -0.5 * (Rop(X, Ja @ Y, u) - Ja @ Rop(X, Y, u))) + lift("h", nXJY, M)
@@ -335,6 +352,8 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     dirs = [np.eye(n)[i] for i in range(n)]
     gamG = christoffel(bundle.metric, xi, cfg)
     M = bundle.shift(xi)
+    x, u = _split_xi(g.chart, xi)
+    R = riemann(g, x, cfg)
     worst = 0.0
     for ky in ("h", "v"):
         for Y in dirs:
@@ -347,7 +366,7 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
                     fd = np.einsum("a,ak->k", U, dW) + np.einsum(
                         "kab,a,b->k", gamG, U, Wxi
                     )
-                    closed = oracle_tilde_nabla(g, kx, X, ky, Y, xi, cfg)
+                    closed = _oracle_nabla(g, kx, X, ky, Y, x, u, M, R, cfg)
                     worst = max(worst, float(np.abs(fd - closed).max()))
     return worst
 
@@ -355,13 +374,17 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between finite differences of (nabla~ Jt_a) and the closed
     form, over the lifted coordinate frame and all three members."""
-    g, cfg = bundle.base_metric, bundle.cfg
+    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
     n = bundle.base_dim
     M = bundle.shift(xi)
+    x, u = _split_xi(g.chart, xi)
+    R = riemann(g, x, cfg)
     lifts = {k: lift(k, np.eye(n), M) for k in ("h", "v")}
     worst = 0.0
     for a in range(3):
         D = covariant_derivative_11(bundle.metric, bundle.triple.fields[a], xi, cfg)
+        Ja = eval_field(T.fields[a], x)
+        DJa = covariant_derivative_11(g, T.fields[a], x, cfg)
         for kx in ("h", "v"):
             for i in range(n):
                 U = lifts[kx][:, i]
@@ -369,8 +392,8 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
                 for ky in ("h", "v"):
                     for j in range(n):
                         W = lifts[ky][:, j]
-                        closed = oracle_tilde_nabla_J(
-                            g, bundle.base_triple, a, kx, np.eye(n)[i], ky, np.eye(n)[j], xi, cfg
+                        closed = _oracle_nabla_J(
+                            Ja, DJa, kx, np.eye(n)[i], ky, np.eye(n)[j], u, M, R
                         )
                         worst = max(worst, float(np.abs(matU @ W - closed).max()))
     return worst

@@ -65,7 +65,20 @@ class KahlerFit:
 def fit_kahler_oneforms(
     g: MetricField, T: LocalBasisTriple, p: Point, cfg: FdConfig = FdConfig()
 ) -> KahlerFit:
-    """Fit (w1, w2, w3) at p and report the off-span reconstruction residual."""
+    """Fit (w1, w2, w3) at p and report the off-span reconstruction residual.
+
+    The fit is memoised on g per (T, point, FD step), like Gamma and R: a
+    second fit there repeats the chart check and returns the same read-only
+    ``omega`` and ``nabla``, and a fit that raises stores nothing.
+    """
+    omega, residual, D = g._memoised(("fit", T), p, cfg.step, lambda: _fit(g, T, p, cfg))
+    return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
+
+
+def _fit(
+    g: MetricField, T: LocalBasisTriple, p: Point, cfg: FdConfig
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(omega, residual, nabla) of ``fit_kahler_oneforms``, arrays read-only."""
     n = g.chart.dim
     J = T.matrices(p)
     traces = np.array([np.trace(J[b] @ J[b]) for b in range(3)])
@@ -90,7 +103,8 @@ def fit_kahler_oneforms(
         recon = span_combination(omega[:, i], J)
         for a in range(3):
             residual = max(residual, float(np.abs(D[a][i] - recon[a]).max()))
-    return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
+    omega.flags.writeable = D.flags.writeable = False
+    return omega, residual, D
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,9 @@ def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarr
     not onto and StencilOutOfDomainError if the stencil leaves p's chart."""
     n, m = f.source.dim, f.target.dim
     J = np.ascontiguousarray(
-        central_difference(lambda q: np.asarray(f.components(q.coords), dtype=float), p, cfg).T
+        central_difference(
+            lambda qs: [np.asarray(f.components(q.coords), dtype=float) for q in qs], p, cfg
+        ).T
     )
     if J.shape != (m, n):
         raise ShapeError(f"map differential has shape {J.shape}, expected ({m}, {n})")

@@ -110,3 +110,16 @@ def test_singular_transition_rejected(std_triple):
     wrong_shape = TransitionMap(s=lambda p: np.eye(2), label="2x2")
     with pytest.raises(ValidationError):
         wrong_shape.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
+
+
+def test_rotated_members_are_the_rotated_triple_bit_for_bit(rot_triple, pts4):
+    from paraquat.algebra import doubled
+    from paraquat.catalog import STD_J1, STD_J2, STD_J3, TRIPLES, make_chart
+
+    product = TRIPLES["product8-rotated"](make_chart(8))
+    for p in pts4:
+        c, s = np.cos(p.coords[0]), np.sin(p.coords[0])
+        expected = (c * STD_J1 + s * STD_J2, -s * STD_J1 + c * STD_J2, STD_J3)
+        assert rot_triple.matrices(p).tobytes() == np.stack(expected).tobytes()
+        q = Point(product.chart, np.concatenate([p.coords, p.coords]))
+        assert product.matrices(q).tobytes() == np.stack([doubled(J) for J in expected]).tobytes()

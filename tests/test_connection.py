@@ -10,6 +10,7 @@ import pytest
 
 from paraquat import (
     DegenerateMetricError,
+    EvaluationError,
     FdConfig,
     MetricField,
     OutOfDomainError,
@@ -17,6 +18,8 @@ from paraquat import (
     StencilOutOfDomainError,
     TensorField,
     ValidationError,
+    build_tangent_bundle,
+    central_difference,
     christoffel,
     constant_field,
     covariant_derivative_02,
@@ -29,7 +32,7 @@ from paraquat import (
     riemann,
     signature,
 )
-from paraquat.catalog import ETA4, METRICS, make_chart
+from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart, metric_from_config
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -271,7 +274,127 @@ def test_memo_hit_still_rejects_a_point_of_another_chart(chart4, cfg, what):
         evaluate(g, Point(other, MEMO_POINT), cfg)
 
 
+# ------------------------------------------------------------ one-point reference
+#
+# Gamma and R as one point at a time: per-neighbour central differences of
+# one-point metric values, one inv and the einsums per point.  The engine
+# batches all of this; it must agree bit for bit and error for error.
+
+
+def _one_by_one(f):
+    return lambda qs: np.stack([f(q) for q in qs])
+
+
+def reference_christoffel(g, p, cfg):
+    ginv = np.linalg.inv(g.matrix(p))
+    partials = central_difference(_one_by_one(g.matrix), p, cfg)
+    term = np.einsum("ilj->lij", partials) + np.einsum("jli->lij", partials) - partials
+    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+
+
+def reference_riemann(g, p, cfg):
+    gam = reference_christoffel(g, p, cfg)
+    dgam = central_difference(_one_by_one(lambda q: reference_christoffel(g, q, cfg)), p, cfg)
+    return (
+        np.einsum("iljk->lkij", dgam)
+        - np.einsum("jlik->lkij", dgam)
+        + np.einsum("lim,mjk->lkij", gam, gam)
+        - np.einsum("ljm,mik->lkij", gam, gam)
+    )
+
+
+REFERENCE = {
+    "matrix": lambda g, p, cfg: g.matrix(p),
+    "christoffel": reference_christoffel,
+    "riemann": reference_riemann,
+}
+
+SWEEP_F = "0.1 + (0.45)*x1 + (-0.5)*x2 + (0.55)*x3 + (-0.4)*x4 + (0.03)*sin(0.7*x2)*cos(0.9*x4)"
+
+
+def _expression_metric(chart):
+    diag = [f"exp(2*({SWEEP_F}))"] * 2 + [f"-exp(2*({SWEEP_F}))"] * 2
+    rows = [[diag[r] if r == c else "0" for c in range(4)] for r in range(4)]
+    return metric_from_config({"matrix": rows}, chart)
+
+
+def _sasaki_metric(chart):
+    base = METRICS["conformal-neutral4"](chart)
+    return build_tangent_bundle(base, TRIPLES["rotated4"](chart)).metric
+
+
+BIT_METRICS = {
+    # name: (metric builder on the 4-dim chart, sample points)
+    "neutral4": (METRICS["neutral4"], [MEMO_POINT, [-0.6, 0.4, 0.0, 0.7]]),
+    "conformal-neutral4": (METRICS["conformal-neutral4"], [MEMO_POINT, [-0.6, 0.4, 0.0, 0.7]]),
+    "expression": (_expression_metric, [MEMO_POINT, [0.5, -0.3, 0.2, -0.8]]),
+    "sasaki": (_sasaki_metric, [MEMO_POINT + [0.2, -0.1, 0.15, 0.3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_METRICS))
+def test_batched_christoffel_and_riemann_equal_the_one_point_formula_bit_for_bit(chart4, cfg, name):
+    build, coords = BIT_METRICS[name]
+    g = build(chart4)
+    ref = MetricField(g.field)  # same components, its own memo
+    for c in coords:
+        p = Point(g.chart, c)
+        assert christoffel(g, p, cfg).tobytes() == reference_christoffel(ref, p, cfg).tobytes()
+        R = riemann(g, p, cfg)
+        assert R.tobytes() == reference_riemann(ref, p, cfg).tobytes()
+        assert np.abs(R).max() > 0 or name == "neutral4"
+
+
+def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):
+    g, calls = _counted_metric(chart4)
+    p = Point(chart4, MEMO_POINT)
+    q = p.shifted(1, 0.25)
+    g.matrix(p)  # a hit in the batch below
+    calls.clear()
+    batch = g.matrices([q, p, q, p.shifted(0, -0.5)])
+    assert [c.coords.tolist() for c in calls] == [q.coords.tolist(), p.shifted(0, -0.5).coords.tolist()]
+    ref, _ = _counted_metric(chart4)
+    assert np.stack(batch).tobytes() == np.stack(
+        [ref.matrix(r) for r in (q, p, q, p.shifted(0, -0.5))]
+    ).tobytes()
+    assert not any(v.flags.writeable for v in batch)
+    assert g.matrices([q])[0] is g.matrix(q) is batch[0]
+    assert len(calls) == 2
+    good = p.shifted(2, 0.25)
+    far = p.shifted(0, 5.0)  # outside the box: the whole batch raises
+    with pytest.raises(OutOfDomainError):
+        g.matrices([good, far])
+    raising, _ = _counted_metric(chart4, _beyond_ring(_raising))
+    with pytest.raises(EvaluationError, match="components fail"):
+        raising.matrices([good, p.shifted(0, 0.5)])
+    for metric in (g, raising):
+        assert good.coords.tobytes() not in _stored(metric, "g")
+
+
 H = FdConfig().step
+# the x1 coordinate of a point on a Riemann neighbour's ring, two steps from
+# MEMO_POINT, but on no stencil of MEMO_POINT itself: x1 beyond RING_X1
+RING_X1 = MEMO_POINT[0] + 1.5 * H
+
+
+def _beyond_ring(value, otherwise=_conformal):
+    """Components that are value(p) where x1 > RING_X1, otherwise(p) elsewhere."""
+    return lambda p: value(p) if p.coords[0] > RING_X1 else otherwise(p)
+
+
+def _below_ring(value, otherwise=_conformal):
+    """Components that are value(p) where x2 lies two steps below MEMO_POINT's:
+    on a later neighbour's ring than x1 > RING_X1."""
+    return lambda p: value(p) if p.coords[1] < MEMO_POINT[1] - 1.5 * H else otherwise(p)
+
+
+def _degenerate(p):
+    return np.diag([0.0, 1.0, -1.0, -1.0])
+
+
+def _raising(p):
+    raise EvaluationError(f"components fail at {p}")
+
 
 RAISING = {
     # evaluation, component callable, point, error
@@ -289,7 +412,28 @@ RAISING = {
     "R stencil off the box": (
         "riemann", _conformal, [1.0 - 1.5 * H, 0.0, 0.0, 0.0], StencilOutOfDomainError,
     ),
+    "R neighbour ring degenerate": ("riemann", _beyond_ring(_degenerate), MEMO_POINT, DegenerateMetricError),
+    "R neighbour ring not symmetric": (
+        "riemann", _beyond_ring(lambda p: ETA + np.triu(np.ones((4, 4)), 1)), MEMO_POINT,
+        ValidationError,
+    ),
+    "R neighbour ring not finite": (
+        "riemann", _beyond_ring(lambda p: np.full((4, 4), np.nan)), MEMO_POINT, EvaluationError,
+    ),
+    "R ring degenerate before a raising point": (
+        "riemann", _beyond_ring(_degenerate, _below_ring(_raising)), MEMO_POINT, DegenerateMetricError,
+    ),
+    "R ring raising before a degenerate point": (
+        "riemann", _beyond_ring(_raising, _below_ring(_degenerate)), MEMO_POINT, EvaluationError,
+    ),
+    "R ring degenerate before a neighbour stencil off the box": (
+        "riemann", _beyond_ring(_degenerate), MEMO_POINT[:3] + [1.0 - 1.5 * H], DegenerateMetricError,
+    ),
 }
+
+
+def _stored(g, kind):
+    return {key[1] for key in g._memo if key[0] == kind}
 
 
 @pytest.mark.parametrize("case", sorted(RAISING))
@@ -297,6 +441,15 @@ def test_memo_stores_nothing_when_an_evaluation_raises(chart4, cfg, case):
     what, comps, coords, error = RAISING[case]
     g, _ = _counted_metric(chart4, comps)
     p = Point(chart4, coords)
+    ref, _ = _counted_metric(chart4, comps)
+    with pytest.raises(error) as expected:
+        REFERENCE[what](ref, p, cfg)
     for _ in range(2):
-        with pytest.raises(error):
+        with pytest.raises(error) as got:
             EVALUATIONS[what](g, p, cfg)
+        assert str(got.value) == str(expected.value)
+    assert not _stored(g, "riem")
+    if what == "matrix":
+        assert p.coords.tobytes() not in _stored(g, "g")
+    # Gamma may be stored at the centre of a failed R, never at a neighbour
+    assert _stored(g, "gamma") <= ({p.coords.tobytes()} if what == "riemann" else set())

@@ -140,7 +140,7 @@ def test_central_difference_is_the_per_direction_formula(chart4, cfg):
     explicit = np.stack(
         [(f(p.shifted(m, +h)) - f(p.shifted(m, -h))) / (2.0 * h) for m in range(4)]
     )
-    got = central_difference(f, p, cfg)
+    got = central_difference(lambda qs: np.stack([f(q) for q in qs]), p, cfg)
     assert got.shape == (4, 2, 2)
     assert got.tobytes() == explicit.tobytes()
 
@@ -153,7 +153,45 @@ def test_central_difference_checks_the_whole_stencil(chart4, cfg, offset):
         central_difference(calls.append, near, cfg)
     assert calls == []  # rejected before any evaluation
     edge = Point(chart4, [0.0, 0.0, 0.0, -1.0 + 2 * cfg.step])
-    assert central_difference(lambda q: q.coords, edge, cfg).shape == (4, 4)
+    assert central_difference(lambda qs: np.stack([q.coords for q in qs]), edge, cfg).shape == (4, 4)
+
+
+def test_central_difference_hands_several_stencils_to_one_call(chart4, cfg):
+    centres = [Point(chart4, [0.3, -0.2, 0.45, 0.1]), Point(chart4, [-0.5, 0.1, 0.0, 0.7])]
+    calls = []
+
+    def f(qs):
+        calls.append([q.coords.tolist() for q in qs])
+        return [np.array([np.sin(q.coords[0] * q.coords[1]), q.coords[3] ** 3]) for q in qs]
+
+    got = central_difference(f, centres, cfg)
+    assert got.shape == (2, 4, 2)
+    assert len(calls) == 1
+    h = cfg.step
+    stencils = [c.shifted(m, s * h) for c in centres for m in range(4) for s in (1, -1)]
+    assert calls[0] == [q.coords.tolist() for q in stencils]
+    for c, row in zip(centres, got):
+        assert row.tobytes() == central_difference(f, c, cfg).tobytes()
+
+
+def test_central_difference_evaluates_earlier_stencils_before_a_later_one_leaves(chart4, cfg):
+    inside = Point(chart4, [0.3, -0.2, 0.45, 0.1])
+    near = Point(chart4, [0.0, 0.0, 0.0, -1.0 + 0.5 * cfg.step])
+    seen = []
+
+    def f(qs):
+        seen.append(len(qs))
+        return np.stack([q.coords for q in qs])
+
+    with pytest.raises(StencilOutOfDomainError):
+        central_difference(f, [inside, near], cfg)
+    assert seen == [8]  # the inside centre's stencil, before the error
+
+    def failing(qs):
+        raise OutOfDomainError("first")
+
+    with pytest.raises(OutOfDomainError, match="first"):
+        central_difference(failing, [inside, near], cfg)
 
 
 def test_sample_points_deterministic(chart4):

@@ -16,13 +16,16 @@ from paraquat import (
     check_nabla_j_oracle,
     check_structure_derivative_span,
     check_triple_algebra,
+    christoffel,
     connection_shift,
+    covariant_derivative_11,
     eval_field,
     fd_gradient,
     fit_kahler_oneforms,
     lift,
     lifted_field,
     oracle_tilde_nabla,
+    oracle_tilde_nabla_J,
     signature,
     tangent_bundle_chart,
 )
@@ -300,3 +303,54 @@ def test_h_lift_reads_the_frame_memo(conformal4, std_triple, cfg, shift_calls):
     M = connection_shift(conformal4, xi, cfg)  # the unwrapped function: not counted
     assert first.tobytes() == lift("h", X, M).tobytes()
     assert bundle.shift(xi).tobytes() == M.tobytes()
+
+
+def _oracle_residuals_from_the_public_oracles(bundle, xi):
+    """Both oracle checks written with the public one-call oracles, which
+    work out the shift, curvature and base derivatives afresh per call."""
+    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
+    n = bundle.base_dim
+    e = np.eye(n)
+    gamG = christoffel(bundle.metric, xi, cfg)
+    M = bundle.shift(xi)
+    conn = 0.0
+    for ky in ("h", "v"):
+        for Y in e:
+            W = lifted_field(bundle, Y, ky)
+            Wxi, dW = eval_field(W, xi), fd_gradient(W, xi, cfg)
+            for kx in ("h", "v"):
+                for X in e:
+                    U = lift(kx, X, M)
+                    fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
+                    closed = oracle_tilde_nabla(g, kx, X, ky, Y, xi, cfg)
+                    conn = max(conn, float(np.abs(fd - closed).max()))
+    lifts = {k: lift(k, e, M) for k in ("h", "v")}
+    nabla_j = 0.0
+    for a in range(3):
+        D = covariant_derivative_11(bundle.metric, bundle.triple.fields[a], xi, cfg)
+        for kx in ("h", "v"):
+            for i in range(n):
+                matU = np.einsum("akj,a->kj", D, lifts[kx][:, i])
+                for ky in ("h", "v"):
+                    for j in range(n):
+                        closed = oracle_tilde_nabla_J(g, T, a, kx, e[i], ky, e[j], xi, cfg)
+                        nabla_j = max(nabla_j, float(np.abs(matU @ lifts[ky][:, j] - closed).max()))
+    return conn, nabla_j
+
+
+def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple, cfg):
+    bundle = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    conn, nabla_j = _oracle_residuals_from_the_public_oracles(bundle, xi)
+    assert conn > 0 and nabla_j > 0
+    assert check_connection_oracle(bundle, xi) == conn
+    assert check_nabla_j_oracle(bundle, xi) == nabla_j
+
+
+def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, cfg, shift_calls):
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    check_connection_oracle(bundle, xi)
+    check_nabla_j_oracle(bundle, xi)
+    assert shift_calls.count(xi.coords.tobytes()) == 1
+    assert len(shift_calls) == len(set(shift_calls))

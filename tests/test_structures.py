@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    FdConfig,
     IllConditionedError,
     LocalBasisTriple,
+    MetricField,
     Point,
     PreconditionFailedError,
+    StencilOutOfDomainError,
     StructureClass,
     TensorField,
+    ValidationError,
     check_hermitian,
     check_parallel_equivalence,
     check_product_structure,
@@ -18,6 +22,7 @@ from paraquat import (
     constant_field,
     fit_kahler_oneforms,
     sample_points,
+    structures,
 )
 from paraquat.catalog import STD_J1, STD_J2, STD_J3, STRUCTURES, TRIPLES, make_chart
 
@@ -108,6 +113,78 @@ def test_fit_oneforms_degenerate_pairing(flat4, chart4, cfg):
     )
     with pytest.raises(IllConditionedError):
         fit_kahler_oneforms(flat4, zero_member, Point(chart4, [0, 0, 0, 0]), cfg)
+
+
+# ------------------------------------------------------------ fit memo
+
+
+@pytest.fixture
+def nabla_calls(monkeypatch):
+    """Points at which a fit asks for a covariant derivative of a member."""
+    calls = []
+    real = structures.covariant_derivative_11
+
+    def counted(g, T, p, cfg=FdConfig()):
+        calls.append(p)
+        return real(g, T, p, cfg)
+
+    monkeypatch.setattr(structures, "covariant_derivative_11", counted)
+    return calls
+
+
+def _fresh(g):
+    return MetricField(g.field)
+
+
+def test_second_fit_is_the_memoised_one(conformal4, std_triple, cfg, nabla_calls):
+    g = _fresh(conformal4)
+    p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
+    first = fit_kahler_oneforms(g, std_triple, p, cfg)
+    made = len(nabla_calls)
+    assert made == 3
+    again = fit_kahler_oneforms(g, std_triple, Point(g.chart, p.coords), cfg)
+    assert len(nabla_calls) == made
+    assert again.omega is first.omega and again.nabla is first.nabla
+    assert again.residual == first.residual
+    for arr in (again.omega, again.nabla):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, p, cfg)
+    assert alone.omega.tobytes() == first.omega.tobytes()
+    assert alone.nabla.tobytes() == first.nabla.tobytes()
+
+
+def test_fit_memo_computes_another_triple_or_step_afresh(conformal4, std_triple, rot_triple, cfg, nabla_calls):
+    g = _fresh(conformal4)
+    p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
+    std = fit_kahler_oneforms(g, std_triple, p, cfg)
+    rot = fit_kahler_oneforms(g, rot_triple, p, cfg)
+    assert len(nabla_calls) == 6
+    assert not np.array_equal(std.omega, rot.omega)
+    coarse = fit_kahler_oneforms(g, std_triple, p, FdConfig(step=2e-3))
+    assert len(nabla_calls) == 9
+    assert coarse.nabla.tobytes() != std.nabla.tobytes()
+    assert fit_kahler_oneforms(g, rot_triple, p, cfg).omega is rot.omega
+    assert len(nabla_calls) == 9
+
+
+def test_fit_memo_hit_still_rejects_a_point_of_another_chart(conformal4, std_triple, cfg):
+    g = _fresh(conformal4)
+    fit_kahler_oneforms(g, std_triple, Point(g.chart, [0.1, -0.2, 0.3, 0.05]), cfg)
+    other = make_chart(4, coords=("a", "b", "c", "d"))
+    with pytest.raises(ValidationError, match="different charts"):
+        fit_kahler_oneforms(g, std_triple, Point(other, [0.1, -0.2, 0.3, 0.05]), cfg)
+
+
+def test_raising_fit_stores_nothing(conformal4, std_triple, cfg, nabla_calls):
+    g = _fresh(conformal4)
+    wall = Point(g.chart, [1.0 - 0.5 * cfg.step, 0.0, 0.0, 0.0])  # stencil leaves the box
+    for attempt in (1, 2):
+        with pytest.raises(StencilOutOfDomainError):
+            fit_kahler_oneforms(g, std_triple, wall, cfg)
+        assert len(nabla_calls) == attempt
+    assert not [key for key in g._memo if key[0] == ("fit", std_triple)]
 
 
 # ---------------------------------------------------------------- products
