@@ -28,7 +28,6 @@ from .algebra import LocalBasisTriple, check_triple_algebra, doubled
 from .connection import (
     MetricField,
     christoffel,
-    covariant_derivative_11,
     covariant_derivative_vector,
     curvature_operator,
     lie_bracket,
@@ -248,13 +247,7 @@ def _value_and_derivative(
 
 
 def oracle_tilde_nabla(
-    g: MetricField,
-    kind_x: str,
-    X,
-    kind_y: str,
-    Y,
-    xi: Point,
-    cfg: FdConfig = FdConfig(),
+    bundle: SasakiBundle, kind_x: str, X, kind_y: str, Y, xi: Point
 ) -> np.ndarray:
     """Closed form of the lifted Levi-Civita connection on canonical lifts.
 
@@ -264,20 +257,14 @@ def oracle_tilde_nabla(
         nabla~_{X^v} Y^h =                 (1/2) (R(u, X) Y)^h
 
     X is a base vector (only its value at x enters); Y may be a base vector,
-    treated as a constant-component field, or a (1,0) base field.
+    treated as a constant-component field, or a (1,0) base field.  M comes
+    from the bundle's frame memo and R from the base metric's memo.
     """
+    g, cfg = bundle.base_metric, bundle.cfg
     x, u = _split_xi(g.chart, xi)
     if kind_x == "v" and kind_y == "v":
         return np.zeros(2 * g.chart.dim)
-    M = connection_shift(g, xi, cfg)
-    return _oracle_nabla(g, kind_x, X, kind_y, Y, x, u, M, riemann(g, x, cfg), cfg)
-
-
-def _oracle_nabla(g, kind_x, X, kind_y, Y, x, u, M, R, cfg) -> np.ndarray:
-    """``oracle_tilde_nabla`` at the bundle point (x, u), given its
-    connection shift M and the base curvature R at x."""
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * g.chart.dim)
+    M, R = bundle.shift(xi), riemann(g, x, cfg)
     X = np.asarray(X, dtype=float)
     Yx, covXY = _value_and_derivative(g, X, Y, x, cfg)
     if kind_x == "h" and kind_y == "h":
@@ -290,15 +277,7 @@ def _oracle_nabla(g, kind_x, X, kind_y, Y, x, u, M, R, cfg) -> np.ndarray:
 
 
 def oracle_tilde_nabla_J(
-    g: MetricField,
-    T: LocalBasisTriple,
-    a: int,
-    kind_x: str,
-    X,
-    kind_y: str,
-    Y,
-    xi: Point,
-    cfg: FdConfig = FdConfig(),
+    bundle: SasakiBundle, a: int, kind_x: str, X, kind_y: str, Y, xi: Point
 ) -> np.ndarray:
     """Closed form of (nabla~_{X^kx} Jt_a)(Y^ky) at xi (a in {0, 1, 2}).
 
@@ -309,33 +288,24 @@ def oracle_tilde_nabla_J(
         (h, v): ((nabla_X J_a) Y)^v
                 + (1/2) ( R(u, J_a Y) X - J_a R(u, Y) X )^h
 
-    Tensorial in both slots, so X and Y are plain base vectors.
+    Tensorial in both slots, so X and Y are plain base vectors.  M comes from
+    the bundle's frame memo, R and nabla J_a (the base Kähler fit's) from the
+    base metric's memo.
     """
     if a not in (0, 1, 2):
         raise ValidationError("a must be 0, 1 or 2")
+    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
     x, u = _split_xi(g.chart, xi)
     if kind_x == "v" and kind_y == "v":
         return np.zeros(2 * g.chart.dim)
-    M = connection_shift(g, xi, cfg)
+    M, R = bundle.shift(xi), riemann(g, x, cfg)
     Ja = eval_field(T.fields[a], x)
-    R = riemann(g, x, cfg)
-    # (v, h) does not read nabla J_a
-    DJa = None if (kind_x, kind_y) == ("v", "h") else covariant_derivative_11(g, T.fields[a], x, cfg)
-    return _oracle_nabla_J(Ja, DJa, kind_x, X, kind_y, Y, u, M, R)
-
-
-def _oracle_nabla_J(Ja, DJa, kind_x, X, kind_y, Y, u, M, R) -> np.ndarray:
-    """``oracle_tilde_nabla_J`` at a bundle point with fiber vector u, given
-    its connection shift M, the base curvature R, and J_a and
-    DJa[i, k, j] = (nabla_i J_a)^k_j at its base point."""
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * len(u))
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Rop = lambda A, B, C: curvature_operator(R, A, B, C)
     if kind_x == "v" and kind_y == "h":
         return lift("h", 0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)), M)
-    nXJY = np.einsum("ikj,i,j->k", DJa, X, Y)
+    nXJY = np.einsum("ikj,i,j->k", fit_kahler_oneforms(g, T, x, cfg).nabla[a], X, Y)
     if kind_x == "h" and kind_y == "h":
         return lift("v", -0.5 * (Rop(X, Ja @ Y, u) - Ja @ Rop(X, Y, u))) + lift("h", nXJY, M)
     if kind_x == "h" and kind_y == "v":
@@ -347,13 +317,10 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between finite differences of the lifted metric's own
     connection and the closed form, over lifts of the base coordinate frame
     in all four kind combinations."""
-    g, cfg = bundle.base_metric, bundle.cfg
-    n = bundle.base_dim
+    n, cfg = bundle.base_dim, bundle.cfg
     dirs = [np.eye(n)[i] for i in range(n)]
     gamG = christoffel(bundle.metric, xi, cfg)
     M = bundle.shift(xi)
-    x, u = _split_xi(g.chart, xi)
-    R = riemann(g, x, cfg)
     worst = 0.0
     for ky in ("h", "v"):
         for Y in dirs:
@@ -366,7 +333,7 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
                     fd = np.einsum("a,ak->k", U, dW) + np.einsum(
                         "kab,a,b->k", gamG, U, Wxi
                     )
-                    closed = _oracle_nabla(g, kx, X, ky, Y, x, u, M, R, cfg)
+                    closed = oracle_tilde_nabla(bundle, kx, X, ky, Y, xi)
                     worst = max(worst, float(np.abs(fd - closed).max()))
     return worst
 
@@ -374,28 +341,19 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between finite differences of (nabla~ Jt_a) and the closed
     form, over the lifted coordinate frame and all three members."""
-    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
     n = bundle.base_dim
-    M = bundle.shift(xi)
-    x, u = _split_xi(g.chart, xi)
-    R = riemann(g, x, cfg)
-    lifts = {k: lift(k, np.eye(n), M) for k in ("h", "v")}
+    e = np.eye(n)
+    lifts = {k: lift(k, e, bundle.shift(xi)) for k in ("h", "v")}
+    D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, bundle.cfg).nabla
     worst = 0.0
     for a in range(3):
-        D = covariant_derivative_11(bundle.metric, bundle.triple.fields[a], xi, cfg)
-        Ja = eval_field(T.fields[a], x)
-        DJa = covariant_derivative_11(g, T.fields[a], x, cfg)
         for kx in ("h", "v"):
             for i in range(n):
-                U = lifts[kx][:, i]
-                matU = np.einsum("akj,a->kj", D, U)  # (nabla~_U Jt_a) as a matrix
+                matU = np.einsum("akj,a->kj", D[a], lifts[kx][:, i])  # (nabla~_U Jt_a)
                 for ky in ("h", "v"):
                     for j in range(n):
-                        W = lifts[ky][:, j]
-                        closed = _oracle_nabla_J(
-                            Ja, DJa, kx, np.eye(n)[i], ky, np.eye(n)[j], u, M, R
-                        )
-                        worst = max(worst, float(np.abs(matU @ W - closed).max()))
+                        closed = oracle_tilde_nabla_J(bundle, a, kx, e[i], ky, e[j], xi)
+                        worst = max(worst, float(np.abs(matU @ lifts[ky][:, j] - closed).max()))
     return worst
 
 
@@ -423,10 +381,7 @@ def check_structure_derivative_span(bundle: SasakiBundle, xi: Point) -> float:
             f"base derivative leaves the span (residual {fit.residual:.3e})"
         )
     Jt = bundle.triple.matrices(xi)
-    D = [
-        covariant_derivative_11(bundle.metric, f, xi, cfg)
-        for f in bundle.triple.fields
-    ]  # D[a][A, k, j]
+    D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, cfg).nabla  # D[a, A, k, j]
     M = bundle.shift(xi)
     H, V = lift("h", np.eye(n), M), lift("v", np.eye(n))
     worst = 0.0
@@ -472,9 +427,8 @@ def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
     Yh = lifted_field(bundle, Y, "h")
     Xv = lifted_field(bundle, X, "v")
     Yv = lifted_field(bundle, Y, "v")
-    gam = christoffel(g, x, cfg)
+    covXY = _value_and_derivative(g, X, Y, x, cfg)[1]
     R = riemann(g, x, cfg)
-    covXY = np.einsum("kml,m,l->k", gam, X, Y)
     RXYu = curvature_operator(R, X, Y, u)
     vv = float(np.abs(lie_bracket(Xv, Yv, xi, cfg)).max())
     hv = float(np.abs(lie_bracket(Xh, Yv, xi, cfg) - lift("v", covXY)).max())

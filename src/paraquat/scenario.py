@@ -70,7 +70,6 @@ DEFAULT_POINTS = 5
 class ScenarioContext:
     """Everything a check runner may need, built once per run."""
 
-    config: dict
     chart: ManifoldSpec
     metric: MetricField
     triple: LocalBasisTriple
@@ -604,9 +603,8 @@ def _known_keys(block: dict, where: str) -> None:
             raise ParseError(f"{where} has no key {key!r}; it takes {list(DOCUMENT_KEYS[where])}")
 
 
-def _validate(config) -> list[dict]:
-    """Reject a malformed scenario document before any geometry is built;
-    returns its check entries."""
+def _validate(config) -> None:
+    """Reject a malformed scenario document before any geometry is built."""
     if not isinstance(config, dict):
         raise ParseError(f"a scenario must be a JSON object, got {type(config).__name__}")
     _known_keys(config, "scenario")
@@ -681,7 +679,6 @@ def _validate(config) -> list[dict]:
             _integer(config[key], f"'{key}'", least)
     if "step" in config:
         _real(config["step"], "'step'")
-    return checks
 
 
 def build_context(
@@ -694,13 +691,6 @@ def build_context(
     step and points override the document's.  The document is validated
     first."""
     _validate(config)
-    return _build_context(config, seed, step, points)
-
-
-def _build_context(
-    config: dict, seed: int | None, step: float | None, points: int | None
-) -> ScenarioContext:
-    """build_context for a document that has already been validated."""
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
     metric = metric_from_config(geo.get("metric", "neutral4"), chart)
@@ -743,7 +733,6 @@ def _build_context(
         )
 
     return ScenarioContext(
-        config=config,
         chart=working_chart,
         metric=working_metric,
         triple=working_triple,
@@ -765,11 +754,10 @@ def run_scenario(
     timestamp: str | None = None,
 ) -> VerificationReport:
     config = load_scenario(source)
-    check_specs = _validate(config)
+    ctx = build_context(config, seed, step, points)
     expect = config.get("expect", "pass")
-    ctx = _build_context(config, seed, step, points)
     results: list[CheckResult] = []
-    for spec in check_specs:
+    for spec in config["checks"]:
         cdef = CHECKS[spec["check"]]
         params = {k: v for k, v in spec.items() if k != "check"}
         try:

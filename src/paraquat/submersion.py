@@ -212,11 +212,9 @@ def oneill_tensors(
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
 
-    def pv_at(q: Point) -> np.ndarray:
-        J = jacobian(f, q, cfg)
-        return _split_matrices(J, g.matrix(q))[2]
-
-    pv_field = TensorField(f.source, 1, 1, pv_at, label="vertical projector")
+    pv_field = TensorField(
+        f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector"
+    )
     dPv = fd_gradient(pv_field, p, cfg)  # (n, n, n)
 
     def covd(u: np.ndarray, w_proj_is_v: bool, j: int) -> np.ndarray:

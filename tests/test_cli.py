@@ -172,7 +172,7 @@ def test_bad_points_cap_exits_two_before_any_work(check, cap, monkeypatch, tmp_p
     }
     f = tmp_path / "cap.json"
     f.write_text(json.dumps(doc))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -184,7 +184,7 @@ def test_bad_expect_exits_two_before_any_work(monkeypatch, tmp_path, capsys):
     doc["expect"] = "pas"
     f = tmp_path / "typo.json"
     f.write_text(json.dumps(doc))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -262,7 +262,7 @@ MALFORMED = {
 def test_malformed_document_exits_two_before_any_work(case, monkeypatch, tmp_path, capsys):
     f = tmp_path / "malformed.json"
     f.write_text(json.dumps(MALFORMED[case]))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -285,7 +285,7 @@ def test_malformed_document_exits_two_before_any_work(case, monkeypatch, tmp_pat
 def test_non_numeric_bound_exits_two_before_any_work(check, key, value, monkeypatch, tmp_path, capsys):
     f = tmp_path / "bound.json"
     f.write_text(json.dumps(_inline(checks=[{"check": check, key: value}])))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -307,7 +307,7 @@ def test_bracket_pairs_must_be_base_indices(pairs, monkeypatch, tmp_path, capsys
     )
     f = tmp_path / "pairs.json"
     f.write_text(json.dumps(doc))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -319,7 +319,7 @@ def test_check_without_its_geometry_exits_two_before_any_work(check, monkeypatch
     entry = {"check": check, "fiber": [[0.0] * 4]} if check == "descend-oneforms" else {"check": check}
     f = tmp_path / "needs.json"
     f.write_text(json.dumps(_inline(checks=[{"check": "hermitian"}, entry])))
-    monkeypatch.setattr(scenario, "_build_context", _no_geometry)
+    monkeypatch.setattr(scenario, "make_chart", _no_geometry)
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

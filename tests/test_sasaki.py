@@ -29,7 +29,7 @@ from paraquat import (
     signature,
     tangent_bundle_chart,
 )
-from paraquat import sasaki
+from paraquat import sasaki, structures
 from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart
 
 
@@ -145,7 +145,7 @@ def test_oracle_accepts_position_dependent_field(conformal4, cfg):
         dW = fd_gradient(W, xi, cfg)
         U = np.concatenate([X, -M @ X])
         fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
-        closed = oracle_tilde_nabla(conformal4, "h", X, ky, Y, xi, cfg)
+        closed = oracle_tilde_nabla(bundle, "h", X, ky, Y, xi)
         assert np.abs(fd - closed).max() < 1e-5
 
 
@@ -306,9 +306,10 @@ def test_h_lift_reads_the_frame_memo(conformal4, std_triple, cfg, shift_calls):
 
 
 def _oracle_residuals_from_the_public_oracles(bundle, xi):
-    """Both oracle checks written with the public one-call oracles, which
-    work out the shift, curvature and base derivatives afresh per call."""
-    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
+    """Both oracle checks written with the public one-call oracles, and with
+    the derivatives of the lifted triple computed afresh, not read from its
+    Kähler fit."""
+    cfg = bundle.cfg
     n = bundle.base_dim
     e = np.eye(n)
     gamG = christoffel(bundle.metric, xi, cfg)
@@ -322,7 +323,7 @@ def _oracle_residuals_from_the_public_oracles(bundle, xi):
                 for X in e:
                     U = lift(kx, X, M)
                     fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
-                    closed = oracle_tilde_nabla(g, kx, X, ky, Y, xi, cfg)
+                    closed = oracle_tilde_nabla(bundle, kx, X, ky, Y, xi)
                     conn = max(conn, float(np.abs(fd - closed).max()))
     lifts = {k: lift(k, e, M) for k in ("h", "v")}
     nabla_j = 0.0
@@ -333,7 +334,7 @@ def _oracle_residuals_from_the_public_oracles(bundle, xi):
                 matU = np.einsum("akj,a->kj", D, lifts[kx][:, i])
                 for ky in ("h", "v"):
                     for j in range(n):
-                        closed = oracle_tilde_nabla_J(g, T, a, kx, e[i], ky, e[j], xi, cfg)
+                        closed = oracle_tilde_nabla_J(bundle, a, kx, e[i], ky, e[j], xi)
                         nabla_j = max(nabla_j, float(np.abs(matU @ lifts[ky][:, j] - closed).max()))
     return conn, nabla_j
 
@@ -354,3 +355,35 @@ def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_t
     check_nabla_j_oracle(bundle, xi)
     assert shift_calls.count(xi.coords.tobytes()) == 1
     assert len(shift_calls) == len(set(shift_calls))
+
+
+def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, cfg, monkeypatch):
+    g = METRICS["neutral4"](chart4)  # a fresh memo: flat, so the span check runs
+    bundle = build_tangent_bundle(g, rot_triple, cfg=cfg)
+    xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
+    fit_kahler_oneforms(bundle.metric, bundle.triple, xi, cfg)
+    metrics = []
+    real = covariant_derivative_11
+
+    def counted(g, T, p, cfg=FdConfig()):
+        metrics.append(g)
+        return real(g, T, p, cfg)
+
+    for module in (sasaki, structures):
+        monkeypatch.setattr(module, "covariant_derivative_11", counted, raising=False)
+    check_structure_derivative_span(bundle, xi)
+    check_nabla_j_oracle(bundle, xi)
+    assert not any(m is bundle.metric for m in metrics)
+    # the base derivatives too: one fit at the base point serves both checks
+    assert [m is g for m in metrics] == [True] * 3
+
+
+def test_oracle_checks_leave_one_curvature_in_the_base_memo(chart4, std_triple, cfg):
+    g = METRICS["conformal-neutral4"](chart4)
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
+    check_connection_oracle(bundle, xi)
+    check_nabla_j_oracle(bundle, xi)
+    x = bundle.base_point(xi)
+    assert [key for key in g._memo if key[0] == "riem"] == [("riem", x.coords.tobytes(), cfg.step)]
+    assert not any(key[0] == "riem" for key in bundle.metric._memo)
