@@ -46,8 +46,10 @@ class MetricField:
     symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for.
 
     The instance memoises g (per point) and, through ``christoffel``,
-    ``riemann`` and ``structures.fit_kahler_oneforms``, Gamma, R and the
-    Kähler 1-form fits (per point and FD step, a fit also per triple).  Only
+    ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
+    the derivatives of (1,1) fields, their Nijenhuis tensors and the Kähler
+    1-form fits (per point and FD step, the last three also per field or
+    triple).  Only
     evaluations that passed every check are stored, as read-only arrays; a
     hit repeats the chart check, so a point of another chart still raises.
     """
@@ -196,17 +198,24 @@ def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> li
 def covariant_derivative_11(
     g: MetricField, T: TensorField, p: Point, cfg: FdConfig = FdConfig()
 ) -> np.ndarray:
-    """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j]."""
+    """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j], read-only and
+    memoised on g per (field, point, step) like Gamma."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
-    gam = christoffel(g, p, cfg)
-    Tp = eval_field(T, p)
-    dT = fd_gradient(T, p, cfg)  # [i, k, j]
-    return (
-        dT
-        + np.einsum("kil,lj->ikj", gam, Tp)
-        - np.einsum("lij,kl->ikj", gam, Tp)
-    )
+
+    def compute():
+        gam = christoffel(g, p, cfg)
+        Tp = eval_field(T, p)
+        dT = fd_gradient(T, p, cfg)  # [i, k, j]
+        D = (
+            dT
+            + np.einsum("kil,lj->ikj", gam, Tp)
+            - np.einsum("lij,kl->ikj", gam, Tp)
+        )
+        D.flags.writeable = False
+        return D
+
+    return g._memoised(("nabla", T), p, cfg.step, compute)
 
 
 def covariant_derivative_vector(

@@ -155,6 +155,26 @@ def eval_field(field: TensorField, p: Point) -> np.ndarray:
     return _checked_values(field, p, field.components(p))
 
 
+def eval_batch(
+    field: TensorField,
+    points: Sequence[Point],
+    components: Callable[[Sequence[Point]], Sequence[np.ndarray]],
+) -> list[np.ndarray]:
+    """``eval_field(field, q)`` at each point, with the components of all
+    the points from one call ``components(points)``; every value gets
+    ``eval_field``'s checks.  When anything raises, the points are evaluated
+    again one at a time with ``eval_field``, so the error is the one the
+    first failing point raises alone."""
+    try:
+        for q in points:
+            _check_point(field, q)
+        return [_checked_values(field, q, v) for q, v in zip(points, components(points), strict=True)]
+    except Exception:
+        for q in points:
+            eval_field(field, q)
+        raise
+
+
 def _check_point(field: TensorField, p: Point) -> None:
     """The checks ``eval_field`` makes before evaluating: p lies on the
     field's chart and inside its domain."""

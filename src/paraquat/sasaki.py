@@ -20,13 +20,14 @@ differences of G itself rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import LocalBasisTriple, check_triple_algebra, doubled
 from .connection import (
     MetricField,
+    _christoffels,
     christoffel,
     covariant_derivative_vector,
     curvature_operator,
@@ -94,6 +95,25 @@ def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     raise ValidationError("kind must be 'h' or 'v'")
 
 
+class _LiftedMetric(MetricField):
+    """The lifted metric: a ``MetricField`` whose batches first fill the
+    bundle's frame memo for all their points in one frame batch.  Should
+    that batch raise, the points are evaluated one at a time, as
+    ``MetricField.matrices`` does, so that a point before the one whose
+    frame fails, but whose lifted value fails, still raises first."""
+
+    def __init__(self, field: TensorField, frames: Callable[[Sequence[Point]], list]):
+        super().__init__(field)
+        object.__setattr__(self, "frames", frames)  # frozen, like the fields
+
+    def matrices(self, points: Sequence[Point]) -> list[np.ndarray]:
+        try:
+            self.frames(points)
+        except Exception:
+            pass  # raised again below, or an earlier point's error first
+        return super().matrices(points)
+
+
 @dataclass(frozen=True)
 class SasakiBundle:
     """The lifted geometry bundled with what it was built from."""
@@ -104,8 +124,11 @@ class SasakiBundle:
     projection: SubmersionMap
     base_metric: MetricField
     base_triple: LocalBasisTriple
-    # (L, L^-1, x) at a bundle point, memoised per bundle (build_tangent_bundle)
-    frames: Callable[[Point], tuple[np.ndarray, np.ndarray, Point]] = field(repr=False, compare=False)
+    # (L, L^-1, x) at each of a batch of bundle points, memoised per bundle
+    # (build_tangent_bundle)
+    frames: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, Point]]] = field(
+        repr=False, compare=False
+    )
     cfg: FdConfig = FdConfig()
 
     @property
@@ -117,7 +140,7 @@ class SasakiBundle:
         [[I, 0], [M, I]], so its lower-left block holds connection_shift's
         values bit for bit."""
         n = self.base_dim
-        return self.frames(xi)[1][n:, :n]
+        return self.frames([xi])[0][1][n:, :n]
 
     def point(self, x, u) -> Point:
         return Point(self.spec, np.concatenate([np.asarray(x, float), np.asarray(u, float)]))
@@ -159,28 +182,48 @@ def build_tangent_bundle(
     # once, stored read-only, and only once the evaluation has succeeded.
     memo: dict = {}
 
-    def frames_at(xi: Point) -> tuple[np.ndarray, np.ndarray, Point]:
-        key = xi.coords.tobytes()
-        if key not in memo:
-            M = connection_shift(g, xi, cfg)
-            L, Linv = np.eye(2 * n), np.eye(2 * n)
-            L[n:, :n] = -M
-            Linv[n:, :n] = M
-            L.flags.writeable = Linv.flags.writeable = False
-            memo[key] = (L, Linv, Point(base, xi.coords[:n]))
-        return memo[key]
+    def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
+        """The frame at each bundle point.  The base Gamma of all the new
+        frames comes from one Christoffel batch over their distinct base
+        points; should that batch raise, each new point is tried alone on a
+        fresh memo of g, in order, so the error is the one the first failing
+        point raises alone.  A batch that raises stores no frame and no
+        Gamma (g keeps only metric values that passed their checks)."""
+        keys = [xi.coords.tobytes() for xi in xis]
+        fresh = {key: xi for key, xi in zip(keys, xis) if key not in memo}
+        if fresh:
+            try:
+                xs = {key: _split_xi(base, xi)[0] for key, xi in fresh.items()}
+                _christoffels(g, list({x.coords.tobytes(): x for x in xs.values()}.values()), cfg)
+            except Exception:
+                probe = MetricField(g.field)
+                for xi in fresh.values():
+                    connection_shift(probe, xi, cfg)
+                raise
+            new = {}
+            for key, xi in fresh.items():
+                M = connection_shift(g, xi, cfg)  # Gamma from the batch's memo entries
+                L, Linv = np.eye(2 * n), np.eye(2 * n)
+                L[n:, :n] = -M
+                Linv[n:, :n] = M
+                L.flags.writeable = Linv.flags.writeable = False
+                new[key] = (L, Linv, xs[key])
+            memo.update(new)
+        return [memo[key] for key in keys]
 
     def metric_components(xi: Point) -> np.ndarray:
-        _, Linv, x = frames_at(xi)
+        _, Linv, x = frames([xi])[0]
         return Linv.T @ doubled(g.matrix(x)) @ Linv
 
-    G = MetricField(TensorField(bundle, 0, 2, metric_components, label="lifted metric"))
+    G = _LiftedMetric(
+        TensorField(bundle, 0, 2, metric_components, label="lifted metric"), frames=frames
+    )
 
     def lifted_member(a: int) -> TensorField:
         def comps(xi: Point, a=a) -> np.ndarray:
             key = (a, xi.coords.tobytes())
             if key not in memo:
-                L, Linv, x = frames_at(xi)
+                L, Linv, x = frames([xi])[0]
                 Jt = L @ doubled(eval_field(T.fields[a], x)) @ Linv
                 Jt.flags.writeable = False
                 memo[key] = Jt
@@ -202,7 +245,7 @@ def build_tangent_bundle(
         projection=projection,
         base_metric=g,
         base_triple=T,
-        frames=frames_at,
+        frames=frames,
         cfg=cfg,
     )
 
@@ -230,7 +273,7 @@ def lifted_field(bundle: SasakiBundle, X, kind: str) -> TensorField:
     def comps(xi: Point) -> np.ndarray:
         if kind == "v":
             return lift("v", value(Point(base, xi.coords[:n])))
-        _, Linv, x = bundle.frames(xi)
+        _, Linv, x = bundle.frames([xi])[0]
         return lift("h", value(x), Linv[n:, :n])
 
     return TensorField(bundle.spec, 1, 0, comps, label=f"{kind}-lift")

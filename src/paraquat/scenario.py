@@ -46,6 +46,7 @@ from .sasaki import (
     check_structure_derivative_span,
 )
 from .structures import (
+    ProductStructureField,
     StructureClass,
     check_hermitian,
     check_parallel_equivalence,
@@ -80,6 +81,15 @@ class ScenarioContext:
     submersion: SubmersionMap | None = None
     target_metric: MetricField | None = None
     target_triple: LocalBasisTriple | None = None
+    _structures: dict = field(default_factory=dict, repr=False)
+
+    def structure(self, spec) -> ProductStructureField:
+        """The product structure ``spec`` describes, built once per run, so
+        that the checks of a run share the derivatives memoised for it."""
+        key = json.dumps(spec, sort_keys=True)
+        if key not in self._structures:
+            self._structures[key] = structure_from_config(spec, self.chart)
+        return self._structures[key]
 
 
 @dataclass
@@ -235,7 +245,7 @@ def _run_product_structure(
     ctx: ScenarioContext, structure, points=None, involution_tol=1e-10, metric_tol=1e-10,
     nijenhuis_below=None, nijenhuis_above=None, parallel_below=None, parallel_above=None,
 ) -> tuple[bool, dict]:
-    F = structure_from_config(structure, ctx.chart)
+    F = ctx.structure(structure)
     inv = met = nij = par = 0.0
     for pt in ctx.points[:points]:
         rep = check_product_structure(ctx.metric, F, pt, ctx.cfg)
@@ -260,7 +270,7 @@ def _run_product_structure(
 
 
 def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
-    F = structure_from_config(structure, ctx.chart)
+    F = ctx.structure(structure)
     worst = max(check_sigma_invariant_operator(F, ctx.triple, pt) for pt in ctx.points[:points])
     return worst < tol, {
         "structure": structure, "tol": tol, "max_residual": _f(worst),
@@ -270,7 +280,7 @@ def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-1
 def _run_parallel_equivalence(
     ctx: ScenarioContext, structure, points=None, tol=1e-6, expect="parallel", failing_above=1e-3
 ) -> tuple[bool, dict]:
-    F = structure_from_config(structure, ctx.chart)
+    F = ctx.structure(structure)
     rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, ctx.points[:points], ctx.cfg, tol)
     if expect == "parallel":
         passed = rep.agree and all(rep.flags)

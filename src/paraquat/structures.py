@@ -184,6 +184,18 @@ class ProductReport:
         )
 
 
+def _nijenhuis(g: MetricField, F: ProductStructureField, p: Point, cfg: FdConfig) -> np.ndarray:
+    """N_F at p, read-only and memoised on g per (field, point, step), so the
+    product and equivalence checks of one run compute it once."""
+
+    def compute():
+        N = nijenhuis(F.field, p, cfg)
+        N.flags.writeable = False
+        return N
+
+    return g._memoised(("nijenhuis", F.field), p, cfg.step, compute)
+
+
 def check_product_structure(
     g: MetricField,
     F: ProductStructureField,
@@ -196,7 +208,7 @@ def check_product_structure(
     gp = g.matrix(p)
     inv = float(np.abs(Fp @ Fp - np.eye(n)).max())
     met = float(np.abs(Fp.T @ gp @ Fp - gp).max())
-    nij = float(np.abs(nijenhuis(F.field, p, cfg)).max())
+    nij = float(np.abs(_nijenhuis(g, F, p, cfg)).max())
     par = float(np.abs(covariant_derivative_11(g, F.field, p, cfg)).max())
     return ProductReport(inv, met, nij, par)
 
@@ -261,7 +273,7 @@ def check_parallel_equivalence(
     for p in pts:
         D = covariant_derivative_11(g, F.field, p, cfg)  # [i, k, j]
         r_par = max(r_par, float(np.abs(D).max()))
-        r_nij = max(r_nij, float(np.abs(nijenhuis(F.field, p, cfg)).max()))
+        r_nij = max(r_nij, float(np.abs(_nijenhuis(g, F, p, cfg)).max()))
         J = T.matrices(p)
         for a in range(3):
             mixed = np.einsum("mi,mkj->ikj", J[a], D) - np.einsum(

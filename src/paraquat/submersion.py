@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, fd_gradient
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, eval_batch
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -56,17 +56,30 @@ class SubmersionMap:
 def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """df at p as a C-contiguous (n', n) matrix; raises RankDeficientError if
     not onto and StencilOutOfDomainError if the stencil leaves p's chart."""
+    return _jacobians(f, [p], cfg)[0]
+
+
+def _jacobians(f: SubmersionMap, pts: Sequence[Point], cfg: FdConfig) -> np.ndarray:
+    """``jacobian`` at each point, stacked (len(pts), n', n): the stencils of
+    all the points go to the map in one ``central_difference``, and one
+    batched SVD tests every rank.  With several points, an error is that of
+    some failing point, not necessarily the first: callers that need the
+    first go through ``fields.eval_batch``."""
     n, m = f.source.dim, f.target.dim
     J = np.ascontiguousarray(
         central_difference(
-            lambda qs: [np.asarray(f.components(q.coords), dtype=float) for q in qs], p, cfg
-        ).T
+            lambda qs: [np.asarray(f.components(q.coords), dtype=float) for q in qs], pts, cfg
+        ).transpose(0, 2, 1)
     )
-    if J.shape != (m, n):
-        raise ShapeError(f"map differential has shape {J.shape}, expected ({m}, {n})")
+    if J.shape[1:] != (m, n):
+        raise ShapeError(f"map differential has shape {J.shape[1:]}, expected ({m}, {n})")
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size < m or sv[-1] <= RANK_FLOOR:
-        raise RankDeficientError(f"differential drops rank at {p} (singular values {sv})")
+    if sv.shape[-1] < m:
+        raise RankDeficientError(f"differential drops rank at {pts[0]} (singular values {sv[0]})")
+    bad = np.flatnonzero(sv[:, -1] <= RANK_FLOOR)
+    if bad.size:
+        k = bad[0]
+        raise RankDeficientError(f"differential drops rank at {pts[k]} (singular values {sv[k]})")
     return J
 
 
@@ -83,18 +96,23 @@ class SplitFrame:
 
 
 def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = gp.shape[0]
-    m = J.shape[0]
+    """(V, H, Pv, Ph) of ``SplitFrame`` for stacks of differentials J
+    (c, n', n) and metric values gp (c, n, n), each formed per point by one
+    batched SVD, det, inv and matmul."""
+    n = gp.shape[-1]
+    m = J.shape[-2]
     _, _, vt = np.linalg.svd(J)
-    V = vt[m:].T  # (n, n-m), orthonormal basis of ker(df)
-    fiber_g = V.T @ gp @ V
-    if abs(np.linalg.det(fiber_g)) < FIBER_DET_FLOOR:
+    V = vt[:, m:].transpose(0, 2, 1)  # (c, n, n-m), orthonormal bases of ker(df)
+    Vt = V.transpose(0, 2, 1)
+    det = np.linalg.det(Vt @ gp @ V)  # of the fiber metrics
+    bad = np.flatnonzero(np.abs(det) < FIBER_DET_FLOOR)
+    if bad.size:
         raise DegenerateFiberMetricError(
-            f"metric restricted to the fiber is degenerate (det {np.linalg.det(fiber_g):.3e})"
+            f"metric restricted to the fiber is degenerate (det {det[bad[0]]:.3e})"
         )
-    _, _, wt = np.linalg.svd(V.T @ gp)  # H = ker(V^T g): g-orthogonal to V
-    H = wt[n - m:].T  # (n, m)
-    B = np.hstack([V, H])
+    _, _, wt = np.linalg.svd(Vt @ gp)  # H = ker(V^T g): g-orthogonal to V
+    H = wt[:, n - m:].transpose(0, 2, 1)  # (c, n, m)
+    B = np.concatenate([V, H], axis=2)
     Binv = np.linalg.inv(B)
     Pv = B @ np.diag([1.0] * (n - m) + [0.0] * m) @ Binv
     Ph = np.eye(n) - Pv
@@ -102,9 +120,21 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def vh_split(f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> SplitFrame:
-    J = jacobian(f, p, cfg)
-    V, H, Pv, Ph = _split_matrices(J, g.matrix(p))
-    return SplitFrame(point=p, df=J, vertical=V, horizontal=H, v=Pv, h=Ph)
+    return _vh_splits(f, g, [p], cfg)[0]
+
+
+def _vh_splits(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConfig) -> list[SplitFrame]:
+    """``vh_split`` at each point: the differentials from one ``_jacobians``,
+    the metric values from one ``g.matrices``, the frames from one
+    ``_split_matrices``.  One point fails as ``vh_split`` always did:
+    differential, then metric, then fiber; with several, the error is that
+    of some failing point, as in ``_jacobians``."""
+    J = _jacobians(f, pts, cfg)
+    V, H, Pv, Ph = _split_matrices(J, np.array(g.matrices(pts)))
+    return [
+        SplitFrame(point=p, df=J[c], vertical=V[c], horizontal=H[c], v=Pv[c], h=Ph[c])
+        for c, p in enumerate(pts)
+    ]
 
 
 def check_semi_riemannian(
@@ -208,30 +238,33 @@ class ONeillTensors:
 def oneill_tensors(
     f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()
 ) -> ONeillTensors:
-    n = f.source.dim
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
-
     pv_field = TensorField(
         f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector"
     )
-    dPv = fd_gradient(pv_field, p, cfg)  # (n, n, n)
 
-    def covd(u: np.ndarray, w_proj_is_v: bool, j: int) -> np.ndarray:
-        # nabla_u W at p for W(x) = P(x) e_j with P = Pv or Ph = I - Pv
-        sgn = 1.0 if w_proj_is_v else -1.0
-        dW = sgn * np.einsum("mkl,m->kl", dPv, u)[:, j]  # d(Ph) = -d(Pv)
-        wp = (fr.v if w_proj_is_v else fr.h)[:, j]
-        return dW + np.einsum("kml,m,l->k", gam, u, wp)
+    def projectors(qs: list[Point]) -> list[np.ndarray]:
+        return [s.v for s in _vh_splits(f, g, qs, cfg)]
 
-    a_full = np.empty((n, n, n))
-    t_full = np.empty((n, n, n))
-    for i in range(n):
-        he = fr.h[:, i]
-        ve = fr.v[:, i]
-        for j in range(n):
-            a_full[i, j] = fr.h @ covd(he, True, j) + fr.v @ covd(he, False, j)
-            t_full[i, j] = fr.h @ covd(ve, True, j) + fr.v @ covd(ve, False, j)
+    # d_m Pv, from the splits of the whole stencil in one batch
+    dPv = central_difference(lambda qs: eval_batch(pv_field, qs, projectors), p, cfg)
+
+    def stacked(U: np.ndarray) -> np.ndarray:
+        # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the
+        # columns u_i of U, with d(Ph) = -d(Pv); cov[i, k, j] is component k
+        dPu = np.einsum("mkl,mi->ikl", dPv, U)
+        cov_v = dPu + np.einsum("kml,mi,lj->ikj", gam, U, fr.v)
+        cov_h = -dPu + np.einsum("kml,mi,lj->ikj", gam, U, fr.h)
+        # one matrix-vector product per (i, j): a matrix-matrix product or an
+        # einsum here rounds differently
+        return (
+            fr.h @ cov_v.transpose(0, 2, 1)[..., None]
+            + fr.v @ cov_h.transpose(0, 2, 1)[..., None]
+        )[..., 0]
+
+    a_full = stacked(fr.h)
+    t_full = stacked(fr.v)
     a_h = np.einsum("li,mj,lmk->ijk", fr.horizontal, fr.horizontal, a_full)
     return ONeillTensors(point=p, a_full=a_full, t_full=t_full, a_horizontal=a_h)
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    DegenerateMetricError,
     FdConfig,
+    MetricField,
+    ParaquatError,
     Point,
     PreconditionFailedError,
     StencilOutOfDomainError,
@@ -387,3 +390,111 @@ def test_oracle_checks_leave_one_curvature_in_the_base_memo(chart4, std_triple, 
     x = bundle.base_point(xi)
     assert [key for key in g._memo if key[0] == "riem"] == [("riem", x.coords.tobytes(), cfg.step)]
     assert not any(key[0] == "riem" for key in bundle.metric._memo)
+
+
+# ------------------------------------------------------------ frame batches
+
+
+def _with_stencil(xi, cfg):
+    return [xi] + [xi.shifted(m, s * cfg.step) for m in range(xi.chart.dim) for s in (1, -1)]
+
+
+def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg, shift_calls, monkeypatch):
+    g = MetricField(conformal4.field)  # a fresh memo
+    bundle = build_tangent_bundle(g, rot_triple, cfg=cfg)
+    batches = []
+    real = sasaki._christoffels
+
+    def counted(g, centres, cfg):
+        batches.append(len(centres))
+        return real(g, centres, cfg)
+
+    monkeypatch.setattr(sasaki, "_christoffels", counted)
+    pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]), cfg)
+    G = bundle.metric.matrices(pts)
+    # one Gamma batch over the 9 distinct base points, one shift per new frame
+    assert batches == [9]
+    assert len(shift_calls) == len(pts) == 17
+    frames = bundle.frames(pts)
+    assert batches == [9] and len(shift_calls) == 17
+    ref = MetricField(conformal4.field)
+    for xi, (L, Linv, x), Gxi in zip(pts, frames, G):
+        M = connection_shift(ref, xi, cfg)
+        assert np.array_equal(Linv[4:, :4], M) and np.array_equal(L[4:, :4], -M)
+        assert np.array_equal(L[:4], np.eye(8)[:4]) and np.array_equal(Linv[4:, 4:], np.eye(4))
+        assert np.array_equal(x.coords, xi.coords[:4])
+        assert not L.flags.writeable and not Linv.flags.writeable
+        assert np.array_equal(Gxi, _textbook_lift(ref, rot_triple, xi, cfg)[0])
+
+
+def _spotted(chart4):
+    """conformal-neutral4, degenerate where x2 lies in a window around 0.7,
+    and scaled down where x3 > 0.5: there |det g| ~ 1e-6 passes, but the
+    lifted metric, of determinant det(g)^2, fails its determinant check."""
+    degenerate = np.diag([0.0, 1.0, -1.0, -1.0])
+    real = METRICS["conformal-neutral4"](chart4).field.components
+
+    def comps(p):
+        if 0.6995 < p.coords[1] < 0.7005:
+            return degenerate
+        return 0.03 * real(p) if p.coords[2] > 0.5 else real(p)
+
+    return MetricField(TensorField(chart4, 0, 2, comps, "spotted"))
+
+
+# base points of bundle points that fail, each for its own reason
+FAILING_BASES = {
+    "stencil off the box": [1.0 - 0.5e-3, 0.0, 0.0, 0.0],
+    "degenerate centre": [0.0, 0.7, 0.0, 0.0],
+    "degenerate stencil point": [0.3, 0.699, 0.0, 0.0],
+}
+U = [0.2, -0.1, 0.15, 0.3]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("stencil off the box", "degenerate centre"),
+        ("degenerate centre", "stencil off the box"),
+        ("degenerate stencil point", "degenerate centre"),
+    ],
+)
+def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, cfg, shift_calls, order):
+    g = _spotted(chart4)
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    good = bundle.point([0.1, -0.2, 0.3, 0.05], U)
+    first, later = (bundle.point(FAILING_BASES[name], U) for name in order)
+    alone = build_tangent_bundle(MetricField(g.field), std_triple, cfg=cfg)
+    with pytest.raises(ParaquatError) as expected:
+        alone.frames([first])
+    with pytest.raises(ParaquatError) as other:
+        alone.frames([later])
+    assert str(other.value) != str(expected.value)
+    with pytest.raises(type(expected.value)) as got:
+        bundle.frames([good, first, later])
+    assert str(got.value) == str(expected.value)
+    # nothing stored: no frame, no Gamma
+    assert not [key for key in g._memo if key[0] != "g"]
+    shift_calls.clear()
+    bundle.frames([good])
+    assert shift_calls == [good.coords.tobytes()]
+    with pytest.raises(type(expected.value)) as got:
+        bundle.metric.matrices([good, first, later])
+    assert str(got.value) == str(expected.value)
+    assert not bundle.metric._memo
+
+
+def test_lifted_metric_batch_raises_in_per_point_order(chart4, std_triple, cfg):
+    g = _spotted(chart4)
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    small = bundle.point([0.1, -0.2, 0.6, 0.05], U)  # its frame is fine, its lifted value is not
+    later = bundle.point(FAILING_BASES["stencil off the box"], U)
+    alone = build_tangent_bundle(MetricField(g.field), std_triple, cfg=cfg)
+    with pytest.raises(DegenerateMetricError) as expected:
+        alone.metric.matrix(small)
+    with pytest.raises(StencilOutOfDomainError):
+        alone.metric.matrix(later)
+    with pytest.raises(DegenerateMetricError) as got:
+        bundle.metric.matrices([small, later])
+    assert str(got.value) == str(expected.value)
+    assert not bundle.metric._memo

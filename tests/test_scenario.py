@@ -181,3 +181,20 @@ def test_a_run_validates_its_document_once(monkeypatch):
     with pytest.raises(ParseError):
         scenario.build_context(doc)
     assert len(calls) == 2
+
+
+def test_a_run_builds_each_product_structure_once(monkeypatch):
+    from paraquat import scenario
+
+    built = []
+    real = scenario.structure_from_config
+
+    def counted(spec, chart):
+        built.append(spec)
+        return real(spec, chart)
+
+    monkeypatch.setattr(scenario, "structure_from_config", counted)
+    assert run_scenario("product-8d").final
+    # five checks name two structures: the equivalence checks reuse the
+    # derivatives the product checks memoised on the run's metric
+    assert built == ["split8", "split8-rotated"]

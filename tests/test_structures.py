@@ -15,6 +15,7 @@ from paraquat import (
     TensorField,
     ValidationError,
     check_hermitian,
+    connection,
     check_parallel_equivalence,
     check_product_structure,
     check_sigma_invariant_operator,
@@ -272,3 +273,31 @@ def test_equivalence_requires_span_parallel_pair(chart4, euclidean4, std_triple,
     pts = sample_points(chart4, 3, seed=4)
     with pytest.raises(PreconditionFailedError):
         check_parallel_equivalence(euclidean4, F, std_triple, pts, cfg)
+
+
+def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_setup, cfg, monkeypatch):
+    chart8, g8, T8, _, rotated = product_setup
+    g = MetricField(g8.field)  # a fresh memo
+    pts = sample_points(chart8, 3, seed=4)
+    grads = []
+    real = connection.fd_gradient
+
+    def counted(f, p, cfg=FdConfig()):
+        if f is rotated.field:
+            grads.append(p.coords.tobytes())
+        return real(f, p, cfg)
+
+    monkeypatch.setattr(connection, "fd_gradient", counted)
+    reps = [check_product_structure(g, rotated, p, cfg) for p in pts]
+    # one derivative of F for nabla F and one for N_F, per point
+    assert sorted(grads) == sorted(2 * [p.coords.tobytes() for p in pts])
+    eq = check_parallel_equivalence(g, rotated, T8, pts, cfg)
+    assert len(grads) == 2 * len(pts)
+    assert eq.parallel_residual == max(r.parallel_residual for r in reps)
+    assert eq.nijenhuis_residual == max(r.nijenhuis_residual for r in reps)
+    fresh = MetricField(g8.field)
+    for p in pts:
+        D = connection.covariant_derivative_11(g, rotated.field, p, cfg)
+        assert not D.flags.writeable
+        assert D.tobytes() == connection.covariant_derivative_11(fresh, rotated.field, p, cfg).tobytes()
+        assert D is connection.covariant_derivative_11(g, rotated.field, Point(chart8, p.coords), cfg)

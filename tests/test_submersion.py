@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    DegenerateFiberMetricError,
+    FdConfig,
+    MetricField,
     NotAFiberError,
+    ParaquatError,
     Point,
     PreconditionFailedError,
     RankDeficientError,
     StencilOutOfDomainError,
     SubmersionMap,
+    TensorField,
     basic_lift,
+    build_tangent_bundle,
     check_paraholomorphic,
     check_semi_riemannian,
     check_vh_invariance,
+    christoffel,
     descend_one_forms,
+    eval_field,
     fit_kahler_oneforms,
     jacobian,
     oneill_tensors,
@@ -20,6 +28,8 @@ from paraquat import (
     vh_split,
 )
 from paraquat.catalog import METRICS, TRIPLES, make_chart
+from paraquat.fields import central_difference
+from paraquat.submersion import _jacobians, _vh_splits
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +231,178 @@ def test_descend_detects_fiber_twist(proj8to4, cfg):
     down = TRIPLES["rotated4"](chart4)
     fit = fit_kahler_oneforms(g4, down, rep.image, cfg)
     assert np.abs(rep.omega_base - fit.omega).max() > 0.5
+
+
+# ------------------------------------------------------------ stacked O'Neill
+#
+# The O'Neill tensors as they were first written: the projector stencil one
+# point at a time, then one covariant derivative per (i, j) and frame kind.
+# The engine stacks all of this; it must agree bit for bit and error for error.
+
+
+def reference_oneill(f, g, p, cfg):
+    n = f.source.dim
+    gam = christoffel(g, p, cfg)
+    fr = vh_split(f, g, p, cfg)
+    pv_field = TensorField(
+        f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector"
+    )
+    dPv = central_difference(lambda qs: [eval_field(pv_field, q) for q in qs], p, cfg)
+
+    def covd(u, w_proj_is_v, j):
+        sgn = 1.0 if w_proj_is_v else -1.0
+        dW = sgn * np.einsum("mkl,m->kl", dPv, u)[:, j]
+        wp = (fr.v if w_proj_is_v else fr.h)[:, j]
+        return dW + np.einsum("kml,m,l->k", gam, u, wp)
+
+    a_full = np.empty((n, n, n))
+    t_full = np.empty((n, n, n))
+    for i in range(n):
+        he = fr.h[:, i]
+        ve = fr.v[:, i]
+        for j in range(n):
+            a_full[i, j] = fr.h @ covd(he, True, j) + fr.v @ covd(he, False, j)
+            t_full[i, j] = fr.h @ covd(ve, True, j) + fr.v @ covd(ve, False, j)
+    a_h = np.einsum("li,mj,lmk->ijk", fr.horizontal, fr.horizontal, a_full)
+    return a_full, t_full, a_h
+
+
+def _conformal_bundle(chart4, cfg):
+    return build_tangent_bundle(METRICS["conformal-neutral4"](chart4), TRIPLES["standard4"](chart4), cfg=cfg)
+
+
+BUNDLE_POINTS = [
+    ([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]),
+    ([-0.6, 0.4, 0.0, 0.7], [0.9, 0.0, -0.5, 0.1]),
+]
+
+
+ETA8 = np.diag([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+
+
+def _curved8(chart8):
+    return MetricField(TensorField(chart8, 0, 2, lambda p: np.exp(0.3 * p.coords[0]) * ETA8, "conformal8"))
+
+
+def _bent(chart8, chart4):
+    return SubmersionMap(
+        chart8,
+        chart4,
+        lambda c: np.array([c[0] + 0.1 * np.sin(c[4]), c[1] + 0.2 * c[5] ** 2, c[2], c[3] + 0.1 * c[0] * c[6]]),
+        "bent",
+    )
+
+
+def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4, cfg):
+    # the Sasaki projection has a genuine A-tensor; its fibers are totally
+    # geodesic, so its T-tensor is roundoff, and the bent map supplies one
+    bundle, ref = _conformal_bundle(chart4, cfg), _conformal_bundle(chart4, cfg)
+    chart8 = make_chart(8)
+    bent, g8 = _bent(chart8, chart4), _curved8(chart8)
+    cases = [(bundle.projection, bundle.metric, ref.projection, ref.metric, bundle.point(x, u)) for x, u in BUNDLE_POINTS]
+    cases += [(bent, g8, bent, MetricField(g8.field), p) for p in sample_points(chart8, 2, seed=4)]
+    largest_a = largest_t = 0.0
+    for f, g, f_ref, g_ref, p in cases:
+        got = oneill_tensors(f, g, p, cfg)
+        a_full, t_full, a_h = reference_oneill(f_ref, g_ref, Point(f_ref.source, p.coords), cfg)
+        assert np.array_equal(got.a_full, a_full)
+        assert np.array_equal(got.t_full, t_full)
+        assert np.array_equal(got.a_horizontal, a_h)
+        largest_a, largest_t = max(largest_a, np.abs(a_h).max()), max(largest_t, np.abs(t_full).max())
+    assert largest_a > 1e-2 and largest_t > 1e-2
+
+
+def test_batched_split_is_the_one_point_split_bit_for_bit(proj8to4, chart4, cfg):
+    chart8, target, _ = proj8to4
+    bundle = _conformal_bundle(chart4, cfg)
+    cases = [
+        (_bent(chart8, target), _curved8(chart8), sample_points(chart8, 5, seed=3)),
+        (bundle.projection, bundle.metric, [bundle.point(x, u) for x, u in BUNDLE_POINTS]),
+    ]
+    for f, g, pts in cases:
+        J = _jacobians(f, pts, cfg)
+        frames = _vh_splits(f, g, pts, cfg)
+        for c, p in enumerate(pts):
+            alone = vh_split(f, MetricField(g.field), p, cfg)
+            assert np.array_equal(J[c], jacobian(f, p, cfg))
+            assert np.array_equal(frames[c].df, alone.df)
+            for attr in ("vertical", "horizontal", "v", "h"):
+                assert np.array_equal(getattr(frames[c], attr), getattr(alone, attr))
+            assert frames[c].point is p
+
+
+# Projector stencils holding two failing points: P + h e1 is the first
+# stencil point and P + h e2 the third.  Each case puts a different failure
+# at each, so a batch that ran one stage over all points before the next
+# would raise the later point's error; the engine must raise the earlier's.
+P8 = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
+H = FdConfig().step
+
+
+def _rank_drop(axis, chart8, chart4):
+    """The coordinate projection, but constant in x_axis two steps beyond P8:
+    its differential at P8 + h e_axis loses that column."""
+
+    def comps(c):
+        y = np.array(c[:4])
+        if c[axis] > P8[axis] + 1.5 * H:
+            y[axis] = P8[axis]
+        return y
+
+    return SubmersionMap(chart8, chart4, comps, "rank drop")
+
+
+def _fiber_degenerate(axis, chart8):
+    """neutral8, but [[0, I], [I, 0]] at P8 + h e_axis: nondegenerate, with a
+    zero fiber block."""
+    swap = np.block([[np.zeros((4, 4)), np.eye(4)], [np.eye(4), np.zeros((4, 4))]])
+    window = (P8[axis] + 0.5 * H, P8[axis] + 1.5 * H)
+    return MetricField(
+        TensorField(chart8, 0, 2, lambda p: swap if window[0] < p.coords[axis] < window[1] else ETA8, "swap")
+    )
+
+
+def _walled(axis):
+    """The box [-1, 1]^8 with its x_axis wall 1.5 steps beyond P8: the
+    Jacobian stencil of P8 + h e_axis leaves it."""
+    domain = [[-1.0, 1.0]] * 8
+    domain[axis] = [-1.0, P8[axis] + 1.5 * H]
+    return make_chart(8, domain=domain)
+
+
+def _projection(chart8, chart4):
+    return SubmersionMap(chart8, chart4, lambda c: np.array(c[:4]), "proj")
+
+
+def _case(name, chart4):
+    if name == "rank-deficient differential":  # then a stencil off the box
+        chart8 = _walled(1)
+        return _rank_drop(0, chart8, chart4), METRICS["neutral8"](chart8), RankDeficientError
+    if name == "degenerate fiber metric":  # then a rank-deficient differential
+        chart8 = make_chart(8)
+        return _rank_drop(1, chart8, chart4), _fiber_degenerate(0, chart8), DegenerateFiberMetricError
+    chart8 = _walled(0)  # a stencil off the box, then a degenerate fiber metric
+    return _projection(chart8, chart4), _fiber_degenerate(1, chart8), StencilOutOfDomainError
+
+
+@pytest.mark.parametrize("name", ["rank-deficient differential", "degenerate fiber metric", "stencil off the box"])
+def test_projector_batch_raises_what_its_first_failing_point_raises_alone(chart4, cfg, name):
+    f, g, error = _case(name, chart4)
+    p = Point(f.source, P8)
+    first, later = p.shifted(0, H), p.shifted(1, H)
+    with pytest.raises(error) as alone:
+        vh_split(f, MetricField(g.field), first, cfg)
+    with pytest.raises(ParaquatError) as other:
+        vh_split(f, MetricField(g.field), later, cfg)
+    assert type(other.value) is not error
+    # the same first failure, point by point over the stencil in order
+    with pytest.raises(error) as per_point:
+        reference_oneill(f, MetricField(g.field), p, cfg)
+    assert str(per_point.value) == str(alone.value)
+    for _ in range(2):
+        with pytest.raises(error) as got:
+            oneill_tensors(f, g, p, cfg)
+        assert str(got.value) == str(alone.value)
+    # nothing memoised but metric values and Gamma at the centre
+    assert {key[0] for key in g._memo} == {"g", "gamma"}
+    assert [key[1] for key in g._memo if key[0] == "gamma"] == [p.coords.tobytes()]
