@@ -43,7 +43,9 @@ SYMMETRY_TOL = 1e-12
 @dataclass(frozen=True)
 class MetricField:
     """A (0,2) field validated as a semi-Riemannian metric at evaluation time:
-    symmetric within 1e-12 and |det| > 1e-9 at every point it is asked for.
+    symmetric within 1e-12 and, at every point it is asked for, |det| above
+    1e-9 times the product of its row norms (Hadamard's bound on |det|), a
+    test that does not change when the metric is scaled.
 
     The instance memoises g (per point) and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
@@ -127,7 +129,7 @@ class MetricField:
                 g = _checked_values(field, q, V[bad])
                 if np.abs(g - g.T).max() > SYMMETRY_TOL:
                     raise ValidationError(f"metric not symmetric at {q}")
-                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} at {q}")
+                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} x the product of its row norms at {q}")
         if stop is not None:
             q, exc, v = stop
             _check_point(field, q)
@@ -150,7 +152,7 @@ class MetricField:
         if k:  # symmetry and determinant only of the finite values before that
             W = V[:k]
             bad[:k] |= np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
-            bad[:k] |= np.abs(np.linalg.det(W)) <= DET_FLOOR
+            bad[:k] |= np.abs(np.linalg.det(W)) <= DET_FLOOR * np.linalg.norm(W, axis=2).prod(axis=1)
         return int(bad.argmax()) if bad.any() else None
 
 

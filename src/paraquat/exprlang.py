@@ -235,21 +235,6 @@ def print_expr(e: Expr) -> str:
     return _print(e, _LEVEL_ADD)
 
 
-def free_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, Bin):
-        return free_symbols(e.left) | free_symbols(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_symbols(a)
-        return out
-    return set()
-
-
 def _check_symbols(e: Expr, index: dict[str, int], names: Sequence[str]) -> None:
     """Raise UnknownSymbolError for the first free name of ``e``, read left
     to right, that is not a coordinate."""
@@ -404,7 +389,3 @@ def bind_expr(e: Expr, names: Sequence[str]) -> Callable[[np.ndarray], float]:
     values = compile_exprs([e], names)
     return lambda c: values(c)[0]
 
-
-def evaluate(src: str, names: Sequence[str], coords: np.ndarray) -> float:
-    """Parse, bind and evaluate in one step (convenience for one-off use)."""
-    return bind_expr(parse_expr(src), names)(np.asarray(coords, dtype=float))

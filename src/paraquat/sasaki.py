@@ -44,11 +44,10 @@ from .fields import (
     fd_gradient,
     sample_points,
 )
-from .structures import check_hermitian, fit_kahler_oneforms, span_combination
+from .structures import check_hermitian, fit_kahler_oneforms
 from .submersion import SubmersionMap
 
 LIFT_PRECONDITION_TOL = 1e-8
-FLAT_BASE_TOL = 1e-3
 
 
 def tangent_bundle_chart(base: ManifoldSpec, u_box=(-1.0, 1.0)) -> ManifoldSpec:
@@ -319,10 +318,9 @@ def oracle_tilde_nabla(
     raise ValidationError("kinds must be 'h' or 'v'")
 
 
-def oracle_tilde_nabla_J(
-    bundle: SasakiBundle, a: int, kind_x: str, X, kind_y: str, Y, xi: Point
-) -> np.ndarray:
-    """Closed form of (nabla~_{X^kx} Jt_a)(Y^ky) at xi (a in {0, 1, 2}).
+def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
+    """Closed form of nabla~ Jt_a on the lifted frame E = L at xi, E_i = e_i^h
+    and E_{n+i} = e_i^v: C[a, I, k, J] = ((nabla~_{E_I} Jt_a) E_J)^k, with
 
         (v, v): 0
         (v, h): (1/2) ( R(u, X) J_a Y - J_a R(u, X) Y )^h
@@ -331,29 +329,28 @@ def oracle_tilde_nabla_J(
         (h, v): ((nabla_X J_a) Y)^v
                 + (1/2) ( R(u, J_a Y) X - J_a R(u, Y) X )^h
 
-    Tensorial in both slots, so X and Y are plain base vectors.  M comes from
-    the bundle's frame memo, R and nabla J_a (the base Kähler fit's) from the
-    base metric's memo.
+    Tensorial in both slots, so its values on E determine it.  Each curvature
+    term is a commutator [A_i, J_a], A_i being R(u, e_i)., R(e_i, .)u or
+    R(u, .)e_i.  L comes from the bundle's frame memo, R and nabla J_a (the
+    base Kähler fit's) from the base metric's memo.
     """
-    if a not in (0, 1, 2):
-        raise ValidationError("a must be 0, 1 or 2")
     g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
-    x, u = _split_xi(g.chart, xi)
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * g.chart.dim)
-    M, R = bundle.shift(xi), riemann(g, x, cfg)
-    Ja = eval_field(T.fields[a], x)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Rop = lambda A, B, C: curvature_operator(R, A, B, C)
-    if kind_x == "v" and kind_y == "h":
-        return lift("h", 0.5 * (Rop(u, X, Ja @ Y) - Ja @ Rop(u, X, Y)), M)
-    nXJY = np.einsum("ikj,i,j->k", fit_kahler_oneforms(g, T, x, cfg).nabla[a], X, Y)
-    if kind_x == "h" and kind_y == "h":
-        return lift("v", -0.5 * (Rop(X, Ja @ Y, u) - Ja @ Rop(X, Y, u))) + lift("h", nXJY, M)
-    if kind_x == "h" and kind_y == "v":
-        return lift("v", nXJY) + lift("h", 0.5 * (Rop(u, Ja @ Y, X) - Ja @ Rop(u, Y, X)), M)
-    raise ValidationError("kinds must be 'h' or 'v'")
+    n = bundle.base_dim
+    L, _, x = bundle.frames([xi])[0]
+    u = xi.coords[n:]
+    R, J = riemann(g, x, cfg), T.matrices(x)
+    nabla = fit_kahler_oneforms(g, T, x, cfg).nabla
+
+    def commutator(A):  # [A_i, J_a] as [a, i, l, j]
+        return np.einsum("ilk,akj->ailj", A, J) - np.einsum("alk,ikj->ailj", J, A)
+
+    # B[a, I, :, J] = (P, Q) with (nabla~_{E_I} Jt_a) E_J = P^h + Q^v = L (P, Q)
+    B = np.zeros((3, 2 * n, 2 * n, 2 * n))
+    B[:, :n, :n, :n] = B[:, :n, n:, n:] = nabla
+    B[:, :n, n:, :n] = -0.5 * commutator(np.einsum("lkij,k->ilj", R, u))
+    B[:, :n, :n, n:] = 0.5 * commutator(np.einsum("limj,m->ilj", R, u))
+    B[:, n:, :n, :n] = 0.5 * commutator(np.einsum("lkmi,m->ilk", R, u))
+    return np.einsum("kl,aIlJ->aIkJ", L, B)
 
 
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
@@ -382,60 +379,13 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
-    """Max residual between finite differences of (nabla~ Jt_a) and the closed
-    form, over the lifted coordinate frame and all three members."""
-    n = bundle.base_dim
-    e = np.eye(n)
-    lifts = {k: lift(k, e, bundle.shift(xi)) for k in ("h", "v")}
+    """Max residual between finite differences of (nabla~ Jt_a), from the
+    lifted metric's own connection, and the closed form, over the lifted
+    frame and all three members."""
+    L = bundle.frames([xi])[0][0]
     D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, bundle.cfg).nabla
-    worst = 0.0
-    for a in range(3):
-        for kx in ("h", "v"):
-            for i in range(n):
-                matU = np.einsum("akj,a->kj", D[a], lifts[kx][:, i])  # (nabla~_U Jt_a)
-                for ky in ("h", "v"):
-                    for j in range(n):
-                        closed = oracle_tilde_nabla_J(bundle, a, kx, e[i], ky, e[j], xi)
-                        worst = max(worst, float(np.abs(matU @ lifts[ky][:, j] - closed).max()))
-    return worst
-
-
-def check_structure_derivative_span(bundle: SasakiBundle, xi: Point) -> float:
-    """Over a flat base, (nabla~ Jt_a) must be the span combination built from
-    the base 1-forms pulled back through the projection:
-
-        nabla~_{X^h} Jt_1 = -w3(X) Jt_2 + w2(X) Jt_3   (cyclically for 2, 3)
-        nabla~_{X^v} Jt_a = 0
-
-    Returns the max deviation; raises PreconditionFailedError when the base
-    curvature is not negligible, since the statement is specific to that case.
-    """
-    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
-    n = bundle.base_dim
-    x = bundle.base_point(xi)
-    base_R = float(np.abs(riemann(g, x, cfg)).max())
-    if base_R >= FLAT_BASE_TOL:
-        raise PreconditionFailedError(
-            f"base curvature {base_R:.3e} at {x}; the span form needs a flat base"
-        )
-    fit = fit_kahler_oneforms(g, T, x, cfg)
-    if fit.residual >= FLAT_BASE_TOL:
-        raise PreconditionFailedError(
-            f"base derivative leaves the span (residual {fit.residual:.3e})"
-        )
-    Jt = bundle.triple.matrices(xi)
-    D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, cfg).nabla  # D[a, A, k, j]
-    M = bundle.shift(xi)
-    H, V = lift("h", np.eye(n), M), lift("v", np.eye(n))
-    worst = 0.0
-    for i in range(n):
-        predicted = span_combination(fit.omega[:, i], Jt)
-        for a in range(3):
-            got_h = np.einsum("akj,a->kj", D[a], H[:, i])
-            got_v = np.einsum("akj,a->kj", D[a], V[:, i])
-            worst = max(worst, float(np.abs(got_h - predicted[a]).max()))
-            worst = max(worst, float(np.abs(got_v).max()))
-    return worst
+    C = oracle_tilde_nabla_J(bundle, xi)
+    return float(np.abs(np.einsum("aAkl,AI,lJ->aIkJ", D, L, L) - C).max())
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .sasaki import (
     build_tangent_bundle,
     check_bracket,
     check_connection_oracle,
-    check_structure_derivative_span,
+    check_nabla_j_oracle,
 )
 from .structures import (
     ProductStructureField,
@@ -554,11 +554,14 @@ CHECKS: dict[str, CheckDef] = {
         ),
         CheckDef(
             "sasaki-nabla-j",
-            "nabla~_{X^h} Jt_a = -tau_c w_c(X) Jt_b + w_b(X) Jt_c;  nabla~_{X^v} Jt_a = 0  (flat base)",
-            "Over a flat base the lifted triple's derivative is the span "
-            "combination with pulled-back coefficients.",
+            "nabla~ Jt_a on lifts: (h,h) -> ((nabla_X J_a)Y)^h - (1/2)(R(X,J_aY)u - J_a R(X,Y)u)^v;  "
+            "(h,v) -> ((nabla_X J_a)Y)^v + (1/2)(R(u,J_aY)X - J_a R(u,Y)X)^h;  "
+            "(v,h) -> (1/2)(R(u,X)J_aY - J_a R(u,X)Y)^h;  (v,v) -> 0",
+            "Finite differences of the lifted triple's derivative, under the lifted "
+            "metric's own connection, against the closed form on the lifted frame, "
+            "for all three members.",
             _max_residual(1e-6, lambda ctx, pts: max(
-                check_structure_derivative_span(ctx.bundle, q) for q in pts
+                check_nabla_j_oracle(ctx.bundle, q) for q in pts
             ), 2),
             needs="bundle",
         ),

@@ -4,10 +4,12 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from paraquat import ParseError, ValidationError, load_scenario, run_scenario
+from paraquat import ParseError, ValidationError, load_scenario, oracle_tilde_nabla_J, run_scenario
 from paraquat.catalog import scenario_names
+from paraquat.scenario import build_context
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -70,6 +72,24 @@ def test_inline_expression_metric():
     )
     report = run_scenario(cfg, points=3, seed=2)
     assert report.overall and report.final
+
+
+def test_sasaki_nabla_j_holds_over_a_curved_base():
+    doc = _inline(
+        geometry={"dim": 4, "metric": "conformal-neutral4", "triple": "standard4", "sasaki": True},
+        checks=[{"check": "sasaki-nabla-j", "tol": 1e-6}],
+    )
+    report = run_scenario(doc)
+    assert report.overall and report.final
+    (check,) = report.checks
+    assert check.data["max_residual"] < 1e-9
+    # the agreement is not vacuous: the curvature terms of the closed form,
+    # its (v, h) block and the horizontal part of its (h, v) block, are large
+    ctx = build_context(doc)
+    for xi in ctx.points[:2]:
+        C = oracle_tilde_nabla_J(ctx.bundle, xi)
+        assert np.abs(C[:, 4:, :, :4]).max() > 1e-2
+        assert np.abs(C[:, :4, :4, 4:]).max() > 1e-2
 
 
 def test_reports_are_deterministic():
