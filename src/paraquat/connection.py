@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetricError, ShapeError, ValidationError
+from .errors import DegenerateMetricError, ValidationError
 from .fields import (
     FdConfig,
     ManifoldSpec,
@@ -218,34 +218,6 @@ def covariant_derivative_11(
         return D
 
     return g._memoised(("nabla", T), p, cfg.step, compute)
-
-
-def covariant_derivative_vector(
-    g: MetricField, W: TensorField, u, p: Point, cfg: FdConfig = FdConfig()
-) -> np.ndarray:
-    """(nabla_u W)^k = u^m d_m W^k + Gamma^k_{ml} u^m W^l for a (1,0) field W
-    and a tangent vector u at p."""
-    if (W.r, W.s) != (1, 0):
-        raise ValidationError("covariant_derivative_vector expects a (1,0) field")
-    n = g.chart.dim
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ShapeError(f"direction has shape {u.shape}, expected ({n},)")
-    gam = christoffel(g, p, cfg)
-    dW = fd_gradient(W, p, cfg)  # dW[m, k]
-    return np.einsum("m,mk->k", u, dW) + np.einsum("kml,m,l->k", gam, u, eval_field(W, p))
-
-
-def lie_bracket(U: TensorField, W: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """[U, W]^k = U^m d_m W^k - W^m d_m U^k for two (1,0) fields."""
-    for f in (U, W):
-        if (f.r, f.s) != (1, 0):
-            raise ValidationError("lie_bracket expects (1,0) fields")
-    dW = fd_gradient(W, p, cfg)
-    dU = fd_gradient(U, p, cfg)
-    return np.einsum("m,mk->k", eval_field(U, p), dW) - np.einsum(
-        "m,mk->k", eval_field(W, p), dU
-    )
 
 
 def covariant_derivative_02(

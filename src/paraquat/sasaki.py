@@ -14,7 +14,7 @@ orthogonal; the lifted triple acts blockwise through the same frame:
 
 Everything downstream of these two formulas — the connection cases, the
 derivative of the lifted triple, the brackets — is checked against finite
-differences of G itself rather than assumed.
+differences of G and of the frame L rather than assumed.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .connection import (
     MetricField,
     _christoffels,
     christoffel,
-    covariant_derivative_vector,
     curvature_operator,
-    lie_bracket,
     riemann,
 )
 from .errors import PreconditionFailedError, ShapeError, ValidationError
@@ -40,8 +38,8 @@ from .fields import (
     ManifoldSpec,
     Point,
     TensorField,
+    central_difference,
     eval_field,
-    fd_gradient,
     sample_points,
 )
 from .structures import check_hermitian, fit_kahler_oneforms
@@ -249,73 +247,41 @@ def build_tangent_bundle(
     )
 
 
-def lifted_field(bundle: SasakiBundle, X, kind: str) -> TensorField:
-    """The canonical bundle extension of a base vector (or (1,0) field).
-
-    kind "h": xi |-> (X(x))^h at xi;  kind "v": xi |-> (X(x))^v.  Constant
-    arrays are treated as constant-component base fields.
-    """
-    n = bundle.base_dim
-    base = bundle.base_metric.chart
-    if isinstance(X, TensorField):
-        if (X.r, X.s) != (1, 0) or X.chart != base:
-            raise ValidationError("expected a (1,0) field on the base chart")
-        value = lambda x: eval_field(X, x)
-    else:
-        Xc = np.asarray(X, dtype=float)
-        if Xc.shape != (n,):
-            raise ShapeError(f"base vector has shape {Xc.shape}, expected ({n},)")
-        value = lambda x: Xc
-    if kind not in ("h", "v"):
-        raise ValidationError("kind must be 'h' or 'v'")
-
-    def comps(xi: Point) -> np.ndarray:
-        if kind == "v":
-            return lift("v", value(Point(base, xi.coords[:n])))
-        _, Linv, x = bundle.frames([xi])[0]
-        return lift("h", value(x), Linv[n:, :n])
-
-    return TensorField(bundle.spec, 1, 0, comps, label=f"{kind}-lift")
+def _frame_derivative(bundle: SasakiBundle, xi: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(L, D) at xi, D[I, k, J] = E_I(E_J)^k: the lifted frame E = L
+    differentiated along its own members, with L on the stencil read from
+    the frame memo in one batch."""
+    L = bundle.frames([xi])[0][0]
+    dL = central_difference(lambda qs: [f[0] for f in bundle.frames(qs)], xi, bundle.cfg)
+    return L, np.einsum("aI,akJ->IkJ", L, dL)
 
 
-def _value_and_derivative(
-    g: MetricField, X: np.ndarray, Y, x: Point, cfg: FdConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y(x), (nabla_X Y)(x)) for Y a constant vector or a (1,0) base field."""
-    if isinstance(Y, TensorField):
-        return eval_field(Y, x), covariant_derivative_vector(g, Y, X, x, cfg)
-    Yx = np.asarray(Y, dtype=float)
-    return Yx, np.einsum("kml,m,l->k", christoffel(g, x, cfg), X, Yx)
-
-
-def oracle_tilde_nabla(
-    bundle: SasakiBundle, kind_x: str, X, kind_y: str, Y, xi: Point
-) -> np.ndarray:
-    """Closed form of the lifted Levi-Civita connection on canonical lifts.
+def oracle_tilde_nabla(bundle: SasakiBundle, xi: Point) -> np.ndarray:
+    """Closed form of the lifted Levi-Civita connection on the lifted frame
+    E = L at xi, E_i = e_i^h and E_{n+i} = e_i^v: C[I, k, J] =
+    (nabla~_{E_I} E_J)^k, with
 
         nabla~_{X^v} Y^v = 0
         nabla~_{X^h} Y^h = (nabla_X Y)^h - (1/2) (R(X, Y) u)^v
         nabla~_{X^h} Y^v = (nabla_X Y)^v + (1/2) (R(u, Y) X)^h
         nabla~_{X^v} Y^h =                 (1/2) (R(u, X) Y)^h
 
-    X is a base vector (only its value at x enters); Y may be a base vector,
-    treated as a constant-component field, or a (1,0) base field.  M comes
-    from the bundle's frame memo and R from the base metric's memo.
+    on the base coordinate fields X = e_i, Y = e_j, so that nabla_X Y is
+    Gamma^k_{ij}.  L comes from the bundle's frame memo and Gamma, R from
+    the base metric's memo.
     """
     g, cfg = bundle.base_metric, bundle.cfg
-    x, u = _split_xi(g.chart, xi)
-    if kind_x == "v" and kind_y == "v":
-        return np.zeros(2 * g.chart.dim)
-    M, R = bundle.shift(xi), riemann(g, x, cfg)
-    X = np.asarray(X, dtype=float)
-    Yx, covXY = _value_and_derivative(g, X, Y, x, cfg)
-    if kind_x == "h" and kind_y == "h":
-        return lift("h", covXY, M) + lift("v", -0.5 * curvature_operator(R, X, Yx, u))
-    if kind_x == "h" and kind_y == "v":
-        return lift("v", covXY) + lift("h", 0.5 * curvature_operator(R, u, Yx, X), M)
-    if kind_x == "v" and kind_y == "h":
-        return lift("h", 0.5 * curvature_operator(R, u, X, Yx), M)
-    raise ValidationError("kinds must be 'h' or 'v'")
+    n = bundle.base_dim
+    L, _, x = bundle.frames([xi])[0]
+    u = xi.coords[n:]
+    gam, R = christoffel(g, x, cfg), riemann(g, x, cfg)
+    # B[I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
+    B = np.zeros((2 * n, 2 * n, 2 * n))
+    B[:n, :n, :n] = B[:n, n:, n:] = np.einsum("kij->ikj", gam)
+    B[:n, n:, :n] = -0.5 * np.einsum("lkij,k->ilj", R, u)
+    B[:n, :n, n:] = 0.5 * np.einsum("limj,m->ilj", R, u)
+    B[n:, :n, :n] = 0.5 * np.einsum("ljmi,m->ilj", R, u)
+    return np.einsum("kl,IlJ->IkJ", L, B)
 
 
 def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
@@ -355,27 +321,12 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
 
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between finite differences of the lifted metric's own
-    connection and the closed form, over lifts of the base coordinate frame
-    in all four kind combinations."""
-    n, cfg = bundle.base_dim, bundle.cfg
-    dirs = [np.eye(n)[i] for i in range(n)]
-    gamG = christoffel(bundle.metric, xi, cfg)
-    M = bundle.shift(xi)
-    worst = 0.0
-    for ky in ("h", "v"):
-        for Y in dirs:
-            W = lifted_field(bundle, Y, ky)
-            Wxi = eval_field(W, xi)
-            dW = fd_gradient(W, xi, cfg)
-            for kx in ("h", "v"):
-                for X in dirs:
-                    U = lift(kx, X, M)
-                    fd = np.einsum("a,ak->k", U, dW) + np.einsum(
-                        "kab,a,b->k", gamG, U, Wxi
-                    )
-                    closed = oracle_tilde_nabla(bundle, kx, X, ky, Y, xi)
-                    worst = max(worst, float(np.abs(fd - closed).max()))
-    return worst
+    connection and the closed form, on the lifted frame: nabla~_{E_I} E_J =
+    E_I(E_J) + Gamma~(E_I, E_J)."""
+    gamG = christoffel(bundle.metric, xi, bundle.cfg)
+    L, D = _frame_derivative(bundle, xi)
+    fd = D + np.einsum("kab,aI,bJ->IkJ", gamG, L, L)
+    return float(np.abs(fd - oracle_tilde_nabla(bundle, xi)).max())
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
@@ -412,25 +363,31 @@ class BracketReport:
 
 
 def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
+    """The bracket identities for base vectors X, Y at xi.  The lifts of
+    constant-component fields have constant coefficients on the lifted
+    frame, so each bracket is the frame's [E_I, E_J] = E_I(E_J) - E_J(E_I)
+    contracted with them."""
     g, cfg = bundle.base_metric, bundle.cfg
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    n = bundle.base_dim
+    X, Y = (np.asarray(V, dtype=float) for V in (X, Y))
+    for V in (X, Y):
+        if V.shape != (n,):
+            raise ShapeError(f"base vector has shape {V.shape}, expected ({n},)")
     x, u = _split_xi(g.chart, xi)
-    Xh = lifted_field(bundle, X, "h")
-    Yh = lifted_field(bundle, Y, "h")
-    Xv = lifted_field(bundle, X, "v")
-    Yv = lifted_field(bundle, Y, "v")
-    covXY = _value_and_derivative(g, X, Y, x, cfg)[1]
-    R = riemann(g, x, cfg)
-    RXYu = curvature_operator(R, X, Y, u)
-    vv = float(np.abs(lie_bracket(Xv, Yv, xi, cfg)).max())
-    hv = float(np.abs(lie_bracket(Xh, Yv, xi, cfg) - lift("v", covXY)).max())
-    hh_val = lie_bracket(Xh, Yh, xi, cfg)
-    hh = float(np.abs(hh_val - lift("v", -RXYu)).max())
-    hh_flipped = float(np.abs(hh_val - lift("v", +RXYu)).max())
+    if xi.chart is not bundle.spec and xi.chart != bundle.spec:
+        raise ValidationError("point and field live on different charts")
+    _, D = _frame_derivative(bundle, xi)
+    K = D - np.einsum("IkJ->JkI", D)
+    zero = np.zeros(n)
+    h = lambda V: np.concatenate([V, zero])  # coefficients of V^h and V^v on E
+    v = lambda V: np.concatenate([zero, V])
+    bracket = lambda a, b: np.einsum("I,IkJ,J->k", a, K, b)
+    covXY = np.einsum("kml,m,l->k", christoffel(g, x, cfg), X, Y)
+    RXYu = curvature_operator(riemann(g, x, cfg), X, Y, u)
+    hh_val = bracket(h(X), h(Y))
     return BracketReport(
-        vv_residual=vv,
-        hv_residual=hv,
-        hh_residual=hh,
-        hh_flipped_residual=hh_flipped,
+        vv_residual=float(np.abs(bracket(v(X), v(Y))).max()),
+        hv_residual=float(np.abs(bracket(h(X), v(Y)) - lift("v", covXY)).max()),
+        hh_residual=float(np.abs(hh_val - lift("v", -RXYu)).max()),
+        hh_flipped_residual=float(np.abs(hh_val - lift("v", +RXYu)).max()),
     )

@@ -536,8 +536,9 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef(
             "bracket",
             "[X^v, Y^v] = 0;  [X^h, Y^v] = (nabla_X Y)^v;  [X^h, Y^h] = -(R(X, Y) u)^v",
-            "Lifted-frame bracket identities; the deliberately sign-flipped "
-            "curvature comparison must stay large when curvature is present.",
+            "Bracket identities on the lifted frame, from one finite-difference "
+            "stencil of the frame; the deliberately sign-flipped curvature "
+            "comparison must stay large when curvature is present.",
             _run_bracket,
             needs="bundle",
         ),
@@ -546,7 +547,7 @@ CHECKS: dict[str, CheckDef] = {
             "nabla~ on lifts: (h,h) -> (nabla_X Y)^h - (1/2)(R(X,Y)u)^v;  "
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
             "Finite differences of the lifted metric's own connection against the "
-            "closed form, in all four kind combinations.",
+            "closed form on the lifted frame, in all four kind combinations.",
             _max_residual(1e-3, lambda ctx, pts: max(
                 check_connection_oracle(ctx.bundle, q) for q in pts
             ), 2),

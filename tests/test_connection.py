@@ -24,10 +24,8 @@ from paraquat import (
     constant_field,
     covariant_derivative_02,
     covariant_derivative_11,
-    covariant_derivative_vector,
     curvature_operator,
     is_flat,
-    lie_bracket,
     nijenhuis,
     riemann,
     signature,
@@ -154,35 +152,6 @@ def test_nijenhuis_hand_case(chart4, cfg):
     expected[1, 0, 1] = -0.5
     expected[1, 1, 0] = 0.5
     assert np.abs(N - expected).max() < 1e-8
-
-
-def test_covariant_derivative_vector_flat_reduces_to_directional(flat4, chart4, cfg):
-    W = TensorField(chart4, 1, 0, lambda p: np.array([p.coords[1] ** 2, 0, 0, 0]), "W")
-    p = Point(chart4, [0.0, 0.5, 0.0, 0.0])
-    got = covariant_derivative_vector(flat4, W, np.array([0, 1, 0, 0.0]), p, cfg)
-    assert np.allclose(got, [1.0, 0, 0, 0], atol=1e-8)
-
-
-def test_covariant_derivative_vector_gamma_term(conformal4, chart4, cfg):
-    # constant W: the derivative is purely Gamma(u, W)
-    W = constant_field(chart4, 1, 0, np.array([0, 0, 1.0, 0]), "e3")
-    p = Point(chart4, [0.1, 0.2, 0.3, -0.2])
-    u = np.array([1.0, 0, 0, 0])
-    gam = christoffel(conformal4, p, cfg)
-    expected = np.einsum("kml,m,l->k", gam, u, np.array([0, 0, 1.0, 0]))
-    got = covariant_derivative_vector(conformal4, W, u, p, cfg)
-    assert np.allclose(got, expected, atol=1e-10)
-
-
-def test_lie_bracket(chart4, cfg):
-    U = TensorField(chart4, 1, 0, lambda p: np.array([p.coords[1], 0, 0, 0]), "U")
-    W = TensorField(chart4, 1, 0, lambda p: np.array([0, p.coords[0], 0, 0]), "W")
-    p = Point(chart4, [0.3, 0.7, 0.0, 0.0])
-    assert np.allclose(lie_bracket(U, W, p, cfg), [-0.3, 0.7, 0, 0], atol=1e-10)
-    # antisymmetry
-    assert np.allclose(
-        lie_bracket(U, W, p, cfg), -lie_bracket(W, U, p, cfg), atol=1e-12
-    )
 
 
 def test_covariant_derivative_11_leibniz_against_parts(conformal4, chart4, cfg):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    BracketReport,
     DegenerateMetricError,
     FdConfig,
     MetricField,
     ParaquatError,
     Point,
     PreconditionFailedError,
+    ShapeError,
     StencilOutOfDomainError,
     TensorField,
     ValidationError,
@@ -21,18 +23,19 @@ from paraquat import (
     christoffel,
     connection_shift,
     covariant_derivative_11,
+    curvature_operator,
     eval_field,
     fd_gradient,
     fit_kahler_oneforms,
     lift,
-    lifted_field,
     oracle_tilde_nabla,
     oracle_tilde_nabla_J,
+    riemann,
     signature,
     tangent_bundle_chart,
 )
 from paraquat import sasaki, structures
-from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart
+from paraquat.catalog import ETA4, METRICS, make_chart
 from paraquat.structures import span_combination
 
 
@@ -126,30 +129,6 @@ def test_connection_matches_oracle_conformal(conformal4, std_triple, cfg):
     bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     assert check_connection_oracle(bundle, xi) < 1e-9
-
-
-def test_oracle_accepts_position_dependent_field(conformal4, cfg):
-    # the closed form is extension independent: feeding an x-dependent field
-    # whose lift is differentiated directly must agree with it
-    bundle = build_tangent_bundle(conformal4, TRIPLES["standard4"](conformal4.chart), cfg=cfg)
-    base = conformal4.chart
-    Y = TensorField(
-        base, 1, 0, lambda p: np.array([p.coords[1], p.coords[0], 1 + p.coords[2], 0.0]), "Y"
-    )
-    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    X = np.array([0.0, 1.0, 0.0, 0.0])
-    from paraquat import christoffel
-
-    gamG = christoffel(bundle.metric, xi, cfg)
-    M = connection_shift(conformal4, xi, cfg)
-    for ky in ("h", "v"):
-        W = lifted_field(bundle, Y, ky)
-        Wxi = eval_field(W, xi)
-        dW = fd_gradient(W, xi, cfg)
-        U = np.concatenate([X, -M @ X])
-        fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
-        closed = oracle_tilde_nabla(bundle, "h", X, ky, Y, xi)
-        assert np.abs(fd - closed).max() < 1e-5
 
 
 def test_nabla_j_matches_oracle(conformal4, std_triple, cfg):
@@ -300,55 +279,121 @@ def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, cfg, shift_
     assert a.tobytes() == b.tobytes()
 
 
-def test_h_lift_reads_the_frame_memo(conformal4, std_triple, cfg, shift_calls):
-    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
-    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    X = np.array([0.3, -1.0, 0.5, 2.0])
-    W = lifted_field(bundle, X, "h")
-    first = eval_field(W, xi)
-    assert len(shift_calls) == 1
-    assert eval_field(W, xi).tobytes() == first.tobytes()
-    eval_field(bundle.triple.fields[1], xi)  # the same frame serves the triple
-    assert len(shift_calls) == 1
-    M = connection_shift(conformal4, xi, cfg)  # the unwrapped function: not counted
-    assert first.tobytes() == lift("h", X, M).tobytes()
-    assert bundle.shift(xi).tobytes() == M.tobytes()
-
-
-def _oracle_residuals_from_the_public_oracles(bundle, xi):
-    """Both oracle checks written with the public one-call oracles, and with
-    the derivatives of the lifted triple computed afresh, not read from its
-    Kähler fit."""
+def _per_vector_reference(bundle, xi, pairs):
+    """Both Sasaki checks in their per-vector form, as a reference for the
+    frame form: each lift of a base coordinate vector is a lift field of its
+    own, differentiated with ``fd_gradient``; the closed forms are written
+    pair by pair through ``curvature_operator``.  Returns the connection
+    residual, the closed form of each (kind_x, i, kind_y, j) and the four
+    bracket residuals of each pair."""
     cfg = bundle.cfg
-    n = bundle.base_dim
+    g, n = bundle.base_metric, bundle.base_dim
     e = np.eye(n)
+    x, u = bundle.base_point(xi), bundle.fiber_vector(xi)
+    gam, R = christoffel(g, x, cfg), riemann(g, x, cfg)
     gamG = christoffel(bundle.metric, xi, cfg)
     M = bundle.shift(xi)
-    conn = 0.0
+
+    def lift_field(kind, Y):
+        return TensorField(bundle.spec, 1, 0, lambda q: lift(kind, Y, bundle.shift(q)), f"{kind}-lift")
+
+    def closed(kx, X, ky, Y):
+        cov = np.einsum("kml,m,l->k", gam, X, Y)
+        if (kx, ky) == ("h", "h"):
+            return lift("h", cov, M) + lift("v", -0.5 * curvature_operator(R, X, Y, u))
+        if (kx, ky) == ("h", "v"):
+            return lift("v", cov) + lift("h", 0.5 * curvature_operator(R, u, Y, X), M)
+        if (kx, ky) == ("v", "h"):
+            return lift("h", 0.5 * curvature_operator(R, u, X, Y), M)
+        return np.zeros(2 * n)
+
+    conn, closed_forms = 0.0, {}
     for ky in ("h", "v"):
-        for Y in e:
-            W = lifted_field(bundle, Y, ky)
+        for j, Y in enumerate(e):
+            W = lift_field(ky, Y)
             Wxi, dW = eval_field(W, xi), fd_gradient(W, xi, cfg)
             for kx in ("h", "v"):
-                for X in e:
+                for i, X in enumerate(e):
                     U = lift(kx, X, M)
                     fd = np.einsum("a,ak->k", U, dW) + np.einsum("kab,a,b->k", gamG, U, Wxi)
-                    closed = oracle_tilde_nabla(bundle, kx, X, ky, Y, xi)
-                    conn = max(conn, float(np.abs(fd - closed).max()))
+                    closed_forms[kx, i, ky, j] = closed(kx, X, ky, Y)
+                    conn = max(conn, float(np.abs(fd - closed_forms[kx, i, ky, j]).max()))
+
+    def bracket(A, B):
+        return np.einsum("m,mk->k", eval_field(A, xi), fd_gradient(B, xi, cfg)) - np.einsum(
+            "m,mk->k", eval_field(B, xi), fd_gradient(A, xi, cfg)
+        )
+
+    brackets = []
+    for i, j in pairs:
+        X, Y = e[i], e[j]
+        RXYu = curvature_operator(R, X, Y, u)
+        hh = bracket(lift_field("h", X), lift_field("h", Y))
+        brackets.append(BracketReport(
+            vv_residual=float(np.abs(bracket(lift_field("v", X), lift_field("v", Y))).max()),
+            hv_residual=float(np.abs(
+                bracket(lift_field("h", X), lift_field("v", Y)) - lift("v", np.einsum("kml,m,l->k", gam, X, Y))
+            ).max()),
+            hh_residual=float(np.abs(hh - lift("v", -RXYu)).max()),
+            hh_flipped_residual=float(np.abs(hh - lift("v", +RXYu)).max()),
+        ))
+    return conn, closed_forms, brackets
+
+
+def _nabla_j_reference(bundle, xi):
+    """The nabla-J check with the derivatives of the lifted triple computed
+    afresh, not read from its Kähler fit."""
+    cfg = bundle.cfg
+    e = np.eye(bundle.base_dim)
+    M = bundle.shift(xi)
     L = np.hstack([lift("h", e, M), lift("v", e)])
     D = np.stack([covariant_derivative_11(bundle.metric, F, xi, cfg) for F in bundle.triple.fields])
     lifted = np.einsum("aAkl,AI,lJ->aIkJ", D, L, L)
-    nabla_j = float(np.abs(lifted - oracle_tilde_nabla_J(bundle, xi)).max())
-    return conn, nabla_j
+    return float(np.abs(lifted - oracle_tilde_nabla_J(bundle, xi)).max())
 
 
 def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple, cfg):
+    """The frame forms of the closed form, of both checks and of the
+    bracket residuals are the per-vector loops they replace, bit for bit,
+    over the curved conformal-neutral4 base."""
     bundle = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
-    xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    conn, nabla_j = _oracle_residuals_from_the_public_oracles(bundle, xi)
-    assert conn > 0 and nabla_j > 0
-    assert check_connection_oracle(bundle, xi) == conn
-    assert check_nabla_j_oracle(bundle, xi) == nabla_j
+    n = bundle.base_dim
+    pairs = [(0, 1), (1, 2), (2, 2), (3, 0)]
+    for x, u in [
+        ([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]),
+        ([-0.6, 0.4, 0.0, 0.7], [0.9, 0.0, -0.5, 0.1]),
+    ]:
+        xi = bundle.point(x, u)
+        conn, closed_forms, brackets = _per_vector_reference(bundle, xi, pairs)
+        nabla_j = _nabla_j_reference(bundle, xi)
+        assert conn > 0 and nabla_j > 0
+        assert check_connection_oracle(bundle, xi) == conn
+        assert check_nabla_j_oracle(bundle, xi) == nabla_j
+        C = oracle_tilde_nabla(bundle, xi)
+        offset = {"h": 0, "v": n}
+        for (kx, i, ky, j), expected in closed_forms.items():
+            assert np.array_equal(C[offset[kx] + i, :, offset[ky] + j], expected)
+        for (i, j), expected in zip(pairs, brackets):
+            assert check_bracket(bundle, np.eye(n)[i], np.eye(n)[j], xi) == expected
+        assert max(rep.hh_flipped_residual for rep in brackets) > 1e-2
+
+
+def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple, cfg):
+    """A point of another chart and a base vector of the wrong length raise
+    their own errors before anything is computed, as evaluating the lift
+    fields of the per-vector form did."""
+    g = MetricField(conformal4.field)  # a fresh memo
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    built = set(g._memo)  # the metric values of the construction's spot checks
+    e = np.eye(4)
+    elsewhere = Point(make_chart(8), np.concatenate([[0.1, -0.2, 0.3, 0.05], U]))
+    with pytest.raises(ValidationError, match="different charts"):
+        check_bracket(bundle, e[0], e[1], elsewhere)
+    xi = bundle.point([0.1, -0.2, 0.3, 0.05], U)
+    for X, Y in [(e[0, :3], e[1]), (e[0], e[1, :3])]:
+        with pytest.raises(ShapeError, match=r"base vector has shape \(3,\)"):
+            check_bracket(bundle, X, Y, xi)
+    assert set(g._memo) == built
 
 
 def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, cfg, shift_calls):

@@ -7,7 +7,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from paraquat import ParseError, ValidationError, load_scenario, oracle_tilde_nabla_J, run_scenario
+from paraquat import (
+    ParseError,
+    ValidationError,
+    load_scenario,
+    oracle_tilde_nabla,
+    oracle_tilde_nabla_J,
+    run_scenario,
+)
 from paraquat.catalog import scenario_names
 from paraquat.scenario import build_context
 
@@ -77,19 +84,30 @@ def test_inline_expression_metric():
 def test_sasaki_nabla_j_holds_over_a_curved_base():
     doc = _inline(
         geometry={"dim": 4, "metric": "conformal-neutral4", "triple": "standard4", "sasaki": True},
-        checks=[{"check": "sasaki-nabla-j", "tol": 1e-6}],
+        checks=[
+            {"check": "sasaki-nabla-j", "tol": 1e-6},
+            {"check": "sasaki-consistency", "tol": 1e-6},
+            {"check": "bracket", "pairs": [[1, 2], [2, 3]], "tol": 1e-6, "flip_above": 1e-2},
+        ],
     )
     report = run_scenario(doc)
     assert report.overall and report.final
-    (check,) = report.checks
-    assert check.data["max_residual"] < 1e-9
-    # the agreement is not vacuous: the curvature terms of the closed form,
-    # its (v, h) block and the horizontal part of its (h, v) block, are large
+    nabla_j, consistency, bracket = report.checks
+    assert nabla_j.data["max_residual"] < 1e-9
+    assert consistency.data["max_residual"] < 1e-9
+    assert bracket.data["max_residual"] < 1e-9
+    assert bracket.data["max_flipped_residual"] > 1e-2
+    # the agreement is not vacuous: the curvature terms of the closed forms,
+    # their (v, h) blocks and the horizontal parts of their (h, v) blocks,
+    # and the vertical part of nabla~ on (h, h), are large
     ctx = build_context(doc)
     for xi in ctx.points[:2]:
         C = oracle_tilde_nabla_J(ctx.bundle, xi)
         assert np.abs(C[:, 4:, :, :4]).max() > 1e-2
         assert np.abs(C[:, :4, :4, 4:]).max() > 1e-2
+        C = oracle_tilde_nabla(ctx.bundle, xi)
+        assert np.abs(C[:4, 4:, :4]).max() > 1e-2
+        assert np.abs(C[4:, :4, :4]).max() > 1e-2
 
 
 def test_reports_are_deterministic():
