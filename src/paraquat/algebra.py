@@ -84,11 +84,12 @@ def splitq_mul(q: SplitQuaternion, r: SplitQuaternion) -> SplitQuaternion:
 
 
 def doubled(X: np.ndarray) -> np.ndarray:
-    """diag(X, X): the same entries as ``np.block([[X, 0], [0, X]])``."""
-    n = X.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = X
-    out[n:, n:] = X
+    """diag(X, X): the same entries as ``np.block([[X, 0], [0, X]])``; of
+    each matrix of a stack, for a stack."""
+    n = X.shape[-1]
+    out = np.zeros(X.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = X
+    out[..., n:, n:] = X
     return out
 
 

@@ -13,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -93,8 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, EmptyDomainError, json.JSONDecodeError, OSError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class MetricField:
 
     The instance memoises g (per point) and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
-    the derivatives of (1,1) fields, their Nijenhuis tensors and the Kähler
-    1-form fits (per point and FD step, the last three also per field or
-    triple).  Only
+    the partial and covariant derivatives of (1,1) fields, their Nijenhuis
+    tensors and the Kähler 1-form fits (per point and FD step, the last four
+    also per field or triple).  Only
     evaluations that passed every check are stored, as read-only arrays; a
     hit repeats the chart check, so a point of another chart still raises.
     """
@@ -98,6 +98,11 @@ class MetricField:
         fails one, or whose components raised, raises what it would raise
         alone.  A batch that raises stores nothing.
         """
+        return self._matrices(points, self.field.components)
+
+    def _matrices(self, points: Sequence[Point], components: Callable[[Point], np.ndarray]) -> list[np.ndarray]:
+        """``matrices``, with the components of each miss from
+        ``components``."""
         memo, field = self._memo, self.field
         keys, fresh, values = [], {}, []
         stop = None  # (point, exception, components) where the batch ended
@@ -110,7 +115,7 @@ class MetricField:
             if key in memo or key in fresh:
                 continue
             try:
-                v = np.asarray(field.components(q), dtype=float)
+                v = np.asarray(components(q), dtype=float)
             except Exception as exc:
                 stop = (q, exc, None)
                 break
@@ -125,14 +130,14 @@ class MetricField:
             bad = self._first_invalid(pts, V)
             if bad is not None:  # raise its first failure, as eval_field would
                 q = pts[bad]
-                _check_point(field, q)
+                _check_point(field.chart, q)
                 g = _checked_values(field, q, V[bad])
                 if np.abs(g - g.T).max() > SYMMETRY_TOL:
                     raise ValidationError(f"metric not symmetric at {q}")
                 raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} x the product of its row norms at {q}")
         if stop is not None:
             q, exc, v = stop
-            _check_point(field, q)
+            _check_point(field.chart, q)
             if exc is not None:
                 raise exc
             _checked_values(field, q, v)
@@ -145,9 +150,8 @@ class MetricField:
         """Index of the first point that fails a check of ``matrix``, tested
         at once over the stack: the domain of each point, then the
         finiteness, symmetry and determinant of its value ``V[i]``."""
-        lo, hi = self.chart.domain[:, 0], self.chart.domain[:, 1]
         C = np.array([q.coords for q in pts])
-        bad = ~((lo <= C) & (C <= hi)).all(axis=1) | ~np.isfinite(V).all(axis=(1, 2))
+        bad = ~self.chart.contains_rows(C) | ~np.isfinite(V).all(axis=(1, 2))
         k = int(bad.argmax()) if bad.any() else len(V)
         if k:  # symmetry and determinant only of the finite values before that
             W = V[:k]
@@ -208,7 +212,7 @@ def covariant_derivative_11(
     def compute():
         gam = christoffel(g, p, cfg)
         Tp = eval_field(T, p)
-        dT = fd_gradient(T, p, cfg)  # [i, k, j]
+        dT = _gradient(g, T, p, cfg)  # [i, k, j]
         D = (
             dT
             + np.einsum("kil,lj->ikj", gam, Tp)
@@ -218,6 +222,19 @@ def covariant_derivative_11(
         return D
 
     return g._memoised(("nabla", T), p, cfg.step, compute)
+
+
+def _gradient(g: MetricField, T: TensorField, p: Point, cfg: FdConfig) -> np.ndarray:
+    """``fd_gradient(T, p, cfg)``, read-only and memoised on g per (field,
+    point, step), so that nabla T and the Nijenhuis tensor of T read one
+    derivative."""
+
+    def compute():
+        dT = fd_gradient(T, p, cfg)
+        dT.flags.writeable = False
+        return dT
+
+    return g._memoised(("d", T), p, cfg.step, compute)
 
 
 def covariant_derivative_02(
@@ -278,8 +295,12 @@ def nijenhuis(F: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarra
     """
     if (F.r, F.s) != (1, 1):
         raise ValidationError("nijenhuis expects a (1,1) field")
-    Fp = eval_field(F, p)
-    dF = fd_gradient(F, p, cfg)  # [m, k, j]
+    return _nijenhuis_tensor(eval_field(F, p), fd_gradient(F, p, cfg))
+
+
+def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
+    """``nijenhuis`` from F at p and its derivative there, dF[m, k, j] =
+    d_m F^k_j."""
     t1 = np.einsum("mi,mkj->kij", Fp, dF)
     t2 = np.einsum("mj,mki->kij", Fp, dF)
     t3 = np.einsum("km,jmi->kij", Fp, dF)

@@ -8,6 +8,7 @@ statement downstream is explicit about its stencil.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,6 +70,11 @@ class ManifoldSpec:
     def dim(self) -> int:
         return len(self.coords)
 
+    def contains_rows(self, C: np.ndarray) -> np.ndarray:
+        """``contains`` of each row of the 2-D array C, at margin 0."""
+        lo, hi = self.domain[:, 0], self.domain[:, 1]
+        return ((lo <= C) & (C <= hi)).all(axis=1)
+
     def contains(self, coords: np.ndarray, margin: float = 0.0) -> bool:
         """Whether every coordinate lies in its interval shrunk by ``margin``;
         a NaN coordinate lies in none."""
@@ -104,14 +110,19 @@ class Point:
         c = self.coords.copy()
         c[k] += delta
         c.flags.writeable = False
-        q = object.__new__(Point)
-        object.__setattr__(q, "chart", self.chart)
-        object.__setattr__(q, "coords", c)
-        return q
+        return _point(self.chart, c)
 
     def __repr__(self):  # keeps pytest output readable
         vals = ", ".join(f"{n}={v:.4g}" for n, v in zip(self.chart.coords, self.coords))
         return f"Point({vals})"
+
+
+def _point(chart: ManifoldSpec, coords: np.ndarray) -> Point:
+    """A Point at ``coords``, a read-only float vector of the chart's
+    dimension, made without ``__post_init__``'s copy and checks."""
+    q = object.__new__(Point)
+    q.__dict__.update(chart=chart, coords=coords)  # past the frozen __setattr__
+    return q
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,9 @@ class TensorField:
 
     ``components(p)`` must return an ndarray of shape ``(dim,) * (r + s)``
     (contravariant slots first).  Evaluation is deterministic: same point,
-    same array.
+    same array.  ``batch``, when given, returns the components at a list of
+    points in one call, each equal to ``components`` there; ``fd_gradient``
+    hands it whole stencils.
     """
 
     chart: ManifoldSpec
@@ -128,6 +141,9 @@ class TensorField:
     s: int
     components: Callable[[Point], np.ndarray]
     label: str = ""
+    batch: Callable[[Sequence[Point]], Sequence[np.ndarray]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.r < 0 or self.s < 0:
@@ -151,7 +167,7 @@ class FdConfig:
 
 def eval_field(field: TensorField, p: Point) -> np.ndarray:
     """Evaluate a tensor field, enforcing domain, shape and finiteness."""
-    _check_point(field, p)
+    _check_point(field.chart, p)
     return _checked_values(field, p, field.components(p))
 
 
@@ -167,7 +183,7 @@ def eval_batch(
     first failing point raises alone."""
     try:
         for q in points:
-            _check_point(field, q)
+            _check_point(field.chart, q)
         return [_checked_values(field, q, v) for q, v in zip(points, components(points), strict=True)]
     except Exception:
         for q in points:
@@ -175,12 +191,12 @@ def eval_batch(
         raise
 
 
-def _check_point(field: TensorField, p: Point) -> None:
+def _check_point(chart: ManifoldSpec, p: Point) -> None:
     """The checks ``eval_field`` makes before evaluating: p lies on the
     field's chart and inside its domain."""
-    if p.chart is not field.chart and p.chart != field.chart:
+    if p.chart is not chart and p.chart != chart:
         raise ValidationError("point and field live on different charts")
-    if not field.chart.contains(p.coords):
+    if not chart.contains(p.coords):
         raise OutOfDomainError(f"{p} outside the chart domain")
 
 
@@ -210,9 +226,13 @@ def central_difference(
     ``f`` gets the whole stencil in one call, as the list p + h e_1,
     p - h e_1, p + h e_2, ..., and returns the values there in that order,
     as a list of equal-shape arrays or as one array stacked along its first
-    axis.  ``p`` may also be a sequence of centres: their stencils go to
-    ``f`` in one call, one after the other, and the result is stacked per
-    centre, ``out[c, m]``.
+    axis.  ``p`` may also be a sequence of centres of one dimension: their
+    stencils go to ``f`` in one call, one after the other, and the result is
+    stacked per centre, ``out[c, m]``.
+
+    The stencil points are built from one coordinate array, adding +h and
+    -h to the shifted coordinate only, so their coordinates are bit for bit
+    those of ``Point.shifted``, signed zeros included.
 
     Exact for affine f; O(h^2) otherwise.  Every stencil must lie in its
     centre's chart, else StencilOutOfDomainError, raised before ``f`` sees
@@ -222,23 +242,50 @@ def central_difference(
     """
     h = cfg.step
     centres = [p] if isinstance(p, Point) else list(p)
-    stencil: list[Point] = []
-    for c in centres:
+    n = centres[0].chart.dim
+    for k, c in enumerate(centres):
+        if c.chart.dim != n:
+            raise ValidationError("the centres of one central difference need one dimension")
         if not c.chart.contains(c.coords, margin=h):
-            if stencil:
-                f(stencil)
+            if k:
+                f(_stencil(centres[:k], h))
             raise StencilOutOfDomainError(f"stencil of step {h} around {c} leaves the domain")
-        for m in range(c.chart.dim):
-            stencil += (c.shifted(m, +h), c.shifted(m, -h))
-    F = np.asarray(f(stencil))
-    F = F.reshape(len(centres), -1, 2, *F.shape[1:])
+    F = np.asarray(f(_stencil(centres, h)))
+    F = F.reshape(len(centres), n, 2, *F.shape[1:])
     out = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)
     return out[0] if isinstance(p, Point) else out
 
 
+def _stencil(centres: list[Point], h: float) -> list[Point]:
+    """The stencils of the centres, one after the other: c + h e_1,
+    c - h e_1, c + h e_2, ... of each centre c, on that centre's chart."""
+    n = centres[0].chart.dim
+    S = np.array([c.coords for c in centres])[:, None, :] + _stencil_offsets(n, h)
+    S.flags.writeable = False
+    charts = [c.chart for c in centres for _ in range(2 * n)]
+    return [_point(chart, row) for chart, row in zip(charts, S.reshape(-1, n))]
+
+
+@functools.lru_cache(maxsize=32)
+def _stencil_offsets(n: int, h: float) -> np.ndarray:
+    """Row 2m is +h e_m and row 2m + 1 is -h e_m, with -0.0 off the shifted
+    coordinate: x + (-0.0) is x for every x, -0.0 included, so adding a row
+    changes one coordinate exactly as ``Point.shifted`` does."""
+    D = np.full((2 * n, n), -0.0)
+    m = np.arange(n)
+    D[2 * m, m] = h
+    D[2 * m + 1, m] = -h
+    D.flags.writeable = False
+    return D
+
+
 def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Central differences of a tensor field's components, stacked: out[m] = d_m."""
-    return central_difference(lambda qs: [eval_field(field, q) for q in qs], p, cfg)
+    """Central differences of a tensor field's components, stacked: out[m] =
+    d_m.  A field with a ``batch`` form gets each stencil in one
+    ``eval_batch``, the others one ``eval_field`` per stencil point."""
+    if field.batch is None:
+        return central_difference(lambda qs: [eval_field(field, q) for q in qs], p, cfg)
+    return central_difference(lambda qs: eval_batch(field, qs, field.batch), p, cfg)
 
 
 def sample_points(

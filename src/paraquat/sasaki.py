@@ -32,12 +32,14 @@ from .connection import (
     curvature_operator,
     riemann,
 )
-from .errors import PreconditionFailedError, ShapeError, ValidationError
+from .errors import OutOfDomainError, PreconditionFailedError, ShapeError, ValidationError
 from .fields import (
     FdConfig,
     ManifoldSpec,
     Point,
     TensorField,
+    _check_point,
+    _point,
     central_difference,
     eval_field,
     sample_points,
@@ -93,22 +95,54 @@ def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
 
 
 class _LiftedMetric(MetricField):
-    """The lifted metric: a ``MetricField`` whose batches first fill the
-    bundle's frame memo for all their points in one frame batch.  Should
-    that batch raise, the points are evaluated one at a time, as
-    ``MetricField.matrices`` does, so that a point before the one whose
-    frame fails, but whose lifted value fails, still raises first."""
+    """The lifted metric: a ``MetricField`` whose batches take the values of
+    their misses from one call ``stack(points)``.  Should that call raise,
+    the points are evaluated one at a time, as ``MetricField.matrices``
+    does, so the first failing point raises what it raises alone."""
 
-    def __init__(self, field: TensorField, frames: Callable[[Sequence[Point]], list]):
+    def __init__(self, field: TensorField, stack: Callable[[Sequence[Point]], np.ndarray]):
         super().__init__(field)
-        object.__setattr__(self, "frames", frames)  # frozen, like the fields
+        object.__setattr__(self, "stack", stack)  # frozen, like the fields
 
     def matrices(self, points: Sequence[Point]) -> list[np.ndarray]:
+        misses = {}
+        for q in points:
+            key = q.coords.tobytes()
+            if ("g", key, None) not in self._memo:
+                misses.setdefault(key, q)
         try:
-            self.frames(points)
+            values = dict(zip(misses, self.stack(list(misses.values())))) if misses else {}
         except Exception:
-            pass  # raised again below, or an earlier point's error first
-        return super().matrices(points)
+            return super().matrices(points)  # raised again, by the first failing point
+        return self._matrices(points, lambda q: values[q.coords.tobytes()])
+
+
+def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.ndarray, np.ndarray, Point]]:
+    """The frames (L, L^-1, x) at the bundle points whose coordinates are the
+    rows of C: Gamma from one Christoffel batch over their distinct base
+    points, every M = Gamma(., u) from one ``einsum``, and L, L^-1 filled as
+    stacks."""
+    n = g.chart.dim
+    C = C.copy()
+    C.flags.writeable = False
+    xs = [_point(g.chart, c[:n]) for c in C]
+    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg), xs)
+    M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
+    L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
+    Linv = L.copy()
+    L[:, n:, :n] = -M
+    Linv[:, n:, :n] = M
+    L.flags.writeable = Linv.flags.writeable = False
+    return list(zip(L, Linv, xs))
+
+
+def _stacked_at(evaluate: Callable[[list[Point]], Sequence[np.ndarray]], points: Sequence[Point]) -> np.ndarray:
+    """evaluate's values at the points, stacked; evaluate gets each distinct
+    point (by coordinates) once, all in one call."""
+    keys = [q.coords.tobytes() for q in points]
+    distinct = dict(zip(keys, points))
+    values = dict(zip(distinct, evaluate(list(distinct.values()))))
+    return np.array([values[key] for key in keys])
 
 
 @dataclass(frozen=True)
@@ -135,7 +169,8 @@ class SasakiBundle:
     def shift(self, xi: Point) -> np.ndarray:
         """The connection shift M at xi, read from the frame memo: L^-1 is
         [[I, 0], [M, I]], so its lower-left block holds connection_shift's
-        values bit for bit."""
+        values bit for bit.  A point of another chart, or outside the box,
+        raises as ``eval_field`` would."""
         n = self.base_dim
         return self.frames([xi])[0][1][n:, :n]
 
@@ -180,53 +215,69 @@ def build_tangent_bundle(
     memo: dict = {}
 
     def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
-        """The frame at each bundle point.  The base Gamma of all the new
-        frames comes from one Christoffel batch over their distinct base
-        points; should that batch raise, each new point is tried alone on a
-        fresh memo of g, in order, so the error is the one the first failing
-        point raises alone.  A batch that raises stores no frame and no
-        Gamma (g keeps only metric values that passed their checks)."""
+        """The frame at each bundle point, after the chart check of every
+        point (the memo is keyed by coordinates alone) and the domain check
+        of the new ones, with ``eval_field``'s messages.  The shifts M of all
+        the new frames come from one Christoffel batch over their distinct
+        base points and one ``einsum``.  Should the batch raise, each point
+        is tried alone, in order, with Gamma on a fresh memo of g, so the
+        error is the one the first failing point raises alone.  A batch that
+        raises stores no frame and no Gamma (g keeps only metric values that
+        passed their checks)."""
         keys = [xi.coords.tobytes() for xi in xis]
         fresh = {key: xi for key, xi in zip(keys, xis) if key not in memo}
-        if fresh:
-            try:
-                xs = {key: _split_xi(base, xi)[0] for key, xi in fresh.items()}
-                _christoffels(g, list({x.coords.tobytes(): x for x in xs.values()}.values()), cfg)
-            except Exception:
-                probe = MetricField(g.field)
-                for xi in fresh.values():
+        try:  # the checks' errors are raised again below, in per-point order
+            if not all(xi.chart is bundle or xi.chart == bundle for xi in xis):
+                raise ValidationError("point and field live on different charts")
+            if fresh:
+                C = np.array([xi.coords for xi in fresh.values()])
+                if not bundle.contains_rows(C).all():
+                    raise OutOfDomainError("a bundle point lies outside the chart domain")
+                memo.update(zip(fresh, _frame_batch(g, C, cfg)))
+        except Exception:
+            probe = MetricField(g.field)
+            for key, xi in zip(keys, xis):
+                _check_point(bundle, xi)
+                if key in fresh:
                     connection_shift(probe, xi, cfg)
-                raise
-            new = {}
-            for key, xi in fresh.items():
-                M = connection_shift(g, xi, cfg)  # Gamma from the batch's memo entries
-                L, Linv = np.eye(2 * n), np.eye(2 * n)
-                L[n:, :n] = -M
-                Linv[n:, :n] = M
-                L.flags.writeable = Linv.flags.writeable = False
-                new[key] = (L, Linv, xs[key])
-            memo.update(new)
+            raise
         return [memo[key] for key in keys]
 
-    def metric_components(xi: Point) -> np.ndarray:
-        _, Linv, x = frames([xi])[0]
-        return Linv.T @ doubled(g.matrix(x)) @ Linv
+    def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
+        """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
+        frame batch, with g from one batch over the distinct base points."""
+        F = frames(xis)
+        Linv = np.array([f[1] for f in F])
+        gx = _stacked_at(g.matrices, [f[2] for f in F])
+        return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
 
     G = _LiftedMetric(
-        TensorField(bundle, 0, 2, metric_components, label="lifted metric"), frames=frames
+        TensorField(bundle, 0, 2, lambda xi: lifted_metrics([xi])[0], label="lifted metric"),
+        stack=lifted_metrics,
     )
 
-    def lifted_member(a: int) -> TensorField:
-        def comps(xi: Point, a=a) -> np.ndarray:
-            key = (a, xi.coords.tobytes())
-            if key not in memo:
-                L, Linv, x = frames([xi])[0]
-                Jt = L @ doubled(eval_field(T.fields[a], x)) @ Linv
-                Jt.flags.writeable = False
-                memo[key] = Jt
-            return memo[key]
+    def lifted_members(a: int, xis: Sequence[Point]) -> list[np.ndarray]:
+        """Jt_a at each bundle point, as the memo's read-only arrays; the
+        misses come from one stacked L diag(J_a, J_a) L^-1 over one frame
+        batch, with J_a evaluated once per distinct base point."""
+        keys = [(a, xi.coords.tobytes()) for xi in xis]
+        fresh = {key: xi for key, xi in zip(keys, xis) if key not in memo}
+        if fresh:
+            F = frames(list(fresh.values()))
+            L, Linv = np.array([f[0] for f in F]), np.array([f[1] for f in F])
+            J = _stacked_at(lambda xs: [eval_field(T.fields[a], x) for x in xs], [f[2] for f in F])
+            Jt = L @ doubled(J) @ Linv
+            Jt.flags.writeable = False
+            memo.update(zip(fresh, Jt))
+        return [memo[key] for key in keys]
 
-        return TensorField(bundle, 1, 1, comps, label=f"lifted J{a + 1}")
+    def lifted_member(a: int) -> TensorField:
+        return TensorField(
+            bundle, 1, 1,
+            lambda xi: lifted_members(a, [xi])[0],
+            label=f"lifted J{a + 1}",
+            batch=lambda xis: lifted_members(a, xis),
+        )
 
     Jt = LocalBasisTriple(lifted_member(0), lifted_member(1), lifted_member(2))
     projection = SubmersionMap(
@@ -374,9 +425,7 @@ def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
         if V.shape != (n,):
             raise ShapeError(f"base vector has shape {V.shape}, expected ({n},)")
     x, u = _split_xi(g.chart, xi)
-    if xi.chart is not bundle.spec and xi.chart != bundle.spec:
-        raise ValidationError("point and field live on different charts")
-    _, D = _frame_derivative(bundle, xi)
+    _, D = _frame_derivative(bundle, xi)  # the frame batch checks xi's chart first
     K = D - np.einsum("IkJ->JkI", D)
     zero = np.zeros(n)
     h = lambda V: np.concatenate([V, zero])  # coefficients of V^h and V^v on E

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import TAU, CYCLIC, LocalBasisTriple
-from .connection import MetricField, covariant_derivative_11, nijenhuis
+from .connection import MetricField, _gradient, _nijenhuis_tensor, covariant_derivative_11
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
 from .fields import FdConfig, Point, TensorField, eval_field
 
@@ -186,10 +186,11 @@ class ProductReport:
 
 def _nijenhuis(g: MetricField, F: ProductStructureField, p: Point, cfg: FdConfig) -> np.ndarray:
     """N_F at p, read-only and memoised on g per (field, point, step), so the
-    product and equivalence checks of one run compute it once."""
+    product and equivalence checks of one run compute it once; it reads the
+    derivative of F that nabla F reads."""
 
     def compute():
-        N = nijenhuis(F.field, p, cfg)
+        N = _nijenhuis_tensor(eval_field(F.field, p), _gradient(g, F.field, p, cfg))
         N.flags.writeable = False
         return N
 

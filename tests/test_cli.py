@@ -88,6 +88,24 @@ def test_catalog_lists_shipped_scenarios(capsys):
     assert len(listed) == 8
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from paraquat import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    outs = []
+    for _ in range(2):
+        assert main(["catalog"]) == 0
+        with pytest.raises(SystemExit):
+            main([])
+        assert main(["explain", "oneill"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(built) == 1
+
+
 def test_explain(capsys):
     assert main(["explain", "oneill"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import pytest
 from paraquat import (
     FdConfig,
     ManifoldSpec,
+    EvaluationError,
     OutOfDomainError,
     Point,
     ShapeError,
@@ -130,6 +131,43 @@ def test_fd_partial_stencil_guard(chart4, cfg):
         fd_gradient(f, wall, cfg)
 
 
+def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(chart4, cfg):
+    """A field with a batch form gets each stencil in one call, and every
+    value still gets eval_field's checks: a stencil with bad values raises
+    what the first bad point raises through eval_field."""
+    p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
+    h = cfg.step
+
+    def spoilt(bad):  # a smooth field, but bad[coordinate bytes] at those points
+        def components(q):
+            x = q.coords
+            return bad.get(x.tobytes(), np.array([np.sin(x[0] * x[1]), x[2] ** 2, x[1], x[3]]))
+
+        return components
+
+    nan, short = np.full(4, np.nan), np.zeros(3)
+    for bad in [
+        {},
+        {p.shifted(1, h).coords.tobytes(): nan},
+        {p.shifted(2, -h).coords.tobytes(): short, p.shifted(3, h).coords.tobytes(): nan},
+        {p.shifted(0, -h).coords.tobytes(): nan, p.shifted(1, h).coords.tobytes(): short},
+    ]:
+        components, calls = spoilt(bad), []
+        batched = TensorField(
+            chart4, 1, 0, components, "f", batch=lambda qs: calls.append(len(qs)) or [components(q) for q in qs]
+        )
+        plain = TensorField(chart4, 1, 0, components, "f")
+        if not bad:
+            assert fd_gradient(batched, p, cfg).tobytes() == fd_gradient(plain, p, cfg).tobytes()
+        else:
+            with pytest.raises((EvaluationError, ShapeError)) as expected:
+                fd_gradient(plain, p, cfg)
+            with pytest.raises(type(expected.value)) as got:
+                fd_gradient(batched, p, cfg)
+            assert str(got.value) == str(expected.value)
+        assert calls == [8]
+
+
 def test_central_difference_is_the_per_direction_formula(chart4, cfg):
     def f(q):
         x = q.coords
@@ -172,6 +210,29 @@ def test_central_difference_hands_several_stencils_to_one_call(chart4, cfg):
     assert calls[0] == [q.coords.tolist() for q in stencils]
     for c, row in zip(centres, got):
         assert row.tobytes() == central_difference(f, c, cfg).tobytes()
+
+
+def test_central_difference_stencil_is_point_shifted_bit_for_bit(chart4, cfg):
+    """Stencil points carry their centre's chart and the coordinates
+    Point.shifted gives, bit for bit: a -0.0 stays -0.0 off the shifted
+    coordinate, and -h + h is +0.0."""
+    h = cfg.step
+    other = ManifoldSpec(("a", "b", "c", "d"), chart4.domain)
+    centres = [
+        Point(chart4, [0.3, -0.0, 0.45, 0.1]),
+        Point(other, [-0.0, h, -h, 0.7]),
+        Point(chart4, [-0.5, 0.1, -0.0, 1.0 / 3.0]),
+    ]
+    for p, group in ((centres[0], centres[:1]), (centres, centres)):
+        seen = []
+        central_difference(lambda qs: seen.extend(qs) or np.zeros(len(qs)), p, cfg)
+        expected = [c.shifted(m, s * h) for c in group for m in range(4) for s in (1, -1)]
+        assert [q.coords.tobytes() for q in seen] == [q.coords.tobytes() for q in expected]
+        assert all(q.chart is e.chart for q, e in zip(seen, expected))
+        assert all(not q.coords.flags.writeable and q.coords.shape == (4,) for q in seen)
+    assert np.signbit(seen[8 + 2].coords[0])  # the second centre's -0.0, shifted along x2
+    with pytest.raises(ValidationError, match="one dimension"):
+        central_difference(lambda qs: np.zeros(len(qs)), [centres[0], Point(make_chart(2), [0.0, 0.0])], cfg)
 
 
 def test_central_difference_evaluates_earlier_stencils_before_a_later_one_leaves(chart4, cfg):

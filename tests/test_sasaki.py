@@ -8,6 +8,7 @@ from paraquat import (
     DegenerateMetricError,
     FdConfig,
     MetricField,
+    OutOfDomainError,
     ParaquatError,
     Point,
     PreconditionFailedError,
@@ -16,6 +17,7 @@ from paraquat import (
     TensorField,
     ValidationError,
     build_tangent_bundle,
+    central_difference,
     check_bracket,
     check_connection_oracle,
     check_nabla_j_oracle,
@@ -35,6 +37,7 @@ from paraquat import (
     tangent_bundle_chart,
 )
 from paraquat import sasaki, structures
+from paraquat.algebra import doubled
 from paraquat.catalog import ETA4, METRICS, make_chart
 from paraquat.structures import span_combination
 
@@ -214,17 +217,18 @@ def _textbook_lift(g, T, xi, cfg):
 
 
 @pytest.fixture
-def shift_calls(monkeypatch):
-    """Bundle points at which the bundle's frame asks for the shift M."""
-    calls = []
-    real = sasaki.connection_shift
+def frame_batches(monkeypatch):
+    """The bundle points of each frame batch that computes new frames, as
+    lists of coordinate bytes, one list per batch."""
+    batches = []
+    real = sasaki._frame_batch
 
-    def counted(g, xi, cfg=FdConfig()):
-        calls.append(xi.coords.tobytes())
-        return real(g, xi, cfg)
+    def counted(g, C, cfg):
+        batches.append([c.tobytes() for c in C])
+        return real(g, C, cfg)
 
-    monkeypatch.setattr(sasaki, "connection_shift", counted)
-    return calls
+    monkeypatch.setattr(sasaki, "_frame_batch", counted)
+    return batches
 
 
 def test_memoised_lift_is_the_block_formula_bit_for_bit(conformal4, rot_triple, cfg):
@@ -242,39 +246,40 @@ def test_memoised_lift_is_the_block_formula_bit_for_bit(conformal4, rot_triple, 
                 assert eval_field(f, xi).tobytes() == expected.tobytes()
 
 
-def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, cfg, shift_calls):
+def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, cfg, frame_batches):
     bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     first = eval_field(bundle.triple.fields[0], xi)
-    assert len(shift_calls) == 1
+    assert frame_batches == [[xi.coords.tobytes()]]
     again = eval_field(bundle.triple.fields[0], xi)
     for f in bundle.triple.fields[1:]:
         eval_field(f, xi)
     eval_field(bundle.metric.field, xi)
-    assert len(shift_calls) == 1
+    bundle.metric.matrices([xi])
+    assert frame_batches == [[xi.coords.tobytes()]]
     assert again is first
     assert not again.flags.writeable
     with pytest.raises(ValueError):
         again[0, 0] = 0.0
 
 
-def test_failed_lift_stores_nothing(conformal4, std_triple, cfg, shift_calls):
+def test_failed_lift_stores_nothing(conformal4, std_triple, cfg, frame_batches):
     bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     # inside the box, but the base stencil of Gamma crosses the x1 wall
     xi = bundle.point([1.0 - cfg.step / 2, 0.0, 0.0, 0.0], [0.2, -0.1, 0.15, 0.3])
     for _ in range(2):
         with pytest.raises(StencilOutOfDomainError):
             eval_field(bundle.triple.fields[0], xi)
-    assert len(shift_calls) == 2
+    assert frame_batches == 2 * [[xi.coords.tobytes()]]
 
 
-def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, cfg, shift_calls):
+def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, cfg, frame_batches):
     one = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     two = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     xi = one.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     a = eval_field(one.triple.fields[2], xi)
     b = eval_field(two.triple.fields[2], Point(two.spec, xi.coords))
-    assert len(shift_calls) == 2
+    assert frame_batches == 2 * [[xi.coords.tobytes()]]
     assert a is not b
     assert a.tobytes() == b.tobytes()
 
@@ -396,13 +401,14 @@ def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple, c
     assert set(g._memo) == built
 
 
-def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, cfg, shift_calls):
+def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, cfg, frame_batches):
     bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     check_connection_oracle(bundle, xi)
     check_nabla_j_oracle(bundle, xi)
-    assert shift_calls.count(xi.coords.tobytes()) == 1
-    assert len(shift_calls) == len(set(shift_calls))
+    framed = [key for batch in frame_batches for key in batch]
+    assert framed.count(xi.coords.tobytes()) == 1
+    assert len(framed) == len(set(framed))
 
 
 def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, cfg, monkeypatch):
@@ -443,7 +449,7 @@ def _with_stencil(xi, cfg):
     return [xi] + [xi.shifted(m, s * cfg.step) for m in range(xi.chart.dim) for s in (1, -1)]
 
 
-def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg, shift_calls, monkeypatch):
+def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg, frame_batches, monkeypatch):
     g = MetricField(conformal4.field)  # a fresh memo
     bundle = build_tangent_bundle(g, rot_triple, cfg=cfg)
     batches = []
@@ -456,11 +462,11 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg
     monkeypatch.setattr(sasaki, "_christoffels", counted)
     pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]), cfg)
     G = bundle.metric.matrices(pts)
-    # one Gamma batch over the 9 distinct base points, one shift per new frame
+    # one frame batch over the 17 points, one Gamma batch over their 9 distinct base points
     assert batches == [9]
-    assert len(shift_calls) == len(pts) == 17
+    assert frame_batches == [[xi.coords.tobytes() for xi in pts]]
     frames = bundle.frames(pts)
-    assert batches == [9] and len(shift_calls) == 17
+    assert batches == [9] and len(frame_batches) == 1
     ref = MetricField(conformal4.field)
     for xi, (L, Linv, x), Gxi in zip(pts, frames, G):
         M = connection_shift(ref, xi, cfg)
@@ -499,7 +505,7 @@ U = [0.2, -0.1, 0.15, 0.3]
         ("degenerate stencil point", "degenerate centre"),
     ],
 )
-def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, cfg, shift_calls, order):
+def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, cfg, frame_batches, order):
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
     good = bundle.point([0.1, -0.2, 0.3, 0.05], U)
@@ -515,9 +521,9 @@ def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, st
     assert str(got.value) == str(expected.value)
     # nothing stored: no frame, no Gamma
     assert not [key for key in g._memo if key[0] != "g"]
-    shift_calls.clear()
+    frame_batches.clear()
     bundle.frames([good])
-    assert shift_calls == [good.coords.tobytes()]
+    assert frame_batches == [[good.coords.tobytes()]]
     with pytest.raises(type(expected.value)) as got:
         bundle.metric.matrices([good, first, later])
     assert str(got.value) == str(expected.value)
@@ -527,11 +533,12 @@ def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, st
 def test_lifted_metric_batch_raises_in_per_point_order(chart4, std_triple, cfg):
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
-    # a point of another 8-dim chart: its frame is fine, its lifted value is not
+    # a point of another 8-dim chart, before a point whose frame fails
     elsewhere = Point(make_chart(8), np.concatenate([[0.1, -0.2, 0.6, 0.05], U]))
     later = bundle.point(FAILING_BASES["stencil off the box"], U)
     alone = build_tangent_bundle(MetricField(g.field), std_triple, cfg=cfg)
-    alone.frames([elsewhere])
+    with pytest.raises(ValidationError, match="different charts"):
+        alone.frames([elsewhere])
     with pytest.raises(ValidationError) as expected:
         alone.metric.matrix(elsewhere)
     with pytest.raises(StencilOutOfDomainError):
@@ -556,3 +563,70 @@ def test_lifted_metric_of_a_small_base_metric_evaluates(chart4, std_triple, cfg)
     degenerate = MetricField(TensorField(chart4, 0, 2, lambda p: np.diag([0.0, 1.0, -1.0, -1.0]), "degenerate"))
     with pytest.raises(DegenerateMetricError):
         degenerate.matrix(Point(chart4, np.zeros(4)))
+
+
+@pytest.mark.parametrize("where", ["another chart", "another chart at a memo hit", "fiber outside the box"])
+def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4, std_triple, cfg, where):
+    """The frame memo is keyed by coordinates alone, so every frame batch
+    checks the chart of each point, memo hits included, and the domain of
+    each new one, with eval_field's errors."""
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    x = [0.1, -0.2, 0.3, 0.05]
+    if where == "fiber outside the box":
+        xi, error = bundle.point(x, [3.0, -0.1, 0.15, 0.3]), OutOfDomainError
+    else:
+        xi, error = Point(make_chart(8), np.concatenate([x, U])), ValidationError
+        if where == "another chart at a memo hit":
+            bundle.frames([bundle.point(x, U)])
+    with pytest.raises(error) as expected:
+        check_connection_oracle(bundle, xi)
+    for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, type(bundle).shift):
+        with pytest.raises(error) as got:
+            oracle(bundle, xi)
+        assert str(got.value) == str(expected.value)
+
+
+def test_stacked_products_are_the_per_point_products_bit_for_bit():
+    """The stacked einsum and matrix products of the frame, metric and triple
+    batches give each point's one-point product, bit for bit."""
+    rng = np.random.default_rng(14)
+    for n in range(2, 9):
+        for _ in range(20):
+            gam, u = rng.normal(size=(17, n, n, n)), rng.normal(size=(17, n))
+            A, B, C = (rng.normal(size=(17, 2 * n, 2 * n)) for _ in range(3))
+            M = np.einsum("pkji,pj->pki", gam, u)
+            G = A.transpose(0, 2, 1) @ B @ A
+            J = A @ B @ C
+            for p in range(17):
+                assert M[p].tobytes() == np.einsum("kji,j->ki", gam[p], u[p]).tobytes()
+                assert G[p].tobytes() == (A[p].T @ B[p] @ A[p]).tobytes()
+                assert J[p].tobytes() == (A[p] @ B[p] @ C[p]).tobytes()
+
+
+def test_lifted_metric_batch_is_the_one_point_product_bit_for_bit(conformal4, rot_triple, cfg):
+    bundle = build_tangent_bundle(MetricField(conformal4.field), rot_triple, cfg=cfg)
+    pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], U), cfg)
+    pts += _with_stencil(bundle.point([-0.6, 0.4, 0.0, 0.7], [0.9, -0.0, -0.5, 0.1]), cfg) + pts[:2]
+    G = bundle.metric.matrices(pts)
+    for xi, Gxi in zip(pts, G):
+        _, Linv, x = bundle.frames([xi])[0]
+        assert Gxi.tobytes() == (Linv.T @ doubled(conformal4.matrix(x)) @ Linv).tobytes()
+
+
+def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot_triple, cfg):
+    """Jt_a from the stacked batch that fd_gradient hands a stencil equals
+    the member evaluated one point at a time on a bundle of its own, and so
+    does its derivative."""
+    batched = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
+    alone = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
+    for x, u in [([0.1, -0.2, 0.3, 0.05], U), ([-0.6, 0.4, 0.0, 0.7], [0.9, -0.0, -0.5, 0.1])]:
+        xi = batched.point(x, u)
+        pts = _with_stencil(xi, cfg)
+        for f, one, base in zip(batched.triple.fields, alone.triple.fields, rot_triple.fields):
+            for q, v in zip(pts, f.batch(pts)):
+                assert v.tobytes() == eval_field(one, q).tobytes()
+                L, Linv, y = alone.frames([q])[0]
+                assert v.tobytes() == (L @ doubled(eval_field(base, y)) @ Linv).tobytes()
+            assert fd_gradient(f, xi, cfg).tobytes() == central_difference(
+                lambda qs: [eval_field(one, q) for q in qs], xi, cfg
+            ).tobytes()
