@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .fields import (
     ManifoldSpec,
     Point,
     TensorField,
-    _check_point,
-    _checked_values,
+    _memo_batch,
     central_difference,
+    eval_batch,
     eval_field,
     fd_gradient,
 )
@@ -51,9 +51,10 @@ class MetricField:
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
     the partial and covariant derivatives of (1,1) fields, their Nijenhuis
     tensors and the Kähler 1-form fits (per point and FD step, the last four
-    also per field or triple).  Only
-    evaluations that passed every check are stored, as read-only arrays; a
-    hit repeats the chart check, so a point of another chart still raises.
+    also per field or triple).  Every one of them is read and filled by
+    ``fields._memo_batch``: only evaluations that passed every check are
+    stored, as read-only arrays, and a hit repeats the chart check, so a
+    point of another chart still raises.
     """
 
     field: TensorField
@@ -67,23 +68,10 @@ class MetricField:
     def chart(self) -> ManifoldSpec:
         return self.field.chart
 
-    def _lookup(self, key, p: Point):
-        """The memo's value under key, None on a miss; a hit at a point of
-        another chart raises as an evaluation there would."""
-        hit = self._memo.get(key)
-        if hit is not None and p.chart is not self.chart and p.chart != self.chart:
-            raise ValidationError("point and field live on different charts")
-        return hit
-
     def _memoised(self, kind, p: Point, step: float | None, compute):
         """The memo's value for (kind, p, step), else compute()'s, stored
-        there; compute returns what the memo may own and hand out (read-only
-        arrays), and a compute that raises stores nothing."""
-        key = (kind, p.coords.tobytes(), step)
-        hit = self._lookup(key, p)
-        if hit is None:
-            hit = self._memo[key] = compute()
-        return hit
+        there: ``fields._memo_batch`` for one point."""
+        return _memo_batch(self._memo, self.chart, kind, step, [p], lambda qs: [compute()])[0]
 
     def matrix(self, p: Point) -> np.ndarray:
         return self.matrices([p])[0]
@@ -92,72 +80,34 @@ class MetricField:
         """g at each point, as the memo's read-only arrays: the batch form
         of ``matrix``.
 
-        Memo hits are reused.  The components of each miss are evaluated
-        once, in order; then the misses' chart, shape, finiteness, symmetry
-        and determinant checks run as one test, and the first point that
-        fails one, or whose components raised, raises what it would raise
-        alone.  A batch that raises stores nothing.
+        The distinct misses are evaluated together: their domain is tested
+        at once, their components come from one ``field.batch`` (one
+        ``field.components`` per miss for a field without one), and their
+        shape, finiteness, symmetry and determinant are tested over the
+        stack.  A batch that raises stores nothing, and its first failing
+        point raises what it raises alone.
         """
-        return self._matrices(points, self.field.components)
+        return _memo_batch(
+            self._memo, self.chart, "g", None, points, self._checked,
+            one=lambda q: MetricField(self.field).matrix(q),
+        )
 
-    def _matrices(self, points: Sequence[Point], components: Callable[[Point], np.ndarray]) -> list[np.ndarray]:
-        """``matrices``, with the components of each miss from
-        ``components``."""
-        memo, field = self._memo, self.field
-        keys, fresh, values = [], {}, []
-        stop = None  # (point, exception, components) where the batch ended
-        for q in points:
-            key = ("g", q.coords.tobytes(), None)
-            keys.append(key)
-            if q.chart is not self.chart and q.chart != self.chart:
-                stop = (q, None, None)
-                break
-            if key in memo or key in fresh:
-                continue
-            try:
-                v = np.asarray(components(q), dtype=float)
-            except Exception as exc:
-                stop = (q, exc, None)
-                break
-            if v.shape != field.shape:
-                stop = (q, None, v)
-                break
-            fresh[key] = q
-            values.append(v)
-        if fresh:
-            V = np.array(values)
-            pts = list(fresh.values())
-            bad = self._first_invalid(pts, V)
-            if bad is not None:  # raise its first failure, as eval_field would
-                q = pts[bad]
-                _check_point(field.chart, q)
-                g = _checked_values(field, q, V[bad])
-                if np.abs(g - g.T).max() > SYMMETRY_TOL:
-                    raise ValidationError(f"metric not symmetric at {q}")
-                raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} x the product of its row norms at {q}")
-        if stop is not None:
-            q, exc, v = stop
-            _check_point(field.chart, q)
-            if exc is not None:
-                raise exc
-            _checked_values(field, q, v)
-        if fresh:
-            V.flags.writeable = False
-            memo.update(zip(fresh, V))
-        return [memo[key] for key in keys]
-
-    def _first_invalid(self, pts: list[Point], V: np.ndarray) -> int | None:
-        """Index of the first point that fails a check of ``matrix``, tested
-        at once over the stack: the domain of each point, then the
-        finiteness, symmetry and determinant of its value ``V[i]``."""
-        C = np.array([q.coords for q in pts])
-        bad = ~self.chart.contains_rows(C) | ~np.isfinite(V).all(axis=(1, 2))
-        k = int(bad.argmax()) if bad.any() else len(V)
-        if k:  # symmetry and determinant only of the finite values before that
-            W = V[:k]
-            bad[:k] |= np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
-            bad[:k] |= np.abs(np.linalg.det(W)) <= DET_FLOOR * np.linalg.norm(W, axis=2).prod(axis=1)
-        return int(bad.argmax()) if bad.any() else None
+    def _checked(self, pts: list[Point]) -> np.ndarray:
+        """g at the points, stacked read-only: ``eval_batch``'s checks, then
+        the symmetry and determinant of the whole stack in one test.  A
+        point that fails one raises the error it raises alone; of one point,
+        that is the error of ``matrix``, and ``matrices`` replays a batch of
+        several."""
+        V = eval_batch(self.field, pts)
+        asym = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
+        bad = asym | (np.abs(np.linalg.det(V)) <= DET_FLOOR * np.linalg.norm(V, axis=2).prod(axis=1))
+        if bad.any():
+            k = int(bad.argmax())
+            if asym[k]:
+                raise ValidationError(f"metric not symmetric at {pts[k]}")
+            raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} x the product of its row norms at {pts[k]}")
+        V.flags.writeable = False
+        return V
 
 
 @dataclass(frozen=True)
@@ -179,14 +129,12 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndar
 
 def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
     """``christoffel`` at each centre, as the memo's read-only arrays.  The
-    misses are assembled together: g at the centres, then g on all their
-    stencils in one ``central_difference``, one ``inv`` and one ``einsum``
-    over the stack; each result is stored as it would be alone."""
-    keys = [("gamma", q.coords.tobytes(), cfg.step) for q in centres]
-    out = [g._lookup(key, q) for key, q in zip(keys, centres)]
-    todo = [k for k, hit in enumerate(out) if hit is None]
-    if todo:
-        pts = [centres[k] for k in todo]
+    distinct misses are assembled together: g at the centres, then g on all
+    their stencils in one ``central_difference``, one ``inv`` and one
+    ``einsum`` over the stack.  A batch that raises stores nothing, and its
+    first failing centre raises what it raises alone."""
+
+    def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
         partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
         term = (
@@ -196,9 +144,12 @@ def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> li
         )
         gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, term)
         gam.flags.writeable = False
-        for k, value in zip(todo, gam):
-            out[k] = g._memo[keys[k]] = value
-    return out
+        return gam
+
+    return _memo_batch(
+        g._memo, g.chart, "gamma", cfg.step, centres, compute,
+        one=lambda q: christoffel(MetricField(g.field), q, cfg),
+    )
 
 
 def covariant_derivative_11(

@@ -171,31 +171,83 @@ def eval_field(field: TensorField, p: Point) -> np.ndarray:
     return _checked_values(field, p, field.components(p))
 
 
-def eval_batch(
-    field: TensorField,
-    points: Sequence[Point],
-    components: Callable[[Sequence[Point]], Sequence[np.ndarray]],
-) -> list[np.ndarray]:
-    """``eval_field(field, q)`` at each point, with the components of all
-    the points from one call ``components(points)``; every value gets
-    ``eval_field``'s checks.  When anything raises, the points are evaluated
-    again one at a time with ``eval_field``, so the error is the one the
-    first failing point raises alone."""
+def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
+    """``eval_field(field, q)`` at each point, stacked: every point's chart,
+    then the domain of the whole stack in one test, the components of all
+    the points from one call ``field.batch(points)`` (one
+    ``field.components`` per point for a field without a batch form), and
+    their shape and finiteness in one test.  When anything raises, the
+    points are evaluated again one at a time with ``eval_field``, so the
+    error is the one the first failing point raises alone."""
+    chart = field.chart
+    if not points:
+        return np.empty((0, *field.shape))
     try:
         for q in points:
-            _check_point(field.chart, q)
-        return [_checked_values(field, q, v) for q, v in zip(points, components(points), strict=True)]
+            if q.chart is not chart:
+                _check_chart(chart, q)
+        if not chart.contains_rows(np.array([q.coords for q in points])).all():
+            raise OutOfDomainError("a point of the batch lies outside the chart domain")
+        values = field.batch(points) if field.batch is not None else [field.components(q) for q in points]
+        V = np.array(values, dtype=float)
+        if V.shape != (len(points), *field.shape) or not np.isfinite(V).all():
+            raise EvaluationError(f"field {field.label or '<unnamed>'}: a value of the batch fails its checks")
+        return V
     except Exception:
         for q in points:
             eval_field(field, q)
         raise
 
 
+def _memo_batch(
+    memo: dict,
+    chart: ManifoldSpec,
+    kind,
+    step: float | None,
+    points: Sequence[Point],
+    compute: Callable[[list[Point]], Sequence],
+    one: Callable[[Point], object] | None = None,
+) -> list:
+    """The memo's values under (kind, coordinate bytes, step) at each point:
+    the package's one rule for reading and filling a memo.
+
+    Every point's chart is checked, memo hits included, since a key holds
+    coordinates alone.  The distinct misses go to ``compute`` in one call,
+    which returns their values in order, as objects the memo may own and hand
+    out (read-only arrays); they are stored only if the whole batch
+    succeeds.  When ``one`` is given and a batch of more than one point
+    raises, the points are tried again in order with ``one``, which stores
+    nothing, so the error is the one the first failing point raises alone
+    (or the batch's own, should no point fail alone).
+    """
+    keys, fresh = [], {}
+    try:
+        for q in points:
+            if q.chart is not chart:
+                _check_chart(chart, q)
+            key = (kind, q.coords.tobytes(), step)
+            keys.append(key)
+            if key not in memo and key not in fresh:
+                fresh[key] = q
+        if fresh:
+            memo.update(dict(zip(fresh, compute(list(fresh.values())), strict=True)))
+    except Exception:
+        if one is not None and len(points) > 1:
+            for q in points:
+                one(q)
+        raise
+    return [memo[key] for key in keys]
+
+
+def _check_chart(chart: ManifoldSpec, p: Point) -> None:
+    if p.chart is not chart and p.chart != chart:
+        raise ValidationError("point and field live on different charts")
+
+
 def _check_point(chart: ManifoldSpec, p: Point) -> None:
     """The checks ``eval_field`` makes before evaluating: p lies on the
     field's chart and inside its domain."""
-    if p.chart is not chart and p.chart != chart:
-        raise ValidationError("point and field live on different charts")
+    _check_chart(chart, p)
     if not chart.contains(p.coords):
         raise OutOfDomainError(f"{p} outside the chart domain")
 
@@ -281,11 +333,8 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
 
 def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central differences of a tensor field's components, stacked: out[m] =
-    d_m.  A field with a ``batch`` form gets each stencil in one
-    ``eval_batch``, the others one ``eval_field`` per stencil point."""
-    if field.batch is None:
-        return central_difference(lambda qs: [eval_field(field, q) for q in qs], p, cfg)
-    return central_difference(lambda qs: eval_batch(field, qs, field.batch), p, cfg)
+    d_m, with each stencil evaluated in one ``eval_batch``."""
+    return central_difference(lambda qs: eval_batch(field, qs), p, cfg)
 
 
 def sample_points(

@@ -32,16 +32,17 @@ from .connection import (
     curvature_operator,
     riemann,
 )
-from .errors import OutOfDomainError, PreconditionFailedError, ShapeError, ValidationError
+from .errors import PreconditionFailedError, ShapeError, ValidationError
 from .fields import (
     FdConfig,
     ManifoldSpec,
     Point,
     TensorField,
     _check_point,
+    _memo_batch,
     _point,
     central_difference,
-    eval_field,
+    eval_batch,
     sample_points,
 )
 from .structures import check_hermitian, fit_kahler_oneforms
@@ -94,29 +95,6 @@ def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     raise ValidationError("kind must be 'h' or 'v'")
 
 
-class _LiftedMetric(MetricField):
-    """The lifted metric: a ``MetricField`` whose batches take the values of
-    their misses from one call ``stack(points)``.  Should that call raise,
-    the points are evaluated one at a time, as ``MetricField.matrices``
-    does, so the first failing point raises what it raises alone."""
-
-    def __init__(self, field: TensorField, stack: Callable[[Sequence[Point]], np.ndarray]):
-        super().__init__(field)
-        object.__setattr__(self, "stack", stack)  # frozen, like the fields
-
-    def matrices(self, points: Sequence[Point]) -> list[np.ndarray]:
-        misses = {}
-        for q in points:
-            key = q.coords.tobytes()
-            if ("g", key, None) not in self._memo:
-                misses.setdefault(key, q)
-        try:
-            values = dict(zip(misses, self.stack(list(misses.values())))) if misses else {}
-        except Exception:
-            return super().matrices(points)  # raised again, by the first failing point
-        return self._matrices(points, lambda q: values[q.coords.tobytes()])
-
-
 def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.ndarray, np.ndarray, Point]]:
     """The frames (L, L^-1, x) at the bundle points whose coordinates are the
     rows of C: Gamma from one Christoffel batch over their distinct base
@@ -126,7 +104,7 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     C = C.copy()
     C.flags.writeable = False
     xs = [_point(g.chart, c[:n]) for c in C]
-    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg), xs)
+    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg), g.chart, xs)
     M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
     L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
     Linv = L.copy()
@@ -136,13 +114,13 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     return list(zip(L, Linv, xs))
 
 
-def _stacked_at(evaluate: Callable[[list[Point]], Sequence[np.ndarray]], points: Sequence[Point]) -> np.ndarray:
-    """evaluate's values at the points, stacked; evaluate gets each distinct
-    point (by coordinates) once, all in one call."""
-    keys = [q.coords.tobytes() for q in points]
-    distinct = dict(zip(keys, points))
-    values = dict(zip(distinct, evaluate(list(distinct.values()))))
-    return np.array([values[key] for key in keys])
+def _stacked_at(
+    evaluate: Callable[[list[Point]], Sequence[np.ndarray]], chart: ManifoldSpec, points: Sequence[Point]
+) -> np.ndarray:
+    """evaluate's values at points of the chart, stacked; evaluate gets each
+    distinct point (by coordinates) once, all in one call: a memo batch on a
+    memo of its own."""
+    return np.array(_memo_batch({}, chart, None, None, points, evaluate))
 
 
 @dataclass(frozen=True)
@@ -209,67 +187,66 @@ def build_tangent_bundle(
                 f"hermitian {herm:.3e}"
             )
     bundle = tangent_bundle_chart(base, u_box)
-    # Each bundle point's frame (L, L^-1, x) under its coordinate bytes, and
-    # each lifted member's components under (a, coordinate bytes): computed
-    # once, stored read-only, and only once the evaluation has succeeded.
+    # Each bundle point's frame (L, L^-1, x) under ("frame", coordinate
+    # bytes, None), and each lifted member's components under (a, coordinate
+    # bytes, None), read and filled by fields._memo_batch.
     memo: dict = {}
 
     def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
         """The frame at each bundle point, after the chart check of every
-        point (the memo is keyed by coordinates alone) and the domain check
-        of the new ones, with ``eval_field``'s messages.  The shifts M of all
-        the new frames come from one Christoffel batch over their distinct
-        base points and one ``einsum``.  Should the batch raise, each point
-        is tried alone, in order, with Gamma on a fresh memo of g, so the
-        error is the one the first failing point raises alone.  A batch that
-        raises stores no frame and no Gamma (g keeps only metric values that
-        passed their checks)."""
-        keys = [xi.coords.tobytes() for xi in xis]
-        fresh = {key: xi for key, xi in zip(keys, xis) if key not in memo}
-        try:  # the checks' errors are raised again below, in per-point order
-            if not all(xi.chart is bundle or xi.chart == bundle for xi in xis):
-                raise ValidationError("point and field live on different charts")
-            if fresh:
-                C = np.array([xi.coords for xi in fresh.values()])
-                if not bundle.contains_rows(C).all():
-                    raise OutOfDomainError("a bundle point lies outside the chart domain")
-                memo.update(zip(fresh, _frame_batch(g, C, cfg)))
-        except Exception:
-            probe = MetricField(g.field)
-            for key, xi in zip(keys, xis):
-                _check_point(bundle, xi)
-                if key in fresh:
-                    connection_shift(probe, xi, cfg)
-            raise
-        return [memo[key] for key in keys]
+        point and the domain check of the new ones, with ``eval_field``'s
+        messages.  The shifts M of all the new frames come from one
+        Christoffel batch over their distinct base points and one
+        ``einsum``.  Should the batch raise, each point is tried alone, in
+        order, with Gamma on a fresh memo of g, so the error is the one the
+        first failing point raises alone.  A batch that raises stores no
+        frame and no Gamma (g keeps only metric values that passed their
+        checks)."""
+
+        def compute(fresh: list[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
+            C = np.array([xi.coords for xi in fresh])
+            inside = bundle.contains_rows(C)
+            if not inside.all():
+                _check_point(bundle, fresh[int(inside.argmin())])
+            return _frame_batch(g, C, cfg)
+
+        def alone(xi: Point) -> None:
+            _check_point(bundle, xi)
+            connection_shift(MetricField(g.field), xi, cfg)
+
+        return _memo_batch(memo, bundle, "frame", None, xis, compute, one=alone)
 
     def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
         """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
-        frame batch, with g from one batch over the distinct base points."""
+        frame batch, with g from one batch over their base points."""
         F = frames(xis)
         Linv = np.array([f[1] for f in F])
-        gx = _stacked_at(g.matrices, [f[2] for f in F])
+        gx = np.array(g.matrices([f[2] for f in F]))
         return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
 
-    G = _LiftedMetric(
-        TensorField(bundle, 0, 2, lambda xi: lifted_metrics([xi])[0], label="lifted metric"),
-        stack=lifted_metrics,
+    G = MetricField(
+        TensorField(
+            bundle, 0, 2,
+            lambda xi: lifted_metrics([xi])[0],
+            label="lifted metric",
+            batch=lifted_metrics,
+        )
     )
 
     def lifted_members(a: int, xis: Sequence[Point]) -> list[np.ndarray]:
         """Jt_a at each bundle point, as the memo's read-only arrays; the
         misses come from one stacked L diag(J_a, J_a) L^-1 over one frame
         batch, with J_a evaluated once per distinct base point."""
-        keys = [(a, xi.coords.tobytes()) for xi in xis]
-        fresh = {key: xi for key, xi in zip(keys, xis) if key not in memo}
-        if fresh:
-            F = frames(list(fresh.values()))
+
+        def compute(fresh: list[Point]) -> np.ndarray:
+            F = frames(fresh)
             L, Linv = np.array([f[0] for f in F]), np.array([f[1] for f in F])
-            J = _stacked_at(lambda xs: [eval_field(T.fields[a], x) for x in xs], [f[2] for f in F])
+            J = _stacked_at(lambda xs: eval_batch(T.fields[a], xs), base, [f[2] for f in F])
             Jt = L @ doubled(J) @ Linv
             Jt.flags.writeable = False
-            memo.update(zip(fresh, Jt))
-        return [memo[key] for key in keys]
+            return Jt
+
+        return _memo_batch(memo, bundle, a, None, xis, compute)
 
     def lifted_member(a: int) -> TensorField:
         return TensorField(

@@ -688,6 +688,13 @@ def _validate(config) -> None:
             )
         if "pairs" in cdef.params:
             _index_pairs(spec.get("pairs", cdef.params["pairs"]), n, f"{name} 'pairs'")
+        if "oneform_values" in spec:
+            # one 1-form per member, on the working chart (the bundle's for sasaki)
+            dim = 2 * n if sasaki else n
+            if np.shape(spec["oneform_values"]) != (3, dim):
+                raise ValidationError(
+                    f"{name} 'oneform_values' must be 3 rows of {dim} numbers, got {spec['oneform_values']!r}"
+                )
     for key, least in (("seed", 0), ("points", 1)):
         if key in config:
             _integer(config[key], f"'{key}'", least)

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, eval_batch
+from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, fd_gradient
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -64,7 +64,9 @@ def _jacobians(f: SubmersionMap, pts: Sequence[Point], cfg: FdConfig) -> np.ndar
     all the points go to the map in one ``central_difference``, and one
     batched SVD tests every rank.  With several points, an error is that of
     some failing point, not necessarily the first: callers that need the
-    first go through ``fields.eval_batch``."""
+    first make this the ``batch`` form of a field and evaluate it with
+    ``fields.eval_batch``, which replays a failing batch point by point, as
+    ``oneill_tensors``' projector field does through ``fd_gradient``."""
     n, m = f.source.dim, f.target.dim
     J = np.ascontiguousarray(
         central_difference(
@@ -241,14 +243,11 @@ def oneill_tensors(
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
     pv_field = TensorField(
-        f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector"
+        f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector",
+        batch=lambda qs: [s.v for s in _vh_splits(f, g, qs, cfg)],
     )
-
-    def projectors(qs: list[Point]) -> list[np.ndarray]:
-        return [s.v for s in _vh_splits(f, g, qs, cfg)]
-
     # d_m Pv, from the splits of the whole stencil in one batch
-    dPv = central_difference(lambda qs: eval_batch(pv_field, qs, projectors), p, cfg)
+    dPv = fd_gradient(pv_field, p, cfg)
 
     def stacked(U: np.ndarray) -> np.ndarray:
         # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the

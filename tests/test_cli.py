@@ -270,6 +270,16 @@ MALFORMED = {
         geometry={"dim": 8, "submersion": {"components": ["x1", "x2", "x3", "x4"]}}
     ),
     "no checks": _inline(checks=[]),
+    "oneform_values of the wrong shape": _inline(
+        checks=[{"check": "kahler-fit", "oneform_values": [0, 0, 0]}]
+    ),
+    "oneform_values one row for all members": _inline(
+        checks=[{"check": "kahler-fit", "oneform_values": [0, 0, 0, 0]}]
+    ),
+    "oneform_values on the base of a sasaki geometry": _inline(
+        geometry={"dim": 4, "sasaki": True},
+        checks=[{"check": "kahler-fit", "oneform_values": [[0, 0, 0, 0]] * 3}],
+    ),
     "unknown parallel-equivalence expect": _inline(
         checks=[{"check": "parallel-equivalence", "structure": "split8", "expect": "nonparallel"}]
     ),

@@ -30,6 +30,7 @@ from paraquat import (
     riemann,
     signature,
 )
+from paraquat import connection
 from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart, metric_from_config
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -340,6 +341,47 @@ def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):
         assert good.coords.tobytes() not in _stored(metric, "g")
 
 
+def test_matrices_hands_the_distinct_misses_to_the_batch_form_in_one_call(chart4):
+    batches = []
+
+    def batch(qs):
+        batches.append([q.coords.tolist() for q in qs])
+        return [_conformal(q) for q in qs]
+
+    g = MetricField(TensorField(chart4, 0, 2, _conformal, "conformal", batch=batch))
+    p = Point(chart4, MEMO_POINT)
+    q = p.shifted(1, 0.25)
+    g.matrix(p)
+    batch_values = g.matrices([q, p, q])
+    assert batches == [[p.coords.tolist()], [q.coords.tolist()]]
+    ref = MetricField(TensorField(chart4, 0, 2, _conformal, "conformal"))
+    assert np.stack(batch_values).tobytes() == np.stack([ref.matrix(r) for r in (q, p, q)]).tobytes()
+    far = p.shifted(0, 5.0)
+    with pytest.raises(OutOfDomainError):
+        g.matrices([p.shifted(2, 0.25), far])
+    # the domain is tested before the batch form is called, and nothing is stored
+    assert not any(far.coords.tolist() in b for b in batches)
+    assert len(g._memo) == 2
+
+
+def test_christoffel_batch_computes_a_repeated_centre_once(chart4, cfg, monkeypatch):
+    g, calls = _counted_metric(chart4)
+    p = Point(chart4, MEMO_POINT)
+    centres = []
+    real = connection.central_difference
+
+    def counted(f, pts, cfg):
+        centres.append(len(pts))
+        return real(f, pts, cfg)
+
+    monkeypatch.setattr(connection, "central_difference", counted)
+    first, again = connection._christoffels(g, [p, p], cfg)
+    assert centres == [1]
+    assert len(calls) == 9  # the centre and its stencil, once each
+    assert first is again is christoffel(g, p, cfg)
+    assert centres == [1]
+
+
 H = FdConfig().step
 # the x1 coordinate of a point on a Riemann neighbour's ring, two steps from
 # MEMO_POINT, but on no stencil of MEMO_POINT itself: x1 beyond RING_X1
@@ -422,3 +464,42 @@ def test_memo_stores_nothing_when_an_evaluation_raises(chart4, cfg, case):
         assert p.coords.tobytes() not in _stored(g, "g")
     # Gamma may be stored at the centre of a failed R, never at a neighbour
     assert _stored(g, "gamma") <= ({p.coords.tobytes()} if what == "riemann" else set())
+
+
+def test_matrices_raise_a_degenerate_point_before_a_later_point_off_the_box(chart4):
+    # the stacked domain test finds the later point first; the batch still
+    # raises what the earlier point raises alone
+    g, _ = _counted_metric(chart4, lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]))
+    degenerate, off = Point(chart4, [0.0, 0.1, 0.2, 0.3]), Point(chart4, [0.5, 2.0, 0.0, 0.0])
+    ref, _ = _counted_metric(chart4, lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]))
+    with pytest.raises(DegenerateMetricError) as expected:
+        ref.matrix(degenerate)
+    with pytest.raises(DegenerateMetricError) as got:
+        g.matrices([degenerate, off])
+    assert str(got.value) == str(expected.value)
+    assert not g._memo
+
+
+def test_christoffel_batch_raises_what_its_first_failing_centre_raises_alone(chart4, cfg):
+    # the first centre fails on its stencil, the later one at the centre,
+    # which the batch evaluates first
+    first = Point(chart4, MEMO_POINT)
+    later = first.shifted(1, 0.25)
+
+    def comps(p):
+        if p.coords[0] > MEMO_POINT[0] + 0.5 * H:
+            return _degenerate(p)
+        if p.coords[1] > MEMO_POINT[1] + 0.1:
+            return ETA + np.triu(np.ones((4, 4)), 1)
+        return _conformal(p)
+
+    g, _ = _counted_metric(chart4, comps)
+    ref, _ = _counted_metric(chart4, comps)
+    with pytest.raises(DegenerateMetricError) as expected:
+        christoffel(ref, first, cfg)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        christoffel(ref, later, cfg)
+    with pytest.raises(DegenerateMetricError) as got:
+        connection._christoffels(g, [first, later], cfg)
+    assert str(got.value) == str(expected.value)
+    assert not g._memo

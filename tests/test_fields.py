@@ -18,6 +18,7 @@ from paraquat import (
     sample_points,
 )
 from paraquat.catalog import make_chart
+from paraquat.fields import _memo_batch, eval_batch
 
 
 def test_chart_validation():
@@ -166,6 +167,104 @@ def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(cha
                 fd_gradient(batched, p, cfg)
             assert str(got.value) == str(expected.value)
         assert calls == [8]
+
+
+def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, cfg, monkeypatch):
+    """One domain test for the whole stack, no per-point ``contains``; a
+    batch with a point outside raises that point's own error, by name."""
+    p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
+    f = TensorField(chart4, 1, 0, lambda q: q.coords * 2.0, "f")
+    stencil = [p.shifted(m, s * cfg.step) for m in range(4) for s in (1, -1)]
+    contains = []
+    real = ManifoldSpec.contains
+    monkeypatch.setattr(ManifoldSpec, "contains", lambda self, *a, **k: contains.append(1) or real(self, *a, **k))
+    values = eval_batch(f, stencil)
+    assert contains == []
+    assert np.stack(values).tobytes() == np.stack([q.coords * 2.0 for q in stencil]).tobytes()
+    outside = p.shifted(0, 5.0)
+    with pytest.raises(OutOfDomainError) as got:
+        eval_batch(f, [p, outside, p.shifted(1, 5.0)])
+    assert str(got.value) == f"{outside} outside the chart domain"
+
+
+def _summed(calls):
+    """A compute for _memo_batch that records each call's points and
+    returns the sum of each point's coordinates."""
+
+    def compute(pts):
+        calls.append([q.coords.tobytes() for q in pts])
+        return [float(q.coords.sum()) for q in pts]
+
+    return compute
+
+
+def test_memo_batch_computes_the_distinct_misses_once_and_checks_every_chart(chart4):
+    p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
+    q = p.shifted(0, 0.25)
+    memo, calls = {}, []
+    out = _memo_batch(memo, chart4, "s", 1e-3, [p, q, p], _summed(calls))
+    assert calls == [[p.coords.tobytes(), q.coords.tobytes()]]
+    assert out == [p.coords.sum(), q.coords.sum(), p.coords.sum()]
+    assert set(memo) == {("s", r.coords.tobytes(), 1e-3) for r in (p, q)}
+    # hits compute nothing; a new point is the only miss of its batch
+    r = p.shifted(1, 0.25)
+    _memo_batch(memo, chart4, "s", 1e-3, [q, r, p], _summed(calls))
+    assert calls[1:] == [[r.coords.tobytes()]]
+    # kind and step are part of the key
+    _memo_batch(memo, chart4, "s", 2e-3, [p], _summed(calls))
+    _memo_batch(memo, chart4, "t", 1e-3, [p], _summed(calls))
+    assert len(calls) == 4
+    # a hit at a point of another chart raises, before any compute
+    other = make_chart(4, domain=[[-2.0, 2.0]] * 4)
+    with pytest.raises(ValidationError, match="different charts"):
+        _memo_batch(memo, chart4, "s", 1e-3, [Point(other, p.coords)], _summed(calls))
+    with pytest.raises(ValidationError, match="different charts"):
+        _memo_batch(memo, chart4, "s", 1e-3, [p.shifted(2, 0.25), Point(other, p.coords)], _summed(calls))
+    assert len(calls) == 4
+
+
+def test_memo_batch_stores_nothing_when_compute_raises(chart4):
+    p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
+    memo = {}
+    _memo_batch(memo, chart4, "s", None, [p], _summed([]))
+    stored = dict(memo)
+
+    def failing(pts):
+        raise EvaluationError("the batch fails")
+
+    with pytest.raises(EvaluationError, match="the batch fails"):
+        _memo_batch(memo, chart4, "s", None, [p, p.shifted(0, 0.25), p.shifted(1, 0.25)], failing)
+    # a compute that returns a value short stores nothing either
+    with pytest.raises(ValueError):
+        _memo_batch(memo, chart4, "s", None, [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: [1.0])
+    assert memo == stored
+
+
+def test_memo_batch_replays_a_failing_batch_point_by_point(chart4):
+    p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
+    first, later = p.shifted(1, 0.25), p.shifted(2, 0.25)
+    memo, tried = {}, []
+
+    def failing(pts):
+        raise EvaluationError("the batch fails")
+
+    def one(q):  # fails alone at first and later, stores nothing
+        tried.append(q.coords.tobytes())
+        if q is first or q is later:
+            raise EvaluationError(f"fails alone at {q}")
+
+    with pytest.raises(EvaluationError) as got:
+        _memo_batch(memo, chart4, "s", None, [p, later, first], failing, one=one)
+    assert str(got.value) == f"fails alone at {later}"
+    assert tried == [p.coords.tobytes(), later.coords.tobytes()]
+    # no point fails alone: the batch's own error
+    with pytest.raises(EvaluationError, match="the batch fails"):
+        _memo_batch(memo, chart4, "s", None, [p, p.shifted(3, 0.25)], failing, one=one)
+    # a batch of one raises its own error and is not replayed
+    tried.clear()
+    with pytest.raises(EvaluationError, match="the batch fails"):
+        _memo_batch(memo, chart4, "s", None, [first], failing, one=one)
+    assert tried == [] and memo == {}
 
 
 def test_central_difference_is_the_per_direction_formula(chart4, cfg):

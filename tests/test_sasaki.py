@@ -530,6 +530,26 @@ def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, st
     assert not bundle.metric._memo
 
 
+def test_frame_batch_raises_a_failing_frame_before_a_later_point_off_the_box(chart4, std_triple, cfg):
+    # the stacked domain test finds the later point first; the batch still
+    # raises what the earlier point raises alone
+    g = _spotted(chart4)
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    first = bundle.point(FAILING_BASES["degenerate stencil point"], U)
+    off = bundle.point([0.1, -0.2, 0.3, 0.05], [3.0] + U[1:])
+    alone = build_tangent_bundle(MetricField(g.field), std_triple, cfg=cfg)
+    with pytest.raises(DegenerateMetricError) as expected:
+        alone.frames([first])
+    with pytest.raises(OutOfDomainError):
+        alone.frames([off])
+    for batch in (bundle.frames, bundle.metric.matrices):
+        with pytest.raises(DegenerateMetricError) as got:
+            batch([first, off])
+        assert str(got.value) == str(expected.value)
+    assert not [key for key in g._memo if key[0] != "g"]
+    assert not bundle.metric._memo
+
+
 def test_lifted_metric_batch_raises_in_per_point_order(chart4, std_triple, cfg):
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
