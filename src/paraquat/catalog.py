@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
-from .exprlang import compile_exprs, parse_expr
+from .exprlang import compile_exprs, compile_with_jets, parse_expr
 from .fields import ManifoldSpec, Point, TensorField, constant_field
 from .structures import ProductStructureField
 
@@ -190,16 +190,9 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 }
 
 
-def expression_array(
-    entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a nested list of expression strings into one function of the
-    chart's coordinate vector returning their values as an array of ``shape``.
-
-    The nesting is checked against ``shape`` and every entry is parsed and
-    bound here, in order, so a malformed array fails with ParseError at
-    scenario-build time rather than mid-run.
-    """
+def _parsed(entries, shape: tuple[int, ...], what: str):
+    """The expression trees of a nested list of strings, in order; the
+    nesting is checked against ``shape`` as the trees are taken."""
 
     def leaves(node, dims: tuple[int, ...]):
         if not dims:
@@ -210,7 +203,20 @@ def expression_array(
         for item in node:
             yield from leaves(item, dims[1:])
 
-    values = compile_exprs(leaves(entries, shape), chart.coords)
+    return leaves(entries, shape)
+
+
+def expression_array(
+    entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a nested list of expression strings into one function of the
+    chart's coordinate vector returning their values as an array of ``shape``.
+
+    The nesting is checked against ``shape`` and every entry is parsed and
+    bound here, in order, so a malformed array fails with ParseError at
+    scenario-build time rather than mid-run.
+    """
+    values = compile_exprs(_parsed(entries, shape, what), chart.coords)
     return lambda c: np.array(values(c)).reshape(shape)
 
 
@@ -219,13 +225,32 @@ def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> 
     return TensorField(chart, r, s, lambda p: values(p.coords), label)
 
 
+def _expression_metric(rows, chart: ManifoldSpec) -> MetricField:
+    """An expression metric whose field carries exact jets: g from the
+    compiled trees, and dg, d2g from their jets (``compile_with_jets``).  A
+    '^' or pow with a coordinate in its exponent leaves the field without
+    jets, so its derivatives stay finite differences."""
+    shape, n = (chart.dim, chart.dim), chart.dim
+    values, jets = compile_with_jets(_parsed(rows, shape, "expression metric"), chart.coords)
+
+    def field_jets(points):
+        V, D, H = jets(np.array([q.coords for q in points]))
+        N = len(points)
+        return V.reshape(N, *shape), D.reshape(N, n, *shape), H.reshape(N, n, n, *shape)
+
+    return MetricField(TensorField(
+        chart, 0, 2, lambda p: np.array(values(p.coords)).reshape(shape), "expression metric",
+        jets=None if jets is None else field_jets,
+    ))
+
+
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:
     if isinstance(spec, str):
         if spec not in METRICS:
             raise ParseError(f"unknown metric {spec!r}; catalog has {sorted(METRICS)}")
         return METRICS[spec](chart)
     if isinstance(spec, dict) and "matrix" in spec:
-        return MetricField(_expression_field(spec["matrix"], chart, 0, 2, "expression metric"))
+        return _expression_metric(spec["matrix"], chart)
     raise ParseError("metric must be a catalog name or {'matrix': [[expr, ...], ...]}")
 
 

@@ -1,4 +1,10 @@
-"""Levi-Civita connection and curvature by finite differences.
+"""Levi-Civita connection and curvature, from exact jets or finite
+differences.
+
+A metric whose field carries jets (an expression metric) gives dg and d2g
+exactly, and Gamma and R are closed forms in g, dg and d2g; any other metric
+has them by central differences of g and of Gamma.  Either way g itself is
+the field's checked value.
 
 Index conventions used throughout the package:
 
@@ -30,6 +36,7 @@ from .fields import (
     Point,
     TensorField,
     _memo_batch,
+    _require_stencils,
     central_difference,
     eval_batch,
     eval_field,
@@ -47,7 +54,8 @@ class MetricField:
     1e-9 times the product of its row norms (Hadamard's bound on |det|), a
     test that does not change when the metric is scaled.
 
-    The instance memoises g (per point) and, through ``christoffel``,
+    The instance memoises g, and the jets dg and d2g of a field that has
+    them (per point), and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
     the partial and covariant derivatives of (1,1) fields, their Nijenhuis
     tensors and the Kähler 1-form fits (per point and FD step, the last four
@@ -121,28 +129,50 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndar
     """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
     read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
 
-    Metric partials are central differences; the metric's nondegeneracy is
-    checked at the center and at every stencil point.
+    The metric partials come from the field's exact jets where it has them.
+    Otherwise they are central differences, and the metric's nondegeneracy
+    is checked at every stencil point too.  Either way the stencil of
+    cfg.step around p must lie in the chart.
     """
     return _christoffels(g, [p], cfg)[0]
 
 
+def _first_kind(D: np.ndarray) -> np.ndarray:
+    """T[..., l, i, j] = D[..., i, l, j] + D[..., j, l, i] - D[..., l, i, j]
+    for D[..., i, l, j] = d_i g_{lj}: twice the Christoffel symbols of the
+    first kind, or their derivatives for a D with a leading derivative axis."""
+    return np.einsum("...ilj->...lij", D) + np.einsum("...jli->...lij", D) - D
+
+
+def _jets(g: MetricField, pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """(dg, d2g) at the points, stacked, from the field's jets:
+    ``dg[c, i, l, j] = d_i g_{lj}`` and ``d2g[c, m, i, l, j] = d_m d_i g_{lj}``,
+    memoised per point under "jet"."""
+
+    def compute(qs: list[Point]) -> list:
+        _, D, H = g.field.jets(qs)
+        D.flags.writeable = H.flags.writeable = False
+        return list(zip(D, H))
+
+    D, H = zip(*_memo_batch(g._memo, g.chart, "jet", None, pts, compute))
+    return np.array(D), np.array(H)
+
+
 def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
     """``christoffel`` at each centre, as the memo's read-only arrays.  The
-    distinct misses are assembled together: g at the centres, then g on all
-    their stencils in one ``central_difference``, one ``inv`` and one
-    ``einsum`` over the stack.  A batch that raises stores nothing, and its
-    first failing centre raises what it raises alone."""
+    distinct misses are assembled together: g at the centres, then dg from
+    the jets or on all their stencils in one ``central_difference``, one
+    ``inv`` and one ``einsum`` over the stack.  A batch that raises stores
+    nothing, and its first failing centre raises what it raises alone."""
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
-        partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
-        term = (
-            np.einsum("cilj->clij", partials)
-            + np.einsum("cjli->clij", partials)
-            - partials
-        )
-        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, term)
+        if g.field.jets is not None:
+            _require_stencils(pts, cfg.step)
+            partials = _jets(g, pts)[0]
+        else:
+            partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
+        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(partials))
         gam.flags.writeable = False
         return gam
 
@@ -211,23 +241,59 @@ def covariant_derivative_02(
 
 def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
-    ``riem[l, k, i, j]`` (convention in the module docstring).  Gamma at the
-    2n stencil neighbours of p, and g on their stencils, come in one batch."""
+    ``riem[l, k, i, j]`` (convention in the module docstring).  Without jets,
+    Gamma at the 2n stencil neighbours of p, and g on their stencils, come in
+    one batch; with them, the stencils nested two deep around p must still
+    lie in the chart."""
+    return _riemanns(g, [p], cfg)[0]
 
-    def compute():
-        gam = christoffel(g, p, cfg)
-        # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-        dgam = central_difference(lambda qs: _christoffels(g, qs, cfg), p, cfg)
-        riem = (
-            np.einsum("iljk->lkij", dgam)
-            - np.einsum("jlik->lkij", dgam)
-            + np.einsum("lim,mjk->lkij", gam, gam)
-            - np.einsum("ljm,mik->lkij", gam, gam)
+
+def _riemanns(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """``riemann`` at each centre, as the memo's read-only arrays.  With
+    jets the distinct misses are one stack:
+
+        d_m Gamma^k_{ij} = -g^{kp} d_m g_{pq} Gamma^q_{ij} + (1/2) g^{kl} d_m T_{lij}
+
+    with T as in ``_first_kind``; without, each miss is central differences
+    of its neighbours' Gamma.  A batch that raises stores nothing, and its
+    first failing centre raises what it raises alone."""
+
+    def compute(pts: list[Point]) -> list[np.ndarray]:
+        if g.field.jets is None:
+            riems = []
+            for p in pts:
+                gam = christoffel(g, p, cfg)
+                # dgam[i, l, j, k] = d_i Gamma^l_{jk}
+                dgam = central_difference(lambda qs: _christoffels(g, qs, cfg), p, cfg)
+                riems.append(_curvature(gam, dgam))
+            return riems
+        gam = np.array(_christoffels(g, pts, cfg))
+        _require_stencils(pts, cfg.step, depth=2)
+        ginv = np.linalg.inv(g.matrices(pts))
+        D, H = _jets(g, pts)
+        dgam = (
+            -np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)
+            + 0.5 * np.einsum("ckl,cmlij->cmkij", ginv, _first_kind(H))
         )
-        riem.flags.writeable = False
-        return riem
+        return list(_curvature(gam, dgam))
 
-    return g._memoised("riem", p, cfg.step, compute)
+    return _memo_batch(
+        g._memo, g.chart, "riem", cfg.step, centres, compute,
+        one=lambda q: riemann(MetricField(g.field), q, cfg),
+    )
+
+
+def _curvature(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
+    """R^l_{kij}, read-only, from Gamma and dgam[..., i, l, j, k] =
+    d_i Gamma^l_{jk}, for one point or a stack."""
+    riem = (
+        np.einsum("...iljk->...lkij", dgam)
+        - np.einsum("...jlik->...lkij", dgam)
+        + np.einsum("...lim,...mjk->...lkij", gam, gam)
+        - np.einsum("...ljm,...mik->...lkij", gam, gam)
+    )
+    riem.flags.writeable = False
+    return riem
 
 
 def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:
@@ -260,12 +326,11 @@ def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
 
 
 def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3, cfg: FdConfig = FdConfig()) -> FlatnessVerdict:
-    """Flat iff max |R| over the sample stays below tol."""
+    """Flat iff max |R| over the sample stays below tol; R at the whole
+    sample comes in one batch."""
     if not pts:
         raise ValidationError("is_flat needs at least one point")
-    worst = 0.0
-    for p in pts:
-        worst = max(worst, float(np.abs(riemann(g, p, cfg)).max()))
+    worst = max(float(np.abs(R).max()) for R in _riemanns(g, pts, cfg))
     return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 
 

@@ -276,6 +276,8 @@ class _Emitter:
     nodes ``_n[N]`` that error messages quote live in the namespace; the
     source holds only generated names, integer indices, operator characters
     and FUNCTIONS names, never text from the expressions themselves.
+    ``steps`` lists the temporaries in order as (name, key, node): the DAG
+    that :func:`compile_with_jets` walks.
     """
 
     def __init__(self, index: dict[str, int]):
@@ -291,16 +293,19 @@ class _Emitter:
         self.nodes: list[Expr] = []
         self.operands: dict[tuple, str] = {}
         self.nonzero: set[str] = set()  # divisors already tested for zero
+        self.steps: list[tuple[str, tuple, Expr]] = []
 
-    def _temp(self, key: tuple, value: str) -> str:
+    def _temp(self, key: tuple, value: str, node: Expr) -> str:
         name = f"t{len(self.operands)}"
         self.lines.append(f"{name} = {value}")
         self.operands[key] = name
+        self.steps.append((name, key, node))
         return name
 
     def _checked(self, key: tuple, value: str, node: Expr) -> str:
         """A temporary computed under the checks of a Call, '/' or '^'."""
         name = f"t{len(self.operands)}"
+        self.steps.append((name, key, node))
         n = f"_n[{len(self.nodes)}]"
         self.nodes.append(node)
         self.lines += [
@@ -325,11 +330,11 @@ class _Emitter:
             return self.operands[key]
         if isinstance(e, Sym):
             key = ("sym", self.index[e.name])
-            return self.operands.get(key) or self._temp(key, f"float(_c[{key[1]}])")
+            return self.operands.get(key) or self._temp(key, f"float(_c[{key[1]}])", e)
         if isinstance(e, Neg):
             arg = self.operand(e.arg)
             key = ("neg", arg)
-            return self.operands.get(key) or self._temp(key, f"-{arg}")
+            return self.operands.get(key) or self._temp(key, f"-{arg}", e)
         if isinstance(e, Call):
             args = tuple(self.operand(a) for a in e.args)
             key = (e.fn,) + args
@@ -353,34 +358,184 @@ class _Emitter:
         if key in self.operands:
             return self.operands[key]
         if e.op in "+-*":
-            return self._temp(key, f"{left} {e.op} {right}")
+            return self._temp(key, f"{left} {e.op} {right}", e)
         return self._checked(key, f"{left} {'/' if e.op == '/' else '**'} {right}", e)
 
 
-def compile_exprs(trees: Iterable[Expr], names: Sequence[str]) -> Callable[[np.ndarray], list[float]]:
-    """Compile trees into one function of a float coordinate array ordered
-    like ``names``, returning the list of their values.
+def _emit(trees: Iterable[Expr], names: Sequence[str]) -> tuple[_Emitter, list[str]]:
+    """The emitter that has walked the trees, and the operand of each tree.
 
     The trees are taken in order and each one's free names are checked as it
     is taken, so an unknown name raises UnknownSymbolError here, before
-    anything a later tree (or the iterable producing it) raises.  The result
-    is one straight-line function, built once with ``compile``: operands are
-    evaluated left before right, except that '/' evaluates and tests its
-    divisor first, and every Call, '/' and '^' raises EvaluationError on a
-    zero divisor, a caught arithmetic error or a complex or non-finite value.
-    """
+    anything a later tree (or the iterable producing it) raises."""
     index = {name: k for k, name in enumerate(names)}
     taken: list[Expr] = []
     for e in trees:
         _check_symbols(e, index, names)
         taken.append(e)
     em = _Emitter(index)
-    results = [em.operand(e) for e in taken]
+    return em, [em.operand(e) for e in taken]
+
+
+def compile_exprs(trees: Iterable[Expr], names: Sequence[str]) -> Callable[[np.ndarray], list[float]]:
+    """Compile trees into one function of a float coordinate array ordered
+    like ``names``, returning the list of their values.
+
+    Free names are checked as in :func:`_emit`.  The result is one
+    straight-line function, built once with ``compile``: operands are
+    evaluated left before right, except that '/' evaluates and tests its
+    divisor first, and every Call, '/' and '^' raises EvaluationError on a
+    zero divisor, a caught arithmetic error or a complex or non-finite value.
+    """
+    return _compiled(*_emit(trees, names))
+
+
+def _compiled(em: _Emitter, results: list[str]) -> Callable[[np.ndarray], list[float]]:
     em.namespace["_n"] = tuple(em.nodes)
     body = ["_c = _x.tolist()"] + em.lines + [f"return [{', '.join(results)}]"]
     source = "def _compiled(_x):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<paraquat expression>", "exec"), em.namespace)
     return em.namespace["_compiled"]
+
+
+# Forward-mode jets.  A jet of a node over a stack of N points is (v, d, H):
+# the value, shape (N, 1, 1) (a float for a constant node); the gradient as
+# columns, shape (N, n, 1) or (1, n, 1); and the Hessian, shape (N, n, n) or
+# (1, n, n).  d or H is None where it vanishes identically, so constants and
+# linear nodes cost no Hessian arithmetic.
+
+# f, f' and f'' of each function of one argument; the derivatives take the
+# argument a and the value v = f(a)
+_NUMPY = {
+    "sin": (np.sin, lambda a, v: np.cos(a), lambda a, v: -v),
+    "cos": (np.cos, lambda a, v: -np.sin(a), lambda a, v: -v),
+    "exp": (np.exp, lambda a, v: v, lambda a, v: v),
+    "sinh": (np.sinh, lambda a, v: np.cosh(a), lambda a, v: v),
+    "cosh": (np.cosh, lambda a, v: np.sinh(a), lambda a, v: v),
+}
+
+
+def _add(a, b):
+    return b if a is None else a if b is None else a + b
+
+
+def _sub(a, b):
+    return a if b is None else -b if a is None else a - b
+
+
+def _scaled(c, t):
+    return None if t is None else c * t
+
+
+def _outer(a, b):
+    """a b^T for gradient columns a, b; None when either vanishes."""
+    return None if a is None or b is None else a * b.swapaxes(-1, -2)
+
+
+def _sym_outer(a, b):
+    """a b^T + b a^T for gradient columns a, b."""
+    ab = _outer(a, b)
+    return None if ab is None else ab + ab.swapaxes(-1, -2)
+
+
+def _chain(v, d, H, f1, f2):
+    """The jet of f(a) from a's gradient d and Hessian H, with v = f(a),
+    f1 = f'(a) and f2 = f''(a): d' = f1 d, H' = f1 H + f2 d d^T."""
+    return v, _scaled(f1, d), _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
+
+
+def _power(a, c: float):
+    """The jet of a^c for a constant exponent c."""
+    v, d, H = a
+    p = v ** c
+    if d is None or c == 0.0:
+        return p, None, None
+    f2 = c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0
+    return _chain(p, d, H, c * v ** (c - 1.0), f2)
+
+
+def _jet(key: tuple, jet: dict, X: np.ndarray, unit: np.ndarray):
+    """The jet of the temporary under ``key``, from its operands' jets."""
+    op = key[0]
+    if op == "sym":
+        return X[:, key[1], None, None], unit[key[1]], None
+    if op == "neg":
+        v, d, H = jet[key[1]]
+        return -v, _scaled(-1.0, d), _scaled(-1.0, H)
+    if op in _NUMPY:
+        (f, f1, f2), (v, d, H) = _NUMPY[op], jet[key[1]]
+        fv = f(v)
+        return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv))
+    (va, da, Ha), (vb, db, Hb) = jet[key[1]], jet[key[2]]
+    if op in ("^", "pow"):
+        return _power((va, da, Ha), vb)
+    if op == "+":
+        return va + vb, _add(da, db), _add(Ha, Hb)
+    if op == "-":
+        return va - vb, _sub(da, db), _sub(Ha, Hb)
+    if op == "*":
+        H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db))
+        return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H
+    # q = a/b: from q b = a, q' = (a' - q b')/b and q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b
+    q = va / vb
+    dq = _scaled(1.0 / vb, _sub(da, _scaled(q, db)))
+    return q, dq, _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db)))
+
+
+def compile_with_jets(
+    trees: Iterable[Expr], names: Sequence[str]
+) -> tuple[Callable[[np.ndarray], list[float]], Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None]:
+    """``compile_exprs(trees, names)``, and the exact first and second
+    derivatives of the trees by forward mode over the same distinct
+    subtrees; the jets are None when a '^' or pow has an exponent that
+    depends on a coordinate (no closed form is kept for it: callers fall back
+    to finite differences).
+
+    The jets map an (N, n) array of points, coordinates ordered like
+    ``names``, to (V, D, H) with V[c, t] the value of tree t at point c,
+    D[c, i, t] its i-th partial and H[c, i, j, t] its (i, j) second partial.
+    Each distinct subtree is evaluated once, with numpy over the whole
+    stack; nothing is compiled.  The values are numpy's, so they may differ
+    from the compiled ones in the last bit; evaluate the trees with those
+    first, since a jet assumes their values are finite.  A derivative that
+    is not finite where the value is, such as that of ``(x1^2)^0.5`` at
+    x1 = 0, raises EvaluationError naming the first node where it fails, and
+    numpy warns of nothing.
+    """
+    em, results = _emit(trees, names)
+    values = _compiled(em, results)
+    varying: set[str] = set()
+    for name, key, _ in em.steps:
+        if key[0] == "sym" or varying.intersection(key[1:]):
+            varying.add(name)
+        if key[0] in ("^", "pow") and key[2] in varying:
+            return values, None
+    constants = {name: (em.namespace[name], None, None) for key, name in em.operands.items() if key[0] == "num"}
+    n = len(names)
+    unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point
+
+    def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        N = len(X)
+        jet = dict(constants)
+        V, D, H = np.empty((N, len(results))), np.zeros((N, n, len(results))), np.zeros((N, n, n, len(results)))
+        with np.errstate(all="ignore"):
+            for name, key, _ in em.steps:
+                jet[name] = _jet(key, jet, X, unit)
+        for t, name in enumerate(results):
+            v, d, h = jet[name]
+            V[:, t] = np.reshape(v, -1)
+            if d is not None:
+                D[:, :, t] = d[:, :, 0]
+            if h is not None:
+                H[:, :, :, t] = h
+        if not (np.isfinite(D).all() and np.isfinite(H).all()):
+            for name, _, node in em.steps:
+                if not all(t is None or np.isfinite(t).all() for t in jet[name]):
+                    raise EvaluationError(f"non-finite derivative from {print_expr(node)!r}")
+        return V, D, H
+
+    return values, jets
 
 
 def bind_expr(e: Expr, names: Sequence[str]) -> Callable[[np.ndarray], float]:

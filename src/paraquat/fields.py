@@ -1,9 +1,13 @@
 """Charts, points, tensor fields and finite differences.
 
 A chart is a single coordinate box on R^n.  Tensor fields are callables
-returning component arrays at a point; all derivatives in the package are
-second-order central differences with a fixed step, so every numerical
-statement downstream is explicit about its stencil.
+returning component arrays at a point.  Derivatives are second-order central
+differences with a fixed step, except the first and second derivatives of a
+metric whose field carries exact jets (an expression metric; see
+``TensorField.jets``), from which the connection takes Gamma and R in closed
+form.  Either way a derivative at a point requires the stencil of the step
+around it to lie in the chart, so every numerical statement downstream is
+explicit about its stencil.
 """
 
 from __future__ import annotations
@@ -133,7 +137,11 @@ class TensorField:
     (contravariant slots first).  Evaluation is deterministic: same point,
     same array.  ``batch``, when given, returns the components at a list of
     points in one call, each equal to ``components`` there; ``fd_gradient``
-    hands it whole stencils.
+    hands it whole stencils.  ``jets``, when given, returns exact
+    derivatives at a list of points in one call, as three stacked arrays:
+    the components (to roundoff), their first partials ``[c, i, ...]`` and
+    their second partials ``[c, i, j, ...]``.  The connection reads a
+    metric's derivatives from it instead of from central differences.
     """
 
     chart: ManifoldSpec
@@ -142,6 +150,9 @@ class TensorField:
     components: Callable[[Point], np.ndarray]
     label: str = ""
     batch: Callable[[Sequence[Point]], Sequence[np.ndarray]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    jets: Callable[[Sequence[Point]], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -301,11 +312,26 @@ def central_difference(
         if not c.chart.contains(c.coords, margin=h):
             if k:
                 f(_stencil(centres[:k], h))
-            raise StencilOutOfDomainError(f"stencil of step {h} around {c} leaves the domain")
+            raise _stencil_error(c, h)
     F = np.asarray(f(_stencil(centres, h)))
     F = F.reshape(len(centres), n, 2, *F.shape[1:])
     out = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)
     return out[0] if isinstance(p, Point) else out
+
+
+def _require_stencils(centres: Sequence[Point], h: float, depth: int = 1) -> None:
+    """Raise what ``central_difference`` raises for the first centre whose
+    stencil of step h leaves its chart; with depth 2, for the first centre
+    or stencil point of a stencil nested two deep.  The rule for derivatives
+    that take no stencil, such as exact jets."""
+    for c in centres:
+        for q in [c] + (_stencil([c], h) if depth > 1 else []):
+            if not q.chart.contains(q.coords, margin=h):
+                raise _stencil_error(q, h)
+
+
+def _stencil_error(c: Point, h: float) -> StencilOutOfDomainError:
+    return StencilOutOfDomainError(f"stencil of step {h} around {c} leaves the domain")
 
 
 def _stencil(centres: list[Point], h: float) -> list[Point]:

@@ -22,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .algebra import TAU, CYCLIC, LocalBasisTriple
-from .connection import MetricField, _gradient, _nijenhuis_tensor, covariant_derivative_11
-from .errors import IllConditionedError, PreconditionFailedError, ValidationError
+from .connection import MetricField, _christoffels, _gradient, _nijenhuis_tensor, covariant_derivative_11
+from .errors import IllConditionedError, ParaquatError, PreconditionFailedError, ValidationError
 from .fields import FdConfig, Point, TensorField, eval_field
 
 TRACE_FLOOR = 1e-9
@@ -127,11 +127,16 @@ def classify_structure(
 
     LhPK-basis means this basis is already parallel (max |nabla J_a| < tol);
     PQK means the derivatives stay in the span (fit residual < tol) even though
-    the basis itself is not parallel.
+    the basis itself is not parallel.  Gamma at the whole sample comes in one
+    batch, which the fits then read.
     """
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
     herm = max(check_hermitian(g, T, p) for p in pts)
+    try:
+        _christoffels(g, pts, cfg)
+    except ParaquatError:
+        pass  # the batch stored nothing; the fits below raise in their own order
     nab = 0.0
     fit_res = 0.0
     for p in pts:

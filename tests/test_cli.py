@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -55,6 +56,27 @@ def test_genuine_failure_exits_one(tmp_path, capsys):
     f = tmp_path / "broken.json"
     f.write_text(json.dumps(doc))
     assert main(["run", str(f)]) == 1
+
+
+def test_a_metric_without_a_finite_derivative_exits_one_naming_the_node(tmp_path, capsys):
+    # g is finite, but (x1 - x1)^0.5 has no finite derivative at 0: the
+    # exact jets raise EvaluationError, and numpy prints no warning
+    entries = ["1 + (x1 - x1)^0.5", "1", "-1", "-1"]
+    doc = {
+        "name": "no-derivative",
+        "geometry": {"dim": 4, "metric": {"matrix": [[entries[r] if r == c else "0" for c in range(4)] for r in range(4)]}},
+        "checks": [{"check": "hermitian", "tol": 1e-10}, {"check": "flatness"}],
+    }
+    f = tmp_path / "no-derivative.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  flatness  (non-finite derivative from '(x1 - x1)^0.5')" in out
+    assert "PASS  hermitian" in out and not err
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["checks"][1]["data"] == {"error": "EvaluationError"}
 
 
 def test_unknown_scenario_exits_two(capsys):

@@ -5,6 +5,8 @@ Christoffel symbols and curvature have simple exact expressions, which pins
 every sign and index convention in one place.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -282,10 +284,16 @@ REFERENCE = {
 SWEEP_F = "0.1 + (0.45)*x1 + (-0.5)*x2 + (0.55)*x3 + (-0.4)*x4 + (0.03)*sin(0.7*x2)*cos(0.9*x4)"
 
 
+def _diagonal_rows(entries):
+    return [[entries[r] if r == c else "0" for c in range(4)] for r in range(4)]
+
+
+def _conformal_rows(f):
+    return _diagonal_rows([f"exp(2*({f}))"] * 2 + [f"-exp(2*({f}))"] * 2)
+
+
 def _expression_metric(chart):
-    diag = [f"exp(2*({SWEEP_F}))"] * 2 + [f"-exp(2*({SWEEP_F}))"] * 2
-    rows = [[diag[r] if r == c else "0" for c in range(4)] for r in range(4)]
-    return metric_from_config({"matrix": rows}, chart)
+    return metric_from_config({"matrix": _conformal_rows(SWEEP_F)}, chart)
 
 
 def _sasaki_metric(chart):
@@ -297,7 +305,6 @@ BIT_METRICS = {
     # name: (metric builder on the 4-dim chart, sample points)
     "neutral4": (METRICS["neutral4"], [MEMO_POINT, [-0.6, 0.4, 0.0, 0.7]]),
     "conformal-neutral4": (METRICS["conformal-neutral4"], [MEMO_POINT, [-0.6, 0.4, 0.0, 0.7]]),
-    "expression": (_expression_metric, [MEMO_POINT, [0.5, -0.3, 0.2, -0.8]]),
     "sasaki": (_sasaki_metric, [MEMO_POINT + [0.2, -0.1, 0.15, 0.3]]),
 }
 
@@ -313,6 +320,112 @@ def test_batched_christoffel_and_riemann_equal_the_one_point_formula_bit_for_bit
         R = riemann(g, p, cfg)
         assert R.tobytes() == reference_riemann(ref, p, cfg).tobytes()
         assert np.abs(R).max() > 0 or name == "neutral4"
+
+
+def _sweep_f_derivatives(x):
+    """SWEEP_F's gradient and Hessian at x, by hand."""
+    s2, c2 = np.sin(0.7 * x[1]), np.cos(0.7 * x[1])
+    s4, c4 = np.sin(0.9 * x[3]), np.cos(0.9 * x[3])
+    df = np.array([0.45, -0.5 + 0.03 * 0.7 * c2 * c4, 0.55, -0.4 - 0.03 * 0.9 * s2 * s4])
+    H = np.zeros((4, 4))
+    H[1, 1] = -0.03 * 0.49 * s2 * c4
+    H[3, 3] = -0.03 * 0.81 * s2 * c4
+    H[1, 3] = H[3, 1] = -0.03 * 0.63 * c2 * s4
+    return df, H
+
+
+def conformal_closed_form(df, H):
+    """Gamma and R of g = e^{2f} eta from f's gradient and Hessian:
+    Gamma^k_ij = delta^k_i f_j + delta^k_j f_i - eta_ij eta^{kl} f_l, and R
+    from d_m Gamma^k_ij, which is the same with f_j, f_i, f_l replaced by
+    the Hessian row f_jm, f_im, f_lm."""
+    eye, up = np.eye(4), ETA @ df  # up[k] = eta^{kl} f_l (eta is its own inverse)
+    gam = np.einsum("ki,j->kij", eye, df) + np.einsum("kj,i->kij", eye, df) - np.einsum("ij,k->kij", ETA, up)
+    dgam = (  # dgam[m, k, i, j] = d_m Gamma^k_ij
+        np.einsum("ki,jm->mkij", eye, H) + np.einsum("kj,im->mkij", eye, H)
+        - np.einsum("ij,km->mkij", ETA, ETA @ H)
+    )
+    riem = (
+        np.einsum("iljk->lkij", dgam) - np.einsum("jlik->lkij", dgam)
+        + np.einsum("lim,mjk->lkij", gam, gam) - np.einsum("ljm,mik->lkij", gam, gam)
+    )
+    return gam, riem
+
+
+def test_expression_metric_christoffel_and_riemann_are_the_conformal_closed_form(chart4, cfg):
+    # an expression metric takes Gamma and R from exact jets, so they match
+    # the closed form for e^{2f} eta to roundoff, not to O(h^2)
+    g = _expression_metric(chart4)
+    assert g.field.jets is not None
+    for c in [MEMO_POINT, [0.5, -0.3, 0.2, -0.8]]:
+        p = Point(chart4, c)
+        gam, riem = conformal_closed_form(*_sweep_f_derivatives(np.array(c)))
+        assert np.abs(christoffel(g, p, cfg) - gam).max() < 1e-12
+        assert np.abs(riemann(g, p, cfg) - riem).max() < 1e-12
+        assert np.abs(riem).max() > 0.1
+
+
+SPACE_FORM = "1/(1 + (x1^2 + x2^2 - x3^2 - x4^2)/4)^2"
+CONVERGENCE_METRICS = {
+    # the neutral space form eta/(1 + eta(x, x)/4)^2, through '/' and '^'
+    "space form": _diagonal_rows([SPACE_FORM] * 2 + [f"-{SPACE_FORM}"] * 2),
+    # three expr-sweep metrics (benchmark seed 600, scenarios 0, 1 and 3),
+    # each with a product sin(c x_i) cos(d x_j) of two coordinates
+    "sweep-600-00": _conformal_rows(
+        "0.1762 + (0.5265)*x1 + (-0.5914)*x2 + (-0.4781)*x3 + (0.4856)*x4 + (-0.0408)*sin(0.7781*x4)*cos(0.5052*x3)"
+    ),
+    "sweep-600-01": _conformal_rows(
+        "-0.1516 + (-0.4236)*x1 + (-0.4086)*x2 + (-0.4930)*x3 + (-0.4863)*x4 + (0.0362)*sin(0.9093*x3)*cos(0.6413*x1)"
+    ),
+    "sweep-600-03": _conformal_rows(
+        "0.0679 + (-0.5549)*x1 + (0.5563)*x2 + (-0.5309)*x3 + (-0.4126)*x4 + (0.0494)*sin(0.7818*x2)*cos(0.7703*x4)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERGENCE_METRICS))
+@pytest.mark.parametrize("what", ["christoffel", "riemann"])
+def test_finite_differences_converge_to_the_jets_at_second_order(chart4, name, what):
+    # central differences of g (for Gamma) and of Gamma (for R) are O(h^2)
+    # away from the exact values, so halving h divides their distance by 4
+    evaluate = EVALUATIONS[what]
+    g = metric_from_config({"matrix": CONVERGENCE_METRICS[name]}, chart4)
+    assert g.field.jets is not None
+    points = [Point(chart4, c) for c in (MEMO_POINT, [0.5, -0.3, 0.2, -0.8], [-0.7, 0.6, 0.4, -0.1])]
+    exact = [evaluate(g, p, FdConfig()) for p in points]
+    distance = []
+    for h in (1e-3, 5e-4):
+        fd = MetricField(dataclasses.replace(g.field, jets=None))
+        distance.append(max(np.abs(evaluate(fd, p, FdConfig(h)) - e).max() for p, e in zip(points, exact)))
+    assert 1.8 <= np.log2(distance[0] / distance[1]) <= 2.2
+
+
+def test_a_coordinate_in_an_exponent_keeps_finite_differences(cfg):
+    chart = make_chart(4, domain=[[0.5, 1.5], [-1, 1], [-1, 1], [-1, 1]])
+    g = metric_from_config({"matrix": _diagonal_rows(["x1^x2"] * 2 + ["-x1^x2"] * 2)}, chart)
+    assert g.field.jets is None
+    ref = MetricField(g.field)
+    p = Point(chart, [0.8, 0.3, -0.2, 0.1])
+    assert christoffel(g, p, cfg).tobytes() == reference_christoffel(ref, p, cfg).tobytes()
+    assert riemann(g, p, cfg).tobytes() == reference_riemann(ref, p, cfg).tobytes()
+
+
+def test_jets_keep_the_stencil_rule(chart4, cfg):
+    # exact jets read no stencil, yet Gamma needs its stencil, and R the
+    # stencils nested two deep, inside the chart, as with finite differences
+    g = _expression_metric(chart4)
+    fd = MetricField(dataclasses.replace(g.field, jets=None))
+    for what, x1 in [("christoffel", 1.0 - 0.5 * H), ("riemann", 1.0 - 1.5 * H)]:
+        p = Point(chart4, [x1, 0.0, 0.0, 0.0])
+        with pytest.raises(StencilOutOfDomainError) as expected:
+            EVALUATIONS[what](fd, p, cfg)
+        with pytest.raises(StencilOutOfDomainError) as got:
+            EVALUATIONS[what](g, p, cfg)
+        assert str(got.value) == str(expected.value)
+        assert not _stored(g, "riem")
+        assert _stored(g, "gamma") <= ({p.coords.tobytes()} if what == "riemann" else set())
+    inside = Point(chart4, [1.0 - 2.5 * H, 0.0, 0.0, 0.0])
+    assert np.abs(riemann(g, inside, cfg) - riemann(fd, inside, cfg)).max() < 1e-5
 
 
 def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):

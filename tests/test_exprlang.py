@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,84 @@ def test_coordinate_names_never_meet_generated_names():
     assert got[1] == -1.25 and got[2] == -3.0
     with pytest.raises(UnknownSymbolError, match="'t1'"):
         compile_exprs([parse_expr("t0 + t1")], names)
+
+
+# --- exact jets ---------------------------------------------------------------
+
+JET_EXPRS = [
+    "x1*x2", "x1/x2", "x1^3", "x2^(1/2)", "x1^-1*x2", "-x1^2*x2", "(x1 - x2)^0 + x1^1*x2",
+    "sin(x1*x2)", "cos(x1 + 2*x2)", "exp(x1 - x2)", "sinh(x1*x1)", "cosh(x2/x1)",
+    "pow(x1 + x2, 2.5)", "pow(2, 0.5)*x2 + 2^3", "exp(2*(0.1 + 0.4*x1 - 0.3*x2 + 0.05*sin(0.7*x1)*cos(0.9*x2)))",
+    "1/(1 + (x1^2 - x2^2)/4)^2",
+]
+
+
+def test_jets_are_the_derivatives_of_the_compiled_values():
+    # central differences of the compiled values: O(h^2) from the jets, with
+    # h = 1e-5 for the gradient and 1e-4 for the Hessian
+    trees = [parse_expr(s) for s in JET_EXPRS]
+    values, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    X = np.array([[0.3, 0.7], [-0.45, 1.2]])
+    V, D, H = jets(X)
+    assert V.shape == (2, len(trees)) and D.shape == (2, 2, len(trees)) and H.shape == (2, 2, 2, len(trees))
+    f = lambda x: np.array(values(np.asarray(x, dtype=float)))
+    e = np.eye(2)
+    for c, x in enumerate(X):
+        assert np.allclose(V[c], f(x), rtol=1e-15, atol=0)
+        for i in range(2):
+            h = 1e-5
+            assert np.allclose(D[c, i], (f(x + h * e[i]) - f(x - h * e[i])) / (2 * h), rtol=1e-8, atol=1e-8)
+            for j in range(2):
+                h = 1e-4
+                second = (
+                    f(x + h * (e[i] + e[j])) - f(x + h * (e[i] - e[j]))
+                    - f(x - h * (e[i] - e[j])) + f(x - h * (e[i] + e[j]))
+                ) / (4 * h * h)
+                assert np.allclose(H[c, i, j], second, rtol=1e-5, atol=1e-6)
+
+
+def test_jets_of_a_stack_are_the_jets_of_each_point():
+    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in JET_EXPRS], ["x1", "x2"])
+    X = np.array([[0.3, 0.7], [-0.45, 1.2], [0.9, 0.2]])
+    stacked = jets(X)
+    for c in range(len(X)):
+        for whole, alone in zip(stacked, jets(X[c:c + 1])):
+            assert whole[c].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("src,exact", [
+    ("x1^x2", False), ("pow(2, x1)", False), ("x1*(1 + x2^(x1 - x1))", False),
+    ("x1^(1/2)", True), ("x1^-1", True), ("pow(x1, 2^0.5)", True),
+])
+def test_a_coordinate_in_an_exponent_leaves_no_jets(src, exact):
+    values, jets = exprlang.compile_with_jets([parse_expr("x2"), parse_expr(src)], ["x1", "x2"])
+    assert (jets is not None) == exact
+    assert values(np.array([0.5, 2.0]))[0] == 2.0
+
+
+def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
+    calls = []
+    real, f1, f2 = exprlang._NUMPY["exp"]
+    monkeypatch.setitem(exprlang._NUMPY, "exp", (lambda a: calls.append(a) or real(a), f1, f2))
+    f = "exp(2*(0.1 + (0.5)*x1 - (0.4)*x2))"
+    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in (f, f"-{f}", f, "0")], ["x1", "x2"])
+    V, D, H = jets(np.array([[0.1, -0.2], [0.3, 0.4]]))
+    assert len(calls) == 1
+    assert (V[:, 1] == -V[:, 0]).all() and (D[..., 3] == 0).all() and (H[..., 3] == 0).all()
+    assert np.allclose(H[:, :, :, 0], V[:, 0, None, None] * np.outer([1.0, -0.8], [1.0, -0.8]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("src,x1,node", [
+    ("2 + (x1^2)^0.5", 0.0, "(x1^2.0)^0.5"),  # |x1| at its kink
+    ("1 + x2*pow(x1, 1.5)", 0.0, "pow(x1, 1.5)"),  # no second derivative at 0
+    ("2 + (x1 - x1)^0.5", 0.3, "(x1 - x1)^0.5"),
+])
+def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src, x1, node):
+    values, jets = exprlang.compile_with_jets([parse_expr(src)], ["x1", "x2"])
+    x = np.array([x1, 0.5])
+    assert math.isfinite(values(x)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError) as exc:
+            jets(x[None])
+    assert str(exc.value) == f"non-finite derivative from {node!r}"
