@@ -78,9 +78,11 @@ def _metric_euclidean4(chart: ManifoldSpec) -> MetricField:
 
 
 def _metric_conformal_neutral4(chart: ManifoldSpec) -> MetricField:
+    """exp(2 x1) eta, as an expression metric."""
     _require_dim(chart, 4, "conformal-neutral4")
-    comp = lambda p: np.exp(2.0 * p.coords[0]) * ETA4
-    return MetricField(TensorField(chart, 0, 2, comp, "conformal-neutral4"))
+    f = f"exp(2*{chart.coords[0]})"
+    rows = [[(f if r < 2 else f"-{f}") if r == c else "0" for c in range(4)] for r in range(4)]
+    return MetricField(_expression_field(rows, chart, 0, 2, "conformal-neutral4"))
 
 
 def _metric_neutral8(chart: ManifoldSpec) -> MetricField:
@@ -221,27 +223,22 @@ def expression_array(
 
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
-    values = expression_array(rows, (chart.dim, chart.dim), chart, label)
-    return TensorField(chart, r, s, lambda p: values(p.coords), label)
-
-
-def _expression_metric(rows, chart: ManifoldSpec) -> MetricField:
-    """An expression metric whose field carries exact jets: g from the
-    compiled trees, and dg, d2g from their jets (``compile_with_jets``).  A
-    '^' or pow with a coordinate in its exponent leaves the field without
-    jets, so its derivatives stay finite differences."""
+    """A (r, s) field of expression matrices whose field carries exact jets
+    to order 3: the components from the compiled trees, and their partials
+    from the trees' jets (``compile_with_jets``).  A '^' or pow with a
+    coordinate in its exponent leaves the field without jets, so its
+    derivatives stay finite differences."""
     shape, n = (chart.dim, chart.dim), chart.dim
-    values, jets = compile_with_jets(_parsed(rows, shape, "expression metric"), chart.coords)
+    values, jets = compile_with_jets(_parsed(rows, shape, label), chart.coords)
 
-    def field_jets(points):
-        V, D, H = jets(np.array([q.coords for q in points]))
-        N = len(points)
-        return V.reshape(N, *shape), D.reshape(N, n, *shape), H.reshape(N, n, n, *shape)
+    def field_jets(points, order):
+        arrays = jets(np.array([q.coords for q in points]), max(order, 2))[: order + 1]
+        return tuple(A.reshape(len(points), *(n,) * k, *shape) for k, A in enumerate(arrays))
 
-    return MetricField(TensorField(
-        chart, 0, 2, lambda p: np.array(values(p.coords)).reshape(shape), "expression metric",
+    return TensorField(
+        chart, r, s, lambda p: np.array(values(p.coords)).reshape(shape), label,
         jets=None if jets is None else field_jets,
-    ))
+    )
 
 
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:
@@ -250,7 +247,7 @@ def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:
             raise ParseError(f"unknown metric {spec!r}; catalog has {sorted(METRICS)}")
         return METRICS[spec](chart)
     if isinstance(spec, dict) and "matrix" in spec:
-        return _expression_metric(spec["matrix"], chart)
+        return MetricField(_expression_field(spec["matrix"], chart, 0, 2, "expression metric"))
     raise ParseError("metric must be a catalog name or {'matrix': [[expr, ...], ...]}")
 
 

@@ -1,10 +1,12 @@
 """Levi-Civita connection and curvature, from exact jets or finite
 differences.
 
-A metric whose field carries jets (an expression metric) gives dg and d2g
-exactly, and Gamma and R are closed forms in g, dg and d2g; any other metric
-has them by central differences of g and of Gamma.  Either way g itself is
-the field's checked value.
+A metric whose field carries jets (an expression or constant metric, or a
+Sasaki lift over one) gives dg and d2g exactly, and Gamma and R are closed
+forms in g, dg and d2g; any other metric has them by central differences of
+g and of Gamma.  Either way g itself is the field's checked value.  The
+partials of a (1,1) field, behind nabla T and N_F, come from its jets the
+same way.
 
 Index conventions used throughout the package:
 
@@ -35,6 +37,7 @@ from .fields import (
     ManifoldSpec,
     Point,
     TensorField,
+    _check_chart,
     _memo_batch,
     _require_stencils,
     central_difference,
@@ -150,7 +153,7 @@ def _jets(g: MetricField, pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
     memoised per point under "jet"."""
 
     def compute(qs: list[Point]) -> list:
-        _, D, H = g.field.jets(qs)
+        _, D, H = g.field.jets(qs, 2)
         D.flags.writeable = H.flags.writeable = False
         return list(zip(D, H))
 
@@ -206,12 +209,18 @@ def covariant_derivative_11(
 
 
 def _gradient(g: MetricField, T: TensorField, p: Point, cfg: FdConfig) -> np.ndarray:
-    """``fd_gradient(T, p, cfg)``, read-only and memoised on g per (field,
+    """dT[m, ...] = d_m T at p, read-only and memoised on g per (field,
     point, step), so that nabla T and the Nijenhuis tensor of T read one
-    derivative."""
+    derivative: T's order-1 jets where it has them, under the stencil rule
+    of ``christoffel``, else ``fd_gradient(T, p, cfg)``."""
 
     def compute():
-        dT = fd_gradient(T, p, cfg)
+        if T.jets is None:
+            dT = fd_gradient(T, p, cfg)
+        else:
+            _check_chart(T.chart, p)
+            _require_stencils([p], cfg.step)
+            dT = np.array(T.jets([p], 1)[1][0])
         dT.flags.writeable = False
         return dT
 
@@ -270,16 +279,20 @@ def _riemanns(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[n
         gam = np.array(_christoffels(g, pts, cfg))
         _require_stencils(pts, cfg.step, depth=2)
         ginv = np.linalg.inv(g.matrices(pts))
-        D, H = _jets(g, pts)
-        dgam = (
-            -np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)
-            + 0.5 * np.einsum("ckl,cmlij->cmkij", ginv, _first_kind(H))
-        )
-        return list(_curvature(gam, dgam))
+        return list(_curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts))))
 
     return _memo_batch(
         g._memo, g.chart, "riem", cfg.step, centres, compute,
         one=lambda q: riemann(MetricField(g.field), q, cfg),
+    )
+
+
+def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """dgam[c, m, k, i, j] = d_m Gamma^k_{ij} over a stack, from g^-1, Gamma,
+    dg and d2g (indexed as in ``_jets``)."""
+    return (
+        -np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)
+        + 0.5 * np.einsum("ckl,cmlij->cmkij", ginv, _first_kind(H))
     )
 
 

@@ -402,16 +402,17 @@ def _compiled(em: _Emitter, results: list[str]) -> Callable[[np.ndarray], list[f
 # the value, shape (N, 1, 1) (a float for a constant node); the gradient as
 # columns, shape (N, n, 1) or (1, n, 1); and the Hessian, shape (N, n, n) or
 # (1, n, n).  d or H is None where it vanishes identically, so constants and
-# linear nodes cost no Hessian arithmetic.
+# linear nodes cost no Hessian arithmetic.  Third partials, shape (N, n, n, n)
+# or (1, n, n, n), are kept beside the jets and follow the same rule.
 
-# f, f' and f'' of each function of one argument; the derivatives take the
-# argument a and the value v = f(a)
+# f, f', f'' and f''' of each function of one argument; the derivatives take
+# the argument a and the value v = f(a)
 _NUMPY = {
-    "sin": (np.sin, lambda a, v: np.cos(a), lambda a, v: -v),
-    "cos": (np.cos, lambda a, v: -np.sin(a), lambda a, v: -v),
-    "exp": (np.exp, lambda a, v: v, lambda a, v: v),
-    "sinh": (np.sinh, lambda a, v: np.cosh(a), lambda a, v: v),
-    "cosh": (np.cosh, lambda a, v: np.sinh(a), lambda a, v: v),
+    "sin": (np.sin, lambda a, v: np.cos(a), lambda a, v: -v, lambda a, v: -np.cos(a)),
+    "cos": (np.cos, lambda a, v: -np.sin(a), lambda a, v: -v, lambda a, v: np.sin(a)),
+    "exp": (np.exp, lambda a, v: v, lambda a, v: v, lambda a, v: v),
+    "sinh": (np.sinh, lambda a, v: np.cosh(a), lambda a, v: v, lambda a, v: np.cosh(a)),
+    "cosh": (np.cosh, lambda a, v: np.sinh(a), lambda a, v: v, lambda a, v: np.sinh(a)),
 }
 
 
@@ -463,7 +464,7 @@ def _jet(key: tuple, jet: dict, X: np.ndarray, unit: np.ndarray):
         v, d, H = jet[key[1]]
         return -v, _scaled(-1.0, d), _scaled(-1.0, H)
     if op in _NUMPY:
-        (f, f1, f2), (v, d, H) = _NUMPY[op], jet[key[1]]
+        (f, f1, f2, _), (v, d, H) = _NUMPY[op], jet[key[1]]
         fv = f(v)
         return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv))
     (va, da, Ha), (vb, db, Hb) = jet[key[1]], jet[key[2]]
@@ -482,25 +483,84 @@ def _jet(key: tuple, jet: dict, X: np.ndarray, unit: np.ndarray):
     return q, dq, _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db)))
 
 
+def _k(c):
+    """A jet value or derivative coefficient, shaped to scale third partials."""
+    return c[..., None] if isinstance(c, np.ndarray) else c
+
+
+def _sym3(H, d):
+    """H_ij d_k + H_ik d_j + H_jk d_i for a Hessian H and a gradient column d;
+    None when either vanishes."""
+    if H is None or d is None:
+        return None
+    t = H[..., None] * d[..., None, None, :, 0]
+    return t + t.swapaxes(-1, -2) + np.moveaxis(t, -1, -3)
+
+
+def _chain3(K, d, H, f1, f2, f3):
+    """The third partials of f(a) from a's gradient d, Hessian H and third
+    partials K, with f1, f2, f3 the first three derivatives of f at a:
+    f1 K + f2 sym3(H, d) + f3 d d d."""
+    e = d[..., 0]
+    cube = e[..., :, None, None] * e[..., None, :, None] * e[..., None, None, :]
+    return _add(_add(_scaled(_k(f1), K), _scaled(_k(f2), _sym3(H, d))), _k(f3) * cube)
+
+
+def _third(key: tuple, jet: dict, third: dict, own: tuple):
+    """The third partials of the temporary under ``key``, whose own jet is
+    ``own``: shape (N, n, n, n) or (1, n, n, n), or None where they vanish
+    identically.  These are the rules of ``_jet`` differentiated once more,
+    from the operands' jets and their third partials in ``third``."""
+    op = key[0]
+    if op == "sym":
+        return None
+    if op == "neg":
+        return _scaled(-1.0, third[key[1]])
+    if op in _NUMPY:
+        (_, f1, f2, f3), (v, d, H), fv = _NUMPY[op], jet[key[1]], own[0]
+        return None if d is None else _chain3(third[key[1]], d, H, f1(v, fv), f2(v, fv), f3(v, fv))
+    (va, da, Ha), (vb, db, Hb), Ka, Kb = jet[key[1]], jet[key[2]], third[key[1]], third[key[2]]
+    if op in ("^", "pow"):
+        c = vb
+        if da is None or c == 0.0:
+            return None
+        f2 = c * (c - 1.0) * va ** (c - 2.0) if c != 1.0 else 0.0
+        f3 = c * (c - 1.0) * (c - 2.0) * va ** (c - 3.0) if c not in (1.0, 2.0) else 0.0
+        return _chain3(Ka, da, Ha, c * va ** (c - 1.0), f2, f3)
+    if op == "+":
+        return _add(Ka, Kb)
+    if op == "-":
+        return _sub(Ka, Kb)
+    if op == "*":
+        return _add(_add(_scaled(_k(vb), Ka), _scaled(_k(va), Kb)), _add(_sym3(Ha, db), _sym3(Hb, da)))
+    # q = a/b: from q b = a, K_q = (K_a - q K_b - sym3(H_q, b') - sym3(H_b, q'))/b
+    q, dq, Hq = own
+    K = _sub(_sub(Ka, _scaled(_k(q), Kb)), _add(_sym3(Hq, db), _sym3(Hb, dq)))
+    return _scaled(_k(1.0 / vb), K)
+
+
 def compile_with_jets(
     trees: Iterable[Expr], names: Sequence[str]
-) -> tuple[Callable[[np.ndarray], list[float]], Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None]:
-    """``compile_exprs(trees, names)``, and the exact first and second
-    derivatives of the trees by forward mode over the same distinct
+) -> tuple[Callable[[np.ndarray], list[float]], Callable[..., tuple[np.ndarray, ...]] | None]:
+    """``compile_exprs(trees, names)``, and the exact partial derivatives of
+    the trees to order 2 or 3 by forward mode over the same distinct
     subtrees; the jets are None when a '^' or pow has an exponent that
     depends on a coordinate (no closed form is kept for it: callers fall back
     to finite differences).
 
     The jets map an (N, n) array of points, coordinates ordered like
-    ``names``, to (V, D, H) with V[c, t] the value of tree t at point c,
-    D[c, i, t] its i-th partial and H[c, i, j, t] its (i, j) second partial.
-    Each distinct subtree is evaluated once, with numpy over the whole
-    stack; nothing is compiled.  The values are numpy's, so they may differ
-    from the compiled ones in the last bit; evaluate the trees with those
-    first, since a jet assumes their values are finite.  A derivative that
-    is not finite where the value is, such as that of ``(x1^2)^0.5`` at
-    x1 = 0, raises EvaluationError naming the first node where it fails, and
-    numpy warns of nothing.
+    ``names``, and an ``order`` of 2 (the default) or 3, to (V, D, H) or
+    (V, D, H, K), with V[c, t] the value of tree t at point c, D[c, i, t]
+    its i-th partial, H[c, i, j, t] its (i, j) second partial and
+    K[c, i, j, k, t] its (i, j, k) third partial.  Order 3 runs the rules of
+    order 2 unchanged, so V, D and H are the same bit for bit at both.  Each
+    distinct subtree is evaluated once, with numpy over the whole stack;
+    nothing is compiled.  The values are numpy's, so they may differ from
+    the compiled ones in the last bit; evaluate the trees with those first,
+    since a jet assumes their values are finite.  A derivative that is not
+    finite where the value is, such as that of ``(x1^2)^0.5`` at x1 = 0,
+    raises EvaluationError naming the first node where it fails, and numpy
+    warns of nothing.
     """
     em, results = _emit(trees, names)
     values = _compiled(em, results)
@@ -514,26 +574,34 @@ def compile_with_jets(
     n = len(names)
     unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point
 
-    def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jets(X: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         X = np.asarray(X, dtype=float)
-        N = len(X)
+        N, T = len(X), len(results)
         jet = dict(constants)
-        V, D, H = np.empty((N, len(results))), np.zeros((N, n, len(results))), np.zeros((N, n, n, len(results)))
+        third = dict.fromkeys(constants) if order == 3 else None
         with np.errstate(all="ignore"):
             for name, key, _ in em.steps:
                 jet[name] = _jet(key, jet, X, unit)
+                if third is not None:
+                    third[name] = _third(key, jet, third, jet[name])
+        out = [np.empty((N, T)), np.zeros((N, n, T)), np.zeros((N, n, n, T))]
+        if third is not None:
+            out.append(np.zeros((N, n, n, n, T)))
         for t, name in enumerate(results):
             v, d, h = jet[name]
-            V[:, t] = np.reshape(v, -1)
+            out[0][:, t] = np.reshape(v, -1)
             if d is not None:
-                D[:, :, t] = d[:, :, 0]
+                out[1][:, :, t] = d[:, :, 0]
             if h is not None:
-                H[:, :, :, t] = h
-        if not (np.isfinite(D).all() and np.isfinite(H).all()):
+                out[2][..., t] = h
+            if third is not None and third[name] is not None:
+                out[3][..., t] = third[name]
+        if not all(np.isfinite(A).all() for A in out[1:]):
             for name, _, node in em.steps:
-                if not all(t is None or np.isfinite(t).all() for t in jet[name]):
+                parts = jet[name] + ((third[name],) if third is not None else ())
+                if not all(t is None or np.isfinite(t).all() for t in parts):
                     raise EvaluationError(f"non-finite derivative from {print_expr(node)!r}")
-        return V, D, H
+        return tuple(out)
 
     return values, jets
 

@@ -2,12 +2,12 @@
 
 A chart is a single coordinate box on R^n.  Tensor fields are callables
 returning component arrays at a point.  Derivatives are second-order central
-differences with a fixed step, except the first and second derivatives of a
-metric whose field carries exact jets (an expression metric; see
-``TensorField.jets``), from which the connection takes Gamma and R in closed
-form.  Either way a derivative at a point requires the stencil of the step
-around it to lie in the chart, so every numerical statement downstream is
-explicit about its stencil.
+differences with a fixed step, except those of a field that carries exact
+jets (an expression or constant field, or a Sasaki lift over a base that has
+them; see ``TensorField.jets``), from which the connection takes Gamma, R
+and the partials of a (1,1) field in closed form.  Either way a derivative
+at a point requires the stencil of the step around it to lie in the chart,
+so every numerical statement downstream is explicit about its stencil.
 """
 
 from __future__ import annotations
@@ -137,11 +137,15 @@ class TensorField:
     (contravariant slots first).  Evaluation is deterministic: same point,
     same array.  ``batch``, when given, returns the components at a list of
     points in one call, each equal to ``components`` there; ``fd_gradient``
-    hands it whole stencils.  ``jets``, when given, returns exact
-    derivatives at a list of points in one call, as three stacked arrays:
-    the components (to roundoff), their first partials ``[c, i, ...]`` and
-    their second partials ``[c, i, j, ...]``.  The connection reads a
-    metric's derivatives from it instead of from central differences.
+    hands it whole stencils.  ``jets``, when given, is called as
+    ``jets(points, order)`` and returns exact derivatives at a list of
+    points in one call, as order + 1 stacked arrays: the components (to
+    roundoff), their first partials ``[c, i, ...]``, their second partials
+    ``[c, i, j, ...]`` and so on.  The connection reads a metric's
+    derivatives from it (order 2) and a (1,1) field's (order 1) instead of
+    central differences; the base metric of a Sasaki lift is asked for order
+    3.  An expression field and a constant field have jets to order 3, a
+    lifted metric to order 2 and a lifted member to order 1.
     """
 
     chart: ManifoldSpec
@@ -152,7 +156,7 @@ class TensorField:
     batch: Callable[[Sequence[Point]], Sequence[np.ndarray]] | None = field(
         default=None, repr=False, compare=False
     )
-    jets: Callable[[Sequence[Point]], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
+    jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -389,7 +393,15 @@ def sample_points(
 
 def constant_field(chart: ManifoldSpec, r: int, s: int, value: np.ndarray, label: str = "") -> TensorField:
     """Field whose components are the same array everywhere: a read-only copy
-    of ``value``, so later changes to the caller's array do not reach it."""
+    of ``value``, so later changes to the caller's array do not reach it.
+    Its jets of every order are zero."""
     vals = np.array(value, dtype=float)
     vals.flags.writeable = False
-    return TensorField(chart, r, s, lambda p: vals, label=label)
+
+    def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        N, n = len(points), chart.dim
+        return (np.broadcast_to(vals, (N, *vals.shape)),) + tuple(
+            np.zeros((N,) + (n,) * k + vals.shape) for k in range(1, order + 1)
+        )
+
+    return TensorField(chart, r, s, lambda p: vals, label=label, jets=jets)

@@ -13,8 +13,13 @@ orthogonal; the lifted triple acts blockwise through the same frame:
     G = L^{-T} diag(g, g) L^{-1},      Jt_a = L diag(J_a, J_a) L^{-1}.
 
 Everything downstream of these two formulas — the connection cases, the
-derivative of the lifted triple, the brackets — is checked against finite
-differences of G and of the frame L rather than assumed.
+derivative of the lifted triple, the brackets — is checked against the
+derivatives of G, of Jt_a and of the frame L rather than assumed.  Over a
+base metric with jets these are exact: M and its first and second partials
+come from Gamma, dGamma and d2Gamma, that is from the base's jets to order
+3, so G has jets to order 2, L and each Jt_a whose base member has jets to
+order 1, and the connection takes the lifted Gamma and R from them.  Over
+any other base they are central differences.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ import numpy as np
 from .algebra import LocalBasisTriple, check_triple_algebra, doubled
 from .connection import (
     MetricField,
+    _christoffel_partials,
     _christoffels,
+    _first_kind,
+    _jets,
     christoffel,
     curvature_operator,
     riemann,
@@ -114,6 +122,39 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     return list(zip(L, Linv, xs))
 
 
+def _christoffel_jets(g: MetricField, xs: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """[Gamma, dGamma, d2Gamma] at the base points, stacked, with
+    dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
+    d_p d_m Gamma^k_{ij}: Gamma from the metric's memo, and its partials
+    from one order-3 jet batch over the distinct points, by differentiating
+    g Gamma = T/2 (T as in ``connection._first_kind``) once and twice."""
+
+    def compute(qs: list[Point]) -> list:
+        gam = np.array(_christoffels(g, qs, cfg))
+        ginv = np.linalg.inv(g.matrices(qs))
+        _, D, H, K = g.field.jets(qs, 3)
+        dgam = _christoffel_partials(ginv, gam, D, H)
+        d2gam = np.einsum(
+            "ckl,cpmlij->cpmkij", ginv,
+            0.5 * _first_kind(K)
+            - np.einsum("cpmlq,cqij->cpmlij", H, gam)
+            - np.einsum("cmlq,cpqij->cpmlij", D, dgam)
+            - np.einsum("cplq,cmqij->cpmlij", D, dgam),
+        )
+        return list(zip(gam, dgam, d2gam))
+
+    return [np.array(a) for a in zip(*_memo_batch({}, g.chart, None, None, xs, compute))]
+
+
+def _blocks(A: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[[A, P^T], [P, g]] over the last two axes of equal-shape stacks."""
+    n = g.shape[-1]
+    out = np.empty(g.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n], out[..., :n, n:] = A, P.swapaxes(-1, -2)
+    out[..., n:, :n], out[..., n:, n:] = P, g
+    return out
+
+
 def _stacked_at(
     evaluate: Callable[[list[Point]], Sequence[np.ndarray]], chart: ManifoldSpec, points: Sequence[Point]
 ) -> np.ndarray:
@@ -139,6 +180,11 @@ class SasakiBundle:
         repr=False, compare=False
     )
     cfg: FdConfig = FdConfig()
+    # (M, dM, d2M) at each of a batch of bundle points, memoised per bundle;
+    # None over a base metric without jets (build_tangent_bundle)
+    shifts: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def base_dim(self) -> int:
@@ -188,8 +234,9 @@ def build_tangent_bundle(
             )
     bundle = tangent_bundle_chart(base, u_box)
     # Each bundle point's frame (L, L^-1, x) under ("frame", coordinate
-    # bytes, None), and each lifted member's components under (a, coordinate
-    # bytes, None), read and filled by fields._memo_batch.
+    # bytes, None), its shift and the shift's partials (M, dM, d2M) under
+    # ("shift", ...), and each lifted member's components under (a, ...),
+    # read and filled by fields._memo_batch.
     memo: dict = {}
 
     def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
@@ -216,6 +263,35 @@ def build_tangent_bundle(
 
         return _memo_batch(memo, bundle, "frame", None, xis, compute, one=alone)
 
+    def shifts(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(M, dM, d2M) at each bundle point, as the memo's read-only
+        arrays, with dM[A, k, i] = d_A M^k_i and d2M[A, B, k, i] =
+        d_A d_B M^k_i over the 2n bundle coordinates; M is the frame's.
+        The misses come from one frame batch and one ``_christoffel_jets``
+        over their base points:
+
+            d_{x_m} M = d_m Gamma(u, .),    d_{u_m} M^k_i = Gamma^k_{mi},
+            d_{x_p} d_{x_m} M = d_p d_m Gamma(u, .),
+            d_{x_m} d_{u_p} M^k_i = d_m Gamma^k_{pi},    d_u d_u M = 0."""
+
+        def compute(fresh: list[Point]) -> list:
+            F = frames(fresh)
+            M = np.array([f[1][n:, :n] for f in F])
+            U = np.array([xi.coords[n:] for xi in fresh])
+            gam, dgam, d2gam = _christoffel_jets(g, [f[2] for f in F], cfg)
+            dM = np.zeros((len(fresh), 2 * n, n, n))
+            d2M = np.zeros((len(fresh), 2 * n, 2 * n, n, n))
+            dM[:, :n] = np.einsum("cmkji,cj->cmki", dgam, U)
+            dM[:, n:] = np.einsum("ckmi->cmki", gam)
+            d2M[:, :n, :n] = np.einsum("cpmkji,cj->cpmki", d2gam, U)
+            d2M[:, :n, n:] = np.einsum("cmkpi->cmpki", dgam)
+            d2M[:, n:, :n] = d2M[:, :n, n:].swapaxes(1, 2)
+            for A in (M, dM, d2M):
+                A.flags.writeable = False
+            return list(zip(M, dM, d2M))
+
+        return _memo_batch(memo, bundle, "shift", None, xis, compute)
+
     def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
         """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
         frame batch, with g from one batch over their base points."""
@@ -224,12 +300,44 @@ def build_tangent_bundle(
         gx = np.array(g.matrices([f[2] for f in F]))
         return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
 
+    def lifted_metric_jets(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        """G and its partials to ``order`` (1 or 2) at each bundle point,
+        stacked, from the blocks G = [[g + M^T P, P^T], [P, g]], P = g M,
+        differentiated along the 2n bundle coordinates (g does not vary
+        along the fiber), with M, dM, d2M from the shift memo."""
+        V = lifted_metrics(xis)
+        M, dM, d2M = (np.array(A) for A in zip(*shifts(xis)))
+        xs = [f[2] for f in frames(xis)]
+        gx = np.array(g.matrices(xs))
+        dg, d2g = _jets(g, xs)
+        gA = np.zeros((len(xis), 2 * n, n, n))
+        gA[:, :n] = dg
+        P = gx @ M
+        PA = np.einsum("cakl,cli->caki", gA, M) + np.einsum("ckl,cali->caki", gx, dM)
+        AA = gA + np.einsum("calk,cli->caki", dM, P) + np.einsum("clk,cali->caki", M, PA)
+        out = (V, _blocks(AA, PA, gA))
+        if order < 2:
+            return out
+        gAB = np.zeros((len(xis), 2 * n, 2 * n, n, n))
+        gAB[:, :n, :n] = d2g
+        PAB = (
+            np.einsum("cabkl,cli->cabki", gAB, M) + np.einsum("cakl,cbli->cabki", gA, dM)
+            + np.einsum("cbkl,cali->cabki", gA, dM) + np.einsum("ckl,cabli->cabki", gx, d2M)
+        )
+        AAB = (
+            gAB + np.einsum("cablk,cli->cabki", d2M, P) + np.einsum("calk,cbli->cabki", dM, PA)
+            + np.einsum("cblk,cali->cabki", dM, PA) + np.einsum("clk,cabli->cabki", M, PAB)
+        )
+        return out + (_blocks(AAB, PAB, gAB),)
+
+    exact = g.field.jets is not None
     G = MetricField(
         TensorField(
             bundle, 0, 2,
             lambda xi: lifted_metrics([xi])[0],
             label="lifted metric",
             batch=lifted_metrics,
+            jets=lifted_metric_jets if exact else None,
         )
     )
 
@@ -248,12 +356,32 @@ def build_tangent_bundle(
 
         return _memo_batch(memo, bundle, a, None, xis, compute)
 
+    def lifted_member_jets(a: int, xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        """Jt_a and its first partials at each bundle point, stacked: Jt_a
+        is [[J, 0], [JM - MJ, J]], so d_A Jt_a has the blocks d_A J and
+        d_A J M + J d_A M - d_A M J - M d_A J, with J from the base member's
+        jets and M, dM from the shift memo."""
+        M, dM, _ = (np.array(A) for A in zip(*shifts(xis)))
+        J, dJ = T.fields[a].jets([f[2] for f in frames(xis)], 1)
+        JA = np.zeros((len(xis), 2 * n, n, n))
+        JA[:, :n] = dJ
+        C = (
+            np.einsum("caki,cil->cakl", JA, M) + np.einsum("cki,cail->cakl", J, dM)
+            - np.einsum("caki,cil->cakl", dM, J) - np.einsum("cki,cail->cakl", M, JA)
+        )
+        dJt = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
+        dJt[:, :, :n, :n] = dJt[:, :, n:, n:] = JA
+        dJt[:, :, n:, :n] = C
+        return np.array(lifted_members(a, xis)), dJt
+
     def lifted_member(a: int) -> TensorField:
         return TensorField(
             bundle, 1, 1,
             lambda xi: lifted_members(a, [xi])[0],
             label=f"lifted J{a + 1}",
             batch=lambda xis: lifted_members(a, xis),
+            jets=(lambda xis, order: lifted_member_jets(a, xis))  # order 1 only
+            if exact and T.fields[a].jets is not None else None,
         )
 
     Jt = LocalBasisTriple(lifted_member(0), lifted_member(1), lifted_member(2))
@@ -272,15 +400,23 @@ def build_tangent_bundle(
         base_triple=T,
         frames=frames,
         cfg=cfg,
+        shifts=shifts if exact else None,
     )
 
 
 def _frame_derivative(bundle: SasakiBundle, xi: Point) -> tuple[np.ndarray, np.ndarray]:
     """(L, D) at xi, D[I, k, J] = E_I(E_J)^k: the lifted frame E = L
-    differentiated along its own members, with L on the stencil read from
-    the frame memo in one batch."""
+    differentiated along its own members.  dL is exact, -dM in the lower
+    left block, where the bundle has a shift memo; else central
+    differences, with L on the stencil read from the frame memo in one
+    batch."""
     L = bundle.frames([xi])[0][0]
-    dL = central_difference(lambda qs: [f[0] for f in bundle.frames(qs)], xi, bundle.cfg)
+    if bundle.shifts is None:
+        dL = central_difference(lambda qs: [f[0] for f in bundle.frames(qs)], xi, bundle.cfg)
+    else:
+        n = bundle.base_dim
+        dL = np.zeros((2 * n, 2 * n, 2 * n))
+        dL[:, n:, :n] = -bundle.shifts([xi])[0][1]
     return L, np.einsum("aI,akJ->IkJ", L, dL)
 
 
@@ -348,9 +484,10 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
 
 
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
-    """Max residual between finite differences of the lifted metric's own
-    connection and the closed form, on the lifted frame: nabla~_{E_I} E_J =
-    E_I(E_J) + Gamma~(E_I, E_J)."""
+    """Max residual between the lifted metric's own connection and the
+    closed form, on the lifted frame: nabla~_{E_I} E_J = E_I(E_J) +
+    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact over a
+    base metric with jets, else finite differences."""
     gamG = christoffel(bundle.metric, xi, bundle.cfg)
     L, D = _frame_derivative(bundle, xi)
     fd = D + np.einsum("kab,aI,bJ->IkJ", gamG, L, L)
@@ -358,9 +495,10 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
-    """Max residual between finite differences of (nabla~ Jt_a), from the
-    lifted metric's own connection, and the closed form, over the lifted
-    frame and all three members."""
+    """Max residual between (nabla~ Jt_a), from the lifted metric's own
+    connection, and the closed form, over the lifted frame and all three
+    members; exact where the base metric and member have jets, else finite
+    differences."""
     L = bundle.frames([xi])[0][0]
     D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, bundle.cfg).nabla
     C = oracle_tilde_nabla_J(bundle, xi)

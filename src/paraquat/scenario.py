@@ -536,8 +536,9 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef(
             "bracket",
             "[X^v, Y^v] = 0;  [X^h, Y^v] = (nabla_X Y)^v;  [X^h, Y^h] = -(R(X, Y) u)^v",
-            "Bracket identities on the lifted frame, from one finite-difference "
-            "stencil of the frame; the deliberately sign-flipped curvature "
+            "Bracket identities on the lifted frame, from the frame's derivative "
+            "(exact over a base metric with jets, else one finite-difference "
+            "stencil of the frame); the deliberately sign-flipped curvature "
             "comparison must stay large when curvature is present.",
             _run_bracket,
             needs="bundle",
@@ -546,8 +547,9 @@ CHECKS: dict[str, CheckDef] = {
             "sasaki-consistency",
             "nabla~ on lifts: (h,h) -> (nabla_X Y)^h - (1/2)(R(X,Y)u)^v;  "
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
-            "Finite differences of the lifted metric's own connection against the "
-            "closed form on the lifted frame, in all four kind combinations.",
+            "The lifted metric's own connection (exact over a base metric with jets, "
+            "else finite differences) against the closed form on the lifted frame, "
+            "in all four kind combinations.",
             _max_residual(1e-3, lambda ctx, pts: max(
                 check_connection_oracle(ctx.bundle, q) for q in pts
             ), 2),
@@ -558,9 +560,10 @@ CHECKS: dict[str, CheckDef] = {
             "nabla~ Jt_a on lifts: (h,h) -> ((nabla_X J_a)Y)^h - (1/2)(R(X,J_aY)u - J_a R(X,Y)u)^v;  "
             "(h,v) -> ((nabla_X J_a)Y)^v + (1/2)(R(u,J_aY)X - J_a R(u,Y)X)^h;  "
             "(v,h) -> (1/2)(R(u,X)J_aY - J_a R(u,X)Y)^h;  (v,v) -> 0",
-            "Finite differences of the lifted triple's derivative, under the lifted "
-            "metric's own connection, against the closed form on the lifted frame, "
-            "for all three members.",
+            "The lifted triple's derivative under the lifted metric's own connection "
+            "(exact where the base metric and member have jets, else finite "
+            "differences) against the closed form on the lifted frame, for all "
+            "three members.",
             _max_residual(1e-6, lambda ctx, pts: max(
                 check_nabla_j_oracle(ctx.bundle, q) for q in pts
             ), 2),

@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 
 from paraquat import FdConfig, sample_points
-from paraquat.catalog import METRICS, TRIPLES, make_chart
+from paraquat.catalog import METRICS, STD_J1, STD_J2, STD_J3, TRIPLES, make_chart, triple_from_config
+
+# the neutral space form eta/(1 + eta(x, x)/4)^2, a curved PQK metric
+SPACE_FORM = "1/(1 + (x1^2 + x2^2 - x3^2 - x4^2)/4)^2"
+SPACE_FORM_ROWS = [[(SPACE_FORM if r < 2 else f"-{SPACE_FORM}") if r == c else "0" for c in range(4)] for r in range(4)]
+
+
+def rotated4_matrices():
+    """rotated4 as inline expression matrices: J1 and J2 of standard4
+    rotated by x1 in their span, J3 as it is."""
+
+    def rows(c, s, k):  # c cos(x1) + s sin(x1) + k, entry by entry
+        return [[f"{c[i, j]}*cos(x1) + {s[i, j]}*sin(x1) + {k[i, j]}" for j in range(4)] for i in range(4)]
+
+    zero = 0 * STD_J1
+    return [rows(STD_J1, STD_J2, zero), rows(STD_J2, -STD_J1, zero), rows(zero, zero, STD_J3)]
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +63,11 @@ def std_triple(chart4):
 @pytest.fixture(scope="session")
 def rot_triple(chart4):
     return TRIPLES["rotated4"](chart4)
+
+
+@pytest.fixture(scope="session")
+def rot_expr_triple(chart4):
+    return triple_from_config({"matrices": rotated4_matrices()}, chart4)
 
 
 @pytest.fixture(scope="session")

@@ -322,8 +322,8 @@ def test_a_coordinate_in_an_exponent_leaves_no_jets(src, exact):
 
 def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
     calls = []
-    real, f1, f2 = exprlang._NUMPY["exp"]
-    monkeypatch.setitem(exprlang._NUMPY, "exp", (lambda a: calls.append(a) or real(a), f1, f2))
+    real, *derivatives = exprlang._NUMPY["exp"]
+    monkeypatch.setitem(exprlang._NUMPY, "exp", (lambda a: calls.append(a) or real(a), *derivatives))
     f = "exp(2*(0.1 + (0.5)*x1 - (0.4)*x2))"
     _, jets = exprlang.compile_with_jets([parse_expr(s) for s in (f, f"-{f}", f, "0")], ["x1", "x2"])
     V, D, H = jets(np.array([[0.1, -0.2], [0.3, 0.4]]))
@@ -346,3 +346,51 @@ def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src
         with pytest.raises(EvaluationError) as exc:
             jets(x[None])
     assert str(exc.value) == f"non-finite derivative from {node!r}"
+
+
+# exercise '/', a constant '^' and pow, every function of one argument, and
+# products whose operands both have Hessians
+THIRD_ORDER_EXPRS = [
+    "x1/x2", "x2^(1/2)*x1", "pow(x1 + x2, 2.5)", "sin(x1*x2)", "cos(x1 + 2*x2)",
+    "exp(x1 - x2)*x2", "sinh(x1*x1)", "cosh(x2/x1)", "1/(1 + (x1^2 - x2^2)/4)^2",
+    "x1*sin(x1*x2)", "sin(x1)*cos(x2)*x2^2",
+]
+
+
+def test_third_order_jets_are_the_limit_of_differences_of_the_hessian():
+    # central differences of the order-2 Hessian are O(h^2) from the third
+    # partials, so halving h divides their distance by 4
+    trees = [parse_expr(s) for s in THIRD_ORDER_EXPRS]
+    _, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    X = np.array([[0.3, 0.7], [-0.45, 1.2]])
+    V, D, H, K = jets(X, 3)
+    assert K.shape == (2, 2, 2, 2, len(trees))
+    for whole, order2 in zip((V, D, H), jets(X)):
+        assert whole.tobytes() == order2.tobytes()
+    distance = []
+    for h in (1e-3, 5e-4):
+        fd = np.stack([(jets(X + h * e)[2] - jets(X - h * e)[2]) / (2 * h) for e in np.eye(2)], axis=1)
+        distance.append(np.abs(fd - K).max(axis=(0, 1, 2, 3)))
+    order = np.log2(distance[0] / distance[1])
+    assert ((1.8 <= order) & (order <= 2.2)).all(), dict(zip(THIRD_ORDER_EXPRS, order))
+
+
+def test_third_order_jets_of_a_stack_are_the_jets_of_each_point():
+    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in JET_EXPRS + THIRD_ORDER_EXPRS], ["x1", "x2"])
+    X = np.array([[0.3, 0.7], [-0.45, 1.2], [0.9, 0.2]])
+    stacked = jets(X, 3)
+    assert len(stacked) == 4
+    for c in range(len(X)):
+        for whole, alone in zip(stacked, jets(X[c:c + 1], 3)):
+            assert whole[c].tobytes() == alone[0].tobytes()
+
+
+def test_a_third_derivative_that_is_not_finite_names_its_node():
+    # x1^2.5 has finite first and second derivatives at 0, but not a third
+    _, jets = exprlang.compile_with_jets([parse_expr("1 + x2*x1^2.5")], ["x1", "x2"])
+    X = np.array([[0.0, 0.5]])
+    assert all(np.isfinite(A).all() for A in jets(X))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"non-finite derivative from 'x1\^2.5'"):
+            jets(X, 3)

@@ -1,5 +1,7 @@
 """Lifted metrics on tangent bundles and their closed-form oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,10 @@ from paraquat import (
 )
 from paraquat import sasaki, structures
 from paraquat.algebra import doubled
-from paraquat.catalog import ETA4, METRICS, make_chart
+from paraquat.catalog import ETA4, METRICS, make_chart, metric_from_config, triple_from_config
 from paraquat.structures import span_combination
+
+from conftest import SPACE_FORM_ROWS, rotated4_matrices
 
 
 def conformal_shift_exact(xi):
@@ -360,8 +364,10 @@ def _nabla_j_reference(bundle, xi):
 def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple, cfg):
     """The frame forms of the closed form, of both checks and of the
     bracket residuals are the per-vector loops they replace, bit for bit,
-    over the curved conformal-neutral4 base."""
-    bundle = build_tangent_bundle(conformal4, rot_triple, cfg=cfg)
+    over the curved conformal-neutral4 base, on the finite-difference path
+    the per-vector loops took."""
+    fd = MetricField(dataclasses.replace(conformal4.field, jets=None))
+    bundle = build_tangent_bundle(fd, rot_triple, cfg=cfg)
     n = bundle.base_dim
     pairs = [(0, 1), (1, 2), (2, 2), (3, 0)]
     for x, u in [
@@ -650,3 +656,72 @@ def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot
             assert fd_gradient(f, xi, cfg).tobytes() == central_difference(
                 lambda qs: [eval_field(one, q) for q in qs], xi, cfg
             ).tobytes()
+
+
+# --- exact jets through the lift ----------------------------------------------
+
+EXACT_LIFTS = {
+    # name: (base metric, triple) on the 4-dim chart; the inline triple's
+    # members have jets of their own, so its lift's dJ_a blocks vary
+    "space form": (lambda chart: metric_from_config({"matrix": SPACE_FORM_ROWS}, chart), "standard4"),
+    "conformal-neutral4": (METRICS["conformal-neutral4"], "rotated4 inline"),
+}
+
+
+def _exact_lift(chart4, name, cfg=FdConfig()):
+    build, triple = EXACT_LIFTS[name]
+    spec = {"matrices": rotated4_matrices()} if triple == "rotated4 inline" else triple
+    return build_tangent_bundle(build(chart4), triple_from_config(spec, chart4), cfg=cfg)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LIFTS))
+def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, name):
+    # central differences of G, of Jt_a and of the frame L are O(h^2) from
+    # their exact partials, and nested ones of G from d2G; over
+    # conformal-neutral4, Gamma is constant and L affine, so its differences
+    # are exact to roundoff
+    bundle = _exact_lift(chart4, name)
+    G, n = bundle.metric.field, 4
+    assert G.jets is not None and all(f.jets is not None for f in bundle.triple.fields)
+    xis = [bundle.point(x, u) for x, u in [([0.1, -0.2, 0.3, 0.05], U), ([-0.6, 0.4, 0.0, 0.7], [0.9, 0.0, -0.5, 0.1])]]
+    _, dG, d2G = G.jets(xis, 2)
+    exact = {
+        "dG": dG, "d2G": d2G,
+        "dJ": np.stack([f.jets(xis, 1)[1] for f in bundle.triple.fields]),
+        "dL": np.stack([sasaki._frame_derivative(bundle, xi)[1] for xi in xis]),
+    }
+    frame = lambda qs: [f[0] for f in bundle.frames(qs)]
+    distance = {key: [] for key in exact}
+    for h in (2e-3, 1e-3):
+        cfg = FdConfig(h)
+        L = np.array(frame(xis))
+        fd = {
+            "dG": central_difference(G.batch, xis, cfg),
+            "d2G": central_difference(lambda qs: central_difference(G.batch, qs, cfg), xis, cfg),
+            "dJ": np.stack([central_difference(f.batch, xis, cfg) for f in bundle.triple.fields]),
+            "dL": np.einsum("caI,cakJ->cIkJ", L, central_difference(frame, xis, cfg)),
+        }
+        for key in exact:
+            distance[key].append(np.abs(fd[key] - exact[key]).max())
+    for key, (coarse, fine) in distance.items():
+        assert np.abs(exact[key]).max() > 1e-2, key
+        if (name, key) == ("conformal-neutral4", "dL"):
+            assert max(coarse, fine) < 1e-12
+        else:
+            assert 1.8 <= np.log2(coarse / fine) <= 2.2, (key, coarse, fine)
+    # the lower-left block of dL is -dM, and nothing else of L varies
+    assert np.abs(exact["dL"]).max() > 0 and not sasaki._frame_derivative(bundle, xis[0])[1][:, :n, :].any()
+
+
+def test_a_base_without_jets_leaves_the_lift_on_finite_differences(cfg):
+    chart = make_chart(4, domain=[[0.5, 1.5], [-1, 1], [-1, 1], [-1, 1]])
+    f = "x1^x2"
+    rows = [[(f if r < 2 else f"-{f}") if r == c else "0" for c in range(4)] for r in range(4)]
+    bundle = build_tangent_bundle(metric_from_config({"matrix": rows}, chart), triple_from_config("standard4", chart), cfg=cfg)
+    assert bundle.shifts is None and bundle.metric.field.jets is None
+    assert all(f.jets is None for f in bundle.triple.fields)
+    xi = bundle.point([0.8, 0.3, -0.2, 0.1], U)
+    L, D = sasaki._frame_derivative(bundle, xi)
+    dL = central_difference(lambda qs: [f[0] for f in bundle.frames(qs)], xi, cfg)
+    assert D.tobytes() == np.einsum("aI,akJ->IkJ", L, dL).tobytes()
+    assert check_nabla_j_oracle(bundle, xi) > 1e-9  # finite differences, not roundoff

@@ -15,8 +15,11 @@ from paraquat import (
     oracle_tilde_nabla_J,
     run_scenario,
 )
+from paraquat import sasaki
 from paraquat.catalog import scenario_names
 from paraquat.scenario import build_context
+
+from conftest import SPACE_FORM_ROWS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -236,3 +239,49 @@ def test_a_run_builds_each_product_structure_once(monkeypatch):
     # five checks name two structures: the equivalence checks reuse the
     # derivatives the product checks memoised on the run's metric
     assert built == ["split8", "split8-rotated"]
+
+
+# The paper's example over a curved PQK base: the projection of the tangent
+# bundle of the neutral space form, with the Sasaki metric.
+SPACE_FORM_SASAKI = {
+    "points": 3,
+    "geometry": {"dim": 4, "metric": {"matrix": SPACE_FORM_ROWS}, "triple": "standard4", "sasaki": True},
+    "checks": [
+        {"check": "sasaki-nabla-j"},
+        {"check": "sasaki-consistency", "tol": 1e-6},
+        {"check": "bracket", "pairs": [[1, 2], [2, 3]], "tol": 1e-6, "flip_above": 1e-2},
+        {"check": "flatness", "expect_flat": False},
+        {"check": "classify", "expected": "HermitianOnly"},
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_sasaki_closed_forms_hold_to_roundoff_over_the_space_form(seed):
+    # exact jets through the lift leave no truncation error to hide under
+    # a tolerance: the default 1e-6 of sasaki-nabla-j has 1e-12 to spare
+    report = run_scenario(SPACE_FORM_SASAKI, seed=seed)
+    assert report.overall and report.final
+    nabla_j, consistency, bracket, flatness, classify = report.checks
+    for check in (nabla_j, consistency, bracket):
+        assert check.data["max_residual"] <= 1e-12, check.name
+    assert nabla_j.data["tol"] == 1e-6
+    assert bracket.data["max_flipped_residual"] > 1e-2
+    # the total space is curved and not PQK, as the theorem forces
+    assert flatness.data["max_residual"] > 0.1
+    assert classify.data["fit_residual_max"] > 0.1
+
+
+def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypatch):
+    real = sasaki.oracle_tilde_nabla_J
+
+    def without_half(bundle, xi):  # the (v, h) block is all of (1/2)[R(u, X), J_a]
+        C = real(bundle, xi).copy()
+        n = bundle.base_dim
+        C[:, n:, :, :n] *= 2.0
+        return C
+
+    monkeypatch.setattr(sasaki, "oracle_tilde_nabla_J", without_half)
+    for seed in range(1, 9):
+        nabla_j = run_scenario(SPACE_FORM_SASAKI, seed=seed).checks[0]
+        assert not nabla_j.passed and nabla_j.data["max_residual"] > 1e-3

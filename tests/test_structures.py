@@ -1,5 +1,7 @@
 """Classification ladder, 1-form fitting, and almost product structures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, cfg, nabla_calls
 
 
 def test_fit_memo_computes_another_triple_or_step_afresh(conformal4, std_triple, rot_triple, cfg, nabla_calls):
-    g = _fresh(conformal4)
+    g = MetricField(dataclasses.replace(conformal4.field, jets=None))  # Gamma from finite differences
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
     std = fit_kahler_oneforms(g, std_triple, p, cfg)
     rot = fit_kahler_oneforms(g, rot_triple, p, cfg)
@@ -304,3 +306,21 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
         N = structures._nijenhuis(g, rotated, p, cfg)
         assert not N.flags.writeable
         assert N.tobytes() == connection.nijenhuis(rotated.field, p, cfg).tobytes()
+
+
+def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_triple, chart4):
+    # rotated4 written inline carries jets, so nabla J_a is exact: the pair
+    # classifies PQK with a fit residual at roundoff, and a finite-difference
+    # copy of the triple is O(h^2) from it
+    assert all(f.jets is not None for f in rot_expr_triple.fields)
+    pts = sample_points(chart4, 4, seed=3)
+    verdict = classify_structure(MetricField(flat4.field), rot_expr_triple, pts)
+    assert verdict.cls is StructureClass.PQK
+    assert verdict.fit_residual_max <= 1e-12
+    exact = [fit_kahler_oneforms(MetricField(flat4.field), rot_expr_triple, p).nabla for p in pts]
+    fd = LocalBasisTriple(*(dataclasses.replace(f, jets=None) for f in rot_expr_triple.fields))
+    distance = []
+    for h in (1e-3, 5e-4):
+        g = MetricField(flat4.field)
+        distance.append(max(np.abs(fit_kahler_oneforms(g, fd, p, FdConfig(h)).nabla - e).max() for p, e in zip(pts, exact)))
+    assert 1.8 <= np.log2(distance[0] / distance[1]) <= 2.2

@@ -403,6 +403,9 @@ def test_projector_batch_raises_what_its_first_failing_point_raises_alone(chart4
         with pytest.raises(error) as got:
             oneill_tensors(f, g, p, cfg)
         assert str(got.value) == str(alone.value)
-    # nothing memoised but metric values and Gamma at the centre
-    assert {key[0] for key in g._memo} == {"g", "gamma"}
-    assert [key[1] for key in g._memo if key[0] == "gamma"] == [p.coords.tobytes()]
+    # nothing memoised but metric values, and Gamma (and the metric's jets,
+    # where it has them) at the centre
+    centre = {"gamma"} | ({"jet"} if g.field.jets is not None else set())
+    assert {key[0] for key in g._memo} == {"g"} | centre
+    for kind in centre:
+        assert [key[1] for key in g._memo if key[0] == kind] == [p.coords.tobytes()]
