@@ -222,23 +222,30 @@ def expression_array(
     return lambda c: np.array(values(c)).reshape(shape)
 
 
-def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
-    """A (r, s) field of expression matrices whose field carries exact jets
-    to order 3: the components from the compiled trees, and their partials
-    from the trees' jets (``compile_with_jets``).  A '^' or pow with a
-    coordinate in its exponent leaves the field without jets, so its
-    derivatives stay finite differences."""
-    shape, n = (chart.dim, chart.dim), chart.dim
-    values, jets = compile_with_jets(_parsed(rows, shape, label), chart.coords)
+def expression_array_with_jets(
+    entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable | None]:
+    """``expression_array``, and the exact jets of its entries to order 3
+    from the same trees (``compile_with_jets``), called as ``jets(points,
+    order)`` with ``TensorField.jets``' convention: order + 1 stacked
+    arrays, the partial axes first, then ``shape``.  A '^' or pow with a
+    coordinate in its exponent leaves the array without jets (None), so
+    its derivatives stay finite differences."""
+    n = chart.dim
+    values, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
 
-    def field_jets(points, order):
+    def point_jets(points, order):
         arrays = jets(np.array([q.coords for q in points]), max(order, 2))[: order + 1]
         return tuple(A.reshape(len(points), *(n,) * k, *shape) for k, A in enumerate(arrays))
 
-    return TensorField(
-        chart, r, s, lambda p: np.array(values(p.coords)).reshape(shape), label,
-        jets=None if jets is None else field_jets,
-    )
+    return (lambda c: np.array(values(c)).reshape(shape)), (None if jets is None else point_jets)
+
+
+def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
+    """A (r, s) field of expression matrices, carrying exact jets to order 3
+    unless an exponent holds a coordinate (``expression_array_with_jets``)."""
+    values, jets = expression_array_with_jets(rows, (chart.dim, chart.dim), chart, label)
+    return TensorField(chart, r, s, lambda p: values(p.coords), label, jets=jets)
 
 
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:

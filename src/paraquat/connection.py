@@ -58,7 +58,7 @@ class MetricField:
     test that does not change when the metric is scaled.
 
     The instance memoises g, and the jets dg and d2g of a field that has
-    them (per point), and, through ``christoffel``,
+    them (per point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
     the partial and covariant derivatives of (1,1) fields, their Nijenhuis
     tensors and the Kähler 1-form fits (per point and FD step, the last four
@@ -147,32 +147,43 @@ def _first_kind(D: np.ndarray) -> np.ndarray:
     return np.einsum("...ilj->...lij", D) + np.einsum("...jli->...lij", D) - D
 
 
-def _jets(g: MetricField, pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
+def _jets(g: MetricField, pts: list[Point], order: int = 2) -> tuple[np.ndarray, ...]:
     """(dg, d2g) at the points, stacked, from the field's jets:
     ``dg[c, i, l, j] = d_i g_{lj}`` and ``d2g[c, m, i, l, j] = d_m d_i g_{lj}``,
-    memoised per point under "jet"."""
+    memoised per point under "jet".  Order 3 appends d3g[c, p, m, i, l, j] =
+    d_p d_m d_i g_{lj}, with all three memoised under "jet3": a miss there is
+    one order-3 call, whose dg and d2g, the same bits as order 2's, fill
+    "jet" too."""
 
     def compute(qs: list[Point]) -> list:
-        _, D, H = g.field.jets(qs, 2)
-        D.flags.writeable = H.flags.writeable = False
-        return list(zip(D, H))
+        partials = g.field.jets(qs, order)[1:]
+        for A in partials:
+            A.flags.writeable = False
+        if order == 3:
+            pairs = {q.coords.tobytes(): (D, H) for q, D, H in zip(qs, *partials[:2])}
+            _memo_batch(g._memo, g.chart, "jet", None, qs, lambda new: [pairs[q.coords.tobytes()] for q in new])
+        return list(zip(*partials))
 
-    D, H = zip(*_memo_batch(g._memo, g.chart, "jet", None, pts, compute))
-    return np.array(D), np.array(H)
+    kind = "jet" if order == 2 else "jet3"
+    return tuple(np.array(A) for A in zip(*_memo_batch(g._memo, g.chart, kind, None, pts, compute)))
 
 
-def _christoffels(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+def _christoffels(
+    g: MetricField, centres: Sequence[Point], cfg: FdConfig, order: int = 2
+) -> list[np.ndarray]:
     """``christoffel`` at each centre, as the memo's read-only arrays.  The
     distinct misses are assembled together: g at the centres, then dg from
-    the jets or on all their stencils in one ``central_difference``, one
-    ``inv`` and one ``einsum`` over the stack.  A batch that raises stores
-    nothing, and its first failing centre raises what it raises alone."""
+    the jets (``_jets`` of ``order``: 3 for the base of a Sasaki lift, whose
+    shifts read d3g next) or on all their stencils in one
+    ``central_difference``, one ``inv`` and one ``einsum`` over the stack.
+    A batch that raises stores nothing, and its first failing centre raises
+    what it raises alone."""
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
         if g.field.jets is not None:
             _require_stencils(pts, cfg.step)
-            partials = _jets(g, pts)[0]
+            partials = _jets(g, pts, order)[0]
         else:
             partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
         gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(partials))

@@ -112,7 +112,7 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     C = C.copy()
     C.flags.writeable = False
     xs = [_point(g.chart, c[:n]) for c in C]
-    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg), g.chart, xs)
+    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg, order=3), g.chart, xs)
     M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
     L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
     Linv = L.copy()
@@ -125,14 +125,15 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
 def _christoffel_jets(g: MetricField, xs: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
     """[Gamma, dGamma, d2Gamma] at the base points, stacked, with
     dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
-    d_p d_m Gamma^k_{ij}: Gamma from the metric's memo, and its partials
-    from one order-3 jet batch over the distinct points, by differentiating
-    g Gamma = T/2 (T as in ``connection._first_kind``) once and twice."""
+    d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
+    memo, where the frames' Gamma put them (one order-3 jet call per base
+    point), and the partials by differentiating g Gamma = T/2 (T as in
+    ``connection._first_kind``) once and twice."""
 
     def compute(qs: list[Point]) -> list:
-        gam = np.array(_christoffels(g, qs, cfg))
+        gam = np.array(_christoffels(g, qs, cfg, order=3))
         ginv = np.linalg.inv(g.matrices(qs))
-        _, D, H, K = g.field.jets(qs, 3)
+        D, H, K = _jets(g, qs, 3)
         dgam = _christoffel_partials(ginv, gam, D, H)
         d2gam = np.einsum(
             "ckl,cpmlij->cpmkij", ginv,
@@ -385,11 +386,21 @@ def build_tangent_bundle(
         )
 
     Jt = LocalBasisTriple(lifted_member(0), lifted_member(1), lifted_member(2))
+
+    def projection_jets(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        """(x, u) -> x is linear: df = [I 0] and every higher partial is 0."""
+        df = np.zeros((len(xis), 2 * n, n))
+        df[:, :n] = np.eye(n)
+        return (np.array([xi.coords[:n] for xi in xis]), df) + tuple(
+            np.zeros((len(xis),) + (2 * n,) * k + (n,)) for k in range(2, order + 1)
+        )
+
     projection = SubmersionMap(
         source=bundle,
         target=base,
         components=lambda c: np.array(c[:n]),
         label="bundle projection",
+        jets=projection_jets,
     )
     return SasakiBundle(
         spec=bundle,

@@ -29,6 +29,7 @@ from ._version import __version__
 from .algebra import LocalBasisTriple, TransitionMap, apply_transition, check_triple_algebra
 from .catalog import (
     expression_array,
+    expression_array_with_jets,
     load_catalog_scenario,
     make_chart,
     metric_from_config,
@@ -520,8 +521,10 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef(
             "oneill",
             "A_X Y = h nabla_{hX} vY + v nabla_{hX} hY;  T_X Y = h nabla_{vX} vY + v nabla_{vX} hY",
-            "Computes both fundamental tensors; bounds the A-tensor on horizontal "
-            "pairs (its antisymmetry is always enforced) and optionally the T-tensor.",
+            "Computes both fundamental tensors, from the derivative of the vertical "
+            "projector (exact where the map and the metric have jets, else central "
+            "differences); bounds the A-tensor on horizontal pairs (its antisymmetry "
+            "is always enforced) and optionally the T-tensor.",
             _run_oneill,
             needs="submersion",
         ),
@@ -747,13 +750,15 @@ def build_context(
         target_chart = make_chart(int(tgt["dim"]), tgt.get("coords"), tgt.get("domain"))
         target_metric = metric_from_config(tgt.get("metric", "neutral4"), target_chart)
         target_triple = triple_from_config(tgt.get("triple", "standard4"), target_chart)
+        components, jets = expression_array_with_jets(
+            sub.get("components"), (target_chart.dim,), chart, "submersion 'components'"
+        )
         submersion = SubmersionMap(
             source=chart,
             target=target_chart,
-            components=expression_array(
-                sub.get("components"), (target_chart.dim,), chart, "submersion 'components'"
-            ),
+            components=components,
             label=config.get("name", "submersion"),
+            jets=jets,
         )
 
     return ScenarioContext(

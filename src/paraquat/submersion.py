@@ -5,20 +5,23 @@ The splitting is computed pointwise from the finite-difference Jacobian:
 vertical = ker(df) from an SVD, horizontal = the g-orthogonal complement of
 vertical (a second SVD on V^T g, which works in neutral signature as long as
 the fiber metric V^T g V stays nondegenerate).  The O'Neill tensors are
-assembled by differentiating the *projector* fields — projectors, unlike the
-frames themselves, depend smoothly on the point regardless of how the SVD
-orders or signs its vectors.
+assembled from the derivative of the vertical *projector* — projectors,
+unlike the frames themselves, depend smoothly on the point regardless of how
+the SVD orders or signs its vectors.  Where both the metric and the map have
+jets (the Sasaki lift and its projection, an expression metric under an
+expression map) that derivative is a closed form in dg and the map's second
+partials; otherwise it is central differences of the projector field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import LocalBasisTriple
-from .connection import MetricField, christoffel
+from .connection import MetricField, _jets, christoffel
 from .errors import (
     DegenerateFiberMetricError,
     NotAFiberError,
@@ -27,7 +30,15 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, TensorField, central_difference, fd_gradient
+from .fields import (
+    FdConfig,
+    ManifoldSpec,
+    Point,
+    TensorField,
+    _require_stencils,
+    central_difference,
+    fd_gradient,
+)
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -37,12 +48,23 @@ FIBER_IMAGE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SubmersionMap:
-    """A smooth map between charts, given componentwise."""
+    """A smooth map between charts, given componentwise.
+
+    ``jets``, when given, follows ``TensorField.jets``: ``jets(points,
+    order)`` returns the exact components at a list of points and their
+    partials to ``order``, as order + 1 stacked arrays with the partial
+    axes first, ``[c, i, a]`` for the first and ``[c, i, j, a]`` for the
+    second partials of component a.  ``oneill_tensors`` reads the second
+    partials.  The bundle projection and an expression map have them.
+    """
 
     source: ManifoldSpec
     target: ManifoldSpec
     components: Callable[[np.ndarray], np.ndarray]  # (n,) -> (n',)
     label: str = ""
+    jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def map_point(self, p: Point) -> Point:
         if p.chart != self.source:
@@ -62,11 +84,14 @@ def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarr
 def _jacobians(f: SubmersionMap, pts: Sequence[Point], cfg: FdConfig) -> np.ndarray:
     """``jacobian`` at each point, stacked (len(pts), n', n): the stencils of
     all the points go to the map in one ``central_difference``, and one
-    batched SVD tests every rank.  With several points, an error is that of
-    some failing point, not necessarily the first: callers that need the
-    first make this the ``batch`` form of a field and evaluate it with
-    ``fields.eval_batch``, which replays a failing batch point by point, as
-    ``oneill_tensors``' projector field does through ``fd_gradient``."""
+    batched SVD tests every rank.  df is always differenced, also for a map
+    with jets, so every split of a map rests on the same differential.  With
+    several points, an error is that of some failing point, not necessarily
+    the first: callers that need the first make this the ``batch`` form of a
+    field and evaluate it with ``fields.eval_batch``, which replays a
+    failing batch point by point, as the projector field of
+    ``oneill_tensors``' finite-difference path does through
+    ``fd_gradient``."""
     n, m = f.source.dim, f.target.dim
     J = np.ascontiguousarray(
         central_difference(
@@ -240,14 +265,22 @@ class ONeillTensors:
 def oneill_tensors(
     f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()
 ) -> ONeillTensors:
+    """A and T at p from Gamma, the split at p and d_m Pv: in closed form
+    (``_projector_partials``) where the map and the metric both have jets,
+    with no split but p's; else central differences of the projector field,
+    the splits of the whole stencil in one batch.  Either way the stencil
+    of cfg.step around p must lie in the chart."""
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
-    pv_field = TensorField(
-        f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector",
-        batch=lambda qs: [s.v for s in _vh_splits(f, g, qs, cfg)],
-    )
-    # d_m Pv, from the splits of the whole stencil in one batch
-    dPv = fd_gradient(pv_field, p, cfg)
+    if f.jets is not None and g.field.jets is not None:
+        _require_stencils([p], cfg.step)
+        dPv = _projector_partials(f, g, fr)
+    else:
+        pv_field = TensorField(
+            f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector",
+            batch=lambda qs: [s.v for s in _vh_splits(f, g, qs, cfg)],
+        )
+        dPv = fd_gradient(pv_field, p, cfg)
 
     def stacked(U: np.ndarray) -> np.ndarray:
         # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the
@@ -266,6 +299,27 @@ def oneill_tensors(
     t_full = stacked(fr.v)
     a_h = np.einsum("li,mj,lmk->ijk", fr.horizontal, fr.horizontal, a_full)
     return ONeillTensors(point=p, a_full=a_full, t_full=t_full, a_horizontal=a_h)
+
+
+def _projector_partials(f: SubmersionMap, g: MetricField, fr: SplitFrame) -> np.ndarray:
+    """dPv[m] = d_m Pv at the split's point, exactly: with J = ``fr.df``
+    (the differential Pv was split from), dG from the metric's memoised jets
+    and dJ from the map's second partials,
+
+        N = G^-1 J^T,   K = J N,   Ph = N K^-1 J = 1 - Pv,
+        dN = -G^-1 dG N + G^-1 dJ^T,   dK = dJ N + J dN,
+        dPv = -(dN K^-1 J - N K^-1 dK K^-1 J + N K^-1 dJ)."""
+    p, J = fr.point, fr.df
+    Ginv = np.linalg.inv(g.matrix(p))
+    dG = _jets(g, [p])[0][0]  # dG[m, k, l] = d_m G_kl
+    dJt = f.jets([p], 2)[2][0]  # dJt[m, i, a] = d_m d_i f^a = d_m (J^T)_ia
+    dJ = dJt.swapaxes(1, 2)
+    N = Ginv @ J.T
+    Kinv = np.linalg.inv(J @ N)
+    dN = -Ginv @ dG @ N + Ginv @ dJt
+    dK = dJ @ N + J @ dN
+    NKinv, KinvJ = N @ Kinv, Kinv @ J
+    return -(dN @ KinvJ - NKinv @ dK @ KinvJ + NKinv @ dJ)
 
 
 def basic_lift(

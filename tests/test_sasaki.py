@@ -461,9 +461,9 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg
     batches = []
     real = sasaki._christoffels
 
-    def counted(g, centres, cfg):
+    def counted(g, centres, cfg, **kwargs):
         batches.append(len(centres))
-        return real(g, centres, cfg)
+        return real(g, centres, cfg, **kwargs)
 
     monkeypatch.setattr(sasaki, "_christoffels", counted)
     pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]), cfg)
@@ -711,6 +711,27 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
             assert 1.8 <= np.log2(coarse / fine) <= 2.2, (key, coarse, fine)
     # the lower-left block of dL is -dM, and nothing else of L varies
     assert np.abs(exact["dL"]).max() > 0 and not sasaki._frame_derivative(bundle, xis[0])[1][:, :n, :].any()
+
+
+def test_the_lift_takes_the_base_jets_once_per_base_point(chart4, cfg):
+    # the frames' Gamma takes order 3, whose dg and d2g Gamma reads, and the
+    # shifts' partials read d3g from the memo: no order-2 pass besides
+    base = METRICS["conformal-neutral4"](chart4).field
+    calls = []
+
+    def counted(points, order):
+        calls.append((order, [q.coords.tobytes() for q in points]))
+        return base.jets(points, order)
+
+    g = MetricField(dataclasses.replace(base, jets=counted))
+    bundle = build_tangent_bundle(g, triple_from_config("standard4", chart4), cfg=cfg)
+    xis = [bundle.point(x, u) for x, u in [([0.1, -0.2, 0.3, 0.05], U), ([-0.6, 0.4, 0.0, 0.7], U)]]
+    xis.append(bundle.point(xis[0].coords[:4], [0.9, 0.0, -0.5, 0.1]))  # a second fibre point
+    for xi in xis:
+        riemann(bundle.metric, xi, cfg)
+    assert [order for order, _ in calls] == [3] * len(calls)
+    seen = [key for _, keys in calls for key in keys]
+    assert sorted(seen) == sorted({xi.coords[:4].tobytes() for xi in xis})
 
 
 def test_a_base_without_jets_leaves_the_lift_on_finite_differences(cfg):

@@ -252,6 +252,7 @@ SPACE_FORM_SASAKI = {
         {"check": "bracket", "pairs": [[1, 2], [2, 3]], "tol": 1e-6, "flip_above": 1e-2},
         {"check": "flatness", "expect_flat": False},
         {"check": "classify", "expected": "HermitianOnly"},
+        {"check": "oneill", "t_below": 1e-12, "antisymmetry_tol": 1e-12, "a_above": 1e-3},
     ],
 }
 
@@ -262,7 +263,7 @@ def test_the_sasaki_closed_forms_hold_to_roundoff_over_the_space_form(seed):
     # a tolerance: the default 1e-6 of sasaki-nabla-j has 1e-12 to spare
     report = run_scenario(SPACE_FORM_SASAKI, seed=seed)
     assert report.overall and report.final
-    nabla_j, consistency, bracket, flatness, classify = report.checks
+    nabla_j, consistency, bracket, flatness, classify, oneill = report.checks
     for check in (nabla_j, consistency, bracket):
         assert check.data["max_residual"] <= 1e-12, check.name
     assert nabla_j.data["tol"] == 1e-6
@@ -270,6 +271,9 @@ def test_the_sasaki_closed_forms_hold_to_roundoff_over_the_space_form(seed):
     # the total space is curved and not PQK, as the theorem forces
     assert flatness.data["max_residual"] > 0.1
     assert classify.data["fit_residual_max"] > 0.1
+    # the fibres are totally geodesic, and A is antisymmetric and non-zero
+    assert oneill.data["max_t"] <= 1e-14 and oneill.data["antisymmetry_residual"] <= 1e-14
+    assert oneill.data["max_a_horizontal"] > 0.1
 
 
 def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypatch):

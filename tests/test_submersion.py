@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from paraquat import (
     StencilOutOfDomainError,
     SubmersionMap,
     TensorField,
+    ValidationError,
     basic_lift,
     build_tangent_bundle,
     check_paraholomorphic,
@@ -27,9 +30,12 @@ from paraquat import (
     sample_points,
     vh_split,
 )
-from paraquat.catalog import METRICS, TRIPLES, make_chart
+from paraquat import sasaki
+from paraquat.catalog import METRICS, TRIPLES, expression_array_with_jets, make_chart, metric_from_config
 from paraquat.fields import central_difference
 from paraquat.submersion import _jacobians, _vh_splits
+
+from conftest import SPACE_FORM_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -295,11 +301,13 @@ def _bent(chart8, chart4):
 
 def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4, cfg):
     # the Sasaki projection has a genuine A-tensor; its fibers are totally
-    # geodesic, so its T-tensor is roundoff, and the bent map supplies one
+    # geodesic, so its T-tensor is roundoff, and the bent map supplies one.
+    # The projection without its jets keeps the finite-difference path.
     bundle, ref = _conformal_bundle(chart4, cfg), _conformal_bundle(chart4, cfg)
     chart8 = make_chart(8)
     bent, g8 = _bent(chart8, chart4), _curved8(chart8)
-    cases = [(bundle.projection, bundle.metric, ref.projection, ref.metric, bundle.point(x, u)) for x, u in BUNDLE_POINTS]
+    fd_projection = dataclasses.replace(bundle.projection, jets=None)
+    cases = [(fd_projection, bundle.metric, ref.projection, ref.metric, bundle.point(x, u)) for x, u in BUNDLE_POINTS]
     cases += [(bent, g8, bent, MetricField(g8.field), p) for p in sample_points(chart8, 2, seed=4)]
     largest_a = largest_t = 0.0
     for f, g, f_ref, g_ref, p in cases:
@@ -409,3 +417,124 @@ def test_projector_batch_raises_what_its_first_failing_point_raises_alone(chart4
     assert {key[0] for key in g._memo} == {"g"} | centre
     for kind in centre:
         assert [key[1] for key in g._memo if key[0] == kind] == [p.coords.tobytes()]
+
+
+# ------------------------------------------------------------- exact O'Neill
+#
+# Where the map and the metric both have jets, d Pv is a closed form in dG
+# and the map's second partials; the projector stencil is left to maps or
+# metrics without them.
+
+ETA8_SIGNS = [1, 1, -1, -1, 1, 1, -1, -1]
+# a curved 8-dim expression metric, not a multiple of eta8, with an
+# off-diagonal entry, and a nonlinear expression map onto 4 dims
+CURVED8_ROWS = [
+    [
+        (f"exp(0.3*x1 + 0.2*x{r % 4 + 5}^2)" if s > 0 else f"-exp(0.3*x1 - 0.1*x2*x{r % 4 + 5})")
+        if r == c else ("0.1*sin(x2)" if {r, c} == {0, 4} else "0")
+        for c in range(8)
+    ]
+    for r, s in enumerate(ETA8_SIGNS)
+]
+BENT_COMPONENTS = ["x1 + 0.1*sin(x5)", "x2 + 0.2*x6^2", "x3", "x4 + 0.1*x1*x7"]
+
+
+def _expression_pair(chart8, chart4):
+    """The curved metric and the bent map as expressions, each with jets."""
+    components, jets = expression_array_with_jets(BENT_COMPONENTS, (4,), chart8, "bent")
+    return metric_from_config({"matrix": CURVED8_ROWS}, chart8), SubmersionMap(chart8, chart4, components, "bent", jets=jets)
+
+
+def test_fd_oneill_converges_to_the_exact_one_at_second_order(chart4):
+    chart8 = make_chart(8)
+    g, f = _expression_pair(chart8, chart4)
+    assert g.field.jets is not None and f.jets is not None
+    for p in sample_points(chart8, 2, seed=11):
+        distance = []
+        for h in (1e-3, 5e-4, 2.5e-4):
+            cfg = FdConfig(h)
+            exact = oneill_tensors(f, g, p, cfg)
+            fd = oneill_tensors(dataclasses.replace(f, jets=None), g, p, cfg)
+            distance.append(max(np.abs(fd.a_full - exact.a_full).max(), np.abs(fd.t_full - exact.t_full).max()))
+        assert exact.max_a_horizontal > 1e-2 and np.abs(exact.t_full).max() > 1e-2
+        for coarse, fine in zip(distance, distance[1:]):
+            assert 1.8 <= np.log2(coarse / fine) <= 2.2, distance
+
+
+def test_the_fibres_over_the_space_form_are_totally_geodesic_to_roundoff(chart4, cfg):
+    # the paper's example: T vanishes and A is antisymmetric on horizontal
+    # pairs, both exactly, so the exact path reads them at roundoff
+    g = metric_from_config({"matrix": SPACE_FORM_ROWS}, chart4)
+    bundle = build_tangent_bundle(g, TRIPLES["standard4"](chart4), cfg=cfg)
+    assert bundle.projection.jets is not None and bundle.metric.field.jets is not None
+    for xi in sample_points(bundle.spec, 3, seed=1):
+        rep = oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+        assert np.abs(rep.t_full).max() <= 1e-14
+        assert rep.antisymmetry_residual <= 1e-14
+        assert rep.max_a_horizontal > 1e-2
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [
+        ("base wall", StencilOutOfDomainError),  # x1 within one step of its wall
+        ("fiber wall", StencilOutOfDomainError),  # u1 within one step of its wall
+        ("other chart", ValidationError),
+    ],
+)
+def test_exact_oneill_raises_what_the_projector_stencil_raises(chart4, cfg, where, error):
+    x, u = BUNDLE_POINTS[0]
+    coords = np.array(x + u)
+    if where == "base wall":
+        coords[0] = 1.0 - cfg.step / 2
+    elif where == "fiber wall":
+        coords[4] = -1.0 + cfg.step / 2
+    errors = []
+    for exact in (True, False):
+        bundle = _conformal_bundle(chart4, cfg)
+        f = bundle.projection if exact else dataclasses.replace(bundle.projection, jets=None)
+        chart = make_chart(8) if where == "other chart" else bundle.spec
+        with pytest.raises(error) as got:
+            oneill_tensors(f, bundle.metric, Point(chart, coords), cfg)
+        errors.append(str(got.value))
+    assert errors[0] == errors[1]
+
+
+def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, cfg, monkeypatch):
+    framed = []
+    real = sasaki._frame_batch
+
+    def counted(g, C, cfg):
+        framed.extend(c.tobytes() for c in C)
+        return real(g, C, cfg)
+
+    monkeypatch.setattr(sasaki, "_frame_batch", counted)
+    bundle = _conformal_bundle(chart4, cfg)
+    xi = bundle.point(*BUNDLE_POINTS[0])
+    oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+    assert framed == [xi.coords.tobytes()]
+    assert {key[1] for key in bundle.metric._memo if key[0] == "g"} == {xi.coords.tobytes()}
+    # the projector stencil evaluates G and the frames at 16 more points
+    framed.clear()
+    bundle = _conformal_bundle(chart4, cfg)
+    oneill_tensors(dataclasses.replace(bundle.projection, jets=None), bundle.metric, xi, cfg)
+    assert len(set(framed)) == 17
+    assert len({key[1] for key in bundle.metric._memo if key[0] == "g"}) == 17
+
+
+def test_a_lift_without_jets_keeps_the_projector_stencil(cfg):
+    # the metric x1^x2 eta has no jets, so neither has its lift: the
+    # projection's jets alone do not take the exact path
+    chart = make_chart(4, domain=[[0.5, 1.5], [-1, 1], [-1, 1], [-1, 1]])
+    f = "x1^x2"
+    rows = [[(f if r < 2 else f"-{f}") if r == c else "0" for c in range(4)] for r in range(4)]
+    bundle, ref = (
+        build_tangent_bundle(metric_from_config({"matrix": rows}, chart), TRIPLES["standard4"](chart), cfg=cfg)
+        for _ in range(2)
+    )
+    assert bundle.projection.jets is not None and bundle.metric.field.jets is None
+    xi = bundle.point([0.8, 0.3, -0.2, 0.1], [0.2, -0.1, 0.15, 0.3])
+    got = oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+    a_full, t_full, a_h = reference_oneill(ref.projection, ref.metric, Point(ref.spec, xi.coords), cfg)
+    assert np.array_equal(got.a_full, a_full) and np.array_equal(got.t_full, t_full)
+    assert np.array_equal(got.a_horizontal, a_h)
