@@ -10,11 +10,12 @@ which the test suite checks against matrix multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularTransitionError, ValidationError
-from .fields import ManifoldSpec, Point, TensorField, eval_field
+from .fields import ManifoldSpec, Point, TensorField, _memo_batch, eval_batch
 
 TAU = (-1.0, -1.0, 1.0)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -119,7 +120,13 @@ class LocalBasisTriple:
 
     def matrices(self, p: Point) -> np.ndarray:
         """Stacked (3, dim, dim) values at p."""
-        return np.stack([eval_field(f, p) for f in self.fields])
+        return self.values([p])[0]
+
+    def values(self, points: Sequence[Point]) -> np.ndarray:
+        """``matrices`` at each point, stacked (len(points), 3, dim, dim):
+        one ``eval_batch`` per member, so a failing batch raises what its
+        first failing point raises alone."""
+        return np.stack([eval_batch(f, points) for f in self.fields], axis=1)
 
 
 def represent(q: SplitQuaternion, triple: LocalBasisTriple, p: Point) -> np.ndarray:
@@ -146,8 +153,12 @@ class AlgebraReport:
 
 def frobenius_gram(triple: LocalBasisTriple, p: Point) -> np.ndarray:
     """3x3 Gram matrix of the triple under <A, B> = sum_ij A^i_j B^i_j."""
-    J = triple.matrices(p)
-    return np.einsum("aij,bij->ab", J, J)
+    return _gram(triple.matrices(p))
+
+
+def _gram(J: np.ndarray) -> np.ndarray:
+    """``frobenius_gram`` of stacked values J[..., a, i, j]."""
+    return np.einsum("...aij,...bij->...ab", J, J)
 
 
 def check_triple_algebra(triple: LocalBasisTriple, p: Point) -> AlgebraReport:
@@ -160,26 +171,29 @@ def check_triple_algebra(triple: LocalBasisTriple, p: Point) -> AlgebraReport:
     The Gram determinant (Frobenius pairing) is reported alongside; linear
     independence of the three values means |det| > 1e-6.
     """
-    J = triple.matrices(p)
-    n = triple.chart.dim
-    eye = np.eye(n)
-    sq = max(
-        float(np.abs(J[a - 1] @ J[a - 1] + TAU[a - 1] * eye).max()) for a in (1, 2, 3)
-    )
-    prod = max(
-        float(np.abs(J[a - 1] @ J[b - 1] - TAU[c - 1] * J[c - 1]).max())
-        for (a, b, c) in CYCLIC
-    )
-    anti = max(
-        float(np.abs(J[a - 1] @ J[b - 1] + J[b - 1] @ J[a - 1]).max())
-        for (a, b, c) in CYCLIC
-    )
-    det = float(np.linalg.det(frobenius_gram(triple, p)))
-    return AlgebraReport(
-        square_residual=sq,
-        product_residual=prod,
-        anticommute_residual=anti,
-        gram_det=det,
+    return _triple_algebras(triple, [p])[0]
+
+
+def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[AlgebraReport]:
+    """``check_triple_algebra`` at each point: the triple's values from one
+    ``values``, every residual and determinant over the stack.  A batch
+    that raises is tried again point by point, so the error is the one the
+    first failing point raises alone."""
+    a, b, c = (np.array(CYCLIC) - 1).T
+    tau = np.array(TAU)[:, None, None]
+
+    def compute(pts: list[Point]) -> list[AlgebraReport]:
+        J = triple.values(pts)
+        JaJb = J[:, a] @ J[:, b]
+        residuals = np.stack(
+            [J @ J + tau * np.eye(triple.chart.dim), JaJb - tau[c] * J[:, c], JaJb + J[:, b] @ J[:, a]], axis=1
+        )
+        sq, prod, anti = np.abs(residuals).max(axis=(2, 3, 4)).T.tolist()
+        det = np.linalg.det(_gram(J)).tolist()
+        return [AlgebraReport(*row) for row in zip(sq, prod, anti, det)]
+
+    return _memo_batch(
+        {}, triple.chart, None, None, points, compute, one=lambda q: check_triple_algebra(triple, q)
     )
 
 
@@ -200,13 +214,17 @@ class TransitionMap:
 
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
-    """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p)."""
+    """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
+    member has a batch form: s at every point, A's values in one stack."""
     chart = A.chart
 
     def member(a: int) -> TensorField:
-        def comps(p: Point, a=a):
-            return np.einsum("b,bij->ij", s.matrix(p)[a], A.matrices(p))
+        def batch(points: Sequence[Point]) -> np.ndarray:
+            S = np.array([s.matrix(p)[a] for p in points])
+            return np.einsum("cb,cbij->cij", S, A.values(points))
 
-        return TensorField(chart, 1, 1, comps, label=f"{label or s.label}[{a + 1}]")
+        return TensorField(
+            chart, 1, 1, lambda p: batch([p])[0], label=f"{label or s.label}[{a + 1}]", batch=batch
+        )
 
     return LocalBasisTriple(member(0), member(1), member(2), label=label or s.label)

@@ -201,41 +201,68 @@ def covariant_derivative_11(
 ) -> np.ndarray:
     """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j], read-only and
     memoised on g per (field, point, step) like Gamma."""
+    return _covariant_derivatives(g, T, [p], cfg)[0]
+
+
+def _covariant_derivatives(
+    g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConfig
+) -> list[np.ndarray]:
+    """``covariant_derivative_11`` at each point, as the memo's read-only
+    arrays.  The distinct misses are one stack: Gamma from one
+    ``_christoffels``, T from one ``eval_batch``, dT from one ``_gradients``,
+    and D = dT + Gamma T - T Gamma in two batched ``einsum`` calls, which
+    round as the one-point ones do.  A batch that raises stores nothing, and
+    its first failing point raises what it raises alone."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
 
-    def compute():
-        gam = christoffel(g, p, cfg)
-        Tp = eval_field(T, p)
-        dT = _gradient(g, T, p, cfg)  # [i, k, j]
+    def compute(qs: list[Point]) -> np.ndarray:
+        gam = np.array(_christoffels(g, qs, cfg))
+        V = eval_batch(T, qs)
+        dT = np.array(_gradients(g, T, qs, cfg))  # [c, i, k, j]
         D = (
             dT
-            + np.einsum("kil,lj->ikj", gam, Tp)
-            - np.einsum("lij,kl->ikj", gam, Tp)
+            + np.einsum("ckil,clj->cikj", gam, V)
+            - np.einsum("clij,ckl->cikj", gam, V)
         )
         D.flags.writeable = False
         return D
 
-    return g._memoised(("nabla", T), p, cfg.step, compute)
+    return _memo_batch(
+        g._memo, g.chart, ("nabla", T), cfg.step, pts, compute,
+        one=lambda q: covariant_derivative_11(MetricField(g.field), T, q, cfg),
+    )
 
 
 def _gradient(g: MetricField, T: TensorField, p: Point, cfg: FdConfig) -> np.ndarray:
     """dT[m, ...] = d_m T at p, read-only and memoised on g per (field,
     point, step), so that nabla T and the Nijenhuis tensor of T read one
     derivative: T's order-1 jets where it has them, under the stencil rule
-    of ``christoffel``, else ``fd_gradient(T, p, cfg)``."""
+    of ``christoffel``, else central differences of T."""
+    return _gradients(g, T, [p], cfg)[0]
 
-    def compute():
+
+def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """``_gradient`` at each point, as the memo's read-only arrays: the
+    distinct misses from one ``T.jets`` call, or from one ``fd_gradient``
+    over all their stencils.  A batch that raises stores nothing, and its
+    first failing point raises what it raises alone."""
+
+    def compute(qs: list[Point]) -> np.ndarray:
         if T.jets is None:
-            dT = fd_gradient(T, p, cfg)
+            dT = fd_gradient(T, qs, cfg)
         else:
-            _check_chart(T.chart, p)
-            _require_stencils([p], cfg.step)
-            dT = np.array(T.jets([p], 1)[1][0])
+            for q in qs:
+                _check_chart(T.chart, q)
+            _require_stencils(qs, cfg.step)
+            dT = np.array(T.jets(qs, 1)[1])
         dT.flags.writeable = False
         return dT
 
-    return g._memoised(("d", T), p, cfg.step, compute)
+    return _memo_batch(
+        g._memo, g.chart, ("d", T), cfg.step, pts, compute,
+        one=lambda q: _gradient(MetricField(g.field), T, q, cfg),
+    )
 
 
 def covariant_derivative_02(

@@ -361,9 +361,10 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
     return D
 
 
-def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def fd_gradient(field: TensorField, p: Point | Sequence[Point], cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central differences of a tensor field's components, stacked: out[m] =
-    d_m, with each stencil evaluated in one ``eval_batch``."""
+    d_m, with the stencil evaluated in one ``eval_batch``; of a sequence of
+    centres, out[c, m], with all their stencils in one ``eval_batch``."""
     return central_difference(lambda qs: eval_batch(field, qs), p, cfg)
 
 

@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ._version import __version__
-from .algebra import LocalBasisTriple, TransitionMap, apply_transition, check_triple_algebra
+from .algebra import LocalBasisTriple, TransitionMap, _triple_algebras, apply_transition
 from .catalog import (
     expression_array,
     expression_array_with_jets,
@@ -36,7 +36,7 @@ from .catalog import (
     structure_from_config,
     triple_from_config,
 )
-from .connection import MetricField, covariant_derivative_11, is_flat
+from .connection import MetricField, _covariant_derivatives, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
 from .fields import MARGIN_STEPS, FdConfig, ManifoldSpec, Point, sample_points
 from .sasaki import (
@@ -49,7 +49,8 @@ from .sasaki import (
 from .structures import (
     ProductStructureField,
     StructureClass,
-    check_hermitian,
+    _fits,
+    _hermitians,
     check_parallel_equivalence,
     check_product_structure,
     check_sigma_invariant_operator,
@@ -180,14 +181,11 @@ def _index_pairs(value, n: int, what: str) -> None:
 
 
 def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[bool, dict]:
-    worst_sq = worst_pr = worst_ac = 0.0
-    min_gram = float("inf")
-    for pt in ctx.points[:points]:
-        rep = check_triple_algebra(ctx.triple, pt)
-        worst_sq = max(worst_sq, rep.square_residual)
-        worst_pr = max(worst_pr, rep.product_residual)
-        worst_ac = max(worst_ac, rep.anticommute_residual)
-        min_gram = min(min_gram, abs(rep.gram_det))
+    reps = _triple_algebras(ctx.triple, ctx.points[:points])
+    worst_sq = max(rep.square_residual for rep in reps)
+    worst_pr = max(rep.product_residual for rep in reps)
+    worst_ac = max(rep.anticommute_residual for rep in reps)
+    min_gram = min(abs(rep.gram_det) for rep in reps)
     worst = max(worst_sq, worst_pr, worst_ac)
     return worst < tol, {
         "tol": tol,
@@ -214,13 +212,12 @@ def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tupl
 def _run_kahler_fit(
     ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
 ) -> tuple[bool, dict]:
-    worst_fit = 0.0
+    fits = _fits(ctx.metric, ctx.triple, ctx.points[:points], ctx.cfg)
+    worst_fit = max(residual for _, residual, _ in fits)
     worst_val = 0.0
-    for pt in ctx.points[:points]:
-        fit = fit_kahler_oneforms(ctx.metric, ctx.triple, pt, ctx.cfg)
-        worst_fit = max(worst_fit, fit.residual)
-        if oneform_values is not None:
-            worst_val = max(worst_val, float(np.abs(fit.omega - np.asarray(oneform_values, dtype=float)).max()))
+    if oneform_values is not None:
+        expected = np.asarray(oneform_values, dtype=float)
+        worst_val = max(float(np.abs(omega - expected).max()) for omega, _, _ in fits)
     passed = worst_fit < tol and (oneform_values is None or worst_val < value_tol)
     data = {"tol": tol, "max_fit_residual": _f(worst_fit)}
     if oneform_values is not None:
@@ -375,15 +372,11 @@ def _run_bracket(
 def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool, dict]:
     bundle = ctx.bundle
     n = bundle.base_dim
-    max_u = 0.0
-    max_pull = 0.0
-    for pt in ctx.points[:points]:
-        fit = fit_kahler_oneforms(bundle.metric, bundle.triple, pt, ctx.cfg)
-        base_fit = fit_kahler_oneforms(
-            bundle.base_metric, bundle.base_triple, bundle.base_point(pt), ctx.cfg
-        )
-        max_u = max(max_u, float(np.abs(fit.omega[:, n:]).max()))
-        max_pull = max(max_pull, float(np.abs(fit.omega[:, :n] - base_fit.omega).max()))
+    pts = ctx.points[:points]
+    fits = _fits(bundle.metric, bundle.triple, pts, ctx.cfg)
+    base_fits = _fits(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts], ctx.cfg)
+    max_u = max(float(np.abs(omega[:, n:]).max()) for omega, _, _ in fits)
+    max_pull = max(float(np.abs(up[:, :n] - down).max()) for (up, _, _), (down, _, _) in zip(fits, base_fits))
     return max(max_u, max_pull) < tol, {
         "tol": tol, "max_fiber_component": _f(max_u), "max_pullback_error": _f(max_pull),
     }
@@ -393,10 +386,10 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     values = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
     trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition")
     witness = apply_transition(ctx.triple, trans, label="witness")
-    worst = 0.0
-    for pt in ctx.points[:points]:
-        for member in witness.fields:
-            worst = max(worst, float(np.abs(covariant_derivative_11(ctx.metric, member, pt, ctx.cfg)).max()))
+    pts = ctx.points[:points]
+    worst = max(
+        float(np.abs(D).max()) for member in witness.fields for D in _covariant_derivatives(ctx.metric, member, pts, ctx.cfg)
+    )
     return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
 
 
@@ -448,9 +441,7 @@ CHECKS: dict[str, CheckDef] = {
             "hermitian",
             "g(J_a X, Y) + g(X, J_a Y) = 0",
             "Skew-symmetry of each J_a with respect to the metric.",
-            _max_residual(1e-10, lambda ctx, pts: max(
-                check_hermitian(ctx.metric, ctx.triple, q) for q in pts
-            )),
+            _max_residual(1e-10, lambda ctx, pts: max(_hermitians(ctx.metric, ctx.triple, pts))),
         ),
         CheckDef(
             "classify",

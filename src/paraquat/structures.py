@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import TAU, CYCLIC, LocalBasisTriple
-from .connection import MetricField, _christoffels, _gradient, _nijenhuis_tensor, covariant_derivative_11
-from .errors import IllConditionedError, ParaquatError, PreconditionFailedError, ValidationError
-from .fields import FdConfig, Point, TensorField, eval_field
+from .connection import MetricField, _covariant_derivatives, _gradient, _nijenhuis_tensor, covariant_derivative_11
+from .errors import IllConditionedError, PreconditionFailedError, ValidationError
+from .fields import FdConfig, Point, TensorField, _memo_batch, eval_field
 
 TRACE_FLOOR = 1e-9
 
@@ -38,9 +39,20 @@ class StructureClass(str, Enum):
 
 def check_hermitian(g: MetricField, T: LocalBasisTriple, p: Point) -> float:
     """max_a |J_a^T g + g J_a| at p; zero means every J_a is g-skew."""
-    gp = g.matrix(p)
-    J = T.matrices(p)
-    return max(float(np.abs(J[a].T @ gp + gp @ J[a]).max()) for a in range(3))
+    return _hermitians(g, T, [p])[0]
+
+
+def _hermitians(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
+    """``check_hermitian`` at each point, over one stack of g and of the
+    triple's values.  A batch that raises is tried again point by point, so
+    the error is the one the first failing point raises alone."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        gp = np.array(g.matrices(qs))[:, None]
+        J = T.values(qs)
+        return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
+
+    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: check_hermitian(g, T, q))
 
 
 def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,40 +83,52 @@ def fit_kahler_oneforms(
     second fit there repeats the chart check and returns the same read-only
     ``omega`` and ``nabla``, and a fit that raises stores nothing.
     """
-    omega, residual, D = g._memoised(("fit", T), p, cfg.step, lambda: _fit(g, T, p, cfg))
+    omega, residual, D = _fits(g, T, [p], cfg)[0]
     return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
 
 
-def _fit(
-    g: MetricField, T: LocalBasisTriple, p: Point, cfg: FdConfig
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(omega, residual, nabla) of ``fit_kahler_oneforms``, arrays read-only."""
-    n = g.chart.dim
-    J = T.matrices(p)
-    traces = np.array([np.trace(J[b] @ J[b]) for b in range(3)])
-    if np.any(np.abs(traces) < TRACE_FLOOR):
-        raise IllConditionedError(f"degenerate trace pairing at {p}: {traces}")
-    D = np.stack([covariant_derivative_11(g, f, p, cfg) for f in T.fields])  # D[a, i, k, j]
+def _fits(
+    g: MetricField, T: LocalBasisTriple, pts: Sequence[Point], cfg: FdConfig
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """(omega, residual, nabla) of ``fit_kahler_oneforms`` at each point,
+    arrays read-only, memoised on g under ("fit", T).  The distinct misses
+    are one stack: the triple's values and their trace pairings, nabla J_a
+    from one ``_covariant_derivatives`` per member, then the slots, omega
+    and the residual over the whole stack.  A batch that raises stores
+    nothing, and its first failing point raises what it raises alone."""
 
-    def slot(a: int, b: int, i: int) -> float:
-        # coefficient of J_b inside (nabla_i J_a)
-        return float(np.einsum("kj,jk->", D[a][i], J[b]) / traces[b])
+    def compute(qs: list[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
+        n = g.chart.dim
+        J = T.values(qs)  # [c, a, k, j]
+        traces = np.trace(J @ J, axis1=-2, axis2=-1)
+        bad = (np.abs(traces) < TRACE_FLOOR).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
+        D = np.stack([np.array(_covariant_derivatives(g, f, qs, cfg)) for f in T.fields], axis=1)  # [c, a, i, k, j]
+        # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
+        # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
+        # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
+        # them; a single batched einsum rounds differently
+        P = np.add.reduce(D[:, :, None] * J.transpose(0, 1, 3, 2)[:, None, :, None], axis=-2)
+        C = 0.0 + P[..., 0]
+        for j in range(1, n):
+            C = C + P[..., j]
+        C = C / traces[:, None, :, None]
+        omega = np.empty((len(qs), 3, n))
+        omega[:, 0] = 0.5 * (C[:, 1, 2] + C[:, 2, 1])
+        omega[:, 1] = 0.5 * (C[:, 0, 2] + C[:, 2, 0])
+        omega[:, 2] = 0.5 * (C[:, 1, 0] - C[:, 0, 1])
+        w = omega.transpose(1, 0, 2)[..., None, None]  # w[a][c, i] as a (c, i, 1, 1) stack
+        recon = np.stack(span_combination(w, J.transpose(1, 0, 2, 3)[:, :, None]), axis=1)
+        residual = np.abs(D - recon).max(axis=(1, 2, 3, 4))
+        omega.flags.writeable = D.flags.writeable = False
+        return list(zip(omega, residual.tolist(), D))
 
-    omega = np.empty((3, n))
-    for i in range(n):
-        c12, c13 = slot(0, 1, i), slot(0, 2, i)
-        c23, c21 = slot(1, 2, i), slot(1, 0, i)
-        c31, c32 = slot(2, 0, i), slot(2, 1, i)
-        omega[0, i] = 0.5 * (c23 + c32)
-        omega[1, i] = 0.5 * (c13 + c31)
-        omega[2, i] = 0.5 * (c21 - c12)
-    residual = 0.0
-    for i in range(n):
-        recon = span_combination(omega[:, i], J)
-        for a in range(3):
-            residual = max(residual, float(np.abs(D[a][i] - recon[a]).max()))
-    omega.flags.writeable = D.flags.writeable = False
-    return omega, residual, D
+    return _memo_batch(
+        g._memo, g.chart, ("fit", T), cfg.step, pts, compute,
+        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, q, cfg),
+    )
 
 
 @dataclass(frozen=True)
@@ -127,22 +151,15 @@ def classify_structure(
 
     LhPK-basis means this basis is already parallel (max |nabla J_a| < tol);
     PQK means the derivatives stay in the span (fit residual < tol) even though
-    the basis itself is not parallel.  Gamma at the whole sample comes in one
-    batch, which the fits then read.
+    the basis itself is not parallel.  The hermitian residuals and the fits
+    of the whole sample each come in one batch.
     """
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
-    herm = max(check_hermitian(g, T, p) for p in pts)
-    try:
-        _christoffels(g, pts, cfg)
-    except ParaquatError:
-        pass  # the batch stored nothing; the fits below raise in their own order
-    nab = 0.0
-    fit_res = 0.0
-    for p in pts:
-        fit = fit_kahler_oneforms(g, T, p, cfg)
-        fit_res = max(fit_res, fit.residual)
-        nab = max(nab, float(np.abs(fit.nabla).max()))
+    herm = max(_hermitians(g, T, pts))
+    fits = _fits(g, T, pts, cfg)
+    fit_res = max(residual for _, residual, _ in fits)
+    nab = max(float(np.abs(D).max()) for _, _, D in fits)
     if herm >= tol:
         cls = StructureClass.NOT_HERMITIAN
     elif nab < tol:

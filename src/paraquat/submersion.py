@@ -333,9 +333,12 @@ def basic_lift(
     w = np.asarray(target_vector, dtype=float)
     if w.shape != (f.target.dim,):
         raise ShapeError(f"target vector has shape {w.shape}, expected ({f.target.dim},)")
-    fr = vh_split(f, g, p, cfg)
-    JH = fr.df @ fr.horizontal
-    return fr.horizontal @ np.linalg.solve(JH, w)
+    return _lift(vh_split(f, g, p, cfg), w)
+
+
+def _lift(fr: SplitFrame, w: np.ndarray) -> np.ndarray:
+    """``basic_lift`` of w from the split at its point."""
+    return fr.horizontal @ np.linalg.solve(fr.df @ fr.horizontal, w)
 
 
 @dataclass(frozen=True)
@@ -383,9 +386,9 @@ def descend_one_forms(
     for k, p in enumerate(fiber_pts):
         fit = fit_kahler_oneforms(g, T, p, cfg)
         fit_max = max(fit_max, fit.residual)
+        fr = vh_split(f, g, p, cfg)
         for alpha in range(m):
-            X = basic_lift(f, g, p, np.eye(m)[alpha], cfg)
-            values[k, :, alpha] = fit.omega @ X
+            values[k, :, alpha] = fit.omega @ _lift(fr, np.eye(m)[alpha])
     spread = float((values.max(axis=0) - values.min(axis=0)).max()) if len(fiber_pts) > 1 else 0.0
     return DescentReport(
         image=base,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paraquat import FdConfig, sample_points
+from paraquat import FdConfig, MetricField, christoffel, sample_points
+from paraquat.fields import eval_field, fd_gradient
 from paraquat.catalog import METRICS, STD_J1, STD_J2, STD_J3, TRIPLES, make_chart, triple_from_config
 
 # the neutral space form eta/(1 + eta(x, x)/4)^2, a curved PQK metric
@@ -18,6 +19,16 @@ def rotated4_matrices():
 
     zero = 0 * STD_J1
     return [rows(STD_J1, STD_J2, zero), rows(STD_J2, -STD_J1, zero), rows(zero, zero, STD_J3)]
+
+
+def reference_nabla(g, T, p, cfg):
+    """(nabla_i T)^k_j at one point as the one-point code formed it: Gamma at
+    p on a fresh memo of g, T at p, dT from T's jets at p alone or central
+    differences around p alone, and one einsum per connection term."""
+    gam = christoffel(MetricField(g.field), p, cfg)
+    Tp = eval_field(T, p)
+    dT = fd_gradient(T, p, cfg) if T.jets is None else T.jets([p], 1)[1][0]
+    return dT + np.einsum("kil,lj->ikj", gam, Tp) - np.einsum("lij,kl->ikj", gam, Tp)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,9 @@ from paraquat import (
     Point,
     StencilOutOfDomainError,
     TensorField,
+    TransitionMap,
     ValidationError,
+    apply_transition,
     build_tangent_bundle,
     central_difference,
     christoffel,
@@ -33,7 +35,9 @@ from paraquat import (
     signature,
 )
 from paraquat import connection
-from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart, metric_from_config
+from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart, metric_from_config, triple_from_config
+
+from conftest import reference_nabla, rotated4_matrices
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -616,3 +620,98 @@ def test_christoffel_batch_raises_what_its_first_failing_centre_raises_alone(cha
         connection._christoffels(g, [first, later], cfg)
     assert str(got.value) == str(expected.value)
     assert not g._memo
+
+
+# ------------------------------------------------------------ batched nabla T
+
+
+def _witness_member(chart):
+    """A member of rotated4 turned by a position-dependent transition, as the
+    parallel-witness check builds it: a field with a batch form and no jets."""
+    s = TransitionMap(lambda p: np.array([[np.cos(p.coords[0]), -np.sin(p.coords[0]), 0.0],
+                                          [np.sin(p.coords[0]), np.cos(p.coords[0]), 0.0],
+                                          [0.0, 0.0, 1.0]]))
+    return apply_transition(TRIPLES["rotated4"](chart), s).j1
+
+
+NABLA_CASES = {
+    # name: (metric, (1,1) field) on the 4-dim chart, at the points of NABLA_POINTS
+    "constant over neutral4": (METRICS["neutral4"], lambda c: TRIPLES["standard4"](c).j3),
+    "constant over conformal-neutral4": (METRICS["conformal-neutral4"], lambda c: TRIPLES["standard4"](c).j1),
+    "lambda over conformal-neutral4": (METRICS["conformal-neutral4"], lambda c: TRIPLES["rotated4"](c).j2),
+    "lambda over finite differences": (
+        lambda c: MetricField(dataclasses.replace(METRICS["conformal-neutral4"](c).field, jets=None)),
+        lambda c: TRIPLES["rotated4"](c).j1,
+    ),
+    "expression over conformal-neutral4": (
+        METRICS["conformal-neutral4"],
+        lambda c: triple_from_config({"matrices": rotated4_matrices()}, c).j1,
+    ),
+    "witness over conformal-neutral4": (METRICS["conformal-neutral4"], _witness_member),
+}
+NABLA_POINTS = [MEMO_POINT, [-0.6, 0.4, 0.0, 0.7], [0.5, -0.3, 0.2, -0.8], [0.0, 0.0, 0.0, 0.0]]
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", sorted(NABLA_CASES))
+def test_batched_nabla_is_the_one_point_formula_bit_for_bit(chart4, cfg, name):
+    metric, field = NABLA_CASES[name]
+    g, T = metric(chart4), field(chart4)
+    pts = [Point(chart4, c) for c in NABLA_POINTS]
+    batch = connection._covariant_derivatives(g, T, pts, cfg)
+    for p, D in zip(pts, batch):
+        _assert_same_bits(D, reference_nabla(g, T, p, cfg))
+        assert not D.flags.writeable
+        assert covariant_derivative_11(g, T, Point(chart4, p.coords), cfg) is D
+    assert max(np.abs(D).max() for D in batch) > 0 or name == "constant over neutral4"
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_batched_nabla_of_a_lifted_member_is_the_one_point_formula_bit_for_bit(chart4, cfg, exact):
+    # the Sasaki lift over conformal-neutral4: lifted members with jets
+    # (standard4) or without (rotated4), on the 8-dim lifted metric
+    base = METRICS["conformal-neutral4"](chart4)
+    bundle = build_tangent_bundle(base, TRIPLES["standard4" if exact else "rotated4"](chart4), cfg=cfg)
+    T = bundle.triple.j2
+    assert (T.jets is not None) is exact
+    pts = [bundle.point(x, u) for x, u in [(MEMO_POINT, [0.2, -0.1, 0.15, 0.3]), ([-0.6, 0.4, 0.0, 0.7], [0.0, 0.5, -0.4, 0.1])]]
+    for p, D in zip(pts, connection._covariant_derivatives(bundle.metric, T, pts, cfg)):
+        _assert_same_bits(D, reference_nabla(bundle.metric, T, p, cfg))
+
+
+def test_nabla_batch_raises_what_its_first_failing_point_raises_alone_and_stores_nothing(chart4, cfg):
+    # the field is not finite at the second point, the metric degenerate at
+    # the third, which the batch's Gamma finds before it evaluates the field
+    def comps(p):
+        return _degenerate(p) if p.coords[2] > 0.5 else _conformal(p)
+
+    T = TensorField(chart4, 1, 1, lambda p: np.full((4, 4), np.nan if p.coords[1] > 0.6 else p.coords[0]), "probe")
+    pts = [Point(chart4, MEMO_POINT), Point(chart4, [0.0, 0.7, 0.0, 0.0]), Point(chart4, [0.0, 0.0, 0.7, 0.0])]
+    for batch, alone in ((connection._covariant_derivatives, covariant_derivative_11), (connection._gradients, connection._gradient)):
+        ref, _ = _counted_metric(chart4, comps)
+        with pytest.raises(EvaluationError) as expected:
+            alone(ref, T, pts[1], cfg)
+        g, _ = _counted_metric(chart4, comps)
+        with pytest.raises(EvaluationError) as got:
+            batch(g, T, pts, cfg)
+        assert str(got.value) == str(expected.value)
+        assert not [key for key in g._memo if key[0] in ("gamma", ("nabla", T), ("d", T))]
+
+
+def test_gradient_batch_raises_what_its_first_failing_point_raises_alone(chart4, cfg):
+    # a field with jets: the second point's stencil leaves the box, and the
+    # third lies on another chart, which the batch checks first
+    T = triple_from_config({"matrices": rotated4_matrices()}, chart4).j1
+    other = make_chart(4, coords=("a", "b", "c", "d"))
+    pts = [Point(chart4, MEMO_POINT), Point(chart4, [1.0 - 0.5 * H, 0.0, 0.0, 0.0]), Point(other, MEMO_POINT)]
+    g = MetricField(METRICS["conformal-neutral4"](chart4).field)
+    with pytest.raises(StencilOutOfDomainError) as expected:
+        connection._gradient(MetricField(g.field), T, pts[1], cfg)
+    with pytest.raises(StencilOutOfDomainError) as got:
+        connection._gradients(g, T, pts, cfg)
+    assert str(got.value) == str(expected.value)
+    assert not [key for key in g._memo if key[0] == ("d", T)]

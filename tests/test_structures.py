@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    EvaluationError,
     FdConfig,
     IllConditionedError,
     LocalBasisTriple,
@@ -16,6 +17,8 @@ from paraquat import (
     StructureClass,
     TensorField,
     ValidationError,
+    algebra,
+    build_tangent_bundle,
     check_hermitian,
     connection,
     check_parallel_equivalence,
@@ -23,11 +26,15 @@ from paraquat import (
     check_sigma_invariant_operator,
     classify_structure,
     constant_field,
+    fields,
     fit_kahler_oneforms,
     sample_points,
     structures,
 )
-from paraquat.catalog import STD_J1, STD_J2, STD_J3, STRUCTURES, TRIPLES, make_chart
+from paraquat.catalog import METRICS, STD_J1, STD_J2, STD_J3, STRUCTURES, TRIPLES, make_chart, triple_from_config
+from paraquat.structures import span_combination
+
+from conftest import reference_nabla, rotated4_matrices
 
 
 def test_hermitian_residuals(flat4, euclidean4, std_triple, pts4):
@@ -123,15 +130,16 @@ def test_fit_oneforms_degenerate_pairing(flat4, chart4, cfg):
 
 @pytest.fixture
 def nabla_calls(monkeypatch):
-    """Points at which a fit asks for a covariant derivative of a member."""
+    """Points at which a fit asks for a covariant derivative of a member:
+    each point of each batch the fit hands to ``_covariant_derivatives``."""
     calls = []
-    real = structures.covariant_derivative_11
+    real = structures._covariant_derivatives
 
-    def counted(g, T, p, cfg=FdConfig()):
-        calls.append(p)
-        return real(g, T, p, cfg)
+    def counted(g, T, pts, cfg):
+        calls.extend(pts)
+        return real(g, T, pts, cfg)
 
-    monkeypatch.setattr(structures, "covariant_derivative_11", counted)
+    monkeypatch.setattr(structures, "_covariant_derivatives", counted)
     return calls
 
 
@@ -285,8 +293,8 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
     real = connection.fd_gradient
 
     def counted(f, p, cfg=FdConfig()):
-        if f is rotated.field:
-            grads.append(p.coords.tobytes())
+        if f is rotated.field:  # one centre, or the centres of a batch
+            grads.extend(q.coords.tobytes() for q in ([p] if isinstance(p, Point) else p))
         return real(f, p, cfg)
 
     monkeypatch.setattr(connection, "fd_gradient", counted)
@@ -324,3 +332,194 @@ def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_tripl
         g = MetricField(flat4.field)
         distance.append(max(np.abs(fit_kahler_oneforms(g, fd, p, FdConfig(h)).nabla - e).max() for p, e in zip(pts, exact)))
     assert 1.8 <= np.log2(distance[0] / distance[1]) <= 2.2
+
+
+# ------------------------------------------------------------ batched fit
+
+
+def reference_fit(g, T, p, cfg):
+    """(omega, residual, nabla) at one point as the one-point fit formed them:
+    nabla J_a per member, and each slot one einsum("kj,jk->") over one
+    (a, b, i)."""
+    n = g.chart.dim
+    J = T.matrices(p)
+    traces = np.array([np.trace(J[b] @ J[b]) for b in range(3)])
+    D = np.stack([reference_nabla(g, f, p, cfg) for f in T.fields])
+
+    def slot(a, b, i):
+        return float(np.einsum("kj,jk->", D[a][i], J[b]) / traces[b])
+
+    omega = np.empty((3, n))
+    for i in range(n):
+        omega[0, i] = 0.5 * (slot(1, 2, i) + slot(2, 1, i))
+        omega[1, i] = 0.5 * (slot(0, 2, i) + slot(2, 0, i))
+        omega[2, i] = 0.5 * (slot(1, 0, i) - slot(0, 1, i))
+    residual = 0.0
+    for i in range(n):
+        recon = span_combination(omega[:, i], J)
+        for a in range(3):
+            residual = max(residual, float(np.abs(D[a][i] - recon[a]).max()))
+    return omega, residual, D
+
+
+def _lifted(chart, triple):
+    """The lifted pair of the Sasaki lift of (conformal-neutral4, triple)."""
+    bundle = build_tangent_bundle(METRICS["conformal-neutral4"](chart), TRIPLES[triple](chart))
+    return bundle.metric, bundle.triple
+
+
+FIT_CASES = {
+    # name: (a builder of (metric, triple), the class the pair has)
+    "constant over neutral4": (lambda c: (METRICS["neutral4"](c), TRIPLES["standard4"](c)), StructureClass.LHPK_BASIS),
+    "constant over conformal-neutral4": (
+        lambda c: (METRICS["conformal-neutral4"](c), TRIPLES["standard4"](c)), StructureClass.PQK,
+    ),
+    "rotated4 over neutral4": (lambda c: (METRICS["neutral4"](c), TRIPLES["rotated4"](c)), StructureClass.PQK),
+    "expression over conformal-neutral4": (
+        lambda c: (METRICS["conformal-neutral4"](c), triple_from_config({"matrices": rotated4_matrices()}, c)),
+        StructureClass.PQK,
+    ),
+    "sasaki lift of standard4": (lambda c: _lifted(c, "standard4"), StructureClass.HERMITIAN_ONLY),
+    "sasaki lift of rotated4": (lambda c: _lifted(c, "rotated4"), StructureClass.HERMITIAN_ONLY),
+}
+
+
+def _fit_points(g):
+    pts = sample_points(g.chart, 3, seed=5)
+    return pts + [Point(g.chart, np.zeros(g.chart.dim))]
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_batched_fit_is_the_one_point_fit_bit_for_bit(chart4, cfg, name):
+    build, cls = FIT_CASES[name]
+    g, T = build(chart4)
+    pts = _fit_points(g)
+    fits = structures._fits(g, T, pts, cfg)
+    for p, (omega, residual, D) in zip(pts, fits):
+        ref_omega, ref_residual, ref_D = reference_fit(g, T, p, cfg)
+        for got, ref in ((omega, ref_omega), (D, ref_D)):
+            assert got.tobytes() == ref.tobytes()
+            # descend-oneforms prints omega, so a zero keeps its sign too
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert not got.flags.writeable
+        assert residual == ref_residual
+        fit = fit_kahler_oneforms(g, T, Point(g.chart, p.coords), cfg)
+        assert fit.omega is omega and fit.nabla is D
+    assert classify_structure(g, T, pts, cfg=cfg).cls is cls
+    if cls is StructureClass.LHPK_BASIS:  # nabla J vanishes: every value is a zero
+        assert not any(np.abs(D).max() for _, _, D in fits)
+
+
+def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4, chart4, cfg, monkeypatch):
+    # an expression triple: one jets call per member for the whole sample
+    jets_calls = []
+
+    def counted(f):
+        def jets(points, order):
+            jets_calls.append((f.label, len(points)))
+            return f.jets(points, order)
+
+        return dataclasses.replace(f, jets=jets)
+
+    expr = triple_from_config({"matrices": rotated4_matrices()}, chart4)
+    T = LocalBasisTriple(*(counted(f) for f in expr.fields))
+    pts = sample_points(chart4, 6, seed=3)
+    classify_structure(MetricField(conformal4.field), T, pts, cfg=cfg)
+    assert sorted(jets_calls) == sorted((f.label, 6) for f in T.fields)
+    # a lambda triple: as many evaluation batches for 2 points as for 6
+    batches = []
+    real = fields.eval_batch
+
+    def counted_batch(field, points):
+        batches.append(field)
+        return real(field, points)
+
+    for module in (fields, connection, algebra):
+        monkeypatch.setattr(module, "eval_batch", counted_batch)
+    rot = TRIPLES["rotated4"](chart4)
+    counts = []
+    for n in (2, 6):
+        batches.clear()
+        classify_structure(MetricField(conformal4.field), rot, sample_points(chart4, n, seed=3), cfg=cfg)
+        counts.append([batches.count(f) for f in rot.fields])
+    assert counts[0] == counts[1]
+
+
+def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, cfg, nabla_calls):
+    g = _fresh(conformal4)
+    p, q = Point(g.chart, [0.1, -0.2, 0.3, 0.05]), Point(g.chart, [-0.4, 0.2, 0.0, 0.6])
+    fits = structures._fits(g, std_triple, [p, q, Point(g.chart, p.coords)], cfg)
+    assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()] * 3
+    assert fits[2] is fits[0]
+
+
+def _degenerate_at_second(chart4):
+    # J3 scaled by x1, so the trace pairing vanishes where x1 = 0
+    return LocalBasisTriple(
+        constant_field(chart4, 1, 1, STD_J1, "J1"),
+        constant_field(chart4, 1, 1, STD_J2, "J2"),
+        TensorField(chart4, 1, 1, lambda p: p.coords[0] * STD_J3, "x1 J3"),
+    )
+
+
+FAILING_SAMPLES = {
+    # name: (triple builder, second point, third point, error); the first
+    # point is fine, and the second raises the error alone
+    "degenerate trace pairing": (
+        _degenerate_at_second, [0.0, 0.2, -0.1, 0.3], [0.4, 0.1, -0.5, 0.2], IllConditionedError,
+    ),
+    "stencil off the box": (
+        lambda c: TRIPLES["rotated4"](c), [0.3, 1.0 - 0.5e-3, 0.0, 0.0], [0.4, 0.1, -0.5, 0.2], StencilOutOfDomainError,
+    ),
+    # the stacked trace test finds the third point first; the batch still
+    # raises what the second raises alone
+    "stencil off the box before a degenerate pairing": (
+        _degenerate_at_second, [0.3, 1.0 - 0.5e-3, 0.0, 0.0], [0.0, 0.1, -0.5, 0.2], StencilOutOfDomainError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_SAMPLES))
+@pytest.mark.parametrize("run", ["fit", "classify"])
+def test_a_failing_fit_batch_raises_its_first_failing_point_and_stores_nothing(conformal4, chart4, cfg, case, run):
+    build, second, third, error = FAILING_SAMPLES[case]
+    T = build(chart4)
+    pts = [Point(chart4, [0.1, -0.2, 0.3, 0.05]), Point(chart4, second), Point(chart4, third)]
+    with pytest.raises(error) as expected:
+        fit_kahler_oneforms(_fresh(conformal4), T, pts[1], cfg)
+    g = _fresh(conformal4)
+    with pytest.raises(error) as got:
+        if run == "fit":
+            structures._fits(g, T, pts, cfg)
+        else:
+            classify_structure(g, T, pts, cfg=cfg)
+    assert str(got.value) == str(expected.value)
+    kinds = {("fit", T)} | {(kind, f) for kind in ("nabla", "d") for f in T.fields}
+    assert not [key for key in g._memo if key[0] in kinds]
+
+
+def test_batched_hermitian_is_the_one_point_formula_bit_for_bit(conformal4, euclidean4, std_triple, rot_triple, pts4):
+    for g, T in ((conformal4, rot_triple), (euclidean4, std_triple)):
+        ref = []
+        for p in pts4:
+            gp, J = g.matrix(p), T.matrices(p)
+            ref.append(max(float(np.abs(J[a].T @ gp + gp @ J[a]).max()) for a in range(3)))
+        assert structures._hermitians(g, T, pts4) == ref
+        assert [check_hermitian(g, T, p) for p in pts4] == ref
+
+
+def test_a_hermitian_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple):
+    # the triple is not finite at the second point; the metric is degenerate
+    # at the third, which the batch's stacked metric values find first
+    g = MetricField(TensorField(chart4, 0, 2, lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]), "probe"))
+    T = LocalBasisTriple(
+        TensorField(chart4, 1, 1, lambda p: STD_J1 * (np.nan if p.coords[1] > 0.5 else 1.0), "J1"),
+        std_triple.j2,
+        std_triple.j3,
+    )
+    pts = [Point(chart4, [0.5, 0.0, 0.0, 0.0]), Point(chart4, [0.5, 0.7, 0.0, 0.0]), Point(chart4, [0.0, 0.0, 0.0, 0.0])]
+    with pytest.raises(EvaluationError) as expected:
+        check_hermitian(MetricField(g.field), T, pts[1])
+    with pytest.raises(EvaluationError) as got:
+        structures._hermitians(g, T, pts)
+    assert str(got.value) == str(expected.value)
