@@ -1,10 +1,10 @@
-"""Split-quaternion arithmetic and local (J1, J2, J3) basis triples.
+"""Local (J1, J2, J3) basis triples, their tau-algebra check and their
+changes of basis.
 
 The signs of the whole package live in the constant ``TAU = (-1, -1, 1)``:
-J_a^2 = -tau_a I, J_a J_b = tau_c J_c = -J_b J_a for cyclic (a, b, c), and the
-abstract algebra on (1, e1, e2, e3) uses e_a^2 = -tau_a with the same cyclic
-products.  Mapping e_a to J_a(p) of a valid triple is an algebra isomorphism,
-which the test suite checks against matrix multiplication.
+J_a^2 = -tau_a I and J_a J_b = tau_c J_c = -J_b J_a for cyclic (a, b, c),
+the relations of the split quaternions on (1, e1, e2, e3) with e_a sent to
+J_a(p).  ``check_triple_algebra`` measures how far a triple is from them.
 """
 
 from __future__ import annotations
@@ -21,67 +21,6 @@ TAU = (-1.0, -1.0, 1.0)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 TRANSITION_DET_FLOOR = 1e-9
-
-
-def _basis_product(a: int, b: int) -> tuple[float, int]:
-    """e_a * e_b as (coefficient, basis index); index 0 means the scalar 1."""
-    if a == 0:
-        return 1.0, b
-    if b == 0:
-        return 1.0, a
-    if a == b:
-        return -TAU[a - 1], 0
-    for (x, y, z) in CYCLIC:
-        if (a, b) == (x, y):
-            return TAU[z - 1], z
-        if (a, b) == (y, x):
-            return -TAU[z - 1], z
-    raise AssertionError("unreachable")
-
-
-@dataclass(frozen=True)
-class SplitQuaternion:
-    """Coefficients on the basis (1, e1, e2, e3)."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def __add__(self, other):
-        return SplitQuaternion(*(self.as_array() + other.as_array()))
-
-    def __sub__(self, other):
-        return SplitQuaternion(*(self.as_array() - other.as_array()))
-
-    def __neg__(self):
-        return SplitQuaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, SplitQuaternion):
-            return splitq_mul(self, other)
-        return SplitQuaternion(*(self.as_array() * float(other)))
-
-    def __rmul__(self, scalar):
-        return SplitQuaternion(*(float(scalar) * self.as_array()))
-
-
-def splitq_mul(q: SplitQuaternion, r: SplitQuaternion) -> SplitQuaternion:
-    """Product in the split-quaternion algebra, expanded from the basis table."""
-    qa, ra = q.as_array(), r.as_array()
-    out = np.zeros(4)
-    for a in range(4):
-        if qa[a] == 0.0:
-            continue
-        for b in range(4):
-            if ra[b] == 0.0:
-                continue
-            coeff, idx = _basis_product(a, b)
-            out[idx] += coeff * qa[a] * ra[b]
-    return SplitQuaternion(*out)
 
 
 def doubled(X: np.ndarray) -> np.ndarray:
@@ -129,13 +68,6 @@ class LocalBasisTriple:
         return np.stack([eval_batch(f, points) for f in self.fields], axis=1)
 
 
-def represent(q: SplitQuaternion, triple: LocalBasisTriple, p: Point) -> np.ndarray:
-    """Image of q under 1 -> I, e_a -> J_a(p)."""
-    J = triple.matrices(p)
-    n = triple.chart.dim
-    return q.w * np.eye(n) + q.x * J[0] + q.y * J[1] + q.z * J[2]
-
-
 @dataclass(frozen=True)
 class AlgebraReport:
     square_residual: float
@@ -151,13 +83,9 @@ class AlgebraReport:
         return self.max_residual < tol
 
 
-def frobenius_gram(triple: LocalBasisTriple, p: Point) -> np.ndarray:
-    """3x3 Gram matrix of the triple under <A, B> = sum_ij A^i_j B^i_j."""
-    return _gram(triple.matrices(p))
-
-
 def _gram(J: np.ndarray) -> np.ndarray:
-    """``frobenius_gram`` of stacked values J[..., a, i, j]."""
+    """The 3x3 Gram matrix of each triple value of a stack J[..., a, i, j]
+    under the Frobenius pairing <A, B> = sum_ij A^i_j B^i_j."""
     return np.einsum("...aij,...bij->...ab", J, J)
 
 

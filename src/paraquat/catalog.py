@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
-from .exprlang import compile_exprs, compile_with_jets, parse_expr
+from .exprlang import compile_with_jets, parse_expr
 from .fields import ManifoldSpec, Point, TensorField, constant_field
 from .structures import ProductStructureField
 
@@ -210,27 +210,22 @@ def _parsed(entries, shape: tuple[int, ...], what: str):
 
 def expression_array(
     entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a nested list of expression strings into one function of the
-    chart's coordinate vector returning their values as an array of ``shape``.
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable | None]:
+    """Compile a nested list of expression strings into (values, jets).
+
+    ``values`` is one function of the chart's coordinate vector returning
+    the entries as an array of ``shape``, compiled by ``compile_exprs``'s
+    code.  ``jets`` gives their exact partials to order 3 from the same
+    trees (``compile_with_jets``), called as ``jets(points, order)`` with
+    ``TensorField.jets``' convention: order + 1 stacked arrays, the partial
+    axes first, then ``shape``.  A '^' or pow with a coordinate in its
+    exponent leaves the array without jets (None), so its derivatives stay
+    finite differences.
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
     scenario-build time rather than mid-run.
     """
-    values = compile_exprs(_parsed(entries, shape, what), chart.coords)
-    return lambda c: np.array(values(c)).reshape(shape)
-
-
-def expression_array_with_jets(
-    entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable | None]:
-    """``expression_array``, and the exact jets of its entries to order 3
-    from the same trees (``compile_with_jets``), called as ``jets(points,
-    order)`` with ``TensorField.jets``' convention: order + 1 stacked
-    arrays, the partial axes first, then ``shape``.  A '^' or pow with a
-    coordinate in its exponent leaves the array without jets (None), so
-    its derivatives stay finite differences."""
     n = chart.dim
     values, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
 
@@ -243,8 +238,8 @@ def expression_array_with_jets(
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
     """A (r, s) field of expression matrices, carrying exact jets to order 3
-    unless an exponent holds a coordinate (``expression_array_with_jets``)."""
-    values, jets = expression_array_with_jets(rows, (chart.dim, chart.dim), chart, label)
+    unless an exponent holds a coordinate (``expression_array``)."""
+    values, jets = expression_array(rows, (chart.dim, chart.dim), chart, label)
     return TensorField(chart, r, s, lambda p: values(p.coords), label, jets=jets)
 
 

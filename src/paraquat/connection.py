@@ -42,7 +42,6 @@ from .fields import (
     _require_stencils,
     central_difference,
     eval_batch,
-    eval_field,
     fd_gradient,
 )
 
@@ -265,27 +264,6 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConf
     )
 
 
-def covariant_derivative_02(
-    g: MetricField, T: TensorField, p: Point, cfg: FdConfig = FdConfig()
-) -> np.ndarray:
-    """(nabla_i T)_{jk} for a (0,2) field; returns D[i, j, k].
-
-    Applied to the metric itself this must vanish (metric compatibility of the
-    Levi-Civita connection), which the test suite uses as a cross-check of the
-    Christoffel assembly.
-    """
-    if (T.r, T.s) != (0, 2):
-        raise ValidationError("covariant_derivative_02 expects a (0,2) field")
-    gam = christoffel(g, p, cfg)
-    Tp = eval_field(T, p)
-    dT = fd_gradient(T, p, cfg)  # [i, j, k]
-    return (
-        dT
-        - np.einsum("lij,lk->ijk", gam, Tp)
-        - np.einsum("lik,jl->ijk", gam, Tp)
-    )
-
-
 def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
     ``riem[l, k, i, j]`` (convention in the module docstring).  Without jets,
@@ -352,8 +330,9 @@ def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:
     return np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
 
 
-def nijenhuis(F: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Nijenhuis tensor of a (1,1) field on coordinate frames; returns N[k, i, j].
+def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor N[k, i, j] of a (1,1) field on coordinate frames,
+    from F at p and its derivative there, dF[m, k, j] = d_m F^k_j.
 
     N(X,Y) = F^2 [X,Y] + [FX, FY] - F[FX, Y] - F[X, FY]; on coordinate frames
     the first term drops and the components reduce to
@@ -361,14 +340,6 @@ def nijenhuis(F: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarra
         N^k_{ij} = F^m_i d_m F^k_j - F^m_j d_m F^k_i
                  + F^k_m d_j F^m_i - F^k_m d_i F^m_j.
     """
-    if (F.r, F.s) != (1, 1):
-        raise ValidationError("nijenhuis expects a (1,1) field")
-    return _nijenhuis_tensor(eval_field(F, p), fd_gradient(F, p, cfg))
-
-
-def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
-    """``nijenhuis`` from F at p and its derivative there, dF[m, k, j] =
-    d_m F^k_j."""
     t1 = np.einsum("mi,mkj->kij", Fp, dF)
     t2 = np.einsum("mj,mki->kij", Fp, dF)
     t3 = np.einsum("km,jmi->kij", Fp, dF)
@@ -384,9 +355,3 @@ def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3, cfg: FdConfig =
     worst = max(float(np.abs(R).max()) for R in _riemanns(g, pts, cfg))
     return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 
-
-def signature(g: MetricField, p: Point) -> tuple[int, int]:
-    """(n_plus, n_minus) eigenvalue counts of g at p."""
-    gp = g.matrix(p)  # raises DegenerateMetricError when singular
-    ev = np.linalg.eigvalsh(gp)
-    return int((ev > 0).sum()), int((ev < 0).sum())

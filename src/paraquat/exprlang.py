@@ -605,10 +605,3 @@ def compile_with_jets(
 
     return values, jets
 
-
-def bind_expr(e: Expr, names: Sequence[str]) -> Callable[[np.ndarray], float]:
-    """Compile one tree to a function of a float coordinate array ordered
-    like ``names``; the one-tree case of :func:`compile_exprs`."""
-    values = compile_exprs([e], names)
-    return lambda c: values(c)[0]
-

@@ -82,13 +82,6 @@ def _split_xi(base: ManifoldSpec, xi: Point) -> tuple[Point, np.ndarray]:
     return Point(base, xi.coords[:n]), np.array(xi.coords[n:])
 
 
-def connection_shift(g: MetricField, xi: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """M^k_i = Gamma^k_{ji}(x) u^j — the u-part of horizontal lifts is -M X."""
-    x, u = _split_xi(g.chart, xi)
-    gam = christoffel(g, x, cfg)
-    return np.einsum("kji,j->ki", gam, u)
-
-
 def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     """X^h = (X, -M X) for kind "h", X^v = (0, X) for kind "v".
 
@@ -191,22 +184,18 @@ class SasakiBundle:
     def base_dim(self) -> int:
         return self.base_metric.chart.dim
 
-    def shift(self, xi: Point) -> np.ndarray:
-        """The connection shift M at xi, read from the frame memo: L^-1 is
-        [[I, 0], [M, I]], so its lower-left block holds connection_shift's
-        values bit for bit.  A point of another chart, or outside the box,
-        raises as ``eval_field`` would."""
-        n = self.base_dim
-        return self.frames([xi])[0][1][n:, :n]
-
     def point(self, x, u) -> Point:
-        return Point(self.spec, np.concatenate([np.asarray(x, float), np.asarray(u, float)]))
+        """The bundle point (x, u): x on the base, u the fiber vector, each
+        of shape (n,) over an n-dim base."""
+        n = self.base_dim
+        parts = [np.asarray(V, float) for V in (x, u)]
+        for what, V in zip(("x", "u"), parts):
+            if V.shape != (n,):
+                raise ShapeError(f"{what} has shape {V.shape}, expected ({n},)")
+        return Point(self.spec, np.concatenate(parts))
 
     def base_point(self, xi: Point) -> Point:
         return _split_xi(self.base_metric.chart, xi)[0]
-
-    def fiber_vector(self, xi: Point) -> np.ndarray:
-        return _split_xi(self.base_metric.chart, xi)[1]
 
 
 def build_tangent_bundle(
@@ -260,7 +249,7 @@ def build_tangent_bundle(
 
         def alone(xi: Point) -> None:
             _check_point(bundle, xi)
-            connection_shift(MetricField(g.field), xi, cfg)
+            _frame_batch(MetricField(g.field), np.array([xi.coords]), cfg)
 
         return _memo_batch(memo, bundle, "frame", None, xis, compute, one=alone)
 

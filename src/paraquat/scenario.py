@@ -29,7 +29,6 @@ from ._version import __version__
 from .algebra import LocalBasisTriple, TransitionMap, _triple_algebras, apply_transition
 from .catalog import (
     expression_array,
-    expression_array_with_jets,
     load_catalog_scenario,
     make_chart,
     metric_from_config,
@@ -383,7 +382,7 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
 
 
 def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
-    values = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
+    values = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")[0]
     trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition")
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
@@ -741,7 +740,7 @@ def build_context(
         target_chart = make_chart(int(tgt["dim"]), tgt.get("coords"), tgt.get("domain"))
         target_metric = metric_from_config(tgt.get("metric", "neutral4"), target_chart)
         target_triple = triple_from_config(tgt.get("triple", "standard4"), target_chart)
-        components, jets = expression_array_with_jets(
+        components, jets = expression_array(
             sub.get("components"), (target_chart.dim,), chart, "submersion 'components'"
         )
         submersion = SubmersionMap(

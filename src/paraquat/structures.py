@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import TAU, CYCLIC, LocalBasisTriple
+from .algebra import LocalBasisTriple
 from .connection import MetricField, _covariant_derivatives, _gradient, _nijenhuis_tensor, covariant_derivative_11
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
 from .fields import FdConfig, Point, TensorField, _memo_batch, eval_field

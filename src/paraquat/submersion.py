@@ -322,22 +322,9 @@ def _projector_partials(f: SubmersionMap, g: MetricField, fr: SplitFrame) -> np.
     return -(dN @ KinvJ - NKinv @ dK @ KinvJ + NKinv @ dJ)
 
 
-def basic_lift(
-    f: SubmersionMap,
-    g: MetricField,
-    p: Point,
-    target_vector: np.ndarray,
-    cfg: FdConfig = FdConfig(),
-) -> np.ndarray:
-    """The unique horizontal vector at p pushing forward to target_vector."""
-    w = np.asarray(target_vector, dtype=float)
-    if w.shape != (f.target.dim,):
-        raise ShapeError(f"target vector has shape {w.shape}, expected ({f.target.dim},)")
-    return _lift(vh_split(f, g, p, cfg), w)
-
-
 def _lift(fr: SplitFrame, w: np.ndarray) -> np.ndarray:
-    """``basic_lift`` of w from the split at its point."""
+    """The basic lift of a target vector w: the unique horizontal vector at
+    the split's point that pushes forward to w."""
     return fr.horizontal @ np.linalg.solve(fr.df @ fr.horizontal, w)
 
 

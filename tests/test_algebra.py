@@ -9,58 +9,18 @@ from paraquat import (
     LocalBasisTriple,
     Point,
     SingularTransitionError,
-    SplitQuaternion,
     TensorField,
     TransitionMap,
     ValidationError,
     apply_transition,
     check_triple_algebra,
     constant_field,
-    frobenius_gram,
-    represent,
     algebra,
     sample_points,
-    splitq_mul,
 )
 from paraquat.algebra import CYCLIC, TAU
 from paraquat.catalog import STD_J1, STD_J2, TRIPLES, make_chart
 from paraquat.fields import eval_batch, eval_field
-
-
-def test_splitq_basis_table():
-    e0 = SplitQuaternion(1, 0, 0, 0)
-    e1 = SplitQuaternion(0, 1, 0, 0)
-    e2 = SplitQuaternion(0, 0, 1, 0)
-    e3 = SplitQuaternion(0, 0, 0, 1)
-    # squares: e1^2 = e2^2 = +1, e3^2 = -1
-    assert splitq_mul(e1, e1) == e0
-    assert splitq_mul(e2, e2) == e0
-    assert splitq_mul(e3, e3) == SplitQuaternion(-1, 0, 0, 0)
-    # cyclic products
-    assert splitq_mul(e1, e2) == e3
-    assert splitq_mul(e2, e3) == -e1
-    assert splitq_mul(e3, e1) == -e2
-    # anticommutativity
-    assert splitq_mul(e2, e1) == -e3
-
-
-def test_splitq_arithmetic():
-    q = SplitQuaternion(1, 2, 0, -1)
-    r = SplitQuaternion(0, 1, 1, 0)
-    assert (q + r) - r == q
-    assert 2 * q == q + q
-    assert np.allclose((q * r).as_array(), splitq_mul(q, r).as_array())
-
-
-def test_representation_is_homomorphism(std_triple):
-    p = Point(std_triple.chart, [0.1, -0.2, 0.3, 0.05])
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q = SplitQuaternion(*rng.uniform(-2, 2, size=4))
-        r = SplitQuaternion(*rng.uniform(-2, 2, size=4))
-        lhs = represent(splitq_mul(q, r), std_triple, p)
-        rhs = represent(q, std_triple, p) @ represent(r, std_triple, p)
-        assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_standard_triple_algebra(std_triple, pts4):
@@ -86,11 +46,6 @@ def test_identity_triple_fails(chart4):
     rep = check_triple_algebra(eye, Point(chart4, [0, 0, 0, 0]))
     assert rep.anticommute_residual == pytest.approx(2.0)
     assert not rep.passed(1e-12)
-
-
-def test_frobenius_gram_standard(std_triple):
-    p = Point(std_triple.chart, [0, 0, 0, 0])
-    assert np.allclose(frobenius_gram(std_triple, p), np.diag([4.0, 4.0, 4.0]))
 
 
 ROTATE = TransitionMap(

@@ -26,13 +26,12 @@ from paraquat import (
     central_difference,
     christoffel,
     constant_field,
-    covariant_derivative_02,
     covariant_derivative_11,
     curvature_operator,
+    eval_field,
+    fd_gradient,
     is_flat,
-    nijenhuis,
     riemann,
-    signature,
 )
 from paraquat import connection
 from paraquat.catalog import ETA4, METRICS, TRIPLES, make_chart, metric_from_config, triple_from_config
@@ -74,9 +73,16 @@ def test_christoffel_symmetric_lower_indices(conformal4, pts4, cfg):
 
 
 def test_metric_compatibility(conformal4, pts4, cfg):
-    # nabla g = 0 for the metric's own connection
+    # nabla g = 0 for the metric's own connection:
+    # (nabla_i g)_{jk} = d_i g_{jk} - Gamma^l_{ij} g_{lk} - Gamma^l_{ik} g_{jl}
     for p in pts4:
-        D = covariant_derivative_02(conformal4, conformal4.field, p, cfg)
+        gam = christoffel(conformal4, p, cfg)
+        gp = eval_field(conformal4.field, p)
+        D = (
+            fd_gradient(conformal4.field, p, cfg)
+            - np.einsum("lij,lk->ijk", gam, gp)
+            - np.einsum("lik,jl->ijk", gam, gp)
+        )
         assert np.abs(D).max() < 1e-5
 
 
@@ -122,6 +128,10 @@ def test_is_flat_verdicts(flat4, conformal4, pts4, cfg):
 
 
 def test_signature(flat4, euclidean4, chart4):
+    def signature(g, p):  # (n_plus, n_minus) eigenvalue counts of g at p
+        ev = np.linalg.eigvalsh(g.matrix(p))
+        return int((ev > 0).sum()), int((ev < 0).sum())
+
     p = Point(chart4, [0, 0, 0, 0])
     assert signature(flat4, p) == (2, 2)
     assert signature(euclidean4, p) == (4, 0)
@@ -152,7 +162,7 @@ def test_nijenhuis_hand_case(chart4, cfg):
         "handF",
     )
     p = Point(chart4, [0.5, 0.5, 0.0, 0.0])
-    N = nijenhuis(F, p, cfg)
+    N = connection._nijenhuis_tensor(eval_field(F, p), fd_gradient(F, p, cfg))
     expected = np.zeros((4, 4, 4))
     expected[0, 0, 1] = 0.5
     expected[0, 1, 0] = -0.5

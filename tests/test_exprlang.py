@@ -11,7 +11,6 @@ from paraquat import (
     EvaluationError,
     ExprSyntaxError,
     UnknownSymbolError,
-    bind_expr,
     parse_expr,
     print_expr,
 )
@@ -86,7 +85,7 @@ def test_evaluate():
 
 def test_unknown_symbol_raised_at_bind_time():
     with pytest.raises(UnknownSymbolError):
-        bind_expr(parse_expr("x1 + q"), ["x1", "x2"])
+        compile_exprs([parse_expr("x1 + q")], ["x1", "x2"])
     # the first unknown name, left to right, across the trees of an array
     with pytest.raises(UnknownSymbolError) as exc:
         compile_exprs([parse_expr("x1"), parse_expr("a/b"), parse_expr("c")], ["x1"])
@@ -227,7 +226,7 @@ def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coo
     assert _outcome(lambda: compile_exprs(twins, _NAMES)(c)) == expected
     if expected[0] == "value":
         for e, v in zip(twins, expected[1]):
-            assert struct.pack("d", bind_expr(e, _NAMES)(c)) == v
+            assert struct.pack("d", compile_exprs([e], _NAMES)(c)[0]) == v
 
 
 def test_shared_subexpression_is_evaluated_once(monkeypatch):
@@ -243,7 +242,7 @@ def test_shared_subexpression_is_evaluated_once(monkeypatch):
     plus, minus = f"exp(2*({f}))", f"-exp(2*({f}))"
     diag = (plus, plus, minus, minus)
     matrix = [[diag[r] if r == k else "0" for k in range(4)] for r in range(4)]
-    values = expression_array(matrix, (4, 4), make_chart(4), "metric")
+    values = expression_array(matrix, (4, 4), make_chart(4), "metric")[0]
     x = np.array([0.1, -0.2, 0.3, 0.4])
     g = values(x)
     assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Lifted metrics on tangent bundles and their closed-form oracles."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from paraquat import (
     check_nabla_j_oracle,
     check_triple_algebra,
     christoffel,
-    connection_shift,
     covariant_derivative_11,
     curvature_operator,
     eval_field,
@@ -35,7 +35,6 @@ from paraquat import (
     oracle_tilde_nabla,
     oracle_tilde_nabla_J,
     riemann,
-    signature,
     tangent_bundle_chart,
 )
 from paraquat import connection, sasaki, structures
@@ -60,6 +59,19 @@ def conformal_shift_exact(xi):
     return np.einsum("kji,j->ki", gam, u)
 
 
+def reference_shift(g, xi, cfg):
+    """M^k_i = Gamma^k_{ji}(x) u^j at xi = (x, u) as the one-point code
+    formed it: Gamma at x from one ``christoffel`` call, one ``einsum``."""
+    n = g.chart.dim
+    return np.einsum("kji,j->ki", christoffel(g, Point(g.chart, xi.coords[:n]), cfg), xi.coords[n:])
+
+
+def memo_shift(bundle, xi):
+    """M at xi from the bundle's frame memo: L^-1 = [[I, 0], [M, I]]."""
+    n = bundle.base_dim
+    return bundle.frames([xi])[0][1][n:, :n]
+
+
 def test_bundle_chart_names(chart4):
     tb = tangent_bundle_chart(chart4)
     assert tb.coords == ("x1", "x2", "x3", "x4", "u1", "u2", "u3", "u4")
@@ -72,18 +84,19 @@ def test_bundle_chart_rejects_name_collision():
         tangent_bundle_chart(base)
 
 
-def test_connection_shift(flat4, conformal4, cfg):
-    tb = tangent_bundle_chart(flat4.chart)
-    xi = Point(tb, [0.1, -0.2, 0.3, 0.05, 0.2, -0.1, 0.15, 0.3])
-    assert np.abs(connection_shift(flat4, xi, cfg)).max() < 1e-10
-    assert np.abs(connection_shift(conformal4, xi, cfg) - conformal_shift_exact(xi)).max() < 1e-5
+def test_connection_shift(flat4, conformal4, std_triple, cfg):
+    flat, conformal = (build_tangent_bundle(g, std_triple, cfg=cfg) for g in (flat4, conformal4))
+    x, u = [0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]
+    assert np.abs(memo_shift(flat, flat.point(x, u))).max() < 1e-10
+    xi = conformal.point(x, u)
+    assert np.abs(memo_shift(conformal, xi) - conformal_shift_exact(xi)).max() < 1e-5
 
 
-def test_horizontal_lift_u_part(conformal4, cfg):
-    tb = tangent_bundle_chart(conformal4.chart)
+def test_horizontal_lift_u_part(conformal4, std_triple, cfg):
+    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
     e1 = np.array([1.0, 0, 0, 0])
-    xi = Point(tb, np.concatenate([np.zeros(4), e1]))
-    lifted = lift("h", e1, connection_shift(conformal4, xi, cfg))
+    xi = bundle.point(np.zeros(4), e1)
+    lifted = lift("h", e1, memo_shift(bundle, xi))
     # at the origin with u = e1 the shift matrix is the identity
     assert np.abs(lifted[:4] - e1).max() < 1e-5
     assert np.abs(lifted[4:] + e1).max() < 1e-5
@@ -97,7 +110,8 @@ def test_flat_bundle_metric_is_block_diagonal(flat4, std_triple, cfg):
         [[ETA4, np.zeros((4, 4))], [np.zeros((4, 4)), ETA4]]
     )
     assert np.abs(G - expected).max() < 1e-9
-    assert signature(bundle.metric, xi) == (4, 4)
+    ev = np.linalg.eigvalsh(G)
+    assert ((ev > 0).sum(), (ev < 0).sum()) == (4, 4)
 
 
 def test_bundle_rejects_non_hermitian_base(euclidean4, std_triple, cfg):
@@ -110,7 +124,7 @@ def test_lifted_metric_on_frames(conformal4, std_triple, cfg):
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     G = bundle.metric.matrix(xi)
     gx = conformal4.matrix(bundle.base_point(xi))
-    M = connection_shift(conformal4, xi, cfg)
+    M = memo_shift(bundle, xi)
     H, V = lift("h", np.eye(4), M), lift("v", np.eye(4))
     assert np.abs(H.T @ G @ H - gx).max() < 1e-9
     assert np.abs(H.T @ G @ V).max() < 1e-9
@@ -123,7 +137,24 @@ def test_point_split_roundtrip(flat4, std_triple, cfg):
     u = [0.3, 0.1, -0.2, 0.5]
     xi = bundle.point(x, u)
     assert np.allclose(bundle.base_point(xi).coords, x)
-    assert np.allclose(bundle.fiber_vector(xi), u)
+    assert np.allclose(xi.coords[4:], u)
+
+
+@pytest.mark.parametrize(
+    "x, u, bad",
+    [
+        ([0.1, 0.2, 0.3], [0.4, 0.5, 0.6, 0.7, 0.8], "x has shape (3,), expected (4,)"),
+        ([0.1, 0.2, 0.3, 0.4, 0.5], [0.6, 0.7, 0.8], "x has shape (5,), expected (4,)"),
+        ([0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7], "u has shape (3,), expected (4,)"),
+        ([[0.1, 0.2], [0.3, 0.4]], [0.5, 0.6, 0.7, 0.8], "x has shape (2, 2), expected (4,)"),
+    ],
+)
+def test_point_rejects_parts_of_the_wrong_length(flat4, std_triple, cfg, x, u, bad):
+    # the total length alone is not enough: (3 + 5) coordinates must not
+    # become a bundle point over the base point (0.1, 0.2, 0.3, 0.4)
+    bundle = build_tangent_bundle(flat4, std_triple, cfg=cfg)
+    with pytest.raises(ShapeError, match=re.escape(bad)):
+        bundle.point(x, u)
 
 
 def test_connection_matches_oracle_flat(flat4, std_triple, cfg):
@@ -207,7 +238,7 @@ def _textbook_lift(g, T, xi, cfg):
     """G and the three Jt_a at xi from the np.block formulas of the module
     docstring, with no memo in between."""
     x = Point(g.chart, xi.coords[:4])
-    M = connection_shift(g, xi, cfg)
+    M = reference_shift(g, xi, cfg)
     eye, zero = np.eye(4), np.zeros((4, 4))
     L = np.block([[eye, zero], [-M, eye]])
     Linv = np.block([[eye, zero], [M, eye]])
@@ -298,13 +329,13 @@ def _per_vector_reference(bundle, xi, pairs):
     cfg = bundle.cfg
     g, n = bundle.base_metric, bundle.base_dim
     e = np.eye(n)
-    x, u = bundle.base_point(xi), bundle.fiber_vector(xi)
+    x, u = bundle.base_point(xi), xi.coords[n:]
     gam, R = christoffel(g, x, cfg), riemann(g, x, cfg)
     gamG = christoffel(bundle.metric, xi, cfg)
-    M = bundle.shift(xi)
+    M = memo_shift(bundle, xi)
 
     def lift_field(kind, Y):
-        return TensorField(bundle.spec, 1, 0, lambda q: lift(kind, Y, bundle.shift(q)), f"{kind}-lift")
+        return TensorField(bundle.spec, 1, 0, lambda q: lift(kind, Y, memo_shift(bundle, q)), f"{kind}-lift")
 
     def closed(kx, X, ky, Y):
         cov = np.einsum("kml,m,l->k", gam, X, Y)
@@ -354,7 +385,7 @@ def _nabla_j_reference(bundle, xi):
     afresh, not read from its Kähler fit."""
     cfg = bundle.cfg
     e = np.eye(bundle.base_dim)
-    M = bundle.shift(xi)
+    M = memo_shift(bundle, xi)
     L = np.hstack([lift("h", e, M), lift("v", e)])
     D = np.stack([covariant_derivative_11(bundle.metric, F, xi, cfg) for F in bundle.triple.fields])
     lifted = np.einsum("aAkl,AI,lJ->aIkJ", D, L, L)
@@ -476,7 +507,7 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg
     assert batches == [9] and len(frame_batches) == 1
     ref = MetricField(conformal4.field)
     for xi, (L, Linv, x), Gxi in zip(pts, frames, G):
-        M = connection_shift(ref, xi, cfg)
+        M = reference_shift(ref, xi, cfg)
         assert np.array_equal(Linv[4:, :4], M) and np.array_equal(L[4:, :4], -M)
         assert np.array_equal(L[:4], np.eye(8)[:4]) and np.array_equal(Linv[4:, 4:], np.eye(4))
         assert np.array_equal(x.coords, xi.coords[:4])
@@ -607,7 +638,7 @@ def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4,
             bundle.frames([bundle.point(x, U)])
     with pytest.raises(error) as expected:
         check_connection_oracle(bundle, xi)
-    for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, type(bundle).shift):
+    for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, memo_shift):
         with pytest.raises(error) as got:
             oracle(bundle, xi)
         assert str(got.value) == str(expected.value)

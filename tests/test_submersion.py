@@ -16,7 +16,6 @@ from paraquat import (
     SubmersionMap,
     TensorField,
     ValidationError,
-    basic_lift,
     build_tangent_bundle,
     check_paraholomorphic,
     check_semi_riemannian,
@@ -31,9 +30,9 @@ from paraquat import (
     vh_split,
 )
 from paraquat import sasaki
-from paraquat.catalog import METRICS, TRIPLES, expression_array_with_jets, make_chart, metric_from_config
+from paraquat.catalog import METRICS, TRIPLES, expression_array, make_chart, metric_from_config
 from paraquat.fields import central_difference
-from paraquat.submersion import _jacobians, _vh_splits
+from paraquat.submersion import _jacobians, _lift, _vh_splits
 
 from conftest import SPACE_FORM_ROWS
 
@@ -170,7 +169,7 @@ def test_basic_lift(proj8to4, cfg):
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     X = np.array([1.0, -2.0, 0.5, 0.0])
-    lifted = basic_lift(f, g8, p, X, cfg)
+    lifted = _lift(vh_split(f, g8, p, cfg), X)
     J = jacobian(f, p, cfg)
     assert np.abs(J @ lifted - X).max() < 1e-9  # projects back to X
     assert np.abs(lifted[4:]).max() < 1e-9  # horizontal for this projection
@@ -441,7 +440,7 @@ BENT_COMPONENTS = ["x1 + 0.1*sin(x5)", "x2 + 0.2*x6^2", "x3", "x4 + 0.1*x1*x7"]
 
 def _expression_pair(chart8, chart4):
     """The curved metric and the bent map as expressions, each with jets."""
-    components, jets = expression_array_with_jets(BENT_COMPONENTS, (4,), chart8, "bent")
+    components, jets = expression_array(BENT_COMPONENTS, (4,), chart8, "bent")
     return metric_from_config({"matrix": CURVED8_ROWS}, chart8), SubmersionMap(chart8, chart4, components, "bent", jets=jets)
 
 
