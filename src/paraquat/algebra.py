@@ -9,13 +9,13 @@ J_a(p).  ``check_triple_algebra`` measures how far a triple is from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SingularTransitionError, ValidationError
-from .fields import ManifoldSpec, Point, TensorField, _memo_batch, eval_batch
+from .fields import ManifoldSpec, Point, TensorField, _jets_of, _memo_batch, _order_at_most, eval_batch
 
 TAU = (-1.0, -1.0, 1.0)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -127,10 +127,18 @@ def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """Pointwise GL(3) change of triple basis: B.J_a = sum_b s[a,b] A.J_b."""
+    """Pointwise GL(3) change of triple basis: B.J_a = sum_b s[a,b] A.J_b.
+
+    ``jets`` follows ``SubmersionMap.jets``: ``jets(points, order)`` returns
+    s and its partials to ``order`` at a list of points, stacked with the
+    partial axes first, ``[c, i, a, b]`` for the first partials.
+    """
 
     s: object  # Callable[[Point], np.ndarray (3,3)]
     label: str = ""
+    jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def matrix(self, p: Point) -> np.ndarray:
         m = np.asarray(self.s(p), dtype=float)
@@ -143,16 +151,26 @@ class TransitionMap:
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
-    member has a batch form: s at every point, A's values in one stack."""
+    member has a batch form: s at every point, A's values in one stack; and
+    jets to order 1, d(s_ab J_b) = ds_ab J_b + s_ab dJ_b, from the jets of s
+    and of A's members."""
     chart = A.chart
 
     def member(a: int) -> TensorField:
+        name = f"{label or s.label}[{a + 1}]"
+
         def batch(points: Sequence[Point]) -> np.ndarray:
             S = np.array([s.matrix(p)[a] for p in points])
             return np.einsum("cb,cbij->cij", S, A.values(points))
 
-        return TensorField(
-            chart, 1, 1, lambda p: batch([p])[0], label=f"{label or s.label}[{a + 1}]", batch=batch
-        )
+        def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
+            _order_at_most(name, order, 1)
+            S = np.array([s.matrix(p)[a] for p in points])
+            dS = _jets_of(s)(points, 1)[1][:, :, a]  # [c, m, b]
+            J, dJ = (np.stack(X, axis=1) for X in zip(*(_jets_of(f)(points, 1) for f in A.fields)))
+            dB = np.einsum("cmb,cbij->cmij", dS, J) + np.einsum("cb,cbmij->cmij", S, dJ)
+            return batch(points), dB
+
+        return TensorField(chart, 1, 1, lambda p: batch([p])[0], label=name, batch=batch, jets=jets)
 
     return LocalBasisTriple(member(0), member(1), member(2), label=label or s.label)

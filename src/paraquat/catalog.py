@@ -58,13 +58,38 @@ def _require_dim(chart: ManifoldSpec, dim: int, what: str) -> None:
         raise ValidationError(f"{what} needs a {dim}-dim chart, got {chart.dim}")
 
 
-def _rotated(angle: float, a: int) -> np.ndarray:
-    """Member a of standard4 rotated by ``angle`` in the span of (J1, J2);
-    only that member is built."""
-    if a == 2:
-        return STD_J3
-    c, s = np.cos(angle), np.sin(angle)
-    return c * STD_J1 + s * STD_J2 if a == 0 else -s * STD_J1 + c * STD_J2
+def _turning(chart: ManifoldSpec, coord: int, rate: float, A: np.ndarray, B: np.ndarray, label: str) -> TensorField:
+    """The (1,1) field cos(t) A + sin(t) B with t = rate x_coord, with exact
+    jets: its k-th partial along x_coord is rate^k (cos(t + k pi/2) A +
+    sin(t + k pi/2) B), and every other partial is 0."""
+    n = chart.dim
+
+    def at(t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None]
+        return np.cos(t) * A + np.sin(t) * B
+
+    def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        t = rate * np.array([p.coords[coord] for p in points])
+        out = []
+        for k in range(order + 1):
+            D = np.zeros((len(points),) + (n,) * k + (n, n))
+            D[(slice(None),) + (coord,) * k] = rate**k * at(t + k * np.pi / 2)
+            out.append(D)
+        return tuple(out)
+
+    return TensorField(chart, 1, 1, lambda p: at(rate * p.coords[coord]), label, jets=jets)
+
+
+def _rotated_triple(chart: ManifoldSpec, coord: int, product: bool) -> LocalBasisTriple:
+    """standard4, doubled for a product, rotated in the span of (J1, J2) by
+    the coordinate ``coord``; J3 stays constant."""
+    J1, J2, J3 = (doubled(J) if product else J for J in (STD_J1, STD_J2, STD_J3))
+    label = (lambda a: f"J{a}'+J{a}'") if product else (lambda a: f"J{a}'")
+    return LocalBasisTriple(
+        _turning(chart, coord, 1.0, J1, J2, label(1)),
+        _turning(chart, coord, 1.0, J2, -J1, label(2)),
+        constant_field(chart, 1, 1, J3, label(3)),
+    )
 
 
 def _metric_neutral4(chart: ManifoldSpec) -> MetricField:
@@ -110,13 +135,7 @@ def _triple_standard4(chart: ManifoldSpec) -> LocalBasisTriple:
 def _triple_rotated4(chart: ManifoldSpec) -> LocalBasisTriple:
     """standard4 rotated in the span of (J1, J2) by the first coordinate."""
     _require_dim(chart, 4, "rotated4")
-
-    def member(a: int) -> TensorField:
-        return TensorField(
-            chart, 1, 1, lambda p, a=a: _rotated(p.coords[0], a), f"J{a + 1}'"
-        )
-
-    return LocalBasisTriple(member(0), member(1), member(2))
+    return _rotated_triple(chart, 0, product=False)
 
 
 def _triple_product8(chart: ManifoldSpec) -> LocalBasisTriple:
@@ -128,21 +147,11 @@ def _triple_product8(chart: ManifoldSpec) -> LocalBasisTriple:
     )
 
 
-def _product_rotated_member(chart: ManifoldSpec, a: int, coord: int) -> TensorField:
-    return TensorField(
-        chart,
-        1,
-        1,
-        lambda p: doubled(_rotated(p.coords[coord], a)),
-        f"J{a + 1}'+J{a + 1}'",
-    )
-
-
 def _triple_product8_rotated(chart: ManifoldSpec) -> LocalBasisTriple:
     """Both factors rotated by the first base coordinate; descends through the
     first-factor projection onto rotated4."""
     _require_dim(chart, 8, "product8-rotated")
-    return LocalBasisTriple(*(_product_rotated_member(chart, a, 0) for a in range(3)))
+    return _rotated_triple(chart, 0, product=True)
 
 
 def _triple_product8_fiber_rotated(chart: ManifoldSpec) -> LocalBasisTriple:
@@ -150,7 +159,7 @@ def _triple_product8_fiber_rotated(chart: ManifoldSpec) -> LocalBasisTriple:
     the first-factor projection, so the pair upstairs stays PQK while nothing
     downstairs matches it."""
     _require_dim(chart, 8, "product8-fiber-rotated")
-    return LocalBasisTriple(*(_product_rotated_member(chart, a, 4) for a in range(3)))
+    return _rotated_triple(chart, 4, product=True)
 
 
 TRIPLES: dict[str, Callable[[ManifoldSpec], LocalBasisTriple]] = {
@@ -169,21 +178,14 @@ def _structure_split8(chart: ManifoldSpec) -> ProductStructureField:
 
 
 def _structure_split8_rotated(chart: ManifoldSpec) -> ProductStructureField:
-    """split8 conjugated by a factor-mixing rotation of angle 0.1 x2: still an
+    """split8 conjugated by a factor-mixing rotation of angle 0.1 x2, that is
+    [[c, s], [s, -c]] blockwise with (c, s) = (cos, sin)(0.2 x2): still an
     isometric involution commuting with the product triple, no longer
     parallel or integrable."""
     _require_dim(chart, 8, "split8-rotated")
-
-    def comp(p: Point) -> np.ndarray:
-        th = 0.1 * p.coords[1]
-        c, s = np.cos(2.0 * th), np.sin(2.0 * th)
-        eye = np.eye(4)
-        F = np.empty((8, 8))
-        F[:4, :4], F[:4, 4:] = c * eye, s * eye
-        F[4:, :4], F[4:, 4:] = s * eye, -c * eye
-        return F
-
-    return ProductStructureField(TensorField(chart, 1, 1, comp, "split8-rotated"), "split8-rotated")
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    A, B = np.block([[eye, zero], [zero, -eye]]), np.block([[zero, eye], [eye, zero]])
+    return ProductStructureField(_turning(chart, 1, 0.2, A, B, "split8-rotated"), "split8-rotated")
 
 
 STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
@@ -210,17 +212,15 @@ def _parsed(entries, shape: tuple[int, ...], what: str):
 
 def expression_array(
     entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable | None]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable]:
     """Compile a nested list of expression strings into (values, jets).
 
     ``values`` is one function of the chart's coordinate vector returning
-    the entries as an array of ``shape``, compiled by ``compile_exprs``'s
-    code.  ``jets`` gives their exact partials to order 3 from the same
-    trees (``compile_with_jets``), called as ``jets(points, order)`` with
-    ``TensorField.jets``' convention: order + 1 stacked arrays, the partial
-    axes first, then ``shape``.  A '^' or pow with a coordinate in its
-    exponent leaves the array without jets (None), so its derivatives stay
-    finite differences.
+    the entries as an array of ``shape``, and ``jets`` gives their exact
+    partials to order 3 from the same trees, both from
+    ``compile_with_jets``.  ``jets`` is called as ``jets(points, order)``
+    with ``TensorField.jets``' convention: order + 1 stacked arrays, the
+    partial axes first, then ``shape``.
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
@@ -233,12 +233,12 @@ def expression_array(
         arrays = jets(np.array([q.coords for q in points]), max(order, 2))[: order + 1]
         return tuple(A.reshape(len(points), *(n,) * k, *shape) for k, A in enumerate(arrays))
 
-    return (lambda c: np.array(values(c)).reshape(shape)), (None if jets is None else point_jets)
+    return (lambda c: np.array(values(c)).reshape(shape)), point_jets
 
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
     """A (r, s) field of expression matrices, carrying exact jets to order 3
-    unless an exponent holds a coordinate (``expression_array``)."""
+    (``expression_array``)."""
     values, jets = expression_array(rows, (chart.dim, chart.dim), chart, label)
     return TensorField(chart, r, s, lambda p: values(p.coords), label, jets=jets)
 

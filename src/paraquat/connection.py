@@ -1,12 +1,9 @@
-"""Levi-Civita connection and curvature, from exact jets or finite
-differences.
+"""Levi-Civita connection and curvature, from exact jets.
 
-A metric whose field carries jets (an expression or constant metric, or a
-Sasaki lift over one) gives dg and d2g exactly, and Gamma and R are closed
-forms in g, dg and d2g; any other metric has them by central differences of
-g and of Gamma.  Either way g itself is the field's checked value.  The
+A metric's field gives dg and d2g from its jets, and Gamma and R are closed
+forms in g, dg and d2g, with g itself the field's checked value.  The
 partials of a (1,1) field, behind nabla T and N_F, come from its jets the
-same way.
+same way.  A field without jets raises ValidationError (``fields._jets_of``).
 
 Index conventions used throughout the package:
 
@@ -38,11 +35,10 @@ from .fields import (
     Point,
     TensorField,
     _check_chart,
+    _jets_of,
     _memo_batch,
     _require_stencils,
-    central_difference,
     eval_batch,
-    fd_gradient,
 )
 
 DET_FLOOR = 1e-9
@@ -56,11 +52,11 @@ class MetricField:
     1e-9 times the product of its row norms (Hadamard's bound on |det|), a
     test that does not change when the metric is scaled.
 
-    The instance memoises g, and the jets dg and d2g of a field that has
-    them (per point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
+    The instance memoises g, and the jets dg and d2g of its field (per
+    point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
     the partial and covariant derivatives of (1,1) fields, their Nijenhuis
-    tensors and the Kähler 1-form fits (per point and FD step, the last four
+    tensors and the Kähler 1-form fits (per point and step, the last four
     also per field or triple).  Every one of them is read and filled by
     ``fields._memo_batch``: only evaluations that passed every check are
     stored, as read-only arrays, and a hit repeats the chart check, so a
@@ -131,10 +127,8 @@ def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndar
     """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
     read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
 
-    The metric partials come from the field's exact jets where it has them.
-    Otherwise they are central differences, and the metric's nondegeneracy
-    is checked at every stencil point too.  Either way the stencil of
-    cfg.step around p must lie in the chart.
+    The metric partials come from the field's exact jets, and the stencil
+    of cfg.step around p must lie in the chart.
     """
     return _christoffels(g, [p], cfg)[0]
 
@@ -155,7 +149,7 @@ def _jets(g: MetricField, pts: list[Point], order: int = 2) -> tuple[np.ndarray,
     "jet" too."""
 
     def compute(qs: list[Point]) -> list:
-        partials = g.field.jets(qs, order)[1:]
+        partials = _jets_of(g.field)(qs, order)[1:]
         for A in partials:
             A.flags.writeable = False
         if order == 3:
@@ -173,19 +167,14 @@ def _christoffels(
     """``christoffel`` at each centre, as the memo's read-only arrays.  The
     distinct misses are assembled together: g at the centres, then dg from
     the jets (``_jets`` of ``order``: 3 for the base of a Sasaki lift, whose
-    shifts read d3g next) or on all their stencils in one
-    ``central_difference``, one ``inv`` and one ``einsum`` over the stack.
+    shifts read d3g next), one ``inv`` and one ``einsum`` over the stack.
     A batch that raises stores nothing, and its first failing centre raises
     what it raises alone."""
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
-        if g.field.jets is not None:
-            _require_stencils(pts, cfg.step)
-            partials = _jets(g, pts, order)[0]
-        else:
-            partials = central_difference(g.matrices, pts, cfg)  # partials[c, i, l, j] = d_i g_{lj}
-        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(partials))
+        _require_stencils(pts, cfg.step)
+        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(_jets(g, pts, order)[0]))
         gam.flags.writeable = False
         return gam
 
@@ -236,25 +225,22 @@ def _covariant_derivatives(
 def _gradient(g: MetricField, T: TensorField, p: Point, cfg: FdConfig) -> np.ndarray:
     """dT[m, ...] = d_m T at p, read-only and memoised on g per (field,
     point, step), so that nabla T and the Nijenhuis tensor of T read one
-    derivative: T's order-1 jets where it has them, under the stencil rule
-    of ``christoffel``, else central differences of T."""
+    derivative: T's order-1 jets, under the stencil rule of
+    ``christoffel``."""
     return _gradients(g, T, [p], cfg)[0]
 
 
 def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
     """``_gradient`` at each point, as the memo's read-only arrays: the
-    distinct misses from one ``T.jets`` call, or from one ``fd_gradient``
-    over all their stencils.  A batch that raises stores nothing, and its
-    first failing point raises what it raises alone."""
+    distinct misses from one ``T.jets`` call.  A batch that raises stores
+    nothing, and its first failing point raises what it raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
-        if T.jets is None:
-            dT = fd_gradient(T, qs, cfg)
-        else:
-            for q in qs:
-                _check_chart(T.chart, q)
-            _require_stencils(qs, cfg.step)
-            dT = np.array(T.jets(qs, 1)[1])
+        jets = _jets_of(T)
+        for q in qs:
+            _check_chart(T.chart, q)
+        _require_stencils(qs, cfg.step)
+        dT = np.array(jets(qs, 1)[1])
         dT.flags.writeable = False
         return dT
 
@@ -266,32 +252,21 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConf
 
 def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
-    ``riem[l, k, i, j]`` (convention in the module docstring).  Without jets,
-    Gamma at the 2n stencil neighbours of p, and g on their stencils, come in
-    one batch; with them, the stencils nested two deep around p must still
-    lie in the chart."""
+    ``riem[l, k, i, j]`` (convention in the module docstring).  The
+    stencils nested two deep around p must lie in the chart."""
     return _riemanns(g, [p], cfg)[0]
 
 
 def _riemanns(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
-    """``riemann`` at each centre, as the memo's read-only arrays.  With
-    jets the distinct misses are one stack:
+    """``riemann`` at each centre, as the memo's read-only arrays.  The
+    distinct misses are one stack:
 
         d_m Gamma^k_{ij} = -g^{kp} d_m g_{pq} Gamma^q_{ij} + (1/2) g^{kl} d_m T_{lij}
 
-    with T as in ``_first_kind``; without, each miss is central differences
-    of its neighbours' Gamma.  A batch that raises stores nothing, and its
+    with T as in ``_first_kind``.  A batch that raises stores nothing, and its
     first failing centre raises what it raises alone."""
 
     def compute(pts: list[Point]) -> list[np.ndarray]:
-        if g.field.jets is None:
-            riems = []
-            for p in pts:
-                gam = christoffel(g, p, cfg)
-                # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-                dgam = central_difference(lambda qs: _christoffels(g, qs, cfg), p, cfg)
-                riems.append(_curvature(gam, dgam))
-            return riems
         gam = np.array(_christoffels(g, pts, cfg))
         _require_stencils(pts, cfg.step, depth=2)
         ginv = np.linalg.inv(g.matrices(pts))

@@ -19,7 +19,7 @@ class OutOfDomainError(ParaquatError):
 
 
 class StencilOutOfDomainError(OutOfDomainError):
-    """A finite-difference stencil would leave the domain box."""
+    """The stencil of the step around a point would leave the domain box."""
 
 
 class EmptyDomainError(ParaquatError):

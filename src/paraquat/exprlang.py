@@ -377,20 +377,13 @@ def _emit(trees: Iterable[Expr], names: Sequence[str]) -> tuple[_Emitter, list[s
     return em, [em.operand(e) for e in taken]
 
 
-def compile_exprs(trees: Iterable[Expr], names: Sequence[str]) -> Callable[[np.ndarray], list[float]]:
-    """Compile trees into one function of a float coordinate array ordered
-    like ``names``, returning the list of their values.
-
-    Free names are checked as in :func:`_emit`.  The result is one
-    straight-line function, built once with ``compile``: operands are
-    evaluated left before right, except that '/' evaluates and tests its
-    divisor first, and every Call, '/' and '^' raises EvaluationError on a
-    zero divisor, a caught arithmetic error or a complex or non-finite value.
-    """
-    return _compiled(*_emit(trees, names))
-
-
 def _compiled(em: _Emitter, results: list[str]) -> Callable[[np.ndarray], list[float]]:
+    """The emitter's trees as one straight-line function of a float
+    coordinate array, returning the list of their values, built once with
+    ``compile``: operands are evaluated left before right, except that '/'
+    evaluates and tests its divisor first, and every Call, '/' and '^'
+    raises EvaluationError on a zero divisor, a caught arithmetic error or a
+    complex or non-finite value."""
     em.namespace["_n"] = tuple(em.nodes)
     body = ["_c = _x.tolist()"] + em.lines + [f"return [{', '.join(results)}]"]
     source = "def _compiled(_x):\n" + "".join(f"    {line}\n" for line in body)
@@ -445,6 +438,19 @@ def _chain(v, d, H, f1, f2):
     return v, _scaled(f1, d), _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
 
 
+def _product(a, b):
+    """The jet of a b from the jets of a and b."""
+    (va, da, Ha), (vb, db, Hb) = a, b
+    H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db))
+    return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H
+
+
+def _log_abs(a):
+    """The jet of log|a|, whose derivatives are those of log a."""
+    v, d, H = a
+    return _chain(np.log(np.abs(v)), d, H, 1.0 / v, -1.0 / v**2)
+
+
 def _power(a, c: float):
     """The jet of a^c for a constant exponent c."""
     v, d, H = a
@@ -469,14 +475,19 @@ def _jet(key: tuple, jet: dict, X: np.ndarray, unit: np.ndarray):
         return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv))
     (va, da, Ha), (vb, db, Hb) = jet[key[1]], jet[key[2]]
     if op in ("^", "pow"):
-        return _power((va, da, Ha), vb)
+        if db is None:
+            return _power((va, da, Ha), vb)
+        # a^b has the derivatives of exp(b log|a|) scaled by its value, so an
+        # a < 0 under an exponent constant in value keeps finite ones
+        v = va ** vb
+        _, dg, Hg = _product((vb, db, Hb), _log_abs((va, da, Ha)))
+        return _chain(v, dg, Hg, v, v)
     if op == "+":
         return va + vb, _add(da, db), _add(Ha, Hb)
     if op == "-":
         return va - vb, _sub(da, db), _sub(Ha, Hb)
     if op == "*":
-        H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db))
-        return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H
+        return _product((va, da, Ha), (vb, db, Hb))
     # q = a/b: from q b = a, q' = (a' - q b')/b and q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b
     q = va / vb
     dq = _scaled(1.0 / vb, _sub(da, _scaled(q, db)))
@@ -506,6 +517,13 @@ def _chain3(K, d, H, f1, f2, f3):
     return _add(_add(_scaled(_k(f1), K), _scaled(_k(f2), _sym3(H, d))), _k(f3) * cube)
 
 
+def _product3(a, b, Ka, Kb):
+    """The third partials of a b from the jets of a and b and their third
+    partials."""
+    (va, da, Ha), (vb, db, Hb) = a, b
+    return _add(_add(_scaled(_k(vb), Ka), _scaled(_k(va), Kb)), _add(_sym3(Ha, db), _sym3(Hb, da)))
+
+
 def _third(key: tuple, jet: dict, third: dict, own: tuple):
     """The third partials of the temporary under ``key``, whose own jet is
     ``own``: shape (N, n, n, n) or (1, n, n, n), or None where they vanish
@@ -520,6 +538,11 @@ def _third(key: tuple, jet: dict, third: dict, own: tuple):
         (_, f1, f2, f3), (v, d, H), fv = _NUMPY[op], jet[key[1]], own[0]
         return None if d is None else _chain3(third[key[1]], d, H, f1(v, fv), f2(v, fv), f3(v, fv))
     (va, da, Ha), (vb, db, Hb), Ka, Kb = jet[key[1]], jet[key[2]], third[key[1]], third[key[2]]
+    if op in ("^", "pow") and db is not None:
+        L, v = _log_abs((va, da, Ha)), own[0]
+        KL = None if da is None else _chain3(Ka, da, Ha, 1.0 / va, -1.0 / va**2, 2.0 / va**3)
+        _, dg, Hg = _product((vb, db, Hb), L)
+        return _chain3(_product3((vb, db, Hb), L, Kb, KL), dg, Hg, v, v, v)
     if op in ("^", "pow"):
         c = vb
         if da is None or c == 0.0:
@@ -532,7 +555,7 @@ def _third(key: tuple, jet: dict, third: dict, own: tuple):
     if op == "-":
         return _sub(Ka, Kb)
     if op == "*":
-        return _add(_add(_scaled(_k(vb), Ka), _scaled(_k(va), Kb)), _add(_sym3(Ha, db), _sym3(Hb, da)))
+        return _product3((va, da, Ha), (vb, db, Hb), Ka, Kb)
     # q = a/b: from q b = a, K_q = (K_a - q K_b - sym3(H_q, b') - sym3(H_b, q'))/b
     q, dq, Hq = own
     K = _sub(_sub(Ka, _scaled(_k(q), Kb)), _add(_sym3(Hq, db), _sym3(Hb, dq)))
@@ -541,12 +564,13 @@ def _third(key: tuple, jet: dict, third: dict, own: tuple):
 
 def compile_with_jets(
     trees: Iterable[Expr], names: Sequence[str]
-) -> tuple[Callable[[np.ndarray], list[float]], Callable[..., tuple[np.ndarray, ...]] | None]:
-    """``compile_exprs(trees, names)``, and the exact partial derivatives of
-    the trees to order 2 or 3 by forward mode over the same distinct
-    subtrees; the jets are None when a '^' or pow has an exponent that
-    depends on a coordinate (no closed form is kept for it: callers fall back
-    to finite differences).
+) -> tuple[Callable[[np.ndarray], list[float]], Callable[..., tuple[np.ndarray, ...]]]:
+    """The trees compiled into one function of a float coordinate array
+    ordered like ``names``, returning the list of their values (free names
+    checked as in :func:`_emit`, evaluation as in :func:`_compiled`), and
+    their exact partial derivatives to order 2 or 3 by forward mode over the
+    same distinct subtrees.  A '^' or pow whose exponent depends on a
+    coordinate takes the rule of exp(b log|a|).
 
     The jets map an (N, n) array of points, coordinates ordered like
     ``names``, and an ``order`` of 2 (the default) or 3, to (V, D, H) or
@@ -558,18 +582,12 @@ def compile_with_jets(
     nothing is compiled.  The values are numpy's, so they may differ from
     the compiled ones in the last bit; evaluate the trees with those first,
     since a jet assumes their values are finite.  A derivative that is not
-    finite where the value is, such as that of ``(x1^2)^0.5`` at x1 = 0,
-    raises EvaluationError naming the first node where it fails, and numpy
-    warns of nothing.
+    finite where the value is, such as that of ``(x1^2)^0.5`` at x1 = 0 or
+    of ``x1^x2`` at x1 = 0, raises EvaluationError naming the first node
+    where it fails, and numpy warns of nothing.
     """
     em, results = _emit(trees, names)
     values = _compiled(em, results)
-    varying: set[str] = set()
-    for name, key, _ in em.steps:
-        if key[0] == "sym" or varying.intersection(key[1:]):
-            varying.add(name)
-        if key[0] in ("^", "pow") and key[2] in varying:
-            return values, None
     constants = {name: (em.namespace[name], None, None) for key, name in em.operands.items() if key[0] == "num"}
     n = len(names)
     unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point

@@ -1,13 +1,15 @@
-"""Charts, points, tensor fields and finite differences.
+"""Charts, points, tensor fields and their derivatives.
 
 A chart is a single coordinate box on R^n.  Tensor fields are callables
-returning component arrays at a point.  Derivatives are second-order central
-differences with a fixed step, except those of a field that carries exact
-jets (an expression or constant field, or a Sasaki lift over a base that has
-them; see ``TensorField.jets``), from which the connection takes Gamma, R
-and the partials of a (1,1) field in closed form.  Either way a derivative
-at a point requires the stencil of the step around it to lie in the chart,
-so every numerical statement downstream is explicit about its stencil.
+returning component arrays at a point.  Every derivative the package takes
+comes from a field's exact jets (``TensorField.jets``): an expression or
+constant field, a catalog field, or a Sasaki lift over a base that has them.
+A derivative asked of a field without jets raises ValidationError
+(``_jets_of``).  A derivative at a point still requires the stencil of the
+step around it to lie in the chart (``_require_stencils``), so every
+numerical statement downstream is explicit about its stencil.  Second-order
+central differences (``central_difference``, ``fd_gradient``) stay as the
+reference the jets are tested against.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
 )
 
 DEFAULT_STEP = 1e-3
-# sampled points keep MARGIN_STEPS FD steps from the box walls so that nested
-# central-difference stencils (up to a few steps deep) never leave the domain
+# sampled points keep MARGIN_STEPS steps from the box walls so that the
+# stencils a derivative requires (nested up to two deep) never leave the domain
 MARGIN_STEPS = 10
 INTERIOR_MARGIN = MARGIN_STEPS * DEFAULT_STEP
 
@@ -100,7 +102,7 @@ class Point:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coords, dtype=float).reshape(-1)
+        c = np.array(self.coords, dtype=float)
         if c.shape != (self.chart.dim,):
             raise ValidationError(
                 f"point needs {self.chart.dim} coordinates, got {c.shape}"
@@ -136,16 +138,16 @@ class TensorField:
     ``components(p)`` must return an ndarray of shape ``(dim,) * (r + s)``
     (contravariant slots first).  Evaluation is deterministic: same point,
     same array.  ``batch``, when given, returns the components at a list of
-    points in one call, each equal to ``components`` there; ``fd_gradient``
-    hands it whole stencils.  ``jets``, when given, is called as
-    ``jets(points, order)`` and returns exact derivatives at a list of
-    points in one call, as order + 1 stacked arrays: the components (to
-    roundoff), their first partials ``[c, i, ...]``, their second partials
-    ``[c, i, j, ...]`` and so on.  The connection reads a metric's
-    derivatives from it (order 2) and a (1,1) field's (order 1) instead of
-    central differences; the base metric of a Sasaki lift is asked for order
-    3.  An expression field and a constant field have jets to order 3, a
-    lifted metric to order 2 and a lifted member to order 1.
+    points in one call, each equal to ``components`` there.  ``jets`` is
+    called as ``jets(points, order)`` and returns exact derivatives at a
+    list of points in one call, as order + 1 stacked arrays: the components
+    (to roundoff), their first partials ``[c, i, ...]``, their second
+    partials ``[c, i, j, ...]`` and so on.  The connection reads a metric's
+    derivatives from it (order 2) and a (1,1) field's (order 1); the base
+    metric of a Sasaki lift is asked for order 3.  An expression field, a
+    constant field and a catalog field have jets to order 3, a lifted metric
+    to order 2, and a lifted member and the member of a transition to order
+    1.  A field without jets (None) can be evaluated but not differentiated.
     """
 
     chart: ManifoldSpec
@@ -171,7 +173,8 @@ class TensorField:
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference parameters of the 2nd-order central scheme."""
+    """The step h: a derivative at p needs the stencil of h around p inside
+    the chart, and ``central_difference`` differences with it."""
 
     step: float = DEFAULT_STEP
 
@@ -288,7 +291,8 @@ def central_difference(
     cfg: FdConfig = FdConfig(),
 ) -> np.ndarray:
     """Second-order central differences of ``f`` along every coordinate,
-    stacked: ``out[m] = (f(p + h e_m) - f(p - h e_m)) / 2h`` with h = cfg.step.
+    stacked: ``out[m] = (f(p + h e_m) - f(p - h e_m)) / 2h`` with h = cfg.step;
+    the reference the jets are tested against.
 
     ``f`` gets the whole stencil in one call, as the list p + h e_1,
     p - h e_1, p + h e_2, ..., and returns the values there in that order,
@@ -302,21 +306,15 @@ def central_difference(
     those of ``Point.shifted``, signed zeros included.
 
     Exact for affine f; O(h^2) otherwise.  Every stencil must lie in its
-    centre's chart, else StencilOutOfDomainError, raised before ``f`` sees
-    that stencil; the stencils of the centres before it are evaluated first,
-    so a failure there surfaces first.  This is the package's one derivative
-    stencil.
+    centre's chart, else StencilOutOfDomainError for the first centre whose
+    stencil leaves, raised before ``f`` is called.
     """
     h = cfg.step
     centres = [p] if isinstance(p, Point) else list(p)
     n = centres[0].chart.dim
-    for k, c in enumerate(centres):
-        if c.chart.dim != n:
-            raise ValidationError("the centres of one central difference need one dimension")
-        if not c.chart.contains(c.coords, margin=h):
-            if k:
-                f(_stencil(centres[:k], h))
-            raise _stencil_error(c, h)
+    if any(c.chart.dim != n for c in centres):
+        raise ValidationError("the centres of one central difference need one dimension")
+    _require_stencils(centres, h)
     F = np.asarray(f(_stencil(centres, h)))
     F = F.reshape(len(centres), n, 2, *F.shape[1:])
     out = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)
@@ -324,18 +322,30 @@ def central_difference(
 
 
 def _require_stencils(centres: Sequence[Point], h: float, depth: int = 1) -> None:
-    """Raise what ``central_difference`` raises for the first centre whose
-    stencil of step h leaves its chart; with depth 2, for the first centre
-    or stencil point of a stencil nested two deep.  The rule for derivatives
-    that take no stencil, such as exact jets."""
+    """Raise StencilOutOfDomainError for the first centre whose stencil of
+    step h leaves its chart; with depth 2, for the first centre
+    or stencil point of a stencil nested two deep.  Every derivative keeps
+    this rule, though jets read no stencil."""
     for c in centres:
         for q in [c] + (_stencil([c], h) if depth > 1 else []):
             if not q.chart.contains(q.coords, margin=h):
-                raise _stencil_error(q, h)
+                raise StencilOutOfDomainError(f"stencil of step {h} around {q} leaves the domain")
 
 
-def _stencil_error(c: Point, h: float) -> StencilOutOfDomainError:
-    return StencilOutOfDomainError(f"stencil of step {h} around {c} leaves the domain")
+def _jets_of(obj) -> Callable:
+    """The jets of a field or map, ``obj.jets``: the package's one rule for
+    a derivative, which raises ValidationError naming an ``obj`` that has
+    none."""
+    if obj.jets is None:
+        raise ValidationError(f"{obj.label or '<unnamed>'} has no jets, and derivatives come only from jets")
+    return obj.jets
+
+
+def _order_at_most(label: str, order: int, top: int) -> None:
+    """Raise ValidationError naming a field whose jets stop at order ``top``
+    when a higher order is asked of it."""
+    if order > top:
+        raise ValidationError(f"{label} has jets to order {top} only, not to order {order}")
 
 
 def _stencil(centres: list[Point], h: float) -> list[Point]:
@@ -361,10 +371,9 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
     return D
 
 
-def fd_gradient(field: TensorField, p: Point | Sequence[Point], cfg: FdConfig = FdConfig()) -> np.ndarray:
+def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central differences of a tensor field's components, stacked: out[m] =
-    d_m, with the stencil evaluated in one ``eval_batch``; of a sequence of
-    centres, out[c, m], with all their stencils in one ``eval_batch``."""
+    d_m, with the stencil evaluated in one ``eval_batch``."""
     return central_difference(lambda qs: eval_batch(field, qs), p, cfg)
 
 
@@ -376,7 +385,7 @@ def sample_points(
 ) -> list[Point]:
     """Deterministic interior sample of the domain box.
 
-    Points stay ``margin`` away from every wall so that nested FD stencils
+    Points stay ``margin`` away from every wall so that nested stencils
     remain inside.  Same (spec, count, seed) -> identical points.
     """
     if count < 1:

@@ -14,12 +14,11 @@ orthogonal; the lifted triple acts blockwise through the same frame:
 
 Everything downstream of these two formulas — the connection cases, the
 derivative of the lifted triple, the brackets — is checked against the
-derivatives of G, of Jt_a and of the frame L rather than assumed.  Over a
-base metric with jets these are exact: M and its first and second partials
-come from Gamma, dGamma and d2Gamma, that is from the base's jets to order
-3, so G has jets to order 2, L and each Jt_a whose base member has jets to
-order 1, and the connection takes the lifted Gamma and R from them.  Over
-any other base they are central differences.
+derivatives of G, of Jt_a and of the frame L rather than assumed.  These
+are exact: M and its first and second partials come from Gamma, dGamma and
+d2Gamma, that is from the base's jets to order 3, so G has jets to order 2,
+L and each Jt_a to order 1, and the connection takes the lifted Gamma and R
+from them.  The base metric and members must have jets.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ from .fields import (
     Point,
     TensorField,
     _check_point,
+    _jets_of,
     _memo_batch,
+    _order_at_most,
     _point,
-    central_difference,
     eval_batch,
     sample_points,
 )
@@ -173,12 +173,12 @@ class SasakiBundle:
     frames: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, Point]]] = field(
         repr=False, compare=False
     )
-    cfg: FdConfig = FdConfig()
-    # (M, dM, d2M) at each of a batch of bundle points, memoised per bundle;
-    # None over a base metric without jets (build_tangent_bundle)
-    shifts: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None = field(
-        default=None, repr=False, compare=False
+    # (M, dM, d2M) at each of a batch of bundle points, memoised per bundle
+    # (build_tangent_bundle)
+    shifts: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = field(
+        repr=False, compare=False
     )
+    cfg: FdConfig = FdConfig()
 
     @property
     def base_dim(self) -> int:
@@ -208,10 +208,14 @@ def build_tangent_bundle(
 
     The construction only makes sense over a pair whose triple satisfies the
     tau algebra and is g-skew; this is spot-checked and a
-    PreconditionFailedError raised on violation.
+    PreconditionFailedError raised on violation.  The lift is differentiated
+    through the jets of g and of each member, so one without them raises
+    ValidationError first.
     """
     if T.chart != g.chart:
         raise ValidationError("metric and triple live on different charts")
+    for f in (g.field,) + T.fields:
+        _jets_of(f)
     base = g.chart
     n = base.dim
     for p in sample_points(base, 3, seed=20):
@@ -295,6 +299,7 @@ def build_tangent_bundle(
         stacked, from the blocks G = [[g + M^T P, P^T], [P, g]], P = g M,
         differentiated along the 2n bundle coordinates (g does not vary
         along the fiber), with M, dM, d2M from the shift memo."""
+        _order_at_most("lifted metric", order, 2)
         V = lifted_metrics(xis)
         M, dM, d2M = (np.array(A) for A in zip(*shifts(xis)))
         xs = [f[2] for f in frames(xis)]
@@ -320,14 +325,13 @@ def build_tangent_bundle(
         )
         return out + (_blocks(AAB, PAB, gAB),)
 
-    exact = g.field.jets is not None
     G = MetricField(
         TensorField(
             bundle, 0, 2,
             lambda xi: lifted_metrics([xi])[0],
             label="lifted metric",
             batch=lifted_metrics,
-            jets=lifted_metric_jets if exact else None,
+            jets=lifted_metric_jets,
         )
     )
 
@@ -346,11 +350,12 @@ def build_tangent_bundle(
 
         return _memo_batch(memo, bundle, a, None, xis, compute)
 
-    def lifted_member_jets(a: int, xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    def lifted_member_jets(a: int, xis: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
         """Jt_a and its first partials at each bundle point, stacked: Jt_a
         is [[J, 0], [JM - MJ, J]], so d_A Jt_a has the blocks d_A J and
         d_A J M + J d_A M - d_A M J - M d_A J, with J from the base member's
         jets and M, dM from the shift memo."""
+        _order_at_most(f"lifted J{a + 1}", order, 1)
         M, dM, _ = (np.array(A) for A in zip(*shifts(xis)))
         J, dJ = T.fields[a].jets([f[2] for f in frames(xis)], 1)
         JA = np.zeros((len(xis), 2 * n, n, n))
@@ -370,8 +375,7 @@ def build_tangent_bundle(
             lambda xi: lifted_members(a, [xi])[0],
             label=f"lifted J{a + 1}",
             batch=lambda xis: lifted_members(a, xis),
-            jets=(lambda xis, order: lifted_member_jets(a, xis))  # order 1 only
-            if exact and T.fields[a].jets is not None else None,
+            jets=lambda xis, order: lifted_member_jets(a, xis, order),
         )
 
     Jt = LocalBasisTriple(lifted_member(0), lifted_member(1), lifted_member(2))
@@ -399,24 +403,19 @@ def build_tangent_bundle(
         base_metric=g,
         base_triple=T,
         frames=frames,
+        shifts=shifts,
         cfg=cfg,
-        shifts=shifts if exact else None,
     )
 
 
 def _frame_derivative(bundle: SasakiBundle, xi: Point) -> tuple[np.ndarray, np.ndarray]:
     """(L, D) at xi, D[I, k, J] = E_I(E_J)^k: the lifted frame E = L
-    differentiated along its own members.  dL is exact, -dM in the lower
-    left block, where the bundle has a shift memo; else central
-    differences, with L on the stencil read from the frame memo in one
-    batch."""
+    differentiated along its own members, with dL exact, -dM in the lower
+    left block."""
+    n = bundle.base_dim
     L = bundle.frames([xi])[0][0]
-    if bundle.shifts is None:
-        dL = central_difference(lambda qs: [f[0] for f in bundle.frames(qs)], xi, bundle.cfg)
-    else:
-        n = bundle.base_dim
-        dL = np.zeros((2 * n, 2 * n, 2 * n))
-        dL[:, n:, :n] = -bundle.shifts([xi])[0][1]
+    dL = np.zeros((2 * n, 2 * n, 2 * n))
+    dL[:, n:, :n] = -bundle.shifts([xi])[0][1]
     return L, np.einsum("aI,akJ->IkJ", L, dL)
 
 
@@ -486,8 +485,7 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between the lifted metric's own connection and the
     closed form, on the lifted frame: nabla~_{E_I} E_J = E_I(E_J) +
-    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact over a
-    base metric with jets, else finite differences."""
+    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact."""
     gamG = christoffel(bundle.metric, xi, bundle.cfg)
     L, D = _frame_derivative(bundle, xi)
     fd = D + np.einsum("kab,aI,bJ->IkJ", gamG, L, L)
@@ -497,8 +495,7 @@ def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between (nabla~ Jt_a), from the lifted metric's own
     connection, and the closed form, over the lifted frame and all three
-    members; exact where the base metric and member have jets, else finite
-    differences."""
+    members, exact."""
     L = bundle.frames([xi])[0][0]
     D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, bundle.cfg).nabla
     C = oracle_tilde_nabla_J(bundle, xi)

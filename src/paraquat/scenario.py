@@ -382,8 +382,8 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
 
 
 def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
-    values = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")[0]
-    trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition")
+    values, jets = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
+    trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition", jets=jets)
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(
@@ -511,10 +511,9 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef(
             "oneill",
             "A_X Y = h nabla_{hX} vY + v nabla_{hX} hY;  T_X Y = h nabla_{vX} vY + v nabla_{vX} hY",
-            "Computes both fundamental tensors, from the derivative of the vertical "
-            "projector (exact where the map and the metric have jets, else central "
-            "differences); bounds the A-tensor on horizontal pairs (its antisymmetry "
-            "is always enforced) and optionally the T-tensor.",
+            "Computes both fundamental tensors, from the exact derivative of the "
+            "vertical projector; bounds the A-tensor on horizontal pairs (its "
+            "antisymmetry is always enforced) and optionally the T-tensor.",
             _run_oneill,
             needs="submersion",
         ),
@@ -529,10 +528,9 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef(
             "bracket",
             "[X^v, Y^v] = 0;  [X^h, Y^v] = (nabla_X Y)^v;  [X^h, Y^h] = -(R(X, Y) u)^v",
-            "Bracket identities on the lifted frame, from the frame's derivative "
-            "(exact over a base metric with jets, else one finite-difference "
-            "stencil of the frame); the deliberately sign-flipped curvature "
-            "comparison must stay large when curvature is present.",
+            "Bracket identities on the lifted frame, from the frame's exact "
+            "derivative; the deliberately sign-flipped curvature comparison must "
+            "stay large when curvature is present.",
             _run_bracket,
             needs="bundle",
         ),
@@ -540,9 +538,8 @@ CHECKS: dict[str, CheckDef] = {
             "sasaki-consistency",
             "nabla~ on lifts: (h,h) -> (nabla_X Y)^h - (1/2)(R(X,Y)u)^v;  "
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
-            "The lifted metric's own connection (exact over a base metric with jets, "
-            "else finite differences) against the closed form on the lifted frame, "
-            "in all four kind combinations.",
+            "The lifted metric's own connection, exact, against the closed form on "
+            "the lifted frame, in all four kind combinations.",
             _max_residual(1e-3, lambda ctx, pts: max(
                 check_connection_oracle(ctx.bundle, q) for q in pts
             ), 2),
@@ -553,9 +550,8 @@ CHECKS: dict[str, CheckDef] = {
             "nabla~ Jt_a on lifts: (h,h) -> ((nabla_X J_a)Y)^h - (1/2)(R(X,J_aY)u - J_a R(X,Y)u)^v;  "
             "(h,v) -> ((nabla_X J_a)Y)^v + (1/2)(R(u,J_aY)X - J_a R(u,Y)X)^h;  "
             "(v,h) -> (1/2)(R(u,X)J_aY - J_a R(u,X)Y)^h;  (v,v) -> 0",
-            "The lifted triple's derivative under the lifted metric's own connection "
-            "(exact where the base metric and member have jets, else finite "
-            "differences) against the closed form on the lifted frame, for all "
+            "The lifted triple's exact derivative under the lifted metric's own "
+            "connection against the closed form on the lifted frame, for all "
             "three members.",
             _max_residual(1e-6, lambda ctx, pts: max(
                 check_nabla_j_oracle(ctx.bundle, q) for q in pts
@@ -704,7 +700,7 @@ def build_context(
     step: float | None = None,
     points: int | None = None,
 ) -> ScenarioContext:
-    """The geometry, sample and FD settings of a scenario document; seed,
+    """The geometry, sample and step of a scenario document; seed,
     step and points override the document's.  The document is validated
     first."""
     _validate(config)

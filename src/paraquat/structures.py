@@ -79,7 +79,7 @@ def fit_kahler_oneforms(
 ) -> KahlerFit:
     """Fit (w1, w2, w3) at p and report the off-span reconstruction residual.
 
-    The fit is memoised on g per (T, point, FD step), like Gamma and R: a
+    The fit is memoised on g per (T, point, step), like Gamma and R: a
     second fit there repeats the chart check and returns the same read-only
     ``omega`` and ``nabla``, and a fit that raises stores nothing.
     """

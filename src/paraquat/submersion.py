@@ -1,16 +1,14 @@
 """Semi-Riemannian submersions: vertical/horizontal splitting, the two
 fundamental tensors, basic lifts, and descent of the structure 1-forms.
 
-The splitting is computed pointwise from the finite-difference Jacobian:
-vertical = ker(df) from an SVD, horizontal = the g-orthogonal complement of
-vertical (a second SVD on V^T g, which works in neutral signature as long as
-the fiber metric V^T g V stays nondegenerate).  The O'Neill tensors are
-assembled from the derivative of the vertical *projector* — projectors,
-unlike the frames themselves, depend smoothly on the point regardless of how
-the SVD orders or signs its vectors.  Where both the metric and the map have
-jets (the Sasaki lift and its projection, an expression metric under an
-expression map) that derivative is a closed form in dg and the map's second
-partials; otherwise it is central differences of the projector field.
+The splitting is computed pointwise from the Jacobian, the map's first
+partials from its jets: vertical = ker(df) from an SVD, horizontal = the
+g-orthogonal complement of vertical (a second SVD on V^T g, which works in
+neutral signature as long as the fiber metric V^T g V stays nondegenerate).
+The O'Neill tensors are assembled from the derivative of the vertical
+*projector* — projectors, unlike the frames themselves, depend smoothly on
+the point regardless of how the SVD orders or signs its vectors — a closed
+form in dg and the map's second partials.
 """
 
 from __future__ import annotations
@@ -30,15 +28,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import (
-    FdConfig,
-    ManifoldSpec,
-    Point,
-    TensorField,
-    _require_stencils,
-    central_difference,
-    fd_gradient,
-)
+from .fields import FdConfig, ManifoldSpec, Point, _jets_of, _require_stencils
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -50,12 +40,14 @@ FIBER_IMAGE_TOL = 1e-10
 class SubmersionMap:
     """A smooth map between charts, given componentwise.
 
-    ``jets``, when given, follows ``TensorField.jets``: ``jets(points,
-    order)`` returns the exact components at a list of points and their
-    partials to ``order``, as order + 1 stacked arrays with the partial
-    axes first, ``[c, i, a]`` for the first and ``[c, i, j, a]`` for the
-    second partials of component a.  ``oneill_tensors`` reads the second
-    partials.  The bundle projection and an expression map have them.
+    ``jets`` follows ``TensorField.jets``: ``jets(points, order)`` returns
+    the exact components at a list of points and their partials to
+    ``order``, as order + 1 stacked arrays with the partial axes first,
+    ``[c, i, a]`` for the first and ``[c, i, j, a]`` for the second
+    partials of component a.  ``jacobian`` reads the first partials and
+    ``oneill_tensors`` the second.  The bundle projection and an expression
+    map have them; a map without jets (None) can be mapped but not
+    differentiated.
     """
 
     source: ManifoldSpec
@@ -76,37 +68,18 @@ class SubmersionMap:
 
 
 def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """df at p as a C-contiguous (n', n) matrix; raises RankDeficientError if
-    not onto and StencilOutOfDomainError if the stencil leaves p's chart."""
-    return _jacobians(f, [p], cfg)[0]
-
-
-def _jacobians(f: SubmersionMap, pts: Sequence[Point], cfg: FdConfig) -> np.ndarray:
-    """``jacobian`` at each point, stacked (len(pts), n', n): the stencils of
-    all the points go to the map in one ``central_difference``, and one
-    batched SVD tests every rank.  df is always differenced, also for a map
-    with jets, so every split of a map rests on the same differential.  With
-    several points, an error is that of some failing point, not necessarily
-    the first: callers that need the first make this the ``batch`` form of a
-    field and evaluate it with ``fields.eval_batch``, which replays a
-    failing batch point by point, as the projector field of
-    ``oneill_tensors``' finite-difference path does through
-    ``fd_gradient``."""
+    """df at p as a C-contiguous (n', n) matrix, the map's first partials
+    from its jets; raises RankDeficientError if not onto and
+    StencilOutOfDomainError if the stencil leaves p's chart."""
     n, m = f.source.dim, f.target.dim
-    J = np.ascontiguousarray(
-        central_difference(
-            lambda qs: [np.asarray(f.components(q.coords), dtype=float) for q in qs], pts, cfg
-        ).transpose(0, 2, 1)
-    )
-    if J.shape[1:] != (m, n):
-        raise ShapeError(f"map differential has shape {J.shape[1:]}, expected ({m}, {n})")
+    jets = _jets_of(f)
+    _require_stencils([p], cfg.step)
+    J = np.ascontiguousarray(np.asarray(jets([p], 1)[1][0], dtype=float).T)
+    if J.shape != (m, n):
+        raise ShapeError(f"map differential has shape {J.shape}, expected ({m}, {n})")
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv.shape[-1] < m:
-        raise RankDeficientError(f"differential drops rank at {pts[0]} (singular values {sv[0]})")
-    bad = np.flatnonzero(sv[:, -1] <= RANK_FLOOR)
-    if bad.size:
-        k = bad[0]
-        raise RankDeficientError(f"differential drops rank at {pts[k]} (singular values {sv[k]})")
+    if sv.shape[-1] < m or sv[-1] <= RANK_FLOOR:
+        raise RankDeficientError(f"differential drops rank at {p} (singular values {sv})")
     return J
 
 
@@ -147,21 +120,11 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def vh_split(f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> SplitFrame:
-    return _vh_splits(f, g, [p], cfg)[0]
-
-
-def _vh_splits(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConfig) -> list[SplitFrame]:
-    """``vh_split`` at each point: the differentials from one ``_jacobians``,
-    the metric values from one ``g.matrices``, the frames from one
-    ``_split_matrices``.  One point fails as ``vh_split`` always did:
-    differential, then metric, then fiber; with several, the error is that
-    of some failing point, as in ``_jacobians``."""
-    J = _jacobians(f, pts, cfg)
-    V, H, Pv, Ph = _split_matrices(J, np.array(g.matrices(pts)))
-    return [
-        SplitFrame(point=p, df=J[c], vertical=V[c], horizontal=H[c], v=Pv[c], h=Ph[c])
-        for c, p in enumerate(pts)
-    ]
+    """The split at p: the differential, then g at p, then the frames from
+    ``_split_matrices`` of one point; p fails in that order."""
+    J = jacobian(f, p, cfg)
+    V, H, Pv, Ph = (A[0] for A in _split_matrices(J[None], g.matrix(p)[None]))
+    return SplitFrame(point=p, df=J, vertical=V, horizontal=H, v=Pv, h=Ph)
 
 
 def check_semi_riemannian(
@@ -265,22 +228,12 @@ class ONeillTensors:
 def oneill_tensors(
     f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()
 ) -> ONeillTensors:
-    """A and T at p from Gamma, the split at p and d_m Pv: in closed form
-    (``_projector_partials``) where the map and the metric both have jets,
-    with no split but p's; else central differences of the projector field,
-    the splits of the whole stencil in one batch.  Either way the stencil
-    of cfg.step around p must lie in the chart."""
+    """A and T at p from Gamma, the split at p and d_m Pv in closed form
+    (``_projector_partials``), with no split but p's.  The stencil of
+    cfg.step around p must lie in the chart."""
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
-    if f.jets is not None and g.field.jets is not None:
-        _require_stencils([p], cfg.step)
-        dPv = _projector_partials(f, g, fr)
-    else:
-        pv_field = TensorField(
-            f.source, 1, 1, lambda q: vh_split(f, g, q, cfg).v, label="vertical projector",
-            batch=lambda qs: [s.v for s in _vh_splits(f, g, qs, cfg)],
-        )
-        dPv = fd_gradient(pv_field, p, cfg)
+    dPv = _projector_partials(f, g, fr)
 
     def stacked(U: np.ndarray) -> np.ndarray:
         # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the
@@ -312,7 +265,7 @@ def _projector_partials(f: SubmersionMap, g: MetricField, fr: SplitFrame) -> np.
     p, J = fr.point, fr.df
     Ginv = np.linalg.inv(g.matrix(p))
     dG = _jets(g, [p])[0][0]  # dG[m, k, l] = d_m G_kl
-    dJt = f.jets([p], 2)[2][0]  # dJt[m, i, a] = d_m d_i f^a = d_m (J^T)_ia
+    dJt = _jets_of(f)([p], 2)[2][0]  # dJt[m, i, a] = d_m d_i f^a = d_m (J^T)_ia
     dJ = dJt.swapaxes(1, 2)
     N = Ginv @ J.T
     Kinv = np.linalg.inv(J @ N)

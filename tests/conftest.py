@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from paraquat import FdConfig, MetricField, christoffel, sample_points
+from paraquat import FdConfig, MetricField, SubmersionMap, christoffel, sample_points
 from paraquat.fields import eval_field, fd_gradient
-from paraquat.catalog import METRICS, STD_J1, STD_J2, STD_J3, TRIPLES, make_chart, triple_from_config
+from paraquat.catalog import (
+    METRICS,
+    STD_J1,
+    STD_J2,
+    STD_J3,
+    TRIPLES,
+    expression_array,
+    make_chart,
+    triple_from_config,
+)
 
 # the neutral space form eta/(1 + eta(x, x)/4)^2, a curved PQK metric
 SPACE_FORM = "1/(1 + (x1^2 + x2^2 - x3^2 - x4^2)/4)^2"
@@ -21,13 +30,24 @@ def rotated4_matrices():
     return [rows(STD_J1, STD_J2, zero), rows(STD_J2, -STD_J1, zero), rows(zero, zero, STD_J3)]
 
 
-def reference_nabla(g, T, p, cfg):
+# a nonlinear expression map from 8 dims onto 4
+BENT_COMPONENTS = ["x1 + 0.1*sin(x5)", "x2 + 0.2*x6^2", "x3", "x4 + 0.1*x1*x7"]
+
+
+def expression_map(source, target, components, label="map"):
+    """A SubmersionMap of expression components, with their jets."""
+    values, jets = expression_array(components, (target.dim,), source, label)
+    return SubmersionMap(source, target, values, label, jets=jets)
+
+
+def reference_nabla(g, T, p, cfg, fd=False):
     """(nabla_i T)^k_j at one point as the one-point code formed it: Gamma at
-    p on a fresh memo of g, T at p, dT from T's jets at p alone or central
-    differences around p alone, and one einsum per connection term."""
+    p on a fresh memo of g, T at p, dT from T's jets at p alone (with fd,
+    central differences around p alone), and one einsum per connection
+    term."""
     gam = christoffel(MetricField(g.field), p, cfg)
     Tp = eval_field(T, p)
-    dT = fd_gradient(T, p, cfg) if T.jets is None else T.jets([p], 1)[1][0]
+    dT = fd_gradient(T, p, cfg) if fd else T.jets([p], 1)[1][0]
     return dT + np.einsum("kil,lj->ikj", gam, Tp) - np.einsum("lij,kl->ikj", gam, Tp)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from paraquat import (
     Point,
     StructureClass,
-    SubmersionMap,
     build_tangent_bundle,
     check_bracket,
     check_connection_oracle,
@@ -31,6 +30,8 @@ from paraquat import (
 )
 from paraquat.catalog import METRICS, TRIPLES, make_chart
 from paraquat.exprlang import Bin, Call, Neg, Num, Sym
+
+from conftest import expression_map
 
 
 def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat4, std_triple, rot_triple, cfg):
@@ -71,7 +72,7 @@ def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple
 
 def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, flat4, std_triple, cfg):
     g8 = METRICS["neutral8"](chart8)
-    proj = SubmersionMap(chart8, make_chart(4), lambda c: c[:4], "proj")
+    proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
     worst_a, worst_anti = 0.0, 0.0
     for p in sample_points(chart8, 5, seed=105):
         ten = oneill_tensors(proj, g8, p, cfg)
@@ -91,7 +92,7 @@ def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, f
 def test_one_forms_descend_and_match_the_base_fit(chart8, cfg):
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8-rotated"](chart8)
-    proj = SubmersionMap(chart8, make_chart(4), lambda c: c[:4], "proj")
+    proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
     base = np.array([0.15, -0.3, 0.2, 0.05])
     fiber = [
         Point(chart8, np.concatenate([base, [t, 0.25 - t, -0.1 * t, 0.3]]))

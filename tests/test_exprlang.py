@@ -16,7 +16,7 @@ from paraquat import (
 )
 from paraquat import exprlang
 from paraquat.catalog import expression_array, make_chart
-from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_exprs
+from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_with_jets
 
 # The parser never produces a negative literal (a leading minus becomes Neg),
 # so generated Num values are nonnegative and finite.
@@ -72,9 +72,14 @@ def test_printer_precedence():
     assert print_expr(parse_expr("2^3^2")) == "2.0^3.0^2.0"
 
 
+def _values(trees, names):
+    """The compiled values function of ``compile_with_jets``."""
+    return compile_with_jets(trees, names)[0]
+
+
 def _evaluate(src, names, coords):
     """The value of one expression at one point, through the compiler."""
-    return compile_exprs([parse_expr(src)], names)(np.asarray(coords, dtype=float))[0]
+    return _values([parse_expr(src)], names)(np.asarray(coords, dtype=float))[0]
 
 
 def test_evaluate():
@@ -85,10 +90,10 @@ def test_evaluate():
 
 def test_unknown_symbol_raised_at_bind_time():
     with pytest.raises(UnknownSymbolError):
-        compile_exprs([parse_expr("x1 + q")], ["x1", "x2"])
+        _values([parse_expr("x1 + q")], ["x1", "x2"])
     # the first unknown name, left to right, across the trees of an array
     with pytest.raises(UnknownSymbolError) as exc:
-        compile_exprs([parse_expr("x1"), parse_expr("a/b"), parse_expr("c")], ["x1"])
+        _values([parse_expr("x1"), parse_expr("a/b"), parse_expr("c")], ["x1"])
     assert str(exc.value) == "unknown symbol 'a'; coordinates are ('x1',)"
 
 
@@ -204,7 +209,7 @@ _coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0, -2.5, 1e-300, math.i
 def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(trees, _NAMES, c))
-    assert _outcome(lambda: compile_exprs(trees, _NAMES)(c)) == expected
+    assert _outcome(lambda: _values(trees, _NAMES)(c)) == expected
 
 
 _safe_trees = st.recursive(
@@ -223,10 +228,10 @@ def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coo
     ]
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(twins, _NAMES, c))
-    assert _outcome(lambda: compile_exprs(twins, _NAMES)(c)) == expected
+    assert _outcome(lambda: _values(twins, _NAMES)(c)) == expected
     if expected[0] == "value":
         for e, v in zip(twins, expected[1]):
-            assert struct.pack("d", compile_exprs([e], _NAMES)(c)[0]) == v
+            assert struct.pack("d", _values([e], _NAMES)(c)[0]) == v
 
 
 def test_shared_subexpression_is_evaluated_once(monkeypatch):
@@ -257,13 +262,13 @@ def test_coordinate_names_never_meet_generated_names():
     src = ["exp(exp) + c*_c - t0/lambda", "t0", "-lambda", "pow(_c, c)", "1.5"]
     trees = [parse_expr(s) for s in src]
     x = np.array([0.5, 2.0, -1.25, 0.75, 3.0])
-    got = compile_exprs(trees, names)(x)
+    got = _values(trees, names)(x)
     assert [struct.pack("d", v) for v in got] == [
         struct.pack("d", v) for v in _reference(trees, names, x)
     ]
     assert got[1] == -1.25 and got[2] == -3.0
     with pytest.raises(UnknownSymbolError, match="'t1'"):
-        compile_exprs([parse_expr("t0 + t1")], names)
+        _values([parse_expr("t0 + t1")], names)
 
 
 # --- exact jets ---------------------------------------------------------------
@@ -309,14 +314,37 @@ def test_jets_of_a_stack_are_the_jets_of_each_point():
             assert whole[c].tobytes() == alone[0].tobytes()
 
 
-@pytest.mark.parametrize("src,exact", [
-    ("x1^x2", False), ("pow(2, x1)", False), ("x1*(1 + x2^(x1 - x1))", False),
-    ("x1^(1/2)", True), ("x1^-1", True), ("pow(x1, 2^0.5)", True),
+@pytest.mark.parametrize("src,gradient", [
+    ("x1^x2", lambda a, b: (b * a ** (b - 1), a**b * np.log(a))),
+    ("pow(2, x1)", lambda a, b: (2**a * np.log(2), 0 * b)),
+    ("x1*(1 + x2^(x1 - x1))", lambda a, b: (2 + 0 * a, 0 * b)),
+    ("x1^(1/2)", lambda a, b: (0.5 / a**0.5, 0 * b)),
+    ("x1^-1", lambda a, b: (-1 / a**2, 0 * b)),
+    ("pow(x1, 2^0.5)", lambda a, b: (2**0.5 * a ** (2**0.5 - 1), 0 * b)),
 ])
-def test_a_coordinate_in_an_exponent_leaves_no_jets(src, exact):
+def test_every_exponent_has_the_jets_of_its_closed_form(src, gradient):
     values, jets = exprlang.compile_with_jets([parse_expr("x2"), parse_expr(src)], ["x1", "x2"])
-    assert (jets is not None) == exact
     assert values(np.array([0.5, 2.0]))[0] == 2.0
+    X = np.array([[0.5, 2.0], [1.5, -0.7]])
+    D = jets(X, 3)[1]
+    assert np.allclose(D[:, :, 1], np.stack(gradient(*X.T), axis=1), rtol=1e-14, atol=1e-15)
+
+
+def test_a_coordinate_in_an_exponent_takes_the_rule_of_exp_b_log_a():
+    # d(x1^x2) = x1^x2 (x2/x1, log x1) and d(2^x1) = 2^x1 (log 2, 0); the
+    # value of x2^(x1 - x1) is 1, so its derivatives vanish, at x2 < 0 too
+    trees = [parse_expr(s) for s in ("x1^x2", "pow(2, x1)", "x2^(x1 - x1)")]
+    _, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    X = np.array([[0.5, 2.0], [1.5, -0.7]])
+    V, D, H = jets(X)
+    a, b = X.T
+    v, log = a**b, np.log(a)
+    assert np.allclose(D[:, :, 0], np.stack([v * b / a, v * log], axis=1), rtol=1e-14, atol=0)
+    hessian = [[v * b * (b - 1) / a**2, v * (1 + b * log) / a], [v * (1 + b * log) / a, v * log**2]]
+    assert np.allclose(H[..., 0], np.moveaxis(np.array(hessian), -1, 0), rtol=1e-14, atol=0)
+    assert np.allclose(D[:, 0, 1], 2**a * np.log(2), rtol=1e-14, atol=0) and not D[:, 1, 1].any()
+    assert np.allclose(H[:, 0, 0, 1], 2**a * np.log(2) ** 2, rtol=1e-14, atol=0)
+    assert not D[..., 2].any() and not H[..., 2].any()
 
 
 def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
@@ -335,6 +363,7 @@ def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
     ("2 + (x1^2)^0.5", 0.0, "(x1^2.0)^0.5"),  # |x1| at its kink
     ("1 + x2*pow(x1, 1.5)", 0.0, "pow(x1, 1.5)"),  # no second derivative at 0
     ("2 + (x1 - x1)^0.5", 0.3, "(x1 - x1)^0.5"),
+    ("1 + x1^x2", 0.0, "x1^x2"),  # log|x1| at 0
 ])
 def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src, x1, node):
     values, jets = exprlang.compile_with_jets([parse_expr(src)], ["x1", "x2"])

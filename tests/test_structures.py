@@ -13,6 +13,7 @@ from paraquat import (
     MetricField,
     Point,
     PreconditionFailedError,
+    ProductStructureField,
     StencilOutOfDomainError,
     StructureClass,
     TensorField,
@@ -31,10 +32,26 @@ from paraquat import (
     sample_points,
     structures,
 )
-from paraquat.catalog import METRICS, STD_J1, STD_J2, STD_J3, STRUCTURES, TRIPLES, make_chart, triple_from_config
+from paraquat.catalog import (
+    METRICS,
+    STD_J1,
+    STD_J2,
+    STD_J3,
+    STRUCTURES,
+    TRIPLES,
+    make_chart,
+    structure_from_config,
+    triple_from_config,
+)
 from paraquat.structures import span_combination
 
 from conftest import reference_nabla, rotated4_matrices
+
+
+def _scaled(M, factor):
+    """The (1,1) expression field factor * M."""
+    rows = [[f"{M[i, j]}*({factor})" for j in range(M.shape[1])] for i in range(M.shape[0])]
+    return structure_from_config({"matrix": rows}, make_chart(M.shape[0])).field
 
 
 def test_hermitian_residuals(flat4, euclidean4, std_triple, pts4):
@@ -73,7 +90,7 @@ def test_classify_scaled_member_hermitian_only(flat4, chart4, cfg):
     # scaling one member keeps g-skewness but pushes the derivative onto
     # J1 itself, which the span form has no slot for
     scaled = LocalBasisTriple(
-        TensorField(chart4, 1, 1, lambda p: (1 + 0.3 * p.coords[1]) * STD_J1, "fJ1"),
+        _scaled(STD_J1, "1 + 0.3*x2"),
         constant_field(chart4, 1, 1, STD_J2, "J2"),
         constant_field(chart4, 1, 1, STD_J3, "J3"),
     )
@@ -167,15 +184,17 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, cfg, nabla_calls
 
 
 def test_fit_memo_computes_another_triple_or_step_afresh(conformal4, std_triple, rot_triple, cfg, nabla_calls):
-    g = MetricField(dataclasses.replace(conformal4.field, jets=None))  # Gamma from finite differences
+    g = _fresh(conformal4)
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
     std = fit_kahler_oneforms(g, std_triple, p, cfg)
     rot = fit_kahler_oneforms(g, rot_triple, p, cfg)
     assert len(nabla_calls) == 6
     assert not np.array_equal(std.omega, rot.omega)
+    # exact derivatives do not depend on the step, yet another step is
+    # another fit, under its own stencil rule
     coarse = fit_kahler_oneforms(g, std_triple, p, FdConfig(step=2e-3))
     assert len(nabla_calls) == 9
-    assert coarse.nabla.tobytes() != std.nabla.tobytes()
+    assert coarse.nabla is not std.nabla and coarse.nabla.tobytes() == std.nabla.tobytes()
     assert fit_kahler_oneforms(g, rot_triple, p, cfg).omega is rot.omega
     assert len(nabla_calls) == 9
 
@@ -262,8 +281,6 @@ def test_equivalence_non_parallel_case(product_setup, cfg):
 
 def test_equivalence_requires_sigma_invariance(product_setup, cfg):
     chart8, g8, T8, _, _ = product_setup
-    from paraquat import ProductStructureField
-
     # an involution that does not commute with the triple
     F = ProductStructureField(
         constant_field(chart8, 1, 1, np.diag([1.0, -1, 1, 1, 1, 1, 1, 1]), "bad"),
@@ -275,8 +292,6 @@ def test_equivalence_requires_sigma_invariance(product_setup, cfg):
 
 
 def test_equivalence_requires_span_parallel_pair(chart4, euclidean4, std_triple, cfg):
-    from paraquat import ProductStructureField
-
     F = ProductStructureField(
         constant_field(chart4, 1, 1, np.diag([1.0, 1, -1, -1]), "split4"), "split4"
     )
@@ -290,14 +305,13 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
     g = MetricField(g8.field)  # a fresh memo
     pts = sample_points(chart8, 3, seed=4)
     grads = []
-    real = connection.fd_gradient
 
-    def counted(f, p, cfg=FdConfig()):
-        if f is rotated.field:  # one centre, or the centres of a batch
-            grads.extend(q.coords.tobytes() for q in ([p] if isinstance(p, Point) else p))
-        return real(f, p, cfg)
+    def counted(points, order):
+        grads.extend(q.coords.tobytes() for q in points)
+        return real.jets(points, order)
 
-    monkeypatch.setattr(connection, "fd_gradient", counted)
+    real = rotated.field
+    rotated = ProductStructureField(dataclasses.replace(real, jets=counted), rotated.label)
     reps = [check_product_structure(g, rotated, p, cfg) for p in pts]
     # one derivative of F per point, read by nabla F and by N_F
     assert grads == [p.coords.tobytes() for p in pts]
@@ -313,25 +327,24 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
         assert D is connection.covariant_derivative_11(g, rotated.field, Point(chart8, p.coords), cfg)
         N = structures._nijenhuis(g, rotated, p, cfg)
         assert not N.flags.writeable
-        reference = connection._nijenhuis_tensor(fields.eval_field(rotated.field, p), real(rotated.field, p, cfg))
+        reference = connection._nijenhuis_tensor(fields.eval_field(real, p), real.jets([p], 1)[1][0])
         assert N.tobytes() == reference.tobytes()
 
 
 def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_triple, chart4):
     # rotated4 written inline carries jets, so nabla J_a is exact: the pair
-    # classifies PQK with a fit residual at roundoff, and a finite-difference
-    # copy of the triple is O(h^2) from it
+    # classifies PQK with a fit residual at roundoff, and nabla J_a from
+    # central differences of the members is O(h^2) from it
     assert all(f.jets is not None for f in rot_expr_triple.fields)
     pts = sample_points(chart4, 4, seed=3)
     verdict = classify_structure(MetricField(flat4.field), rot_expr_triple, pts)
     assert verdict.cls is StructureClass.PQK
     assert verdict.fit_residual_max <= 1e-12
     exact = [fit_kahler_oneforms(MetricField(flat4.field), rot_expr_triple, p).nabla for p in pts]
-    fd = LocalBasisTriple(*(dataclasses.replace(f, jets=None) for f in rot_expr_triple.fields))
     distance = []
     for h in (1e-3, 5e-4):
-        g = MetricField(flat4.field)
-        distance.append(max(np.abs(fit_kahler_oneforms(g, fd, p, FdConfig(h)).nabla - e).max() for p, e in zip(pts, exact)))
+        fd = [np.stack([reference_nabla(flat4, f, p, FdConfig(h), fd=True) for f in rot_expr_triple.fields]) for p in pts]
+        distance.append(max(np.abs(D - e).max() for D, e in zip(fd, exact)))
     assert 1.8 <= np.log2(distance[0] / distance[1]) <= 2.2
 
 
@@ -459,7 +472,7 @@ def _degenerate_at_second(chart4):
     return LocalBasisTriple(
         constant_field(chart4, 1, 1, STD_J1, "J1"),
         constant_field(chart4, 1, 1, STD_J2, "J2"),
-        TensorField(chart4, 1, 1, lambda p: p.coords[0] * STD_J3, "x1 J3"),
+        _scaled(STD_J3, "x1"),
     )
 
 
