@@ -129,9 +129,11 @@ def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[
 class TransitionMap:
     """Pointwise GL(3) change of triple basis: B.J_a = sum_b s[a,b] A.J_b.
 
-    ``jets`` follows ``SubmersionMap.jets``: ``jets(points, order)`` returns
-    s and its partials to ``order`` at a list of points, stacked with the
-    partial axes first, ``[c, i, a, b]`` for the first partials.
+    ``batch``, when given, returns s at a list of points in one call, each
+    equal to ``s`` there.  ``jets`` follows ``SubmersionMap.jets``:
+    ``jets(points, order)`` returns s and its partials to ``order`` at a
+    list of points, stacked with the partial axes first, ``[c, i, a, b]``
+    for the first partials.
     """
 
     s: object  # Callable[[Point], np.ndarray (3,3)]
@@ -139,6 +141,7 @@ class TransitionMap:
     jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False
     )
+    batch: Callable[[Sequence[Point]], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def matrix(self, p: Point) -> np.ndarray:
         m = np.asarray(self.s(p), dtype=float)
@@ -148,28 +151,49 @@ class TransitionMap:
             raise SingularTransitionError(f"transition singular at {p}")
         return m
 
+    def matrices(self, points: Sequence[Point]) -> np.ndarray:
+        """``matrix`` at each point, stacked (len(points), 3, 3).  With a
+        batch form, s at every point comes from one ``batch`` call and the
+        shape and determinants of the stack are tested at once; when
+        anything raises, the points are tried again one at a time with
+        ``matrix``, so the error is the one the first failing point raises
+        alone."""
+        if self.batch is None or not points:
+            return np.array([self.matrix(p) for p in points]).reshape(len(points), 3, 3)
+        try:
+            S = np.asarray(self.batch(points), dtype=float)
+            if S.shape != (len(points), 3, 3) or (np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR).any():
+                raise SingularTransitionError(f"transition {self.label or '<unnamed>'}: a batch fails its checks")
+            return S
+        except Exception:
+            for p in points:
+                self.matrix(p)
+            raise
+
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
-    member has a batch form: s at every point, A's values in one stack; and
-    jets to order 1, d(s_ab J_b) = ds_ab J_b + s_ab dJ_b, from the jets of s
-    and of A's members."""
+    member has a batch form: s at every point from one ``s.matrices``, A's
+    values in one stack; and jets to order 1, d(s_ab J_b) = ds_ab J_b +
+    s_ab dJ_b, from the jets of s and of A's members."""
     chart = A.chart
 
     def member(a: int) -> TensorField:
         name = f"{label or s.label}[{a + 1}]"
 
-        def batch(points: Sequence[Point]) -> np.ndarray:
-            S = np.array([s.matrix(p)[a] for p in points])
+        def combined(S: np.ndarray, points: Sequence[Point]) -> np.ndarray:
             return np.einsum("cb,cbij->cij", S, A.values(points))
 
         def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
             _order_at_most(name, order, 1)
-            S = np.array([s.matrix(p)[a] for p in points])
+            S = s.matrices(points)[:, a]
             dS = _jets_of(s)(points, 1)[1][:, :, a]  # [c, m, b]
             J, dJ = (np.stack(X, axis=1) for X in zip(*(_jets_of(f)(points, 1) for f in A.fields)))
             dB = np.einsum("cmb,cbij->cmij", dS, J) + np.einsum("cb,cbmij->cmij", S, dJ)
-            return batch(points), dB
+            return combined(S, points), dB
+
+        def batch(points: Sequence[Point]) -> np.ndarray:
+            return combined(s.matrices(points)[:, a], points)
 
         return TensorField(chart, 1, 1, lambda p: batch([p])[0], label=name, batch=batch, jets=jets)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
-from .exprlang import compile_with_jets, parse_expr
+from .exprlang import Expr, compile_with_jets, parse_expr
 from .fields import ManifoldSpec, Point, TensorField, constant_field
 from .structures import ProductStructureField
 
@@ -196,11 +196,17 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 
 def _parsed(entries, shape: tuple[int, ...], what: str):
     """The expression trees of a nested list of strings, in order; the
-    nesting is checked against ``shape`` as the trees are taken."""
+    nesting is checked against ``shape`` as the trees are taken.  Each
+    distinct text is parsed once, at its first entry: a symmetric matrix
+    repeats its off-diagonal texts, and a diagonal one its zeros."""
+    trees: dict[str, Expr] = {}
 
     def leaves(node, dims: tuple[int, ...]):
         if not dims:
-            yield parse_expr(str(node))
+            text = str(node)
+            if text not in trees:
+                trees[text] = parse_expr(text)
+            yield trees[text]
             return
         if not isinstance(node, (list, tuple)) or len(node) != dims[0]:
             raise ParseError(f"{what} must be nested lists of expressions of shape {shape}")
@@ -210,37 +216,49 @@ def _parsed(entries, shape: tuple[int, ...], what: str):
     return leaves(entries, shape)
 
 
+def _coords(points: Sequence[Point]) -> np.ndarray:
+    """The coordinates of a list of points, one row each."""
+    return np.array([q.coords for q in points])
+
+
 def expression_array(
     entries, shape: tuple[int, ...], chart: ManifoldSpec, what: str
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable]:
-    """Compile a nested list of expression strings into (values, jets).
+    """A nested list of expression strings as (values, jets).
 
-    ``values`` is one function of the chart's coordinate vector returning
-    the entries as an array of ``shape``, and ``jets`` gives their exact
-    partials to order 3 from the same trees, both from
-    ``compile_with_jets``.  ``jets`` is called as ``jets(points, order)``
-    with ``TensorField.jets``' convention: order + 1 stacked arrays, the
-    partial axes first, then ``shape``.
+    ``values`` maps the chart's coordinate vector to the entries as an
+    array of ``shape``, or an (N, dim) stack of them to an (N, *shape)
+    array, each row the same bit for bit as alone (its batch form); ``jets``
+    gives their exact partials to order 3 from the same trees.  Both come
+    from ``compile_with_jets``.  ``jets`` is called as ``jets(points,
+    order)`` with ``TensorField.jets``' convention: order + 1 stacked
+    arrays, the partial axes first, then ``shape``.
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
     scenario-build time rather than mid-run.
     """
     n = chart.dim
-    values, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
+    walk, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
+
+    def values(C: np.ndarray) -> np.ndarray:
+        V = walk(C)
+        return V.reshape(*V.shape[:-1], *shape)
 
     def point_jets(points, order):
-        arrays = jets(np.array([q.coords for q in points]), max(order, 2))[: order + 1]
+        arrays = jets(_coords(points), max(order, 2))[: order + 1]
         return tuple(A.reshape(len(points), *(n,) * k, *shape) for k, A in enumerate(arrays))
 
-    return (lambda c: np.array(values(c)).reshape(shape)), point_jets
+    return values, point_jets
 
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
-    """A (r, s) field of expression matrices, carrying exact jets to order 3
-    (``expression_array``)."""
+    """A (r, s) field of expression matrices, with a batch form and exact
+    jets to order 3 (``expression_array``)."""
     values, jets = expression_array(rows, (chart.dim, chart.dim), chart, label)
-    return TensorField(chart, r, s, lambda p: values(p.coords), label, jets=jets)
+    return TensorField(
+        chart, r, s, lambda p: values(p.coords), label, batch=lambda points: values(_coords(points)), jets=jets
+    )
 
 
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:

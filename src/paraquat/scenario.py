@@ -383,7 +383,10 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
 
 def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
     values, jets = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
-    trans = TransitionMap(s=lambda pt: values(pt.coords), label="witness transition", jets=jets)
+    trans = TransitionMap(
+        s=lambda pt: values(pt.coords), label="witness transition", jets=jets,
+        batch=lambda pts: values(np.array([q.coords for q in pts])),
+    )
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(

@@ -19,7 +19,7 @@ from paraquat import (
     sample_points,
 )
 from paraquat.algebra import CYCLIC, TAU
-from paraquat.catalog import STD_J1, STD_J2, TRIPLES, make_chart
+from paraquat.catalog import STD_J1, STD_J2, TRIPLES, expression_array, make_chart
 from paraquat.fields import eval_batch, eval_field
 
 
@@ -140,6 +140,28 @@ def test_a_witness_batch_raises_what_its_first_failing_point_raises_alone(std_tr
     with pytest.raises(SingularTransitionError) as got:
         eval_batch(member, pts)
     assert str(got.value) == str(expected.value)
+
+
+def test_transition_matrices_from_a_batch_raise_what_the_first_failing_point_raises_alone(std_triple):
+    # s is singular at the second point; at the third its 1/(x2 - 0.5)
+    # divides by zero, which the walk over the whole batch meets first
+    chart = std_triple.chart
+    rows = [["1/(x2 - 0.5)", "0", "0"], ["0", "x1", "0"], ["0", "0", "1"]]
+    values, jets = expression_array(rows, (3, 3), chart, "transition")
+    s = TransitionMap(
+        s=lambda p: values(p.coords), label="probe", jets=jets,
+        batch=lambda ps: values(np.array([q.coords for q in ps])),
+    )
+    pts = [Point(chart, [0.1, 0.0, 0.0, 0.0]), Point(chart, [0.0, 0.0, 0.0, 0.0]), Point(chart, [0.3, 0.5, 0.0, 0.0])]
+    with pytest.raises(EvaluationError, match="division by zero"):
+        s.batch(pts)
+    with pytest.raises(SingularTransitionError) as expected:
+        s.matrix(pts[1])
+    for batch in (s.matrices, apply_transition(std_triple, s).j2.batch):
+        with pytest.raises(SingularTransitionError) as got:
+            batch(pts)
+        assert str(got.value) == str(expected.value)
+    assert s.matrices(pts[:1]).tobytes() == s.matrix(pts[0])[None].tobytes()
 
 
 def _nan_where(k, J):

@@ -399,6 +399,16 @@ MALFORMED_CONTENTS = {
 }
 
 
+@pytest.mark.parametrize("entry,character,position", [("é + x1", "é", 0), ("exp(x1²)", "²", 6)])
+def test_a_non_ascii_character_in_an_expression_exits_two(entry, character, position, tmp_path, capsys):
+    f = tmp_path / "non-ascii.json"
+    f.write_text(json.dumps(_inline(geometry=_metric(entry))))
+    assert main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: unexpected character {character!r} (at position {position})\n"
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONTENTS))
 def test_malformed_contents_exit_two(case, tmp_path, capsys):
     # these are found while the geometry is built or the check starts

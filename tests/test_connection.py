@@ -440,7 +440,10 @@ def _witness_member(chart, rows):
     as the parallel-witness check builds it: a field with a batch form and
     jets from the transition's and rotated4's."""
     values, jets = expression_array(rows, (3, 3), chart, "transition")
-    s = TransitionMap(lambda p: values(p.coords), label="transition", jets=jets)
+    s = TransitionMap(
+        lambda p: values(p.coords), label="transition", jets=jets,
+        batch=lambda ps: values(np.array([q.coords for q in ps])),
+    )
     return apply_transition(TRIPLES["rotated4"](chart), s).j1
 
 

@@ -17,6 +17,7 @@ from paraquat import (
 from paraquat import exprlang
 from paraquat.catalog import expression_array, make_chart
 from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_with_jets
+from paraquat.fields import Point, TensorField, eval_batch, eval_field
 
 # The parser never produces a negative literal (a leading minus becomes Neg),
 # so generated Num values are nonnegative and finite.
@@ -53,6 +54,8 @@ def test_print_parse_roundtrip(e):
         ("sin(1,2)", 0),  # arity
         ("pow(1)", 0),
         ("foo(1)", 0),  # unknown function
+        ("é + x1", 0),  # a non-ASCII letter
+        ("x1²", 2),  # a non-ASCII digit
     ],
 )
 def test_syntax_errors_carry_positions(src, position):
@@ -73,12 +76,12 @@ def test_printer_precedence():
 
 
 def _values(trees, names):
-    """The compiled values function of ``compile_with_jets``."""
+    """The values function of ``compile_with_jets``."""
     return compile_with_jets(trees, names)[0]
 
 
 def _evaluate(src, names, coords):
-    """The value of one expression at one point, through the compiler."""
+    """The value of one expression at one point, through the evaluator."""
     return _values([parse_expr(src)], names)(np.asarray(coords, dtype=float))[0]
 
 
@@ -114,7 +117,7 @@ def test_evaluation_errors():
         assert str(exc.value) == message
 
 
-# --- the compiler against a tree-walking reference --------------------------
+# --- the evaluator against a tree-walking reference -------------------------
 #
 # The reference evaluates a tree recursively with the language's rules: left
 # operand before right except that '/' evaluates and tests its divisor first,
@@ -210,6 +213,20 @@ def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(trees, _NAMES, c))
     assert _outcome(lambda: _values(trees, _NAMES)(c)) == expected
+    if expected[0] == "UnknownSymbolError":
+        return
+    # the same row inside a batch: the same bits when every row evaluates
+    # alone, else an error that one of the failing rows raises alone
+    X = np.stack([c[::-1], c, np.array([1.0, 0.5, -2.5])])
+    alone = [_outcome(lambda: _reference(trees, _NAMES, row)) for row in X]
+    if all(kind == "value" for kind, _ in alone):
+        V = _values(trees, _NAMES)(X)
+        assert V.shape == (3, len(trees))
+        assert [[struct.pack("d", v) for v in row] for row in V] == [bits for _, bits in alone]
+    else:
+        with pytest.raises(EvaluationError) as exc:
+            _values(trees, _NAMES)(X)
+        assert ("EvaluationError", str(exc.value)) in alone
 
 
 _safe_trees = st.recursive(
@@ -232,6 +249,26 @@ def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coo
     if expected[0] == "value":
         for e, v in zip(twins, expected[1]):
             assert struct.pack("d", _values([e], _NAMES)(c)[0]) == v
+
+
+def test_a_batch_raises_what_its_first_failing_point_raises_alone():
+    # the second point overflows exp, a late step; the third fails the zero
+    # test of 1/x1, an earlier one, which is what the walk over the batch meets
+    chart = make_chart(2, domain=[[-1.0, 1.0], [-1.0, 1000.0]])
+    values, jets = expression_array(["1/x1", "exp(x2)"], (2,), chart, "vector")
+    field = TensorField(
+        chart, 1, 0, lambda p: values(p.coords), "vector", batch=lambda ps: values(np.array([q.coords for q in ps])), jets=jets
+    )
+    pts = [Point(chart, [0.5, 0.1]), Point(chart, [0.5, 800.0]), Point(chart, [0.0, 0.1])]
+    with pytest.raises(EvaluationError, match="division by zero in '1.0/x1'"):
+        field.batch(pts)
+    with pytest.raises(EvaluationError) as expected:
+        eval_field(field, pts[1])
+    assert str(expected.value) == "cannot evaluate 'exp(x2)': math range error"
+    with pytest.raises(EvaluationError) as got:
+        eval_batch(field, pts)
+    assert str(got.value) == str(expected.value)
+    assert eval_batch(field, pts[:1]).tobytes() == eval_field(field, pts[0]).tobytes()
 
 
 def test_shared_subexpression_is_evaluated_once(monkeypatch):
@@ -282,7 +319,7 @@ JET_EXPRS = [
 
 
 def test_jets_are_the_derivatives_of_the_compiled_values():
-    # central differences of the compiled values: O(h^2) from the jets, with
+    # central differences of the walked values: O(h^2) from the jets, with
     # h = 1e-5 for the gradient and 1e-4 for the Hessian
     trees = [parse_expr(s) for s in JET_EXPRS]
     values, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])

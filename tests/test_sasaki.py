@@ -527,14 +527,16 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg
 
 def _spotted(chart4):
     """conformal-neutral4, degenerate where x2 lies in a window around 0.7,
-    with conformal-neutral4's jets."""
+    with conformal-neutral4's jets; its batch form is the window's too."""
     degenerate = np.diag([0.0, 1.0, -1.0, -1.0])
     real = METRICS["conformal-neutral4"](chart4).field
 
     def comps(p):
         return degenerate if 0.6995 < p.coords[1] < 0.7005 else real.components(p)
 
-    return MetricField(dataclasses.replace(real, components=comps, label="spotted"))
+    return MetricField(
+        dataclasses.replace(real, components=comps, batch=lambda ps: [comps(p) for p in ps], label="spotted")
+    )
 
 
 # base points of bundle points that fail, each for its own reason
