@@ -175,25 +175,38 @@ def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> 
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
     member has a batch form: s at every point from one ``s.matrices``, A's
     values in one stack; and jets to order 1, d(s_ab J_b) = ds_ab J_b +
-    s_ab dJ_b, from the jets of s and of A's members."""
+    s_ab dJ_b, from the jets of s and of A's members.  The members share
+    them: each is taken once for a batch of points and sliced per member,
+    as long as the members are asked for the same points in turn."""
     chart = A.chart
+    last: dict = {}  # kind -> (points, arrays) of the last batch, which the members share
+
+    def shared(kind: str, points: Sequence[Point], compute: Callable[[Sequence[Point]], tuple]) -> tuple:
+        if kind not in last or last[kind][0] != list(points):  # Points compare by identity
+            last[kind] = (list(points), compute(points))
+        return last[kind][1]
+
+    def values(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        return shared("values", points, lambda pts: (s.matrices(pts), A.values(pts)))
+
+    def partials(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dS = _jets_of(s)(pts, 1)[1]  # [c, m, a, b]
+        J, dJ = (np.stack(X, axis=1) for X in zip(*(_jets_of(f)(pts, 1) for f in A.fields)))
+        return dS, J, dJ
 
     def member(a: int) -> TensorField:
         name = f"{label or s.label}[{a + 1}]"
 
-        def combined(S: np.ndarray, points: Sequence[Point]) -> np.ndarray:
-            return np.einsum("cb,cbij->cij", S, A.values(points))
+        def batch(points: Sequence[Point]) -> np.ndarray:
+            S, AJ = values(points)
+            return np.einsum("cb,cbij->cij", S[:, a], AJ)
 
         def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
             _order_at_most(name, order, 1)
-            S = s.matrices(points)[:, a]
-            dS = _jets_of(s)(points, 1)[1][:, :, a]  # [c, m, b]
-            J, dJ = (np.stack(X, axis=1) for X in zip(*(_jets_of(f)(points, 1) for f in A.fields)))
-            dB = np.einsum("cmb,cbij->cmij", dS, J) + np.einsum("cb,cbmij->cmij", S, dJ)
-            return combined(S, points), dB
-
-        def batch(points: Sequence[Point]) -> np.ndarray:
-            return combined(s.matrices(points)[:, a], points)
+            S = values(points)[0][:, a]
+            dS, J, dJ = shared("partials", points, partials)
+            dB = np.einsum("cmb,cbij->cmij", dS[:, :, a], J) + np.einsum("cb,cbmij->cmij", S, dJ)
+            return batch(points), dB
 
         return TensorField(chart, 1, 1, lambda p: batch([p])[0], label=name, batch=batch, jets=jets)
 

@@ -61,6 +61,9 @@ class ManifoldSpec:
         object.__setattr__(self, "domain", dom)
         # (lo, hi) as Python floats: contains compares lists, not arrays
         object.__setattr__(self, "_bounds", (dom[:, 0].tolist(), dom[:, 1].tolist()))
+        # every memo key hashes its chart: the names and the read-only domain
+        # are hashed once, here
+        object.__setattr__(self, "_hash", hash((self.coords, dom.tobytes())))
 
     def __eq__(self, other):
         return (
@@ -70,7 +73,11 @@ class ManifoldSpec:
         )
 
     def __hash__(self):
-        return hash((self.coords, self.domain.tobytes()))
+        return self._hash
+
+    def __str__(self):
+        box = " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in zip(*self._bounds))
+        return f"({', '.join(self.coords)}) in {box}"
 
     @property
     def dim(self) -> int:
@@ -259,7 +266,7 @@ def _memo_batch(
 
 def _check_chart(chart: ManifoldSpec, p: Point) -> None:
     if p.chart is not chart and p.chart != chart:
-        raise ValidationError("point and field live on different charts")
+        raise ValidationError(f"different charts: the point lives on {p.chart}, not on {chart}")
 
 
 def _check_point(chart: ManifoldSpec, p: Point) -> None:

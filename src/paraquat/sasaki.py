@@ -391,7 +391,7 @@ def build_tangent_bundle(
     projection = SubmersionMap(
         source=bundle,
         target=base,
-        components=lambda c: np.array(c[:n]),
+        components=lambda C: C[..., :n],
         label="bundle projection",
         jets=projection_jets,
     )

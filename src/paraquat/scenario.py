@@ -58,11 +58,11 @@ from .structures import (
 )
 from .submersion import (
     SubmersionMap,
+    _oneills,
     check_paraholomorphic,
     check_semi_riemannian,
     check_vh_invariance,
     descend_one_forms,
-    oneill_tensors,
 )
 
 DEFAULT_POINTS = 5
@@ -308,8 +308,7 @@ def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
     max_a = anti = max_t = 0.0
-    for pt in ctx.points[:points]:
-        rep = oneill_tensors(ctx.submersion, ctx.metric, pt, ctx.cfg)
+    for rep in _oneills(ctx.submersion, ctx.metric, ctx.points[:points], ctx.cfg):
         max_a = max(max_a, rep.max_a_horizontal)
         anti = max(anti, rep.antisymmetry_residual)
         max_t = max(max_t, float(np.abs(rep.t_full).max()))

@@ -1,25 +1,34 @@
 """Semi-Riemannian submersions: vertical/horizontal splitting, the two
 fundamental tensors, basic lifts, and descent of the structure 1-forms.
 
-The splitting is computed pointwise from the Jacobian, the map's first
-partials from its jets: vertical = ker(df) from an SVD, horizontal = the
-g-orthogonal complement of vertical (a second SVD on V^T g, which works in
-neutral signature as long as the fiber metric V^T g V stays nondegenerate).
+Everything is taken a batch of points at a time under the memo rule of
+``fields._memo_batch``: the map memoises df (from one jets call per batch)
+and the images (from one call of its components on the stack), and the
+metric the split under ("split", map), from one ``_split_matrices`` over
+the stack: vertical = ker(df) from an SVD, horizontal = the g-orthogonal
+complement of vertical (a second SVD on V^T g, which works in neutral
+signature as long as the fiber metric V^T g V stays nondegenerate).  A
+batch that raises stores nothing, and its first failing point raises what
+it raises alone.
+``jacobian``, ``vh_split``, ``SubmersionMap.map_point`` and
+``oneill_tensors`` are each the batch of one point.
+
 The O'Neill tensors are assembled from the derivative of the vertical
 *projector* — projectors, unlike the frames themselves, depend smoothly on
 the point regardless of how the SVD orders or signs its vectors — a closed
-form in dg and the map's second partials.
+form in dg and the map's second partials, stacked over the sample.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import LocalBasisTriple
-from .connection import MetricField, _jets, christoffel
+from .connection import MetricField, _christoffels, _jets, christoffel
 from .errors import (
     DegenerateFiberMetricError,
     NotAFiberError,
@@ -28,8 +37,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, _jets_of, _require_stencils
-from .structures import StructureClass, classify_structure, fit_kahler_oneforms
+from .fields import FdConfig, ManifoldSpec, Point, _jets_of, _memo_batch, _point, _require_stencils
+from .structures import StructureClass, _fits, classify_structure
 
 RANK_FLOOR = 1e-8
 FIBER_DET_FLOOR = 1e-9
@@ -40,47 +49,79 @@ FIBER_IMAGE_TOL = 1e-10
 class SubmersionMap:
     """A smooth map between charts, given componentwise.
 
-    ``jets`` follows ``TensorField.jets``: ``jets(points, order)`` returns
-    the exact components at a list of points and their partials to
+    ``components`` maps an (N, dim) stack of coordinates to the (N, target
+    dim) stack of their images, each row the same bits as that row alone.
+    ``jets`` follows ``TensorField.jets``: ``jets(points, order)``
+    returns the exact components at a list of points and their partials to
     ``order``, as order + 1 stacked arrays with the partial axes first,
     ``[c, i, a]`` for the first and ``[c, i, j, a]`` for the second
-    partials of component a.  ``jacobian`` reads the first partials and
-    ``oneill_tensors`` the second.  The bundle projection and an expression
-    map have them; a map without jets (None) can be mapped but not
-    differentiated.
+    partials of component a.  The bundle projection and an expression map
+    have both; a map without jets (None) can be mapped but not
+    differentiated.  The instance memoises df and the images.
     """
 
     source: ManifoldSpec
     target: ManifoldSpec
-    components: Callable[[np.ndarray], np.ndarray]  # (n,) -> (n',)
+    components: Callable[[np.ndarray], np.ndarray]  # (N, n) -> (N, n')
     label: str = ""
     jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False
     )
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def map_point(self, p: Point) -> Point:
-        if p.chart != self.source:
-            raise ValidationError(f"point lives on {p.chart.coords}, map expects {self.source.coords}")
-        y = np.asarray(self.components(p.coords), dtype=float)
-        if y.shape != (self.target.dim,):
-            raise ShapeError(f"map returned shape {y.shape}, expected ({self.target.dim},)")
-        return Point(self.target, y)
+        return _images(self, [p])[0]
+
+
+def _images(f: SubmersionMap, points: Sequence[Point]) -> list[Point]:
+    """The image of each point, memoised on the map: the misses from one
+    call of its components on their stack."""
+    m = f.target.dim
+
+    def compute(qs: list[Point]) -> list[Point]:
+        C = np.array([q.coords for q in qs])
+        Y = np.asarray(f.components(C), dtype=float)
+        if Y.shape != (len(qs), m):
+            raise ShapeError(f"map returned shape {Y.shape[1:]}, expected ({m},)")
+        Y.flags.writeable = False
+        return [_point(f.target, y) for y in Y]
+
+    return _memo_batch(
+        f._memo, f.source, "image", None, points, compute, one=lambda q: dataclasses.replace(f).map_point(q)
+    )
 
 
 def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """df at p as a C-contiguous (n', n) matrix, the map's first partials
-    from its jets; raises RankDeficientError if not onto and
-    StencilOutOfDomainError if the stencil leaves p's chart."""
+    """df at p as a read-only C-contiguous (n', n) matrix, the map's first
+    partials from its jets; raises ValidationError for a point off the
+    map's chart, StencilOutOfDomainError if the stencil leaves p's chart
+    and RankDeficientError if df is not onto."""
+    return _jacobians(f, [p], cfg)[0]
+
+
+def _jacobians(f: SubmersionMap, points: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """``jacobian`` at each point, memoised on the map per point and step:
+    the misses' stencils, then one jets call, then one batched SVD."""
     n, m = f.source.dim, f.target.dim
-    jets = _jets_of(f)
-    _require_stencils([p], cfg.step)
-    J = np.ascontiguousarray(np.asarray(jets([p], 1)[1][0], dtype=float).T)
-    if J.shape != (m, n):
-        raise ShapeError(f"map differential has shape {J.shape}, expected ({m}, {n})")
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv.shape[-1] < m or sv[-1] <= RANK_FLOOR:
-        raise RankDeficientError(f"differential drops rank at {p} (singular values {sv})")
-    return J
+
+    def compute(qs: list[Point]) -> np.ndarray:
+        jets = _jets_of(f)
+        _require_stencils(qs, cfg.step)
+        D = np.asarray(jets(qs, 1)[1], dtype=float)
+        if D.shape != (len(qs), n, m):
+            raise ShapeError(f"map differential has shape {D.shape[:0:-1]}, expected ({m}, {n})")
+        J = np.ascontiguousarray(D.transpose(0, 2, 1))
+        sv = np.linalg.svd(J, compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] <= RANK_FLOOR) if sv.shape[-1] == m else [0]
+        if len(bad):
+            k = bad[0]
+            raise RankDeficientError(f"differential drops rank at {qs[k]} (singular values {sv[k]})")
+        J.flags.writeable = False
+        return J
+
+    return _memo_batch(
+        f._memo, f.source, "df", cfg.step, points, compute, one=lambda q: jacobian(dataclasses.replace(f), q, cfg)
+    )
 
 
 @dataclass(frozen=True)
@@ -120,11 +161,27 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def vh_split(f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> SplitFrame:
-    """The split at p: the differential, then g at p, then the frames from
-    ``_split_matrices`` of one point; p fails in that order."""
-    J = jacobian(f, p, cfg)
-    V, H, Pv, Ph = (A[0] for A in _split_matrices(J[None], g.matrix(p)[None]))
-    return SplitFrame(point=p, df=J, vertical=V, horizontal=H, v=Pv, h=Ph)
+    """The split at p, the memo's: df, then g at p, then the frames from
+    ``_split_matrices``; p fails in that order."""
+    return _splits(f, g, [p], cfg)[0]
+
+
+def _splits(f: SubmersionMap, g: MetricField, points: Sequence[Point], cfg: FdConfig) -> list[SplitFrame]:
+    """``vh_split`` at each point, memoised on g under ("split", f) per
+    point and step: the misses' df from one ``_jacobians``, g from one
+    ``matrices``, the frames from one ``_split_matrices``."""
+
+    def compute(qs: list[Point]) -> list[SplitFrame]:
+        dfs = _jacobians(f, qs, cfg)
+        frames = _split_matrices(np.array(dfs), np.array(g.matrices(qs)))
+        for A in frames:
+            A.flags.writeable = False
+        return [SplitFrame(*row) for row in zip(qs, dfs, *frames)]
+
+    return _memo_batch(
+        g._memo, g.chart, ("split", f), cfg.step, points, compute,
+        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), q, cfg),
+    )
 
 
 def check_semi_riemannian(
@@ -134,15 +191,22 @@ def check_semi_riemannian(
     pts: Sequence[Point],
     cfg: FdConfig = FdConfig(),
 ) -> float:
-    """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at the sample."""
-    worst = 0.0
-    for p in pts:
-        fr = vh_split(f, g, p, cfg)
-        down = fr.df @ fr.horizontal
-        up = fr.horizontal.T @ g.matrix(p) @ fr.horizontal
-        dn = down.T @ g_target.matrix(f.map_point(p)) @ down
-        worst = max(worst, float(np.abs(up - dn).max()))
-    return worst
+    """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at the sample,
+    split, then mapped, in one batch each."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        out = []
+        for fr, G, G_target in zip(_splits(f, g, qs, cfg), g.matrices(qs), g_target.matrices(_images(f, qs))):
+            down = fr.df @ fr.horizontal
+            up = fr.horizontal.T @ G @ fr.horizontal
+            dn = down.T @ G_target @ down
+            out.append(float(np.abs(up - dn).max()))
+        return out
+
+    residuals = _memo_batch(
+        {}, f.source, None, None, pts, compute, one=lambda q: check_semi_riemannian(f, g, g_target, [q], cfg)
+    )
+    return max([0.0, *residuals])
 
 
 def check_paraholomorphic(
@@ -152,15 +216,20 @@ def check_paraholomorphic(
     pts: Sequence[Point],
     cfg: FdConfig = FdConfig(),
 ) -> float:
-    """max_a |df o J_a - J'_a o df| over the sample."""
-    worst = 0.0
-    for p in pts:
-        J = jacobian(f, p, cfg)
-        up = T.matrices(p)
-        dn = T_target.matrices(f.map_point(p))
-        for a in range(3):
-            worst = max(worst, float(np.abs(J @ up[a] - dn[a] @ J).max()))
-    return worst
+    """max_a |df o J_a - J'_a o df| over the sample, from one batch each of
+    df, the triple, the images and the target triple."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        dfs, ups = _jacobians(f, qs, cfg), T.values(qs)
+        return [
+            max(float(np.abs(J @ up[a] - dn[a] @ J).max()) for a in range(3))
+            for J, up, dn in zip(dfs, ups, T_target.values(_images(f, qs)))
+        ]
+
+    residuals = _memo_batch(
+        {}, f.source, None, None, pts, compute, one=lambda q: check_paraholomorphic(f, T, T_target, [q], cfg)
+    )
+    return max([0.0, *residuals])
 
 
 @dataclass(frozen=True)
@@ -188,15 +257,22 @@ def check_vh_invariance(
         raise PreconditionFailedError(
             f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
         )
-    rv = 0.0
-    rh = 0.0
-    for p in pts:
-        fr = vh_split(f, g, p, cfg)
-        J = T.matrices(p)
-        for a in range(3):
-            rv = max(rv, float(np.abs(fr.h @ J[a] @ fr.vertical).max()))
-            rh = max(rh, float(np.abs(fr.v @ J[a] @ fr.horizontal).max()))
-    return VhInvarianceReport(v_residual=rv, h_residual=rh)
+
+    def compute(qs: list[Point]) -> list[tuple[float, float]]:
+        return [
+            (
+                max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
+                max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
+            )
+            for fr, J in zip(_splits(f, g, qs, cfg), T.values(qs))
+        ]
+
+    leaks = _memo_batch(
+        {}, f.source, None, None, pts, compute, one=lambda q: check_vh_invariance(f, g, T, T_target, [q], cfg, tol)
+    )
+    return VhInvarianceReport(
+        v_residual=max([0.0, *(rv for rv, _ in leaks)]), h_residual=max([0.0, *(rh for _, rh in leaks)])
+    )
 
 
 @dataclass(frozen=True)
@@ -231,9 +307,27 @@ def oneill_tensors(
     """A and T at p from Gamma, the split at p and d_m Pv in closed form
     (``_projector_partials``), with no split but p's.  The stencil of
     cfg.step around p must lie in the chart."""
-    gam = christoffel(g, p, cfg)
-    fr = vh_split(f, g, p, cfg)
-    dPv = _projector_partials(f, g, fr)
+    return _oneills(f, g, [p], cfg)[0]
+
+
+def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConfig) -> list[ONeillTensors]:
+    """``oneill_tensors`` at each point: Gamma, the splits and d Pv each in
+    one batch over the sample, then each point's contraction, which reads
+    its Gamma from the metric's memo."""
+
+    def compute(qs: list[Point]) -> list[ONeillTensors]:
+        _christoffels(g, qs, cfg)
+        frs = _splits(f, g, qs, cfg)
+        return [
+            _contracted(q, christoffel(g, q, cfg), fr, dPv)
+            for q, fr, dPv in zip(qs, frs, _projector_partials(f, g, frs))
+        ]
+
+    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: oneill_tensors(f, g, q, cfg))
+
+
+def _contracted(p: Point, gam: np.ndarray, fr: SplitFrame, dPv: np.ndarray) -> ONeillTensors:
+    """The O'Neill tensors at p from Gamma, the split and d Pv there."""
 
     def stacked(U: np.ndarray) -> np.ndarray:
         # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the
@@ -254,24 +348,26 @@ def oneill_tensors(
     return ONeillTensors(point=p, a_full=a_full, t_full=t_full, a_horizontal=a_h)
 
 
-def _projector_partials(f: SubmersionMap, g: MetricField, fr: SplitFrame) -> np.ndarray:
-    """dPv[m] = d_m Pv at the split's point, exactly: with J = ``fr.df``
-    (the differential Pv was split from), dG from the metric's memoised jets
-    and dJ from the map's second partials,
+def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:
+    """dPv[c, m] = d_m Pv at each split's point, exactly: with J =
+    ``fr.df`` (the differential Pv was split from), dG from the metric's
+    memoised jets and dJ from one call of the map's second partials,
 
         N = G^-1 J^T,   K = J N,   Ph = N K^-1 J = 1 - Pv,
         dN = -G^-1 dG N + G^-1 dJ^T,   dK = dJ N + J dN,
         dPv = -(dN K^-1 J - N K^-1 dK K^-1 J + N K^-1 dJ)."""
-    p, J = fr.point, fr.df
-    Ginv = np.linalg.inv(g.matrix(p))
-    dG = _jets(g, [p])[0][0]  # dG[m, k, l] = d_m G_kl
-    dJt = _jets_of(f)([p], 2)[2][0]  # dJt[m, i, a] = d_m d_i f^a = d_m (J^T)_ia
-    dJ = dJt.swapaxes(1, 2)
-    N = Ginv @ J.T
+    pts = [fr.point for fr in frs]
+    J = np.array([fr.df for fr in frs])
+    Ginv = np.linalg.inv(np.array(g.matrices(pts)))
+    dG = _jets(g, pts)[0]  # dG[c, m, k, l] = d_m G_kl
+    dJt = _jets_of(f)(pts, 2)[2]  # dJt[c, m, i, a] = d_m d_i f^a = d_m (J^T)_ia
+    dJ = dJt.swapaxes(-1, -2)
+    N = Ginv @ J.transpose(0, 2, 1)
     Kinv = np.linalg.inv(J @ N)
+    J, N, Ginv = J[:, None], N[:, None], Ginv[:, None]  # broadcast over m
     dN = -Ginv @ dG @ N + Ginv @ dJt
     dK = dJ @ N + J @ dN
-    NKinv, KinvJ = N @ Kinv, Kinv @ J
+    NKinv, KinvJ = N @ Kinv[:, None], Kinv[:, None] @ J
     return -(dN @ KinvJ - NKinv @ dK @ KinvJ + NKinv @ dJ)
 
 
@@ -304,11 +400,12 @@ def descend_one_forms(
     the pair upstairs must classify as PQK or LhPK-basis (else
     PreconditionFailedError).  The report carries the per-direction means and
     the largest spread across the fiber; a small spread is what makes the
-    forms well defined downstairs.
+    forms well defined downstairs.  The images, the fits (the memo's, from
+    the classification) and the splits each come in one batch.
     """
     if not fiber_pts:
         raise ValidationError("descend_one_forms needs at least one fiber point")
-    images = [f.map_point(p) for p in fiber_pts]
+    images = _images(f, fiber_pts)
     base = images[0]
     for q in images[1:]:
         if float(np.abs(q.coords - base.coords).max()) > FIBER_IMAGE_TOL:
@@ -323,12 +420,11 @@ def descend_one_forms(
     m = f.target.dim
     values = np.empty((len(fiber_pts), 3, m))
     fit_max = 0.0
-    for k, p in enumerate(fiber_pts):
-        fit = fit_kahler_oneforms(g, T, p, cfg)
-        fit_max = max(fit_max, fit.residual)
-        fr = vh_split(f, g, p, cfg)
+    fits, frs = _fits(g, T, fiber_pts, cfg), _splits(f, g, fiber_pts, cfg)
+    for k, ((omega, residual, _), fr) in enumerate(zip(fits, frs)):
+        fit_max = max(fit_max, residual)
         for alpha in range(m):
-            values[k, :, alpha] = fit.omega @ _lift(fr, np.eye(m)[alpha])
+            values[k, :, alpha] = omega @ _lift(fr, np.eye(m)[alpha])
     spread = float((values.max(axis=0) - values.min(axis=0)).max()) if len(fiber_pts) > 1 else 0.0
     return DescentReport(
         image=base,

@@ -186,3 +186,37 @@ def test_a_triple_algebra_batch_raises_what_its_first_failing_point_raises_alone
     with pytest.raises(EvaluationError) as got:
         algebra._triple_algebras(triple, pts)
     assert str(got.value) == str(expected.value)
+
+
+def test_the_members_of_a_transition_share_s_and_a_per_batch(chart4):
+    # one walk of s and one jets call of s and of each member of A serve
+    # all three members over the same points, with the bits of a member
+    # that shares nothing
+    values, jets = expression_array(
+        [["1 + 0.3*sin(x2)", "x1", "0"], ["0", "cos(x3)", "0.2*x4"], ["0", "0", "exp(0.1*x1)"]], (3, 3), chart4, "s"
+    )
+    calls = []
+
+    def transition(record: bool) -> TransitionMap:
+        def batch(ps):
+            calls.append("batch") if record else None
+            return values(np.array([q.coords for q in ps]))
+
+        def counted_jets(ps, order):
+            calls.append("jets") if record else None
+            return jets(ps, order)
+
+        return TransitionMap(lambda p: values(p.coords), label="s", jets=counted_jets, batch=batch)
+
+    A = TRIPLES["rotated4"](chart4)
+    shared = apply_transition(A, transition(True))
+    pts = sample_points(chart4, 3, seed=8)
+    got = [(member.batch(pts), *member.jets(pts, 1)) for member in shared.fields]
+    assert calls == ["batch", "jets"]
+    for a, arrays in enumerate(got):
+        alone = apply_transition(A, transition(False)).fields[a]
+        for x, y in zip(arrays, (alone.batch(pts), *alone.jets(pts, 1))):
+            assert x.tobytes() == y.tobytes()
+    # other points are a new batch
+    shared.j1.batch(pts[:2])
+    assert calls == ["batch", "jets", "batch"]

@@ -482,7 +482,7 @@ def _exact_and_fd(case):
         f = expression_map(make_chart(8), chart4, BENT_COMPONENTS, name)
         pts = sample_points(f.source, 3, seed=2)
         exact = [np.stack([jacobian(f, p, FdConfig()) for p in pts])]
-        values = lambda qs: [f.components(q.coords) for q in qs]
+        values = lambda qs: f.components(np.array([q.coords for q in qs]))
         return exact, lambda h: [central_difference(values, pts, FdConfig(h)).transpose(0, 2, 1)]
     build, top = CONVERGENCE_FIELDS[name]  # each jet order from the order below
     T = build()

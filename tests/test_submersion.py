@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from paraquat import (
     FdConfig,
     MetricField,
     NotAFiberError,
+    OutOfDomainError,
     Point,
     PreconditionFailedError,
     RankDeficientError,
@@ -24,7 +27,7 @@ from paraquat import (
     sample_points,
     vh_split,
 )
-from paraquat import sasaki
+from paraquat import sasaki, submersion
 from paraquat.catalog import METRICS, TRIPLES, make_chart, metric_from_config
 from paraquat.fields import central_difference
 from paraquat.submersion import _lift, _projector_partials
@@ -57,7 +60,7 @@ def test_jacobian_stencil_must_stay_in_the_source_box(proj8to4, cfg):
 
     def recording(c):
         seen.append(c.copy())
-        return c[:4]
+        return c[..., :4]
 
     def recording_jets(points, order):
         seen.extend(q.coords.copy() for q in points)
@@ -279,7 +282,7 @@ def reference_oneill(f, g, p, cfg, dPv=None):
     gam = christoffel(g, p, cfg)
     fr = vh_split(f, g, p, cfg)
     if dPv is None:
-        dPv = _projector_partials(f, g, fr)
+        dPv = _projector_partials(f, g, [fr])[0]
 
     def covd(u, w_proj_is_v, j):
         sgn = 1.0 if w_proj_is_v else -1.0
@@ -443,3 +446,203 @@ def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, cfg, monk
     oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
     assert framed == [xi.coords.tobytes()]
     assert {key[1] for key in bundle.metric._memo if key[0] == "g"} == {xi.coords.tobytes()}
+
+
+# ------------------------------------------------------------ batches and memo
+#
+# df, the split, the images and the O'Neill tensors are taken a batch at a
+# time and memoised; each point of a batch carries the bits it has alone.
+
+
+def _batch_cases(chart4, cfg):
+    """(make, points): ``make()`` gives a fresh (map, metric) pair, the bent
+    expression map over a curved metric or the bundle projection over its
+    Sasaki metric, and the points lie on its source chart."""
+    chart8 = make_chart(8)
+
+    def bent():
+        g, f = _expression_pair(chart8, chart4)
+        return f, g
+
+    def projection():
+        bundle = _conformal_bundle(chart4, cfg)
+        return bundle.projection, bundle.metric
+
+    f, _ = projection()
+    return {
+        "expression map": (bent, sample_points(chart8, 3, seed=6)),
+        "bundle projection": (projection, sample_points(f.source, 3, seed=6)),
+    }
+
+
+BATCH_FORMS = {
+    # form: (the batch form, its one-point form, the arrays of one point's value)
+    "df": (
+        lambda f, g, pts, cfg: submersion._jacobians(f, pts, cfg),
+        lambda f, g, p, cfg: jacobian(f, p, cfg),
+        lambda J: [J],
+    ),
+    "split": (
+        lambda f, g, pts, cfg: submersion._splits(f, g, pts, cfg),
+        vh_split,
+        lambda fr: [fr.df, fr.vertical, fr.horizontal, fr.v, fr.h],
+    ),
+    "images": (
+        lambda f, g, pts, cfg: submersion._images(f, pts),
+        lambda f, g, p, cfg: f.map_point(p),
+        lambda q: [q.coords],
+    ),
+    "oneill": (
+        lambda f, g, pts, cfg: submersion._oneills(f, g, pts, cfg),
+        oneill_tensors,
+        lambda t: [t.a_full, t.t_full, t.a_horizontal],
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(BATCH_FORMS))
+@pytest.mark.parametrize("case", ["expression map", "bundle projection"])
+def test_each_batch_form_is_its_one_point_form_bit_for_bit(chart4, cfg, case, form):
+    make, pts = _batch_cases(chart4, cfg)[case]
+    batch_form, one_point, arrays = BATCH_FORMS[form]
+    f, g = make()
+    batch = batch_form(f, g, pts + [pts[0]], cfg)
+    assert len(batch) == len(pts) + 1
+    for p, got in zip(pts + [pts[0]], batch):
+        f1, g1 = make()  # nothing shared with the batch, no memo
+        alone = one_point(f1, g1, Point(f1.source, p.coords), cfg)
+        for x, y in zip(arrays(got), arrays(alone), strict=True):
+            assert x.tobytes() == y.tobytes()
+    if form != "oneill":  # a second batch reads the memo
+        again = batch_form(f, g, pts, cfg)
+        assert all(x is y for a, b in zip(again, batch) for x, y in zip(arrays(a), arrays(b)))
+
+
+def _probe(case, cfg):
+    """(map, metric, points) whose second point fails the given step of the
+    split alone and whose first point splits: a wall within half a step of
+    x1, df of x4*x5 dropping rank where x4 = x5 = 0, or a fiber metric
+    diag(x5, 1, -1, -1) over the projection, degenerate where x5 = 0.  In
+    "fiber, then stencil" the first point has the degenerate fiber and the
+    second lies at the wall, so the batch meets the wall first but the
+    first point's error is the fiber's."""
+    ok = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
+    bad = {
+        "stencil": [1.0 - cfg.step / 2] + ok[1:],
+        "rank": ok[:3] + [0.0, 0.0] + ok[5:],
+        "degenerate fiber": ok[:4] + [0.0] + ok[5:],
+    }
+    components = PROJECTION
+    rows = [[str(sign) if r == c else "0" for c in range(8)] for r, sign in enumerate(ETA8_SIGNS)]
+    if case == "rank":
+        components = ["x1", "x2", "x3", "x4*x5"]
+    if case in ("degenerate fiber", "fiber, then stencil"):
+        rows[4][4], rows[0][4], rows[4][0] = "x5", "1", "1"  # det g = (x5 - 1) * ..., never 0 on the box
+    if case == "fiber, then stencil":
+        pts = [bad["degenerate fiber"], bad["stencil"]]
+    else:
+        pts = [ok, bad[case]]
+    chart8 = make_chart(8)
+    f = expression_map(chart8, make_chart(4), components, case)
+    return f, metric_from_config({"matrix": rows}, chart8), [Point(chart8, c) for c in pts]
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("stencil", StencilOutOfDomainError),
+        ("rank", RankDeficientError),
+        ("degenerate fiber", DegenerateFiberMetricError),
+        ("fiber, then stencil", DegenerateFiberMetricError),
+    ],
+)
+def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(cfg, case, error):
+    f, g, pts = _probe(case, cfg)
+    failing = pts[0] if case == "fiber, then stencil" else pts[1]
+    with pytest.raises(error) as alone:
+        vh_split(dataclasses.replace(f), MetricField(g.field), failing, cfg)
+    calls = {
+        "split": lambda: submersion._splits(f, g, pts, cfg),
+        "semi-riemannian": lambda: check_semi_riemannian(f, g, METRICS["neutral4"](f.target), pts, cfg),
+        "oneill": lambda: submersion._oneills(f, g, pts, cfg),
+    }
+    for name, call in calls.items():
+        with pytest.raises(error) as got:
+            call()
+        assert str(got.value) == str(alone.value), name
+        if name == "split":  # the checks replay their points, storing what splits
+            assert not [key for key in g._memo if key[0] == ("split", f)]
+            if case in ("stencil", "rank"):
+                assert not [key for key in f._memo if key[0] == "df"]
+
+
+@pytest.mark.parametrize("case, error", [("stencil", StencilOutOfDomainError), ("rank", RankDeficientError)])
+def test_a_df_batch_raises_what_its_first_failing_point_raises_alone(cfg, case, error):
+    f, _, pts = _probe(case, cfg)
+    with pytest.raises(error) as alone:
+        jacobian(dataclasses.replace(f), pts[1], cfg)
+    with pytest.raises(error) as got:
+        submersion._jacobians(f, pts, cfg)
+    assert str(got.value) == str(alone.value)
+    assert f._memo == {}
+
+
+def test_a_memo_hit_from_another_chart_still_raises(proj8to4, cfg):
+    chart8, _, f = proj8to4
+    g8 = METRICS["neutral8"](chart8)
+    coords = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
+    jacobian(f, Point(chart8, coords), cfg)
+    vh_split(f, g8, Point(chart8, coords), cfg)
+    f.map_point(Point(chart8, coords))
+    other = Point(make_chart(8, domain=[[-2.0, 2.0]] * 8), coords)
+    for call in (lambda: jacobian(f, other, cfg), lambda: vh_split(f, g8, other, cfg), lambda: f.map_point(other)):
+        with pytest.raises(ValidationError, match="different charts"):
+            call()
+
+
+def test_jacobian_rejects_a_point_of_another_chart(proj8to4, cfg):
+    # the point is outside the map's box; df used to be taken there all the same
+    chart8, _, f = proj8to4
+    p = Point(make_chart(8, domain=[[-5.0, 5.0]] * 8), [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    g8 = METRICS["neutral8"](chart8)
+    for call in (lambda: jacobian(f, p, cfg), lambda: vh_split(f, g8, p, cfg), lambda: f.map_point(p)):
+        with pytest.raises(ValidationError, match="different charts"):
+            call()
+    assert all(key[1] != p.coords.tobytes() for key in f._memo)
+
+
+def test_the_chart_error_names_both_domains(cfg):
+    # two charts with the same names differ only by their domains, which
+    # the message must show
+    chart8 = make_chart(8)
+    f = expression_map(chart8, make_chart(4), PROJECTION, "proj")
+    p = Point(make_chart(8, domain=[[-1.0, 1.0]] * 7 + [[-1.0, 3.5]]), [0.0] * 8)
+    with pytest.raises(ValidationError) as got:
+        f.map_point(p)
+    names = "(x1, x2, x3, x4, x5, x6, x7, x8)"
+    assert str(got.value) == (
+        f"different charts: the point lives on {names} in {' x '.join(['[-1.0, 1.0]'] * 7)} x [-1.0, 3.5], "
+        f"not on {names} in {' x '.join(['[-1.0, 1.0]'] * 8)}"
+    )
+
+
+def test_a_check_raises_what_its_first_failing_point_raises_alone(cfg):
+    # the first point splits but maps outside the target's box; df drops
+    # rank at the second, which the batch meets first
+    chart8 = make_chart(8)
+    target = make_chart(4, domain=[[0.5, 1.0]] + [[-1.0, 1.0]] * 3)
+    f = expression_map(chart8, target, ["x1", "x2", "x3", "x4*x5"], "x4*x5")
+    g = METRICS["neutral8"](chart8)
+    ok = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
+    pts = [Point(chart8, ok), Point(chart8, ok[:4] + [0.0] + ok[5:])]
+    up, down = TRIPLES["product8"](chart8), TRIPLES["standard4"](target)
+    checks = {
+        "semi-riemannian": lambda ps: check_semi_riemannian(f, g, METRICS["neutral4"](target), ps, cfg),
+        "paraholomorphic": lambda ps: check_paraholomorphic(f, up, down, ps, cfg),
+    }
+    for name, check in checks.items():
+        with pytest.raises(OutOfDomainError) as alone:
+            check(pts[:1])
+        with pytest.raises(OutOfDomainError) as got:
+            check(pts)
+        assert str(got.value) == str(alone.value), name
