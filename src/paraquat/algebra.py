@@ -129,22 +129,21 @@ def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[
 class TransitionMap:
     """Pointwise GL(3) change of triple basis: B.J_a = sum_b s[a,b] A.J_b.
 
-    ``batch``, when given, returns s at a list of points in one call, each
-    equal to ``s`` there.  ``jets`` follows ``SubmersionMap.jets``:
+    ``s(points)`` returns s at a list of points in one call, stacked
+    (len(points), 3, 3).  ``jets`` follows ``SubmersionMap.jets``:
     ``jets(points, order)`` returns s and its partials to ``order`` at a
     list of points, stacked with the partial axes first, ``[c, i, a, b]``
     for the first partials.
     """
 
-    s: object  # Callable[[Point], np.ndarray (3,3)]
+    s: Callable[[Sequence[Point]], np.ndarray]
     label: str = ""
     jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False
     )
-    batch: Callable[[Sequence[Point]], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def matrix(self, p: Point) -> np.ndarray:
-        m = np.asarray(self.s(p), dtype=float)
+        m = np.asarray(self.s([p])[0], dtype=float)
         if m.shape != (3, 3):
             raise ValidationError(f"transition must be 3x3, got {m.shape}")
         if abs(np.linalg.det(m)) < TRANSITION_DET_FLOOR:
@@ -152,16 +151,15 @@ class TransitionMap:
         return m
 
     def matrices(self, points: Sequence[Point]) -> np.ndarray:
-        """``matrix`` at each point, stacked (len(points), 3, 3).  With a
-        batch form, s at every point comes from one ``batch`` call and the
-        shape and determinants of the stack are tested at once; when
-        anything raises, the points are tried again one at a time with
-        ``matrix``, so the error is the one the first failing point raises
-        alone."""
-        if self.batch is None or not points:
-            return np.array([self.matrix(p) for p in points]).reshape(len(points), 3, 3)
+        """``matrix`` at each point, stacked (len(points), 3, 3): s at every
+        point from one ``s`` call, and the shape and determinants of the
+        stack tested at once; when anything raises, the points are tried
+        again one at a time with ``matrix``, so the error is the one the
+        first failing point raises alone."""
+        if not points:
+            return np.empty((0, 3, 3))
         try:
-            S = np.asarray(self.batch(points), dtype=float)
+            S = np.asarray(self.s(points), dtype=float)
             if S.shape != (len(points), 3, 3) or (np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR).any():
                 raise SingularTransitionError(f"transition {self.label or '<unnamed>'}: a batch fails its checks")
             return S
@@ -173,11 +171,12 @@ class TransitionMap:
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
-    member has a batch form: s at every point from one ``s.matrices``, A's
-    values in one stack; and jets to order 1, d(s_ab J_b) = ds_ab J_b +
-    s_ab dJ_b, from the jets of s and of A's members.  The members share
-    them: each is taken once for a batch of points and sliced per member,
-    as long as the members are asked for the same points in turn."""
+    member's components come from s at every point in one ``s.matrices``
+    and A's values in one stack, and its jets to order 1, d(s_ab J_b) =
+    ds_ab J_b + s_ab dJ_b, from the jets of s and of A's members.  The
+    members share them: each is taken once for a batch of points and sliced
+    per member, as long as the members are asked for the same points in
+    turn."""
     chart = A.chart
     last: dict = {}  # kind -> (points, arrays) of the last batch, which the members share
 
@@ -197,7 +196,7 @@ def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> 
     def member(a: int) -> TensorField:
         name = f"{label or s.label}[{a + 1}]"
 
-        def batch(points: Sequence[Point]) -> np.ndarray:
+        def components(points: Sequence[Point]) -> np.ndarray:
             S, AJ = values(points)
             return np.einsum("cb,cbij->cij", S[:, a], AJ)
 
@@ -206,8 +205,8 @@ def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> 
             S = values(points)[0][:, a]
             dS, J, dJ = shared("partials", points, partials)
             dB = np.einsum("cmb,cbij->cmij", dS[:, :, a], J) + np.einsum("cb,cbmij->cmij", S, dJ)
-            return batch(points), dB
+            return components(points), dB
 
-        return TensorField(chart, 1, 1, lambda p: batch([p])[0], label=name, batch=batch, jets=jets)
+        return TensorField(chart, 1, 1, components, label=name, jets=jets)
 
     return LocalBasisTriple(member(0), member(1), member(2), label=label or s.label)

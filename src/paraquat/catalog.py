@@ -64,12 +64,14 @@ def _turning(chart: ManifoldSpec, coord: int, rate: float, A: np.ndarray, B: np.
     sin(t + k pi/2) B), and every other partial is 0."""
     n = chart.dim
 
-    def at(t) -> np.ndarray:
-        t = np.asarray(t)[..., None, None]
+    def angles(points: Sequence[Point]) -> np.ndarray:
+        return rate * np.array([p.coords[coord] for p in points])[:, None, None]
+
+    def at(t: np.ndarray) -> np.ndarray:
         return np.cos(t) * A + np.sin(t) * B
 
     def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
-        t = rate * np.array([p.coords[coord] for p in points])
+        t = angles(points)
         out = []
         for k in range(order + 1):
             D = np.zeros((len(points),) + (n,) * k + (n, n))
@@ -77,7 +79,7 @@ def _turning(chart: ManifoldSpec, coord: int, rate: float, A: np.ndarray, B: np.
             out.append(D)
         return tuple(out)
 
-    return TensorField(chart, 1, 1, lambda p: at(rate * p.coords[coord]), label, jets=jets)
+    return TensorField(chart, 1, 1, lambda points: at(angles(points)), label, jets=jets)
 
 
 def _rotated_triple(chart: ManifoldSpec, coord: int, product: bool) -> LocalBasisTriple:
@@ -226,13 +228,12 @@ def expression_array(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable]:
     """A nested list of expression strings as (values, jets).
 
-    ``values`` maps the chart's coordinate vector to the entries as an
-    array of ``shape``, or an (N, dim) stack of them to an (N, *shape)
-    array, each row the same bit for bit as alone (its batch form); ``jets``
-    gives their exact partials to order 3 from the same trees.  Both come
-    from ``compile_with_jets``.  ``jets`` is called as ``jets(points,
-    order)`` with ``TensorField.jets``' convention: order + 1 stacked
-    arrays, the partial axes first, then ``shape``.
+    ``values`` maps an (N, dim) stack of the chart's coordinate vectors to
+    the entries there, an (N, *shape) array, each row the same bit for bit
+    as alone; ``jets`` gives their exact partials to order 3 from the same
+    trees.  Both come from ``compile_with_jets``.  ``jets`` is called as
+    ``jets(points, order)`` with ``TensorField.jets``' convention: order + 1
+    stacked arrays, the partial axes first, then ``shape``.
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
@@ -242,8 +243,7 @@ def expression_array(
     walk, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
 
     def values(C: np.ndarray) -> np.ndarray:
-        V = walk(C)
-        return V.reshape(*V.shape[:-1], *shape)
+        return walk(C).reshape(len(C), *shape)
 
     def point_jets(points, order):
         arrays = jets(_coords(points), max(order, 2))[: order + 1]
@@ -253,12 +253,11 @@ def expression_array(
 
 
 def _expression_field(rows, chart: ManifoldSpec, r: int, s: int, label: str) -> TensorField:
-    """A (r, s) field of expression matrices, with a batch form and exact
-    jets to order 3 (``expression_array``)."""
+    """A (r, s) field of expression matrices, its components at a list of
+    points from one walk and its exact jets to order 3
+    (``expression_array``)."""
     values, jets = expression_array(rows, (chart.dim, chart.dim), chart, label)
-    return TensorField(
-        chart, r, s, lambda p: values(p.coords), label, batch=lambda points: values(_coords(points)), jets=jets
-    )
+    return TensorField(chart, r, s, lambda points: values(_coords(points)), label, jets=jets)
 
 
 def metric_from_config(spec, chart: ManifoldSpec) -> MetricField:

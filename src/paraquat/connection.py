@@ -87,11 +87,10 @@ class MetricField:
         of ``matrix``.
 
         The distinct misses are evaluated together: their domain is tested
-        at once, their components come from one ``field.batch`` (one
-        ``field.components`` per miss for a field without one), and their
-        shape, finiteness, symmetry and determinant are tested over the
-        stack.  A batch that raises stores nothing, and its first failing
-        point raises what it raises alone.
+        at once, their components come from one ``field.components`` call,
+        and their shape, finiteness, symmetry and determinant are tested
+        over the stack.  A batch that raises stores nothing, and its first
+        failing point raises what it raises alone.
         """
         return _memo_batch(
             self._memo, self.chart, "g", None, points, self._checked,

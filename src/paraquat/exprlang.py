@@ -10,10 +10,11 @@ Grammar (whitespace insensitive)::
 
 NUMBER is a decimal literal with optional fraction and exponent; NAME is an
 identifier.  Both are ASCII: any other character, a non-ASCII letter or
-digit included, is a syntax error at its position.  The callable names and
-their arities are fixed (sin, cos, exp, sinh, cosh of one argument; pow of
-two); anything else followed by '(' is a syntax error.  Free names are
-resolved against a coordinate list at bind time.
+digit included, is a syntax error at its position, and so is a literal too
+large for a float, such as 1e400.  The callable names and their arities
+are fixed (sin, cos, exp, sinh, cosh of one argument; pow of two); anything
+else followed by '(' is a syntax error.  Free names are resolved against a
+coordinate list at bind time.
 
 ``parse_expr`` and ``print_expr`` are inverse in the useful direction:
 re-parsing a printed tree reproduces it node for node, which is what lets
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ExprSyntaxError, UnknownSymbolError
+from .errors import EvaluationError, ExprSyntaxError, UnknownSymbolError, ValidationError
 
 FUNCTIONS: dict[str, int] = {
     "sin": 1,
@@ -158,7 +159,10 @@ class _Parser:
         t = self.cur
         if t.kind == "num":
             self.i += 1
-            return Num(float(t.text))
+            value = float(t.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number literal {t.text!r} out of range", t.pos)
+            return Num(value)
         if t.kind == "name":
             self.i += 1
             if self._eat_op("(") is None:
@@ -568,8 +572,9 @@ def compile_with_jets(
     compiled and no Python source is generated.
 
     The values map an (N, n) array of points, coordinates ordered like
-    ``names``, to the (N, T) array of the T trees' values, or one point of
-    shape (n,) to the (T,) array of its values: a batch of one.  They are
+    ``names``, to the (N, T) array of the T trees' values; an array of any
+    other shape, one coordinate vector included, raises ValidationError.
+    They are
     evaluated as in :func:`_evaluator`, in the language's order (left
     operand before right, except that '/' evaluates and tests its divisor
     first), with the checks and messages of every Call, '/' and '^', one
@@ -609,7 +614,9 @@ def compile_with_jets(
 
     def values(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return evaluate(X[None])[0] if X.ndim == 1 else evaluate(X)
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ValidationError(f"values take an (N, {n}) stack of points, got shape {X.shape}")
+        return evaluate(X)
 
     def jets(X: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         X = np.asarray(X, dtype=float)

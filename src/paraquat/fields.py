@@ -1,11 +1,11 @@
 """Charts, points, tensor fields and their derivatives.
 
 A chart is a single coordinate box on R^n.  Tensor fields are callables
-returning component arrays at a point.  Every derivative the package takes
-comes from a field's exact jets (``TensorField.jets``): an expression or
-constant field, a catalog field, or a Sasaki lift over a base that has them.
-A derivative asked of a field without jets raises ValidationError
-(``_jets_of``).  A derivative at a point still requires the stencil of the
+returning component arrays at a list of points.  Every derivative the
+package takes comes from a field's exact jets (``TensorField.jets``): an
+expression or constant field, a catalog field, or a Sasaki lift over a base
+that has them.  A derivative asked of a field without jets raises
+ValidationError (``_jets_of``).  A derivative at a point still requires the stencil of the
 step around it to lie in the chart (``_require_stencils``), so every
 numerical statement downstream is explicit about its stencil.  Second-order
 central differences (``central_difference``, ``fd_gradient``) stay as the
@@ -142,14 +142,14 @@ def _point(chart: ManifoldSpec, coords: np.ndarray) -> Point:
 class TensorField:
     """A (r, s) tensor field given by a component callable.
 
-    ``components(p)`` must return an ndarray of shape ``(dim,) * (r + s)``
-    (contravariant slots first).  Evaluation is deterministic: same point,
-    same array.  ``batch``, when given, returns the components at a list of
-    points in one call, each equal to ``components`` there.  ``jets`` is
-    called as ``jets(points, order)`` and returns exact derivatives at a
-    list of points in one call, as order + 1 stacked arrays: the components
-    (to roundoff), their first partials ``[c, i, ...]``, their second
-    partials ``[c, i, j, ...]`` and so on.  The connection reads a metric's
+    ``components(points)`` returns the components at a list of points in
+    one call, stacked along a first axis or as a list of equal-shape arrays,
+    each of shape ``(dim,) * (r + s)`` (contravariant slots first).
+    Evaluation is deterministic: a point's components are the same array
+    alone or in any list.  ``jets`` is called as ``jets(points, order)`` and
+    returns exact derivatives at a list of points in one call, as order + 1
+    stacked arrays: the components (to roundoff), their first partials
+    ``[c, i, ...]``, their second partials ``[c, i, j, ...]`` and so on.  The connection reads a metric's
     derivatives from it (order 2) and a (1,1) field's (order 1); the base
     metric of a Sasaki lift is asked for order 3.  An expression field, a
     constant field and a catalog field have jets to order 3, a lifted metric
@@ -160,11 +160,8 @@ class TensorField:
     chart: ManifoldSpec
     r: int
     s: int
-    components: Callable[[Point], np.ndarray]
+    components: Callable[[Sequence[Point]], Sequence[np.ndarray]]
     label: str = ""
-    batch: Callable[[Sequence[Point]], Sequence[np.ndarray]] | None = field(
-        default=None, repr=False, compare=False
-    )
     jets: Callable[[Sequence[Point], int], tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -193,17 +190,16 @@ class FdConfig:
 def eval_field(field: TensorField, p: Point) -> np.ndarray:
     """Evaluate a tensor field, enforcing domain, shape and finiteness."""
     _check_point(field.chart, p)
-    return _checked_values(field, p, field.components(p))
+    return _checked_values(field, p, field.components([p])[0])
 
 
 def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
     """``eval_field(field, q)`` at each point, stacked: every point's chart,
     then the domain of the whole stack in one test, the components of all
-    the points from one call ``field.batch(points)`` (one
-    ``field.components`` per point for a field without a batch form), and
-    their shape and finiteness in one test.  When anything raises, the
-    points are evaluated again one at a time with ``eval_field``, so the
-    error is the one the first failing point raises alone."""
+    the points from one call ``field.components(points)``, and their shape
+    and finiteness in one test.  When anything raises, the points are
+    evaluated again one at a time with ``eval_field``, so the error is the
+    one the first failing point raises alone."""
     chart = field.chart
     if not points:
         return np.empty((0, *field.shape))
@@ -213,8 +209,7 @@ def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
                 _check_chart(chart, q)
         if not chart.contains_rows(np.array([q.coords for q in points])).all():
             raise OutOfDomainError("a point of the batch lies outside the chart domain")
-        values = field.batch(points) if field.batch is not None else [field.components(q) for q in points]
-        V = np.array(values, dtype=float)
+        V = np.array(field.components(points), dtype=float)
         if V.shape != (len(points), *field.shape) or not np.isfinite(V).all():
             raise EvaluationError(f"field {field.label or '<unnamed>'}: a value of the batch fails its checks")
         return V
@@ -421,4 +416,4 @@ def constant_field(chart: ManifoldSpec, r: int, s: int, value: np.ndarray, label
             np.zeros((N,) + (n,) * k + vals.shape) for k in range(1, order + 1)
         )
 
-    return TensorField(chart, r, s, lambda p: vals, label=label, jets=jets)
+    return TensorField(chart, r, s, lambda points: [vals] * len(points), label=label, jets=jets)

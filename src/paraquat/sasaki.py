@@ -326,13 +326,7 @@ def build_tangent_bundle(
         return out + (_blocks(AAB, PAB, gAB),)
 
     G = MetricField(
-        TensorField(
-            bundle, 0, 2,
-            lambda xi: lifted_metrics([xi])[0],
-            label="lifted metric",
-            batch=lifted_metrics,
-            jets=lifted_metric_jets,
-        )
+        TensorField(bundle, 0, 2, lifted_metrics, label="lifted metric", jets=lifted_metric_jets)
     )
 
     def lifted_members(a: int, xis: Sequence[Point]) -> list[np.ndarray]:
@@ -372,9 +366,8 @@ def build_tangent_bundle(
     def lifted_member(a: int) -> TensorField:
         return TensorField(
             bundle, 1, 1,
-            lambda xi: lifted_members(a, [xi])[0],
+            lambda xis: lifted_members(a, xis),
             label=f"lifted J{a + 1}",
-            batch=lambda xis: lifted_members(a, xis),
             jets=lambda xis, order: lifted_member_jets(a, xis, order),
         )
 

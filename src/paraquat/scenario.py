@@ -28,6 +28,7 @@ import numpy as np
 from ._version import __version__
 from .algebra import LocalBasisTriple, TransitionMap, _triple_algebras, apply_transition
 from .catalog import (
+    _coords,
     expression_array,
     load_catalog_scenario,
     make_chart,
@@ -382,10 +383,7 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
 
 def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
     values, jets = expression_array(transition, (3, 3), ctx.chart, "parallel-witness 'transition'")
-    trans = TransitionMap(
-        s=lambda pt: values(pt.coords), label="witness transition", jets=jets,
-        batch=lambda pts: values(np.array([q.coords for q in pts])),
-    )
+    trans = TransitionMap(s=lambda pts: values(_coords(pts)), label="witness transition", jets=jets)
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(

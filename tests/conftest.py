@@ -34,6 +34,12 @@ def rotated4_matrices():
 BENT_COMPONENTS = ["x1 + 0.1*sin(x5)", "x2 + 0.2*x6^2", "x3", "x4 + 0.1*x1*x7"]
 
 
+def pointwise(one):
+    """A components callable for a list of points from ``one``, a function
+    of one point: the fixtures written a point at a time."""
+    return lambda points: [one(p) for p in points]
+
+
 def expression_map(source, target, components, label="map"):
     """A SubmersionMap of expression components, with their jets."""
     values, jets = expression_array(components, (target.dim,), source, label)

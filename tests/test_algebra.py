@@ -22,6 +22,8 @@ from paraquat.algebra import CYCLIC, TAU
 from paraquat.catalog import STD_J1, STD_J2, TRIPLES, expression_array, make_chart
 from paraquat.fields import eval_batch, eval_field
 
+from conftest import pointwise
+
 
 def test_standard_triple_algebra(std_triple, pts4):
     for p in pts4:
@@ -48,16 +50,21 @@ def test_identity_triple_fails(chart4):
     assert not rep.passed(1e-12)
 
 
-ROTATE = TransitionMap(
-    s=lambda p: np.array(
+def _rotation(p):
+    return np.array(
         [
             [np.cos(p.coords[0]), np.sin(p.coords[0]), 0],
             [-np.sin(p.coords[0]), np.cos(p.coords[0]), 0],
             [0, 0, 1],
         ]
-    ),
-    label="rotate12",
-)
+    )
+
+
+def _weighted_rotation(p):
+    return _rotation(p) @ np.diag([1.0, 2.0, 0.5])
+
+
+ROTATE = TransitionMap(s=pointwise(_rotation), label="rotate12")
 
 
 def test_apply_transition_reproduces_rotated(std_triple, rot_triple, pts4):
@@ -67,25 +74,43 @@ def test_apply_transition_reproduces_rotated(std_triple, rot_triple, pts4):
 
 
 def test_singular_transition_rejected(std_triple):
-    bad = TransitionMap(s=lambda p: np.zeros((3, 3)), label="zero")
+    bad = TransitionMap(s=lambda ps: [np.zeros((3, 3))] * len(ps), label="zero")
     with pytest.raises(SingularTransitionError):
         bad.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
-    wrong_shape = TransitionMap(s=lambda p: np.eye(2), label="2x2")
+    wrong_shape = TransitionMap(s=lambda ps: [np.eye(2)] * len(ps), label="2x2")
     with pytest.raises(ValidationError):
         wrong_shape.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
 
 
 def test_rotated_members_are_the_rotated_triple_bit_for_bit(rot_triple, pts4):
+    # each point alone and the whole sample in one stack, against cos and
+    # sin taken a point at a time
     from paraquat.algebra import doubled
-    from paraquat.catalog import STD_J1, STD_J2, STD_J3, TRIPLES, make_chart
+    from paraquat.catalog import STD_J3, STRUCTURES
 
-    product = TRIPLES["product8-rotated"](make_chart(8))
-    for p in pts4:
-        c, s = np.cos(p.coords[0]), np.sin(p.coords[0])
-        expected = (c * STD_J1 + s * STD_J2, -s * STD_J1 + c * STD_J2, STD_J3)
-        assert rot_triple.matrices(p).tobytes() == np.stack(expected).tobytes()
-        q = Point(product.chart, np.concatenate([p.coords, p.coords]))
-        assert product.matrices(q).tobytes() == np.stack([doubled(J) for J in expected]).tobytes()
+    chart8 = make_chart(8)
+    qs = [Point(chart8, np.concatenate([p.coords, p.coords[::-1]])) for p in pts4]
+
+    def rotated(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.stack((c * STD_J1 + s * STD_J2, -s * STD_J1 + c * STD_J2, STD_J3))
+
+    for triple, pts, expected in [
+        (rot_triple, pts4, [rotated(p.coords[0]) for p in pts4]),
+        (TRIPLES["product8-rotated"](chart8), qs, [doubled(rotated(q.coords[0])) for q in qs]),
+        (TRIPLES["product8-fiber-rotated"](chart8), qs, [doubled(rotated(q.coords[4])) for q in qs]),
+    ]:
+        for p, value in zip(pts, expected):
+            assert triple.matrices(p).tobytes() == value.tobytes()
+        assert triple.values(pts).tobytes() == np.stack(expected).tobytes()
+    # split8-rotated is cos(0.2 x2) A + sin(0.2 x2) B
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    A, B = np.block([[eye, zero], [zero, -eye]]), np.block([[zero, eye], [eye, zero]])
+    split = STRUCTURES["split8-rotated"](chart8).field
+    expected = [np.cos(0.2 * q.coords[1]) * A + np.sin(0.2 * q.coords[1]) * B for q in qs]
+    for q, value in zip(qs, expected):
+        assert eval_field(split, q).tobytes() == value.tobytes()
+    assert eval_batch(split, qs).tobytes() == np.stack(expected).tobytes()
 
 
 def reference_algebra(triple, p):
@@ -101,7 +126,7 @@ def reference_algebra(triple, p):
 
 def _witness(triple):
     """triple turned by a position-dependent transition, as parallel-witness does."""
-    return apply_transition(triple, TransitionMap(s=lambda p: ROTATE.s(p) @ np.diag([1.0, 2.0, 0.5]), label="w"))
+    return apply_transition(triple, TransitionMap(s=pointwise(_weighted_rotation), label="w"))
 
 
 @pytest.mark.parametrize("name", ["standard4", "rotated4", "witness", "product8-rotated"])
@@ -120,9 +145,8 @@ def test_batched_triple_algebra_is_the_one_point_formula_bit_for_bit(std_triple,
 def test_witness_members_batch_is_the_one_point_rotation_bit_for_bit(rot_triple, pts4):
     witness = _witness(rot_triple)
     for a, member in enumerate(witness.fields):
-        assert member.batch is not None
-        for p, value in zip(pts4, member.batch(pts4)):
-            s = TransitionMap(s=lambda q: ROTATE.s(q) @ np.diag([1.0, 2.0, 0.5])).matrix(p)
+        for p, value in zip(pts4, member.components(pts4)):
+            s = TransitionMap(s=pointwise(_weighted_rotation)).matrix(p)
             expected = np.einsum("b,bij->ij", s[a], rot_triple.matrices(p))
             assert value.tobytes() == expected.tobytes()
             assert eval_field(member, p).tobytes() == expected.tobytes()
@@ -131,7 +155,7 @@ def test_witness_members_batch_is_the_one_point_rotation_bit_for_bit(rot_triple,
 def test_a_witness_batch_raises_what_its_first_failing_point_raises_alone(std_triple):
     # the transition is singular at the second point; the third lies off the
     # box, which the batch's stacked domain test finds first
-    s = TransitionMap(s=lambda p: np.eye(3) * (1.0 if p.coords[0] >= 0 else 0.0), label="probe")
+    s = TransitionMap(s=pointwise(lambda p: np.eye(3) * (1.0 if p.coords[0] >= 0 else 0.0)), label="probe")
     member = apply_transition(std_triple, s).j1
     chart = std_triple.chart
     pts = [Point(chart, [0.1, 0.0, 0.0, 0.0]), Point(chart, [-0.2, 0.0, 0.0, 0.0]), Point(chart, [0.3, 1.5, 0.0, 0.0])]
@@ -148,16 +172,13 @@ def test_transition_matrices_from_a_batch_raise_what_the_first_failing_point_rai
     chart = std_triple.chart
     rows = [["1/(x2 - 0.5)", "0", "0"], ["0", "x1", "0"], ["0", "0", "1"]]
     values, jets = expression_array(rows, (3, 3), chart, "transition")
-    s = TransitionMap(
-        s=lambda p: values(p.coords), label="probe", jets=jets,
-        batch=lambda ps: values(np.array([q.coords for q in ps])),
-    )
+    s = TransitionMap(s=lambda ps: values(np.array([q.coords for q in ps])), label="probe", jets=jets)
     pts = [Point(chart, [0.1, 0.0, 0.0, 0.0]), Point(chart, [0.0, 0.0, 0.0, 0.0]), Point(chart, [0.3, 0.5, 0.0, 0.0])]
     with pytest.raises(EvaluationError, match="division by zero"):
-        s.batch(pts)
+        s.s(pts)
     with pytest.raises(SingularTransitionError) as expected:
         s.matrix(pts[1])
-    for batch in (s.matrices, apply_transition(std_triple, s).j2.batch):
+    for batch in (s.matrices, apply_transition(std_triple, s).j2.components):
         with pytest.raises(SingularTransitionError) as got:
             batch(pts)
         assert str(got.value) == str(expected.value)
@@ -165,7 +186,7 @@ def test_transition_matrices_from_a_batch_raise_what_the_first_failing_point_rai
 
 
 def _nan_where(k, J):
-    return lambda p: J * (np.nan if p.coords[k] > 0.5 else 1.0)
+    return pointwise(lambda p: J * (np.nan if p.coords[k] > 0.5 else 1.0))
 
 
 def _failing_members(std_triple):
@@ -198,25 +219,25 @@ def test_the_members_of_a_transition_share_s_and_a_per_batch(chart4):
     calls = []
 
     def transition(record: bool) -> TransitionMap:
-        def batch(ps):
-            calls.append("batch") if record else None
+        def components(ps):
+            calls.append("components") if record else None
             return values(np.array([q.coords for q in ps]))
 
         def counted_jets(ps, order):
             calls.append("jets") if record else None
             return jets(ps, order)
 
-        return TransitionMap(lambda p: values(p.coords), label="s", jets=counted_jets, batch=batch)
+        return TransitionMap(components, label="s", jets=counted_jets)
 
     A = TRIPLES["rotated4"](chart4)
     shared = apply_transition(A, transition(True))
     pts = sample_points(chart4, 3, seed=8)
-    got = [(member.batch(pts), *member.jets(pts, 1)) for member in shared.fields]
-    assert calls == ["batch", "jets"]
+    got = [(member.components(pts), *member.jets(pts, 1)) for member in shared.fields]
+    assert calls == ["components", "jets"]
     for a, arrays in enumerate(got):
         alone = apply_transition(A, transition(False)).fields[a]
-        for x, y in zip(arrays, (alone.batch(pts), *alone.jets(pts, 1))):
+        for x, y in zip(arrays, (alone.components(pts), *alone.jets(pts, 1))):
             assert x.tobytes() == y.tobytes()
     # other points are a new batch
-    shared.j1.batch(pts[:2])
-    assert calls == ["batch", "jets", "batch"]
+    shared.j1.components(pts[:2])
+    assert calls == ["components", "jets", "components"]

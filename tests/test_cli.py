@@ -392,6 +392,7 @@ SUBMERSION = {
 MALFORMED_CONTENTS = {
     "unknown symbol in the metric": _inline(geometry=_metric("y1")),
     "metric entry not an expression": _inline(geometry=_metric("1+")),
+    "number literal out of range": _inline(geometry=_metric("1e400")),
     "metric matrix not a list": _inline(geometry={"dim": 4, "metric": {"matrix": 5}}),
     "triple matrices not a list": _inline(geometry={"dim": 4, "triple": {"matrices": 5}}),
     "components not a list": _inline(geometry=dict(SUBMERSION, submersion={"components": 5})),

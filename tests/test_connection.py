@@ -50,7 +50,7 @@ from paraquat.catalog import (
     triple_from_config,
 )
 
-from conftest import BENT_COMPONENTS, expression_map, reference_nabla, rotated4_matrices
+from conftest import BENT_COMPONENTS, expression_map, pointwise, reference_nabla, rotated4_matrices
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
@@ -195,9 +195,9 @@ def _counted_metric(chart, comps=_conformal):
     component callable appends to."""
     calls = []
 
-    def counted(p):
-        calls.append(p)
-        return comps(p)
+    def counted(ps):
+        calls.extend(ps)
+        return [comps(p) for p in ps]
 
     jets = METRICS["conformal-neutral4"](chart).field.jets
     return MetricField(TensorField(chart, 0, 2, counted, "counted", jets=jets)), calls
@@ -437,13 +437,10 @@ FD_EVALUATIONS = {"christoffel": fd_christoffel, "riemann": fd_riemann}
 
 def _witness_member(chart, rows):
     """Member J1 of rotated4 turned by the transition of expression ``rows``,
-    as the parallel-witness check builds it: a field with a batch form and
-    jets from the transition's and rotated4's."""
+    as the parallel-witness check builds it: a field with jets from the
+    transition's and rotated4's."""
     values, jets = expression_array(rows, (3, 3), chart, "transition")
-    s = TransitionMap(
-        lambda p: values(p.coords), label="transition", jets=jets,
-        batch=lambda ps: values(np.array([q.coords for q in ps])),
-    )
+    s = TransitionMap(lambda ps: values(np.array([q.coords for q in ps])), label="transition", jets=jets)
     return apply_transition(TRIPLES["rotated4"](chart), s).j1
 
 
@@ -557,22 +554,22 @@ def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):
 def test_matrices_hands_the_distinct_misses_to_the_batch_form_in_one_call(chart4):
     batches = []
 
-    def batch(qs):
+    def components(qs):
         batches.append([q.coords.tolist() for q in qs])
         return [_conformal(q) for q in qs]
 
-    g = MetricField(TensorField(chart4, 0, 2, _conformal, "conformal", batch=batch))
+    g = MetricField(TensorField(chart4, 0, 2, components, "conformal"))
     p = Point(chart4, MEMO_POINT)
     q = p.shifted(1, 0.25)
     g.matrix(p)
     batch_values = g.matrices([q, p, q])
     assert batches == [[p.coords.tolist()], [q.coords.tolist()]]
-    ref = MetricField(TensorField(chart4, 0, 2, _conformal, "conformal"))
+    ref = MetricField(TensorField(chart4, 0, 2, pointwise(_conformal), "conformal"))
     assert np.stack(batch_values).tobytes() == np.stack([ref.matrix(r) for r in (q, p, q)]).tobytes()
     far = p.shifted(0, 5.0)
     with pytest.raises(OutOfDomainError):
         g.matrices([p.shifted(2, 0.25), far])
-    # the domain is tested before the batch form is called, and nothing is stored
+    # the domain is tested before the components are called, and nothing is stored
     assert not any(far.coords.tolist() in b for b in batches)
     assert len(g._memo) == 2
 

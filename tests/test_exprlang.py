@@ -11,6 +11,7 @@ from paraquat import (
     EvaluationError,
     ExprSyntaxError,
     UnknownSymbolError,
+    ValidationError,
     parse_expr,
     print_expr,
 )
@@ -56,6 +57,8 @@ def test_print_parse_roundtrip(e):
         ("foo(1)", 0),  # unknown function
         ("é + x1", 0),  # a non-ASCII letter
         ("x1²", 2),  # a non-ASCII digit
+        ("1e400", 0),  # a literal that overflows
+        ("x1 + 1e999", 5),
     ],
 )
 def test_syntax_errors_carry_positions(src, position):
@@ -80,15 +83,31 @@ def _values(trees, names):
     return compile_with_jets(trees, names)[0]
 
 
+def _at(values, x):
+    """The values at one point x: a batch of one."""
+    return values(np.asarray(x, dtype=float)[None])[0]
+
+
 def _evaluate(src, names, coords):
     """The value of one expression at one point, through the evaluator."""
-    return _values([parse_expr(src)], names)(np.asarray(coords, dtype=float))[0]
+    return _at(_values([parse_expr(src)], names), coords)[0]
 
 
 def test_evaluate():
     assert _evaluate("x1 + 2*x2", ["x1", "x2"], np.array([1.0, 3.0])) == 7.0
     assert _evaluate("cos(0)*5 - sinh(0)", ["x1"], np.array([0.0])) == 5.0
     assert _evaluate("2^3^2", ["x1"], np.array([0.0])) == 512.0
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.7], [[0.5, 0.7, 0.1]], [[[0.5, 0.7]]]])
+def test_values_take_a_stack_of_points_only(x):
+    """One coordinate vector, or rows of the wrong length, raise rather than
+    being read as some other stack of points."""
+    with pytest.raises(ValidationError, match=r"an \(N, 2\) stack of points"):
+        _values([parse_expr("1.5"), parse_expr("x1 + 2*x2")], ["x1", "x2"])(np.array(x))
+    values = expression_array([["1.5", "x1"], ["x2", "0"]], (2, 2), make_chart(2), "metric")[0]
+    with pytest.raises(ValidationError, match=r"an \(N, 2\) stack of points"):
+        values(np.array(x))
 
 
 def test_unknown_symbol_raised_at_bind_time():
@@ -212,7 +231,7 @@ _coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0, -2.5, 1e-300, math.i
 def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(trees, _NAMES, c))
-    assert _outcome(lambda: _values(trees, _NAMES)(c)) == expected
+    assert _outcome(lambda: _at(_values(trees, _NAMES), c)) == expected
     if expected[0] == "UnknownSymbolError":
         return
     # the same row inside a batch: the same bits when every row evaluates
@@ -245,10 +264,10 @@ def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coo
     ]
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(twins, _NAMES, c))
-    assert _outcome(lambda: _values(twins, _NAMES)(c)) == expected
+    assert _outcome(lambda: _at(_values(twins, _NAMES), c)) == expected
     if expected[0] == "value":
         for e, v in zip(twins, expected[1]):
-            assert struct.pack("d", _values([e], _NAMES)(c)[0]) == v
+            assert struct.pack("d", _at(_values([e], _NAMES), c)[0]) == v
 
 
 def test_a_batch_raises_what_its_first_failing_point_raises_alone():
@@ -256,12 +275,10 @@ def test_a_batch_raises_what_its_first_failing_point_raises_alone():
     # test of 1/x1, an earlier one, which is what the walk over the batch meets
     chart = make_chart(2, domain=[[-1.0, 1.0], [-1.0, 1000.0]])
     values, jets = expression_array(["1/x1", "exp(x2)"], (2,), chart, "vector")
-    field = TensorField(
-        chart, 1, 0, lambda p: values(p.coords), "vector", batch=lambda ps: values(np.array([q.coords for q in ps])), jets=jets
-    )
+    field = TensorField(chart, 1, 0, lambda ps: values(np.array([q.coords for q in ps])), "vector", jets=jets)
     pts = [Point(chart, [0.5, 0.1]), Point(chart, [0.5, 800.0]), Point(chart, [0.0, 0.1])]
     with pytest.raises(EvaluationError, match="division by zero in '1.0/x1'"):
-        field.batch(pts)
+        field.components(pts)
     with pytest.raises(EvaluationError) as expected:
         eval_field(field, pts[1])
     assert str(expected.value) == "cannot evaluate 'exp(x2)': math range error"
@@ -286,11 +303,11 @@ def test_shared_subexpression_is_evaluated_once(monkeypatch):
     matrix = [[diag[r] if r == k else "0" for k in range(4)] for r in range(4)]
     values = expression_array(matrix, (4, 4), make_chart(4), "metric")[0]
     x = np.array([0.1, -0.2, 0.3, 0.4])
-    g = values(x)
+    g = _at(values, x)
     assert len(calls) == 1
     e = real(2 * (0.1 + 0.5 * 0.1 - 0.4 * -0.2 + 0.03 * math.sin(0.7 * -0.2) * math.cos(0.8 * 0.3)))
     assert g.tobytes() == np.diag([e, e, -e, -e]).tobytes()
-    values(x)
+    _at(values, x)
     assert len(calls) == 2
 
 
@@ -299,7 +316,7 @@ def test_coordinate_names_never_meet_generated_names():
     src = ["exp(exp) + c*_c - t0/lambda", "t0", "-lambda", "pow(_c, c)", "1.5"]
     trees = [parse_expr(s) for s in src]
     x = np.array([0.5, 2.0, -1.25, 0.75, 3.0])
-    got = _values(trees, names)(x)
+    got = _at(_values(trees, names), x)
     assert [struct.pack("d", v) for v in got] == [
         struct.pack("d", v) for v in _reference(trees, names, x)
     ]
@@ -326,7 +343,7 @@ def test_jets_are_the_derivatives_of_the_compiled_values():
     X = np.array([[0.3, 0.7], [-0.45, 1.2]])
     V, D, H = jets(X)
     assert V.shape == (2, len(trees)) and D.shape == (2, 2, len(trees)) and H.shape == (2, 2, 2, len(trees))
-    f = lambda x: np.array(values(np.asarray(x, dtype=float)))
+    f = lambda x: _at(values, x)
     e = np.eye(2)
     for c, x in enumerate(X):
         assert np.allclose(V[c], f(x), rtol=1e-15, atol=0)
@@ -361,7 +378,7 @@ def test_jets_of_a_stack_are_the_jets_of_each_point():
 ])
 def test_every_exponent_has_the_jets_of_its_closed_form(src, gradient):
     values, jets = exprlang.compile_with_jets([parse_expr("x2"), parse_expr(src)], ["x1", "x2"])
-    assert values(np.array([0.5, 2.0]))[0] == 2.0
+    assert _at(values, [0.5, 2.0])[0] == 2.0
     X = np.array([[0.5, 2.0], [1.5, -0.7]])
     D = jets(X, 3)[1]
     assert np.allclose(D[:, :, 1], np.stack(gradient(*X.T), axis=1), rtol=1e-14, atol=1e-15)
@@ -405,7 +422,7 @@ def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
 def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src, x1, node):
     values, jets = exprlang.compile_with_jets([parse_expr(src)], ["x1", "x2"])
     x = np.array([x1, 0.5])
-    assert math.isfinite(values(x)[0])
+    assert math.isfinite(_at(values, x)[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError) as exc:

@@ -101,7 +101,7 @@ def test_eval_field_guards(chart4):
     with pytest.raises(OutOfDomainError):
         eval_field(f, outside)
 
-    bad = TensorField(chart4, 1, 1, lambda p: np.zeros((3, 3)), "bad")
+    bad = TensorField(chart4, 1, 1, lambda ps: [np.zeros((3, 3))] * len(ps), "bad")
     with pytest.raises(ShapeError):
         eval_field(bad, p)
 
@@ -119,14 +119,14 @@ def test_constant_field_keeps_its_own_copy(chart4):
 
 def test_fd_partial_accuracy(chart4, cfg):
     # d/dx1 sin(x1) = cos(x1); the central scheme is O(h^2)
-    f = TensorField(chart4, 0, 0, lambda p: np.sin(p.coords[0]), "sin")
+    f = TensorField(chart4, 0, 0, lambda ps: [np.sin(q.coords[0]) for q in ps], "sin")
     p = Point(chart4, [0.3, 0.0, 0.0, 0.0])
     got = fd_gradient(f, p, cfg)[0]
     assert abs(float(got) - np.cos(0.3)) < 1e-6
 
 
 def test_fd_partial_exact_for_affine(chart4, cfg):
-    f = TensorField(chart4, 1, 0, lambda p: np.array([2 * p.coords[1], 0, 0, 1.0]), "aff")
+    f = TensorField(chart4, 1, 0, lambda ps: [np.array([2 * q.coords[1], 0, 0, 1.0]) for q in ps], "aff")
     p = Point(chart4, [0.0, 0.5, 0.0, 0.0])
     assert np.allclose(fd_gradient(f, p, cfg)[1], [2, 0, 0, 0], atol=1e-12)
 
@@ -139,18 +139,18 @@ def test_fd_partial_stencil_guard(chart4, cfg):
 
 
 def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(chart4, cfg):
-    """A field with a batch form gets each stencil in one call, and every
+    """A field gets each stencil in one ``components`` call, and every
     value still gets eval_field's checks: a stencil with bad values raises
     what the first bad point raises through eval_field."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
     h = cfg.step
 
-    def spoilt(bad):  # a smooth field, but bad[coordinate bytes] at those points
-        def components(q):
+    def spoilt(bad, calls):  # a smooth field, but bad[coordinate bytes] at those points
+        def one(q):
             x = q.coords
             return bad.get(x.tobytes(), np.array([np.sin(x[0] * x[1]), x[2] ** 2, x[1], x[3]]))
 
-        return components
+        return lambda qs: calls.append(len(qs)) or [one(q) for q in qs]
 
     nan, short = np.full(4, np.nan), np.zeros(3)
     for bad in [
@@ -159,27 +159,34 @@ def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(cha
         {p.shifted(2, -h).coords.tobytes(): short, p.shifted(3, h).coords.tobytes(): nan},
         {p.shifted(0, -h).coords.tobytes(): nan, p.shifted(1, h).coords.tobytes(): short},
     ]:
-        components, calls = spoilt(bad), []
-        batched = TensorField(
-            chart4, 1, 0, components, "f", batch=lambda qs: calls.append(len(qs)) or [components(q) for q in qs]
-        )
-        plain = TensorField(chart4, 1, 0, components, "f")
+        calls = []
+        f = TensorField(chart4, 1, 0, spoilt(bad, calls), "f")
+
+        def pointwise(qs, f=f):
+            return [eval_field(f, q) for q in qs]
+
         if not bad:
-            assert fd_gradient(batched, p, cfg).tobytes() == fd_gradient(plain, p, cfg).tobytes()
+            expected = central_difference(pointwise, p, cfg)
+            calls.clear()
+            assert fd_gradient(f, p, cfg).tobytes() == expected.tobytes()
+            # one call for the stencil
+            assert calls == [8]
         else:
             with pytest.raises((EvaluationError, ShapeError)) as expected:
-                fd_gradient(plain, p, cfg)
+                central_difference(pointwise, p, cfg)
+            calls.clear()
             with pytest.raises(type(expected.value)) as got:
-                fd_gradient(batched, p, cfg)
+                fd_gradient(f, p, cfg)
             assert str(got.value) == str(expected.value)
-        assert calls == [8]
+            # one call for the stencil, then its replay a point at a time
+            assert calls[0] == 8 and set(calls[1:]) <= {1}
 
 
 def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, cfg, monkeypatch):
     """One domain test for the whole stack, no per-point ``contains``; a
     batch with a point outside raises that point's own error, by name."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
-    f = TensorField(chart4, 1, 0, lambda q: q.coords * 2.0, "f")
+    f = TensorField(chart4, 1, 0, lambda qs: [q.coords * 2.0 for q in qs], "f")
     stencil = [p.shifted(m, s * cfg.step) for m in range(4) for s in (1, -1)]
     contains = []
     real = ManifoldSpec.contains

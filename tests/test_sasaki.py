@@ -344,7 +344,9 @@ def _per_vector_reference(bundle, xi, pairs):
                 dW[:, :, n:] = -np.einsum("cAki,i->cAk", np.array([s[1] for s in bundle.shifts(qs)]), Y)
             return np.array([lift(kind, Y, memo_shift(bundle, q)) for q in qs]), dW
 
-        return TensorField(bundle.spec, 1, 0, lambda q: lift(kind, Y, memo_shift(bundle, q)), f"{kind}-lift", jets=jets)
+        return TensorField(
+            bundle.spec, 1, 0, lambda qs: [lift(kind, Y, memo_shift(bundle, q)) for q in qs], f"{kind}-lift", jets=jets
+        )
 
     def derivative(W):
         return W.jets([xi], 1)[1][0]
@@ -527,16 +529,15 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, cfg
 
 def _spotted(chart4):
     """conformal-neutral4, degenerate where x2 lies in a window around 0.7,
-    with conformal-neutral4's jets; its batch form is the window's too."""
+    with conformal-neutral4's jets; the window is the same in any list of
+    points."""
     degenerate = np.diag([0.0, 1.0, -1.0, -1.0])
     real = METRICS["conformal-neutral4"](chart4).field
 
-    def comps(p):
-        return degenerate if 0.6995 < p.coords[1] < 0.7005 else real.components(p)
+    def comps(ps):
+        return [degenerate if 0.6995 < p.coords[1] < 0.7005 else real.components([p])[0] for p in ps]
 
-    return MetricField(
-        dataclasses.replace(real, components=comps, batch=lambda ps: [comps(p) for p in ps], label="spotted")
-    )
+    return MetricField(dataclasses.replace(real, components=comps, label="spotted"))
 
 
 # base points of bundle points that fail, each for its own reason
@@ -692,7 +693,7 @@ def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot
         xi = batched.point(x, u)
         pts = _with_stencil(xi, cfg)
         for f, one, base in zip(batched.triple.fields, alone.triple.fields, rot_triple.fields):
-            for q, v in zip(pts, f.batch(pts)):
+            for q, v in zip(pts, f.components(pts)):
                 assert v.tobytes() == eval_field(one, q).tobytes()
                 L, Linv, y = alone.frames([q])[0]
                 assert v.tobytes() == (L @ doubled(eval_field(base, y)) @ Linv).tobytes()
@@ -739,9 +740,9 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
         cfg = FdConfig(h)
         L = np.array(frame(xis))
         fd = {
-            "dG": central_difference(G.batch, xis, cfg),
-            "d2G": central_difference(lambda qs: central_difference(G.batch, qs, cfg), xis, cfg),
-            "dJ": np.stack([central_difference(f.batch, xis, cfg) for f in bundle.triple.fields]),
+            "dG": central_difference(G.components, xis, cfg),
+            "d2G": central_difference(lambda qs: central_difference(G.components, qs, cfg), xis, cfg),
+            "dJ": np.stack([central_difference(f.components, xis, cfg) for f in bundle.triple.fields]),
             "dL": np.einsum("caI,cakJ->cIkJ", L, central_difference(frame, xis, cfg)),
         }
         for key in exact:

@@ -45,7 +45,7 @@ from paraquat.catalog import (
 )
 from paraquat.structures import span_combination
 
-from conftest import reference_nabla, rotated4_matrices
+from conftest import pointwise, reference_nabla, rotated4_matrices
 
 
 def _scaled(M, factor):
@@ -525,9 +525,9 @@ def test_batched_hermitian_is_the_one_point_formula_bit_for_bit(conformal4, eucl
 def test_a_hermitian_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple):
     # the triple is not finite at the second point; the metric is degenerate
     # at the third, which the batch's stacked metric values find first
-    g = MetricField(TensorField(chart4, 0, 2, lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]), "probe"))
+    g = MetricField(TensorField(chart4, 0, 2, pointwise(lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0])), "probe"))
     T = LocalBasisTriple(
-        TensorField(chart4, 1, 1, lambda p: STD_J1 * (np.nan if p.coords[1] > 0.5 else 1.0), "J1"),
+        TensorField(chart4, 1, 1, pointwise(lambda p: STD_J1 * (np.nan if p.coords[1] > 0.5 else 1.0)), "J1"),
         std_triple.j2,
         std_triple.j3,
     )
