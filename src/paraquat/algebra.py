@@ -48,6 +48,12 @@ class LocalBasisTriple:
                 raise ValidationError("triple members must be (1,1) fields")
         if not (self.j1.chart == self.j2.chart == self.j3.chart):
             raise ValidationError("triple members must share a chart")
+        # the fit memo keys hold the triple: the hash of the compared fields,
+        # taken once
+        object.__setattr__(self, "_hash", hash((self.j1, self.j2, self.j3, self.label)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def chart(self) -> ManifoldSpec:

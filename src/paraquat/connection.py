@@ -74,11 +74,6 @@ class MetricField:
     def chart(self) -> ManifoldSpec:
         return self.field.chart
 
-    def _memoised(self, kind, p: Point, step: float | None, compute):
-        """The memo's value for (kind, p, step), else compute()'s, stored
-        there: ``fields._memo_batch`` for one point."""
-        return _memo_batch(self._memo, self.chart, kind, step, [p], lambda qs: [compute()])[0]
-
     def matrix(self, p: Point) -> np.ndarray:
         return self.matrices([p])[0]
 
@@ -306,7 +301,8 @@ def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:
 
 def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
     """Nijenhuis tensor N[k, i, j] of a (1,1) field on coordinate frames,
-    from F at p and its derivative there, dF[m, k, j] = d_m F^k_j.
+    from F at p and its derivative there, dF[m, k, j] = d_m F^k_j; of each
+    point of a stack, N[c, k, i, j], for stacks F[c] and dF[c].
 
     N(X,Y) = F^2 [X,Y] + [FX, FY] - F[FX, Y] - F[X, FY]; on coordinate frames
     the first term drops and the components reduce to
@@ -314,10 +310,10 @@ def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
         N^k_{ij} = F^m_i d_m F^k_j - F^m_j d_m F^k_i
                  + F^k_m d_j F^m_i - F^k_m d_i F^m_j.
     """
-    t1 = np.einsum("mi,mkj->kij", Fp, dF)
-    t2 = np.einsum("mj,mki->kij", Fp, dF)
-    t3 = np.einsum("km,jmi->kij", Fp, dF)
-    t4 = np.einsum("km,imj->kij", Fp, dF)
+    t1 = np.einsum("...mi,...mkj->...kij", Fp, dF)
+    t2 = np.einsum("...mj,...mki->...kij", Fp, dF)
+    t3 = np.einsum("...km,...jmi->...kij", Fp, dF)
+    t4 = np.einsum("...km,...imj->...kij", Fp, dF)
     return t1 - t2 + t3 - t4
 
 

@@ -169,6 +169,12 @@ class TensorField:
     def __post_init__(self):
         if self.r < 0 or self.s < 0:
             raise ValidationError("tensor valences must be nonnegative")
+        # the fit, nabla and derivative memo keys hold the field: the hash
+        # of the compared fields, taken once
+        object.__setattr__(self, "_hash", hash((self.chart, self.r, self.s, self.components, self.label)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -28,16 +28,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import LocalBasisTriple, check_triple_algebra, doubled
+from .algebra import LocalBasisTriple, _triple_algebras, check_triple_algebra, doubled
 from .connection import (
     MetricField,
     _christoffel_partials,
     _christoffels,
     _first_kind,
     _jets,
-    christoffel,
-    curvature_operator,
-    riemann,
+    _riemanns,
+    christoffel,  # noqa: F401  unused; perfbench's tracer test asserts that it rebinds sasaki.christoffel
 )
 from .errors import PreconditionFailedError, ShapeError, ValidationError
 from .fields import (
@@ -53,7 +52,7 @@ from .fields import (
     eval_batch,
     sample_points,
 )
-from .structures import check_hermitian, fit_kahler_oneforms
+from .structures import _fits, _hermitians, check_hermitian
 from .submersion import SubmersionMap
 
 LIFT_PRECONDITION_TOL = 1e-8
@@ -207,8 +206,9 @@ def build_tangent_bundle(
     """Assemble the lifted metric, triple and projection over (g, T).
 
     The construction only makes sense over a pair whose triple satisfies the
-    tau algebra and is g-skew; this is spot-checked and a
-    PreconditionFailedError raised on violation.  The lift is differentiated
+    tau algebra and is g-skew; this is spot-checked at three points, in one
+    algebra and one hermitian batch, and a PreconditionFailedError raised
+    naming the first point that violates either.  The lift is differentiated
     through the jets of g and of each member, so one without them raises
     ValidationError first.
     """
@@ -218,9 +218,13 @@ def build_tangent_bundle(
         _jets_of(f)
     base = g.chart
     n = base.dim
-    for p in sample_points(base, 3, seed=20):
-        rep = check_triple_algebra(T, p)
-        herm = check_hermitian(g, T, p)
+    spots = sample_points(base, 3, seed=20)
+    checks = _memo_batch(
+        {}, base, None, None, spots,
+        lambda qs: list(zip(_triple_algebras(T, qs), _hermitians(g, T, qs))),
+        one=lambda q: (check_triple_algebra(T, q), check_hermitian(g, T, q)),
+    )
+    for p, (rep, herm) in zip(spots, checks):
         if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
             raise PreconditionFailedError(
                 f"base pair fails at {p}: algebra {rep.max_residual:.3e}, "
@@ -401,15 +405,24 @@ def build_tangent_bundle(
     )
 
 
-def _frame_derivative(bundle: SasakiBundle, xi: Point) -> tuple[np.ndarray, np.ndarray]:
-    """(L, D) at xi, D[I, k, J] = E_I(E_J)^k: the lifted frame E = L
-    differentiated along its own members, with dL exact, -dM in the lower
-    left block."""
+def _frame_derivatives(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """(L, D) at each bundle point, stacked, D[c, I, k, J] = E_I(E_J)^k: the
+    lifted frame E = L differentiated along its own members, with dL exact,
+    -dM in the lower left block; L and dM from one ``frames`` and one
+    ``shifts`` call."""
     n = bundle.base_dim
-    L = bundle.frames([xi])[0][0]
-    dL = np.zeros((2 * n, 2 * n, 2 * n))
-    dL[:, n:, :n] = -bundle.shifts([xi])[0][1]
-    return L, np.einsum("aI,akJ->IkJ", L, dL)
+    L = np.array([f[0] for f in bundle.frames(xis)])
+    dL = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
+    dL[:, :, n:, :n] = -np.array([s[1] for s in bundle.shifts(xis)])
+    return L, np.einsum("caI,cakJ->cIkJ", L, dL)
+
+
+def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, list[Point], np.ndarray]:
+    """(L, x, u) at each bundle point: L stacked and x from one ``frames``
+    call, the fiber vectors u stacked."""
+    n = bundle.base_dim
+    F = bundle.frames(xis)
+    return np.array([f[0] for f in F]), [f[2] for f in F], np.array([xi.coords[n:] for xi in xis])
 
 
 def oracle_tilde_nabla(bundle: SasakiBundle, xi: Point) -> np.ndarray:
@@ -423,21 +436,30 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xi: Point) -> np.ndarray:
         nabla~_{X^v} Y^h =                 (1/2) (R(u, X) Y)^h
 
     on the base coordinate fields X = e_i, Y = e_j, so that nabla_X Y is
-    Gamma^k_{ij}.  L comes from the bundle's frame memo and Gamma, R from
-    the base metric's memo.
+    Gamma^k_{ij}: the batch of one point.
     """
-    g, cfg = bundle.base_metric, bundle.cfg
-    n = bundle.base_dim
-    L, _, x = bundle.frames([xi])[0]
-    u = xi.coords[n:]
-    gam, R = christoffel(g, x, cfg), riemann(g, x, cfg)
-    # B[I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
-    B = np.zeros((2 * n, 2 * n, 2 * n))
-    B[:n, :n, :n] = B[:n, n:, n:] = np.einsum("kij->ikj", gam)
-    B[:n, n:, :n] = -0.5 * np.einsum("lkij,k->ilj", R, u)
-    B[:n, :n, n:] = 0.5 * np.einsum("limj,m->ilj", R, u)
-    B[n:, :n, :n] = 0.5 * np.einsum("ljmi,m->ilj", R, u)
-    return np.einsum("kl,IlJ->IkJ", L, B)
+    return _tilde_nablas(bundle, [xi])[0]
+
+
+def _tilde_nablas(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
+    """``oracle_tilde_nabla`` at each bundle point, stacked: L from the
+    bundle's frame memo, Gamma and R from one ``_christoffels`` and one
+    ``_riemanns`` over the base points.  A batch that raises raises what its
+    first failing point raises alone."""
+    g, cfg, n = bundle.base_metric, bundle.cfg, bundle.base_dim
+
+    def compute(qs: list[Point]) -> np.ndarray:
+        L, xs, u = _base_geometry(bundle, qs)
+        gam, R = np.array(_christoffels(g, xs, cfg)), np.array(_riemanns(g, xs, cfg))
+        # B[c, I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
+        B = np.zeros((len(qs), 2 * n, 2 * n, 2 * n))
+        B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
+        B[:, :n, n:, :n] = -0.5 * np.einsum("clkij,ck->cilj", R, u)
+        B[:, :n, :n, n:] = 0.5 * np.einsum("climj,cm->cilj", R, u)
+        B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
+        return np.einsum("ckl,cIlJ->cIkJ", L, B)
+
+    return np.array(_memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, q)))
 
 
 def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
@@ -453,46 +475,81 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
 
     Tensorial in both slots, so its values on E determine it.  Each curvature
     term is a commutator [A_i, J_a], A_i being R(u, e_i)., R(e_i, .)u or
-    R(u, .)e_i.  L comes from the bundle's frame memo, R and nabla J_a (the
-    base Kähler fit's) from the base metric's memo.
+    R(u, .)e_i.  The batch of one point.
     """
-    g, T, cfg = bundle.base_metric, bundle.base_triple, bundle.cfg
-    n = bundle.base_dim
-    L, _, x = bundle.frames([xi])[0]
-    u = xi.coords[n:]
-    R, J = riemann(g, x, cfg), T.matrices(x)
-    nabla = fit_kahler_oneforms(g, T, x, cfg).nabla
+    return _tilde_nabla_Js(bundle, [xi])[0]
 
-    def commutator(A):  # [A_i, J_a] as [a, i, l, j]
-        return np.einsum("ilk,akj->ailj", A, J) - np.einsum("alk,ikj->ailj", J, A)
 
-    # B[a, I, :, J] = (P, Q) with (nabla~_{E_I} Jt_a) E_J = P^h + Q^v = L (P, Q)
-    B = np.zeros((3, 2 * n, 2 * n, 2 * n))
-    B[:, :n, :n, :n] = B[:, :n, n:, n:] = nabla
-    B[:, :n, n:, :n] = -0.5 * commutator(np.einsum("lkij,k->ilj", R, u))
-    B[:, :n, :n, n:] = 0.5 * commutator(np.einsum("limj,m->ilj", R, u))
-    B[:, n:, :n, :n] = 0.5 * commutator(np.einsum("lkmi,m->ilk", R, u))
-    return np.einsum("kl,aIlJ->aIkJ", L, B)
+def _tilde_nabla_Js(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
+    """``oracle_tilde_nabla_J`` at each bundle point, stacked: L from the
+    bundle's frame memo, R from one ``_riemanns``, J from one ``T.values``
+    and nabla J_a from one base Kähler fit (``_fits``), all over the base
+    points.  A batch that raises raises what its first failing point raises
+    alone."""
+    g, T, cfg, n = bundle.base_metric, bundle.base_triple, bundle.cfg, bundle.base_dim
+
+    def compute(qs: list[Point]) -> np.ndarray:
+        L, xs, u = _base_geometry(bundle, qs)
+        R, J = np.array(_riemanns(g, xs, cfg)), T.values(xs)
+        nabla = np.array([D for _, _, D in _fits(g, T, xs, cfg)])
+
+        def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
+            return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
+
+        # B[c, a, I, :, J] = (P, Q) with (nabla~_{E_I} Jt_a) E_J = P^h + Q^v = L (P, Q)
+        B = np.zeros((len(qs), 3, 2 * n, 2 * n, 2 * n))
+        B[:, :, :n, :n, :n] = B[:, :, :n, n:, n:] = nabla
+        B[:, :, :n, n:, :n] = -0.5 * commutator(np.einsum("clkij,ck->cilj", R, u))
+        B[:, :, :n, :n, n:] = 0.5 * commutator(np.einsum("climj,cm->cilj", R, u))
+        B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
+        return np.einsum("ckl,caIlJ->caIkJ", L, B)
+
+    return np.array(_memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, q)))
 
 
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between the lifted metric's own connection and the
     closed form, on the lifted frame: nabla~_{E_I} E_J = E_I(E_J) +
-    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact."""
-    gamG = christoffel(bundle.metric, xi, bundle.cfg)
-    L, D = _frame_derivative(bundle, xi)
-    fd = D + np.einsum("kab,aI,bJ->IkJ", gamG, L, L)
-    return float(np.abs(fd - oracle_tilde_nabla(bundle, xi)).max())
+    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact.  The
+    batch of one point."""
+    return _connection_residuals(bundle, [xi])[0]
+
+
+def _connection_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
+    """``check_connection_oracle`` at each bundle point: Gamma~ from one
+    ``_christoffels`` of the lifted metric, the frame's derivative and the
+    closed form each stacked over the points.  A batch that raises raises
+    what its first failing point raises alone."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        gamG = np.array(_christoffels(bundle.metric, qs, bundle.cfg))
+        L, D = _frame_derivatives(bundle, qs)
+        fd = D + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
+        return np.abs(fd - _tilde_nablas(bundle, qs)).max(axis=(1, 2, 3)).tolist()
+
+    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: check_connection_oracle(bundle, q))
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
     """Max residual between (nabla~ Jt_a), from the lifted metric's own
     connection, and the closed form, over the lifted frame and all three
-    members, exact."""
-    L = bundle.frames([xi])[0][0]
-    D = fit_kahler_oneforms(bundle.metric, bundle.triple, xi, bundle.cfg).nabla
-    C = oracle_tilde_nabla_J(bundle, xi)
-    return float(np.abs(np.einsum("aAkl,AI,lJ->aIkJ", D, L, L) - C).max())
+    members, exact.  The batch of one point."""
+    return _nabla_j_residuals(bundle, [xi])[0]
+
+
+def _nabla_j_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
+    """``check_nabla_j_oracle`` at each bundle point: L from one ``frames``
+    call, nabla~ Jt_a from one Kähler fit of the lifted pair and the closed
+    form stacked over the points.  A batch that raises raises what its first
+    failing point raises alone."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        L = np.array([f[0] for f in bundle.frames(qs)])
+        D = np.array([nabla for _, _, nabla in _fits(bundle.metric, bundle.triple, qs, bundle.cfg)])
+        C = _tilde_nabla_Js(bundle, qs)
+        return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
+
+    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, q))
 
 
 @dataclass(frozen=True)
@@ -522,26 +579,41 @@ def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
     """The bracket identities for base vectors X, Y at xi.  The lifts of
     constant-component fields have constant coefficients on the lifted
     frame, so each bracket is the frame's [E_I, E_J] = E_I(E_J) - E_J(E_I)
-    contracted with them."""
-    g, cfg = bundle.base_metric, bundle.cfg
-    n = bundle.base_dim
-    X, Y = (np.asarray(V, dtype=float) for V in (X, Y))
-    for V in (X, Y):
+    contracted with them.  The batch of one pair at one point."""
+    return _brackets(bundle, [(X, Y)], [xi])[0][0]
+
+
+def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]) -> list[list[BracketReport]]:
+    """``check_bracket`` of every (X, Y) of pairs at each bundle point, in
+    that order: the frame's derivative, Gamma and R over the base points
+    each in one batch, every bracket of every pair from one ``einsum``.
+    The vectors' shapes are checked first; a batch that raises raises what
+    its first failing point raises alone."""
+    g, cfg, n = bundle.base_metric, bundle.cfg, bundle.base_dim
+    X, Y = ([np.asarray(V, dtype=float) for V in vs] for vs in zip(*pairs))
+    for V in X + Y:
         if V.shape != (n,):
             raise ShapeError(f"base vector has shape {V.shape}, expected ({n},)")
-    x, u = _split_xi(g.chart, xi)
-    _, D = _frame_derivative(bundle, xi)  # the frame batch checks xi's chart first
-    K = D - np.einsum("IkJ->JkI", D)
-    zero = np.zeros(n)
-    h = lambda V: np.concatenate([V, zero])  # coefficients of V^h and V^v on E
-    v = lambda V: np.concatenate([zero, V])
-    bracket = lambda a, b: np.einsum("I,IkJ,J->k", a, K, b)
-    covXY = np.einsum("kml,m,l->k", christoffel(g, x, cfg), X, Y)
-    RXYu = curvature_operator(riemann(g, x, cfg), X, Y, u)
-    hh_val = bracket(h(X), h(Y))
-    return BracketReport(
-        vv_residual=float(np.abs(bracket(v(X), v(Y))).max()),
-        hv_residual=float(np.abs(bracket(h(X), v(Y)) - lift("v", covXY)).max()),
-        hh_residual=float(np.abs(hh_val - lift("v", -RXYu)).max()),
-        hh_flipped_residual=float(np.abs(hh_val - lift("v", +RXYu)).max()),
-    )
+    X, Y = np.array(X), np.array(Y)
+    zero = np.zeros_like(X)
+    h = lambda V: np.concatenate([V, zero], axis=1)  # coefficients of V^h and V^v on E
+    v = lambda V: np.concatenate([zero, V], axis=1)
+
+    def compute(qs: list[Point]) -> list[list[BracketReport]]:
+        _, D = _frame_derivatives(bundle, qs)
+        _, xs, u = _base_geometry(bundle, qs)
+        K = D - np.einsum("cIkJ->cJkI", D)
+        bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)  # [c, p, k]
+        lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
+        covXY = np.einsum("ckml,pm,pl->cpk", np.array(_christoffels(g, xs, cfg)), X, Y)
+        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(_riemanns(g, xs, cfg)), X, Y, u)
+        hh_val = bracket(h(X), h(Y))
+        residuals = np.stack([
+            bracket(v(X), v(Y)),
+            bracket(h(X), v(Y)) - lift_v(covXY),
+            hh_val - lift_v(-RXYu),
+            hh_val - lift_v(+RXYu),
+        ], axis=2)  # [c, p, residual, k]
+        return [[BracketReport(*rep) for rep in row] for row in np.abs(residuals).max(axis=3).tolist()]
+
+    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: _brackets(bundle, pairs, [q]))

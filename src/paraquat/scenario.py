@@ -39,21 +39,15 @@ from .catalog import (
 from .connection import MetricField, _covariant_derivatives, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
 from .fields import MARGIN_STEPS, FdConfig, ManifoldSpec, Point, sample_points
-from .sasaki import (
-    SasakiBundle,
-    build_tangent_bundle,
-    check_bracket,
-    check_connection_oracle,
-    check_nabla_j_oracle,
-)
+from .sasaki import SasakiBundle, _brackets, _connection_residuals, _nabla_j_residuals, build_tangent_bundle
 from .structures import (
     ProductStructureField,
     StructureClass,
     _fits,
     _hermitians,
+    _product_reports,
+    _sigma_residuals,
     check_parallel_equivalence,
-    check_product_structure,
-    check_sigma_invariant_operator,
     classify_structure,
     fit_kahler_oneforms,
 )
@@ -167,12 +161,13 @@ def _numbers(value, what: str) -> None:
 
 
 def _index_pairs(value, n: int, what: str) -> None:
-    # a 0 would wrap round to the last direction
-    if not isinstance(value, (list, tuple)) or not all(
+    # a 0 would wrap round to the last direction, and no pair would check
+    # nothing and pass; [i, i] is a pair, whose (h, v) bracket reads Gamma^k_ii
+    if not isinstance(value, (list, tuple)) or not value or not all(
         isinstance(q, (list, tuple)) and len(q) == 2 and all(type(i) is int and 1 <= i <= n for i in q)
         for q in value
     ):
-        raise ValidationError(f"{what} must be [i, j] with 1 <= i, j <= {n}, got {value!r}")
+        raise ValidationError(f"{what} must be a non-empty list of [i, j] with 1 <= i, j <= {n}, got {value!r}")
 
 
 # ---------------------------------------------------------------- runners
@@ -245,8 +240,7 @@ def _run_product_structure(
 ) -> tuple[bool, dict]:
     F = ctx.structure(structure)
     inv = met = nij = par = 0.0
-    for pt in ctx.points[:points]:
-        rep = check_product_structure(ctx.metric, F, pt, ctx.cfg)
+    for rep in _product_reports(ctx.metric, F, ctx.points[:points], ctx.cfg):
         inv = max(inv, rep.involution_residual)
         met = max(met, rep.metric_residual)
         nij = max(nij, rep.nijenhuis_residual)
@@ -269,7 +263,7 @@ def _run_product_structure(
 
 def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
     F = ctx.structure(structure)
-    worst = max(check_sigma_invariant_operator(F, ctx.triple, pt) for pt in ctx.points[:points])
+    worst = max(_sigma_residuals(F, ctx.triple, ctx.points[:points]))
     return worst < tol, {
         "structure": structure, "tol": tol, "max_residual": _f(worst),
     }
@@ -349,13 +343,11 @@ def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match
 def _run_bracket(
     ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
 ) -> tuple[bool, dict]:
-    bundle = ctx.bundle
-    n = bundle.base_dim
+    e = np.eye(ctx.bundle.base_dim)
     worst = 0.0
     flipped = 0.0
-    for pt in ctx.points[:points]:
-        for i, j in pairs:
-            rep = check_bracket(bundle, np.eye(n)[i - 1], np.eye(n)[j - 1], pt)
+    for reps in _brackets(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points]):
+        for rep in reps:
             worst = max(worst, rep.max_residual)
             flipped = max(flipped, rep.hh_flipped_residual)
     passed = worst < tol and (flip_above is None or flipped > flip_above)
@@ -540,9 +532,7 @@ CHECKS: dict[str, CheckDef] = {
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
             "The lifted metric's own connection, exact, against the closed form on "
             "the lifted frame, in all four kind combinations.",
-            _max_residual(1e-3, lambda ctx, pts: max(
-                check_connection_oracle(ctx.bundle, q) for q in pts
-            ), 2),
+            _max_residual(1e-3, lambda ctx, pts: max(_connection_residuals(ctx.bundle, pts)), 2),
             needs="bundle",
         ),
         CheckDef(
@@ -553,9 +543,7 @@ CHECKS: dict[str, CheckDef] = {
             "The lifted triple's exact derivative under the lifted metric's own "
             "connection against the closed form on the lifted frame, for all "
             "three members.",
-            _max_residual(1e-6, lambda ctx, pts: max(
-                check_nabla_j_oracle(ctx.bundle, q) for q in pts
-            ), 2),
+            _max_residual(1e-6, lambda ctx, pts: max(_nabla_j_residuals(ctx.bundle, pts)), 2),
             needs="bundle",
         ),
         CheckDef(

@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import LocalBasisTriple
-from .connection import MetricField, _covariant_derivatives, _gradient, _nijenhuis_tensor, covariant_derivative_11
+from .connection import MetricField, _covariant_derivatives, _gradients, _nijenhuis_tensor
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
-from .fields import FdConfig, Point, TensorField, _memo_batch, eval_field
+from .fields import FdConfig, Point, TensorField, _memo_batch, eval_batch
 
 TRACE_FLOOR = 1e-9
 
@@ -206,17 +206,23 @@ class ProductReport:
         )
 
 
-def _nijenhuis(g: MetricField, F: ProductStructureField, p: Point, cfg: FdConfig) -> np.ndarray:
-    """N_F at p, read-only and memoised on g per (field, point, step), so the
-    product and equivalence checks of one run compute it once; it reads the
-    derivative of F that nabla F reads."""
+def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+    """N_F at each point, read-only and memoised on g per (field, point,
+    step), so the product and equivalence checks of one run compute it once:
+    the misses from one ``eval_batch`` of F and the derivative of F that
+    nabla F reads (``_gradients``), contracted over the stack.  A batch that
+    raises stores nothing, and its first failing point raises what it
+    raises alone."""
 
-    def compute():
-        N = _nijenhuis_tensor(eval_field(F.field, p), _gradient(g, F.field, p, cfg))
+    def compute(qs: list[Point]) -> np.ndarray:
+        N = _nijenhuis_tensor(eval_batch(F.field, qs), np.array(_gradients(g, F.field, qs, cfg)))
         N.flags.writeable = False
         return N
 
-    return g._memoised(("nijenhuis", F.field), p, cfg.step, compute)
+    return _memo_batch(
+        g._memo, g.chart, ("nijenhuis", F.field), cfg.step, pts, compute,
+        one=lambda q: _nijenhuises(MetricField(g.field), F, [q], cfg),
+    )
 
 
 def check_product_structure(
@@ -225,24 +231,51 @@ def check_product_structure(
     p: Point,
     cfg: FdConfig = FdConfig(),
 ) -> ProductReport:
-    """The four residuals of an almost product pair (g, F) at p."""
-    n = g.chart.dim
-    Fp = eval_field(F.field, p)
-    gp = g.matrix(p)
-    inv = float(np.abs(Fp @ Fp - np.eye(n)).max())
-    met = float(np.abs(Fp.T @ gp @ Fp - gp).max())
-    nij = float(np.abs(_nijenhuis(g, F, p, cfg)).max())
-    par = float(np.abs(covariant_derivative_11(g, F.field, p, cfg)).max())
-    return ProductReport(inv, met, nij, par)
+    """The four residuals of an almost product pair (g, F) at p: the batch
+    of one point."""
+    return _product_reports(g, F, [p], cfg)[0]
+
+
+def _product_reports(
+    g: MetricField, F: ProductStructureField, pts: Sequence[Point], cfg: FdConfig
+) -> list[ProductReport]:
+    """``check_product_structure`` at each point: F from one ``eval_batch``,
+    g from one ``matrices``, N_F and nabla F each from one batch, and every
+    residual over the stack.  A batch that raises raises what its first
+    failing point raises alone."""
+
+    def compute(qs: list[Point]) -> list[ProductReport]:
+        n = g.chart.dim
+        Fp = eval_batch(F.field, qs)
+        gp = np.array(g.matrices(qs))
+        inv = np.abs(Fp @ Fp - np.eye(n)).max(axis=(1, 2))
+        met = np.abs(Fp.transpose(0, 2, 1) @ gp @ Fp - gp).max(axis=(1, 2))
+        nij = np.abs(np.array(_nijenhuises(g, F, qs, cfg))).max(axis=(1, 2, 3))
+        par = np.abs(np.array(_covariant_derivatives(g, F.field, qs, cfg))).max(axis=(1, 2, 3))
+        return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
+
+    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: check_product_structure(g, F, q, cfg))
 
 
 def check_sigma_invariant_operator(
     F: ProductStructureField, T: LocalBasisTriple, p: Point
 ) -> float:
-    """max_a |J_a F - F J_a| at p; zero when F preserves the structure bundle."""
-    Fp = eval_field(F.field, p)
-    J = T.matrices(p)
-    return max(float(np.abs(J[a] @ Fp - Fp @ J[a]).max()) for a in range(3))
+    """max_a |J_a F - F J_a| at p; zero when F preserves the structure
+    bundle.  The batch of one point."""
+    return _sigma_residuals(F, T, [p])[0]
+
+
+def _sigma_residuals(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
+    """``check_sigma_invariant_operator`` at each point, from one
+    ``eval_batch`` of F and one ``values`` of the triple.  A batch that
+    raises raises what its first failing point raises alone."""
+
+    def compute(qs: list[Point]) -> list[float]:
+        Fp = eval_batch(F.field, qs)[:, None]
+        J = T.values(qs)
+        return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3)).tolist()
+
+    return _memo_batch({}, F.field.chart, None, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, q))
 
 
 @dataclass(frozen=True)
@@ -280,7 +313,7 @@ def check_parallel_equivalence(
     """
     if not pts:
         raise ValidationError("check_parallel_equivalence needs points")
-    sig = max(check_sigma_invariant_operator(F, T, p) for p in pts)
+    sig = max(_sigma_residuals(F, T, pts))
     if sig >= tol:
         raise PreconditionFailedError(
             f"F is not sigma-invariant (residual {sig:.3e} >= {tol:.1e})"
@@ -290,19 +323,11 @@ def check_parallel_equivalence(
         raise PreconditionFailedError(
             f"(g, T) classifies as {verdict.cls.value}, need PQK or LhPK-basis"
         )
-    r_par = 0.0
-    r_nij = 0.0
-    r_mix = 0.0
-    for p in pts:
-        D = covariant_derivative_11(g, F.field, p, cfg)  # [i, k, j]
-        r_par = max(r_par, float(np.abs(D).max()))
-        r_nij = max(r_nij, float(np.abs(_nijenhuis(g, F, p, cfg)).max()))
-        J = T.matrices(p)
-        for a in range(3):
-            mixed = np.einsum("mi,mkj->ikj", J[a], D) - np.einsum(
-                "ikm,mj->ikj", D, J[a]
-            )
-            r_mix = max(r_mix, float(np.abs(mixed).max()))
+    D = np.array(_covariant_derivatives(g, F.field, pts, cfg))  # [c, i, k, j]
+    N = np.array(_nijenhuises(g, F, pts, cfg))
+    J = T.values(pts)  # [c, a, m, i]
+    mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)
+    r_par, r_nij, r_mix = (float(np.abs(A).max()) for A in (D, N, mixed))
     flags = (r_par < tol, r_nij < tol, r_mix < tol)
     return EquivalenceReport(
         parallel_residual=r_par,

@@ -312,40 +312,37 @@ def oneill_tensors(
 
 def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConfig) -> list[ONeillTensors]:
     """``oneill_tensors`` at each point: Gamma, the splits and d Pv each in
-    one batch over the sample, then each point's contraction, which reads
-    its Gamma from the metric's memo."""
+    one batch over the sample, then every contraction over the whole stack,
+    each rounding as its one-point form does.  The products Gamma(U e_i,
+    W e_j) of the projectors U = (h, v) with W = (v, h) come from two
+    ``einsum`` calls, which form Gamma U first and then reduce over (m, l),
+    in the order and association of the three-operand
+    ``einsum("kml,mi,lj->ikj")`` of one point."""
 
     def compute(qs: list[Point]) -> list[ONeillTensors]:
         _christoffels(g, qs, cfg)
+        # each point's Gamma read back from the memo the batch filled, through
+        # the public christoffel, whose calls perfbench's tracer counts
+        gam = np.array([christoffel(g, q, cfg) for q in qs])
         frs = _splits(f, g, qs, cfg)
-        return [
-            _contracted(q, christoffel(g, q, cfg), fr, dPv)
-            for q, fr, dPv in zip(qs, frs, _projector_partials(f, g, frs))
-        ]
-
-    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: oneill_tensors(f, g, q, cfg))
-
-
-def _contracted(p: Point, gam: np.ndarray, fr: SplitFrame, dPv: np.ndarray) -> ONeillTensors:
-    """The O'Neill tensors at p from Gamma, the split and d Pv there."""
-
-    def stacked(U: np.ndarray) -> np.ndarray:
-        # out[i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j) for the
-        # columns u_i of U, with d(Ph) = -d(Pv); cov[i, k, j] is component k
-        dPu = np.einsum("mkl,mi->ikl", dPv, U)
-        cov_v = dPu + np.einsum("kml,mi,lj->ikj", gam, U, fr.v)
-        cov_h = -dPu + np.einsum("kml,mi,lj->ikj", gam, U, fr.h)
+        dPv = _projector_partials(f, g, frs)
+        h, v, H = (np.array([getattr(fr, a) for fr in frs]) for a in ("h", "v", "horizontal"))
+        U = np.stack([h, v], axis=1)
+        # GU[c, u, s] = Gamma(U_u e_i, W_s e_j) as [i, k, j]
+        GU = np.einsum("cuikml,cslj->cusikj", np.einsum("ckml,cumi->cuikml", gam, U), np.stack([v, h], axis=1))
+        # full[c, u, i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j)
+        # for the columns u_i of U_u, with d(Ph) = -d(Pv); cov[..., i, k, j]
+        # is component k
+        dPu = np.einsum("cmkl,cumi->cuikl", dPv, U)
+        cov_v, cov_h = dPu + GU[:, :, 0], -dPu + GU[:, :, 1]
         # one matrix-vector product per (i, j): a matrix-matrix product or an
         # einsum here rounds differently
-        return (
-            fr.h @ cov_v.transpose(0, 2, 1)[..., None]
-            + fr.v @ cov_h.transpose(0, 2, 1)[..., None]
-        )[..., 0]
+        proj = lambda P, cov: P[:, None, None, None] @ cov.transpose(0, 1, 2, 4, 3)[..., None]
+        full = (proj(h, cov_v) + proj(v, cov_h))[..., 0]
+        a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
+        return [ONeillTensors(q, a, t, ah) for q, a, t, ah in zip(qs, full[:, 0], full[:, 1], a_h)]
 
-    a_full = stacked(fr.h)
-    t_full = stacked(fr.v)
-    a_h = np.einsum("li,mj,lmk->ijk", fr.horizontal, fr.horizontal, a_full)
-    return ONeillTensors(point=p, a_full=a_full, t_full=t_full, a_horizontal=a_h)
+    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: oneill_tensors(f, g, q, cfg))
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:

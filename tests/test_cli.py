@@ -344,8 +344,8 @@ def test_non_numeric_bound_exits_two_before_any_work(check, key, value, monkeypa
 
 @pytest.mark.parametrize(
     "pairs",
-    [[[0, 1]], [[1, 9]], [[1, 2, 3]], [[1.0, 2]]],
-    ids=["index 0", "past the base", "three indices", "float index"],
+    [[[0, 1]], [[1, 9]], [[1, 2, 3]], [[1.0, 2]], []],
+    ids=["index 0", "past the base", "three indices", "float index", "no pair"],
 )
 def test_bracket_pairs_must_be_base_indices(pairs, monkeypatch, tmp_path, capsys):
     # at 0 the index would wrap round to the last base direction; the base
@@ -397,6 +397,11 @@ MALFORMED_CONTENTS = {
     "triple matrices not a list": _inline(geometry={"dim": 4, "triple": {"matrices": 5}}),
     "components not a list": _inline(geometry=dict(SUBMERSION, submersion={"components": 5})),
     "transition not a list": _inline(checks=[{"check": "parallel-witness", "transition": 5}]),
+    # no pair would check nothing and pass
+    "bracket with no pair": _inline(
+        geometry={"dim": 4, "metric": "conformal-neutral4", "triple": "standard4", "sasaki": True},
+        checks=[{"check": "bracket", "pairs": []}],
+    ),
 }
 
 

@@ -42,6 +42,7 @@ from paraquat import (
 from paraquat import connection, sasaki, structures
 from paraquat.algebra import doubled
 from paraquat.catalog import ETA4, METRICS, make_chart, metric_from_config, triple_from_config
+from paraquat.scenario import build_context, load_scenario
 from paraquat.structures import span_combination
 
 from conftest import SPACE_FORM_ROWS, rotated4_matrices
@@ -732,7 +733,7 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
     exact = {
         "dG": dG, "d2G": d2G,
         "dJ": np.stack([f.jets(xis, 1)[1] for f in bundle.triple.fields]),
-        "dL": np.stack([sasaki._frame_derivative(bundle, xi)[1] for xi in xis]),
+        "dL": sasaki._frame_derivatives(bundle, xis)[1],
     }
     frame = lambda qs: [f[0] for f in bundle.frames(qs)]
     distance = {key: [] for key in exact}
@@ -754,7 +755,7 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
         else:
             assert 1.8 <= np.log2(coarse / fine) <= 2.2, (key, coarse, fine)
     # the lower-left block of dL is -dM, and nothing else of L varies
-    assert np.abs(exact["dL"]).max() > 0 and not sasaki._frame_derivative(bundle, xis[0])[1][:, :n, :].any()
+    assert np.abs(exact["dL"]).max() > 0 and not exact["dL"][:, :, :n, :].any()
 
 
 def test_the_lift_takes_the_base_jets_once_per_base_point(chart4, cfg):
@@ -789,3 +790,165 @@ def test_the_lift_over_a_varying_exponent_metric_is_exact(chart4, cfg):
         assert check_connection_oracle(bundle, xi) <= 1e-12
         rep = check_bracket(bundle, np.eye(4)[0], np.eye(4)[1], xi)
         assert rep.max_residual <= 1e-12 and rep.hh_flipped_residual > 1e-2
+
+
+# ------------------------------------------------------- checks over a sample
+#
+# The Sasaki checks take their sample a batch at a time; the one-point forms
+# are their batches of one, so each point of a batch carries the bits it has
+# alone.
+
+SASAKI_SCENARIOS = ("sasaki-over-flat", "sasaki-over-rotated", "sasaki-over-conformal")
+
+
+def _scenario_bundle(name, seed):
+    """(bundle, sample) of a shipped Sasaki scenario at seed, on fresh memos."""
+    ctx = build_context(load_scenario(name), seed=seed)
+    return ctx.bundle, ctx.points
+
+
+@pytest.mark.parametrize("seed", [1, 6, 7, 600])
+@pytest.mark.parametrize("name", SASAKI_SCENARIOS)
+def test_sasaki_check_batches_are_their_one_point_forms_bit_for_bit(name, seed):
+    bundle, pts = _scenario_bundle(name, seed)
+    rng = np.random.default_rng(seed)
+    e = np.eye(bundle.base_dim)
+    # every pair of coordinate vectors, [i, i] included, and two of general vectors
+    pairs = [(e[i], e[j]) for i in range(4) for j in range(4)] + [tuple(rng.normal(size=(2, 4))) for _ in range(2)]
+    sample = pts + [pts[0]]  # a repeated point is computed once and handed out twice
+    batches = {
+        "consistency": sasaki._connection_residuals(bundle, sample),
+        "nabla-j": sasaki._nabla_j_residuals(bundle, sample),
+        "closed form": list(sasaki._tilde_nablas(bundle, sample)),
+        "closed form of nabla J": list(sasaki._tilde_nabla_Js(bundle, sample)),
+        "brackets": sasaki._brackets(bundle, pairs, sample),
+    }
+    alone, _ = _scenario_bundle(name, seed)
+    for k, xi in enumerate(sample):
+        xi = Point(alone.spec, xi.coords)
+        assert batches["consistency"][k] == check_connection_oracle(alone, xi)
+        assert batches["nabla-j"][k] == check_nabla_j_oracle(alone, xi)
+        assert batches["closed form"][k].tobytes() == oracle_tilde_nabla(alone, xi).tobytes()
+        assert batches["closed form of nabla J"][k].tobytes() == oracle_tilde_nabla_J(alone, xi).tobytes()
+        assert batches["brackets"][k] == [check_bracket(alone, X, Y, xi) for X, Y in pairs]
+
+
+def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
+    """Over a sample of several bundle points, Gamma and R of the base, its
+    Kähler fit and the lifted fit are each asked for once, with the whole
+    sample."""
+    bundle, pts = _scenario_bundle("sasaki-over-conformal", 7)
+    bundle.frames(pts)  # their Gamma batch, which the frames memoise
+    calls = []
+
+    def counted(name, where):  # where: the position of the points argument
+        real = getattr(sasaki, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, len(args[where])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sasaki, name, call)
+
+    for name, where in (("_christoffels", 1), ("_riemanns", 1), ("_fits", 2)):
+        counted(name, where)
+    n = len(pts)
+    sasaki._nabla_j_residuals(bundle, pts)
+    # the lifted fit and the base fit; the shifts the lifted fit reads ask
+    # for Gamma, memoised with the frames
+    assert [name for name, _ in calls].count("_fits") == 2 and ("_riemanns", n) in calls
+    assert {k for _, k in calls} == {n}
+    calls.clear()
+    sasaki._connection_residuals(bundle, pts)
+    assert calls == [("_christoffels", n), ("_christoffels", n), ("_riemanns", n)]
+
+
+# base points of bundle points whose Sasaki checks fail, each for its own
+# reason: the frame's Gamma, the metric at the base point, the curvature,
+# whose stencils nest two deep
+FAILING_CHECK_BASES = dict(FAILING_BASES, **{"curvature stencil off the box": [0.0, 1.0 - 1.5e-3, 0.0, 0.0]})
+
+SASAKI_BATCHES = {
+    # form: (its batch form, its one-point form)
+    "consistency": (sasaki._connection_residuals, check_connection_oracle),
+    "nabla-j": (sasaki._nabla_j_residuals, check_nabla_j_oracle),
+    "closed form": (sasaki._tilde_nablas, oracle_tilde_nabla),
+    "closed form of nabla J": (sasaki._tilde_nabla_Js, oracle_tilde_nabla_J),
+    "bracket": (
+        lambda bundle, xis: sasaki._brackets(bundle, [(np.eye(4)[0], np.eye(4)[1])], xis),
+        lambda bundle, xi: check_bracket(bundle, np.eye(4)[0], np.eye(4)[1], xi),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SASAKI_BATCHES))
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("stencil off the box", "degenerate centre"),
+        ("degenerate centre", "curvature stencil off the box"),
+        ("curvature stencil off the box", "stencil off the box"),
+    ],
+)
+def test_a_sasaki_check_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, cfg, form, order):
+    batch, one_point = SASAKI_BATCHES[form]
+    g = _spotted(chart4)
+    bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+    good = bundle.point([0.1, -0.2, 0.3, 0.05], U)
+    first, later = (bundle.point(FAILING_CHECK_BASES[name], U) for name in order)
+    alone = build_tangent_bundle(MetricField(g.field), std_triple, cfg=cfg)
+    with pytest.raises(ParaquatError) as expected:
+        one_point(alone, first)
+    with pytest.raises(ParaquatError) as other:
+        one_point(alone, later)
+    assert str(other.value) != str(expected.value)
+    with pytest.raises(type(expected.value)) as got:
+        batch(bundle, [good, first, later])
+    assert str(got.value) == str(expected.value)
+    # the points that check alone still check
+    assert len(batch(bundle, [good])) == 1
+
+
+def _spot_points(chart4):
+    return sample_points(chart4, 3, seed=20)
+
+
+def test_the_lift_precondition_names_its_first_failing_point(chart4, std_triple, cfg):
+    """The spot checks run as one algebra and one hermitian batch and still
+    name the first point that fails, with the message of the loop they
+    replace."""
+    spots = _spot_points(chart4)
+    real = METRICS["neutral4"](chart4).field
+    # euclidean, where the triple is not skew, at the second spot point only
+    comps = lambda ps: [np.eye(4) if np.array_equal(p.coords, spots[1].coords) else real.components([p])[0] for p in ps]
+    g = MetricField(dataclasses.replace(real, components=comps, label="bent"))
+    rep, herm = check_triple_algebra(std_triple, spots[1]), structures.check_hermitian(g, std_triple, spots[1])
+    with pytest.raises(PreconditionFailedError) as got:
+        build_tangent_bundle(g, std_triple, cfg=cfg)
+    assert str(got.value) == (
+        f"base pair fails at {spots[1]}: algebra {rep.max_residual:.3e}, hermitian {herm:.3e}"
+    )
+
+
+def test_the_lift_precondition_raises_what_the_first_spot_point_raises_first(chart4, std_triple, cfg):
+    """A metric degenerate at the first spot point and a triple not finite at
+    the second: the algebra batch meets the triple first, but the per-point
+    order is algebra, then hermitian, at each point in turn, so the error is
+    the metric's at the first point."""
+    spots = _spot_points(chart4)
+    real = METRICS["neutral4"](chart4).field
+    at = lambda k, p: np.array_equal(p.coords, spots[k].coords)
+    g = MetricField(dataclasses.replace(
+        real, components=lambda ps: [np.diag([0.0, 1, -1, -1]) if at(0, p) else real.components([p])[0] for p in ps]
+    ))
+    j1 = std_triple.j1
+    T = dataclasses.replace(std_triple, j1=dataclasses.replace(
+        j1, components=lambda ps: [j1.components([p])[0] * (np.nan if at(1, p) else 1.0) for p in ps]
+    ))
+    with pytest.raises(ParaquatError) as algebra_first:
+        check_triple_algebra(T, spots[1])
+    with pytest.raises(DegenerateMetricError) as expected:
+        structures.check_hermitian(MetricField(g.field), T, spots[0])
+    with pytest.raises(DegenerateMetricError) as got:
+        build_tangent_bundle(g, T, cfg=cfg)
+    assert str(got.value) == str(expected.value) != str(algebra_first.value)

@@ -277,15 +277,15 @@ def test_the_sasaki_closed_forms_hold_to_roundoff_over_the_space_form(seed):
 
 
 def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypatch):
-    real = sasaki.oracle_tilde_nabla_J
+    real = sasaki._tilde_nabla_Js  # the stacked closed form the check reads
 
-    def without_half(bundle, xi):  # the (v, h) block is all of (1/2)[R(u, X), J_a]
-        C = real(bundle, xi).copy()
+    def without_half(bundle, xis):  # the (v, h) block is all of (1/2)[R(u, X), J_a]
+        C = real(bundle, xis).copy()
         n = bundle.base_dim
-        C[:, n:, :, :n] *= 2.0
+        C[:, :, n:, :, :n] *= 2.0
         return C
 
-    monkeypatch.setattr(sasaki, "oracle_tilde_nabla_J", without_half)
+    monkeypatch.setattr(sasaki, "_tilde_nabla_Js", without_half)
     for seed in range(1, 9):
         nabla_j = run_scenario(SPACE_FORM_SASAKI, seed=seed).checks[0]
         assert not nabla_j.passed and nabla_j.data["max_residual"] > 1e-3

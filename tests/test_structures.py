@@ -11,6 +11,7 @@ from paraquat import (
     IllConditionedError,
     LocalBasisTriple,
     MetricField,
+    ParaquatError,
     Point,
     PreconditionFailedError,
     ProductStructureField,
@@ -43,6 +44,7 @@ from paraquat.catalog import (
     structure_from_config,
     triple_from_config,
 )
+from paraquat.scenario import build_context, load_scenario
 from paraquat.structures import span_combination
 
 from conftest import pointwise, reference_nabla, rotated4_matrices
@@ -325,7 +327,7 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
         assert not D.flags.writeable
         assert D.tobytes() == connection.covariant_derivative_11(fresh, rotated.field, p, cfg).tobytes()
         assert D is connection.covariant_derivative_11(g, rotated.field, Point(chart8, p.coords), cfg)
-        N = structures._nijenhuis(g, rotated, p, cfg)
+        N = structures._nijenhuises(g, rotated, [p], cfg)[0]
         assert not N.flags.writeable
         reference = connection._nijenhuis_tensor(fields.eval_field(real, p), real.jets([p], 1)[1][0])
         assert N.tobytes() == reference.tobytes()
@@ -537,3 +539,108 @@ def test_a_hermitian_batch_raises_what_its_first_failing_point_raises_alone(char
     with pytest.raises(EvaluationError) as got:
         structures._hermitians(g, T, pts)
     assert str(got.value) == str(expected.value)
+
+
+# ------------------------------------------------------- checks over a sample
+#
+# The product-structure checks take their sample a batch at a time; the
+# one-point forms are their batches of one.
+
+
+def _product_context(seed):
+    ctx = build_context(load_scenario("product-8d"), seed=seed)
+    return ctx, [ctx.structure(name) for name in ("split8", "split8-rotated")]
+
+
+def _equivalence_reference(g, F, T, pts, cfg):
+    """The three residuals of ``check_parallel_equivalence`` as its
+    point-by-point loop formed them."""
+    r_par = r_nij = r_mix = 0.0
+    for p in pts:
+        D = connection.covariant_derivative_11(g, F.field, p, cfg)
+        r_par = max(r_par, float(np.abs(D).max()))
+        r_nij = max(r_nij, float(np.abs(structures._nijenhuises(g, F, [p], cfg)[0]).max()))
+        J = T.matrices(p)
+        for a in range(3):
+            mixed = np.einsum("mi,mkj->ikj", J[a], D) - np.einsum("ikm,mj->ikj", D, J[a])
+            r_mix = max(r_mix, float(np.abs(mixed).max()))
+    return r_par, r_nij, r_mix
+
+
+@pytest.mark.parametrize("seed", [1, 6, 7, 600])
+def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
+    ctx, structs = _product_context(seed)
+    g, T, cfg = ctx.metric, ctx.triple, ctx.cfg
+    pts = ctx.points + [ctx.points[0]]
+    for F in structs:
+        reports = structures._product_reports(g, F, pts, cfg)
+        sigma = structures._sigma_residuals(F, T, pts)
+        tensors = structures._nijenhuises(g, F, pts, cfg)
+        eq = check_parallel_equivalence(g, F, T, ctx.points, cfg)
+        alone, _ = _product_context(seed)  # fresh memos
+        F1 = alone.structure(F.label)
+        for k, p in enumerate(pts):
+            p = Point(alone.chart, p.coords)
+            assert reports[k] == check_product_structure(alone.metric, F1, p, cfg)
+            assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, p)
+            N = connection._nijenhuis_tensor(fields.eval_field(F.field, p), F.field.jets([p], 1)[1][0])
+            assert tensors[k].tobytes() == N.tobytes() and not tensors[k].flags.writeable
+        reference = _equivalence_reference(alone.metric, F1, alone.triple, [Point(alone.chart, p.coords) for p in ctx.points], cfg)
+        assert (eq.parallel_residual, eq.nijenhuis_residual, eq.mixed_residual) == reference
+    assert max(r.parallel_residual for r in reports) > 0.1  # split8-rotated varies
+
+
+def _failing_product_setup(chart8):
+    """(g, F, T, points): F not finite where x2 > 0.5, the triple's first
+    member not finite where x3 > 0.5, the metric degenerate where x1 lies
+    in a window around 0.7; the first point fails none, the second each of
+    F, the triple and the metric in turn, the third F."""
+    g8 = METRICS["neutral8"](chart8).field
+    g = MetricField(dataclasses.replace(g8, components=pointwise(
+        lambda p: np.diag([0.0] + [1.0] * 7) if 0.6995 < p.coords[0] < 0.7005 else g8.components([p])[0]
+    ), label="spotted"))
+    split = STRUCTURES["split8"](chart8).field
+    F = ProductStructureField(dataclasses.replace(split, components=pointwise(
+        lambda p: split.components([p])[0] * (np.nan if p.coords[1] > 0.5 else 1.0)
+    ), label="F"), "F")
+    T8 = TRIPLES["product8"](chart8)
+    j1 = T8.j1
+    T = dataclasses.replace(T8, j1=dataclasses.replace(j1, components=pointwise(
+        lambda p: j1.components([p])[0] * (np.nan if p.coords[2] > 0.5 else 1.0)
+    ), label="J1"))
+    at = lambda *c: Point(chart8, list(c) + [0.0] * (8 - len(c)))
+    return g, F, T, {"good": at(0.1, 0.2), "F": at(0.0, 0.7), "T": at(0.0, 0.0, 0.7), "g": at(0.7)}
+
+
+@pytest.mark.parametrize(
+    "order", [("g", "F"), ("T", "F"), ("F", "g")], ids=lambda o: " then ".join(o)
+)
+def test_a_product_check_batch_raises_what_its_first_failing_point_raises_alone(chart8, cfg, order):
+    g, F, T, at = _failing_product_setup(chart8)
+    first, later = (at[name] for name in order)
+    forms = {
+        "product": (
+            lambda pts: structures._product_reports(g, F, pts, cfg),
+            lambda p: check_product_structure(MetricField(g.field), F, p, cfg),
+        ),
+        "sigma": (lambda pts: structures._sigma_residuals(F, T, pts), lambda p: check_sigma_invariant_operator(F, T, p)),
+        "nijenhuis": (
+            lambda pts: structures._nijenhuises(g, F, pts, cfg),
+            lambda p: structures._nijenhuises(MetricField(g.field), F, [p], cfg),
+        ),
+    }
+    for name, (batch, one_point) in forms.items():
+        try:
+            one_point(first)
+        except ParaquatError as exc:
+            expected = exc
+        else:  # a point the form does not read fails nothing there
+            assert (name, order[0]) in {("sigma", "g"), ("nijenhuis", "g"), ("nijenhuis", "T"), ("product", "T")}
+            continue
+        with pytest.raises(type(expected)) as got:
+            batch([at["good"], first, later])
+        assert str(got.value) == str(expected), name
+    # a failing batch stores no N_F and no derivative of F; the one-point
+    # replay of a check stores those of the point that passes alone
+    kinds = {("nijenhuis", F.field), ("d", F.field), ("nabla", F.field)}
+    assert {key[1] for key in g._memo if key[0] in kinds} <= {at["good"].coords.tobytes()}
