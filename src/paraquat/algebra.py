@@ -127,7 +127,7 @@ def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[
         return [AlgebraReport(*row) for row in zip(sq, prod, anti, det)]
 
     return _memo_batch(
-        {}, triple.chart, None, None, points, compute, one=lambda q: check_triple_algebra(triple, q)
+        {}, triple.chart, None, points, compute, one=lambda q: check_triple_algebra(triple, q)
     )
 
 

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="path to a scenario JSON file, or a catalog name")
     run.add_argument("--out", help="write the JSON report to this file instead of stdout")
     run.add_argument("--seed", type=int, default=None, help="override the sample seed")
-    run.add_argument("--step", type=float, default=None, help="override the step: the stencil around each point that must lie in the chart, and the sampling margin of 10 steps")
+    run.add_argument("--step", type=float, default=None, help="override the step, which sets only the sampling margin: sampled points keep 10 steps from every wall")
     run.add_argument("--points", type=int, default=None, help="override the sample size")
     run.set_defaults(func=_cmd_run)
 

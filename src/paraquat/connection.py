@@ -29,17 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateMetricError, ValidationError
-from .fields import (
-    FdConfig,
-    ManifoldSpec,
-    Point,
-    TensorField,
-    _check_chart,
-    _jets_of,
-    _memo_batch,
-    _require_stencils,
-    eval_batch,
-)
+from .fields import ManifoldSpec, Point, TensorField, _check_point, _jets_of, _memo_batch, eval_batch
 
 DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -56,8 +46,8 @@ class MetricField:
     point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
     ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
     the partial and covariant derivatives of (1,1) fields, their Nijenhuis
-    tensors and the Kähler 1-form fits (per point and step, the last four
-    also per field or triple).  Every one of them is read and filled by
+    tensors and the Kähler 1-form fits (per point, the last four also per
+    field or triple).  Every one of them is read and filled by
     ``fields._memo_batch``: only evaluations that passed every check are
     stored, as read-only arrays, and a hit repeats the chart check, so a
     point of another chart still raises.
@@ -88,7 +78,7 @@ class MetricField:
         failing point raises what it raises alone.
         """
         return _memo_batch(
-            self._memo, self.chart, "g", None, points, self._checked,
+            self._memo, self.chart, "g", points, self._checked,
             one=lambda q: MetricField(self.field).matrix(q),
         )
 
@@ -117,14 +107,14 @@ class FlatnessVerdict:
     points_checked: int
 
 
-def christoffel(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def christoffel(g: MetricField, p: Point) -> np.ndarray:
     """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
     read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
 
-    The metric partials come from the field's exact jets, and the stencil
-    of cfg.step around p must lie in the chart.
+    The metric partials come from the field's exact jets at p, which may
+    lie anywhere in the closed box.
     """
-    return _christoffels(g, [p], cfg)[0]
+    return _christoffels(g, [p])[0]
 
 
 def _first_kind(D: np.ndarray) -> np.ndarray:
@@ -148,16 +138,14 @@ def _jets(g: MetricField, pts: list[Point], order: int = 2) -> tuple[np.ndarray,
             A.flags.writeable = False
         if order == 3:
             pairs = {q.coords.tobytes(): (D, H) for q, D, H in zip(qs, *partials[:2])}
-            _memo_batch(g._memo, g.chart, "jet", None, qs, lambda new: [pairs[q.coords.tobytes()] for q in new])
+            _memo_batch(g._memo, g.chart, "jet", qs, lambda new: [pairs[q.coords.tobytes()] for q in new])
         return list(zip(*partials))
 
     kind = "jet" if order == 2 else "jet3"
-    return tuple(np.array(A) for A in zip(*_memo_batch(g._memo, g.chart, kind, None, pts, compute)))
+    return tuple(np.array(A) for A in zip(*_memo_batch(g._memo, g.chart, kind, pts, compute)))
 
 
-def _christoffels(
-    g: MetricField, centres: Sequence[Point], cfg: FdConfig, order: int = 2
-) -> list[np.ndarray]:
+def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> list[np.ndarray]:
     """``christoffel`` at each centre, as the memo's read-only arrays.  The
     distinct misses are assembled together: g at the centres, then dg from
     the jets (``_jets`` of ``order``: 3 for the base of a Sasaki lift, whose
@@ -167,28 +155,23 @@ def _christoffels(
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
-        _require_stencils(pts, cfg.step)
         gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(_jets(g, pts, order)[0]))
         gam.flags.writeable = False
         return gam
 
     return _memo_batch(
-        g._memo, g.chart, "gamma", cfg.step, centres, compute,
-        one=lambda q: christoffel(MetricField(g.field), q, cfg),
+        g._memo, g.chart, "gamma", centres, compute,
+        one=lambda q: christoffel(MetricField(g.field), q),
     )
 
 
-def covariant_derivative_11(
-    g: MetricField, T: TensorField, p: Point, cfg: FdConfig = FdConfig()
-) -> np.ndarray:
+def covariant_derivative_11(g: MetricField, T: TensorField, p: Point) -> np.ndarray:
     """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j], read-only and
-    memoised on g per (field, point, step) like Gamma."""
-    return _covariant_derivatives(g, T, [p], cfg)[0]
+    memoised on g per (field, point) like Gamma."""
+    return _covariant_derivatives(g, T, [p])[0]
 
 
-def _covariant_derivatives(
-    g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConfig
-) -> list[np.ndarray]:
+def _covariant_derivatives(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
     """``covariant_derivative_11`` at each point, as the memo's read-only
     arrays.  The distinct misses are one stack: Gamma from one
     ``_christoffels``, T from one ``eval_batch``, dT from one ``_gradients``,
@@ -199,9 +182,9 @@ def _covariant_derivatives(
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
 
     def compute(qs: list[Point]) -> np.ndarray:
-        gam = np.array(_christoffels(g, qs, cfg))
+        gam = np.array(_christoffels(g, qs))
         V = eval_batch(T, qs)
-        dT = np.array(_gradients(g, T, qs, cfg))  # [c, i, k, j]
+        dT = np.array(_gradients(g, T, qs))  # [c, i, k, j]
         D = (
             dT
             + np.einsum("ckil,clj->cikj", gam, V)
@@ -211,20 +194,19 @@ def _covariant_derivatives(
         return D
 
     return _memo_batch(
-        g._memo, g.chart, ("nabla", T), cfg.step, pts, compute,
-        one=lambda q: covariant_derivative_11(MetricField(g.field), T, q, cfg),
+        g._memo, g.chart, ("nabla", T), pts, compute,
+        one=lambda q: covariant_derivative_11(MetricField(g.field), T, q),
     )
 
 
-def _gradient(g: MetricField, T: TensorField, p: Point, cfg: FdConfig) -> np.ndarray:
+def _gradient(g: MetricField, T: TensorField, p: Point) -> np.ndarray:
     """dT[m, ...] = d_m T at p, read-only and memoised on g per (field,
-    point, step), so that nabla T and the Nijenhuis tensor of T read one
-    derivative: T's order-1 jets, under the stencil rule of
-    ``christoffel``."""
-    return _gradients(g, T, [p], cfg)[0]
+    point), so that nabla T and the Nijenhuis tensor of T read one
+    derivative: T's order-1 jets at a point of T's box."""
+    return _gradients(g, T, [p])[0]
 
 
-def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
     """``_gradient`` at each point, as the memo's read-only arrays: the
     distinct misses from one ``T.jets`` call.  A batch that raises stores
     nothing, and its first failing point raises what it raises alone."""
@@ -232,26 +214,25 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point], cfg: FdConf
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(T)
         for q in qs:
-            _check_chart(T.chart, q)
-        _require_stencils(qs, cfg.step)
+            _check_point(T.chart, q)
         dT = np.array(jets(qs, 1)[1])
         dT.flags.writeable = False
         return dT
 
     return _memo_batch(
-        g._memo, g.chart, ("d", T), cfg.step, pts, compute,
-        one=lambda q: _gradient(MetricField(g.field), T, q, cfg),
+        g._memo, g.chart, ("d", T), pts, compute,
+        one=lambda q: _gradient(MetricField(g.field), T, q),
     )
 
 
-def riemann(g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def riemann(g: MetricField, p: Point) -> np.ndarray:
     """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
-    ``riem[l, k, i, j]`` (convention in the module docstring).  The
-    stencils nested two deep around p must lie in the chart."""
-    return _riemanns(g, [p], cfg)[0]
+    ``riem[l, k, i, j]`` (convention in the module docstring), from the
+    metric's jets to order 2 at p, anywhere in the closed box."""
+    return _riemanns(g, [p])[0]
 
 
-def _riemanns(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+def _riemanns(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
     """``riemann`` at each centre, as the memo's read-only arrays.  The
     distinct misses are one stack:
 
@@ -261,14 +242,13 @@ def _riemanns(g: MetricField, centres: Sequence[Point], cfg: FdConfig) -> list[n
     first failing centre raises what it raises alone."""
 
     def compute(pts: list[Point]) -> list[np.ndarray]:
-        gam = np.array(_christoffels(g, pts, cfg))
-        _require_stencils(pts, cfg.step, depth=2)
+        gam = np.array(_christoffels(g, pts))
         ginv = np.linalg.inv(g.matrices(pts))
         return list(_curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts))))
 
     return _memo_batch(
-        g._memo, g.chart, "riem", cfg.step, centres, compute,
-        one=lambda q: riemann(MetricField(g.field), q, cfg),
+        g._memo, g.chart, "riem", centres, compute,
+        one=lambda q: riemann(MetricField(g.field), q),
     )
 
 
@@ -317,11 +297,11 @@ def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
     return t1 - t2 + t3 - t4
 
 
-def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3, cfg: FdConfig = FdConfig()) -> FlatnessVerdict:
+def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3) -> FlatnessVerdict:
     """Flat iff max |R| over the sample stays below tol; R at the whole
     sample comes in one batch."""
     if not pts:
         raise ValidationError("is_flat needs at least one point")
-    worst = max(float(np.abs(R).max()) for R in _riemanns(g, pts, cfg))
+    worst = max(float(np.abs(R).max()) for R in _riemanns(g, pts))
     return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 

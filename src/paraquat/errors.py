@@ -18,10 +18,6 @@ class OutOfDomainError(ParaquatError):
     """A point lies outside the chart's domain box."""
 
 
-class StencilOutOfDomainError(OutOfDomainError):
-    """The stencil of the step around a point would leave the domain box."""
-
-
 class EmptyDomainError(ParaquatError):
     """The domain box has no interior once the sampling margin is applied."""
 

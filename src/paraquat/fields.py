@@ -5,33 +5,22 @@ returning component arrays at a list of points.  Every derivative the
 package takes comes from a field's exact jets (``TensorField.jets``): an
 expression or constant field, a catalog field, or a Sasaki lift over a base
 that has them.  A derivative asked of a field without jets raises
-ValidationError (``_jets_of``).  A derivative at a point still requires the stencil of the
-step around it to lie in the chart (``_require_stencils``), so every
-numerical statement downstream is explicit about its stencil.  Second-order
-central differences (``central_difference``, ``fd_gradient``) stay as the
-reference the jets are tested against.
+ValidationError (``_jets_of``).  Jets are read at the point itself, so a
+derivative is taken anywhere in the closed box, walls included.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyDomainError,
-    EvaluationError,
-    OutOfDomainError,
-    ShapeError,
-    StencilOutOfDomainError,
-    ValidationError,
-)
+from .errors import EmptyDomainError, EvaluationError, OutOfDomainError, ShapeError, ValidationError
 
 DEFAULT_STEP = 1e-3
-# sampled points keep MARGIN_STEPS steps from the box walls so that the
-# stencils a derivative requires (nested up to two deep) never leave the domain
+# sampled points keep MARGIN_STEPS steps from the box walls; the step is the
+# sampling margin's unit and nothing else
 MARGIN_STEPS = 10
 INTERIOR_MARGIN = MARGIN_STEPS * DEFAULT_STEP
 
@@ -181,18 +170,6 @@ class TensorField:
         return (self.chart.dim,) * (self.r + self.s)
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """The step h: a derivative at p needs the stencil of h around p inside
-    the chart, and ``central_difference`` differences with it."""
-
-    step: float = DEFAULT_STEP
-
-    def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValidationError(f"FD step must be finite and positive, got {self.step}")
-
-
 def eval_field(field: TensorField, p: Point) -> np.ndarray:
     """Evaluate a tensor field, enforcing domain, shape and finiteness."""
     _check_point(field.chart, p)
@@ -229,12 +206,11 @@ def _memo_batch(
     memo: dict,
     chart: ManifoldSpec,
     kind,
-    step: float | None,
     points: Sequence[Point],
     compute: Callable[[list[Point]], Sequence],
     one: Callable[[Point], object] | None = None,
 ) -> list:
-    """The memo's values under (kind, coordinate bytes, step) at each point:
+    """The memo's values under (kind, coordinate bytes) at each point:
     the package's one rule for reading and filling a memo.
 
     Every point's chart is checked, memo hits included, since a key holds
@@ -251,7 +227,7 @@ def _memo_batch(
         for q in points:
             if q.chart is not chart:
                 _check_chart(chart, q)
-            key = (kind, q.coords.tobytes(), step)
+            key = (kind, q.coords.tobytes())
             keys.append(key)
             if key not in memo and key not in fresh:
                 fresh[key] = q
@@ -293,53 +269,6 @@ def _checked_values(field: TensorField, p: Point, values) -> np.ndarray:
     return vals
 
 
-def central_difference(
-    f: Callable[[list[Point]], Sequence[np.ndarray]],
-    p: Point | Sequence[Point],
-    cfg: FdConfig = FdConfig(),
-) -> np.ndarray:
-    """Second-order central differences of ``f`` along every coordinate,
-    stacked: ``out[m] = (f(p + h e_m) - f(p - h e_m)) / 2h`` with h = cfg.step;
-    the reference the jets are tested against.
-
-    ``f`` gets the whole stencil in one call, as the list p + h e_1,
-    p - h e_1, p + h e_2, ..., and returns the values there in that order,
-    as a list of equal-shape arrays or as one array stacked along its first
-    axis.  ``p`` may also be a sequence of centres of one dimension: their
-    stencils go to ``f`` in one call, one after the other, and the result is
-    stacked per centre, ``out[c, m]``.
-
-    The stencil points are built from one coordinate array, adding +h and
-    -h to the shifted coordinate only, so their coordinates are bit for bit
-    those of ``Point.shifted``, signed zeros included.
-
-    Exact for affine f; O(h^2) otherwise.  Every stencil must lie in its
-    centre's chart, else StencilOutOfDomainError for the first centre whose
-    stencil leaves, raised before ``f`` is called.
-    """
-    h = cfg.step
-    centres = [p] if isinstance(p, Point) else list(p)
-    n = centres[0].chart.dim
-    if any(c.chart.dim != n for c in centres):
-        raise ValidationError("the centres of one central difference need one dimension")
-    _require_stencils(centres, h)
-    F = np.asarray(f(_stencil(centres, h)))
-    F = F.reshape(len(centres), n, 2, *F.shape[1:])
-    out = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)
-    return out[0] if isinstance(p, Point) else out
-
-
-def _require_stencils(centres: Sequence[Point], h: float, depth: int = 1) -> None:
-    """Raise StencilOutOfDomainError for the first centre whose stencil of
-    step h leaves its chart; with depth 2, for the first centre
-    or stencil point of a stencil nested two deep.  Every derivative keeps
-    this rule, though jets read no stencil."""
-    for c in centres:
-        for q in [c] + (_stencil([c], h) if depth > 1 else []):
-            if not q.chart.contains(q.coords, margin=h):
-                raise StencilOutOfDomainError(f"stencil of step {h} around {q} leaves the domain")
-
-
 def _jets_of(obj) -> Callable:
     """The jets of a field or map, ``obj.jets``: the package's one rule for
     a derivative, which raises ValidationError naming an ``obj`` that has
@@ -356,35 +285,6 @@ def _order_at_most(label: str, order: int, top: int) -> None:
         raise ValidationError(f"{label} has jets to order {top} only, not to order {order}")
 
 
-def _stencil(centres: list[Point], h: float) -> list[Point]:
-    """The stencils of the centres, one after the other: c + h e_1,
-    c - h e_1, c + h e_2, ... of each centre c, on that centre's chart."""
-    n = centres[0].chart.dim
-    S = np.array([c.coords for c in centres])[:, None, :] + _stencil_offsets(n, h)
-    S.flags.writeable = False
-    charts = [c.chart for c in centres for _ in range(2 * n)]
-    return [_point(chart, row) for chart, row in zip(charts, S.reshape(-1, n))]
-
-
-@functools.lru_cache(maxsize=32)
-def _stencil_offsets(n: int, h: float) -> np.ndarray:
-    """Row 2m is +h e_m and row 2m + 1 is -h e_m, with -0.0 off the shifted
-    coordinate: x + (-0.0) is x for every x, -0.0 included, so adding a row
-    changes one coordinate exactly as ``Point.shifted`` does."""
-    D = np.full((2 * n, n), -0.0)
-    m = np.arange(n)
-    D[2 * m, m] = h
-    D[2 * m + 1, m] = -h
-    D.flags.writeable = False
-    return D
-
-
-def fd_gradient(field: TensorField, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Central differences of a tensor field's components, stacked: out[m] =
-    d_m, with the stencil evaluated in one ``eval_batch``."""
-    return central_difference(lambda qs: eval_batch(field, qs), p, cfg)
-
-
 def sample_points(
     spec: ManifoldSpec,
     count: int,
@@ -393,8 +293,9 @@ def sample_points(
 ) -> list[Point]:
     """Deterministic interior sample of the domain box.
 
-    Points stay ``margin`` away from every wall so that nested stencils
-    remain inside.  Same (spec, count, seed) -> identical points.
+    Points stay ``margin`` away from every wall (by default 10 steps of
+    ``DEFAULT_STEP``); the margin is the step's only job.  Same (spec,
+    count, seed) -> identical points.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")

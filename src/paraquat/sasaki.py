@@ -40,7 +40,6 @@ from .connection import (
 )
 from .errors import PreconditionFailedError, ShapeError, ValidationError
 from .fields import (
-    FdConfig,
     ManifoldSpec,
     Point,
     TensorField,
@@ -95,7 +94,7 @@ def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     raise ValidationError("kind must be 'h' or 'v'")
 
 
-def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.ndarray, np.ndarray, Point]]:
+def _frame_batch(g: MetricField, C: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, Point]]:
     """The frames (L, L^-1, x) at the bundle points whose coordinates are the
     rows of C: Gamma from one Christoffel batch over their distinct base
     points, every M = Gamma(., u) from one ``einsum``, and L, L^-1 filled as
@@ -104,7 +103,7 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     C = C.copy()
     C.flags.writeable = False
     xs = [_point(g.chart, c[:n]) for c in C]
-    gam = _stacked_at(lambda qs: _christoffels(g, qs, cfg, order=3), g.chart, xs)
+    gam = _stacked_at(lambda qs: _christoffels(g, qs, order=3), g.chart, xs)
     M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
     L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
     Linv = L.copy()
@@ -114,7 +113,7 @@ def _frame_batch(g: MetricField, C: np.ndarray, cfg: FdConfig) -> list[tuple[np.
     return list(zip(L, Linv, xs))
 
 
-def _christoffel_jets(g: MetricField, xs: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
+def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> list[np.ndarray]:
     """[Gamma, dGamma, d2Gamma] at the base points, stacked, with
     dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
     d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
@@ -123,7 +122,7 @@ def _christoffel_jets(g: MetricField, xs: Sequence[Point], cfg: FdConfig) -> lis
     ``connection._first_kind``) once and twice."""
 
     def compute(qs: list[Point]) -> list:
-        gam = np.array(_christoffels(g, qs, cfg, order=3))
+        gam = np.array(_christoffels(g, qs, order=3))
         ginv = np.linalg.inv(g.matrices(qs))
         D, H, K = _jets(g, qs, 3)
         dgam = _christoffel_partials(ginv, gam, D, H)
@@ -136,7 +135,7 @@ def _christoffel_jets(g: MetricField, xs: Sequence[Point], cfg: FdConfig) -> lis
         )
         return list(zip(gam, dgam, d2gam))
 
-    return [np.array(a) for a in zip(*_memo_batch({}, g.chart, None, None, xs, compute))]
+    return [np.array(a) for a in zip(*_memo_batch({}, g.chart, None, xs, compute))]
 
 
 def _blocks(A: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -154,7 +153,7 @@ def _stacked_at(
     """evaluate's values at points of the chart, stacked; evaluate gets each
     distinct point (by coordinates) once, all in one call: a memo batch on a
     memo of its own."""
-    return np.array(_memo_batch({}, chart, None, None, points, evaluate))
+    return np.array(_memo_batch({}, chart, None, points, evaluate))
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ class SasakiBundle:
     shifts: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = field(
         repr=False, compare=False
     )
-    cfg: FdConfig = FdConfig()
 
     @property
     def base_dim(self) -> int:
@@ -201,7 +199,6 @@ def build_tangent_bundle(
     g: MetricField,
     T: LocalBasisTriple,
     u_box=(-1.0, 1.0),
-    cfg: FdConfig = FdConfig(),
 ) -> SasakiBundle:
     """Assemble the lifted metric, triple and projection over (g, T).
 
@@ -220,7 +217,7 @@ def build_tangent_bundle(
     n = base.dim
     spots = sample_points(base, 3, seed=20)
     checks = _memo_batch(
-        {}, base, None, None, spots,
+        {}, base, None, spots,
         lambda qs: list(zip(_triple_algebras(T, qs), _hermitians(g, T, qs))),
         one=lambda q: (check_triple_algebra(T, q), check_hermitian(g, T, q)),
     )
@@ -232,7 +229,7 @@ def build_tangent_bundle(
             )
     bundle = tangent_bundle_chart(base, u_box)
     # Each bundle point's frame (L, L^-1, x) under ("frame", coordinate
-    # bytes, None), its shift and the shift's partials (M, dM, d2M) under
+    # bytes), its shift and the shift's partials (M, dM, d2M) under
     # ("shift", ...), and each lifted member's components under (a, ...),
     # read and filled by fields._memo_batch.
     memo: dict = {}
@@ -253,13 +250,13 @@ def build_tangent_bundle(
             inside = bundle.contains_rows(C)
             if not inside.all():
                 _check_point(bundle, fresh[int(inside.argmin())])
-            return _frame_batch(g, C, cfg)
+            return _frame_batch(g, C)
 
         def alone(xi: Point) -> None:
             _check_point(bundle, xi)
-            _frame_batch(MetricField(g.field), np.array([xi.coords]), cfg)
+            _frame_batch(MetricField(g.field), np.array([xi.coords]))
 
-        return _memo_batch(memo, bundle, "frame", None, xis, compute, one=alone)
+        return _memo_batch(memo, bundle, "frame", xis, compute, one=alone)
 
     def shifts(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(M, dM, d2M) at each bundle point, as the memo's read-only
@@ -276,7 +273,7 @@ def build_tangent_bundle(
             F = frames(fresh)
             M = np.array([f[1][n:, :n] for f in F])
             U = np.array([xi.coords[n:] for xi in fresh])
-            gam, dgam, d2gam = _christoffel_jets(g, [f[2] for f in F], cfg)
+            gam, dgam, d2gam = _christoffel_jets(g, [f[2] for f in F])
             dM = np.zeros((len(fresh), 2 * n, n, n))
             d2M = np.zeros((len(fresh), 2 * n, 2 * n, n, n))
             dM[:, :n] = np.einsum("cmkji,cj->cmki", dgam, U)
@@ -288,7 +285,7 @@ def build_tangent_bundle(
                 A.flags.writeable = False
             return list(zip(M, dM, d2M))
 
-        return _memo_batch(memo, bundle, "shift", None, xis, compute)
+        return _memo_batch(memo, bundle, "shift", xis, compute)
 
     def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
         """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
@@ -346,7 +343,7 @@ def build_tangent_bundle(
             Jt.flags.writeable = False
             return Jt
 
-        return _memo_batch(memo, bundle, a, None, xis, compute)
+        return _memo_batch(memo, bundle, a, xis, compute)
 
     def lifted_member_jets(a: int, xis: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
         """Jt_a and its first partials at each bundle point, stacked: Jt_a
@@ -401,7 +398,6 @@ def build_tangent_bundle(
         base_triple=T,
         frames=frames,
         shifts=shifts,
-        cfg=cfg,
     )
 
 
@@ -446,11 +442,11 @@ def _tilde_nablas(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
     bundle's frame memo, Gamma and R from one ``_christoffels`` and one
     ``_riemanns`` over the base points.  A batch that raises raises what its
     first failing point raises alone."""
-    g, cfg, n = bundle.base_metric, bundle.cfg, bundle.base_dim
+    g, n = bundle.base_metric, bundle.base_dim
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        gam, R = np.array(_christoffels(g, xs, cfg)), np.array(_riemanns(g, xs, cfg))
+        gam, R = np.array(_christoffels(g, xs)), np.array(_riemanns(g, xs))
         # B[c, I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
         B = np.zeros((len(qs), 2 * n, 2 * n, 2 * n))
         B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
@@ -459,7 +455,7 @@ def _tilde_nablas(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
         B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
         return np.einsum("ckl,cIlJ->cIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, q)))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, q)))
 
 
 def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
@@ -486,12 +482,12 @@ def _tilde_nabla_Js(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
     and nabla J_a from one base Kähler fit (``_fits``), all over the base
     points.  A batch that raises raises what its first failing point raises
     alone."""
-    g, T, cfg, n = bundle.base_metric, bundle.base_triple, bundle.cfg, bundle.base_dim
+    g, T, n = bundle.base_metric, bundle.base_triple, bundle.base_dim
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        R, J = np.array(_riemanns(g, xs, cfg)), T.values(xs)
-        nabla = np.array([D for _, _, D in _fits(g, T, xs, cfg)])
+        R, J = np.array(_riemanns(g, xs)), T.values(xs)
+        nabla = np.array([D for _, _, D in _fits(g, T, xs)])
 
         def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
             return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
@@ -504,7 +500,7 @@ def _tilde_nabla_Js(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
         B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
         return np.einsum("ckl,caIlJ->caIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, q)))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, q)))
 
 
 def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
@@ -522,12 +518,12 @@ def _connection_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[fl
     what its first failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[float]:
-        gamG = np.array(_christoffels(bundle.metric, qs, bundle.cfg))
+        gamG = np.array(_christoffels(bundle.metric, qs))
         L, D = _frame_derivatives(bundle, qs)
         fd = D + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
         return np.abs(fd - _tilde_nablas(bundle, qs)).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: check_connection_oracle(bundle, q))
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_connection_oracle(bundle, q))
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
@@ -545,11 +541,11 @@ def _nabla_j_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float
 
     def compute(qs: list[Point]) -> list[float]:
         L = np.array([f[0] for f in bundle.frames(qs)])
-        D = np.array([nabla for _, _, nabla in _fits(bundle.metric, bundle.triple, qs, bundle.cfg)])
+        D = np.array([nabla for _, _, nabla in _fits(bundle.metric, bundle.triple, qs)])
         C = _tilde_nabla_Js(bundle, qs)
         return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, q))
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, q))
 
 
 @dataclass(frozen=True)
@@ -589,7 +585,7 @@ def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]
     each in one batch, every bracket of every pair from one ``einsum``.
     The vectors' shapes are checked first; a batch that raises raises what
     its first failing point raises alone."""
-    g, cfg, n = bundle.base_metric, bundle.cfg, bundle.base_dim
+    g, n = bundle.base_metric, bundle.base_dim
     X, Y = ([np.asarray(V, dtype=float) for V in vs] for vs in zip(*pairs))
     for V in X + Y:
         if V.shape != (n,):
@@ -605,8 +601,8 @@ def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]
         K = D - np.einsum("cIkJ->cJkI", D)
         bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)  # [c, p, k]
         lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
-        covXY = np.einsum("ckml,pm,pl->cpk", np.array(_christoffels(g, xs, cfg)), X, Y)
-        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(_riemanns(g, xs, cfg)), X, Y, u)
+        covXY = np.einsum("ckml,pm,pl->cpk", np.array(_christoffels(g, xs)), X, Y)
+        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(_riemanns(g, xs)), X, Y, u)
         hh_val = bracket(h(X), h(Y))
         residuals = np.stack([
             bracket(v(X), v(Y)),
@@ -616,4 +612,4 @@ def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]
         ], axis=2)  # [c, p, residual, k]
         return [[BracketReport(*rep) for rep in row] for row in np.abs(residuals).max(axis=3).tolist()]
 
-    return _memo_batch({}, bundle.spec, None, None, xis, compute, one=lambda q: _brackets(bundle, pairs, [q]))
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: _brackets(bundle, pairs, [q]))

@@ -38,7 +38,7 @@ from .catalog import (
 )
 from .connection import MetricField, _covariant_derivatives, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
-from .fields import MARGIN_STEPS, FdConfig, ManifoldSpec, Point, sample_points
+from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
 from .sasaki import SasakiBundle, _brackets, _connection_residuals, _nabla_j_residuals, build_tangent_bundle
 from .structures import (
     ProductStructureField,
@@ -71,7 +71,7 @@ class ScenarioContext:
     metric: MetricField
     triple: LocalBasisTriple
     points: list[Point]
-    cfg: FdConfig
+    step: float  # the sampling margin's unit, and the report's step
     seed: int
     bundle: SasakiBundle | None = None
     submersion: SubmersionMap | None = None
@@ -193,7 +193,7 @@ def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[b
 
 
 def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tuple[bool, dict]:
-    v = classify_structure(ctx.metric, ctx.triple, ctx.points[:points], tol=tol, cfg=ctx.cfg)
+    v = classify_structure(ctx.metric, ctx.triple, ctx.points[:points], tol=tol)
     return v.cls.value == expected, {
         "tol": tol,
         "expected": expected,
@@ -207,7 +207,7 @@ def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tupl
 def _run_kahler_fit(
     ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
 ) -> tuple[bool, dict]:
-    fits = _fits(ctx.metric, ctx.triple, ctx.points[:points], ctx.cfg)
+    fits = _fits(ctx.metric, ctx.triple, ctx.points[:points])
     worst_fit = max(residual for _, residual, _ in fits)
     worst_val = 0.0
     if oneform_values is not None:
@@ -224,7 +224,7 @@ def _run_kahler_fit(
 def _run_flatness(
     ctx: ScenarioContext, points=None, expect_flat=True, tol=1e-6, threshold=1e-2
 ) -> tuple[bool, dict]:
-    verdict = is_flat(ctx.metric, ctx.points[:points], cfg=ctx.cfg)
+    verdict = is_flat(ctx.metric, ctx.points[:points])
     if expect_flat:
         passed = verdict.max_residual < tol
         data = {"expect_flat": True, "tol": tol, "max_residual": _f(verdict.max_residual)}
@@ -240,7 +240,7 @@ def _run_product_structure(
 ) -> tuple[bool, dict]:
     F = ctx.structure(structure)
     inv = met = nij = par = 0.0
-    for rep in _product_reports(ctx.metric, F, ctx.points[:points], ctx.cfg):
+    for rep in _product_reports(ctx.metric, F, ctx.points[:points]):
         inv = max(inv, rep.involution_residual)
         met = max(met, rep.metric_residual)
         nij = max(nij, rep.nijenhuis_residual)
@@ -273,7 +273,7 @@ def _run_parallel_equivalence(
     ctx: ScenarioContext, structure, points=None, tol=1e-6, expect="parallel", failing_above=1e-3
 ) -> tuple[bool, dict]:
     F = ctx.structure(structure)
-    rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, ctx.points[:points], ctx.cfg, tol)
+    rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, ctx.points[:points], tol)
     if expect == "parallel":
         passed = rep.agree and all(rep.flags)
     else:
@@ -292,7 +292,7 @@ def _run_parallel_equivalence(
 
 
 def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
-    rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], ctx.cfg, tol)
+    rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
     worst = max(rep.v_residual, rep.h_residual)
     return worst < tol, {
         "tol": tol, "v_residual": _f(rep.v_residual), "h_residual": _f(rep.h_residual),
@@ -303,7 +303,7 @@ def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
     max_a = anti = max_t = 0.0
-    for rep in _oneills(ctx.submersion, ctx.metric, ctx.points[:points], ctx.cfg):
+    for rep in _oneills(ctx.submersion, ctx.metric, ctx.points[:points]):
         max_a = max(max_a, rep.max_a_horizontal)
         anti = max(anti, rep.antisymmetry_residual)
         max_t = max(max_t, float(np.abs(rep.t_full).max()))
@@ -322,7 +322,7 @@ def _run_oneill(
 
 
 def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
-    rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber], ctx.cfg)
+    rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber])
     data = {
         "constancy_tol": constancy_tol,
         "constancy_residual": _f(rep.constancy_residual),
@@ -332,7 +332,7 @@ def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match
     }
     passed = rep.constancy_residual < constancy_tol
     if ctx.target_triple is not None and ctx.target_metric is not None:
-        down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, rep.image, ctx.cfg)
+        down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, rep.image)
         match = float(np.abs(rep.omega_base - down.omega).max())
         data["match_tol"] = match_tol
         data["downstairs_match_error"] = _f(match)
@@ -364,8 +364,8 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
     bundle = ctx.bundle
     n = bundle.base_dim
     pts = ctx.points[:points]
-    fits = _fits(bundle.metric, bundle.triple, pts, ctx.cfg)
-    base_fits = _fits(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts], ctx.cfg)
+    fits = _fits(bundle.metric, bundle.triple, pts)
+    base_fits = _fits(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts])
     max_u = max(float(np.abs(omega[:, n:]).max()) for omega, _, _ in fits)
     max_pull = max(float(np.abs(up[:, :n] - down).max()) for (up, _, _), (down, _, _) in zip(fits, base_fits))
     return max(max_u, max_pull) < tol, {
@@ -379,7 +379,7 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(
-        float(np.abs(D).max()) for member in witness.fields for D in _covariant_derivatives(ctx.metric, member, pts, ctx.cfg)
+        float(np.abs(D).max()) for member in witness.fields for D in _covariant_derivatives(ctx.metric, member, pts)
     )
     return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
 
@@ -480,7 +480,7 @@ CHECKS: dict[str, CheckDef] = {
             "g(X, Y) = g'(df X, df Y)  for horizontal X, Y",
             "The differential restricted to horizontal spaces is a linear isometry.",
             _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
-                ctx.submersion, ctx.metric, ctx.target_metric, pts, ctx.cfg
+                ctx.submersion, ctx.metric, ctx.target_metric, pts
             )),
             needs="submersion",
         ),
@@ -489,7 +489,7 @@ CHECKS: dict[str, CheckDef] = {
             "df o J_a = J'_a o df",
             "The map intertwines the upstairs and downstairs triples.",
             _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
-                ctx.submersion, ctx.triple, ctx.target_triple, pts, ctx.cfg
+                ctx.submersion, ctx.triple, ctx.target_triple, pts
             )),
             needs="submersion",
         ),
@@ -689,8 +689,10 @@ def build_context(
     points: int | None = None,
 ) -> ScenarioContext:
     """The geometry, sample and step of a scenario document; seed,
-    step and points override the document's.  The document is validated
-    first."""
+    step and points override the document's.  The step sets the sampling
+    margin (10 steps from every wall) and nothing else.  The document is
+    validated first, and its explicit fiber points against the working
+    chart once the geometry is built."""
     _validate(config)
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
@@ -699,9 +701,10 @@ def build_context(
     seed = int(config.get("seed", 0)) if seed is None else int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    step = float(config.get("step", FdConfig().step)) if step is None else float(step)
+    step = float(config.get("step", DEFAULT_STEP)) if step is None else float(step)
+    if not (np.isfinite(step) and step > 0):
+        raise ValidationError(f"step must be finite and positive, got {step}")
     n_points = int(config.get("points", DEFAULT_POINTS)) if points is None else int(points)
-    cfg = FdConfig(step=step)
 
     bundle = None
     submersion = None
@@ -711,7 +714,7 @@ def build_context(
 
     if geo.get("sasaki"):
         bundle = build_tangent_bundle(
-            metric, triple, u_box=geo.get("u_box", (-1.0, 1.0)), cfg=cfg
+            metric, triple, u_box=geo.get("u_box", (-1.0, 1.0))
         )
         working_chart = bundle.spec
         working_metric = bundle.metric
@@ -735,12 +738,19 @@ def build_context(
             jets=jets,
         )
 
+    # an explicit fiber point is used anywhere in the working chart's closed
+    # box; one outside it is rejected before any check runs
+    for spec in config["checks"]:
+        if spec["check"] == "descend-oneforms":
+            for row in spec["fiber"]:
+                if np.shape(row) != (working_chart.dim,) or not working_chart.contains(row):
+                    raise ValidationError(f"descend-oneforms fiber point {row!r} is not a point of {working_chart}")
     return ScenarioContext(
         chart=working_chart,
         metric=working_metric,
         triple=working_triple,
-        points=sample_points(working_chart, n_points, seed, margin=MARGIN_STEPS * cfg.step),
-        cfg=cfg,
+        points=sample_points(working_chart, n_points, seed, margin=MARGIN_STEPS * step),
+        step=step,
         seed=seed,
         bundle=bundle,
         submersion=submersion,
@@ -780,7 +790,7 @@ def run_scenario(
     env = {
         "package": f"paraquat {__version__}",
         "seed": ctx.seed,
-        "step": ctx.cfg.step,
+        "step": ctx.step,
         "points": len(ctx.points),
     }
     generated = timestamp or _dt.datetime.now(_dt.timezone.utc).strftime(

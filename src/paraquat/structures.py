@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import LocalBasisTriple
 from .connection import MetricField, _covariant_derivatives, _gradients, _nijenhuis_tensor
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
-from .fields import FdConfig, Point, TensorField, _memo_batch, eval_batch
+from .fields import Point, TensorField, _memo_batch, eval_batch
 
 TRACE_FLOOR = 1e-9
 
@@ -52,7 +52,7 @@ def _hermitians(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> li
         J = T.values(qs)
         return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: check_hermitian(g, T, q))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_hermitian(g, T, q))
 
 
 def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,22 +74,18 @@ class KahlerFit:
     nabla: np.ndarray  # (3, dim, dim, dim): nabla[a-1] = D[i, k, j] of J_a
 
 
-def fit_kahler_oneforms(
-    g: MetricField, T: LocalBasisTriple, p: Point, cfg: FdConfig = FdConfig()
-) -> KahlerFit:
+def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, p: Point) -> KahlerFit:
     """Fit (w1, w2, w3) at p and report the off-span reconstruction residual.
 
-    The fit is memoised on g per (T, point, step), like Gamma and R: a
+    The fit is memoised on g per (T, point), like Gamma and R: a
     second fit there repeats the chart check and returns the same read-only
     ``omega`` and ``nabla``, and a fit that raises stores nothing.
     """
-    omega, residual, D = _fits(g, T, [p], cfg)[0]
+    omega, residual, D = _fits(g, T, [p])[0]
     return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
 
 
-def _fits(
-    g: MetricField, T: LocalBasisTriple, pts: Sequence[Point], cfg: FdConfig
-) -> list[tuple[np.ndarray, float, np.ndarray]]:
+def _fits(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
     """(omega, residual, nabla) of ``fit_kahler_oneforms`` at each point,
     arrays read-only, memoised on g under ("fit", T).  The distinct misses
     are one stack: the triple's values and their trace pairings, nabla J_a
@@ -105,7 +101,7 @@ def _fits(
         if bad.any():
             k = int(bad.argmax())
             raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
-        D = np.stack([np.array(_covariant_derivatives(g, f, qs, cfg)) for f in T.fields], axis=1)  # [c, a, i, k, j]
+        D = np.stack([np.array(_covariant_derivatives(g, f, qs)) for f in T.fields], axis=1)  # [c, a, i, k, j]
         # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
         # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
         # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
@@ -126,8 +122,8 @@ def _fits(
         return list(zip(omega, residual.tolist(), D))
 
     return _memo_batch(
-        g._memo, g.chart, ("fit", T), cfg.step, pts, compute,
-        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, q, cfg),
+        g._memo, g.chart, ("fit", T), pts, compute,
+        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, q),
     )
 
 
@@ -145,7 +141,6 @@ def classify_structure(
     T: LocalBasisTriple,
     pts: list[Point],
     tol: float = 1e-6,
-    cfg: FdConfig = FdConfig(),
 ) -> StructureVerdict:
     """Ladder over the sample: NotHermitian -> LhPK-basis -> PQK -> HermitianOnly.
 
@@ -157,7 +152,7 @@ def classify_structure(
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
     herm = max(_hermitians(g, T, pts))
-    fits = _fits(g, T, pts, cfg)
+    fits = _fits(g, T, pts)
     fit_res = max(residual for _, residual, _ in fits)
     nab = max(float(np.abs(D).max()) for _, _, D in fits)
     if herm >= tol:
@@ -206,39 +201,32 @@ class ProductReport:
         )
 
 
-def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
-    """N_F at each point, read-only and memoised on g per (field, point,
-    step), so the product and equivalence checks of one run compute it once:
+def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[np.ndarray]:
+    """N_F at each point, read-only and memoised on g per (field, point),
+    so the product and equivalence checks of one run compute it once:
     the misses from one ``eval_batch`` of F and the derivative of F that
     nabla F reads (``_gradients``), contracted over the stack.  A batch that
     raises stores nothing, and its first failing point raises what it
     raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
-        N = _nijenhuis_tensor(eval_batch(F.field, qs), np.array(_gradients(g, F.field, qs, cfg)))
+        N = _nijenhuis_tensor(eval_batch(F.field, qs), np.array(_gradients(g, F.field, qs)))
         N.flags.writeable = False
         return N
 
     return _memo_batch(
-        g._memo, g.chart, ("nijenhuis", F.field), cfg.step, pts, compute,
-        one=lambda q: _nijenhuises(MetricField(g.field), F, [q], cfg),
+        g._memo, g.chart, ("nijenhuis", F.field), pts, compute,
+        one=lambda q: _nijenhuises(MetricField(g.field), F, [q]),
     )
 
 
-def check_product_structure(
-    g: MetricField,
-    F: ProductStructureField,
-    p: Point,
-    cfg: FdConfig = FdConfig(),
-) -> ProductReport:
+def check_product_structure(g: MetricField, F: ProductStructureField, p: Point) -> ProductReport:
     """The four residuals of an almost product pair (g, F) at p: the batch
     of one point."""
-    return _product_reports(g, F, [p], cfg)[0]
+    return _product_reports(g, F, [p])[0]
 
 
-def _product_reports(
-    g: MetricField, F: ProductStructureField, pts: Sequence[Point], cfg: FdConfig
-) -> list[ProductReport]:
+def _product_reports(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[ProductReport]:
     """``check_product_structure`` at each point: F from one ``eval_batch``,
     g from one ``matrices``, N_F and nabla F each from one batch, and every
     residual over the stack.  A batch that raises raises what its first
@@ -250,11 +238,11 @@ def _product_reports(
         gp = np.array(g.matrices(qs))
         inv = np.abs(Fp @ Fp - np.eye(n)).max(axis=(1, 2))
         met = np.abs(Fp.transpose(0, 2, 1) @ gp @ Fp - gp).max(axis=(1, 2))
-        nij = np.abs(np.array(_nijenhuises(g, F, qs, cfg))).max(axis=(1, 2, 3))
-        par = np.abs(np.array(_covariant_derivatives(g, F.field, qs, cfg))).max(axis=(1, 2, 3))
+        nij = np.abs(np.array(_nijenhuises(g, F, qs))).max(axis=(1, 2, 3))
+        par = np.abs(np.array(_covariant_derivatives(g, F.field, qs))).max(axis=(1, 2, 3))
         return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
 
-    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: check_product_structure(g, F, q, cfg))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_product_structure(g, F, q))
 
 
 def check_sigma_invariant_operator(
@@ -275,7 +263,7 @@ def _sigma_residuals(F: ProductStructureField, T: LocalBasisTriple, pts: Sequenc
         J = T.values(qs)
         return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, F.field.chart, None, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, q))
+    return _memo_batch({}, F.field.chart, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, q))
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,6 @@ def check_parallel_equivalence(
     F: ProductStructureField,
     T: LocalBasisTriple,
     pts: list[Point],
-    cfg: FdConfig = FdConfig(),
     tol: float = 1e-6,
 ) -> EquivalenceReport:
     """For a sigma-invariant F on a PQK pair, the three conditions
@@ -318,13 +305,13 @@ def check_parallel_equivalence(
         raise PreconditionFailedError(
             f"F is not sigma-invariant (residual {sig:.3e} >= {tol:.1e})"
         )
-    verdict = classify_structure(g, T, pts, tol=tol, cfg=cfg)
+    verdict = classify_structure(g, T, pts, tol=tol)
     if verdict.cls not in (StructureClass.PQK, StructureClass.LHPK_BASIS):
         raise PreconditionFailedError(
             f"(g, T) classifies as {verdict.cls.value}, need PQK or LhPK-basis"
         )
-    D = np.array(_covariant_derivatives(g, F.field, pts, cfg))  # [c, i, k, j]
-    N = np.array(_nijenhuises(g, F, pts, cfg))
+    D = np.array(_covariant_derivatives(g, F.field, pts))  # [c, i, k, j]
+    N = np.array(_nijenhuises(g, F, pts))
     J = T.values(pts)  # [c, a, m, i]
     mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)
     r_par, r_nij, r_mix = (float(np.abs(A).max()) for A in (D, N, mixed))

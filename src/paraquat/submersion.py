@@ -37,7 +37,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import FdConfig, ManifoldSpec, Point, _jets_of, _memo_batch, _point, _require_stencils
+from .fields import ManifoldSpec, Point, _check_point, _jets_of, _memo_batch, _point
 from .structures import StructureClass, _fits, classify_structure
 
 RANK_FLOOR = 1e-8
@@ -87,26 +87,27 @@ def _images(f: SubmersionMap, points: Sequence[Point]) -> list[Point]:
         return [_point(f.target, y) for y in Y]
 
     return _memo_batch(
-        f._memo, f.source, "image", None, points, compute, one=lambda q: dataclasses.replace(f).map_point(q)
+        f._memo, f.source, "image", points, compute, one=lambda q: dataclasses.replace(f).map_point(q)
     )
 
 
-def jacobian(f: SubmersionMap, p: Point, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def jacobian(f: SubmersionMap, p: Point) -> np.ndarray:
     """df at p as a read-only C-contiguous (n', n) matrix, the map's first
-    partials from its jets; raises ValidationError for a point off the
-    map's chart, StencilOutOfDomainError if the stencil leaves p's chart
-    and RankDeficientError if df is not onto."""
-    return _jacobians(f, [p], cfg)[0]
+    partials from its jets at p, anywhere in the closed box; raises
+    ValidationError for a point off the map's chart, OutOfDomainError for
+    one outside its box and RankDeficientError if df is not onto."""
+    return _jacobians(f, [p])[0]
 
 
-def _jacobians(f: SubmersionMap, points: Sequence[Point], cfg: FdConfig) -> list[np.ndarray]:
-    """``jacobian`` at each point, memoised on the map per point and step:
-    the misses' stencils, then one jets call, then one batched SVD."""
+def _jacobians(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
+    """``jacobian`` at each point, memoised on the map per point: the
+    misses' domain, then one jets call, then one batched SVD."""
     n, m = f.source.dim, f.target.dim
 
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(f)
-        _require_stencils(qs, cfg.step)
+        for q in qs:
+            _check_point(f.source, q)
         D = np.asarray(jets(qs, 1)[1], dtype=float)
         if D.shape != (len(qs), n, m):
             raise ShapeError(f"map differential has shape {D.shape[:0:-1]}, expected ({m}, {n})")
@@ -120,7 +121,7 @@ def _jacobians(f: SubmersionMap, points: Sequence[Point], cfg: FdConfig) -> list
         return J
 
     return _memo_batch(
-        f._memo, f.source, "df", cfg.step, points, compute, one=lambda q: jacobian(dataclasses.replace(f), q, cfg)
+        f._memo, f.source, "df", points, compute, one=lambda q: jacobian(dataclasses.replace(f), q)
     )
 
 
@@ -160,27 +161,27 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, H, Pv, Ph
 
 
-def vh_split(f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()) -> SplitFrame:
+def vh_split(f: SubmersionMap, g: MetricField, p: Point) -> SplitFrame:
     """The split at p, the memo's: df, then g at p, then the frames from
     ``_split_matrices``; p fails in that order."""
-    return _splits(f, g, [p], cfg)[0]
+    return _splits(f, g, [p])[0]
 
 
-def _splits(f: SubmersionMap, g: MetricField, points: Sequence[Point], cfg: FdConfig) -> list[SplitFrame]:
+def _splits(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[SplitFrame]:
     """``vh_split`` at each point, memoised on g under ("split", f) per
-    point and step: the misses' df from one ``_jacobians``, g from one
+    point: the misses' df from one ``_jacobians``, g from one
     ``matrices``, the frames from one ``_split_matrices``."""
 
     def compute(qs: list[Point]) -> list[SplitFrame]:
-        dfs = _jacobians(f, qs, cfg)
+        dfs = _jacobians(f, qs)
         frames = _split_matrices(np.array(dfs), np.array(g.matrices(qs)))
         for A in frames:
             A.flags.writeable = False
         return [SplitFrame(*row) for row in zip(qs, dfs, *frames)]
 
     return _memo_batch(
-        g._memo, g.chart, ("split", f), cfg.step, points, compute,
-        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), q, cfg),
+        g._memo, g.chart, ("split", f), points, compute,
+        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), q),
     )
 
 
@@ -189,14 +190,13 @@ def check_semi_riemannian(
     g: MetricField,
     g_target: MetricField,
     pts: Sequence[Point],
-    cfg: FdConfig = FdConfig(),
 ) -> float:
     """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at the sample,
     split, then mapped, in one batch each."""
 
     def compute(qs: list[Point]) -> list[float]:
         out = []
-        for fr, G, G_target in zip(_splits(f, g, qs, cfg), g.matrices(qs), g_target.matrices(_images(f, qs))):
+        for fr, G, G_target in zip(_splits(f, g, qs), g.matrices(qs), g_target.matrices(_images(f, qs))):
             down = fr.df @ fr.horizontal
             up = fr.horizontal.T @ G @ fr.horizontal
             dn = down.T @ G_target @ down
@@ -204,7 +204,7 @@ def check_semi_riemannian(
         return out
 
     residuals = _memo_batch(
-        {}, f.source, None, None, pts, compute, one=lambda q: check_semi_riemannian(f, g, g_target, [q], cfg)
+        {}, f.source, None, pts, compute, one=lambda q: check_semi_riemannian(f, g, g_target, [q])
     )
     return max([0.0, *residuals])
 
@@ -214,20 +214,19 @@ def check_paraholomorphic(
     T: LocalBasisTriple,
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
-    cfg: FdConfig = FdConfig(),
 ) -> float:
     """max_a |df o J_a - J'_a o df| over the sample, from one batch each of
     df, the triple, the images and the target triple."""
 
     def compute(qs: list[Point]) -> list[float]:
-        dfs, ups = _jacobians(f, qs, cfg), T.values(qs)
+        dfs, ups = _jacobians(f, qs), T.values(qs)
         return [
             max(float(np.abs(J @ up[a] - dn[a] @ J).max()) for a in range(3))
             for J, up, dn in zip(dfs, ups, T_target.values(_images(f, qs)))
         ]
 
     residuals = _memo_batch(
-        {}, f.source, None, None, pts, compute, one=lambda q: check_paraholomorphic(f, T, T_target, [q], cfg)
+        {}, f.source, None, pts, compute, one=lambda q: check_paraholomorphic(f, T, T_target, [q])
     )
     return max([0.0, *residuals])
 
@@ -244,7 +243,6 @@ def check_vh_invariance(
     T: LocalBasisTriple,
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
-    cfg: FdConfig = FdConfig(),
     tol: float = 1e-6,
 ) -> VhInvarianceReport:
     """Whether each J_a maps vertical to vertical and horizontal to horizontal.
@@ -252,7 +250,7 @@ def check_vh_invariance(
     Only meaningful for a paraholomorphic map, so that is checked first and a
     PreconditionFailedError raised when it fails at tol.
     """
-    para = check_paraholomorphic(f, T, T_target, pts, cfg)
+    para = check_paraholomorphic(f, T, T_target, pts)
     if para >= tol:
         raise PreconditionFailedError(
             f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
@@ -264,11 +262,11 @@ def check_vh_invariance(
                 max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
                 max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
             )
-            for fr, J in zip(_splits(f, g, qs, cfg), T.values(qs))
+            for fr, J in zip(_splits(f, g, qs), T.values(qs))
         ]
 
     leaks = _memo_batch(
-        {}, f.source, None, None, pts, compute, one=lambda q: check_vh_invariance(f, g, T, T_target, [q], cfg, tol)
+        {}, f.source, None, pts, compute, one=lambda q: check_vh_invariance(f, g, T, T_target, [q], tol)
     )
     return VhInvarianceReport(
         v_residual=max([0.0, *(rv for rv, _ in leaks)]), h_residual=max([0.0, *(rh for _, rh in leaks)])
@@ -301,16 +299,14 @@ class ONeillTensors:
         return float(np.abs(self.a_horizontal + self.a_horizontal.transpose(1, 0, 2)).max())
 
 
-def oneill_tensors(
-    f: SubmersionMap, g: MetricField, p: Point, cfg: FdConfig = FdConfig()
-) -> ONeillTensors:
+def oneill_tensors(f: SubmersionMap, g: MetricField, p: Point) -> ONeillTensors:
     """A and T at p from Gamma, the split at p and d_m Pv in closed form
-    (``_projector_partials``), with no split but p's.  The stencil of
-    cfg.step around p must lie in the chart."""
-    return _oneills(f, g, [p], cfg)[0]
+    (``_projector_partials``), with no split but p's, at any p of the
+    closed box."""
+    return _oneills(f, g, [p])[0]
 
 
-def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConfig) -> list[ONeillTensors]:
+def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONeillTensors]:
     """``oneill_tensors`` at each point: Gamma, the splits and d Pv each in
     one batch over the sample, then every contraction over the whole stack,
     each rounding as its one-point form does.  The products Gamma(U e_i,
@@ -320,11 +316,11 @@ def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConf
     ``einsum("kml,mi,lj->ikj")`` of one point."""
 
     def compute(qs: list[Point]) -> list[ONeillTensors]:
-        _christoffels(g, qs, cfg)
+        _christoffels(g, qs)
         # each point's Gamma read back from the memo the batch filled, through
         # the public christoffel, whose calls perfbench's tracer counts
-        gam = np.array([christoffel(g, q, cfg) for q in qs])
-        frs = _splits(f, g, qs, cfg)
+        gam = np.array([christoffel(g, q) for q in qs])
+        frs = _splits(f, g, qs)
         dPv = _projector_partials(f, g, frs)
         h, v, H = (np.array([getattr(fr, a) for fr in frs]) for a in ("h", "v", "horizontal"))
         U = np.stack([h, v], axis=1)
@@ -342,7 +338,7 @@ def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point], cfg: FdConf
         a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
         return [ONeillTensors(q, a, t, ah) for q, a, t, ah in zip(qs, full[:, 0], full[:, 1], a_h)]
 
-    return _memo_batch({}, g.chart, None, None, pts, compute, one=lambda q: oneill_tensors(f, g, q, cfg))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: oneill_tensors(f, g, q))
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:
@@ -388,20 +384,21 @@ def descend_one_forms(
     g: MetricField,
     T: LocalBasisTriple,
     fiber_pts: Sequence[Point],
-    cfg: FdConfig = FdConfig(),
     tol: float = 1e-6,
 ) -> DescentReport:
     """Evaluate the fitted 1-forms on basic lifts along one fiber.
 
-    All sample points must map to the same image (else NotAFiberError), and
-    the pair upstairs must classify as PQK or LhPK-basis (else
-    PreconditionFailedError).  The report carries the per-direction means and
-    the largest spread across the fiber; a small spread is what makes the
-    forms well defined downstairs.  The images, the fits (the memo's, from
-    the classification) and the splits each come in one batch.
+    The fiber needs two distinct points at least, since one point has no
+    spread to measure (else ValidationError).  All of them must map to the
+    same image (else NotAFiberError), and the pair upstairs must classify as
+    PQK or LhPK-basis (else PreconditionFailedError).  The report carries
+    the per-direction means and the largest spread across the fiber; a
+    small spread is what makes the forms well defined downstairs.  The
+    images, the fits (the memo's, from the classification) and the splits
+    each come in one batch.
     """
-    if not fiber_pts:
-        raise ValidationError("descend_one_forms needs at least one fiber point")
+    if len({tuple(q.coords.tolist()) for q in fiber_pts}) < 2:
+        raise ValidationError("descend_one_forms needs at least two distinct fiber points")
     images = _images(f, fiber_pts)
     base = images[0]
     for q in images[1:]:
@@ -409,7 +406,7 @@ def descend_one_forms(
             raise NotAFiberError(
                 f"sample points map to different images: {base.coords} vs {q.coords}"
             )
-    verdict = classify_structure(g, T, list(fiber_pts), tol=tol, cfg=cfg)
+    verdict = classify_structure(g, T, list(fiber_pts), tol=tol)
     if verdict.cls not in (StructureClass.PQK, StructureClass.LHPK_BASIS):
         raise PreconditionFailedError(
             f"pair classifies as {verdict.cls.value} along the fiber, need PQK or LhPK-basis"
@@ -417,16 +414,15 @@ def descend_one_forms(
     m = f.target.dim
     values = np.empty((len(fiber_pts), 3, m))
     fit_max = 0.0
-    fits, frs = _fits(g, T, fiber_pts, cfg), _splits(f, g, fiber_pts, cfg)
+    fits, frs = _fits(g, T, fiber_pts), _splits(f, g, fiber_pts)
     for k, ((omega, residual, _), fr) in enumerate(zip(fits, frs)):
         fit_max = max(fit_max, residual)
         for alpha in range(m):
             values[k, :, alpha] = omega @ _lift(fr, np.eye(m)[alpha])
-    spread = float((values.max(axis=0) - values.min(axis=0)).max()) if len(fiber_pts) > 1 else 0.0
     return DescentReport(
         image=base,
         omega_base=values.mean(axis=0),
-        constancy_residual=spread,
+        constancy_residual=float((values.max(axis=0) - values.min(axis=0)).max()),
         fit_residual_max=fit_max,
         points_used=len(fiber_pts),
     )

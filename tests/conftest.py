@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from paraquat import FdConfig, MetricField, SubmersionMap, christoffel, sample_points
-from paraquat.fields import eval_field, fd_gradient
+from fd_reference import fd_gradient
+from paraquat import MetricField, SubmersionMap, christoffel, sample_points
+from paraquat.fields import eval_field
 from paraquat.catalog import (
     METRICS,
     STD_J1,
@@ -46,20 +47,15 @@ def expression_map(source, target, components, label="map"):
     return SubmersionMap(source, target, values, label, jets=jets)
 
 
-def reference_nabla(g, T, p, cfg, fd=False):
+def reference_nabla(g, T, p, h=None):
     """(nabla_i T)^k_j at one point as the one-point code formed it: Gamma at
-    p on a fresh memo of g, T at p, dT from T's jets at p alone (with fd,
-    central differences around p alone), and one einsum per connection
-    term."""
-    gam = christoffel(MetricField(g.field), p, cfg)
+    p on a fresh memo of g, T at p, dT from T's jets at p alone (with a step
+    h, central differences of step h around p alone), and one einsum per
+    connection term."""
+    gam = christoffel(MetricField(g.field), p)
     Tp = eval_field(T, p)
-    dT = fd_gradient(T, p, cfg) if fd else T.jets([p], 1)[1][0]
+    dT = T.jets([p], 1)[1][0] if h is None else fd_gradient(T, p, h)
     return dT + np.einsum("kil,lj->ikj", gam, Tp) - np.einsum("lij,kl->ikj", gam, Tp)
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return FdConfig()
 
 
 @pytest.fixture(scope="session")

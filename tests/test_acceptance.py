@@ -34,7 +34,7 @@ from paraquat.exprlang import Bin, Call, Neg, Num, Sym
 from conftest import expression_map
 
 
-def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat4, std_triple, rot_triple, cfg):
+def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat4, std_triple, rot_triple):
     # the tau-algebra relations are those of the split quaternions with e_a
     # sent to J_a(p): a residual of 0 makes the triple their representation
     worst = 0.0
@@ -49,39 +49,39 @@ def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat
     print(f"PASS  algebra residual {worst:.2e} (< 1e-12)")
 
 
-def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple, cfg):
+def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple):
     pts = sample_points(chart4, 5, seed=104)
 
-    v1 = classify_structure(flat4, std_triple, pts, tol=1e-6, cfg=cfg)
+    v1 = classify_structure(flat4, std_triple, pts, tol=1e-6)
     assert v1.cls is StructureClass.LHPK_BASIS
     assert v1.nabla_max < 1e-6
 
-    v2 = classify_structure(flat4, rot_triple, pts, tol=1e-6, cfg=cfg)
+    v2 = classify_structure(flat4, rot_triple, pts, tol=1e-6)
     assert v2.cls is StructureClass.PQK
     expected = np.zeros((3, 4))
     expected[2, 0] = -1.0
     for p in pts:
-        fit = fit_kahler_oneforms(flat4, rot_triple, p, cfg)
+        fit = fit_kahler_oneforms(flat4, rot_triple, p)
         assert abs(fit.omega[2, 0] + 1.0) < 1e-5
         assert np.abs(fit.omega - expected).max() < 1e-5
 
-    v3 = classify_structure(euclidean4, std_triple, pts, tol=1e-6, cfg=cfg)
+    v3 = classify_structure(euclidean4, std_triple, pts, tol=1e-6)
     assert v3.cls is StructureClass.NOT_HERMITIAN
     print("PASS  ladder: LhPK-basis / PQK with w3 = -dx1 (within 1e-5) / NotHermitian")
 
 
-def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, flat4, std_triple, cfg):
+def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, flat4, std_triple):
     g8 = METRICS["neutral8"](chart8)
     proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
     worst_a, worst_anti = 0.0, 0.0
     for p in sample_points(chart8, 5, seed=105):
-        ten = oneill_tensors(proj, g8, p, cfg)
+        ten = oneill_tensors(proj, g8, p)
         worst_a = max(worst_a, ten.max_a_horizontal)
         worst_anti = max(worst_anti, ten.antisymmetry_residual)
 
-    bundle = build_tangent_bundle(flat4, std_triple, cfg=cfg)
+    bundle = build_tangent_bundle(flat4, std_triple)
     for xi in sample_points(bundle.spec, 5, seed=106):
-        ten = oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+        ten = oneill_tensors(bundle.projection, bundle.metric, xi)
         worst_a = max(worst_a, ten.max_a_horizontal)
         worst_anti = max(worst_anti, ten.antisymmetry_residual)
     assert worst_a < 1e-5
@@ -89,7 +89,7 @@ def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, f
     print(f"PASS  A-tensor max {worst_a:.2e}, antisymmetry {worst_anti:.2e} (< 1e-5)")
 
 
-def test_one_forms_descend_and_match_the_base_fit(chart8, cfg):
+def test_one_forms_descend_and_match_the_base_fit(chart8):
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8-rotated"](chart8)
     proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
@@ -98,44 +98,44 @@ def test_one_forms_descend_and_match_the_base_fit(chart8, cfg):
         Point(chart8, np.concatenate([base, [t, 0.25 - t, -0.1 * t, 0.3]]))
         for t in (-0.4, -0.2, 0.0, 0.2, 0.4)
     ]
-    rep = descend_one_forms(proj, g8, up, fiber, cfg)
+    rep = descend_one_forms(proj, g8, up, fiber)
     assert rep.constancy_residual < 1e-6
     chart4 = proj.target
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image, cfg)
+    fit = fit_kahler_oneforms(g4, down, rep.image)
     mismatch = float(np.abs(rep.omega_base - fit.omega).max())
     assert mismatch < 1e-5
     print(f"PASS  fiber constancy {rep.constancy_residual:.2e} (< 1e-6), base-fit mismatch {mismatch:.2e} (< 1e-5)")
 
 
-def test_parallel_and_integrable_are_equivalent_for_invariant_structures(chart8, cfg):
+def test_parallel_and_integrable_are_equivalent_for_invariant_structures(chart8):
     from paraquat.catalog import STRUCTURES
 
     g8 = METRICS["neutral8"](chart8)
     T8 = TRIPLES["product8"](chart8)
     pts = sample_points(chart8, 4, seed=107)
 
-    rep_yes = check_parallel_equivalence(g8, STRUCTURES["split8"](chart8), T8, pts, cfg)
+    rep_yes = check_parallel_equivalence(g8, STRUCTURES["split8"](chart8), T8, pts)
     assert rep_yes.flags == (True, True, True)
     assert rep_yes.agree
 
-    rep_no = check_parallel_equivalence(g8, STRUCTURES["split8-rotated"](chart8), T8, pts, cfg)
+    rep_no = check_parallel_equivalence(g8, STRUCTURES["split8-rotated"](chart8), T8, pts)
     assert rep_no.flags == (False, False, False)
     assert rep_no.agree
     assert min(rep_no.parallel_residual, rep_no.nijenhuis_residual, rep_no.mixed_residual) > 1e-3
     print("PASS  equivalence flags agree: (T,T,T) parallel case, (F,F,F) with residuals > 1e-3")
 
 
-def test_lifted_connection_and_bracket_match_the_closed_forms(flat4, conformal4, std_triple, cfg):
+def test_lifted_connection_and_bracket_match_the_closed_forms(flat4, conformal4, std_triple):
     worst = 0.0
     for g, seed in ((flat4, 108), (conformal4, 109)):
-        bundle = build_tangent_bundle(g, std_triple, cfg=cfg)
+        bundle = build_tangent_bundle(g, std_triple)
         for xi in sample_points(bundle.spec, 10, seed=seed):
             worst = max(worst, check_connection_oracle(bundle, xi))
     assert worst < 1e-3
 
-    bundle = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point(np.zeros(4), [0.0, 0.0, 0.9, 0.0])
     rep = check_bracket(bundle, np.eye(4)[1], np.eye(4)[2], xi)
     assert rep.max_residual < 1e-3
@@ -143,39 +143,39 @@ def test_lifted_connection_and_bracket_match_the_closed_forms(flat4, conformal4,
     print(f"PASS  connection residual {worst:.2e} (< 1e-3), bracket ok, flipped sign residual {rep.hh_flipped_residual:.2f} (> 1e-2)")
 
 
-def test_lifted_structures_classify_like_the_base(flat4, conformal4, std_triple, rot_triple, cfg):
-    b_std = build_tangent_bundle(flat4, std_triple, cfg=cfg)
+def test_lifted_structures_classify_like_the_base(flat4, conformal4, std_triple, rot_triple):
+    b_std = build_tangent_bundle(flat4, std_triple)
     pts = sample_points(b_std.spec, 3, seed=110)
-    v = classify_structure(b_std.metric, b_std.triple, pts, tol=1e-5, cfg=cfg)
+    v = classify_structure(b_std.metric, b_std.triple, pts, tol=1e-5)
     assert v.cls is StructureClass.LHPK_BASIS
 
-    b_rot = build_tangent_bundle(flat4, rot_triple, cfg=cfg)
+    b_rot = build_tangent_bundle(flat4, rot_triple)
     pts = sample_points(b_rot.spec, 3, seed=111)
-    v = classify_structure(b_rot.metric, b_rot.triple, pts, tol=1e-5, cfg=cfg)
+    v = classify_structure(b_rot.metric, b_rot.triple, pts, tol=1e-5)
     assert v.cls is StructureClass.PQK
     # the lifted forms are pullbacks: no fiber components, base components intact
     for xi in pts:
-        fit_up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, xi, cfg)
-        fit_down = fit_kahler_oneforms(flat4, rot_triple, b_rot.base_point(xi), cfg)
+        fit_up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, xi)
+        fit_down = fit_kahler_oneforms(flat4, rot_triple, b_rot.base_point(xi))
         assert np.abs(fit_up.omega[:, 4:]).max() < 1e-5
         assert np.abs(fit_up.omega[:, :4] - fit_down.omega).max() < 1e-5
 
-    b_conf = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
+    b_conf = build_tangent_bundle(conformal4, std_triple)
     pts = sample_points(b_conf.spec, 3, seed=112)
-    v = classify_structure(b_conf.metric, b_conf.triple, pts, tol=1e-3, cfg=cfg)
+    v = classify_structure(b_conf.metric, b_conf.triple, pts, tol=1e-3)
     assert v.cls is not StructureClass.PQK
     assert v.fit_residual_max > 1e-3  # the span form genuinely breaks upstairs
     print("PASS  lifted classes LhPK-basis / PQK with pulled-back forms (1e-5); curved base breaks the lift (> 1e-3)")
 
 
-def test_lifted_flatness_tracks_the_base(flat4, conformal4, std_triple, cfg):
-    b_flat = build_tangent_bundle(flat4, std_triple, cfg=cfg)
-    v = is_flat(b_flat.metric, sample_points(b_flat.spec, 3, seed=113), cfg=cfg)
+def test_lifted_flatness_tracks_the_base(flat4, conformal4, std_triple):
+    b_flat = build_tangent_bundle(flat4, std_triple)
+    v = is_flat(b_flat.metric, sample_points(b_flat.spec, 3, seed=113))
     assert v.flat
     assert v.max_residual < 1e-6
 
-    b_conf = build_tangent_bundle(conformal4, std_triple, cfg=cfg)
-    v = is_flat(b_conf.metric, sample_points(b_conf.spec, 3, seed=114), cfg=cfg)
+    b_conf = build_tangent_bundle(conformal4, std_triple)
+    v = is_flat(b_conf.metric, sample_points(b_conf.spec, 3, seed=114))
     assert not v.flat
     assert v.max_residual > 1e-2
     print(f"PASS  lifted metric flat over flat base (< 1e-6), curvature {v.max_residual:.2f} over curved base (> 1e-2)")

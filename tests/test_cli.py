@@ -156,7 +156,7 @@ def test_bad_override_exits_two(flag, value, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_large_step_keeps_sample_inside_the_stencil_margin(tmp_path, capsys):
+def test_large_step_keeps_the_sample_inside_its_margin(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", "sasaki-over-flat", "--step", "2e-2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -165,33 +165,69 @@ def test_large_step_keeps_sample_inside_the_stencil_margin(tmp_path, capsys):
 
 
 def test_errored_check_is_not_an_expected_failure(tmp_path, capsys):
+    diagonal = ["1/(x1 - x1)", "1", "-1", "-1"]  # not finite at any sampled point
     doc = {
         "name": "errored-negative-control",
-        "description": "a fiber outside the chart box errors instead of failing",
+        "description": "a metric that is not finite at the sample errors instead of failing",
         "expect": "fail",
         "geometry": {
-            "dim": 8,
-            "metric": "neutral8",
-            "triple": "product8-rotated",
-            "submersion": {"components": ["x1", "x2", "x3", "x4"]},
-            "target": {"dim": 4, "metric": "neutral4", "triple": "rotated4"},
+            "dim": 4,
+            "metric": {"matrix": [[diagonal[r] if r == c else "0" for c in range(4)] for r in range(4)]},
+            "triple": "standard4",
         },
-        "checks": [
-            {
-                "check": "descend-oneforms",
-                "fiber": [
-                    [0.1, 0.2, -0.1, 0.05, 1.5, 0.0, 0.0, 0.0],
-                    [0.1, 0.2, -0.1, 0.05, 1.7, 0.0, 0.0, 0.0],
-                ],
-            }
-        ],
+        "checks": [{"check": "hermitian"}],
     }
     f = tmp_path / "errored.json"
     f.write_text(json.dumps(doc))
     assert main(["run", str(f)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["checks"][0]["data"] == {"error": "OutOfDomainError"}
+    assert report["checks"][0]["data"] == {"error": "EvaluationError"}
     assert not report["overall"] and not report["final"]
+
+
+def _fiber_document(fiber):
+    """product-submersion-rotated with its descend-oneforms fiber replaced."""
+    doc = load_catalog_scenario("product-submersion-rotated")
+    for spec in doc["checks"]:
+        if spec["check"] == "descend-oneforms":
+            spec["fiber"] = fiber
+    return doc
+
+
+@pytest.mark.parametrize(
+    "fiber, says",
+    [
+        ([[0.1, 0.2, -0.1, 0.05, 1.5, 0.0, 0.0, 0.0], [0.1, 0.2, -0.1, 0.05, 1.7, 0.0, 0.0, 0.0]], "not a point of"),
+        ([[0.1, 0.2, -0.1, 0.05, 0.2, 0.0, 0.0], [0.1, 0.2, -0.1, 0.05, 0.4, 0.0, 0.0]], "not a point of"),
+        ([[0.1, 0.2, -0.1, 0.05, 0.2, 0.0, 0.0, 0.0]] * 3, "two distinct fiber points"),
+        ([[0.1, 0.2, -0.1, 0.05, 0.2, 0.0, 0.0, 0.0]], "two distinct fiber points"),
+    ],
+    ids=["outside the box", "a row of the wrong length", "one point three times", "one point"],
+)
+def test_a_fiber_off_the_box_or_of_one_point_exits_two(fiber, says, monkeypatch, tmp_path, capsys):
+    f = tmp_path / "fiber.json"
+    f.write_text(json.dumps(_fiber_document(fiber)))
+    ran = []  # the document's first check, classify, records each run
+    classify = scenario.classify_structure
+    monkeypatch.setattr(scenario, "classify_structure", lambda *a, **k: ran.append(1) or classify(*a, **k))
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    # a box or length problem is found before any check runs
+    assert ran == ([] if says == "not a point of" else [1])
+
+
+def test_a_fiber_point_within_a_step_of_the_wall_is_used_as_given(tmp_path, capsys):
+    # the jets at the point are exact there, so the catalog fiber with one
+    # coordinate half a step from the wall descends as the shipped one does
+    fiber = next(spec for spec in load_catalog_scenario("product-submersion-rotated")["checks"] if "fiber" in spec)["fiber"]
+    fiber[0][5] = 1.0 - 0.5e-3
+    f = tmp_path / "near-wall.json"
+    f.write_text(json.dumps(_fiber_document(fiber)))
+    out = tmp_path / "report.json"
+    assert main(["run", str(f), "--out", str(out)]) == 0
+    data = next(c["data"] for c in json.loads(out.read_text())["checks"] if c["name"] == "descend-oneforms")
+    assert data["constancy_residual"] < 1e-12 and data["downstairs_match_error"] < 1e-12
 
 
 def _no_geometry(*args, **kwargs):

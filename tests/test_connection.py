@@ -14,24 +14,21 @@ import pytest
 from paraquat import (
     DegenerateMetricError,
     EvaluationError,
-    FdConfig,
     LocalBasisTriple,
     MetricField,
     OutOfDomainError,
     Point,
-    StencilOutOfDomainError,
     TensorField,
     TransitionMap,
     ValidationError,
     apply_transition,
     build_tangent_bundle,
-    central_difference,
     christoffel,
     constant_field,
     covariant_derivative_11,
     curvature_operator,
     eval_field,
-    fd_gradient,
+    fit_kahler_oneforms,
     is_flat,
     jacobian,
     riemann,
@@ -50,6 +47,7 @@ from paraquat.catalog import (
     triple_from_config,
 )
 
+from fd_reference import H, central_difference, fd_gradient
 from conftest import BENT_COMPONENTS, expression_map, pointwise, reference_nabla, rotated4_matrices
 
 ETA = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -68,62 +66,62 @@ def conformal_christoffel_exact(dim=4):
     return gam
 
 
-def test_flat_christoffel_vanishes(flat4, pts4, cfg):
+def test_flat_christoffel_vanishes(flat4, pts4):
     for p in pts4:
-        assert np.abs(christoffel(flat4, p, cfg)).max() < 1e-12
+        assert np.abs(christoffel(flat4, p)).max() < 1e-12
 
 
-def test_conformal_christoffel_matches_exact(conformal4, pts4, cfg):
+def test_conformal_christoffel_matches_exact(conformal4, pts4):
     exact = conformal_christoffel_exact()
     for p in pts4:
-        got = christoffel(conformal4, p, cfg)
+        got = christoffel(conformal4, p)
         assert np.abs(got - exact).max() < 1e-5
 
 
-def test_christoffel_symmetric_lower_indices(conformal4, pts4, cfg):
+def test_christoffel_symmetric_lower_indices(conformal4, pts4):
     for p in pts4:
-        gam = christoffel(conformal4, p, cfg)
+        gam = christoffel(conformal4, p)
         assert np.abs(gam - gam.transpose(0, 2, 1)).max() < 1e-10
 
 
-def test_metric_compatibility(conformal4, pts4, cfg):
+def test_metric_compatibility(conformal4, pts4):
     # nabla g = 0 for the metric's own connection:
     # (nabla_i g)_{jk} = d_i g_{jk} - Gamma^l_{ij} g_{lk} - Gamma^l_{ik} g_{jl}
     for p in pts4:
-        gam = christoffel(conformal4, p, cfg)
+        gam = christoffel(conformal4, p)
         gp = eval_field(conformal4.field, p)
         D = (
-            fd_gradient(conformal4.field, p, cfg)
+            fd_gradient(conformal4.field, p, H)
             - np.einsum("lij,lk->ijk", gam, gp)
             - np.einsum("lik,jl->ijk", gam, gp)
         )
         assert np.abs(D).max() < 1e-5
 
 
-def test_conformal_curvature_magnitude(conformal4, cfg):
+def test_conformal_curvature_magnitude(conformal4):
     p = Point(conformal4.chart, [0.2, -0.3, 0.4, 0.1])
-    R = riemann(conformal4, p, cfg)
+    R = riemann(conformal4, p)
     assert abs(float(np.abs(R).max()) - 1.0) < 1e-4
 
 
-def test_riemann_antisymmetry_last_pair(conformal4, pts4, cfg):
+def test_riemann_antisymmetry_last_pair(conformal4, pts4):
     for p in pts4[:2]:
-        R = riemann(conformal4, p, cfg)
+        R = riemann(conformal4, p)
         assert np.abs(R + R.transpose(0, 1, 3, 2)).max() < 1e-4
 
 
-def test_first_bianchi(conformal4, cfg):
+def test_first_bianchi(conformal4):
     p = Point(conformal4.chart, [0.1, 0.2, -0.2, 0.3])
-    R = riemann(conformal4, p, cfg)  # R[l, k, i, j]
+    R = riemann(conformal4, p)  # R[l, k, i, j]
     cyc = R + R.transpose(0, 3, 1, 2) + R.transpose(0, 2, 3, 1)
     assert np.abs(cyc).max() < 1e-4
 
 
-def test_curvature_operator_values(conformal4, cfg):
+def test_curvature_operator_values(conformal4):
     # for g = e^{2 x1} eta the only curvature is in the planes not touching
     # x1, with unit strength: R(e2, e3) e3 = e2 at every point
     p = Point(conformal4.chart, [0.15, -0.1, 0.25, 0.0])
-    R = riemann(conformal4, p, cfg)
+    R = riemann(conformal4, p)
     e = np.eye(4)
     assert np.allclose(curvature_operator(R, e[1], e[2], e[2]), e[1], atol=1e-4)
     # antisymmetric in the first two slots
@@ -134,9 +132,9 @@ def test_curvature_operator_values(conformal4, cfg):
     )
 
 
-def test_is_flat_verdicts(flat4, conformal4, pts4, cfg):
-    assert is_flat(flat4, pts4, cfg=cfg).flat
-    verdict = is_flat(conformal4, pts4[:2], cfg=cfg)
+def test_is_flat_verdicts(flat4, conformal4, pts4):
+    assert is_flat(flat4, pts4).flat
+    verdict = is_flat(conformal4, pts4[:2])
     assert not verdict.flat
     assert verdict.max_residual > 0.5
 
@@ -156,7 +154,7 @@ def test_signature(flat4, euclidean4, chart4):
         signature(degenerate, p)
 
 
-def test_nijenhuis_hand_case(chart4, cfg):
+def test_nijenhuis_hand_case(chart4):
     # F with F^1_2 = x1 and F^2_1 = x2 (all else zero); at (1/2, 1/2, 0, 0)
     # the only nonvanishing components are N^1_12 = -N^1_21 = 1/2 and
     # N^2_12 = -N^2_21 = -1/2, worked out from
@@ -173,11 +171,11 @@ def test_nijenhuis_hand_case(chart4, cfg):
     assert np.abs(N - expected).max() < 1e-8
 
 
-def test_covariant_derivative_11_leibniz_against_parts(conformal4, chart4, cfg):
+def test_covariant_derivative_11_leibniz_against_parts(conformal4, chart4):
     # nabla of the identity (1,1) field must vanish for any metric connection
     eye = constant_field(chart4, 1, 1, np.eye(4), "id")
     p = Point(chart4, [0.2, 0.1, -0.3, 0.05])
-    D = covariant_derivative_11(conformal4, eye, p, cfg)
+    D = covariant_derivative_11(conformal4, eye, p)
     assert np.abs(D).max() < 1e-10
 
 
@@ -204,28 +202,28 @@ def _counted_metric(chart, comps=_conformal):
 
 
 EVALUATIONS = {
-    "matrix": lambda g, p, cfg: g.matrix(p),
+    "matrix": lambda g, p: g.matrix(p),
     "christoffel": christoffel,
     "riemann": riemann,
 }
 
 
 @pytest.mark.parametrize("what", sorted(EVALUATIONS))
-def test_memo_hit_is_read_only_and_skips_the_components(chart4, cfg, what):
+def test_memo_hit_is_read_only_and_skips_the_components(chart4, what):
     evaluate = EVALUATIONS[what]
     g, calls = _counted_metric(chart4)
     p = Point(chart4, MEMO_POINT)
-    first = evaluate(g, p, cfg)
+    first = evaluate(g, p)
     made = len(calls)
     assert made > 0
-    again = evaluate(g, Point(chart4, MEMO_POINT), cfg)
+    again = evaluate(g, Point(chart4, MEMO_POINT))
     assert len(calls) == made
     assert again.tobytes() == first.tobytes()
     assert not again.flags.writeable
     with pytest.raises(ValueError):
         again[(0,) * again.ndim] = 1.0
     fresh, _ = _counted_metric(chart4)
-    assert evaluate(fresh, p, cfg).tobytes() == first.tobytes()
+    assert evaluate(fresh, p).tobytes() == first.tobytes()
 
 
 def test_memo_never_freezes_the_callers_array(chart4):
@@ -239,42 +237,36 @@ def test_memo_never_freezes_the_callers_array(chart4):
 
 
 @pytest.mark.parametrize("what", ["christoffel", "riemann"])
-def test_memo_computes_another_step_afresh(chart4, what):
-    # the values do not depend on the step, but the stencil rule does: a
-    # point half a fine step inside the stencils at the fine step (one deep
-    # for Gamma, two for R) passes there and not at the coarse step,
-    # memoised at the fine step or not
+def test_memo_holds_one_value_per_point_and_no_step(chart4, what):
+    # a key is (kind, coordinate bytes): a point half a step from the wall
+    # is evaluated once and stored once, and a second call is a hit
     evaluate = EVALUATIONS[what]
+    kind = "gamma" if what == "christoffel" else "riem"
     g, calls = _counted_metric(chart4)
-    p = Point(chart4, [1.0 - (1.5e-3 if what == "christoffel" else 2.5e-3)] + MEMO_POINT[1:])
-    coarse, fine = FdConfig(step=2e-3), FdConfig(step=1e-3)
-    at_fine = evaluate(g, p, fine)
+    p = Point(chart4, [1.0 - 0.5 * H] + MEMO_POINT[1:])
+    first = evaluate(g, p)
     made = len(calls)
-    with pytest.raises(StencilOutOfDomainError):
-        evaluate(g, p, coarse)
+    assert [key for key in g._memo if key[0] == kind] == [(kind, p.coords.tobytes())]
+    assert evaluate(g, Point(chart4, p.coords)) is first
     assert len(calls) == made
     fresh, _ = _counted_metric(chart4)
-    assert at_fine.tobytes() == evaluate(fresh, p, fine).tobytes()
-    q = Point(chart4, MEMO_POINT)
-    at_coarse = evaluate(g, q, coarse)
-    assert evaluate(g, q, fine) is not at_coarse
-    assert evaluate(g, q, fine).tobytes() == at_coarse.tobytes()
+    assert evaluate(fresh, p).tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("what", sorted(EVALUATIONS))
-def test_memo_hit_still_rejects_a_point_of_another_chart(chart4, cfg, what):
+def test_memo_hit_still_rejects_a_point_of_another_chart(chart4, what):
     evaluate = EVALUATIONS[what]
     g, _ = _counted_metric(chart4)
-    evaluate(g, Point(chart4, MEMO_POINT), cfg)
+    evaluate(g, Point(chart4, MEMO_POINT))
     other = make_chart(4, coords=("a", "b", "c", "d"))
     with pytest.raises(ValidationError, match="different charts"):
-        evaluate(g, Point(other, MEMO_POINT), cfg)
+        evaluate(g, Point(other, MEMO_POINT))
 
 
 # ------------------------------------------------------------ one-point reference
 #
 # Gamma and R as one point at a time: the metric's jets at that point alone,
-# one inv and the einsums per point, under the stencil rule.  The engine
+# one inv and the einsums per point.  The engine
 # batches all of this; it must agree bit for bit and error for error.  The
 # central differences of one-point metric values, and of Gamma, are the
 # reference the jets converge to.
@@ -293,15 +285,13 @@ def _curvature(gam, dgam):
     )
 
 
-def reference_christoffel(g, p, cfg):
+def reference_christoffel(g, p):
     ginv = np.linalg.inv(g.matrix(p))
-    fields._require_stencils([p], cfg.step)
     return 0.5 * np.einsum("kl,lij->kij", ginv, _first_kind(g.field.jets([p], 2)[1][0]))
 
 
-def reference_riemann(g, p, cfg):
-    gam = reference_christoffel(g, p, cfg)
-    fields._require_stencils([p], cfg.step, depth=2)
+def reference_riemann(g, p):
+    gam = reference_christoffel(g, p)
     ginv = np.linalg.inv(g.matrix(p))
     _, D, H = (A[0] for A in g.field.jets([p], 2))
     dgam = -np.einsum("kp,mpq,qij->mkij", ginv, D, gam) + 0.5 * np.einsum("kl,mlij->mkij", ginv, _first_kind(H))
@@ -312,18 +302,18 @@ def _one_by_one(f):
     return lambda qs: np.stack([f(q) for q in qs])
 
 
-def fd_christoffel(g, p, cfg):
+def fd_christoffel(g, p, h):
     ginv = np.linalg.inv(g.matrix(p))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, _first_kind(central_difference(_one_by_one(g.matrix), p, cfg)))
+    return 0.5 * np.einsum("kl,lij->kij", ginv, _first_kind(central_difference(_one_by_one(g.matrix), p, h)))
 
 
-def fd_riemann(g, p, cfg):
-    dgam = central_difference(_one_by_one(lambda q: fd_christoffel(g, q, cfg)), p, cfg)
-    return _curvature(fd_christoffel(g, p, cfg), dgam)
+def fd_riemann(g, p, h):
+    dgam = central_difference(_one_by_one(lambda q: fd_christoffel(g, q, h)), p, h)
+    return _curvature(fd_christoffel(g, p, h), dgam)
 
 
 REFERENCE = {
-    "matrix": lambda g, p, cfg: g.matrix(p),
+    "matrix": lambda g, p: g.matrix(p),
     "christoffel": reference_christoffel,
     "riemann": reference_riemann,
 }
@@ -357,15 +347,15 @@ BIT_METRICS = {
 
 
 @pytest.mark.parametrize("name", sorted(BIT_METRICS))
-def test_batched_christoffel_and_riemann_equal_the_one_point_formula_bit_for_bit(chart4, cfg, name):
+def test_batched_christoffel_and_riemann_equal_the_one_point_formula_bit_for_bit(chart4, name):
     build, coords = BIT_METRICS[name]
     g = build(chart4)
     ref = MetricField(g.field)  # same components, its own memo
     for c in coords:
         p = Point(g.chart, c)
-        assert christoffel(g, p, cfg).tobytes() == reference_christoffel(ref, p, cfg).tobytes()
-        R = riemann(g, p, cfg)
-        assert R.tobytes() == reference_riemann(ref, p, cfg).tobytes()
+        assert christoffel(g, p).tobytes() == reference_christoffel(ref, p).tobytes()
+        R = riemann(g, p)
+        assert R.tobytes() == reference_riemann(ref, p).tobytes()
         assert np.abs(R).max() > 0 or name == "neutral4"
 
 
@@ -399,7 +389,7 @@ def conformal_closed_form(df, H):
     return gam, riem
 
 
-def test_expression_metric_christoffel_and_riemann_are_the_conformal_closed_form(chart4, cfg):
+def test_expression_metric_christoffel_and_riemann_are_the_conformal_closed_form(chart4):
     # an expression metric takes Gamma and R from exact jets, so they match
     # the closed form for e^{2f} eta to roundoff, not to O(h^2)
     g = _expression_metric(chart4)
@@ -407,8 +397,8 @@ def test_expression_metric_christoffel_and_riemann_are_the_conformal_closed_form
     for c in [MEMO_POINT, [0.5, -0.3, 0.2, -0.8]]:
         p = Point(chart4, c)
         gam, riem = conformal_closed_form(*_sweep_f_derivatives(np.array(c)))
-        assert np.abs(christoffel(g, p, cfg) - gam).max() < 1e-12
-        assert np.abs(riemann(g, p, cfg) - riem).max() < 1e-12
+        assert np.abs(christoffel(g, p) - gam).max() < 1e-12
+        assert np.abs(riemann(g, p) - riem).max() < 1e-12
         assert np.abs(riem).max() > 0.1
 
 
@@ -473,20 +463,20 @@ def _exact_and_fd(case):
     if kind in EVALUATIONS:  # Gamma and R at three points
         g = metric_from_config({"matrix": CONVERGENCE_METRICS[name]}, chart4)
         pts = [Point(chart4, c) for c in (MEMO_POINT, [0.5, -0.3, 0.2, -0.8], [-0.7, 0.6, 0.4, -0.1])]
-        exact = [np.stack([EVALUATIONS[kind](g, p, FdConfig()) for p in pts])]
-        return exact, lambda h: [np.stack([FD_EVALUATIONS[kind](MetricField(g.field), p, FdConfig(h)) for p in pts])]
+        exact = [np.stack([EVALUATIONS[kind](g, p) for p in pts])]
+        return exact, lambda h: [np.stack([FD_EVALUATIONS[kind](MetricField(g.field), p, h) for p in pts])]
     if kind == "df":  # the differential of an expression map, from its jets
         f = expression_map(make_chart(8), chart4, BENT_COMPONENTS, name)
         pts = sample_points(f.source, 3, seed=2)
-        exact = [np.stack([jacobian(f, p, FdConfig()) for p in pts])]
+        exact = [np.stack([jacobian(f, p) for p in pts])]
         values = lambda qs: f.components(np.array([q.coords for q in qs]))
-        return exact, lambda h: [central_difference(values, pts, FdConfig(h)).transpose(0, 2, 1)]
+        return exact, lambda h: [central_difference(values, pts, h).transpose(0, 2, 1)]
     build, top = CONVERGENCE_FIELDS[name]  # each jet order from the order below
     T = build()
     pts = sample_points(T.chart, 3, seed=2)
     orders = range(1, top + 1)
     below = lambda k: (lambda qs: fields.eval_batch(T, qs)) if k == 1 else (lambda qs: T.jets(qs, k - 1)[k - 1])
-    return [T.jets(pts, k)[k] for k in orders], lambda h: [central_difference(below(k), pts, FdConfig(h)) for k in orders]
+    return [T.jets(pts, k)[k] for k in orders], lambda h: [central_difference(below(k), pts, h) for k in orders]
 
 
 @pytest.mark.parametrize("case", CONVERGENCE_CASES)
@@ -501,28 +491,30 @@ def test_finite_differences_converge_to_the_jets_at_second_order(case):
         assert 1.8 <= np.log2(coarse / fine) <= 2.2, distance
 
 
-def test_jets_keep_the_stencil_rule(chart4, cfg):
-    # exact jets read no stencil, yet Gamma needs its stencil, and R the
-    # stencils nested two deep, inside the chart, as central differences of
-    # g, and of those, do
-    g = _expression_metric(chart4)
-    ref = MetricField(g.field)
-    stencils = {
-        "christoffel": lambda p: central_difference(ref.matrices, p, cfg),
-        "riemann": lambda p: central_difference(lambda qs: central_difference(ref.matrices, qs, cfg), p, cfg),
-    }
-    for what, x1 in [("christoffel", 1.0 - 0.5 * H), ("riemann", 1.0 - 1.5 * H)]:
-        p = Point(chart4, [x1, 0.0, 0.0, 0.0])
-        with pytest.raises(StencilOutOfDomainError) as expected:
-            stencils[what](p)
-        with pytest.raises(StencilOutOfDomainError) as got:
-            EVALUATIONS[what](g, p, cfg)
-        assert str(got.value) == str(expected.value)
-        assert not _stored(g, "riem")
-        assert _stored(g, "gamma") <= ({p.coords.tobytes()} if what == "riemann" else set())
-    inside = Point(chart4, [1.0 - 2.5 * H, 0.0, 0.0, 0.0])
-    _, riem = conformal_closed_form(*_sweep_f_derivatives(inside.coords))
-    assert np.abs(riemann(g, inside, cfg) - riem).max() < 1e-12
+@pytest.mark.parametrize("x1", [1.0 - 0.5 * H, 1.0])
+def test_derivatives_within_a_step_of_the_wall_equal_those_on_a_wider_box(x1):
+    # jets read the point alone, so Gamma, R, df and a fit evaluate half a
+    # step from the wall, and on it, and carry the same bits as the same
+    # fields on a box twice as wide, where the point is well inside
+    near, wide = make_chart(4), make_chart(4, domain=[[-2.0, 2.0]] * 4)
+
+    def derivatives(chart):
+        g = _expression_metric(chart)
+        T = TRIPLES["rotated4"](chart)
+        source = make_chart(8, domain=chart.domain.tolist() * 2)
+        f = expression_map(source, chart, BENT_COMPONENTS, "bent")
+        p = Point(chart, [x1, -0.2, 0.3, 0.05])
+        fit = fit_kahler_oneforms(g, T, p)
+        return [
+            christoffel(g, p), riemann(g, p), fit.omega, fit.nabla,
+            jacobian(f, Point(source, [x1, -0.2, 0.3, 0.05, 0.1, -0.4, 0.2, 0.6])),
+        ]
+
+    at_wall = derivatives(near)
+    for a, b in zip(at_wall, derivatives(wide), strict=True):
+        _assert_same_bits(a, b)
+    _, riem = conformal_closed_form(*_sweep_f_derivatives(np.array([x1, -0.2, 0.3, 0.05])))
+    assert np.abs(at_wall[1] - riem).max() < 1e-12
 
 
 def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):
@@ -574,7 +566,7 @@ def test_matrices_hands_the_distinct_misses_to_the_batch_form_in_one_call(chart4
     assert len(g._memo) == 2
 
 
-def test_christoffel_batch_computes_a_repeated_centre_once(chart4, cfg):
+def test_christoffel_batch_computes_a_repeated_centre_once(chart4):
     g, calls = _counted_metric(chart4)
     jets, centres = g.field.jets, []
 
@@ -584,15 +576,14 @@ def test_christoffel_batch_computes_a_repeated_centre_once(chart4, cfg):
 
     g = MetricField(dataclasses.replace(g.field, jets=counted))
     p = Point(chart4, MEMO_POINT)
-    first, again = connection._christoffels(g, [p, p], cfg)
+    first, again = connection._christoffels(g, [p, p])
     assert centres == [1]
     assert len(calls) == 1  # the centre, once
-    assert first is again is christoffel(g, p, cfg)
+    assert first is again is christoffel(g, p)
     assert centres == [1]
 
 
-H = FdConfig().step
-# an x1 coordinate two steps beyond MEMO_POINT's, on no stencil of it
+# an x1 coordinate just beyond MEMO_POINT's, past which components or jets may fail
 RING_X1 = MEMO_POINT[0] + 1.5 * H
 
 
@@ -619,11 +610,12 @@ RAISING = {
     "not symmetric": (
         "matrix", lambda p: ETA + np.triu(np.ones((4, 4)), 1), MEMO_POINT, ValidationError,
     ),
-    "Gamma stencil off the box": (
-        "christoffel", _conformal, [1.0 - 0.5 * H, 0.0, 0.0, 0.0], StencilOutOfDomainError,
+    "Gamma off the box": (
+        "christoffel", _conformal, [1.0 + 0.5 * H, 0.0, 0.0, 0.0], OutOfDomainError,
     ),
-    "R stencil off the box": (
-        "riemann", _conformal, [1.0 - 1.5 * H, 0.0, 0.0, 0.0], StencilOutOfDomainError,
+    "R of a degenerate metric": (
+        "riemann", lambda p: np.diag([p.coords[0], 1.0, -1.0, -1.0]), [0.0, 0.1, 0.2, 0.3],
+        DegenerateMetricError,
     ),
 }
 
@@ -633,16 +625,16 @@ def _stored(g, kind):
 
 
 @pytest.mark.parametrize("case", sorted(RAISING))
-def test_memo_stores_nothing_when_an_evaluation_raises(chart4, cfg, case):
+def test_memo_stores_nothing_when_an_evaluation_raises(chart4, case):
     what, comps, coords, error = RAISING[case]
     g, _ = _counted_metric(chart4, comps)
     p = Point(chart4, coords)
     ref, _ = _counted_metric(chart4, comps)
     with pytest.raises(error) as expected:
-        REFERENCE[what](ref, p, cfg)
+        REFERENCE[what](ref, p)
     for _ in range(2):
         with pytest.raises(error) as got:
-            EVALUATIONS[what](g, p, cfg)
+            EVALUATIONS[what](g, p)
         assert str(got.value) == str(expected.value)
     assert not _stored(g, "riem")
     if what == "matrix":
@@ -665,10 +657,22 @@ def test_matrices_raise_a_degenerate_point_before_a_later_point_off_the_box(char
     assert not g._memo
 
 
-def test_christoffel_batch_raises_what_its_first_failing_centre_raises_alone(chart4, cfg):
-    # the first centre fails on its stencil, the later one at the centre,
-    # which the batch evaluates first
-    first = Point(chart4, [1.0 - 0.5 * H] + MEMO_POINT[1:])
+def _jets_failing_beyond_ring(g):
+    """g with jets that raise EvaluationError at a point beyond RING_X1."""
+
+    def jets(pts, order):
+        for q in pts:
+            if q.coords[0] > RING_X1:
+                raise EvaluationError(f"jets fail at {q}")
+        return g.field.jets(pts, order)
+
+    return MetricField(dataclasses.replace(g.field, jets=jets))
+
+
+def test_christoffel_batch_raises_what_its_first_failing_centre_raises_alone(chart4):
+    # the first centre fails in its jets, the later one in its metric
+    # value, which the batch evaluates first
+    first = Point(chart4, [RING_X1 + 0.1] + MEMO_POINT[1:])
     later = Point(chart4, MEMO_POINT).shifted(1, 0.25)
 
     def comps(p):
@@ -676,14 +680,14 @@ def test_christoffel_batch_raises_what_its_first_failing_centre_raises_alone(cha
             return ETA + np.triu(np.ones((4, 4)), 1)
         return _conformal(p)
 
-    g, _ = _counted_metric(chart4, comps)
-    ref, _ = _counted_metric(chart4, comps)
-    with pytest.raises(StencilOutOfDomainError) as expected:
-        christoffel(ref, first, cfg)
+    g = _jets_failing_beyond_ring(_counted_metric(chart4, comps)[0])
+    ref = _jets_failing_beyond_ring(_counted_metric(chart4, comps)[0])
+    with pytest.raises(EvaluationError) as expected:
+        christoffel(ref, first)
     with pytest.raises(ValidationError, match="not symmetric"):
-        christoffel(ref, later, cfg)
-    with pytest.raises(StencilOutOfDomainError) as got:
-        connection._christoffels(g, [first, later], cfg)
+        christoffel(ref, later)
+    with pytest.raises(EvaluationError) as got:
+        connection._christoffels(g, [first, later])
     assert str(got.value) == str(expected.value)
     assert not g._memo
 
@@ -712,32 +716,32 @@ def _assert_same_bits(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(NABLA_CASES))
-def test_batched_nabla_is_the_one_point_formula_bit_for_bit(chart4, cfg, name):
+def test_batched_nabla_is_the_one_point_formula_bit_for_bit(chart4, name):
     metric, field = NABLA_CASES[name]
     g, T = metric(chart4), field(chart4)
     pts = [Point(chart4, c) for c in NABLA_POINTS]
-    batch = connection._covariant_derivatives(g, T, pts, cfg)
+    batch = connection._covariant_derivatives(g, T, pts)
     for p, D in zip(pts, batch):
-        _assert_same_bits(D, reference_nabla(g, T, p, cfg))
+        _assert_same_bits(D, reference_nabla(g, T, p))
         assert not D.flags.writeable
-        assert covariant_derivative_11(g, T, Point(chart4, p.coords), cfg) is D
+        assert covariant_derivative_11(g, T, Point(chart4, p.coords)) is D
     assert max(np.abs(D).max() for D in batch) > 0 or name == "constant over neutral4"
 
 
 @pytest.mark.parametrize("triple", ["standard4", "rotated4"])
-def test_batched_nabla_of_a_lifted_member_is_the_one_point_formula_bit_for_bit(chart4, cfg, triple):
+def test_batched_nabla_of_a_lifted_member_is_the_one_point_formula_bit_for_bit(chart4, triple):
     # the Sasaki lift over conformal-neutral4: lifted members of a constant
     # (standard4) or a turning (rotated4) base member, on the 8-dim lifted
     # metric
     base = METRICS["conformal-neutral4"](chart4)
-    bundle = build_tangent_bundle(base, TRIPLES[triple](chart4), cfg=cfg)
+    bundle = build_tangent_bundle(base, TRIPLES[triple](chart4))
     T = bundle.triple.j2
     pts = [bundle.point(x, u) for x, u in [(MEMO_POINT, [0.2, -0.1, 0.15, 0.3]), ([-0.6, 0.4, 0.0, 0.7], [0.0, 0.5, -0.4, 0.1])]]
-    for p, D in zip(pts, connection._covariant_derivatives(bundle.metric, T, pts, cfg)):
-        _assert_same_bits(D, reference_nabla(bundle.metric, T, p, cfg))
+    for p, D in zip(pts, connection._covariant_derivatives(bundle.metric, T, pts)):
+        _assert_same_bits(D, reference_nabla(bundle.metric, T, p))
 
 
-def test_nabla_batch_raises_what_its_first_failing_point_raises_alone_and_stores_nothing(chart4, cfg):
+def test_nabla_batch_raises_what_its_first_failing_point_raises_alone_and_stores_nothing(chart4):
     # the field is not finite at the second point, the metric degenerate at
     # the third, which the batch's Gamma finds before it evaluates the field
     def comps(p):
@@ -748,25 +752,25 @@ def test_nabla_batch_raises_what_its_first_failing_point_raises_alone_and_stores
     for batch, alone in ((connection._covariant_derivatives, covariant_derivative_11), (connection._gradients, connection._gradient)):
         ref, _ = _counted_metric(chart4, comps)
         with pytest.raises(EvaluationError) as expected:
-            alone(ref, T, pts[1], cfg)
+            alone(ref, T, pts[1])
         g, _ = _counted_metric(chart4, comps)
         with pytest.raises(EvaluationError) as got:
-            batch(g, T, pts, cfg)
+            batch(g, T, pts)
         assert str(got.value) == str(expected.value)
         assert not [key for key in g._memo if key[0] in ("gamma", ("nabla", T), ("d", T))]
 
 
-def test_gradient_batch_raises_what_its_first_failing_point_raises_alone(chart4, cfg):
-    # a field with jets: the second point's stencil leaves the box, and the
-    # third lies on another chart, which the batch checks first
+def test_gradient_batch_raises_what_its_first_failing_point_raises_alone(chart4):
+    # a field with jets: the second point lies outside the box, and the
+    # third on another chart, which the batch checks first
     T = triple_from_config({"matrices": rotated4_matrices()}, chart4).j1
     other = make_chart(4, coords=("a", "b", "c", "d"))
-    pts = [Point(chart4, MEMO_POINT), Point(chart4, [1.0 - 0.5 * H, 0.0, 0.0, 0.0]), Point(other, MEMO_POINT)]
+    pts = [Point(chart4, MEMO_POINT), Point(chart4, [1.0 + 0.5 * H, 0.0, 0.0, 0.0]), Point(other, MEMO_POINT)]
     g = MetricField(METRICS["conformal-neutral4"](chart4).field)
-    with pytest.raises(StencilOutOfDomainError) as expected:
-        connection._gradient(MetricField(g.field), T, pts[1], cfg)
-    with pytest.raises(StencilOutOfDomainError) as got:
-        connection._gradients(g, T, pts, cfg)
+    with pytest.raises(OutOfDomainError) as expected:
+        connection._gradient(MetricField(g.field), T, pts[1])
+    with pytest.raises(OutOfDomainError) as got:
+        connection._gradients(g, T, pts)
     assert str(got.value) == str(expected.value)
     assert not [key for key in g._memo if key[0] == ("d", T)]
 
@@ -781,22 +785,22 @@ def _without_jets(f):
 NO_JETS = {
     # entry point: (a call that differentiates something without jets, the name it raises with)
     "christoffel": (
-        lambda c, p, cfg: christoffel(MetricField(_without_jets(METRICS["conformal-neutral4"](c).field)), p, cfg),
+        lambda c, p: christoffel(MetricField(_without_jets(METRICS["conformal-neutral4"](c).field)), p),
         "conformal-neutral4",
     ),
     "covariant_derivative_11": (
-        lambda c, p, cfg: covariant_derivative_11(METRICS["neutral4"](c), _without_jets(TRIPLES["rotated4"](c).j1), p, cfg),
+        lambda c, p: covariant_derivative_11(METRICS["neutral4"](c), _without_jets(TRIPLES["rotated4"](c).j1), p),
         "J1'",
     ),
     "jacobian": (
-        lambda c, p, cfg: jacobian(
-            _without_jets(expression_map(make_chart(8), c, BENT_COMPONENTS, "bent")), Point(make_chart(8), MEMO_POINT * 2), cfg
+        lambda c, p: jacobian(
+            _without_jets(expression_map(make_chart(8), c, BENT_COMPONENTS, "bent")), Point(make_chart(8), MEMO_POINT * 2)
         ),
         "bent",
     ),
     "build_tangent_bundle": (
-        lambda c, p, cfg: build_tangent_bundle(
-            METRICS["conformal-neutral4"](c), LocalBasisTriple(*(_without_jets(f) for f in TRIPLES["rotated4"](c).fields)), cfg=cfg
+        lambda c, p: build_tangent_bundle(
+            METRICS["conformal-neutral4"](c), LocalBasisTriple(*(_without_jets(f) for f in TRIPLES["rotated4"](c).fields))
         ),
         "J1'",
     ),
@@ -804,18 +808,18 @@ NO_JETS = {
 
 
 @pytest.mark.parametrize("entry", sorted(NO_JETS))
-def test_a_derivative_of_a_field_or_map_without_jets_raises_naming_it(chart4, cfg, entry):
+def test_a_derivative_of_a_field_or_map_without_jets_raises_naming_it(chart4, entry):
     call, name = NO_JETS[entry]
     with pytest.raises(ValidationError, match=f"^{re.escape(name)} has no jets"):
-        call(chart4, Point(chart4, MEMO_POINT), cfg)
+        call(chart4, Point(chart4, MEMO_POINT))
 
 
 @pytest.mark.parametrize("member, top", [("witness", 1), ("lifted member", 1), ("lifted metric", 2)])
-def test_jets_beyond_their_top_order_raise_naming_the_field(chart4, cfg, member, top):
+def test_jets_beyond_their_top_order_raise_naming_the_field(chart4, member, top):
     if member == "witness":
         T = _witness_member(chart4, TURNING)
     else:
-        bundle = build_tangent_bundle(METRICS["conformal-neutral4"](chart4), TRIPLES["standard4"](chart4), cfg=cfg)
+        bundle = build_tangent_bundle(METRICS["conformal-neutral4"](chart4), TRIPLES["standard4"](chart4))
         T = bundle.triple.j2 if member == "lifted member" else bundle.metric.field
     pts = sample_points(T.chart, 2, seed=3)
     assert len(T.jets(pts, top)) == top + 1

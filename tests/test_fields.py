@@ -1,25 +1,22 @@
-import re
-
 import numpy as np
 import pytest
 
+from fd_reference import H, central_difference, fd_gradient
 from paraquat import (
-    FdConfig,
     ManifoldSpec,
+    MetricField,
     EvaluationError,
     OutOfDomainError,
     Point,
     ShapeError,
-    StencilOutOfDomainError,
     TensorField,
     ValidationError,
-    central_difference,
     constant_field,
     eval_field,
-    fd_gradient,
     sample_points,
 )
 from paraquat.catalog import make_chart
+from paraquat.connection import _gradients
 from paraquat.fields import _memo_batch, eval_batch
 
 
@@ -117,33 +114,26 @@ def test_constant_field_keeps_its_own_copy(chart4):
     assert value.flags.writeable
 
 
-def test_fd_partial_accuracy(chart4, cfg):
+def test_fd_partial_accuracy(chart4):
     # d/dx1 sin(x1) = cos(x1); the central scheme is O(h^2)
     f = TensorField(chart4, 0, 0, lambda ps: [np.sin(q.coords[0]) for q in ps], "sin")
     p = Point(chart4, [0.3, 0.0, 0.0, 0.0])
-    got = fd_gradient(f, p, cfg)[0]
+    got = fd_gradient(f, p, H)[0]
     assert abs(float(got) - np.cos(0.3)) < 1e-6
 
 
-def test_fd_partial_exact_for_affine(chart4, cfg):
+def test_fd_partial_exact_for_affine(chart4):
     f = TensorField(chart4, 1, 0, lambda ps: [np.array([2 * q.coords[1], 0, 0, 1.0]) for q in ps], "aff")
     p = Point(chart4, [0.0, 0.5, 0.0, 0.0])
-    assert np.allclose(fd_gradient(f, p, cfg)[1], [2, 0, 0, 0], atol=1e-12)
+    assert np.allclose(fd_gradient(f, p, H)[1], [2, 0, 0, 0], atol=1e-12)
 
 
-def test_fd_partial_stencil_guard(chart4, cfg):
-    f = constant_field(chart4, 0, 0, np.array(1.0), "one")
-    wall = Point(chart4, [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(StencilOutOfDomainError):
-        fd_gradient(f, wall, cfg)
-
-
-def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(chart4, cfg):
+def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(chart4):
     """A field gets each stencil in one ``components`` call, and every
     value still gets eval_field's checks: a stencil with bad values raises
     what the first bad point raises through eval_field."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
-    h = cfg.step
+    h = H
 
     def spoilt(bad, calls):  # a smooth field, but bad[coordinate bytes] at those points
         def one(q):
@@ -166,28 +156,28 @@ def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(cha
             return [eval_field(f, q) for q in qs]
 
         if not bad:
-            expected = central_difference(pointwise, p, cfg)
+            expected = central_difference(pointwise, p, h)
             calls.clear()
-            assert fd_gradient(f, p, cfg).tobytes() == expected.tobytes()
+            assert fd_gradient(f, p, h).tobytes() == expected.tobytes()
             # one call for the stencil
             assert calls == [8]
         else:
             with pytest.raises((EvaluationError, ShapeError)) as expected:
-                central_difference(pointwise, p, cfg)
+                central_difference(pointwise, p, h)
             calls.clear()
             with pytest.raises(type(expected.value)) as got:
-                fd_gradient(f, p, cfg)
+                fd_gradient(f, p, h)
             assert str(got.value) == str(expected.value)
             # one call for the stencil, then its replay a point at a time
             assert calls[0] == 8 and set(calls[1:]) <= {1}
 
 
-def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, cfg, monkeypatch):
+def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, monkeypatch):
     """One domain test for the whole stack, no per-point ``contains``; a
     batch with a point outside raises that point's own error, by name."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
     f = TensorField(chart4, 1, 0, lambda qs: [q.coords * 2.0 for q in qs], "f")
-    stencil = [p.shifted(m, s * cfg.step) for m in range(4) for s in (1, -1)]
+    stencil = [p.shifted(m, s * H) for m in range(4) for s in (1, -1)]
     contains = []
     real = ManifoldSpec.contains
     monkeypatch.setattr(ManifoldSpec, "contains", lambda self, *a, **k: contains.append(1) or real(self, *a, **k))
@@ -215,41 +205,41 @@ def test_memo_batch_computes_the_distinct_misses_once_and_checks_every_chart(cha
     p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
     q = p.shifted(0, 0.25)
     memo, calls = {}, []
-    out = _memo_batch(memo, chart4, "s", 1e-3, [p, q, p], _summed(calls))
+    out = _memo_batch(memo, chart4, "s", [p, q, p], _summed(calls))
     assert calls == [[p.coords.tobytes(), q.coords.tobytes()]]
     assert out == [p.coords.sum(), q.coords.sum(), p.coords.sum()]
-    assert set(memo) == {("s", r.coords.tobytes(), 1e-3) for r in (p, q)}
+    # a key is (kind, coordinate bytes): it holds no step
+    assert set(memo) == {("s", r.coords.tobytes()) for r in (p, q)}
     # hits compute nothing; a new point is the only miss of its batch
     r = p.shifted(1, 0.25)
-    _memo_batch(memo, chart4, "s", 1e-3, [q, r, p], _summed(calls))
+    _memo_batch(memo, chart4, "s", [q, r, p], _summed(calls))
     assert calls[1:] == [[r.coords.tobytes()]]
-    # kind and step are part of the key
-    _memo_batch(memo, chart4, "s", 2e-3, [p], _summed(calls))
-    _memo_batch(memo, chart4, "t", 1e-3, [p], _summed(calls))
-    assert len(calls) == 4
+    # the kind is part of the key
+    _memo_batch(memo, chart4, "t", [p], _summed(calls))
+    assert len(calls) == 3
     # a hit at a point of another chart raises, before any compute
     other = make_chart(4, domain=[[-2.0, 2.0]] * 4)
     with pytest.raises(ValidationError, match="different charts"):
-        _memo_batch(memo, chart4, "s", 1e-3, [Point(other, p.coords)], _summed(calls))
+        _memo_batch(memo, chart4, "s", [Point(other, p.coords)], _summed(calls))
     with pytest.raises(ValidationError, match="different charts"):
-        _memo_batch(memo, chart4, "s", 1e-3, [p.shifted(2, 0.25), Point(other, p.coords)], _summed(calls))
-    assert len(calls) == 4
+        _memo_batch(memo, chart4, "s", [p.shifted(2, 0.25), Point(other, p.coords)], _summed(calls))
+    assert len(calls) == 3
 
 
 def test_memo_batch_stores_nothing_when_compute_raises(chart4):
     p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
     memo = {}
-    _memo_batch(memo, chart4, "s", None, [p], _summed([]))
+    _memo_batch(memo, chart4, "s", [p], _summed([]))
     stored = dict(memo)
 
     def failing(pts):
         raise EvaluationError("the batch fails")
 
     with pytest.raises(EvaluationError, match="the batch fails"):
-        _memo_batch(memo, chart4, "s", None, [p, p.shifted(0, 0.25), p.shifted(1, 0.25)], failing)
+        _memo_batch(memo, chart4, "s", [p, p.shifted(0, 0.25), p.shifted(1, 0.25)], failing)
     # a compute that returns a value short stores nothing either
     with pytest.raises(ValueError):
-        _memo_batch(memo, chart4, "s", None, [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: [1.0])
+        _memo_batch(memo, chart4, "s", [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: [1.0])
     assert memo == stored
 
 
@@ -267,48 +257,55 @@ def test_memo_batch_replays_a_failing_batch_point_by_point(chart4):
             raise EvaluationError(f"fails alone at {q}")
 
     with pytest.raises(EvaluationError) as got:
-        _memo_batch(memo, chart4, "s", None, [p, later, first], failing, one=one)
+        _memo_batch(memo, chart4, "s", [p, later, first], failing, one=one)
     assert str(got.value) == f"fails alone at {later}"
     assert tried == [p.coords.tobytes(), later.coords.tobytes()]
     # no point fails alone: the batch's own error
     with pytest.raises(EvaluationError, match="the batch fails"):
-        _memo_batch(memo, chart4, "s", None, [p, p.shifted(3, 0.25)], failing, one=one)
+        _memo_batch(memo, chart4, "s", [p, p.shifted(3, 0.25)], failing, one=one)
     # a batch of one raises its own error and is not replayed
     tried.clear()
     with pytest.raises(EvaluationError, match="the batch fails"):
-        _memo_batch(memo, chart4, "s", None, [first], failing, one=one)
+        _memo_batch(memo, chart4, "s", [first], failing, one=one)
     assert tried == [] and memo == {}
 
 
-def test_central_difference_is_the_per_direction_formula(chart4, cfg):
+def test_central_difference_is_the_per_direction_formula(chart4):
     def f(q):
         x = q.coords
         return np.array([[np.sin(x[0] * x[1]), np.exp(x[2])], [x[3] ** 3, np.cos(x[0] - x[3])]])
 
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
-    h = cfg.step
+    h = H
     explicit = np.stack(
         [(f(p.shifted(m, +h)) - f(p.shifted(m, -h))) / (2.0 * h) for m in range(4)]
     )
-    got = central_difference(lambda qs: np.stack([f(q) for q in qs]), p, cfg)
+    got = central_difference(lambda qs: np.stack([f(q) for q in qs]), p, h)
     assert got.shape == (4, 2, 2)
     assert got.tobytes() == explicit.tobytes()
 
 
-@pytest.mark.parametrize("offset", [0.5, 0.999])
-def test_central_difference_checks_the_whole_stencil(chart4, cfg, offset):
-    calls = []
-    near = Point(chart4, [0.0, 0.0, 0.0, -1.0 + offset * cfg.step])  # inside the box
+@pytest.mark.parametrize("offset", [0.0, 0.5, 0.999])
+def test_a_derivative_within_a_step_of_the_wall_reads_the_point_alone(chart4, flat4, offset):
+    """The jets are asked for the centres themselves, in one call, however
+    near the wall, and on it; no stencil point is evaluated."""
+    near = Point(chart4, [0.0, 0.0, 0.0, -1.0 + offset * H])  # in the closed box
     inside = Point(chart4, [0.3, -0.2, 0.45, 0.1])
-    for centres in (near, [inside, near]):
-        with pytest.raises(StencilOutOfDomainError, match=re.escape(repr(near))):
-            central_difference(calls.append, centres, cfg)
-    assert calls == []  # rejected before any evaluation, the inside centre's stencil too
-    edge = Point(chart4, [0.0, 0.0, 0.0, -1.0 + 2 * cfg.step])
-    assert central_difference(lambda qs: np.stack([q.coords for q in qs]), edge, cfg).shape == (4, 4)
+    asked, evaluated = [], []
+
+    def jets(points, order):
+        asked.append([q.coords.tobytes() for q in points])
+        return (np.broadcast_to(np.eye(4), (len(points), 4, 4)), np.zeros((len(points), 4, 4, 4)))
+
+    f = TensorField(chart4, 1, 1, lambda qs: evaluated.append(qs) or [np.eye(4)] * len(qs), "f", jets=jets)
+    for centres in ([near], [inside, near]):
+        asked.clear()
+        assert np.array(_gradients(MetricField(flat4.field), f, centres)).shape == (len(centres), 4, 4, 4)
+        assert asked == [[c.coords.tobytes() for c in centres]]
+    assert evaluated == []
 
 
-def test_central_difference_hands_several_stencils_to_one_call(chart4, cfg):
+def test_central_difference_hands_several_stencils_to_one_call(chart4):
     centres = [Point(chart4, [0.3, -0.2, 0.45, 0.1]), Point(chart4, [-0.5, 0.1, 0.0, 0.7])]
     calls = []
 
@@ -316,37 +313,14 @@ def test_central_difference_hands_several_stencils_to_one_call(chart4, cfg):
         calls.append([q.coords.tolist() for q in qs])
         return [np.array([np.sin(q.coords[0] * q.coords[1]), q.coords[3] ** 3]) for q in qs]
 
-    got = central_difference(f, centres, cfg)
+    h = H
+    got = central_difference(f, centres, h)
     assert got.shape == (2, 4, 2)
     assert len(calls) == 1
-    h = cfg.step
     stencils = [c.shifted(m, s * h) for c in centres for m in range(4) for s in (1, -1)]
     assert calls[0] == [q.coords.tolist() for q in stencils]
     for c, row in zip(centres, got):
-        assert row.tobytes() == central_difference(f, c, cfg).tobytes()
-
-
-def test_central_difference_stencil_is_point_shifted_bit_for_bit(chart4, cfg):
-    """Stencil points carry their centre's chart and the coordinates
-    Point.shifted gives, bit for bit: a -0.0 stays -0.0 off the shifted
-    coordinate, and -h + h is +0.0."""
-    h = cfg.step
-    other = ManifoldSpec(("a", "b", "c", "d"), chart4.domain)
-    centres = [
-        Point(chart4, [0.3, -0.0, 0.45, 0.1]),
-        Point(other, [-0.0, h, -h, 0.7]),
-        Point(chart4, [-0.5, 0.1, -0.0, 1.0 / 3.0]),
-    ]
-    for p, group in ((centres[0], centres[:1]), (centres, centres)):
-        seen = []
-        central_difference(lambda qs: seen.extend(qs) or np.zeros(len(qs)), p, cfg)
-        expected = [c.shifted(m, s * h) for c in group for m in range(4) for s in (1, -1)]
-        assert [q.coords.tobytes() for q in seen] == [q.coords.tobytes() for q in expected]
-        assert all(q.chart is e.chart for q, e in zip(seen, expected))
-        assert all(not q.coords.flags.writeable and q.coords.shape == (4,) for q in seen)
-    assert np.signbit(seen[8 + 2].coords[0])  # the second centre's -0.0, shifted along x2
-    with pytest.raises(ValidationError, match="one dimension"):
-        central_difference(lambda qs: np.zeros(len(qs)), [centres[0], Point(make_chart(2), [0.0, 0.0])], cfg)
+        assert row.tobytes() == central_difference(f, c, h).tobytes()
 
 
 def test_sample_points_deterministic(chart4):
@@ -355,16 +329,11 @@ def test_sample_points_deterministic(chart4):
     c = sample_points(chart4, 6, seed=4)
     assert all(np.array_equal(x.coords, y.coords) for x, y in zip(a, b))
     assert any(not np.array_equal(x.coords, y.coords) for x, y in zip(a, c))
-    # interior margin keeps nested stencils inside the box
+    # the default margin keeps 10 steps of 1e-3 from every wall
     for p in a:
         assert np.all(p.coords > -1 + 0.0099) and np.all(p.coords < 1 - 0.0099)
     with pytest.raises(ValidationError):
         sample_points(chart4, 0, seed=1)
-
-
-def test_fdconfig_validation():
-    with pytest.raises(ValidationError):
-        FdConfig(step=0.0)
 
 
 def test_chart_with_custom_domain():

@@ -203,6 +203,16 @@ def test_bundle_checks_require_sasaki_geometry():
         run_scenario(cfg, points=2)
 
 
+@pytest.mark.parametrize("where", ["document", "argument"])
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_a_step_that_is_not_finite_and_positive_is_a_configuration_error(where, step):
+    doc = load_scenario("flat-lhpk")
+    if where == "document":
+        doc["step"] = step
+    with pytest.raises(ValidationError, match="finite"):
+        build_context(doc, step=step if where == "argument" else None)
+
+
 def test_a_run_validates_its_document_once(monkeypatch):
     from paraquat import scenario
 

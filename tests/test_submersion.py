@@ -5,14 +5,12 @@ import pytest
 
 from paraquat import (
     DegenerateFiberMetricError,
-    FdConfig,
     MetricField,
     NotAFiberError,
     OutOfDomainError,
     Point,
     PreconditionFailedError,
     RankDeficientError,
-    StencilOutOfDomainError,
     SubmersionMap,
     ValidationError,
     build_tangent_bundle,
@@ -29,9 +27,9 @@ from paraquat import (
 )
 from paraquat import sasaki, submersion
 from paraquat.catalog import METRICS, TRIPLES, make_chart, metric_from_config
-from paraquat.fields import central_difference
 from paraquat.submersion import _lift, _projector_partials
 
+from fd_reference import H, central_difference
 from conftest import BENT_COMPONENTS, SPACE_FORM_ROWS, expression_map
 
 PROJECTION = ["x1", "x2", "x3", "x4"]
@@ -45,16 +43,16 @@ def proj8to4():
     return chart8, chart4, f
 
 
-def test_jacobian_of_projection(proj8to4, cfg):
+def test_jacobian_of_projection(proj8to4):
     chart8, _, f = proj8to4
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    J = jacobian(f, p, cfg)
+    J = jacobian(f, p)
     expected = np.hstack([np.eye(4), np.zeros((4, 4))])
     assert np.abs(J - expected).max() < 1e-12
     assert J.shape == (4, 8) and J.flags.c_contiguous
 
 
-def test_jacobian_stencil_must_stay_in_the_source_box(proj8to4, cfg):
+def test_jacobian_reads_its_point_alone_and_must_stay_in_the_source_box(proj8to4):
     chart8, chart4, proj = proj8to4
     seen = []
 
@@ -67,18 +65,22 @@ def test_jacobian_stencil_must_stay_in_the_source_box(proj8to4, cfg):
         return proj.jets(points, order)
 
     f = SubmersionMap(chart8, chart4, recording, "recording proj", jets=recording_jets)
-    near_wall = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 - 0.5 * cfg.step, -0.5, 0.2, 0.1])
-    with pytest.raises(StencilOutOfDomainError):
-        jacobian(f, near_wall, cfg)
+    near_wall = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 - 0.5 * H, -0.5, 0.2, 0.1])
+    assert np.array_equal(jacobian(f, near_wall), np.hstack([np.eye(4), np.zeros((4, 4))]))
+    assert [c.tobytes() for c in seen] == [near_wall.coords.tobytes()]  # the jets at the point alone
+    seen.clear()
+    off = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 + 0.5 * H, -0.5, 0.2, 0.1])
+    with pytest.raises(OutOfDomainError, match="outside the chart domain"):
+        jacobian(f, off)
     assert seen == []  # rejected before the map is evaluated off the box
 
 
-def test_rank_deficient_map_rejected(proj8to4, cfg):
+def test_rank_deficient_map_rejected(proj8to4):
     chart8, chart4, _ = proj8to4
     bad = expression_map(chart8, chart4, ["x1", "x1", "x3", "x4"], "bad")
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     with pytest.raises(RankDeficientError):
-        vh_split(bad, METRICS["neutral8"](chart8), p, cfg)
+        vh_split(bad, METRICS["neutral8"](chart8), p)
 
 
 SWAP8 = [["1" if abs(r - c) == 4 else "0" for c in range(8)] for r in range(8)]  # [[0, I], [I, 0]]
@@ -89,34 +91,34 @@ SWAP8 = [["1" if abs(r - c) == 4 else "0" for c in range(8)] for r in range(8)] 
     [
         ("degenerate fiber metric", DegenerateFiberMetricError),
         ("rank-deficient differential", RankDeficientError),  # then a degenerate fiber metric
-        ("stencil off the box", StencilOutOfDomainError),  # then a rank-deficient differential
+        ("off the box", OutOfDomainError),  # then a rank-deficient differential
     ],
 )
-def test_one_point_split_raises_its_first_failure(cfg, case, error):
-    # vh_split checks the stencil, then the rank of df, then the fiber
+def test_one_point_split_raises_its_first_failure(case, error):
+    # vh_split checks the domain, then the rank of df, then the fiber
     # metric; each case fails its own check and every later one, and
     # oneill_tensors raises what the split raises
     coords = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
     domain = [[-1.0, 1.0]] * 8
-    if case == "stencil off the box":
-        domain[0] = [-1.0, coords[0] + 0.5 * cfg.step]
+    if case == "off the box":
+        domain[0] = [-1.0, coords[0] - 0.5 * H]
     chart8 = make_chart(8, domain=domain)
     components = PROJECTION if case == "degenerate fiber metric" else ["x1", "x1", "x3", "x4"]
     f = expression_map(chart8, make_chart(4), components, case)
     g = metric_from_config({"matrix": SWAP8}, chart8)
     p = Point(chart8, coords)
     with pytest.raises(error) as alone:
-        vh_split(f, g, p, cfg)
+        vh_split(f, g, p)
     with pytest.raises(error) as through:
-        oneill_tensors(f, g, p, cfg)
+        oneill_tensors(f, g, p)
     assert str(through.value) == str(alone.value)
 
 
-def test_vh_split_projectors(proj8to4, cfg):
+def test_vh_split_projectors(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    fr = vh_split(f, g8, p, cfg)
+    fr = vh_split(f, g8, p)
     for P in (fr.v, fr.h):
         assert np.abs(P @ P - P).max() < 1e-9  # idempotent
     assert np.abs(fr.v + fr.h - np.eye(8)).max() < 1e-9
@@ -128,85 +130,85 @@ def test_vh_split_projectors(proj8to4, cfg):
         assert np.abs(fr.v @ e - e).max() < 1e-9
 
 
-def test_semi_riemannian_projection(proj8to4, cfg):
+def test_semi_riemannian_projection(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     g4 = METRICS["neutral4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_semi_riemannian(f, g8, g4, pts, cfg) < 1e-8
+    assert check_semi_riemannian(f, g8, g4, pts) < 1e-8
 
 
-def test_semi_riemannian_detects_scaling(proj8to4, cfg):
+def test_semi_riemannian_detects_scaling(proj8to4):
     chart8, chart4, _ = proj8to4
     f = expression_map(chart8, chart4, ["0.5*x1", "x2", "x3", "x4"], "scaled")
     g8 = METRICS["neutral8"](chart8)
     g4 = METRICS["neutral4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
     # df(e1) has squared length 0.25 instead of 1
-    assert check_semi_riemannian(f, g8, g4, pts, cfg) == pytest.approx(0.75, abs=1e-6)
+    assert check_semi_riemannian(f, g8, g4, pts) == pytest.approx(0.75, abs=1e-6)
 
 
-def test_paraholomorphic_aligned_triples(proj8to4, cfg):
+def test_paraholomorphic_aligned_triples(proj8to4):
     chart8, chart4, f = proj8to4
     up = TRIPLES["product8-rotated"](chart8)
     down = TRIPLES["rotated4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_paraholomorphic(f, up, down, pts, cfg) < 1e-10
+    assert check_paraholomorphic(f, up, down, pts) < 1e-10
 
 
-def test_paraholomorphic_misaligned_triples(proj8to4, cfg):
+def test_paraholomorphic_misaligned_triples(proj8to4):
     chart8, chart4, f = proj8to4
     # fiber-coordinate rotation upstairs is invisible downstairs, so the
     # pushforward disagrees with the standard basis pointwise
     up = TRIPLES["product8-fiber-rotated"](chart8)
     down = TRIPLES["standard4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_paraholomorphic(f, up, down, pts, cfg) > 0.1
+    assert check_paraholomorphic(f, up, down, pts) > 0.1
 
 
-def test_vh_invariance(proj8to4, cfg):
+def test_vh_invariance(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8"](chart8)
     down = TRIPLES["standard4"](chart4)
     pts = sample_points(chart8, 3, seed=5)
-    rep = check_vh_invariance(f, g8, up, down, pts, cfg)
+    rep = check_vh_invariance(f, g8, up, down, pts)
     assert rep.v_residual < 1e-9
     assert rep.h_residual < 1e-9
 
 
-def test_vh_invariance_needs_paraholomorphic(proj8to4, cfg):
+def test_vh_invariance_needs_paraholomorphic(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8-fiber-rotated"](chart8)
     down = TRIPLES["standard4"](chart4)
     pts = sample_points(chart8, 3, seed=5)
     with pytest.raises(PreconditionFailedError):
-        check_vh_invariance(f, g8, up, down, pts, cfg)
+        check_vh_invariance(f, g8, up, down, pts)
 
 
-def test_oneill_tensors_vanish_for_product(proj8to4, cfg):
+def test_oneill_tensors_vanish_for_product(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    ten = oneill_tensors(f, g8, p, cfg)
+    ten = oneill_tensors(f, g8, p)
     assert ten.max_a_horizontal < 1e-7
     assert np.abs(ten.t_full).max() < 1e-7
     assert ten.antisymmetry_residual < 1e-7
 
 
-def test_basic_lift(proj8to4, cfg):
+def test_basic_lift(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     X = np.array([1.0, -2.0, 0.5, 0.0])
-    lifted = _lift(vh_split(f, g8, p, cfg), X)
-    J = jacobian(f, p, cfg)
+    lifted = _lift(vh_split(f, g8, p), X)
+    J = jacobian(f, p)
     assert np.abs(J @ lifted - X).max() < 1e-9  # projects back to X
     assert np.abs(lifted[4:]).max() < 1e-9  # horizontal for this projection
 
 
-def test_descend_oneforms(proj8to4, cfg):
+def test_descend_oneforms(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8-rotated"](chart8)
@@ -215,17 +217,36 @@ def test_descend_oneforms(proj8to4, cfg):
         Point(chart8, np.concatenate([base, [t, 0.3 - t, 0.1 * t, -0.2]]))
         for t in (-0.4, -0.2, 0.0, 0.2, 0.4)
     ]
-    rep = descend_one_forms(f, g8, up, fiber, cfg)
+    rep = descend_one_forms(f, g8, up, fiber)
     assert rep.constancy_residual < 1e-6
     assert rep.points_used == 5
     # the descended forms agree with a direct fit downstairs
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image, cfg)
+    fit = fit_kahler_oneforms(g4, down, rep.image)
     assert np.abs(rep.omega_base - fit.omega).max() < 1e-5
 
 
-def test_descend_rejects_non_fiber(proj8to4, cfg):
+@pytest.mark.parametrize(
+    "xs",
+    [[], [0.2], [0.2, 0.2, 0.2], [0.0, -0.0]],
+    ids=["no point", "one point", "one point three times", "0.0 and -0.0"],
+)
+def test_descend_needs_two_distinct_fiber_points(proj8to4, xs):
+    # one point has no spread to measure, so its constancy residual of 0.0
+    # would pass vacuously
+    chart8, _, f = proj8to4
+    g8 = METRICS["neutral8"](chart8)
+    fiber = [Point(chart8, [0.1, 0.2, -0.1, 0.05, x, 0.0, 0.0, 0.0]) for x in xs]
+    up = TRIPLES["product8-rotated"](chart8)
+    with pytest.raises(ValidationError, match="at least two distinct fiber points"):
+        descend_one_forms(f, g8, up, fiber)
+    if fiber:  # a second distinct point makes a fiber of it
+        rep = descend_one_forms(f, g8, up, fiber + [fiber[0].shifted(4, 0.3)])
+        assert rep.points_used == len(xs) + 1 and rep.constancy_residual < 1e-12
+
+
+def test_descend_rejects_non_fiber(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8"](chart8)
@@ -234,10 +255,10 @@ def test_descend_rejects_non_fiber(proj8to4, cfg):
         Point(chart8, [0.3, 0.2, -0.1, 0.05, 0.1, 0.0, 0.0, 0.0]),  # different image
     ]
     with pytest.raises(NotAFiberError):
-        descend_one_forms(f, g8, up, pts, cfg)
+        descend_one_forms(f, g8, up, pts)
 
 
-def test_descend_requires_span_parallel_structure(proj8to4, cfg):
+def test_descend_requires_span_parallel_structure(proj8to4):
     chart8, _, f = proj8to4
     # positive-definite upstairs metric: triple is not even hermitian
     from paraquat import MetricField, constant_field
@@ -246,10 +267,10 @@ def test_descend_requires_span_parallel_structure(proj8to4, cfg):
     up = TRIPLES["product8"](chart8)
     pts = [Point(chart8, [0.1, 0.2, -0.1, 0.05, t, 0.0, 0.0, 0.0]) for t in (0.0, 0.2)]
     with pytest.raises(PreconditionFailedError):
-        descend_one_forms(f, g8, up, pts, cfg)
+        descend_one_forms(f, g8, up, pts)
 
 
-def test_descend_detects_fiber_twist(proj8to4, cfg):
+def test_descend_detects_fiber_twist(proj8to4):
     chart8, chart4, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     up = TRIPLES["product8-fiber-rotated"](chart8)
@@ -258,14 +279,14 @@ def test_descend_detects_fiber_twist(proj8to4, cfg):
         Point(chart8, np.concatenate([base, [t, 0.3 - t, 0.1 * t, -0.2]]))
         for t in (-0.4, -0.2, 0.0, 0.2, 0.4)
     ]
-    rep = descend_one_forms(f, g8, up, fiber, cfg)
+    rep = descend_one_forms(f, g8, up, fiber)
     # upstairs everything is consistent along the fiber...
     assert rep.constancy_residual < 1e-6
     assert np.abs(rep.omega_base).max() < 1e-6
     # ...but the descended forms do not match the rotated basis downstairs
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image, cfg)
+    fit = fit_kahler_oneforms(g4, down, rep.image)
     assert np.abs(rep.omega_base - fit.omega).max() > 0.5
 
 
@@ -277,10 +298,10 @@ def test_descend_detects_fiber_twist(proj8to4, cfg):
 # agree bit for bit.
 
 
-def reference_oneill(f, g, p, cfg, dPv=None):
+def reference_oneill(f, g, p, dPv=None):
     n = f.source.dim
-    gam = christoffel(g, p, cfg)
-    fr = vh_split(f, g, p, cfg)
+    gam = christoffel(g, p)
+    fr = vh_split(f, g, p)
     if dPv is None:
         dPv = _projector_partials(f, g, [fr])[0]
 
@@ -302,8 +323,8 @@ def reference_oneill(f, g, p, cfg, dPv=None):
     return a_full, t_full, a_h
 
 
-def _conformal_bundle(chart4, cfg):
-    return build_tangent_bundle(METRICS["conformal-neutral4"](chart4), TRIPLES["standard4"](chart4), cfg=cfg)
+def _conformal_bundle(chart4):
+    return build_tangent_bundle(METRICS["conformal-neutral4"](chart4), TRIPLES["standard4"](chart4))
 
 
 BUNDLE_POINTS = [
@@ -334,18 +355,18 @@ def _bent(chart8, chart4):
     return expression_map(chart8, chart4, BENT_COMPONENTS, "bent")
 
 
-def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4, cfg):
+def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4):
     # the Sasaki projection has a genuine A-tensor; its fibers are totally
     # geodesic, so its T-tensor is roundoff, and the bent map supplies one
-    bundle, ref = _conformal_bundle(chart4, cfg), _conformal_bundle(chart4, cfg)
+    bundle, ref = _conformal_bundle(chart4), _conformal_bundle(chart4)
     chart8 = make_chart(8)
     bent, g8 = _bent(chart8, chart4), _curved8(chart8)
     cases = [(bundle.projection, bundle.metric, ref.projection, ref.metric, bundle.point(x, u)) for x, u in BUNDLE_POINTS]
     cases += [(bent, g8, bent, MetricField(g8.field), p) for p in sample_points(chart8, 2, seed=4)]
     largest_a = largest_t = 0.0
     for f, g, f_ref, g_ref, p in cases:
-        got = oneill_tensors(f, g, p, cfg)
-        a_full, t_full, a_h = reference_oneill(f_ref, g_ref, Point(f_ref.source, p.coords), cfg)
+        got = oneill_tensors(f, g, p)
+        a_full, t_full, a_h = reference_oneill(f_ref, g_ref, Point(f_ref.source, p.coords))
         assert np.array_equal(got.a_full, a_full)
         assert np.array_equal(got.t_full, t_full)
         assert np.array_equal(got.a_horizontal, a_h)
@@ -355,9 +376,8 @@ def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4, cfg):
 
 # ------------------------------------------------------------- exact O'Neill
 #
-# d Pv is a closed form in dG and the map's second partials, with no
-# projector stencil; central differences of the projector are the
-# reference it is tested against.
+# d Pv is a closed form in dG and the map's second partials; central
+# differences of the projector are the reference it is tested against.
 
 
 def _expression_pair(chart8, chart4):
@@ -373,38 +393,37 @@ def test_fd_oneill_converges_to_the_exact_one_at_second_order(chart4):
     for p in sample_points(chart8, 2, seed=11):
         distance = []
         for h in (1e-3, 5e-4, 2.5e-4):
-            cfg = FdConfig(h)
-            exact = oneill_tensors(f, g, p, cfg)
-            dPv = central_difference(lambda qs: [vh_split(f, g, q, cfg).v for q in qs], p, cfg)
-            a_full, t_full, _ = reference_oneill(f, g, p, cfg, dPv)
+            exact = oneill_tensors(f, g, p)
+            dPv = central_difference(lambda qs: [vh_split(f, g, q).v for q in qs], p, h)
+            a_full, t_full, _ = reference_oneill(f, g, p, dPv)
             distance.append(max(np.abs(a_full - exact.a_full).max(), np.abs(t_full - exact.t_full).max()))
         assert exact.max_a_horizontal > 1e-2 and np.abs(exact.t_full).max() > 1e-2
         for coarse, fine in zip(distance, distance[1:]):
             assert 1.8 <= np.log2(coarse / fine) <= 2.2, distance
 
 
-def test_the_fibres_over_the_space_form_are_totally_geodesic_to_roundoff(chart4, cfg):
+def test_the_fibres_over_the_space_form_are_totally_geodesic_to_roundoff(chart4):
     # the paper's example: T vanishes and A is antisymmetric on horizontal
     # pairs, both exactly, so the exact path reads them at roundoff
     g = metric_from_config({"matrix": SPACE_FORM_ROWS}, chart4)
-    bundle = build_tangent_bundle(g, TRIPLES["standard4"](chart4), cfg=cfg)
+    bundle = build_tangent_bundle(g, TRIPLES["standard4"](chart4))
     assert bundle.projection.jets is not None and bundle.metric.field.jets is not None
     for xi in sample_points(bundle.spec, 3, seed=1):
-        rep = oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+        rep = oneill_tensors(bundle.projection, bundle.metric, xi)
         assert np.abs(rep.t_full).max() <= 1e-14
         assert rep.antisymmetry_residual <= 1e-14
         assert rep.max_a_horizontal > 1e-2
 
 
-def test_the_fibres_over_a_varying_exponent_metric_are_totally_geodesic_to_roundoff(cfg):
+def test_the_fibres_over_a_varying_exponent_metric_are_totally_geodesic_to_roundoff():
     # (2 + x1)^x2 eta has jets through the rule of exp(b log|a|), so its
     # lift and projection take the exact path as the space form's do
     f = "(2 + x1)^x2"
     rows = [[(f if r < 2 else f"-{f}") if r == c else "0" for c in range(4)] for r in range(4)]
     chart = make_chart(4)
-    bundle = build_tangent_bundle(metric_from_config({"matrix": rows}, chart), TRIPLES["standard4"](chart), cfg=cfg)
+    bundle = build_tangent_bundle(metric_from_config({"matrix": rows}, chart), TRIPLES["standard4"](chart))
     for xi in sample_points(bundle.spec, 3, seed=1):
-        rep = oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+        rep = oneill_tensors(bundle.projection, bundle.metric, xi)
         assert np.abs(rep.t_full).max() <= 1e-14
         assert rep.antisymmetry_residual <= 1e-14
         assert rep.max_a_horizontal > 1e-2
@@ -413,37 +432,39 @@ def test_the_fibres_over_a_varying_exponent_metric_are_totally_geodesic_to_round
 @pytest.mark.parametrize(
     "where, error, message",
     [
-        ("base wall", StencilOutOfDomainError, "leaves the domain"),  # x1 within one step of its wall
-        ("fiber wall", StencilOutOfDomainError, "leaves the domain"),  # u1 within one step of its wall
+        ("base wall", OutOfDomainError, "outside the chart domain"),  # x1 half a step beyond its wall
+        ("fiber wall", OutOfDomainError, "outside the chart domain"),  # u1 half a step beyond its wall
         ("other chart", ValidationError, "different charts"),
     ],
 )
-def test_exact_oneill_raises_what_the_stencil_rule_raises(chart4, cfg, where, error, message):
+def test_exact_oneill_raises_off_its_box_and_evaluates_within_a_step_of_the_wall(chart4, where, error, message):
     x, u = BUNDLE_POINTS[0]
     coords = np.array(x + u)
-    if where == "base wall":
-        coords[0] = 1.0 - cfg.step / 2
-    elif where == "fiber wall":
-        coords[4] = -1.0 + cfg.step / 2
-    bundle = _conformal_bundle(chart4, cfg)
+    k, wall = {"base wall": (0, 1.0), "fiber wall": (4, -1.0)}.get(where, (0, coords[0]))
+    bundle = _conformal_bundle(chart4)
+    if where != "other chart":
+        coords[k] = wall - np.sign(wall) * H / 2  # inside the box
+        rep = oneill_tensors(bundle.projection, bundle.metric, Point(bundle.spec, coords))
+        assert rep.antisymmetry_residual < 1e-12 and rep.max_a_horizontal > 1e-2
+        coords[k] = wall + np.sign(wall) * H / 2
     chart = make_chart(8) if where == "other chart" else bundle.spec
     p = Point(chart, coords)
     with pytest.raises(error, match=message):
-        oneill_tensors(bundle.projection, bundle.metric, p, cfg)
+        oneill_tensors(bundle.projection, bundle.metric, p)
 
 
-def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, cfg, monkeypatch):
+def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, monkeypatch):
     framed = []
     real = sasaki._frame_batch
 
-    def counted(g, C, cfg):
+    def counted(g, C):
         framed.extend(c.tobytes() for c in C)
-        return real(g, C, cfg)
+        return real(g, C)
 
     monkeypatch.setattr(sasaki, "_frame_batch", counted)
-    bundle = _conformal_bundle(chart4, cfg)
+    bundle = _conformal_bundle(chart4)
     xi = bundle.point(*BUNDLE_POINTS[0])
-    oneill_tensors(bundle.projection, bundle.metric, xi, cfg)
+    oneill_tensors(bundle.projection, bundle.metric, xi)
     assert framed == [xi.coords.tobytes()]
     assert {key[1] for key in bundle.metric._memo if key[0] == "g"} == {xi.coords.tobytes()}
 
@@ -454,7 +475,7 @@ def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, cfg, monk
 # time and memoised; each point of a batch carries the bits it has alone.
 
 
-def _batch_cases(chart4, cfg):
+def _batch_cases(chart4):
     """(make, points): ``make()`` gives a fresh (map, metric) pair, the bent
     expression map over a curved metric or the bundle projection over its
     Sasaki metric, and the points lie on its source chart."""
@@ -465,7 +486,7 @@ def _batch_cases(chart4, cfg):
         return f, g
 
     def projection():
-        bundle = _conformal_bundle(chart4, cfg)
+        bundle = _conformal_bundle(chart4)
         return bundle.projection, bundle.metric
 
     f, _ = projection()
@@ -478,22 +499,22 @@ def _batch_cases(chart4, cfg):
 BATCH_FORMS = {
     # form: (the batch form, its one-point form, the arrays of one point's value)
     "df": (
-        lambda f, g, pts, cfg: submersion._jacobians(f, pts, cfg),
-        lambda f, g, p, cfg: jacobian(f, p, cfg),
+        lambda f, g, pts: submersion._jacobians(f, pts),
+        lambda f, g, p: jacobian(f, p),
         lambda J: [J],
     ),
     "split": (
-        lambda f, g, pts, cfg: submersion._splits(f, g, pts, cfg),
+        lambda f, g, pts: submersion._splits(f, g, pts),
         vh_split,
         lambda fr: [fr.df, fr.vertical, fr.horizontal, fr.v, fr.h],
     ),
     "images": (
-        lambda f, g, pts, cfg: submersion._images(f, pts),
-        lambda f, g, p, cfg: f.map_point(p),
+        lambda f, g, pts: submersion._images(f, pts),
+        lambda f, g, p: f.map_point(p),
         lambda q: [q.coords],
     ),
     "oneill": (
-        lambda f, g, pts, cfg: submersion._oneills(f, g, pts, cfg),
+        lambda f, g, pts: submersion._oneills(f, g, pts),
         oneill_tensors,
         lambda t: [t.a_full, t.t_full, t.a_horizontal],
     ),
@@ -502,33 +523,33 @@ BATCH_FORMS = {
 
 @pytest.mark.parametrize("form", sorted(BATCH_FORMS))
 @pytest.mark.parametrize("case", ["expression map", "bundle projection"])
-def test_each_batch_form_is_its_one_point_form_bit_for_bit(chart4, cfg, case, form):
-    make, pts = _batch_cases(chart4, cfg)[case]
+def test_each_batch_form_is_its_one_point_form_bit_for_bit(chart4, case, form):
+    make, pts = _batch_cases(chart4)[case]
     batch_form, one_point, arrays = BATCH_FORMS[form]
     f, g = make()
-    batch = batch_form(f, g, pts + [pts[0]], cfg)
+    batch = batch_form(f, g, pts + [pts[0]])
     assert len(batch) == len(pts) + 1
     for p, got in zip(pts + [pts[0]], batch):
         f1, g1 = make()  # nothing shared with the batch, no memo
-        alone = one_point(f1, g1, Point(f1.source, p.coords), cfg)
+        alone = one_point(f1, g1, Point(f1.source, p.coords))
         for x, y in zip(arrays(got), arrays(alone), strict=True):
             assert x.tobytes() == y.tobytes()
     if form != "oneill":  # a second batch reads the memo
-        again = batch_form(f, g, pts, cfg)
+        again = batch_form(f, g, pts)
         assert all(x is y for a, b in zip(again, batch) for x, y in zip(arrays(a), arrays(b)))
 
 
-def _probe(case, cfg):
+def _probe(case):
     """(map, metric, points) whose second point fails the given step of the
-    split alone and whose first point splits: a wall within half a step of
-    x1, df of x4*x5 dropping rank where x4 = x5 = 0, or a fiber metric
+    split alone and whose first point splits: x1 half a step beyond its
+    wall, df of x4*x5 dropping rank where x4 = x5 = 0, or a fiber metric
     diag(x5, 1, -1, -1) over the projection, degenerate where x5 = 0.  In
-    "fiber, then stencil" the first point has the degenerate fiber and the
-    second lies at the wall, so the batch meets the wall first but the
+    "fiber, then off the box" the first point has the degenerate fiber and
+    the second lies off the box, so the batch meets the box first but the
     first point's error is the fiber's."""
     ok = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
     bad = {
-        "stencil": [1.0 - cfg.step / 2] + ok[1:],
+        "off the box": [1.0 + H / 2] + ok[1:],
         "rank": ok[:3] + [0.0, 0.0] + ok[5:],
         "degenerate fiber": ok[:4] + [0.0] + ok[5:],
     }
@@ -536,10 +557,10 @@ def _probe(case, cfg):
     rows = [[str(sign) if r == c else "0" for c in range(8)] for r, sign in enumerate(ETA8_SIGNS)]
     if case == "rank":
         components = ["x1", "x2", "x3", "x4*x5"]
-    if case in ("degenerate fiber", "fiber, then stencil"):
+    if case in ("degenerate fiber", "fiber, then off the box"):
         rows[4][4], rows[0][4], rows[4][0] = "x5", "1", "1"  # det g = (x5 - 1) * ..., never 0 on the box
-    if case == "fiber, then stencil":
-        pts = [bad["degenerate fiber"], bad["stencil"]]
+    if case == "fiber, then off the box":
+        pts = [bad["degenerate fiber"], bad["off the box"]]
     else:
         pts = [ok, bad[case]]
     chart8 = make_chart(8)
@@ -550,21 +571,21 @@ def _probe(case, cfg):
 @pytest.mark.parametrize(
     "case, error",
     [
-        ("stencil", StencilOutOfDomainError),
+        ("off the box", OutOfDomainError),
         ("rank", RankDeficientError),
         ("degenerate fiber", DegenerateFiberMetricError),
-        ("fiber, then stencil", DegenerateFiberMetricError),
+        ("fiber, then off the box", DegenerateFiberMetricError),
     ],
 )
-def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(cfg, case, error):
-    f, g, pts = _probe(case, cfg)
-    failing = pts[0] if case == "fiber, then stencil" else pts[1]
+def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(case, error):
+    f, g, pts = _probe(case)
+    failing = pts[0] if case == "fiber, then off the box" else pts[1]
     with pytest.raises(error) as alone:
-        vh_split(dataclasses.replace(f), MetricField(g.field), failing, cfg)
+        vh_split(dataclasses.replace(f), MetricField(g.field), failing)
     calls = {
-        "split": lambda: submersion._splits(f, g, pts, cfg),
-        "semi-riemannian": lambda: check_semi_riemannian(f, g, METRICS["neutral4"](f.target), pts, cfg),
-        "oneill": lambda: submersion._oneills(f, g, pts, cfg),
+        "split": lambda: submersion._splits(f, g, pts),
+        "semi-riemannian": lambda: check_semi_riemannian(f, g, METRICS["neutral4"](f.target), pts),
+        "oneill": lambda: submersion._oneills(f, g, pts),
     }
     for name, call in calls.items():
         with pytest.raises(error) as got:
@@ -572,46 +593,46 @@ def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(cfg, cas
         assert str(got.value) == str(alone.value), name
         if name == "split":  # the checks replay their points, storing what splits
             assert not [key for key in g._memo if key[0] == ("split", f)]
-            if case in ("stencil", "rank"):
+            if case in ("off the box", "rank"):
                 assert not [key for key in f._memo if key[0] == "df"]
 
 
-@pytest.mark.parametrize("case, error", [("stencil", StencilOutOfDomainError), ("rank", RankDeficientError)])
-def test_a_df_batch_raises_what_its_first_failing_point_raises_alone(cfg, case, error):
-    f, _, pts = _probe(case, cfg)
+@pytest.mark.parametrize("case, error", [("off the box", OutOfDomainError), ("rank", RankDeficientError)])
+def test_a_df_batch_raises_what_its_first_failing_point_raises_alone(case, error):
+    f, _, pts = _probe(case)
     with pytest.raises(error) as alone:
-        jacobian(dataclasses.replace(f), pts[1], cfg)
+        jacobian(dataclasses.replace(f), pts[1])
     with pytest.raises(error) as got:
-        submersion._jacobians(f, pts, cfg)
+        submersion._jacobians(f, pts)
     assert str(got.value) == str(alone.value)
     assert f._memo == {}
 
 
-def test_a_memo_hit_from_another_chart_still_raises(proj8to4, cfg):
+def test_a_memo_hit_from_another_chart_still_raises(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     coords = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
-    jacobian(f, Point(chart8, coords), cfg)
-    vh_split(f, g8, Point(chart8, coords), cfg)
+    jacobian(f, Point(chart8, coords))
+    vh_split(f, g8, Point(chart8, coords))
     f.map_point(Point(chart8, coords))
     other = Point(make_chart(8, domain=[[-2.0, 2.0]] * 8), coords)
-    for call in (lambda: jacobian(f, other, cfg), lambda: vh_split(f, g8, other, cfg), lambda: f.map_point(other)):
+    for call in (lambda: jacobian(f, other), lambda: vh_split(f, g8, other), lambda: f.map_point(other)):
         with pytest.raises(ValidationError, match="different charts"):
             call()
 
 
-def test_jacobian_rejects_a_point_of_another_chart(proj8to4, cfg):
+def test_jacobian_rejects_a_point_of_another_chart(proj8to4):
     # the point is outside the map's box; df used to be taken there all the same
     chart8, _, f = proj8to4
     p = Point(make_chart(8, domain=[[-5.0, 5.0]] * 8), [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     g8 = METRICS["neutral8"](chart8)
-    for call in (lambda: jacobian(f, p, cfg), lambda: vh_split(f, g8, p, cfg), lambda: f.map_point(p)):
+    for call in (lambda: jacobian(f, p), lambda: vh_split(f, g8, p), lambda: f.map_point(p)):
         with pytest.raises(ValidationError, match="different charts"):
             call()
     assert all(key[1] != p.coords.tobytes() for key in f._memo)
 
 
-def test_the_chart_error_names_both_domains(cfg):
+def test_the_chart_error_names_both_domains():
     # two charts with the same names differ only by their domains, which
     # the message must show
     chart8 = make_chart(8)
@@ -626,7 +647,7 @@ def test_the_chart_error_names_both_domains(cfg):
     )
 
 
-def test_a_check_raises_what_its_first_failing_point_raises_alone(cfg):
+def test_a_check_raises_what_its_first_failing_point_raises_alone():
     # the first point splits but maps outside the target's box; df drops
     # rank at the second, which the batch meets first
     chart8 = make_chart(8)
@@ -637,8 +658,8 @@ def test_a_check_raises_what_its_first_failing_point_raises_alone(cfg):
     pts = [Point(chart8, ok), Point(chart8, ok[:4] + [0.0] + ok[5:])]
     up, down = TRIPLES["product8"](chart8), TRIPLES["standard4"](target)
     checks = {
-        "semi-riemannian": lambda ps: check_semi_riemannian(f, g, METRICS["neutral4"](target), ps, cfg),
-        "paraholomorphic": lambda ps: check_paraholomorphic(f, up, down, ps, cfg),
+        "semi-riemannian": lambda ps: check_semi_riemannian(f, g, METRICS["neutral4"](target), ps),
+        "paraholomorphic": lambda ps: check_paraholomorphic(f, up, down, ps),
     }
     for name, check in checks.items():
         with pytest.raises(OutOfDomainError) as alone:
