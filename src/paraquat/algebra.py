@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SingularTransitionError, ValidationError
-from .fields import ManifoldSpec, Point, TensorField, _jets_of, _memo_batch, _order_at_most, eval_batch
+from .fields import ManifoldSpec, Point, TensorField, _check_list, _jets_of, _memo_batch, _order_at_most, eval_batch
 
 TAU = (-1.0, -1.0, 1.0)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
@@ -95,24 +95,19 @@ def _gram(J: np.ndarray) -> np.ndarray:
     return np.einsum("...aij,...bij->...ab", J, J)
 
 
-def check_triple_algebra(triple: LocalBasisTriple, p: Point) -> AlgebraReport:
-    """Residuals of the tau-algebra relations at p.
+def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> list[AlgebraReport]:
+    """Residuals of the tau-algebra relations at each point:
 
     square:      max_a  |J_a^2 + tau_a I|
     product:     max    |J_a J_b - tau_c J_c|   over cyclic (a,b,c)
     anticommute: max    |J_a J_b + J_b J_a|     over a != b
 
     The Gram determinant (Frobenius pairing) is reported alongside; linear
-    independence of the three values means |det| > 1e-6.
+    independence of the three values means |det| > 1e-6.  The triple's
+    values come from one ``values``, every residual and determinant over
+    the stack.  A batch that raises is tried again point by point, so the
+    error is the one the first failing point raises alone.
     """
-    return _triple_algebras(triple, [p])[0]
-
-
-def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[AlgebraReport]:
-    """``check_triple_algebra`` at each point: the triple's values from one
-    ``values``, every residual and determinant over the stack.  A batch
-    that raises is tried again point by point, so the error is the one the
-    first failing point raises alone."""
     a, b, c = (np.array(CYCLIC) - 1).T
     tau = np.array(TAU)[:, None, None]
 
@@ -127,7 +122,7 @@ def _triple_algebras(triple: LocalBasisTriple, points: Sequence[Point]) -> list[
         return [AlgebraReport(*row) for row in zip(sq, prod, anti, det)]
 
     return _memo_batch(
-        {}, triple.chart, None, points, compute, one=lambda q: check_triple_algebra(triple, q)
+        {}, triple.chart, None, points, compute, one=lambda q: check_triple_algebra(triple, [q])
     )
 
 
@@ -148,30 +143,28 @@ class TransitionMap:
         default=None, repr=False, compare=False
     )
 
-    def matrix(self, p: Point) -> np.ndarray:
-        m = np.asarray(self.s([p])[0], dtype=float)
-        if m.shape != (3, 3):
-            raise ValidationError(f"transition must be 3x3, got {m.shape}")
-        if abs(np.linalg.det(m)) < TRANSITION_DET_FLOOR:
-            raise SingularTransitionError(f"transition singular at {p}")
-        return m
-
     def matrices(self, points: Sequence[Point]) -> np.ndarray:
-        """``matrix`` at each point, stacked (len(points), 3, 3): s at every
-        point from one ``s`` call, and the shape and determinants of the
-        stack tested at once; when anything raises, the points are tried
-        again one at a time with ``matrix``, so the error is the one the
-        first failing point raises alone."""
+        """s at each point, stacked (len(points), 3, 3): every point from
+        one ``s`` call, then the shape and the determinants of the stack
+        tested at once.  A batch that raises is tried again point by point,
+        so the error is the one the first failing point raises alone: a
+        ValidationError for a value that is not 3x3, a
+        SingularTransitionError for one with |det| below the floor."""
+        _check_list(points)
         if not points:
             return np.empty((0, 3, 3))
         try:
             S = np.asarray(self.s(points), dtype=float)
-            if S.shape != (len(points), 3, 3) or (np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR).any():
-                raise SingularTransitionError(f"transition {self.label or '<unnamed>'}: a batch fails its checks")
+            if S.shape != (len(points), 3, 3):
+                raise ValidationError(f"transition must be 3x3, got {S.shape[1:]}")
+            singular = np.flatnonzero(np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR)
+            if singular.size:
+                raise SingularTransitionError(f"transition singular at {points[singular[0]]}")
             return S
         except Exception:
-            for p in points:
-                self.matrix(p)
+            if len(points) > 1:
+                for p in points:
+                    self.matrices([p])
             raise
 
 

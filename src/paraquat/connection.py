@@ -5,6 +5,11 @@ forms in g, dg and d2g, with g itself the field's checked value.  The
 partials of a (1,1) field, behind nabla T and N_F, come from its jets the
 same way.  A field without jets raises ValidationError (``fields._jets_of``).
 
+``riemann`` and ``covariant_derivative_11`` take a list of points and
+return one array per point, stacked over the distinct points under the
+memo rule of ``fields._memo_batch``; ``christoffel`` and
+``MetricField.matrix`` read one point from the memo their batches fill.
+
 Index conventions used throughout the package:
 
 * Christoffel symbols           ``gamma[k, i, j] = Gamma^k_{ij}``
@@ -165,19 +170,14 @@ def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> l
     )
 
 
-def covariant_derivative_11(g: MetricField, T: TensorField, p: Point) -> np.ndarray:
-    """(nabla_i T)^k_j for a (1,1) field; returns D[i, k, j], read-only and
-    memoised on g per (field, point) like Gamma."""
-    return _covariant_derivatives(g, T, [p])[0]
-
-
-def _covariant_derivatives(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """``covariant_derivative_11`` at each point, as the memo's read-only
-    arrays.  The distinct misses are one stack: Gamma from one
-    ``_christoffels``, T from one ``eval_batch``, dT from one ``_gradients``,
-    and D = dT + Gamma T - T Gamma in two batched ``einsum`` calls, which
-    round as the one-point ones do.  A batch that raises stores nothing, and
-    its first failing point raises what it raises alone."""
+def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
+    """(nabla_i T)^k_j of a (1,1) field at each point, D[i, k, j], as the
+    memo's read-only arrays, memoised on g per (field, point) like Gamma.
+    The distinct misses are one stack: Gamma from one ``_christoffels``, T
+    from one ``eval_batch``, dT from one ``_gradients``, and D = dT +
+    Gamma T - T Gamma in two batched ``einsum`` calls, which round alike
+    for a point alone or in any batch.  A batch that raises stores
+    nothing, and its first failing point raises what it raises alone."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
 
@@ -195,21 +195,17 @@ def _covariant_derivatives(g: MetricField, T: TensorField, pts: Sequence[Point])
 
     return _memo_batch(
         g._memo, g.chart, ("nabla", T), pts, compute,
-        one=lambda q: covariant_derivative_11(MetricField(g.field), T, q),
+        one=lambda q: covariant_derivative_11(MetricField(g.field), T, [q]),
     )
 
 
-def _gradient(g: MetricField, T: TensorField, p: Point) -> np.ndarray:
-    """dT[m, ...] = d_m T at p, read-only and memoised on g per (field,
-    point), so that nabla T and the Nijenhuis tensor of T read one
-    derivative: T's order-1 jets at a point of T's box."""
-    return _gradients(g, T, [p])[0]
-
-
 def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """``_gradient`` at each point, as the memo's read-only arrays: the
-    distinct misses from one ``T.jets`` call.  A batch that raises stores
-    nothing, and its first failing point raises what it raises alone."""
+    """dT[m, ...] = d_m T at each point, as the memo's read-only arrays,
+    memoised on g per (field, point), so that nabla T and the Nijenhuis
+    tensor of T read one derivative: T's order-1 jets at points of T's box,
+    the distinct misses from one ``T.jets`` call.  A batch that raises
+    stores nothing, and its first failing point raises what it raises
+    alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(T)
@@ -221,20 +217,15 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.
 
     return _memo_batch(
         g._memo, g.chart, ("d", T), pts, compute,
-        one=lambda q: _gradient(MetricField(g.field), T, q),
+        one=lambda q: _gradients(MetricField(g.field), T, [q]),
     )
 
 
-def riemann(g: MetricField, p: Point) -> np.ndarray:
-    """Riemann curvature R^l_{kij} at p as a read-only (dim,)*4 array,
-    ``riem[l, k, i, j]`` (convention in the module docstring), from the
-    metric's jets to order 2 at p, anywhere in the closed box."""
-    return _riemanns(g, [p])[0]
-
-
-def _riemanns(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
-    """``riemann`` at each centre, as the memo's read-only arrays.  The
-    distinct misses are one stack:
+def riemann(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
+    """Riemann curvature R^l_{kij} at each centre as the memo's read-only
+    (dim,)*4 arrays, ``riem[l, k, i, j]`` (convention in the module
+    docstring), from the metric's jets to order 2 at the centres, anywhere
+    in the closed box.  The distinct misses are one stack:
 
         d_m Gamma^k_{ij} = -g^{kp} d_m g_{pq} Gamma^q_{ij} + (1/2) g^{kl} d_m T_{lij}
 
@@ -248,7 +239,7 @@ def _riemanns(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
 
     return _memo_batch(
         g._memo, g.chart, "riem", centres, compute,
-        one=lambda q: riemann(MetricField(g.field), q),
+        one=lambda q: riemann(MetricField(g.field), [q]),
     )
 
 
@@ -302,6 +293,6 @@ def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3) -> FlatnessVerd
     sample comes in one batch."""
     if not pts:
         raise ValidationError("is_flat needs at least one point")
-    worst = max(float(np.abs(R).max()) for R in _riemanns(g, pts))
+    worst = max(float(np.abs(R).max()) for R in riemann(g, pts))
     return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 

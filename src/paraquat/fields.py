@@ -73,19 +73,19 @@ class ManifoldSpec:
         return len(self.coords)
 
     def contains_rows(self, C: np.ndarray) -> np.ndarray:
-        """``contains`` of each row of the 2-D array C, at margin 0."""
+        """``contains`` of each row of the 2-D array C."""
         lo, hi = self.domain[:, 0], self.domain[:, 1]
         return ((lo <= C) & (C <= hi)).all(axis=1)
 
-    def contains(self, coords: np.ndarray, margin: float = 0.0) -> bool:
-        """Whether every coordinate lies in its interval shrunk by ``margin``;
-        a NaN coordinate lies in none."""
+    def contains(self, coords: np.ndarray) -> bool:
+        """Whether every coordinate lies in its closed interval; a NaN
+        coordinate lies in none."""
         lows, highs = self._bounds
         c = np.asarray(coords, dtype=float)
         if c.shape != (len(lows),):
             raise ValidationError(f"chart needs {len(lows)} coordinates, got {c.shape}")
         for x, lo, hi in zip(c.tolist(), lows, highs):
-            if not lo + margin <= x <= hi - margin:
+            if not lo <= x <= hi:
                 return False
         return True
 
@@ -220,8 +220,10 @@ def _memo_batch(
     succeeds.  When ``one`` is given and a batch of more than one point
     raises, the points are tried again in order with ``one``, which stores
     nothing, so the error is the one the first failing point raises alone
-    (or the batch's own, should no point fail alone).
+    (or the batch's own, should no point fail alone).  A bare Point in
+    place of the list raises ValidationError.
     """
+    _check_list(points)
     keys, fresh = [], {}
     try:
         for q in points:
@@ -239,6 +241,13 @@ def _memo_batch(
                 one(q)
         raise
     return [memo[key] for key in keys]
+
+
+def _check_list(points) -> None:
+    """Raise ValidationError for one bare Point where a list of points is
+    expected: every batch takes a list, and a point alone is a list of one."""
+    if isinstance(points, Point):
+        raise ValidationError(f"expected a list of points, got the single {points}; pass [p]")
 
 
 def _check_chart(chart: ManifoldSpec, p: Point) -> None:

@@ -28,15 +28,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import LocalBasisTriple, _triple_algebras, check_triple_algebra, doubled
+from .algebra import LocalBasisTriple, check_triple_algebra, doubled
 from .connection import (
     MetricField,
     _christoffel_partials,
     _christoffels,
     _first_kind,
     _jets,
-    _riemanns,
     christoffel,  # noqa: F401  unused; perfbench's tracer test asserts that it rebinds sasaki.christoffel
+    riemann,
 )
 from .errors import PreconditionFailedError, ShapeError, ValidationError
 from .fields import (
@@ -51,7 +51,7 @@ from .fields import (
     eval_batch,
     sample_points,
 )
-from .structures import _fits, _hermitians, check_hermitian
+from .structures import check_hermitian, fit_kahler_oneforms
 from .submersion import SubmersionMap
 
 LIFT_PRECONDITION_TOL = 1e-8
@@ -218,8 +218,8 @@ def build_tangent_bundle(
     spots = sample_points(base, 3, seed=20)
     checks = _memo_batch(
         {}, base, None, spots,
-        lambda qs: list(zip(_triple_algebras(T, qs), _hermitians(g, T, qs))),
-        one=lambda q: (check_triple_algebra(T, q), check_hermitian(g, T, q)),
+        lambda qs: list(zip(check_triple_algebra(T, qs), check_hermitian(g, T, qs))),
+        one=lambda q: (check_triple_algebra(T, [q]), check_hermitian(g, T, [q])),
     )
     for p, (rep, herm) in zip(spots, checks):
         if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
@@ -421,10 +421,10 @@ def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarr
     return np.array([f[0] for f in F]), [f[2] for f in F], np.array([xi.coords[n:] for xi in xis])
 
 
-def oracle_tilde_nabla(bundle: SasakiBundle, xi: Point) -> np.ndarray:
+def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
     """Closed form of the lifted Levi-Civita connection on the lifted frame
-    E = L at xi, E_i = e_i^h and E_{n+i} = e_i^v: C[I, k, J] =
-    (nabla~_{E_I} E_J)^k, with
+    E = L at each bundle point xi, stacked, E_i = e_i^h and E_{n+i} =
+    e_i^v: C[c, I, k, J] = (nabla~_{E_I} E_J)^k at the c-th point, with
 
         nabla~_{X^v} Y^v = 0
         nabla~_{X^h} Y^h = (nabla_X Y)^h - (1/2) (R(X, Y) u)^v
@@ -432,21 +432,15 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xi: Point) -> np.ndarray:
         nabla~_{X^v} Y^h =                 (1/2) (R(u, X) Y)^h
 
     on the base coordinate fields X = e_i, Y = e_j, so that nabla_X Y is
-    Gamma^k_{ij}: the batch of one point.
+    Gamma^k_{ij}.  L comes from the bundle's frame memo, Gamma and R from
+    one ``_christoffels`` and one ``riemann`` over the base points.  A
+    batch that raises raises what its first failing point raises alone.
     """
-    return _tilde_nablas(bundle, [xi])[0]
-
-
-def _tilde_nablas(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
-    """``oracle_tilde_nabla`` at each bundle point, stacked: L from the
-    bundle's frame memo, Gamma and R from one ``_christoffels`` and one
-    ``_riemanns`` over the base points.  A batch that raises raises what its
-    first failing point raises alone."""
     g, n = bundle.base_metric, bundle.base_dim
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        gam, R = np.array(_christoffels(g, xs)), np.array(_riemanns(g, xs))
+        gam, R = np.array(_christoffels(g, xs)), np.array(riemann(g, xs))
         # B[c, I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
         B = np.zeros((len(qs), 2 * n, 2 * n, 2 * n))
         B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
@@ -455,12 +449,13 @@ def _tilde_nablas(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
         B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
         return np.einsum("ckl,cIlJ->cIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, q)))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, [q])))
 
 
-def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
-    """Closed form of nabla~ Jt_a on the lifted frame E = L at xi, E_i = e_i^h
-    and E_{n+i} = e_i^v: C[a, I, k, J] = ((nabla~_{E_I} Jt_a) E_J)^k, with
+def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
+    """Closed form of nabla~ Jt_a on the lifted frame E = L at each bundle
+    point xi, stacked, E_i = e_i^h and E_{n+i} = e_i^v: C[c, a, I, k, J] =
+    ((nabla~_{E_I} Jt_a) E_J)^k at the c-th point, with
 
         (v, v): 0
         (v, h): (1/2) ( R(u, X) J_a Y - J_a R(u, X) Y )^h
@@ -471,23 +466,17 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xi: Point) -> np.ndarray:
 
     Tensorial in both slots, so its values on E determine it.  Each curvature
     term is a commutator [A_i, J_a], A_i being R(u, e_i)., R(e_i, .)u or
-    R(u, .)e_i.  The batch of one point.
+    R(u, .)e_i.  L comes from the bundle's frame memo, R from one
+    ``riemann``, J from one ``T.values`` and nabla J_a from one base Kähler
+    fit, all over the base points.  A batch that raises raises what its
+    first failing point raises alone.
     """
-    return _tilde_nabla_Js(bundle, [xi])[0]
-
-
-def _tilde_nabla_Js(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
-    """``oracle_tilde_nabla_J`` at each bundle point, stacked: L from the
-    bundle's frame memo, R from one ``_riemanns``, J from one ``T.values``
-    and nabla J_a from one base Kähler fit (``_fits``), all over the base
-    points.  A batch that raises raises what its first failing point raises
-    alone."""
     g, T, n = bundle.base_metric, bundle.base_triple, bundle.base_dim
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        R, J = np.array(_riemanns(g, xs)), T.values(xs)
-        nabla = np.array([D for _, _, D in _fits(g, T, xs)])
+        R, J = np.array(riemann(g, xs)), T.values(xs)
+        nabla = np.array([fit.nabla for fit in fit_kahler_oneforms(g, T, xs)])
 
         def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
             return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
@@ -500,52 +489,42 @@ def _tilde_nabla_Js(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
         B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
         return np.einsum("ckl,caIlJ->caIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, q)))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, [q])))
 
 
-def check_connection_oracle(bundle: SasakiBundle, xi: Point) -> float:
-    """Max residual between the lifted metric's own connection and the
-    closed form, on the lifted frame: nabla~_{E_I} E_J = E_I(E_J) +
-    Gamma~(E_I, E_J), with Gamma~ and the frame's derivative exact.  The
-    batch of one point."""
-    return _connection_residuals(bundle, [xi])[0]
-
-
-def _connection_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
-    """``check_connection_oracle`` at each bundle point: Gamma~ from one
-    ``_christoffels`` of the lifted metric, the frame's derivative and the
-    closed form each stacked over the points.  A batch that raises raises
-    what its first failing point raises alone."""
+def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
+    """Max residual at each bundle point between the lifted metric's own
+    connection and the closed form, on the lifted frame: nabla~_{E_I} E_J =
+    E_I(E_J) + Gamma~(E_I, E_J), with Gamma~ and the frame's derivative
+    exact.  Gamma~ comes from one ``_christoffels`` of the lifted metric,
+    the frame's derivative and the closed form each stacked over the
+    points.  A batch that raises raises what its first failing point raises
+    alone."""
 
     def compute(qs: list[Point]) -> list[float]:
         gamG = np.array(_christoffels(bundle.metric, qs))
         L, D = _frame_derivatives(bundle, qs)
         fd = D + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
-        return np.abs(fd - _tilde_nablas(bundle, qs)).max(axis=(1, 2, 3)).tolist()
+        return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_connection_oracle(bundle, q))
-
-
-def check_nabla_j_oracle(bundle: SasakiBundle, xi: Point) -> float:
-    """Max residual between (nabla~ Jt_a), from the lifted metric's own
-    connection, and the closed form, over the lifted frame and all three
-    members, exact.  The batch of one point."""
-    return _nabla_j_residuals(bundle, [xi])[0]
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_connection_oracle(bundle, [q]))
 
 
-def _nabla_j_residuals(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
-    """``check_nabla_j_oracle`` at each bundle point: L from one ``frames``
-    call, nabla~ Jt_a from one Kähler fit of the lifted pair and the closed
-    form stacked over the points.  A batch that raises raises what its first
+def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
+    """Max residual at each bundle point between (nabla~ Jt_a), from the
+    lifted metric's own connection, and the closed form, over the lifted
+    frame and all three members, exact: L from one ``frames`` call,
+    nabla~ Jt_a from one Kähler fit of the lifted pair and the closed form
+    stacked over the points.  A batch that raises raises what its first
     failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[float]:
         L = np.array([f[0] for f in bundle.frames(qs)])
-        D = np.array([nabla for _, _, nabla in _fits(bundle.metric, bundle.triple, qs)])
-        C = _tilde_nabla_Js(bundle, qs)
+        D = np.array([fit.nabla for fit in fit_kahler_oneforms(bundle.metric, bundle.triple, qs)])
+        C = oracle_tilde_nabla_J(bundle, qs)
         return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, q))
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, [q]))
 
 
 @dataclass(frozen=True)
@@ -571,20 +550,16 @@ class BracketReport:
         return max(self.vv_residual, self.hv_residual, self.hh_residual)
 
 
-def check_bracket(bundle: SasakiBundle, X, Y, xi: Point) -> BracketReport:
-    """The bracket identities for base vectors X, Y at xi.  The lifts of
-    constant-component fields have constant coefficients on the lifted
-    frame, so each bracket is the frame's [E_I, E_J] = E_I(E_J) - E_J(E_I)
-    contracted with them.  The batch of one pair at one point."""
-    return _brackets(bundle, [(X, Y)], [xi])[0][0]
-
-
-def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]) -> list[list[BracketReport]]:
-    """``check_bracket`` of every (X, Y) of pairs at each bundle point, in
-    that order: the frame's derivative, Gamma and R over the base points
-    each in one batch, every bracket of every pair from one ``einsum``.
-    The vectors' shapes are checked first; a batch that raises raises what
-    its first failing point raises alone."""
+def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]) -> list[list[BracketReport]]:
+    """The bracket identities for every pair (X, Y) of base vectors at each
+    bundle point: the reports of point c are ``[c][p]``, p in the order of
+    pairs.  The lifts of constant-component fields have constant
+    coefficients on the lifted frame, so each bracket is the frame's
+    [E_I, E_J] = E_I(E_J) - E_J(E_I) contracted with them: the frame's
+    derivative, Gamma and R over the base points each in one batch, every
+    bracket of every pair from one ``einsum``.  The vectors' shapes are
+    checked first; a batch that raises raises what its first failing point
+    raises alone."""
     g, n = bundle.base_metric, bundle.base_dim
     X, Y = ([np.asarray(V, dtype=float) for V in vs] for vs in zip(*pairs))
     for V in X + Y:
@@ -602,7 +577,7 @@ def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]
         bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)  # [c, p, k]
         lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
         covXY = np.einsum("ckml,pm,pl->cpk", np.array(_christoffels(g, xs)), X, Y)
-        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(_riemanns(g, xs)), X, Y, u)
+        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(riemann(g, xs)), X, Y, u)
         hh_val = bracket(h(X), h(Y))
         residuals = np.stack([
             bracket(v(X), v(Y)),
@@ -612,4 +587,4 @@ def _brackets(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]
         ], axis=2)  # [c, p, residual, k]
         return [[BracketReport(*rep) for rep in row] for row in np.abs(residuals).max(axis=3).tolist()]
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: _brackets(bundle, pairs, [q]))
+    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_bracket(bundle, pairs, [q]))

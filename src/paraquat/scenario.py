@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ._version import __version__
-from .algebra import LocalBasisTriple, TransitionMap, _triple_algebras, apply_transition
+from .algebra import LocalBasisTriple, TransitionMap, apply_transition, check_triple_algebra
 from .catalog import (
     _coords,
     expression_array,
@@ -36,28 +36,27 @@ from .catalog import (
     structure_from_config,
     triple_from_config,
 )
-from .connection import MetricField, _covariant_derivatives, is_flat
+from .connection import MetricField, covariant_derivative_11, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
 from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
-from .sasaki import SasakiBundle, _brackets, _connection_residuals, _nabla_j_residuals, build_tangent_bundle
+from .sasaki import SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle
 from .structures import (
     ProductStructureField,
     StructureClass,
-    _fits,
-    _hermitians,
-    _product_reports,
-    _sigma_residuals,
+    check_hermitian,
     check_parallel_equivalence,
+    check_product_structure,
+    check_sigma_invariant_operator,
     classify_structure,
     fit_kahler_oneforms,
 )
 from .submersion import (
     SubmersionMap,
-    _oneills,
     check_paraholomorphic,
     check_semi_riemannian,
     check_vh_invariance,
     descend_one_forms,
+    oneill_tensors,
 )
 
 DEFAULT_POINTS = 5
@@ -176,7 +175,7 @@ def _index_pairs(value, n: int, what: str) -> None:
 
 
 def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[bool, dict]:
-    reps = _triple_algebras(ctx.triple, ctx.points[:points])
+    reps = check_triple_algebra(ctx.triple, ctx.points[:points])
     worst_sq = max(rep.square_residual for rep in reps)
     worst_pr = max(rep.product_residual for rep in reps)
     worst_ac = max(rep.anticommute_residual for rep in reps)
@@ -207,12 +206,12 @@ def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tupl
 def _run_kahler_fit(
     ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
 ) -> tuple[bool, dict]:
-    fits = _fits(ctx.metric, ctx.triple, ctx.points[:points])
-    worst_fit = max(residual for _, residual, _ in fits)
+    fits = fit_kahler_oneforms(ctx.metric, ctx.triple, ctx.points[:points])
+    worst_fit = max(fit.residual for fit in fits)
     worst_val = 0.0
     if oneform_values is not None:
         expected = np.asarray(oneform_values, dtype=float)
-        worst_val = max(float(np.abs(omega - expected).max()) for omega, _, _ in fits)
+        worst_val = max(float(np.abs(fit.omega - expected).max()) for fit in fits)
     passed = worst_fit < tol and (oneform_values is None or worst_val < value_tol)
     data = {"tol": tol, "max_fit_residual": _f(worst_fit)}
     if oneform_values is not None:
@@ -240,7 +239,7 @@ def _run_product_structure(
 ) -> tuple[bool, dict]:
     F = ctx.structure(structure)
     inv = met = nij = par = 0.0
-    for rep in _product_reports(ctx.metric, F, ctx.points[:points]):
+    for rep in check_product_structure(ctx.metric, F, ctx.points[:points]):
         inv = max(inv, rep.involution_residual)
         met = max(met, rep.metric_residual)
         nij = max(nij, rep.nijenhuis_residual)
@@ -263,7 +262,7 @@ def _run_product_structure(
 
 def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
     F = ctx.structure(structure)
-    worst = max(_sigma_residuals(F, ctx.triple, ctx.points[:points]))
+    worst = max(check_sigma_invariant_operator(F, ctx.triple, ctx.points[:points]))
     return worst < tol, {
         "structure": structure, "tol": tol, "max_residual": _f(worst),
     }
@@ -303,7 +302,7 @@ def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
     max_a = anti = max_t = 0.0
-    for rep in _oneills(ctx.submersion, ctx.metric, ctx.points[:points]):
+    for rep in oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points]):
         max_a = max(max_a, rep.max_a_horizontal)
         anti = max(anti, rep.antisymmetry_residual)
         max_t = max(max_t, float(np.abs(rep.t_full).max()))
@@ -332,7 +331,7 @@ def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match
     }
     passed = rep.constancy_residual < constancy_tol
     if ctx.target_triple is not None and ctx.target_metric is not None:
-        down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, rep.image)
+        down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])[0]
         match = float(np.abs(rep.omega_base - down.omega).max())
         data["match_tol"] = match_tol
         data["downstairs_match_error"] = _f(match)
@@ -346,7 +345,7 @@ def _run_bracket(
     e = np.eye(ctx.bundle.base_dim)
     worst = 0.0
     flipped = 0.0
-    for reps in _brackets(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points]):
+    for reps in check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points]):
         for rep in reps:
             worst = max(worst, rep.max_residual)
             flipped = max(flipped, rep.hh_flipped_residual)
@@ -364,10 +363,10 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
     bundle = ctx.bundle
     n = bundle.base_dim
     pts = ctx.points[:points]
-    fits = _fits(bundle.metric, bundle.triple, pts)
-    base_fits = _fits(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts])
-    max_u = max(float(np.abs(omega[:, n:]).max()) for omega, _, _ in fits)
-    max_pull = max(float(np.abs(up[:, :n] - down).max()) for (up, _, _), (down, _, _) in zip(fits, base_fits))
+    fits = fit_kahler_oneforms(bundle.metric, bundle.triple, pts)
+    base_fits = fit_kahler_oneforms(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts])
+    max_u = max(float(np.abs(fit.omega[:, n:]).max()) for fit in fits)
+    max_pull = max(float(np.abs(up.omega[:, :n] - down.omega).max()) for up, down in zip(fits, base_fits))
     return max(max_u, max_pull) < tol, {
         "tol": tol, "max_fiber_component": _f(max_u), "max_pullback_error": _f(max_pull),
     }
@@ -379,7 +378,7 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(
-        float(np.abs(D).max()) for member in witness.fields for D in _covariant_derivatives(ctx.metric, member, pts)
+        float(np.abs(D).max()) for member in witness.fields for D in covariant_derivative_11(ctx.metric, member, pts)
     )
     return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
 
@@ -432,7 +431,7 @@ CHECKS: dict[str, CheckDef] = {
             "hermitian",
             "g(J_a X, Y) + g(X, J_a Y) = 0",
             "Skew-symmetry of each J_a with respect to the metric.",
-            _max_residual(1e-10, lambda ctx, pts: max(_hermitians(ctx.metric, ctx.triple, pts))),
+            _max_residual(1e-10, lambda ctx, pts: max(check_hermitian(ctx.metric, ctx.triple, pts))),
         ),
         CheckDef(
             "classify",
@@ -532,7 +531,7 @@ CHECKS: dict[str, CheckDef] = {
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
             "The lifted metric's own connection, exact, against the closed form on "
             "the lifted frame, in all four kind combinations.",
-            _max_residual(1e-3, lambda ctx, pts: max(_connection_residuals(ctx.bundle, pts)), 2),
+            _max_residual(1e-3, lambda ctx, pts: max(check_connection_oracle(ctx.bundle, pts)), 2),
             needs="bundle",
         ),
         CheckDef(
@@ -543,7 +542,7 @@ CHECKS: dict[str, CheckDef] = {
             "The lifted triple's exact derivative under the lifted metric's own "
             "connection against the closed form on the lifted frame, for all "
             "three members.",
-            _max_residual(1e-6, lambda ctx, pts: max(_nabla_j_residuals(ctx.bundle, pts)), 2),
+            _max_residual(1e-6, lambda ctx, pts: max(check_nabla_j_oracle(ctx.bundle, pts)), 2),
             needs="bundle",
         ),
         CheckDef(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import LocalBasisTriple
-from .connection import MetricField, _covariant_derivatives, _gradients, _nijenhuis_tensor
+from .connection import MetricField, _gradients, _nijenhuis_tensor, covariant_derivative_11
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
 from .fields import Point, TensorField, _memo_batch, eval_batch
 
@@ -37,22 +37,18 @@ class StructureClass(str, Enum):
     LHPK_BASIS = "LhPK-basis"
 
 
-def check_hermitian(g: MetricField, T: LocalBasisTriple, p: Point) -> float:
-    """max_a |J_a^T g + g J_a| at p; zero means every J_a is g-skew."""
-    return _hermitians(g, T, [p])[0]
-
-
-def _hermitians(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
-    """``check_hermitian`` at each point, over one stack of g and of the
-    triple's values.  A batch that raises is tried again point by point, so
-    the error is the one the first failing point raises alone."""
+def check_hermitian(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
+    """max_a |J_a^T g + g J_a| at each point, over one stack of g and of the
+    triple's values; zero means every J_a is g-skew.  A batch that raises
+    is tried again point by point, so the error is the one the first
+    failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[float]:
         gp = np.array(g.matrices(qs))[:, None]
         J = T.values(qs)
         return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_hermitian(g, T, q))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_hermitian(g, T, [q]))
 
 
 def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,24 +70,18 @@ class KahlerFit:
     nabla: np.ndarray  # (3, dim, dim, dim): nabla[a-1] = D[i, k, j] of J_a
 
 
-def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, p: Point) -> KahlerFit:
-    """Fit (w1, w2, w3) at p and report the off-span reconstruction residual.
+def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[KahlerFit]:
+    """Fit (w1, w2, w3) at each point and report the off-span
+    reconstruction residual.
 
-    The fit is memoised on g per (T, point), like Gamma and R: a
-    second fit there repeats the chart check and returns the same read-only
-    ``omega`` and ``nabla``, and a fit that raises stores nothing.
+    The fits are memoised on g per (T, point), like Gamma and R: a second
+    fit at a point repeats the chart check and returns the same read-only
+    ``omega`` and ``nabla``, and a batch that raises stores nothing.  The
+    distinct misses are one stack: the triple's values and their trace
+    pairings, nabla J_a from one ``covariant_derivative_11`` per member,
+    then the slots, omega and the residual over the whole stack.  A batch
+    that raises raises what its first failing point raises alone.
     """
-    omega, residual, D = _fits(g, T, [p])[0]
-    return KahlerFit(point=p, omega=omega, residual=residual, nabla=D)
-
-
-def _fits(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """(omega, residual, nabla) of ``fit_kahler_oneforms`` at each point,
-    arrays read-only, memoised on g under ("fit", T).  The distinct misses
-    are one stack: the triple's values and their trace pairings, nabla J_a
-    from one ``_covariant_derivatives`` per member, then the slots, omega
-    and the residual over the whole stack.  A batch that raises stores
-    nothing, and its first failing point raises what it raises alone."""
 
     def compute(qs: list[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
         n = g.chart.dim
@@ -101,7 +91,7 @@ def _fits(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[tup
         if bad.any():
             k = int(bad.argmax())
             raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
-        D = np.stack([np.array(_covariant_derivatives(g, f, qs)) for f in T.fields], axis=1)  # [c, a, i, k, j]
+        D = np.stack([np.array(covariant_derivative_11(g, f, qs)) for f in T.fields], axis=1)  # [c, a, i, k, j]
         # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
         # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
         # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
@@ -121,10 +111,11 @@ def _fits(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[tup
         omega.flags.writeable = D.flags.writeable = False
         return list(zip(omega, residual.tolist(), D))
 
-    return _memo_batch(
+    fits = _memo_batch(
         g._memo, g.chart, ("fit", T), pts, compute,
-        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, q),
+        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, [q]),
     )
+    return [KahlerFit(q, omega, residual, D) for q, (omega, residual, D) in zip(pts, fits)]
 
 
 @dataclass(frozen=True)
@@ -151,10 +142,10 @@ def classify_structure(
     """
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
-    herm = max(_hermitians(g, T, pts))
-    fits = _fits(g, T, pts)
-    fit_res = max(residual for _, residual, _ in fits)
-    nab = max(float(np.abs(D).max()) for _, _, D in fits)
+    herm = max(check_hermitian(g, T, pts))
+    fits = fit_kahler_oneforms(g, T, pts)
+    fit_res = max(fit.residual for fit in fits)
+    nab = max(float(np.abs(fit.nabla).max()) for fit in fits)
     if herm >= tol:
         cls = StructureClass.NOT_HERMITIAN
     elif nab < tol:
@@ -220,17 +211,11 @@ def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point])
     )
 
 
-def check_product_structure(g: MetricField, F: ProductStructureField, p: Point) -> ProductReport:
-    """The four residuals of an almost product pair (g, F) at p: the batch
-    of one point."""
-    return _product_reports(g, F, [p])[0]
-
-
-def _product_reports(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[ProductReport]:
-    """``check_product_structure`` at each point: F from one ``eval_batch``,
-    g from one ``matrices``, N_F and nabla F each from one batch, and every
-    residual over the stack.  A batch that raises raises what its first
-    failing point raises alone."""
+def check_product_structure(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[ProductReport]:
+    """The four residuals of an almost product pair (g, F) at each point: F
+    from one ``eval_batch``, g from one ``matrices``, N_F and nabla F each
+    from one batch, and every residual over the stack.  A batch that raises
+    raises what its first failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[ProductReport]:
         n = g.chart.dim
@@ -239,31 +224,26 @@ def _product_reports(g: MetricField, F: ProductStructureField, pts: Sequence[Poi
         inv = np.abs(Fp @ Fp - np.eye(n)).max(axis=(1, 2))
         met = np.abs(Fp.transpose(0, 2, 1) @ gp @ Fp - gp).max(axis=(1, 2))
         nij = np.abs(np.array(_nijenhuises(g, F, qs))).max(axis=(1, 2, 3))
-        par = np.abs(np.array(_covariant_derivatives(g, F.field, qs))).max(axis=(1, 2, 3))
+        par = np.abs(np.array(covariant_derivative_11(g, F.field, qs))).max(axis=(1, 2, 3))
         return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_product_structure(g, F, q))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_product_structure(g, F, [q]))
 
 
-def check_sigma_invariant_operator(
-    F: ProductStructureField, T: LocalBasisTriple, p: Point
-) -> float:
-    """max_a |J_a F - F J_a| at p; zero when F preserves the structure
-    bundle.  The batch of one point."""
-    return _sigma_residuals(F, T, [p])[0]
-
-
-def _sigma_residuals(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
-    """``check_sigma_invariant_operator`` at each point, from one
-    ``eval_batch`` of F and one ``values`` of the triple.  A batch that
-    raises raises what its first failing point raises alone."""
+def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
+    """max_a |J_a F - F J_a| at each point, zero when F preserves the
+    structure bundle: from one ``eval_batch`` of F and one ``values`` of the
+    triple.  A batch that raises raises what its first failing point raises
+    alone."""
 
     def compute(qs: list[Point]) -> list[float]:
         Fp = eval_batch(F.field, qs)[:, None]
         J = T.values(qs)
         return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, F.field.chart, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, q))
+    return _memo_batch(
+        {}, F.field.chart, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, [q])
+    )
 
 
 @dataclass(frozen=True)
@@ -300,7 +280,7 @@ def check_parallel_equivalence(
     """
     if not pts:
         raise ValidationError("check_parallel_equivalence needs points")
-    sig = max(_sigma_residuals(F, T, pts))
+    sig = max(check_sigma_invariant_operator(F, T, pts))
     if sig >= tol:
         raise PreconditionFailedError(
             f"F is not sigma-invariant (residual {sig:.3e} >= {tol:.1e})"
@@ -310,7 +290,7 @@ def check_parallel_equivalence(
         raise PreconditionFailedError(
             f"(g, T) classifies as {verdict.cls.value}, need PQK or LhPK-basis"
         )
-    D = np.array(_covariant_derivatives(g, F.field, pts))  # [c, i, k, j]
+    D = np.array(covariant_derivative_11(g, F.field, pts))  # [c, i, k, j]
     N = np.array(_nijenhuises(g, F, pts))
     J = T.values(pts)  # [c, a, m, i]
     mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)

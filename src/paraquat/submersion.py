@@ -9,9 +9,9 @@ the stack: vertical = ker(df) from an SVD, horizontal = the g-orthogonal
 complement of vertical (a second SVD on V^T g, which works in neutral
 signature as long as the fiber metric V^T g V stays nondegenerate).  A
 batch that raises stores nothing, and its first failing point raises what
-it raises alone.
-``jacobian``, ``vh_split``, ``SubmersionMap.map_point`` and
-``oneill_tensors`` are each the batch of one point.
+it raises alone.  ``SubmersionMap.images``, ``jacobian``, ``vh_split``,
+``oneill_tensors`` and the checks take a list of points, a point alone
+being a list of one.
 
 The O'Neill tensors are assembled from the derivative of the vertical
 *projector* — projectors, unlike the frames themselves, depend smoothly on
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import ManifoldSpec, Point, _check_point, _jets_of, _memo_batch, _point
-from .structures import StructureClass, _fits, classify_structure
+from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
 FIBER_DET_FLOOR = 1e-9
@@ -69,39 +69,38 @@ class SubmersionMap:
     )
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def map_point(self, p: Point) -> Point:
-        return _images(self, [p])[0]
+    def images(self, points: Sequence[Point]) -> list[Point]:
+        """The image of each point of the source box, memoised on the map:
+        the box of the misses' stack tested at once, then one call of the
+        components on it.  A batch that raises stores nothing, and its first
+        failing point raises what it raises alone: OutOfDomainError for a
+        point outside the box, walls included in it."""
+        source, m = self.source, self.target.dim
+
+        def compute(qs: list[Point]) -> list[Point]:
+            C = np.array([q.coords for q in qs])
+            inside = source.contains_rows(C)
+            if not inside.all():
+                _check_point(source, qs[int(inside.argmin())])
+            Y = np.asarray(self.components(C), dtype=float)
+            if Y.shape != (len(qs), m):
+                raise ShapeError(f"map returned shape {Y.shape[1:]}, expected ({m},)")
+            Y.flags.writeable = False
+            return [_point(self.target, y) for y in Y]
+
+        return _memo_batch(
+            self._memo, source, "image", points, compute, one=lambda q: dataclasses.replace(self).images([q])
+        )
 
 
-def _images(f: SubmersionMap, points: Sequence[Point]) -> list[Point]:
-    """The image of each point, memoised on the map: the misses from one
-    call of its components on their stack."""
-    m = f.target.dim
-
-    def compute(qs: list[Point]) -> list[Point]:
-        C = np.array([q.coords for q in qs])
-        Y = np.asarray(f.components(C), dtype=float)
-        if Y.shape != (len(qs), m):
-            raise ShapeError(f"map returned shape {Y.shape[1:]}, expected ({m},)")
-        Y.flags.writeable = False
-        return [_point(f.target, y) for y in Y]
-
-    return _memo_batch(
-        f._memo, f.source, "image", points, compute, one=lambda q: dataclasses.replace(f).map_point(q)
-    )
-
-
-def jacobian(f: SubmersionMap, p: Point) -> np.ndarray:
-    """df at p as a read-only C-contiguous (n', n) matrix, the map's first
-    partials from its jets at p, anywhere in the closed box; raises
-    ValidationError for a point off the map's chart, OutOfDomainError for
-    one outside its box and RankDeficientError if df is not onto."""
-    return _jacobians(f, [p])[0]
-
-
-def _jacobians(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
-    """``jacobian`` at each point, memoised on the map per point: the
-    misses' domain, then one jets call, then one batched SVD."""
+def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
+    """df at each point as the memo's read-only C-contiguous (n', n)
+    matrices, the map's first partials from its jets at the points,
+    anywhere in the closed box, memoised on the map per point: the misses'
+    domain, then one jets call, then one batched SVD.  A point off the
+    map's chart raises ValidationError, one outside its box
+    OutOfDomainError, and one where df is not onto RankDeficientError; a
+    batch raises what its first failing point raises alone."""
     n, m = f.source.dim, f.target.dim
 
     def compute(qs: list[Point]) -> np.ndarray:
@@ -121,7 +120,7 @@ def _jacobians(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
         return J
 
     return _memo_batch(
-        f._memo, f.source, "df", points, compute, one=lambda q: jacobian(dataclasses.replace(f), q)
+        f._memo, f.source, "df", points, compute, one=lambda q: jacobian(dataclasses.replace(f), [q])
     )
 
 
@@ -161,19 +160,14 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, H, Pv, Ph
 
 
-def vh_split(f: SubmersionMap, g: MetricField, p: Point) -> SplitFrame:
-    """The split at p, the memo's: df, then g at p, then the frames from
-    ``_split_matrices``; p fails in that order."""
-    return _splits(f, g, [p])[0]
-
-
-def _splits(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[SplitFrame]:
-    """``vh_split`` at each point, memoised on g under ("split", f) per
-    point: the misses' df from one ``_jacobians``, g from one
-    ``matrices``, the frames from one ``_split_matrices``."""
+def vh_split(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[SplitFrame]:
+    """The split at each point, memoised on g under ("split", f) per
+    point: the misses' df from one ``jacobian``, g from one ``matrices``,
+    the frames from one ``_split_matrices``; a point fails in that order,
+    and a batch raises what its first failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[SplitFrame]:
-        dfs = _jacobians(f, qs)
+        dfs = jacobian(f, qs)
         frames = _split_matrices(np.array(dfs), np.array(g.matrices(qs)))
         for A in frames:
             A.flags.writeable = False
@@ -181,7 +175,7 @@ def _splits(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[S
 
     return _memo_batch(
         g._memo, g.chart, ("split", f), points, compute,
-        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), q),
+        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), [q]),
     )
 
 
@@ -196,7 +190,7 @@ def check_semi_riemannian(
 
     def compute(qs: list[Point]) -> list[float]:
         out = []
-        for fr, G, G_target in zip(_splits(f, g, qs), g.matrices(qs), g_target.matrices(_images(f, qs))):
+        for fr, G, G_target in zip(vh_split(f, g, qs), g.matrices(qs), g_target.matrices(f.images(qs))):
             down = fr.df @ fr.horizontal
             up = fr.horizontal.T @ G @ fr.horizontal
             dn = down.T @ G_target @ down
@@ -219,10 +213,10 @@ def check_paraholomorphic(
     df, the triple, the images and the target triple."""
 
     def compute(qs: list[Point]) -> list[float]:
-        dfs, ups = _jacobians(f, qs), T.values(qs)
+        dfs, ups = jacobian(f, qs), T.values(qs)
         return [
             max(float(np.abs(J @ up[a] - dn[a] @ J).max()) for a in range(3))
-            for J, up, dn in zip(dfs, ups, T_target.values(_images(f, qs)))
+            for J, up, dn in zip(dfs, ups, T_target.values(f.images(qs)))
         ]
 
     residuals = _memo_batch(
@@ -262,7 +256,7 @@ def check_vh_invariance(
                 max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
                 max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
             )
-            for fr, J in zip(_splits(f, g, qs), T.values(qs))
+            for fr, J in zip(vh_split(f, g, qs), T.values(qs))
         ]
 
     leaks = _memo_batch(
@@ -299,28 +293,23 @@ class ONeillTensors:
         return float(np.abs(self.a_horizontal + self.a_horizontal.transpose(1, 0, 2)).max())
 
 
-def oneill_tensors(f: SubmersionMap, g: MetricField, p: Point) -> ONeillTensors:
-    """A and T at p from Gamma, the split at p and d_m Pv in closed form
-    (``_projector_partials``), with no split but p's, at any p of the
-    closed box."""
-    return _oneills(f, g, [p])[0]
-
-
-def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONeillTensors]:
-    """``oneill_tensors`` at each point: Gamma, the splits and d Pv each in
-    one batch over the sample, then every contraction over the whole stack,
-    each rounding as its one-point form does.  The products Gamma(U e_i,
-    W e_j) of the projectors U = (h, v) with W = (v, h) come from two
-    ``einsum`` calls, which form Gamma U first and then reduce over (m, l),
-    in the order and association of the three-operand
-    ``einsum("kml,mi,lj->ikj")`` of one point."""
+def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONeillTensors]:
+    """A and T at each point from Gamma, the split at the point and d_m Pv
+    in closed form (``_projector_partials``), with no split but the
+    point's, at any point of the closed box.  Gamma, the splits and d Pv
+    each come in one batch over the sample, then every contraction over
+    the whole stack, each rounding alike for a point alone or in any batch.
+    The products Gamma(U e_i, W e_j) of the projectors U = (h, v) with W =
+    (v, h) come from two ``einsum`` calls, which form Gamma U first and
+    then reduce over (m, l), in the order and association of the
+    three-operand ``einsum("kml,mi,lj->ikj")`` of one point."""
 
     def compute(qs: list[Point]) -> list[ONeillTensors]:
         _christoffels(g, qs)
         # each point's Gamma read back from the memo the batch filled, through
         # the public christoffel, whose calls perfbench's tracer counts
         gam = np.array([christoffel(g, q) for q in qs])
-        frs = _splits(f, g, qs)
+        frs = vh_split(f, g, qs)
         dPv = _projector_partials(f, g, frs)
         h, v, H = (np.array([getattr(fr, a) for fr in frs]) for a in ("h", "v", "horizontal"))
         U = np.stack([h, v], axis=1)
@@ -338,7 +327,7 @@ def _oneills(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONe
         a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
         return [ONeillTensors(q, a, t, ah) for q, a, t, ah in zip(qs, full[:, 0], full[:, 1], a_h)]
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: oneill_tensors(f, g, q))
+    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: oneill_tensors(f, g, [q]))
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:
@@ -399,7 +388,7 @@ def descend_one_forms(
     """
     if len({tuple(q.coords.tolist()) for q in fiber_pts}) < 2:
         raise ValidationError("descend_one_forms needs at least two distinct fiber points")
-    images = _images(f, fiber_pts)
+    images = f.images(fiber_pts)
     base = images[0]
     for q in images[1:]:
         if float(np.abs(q.coords - base.coords).max()) > FIBER_IMAGE_TOL:
@@ -414,11 +403,11 @@ def descend_one_forms(
     m = f.target.dim
     values = np.empty((len(fiber_pts), 3, m))
     fit_max = 0.0
-    fits, frs = _fits(g, T, fiber_pts), _splits(f, g, fiber_pts)
-    for k, ((omega, residual, _), fr) in enumerate(zip(fits, frs)):
-        fit_max = max(fit_max, residual)
+    fits, frs = fit_kahler_oneforms(g, T, fiber_pts), vh_split(f, g, fiber_pts)
+    for k, (fit, fr) in enumerate(zip(fits, frs)):
+        fit_max = max(fit_max, fit.residual)
         for alpha in range(m):
-            values[k, :, alpha] = omega @ _lift(fr, np.eye(m)[alpha])
+            values[k, :, alpha] = fit.omega @ _lift(fr, np.eye(m)[alpha])
     return DescentReport(
         image=base,
         omega_base=values.mean(axis=0),

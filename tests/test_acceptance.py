@@ -44,7 +44,7 @@ def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat
         (TRIPLES["product8"](chart8), chart8, 103),
     ):
         for p in sample_points(chart, 100, seed=seed):
-            worst = max(worst, check_triple_algebra(triple, p).max_residual)
+            worst = max(worst, check_triple_algebra(triple, [p])[0].max_residual)
     assert worst < 1e-12
     print(f"PASS  algebra residual {worst:.2e} (< 1e-12)")
 
@@ -61,7 +61,7 @@ def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple
     expected = np.zeros((3, 4))
     expected[2, 0] = -1.0
     for p in pts:
-        fit = fit_kahler_oneforms(flat4, rot_triple, p)
+        fit = fit_kahler_oneforms(flat4, rot_triple, [p])[0]
         assert abs(fit.omega[2, 0] + 1.0) < 1e-5
         assert np.abs(fit.omega - expected).max() < 1e-5
 
@@ -75,13 +75,13 @@ def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, f
     proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
     worst_a, worst_anti = 0.0, 0.0
     for p in sample_points(chart8, 5, seed=105):
-        ten = oneill_tensors(proj, g8, p)
+        ten = oneill_tensors(proj, g8, [p])[0]
         worst_a = max(worst_a, ten.max_a_horizontal)
         worst_anti = max(worst_anti, ten.antisymmetry_residual)
 
     bundle = build_tangent_bundle(flat4, std_triple)
     for xi in sample_points(bundle.spec, 5, seed=106):
-        ten = oneill_tensors(bundle.projection, bundle.metric, xi)
+        ten = oneill_tensors(bundle.projection, bundle.metric, [xi])[0]
         worst_a = max(worst_a, ten.max_a_horizontal)
         worst_anti = max(worst_anti, ten.antisymmetry_residual)
     assert worst_a < 1e-5
@@ -103,7 +103,7 @@ def test_one_forms_descend_and_match_the_base_fit(chart8):
     chart4 = proj.target
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image)
+    fit = fit_kahler_oneforms(g4, down, [rep.image])[0]
     mismatch = float(np.abs(rep.omega_base - fit.omega).max())
     assert mismatch < 1e-5
     print(f"PASS  fiber constancy {rep.constancy_residual:.2e} (< 1e-6), base-fit mismatch {mismatch:.2e} (< 1e-5)")
@@ -132,12 +132,12 @@ def test_lifted_connection_and_bracket_match_the_closed_forms(flat4, conformal4,
     for g, seed in ((flat4, 108), (conformal4, 109)):
         bundle = build_tangent_bundle(g, std_triple)
         for xi in sample_points(bundle.spec, 10, seed=seed):
-            worst = max(worst, check_connection_oracle(bundle, xi))
+            worst = max(worst, check_connection_oracle(bundle, [xi])[0])
     assert worst < 1e-3
 
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point(np.zeros(4), [0.0, 0.0, 0.9, 0.0])
-    rep = check_bracket(bundle, np.eye(4)[1], np.eye(4)[2], xi)
+    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])[0][0]
     assert rep.max_residual < 1e-3
     assert rep.hh_flipped_residual > 1e-2  # the curvature term really has that sign
     print(f"PASS  connection residual {worst:.2e} (< 1e-3), bracket ok, flipped sign residual {rep.hh_flipped_residual:.2f} (> 1e-2)")
@@ -155,8 +155,8 @@ def test_lifted_structures_classify_like_the_base(flat4, conformal4, std_triple,
     assert v.cls is StructureClass.PQK
     # the lifted forms are pullbacks: no fiber components, base components intact
     for xi in pts:
-        fit_up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, xi)
-        fit_down = fit_kahler_oneforms(flat4, rot_triple, b_rot.base_point(xi))
+        fit_up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, [xi])[0]
+        fit_down = fit_kahler_oneforms(flat4, rot_triple, [b_rot.base_point(xi)])[0]
         assert np.abs(fit_up.omega[:, 4:]).max() < 1e-5
         assert np.abs(fit_up.omega[:, :4] - fit_down.omega).max() < 1e-5
 

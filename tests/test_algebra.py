@@ -15,7 +15,6 @@ from paraquat import (
     apply_transition,
     check_triple_algebra,
     constant_field,
-    algebra,
     sample_points,
 )
 from paraquat.algebra import CYCLIC, TAU
@@ -27,7 +26,7 @@ from conftest import pointwise
 
 def test_standard_triple_algebra(std_triple, pts4):
     for p in pts4:
-        rep = check_triple_algebra(std_triple, p)
+        rep = check_triple_algebra(std_triple, [p])[0]
         assert rep.max_residual < 1e-14
         assert rep.passed(1e-12)
         assert rep.gram_det == pytest.approx(64.0)
@@ -36,7 +35,7 @@ def test_standard_triple_algebra(std_triple, pts4):
 def test_rotated_triple_algebra(rot_triple, pts4):
     # pointwise rotation inside span(J1, J2) preserves all relations
     for p in pts4:
-        assert check_triple_algebra(rot_triple, p).max_residual < 1e-12
+        assert check_triple_algebra(rot_triple, [p])[0].max_residual < 1e-12
 
 
 def test_identity_triple_fails(chart4):
@@ -45,7 +44,7 @@ def test_identity_triple_fails(chart4):
         constant_field(chart4, 1, 1, np.eye(4), "I"),
         constant_field(chart4, 1, 1, np.eye(4), "I"),
     )
-    rep = check_triple_algebra(eye, Point(chart4, [0, 0, 0, 0]))
+    rep = check_triple_algebra(eye, [Point(chart4, [0, 0, 0, 0])])[0]
     assert rep.anticommute_residual == pytest.approx(2.0)
     assert not rep.passed(1e-12)
 
@@ -76,10 +75,10 @@ def test_apply_transition_reproduces_rotated(std_triple, rot_triple, pts4):
 def test_singular_transition_rejected(std_triple):
     bad = TransitionMap(s=lambda ps: [np.zeros((3, 3))] * len(ps), label="zero")
     with pytest.raises(SingularTransitionError):
-        bad.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
+        bad.matrices([Point(std_triple.chart, [0, 0, 0, 0])])
     wrong_shape = TransitionMap(s=lambda ps: [np.eye(2)] * len(ps), label="2x2")
     with pytest.raises(ValidationError):
-        wrong_shape.matrix(Point(std_triple.chart, [0, 0, 0, 0]))
+        wrong_shape.matrices([Point(std_triple.chart, [0, 0, 0, 0])])
 
 
 def test_rotated_members_are_the_rotated_triple_bit_for_bit(rot_triple, pts4):
@@ -137,16 +136,16 @@ def test_batched_triple_algebra_is_the_one_point_formula_bit_for_bit(std_triple,
         "product8-rotated": TRIPLES["product8-rotated"](chart8),
     }[name]
     pts = pts4 if triple.chart.dim == 4 else sample_points(chart8, 4, seed=2)
-    reps = algebra._triple_algebras(triple, pts + [pts[0]])
+    reps = check_triple_algebra(triple, pts + [pts[0]])
     assert reps == [reference_algebra(triple, p) for p in pts + [pts[0]]]
-    assert [check_triple_algebra(triple, p) for p in pts] == reps[:-1]
+    assert [check_triple_algebra(triple, [p])[0] for p in pts] == reps[:-1]
 
 
 def test_witness_members_batch_is_the_one_point_rotation_bit_for_bit(rot_triple, pts4):
     witness = _witness(rot_triple)
     for a, member in enumerate(witness.fields):
         for p, value in zip(pts4, member.components(pts4)):
-            s = TransitionMap(s=pointwise(_weighted_rotation)).matrix(p)
+            s = TransitionMap(s=pointwise(_weighted_rotation)).matrices([p])[0]
             expected = np.einsum("b,bij->ij", s[a], rot_triple.matrices(p))
             assert value.tobytes() == expected.tobytes()
             assert eval_field(member, p).tobytes() == expected.tobytes()
@@ -177,12 +176,14 @@ def test_transition_matrices_from_a_batch_raise_what_the_first_failing_point_rai
     with pytest.raises(EvaluationError, match="division by zero"):
         s.s(pts)
     with pytest.raises(SingularTransitionError) as expected:
-        s.matrix(pts[1])
+        s.matrices([pts[1]])
     for batch in (s.matrices, apply_transition(std_triple, s).j2.components):
         with pytest.raises(SingularTransitionError) as got:
             batch(pts)
         assert str(got.value) == str(expected.value)
-    assert s.matrices(pts[:1]).tobytes() == s.matrix(pts[0])[None].tobytes()
+    # each point of a batch that passes has the bits of its batch of one
+    fine = [pts[0], Point(chart, [0.2, -0.3, 0.4, 0.0])]
+    assert s.matrices(fine).tobytes() == np.concatenate([s.matrices([q]) for q in fine]).tobytes()
 
 
 def _nan_where(k, J):
@@ -203,9 +204,9 @@ def test_a_triple_algebra_batch_raises_what_its_first_failing_point_raises_alone
     chart = triple.chart
     pts = [Point(chart, [0.1, 0.0, 0.0, 0.0]), Point(chart, [0.1, 0.7, 0.0, 0.0]), Point(chart, [0.1, 0.0, 0.7, 0.0])]
     with pytest.raises(EvaluationError, match="J2") as expected:
-        check_triple_algebra(triple, pts[1])
+        check_triple_algebra(triple, [pts[1]])
     with pytest.raises(EvaluationError) as got:
-        algebra._triple_algebras(triple, pts)
+        check_triple_algebra(triple, pts)
     assert str(got.value) == str(expected.value)
 
 

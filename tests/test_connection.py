@@ -100,19 +100,19 @@ def test_metric_compatibility(conformal4, pts4):
 
 def test_conformal_curvature_magnitude(conformal4):
     p = Point(conformal4.chart, [0.2, -0.3, 0.4, 0.1])
-    R = riemann(conformal4, p)
+    R = riemann(conformal4, [p])[0]
     assert abs(float(np.abs(R).max()) - 1.0) < 1e-4
 
 
 def test_riemann_antisymmetry_last_pair(conformal4, pts4):
     for p in pts4[:2]:
-        R = riemann(conformal4, p)
+        R = riemann(conformal4, [p])[0]
         assert np.abs(R + R.transpose(0, 1, 3, 2)).max() < 1e-4
 
 
 def test_first_bianchi(conformal4):
     p = Point(conformal4.chart, [0.1, 0.2, -0.2, 0.3])
-    R = riemann(conformal4, p)  # R[l, k, i, j]
+    R = riemann(conformal4, [p])[0]  # R[l, k, i, j]
     cyc = R + R.transpose(0, 3, 1, 2) + R.transpose(0, 2, 3, 1)
     assert np.abs(cyc).max() < 1e-4
 
@@ -121,7 +121,7 @@ def test_curvature_operator_values(conformal4):
     # for g = e^{2 x1} eta the only curvature is in the planes not touching
     # x1, with unit strength: R(e2, e3) e3 = e2 at every point
     p = Point(conformal4.chart, [0.15, -0.1, 0.25, 0.0])
-    R = riemann(conformal4, p)
+    R = riemann(conformal4, [p])[0]
     e = np.eye(4)
     assert np.allclose(curvature_operator(R, e[1], e[2], e[2]), e[1], atol=1e-4)
     # antisymmetric in the first two slots
@@ -175,7 +175,7 @@ def test_covariant_derivative_11_leibniz_against_parts(conformal4, chart4):
     # nabla of the identity (1,1) field must vanish for any metric connection
     eye = constant_field(chart4, 1, 1, np.eye(4), "id")
     p = Point(chart4, [0.2, 0.1, -0.3, 0.05])
-    D = covariant_derivative_11(conformal4, eye, p)
+    D = covariant_derivative_11(conformal4, eye, [p])[0]
     assert np.abs(D).max() < 1e-10
 
 
@@ -204,7 +204,7 @@ def _counted_metric(chart, comps=_conformal):
 EVALUATIONS = {
     "matrix": lambda g, p: g.matrix(p),
     "christoffel": christoffel,
-    "riemann": riemann,
+    "riemann": lambda g, p: riemann(g, [p])[0],
 }
 
 
@@ -354,7 +354,7 @@ def test_batched_christoffel_and_riemann_equal_the_one_point_formula_bit_for_bit
     for c in coords:
         p = Point(g.chart, c)
         assert christoffel(g, p).tobytes() == reference_christoffel(ref, p).tobytes()
-        R = riemann(g, p)
+        R = riemann(g, [p])[0]
         assert R.tobytes() == reference_riemann(ref, p).tobytes()
         assert np.abs(R).max() > 0 or name == "neutral4"
 
@@ -398,7 +398,7 @@ def test_expression_metric_christoffel_and_riemann_are_the_conformal_closed_form
         p = Point(chart4, c)
         gam, riem = conformal_closed_form(*_sweep_f_derivatives(np.array(c)))
         assert np.abs(christoffel(g, p) - gam).max() < 1e-12
-        assert np.abs(riemann(g, p) - riem).max() < 1e-12
+        assert np.abs(riemann(g, [p])[0] - riem).max() < 1e-12
         assert np.abs(riem).max() > 0.1
 
 
@@ -468,7 +468,7 @@ def _exact_and_fd(case):
     if kind == "df":  # the differential of an expression map, from its jets
         f = expression_map(make_chart(8), chart4, BENT_COMPONENTS, name)
         pts = sample_points(f.source, 3, seed=2)
-        exact = [np.stack([jacobian(f, p) for p in pts])]
+        exact = [np.stack([jacobian(f, [p])[0] for p in pts])]
         values = lambda qs: f.components(np.array([q.coords for q in qs]))
         return exact, lambda h: [central_difference(values, pts, h).transpose(0, 2, 1)]
     build, top = CONVERGENCE_FIELDS[name]  # each jet order from the order below
@@ -504,10 +504,10 @@ def test_derivatives_within_a_step_of_the_wall_equal_those_on_a_wider_box(x1):
         source = make_chart(8, domain=chart.domain.tolist() * 2)
         f = expression_map(source, chart, BENT_COMPONENTS, "bent")
         p = Point(chart, [x1, -0.2, 0.3, 0.05])
-        fit = fit_kahler_oneforms(g, T, p)
+        fit = fit_kahler_oneforms(g, T, [p])[0]
         return [
-            christoffel(g, p), riemann(g, p), fit.omega, fit.nabla,
-            jacobian(f, Point(source, [x1, -0.2, 0.3, 0.05, 0.1, -0.4, 0.2, 0.6])),
+            christoffel(g, p), riemann(g, [p])[0], fit.omega, fit.nabla,
+            jacobian(f, [Point(source, [x1, -0.2, 0.3, 0.05, 0.1, -0.4, 0.2, 0.6])])[0],
         ]
 
     at_wall = derivatives(near)
@@ -720,11 +720,11 @@ def test_batched_nabla_is_the_one_point_formula_bit_for_bit(chart4, name):
     metric, field = NABLA_CASES[name]
     g, T = metric(chart4), field(chart4)
     pts = [Point(chart4, c) for c in NABLA_POINTS]
-    batch = connection._covariant_derivatives(g, T, pts)
+    batch = covariant_derivative_11(g, T, pts)
     for p, D in zip(pts, batch):
         _assert_same_bits(D, reference_nabla(g, T, p))
         assert not D.flags.writeable
-        assert covariant_derivative_11(g, T, Point(chart4, p.coords)) is D
+        assert covariant_derivative_11(g, T, [Point(chart4, p.coords)])[0] is D
     assert max(np.abs(D).max() for D in batch) > 0 or name == "constant over neutral4"
 
 
@@ -737,7 +737,7 @@ def test_batched_nabla_of_a_lifted_member_is_the_one_point_formula_bit_for_bit(c
     bundle = build_tangent_bundle(base, TRIPLES[triple](chart4))
     T = bundle.triple.j2
     pts = [bundle.point(x, u) for x, u in [(MEMO_POINT, [0.2, -0.1, 0.15, 0.3]), ([-0.6, 0.4, 0.0, 0.7], [0.0, 0.5, -0.4, 0.1])]]
-    for p, D in zip(pts, connection._covariant_derivatives(bundle.metric, T, pts)):
+    for p, D in zip(pts, covariant_derivative_11(bundle.metric, T, pts)):
         _assert_same_bits(D, reference_nabla(bundle.metric, T, p))
 
 
@@ -749,10 +749,10 @@ def test_nabla_batch_raises_what_its_first_failing_point_raises_alone_and_stores
 
     T = structure_from_config({"matrix": [["x1/(x2 - 0.7)"] * 4] * 4}, chart4).field
     pts = [Point(chart4, MEMO_POINT), Point(chart4, [0.0, 0.7, 0.0, 0.0]), Point(chart4, [0.0, 0.0, 0.7, 0.0])]
-    for batch, alone in ((connection._covariant_derivatives, covariant_derivative_11), (connection._gradients, connection._gradient)):
+    for batch in (covariant_derivative_11, connection._gradients):
         ref, _ = _counted_metric(chart4, comps)
         with pytest.raises(EvaluationError) as expected:
-            alone(ref, T, pts[1])
+            batch(ref, T, [pts[1]])
         g, _ = _counted_metric(chart4, comps)
         with pytest.raises(EvaluationError) as got:
             batch(g, T, pts)
@@ -768,7 +768,7 @@ def test_gradient_batch_raises_what_its_first_failing_point_raises_alone(chart4)
     pts = [Point(chart4, MEMO_POINT), Point(chart4, [1.0 + 0.5 * H, 0.0, 0.0, 0.0]), Point(other, MEMO_POINT)]
     g = MetricField(METRICS["conformal-neutral4"](chart4).field)
     with pytest.raises(OutOfDomainError) as expected:
-        connection._gradient(MetricField(g.field), T, pts[1])
+        connection._gradients(MetricField(g.field), T, [pts[1]])
     with pytest.raises(OutOfDomainError) as got:
         connection._gradients(g, T, pts)
     assert str(got.value) == str(expected.value)
@@ -789,12 +789,12 @@ NO_JETS = {
         "conformal-neutral4",
     ),
     "covariant_derivative_11": (
-        lambda c, p: covariant_derivative_11(METRICS["neutral4"](c), _without_jets(TRIPLES["rotated4"](c).j1), p),
+        lambda c, p: covariant_derivative_11(METRICS["neutral4"](c), _without_jets(TRIPLES["rotated4"](c).j1), [p]),
         "J1'",
     ),
     "jacobian": (
         lambda c, p: jacobian(
-            _without_jets(expression_map(make_chart(8), c, BENT_COMPONENTS, "bent")), Point(make_chart(8), MEMO_POINT * 2)
+            _without_jets(expression_map(make_chart(8), c, BENT_COMPONENTS, "bent")), [Point(make_chart(8), MEMO_POINT * 2)]
         ),
         "bent",
     ),

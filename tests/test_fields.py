@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,29 @@ from paraquat import (
     Point,
     ShapeError,
     TensorField,
+    TransitionMap,
     ValidationError,
+    build_tangent_bundle,
+    check_bracket,
+    check_connection_oracle,
+    check_hermitian,
+    check_nabla_j_oracle,
+    check_product_structure,
+    check_sigma_invariant_operator,
+    check_triple_algebra,
     constant_field,
+    covariant_derivative_11,
     eval_field,
+    fit_kahler_oneforms,
+    jacobian,
+    oneill_tensors,
+    oracle_tilde_nabla,
+    oracle_tilde_nabla_J,
+    riemann,
     sample_points,
+    vh_split,
 )
-from paraquat.catalog import make_chart
+from paraquat.catalog import METRICS, STRUCTURES, TRIPLES, make_chart
 from paraquat.connection import _gradients
 from paraquat.fields import _memo_batch, eval_batch
 
@@ -32,22 +51,18 @@ def test_chart_validation():
 
 
 @pytest.mark.parametrize(
-    "coords, margin, inside",
+    "coords, inside",
     [
-        ([-1.0, 2.0], 0.0, True),  # on two walls
-        ([1.0, 0.0], 0.0, True),
-        ([np.nextafter(1.0, 2.0), 1.0], 0.0, False),
-        ([-0.75, 1.75], 0.25, True),  # exactly the margin from two walls
-        ([0.75, 0.25], 0.25, True),
-        ([np.nextafter(-0.75, -1.0), 1.0], 0.25, False),
-        ([0.0, np.nextafter(0.25, 0.0)], 0.25, False),
-        ([np.nan, 1.0], 0.0, False),
-        ([0.0, np.nan], 0.25, False),
+        ([-1.0, 2.0], True),  # on two walls
+        ([1.0, 0.0], True),
+        ([np.nextafter(1.0, 2.0), 1.0], False),
+        ([np.nan, 1.0], False),
+        ([0.0, np.nan], False),
     ],
 )
-def test_contains_truth_table(coords, margin, inside):
+def test_contains_truth_table(coords, inside):
     chart = ManifoldSpec(("a", "b"), [[-1, 1], [0, 2]])
-    assert chart.contains(np.array(coords), margin=margin) is inside
+    assert chart.contains(np.array(coords)) is inside
 
 
 @pytest.mark.parametrize("coords", [[0.0], [0.0, 1.0, 1.0], [[0.0, 1.0]], 0.5])
@@ -268,6 +283,50 @@ def test_memo_batch_replays_a_failing_batch_point_by_point(chart4):
     with pytest.raises(EvaluationError, match="the batch fails"):
         _memo_batch(memo, chart4, "s", [first], failing, one=one)
     assert tried == [] and memo == {}
+
+
+def _geometry():
+    """The objects every layer's batch is asked about: conformal-neutral4
+    with rotated4 and its Sasaki lift, and split8 over neutral8."""
+    chart4, chart8 = make_chart(4), make_chart(8)
+    g, T = METRICS["conformal-neutral4"](chart4), TRIPLES["rotated4"](chart4)
+    bundle = build_tangent_bundle(g, T)
+    return SimpleNamespace(
+        g=g, T=T, bundle=bundle, p=Point(chart4, [0.1, -0.2, 0.3, 0.05]),
+        xi=bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]),
+        g8=METRICS["neutral8"](chart8), F=STRUCTURES["split8"](chart8), T8=TRIPLES["product8"](chart8),
+        p8=Point(chart8, [0.1] * 8), s=TransitionMap(lambda ps: [np.eye(3)] * len(ps), label="identity"),
+    )
+
+
+BATCHES = {
+    # each layer's batch, handed one bare point in place of its list
+    "riemann": lambda o: riemann(o.g, o.p),
+    "covariant_derivative_11": lambda o: covariant_derivative_11(o.g, o.T.j1, o.p),
+    "check_triple_algebra": lambda o: check_triple_algebra(o.T, o.p),
+    "TransitionMap.matrices": lambda o: o.s.matrices(o.p),
+    "check_hermitian": lambda o: check_hermitian(o.g, o.T, o.p),
+    "fit_kahler_oneforms": lambda o: fit_kahler_oneforms(o.g, o.T, o.p),
+    "check_product_structure": lambda o: check_product_structure(o.g8, o.F, o.p8),
+    "check_sigma_invariant_operator": lambda o: check_sigma_invariant_operator(o.F, o.T8, o.p8),
+    "SubmersionMap.images": lambda o: o.bundle.projection.images(o.xi),
+    "jacobian": lambda o: jacobian(o.bundle.projection, o.xi),
+    "vh_split": lambda o: vh_split(o.bundle.projection, o.bundle.metric, o.xi),
+    "oneill_tensors": lambda o: oneill_tensors(o.bundle.projection, o.bundle.metric, o.xi),
+    "oracle_tilde_nabla": lambda o: oracle_tilde_nabla(o.bundle, o.xi),
+    "oracle_tilde_nabla_J": lambda o: oracle_tilde_nabla_J(o.bundle, o.xi),
+    "check_connection_oracle": lambda o: check_connection_oracle(o.bundle, o.xi),
+    "check_nabla_j_oracle": lambda o: check_nabla_j_oracle(o.bundle, o.xi),
+    "check_bracket": lambda o: check_bracket(o.bundle, [(np.eye(4)[0], np.eye(4)[1])], o.xi),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_a_batch_given_a_bare_point_raises_a_one_line_validation_error(batch):
+    o = _geometry()
+    with pytest.raises(ValidationError, match=r"^expected a list of points, got the single Point\(.*\); pass \[p\]$") as got:
+        BATCHES[batch](o)
+    assert "\n" not in str(got.value)
 
 
 def test_central_difference_is_the_per_direction_formula(chart4):

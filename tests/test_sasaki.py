@@ -161,19 +161,19 @@ def test_point_rejects_parts_of_the_wrong_length(flat4, std_triple, x, u, bad):
 def test_connection_matches_oracle_flat(flat4, std_triple):
     bundle = build_tangent_bundle(flat4, std_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    assert check_connection_oracle(bundle, xi) < 1e-10
+    assert check_connection_oracle(bundle, [xi])[0] < 1e-10
 
 
 def test_connection_matches_oracle_conformal(conformal4, std_triple):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    assert check_connection_oracle(bundle, xi) < 1e-9
+    assert check_connection_oracle(bundle, [xi])[0] < 1e-9
 
 
 def test_nabla_j_matches_oracle(conformal4, std_triple):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    assert check_nabla_j_oracle(bundle, xi) < 1e-9
+    assert check_nabla_j_oracle(bundle, [xi])[0] < 1e-9
 
 
 def test_oracle_over_a_flat_base_is_the_span_combination(flat4, std_triple, rot_triple):
@@ -187,21 +187,21 @@ def test_oracle_over_a_flat_base_is_the_span_combination(flat4, std_triple, rot_
     for T in (std_triple, rot_triple):
         bundle = build_tangent_bundle(flat4, T)
         xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-        C = oracle_tilde_nabla_J(bundle, xi)
+        C = oracle_tilde_nabla_J(bundle, [xi])[0]
         L = bundle.frames([xi])[0][0]
-        omega = fit_kahler_oneforms(flat4, T, bundle.base_point(xi)).omega
+        omega = fit_kahler_oneforms(flat4, T, [bundle.base_point(xi)])[0].omega
         Jt = bundle.triple.matrices(xi)
         for i in range(n):
             for a, predicted in enumerate(span_combination(omega[:, i], Jt)):
                 assert np.abs(C[a, i] - predicted @ L).max() < 1e-12
         assert not C[:, n:].any()
-        assert check_nabla_j_oracle(bundle, xi) < 1e-9
+        assert check_nabla_j_oracle(bundle, [xi])[0] < 1e-9
 
 
 def test_bracket_flat(flat4, std_triple):
     bundle = build_tangent_bundle(flat4, std_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    rep = check_bracket(bundle, np.eye(4)[0], np.eye(4)[1], xi)
+    rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])[0][0]
     assert rep.max_residual < 1e-9
 
 
@@ -210,7 +210,7 @@ def test_bracket_curvature_sign(conformal4, std_triple):
     # the identity must leave a residual of order |R| |u|
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point(np.zeros(4), [0.0, 0.0, 0.9, 0.0])
-    rep = check_bracket(bundle, np.eye(4)[1], np.eye(4)[2], xi)
+    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])[0][0]
     assert rep.vv_residual < 1e-9
     assert rep.hv_residual < 1e-9
     assert rep.hh_residual < 1e-9
@@ -220,7 +220,7 @@ def test_bracket_curvature_sign(conformal4, std_triple):
 def test_lifted_triple_algebra(conformal4, std_triple):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    assert check_triple_algebra(bundle.triple, xi).max_residual < 1e-12
+    assert check_triple_algebra(bundle.triple, [xi])[0].max_residual < 1e-12
 
 
 def test_lifted_oneform_components(flat4, rot_triple):
@@ -228,7 +228,7 @@ def test_lifted_oneform_components(flat4, rot_triple):
     # component of the third form survives, every fiber component dies
     bundle = build_tangent_bundle(flat4, rot_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    fit = fit_kahler_oneforms(bundle.metric, bundle.triple, xi)
+    fit = fit_kahler_oneforms(bundle.metric, bundle.triple, [xi])[0]
     assert fit.residual < 1e-6
     expected = np.zeros((3, 8))
     expected[2, 0] = -1.0
@@ -331,7 +331,7 @@ def _per_vector_reference(bundle, xi, pairs):
     g, n = bundle.base_metric, bundle.base_dim
     e = np.eye(n)
     x, u = bundle.base_point(xi), xi.coords[n:]
-    gam, R = christoffel(g, x), riemann(g, x)
+    gam, R = christoffel(g, x), riemann(g, [x])[0]
     gamG = christoffel(bundle.metric, xi)
     M = memo_shift(bundle, xi)
 
@@ -398,9 +398,9 @@ def _nabla_j_reference(bundle, xi):
     e = np.eye(bundle.base_dim)
     M = memo_shift(bundle, xi)
     L = np.hstack([lift("h", e, M), lift("v", e)])
-    D = np.stack([covariant_derivative_11(bundle.metric, F, xi) for F in bundle.triple.fields])
+    D = np.stack([covariant_derivative_11(bundle.metric, F, [xi])[0] for F in bundle.triple.fields])
     lifted = np.einsum("aAkl,AI,lJ->aIkJ", D, L, L)
-    return float(np.abs(lifted - oracle_tilde_nabla_J(bundle, xi)).max())
+    return float(np.abs(lifted - oracle_tilde_nabla_J(bundle, [xi])[0]).max())
 
 
 def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple):
@@ -418,14 +418,14 @@ def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple
         conn, closed_forms, brackets = _per_vector_reference(bundle, xi, pairs)
         nabla_j = _nabla_j_reference(bundle, xi)
         assert conn > 0 and nabla_j > 0
-        assert check_connection_oracle(bundle, xi) == conn
-        assert check_nabla_j_oracle(bundle, xi) == nabla_j
-        C = oracle_tilde_nabla(bundle, xi)
+        assert check_connection_oracle(bundle, [xi])[0] == conn
+        assert check_nabla_j_oracle(bundle, [xi])[0] == nabla_j
+        C = oracle_tilde_nabla(bundle, [xi])[0]
         offset = {"h": 0, "v": n}
         for (kx, i, ky, j), expected in closed_forms.items():
             assert np.array_equal(C[offset[kx] + i, :, offset[ky] + j], expected)
         for (i, j), expected in zip(pairs, brackets):
-            assert check_bracket(bundle, np.eye(n)[i], np.eye(n)[j], xi) == expected
+            assert check_bracket(bundle, [(np.eye(n)[i], np.eye(n)[j])], [xi])[0][0] == expected
         assert max(rep.hh_flipped_residual for rep in brackets) > 1e-2
 
 
@@ -439,19 +439,19 @@ def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple):
     e = np.eye(4)
     elsewhere = Point(make_chart(8), np.concatenate([[0.1, -0.2, 0.3, 0.05], U]))
     with pytest.raises(ValidationError, match="different charts"):
-        check_bracket(bundle, e[0], e[1], elsewhere)
+        check_bracket(bundle, [(e[0], e[1])], [elsewhere])
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], U)
     for X, Y in [(e[0, :3], e[1]), (e[0], e[1, :3])]:
         with pytest.raises(ShapeError, match=r"base vector has shape \(3,\)"):
-            check_bracket(bundle, X, Y, xi)
+            check_bracket(bundle, [(X, Y)], [xi])
     assert set(g._memo) == built
 
 
 def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, frame_batches):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    check_connection_oracle(bundle, xi)
-    check_nabla_j_oracle(bundle, xi)
+    check_connection_oracle(bundle, [xi])
+    check_nabla_j_oracle(bundle, [xi])
     framed = [key for batch in frame_batches for key in batch]
     assert framed.count(xi.coords.tobytes()) == 1
     assert len(framed) == len(set(framed))
@@ -461,18 +461,18 @@ def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, monke
     g = METRICS["conformal-neutral4"](chart4)  # a fresh memo
     bundle = build_tangent_bundle(g, rot_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    fit_kahler_oneforms(bundle.metric, bundle.triple, xi)
+    fit_kahler_oneforms(bundle.metric, bundle.triple, [xi])
     metrics = []
-    real = structures._covariant_derivatives
+    real = structures.covariant_derivative_11
 
     def counted(g, T, pts):
         metrics.append(g)
         return real(g, T, pts)
 
-    # the batch form, which covariant_derivative_11 calls too
+    # the fit calls it through structures, its replay through connection
     for module in (connection, structures):
-        monkeypatch.setattr(module, "_covariant_derivatives", counted)
-    check_nabla_j_oracle(bundle, xi)
+        monkeypatch.setattr(module, "covariant_derivative_11", counted)
+    check_nabla_j_oracle(bundle, [xi])
     assert not any(m is bundle.metric for m in metrics)
     # the base derivatives too: the closed form reads the fit at the base point
     assert [m is g for m in metrics] == [True] * 3
@@ -482,8 +482,8 @@ def test_oracle_checks_leave_one_curvature_in_the_base_memo(chart4, std_triple):
     g = METRICS["conformal-neutral4"](chart4)
     bundle = build_tangent_bundle(g, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    check_connection_oracle(bundle, xi)
-    check_nabla_j_oracle(bundle, xi)
+    check_connection_oracle(bundle, [xi])
+    check_nabla_j_oracle(bundle, [xi])
     x = bundle.base_point(xi)
     assert [key for key in g._memo if key[0] == "riem"] == [("riem", x.coords.tobytes())]
     assert not any(key[0] == "riem" for key in bundle.metric._memo)
@@ -633,7 +633,7 @@ def test_lifted_metric_of_a_small_base_metric_evaluates(chart4, std_triple):
     G = bundle.metric.matrix(xi)
     assert np.linalg.det(G) == pytest.approx(np.linalg.det(small.matrix(bundle.base_point(xi))) ** 2)
     assert abs(np.linalg.det(G)) < 1e-9
-    assert check_connection_oracle(bundle, xi) < 1e-6
+    assert check_connection_oracle(bundle, [xi])[0] < 1e-6
     degenerate = MetricField(constant_field(chart4, 0, 2, np.diag([0.0, 1.0, -1.0, -1.0]), "degenerate"))
     with pytest.raises(DegenerateMetricError):
         degenerate.matrix(Point(chart4, np.zeros(4)))
@@ -653,10 +653,10 @@ def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4,
         if where == "another chart at a memo hit":
             bundle.frames([bundle.point(x, U)])
     with pytest.raises(error) as expected:
-        check_connection_oracle(bundle, xi)
-    for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, memo_shift):
+        check_connection_oracle(bundle, [xi])
+    for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, lambda b, xis: memo_shift(b, xis[0])):
         with pytest.raises(error) as got:
-            oracle(bundle, xi)
+            oracle(bundle, [xi])
         assert str(got.value) == str(expected.value)
 
 
@@ -775,7 +775,7 @@ def test_the_lift_takes_the_base_jets_once_per_base_point(chart4):
     xis = [bundle.point(x, u) for x, u in [([0.1, -0.2, 0.3, 0.05], U), ([-0.6, 0.4, 0.0, 0.7], U)]]
     xis.append(bundle.point(xis[0].coords[:4], [0.9, 0.0, -0.5, 0.1]))  # a second fibre point
     for xi in xis:
-        riemann(bundle.metric, xi)
+        riemann(bundle.metric, [xi])
     assert [order for order, _ in calls] == [3] * len(calls)
     seen = [key for _, keys in calls for key in keys]
     assert sorted(seen) == sorted({xi.coords[:4].tobytes() for xi in xis})
@@ -788,17 +788,16 @@ def test_the_lift_over_a_varying_exponent_metric_is_exact(chart4):
     rows = [[(f if r < 2 else f"-{f}") if r == c else "0" for c in range(4)] for r in range(4)]
     bundle = build_tangent_bundle(metric_from_config({"matrix": rows}, chart4), triple_from_config("standard4", chart4))
     for xi in sample_points(bundle.spec, 2, seed=5):
-        assert check_nabla_j_oracle(bundle, xi) <= 1e-12
-        assert check_connection_oracle(bundle, xi) <= 1e-12
-        rep = check_bracket(bundle, np.eye(4)[0], np.eye(4)[1], xi)
+        assert check_nabla_j_oracle(bundle, [xi])[0] <= 1e-12
+        assert check_connection_oracle(bundle, [xi])[0] <= 1e-12
+        rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])[0][0]
         assert rep.max_residual <= 1e-12 and rep.hh_flipped_residual > 1e-2
 
 
 # ------------------------------------------------------- checks over a sample
 #
-# The Sasaki checks take their sample a batch at a time; the one-point forms
-# are their batches of one, so each point of a batch carries the bits it has
-# alone.
+# The Sasaki checks take their sample a batch at a time, and each point of a
+# batch carries the bits it has in a list of one.
 
 SASAKI_SCENARIOS = ("sasaki-over-flat", "sasaki-over-rotated", "sasaki-over-conformal")
 
@@ -819,20 +818,20 @@ def test_sasaki_check_batches_are_their_one_point_forms_bit_for_bit(name, seed):
     pairs = [(e[i], e[j]) for i in range(4) for j in range(4)] + [tuple(rng.normal(size=(2, 4))) for _ in range(2)]
     sample = pts + [pts[0]]  # a repeated point is computed once and handed out twice
     batches = {
-        "consistency": sasaki._connection_residuals(bundle, sample),
-        "nabla-j": sasaki._nabla_j_residuals(bundle, sample),
-        "closed form": list(sasaki._tilde_nablas(bundle, sample)),
-        "closed form of nabla J": list(sasaki._tilde_nabla_Js(bundle, sample)),
-        "brackets": sasaki._brackets(bundle, pairs, sample),
+        "consistency": sasaki.check_connection_oracle(bundle, sample),
+        "nabla-j": sasaki.check_nabla_j_oracle(bundle, sample),
+        "closed form": list(sasaki.oracle_tilde_nabla(bundle, sample)),
+        "closed form of nabla J": list(sasaki.oracle_tilde_nabla_J(bundle, sample)),
+        "brackets": sasaki.check_bracket(bundle, pairs, sample),
     }
     alone, _ = _scenario_bundle(name, seed)
     for k, xi in enumerate(sample):
         xi = Point(alone.spec, xi.coords)
-        assert batches["consistency"][k] == check_connection_oracle(alone, xi)
-        assert batches["nabla-j"][k] == check_nabla_j_oracle(alone, xi)
-        assert batches["closed form"][k].tobytes() == oracle_tilde_nabla(alone, xi).tobytes()
-        assert batches["closed form of nabla J"][k].tobytes() == oracle_tilde_nabla_J(alone, xi).tobytes()
-        assert batches["brackets"][k] == [check_bracket(alone, X, Y, xi) for X, Y in pairs]
+        assert batches["consistency"][k] == check_connection_oracle(alone, [xi])[0]
+        assert batches["nabla-j"][k] == check_nabla_j_oracle(alone, [xi])[0]
+        assert batches["closed form"][k].tobytes() == oracle_tilde_nabla(alone, [xi])[0].tobytes()
+        assert batches["closed form of nabla J"][k].tobytes() == oracle_tilde_nabla_J(alone, [xi])[0].tobytes()
+        assert batches["brackets"][k] == [check_bracket(alone, [(X, Y)], [xi])[0][0] for X, Y in pairs]
 
 
 def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
@@ -852,17 +851,17 @@ def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
 
         monkeypatch.setattr(sasaki, name, call)
 
-    for name, where in (("_christoffels", 1), ("_riemanns", 1), ("_fits", 2)):
+    for name, where in (("_christoffels", 1), ("riemann", 1), ("fit_kahler_oneforms", 2)):
         counted(name, where)
     n = len(pts)
-    sasaki._nabla_j_residuals(bundle, pts)
+    sasaki.check_nabla_j_oracle(bundle, pts)
     # the lifted fit and the base fit; the shifts the lifted fit reads ask
     # for Gamma, memoised with the frames
-    assert [name for name, _ in calls].count("_fits") == 2 and ("_riemanns", n) in calls
+    assert [name for name, _ in calls].count("fit_kahler_oneforms") == 2 and ("riemann", n) in calls
     assert {k for _, k in calls} == {n}
     calls.clear()
-    sasaki._connection_residuals(bundle, pts)
-    assert calls == [("_christoffels", n), ("_christoffels", n), ("_riemanns", n)]
+    sasaki.check_connection_oracle(bundle, pts)
+    assert calls == [("_christoffels", n), ("_christoffels", n), ("riemann", n)]
 
 
 # base points of bundle points whose Sasaki checks fail, each for its own
@@ -871,15 +870,11 @@ def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
 FAILING_CHECK_BASES = dict(FAILING_BASES, **{"off the box": [1.0 + 0.5 * H, 0.0, 0.0, 0.0]})
 
 SASAKI_BATCHES = {
-    # form: (its batch form, its one-point form)
-    "consistency": (sasaki._connection_residuals, check_connection_oracle),
-    "nabla-j": (sasaki._nabla_j_residuals, check_nabla_j_oracle),
-    "closed form": (sasaki._tilde_nablas, oracle_tilde_nabla),
-    "closed form of nabla J": (sasaki._tilde_nabla_Js, oracle_tilde_nabla_J),
-    "bracket": (
-        lambda bundle, xis: sasaki._brackets(bundle, [(np.eye(4)[0], np.eye(4)[1])], xis),
-        lambda bundle, xi: check_bracket(bundle, np.eye(4)[0], np.eye(4)[1], xi),
-    ),
+    "consistency": check_connection_oracle,
+    "nabla-j": check_nabla_j_oracle,
+    "closed form": oracle_tilde_nabla,
+    "closed form of nabla J": oracle_tilde_nabla_J,
+    "bracket": lambda bundle, xis: check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], xis),
 }
 
 
@@ -893,16 +888,16 @@ SASAKI_BATCHES = {
     ],
 )
 def test_a_sasaki_check_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, form, order):
-    batch, one_point = SASAKI_BATCHES[form]
+    batch = SASAKI_BATCHES[form]
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple)
     good = bundle.point([0.1, -0.2, 0.3, 0.05], U)
     first, later = (bundle.point(FAILING_CHECK_BASES[name], U) for name in order)
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
     with pytest.raises(ParaquatError) as expected:
-        one_point(alone, first)
+        batch(alone, [first])
     with pytest.raises(ParaquatError) as other:
-        one_point(alone, later)
+        batch(alone, [later])
     assert str(other.value) != str(expected.value)
     with pytest.raises(type(expected.value)) as got:
         batch(bundle, [good, first, later])
@@ -924,7 +919,7 @@ def test_the_lift_precondition_names_its_first_failing_point(chart4, std_triple)
     # euclidean, where the triple is not skew, at the second spot point only
     comps = lambda ps: [np.eye(4) if np.array_equal(p.coords, spots[1].coords) else real.components([p])[0] for p in ps]
     g = MetricField(dataclasses.replace(real, components=comps, label="bent"))
-    rep, herm = check_triple_algebra(std_triple, spots[1]), structures.check_hermitian(g, std_triple, spots[1])
+    rep, herm = check_triple_algebra(std_triple, [spots[1]])[0], structures.check_hermitian(g, std_triple, [spots[1]])[0]
     with pytest.raises(PreconditionFailedError) as got:
         build_tangent_bundle(g, std_triple)
     assert str(got.value) == (
@@ -948,9 +943,9 @@ def test_the_lift_precondition_raises_what_the_first_spot_point_raises_first(cha
         j1, components=lambda ps: [j1.components([p])[0] * (np.nan if at(1, p) else 1.0) for p in ps]
     ))
     with pytest.raises(ParaquatError) as algebra_first:
-        check_triple_algebra(T, spots[1])
+        check_triple_algebra(T, [spots[1]])
     with pytest.raises(DegenerateMetricError) as expected:
-        structures.check_hermitian(MetricField(g.field), T, spots[0])
+        structures.check_hermitian(MetricField(g.field), T, [spots[0]])
     with pytest.raises(DegenerateMetricError) as got:
         build_tangent_bundle(g, T)
     assert str(got.value) == str(expected.value) != str(algebra_first.value)

@@ -105,10 +105,10 @@ def test_sasaki_nabla_j_holds_over_a_curved_base():
     # and the vertical part of nabla~ on (h, h), are large
     ctx = build_context(doc)
     for xi in ctx.points[:2]:
-        C = oracle_tilde_nabla_J(ctx.bundle, xi)
+        C = oracle_tilde_nabla_J(ctx.bundle, [xi])[0]
         assert np.abs(C[:, 4:, :, :4]).max() > 1e-2
         assert np.abs(C[:, :4, :4, 4:]).max() > 1e-2
-        C = oracle_tilde_nabla(ctx.bundle, xi)
+        C = oracle_tilde_nabla(ctx.bundle, [xi])[0]
         assert np.abs(C[:4, 4:, :4]).max() > 1e-2
         assert np.abs(C[4:, :4, :4]).max() > 1e-2
 
@@ -287,7 +287,7 @@ def test_the_sasaki_closed_forms_hold_to_roundoff_over_the_space_form(seed):
 
 
 def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypatch):
-    real = sasaki._tilde_nabla_Js  # the stacked closed form the check reads
+    real = sasaki.oracle_tilde_nabla_J  # the stacked closed form the check reads
 
     def without_half(bundle, xis):  # the (v, h) block is all of (1/2)[R(u, X), J_a]
         C = real(bundle, xis).copy()
@@ -295,7 +295,7 @@ def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypa
         C[:, :, n:, :, :n] *= 2.0
         return C
 
-    monkeypatch.setattr(sasaki, "_tilde_nabla_Js", without_half)
+    monkeypatch.setattr(sasaki, "oracle_tilde_nabla_J", without_half)
     for seed in range(1, 9):
         nabla_j = run_scenario(SPACE_FORM_SASAKI, seed=seed).checks[0]
         assert not nabla_j.passed and nabla_j.data["max_residual"] > 1e-3

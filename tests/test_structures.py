@@ -27,6 +27,7 @@ from paraquat import (
     check_sigma_invariant_operator,
     classify_structure,
     constant_field,
+    covariant_derivative_11,
     fields,
     fit_kahler_oneforms,
     sample_points,
@@ -58,9 +59,9 @@ def _scaled(M, factor):
 
 def test_hermitian_residuals(flat4, euclidean4, std_triple, pts4):
     for p in pts4:
-        assert check_hermitian(flat4, std_triple, p) < 1e-14
+        assert check_hermitian(flat4, std_triple, [p])[0] < 1e-14
     # against the definite metric the swap members are symmetric, not skew
-    assert check_hermitian(euclidean4, std_triple, pts4[0]) == pytest.approx(2.0)
+    assert check_hermitian(euclidean4, std_triple, [pts4[0]])[0] == pytest.approx(2.0)
 
 
 def test_classify_flat_standard(flat4, std_triple, pts4):
@@ -116,7 +117,7 @@ def test_classify_covariant_under_constant_rotation(flat4, std_triple, chart4, p
 
 def test_fit_oneforms_rotated(flat4, rot_triple, pts4):
     for p in pts4:
-        fit = fit_kahler_oneforms(flat4, rot_triple, p)
+        fit = fit_kahler_oneforms(flat4, rot_triple, [p])[0]
         assert fit.residual < 1e-10
         expected = np.zeros((3, 4))
         expected[2, 0] = -1.0  # w3 = -dx1
@@ -129,7 +130,7 @@ def test_fit_oneforms_conformal(conformal4, std_triple, pts4):
     expected[1, 3] = -1.0  # w2 = -dx4
     expected[2, 1] = 1.0  # w3 = dx2
     for p in pts4:
-        fit = fit_kahler_oneforms(conformal4, std_triple, p)
+        fit = fit_kahler_oneforms(conformal4, std_triple, [p])[0]
         assert fit.residual < 1e-5
         assert np.abs(fit.omega - expected).max() < 1e-5
 
@@ -141,7 +142,7 @@ def test_fit_oneforms_degenerate_pairing(flat4, chart4):
         constant_field(chart4, 1, 1, np.zeros((4, 4)), "zero"),
     )
     with pytest.raises(IllConditionedError):
-        fit_kahler_oneforms(flat4, zero_member, Point(chart4, [0, 0, 0, 0]))
+        fit_kahler_oneforms(flat4, zero_member, [Point(chart4, [0, 0, 0, 0])])
 
 
 # ------------------------------------------------------------ fit memo
@@ -150,15 +151,15 @@ def test_fit_oneforms_degenerate_pairing(flat4, chart4):
 @pytest.fixture
 def nabla_calls(monkeypatch):
     """Points at which a fit asks for a covariant derivative of a member:
-    each point of each batch the fit hands to ``_covariant_derivatives``."""
+    each point of each batch the fit hands to ``covariant_derivative_11``."""
     calls = []
-    real = structures._covariant_derivatives
+    real = structures.covariant_derivative_11
 
     def counted(g, T, pts):
         calls.extend(pts)
         return real(g, T, pts)
 
-    monkeypatch.setattr(structures, "_covariant_derivatives", counted)
+    monkeypatch.setattr(structures, "covariant_derivative_11", counted)
     return calls
 
 
@@ -177,10 +178,10 @@ def _degenerate_beyond_x2(g, x2=0.9):
 def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
     g = _fresh(conformal4)
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
-    first = fit_kahler_oneforms(g, std_triple, p)
+    first = fit_kahler_oneforms(g, std_triple, [p])[0]
     made = len(nabla_calls)
     assert made == 3
-    again = fit_kahler_oneforms(g, std_triple, Point(g.chart, p.coords))
+    again = fit_kahler_oneforms(g, std_triple, [Point(g.chart, p.coords)])[0]
     assert len(nabla_calls) == made
     assert again.omega is first.omega and again.nabla is first.nabla
     assert again.residual == first.residual
@@ -188,7 +189,7 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
-    alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, p)
+    alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, [p])[0]
     assert alone.omega.tobytes() == first.omega.tobytes()
     assert alone.nabla.tobytes() == first.nabla.tobytes()
 
@@ -196,24 +197,24 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
 def test_fit_memo_computes_another_triple_afresh_and_keys_no_step(conformal4, std_triple, rot_triple, nabla_calls):
     g = _fresh(conformal4)
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
-    std = fit_kahler_oneforms(g, std_triple, p)
-    rot = fit_kahler_oneforms(g, rot_triple, p)
+    std = fit_kahler_oneforms(g, std_triple, [p])[0]
+    rot = fit_kahler_oneforms(g, rot_triple, [p])[0]
     assert len(nabla_calls) == 6
     assert not np.array_equal(std.omega, rot.omega)
     # one fit per (triple, point): the key holds no step
     fits = [key for key in g._memo if key[0][0] == "fit"]
     assert fits == [(("fit", T), p.coords.tobytes()) for T in (std_triple, rot_triple)]
-    assert fit_kahler_oneforms(g, std_triple, p).nabla is std.nabla
-    assert fit_kahler_oneforms(g, rot_triple, p).omega is rot.omega
+    assert fit_kahler_oneforms(g, std_triple, [p])[0].nabla is std.nabla
+    assert fit_kahler_oneforms(g, rot_triple, [p])[0].omega is rot.omega
     assert len(nabla_calls) == 6
 
 
 def test_fit_memo_hit_still_rejects_a_point_of_another_chart(conformal4, std_triple):
     g = _fresh(conformal4)
-    fit_kahler_oneforms(g, std_triple, Point(g.chart, [0.1, -0.2, 0.3, 0.05]))
+    fit_kahler_oneforms(g, std_triple, [Point(g.chart, [0.1, -0.2, 0.3, 0.05])])
     other = make_chart(4, coords=("a", "b", "c", "d"))
     with pytest.raises(ValidationError, match="different charts"):
-        fit_kahler_oneforms(g, std_triple, Point(other, [0.1, -0.2, 0.3, 0.05]))
+        fit_kahler_oneforms(g, std_triple, [Point(other, [0.1, -0.2, 0.3, 0.05])])
 
 
 def test_raising_fit_stores_nothing(conformal4, std_triple, nabla_calls):
@@ -221,7 +222,7 @@ def test_raising_fit_stores_nothing(conformal4, std_triple, nabla_calls):
     wall = Point(g.chart, [0.0, 1.0 - 0.5 * H, 0.0, 0.0])  # the metric is degenerate there
     for attempt in (1, 2):
         with pytest.raises(DegenerateMetricError):
-            fit_kahler_oneforms(g, std_triple, wall)
+            fit_kahler_oneforms(g, std_triple, [wall])
         assert len(nabla_calls) == attempt
     assert not [key for key in g._memo if key[0] == ("fit", std_triple)]
 
@@ -246,7 +247,7 @@ def product_setup():
 def test_split8_is_parallel_product(product_setup):
     chart8, g8, _, split, _ = product_setup
     p = Point(chart8, [0.1, 0.0, -0.2, 0.3, 0.05, -0.1, 0.2, 0.15])
-    rep = check_product_structure(g8, split, p)
+    rep = check_product_structure(g8, split, [p])[0]
     assert rep.max_residual < 1e-12
 
 
@@ -254,7 +255,7 @@ def test_split8_rotated_fails_both_conditions(product_setup):
     chart8, g8, _, _, rotated = product_setup
     # at x2 = 0 the derivative magnitudes come out exactly 0.2 and 0.4
     p = Point(chart8, [0.1, 0.0, -0.2, 0.3, 0.05, -0.1, 0.2, 0.15])
-    rep = check_product_structure(g8, rotated, p)
+    rep = check_product_structure(g8, rotated, [p])[0]
     assert rep.involution_residual < 1e-12
     assert rep.metric_residual < 1e-12
     assert rep.parallel_residual == pytest.approx(0.2, abs=1e-6)
@@ -264,8 +265,8 @@ def test_split8_rotated_fails_both_conditions(product_setup):
 def test_sigma_invariance(product_setup):
     chart8, _, T8, split, rotated = product_setup
     p = Point(chart8, [0.2, 0.4, 0, 0, 0.1, 0, 0, -0.3])
-    assert check_sigma_invariant_operator(split, T8, p) < 1e-14
-    assert check_sigma_invariant_operator(rotated, T8, p) < 1e-14
+    assert check_sigma_invariant_operator(split, T8, [p])[0] < 1e-14
+    assert check_sigma_invariant_operator(rotated, T8, [p])[0] < 1e-14
 
 
 def test_equivalence_parallel_case(product_setup):
@@ -321,7 +322,7 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
 
     real = rotated.field
     rotated = ProductStructureField(dataclasses.replace(real, jets=counted), rotated.label)
-    reps = [check_product_structure(g, rotated, p) for p in pts]
+    reps = [check_product_structure(g, rotated, [p])[0] for p in pts]
     # one derivative of F per point, read by nabla F and by N_F
     assert grads == [p.coords.tobytes() for p in pts]
     eq = check_parallel_equivalence(g, rotated, T8, pts)
@@ -330,10 +331,10 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
     assert eq.nijenhuis_residual == max(r.nijenhuis_residual for r in reps)
     fresh = MetricField(g8.field)
     for p in pts:
-        D = connection.covariant_derivative_11(g, rotated.field, p)
+        D = covariant_derivative_11(g, rotated.field, [p])[0]
         assert not D.flags.writeable
-        assert D.tobytes() == connection.covariant_derivative_11(fresh, rotated.field, p).tobytes()
-        assert D is connection.covariant_derivative_11(g, rotated.field, Point(chart8, p.coords))
+        assert D.tobytes() == covariant_derivative_11(fresh, rotated.field, [p])[0].tobytes()
+        assert D is covariant_derivative_11(g, rotated.field, [Point(chart8, p.coords)])[0]
         N = structures._nijenhuises(g, rotated, [p])[0]
         assert not N.flags.writeable
         reference = connection._nijenhuis_tensor(fields.eval_field(real, p), real.jets([p], 1)[1][0])
@@ -349,7 +350,7 @@ def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_tripl
     verdict = classify_structure(MetricField(flat4.field), rot_expr_triple, pts)
     assert verdict.cls is StructureClass.PQK
     assert verdict.fit_residual_max <= 1e-12
-    exact = [fit_kahler_oneforms(MetricField(flat4.field), rot_expr_triple, p).nabla for p in pts]
+    exact = [fit_kahler_oneforms(MetricField(flat4.field), rot_expr_triple, [p])[0].nabla for p in pts]
     distance = []
     for h in (1e-3, 5e-4):
         fd = [np.stack([reference_nabla(flat4, f, p, h) for f in rot_expr_triple.fields]) for p in pts]
@@ -417,20 +418,21 @@ def test_batched_fit_is_the_one_point_fit_bit_for_bit(chart4, name):
     build, cls = FIT_CASES[name]
     g, T = build(chart4)
     pts = _fit_points(g)
-    fits = structures._fits(g, T, pts)
-    for p, (omega, residual, D) in zip(pts, fits):
+    fits = fit_kahler_oneforms(g, T, pts)
+    for p, fit in zip(pts, fits):
         ref_omega, ref_residual, ref_D = reference_fit(g, T, p)
-        for got, ref in ((omega, ref_omega), (D, ref_D)):
+        assert fit.point is p
+        for got, ref in ((fit.omega, ref_omega), (fit.nabla, ref_D)):
             assert got.tobytes() == ref.tobytes()
             # descend-oneforms prints omega, so a zero keeps its sign too
             assert np.array_equal(np.signbit(got), np.signbit(ref))
             assert not got.flags.writeable
-        assert residual == ref_residual
-        fit = fit_kahler_oneforms(g, T, Point(g.chart, p.coords))
-        assert fit.omega is omega and fit.nabla is D
+        assert fit.residual == ref_residual
+        alone = fit_kahler_oneforms(g, T, [Point(g.chart, p.coords)])[0]
+        assert alone.omega is fit.omega and alone.nabla is fit.nabla
     assert classify_structure(g, T, pts).cls is cls
     if cls is StructureClass.LHPK_BASIS:  # nabla J vanishes: every value is a zero
-        assert not any(np.abs(D).max() for _, _, D in fits)
+        assert not any(np.abs(fit.nabla).max() for fit in fits)
 
 
 def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4, chart4, monkeypatch):
@@ -471,9 +473,9 @@ def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4
 def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, nabla_calls):
     g = _fresh(conformal4)
     p, q = Point(g.chart, [0.1, -0.2, 0.3, 0.05]), Point(g.chart, [-0.4, 0.2, 0.0, 0.6])
-    fits = structures._fits(g, std_triple, [p, q, Point(g.chart, p.coords)])
+    fits = fit_kahler_oneforms(g, std_triple, [p, q, Point(g.chart, p.coords)])
     assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()] * 3
-    assert fits[2] is fits[0]
+    assert fits[2].omega is fits[0].omega and fits[2].nabla is fits[0].nabla
 
 
 def _degenerate_at_second(chart4):
@@ -510,11 +512,11 @@ def test_a_failing_fit_batch_raises_its_first_failing_point_and_stores_nothing(c
     T = build(chart4)
     pts = [Point(chart4, [0.1, -0.2, 0.3, 0.05]), Point(chart4, second), Point(chart4, third)]
     with pytest.raises(error) as expected:
-        fit_kahler_oneforms(_degenerate_beyond_x2(conformal4), T, pts[1])
+        fit_kahler_oneforms(_degenerate_beyond_x2(conformal4), T, [pts[1]])
     g = _degenerate_beyond_x2(conformal4)
     with pytest.raises(error) as got:
         if run == "fit":
-            structures._fits(g, T, pts)
+            fit_kahler_oneforms(g, T, pts)
         else:
             classify_structure(g, T, pts)
     assert str(got.value) == str(expected.value)
@@ -528,8 +530,8 @@ def test_batched_hermitian_is_the_one_point_formula_bit_for_bit(conformal4, eucl
         for p in pts4:
             gp, J = g.matrix(p), T.matrices(p)
             ref.append(max(float(np.abs(J[a].T @ gp + gp @ J[a]).max()) for a in range(3)))
-        assert structures._hermitians(g, T, pts4) == ref
-        assert [check_hermitian(g, T, p) for p in pts4] == ref
+        assert check_hermitian(g, T, pts4) == ref
+        assert [check_hermitian(g, T, [p])[0] for p in pts4] == ref
 
 
 def test_a_hermitian_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple):
@@ -543,16 +545,16 @@ def test_a_hermitian_batch_raises_what_its_first_failing_point_raises_alone(char
     )
     pts = [Point(chart4, [0.5, 0.0, 0.0, 0.0]), Point(chart4, [0.5, 0.7, 0.0, 0.0]), Point(chart4, [0.0, 0.0, 0.0, 0.0])]
     with pytest.raises(EvaluationError) as expected:
-        check_hermitian(MetricField(g.field), T, pts[1])
+        check_hermitian(MetricField(g.field), T, [pts[1]])
     with pytest.raises(EvaluationError) as got:
-        structures._hermitians(g, T, pts)
+        check_hermitian(g, T, pts)
     assert str(got.value) == str(expected.value)
 
 
 # ------------------------------------------------------- checks over a sample
 #
-# The product-structure checks take their sample a batch at a time; the
-# one-point forms are their batches of one.
+# The product-structure checks take their sample a batch at a time, and each
+# point of a batch has the bits it has in a list of one.
 
 
 def _product_context(seed):
@@ -565,7 +567,7 @@ def _equivalence_reference(g, F, T, pts):
     point-by-point loop formed them."""
     r_par = r_nij = r_mix = 0.0
     for p in pts:
-        D = connection.covariant_derivative_11(g, F.field, p)
+        D = covariant_derivative_11(g, F.field, [p])[0]
         r_par = max(r_par, float(np.abs(D).max()))
         r_nij = max(r_nij, float(np.abs(structures._nijenhuises(g, F, [p])[0]).max()))
         J = T.matrices(p)
@@ -581,16 +583,16 @@ def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
     g, T = ctx.metric, ctx.triple
     pts = ctx.points + [ctx.points[0]]
     for F in structs:
-        reports = structures._product_reports(g, F, pts)
-        sigma = structures._sigma_residuals(F, T, pts)
+        reports = check_product_structure(g, F, pts)
+        sigma = check_sigma_invariant_operator(F, T, pts)
         tensors = structures._nijenhuises(g, F, pts)
         eq = check_parallel_equivalence(g, F, T, ctx.points)
         alone, _ = _product_context(seed)  # fresh memos
         F1 = alone.structure(F.label)
         for k, p in enumerate(pts):
             p = Point(alone.chart, p.coords)
-            assert reports[k] == check_product_structure(alone.metric, F1, p)
-            assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, p)
+            assert reports[k] == check_product_structure(alone.metric, F1, [p])[0]
+            assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, [p])[0]
             N = connection._nijenhuis_tensor(fields.eval_field(F.field, p), F.field.jets([p], 1)[1][0])
             assert tensors[k].tobytes() == N.tobytes() and not tensors[k].flags.writeable
         reference = _equivalence_reference(alone.metric, F1, alone.triple, [Point(alone.chart, p.coords) for p in ctx.points])
@@ -627,26 +629,21 @@ def test_a_product_check_batch_raises_what_its_first_failing_point_raises_alone(
     g, F, T, at = _failing_product_setup(chart8)
     first, later = (at[name] for name in order)
     forms = {
-        "product": (
-            lambda pts: structures._product_reports(g, F, pts),
-            lambda p: check_product_structure(MetricField(g.field), F, p),
-        ),
-        "sigma": (lambda pts: structures._sigma_residuals(F, T, pts), lambda p: check_sigma_invariant_operator(F, T, p)),
-        "nijenhuis": (
-            lambda pts: structures._nijenhuises(g, F, pts),
-            lambda p: structures._nijenhuises(MetricField(g.field), F, [p]),
-        ),
+        # each form on a metric, so that a point can be tried alone on a fresh memo
+        "product": lambda g, pts: check_product_structure(g, F, pts),
+        "sigma": lambda g, pts: check_sigma_invariant_operator(F, T, pts),
+        "nijenhuis": lambda g, pts: structures._nijenhuises(g, F, pts),
     }
-    for name, (batch, one_point) in forms.items():
+    for name, form in forms.items():
         try:
-            one_point(first)
+            form(MetricField(g.field), [first])
         except ParaquatError as exc:
             expected = exc
         else:  # a point the form does not read fails nothing there
             assert (name, order[0]) in {("sigma", "g"), ("nijenhuis", "g"), ("nijenhuis", "T"), ("product", "T")}
             continue
         with pytest.raises(type(expected)) as got:
-            batch([at["good"], first, later])
+            form(g, [at["good"], first, later])
         assert str(got.value) == str(expected), name
     # a failing batch stores no N_F and no derivative of F; the one-point
     # replay of a check stores those of the point that passes alone

@@ -46,7 +46,7 @@ def proj8to4():
 def test_jacobian_of_projection(proj8to4):
     chart8, _, f = proj8to4
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    J = jacobian(f, p)
+    J = jacobian(f, [p])[0]
     expected = np.hstack([np.eye(4), np.zeros((4, 4))])
     assert np.abs(J - expected).max() < 1e-12
     assert J.shape == (4, 8) and J.flags.c_contiguous
@@ -66,13 +66,46 @@ def test_jacobian_reads_its_point_alone_and_must_stay_in_the_source_box(proj8to4
 
     f = SubmersionMap(chart8, chart4, recording, "recording proj", jets=recording_jets)
     near_wall = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 - 0.5 * H, -0.5, 0.2, 0.1])
-    assert np.array_equal(jacobian(f, near_wall), np.hstack([np.eye(4), np.zeros((4, 4))]))
+    assert np.array_equal(jacobian(f, [near_wall])[0], np.hstack([np.eye(4), np.zeros((4, 4))]))
     assert [c.tobytes() for c in seen] == [near_wall.coords.tobytes()]  # the jets at the point alone
     seen.clear()
     off = Point(chart8, [0.1, -0.2, 0.3, 0.0, 1.0 + 0.5 * H, -0.5, 0.2, 0.1])
     with pytest.raises(OutOfDomainError, match="outside the chart domain"):
-        jacobian(f, off)
+        jacobian(f, [off])
     assert seen == []  # rejected before the map is evaluated off the box
+
+
+def test_images_test_the_source_box_as_df_does(proj8to4):
+    # (3, 0, ..., 0) lies outside [-1, 1]^8: its image is refused with df's
+    # error, in a batch too, the map is never evaluated off the box, and
+    # nothing is stored
+    chart8, chart4, proj = proj8to4
+    seen = []
+
+    def recording(c):
+        seen.append(c.copy())
+        return c[..., :4]
+
+    f = SubmersionMap(chart8, chart4, recording, "recording proj", jets=proj.jets)
+    off = Point(chart8, [3.0] + [0.0] * 7)
+    with pytest.raises(OutOfDomainError) as df_error:
+        jacobian(f, [off])
+    with pytest.raises(OutOfDomainError) as alone:
+        f.images([off])
+    assert str(alone.value) == str(df_error.value)
+    with pytest.raises(OutOfDomainError) as got:
+        f.images([Point(chart8, [0.1] * 8), off, Point(chart8, [0.0] * 7 + [-4.0])])
+    assert str(got.value) == str(alone.value)
+    # the replay maps the first point alone, on a copy of the map
+    assert not f._memo and all((np.abs(c) <= 1).all() for c in seen)
+
+
+def test_a_point_on_the_wall_still_maps(proj8to4):
+    chart8, chart4, f = proj8to4
+    wall = Point(chart8, [1.0, -1.0, 0.3, 0.0, 1.0, 0.0, 0.0, -1.0])
+    (image,) = f.images([wall])
+    assert image.chart is chart4
+    assert image.coords.tolist() == [1.0, -1.0, 0.3, 0.0]
 
 
 def test_rank_deficient_map_rejected(proj8to4):
@@ -80,7 +113,7 @@ def test_rank_deficient_map_rejected(proj8to4):
     bad = expression_map(chart8, chart4, ["x1", "x1", "x3", "x4"], "bad")
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     with pytest.raises(RankDeficientError):
-        vh_split(bad, METRICS["neutral8"](chart8), p)
+        vh_split(bad, METRICS["neutral8"](chart8), [p])
 
 
 SWAP8 = [["1" if abs(r - c) == 4 else "0" for c in range(8)] for r in range(8)]  # [[0, I], [I, 0]]
@@ -108,9 +141,9 @@ def test_one_point_split_raises_its_first_failure(case, error):
     g = metric_from_config({"matrix": SWAP8}, chart8)
     p = Point(chart8, coords)
     with pytest.raises(error) as alone:
-        vh_split(f, g, p)
+        vh_split(f, g, [p])
     with pytest.raises(error) as through:
-        oneill_tensors(f, g, p)
+        oneill_tensors(f, g, [p])
     assert str(through.value) == str(alone.value)
 
 
@@ -118,7 +151,7 @@ def test_vh_split_projectors(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    fr = vh_split(f, g8, p)
+    fr = vh_split(f, g8, [p])[0]
     for P in (fr.v, fr.h):
         assert np.abs(P @ P - P).max() < 1e-9  # idempotent
     assert np.abs(fr.v + fr.h - np.eye(8)).max() < 1e-9
@@ -191,7 +224,7 @@ def test_oneill_tensors_vanish_for_product(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    ten = oneill_tensors(f, g8, p)
+    ten = oneill_tensors(f, g8, [p])[0]
     assert ten.max_a_horizontal < 1e-7
     assert np.abs(ten.t_full).max() < 1e-7
     assert ten.antisymmetry_residual < 1e-7
@@ -202,8 +235,8 @@ def test_basic_lift(proj8to4):
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     X = np.array([1.0, -2.0, 0.5, 0.0])
-    lifted = _lift(vh_split(f, g8, p), X)
-    J = jacobian(f, p)
+    lifted = _lift(vh_split(f, g8, [p])[0], X)
+    J = jacobian(f, [p])[0]
     assert np.abs(J @ lifted - X).max() < 1e-9  # projects back to X
     assert np.abs(lifted[4:]).max() < 1e-9  # horizontal for this projection
 
@@ -223,7 +256,7 @@ def test_descend_oneforms(proj8to4):
     # the descended forms agree with a direct fit downstairs
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image)
+    fit = fit_kahler_oneforms(g4, down, [rep.image])[0]
     assert np.abs(rep.omega_base - fit.omega).max() < 1e-5
 
 
@@ -286,7 +319,7 @@ def test_descend_detects_fiber_twist(proj8to4):
     # ...but the descended forms do not match the rotated basis downstairs
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, rep.image)
+    fit = fit_kahler_oneforms(g4, down, [rep.image])[0]
     assert np.abs(rep.omega_base - fit.omega).max() > 0.5
 
 
@@ -301,7 +334,7 @@ def test_descend_detects_fiber_twist(proj8to4):
 def reference_oneill(f, g, p, dPv=None):
     n = f.source.dim
     gam = christoffel(g, p)
-    fr = vh_split(f, g, p)
+    fr = vh_split(f, g, [p])[0]
     if dPv is None:
         dPv = _projector_partials(f, g, [fr])[0]
 
@@ -365,7 +398,7 @@ def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4):
     cases += [(bent, g8, bent, MetricField(g8.field), p) for p in sample_points(chart8, 2, seed=4)]
     largest_a = largest_t = 0.0
     for f, g, f_ref, g_ref, p in cases:
-        got = oneill_tensors(f, g, p)
+        got = oneill_tensors(f, g, [p])[0]
         a_full, t_full, a_h = reference_oneill(f_ref, g_ref, Point(f_ref.source, p.coords))
         assert np.array_equal(got.a_full, a_full)
         assert np.array_equal(got.t_full, t_full)
@@ -393,8 +426,8 @@ def test_fd_oneill_converges_to_the_exact_one_at_second_order(chart4):
     for p in sample_points(chart8, 2, seed=11):
         distance = []
         for h in (1e-3, 5e-4, 2.5e-4):
-            exact = oneill_tensors(f, g, p)
-            dPv = central_difference(lambda qs: [vh_split(f, g, q).v for q in qs], p, h)
+            exact = oneill_tensors(f, g, [p])[0]
+            dPv = central_difference(lambda qs: [vh_split(f, g, [q])[0].v for q in qs], p, h)
             a_full, t_full, _ = reference_oneill(f, g, p, dPv)
             distance.append(max(np.abs(a_full - exact.a_full).max(), np.abs(t_full - exact.t_full).max()))
         assert exact.max_a_horizontal > 1e-2 and np.abs(exact.t_full).max() > 1e-2
@@ -409,7 +442,7 @@ def test_the_fibres_over_the_space_form_are_totally_geodesic_to_roundoff(chart4)
     bundle = build_tangent_bundle(g, TRIPLES["standard4"](chart4))
     assert bundle.projection.jets is not None and bundle.metric.field.jets is not None
     for xi in sample_points(bundle.spec, 3, seed=1):
-        rep = oneill_tensors(bundle.projection, bundle.metric, xi)
+        rep = oneill_tensors(bundle.projection, bundle.metric, [xi])[0]
         assert np.abs(rep.t_full).max() <= 1e-14
         assert rep.antisymmetry_residual <= 1e-14
         assert rep.max_a_horizontal > 1e-2
@@ -423,7 +456,7 @@ def test_the_fibres_over_a_varying_exponent_metric_are_totally_geodesic_to_round
     chart = make_chart(4)
     bundle = build_tangent_bundle(metric_from_config({"matrix": rows}, chart), TRIPLES["standard4"](chart))
     for xi in sample_points(bundle.spec, 3, seed=1):
-        rep = oneill_tensors(bundle.projection, bundle.metric, xi)
+        rep = oneill_tensors(bundle.projection, bundle.metric, [xi])[0]
         assert np.abs(rep.t_full).max() <= 1e-14
         assert rep.antisymmetry_residual <= 1e-14
         assert rep.max_a_horizontal > 1e-2
@@ -444,13 +477,13 @@ def test_exact_oneill_raises_off_its_box_and_evaluates_within_a_step_of_the_wall
     bundle = _conformal_bundle(chart4)
     if where != "other chart":
         coords[k] = wall - np.sign(wall) * H / 2  # inside the box
-        rep = oneill_tensors(bundle.projection, bundle.metric, Point(bundle.spec, coords))
+        rep = oneill_tensors(bundle.projection, bundle.metric, [Point(bundle.spec, coords)])[0]
         assert rep.antisymmetry_residual < 1e-12 and rep.max_a_horizontal > 1e-2
         coords[k] = wall + np.sign(wall) * H / 2
     chart = make_chart(8) if where == "other chart" else bundle.spec
     p = Point(chart, coords)
     with pytest.raises(error, match=message):
-        oneill_tensors(bundle.projection, bundle.metric, p)
+        oneill_tensors(bundle.projection, bundle.metric, [p])
 
 
 def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, monkeypatch):
@@ -464,7 +497,7 @@ def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, monkeypat
     monkeypatch.setattr(sasaki, "_frame_batch", counted)
     bundle = _conformal_bundle(chart4)
     xi = bundle.point(*BUNDLE_POINTS[0])
-    oneill_tensors(bundle.projection, bundle.metric, xi)
+    oneill_tensors(bundle.projection, bundle.metric, [xi])
     assert framed == [xi.coords.tobytes()]
     assert {key[1] for key in bundle.metric._memo if key[0] == "g"} == {xi.coords.tobytes()}
 
@@ -497,41 +530,26 @@ def _batch_cases(chart4):
 
 
 BATCH_FORMS = {
-    # form: (the batch form, its one-point form, the arrays of one point's value)
-    "df": (
-        lambda f, g, pts: submersion._jacobians(f, pts),
-        lambda f, g, p: jacobian(f, p),
-        lambda J: [J],
-    ),
-    "split": (
-        lambda f, g, pts: submersion._splits(f, g, pts),
-        vh_split,
-        lambda fr: [fr.df, fr.vertical, fr.horizontal, fr.v, fr.h],
-    ),
-    "images": (
-        lambda f, g, pts: submersion._images(f, pts),
-        lambda f, g, p: f.map_point(p),
-        lambda q: [q.coords],
-    ),
-    "oneill": (
-        lambda f, g, pts: submersion._oneills(f, g, pts),
-        oneill_tensors,
-        lambda t: [t.a_full, t.t_full, t.a_horizontal],
-    ),
+    # form: (the batch, the arrays of one point's value)
+    "df": (lambda f, g, pts: jacobian(f, pts), lambda J: [J]),
+    "split": (vh_split, lambda fr: [fr.df, fr.vertical, fr.horizontal, fr.v, fr.h]),
+    "images": (lambda f, g, pts: f.images(pts), lambda q: [q.coords]),
+    "oneill": (oneill_tensors, lambda t: [t.a_full, t.t_full, t.a_horizontal]),
 }
 
 
 @pytest.mark.parametrize("form", sorted(BATCH_FORMS))
 @pytest.mark.parametrize("case", ["expression map", "bundle projection"])
 def test_each_batch_form_is_its_one_point_form_bit_for_bit(chart4, case, form):
+    # each point of a batch has the bits of its batch of one
     make, pts = _batch_cases(chart4)[case]
-    batch_form, one_point, arrays = BATCH_FORMS[form]
+    batch_form, arrays = BATCH_FORMS[form]
     f, g = make()
     batch = batch_form(f, g, pts + [pts[0]])
     assert len(batch) == len(pts) + 1
     for p, got in zip(pts + [pts[0]], batch):
         f1, g1 = make()  # nothing shared with the batch, no memo
-        alone = one_point(f1, g1, Point(f1.source, p.coords))
+        alone = batch_form(f1, g1, [Point(f1.source, p.coords)])[0]
         for x, y in zip(arrays(got), arrays(alone), strict=True):
             assert x.tobytes() == y.tobytes()
     if form != "oneill":  # a second batch reads the memo
@@ -581,11 +599,11 @@ def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(case, er
     f, g, pts = _probe(case)
     failing = pts[0] if case == "fiber, then off the box" else pts[1]
     with pytest.raises(error) as alone:
-        vh_split(dataclasses.replace(f), MetricField(g.field), failing)
+        vh_split(dataclasses.replace(f), MetricField(g.field), [failing])
     calls = {
-        "split": lambda: submersion._splits(f, g, pts),
+        "split": lambda: vh_split(f, g, pts),
         "semi-riemannian": lambda: check_semi_riemannian(f, g, METRICS["neutral4"](f.target), pts),
-        "oneill": lambda: submersion._oneills(f, g, pts),
+        "oneill": lambda: oneill_tensors(f, g, pts),
     }
     for name, call in calls.items():
         with pytest.raises(error) as got:
@@ -601,9 +619,9 @@ def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(case, er
 def test_a_df_batch_raises_what_its_first_failing_point_raises_alone(case, error):
     f, _, pts = _probe(case)
     with pytest.raises(error) as alone:
-        jacobian(dataclasses.replace(f), pts[1])
+        jacobian(dataclasses.replace(f), [pts[1]])
     with pytest.raises(error) as got:
-        submersion._jacobians(f, pts)
+        jacobian(f, pts)
     assert str(got.value) == str(alone.value)
     assert f._memo == {}
 
@@ -612,11 +630,11 @@ def test_a_memo_hit_from_another_chart_still_raises(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     coords = [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1]
-    jacobian(f, Point(chart8, coords))
-    vh_split(f, g8, Point(chart8, coords))
-    f.map_point(Point(chart8, coords))
+    jacobian(f, [Point(chart8, coords)])
+    vh_split(f, g8, [Point(chart8, coords)])
+    f.images([Point(chart8, coords)])
     other = Point(make_chart(8, domain=[[-2.0, 2.0]] * 8), coords)
-    for call in (lambda: jacobian(f, other), lambda: vh_split(f, g8, other), lambda: f.map_point(other)):
+    for call in (lambda: jacobian(f, [other]), lambda: vh_split(f, g8, [other]), lambda: f.images([other])):
         with pytest.raises(ValidationError, match="different charts"):
             call()
 
@@ -626,7 +644,7 @@ def test_jacobian_rejects_a_point_of_another_chart(proj8to4):
     chart8, _, f = proj8to4
     p = Point(make_chart(8, domain=[[-5.0, 5.0]] * 8), [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     g8 = METRICS["neutral8"](chart8)
-    for call in (lambda: jacobian(f, p), lambda: vh_split(f, g8, p), lambda: f.map_point(p)):
+    for call in (lambda: jacobian(f, [p]), lambda: vh_split(f, g8, [p]), lambda: f.images([p])):
         with pytest.raises(ValidationError, match="different charts"):
             call()
     assert all(key[1] != p.coords.tobytes() for key in f._memo)
@@ -639,7 +657,7 @@ def test_the_chart_error_names_both_domains():
     f = expression_map(chart8, make_chart(4), PROJECTION, "proj")
     p = Point(make_chart(8, domain=[[-1.0, 1.0]] * 7 + [[-1.0, 3.5]]), [0.0] * 8)
     with pytest.raises(ValidationError) as got:
-        f.map_point(p)
+        f.images([p])
     names = "(x1, x2, x3, x4, x5, x6, x7, x8)"
     assert str(got.value) == (
         f"different charts: the point lives on {names} in {' x '.join(['[-1.0, 1.0]'] * 7)} x [-1.0, 3.5], "
