@@ -35,12 +35,17 @@ def doubled(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalBasisTriple:
-    """Three (1,1) fields on one chart, intended to satisfy the tau algebra."""
+    """Three (1,1) fields on one chart, intended to satisfy the tau algebra.
+    ``stack(points, order)``, given for a triple made from another
+    (``stacked_triple``), returns all three members' jets to order 0 or 1 in
+    one call, stacked [c, a, ...]: checked values and first partials."""
 
     j1: TensorField
     j2: TensorField
     j3: TensorField
     label: str = ""
+    stack: Callable[..., tuple[np.ndarray, ...]] | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in (self.j1, self.j2, self.j3):
@@ -48,8 +53,8 @@ class LocalBasisTriple:
                 raise ValidationError("triple members must be (1,1) fields")
         if not (self.j1.chart == self.j2.chart == self.j3.chart):
             raise ValidationError("triple members must share a chart")
-        # the fit memo keys hold the triple: the hash of the compared fields,
-        # taken once
+        # the fit, nabla and hermitian memo keys hold the triple: the hash of
+        # the compared fields, taken once
         object.__setattr__(self, "_hash", hash((self.j1, self.j2, self.j3, self.label)))
 
     def __hash__(self):
@@ -68,10 +73,40 @@ class LocalBasisTriple:
         return self.values([p])[0]
 
     def values(self, points: Sequence[Point]) -> np.ndarray:
-        """``matrices`` at each point, stacked (len(points), 3, dim, dim):
-        one ``eval_batch`` per member, so a failing batch raises what its
-        first failing point raises alone."""
-        return np.stack([eval_batch(f, points) for f in self.fields], axis=1)
+        """``matrices`` at each point, a read-only (len(points), 3, dim, dim)
+        stack memoised per point (``fields._memo_batch``): the misses from one
+        ``stack`` call, else one ``eval_batch`` per member.  A batch that raises
+        stores nothing, and its first failing point raises what it raises alone."""
+
+        def compute(pts: list[Point]) -> np.ndarray:
+            return self.stack(pts, 0)[0] if self.stack else np.stack([eval_batch(f, pts) for f in self.fields], axis=1)
+
+        V = np.array(_memo_batch(self._memo, self.chart, "values", points, compute, one=lambda q: compute([q])))
+        V.flags.writeable = False
+        return V.reshape(-1, 3, *self.j1.shape)
+
+    def jets(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        """The members' jets to order 1, (V[c, a, k, j], dV[c, a, i, k, j]),
+        from one ``stack`` call, or else one jets call per member."""
+        if self.stack:
+            return self.stack(points, 1)
+        return tuple(np.stack(X, axis=1) for X in zip(*(_jets_of(f)(points, 1) for f in self.fields)))
+
+
+def stacked_triple(chart: ManifoldSpec, stack: Callable, names: Sequence[str], label: str = "") -> LocalBasisTriple:
+    """The triple whose members are given all at once by ``stack`` (see
+    ``LocalBasisTriple``): member a, named ``names[a]``, is the slice a of
+    its values and of its jets, to order 1.  A member evaluated alone does
+    not read the triple's memo, which would tie the two in a cycle."""
+
+    def member(a: int) -> TensorField:
+        def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+            _order_at_most(names[a], order, 1)
+            return tuple(X[:, a] for X in stack(points, min(order, 1)))
+
+        return TensorField(chart, 1, 1, lambda points: stack(points, 0)[0][:, a], label=names[a], jets=jets)
+
+    return LocalBasisTriple(member(0), member(1), member(2), label=label, stack=stack)
 
 
 @dataclass(frozen=True)
@@ -169,43 +204,20 @@ class TransitionMap:
 
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
-    """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p).  Each
-    member's components come from s at every point in one ``s.matrices``
-    and A's values in one stack, and its jets to order 1, d(s_ab J_b) =
-    ds_ab J_b + s_ab dJ_b, from the jets of s and of A's members.  The
-    members share them: each is taken once for a batch of points and sliced
-    per member, as long as the members are asked for the same points in
-    turn."""
-    chart = A.chart
-    last: dict = {}  # kind -> (points, arrays) of the last batch, which the members share
+    """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p), its three
+    members at once (``stacked_triple``): s at every point from one
+    ``s.matrices`` and A's values from one ``values``, contracted in one
+    ``einsum``, and the jets to order 1, d(s_ab J_b) = ds_ab J_b + s_ab
+    dJ_b, from one jets call of s and one ``jets`` of A."""
+    name = label or s.label
 
-    def shared(kind: str, points: Sequence[Point], compute: Callable[[Sequence[Point]], tuple]) -> tuple:
-        if kind not in last or last[kind][0] != list(points):  # Points compare by identity
-            last[kind] = (list(points), compute(points))
-        return last[kind][1]
+    def stack(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        S = s.matrices(points)
+        V = np.einsum("cab,cbij->caij", S, A.values(points))
+        if order == 0:
+            return (V,)
+        dS = _jets_of(s)(points, 1)[1]  # [c, m, a, b]
+        J, dJ = A.jets(points)
+        return V, np.einsum("cmab,cbij->camij", dS, J) + np.einsum("cab,cbmij->camij", S, dJ)
 
-    def values(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-        return shared("values", points, lambda pts: (s.matrices(pts), A.values(pts)))
-
-    def partials(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        dS = _jets_of(s)(pts, 1)[1]  # [c, m, a, b]
-        J, dJ = (np.stack(X, axis=1) for X in zip(*(_jets_of(f)(pts, 1) for f in A.fields)))
-        return dS, J, dJ
-
-    def member(a: int) -> TensorField:
-        name = f"{label or s.label}[{a + 1}]"
-
-        def components(points: Sequence[Point]) -> np.ndarray:
-            S, AJ = values(points)
-            return np.einsum("cb,cbij->cij", S[:, a], AJ)
-
-        def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
-            _order_at_most(name, order, 1)
-            S = values(points)[0][:, a]
-            dS, J, dJ = shared("partials", points, partials)
-            dB = np.einsum("cmb,cbij->cmij", dS[:, :, a], J) + np.einsum("cb,cbmij->cmij", S, dJ)
-            return components(points), dB
-
-        return TensorField(chart, 1, 1, components, label=name, jets=jets)
-
-    return LocalBasisTriple(member(0), member(1), member(2), label=label or s.label)
+    return stacked_triple(A.chart, stack, [f"{name}[{a + 1}]" for a in range(3)], label=name)

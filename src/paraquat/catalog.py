@@ -18,7 +18,7 @@ from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
 from .exprlang import Expr, compile_with_jets, parse_expr
-from .fields import ManifoldSpec, Point, TensorField, constant_field
+from .fields import ManifoldSpec, Point, TensorField, _check_list, constant_field
 from .structures import ProductStructureField
 
 ETA4 = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -65,6 +65,7 @@ def _turning(chart: ManifoldSpec, coord: int, rate: float, A: np.ndarray, B: np.
     n = chart.dim
 
     def angles(points: Sequence[Point]) -> np.ndarray:
+        _check_list(points)
         return rate * np.array([p.coords[coord] for p in points])[:, None, None]
 
     def at(t: np.ndarray) -> np.ndarray:
@@ -219,7 +220,9 @@ def _parsed(entries, shape: tuple[int, ...], what: str):
 
 
 def _coords(points: Sequence[Point]) -> np.ndarray:
-    """The coordinates of a list of points, one row each."""
+    """The coordinates of a list of points, one row each; a bare Point
+    raises ValidationError (``fields._check_list``)."""
+    _check_list(points)
     return np.array([q.coords for q in points])
 
 
@@ -231,9 +234,10 @@ def expression_array(
     ``values`` maps an (N, dim) stack of the chart's coordinate vectors to
     the entries there, an (N, *shape) array, each row the same bit for bit
     as alone; ``jets`` gives their exact partials to order 3 from the same
-    trees.  Both come from ``compile_with_jets``.  ``jets`` is called as
-    ``jets(points, order)`` with ``TensorField.jets``' convention: order + 1
-    stacked arrays, the partial axes first, then ``shape``.
+    trees (no Hessian for order 1).  Both come from ``compile_with_jets``.
+    ``jets`` is called as ``jets(points, order)`` with ``TensorField.jets``'
+    convention: order + 1 stacked arrays, the partial axes first, then
+    ``shape``.
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
@@ -246,7 +250,7 @@ def expression_array(
         return walk(C).reshape(len(C), *shape)
 
     def point_jets(points, order):
-        arrays = jets(_coords(points), max(order, 2))[: order + 1]
+        arrays = jets(_coords(points), max(order, 1))[: order + 1]
         return tuple(A.reshape(len(points), *(n,) * k, *shape) for k, A in enumerate(arrays))
 
     return values, point_jets

@@ -5,7 +5,7 @@ forms in g, dg and d2g, with g itself the field's checked value.  The
 partials of a (1,1) field, behind nabla T and N_F, come from its jets the
 same way.  A field without jets raises ValidationError (``fields._jets_of``).
 
-``riemann`` and ``covariant_derivative_11`` take a list of points and
+``riemann`` and ``covariant_derivatives`` take a list of points and
 return one array per point, stacked over the distinct points under the
 memo rule of ``fields._memo_batch``; ``christoffel`` and
 ``MetricField.matrix`` read one point from the memo their batches fill.
@@ -13,7 +13,7 @@ memo rule of ``fields._memo_batch``; ``christoffel`` and
 Index conventions used throughout the package:
 
 * Christoffel symbols           ``gamma[k, i, j] = Gamma^k_{ij}``
-* covariant derivative (1,1)    ``D[i, k, j] = (nabla_i T)^k_j``
+* covariant derivative (1,1)    ``D[i, k, j] = (nabla_i T)^k_j``; ``D[a, i, k, j]`` of a triple
 * Riemann tensor                ``riem[l, k, i, j] = R^l_{kij}`` with
 
       R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import LocalBasisTriple
 from .errors import DegenerateMetricError, ValidationError
 from .fields import ManifoldSpec, Point, TensorField, _check_point, _jets_of, _memo_batch, eval_batch
 
@@ -49,10 +50,11 @@ class MetricField:
 
     The instance memoises g, and the jets dg and d2g of its field (per
     point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
-    ``riemann``, ``covariant_derivative_11`` and ``structures``, Gamma, R,
-    the partial and covariant derivatives of (1,1) fields, their Nijenhuis
-    tensors and the Kähler 1-form fits (per point, the last four also per
-    field or triple).  Every one of them is read and filled by
+    ``riemann``, ``covariant_derivatives`` and ``structures``, Gamma, R, the
+    partial derivatives of (1,1) fields, the covariant derivatives of fields
+    and of triples (all three members in one array), the Nijenhuis tensors,
+    the hermitian residuals and the Kähler 1-form fits (per point, the last
+    five also per field or triple).  Every one of them is read and filled by
     ``fields._memo_batch``: only evaluations that passed every check are
     stored, as read-only arrays, and a hit repeats the chart check, so a
     point of another chart still raises.
@@ -170,33 +172,39 @@ def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> l
     )
 
 
-def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """(nabla_i T)^k_j of a (1,1) field at each point, D[i, k, j], as the
-    memo's read-only arrays, memoised on g per (field, point) like Gamma.
-    The distinct misses are one stack: Gamma from one ``_christoffels``, T
-    from one ``eval_batch``, dT from one ``_gradients``, and D = dT +
-    Gamma T - T Gamma in two batched ``einsum`` calls, which round alike
-    for a point alone or in any batch.  A batch that raises stores
-    nothing, and its first failing point raises what it raises alone."""
-    if (T.r, T.s) != (1, 1):
-        raise ValidationError("covariant_derivative_11 expects a (1,1) field")
+def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
+    """nabla of each member of a triple T at each point, D[a, i, k, j] =
+    (nabla_i J_a)^k_j, or of a (1,1) field T alone, D[i, k, j], as the
+    memo's read-only arrays, memoised on g per (T, point) under ("nabla", T).
+    The distinct misses are one stack: Gamma from one ``_christoffels``, the
+    triple's memoised ``values`` and one ``jets`` call (of a field, a member
+    axis of length one from ``eval_batch`` and ``_gradients``), and D = dT +
+    Gamma T - T Gamma in two ``einsum`` calls, which round alike for a point
+    or a member alone or in any stack.  A batch that raises stores nothing,
+    and its first failing point raises what it raises alone."""
+    alone = isinstance(T, TensorField)
 
     def compute(qs: list[Point]) -> np.ndarray:
         gam = np.array(_christoffels(g, qs))
-        V = eval_batch(T, qs)
-        dT = np.array(_gradients(g, T, qs))  # [c, i, k, j]
-        D = (
-            dT
-            + np.einsum("ckil,clj->cikj", gam, V)
-            - np.einsum("clij,ckl->cikj", gam, V)
-        )
+        if alone:
+            V, dV = eval_batch(T, qs)[:, None], np.array(_gradients(g, T, qs))[:, None]
+        else:
+            V, dV = T.values(qs), T.jets(qs)[1]
+        D = dV + np.einsum("ckil,calj->caikj", gam, V) - np.einsum("clij,cakl->caikj", gam, V)
         D.flags.writeable = False
-        return D
+        return D[:, 0] if alone else D
 
     return _memo_batch(
         g._memo, g.chart, ("nabla", T), pts, compute,
-        one=lambda q: covariant_derivative_11(MetricField(g.field), T, [q]),
+        one=lambda q: covariant_derivatives(MetricField(g.field), T, [q]),
     )
+
+
+def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
+    """(nabla_i T)^k_j of a (1,1) field T at each point, D[i, k, j]: ``covariant_derivatives`` of T alone."""
+    if (T.r, T.s) != (1, 1):
+        raise ValidationError("covariant_derivative_11 expects a (1,1) field")
+    return covariant_derivatives(g, T, pts)
 
 
 def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:

@@ -435,35 +435,37 @@ def _sym_outer(a, b):
 
 def _chain(v, d, H, f1, f2):
     """The jet of f(a) from a's gradient d and Hessian H, with v = f(a),
-    f1 = f'(a) and f2 = f''(a): d' = f1 d, H' = f1 H + f2 d d^T."""
-    return v, _scaled(f1, d), _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
+    f1 = f'(a) and f2 = f''(a): d' = f1 d, H' = f1 H + f2 d d^T; no Hessian
+    when f2 is None."""
+    return v, _scaled(f1, d), None if f2 is None else _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
 
 
-def _product(a, b):
-    """The jet of a b from the jets of a and b."""
+def _product(a, b, second: bool = True):
+    """The jet of a b from the jets of a and b; the Hessian only if ``second``."""
     (va, da, Ha), (vb, db, Hb) = a, b
-    H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db))
+    H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db)) if second else None
     return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H
 
 
-def _log_abs(a):
+def _log_abs(a, second: bool = True):
     """The jet of log|a|, whose derivatives are those of log a."""
     v, d, H = a
-    return _chain(np.log(np.abs(v)), d, H, 1.0 / v, -1.0 / v**2)
+    return _chain(np.log(np.abs(v)), d, H, 1.0 / v, -1.0 / v**2 if second else None)
 
 
-def _power(a, c: float):
+def _power(a, c: float, second: bool = True):
     """The jet of a^c for a constant exponent c."""
     v, d, H = a
     p = v ** c
     if d is None or c == 0.0:
         return p, None, None
-    f2 = c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0
+    f2 = (c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0) if second else None
     return _chain(p, d, H, c * v ** (c - 1.0), f2)
 
 
-def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray):
-    """The jet of the temporary under ``key``, from its operands' jets."""
+def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray, second: bool):
+    """The jet of the temporary under ``key``, from its operands' jets; the
+    Hessian only if ``second``, which changes no bit of the rest."""
     op = key[0]
     if op == "sym":
         return X[:, key[1], None, None], unit[key[1]], None
@@ -473,26 +475,26 @@ def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray):
     if op in _NUMPY:
         (f, f1, f2, _), (v, d, H) = _NUMPY[op], jet[key[1]]
         fv = f(v)
-        return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv))
+        return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv) if second else None)
     (va, da, Ha), (vb, db, Hb) = jet[key[1]], jet[key[2]]
     if op in ("^", "pow"):
         if db is None:
-            return _power((va, da, Ha), vb)
+            return _power((va, da, Ha), vb, second)
         # a^b has the derivatives of exp(b log|a|) scaled by its value, so an
         # a < 0 under an exponent constant in value keeps finite ones
         v = va ** vb
-        _, dg, Hg = _product((vb, db, Hb), _log_abs((va, da, Ha)))
-        return _chain(v, dg, Hg, v, v)
+        _, dg, Hg = _product((vb, db, Hb), _log_abs((va, da, Ha), second), second)
+        return _chain(v, dg, Hg, v, v if second else None)
     if op == "+":
         return va + vb, _add(da, db), _add(Ha, Hb)
     if op == "-":
         return va - vb, _sub(da, db), _sub(Ha, Hb)
     if op == "*":
-        return _product((va, da, Ha), (vb, db, Hb))
+        return _product((va, da, Ha), (vb, db, Hb), second)
     # q = a/b: from q b = a, q' = (a' - q b')/b and q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b
     q = va / vb
     dq = _scaled(1.0 / vb, _sub(da, _scaled(q, db)))
-    return q, dq, _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db)))
+    return q, dq, _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db))) if second else None
 
 
 def _k(c):
@@ -567,7 +569,7 @@ def compile_with_jets(
     trees: Iterable[Expr], names: Sequence[str]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[..., tuple[np.ndarray, ...]]]:
     """The values of the trees at a batch of points, and their exact partial
-    derivatives to order 2 or 3 by forward mode, both walking the same
+    derivatives to order 1, 2 or 3 by forward mode, both walking the same
     distinct subtrees (free names checked as in :func:`_emit`).  Nothing is
     compiled and no Python source is generated.
 
@@ -584,20 +586,13 @@ def compile_with_jets(
     failing point raises alone (``fields.eval_batch`` tries the points again
     one at a time).
 
-    The walk replaced a straight-line function built with ``compile``.  An
-    array is read at a few points only: a sweep scenario evaluates its
-    metric at 4, in one walk.  Building the compiled function cost about
-    10 µs per generated line, about 0.5 ms for a sweep metric, to save 17
-    µs on those 4 points (28 µs walked, 10 µs compiled); at 64 points the
-    walk is faster outright, 112 against 140 µs (timings on a 2-vCPU Xeon
-    VM under Python 3.11).
-
-    The jets map an (N, n) array of points and an ``order`` of 2 (the
-    default) or 3 to (V, D, H) or (V, D, H, K), with V[c, t] the value of
-    tree t at point c, D[c, i, t] its i-th partial, H[c, i, j, t] its (i, j)
-    second partial and K[c, i, j, k, t] its (i, j, k) third partial.  Order
-    3 runs the rules of order 2 unchanged, so V, D and H are the same bit for
-    bit at both.  Each distinct subtree is evaluated once, with numpy over
+    The jets map an (N, n) array of points and an ``order`` of 1, 2 (the
+    default) or 3 to (V, D), (V, D, H) or (V, D, H, K), with V[c, t] the
+    value of tree t at point c, D[c, i, t] its i-th partial, H[c, i, j, t]
+    its (i, j) second partial and K[c, i, j, k, t] its (i, j, k) third
+    partial.  Order 1 builds no Hessian and order 3 runs the rules of order
+    2 unchanged, so each partial is the same bit for bit at every order
+    that has it.  Each distinct subtree is evaluated once, with numpy over
     the whole stack.  The values are numpy's, so they may differ from the
     walked ones in the last bit; evaluate the trees with those first, since
     a jet assumes their values are finite.  A '^' or pow whose exponent
@@ -627,12 +622,10 @@ def compile_with_jets(
         third = [None] * size if order == 3 else None
         with np.errstate(all="ignore"):
             for slot, key, _ in temporaries:
-                jet[slot] = _jet(key, jet, X, unit)
+                jet[slot] = _jet(key, jet, X, unit, order > 1)
                 if third is not None:
                     third[slot] = _third(key, jet, third, jet[slot])
-        out = [np.empty((N, T)), np.zeros((N, n, T)), np.zeros((N, n, n, T))]
-        if third is not None:
-            out.append(np.zeros((N, n, n, n, T)))
+        out = [np.empty((N, T)), np.zeros((N, n, T))] + [np.zeros((N,) + (n,) * k + (T,)) for k in range(2, order + 1)]
         for t, slot in enumerate(results):
             v, d, h = jet[slot]
             out[0][:, t] = np.reshape(v, -1)

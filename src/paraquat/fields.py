@@ -138,12 +138,13 @@ class TensorField:
     alone or in any list.  ``jets`` is called as ``jets(points, order)`` and
     returns exact derivatives at a list of points in one call, as order + 1
     stacked arrays: the components (to roundoff), their first partials
-    ``[c, i, ...]``, their second partials ``[c, i, j, ...]`` and so on.  The connection reads a metric's
-    derivatives from it (order 2) and a (1,1) field's (order 1); the base
-    metric of a Sasaki lift is asked for order 3.  An expression field, a
-    constant field and a catalog field have jets to order 3, a lifted metric
-    to order 2, and a lifted member and the member of a transition to order
-    1.  A field without jets (None) can be evaluated but not differentiated.
+    ``[c, i, ...]``, their second partials ``[c, i, j, ...]`` and so on.
+    The connection reads a metric's derivatives from it (order 2) and a
+    (1,1) field's (order 1); the base metric of a Sasaki lift is asked for
+    order 3.  An expression field, a constant field and a catalog field have
+    jets to order 3, a lifted metric to order 2, and a member of a stacked
+    triple (``algebra.stacked_triple``) to order 1.  A field without jets
+    (None) can be evaluated but not differentiated.
     """
 
     chart: ManifoldSpec
@@ -182,7 +183,9 @@ def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
     the points from one call ``field.components(points)``, and their shape
     and finiteness in one test.  When anything raises, the points are
     evaluated again one at a time with ``eval_field``, so the error is the
-    one the first failing point raises alone."""
+    one the first failing point raises alone.  A bare Point in place of the
+    list raises ValidationError."""
+    _check_list(points)
     chart = field.chart
     if not points:
         return np.empty((0, *field.shape))
@@ -326,10 +329,15 @@ def constant_field(chart: ManifoldSpec, r: int, s: int, value: np.ndarray, label
     vals = np.array(value, dtype=float)
     vals.flags.writeable = False
 
+    def components(points: Sequence[Point]) -> list[np.ndarray]:
+        _check_list(points)
+        return [vals] * len(points)
+
     def jets(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        _check_list(points)
         N, n = len(points), chart.dim
         return (np.broadcast_to(vals, (N, *vals.shape)),) + tuple(
             np.zeros((N,) + (n,) * k + vals.shape) for k in range(1, order + 1)
         )
 
-    return TensorField(chart, r, s, lambda points: [vals] * len(points), label=label, jets=jets)
+    return TensorField(chart, r, s, components, label=label, jets=jets)

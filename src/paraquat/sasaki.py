@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import LocalBasisTriple, check_triple_algebra, doubled
+from .algebra import LocalBasisTriple, check_triple_algebra, doubled, stacked_triple
 from .connection import (
     MetricField,
     _christoffel_partials,
@@ -36,6 +36,7 @@ from .connection import (
     _first_kind,
     _jets,
     christoffel,  # noqa: F401  unused; perfbench's tracer test asserts that it rebinds sasaki.christoffel
+    covariant_derivatives,
     riemann,
 )
 from .errors import PreconditionFailedError, ShapeError, ValidationError
@@ -48,10 +49,9 @@ from .fields import (
     _memo_batch,
     _order_at_most,
     _point,
-    eval_batch,
     sample_points,
 )
-from .structures import check_hermitian, fit_kahler_oneforms
+from .structures import check_hermitian
 from .submersion import SubmersionMap
 
 LIFT_PRECONDITION_TOL = 1e-8
@@ -103,7 +103,8 @@ def _frame_batch(g: MetricField, C: np.ndarray) -> list[tuple[np.ndarray, np.nda
     C = C.copy()
     C.flags.writeable = False
     xs = [_point(g.chart, c[:n]) for c in C]
-    gam = _stacked_at(lambda qs: _christoffels(g, qs, order=3), g.chart, xs)
+    # Gamma of each distinct base point once: a memo batch on a memo of its own
+    gam = np.array(_memo_batch({}, g.chart, None, xs, lambda qs: _christoffels(g, qs, order=3)))
     M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
     L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
     Linv = L.copy()
@@ -145,15 +146,6 @@ def _blocks(A: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
     out[..., :n, :n], out[..., :n, n:] = A, P.swapaxes(-1, -2)
     out[..., n:, :n], out[..., n:, n:] = P, g
     return out
-
-
-def _stacked_at(
-    evaluate: Callable[[list[Point]], Sequence[np.ndarray]], chart: ManifoldSpec, points: Sequence[Point]
-) -> np.ndarray:
-    """evaluate's values at points of the chart, stacked; evaluate gets each
-    distinct point (by coordinates) once, all in one call: a memo batch on a
-    memo of its own."""
-    return np.array(_memo_batch({}, chart, None, points, evaluate))
 
 
 @dataclass(frozen=True)
@@ -229,8 +221,7 @@ def build_tangent_bundle(
             )
     bundle = tangent_bundle_chart(base, u_box)
     # Each bundle point's frame (L, L^-1, x) under ("frame", coordinate
-    # bytes), its shift and the shift's partials (M, dM, d2M) under
-    # ("shift", ...), and each lifted member's components under (a, ...),
+    # bytes) and its shift and partials (M, dM, d2M) under ("shift", ...),
     # read and filled by fields._memo_batch.
     memo: dict = {}
 
@@ -330,49 +321,30 @@ def build_tangent_bundle(
         TensorField(bundle, 0, 2, lifted_metrics, label="lifted metric", jets=lifted_metric_jets)
     )
 
-    def lifted_members(a: int, xis: Sequence[Point]) -> list[np.ndarray]:
-        """Jt_a at each bundle point, as the memo's read-only arrays; the
-        misses come from one stacked L diag(J_a, J_a) L^-1 over one frame
-        batch, with J_a evaluated once per distinct base point."""
-
-        def compute(fresh: list[Point]) -> np.ndarray:
-            F = frames(fresh)
-            L, Linv = np.array([f[0] for f in F]), np.array([f[1] for f in F])
-            J = _stacked_at(lambda xs: eval_batch(T.fields[a], xs), base, [f[2] for f in F])
-            Jt = L @ doubled(J) @ Linv
-            Jt.flags.writeable = False
-            return Jt
-
-        return _memo_batch(memo, bundle, a, xis, compute)
-
-    def lifted_member_jets(a: int, xis: Sequence[Point], order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Jt_a and its first partials at each bundle point, stacked: Jt_a
-        is [[J, 0], [JM - MJ, J]], so d_A Jt_a has the blocks d_A J and
-        d_A J M + J d_A M - d_A M J - M d_A J, with J from the base member's
-        jets and M, dM from the shift memo."""
-        _order_at_most(f"lifted J{a + 1}", order, 1)
-        M, dM, _ = (np.array(A) for A in zip(*shifts(xis)))
-        J, dJ = T.fields[a].jets([f[2] for f in frames(xis)], 1)
-        JA = np.zeros((len(xis), 2 * n, n, n))
-        JA[:, :n] = dJ
+    def lifted_triple(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
+        """The three lifted members' jets at once (``stacked_triple``) over
+        one frame batch: Jt_a = L diag(J_a, J_a) L^-1 = [[J, 0], [JM - MJ,
+        J]] from the base triple's values, and d_A Jt_a, whose blocks are d_A
+        J and d_A J M + J d_A M - d_A M J - M d_A J, from one ``jets`` call
+        of the base triple and the shift memo."""
+        L, Linv, xs = zip(*frames(xis))
+        V = np.array(L)[:, None] @ doubled(T.values(xs)) @ np.array(Linv)[:, None]
+        if order == 0:
+            return (V,)
+        M, dM = (np.array(A) for A in list(zip(*shifts(xis)))[:2])
+        J, dJ = T.jets(xs)
+        JA = np.zeros((len(xis), 3, 2 * n, n, n))
+        JA[:, :, :n] = dJ
         C = (
-            np.einsum("caki,cil->cakl", JA, M) + np.einsum("cki,cail->cakl", J, dM)
-            - np.einsum("caki,cil->cakl", dM, J) - np.einsum("cki,cail->cakl", M, JA)
+            np.einsum("cbaki,cil->cbakl", JA, M) + np.einsum("cbki,cail->cbakl", J, dM)
+            - np.einsum("caki,cbil->cbakl", dM, J) - np.einsum("cki,cbail->cbakl", M, JA)
         )
-        dJt = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
-        dJt[:, :, :n, :n] = dJt[:, :, n:, n:] = JA
-        dJt[:, :, n:, :n] = C
-        return np.array(lifted_members(a, xis)), dJt
+        dJt = np.zeros((len(xis), 3, 2 * n, 2 * n, 2 * n))
+        dJt[..., :n, :n] = dJt[..., n:, n:] = JA
+        dJt[..., n:, :n] = C
+        return V, dJt
 
-    def lifted_member(a: int) -> TensorField:
-        return TensorField(
-            bundle, 1, 1,
-            lambda xis: lifted_members(a, xis),
-            label=f"lifted J{a + 1}",
-            jets=lambda xis, order: lifted_member_jets(a, xis, order),
-        )
-
-    Jt = LocalBasisTriple(lifted_member(0), lifted_member(1), lifted_member(2))
+    Jt = stacked_triple(bundle, lifted_triple, [f"lifted J{a + 1}" for a in range(3)])
 
     def projection_jets(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
         """(x, u) -> x is linear: df = [I 0] and every higher partial is 0."""
@@ -476,7 +448,7 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
         R, J = np.array(riemann(g, xs)), T.values(xs)
-        nabla = np.array([fit.nabla for fit in fit_kahler_oneforms(g, T, xs)])
+        nabla = np.array(covariant_derivatives(g, T, xs))
 
         def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
             return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
@@ -520,7 +492,7 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[flo
 
     def compute(qs: list[Point]) -> list[float]:
         L = np.array([f[0] for f in bundle.frames(qs)])
-        D = np.array([fit.nabla for fit in fit_kahler_oneforms(bundle.metric, bundle.triple, qs)])
+        D = np.array(covariant_derivatives(bundle.metric, bundle.triple, qs))
         C = oracle_tilde_nabla_J(bundle, qs)
         return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
 

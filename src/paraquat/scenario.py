@@ -36,7 +36,7 @@ from .catalog import (
     structure_from_config,
     triple_from_config,
 )
-from .connection import MetricField, covariant_derivative_11, is_flat
+from .connection import MetricField, covariant_derivatives, is_flat
 from .errors import ParaquatError, ParseError, ValidationError
 from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
 from .sasaki import SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle
@@ -377,9 +377,7 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     trans = TransitionMap(s=lambda pts: values(_coords(pts)), label="witness transition", jets=jets)
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
-    worst = max(
-        float(np.abs(D).max()) for member in witness.fields for D in covariant_derivative_11(ctx.metric, member, pts)
-    )
+    worst = max(float(np.abs(D).max()) for D in covariant_derivatives(ctx.metric, witness, pts))
     return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import LocalBasisTriple
-from .connection import MetricField, _gradients, _nijenhuis_tensor, covariant_derivative_11
+from .connection import MetricField, _gradients, _nijenhuis_tensor, covariant_derivatives
 from .errors import IllConditionedError, PreconditionFailedError, ValidationError
 from .fields import Point, TensorField, _memo_batch, eval_batch
 
@@ -39,16 +39,20 @@ class StructureClass(str, Enum):
 
 def check_hermitian(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
     """max_a |J_a^T g + g J_a| at each point, over one stack of g and of the
-    triple's values; zero means every J_a is g-skew.  A batch that raises
-    is tried again point by point, so the error is the one the first
-    failing point raises alone."""
+    triple's values; zero means every J_a is g-skew.  The residuals are
+    memoised on g per (T, point), like the fit, so ``classify_structure``
+    reads those of a ``hermitian`` check of the same run.  A batch that
+    raises stores nothing, and its first failing point raises what it
+    raises alone."""
 
     def compute(qs: list[Point]) -> list[float]:
         gp = np.array(g.matrices(qs))[:, None]
         J = T.values(qs)
         return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_hermitian(g, T, [q]))
+    return _memo_batch(
+        g._memo, g.chart, ("hermitian", T), pts, compute, one=lambda q: check_hermitian(MetricField(g.field), T, [q])
+    )
 
 
 def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,10 +81,11 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     The fits are memoised on g per (T, point), like Gamma and R: a second
     fit at a point repeats the chart check and returns the same read-only
     ``omega`` and ``nabla``, and a batch that raises stores nothing.  The
-    distinct misses are one stack: the triple's values and their trace
-    pairings, nabla J_a from one ``covariant_derivative_11`` per member,
-    then the slots, omega and the residual over the whole stack.  A batch
-    that raises raises what its first failing point raises alone.
+    distinct misses are one stack: the triple's memoised values and their
+    trace pairings, nabla J_a of all three members from one
+    ``covariant_derivatives`` batch, then the slots, omega and the residual
+    over the whole stack.  A batch that raises raises what its first
+    failing point raises alone.
     """
 
     def compute(qs: list[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
@@ -91,7 +96,7 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
         if bad.any():
             k = int(bad.argmax())
             raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
-        D = np.stack([np.array(covariant_derivative_11(g, f, qs)) for f in T.fields], axis=1)  # [c, a, i, k, j]
+        D = np.array(covariant_derivatives(g, T, qs))  # [c, a, i, k, j]
         # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
         # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
         # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
@@ -224,7 +229,7 @@ def check_product_structure(g: MetricField, F: ProductStructureField, pts: Seque
         inv = np.abs(Fp @ Fp - np.eye(n)).max(axis=(1, 2))
         met = np.abs(Fp.transpose(0, 2, 1) @ gp @ Fp - gp).max(axis=(1, 2))
         nij = np.abs(np.array(_nijenhuises(g, F, qs))).max(axis=(1, 2, 3))
-        par = np.abs(np.array(covariant_derivative_11(g, F.field, qs))).max(axis=(1, 2, 3))
+        par = np.abs(np.array(covariant_derivatives(g, F.field, qs))).max(axis=(1, 2, 3))
         return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
 
     return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_product_structure(g, F, [q]))
@@ -290,7 +295,7 @@ def check_parallel_equivalence(
         raise PreconditionFailedError(
             f"(g, T) classifies as {verdict.cls.value}, need PQK or LhPK-basis"
         )
-    D = np.array(covariant_derivative_11(g, F.field, pts))  # [c, i, k, j]
+    D = np.array(covariant_derivatives(g, F.field, pts))  # [c, i, k, j]
     N = np.array(_nijenhuises(g, F, pts))
     J = T.values(pts)  # [c, a, m, i]
     mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)

@@ -1,5 +1,7 @@
 """The tau-algebra of basis triples and transitions between them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -210,10 +212,51 @@ def test_a_triple_algebra_batch_raises_what_its_first_failing_point_raises_alone
     assert str(got.value) == str(expected.value)
 
 
+def test_a_failing_triple_batch_stores_nothing_and_raises_what_its_first_failing_point_raises_alone(std_triple):
+    # J1 fails at the third point and J2 at the second: the batch raises
+    # J2's error at the second point, not J1's, which a member-by-member
+    # stack meets first
+    triple = _failing_members(std_triple)
+    chart = triple.chart
+    pts = [Point(chart, [0.1, 0.0, 0.0, 0.0]), Point(chart, [0.1, 0.7, 0.0, 0.0]), Point(chart, [0.1, 0.0, 0.7, 0.0])]
+    with pytest.raises(EvaluationError, match="J2") as expected:
+        _failing_members(std_triple).values([pts[1]])
+    with pytest.raises(EvaluationError, match="J1"):
+        _failing_members(std_triple).values([pts[2]])
+    with pytest.raises(EvaluationError) as got:
+        triple.values(pts)
+    assert str(got.value) == str(expected.value)
+    assert not triple._memo
+    # the point that evaluates alone still does, and is then stored
+    assert triple.values(pts[:1]).tobytes() == _failing_members(std_triple).values(pts[:1]).tobytes()
+    assert list(triple._memo) == [("values", pts[0].coords.tobytes())]
+
+
+def test_triple_values_are_memoised_read_only_stacks(rot_triple, pts4):
+    calls = []
+
+    def counted(f: TensorField) -> TensorField:
+        return dataclasses.replace(f, components=lambda ps: calls.append(len(ps)) or f.components(ps))
+
+    triple = LocalBasisTriple(*map(counted, rot_triple.fields))
+    first = triple.values(pts4 + pts4[:1])
+    assert calls == [len(pts4)] * 3  # each member once, at the distinct points
+    again = triple.values([Point(triple.chart, p.coords) for p in reversed(pts4)])
+    assert calls == [len(pts4)] * 3
+    assert again.tobytes() == first[len(pts4) - 1::-1].tobytes() == rot_triple.values(pts4)[::-1].tobytes()
+    for V in (first, again, triple.matrices(pts4[0])):
+        assert not V.flags.writeable
+    other = make_chart(4, coords=("a", "b", "c", "d"))
+    with pytest.raises(ValidationError, match="different charts"):
+        triple.values([Point(other, pts4[0].coords)])
+
+
 def test_the_members_of_a_transition_share_s_and_a_per_batch(chart4):
-    # one walk of s and one jets call of s and of each member of A serve
-    # all three members over the same points, with the bits of a member
-    # that shares nothing
+    # the triple's values take one walk of s, and its jets one walk and one
+    # jets call of s and one jets call of each member of A, for all three
+    # members over the same points; a member asked alone takes s itself,
+    # with the bits of its slice and of a member of a triple that shares
+    # nothing
     values, jets = expression_array(
         [["1 + 0.3*sin(x2)", "x1", "0"], ["0", "cos(x3)", "0.2*x4"], ["0", "0", "exp(0.1*x1)"]], (3, 3), chart4, "s"
     )
@@ -230,15 +273,27 @@ def test_the_members_of_a_transition_share_s_and_a_per_batch(chart4):
 
         return TransitionMap(components, label="s", jets=counted_jets)
 
-    A = TRIPLES["rotated4"](chart4)
+    member_jets = []
+
+    def counted(f: TensorField) -> TensorField:
+        return dataclasses.replace(f, jets=lambda ps, order: member_jets.append(order) or f.jets(ps, order))
+
+    A = LocalBasisTriple(*map(counted, TRIPLES["rotated4"](chart4).fields))
     shared = apply_transition(A, transition(True))
     pts = sample_points(chart4, 3, seed=8)
+    V = shared.values(pts)
+    assert calls == ["components"]
+    stacked = shared.jets(pts)
+    assert calls == ["components", "components", "jets"] and member_jets == [1, 1, 1]
     got = [(member.components(pts), *member.jets(pts, 1)) for member in shared.fields]
-    assert calls == ["components", "jets"]
+    assert calls == ["components", "components", "jets"] + ["components", "components", "jets"] * 3
     for a, arrays in enumerate(got):
+        assert arrays[0].tobytes() == V[:, a].tobytes() and arrays[2].tobytes() == stacked[1][:, a].tobytes()
         alone = apply_transition(A, transition(False)).fields[a]
         for x, y in zip(arrays, (alone.components(pts), *alone.jets(pts, 1))):
             assert x.tobytes() == y.tobytes()
-    # other points are a new batch
-    shared.j1.components(pts[:2])
-    assert calls == ["components", "jets", "components"]
+    # the triple's values of known points are memoised, other points are a
+    # new batch
+    calls.clear()
+    shared.values(pts[1:] + sample_points(chart4, 1, seed=9))
+    assert calls == ["components"] and len(shared._memo) == len(pts) + 1

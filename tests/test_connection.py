@@ -34,7 +34,7 @@ from paraquat import (
     riemann,
     sample_points,
 )
-from paraquat import connection, fields
+from paraquat import connection, exprlang, fields
 from paraquat.catalog import (
     ETA4,
     METRICS,
@@ -43,9 +43,11 @@ from paraquat.catalog import (
     expression_array,
     make_chart,
     metric_from_config,
+    scenario_names,
     structure_from_config,
     triple_from_config,
 )
+from paraquat.scenario import build_context, load_scenario
 
 from fd_reference import H, central_difference, fd_gradient
 from conftest import BENT_COMPONENTS, expression_map, pointwise, reference_nabla, rotated4_matrices
@@ -436,6 +438,48 @@ def _witness_member(chart, rows):
 
 UNDOING = [["cos(x1)", "-sin(x1)", "0"], ["sin(x1)", "cos(x1)", "0"], ["0", "0", "1"]]
 TURNING = [["1 + 0.3*sin(x2)", "x1", "0"], ["0", "cos(x3)", "0.2*x4"], ["0", "0", "exp(0.1*x1)"]]
+
+
+def _order_one_arrays(name):
+    """(label, jets, points) of the expression arrays behind ``name``: a
+    convergence or sweep metric, rotated4 as expression matrices with the
+    witness transitions, or a shipped scenario's metric (of its base), map
+    and witness transitions, at its sample points."""
+    chart = make_chart(4)
+    pts = sample_points(chart, 5, seed=11) + [Point(chart, MEMO_POINT)]
+    if name in CONVERGENCE_METRICS:
+        return [(name, expression_array(CONVERGENCE_METRICS[name], (4, 4), chart, name)[1], pts)]
+    if name == "rotated4 matrices":
+        return [(f"J{a + 1}", expression_array(m, (4, 4), chart, "J")[1], pts) for a, m in enumerate(rotated4_matrices())] + [
+            (label, expression_array(rows, (3, 3), chart, label)[1], pts) for label, rows in (("undoing", UNDOING), ("turning", TURNING))
+        ]
+    config = load_scenario(name)
+    ctx, geo = build_context(config, seed=7), config["geometry"]
+    base = ctx.bundle.base_metric if ctx.bundle else ctx.metric
+    xs = [ctx.bundle.base_point(q) for q in ctx.points] if ctx.bundle else ctx.points
+    out = [("metric", base.field.jets, xs)]  # an expression metric, or a constant one
+    if "submersion" in geo:
+        components = geo["submersion"]["components"]
+        out.append(("map", expression_array(components, (len(components),), ctx.chart, "map")[1], ctx.points))
+    out += [
+        ("witness", expression_array(spec["transition"], (3, 3), ctx.chart, "witness")[1], ctx.points)
+        for spec in config["checks"] if spec["check"] == "parallel-witness"
+    ]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONVERGENCE_METRICS) + ["rotated4 matrices"] + scenario_names())
+def test_order_one_jets_build_no_hessian_and_keep_order_two_bits(name, monkeypatch):
+    # V and D at order 1 are order 2's bit for bit, with no Hessian term
+    # formed: the outer products behind every one of them raise here
+    arrays = _order_one_arrays(name)
+    expected = [jets(pts, 2)[:2] for _, jets, pts in arrays]
+    monkeypatch.setattr(exprlang, "_outer", lambda a, b: pytest.fail("a Hessian term at order 1"))
+    for (label, jets, pts), (V, D) in zip(arrays, expected):
+        got = jets(pts, 1)
+        assert len(got) == 2, label
+        _assert_same_bits(got[0], V)
+        _assert_same_bits(got[1], D)
 CONVERGENCE_FIELDS = {
     # name: (a function making the field, highest jet order)
     "rotated4 J1": (lambda: TRIPLES["rotated4"](make_chart(4)).j1, 3),

@@ -14,6 +14,7 @@ from paraquat import (
     TensorField,
     TransitionMap,
     ValidationError,
+    apply_transition,
     build_tangent_bundle,
     check_bracket,
     check_connection_oracle,
@@ -35,7 +36,7 @@ from paraquat import (
     vh_split,
 )
 from paraquat.catalog import METRICS, STRUCTURES, TRIPLES, make_chart
-from paraquat.connection import _gradients
+from paraquat.connection import _gradients, covariant_derivatives
 from paraquat.fields import _memo_batch, eval_batch
 
 
@@ -318,6 +319,21 @@ BATCHES = {
     "check_connection_oracle": lambda o: check_connection_oracle(o.bundle, o.xi),
     "check_nabla_j_oracle": lambda o: check_nabla_j_oracle(o.bundle, o.xi),
     "check_bracket": lambda o: check_bracket(o.bundle, [(np.eye(4)[0], np.eye(4)[1])], o.xi),
+    # the fields' own batches: evaluation, the shipped component and jets
+    # callables (expression, constant and turning fields, the members of a
+    # transition and of a lift) and the triple's stacks
+    "eval_batch": lambda o: eval_batch(o.g.field, o.p),
+    "expression components": lambda o: o.g.field.components(o.p),
+    "expression jets": lambda o: o.g.field.jets(o.p, 1),
+    "constant components": lambda o: o.g8.field.components(o.p8),
+    "constant jets": lambda o: o.g8.field.jets(o.p8, 1),
+    "turning components": lambda o: o.T.j1.components(o.p),
+    "turning jets": lambda o: o.T.j1.jets(o.p, 1),
+    "transition member": lambda o: apply_transition(o.T, o.s).j2.components(o.p),
+    "lifted member": lambda o: o.bundle.triple.j3.jets(o.xi, 1),
+    "LocalBasisTriple.values": lambda o: o.T.values(o.p),
+    "LocalBasisTriple.jets": lambda o: o.T.jets(o.p),
+    "covariant_derivatives": lambda o: covariant_derivatives(o.g, o.T, o.p),
 }
 
 

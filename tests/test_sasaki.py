@@ -36,8 +36,8 @@ from paraquat import (
     sample_points,
     tangent_bundle_chart,
 )
-from paraquat import connection, sasaki, structures
-from paraquat.algebra import doubled
+from paraquat import sasaki, structures
+from paraquat.algebra import LocalBasisTriple, doubled
 from paraquat.catalog import ETA4, METRICS, make_chart, metric_from_config, triple_from_config
 from paraquat.scenario import build_context, load_scenario
 from paraquat.structures import span_combination
@@ -293,10 +293,13 @@ def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, frame_ba
     eval_field(bundle.metric.field, xi)
     bundle.metric.matrices([xi])
     assert frame_batches == [[xi.coords.tobytes()]]
-    assert again is first
-    assert not again.flags.writeable
+    # the lifted triple's values, memoised, are a read-only stack
+    memoised = bundle.triple.values([xi, xi])
+    assert again.tobytes() == first.tobytes() == memoised[1, 0].tobytes()
+    assert frame_batches == [[xi.coords.tobytes()]]
+    assert not memoised.flags.writeable
     with pytest.raises(ValueError):
-        again[0, 0] = 0.0
+        memoised[0, 0, 0, 0] = 0.0
 
 
 def test_failed_lift_stores_nothing(chart4, std_triple, frame_batches):
@@ -462,20 +465,18 @@ def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, monke
     bundle = build_tangent_bundle(g, rot_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
     fit_kahler_oneforms(bundle.metric, bundle.triple, [xi])
-    metrics = []
-    real = structures.covariant_derivative_11
+    calls = []
+    real = LocalBasisTriple.jets
 
-    def counted(g, T, pts):
-        metrics.append(g)
-        return real(g, T, pts)
+    def counted(T, pts):
+        calls.append((T is rot_triple, len(pts)))
+        return real(T, pts)
 
-    # the fit calls it through structures, its replay through connection
-    for module in (connection, structures):
-        monkeypatch.setattr(module, "covariant_derivative_11", counted)
+    monkeypatch.setattr(LocalBasisTriple, "jets", counted)
     check_nabla_j_oracle(bundle, [xi])
-    assert not any(m is bundle.metric for m in metrics)
-    # the base derivatives too: the closed form reads the fit at the base point
-    assert [m is g for m in metrics] == [True] * 3
+    # the lifted derivatives are the ones the fit memoised; the closed form
+    # takes the base derivatives of all three members from one jets call
+    assert calls == [(True, 1)]
 
 
 def test_oracle_checks_leave_one_curvature_in_the_base_memo(chart4, std_triple):
@@ -562,6 +563,7 @@ U = [0.2, -0.1, 0.15, 0.3]
 def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, frame_batches, order):
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple)
+    built = set(g._memo)  # the spot checks of the construction
     good = bundle.point([0.1, -0.2, 0.3, 0.05], U)
     first, later = (bundle.point(FAILING_BASES[name], U) for name in order)
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
@@ -574,7 +576,7 @@ def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, st
         bundle.frames([good, first, later])
     assert str(got.value) == str(expected.value)
     # nothing stored: no frame, no Gamma
-    assert not [key for key in g._memo if key[0] != "g"]
+    assert not [key for key in set(g._memo) - built if key[0] != "g"]
     frame_batches.clear()
     bundle.frames([good])
     assert frame_batches == [[good.coords.tobytes()]]
@@ -589,6 +591,7 @@ def test_frame_batch_raises_a_failing_frame_before_a_later_point_off_the_box(cha
     # raises what the earlier point raises alone
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple)
+    built = set(g._memo)  # the spot checks of the construction
     first = bundle.point(FAILING_BASES["degenerate centre"], U)
     off = bundle.point([0.1, -0.2, 0.3, 0.05], [3.0] + U[1:])
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
@@ -600,7 +603,7 @@ def test_frame_batch_raises_a_failing_frame_before_a_later_point_off_the_box(cha
         with pytest.raises(DegenerateMetricError) as got:
             batch([first, off])
         assert str(got.value) == str(expected.value)
-    assert not [key for key in g._memo if key[0] != "g"]
+    assert not [key for key in set(g._memo) - built if key[0] != "g"]
     assert not bundle.metric._memo
 
 
@@ -851,13 +854,13 @@ def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
 
         monkeypatch.setattr(sasaki, name, call)
 
-    for name, where in (("_christoffels", 1), ("riemann", 1), ("fit_kahler_oneforms", 2)):
+    for name, where in (("_christoffels", 1), ("riemann", 1), ("covariant_derivatives", 2)):
         counted(name, where)
     n = len(pts)
     sasaki.check_nabla_j_oracle(bundle, pts)
-    # the lifted fit and the base fit; the shifts the lifted fit reads ask
-    # for Gamma, memoised with the frames
-    assert [name for name, _ in calls].count("fit_kahler_oneforms") == 2 and ("riemann", n) in calls
+    # the lifted and the base derivatives of all three members; the shifts
+    # the lifted ones read ask for Gamma, memoised with the frames
+    assert [name for name, _ in calls].count("covariant_derivatives") == 2 and ("riemann", n) in calls
     assert {k for _, k in calls} == {n}
     calls.clear()
     sasaki.check_connection_oracle(bundle, pts)

@@ -1,5 +1,6 @@
 """End-to-end runs of the scenario layer against the shipped catalog."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,15 +9,23 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    LocalBasisTriple,
+    MetricField,
     ParseError,
+    TransitionMap,
     ValidationError,
+    apply_transition,
+    covariant_derivative_11,
     load_scenario,
     oracle_tilde_nabla,
     oracle_tilde_nabla_J,
     run_scenario,
 )
-from paraquat import sasaki
-from paraquat.catalog import scenario_names
+from paraquat import catalog, connection, sasaki, scenario
+from paraquat.algebra import doubled
+from paraquat.catalog import expression_array, scenario_names
+from paraquat.connection import covariant_derivatives
+from paraquat.fields import eval_batch
 from paraquat.scenario import build_context
 
 from conftest import SPACE_FORM_ROWS
@@ -299,3 +308,115 @@ def test_the_space_form_scenario_fails_without_the_half_on_a_commutator(monkeypa
     for seed in range(1, 9):
         nabla_j = run_scenario(SPACE_FORM_SASAKI, seed=seed).checks[0]
         assert not nabla_j.passed and nabla_j.data["max_residual"] > 1e-3
+
+
+# ----------------------------------------------------- the triple as a stack
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _per_member_nabla(g, T, pts):
+    """nabla J_a of each member alone, stacked [c, a, i, k, j], as the
+    per-member code formed it: Gamma on a fresh memo of g, J_a from one
+    ``eval_batch``, dJ_a from J_a's own jets and two einsums of one member."""
+    gam = np.array(connection._christoffels(MetricField(g.field), pts))
+    members = []
+    for f in T.fields:
+        V, dT = eval_batch(f, pts), f.jets(pts, 1)[1]
+        members.append(dT + np.einsum("ckil,clj->cikj", gam, V) - np.einsum("clij,ckl->cikj", gam, V))
+    return np.stack(members, axis=1)
+
+
+def _per_member_transition(A, s, pts):
+    """The values and first partials of each member of A turned by s, one
+    member at a time: s_ab J_b and ds_ab J_b + s_ab dJ_b over the points."""
+    S, AJ, dS = s.matrices(pts), A.values(pts), s.jets(pts, 1)[1]
+    J, dJ = (np.stack(X, axis=1) for X in zip(*(f.jets(pts, 1) for f in A.fields)))
+    values = [np.einsum("cb,cbij->cij", S[:, a], AJ) for a in range(3)]
+    partials = [np.einsum("cmb,cbij->cmij", dS[:, :, a], J) + np.einsum("cb,cbmij->cmij", S[:, a], dJ) for a in range(3)]
+    return np.stack(values, axis=1), np.stack(partials, axis=1)
+
+
+def _per_member_lift(bundle, xis):
+    """The values and first partials of each lifted member, one member at a
+    time: L diag(J_a, J_a) L^-1 and the blocks d_A J_a and d_A J_a M + J_a
+    d_A M - d_A M J_a - M d_A J_a from J_a's own values and jets."""
+    n, F = bundle.base_dim, bundle.frames(xis)
+    L, Linv, xs = np.array([f[0] for f in F]), np.array([f[1] for f in F]), [f[2] for f in F]
+    M, dM = (np.array(A) for A in list(zip(*bundle.shifts(xis)))[:2])
+    values, partials = [], []
+    for f in bundle.base_triple.fields:
+        values.append(L @ doubled(eval_batch(f, xs)) @ Linv)
+        J, dJ = f.jets(xs, 1)
+        JA = np.zeros((len(xis), 2 * n, n, n))
+        JA[:, :n] = dJ
+        C = (
+            np.einsum("caki,cil->cakl", JA, M) + np.einsum("cki,cail->cakl", J, dM)
+            - np.einsum("caki,cil->cakl", dM, J) - np.einsum("cki,cail->cakl", M, JA)
+        )
+        dJt = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
+        dJt[:, :, :n, :n] = dJt[:, :, n:, n:] = JA
+        dJt[:, :, n:, :n] = C
+        partials.append(dJt)
+    return np.stack(values, axis=1), np.stack(partials, axis=1)
+
+
+@pytest.mark.parametrize("seed", [1, 6, 7, 600])
+@pytest.mark.parametrize("name", scenario_names())
+def test_the_triple_stacks_are_the_per_member_forms_bit_for_bit(name, seed):
+    # nabla J of all three members in one batch, the lifted triple's values
+    # and jets and a witness transition's, each against the member-by-member
+    # form, at the sample of a shipped scenario
+    config = load_scenario(name)
+    ctx = build_context(config, seed=seed)
+    g, T, pts = ctx.metric, ctx.triple, ctx.points
+    D = np.array(covariant_derivatives(g, T, pts))
+    _same_bits(D, _per_member_nabla(g, T, pts))
+    for a, f in enumerate(T.fields):
+        _same_bits(D[:, a], covariant_derivative_11(MetricField(g.field), f, pts))
+    if ctx.bundle is not None:
+        V, dV = _per_member_lift(ctx.bundle, pts)
+        _same_bits(T.values(pts), V)
+        _same_bits(T.jets(pts)[1], dV)
+    for spec in config["checks"]:
+        if spec["check"] == "parallel-witness":
+            values, jets = expression_array(spec["transition"], (3, 3), ctx.chart, "witness")
+            s = TransitionMap(lambda qs: values(np.array([q.coords for q in qs])), label="witness", jets=jets)
+            W = apply_transition(T, s)
+            V, dV = _per_member_transition(T, s, pts)
+            _same_bits(W.values(pts), V)
+            _same_bits(W.jets(pts)[1], dV)
+            _same_bits(covariant_derivatives(g, W, pts), _per_member_nabla(g, W, pts))
+
+
+def _counting_triples(monkeypatch):
+    """Every triple a run builds from its document, with members that record
+    the coordinates of each point they are evaluated at, per member."""
+    seen = []
+
+    def counted(f, points_seen):
+        def components(points):
+            points_seen.extend(q.coords.tobytes() for q in points)
+            return f.components(points)
+
+        return dataclasses.replace(f, components=components)
+
+    def triple_from_config(spec, chart):
+        T = catalog.triple_from_config(spec, chart)
+        seen.append([[] for _ in T.fields])
+        return LocalBasisTriple(*map(counted, T.fields, seen[-1]), label=T.label)
+
+    monkeypatch.setattr(scenario, "triple_from_config", triple_from_config)
+    return seen
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_a_run_evaluates_each_distinct_point_of_a_triple_once(name, monkeypatch):
+    seen = _counting_triples(monkeypatch)
+    assert run_scenario(name, seed=7).final
+    assert seen and all(points for members in seen for points in members)
+    for first, *others in seen:
+        assert len(first) == len(set(first)) and all(points == first for points in others)

@@ -150,16 +150,17 @@ def test_fit_oneforms_degenerate_pairing(flat4, chart4):
 
 @pytest.fixture
 def nabla_calls(monkeypatch):
-    """Points at which a fit asks for a covariant derivative of a member:
-    each point of each batch the fit hands to ``covariant_derivative_11``."""
+    """Points at which a fit asks for the covariant derivatives of its
+    triple: each point of each batch the fit hands to
+    ``covariant_derivatives``, which takes all three members at once."""
     calls = []
-    real = structures.covariant_derivative_11
+    real = structures.covariant_derivatives
 
     def counted(g, T, pts):
         calls.extend(pts)
         return real(g, T, pts)
 
-    monkeypatch.setattr(structures, "covariant_derivative_11", counted)
+    monkeypatch.setattr(structures, "covariant_derivatives", counted)
     return calls
 
 
@@ -180,7 +181,7 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
     first = fit_kahler_oneforms(g, std_triple, [p])[0]
     made = len(nabla_calls)
-    assert made == 3
+    assert made == 1
     again = fit_kahler_oneforms(g, std_triple, [Point(g.chart, p.coords)])[0]
     assert len(nabla_calls) == made
     assert again.omega is first.omega and again.nabla is first.nabla
@@ -199,14 +200,14 @@ def test_fit_memo_computes_another_triple_afresh_and_keys_no_step(conformal4, st
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
     std = fit_kahler_oneforms(g, std_triple, [p])[0]
     rot = fit_kahler_oneforms(g, rot_triple, [p])[0]
-    assert len(nabla_calls) == 6
+    assert len(nabla_calls) == 2
     assert not np.array_equal(std.omega, rot.omega)
     # one fit per (triple, point): the key holds no step
     fits = [key for key in g._memo if key[0][0] == "fit"]
     assert fits == [(("fit", T), p.coords.tobytes()) for T in (std_triple, rot_triple)]
     assert fit_kahler_oneforms(g, std_triple, [p])[0].nabla is std.nabla
     assert fit_kahler_oneforms(g, rot_triple, [p])[0].omega is rot.omega
-    assert len(nabla_calls) == 6
+    assert len(nabla_calls) == 2
 
 
 def test_fit_memo_hit_still_rejects_a_point_of_another_chart(conformal4, std_triple):
@@ -224,7 +225,7 @@ def test_raising_fit_stores_nothing(conformal4, std_triple, nabla_calls):
         with pytest.raises(DegenerateMetricError):
             fit_kahler_oneforms(g, std_triple, [wall])
         assert len(nabla_calls) == attempt
-    assert not [key for key in g._memo if key[0] == ("fit", std_triple)]
+    assert not [key for key in g._memo if key[0] in (("fit", std_triple), ("nabla", std_triple))]
 
 
 # ---------------------------------------------------------------- products
@@ -474,7 +475,7 @@ def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, nabla_
     g = _fresh(conformal4)
     p, q = Point(g.chart, [0.1, -0.2, 0.3, 0.05]), Point(g.chart, [-0.4, 0.2, 0.0, 0.6])
     fits = fit_kahler_oneforms(g, std_triple, [p, q, Point(g.chart, p.coords)])
-    assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()] * 3
+    assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()]
     assert fits[2].omega is fits[0].omega and fits[2].nabla is fits[0].nabla
 
 
