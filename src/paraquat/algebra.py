@@ -81,7 +81,7 @@ class LocalBasisTriple:
         def compute(pts: list[Point]) -> np.ndarray:
             return self.stack(pts, 0)[0] if self.stack else np.stack([eval_batch(f, pts) for f in self.fields], axis=1)
 
-        V = np.array(_memo_batch(self._memo, self.chart, "values", points, compute, one=lambda q: compute([q])))
+        V = np.array(_memo_batch(self._memo, self.chart, "values", points, compute))
         V.flags.writeable = False
         return V.reshape(-1, 3, *self.j1.shape)
 
@@ -156,9 +156,7 @@ def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> l
         det = np.linalg.det(_gram(J)).tolist()
         return [AlgebraReport(*row) for row in zip(sq, prod, anti, det)]
 
-    return _memo_batch(
-        {}, triple.chart, None, points, compute, one=lambda q: check_triple_algebra(triple, [q])
-    )
+    return _memo_batch({}, triple.chart, None, points, compute)
 
 
 @dataclass(frozen=True)

@@ -84,17 +84,14 @@ class MetricField:
         over the stack.  A batch that raises stores nothing, and its first
         failing point raises what it raises alone.
         """
-        return _memo_batch(
-            self._memo, self.chart, "g", points, self._checked,
-            one=lambda q: MetricField(self.field).matrix(q),
-        )
+        return _memo_batch(self._memo, self.chart, "g", points, self._checked)
 
     def _checked(self, pts: list[Point]) -> np.ndarray:
         """g at the points, stacked read-only: ``eval_batch``'s checks, then
         the symmetry and determinant of the whole stack in one test.  A
         point that fails one raises the error it raises alone; of one point,
-        that is the error of ``matrix``, and ``matrices`` replays a batch of
-        several."""
+        that is the error of ``matrix``, and ``_memo_batch`` replays a batch
+        of several."""
         V = eval_batch(self.field, pts)
         asym = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
         bad = asym | (np.abs(np.linalg.det(V)) <= DET_FLOOR * np.linalg.norm(V, axis=2).prod(axis=1))
@@ -166,10 +163,7 @@ def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> l
         gam.flags.writeable = False
         return gam
 
-    return _memo_batch(
-        g._memo, g.chart, "gamma", centres, compute,
-        one=lambda q: christoffel(MetricField(g.field), q),
-    )
+    return _memo_batch(g._memo, g.chart, "gamma", centres, compute)
 
 
 def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
@@ -194,10 +188,7 @@ def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts
         D.flags.writeable = False
         return D[:, 0] if alone else D
 
-    return _memo_batch(
-        g._memo, g.chart, ("nabla", T), pts, compute,
-        one=lambda q: covariant_derivatives(MetricField(g.field), T, [q]),
-    )
+    return _memo_batch(g._memo, g.chart, ("nabla", T), pts, compute)
 
 
 def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
@@ -223,10 +214,7 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.
         dT.flags.writeable = False
         return dT
 
-    return _memo_batch(
-        g._memo, g.chart, ("d", T), pts, compute,
-        one=lambda q: _gradients(MetricField(g.field), T, [q]),
-    )
+    return _memo_batch(g._memo, g.chart, ("d", T), pts, compute)
 
 
 def riemann(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
@@ -245,10 +233,7 @@ def riemann(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
         ginv = np.linalg.inv(g.matrices(pts))
         return list(_curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts))))
 
-    return _memo_batch(
-        g._memo, g.chart, "riem", centres, compute,
-        one=lambda q: riemann(MetricField(g.field), [q]),
-    )
+    return _memo_batch(g._memo, g.chart, "riem", centres, compute)
 
 
 def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarray:

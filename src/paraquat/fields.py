@@ -205,13 +205,17 @@ def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
         raise
 
 
+# True while _memo_batch replays a failing batch, whose memo batches then
+# read and fill a throwaway memo
+_replaying = False
+
+
 def _memo_batch(
     memo: dict,
     chart: ManifoldSpec,
     kind,
     points: Sequence[Point],
     compute: Callable[[list[Point]], Sequence],
-    one: Callable[[Point], object] | None = None,
 ) -> list:
     """The memo's values under (kind, coordinate bytes) at each point:
     the package's one rule for reading and filling a memo.
@@ -220,13 +224,18 @@ def _memo_batch(
     coordinates alone.  The distinct misses go to ``compute`` in one call,
     which returns their values in order, as objects the memo may own and hand
     out (read-only arrays); they are stored only if the whole batch
-    succeeds.  When ``one`` is given and a batch of more than one point
-    raises, the points are tried again in order with ``one``, which stores
-    nothing, so the error is the one the first failing point raises alone
-    (or the batch's own, should no point fail alone).  A bare Point in
-    place of the list raises ValidationError.
+    succeeds.  A batch of more than one point that raises is tried again,
+    point by point in order: the point's chart check, then ``compute`` of
+    the point alone, with every memo batch met on the way reading and
+    filling a throwaway memo, so the replay stores nothing and reads no
+    hit.  The batch raises what its first failing point raises alone, or
+    its own error should no point fail alone.  A bare Point in place of the
+    list raises ValidationError.
     """
+    global _replaying
     _check_list(points)
+    if _replaying:
+        memo = {}
     keys, fresh = [], {}
     try:
         for q in points:
@@ -239,9 +248,14 @@ def _memo_batch(
         if fresh:
             memo.update(dict(zip(fresh, compute(list(fresh.values())), strict=True)))
     except Exception:
-        if one is not None and len(points) > 1:
-            for q in points:
-                one(q)
+        if len(points) > 1:
+            outer, _replaying = _replaying, True
+            try:
+                for q in points:
+                    _check_chart(chart, q)
+                    compute([q])
+            finally:
+                _replaying = outer
         raise
     return [memo[key] for key in keys]
 

@@ -209,9 +209,7 @@ def build_tangent_bundle(
     n = base.dim
     spots = sample_points(base, 3, seed=20)
     checks = _memo_batch(
-        {}, base, None, spots,
-        lambda qs: list(zip(check_triple_algebra(T, qs), check_hermitian(g, T, qs))),
-        one=lambda q: (check_triple_algebra(T, [q]), check_hermitian(g, T, [q])),
+        {}, base, None, spots, lambda qs: list(zip(check_triple_algebra(T, qs), check_hermitian(g, T, qs)))
     )
     for p, (rep, herm) in zip(spots, checks):
         if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
@@ -230,11 +228,9 @@ def build_tangent_bundle(
         point and the domain check of the new ones, with ``eval_field``'s
         messages.  The shifts M of all the new frames come from one
         Christoffel batch over their distinct base points and one
-        ``einsum``.  Should the batch raise, each point is tried alone, in
-        order, with Gamma on a fresh memo of g, so the error is the one the
-        first failing point raises alone.  A batch that raises stores no
-        frame and no Gamma (g keeps only metric values that passed their
-        checks)."""
+        ``einsum``.  A batch that raises raises what its first failing
+        point raises alone, and stores no frame and no Gamma (g keeps only
+        metric values that passed their checks)."""
 
         def compute(fresh: list[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
             C = np.array([xi.coords for xi in fresh])
@@ -243,11 +239,7 @@ def build_tangent_bundle(
                 _check_point(bundle, fresh[int(inside.argmin())])
             return _frame_batch(g, C)
 
-        def alone(xi: Point) -> None:
-            _check_point(bundle, xi)
-            _frame_batch(MetricField(g.field), np.array([xi.coords]))
-
-        return _memo_batch(memo, bundle, "frame", xis, compute, one=alone)
+        return _memo_batch(memo, bundle, "frame", xis, compute)
 
     def shifts(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(M, dM, d2M) at each bundle point, as the memo's read-only
@@ -421,7 +413,7 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
         B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
         return np.einsum("ckl,cIlJ->cIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla(bundle, [q])))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute))
 
 
 def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
@@ -461,7 +453,7 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
         B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
         return np.einsum("ckl,caIlJ->caIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: oracle_tilde_nabla_J(bundle, [q])))
+    return np.array(_memo_batch({}, bundle.spec, None, xis, compute))
 
 
 def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
@@ -479,7 +471,7 @@ def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[
         fd = D + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
         return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_connection_oracle(bundle, [q]))
+    return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
 def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
@@ -496,7 +488,7 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[flo
         C = oracle_tilde_nabla_J(bundle, qs)
         return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_nabla_j_oracle(bundle, [q]))
+    return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
 @dataclass(frozen=True)
@@ -559,4 +551,4 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
         ], axis=2)  # [c, p, residual, k]
         return [[BracketReport(*rep) for rep in row] for row in np.abs(residuals).max(axis=3).tolist()]
 
-    return _memo_batch({}, bundle.spec, None, xis, compute, one=lambda q: check_bracket(bundle, pairs, [q]))
+    return _memo_batch({}, bundle.spec, None, xis, compute)

@@ -626,6 +626,19 @@ def _validate(config) -> None:
         for key, default in params.items():
             if default is inspect.Parameter.empty and key not in spec:
                 raise ParseError(f"{name} needs the parameter {key!r}")
+        # a bound that the entry's own switch turns off is never read
+        flat = spec.get("expect_flat", True)
+        switched = {
+            ("flatness", "tol"): (not flat, '"expect_flat": true'),
+            ("flatness", "threshold"): (flat, '"expect_flat": false'),
+            ("kahler-fit", "value_tol"): ("oneform_values" not in spec, "'oneform_values'"),
+            ("parallel-equivalence", "failing_above"): (
+                spec.get("expect") != "non-parallel", '"expect": "non-parallel"'
+            ),
+        }
+        for (check, key), (off, setting) in switched.items():
+            if name == check and key in spec and off:
+                raise ParseError(f"{name} reads '{key}' only with {setting}")
     if config.get("expect", "pass") not in ("pass", "fail"):
         raise ParseError("expect must be 'pass' or 'fail'")
     geo = config.get("geometry")
@@ -654,6 +667,10 @@ def _validate(config) -> None:
         raise ParseError("a geometry cannot set both 'sasaki' and 'submersion'")
     if "submersion" in geo and "target" not in geo:
         raise ParseError("a submersion geometry needs a 'target' block")
+    if "target" in geo and "submersion" not in geo:
+        raise ParseError("a 'target' block is read only beside a 'submersion' (a sasaki geometry's target is its base)")
+    if "u_box" in geo and not sasaki:
+        raise ParseError("'u_box' is read only with \"sasaki\": true")
     n = geo["dim"]  # the base dimension of a sasaki geometry
     for spec in checks:
         name, cdef = spec["check"], CHECKS[spec["check"]]

@@ -50,9 +50,7 @@ def check_hermitian(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -
         J = T.values(qs)
         return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch(
-        g._memo, g.chart, ("hermitian", T), pts, compute, one=lambda q: check_hermitian(MetricField(g.field), T, [q])
-    )
+    return _memo_batch(g._memo, g.chart, ("hermitian", T), pts, compute)
 
 
 def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,10 +114,7 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
         omega.flags.writeable = D.flags.writeable = False
         return list(zip(omega, residual.tolist(), D))
 
-    fits = _memo_batch(
-        g._memo, g.chart, ("fit", T), pts, compute,
-        one=lambda q: fit_kahler_oneforms(MetricField(g.field), T, [q]),
-    )
+    fits = _memo_batch(g._memo, g.chart, ("fit", T), pts, compute)
     return [KahlerFit(q, omega, residual, D) for q, (omega, residual, D) in zip(pts, fits)]
 
 
@@ -210,10 +205,7 @@ def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point])
         N.flags.writeable = False
         return N
 
-    return _memo_batch(
-        g._memo, g.chart, ("nijenhuis", F.field), pts, compute,
-        one=lambda q: _nijenhuises(MetricField(g.field), F, [q]),
-    )
+    return _memo_batch(g._memo, g.chart, ("nijenhuis", F.field), pts, compute)
 
 
 def check_product_structure(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[ProductReport]:
@@ -232,7 +224,7 @@ def check_product_structure(g: MetricField, F: ProductStructureField, pts: Seque
         par = np.abs(np.array(covariant_derivatives(g, F.field, qs))).max(axis=(1, 2, 3))
         return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: check_product_structure(g, F, [q]))
+    return _memo_batch({}, g.chart, None, pts, compute)
 
 
 def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
@@ -246,9 +238,7 @@ def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple
         J = T.values(qs)
         return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3)).tolist()
 
-    return _memo_batch(
-        {}, F.field.chart, None, pts, compute, one=lambda q: check_sigma_invariant_operator(F, T, [q])
-    )
+    return _memo_batch({}, F.field.chart, None, pts, compute)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ form in dg and the map's second partials, stacked over the sample.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -88,9 +87,7 @@ class SubmersionMap:
             Y.flags.writeable = False
             return [_point(self.target, y) for y in Y]
 
-        return _memo_batch(
-            self._memo, source, "image", points, compute, one=lambda q: dataclasses.replace(self).images([q])
-        )
+        return _memo_batch(self._memo, source, "image", points, compute)
 
 
 def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
@@ -119,9 +116,7 @@ def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
         J.flags.writeable = False
         return J
 
-    return _memo_batch(
-        f._memo, f.source, "df", points, compute, one=lambda q: jacobian(dataclasses.replace(f), [q])
-    )
+    return _memo_batch(f._memo, f.source, "df", points, compute)
 
 
 @dataclass(frozen=True)
@@ -173,10 +168,7 @@ def vh_split(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[
             A.flags.writeable = False
         return [SplitFrame(*row) for row in zip(qs, dfs, *frames)]
 
-    return _memo_batch(
-        g._memo, g.chart, ("split", f), points, compute,
-        one=lambda q: vh_split(dataclasses.replace(f), MetricField(g.field), [q]),
-    )
+    return _memo_batch(g._memo, g.chart, ("split", f), points, compute)
 
 
 def check_semi_riemannian(
@@ -197,9 +189,7 @@ def check_semi_riemannian(
             out.append(float(np.abs(up - dn).max()))
         return out
 
-    residuals = _memo_batch(
-        {}, f.source, None, pts, compute, one=lambda q: check_semi_riemannian(f, g, g_target, [q])
-    )
+    residuals = _memo_batch({}, f.source, None, pts, compute)
     return max([0.0, *residuals])
 
 
@@ -219,9 +209,7 @@ def check_paraholomorphic(
             for J, up, dn in zip(dfs, ups, T_target.values(f.images(qs)))
         ]
 
-    residuals = _memo_batch(
-        {}, f.source, None, pts, compute, one=lambda q: check_paraholomorphic(f, T, T_target, [q])
-    )
+    residuals = _memo_batch({}, f.source, None, pts, compute)
     return max([0.0, *residuals])
 
 
@@ -259,9 +247,7 @@ def check_vh_invariance(
             for fr, J in zip(vh_split(f, g, qs), T.values(qs))
         ]
 
-    leaks = _memo_batch(
-        {}, f.source, None, pts, compute, one=lambda q: check_vh_invariance(f, g, T, T_target, [q], tol)
-    )
+    leaks = _memo_batch({}, f.source, None, pts, compute)
     return VhInvarianceReport(
         v_residual=max([0.0, *(rv for rv, _ in leaks)]), h_residual=max([0.0, *(rh for _, rh in leaks)])
     )
@@ -327,7 +313,7 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
         a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
         return [ONeillTensors(q, a, t, ah) for q, a, t, ah in zip(qs, full[:, 0], full[:, 1], a_h)]
 
-    return _memo_batch({}, g.chart, None, pts, compute, one=lambda q: oneill_tensors(f, g, [q]))
+    return _memo_batch({}, g.chart, None, pts, compute)
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:

@@ -341,6 +341,24 @@ MALFORMED = {
     "unknown parallel-equivalence expect": _inline(
         checks=[{"check": "parallel-equivalence", "structure": "split8", "expect": "nonparallel"}]
     ),
+    # geometry keys that nothing reads
+    "target without a submersion": _inline(
+        geometry={"dim": 4, "u_box": [-5, 5], "target": {"dim": 2, "metric": "nonsense-metric"}}
+    ),
+    "target beside sasaki": _inline(
+        geometry={"dim": 4, "sasaki": True, "target": {"dim": 4, "metric": "euclidean4"}},
+        checks=[{"check": "semi-riemannian"}],
+    ),
+    "u_box without sasaki": _inline(geometry={"dim": 4, "u_box": [-5, 5]}),
+    # check parameters that the entry's own switch turns off
+    "flatness tol with expect_flat false": _inline(
+        checks=[{"check": "flatness", "expect_flat": False, "tol": 1e-6}]
+    ),
+    "flatness threshold with expect_flat true": _inline(checks=[{"check": "flatness", "threshold": 1e30}]),
+    "kahler-fit value_tol without oneform_values": _inline(checks=[{"check": "kahler-fit", "value_tol": -1}]),
+    "parallel-equivalence failing_above with expect parallel": _inline(
+        checks=[{"check": "parallel-equivalence", "structure": "split8", "failing_above": 1e-3}]
+    ),
 }
 
 

@@ -233,13 +233,21 @@ def test_memo_batch_computes_the_distinct_misses_once_and_checks_every_chart(cha
     # the kind is part of the key
     _memo_batch(memo, chart4, "t", [p], _summed(calls))
     assert len(calls) == 3
-    # a hit at a point of another chart raises, before any compute
+    # a hit at a point of another chart raises, before any compute, alone
+    # or first in a batch
     other = make_chart(4, domain=[[-2.0, 2.0]] * 4)
+    valid = p.shifted(2, 0.25)
     with pytest.raises(ValidationError, match="different charts"):
         _memo_batch(memo, chart4, "s", [Point(other, p.coords)], _summed(calls))
     with pytest.raises(ValidationError, match="different charts"):
-        _memo_batch(memo, chart4, "s", [p.shifted(2, 0.25), Point(other, p.coords)], _summed(calls))
+        _memo_batch(memo, chart4, "s", [Point(other, p.coords), valid], _summed(calls))
     assert len(calls) == 3
+    # after a valid point, the batch is replayed: the valid point is
+    # computed once, alone, and stored nowhere
+    with pytest.raises(ValidationError, match="different charts"):
+        _memo_batch(memo, chart4, "s", [valid, Point(other, p.coords)], _summed(calls))
+    assert calls[3:] == [[valid.coords.tobytes()]]
+    assert ("s", valid.coords.tobytes()) not in memo
 
 
 def test_memo_batch_stores_nothing_when_compute_raises(chart4):
@@ -262,28 +270,37 @@ def test_memo_batch_stores_nothing_when_compute_raises(chart4):
 def test_memo_batch_replays_a_failing_batch_point_by_point(chart4):
     p = Point(chart4, [0.1, 0.2, 0.3, 0.4])
     first, later = p.shifted(1, 0.25), p.shifted(2, 0.25)
-    memo, tried = {}, []
+    memo, nested, tried = {}, {}, []
 
-    def failing(pts):
-        raise EvaluationError("the batch fails")
-
-    def one(q):  # fails alone at first and later, stores nothing
+    def compute(pts):
+        # a batch of several fails as a whole; alone, a point fills a nested
+        # memo, then fails at first and later
+        if len(pts) > 1:
+            raise EvaluationError("the batch fails")
+        q = pts[0]
         tried.append(q.coords.tobytes())
+        _memo_batch(nested, chart4, "n", [q, q.shifted(0, 0.5)], _summed([]))
         if q is first or q is later:
             raise EvaluationError(f"fails alone at {q}")
+        return [0.0]
 
     with pytest.raises(EvaluationError) as got:
-        _memo_batch(memo, chart4, "s", [p, later, first], failing, one=one)
+        _memo_batch(memo, chart4, "s", [p, later, first], compute)
     assert str(got.value) == f"fails alone at {later}"
     assert tried == [p.coords.tobytes(), later.coords.tobytes()]
     # no point fails alone: the batch's own error
     with pytest.raises(EvaluationError, match="the batch fails"):
-        _memo_batch(memo, chart4, "s", [p, p.shifted(3, 0.25)], failing, one=one)
-    # a batch of one raises its own error and is not replayed
+        _memo_batch(memo, chart4, "s", [p, p.shifted(3, 0.25)], compute)
+    # the replays filled throwaway stand-ins of the nested memo, never it
+    assert nested == {}
+    # a batch of one raises its own error and is not replayed; it is no
+    # replay, so its compute fills the nested memo
     tried.clear()
-    with pytest.raises(EvaluationError, match="the batch fails"):
-        _memo_batch(memo, chart4, "s", [first], failing, one=one)
-    assert tried == [] and memo == {}
+    with pytest.raises(EvaluationError) as got:
+        _memo_batch(memo, chart4, "s", [first], compute)
+    assert str(got.value) == f"fails alone at {first}"
+    assert tried == [first.coords.tobytes()] and memo == {}
+    assert len(nested) == 2
 
 
 def _geometry():

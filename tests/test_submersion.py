@@ -609,10 +609,21 @@ def test_a_split_batch_raises_what_its_first_failing_point_raises_alone(case, er
         with pytest.raises(error) as got:
             call()
         assert str(got.value) == str(alone.value), name
-        if name == "split":  # the checks replay their points, storing what splits
+        if name == "split":  # a failing split batch stores no split and no df
             assert not [key for key in g._memo if key[0] == ("split", f)]
             if case in ("off the box", "rank"):
                 assert not [key for key in f._memo if key[0] == "df"]
+
+
+def test_a_check_replay_stores_nothing_at_the_point_that_passes_alone():
+    # the check's batch fails at its second point and is replayed point by
+    # point; the first point's split, df, g and image are computed on
+    # throwaway memos, so neither g nor the map keeps anything there
+    f, g, pts = _probe("rank")
+    with pytest.raises(RankDeficientError):
+        check_semi_riemannian(f, g, METRICS["neutral4"](f.target), pts)
+    passing = pts[0].coords.tobytes()
+    assert [key for key in (*g._memo, *f._memo) if key[1] == passing] == []
 
 
 @pytest.mark.parametrize("case, error", [("off the box", OutOfDomainError), ("rank", RankDeficientError)])
