@@ -179,26 +179,22 @@ class TransitionMap:
     def matrices(self, points: Sequence[Point]) -> np.ndarray:
         """s at each point, stacked (len(points), 3, 3): every point from
         one ``s`` call, then the shape and the determinants of the stack
-        tested at once.  A batch that raises is tried again point by point,
-        so the error is the one the first failing point raises alone: a
-        ValidationError for a value that is not 3x3, a
-        SingularTransitionError for one with |det| below the floor."""
+        tested at once: a ValidationError for a value that is not 3x3, a
+        SingularTransitionError naming the first point whose |det| is below
+        the floor.  It has no replay of its own: the batches that read it
+        (a triple's ``values``, ``eval_batch`` of a member and the
+        derivatives of ``connection``) run under ``fields._memo_batch``,
+        which replays a failing batch point by point."""
         _check_list(points)
         if not points:
             return np.empty((0, 3, 3))
-        try:
-            S = np.asarray(self.s(points), dtype=float)
-            if S.shape != (len(points), 3, 3):
-                raise ValidationError(f"transition must be 3x3, got {S.shape[1:]}")
-            singular = np.flatnonzero(np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR)
-            if singular.size:
-                raise SingularTransitionError(f"transition singular at {points[singular[0]]}")
-            return S
-        except Exception:
-            if len(points) > 1:
-                for p in points:
-                    self.matrices([p])
-            raise
+        S = np.asarray(self.s(points), dtype=float)
+        if S.shape != (len(points), 3, 3):
+            raise ValidationError(f"transition must be 3x3, got {S.shape[1:]}")
+        singular = np.flatnonzero(np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR)
+        if singular.size:
+            raise SingularTransitionError(f"transition singular at {points[singular[0]]}")
+        return S
 
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:

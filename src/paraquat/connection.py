@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import LocalBasisTriple
 from .errors import DegenerateMetricError, ValidationError
-from .fields import ManifoldSpec, Point, TensorField, _check_point, _jets_of, _memo_batch, eval_batch
+from .fields import ManifoldSpec, Point, TensorField, _check_box, _jets_of, _memo_batch, eval_batch
 
 DET_FLOOR = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -208,8 +208,7 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.
 
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(T)
-        for q in qs:
-            _check_point(T.chart, q)
+        _check_box(T.chart, qs)
         dT = np.array(jets(qs, 1)[1])
         dT.flags.writeable = False
         return dT

@@ -583,8 +583,8 @@ def compile_with_jets(
     step at a time over the whole batch.  A point's values are the same bit
     for bit alone or in any batch; a batch raises the error of the first
     step that fails at any of its points, which need not be what its first
-    failing point raises alone (``fields.eval_batch`` tries the points again
-    one at a time).
+    failing point raises alone (``fields._memo_batch``, under which
+    ``fields.eval_batch`` runs, tries the points again one at a time).
 
     The jets map an (N, n) array of points and an ``order`` of 1, 2 (the
     default) or 3 to (V, D), (V, D, H) or (V, D, H, K), with V[c, t] the

@@ -48,8 +48,6 @@ class ManifoldSpec:
             raise ValidationError("every domain interval needs lo < hi")
         dom.flags.writeable = False
         object.__setattr__(self, "domain", dom)
-        # (lo, hi) as Python floats: contains compares lists, not arrays
-        object.__setattr__(self, "_bounds", (dom[:, 0].tolist(), dom[:, 1].tolist()))
         # every memo key hashes its chart: the names and the read-only domain
         # are hashed once, here
         object.__setattr__(self, "_hash", hash((self.coords, dom.tobytes())))
@@ -65,29 +63,21 @@ class ManifoldSpec:
         return self._hash
 
     def __str__(self):
-        box = " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in zip(*self._bounds))
+        box = " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in self.domain.tolist())
         return f"({', '.join(self.coords)}) in {box}"
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    def contains_rows(self, C: np.ndarray) -> np.ndarray:
-        """``contains`` of each row of the 2-D array C."""
-        lo, hi = self.domain[:, 0], self.domain[:, 1]
-        return ((lo <= C) & (C <= hi)).all(axis=1)
-
-    def contains(self, coords: np.ndarray) -> bool:
-        """Whether every coordinate lies in its closed interval; a NaN
-        coordinate lies in none."""
-        lows, highs = self._bounds
-        c = np.asarray(coords, dtype=float)
-        if c.shape != (len(lows),):
-            raise ValidationError(f"chart needs {len(lows)} coordinates, got {c.shape}")
-        for x, lo, hi in zip(c.tolist(), lows, highs):
-            if not lo <= x <= hi:
-                return False
-        return True
+    def contains(self, C: np.ndarray) -> np.ndarray:
+        """Whether each row of the (N, dim) stack C lies in the closed box,
+        as N booleans; a NaN coordinate lies in no interval.  A C of any
+        other shape raises ValidationError."""
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 2 or C.shape[1] != self.dim:
+            raise ValidationError(f"chart needs an (N, {self.dim}) stack of coordinates, got {C.shape}")
+        return ((self.domain[:, 0] <= C) & (C <= self.domain[:, 1])).all(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,38 +161,28 @@ class TensorField:
         return (self.chart.dim,) * (self.r + self.s)
 
 
-def eval_field(field: TensorField, p: Point) -> np.ndarray:
-    """Evaluate a tensor field, enforcing domain, shape and finiteness."""
-    _check_point(field.chart, p)
-    return _checked_values(field, p, field.components([p])[0])
-
-
 def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
-    """``eval_field(field, q)`` at each point, stacked: every point's chart,
-    then the domain of the whole stack in one test, the components of all
-    the points from one call ``field.components(points)``, and their shape
-    and finiteness in one test.  When anything raises, the points are
-    evaluated again one at a time with ``eval_field``, so the error is the
-    one the first failing point raises alone.  A bare Point in place of the
-    list raises ValidationError."""
-    _check_list(points)
-    chart = field.chart
-    if not points:
-        return np.empty((0, *field.shape))
-    try:
-        for q in points:
-            if q.chart is not chart:
-                _check_chart(chart, q)
-        if not chart.contains_rows(np.array([q.coords for q in points])).all():
-            raise OutOfDomainError("a point of the batch lies outside the chart domain")
-        V = np.array(field.components(points), dtype=float)
-        if V.shape != (len(points), *field.shape) or not np.isfinite(V).all():
-            raise EvaluationError(f"field {field.label or '<unnamed>'}: a value of the batch fails its checks")
+    """The components at each point, a fresh (len(points), *field.shape)
+    float stack: the package's one checked evaluation.  The distinct points
+    are checked by ``_check_box``, their components come from one call
+    ``field.components(points)``, and the shape and finiteness of the stack
+    are tested at once, naming the first point that fails.  It is a batch
+    of ``_memo_batch`` on a throwaway memo, so a batch that raises raises
+    what its first failing point raises alone.  A bare Point in place of
+    the list raises ValidationError."""
+    chart, shape, label = field.chart, field.shape, field.label or "<unnamed>"
+
+    def compute(qs: list[Point]) -> np.ndarray:
+        _check_box(chart, qs)
+        V = np.array(field.components(qs), dtype=float)
+        if V.shape != (len(qs), *shape):
+            raise ShapeError(f"field {label}: expected {(len(qs), *shape)}, got {V.shape}")
+        finite = np.isfinite(V).reshape(len(qs), -1).all(axis=1)
+        if not finite.all():
+            raise EvaluationError(f"field {label} returned non-finite components at {qs[int(finite.argmin())]}")
         return V
-    except Exception:
-        for q in points:
-            eval_field(field, q)
-        raise
+
+    return np.array(_memo_batch({}, chart, None, points, compute)).reshape(len(points), *shape)
 
 
 # True while _memo_batch replays a failing batch, whose memo batches then
@@ -272,27 +252,19 @@ def _check_chart(chart: ManifoldSpec, p: Point) -> None:
         raise ValidationError(f"different charts: the point lives on {p.chart}, not on {chart}")
 
 
-def _check_point(chart: ManifoldSpec, p: Point) -> None:
-    """The checks ``eval_field`` makes before evaluating: p lies on the
-    field's chart and inside its domain."""
-    _check_chart(chart, p)
-    if not chart.contains(p.coords):
-        raise OutOfDomainError(f"{p} outside the chart domain")
-
-
-def _checked_values(field: TensorField, p: Point, values) -> np.ndarray:
-    """The checks ``eval_field`` makes after evaluating: ``values``, the
-    components at p, as a float array of the field's shape, all finite."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != field.shape:
-        raise ShapeError(
-            f"field {field.label or '<unnamed>'}: expected {field.shape}, got {vals.shape}"
-        )
-    if not np.isfinite(vals).all():
-        raise EvaluationError(
-            f"field {field.label or '<unnamed>'} returned non-finite components at {p}"
-        )
-    return vals
+def _check_box(chart: ManifoldSpec, points: list[Point]) -> np.ndarray:
+    """The (N, dim) stack of the points' coordinates, once every point is
+    on the chart and the whole stack inside its closed box, tested at once;
+    else the error of the first point off the chart (ValidationError), or
+    outside the box (OutOfDomainError)."""
+    for q in points:
+        if q.chart is not chart:
+            _check_chart(chart, q)
+    C = np.array([q.coords for q in points])
+    inside = chart.contains(C)
+    if not inside.all():
+        raise OutOfDomainError(f"{points[int(inside.argmin())]} outside the chart domain")
+    return C
 
 
 def _jets_of(obj) -> Callable:

@@ -44,7 +44,7 @@ from .fields import (
     ManifoldSpec,
     Point,
     TensorField,
-    _check_point,
+    _check_box,
     _jets_of,
     _memo_batch,
     _order_at_most,
@@ -98,13 +98,12 @@ def _frame_batch(g: MetricField, C: np.ndarray) -> list[tuple[np.ndarray, np.nda
     """The frames (L, L^-1, x) at the bundle points whose coordinates are the
     rows of C: Gamma from one Christoffel batch over their distinct base
     points, every M = Gamma(., u) from one ``einsum``, and L, L^-1 filled as
-    stacks."""
+    stacks.  C, a fresh stack such as ``fields._check_box`` returns, is made
+    read-only, since the base points are views of its rows."""
     n = g.chart.dim
-    C = C.copy()
     C.flags.writeable = False
     xs = [_point(g.chart, c[:n]) for c in C]
-    # Gamma of each distinct base point once: a memo batch on a memo of its own
-    gam = np.array(_memo_batch({}, g.chart, None, xs, lambda qs: _christoffels(g, qs, order=3)))
+    gam = np.array(_christoffels(g, xs, order=3))
     M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
     L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
     Linv = L.copy()
@@ -225,21 +224,14 @@ def build_tangent_bundle(
 
     def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
         """The frame at each bundle point, after the chart check of every
-        point and the domain check of the new ones, with ``eval_field``'s
-        messages.  The shifts M of all the new frames come from one
+        point and the box test of the new ones (``fields._check_box``).
+        The shifts M of all the new frames come from one
         Christoffel batch over their distinct base points and one
         ``einsum``.  A batch that raises raises what its first failing
         point raises alone, and stores no frame and no Gamma (g keeps only
         metric values that passed their checks)."""
 
-        def compute(fresh: list[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
-            C = np.array([xi.coords for xi in fresh])
-            inside = bundle.contains_rows(C)
-            if not inside.all():
-                _check_point(bundle, fresh[int(inside.argmin())])
-            return _frame_batch(g, C)
-
-        return _memo_batch(memo, bundle, "frame", xis, compute)
+        return _memo_batch(memo, bundle, "frame", xis, lambda fresh: _frame_batch(g, _check_box(bundle, fresh)))
 
     def shifts(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(M, dM, d2M) at each bundle point, as the memo's read-only

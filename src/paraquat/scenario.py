@@ -476,18 +476,18 @@ CHECKS: dict[str, CheckDef] = {
             "semi-riemannian",
             "g(X, Y) = g'(df X, df Y)  for horizontal X, Y",
             "The differential restricted to horizontal spaces is a linear isometry.",
-            _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
+            _max_residual(1e-10, lambda ctx, pts: max(check_semi_riemannian(
                 ctx.submersion, ctx.metric, ctx.target_metric, pts
-            )),
+            ))),
             needs="submersion",
         ),
         CheckDef(
             "paraholomorphic",
             "df o J_a = J'_a o df",
             "The map intertwines the upstairs and downstairs triples.",
-            _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
+            _max_residual(1e-6, lambda ctx, pts: max(check_paraholomorphic(
                 ctx.submersion, ctx.triple, ctx.target_triple, pts
-            )),
+            ))),
             needs="submersion",
         ),
         CheckDef(
@@ -757,7 +757,7 @@ def build_context(
     for spec in config["checks"]:
         if spec["check"] == "descend-oneforms":
             for row in spec["fiber"]:
-                if np.shape(row) != (working_chart.dim,) or not working_chart.contains(row):
+                if np.shape(row) != (working_chart.dim,) or not working_chart.contains([row])[0]:
                     raise ValidationError(f"descend-oneforms fiber point {row!r} is not a point of {working_chart}")
     return ScenarioContext(
         chart=working_chart,

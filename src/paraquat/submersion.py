@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import ManifoldSpec, Point, _check_point, _jets_of, _memo_batch, _point
+from .fields import ManifoldSpec, Point, _check_box, _jets_of, _memo_batch, _point
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -77,11 +77,7 @@ class SubmersionMap:
         source, m = self.source, self.target.dim
 
         def compute(qs: list[Point]) -> list[Point]:
-            C = np.array([q.coords for q in qs])
-            inside = source.contains_rows(C)
-            if not inside.all():
-                _check_point(source, qs[int(inside.argmin())])
-            Y = np.asarray(self.components(C), dtype=float)
+            Y = np.asarray(self.components(_check_box(source, qs)), dtype=float)
             if Y.shape != (len(qs), m):
                 raise ShapeError(f"map returned shape {Y.shape[1:]}, expected ({m},)")
             Y.flags.writeable = False
@@ -102,8 +98,7 @@ def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
 
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(f)
-        for q in qs:
-            _check_point(f.source, q)
+        _check_box(f.source, qs)
         D = np.asarray(jets(qs, 1)[1], dtype=float)
         if D.shape != (len(qs), n, m):
             raise ShapeError(f"map differential has shape {D.shape[:0:-1]}, expected ({m}, {n})")
@@ -176,8 +171,8 @@ def check_semi_riemannian(
     g: MetricField,
     g_target: MetricField,
     pts: Sequence[Point],
-) -> float:
-    """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at the sample,
+) -> list[float]:
+    """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at each point,
     split, then mapped, in one batch each."""
 
     def compute(qs: list[Point]) -> list[float]:
@@ -189,8 +184,7 @@ def check_semi_riemannian(
             out.append(float(np.abs(up - dn).max()))
         return out
 
-    residuals = _memo_batch({}, f.source, None, pts, compute)
-    return max([0.0, *residuals])
+    return _memo_batch({}, f.source, None, pts, compute)
 
 
 def check_paraholomorphic(
@@ -198,8 +192,8 @@ def check_paraholomorphic(
     T: LocalBasisTriple,
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
-) -> float:
-    """max_a |df o J_a - J'_a o df| over the sample, from one batch each of
+) -> list[float]:
+    """max_a |df o J_a - J'_a o df| at each point, from one batch each of
     df, the triple, the images and the target triple."""
 
     def compute(qs: list[Point]) -> list[float]:
@@ -209,8 +203,7 @@ def check_paraholomorphic(
             for J, up, dn in zip(dfs, ups, T_target.values(f.images(qs)))
         ]
 
-    residuals = _memo_batch({}, f.source, None, pts, compute)
-    return max([0.0, *residuals])
+    return _memo_batch({}, f.source, None, pts, compute)
 
 
 @dataclass(frozen=True)
@@ -230,9 +223,12 @@ def check_vh_invariance(
     """Whether each J_a maps vertical to vertical and horizontal to horizontal.
 
     Only meaningful for a paraholomorphic map, so that is checked first and a
-    PreconditionFailedError raised when it fails at tol.
+    PreconditionFailedError raised when it fails at tol.  An empty sample
+    raises ValidationError.
     """
-    para = check_paraholomorphic(f, T, T_target, pts)
+    if not pts:
+        raise ValidationError("check_vh_invariance needs at least one point")
+    para = max(check_paraholomorphic(f, T, T_target, pts))
     if para >= tol:
         raise PreconditionFailedError(
             f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
@@ -249,7 +245,7 @@ def check_vh_invariance(
 
     leaks = _memo_batch({}, f.source, None, pts, compute)
     return VhInvarianceReport(
-        v_residual=max([0.0, *(rv for rv, _ in leaks)]), h_residual=max([0.0, *(rh for _, rh in leaks)])
+        v_residual=max(rv for rv, _ in leaks), h_residual=max(rh for _, rh in leaks)
     )
 
 

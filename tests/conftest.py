@@ -3,7 +3,7 @@ import pytest
 
 from fd_reference import fd_gradient
 from paraquat import MetricField, SubmersionMap, christoffel, sample_points
-from paraquat.fields import eval_field
+from paraquat.fields import eval_batch
 from paraquat.catalog import (
     METRICS,
     STD_J1,
@@ -53,7 +53,7 @@ def reference_nabla(g, T, p, h=None):
     h, central differences of step h around p alone), and one einsum per
     connection term."""
     gam = christoffel(MetricField(g.field), p)
-    Tp = eval_field(T, p)
+    Tp = eval_batch(T, [p])[0]
     dT = T.jets([p], 1)[1][0] if h is None else fd_gradient(T, p, h)
     return dT + np.einsum("kil,lj->ikj", gam, Tp) - np.einsum("lij,kl->ikj", gam, Tp)
 

@@ -27,7 +27,7 @@ from paraquat import (
     constant_field,
     covariant_derivative_11,
     curvature_operator,
-    eval_field,
+    eval_batch,
     fit_kahler_oneforms,
     is_flat,
     jacobian,
@@ -91,7 +91,7 @@ def test_metric_compatibility(conformal4, pts4):
     # (nabla_i g)_{jk} = d_i g_{jk} - Gamma^l_{ij} g_{lk} - Gamma^l_{ik} g_{jl}
     for p in pts4:
         gam = christoffel(conformal4, p)
-        gp = eval_field(conformal4.field, p)
+        gp = eval_batch(conformal4.field, [p])[0]
         D = (
             fd_gradient(conformal4.field, p, H)
             - np.einsum("lij,lk->ijk", gam, gp)
@@ -164,7 +164,7 @@ def test_nijenhuis_hand_case(chart4):
     rows = [["0", "x1", "0", "0"], ["x2", "0", "0", "0"], ["0"] * 4, ["0"] * 4]
     F = structure_from_config({"matrix": rows}, chart4).field
     p = Point(chart4, [0.5, 0.5, 0.0, 0.0])
-    N = connection._nijenhuis_tensor(eval_field(F, p), F.jets([p], 1)[1][0])
+    N = connection._nijenhuis_tensor(eval_batch(F, [p])[0], F.jets([p], 1)[1][0])
     expected = np.zeros((4, 4, 4))
     expected[0, 0, 1] = 0.5
     expected[0, 1, 0] = -0.5

@@ -18,7 +18,7 @@ from paraquat import (
 from paraquat import exprlang
 from paraquat.catalog import expression_array, make_chart
 from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_with_jets
-from paraquat.fields import Point, TensorField, eval_batch, eval_field
+from paraquat.fields import Point, TensorField, eval_batch
 
 # The parser never produces a negative literal (a leading minus becomes Neg),
 # so generated Num values are nonnegative and finite.
@@ -280,12 +280,12 @@ def test_a_batch_raises_what_its_first_failing_point_raises_alone():
     with pytest.raises(EvaluationError, match="division by zero in '1.0/x1'"):
         field.components(pts)
     with pytest.raises(EvaluationError) as expected:
-        eval_field(field, pts[1])
+        eval_batch(field, [pts[1]])[0]
     assert str(expected.value) == "cannot evaluate 'exp(x2)': math range error"
     with pytest.raises(EvaluationError) as got:
         eval_batch(field, pts)
     assert str(got.value) == str(expected.value)
-    assert eval_batch(field, pts[:1]).tobytes() == eval_field(field, pts[0]).tobytes()
+    assert eval_batch(field, pts[:1]).tobytes() == eval_batch(field, [pts[0]])[0].tobytes()
 
 
 def test_shared_subexpression_is_evaluated_once(monkeypatch):

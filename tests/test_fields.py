@@ -25,7 +25,7 @@ from paraquat import (
     check_triple_algebra,
     constant_field,
     covariant_derivative_11,
-    eval_field,
+    eval_batch,
     fit_kahler_oneforms,
     jacobian,
     oneill_tensors,
@@ -37,7 +37,7 @@ from paraquat import (
 )
 from paraquat.catalog import METRICS, STRUCTURES, TRIPLES, make_chart
 from paraquat.connection import _gradients, covariant_derivatives
-from paraquat.fields import _memo_batch, eval_batch
+from paraquat.fields import _memo_batch
 
 
 def test_chart_validation():
@@ -62,12 +62,17 @@ def test_chart_validation():
     ],
 )
 def test_contains_truth_table(coords, inside):
+    # walls lie in the box and NaN in no interval, alone or in a stack
     chart = ManifoldSpec(("a", "b"), [[-1, 1], [0, 2]])
-    assert chart.contains(np.array(coords)) is inside
+    got = chart.contains(np.array([coords]))
+    assert got.shape == (1,) and bool(got[0]) is inside
+    assert chart.contains(np.array([[0.0, 1.0], coords])).tolist() == [True, inside]
 
 
-@pytest.mark.parametrize("coords", [[0.0], [0.0, 1.0, 1.0], [[0.0, 1.0]], 0.5])
-def test_contains_rejects_a_vector_of_the_wrong_length(coords):
+# a stack of the wrong width, a (1, 1) array that would broadcast, one
+# coordinate vector, a scalar, and a stack with an extra axis
+@pytest.mark.parametrize("coords", [[[0.0]], [[0.0, 1.0, 1.0]], [0.0, 1.0], 0.5, [[[0.0, 1.0]]]])
+def test_contains_rejects_anything_but_a_stack_of_rows_of_the_chart_dimension(coords):
     chart = ManifoldSpec(("a", "b"), [[-1, 1], [0, 2]])
     with pytest.raises(ValidationError):
         chart.contains(np.array(coords))
@@ -85,9 +90,9 @@ def test_shifted_point_is_a_frozen_point_of_the_same_chart(chart4):
         q.coords[0] = 5.0
     # a shift off the box still leaves the chart domain
     f = constant_field(chart4, 0, 0, np.array(1.0), "one")
-    assert eval_field(f, q) == 1.0
+    assert eval_batch(f, [q])[0] == 1.0
     with pytest.raises(OutOfDomainError):
-        eval_field(f, p.shifted(3, 0.7))
+        eval_batch(f, [p.shifted(3, 0.7)])[0]
 
 
 def test_point_validation_and_immutability(chart4):
@@ -105,18 +110,38 @@ def test_point_validation_and_immutability(chart4):
     assert p.coords[2] == pytest.approx(0.3)  # original untouched
 
 
-def test_eval_field_guards(chart4):
+def test_eval_batch_guards(chart4):
     f = constant_field(chart4, 1, 1, np.eye(4), "id")
     p = Point(chart4, [0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(eval_field(f, p), np.eye(4))
+    assert np.array_equal(eval_batch(f, [p])[0], np.eye(4))
 
     outside = Point(chart4, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(OutOfDomainError):
-        eval_field(f, outside)
+        eval_batch(f, [outside])[0]
 
     bad = TensorField(chart4, 1, 1, lambda ps: [np.zeros((3, 3))] * len(ps), "bad")
     with pytest.raises(ShapeError):
-        eval_field(bad, p)
+        eval_batch(bad, [p])[0]
+
+
+def test_a_wrong_row_count_is_a_shape_error_naming_the_stack_shapes(chart4, flat4):
+    """components returning one row too many is a ShapeError that names the
+    expected (N, *shape) stack and the one it got, not a first row taken
+    silently or a vague error of the batch."""
+    eta = flat4.field
+
+    def one_too_many(ps):
+        return np.array(eta.components([*ps, ps[0]]))
+
+    extra = TensorField(chart4, 0, 2, one_too_many, "extra row")
+    pts = [Point(chart4, [0.1, 0.2, 0.3, 0.4]), Point(chart4, [-0.1, 0.0, 0.5, 0.2])]
+    with pytest.raises(ShapeError) as alone:
+        eval_batch(extra, pts[:1])
+    assert str(alone.value) == "field extra row: expected (1, 4, 4), got (2, 4, 4)"
+    for batch in (lambda ps: eval_batch(extra, ps), MetricField(extra).matrices):
+        with pytest.raises(ShapeError) as got:
+            batch(pts)
+        assert str(got.value) == str(alone.value)
 
 
 def test_constant_field_keeps_its_own_copy(chart4):
@@ -124,10 +149,12 @@ def test_constant_field_keeps_its_own_copy(chart4):
     f = constant_field(chart4, 1, 1, value, "id")
     p = Point(chart4, [0.0, 0.0, 0.0, 0.0])
     value[0, 0] = 5.0  # the caller's array changes after construction
-    got = eval_field(f, p)
+    got = eval_batch(f, [p])[0]
     assert np.array_equal(got, np.eye(4))
-    assert not got.flags.writeable
     assert value.flags.writeable
+    # the stack is the caller's own: changing it changes no later evaluation
+    got[0, 0] = 7.0
+    assert np.array_equal(eval_batch(f, [p])[0], np.eye(4))
 
 
 def test_fd_partial_accuracy(chart4):
@@ -144,10 +171,10 @@ def test_fd_partial_exact_for_affine(chart4):
     assert np.allclose(fd_gradient(f, p, H)[1], [2, 0, 0, 0], atol=1e-12)
 
 
-def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(chart4):
+def test_fd_gradient_hands_each_stencil_to_one_checked_eval_batch(chart4):
     """A field gets each stencil in one ``components`` call, and every
-    value still gets eval_field's checks: a stencil with bad values raises
-    what the first bad point raises through eval_field."""
+    value still gets eval_batch's checks: a stencil with bad values raises
+    what the first bad point raises alone."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
     h = H
 
@@ -169,7 +196,7 @@ def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(cha
         f = TensorField(chart4, 1, 0, spoilt(bad, calls), "f")
 
         def pointwise(qs, f=f):
-            return [eval_field(f, q) for q in qs]
+            return [eval_batch(f, [q])[0] for q in qs]
 
         if not bad:
             expected = central_difference(pointwise, p, h)
@@ -189,8 +216,9 @@ def test_fd_gradient_hands_a_batch_form_each_stencil_with_eval_fields_checks(cha
 
 
 def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, monkeypatch):
-    """One domain test for the whole stack, no per-point ``contains``; a
-    batch with a point outside raises that point's own error, by name."""
+    """One ``contains`` call per batch, over the whole stack; a batch with
+    a point outside raises that point's own error, by name, from the
+    replay's batches of one."""
     p = Point(chart4, [0.3, -0.2, 0.45, 0.1])
     f = TensorField(chart4, 1, 0, lambda qs: [q.coords * 2.0 for q in qs], "f")
     stencil = [p.shifted(m, s * H) for m in range(4) for s in (1, -1)]
@@ -198,12 +226,15 @@ def test_eval_batch_tests_the_domain_of_the_stack_at_once(chart4, monkeypatch):
     real = ManifoldSpec.contains
     monkeypatch.setattr(ManifoldSpec, "contains", lambda self, *a, **k: contains.append(1) or real(self, *a, **k))
     values = eval_batch(f, stencil)
-    assert contains == []
+    assert contains == [1]
     assert np.stack(values).tobytes() == np.stack([q.coords * 2.0 for q in stencil]).tobytes()
     outside = p.shifted(0, 5.0)
+    contains.clear()
     with pytest.raises(OutOfDomainError) as got:
         eval_batch(f, [p, outside, p.shifted(1, 5.0)])
     assert str(got.value) == f"{outside} outside the chart domain"
+    # the batch, then its replay up to the first point outside
+    assert contains == [1, 1, 1]
 
 
 def _summed(calls):

@@ -27,7 +27,7 @@ from paraquat import (
     constant_field,
     covariant_derivative_11,
     curvature_operator,
-    eval_field,
+    eval_batch,
     fit_kahler_oneforms,
     lift,
     oracle_tilde_nabla,
@@ -36,7 +36,7 @@ from paraquat import (
     sample_points,
     tangent_bundle_chart,
 )
-from paraquat import sasaki, structures
+from paraquat import connection, sasaki, structures
 from paraquat.algebra import LocalBasisTriple, doubled
 from paraquat.catalog import ETA4, METRICS, make_chart, metric_from_config, triple_from_config
 from paraquat.scenario import build_context, load_scenario
@@ -247,7 +247,7 @@ def _textbook_lift(g, T, xi):
     G = Linv.T @ np.block([[gx, zero], [zero, gx]]) @ Linv
     Jt = []
     for f in T.fields:
-        Jx = eval_field(f, x)
+        Jx = eval_batch(f, [x])[0]
         Jt.append(L @ np.block([[Jx, zero], [zero, Jx]]) @ Linv)
     return G, Jt
 
@@ -277,20 +277,20 @@ def test_memoised_lift_is_the_block_formula_bit_for_bit(conformal4, rot_triple):
         xi = bundle.point(x, u)
         G, Jt = _textbook_lift(conformal4, rot_triple, xi)
         for _ in range(2):  # a miss, then a hit
-            assert eval_field(bundle.metric.field, xi).tobytes() == G.tobytes()
+            assert eval_batch(bundle.metric.field, [xi])[0].tobytes() == G.tobytes()
             for f, expected in zip(bundle.triple.fields, Jt):
-                assert eval_field(f, xi).tobytes() == expected.tobytes()
+                assert eval_batch(f, [xi])[0].tobytes() == expected.tobytes()
 
 
 def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, frame_batches):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    first = eval_field(bundle.triple.fields[0], xi)
+    first = eval_batch(bundle.triple.fields[0], [xi])[0]
     assert frame_batches == [[xi.coords.tobytes()]]
-    again = eval_field(bundle.triple.fields[0], xi)
+    again = eval_batch(bundle.triple.fields[0], [xi])[0]
     for f in bundle.triple.fields[1:]:
-        eval_field(f, xi)
-    eval_field(bundle.metric.field, xi)
+        eval_batch(f, [xi])[0]
+    eval_batch(bundle.metric.field, [xi])[0]
     bundle.metric.matrices([xi])
     assert frame_batches == [[xi.coords.tobytes()]]
     # the lifted triple's values, memoised, are a read-only stack
@@ -308,7 +308,7 @@ def test_failed_lift_stores_nothing(chart4, std_triple, frame_batches):
     xi = bundle.point(FAILING_BASES["degenerate centre"], [0.2, -0.1, 0.15, 0.3])
     for _ in range(2):
         with pytest.raises(DegenerateMetricError):
-            eval_field(bundle.triple.fields[0], xi)
+            eval_batch(bundle.triple.fields[0], [xi])[0]
     assert frame_batches == 2 * [[xi.coords.tobytes()]]
 
 
@@ -316,8 +316,8 @@ def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, frame_batch
     one = build_tangent_bundle(conformal4, std_triple)
     two = build_tangent_bundle(conformal4, std_triple)
     xi = one.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    a = eval_field(one.triple.fields[2], xi)
-    b = eval_field(two.triple.fields[2], Point(two.spec, xi.coords))
+    a = eval_batch(one.triple.fields[2], [xi])[0]
+    b = eval_batch(two.triple.fields[2], [Point(two.spec, xi.coords)])[0]
     assert frame_batches == 2 * [[xi.coords.tobytes()]]
     assert a is not b
     assert a.tobytes() == b.tobytes()
@@ -366,7 +366,7 @@ def _per_vector_reference(bundle, xi, pairs):
     for ky in ("h", "v"):
         for j, Y in enumerate(e):
             W = lift_field(ky, Y)
-            Wxi, dW = eval_field(W, xi), derivative(W)
+            Wxi, dW = eval_batch(W, [xi])[0], derivative(W)
             for kx in ("h", "v"):
                 for i, X in enumerate(e):
                     U = lift(kx, X, M)
@@ -375,8 +375,8 @@ def _per_vector_reference(bundle, xi, pairs):
                     conn = max(conn, float(np.abs(fd - closed_forms[kx, i, ky, j]).max()))
 
     def bracket(A, B):
-        return np.einsum("m,mk->k", eval_field(A, xi), derivative(B)) - np.einsum(
-            "m,mk->k", eval_field(B, xi), derivative(A)
+        return np.einsum("m,mk->k", eval_batch(A, [xi])[0], derivative(B)) - np.einsum(
+            "m,mk->k", eval_batch(B, [xi])[0], derivative(A)
         )
 
     brackets = []
@@ -500,21 +500,22 @@ def _with_stencil(xi):
 def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, frame_batches, monkeypatch):
     g = MetricField(conformal4.field)  # a fresh memo
     bundle = build_tangent_bundle(g, rot_triple)
-    batches = []
-    real = sasaki._christoffels
+    computed = []
+    real = connection._jets
 
-    def counted(g, centres, **kwargs):
-        batches.append(len(centres))
-        return real(g, centres, **kwargs)
+    def counted(g, pts, order=2):
+        computed.append((len(pts), order))
+        return real(g, pts, order)
 
-    monkeypatch.setattr(sasaki, "_christoffels", counted)
+    # Gamma is computed from one jets call over the distinct base points
+    monkeypatch.setattr(connection, "_jets", counted)
     pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]))
     G = bundle.metric.matrices(pts)
-    # one frame batch over the 17 points, one Gamma batch over their 9 distinct base points
-    assert batches == [9]
+    # one frame batch over the 17 points, Gamma computed for their 9 distinct base points
+    assert computed == [(9, 3)]
     assert frame_batches == [[xi.coords.tobytes() for xi in pts]]
     frames = bundle.frames(pts)
-    assert batches == [9] and len(frame_batches) == 1
+    assert computed == [(9, 3)] and len(frame_batches) == 1
     ref = MetricField(conformal4.field)
     for xi, (L, Linv, x), Gxi in zip(pts, frames, G):
         M = reference_shift(ref, xi)
@@ -646,7 +647,7 @@ def test_lifted_metric_of_a_small_base_metric_evaluates(chart4, std_triple):
 def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4, std_triple, where):
     """The frame memo is keyed by coordinates alone, so every frame batch
     checks the chart of each point, memo hits included, and the domain of
-    each new one, with eval_field's errors."""
+    each new one, with eval_batch's errors."""
     bundle = build_tangent_bundle(conformal4, std_triple)
     x = [0.1, -0.2, 0.3, 0.05]
     if where == "fiber outside the box":
@@ -701,11 +702,11 @@ def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot
         pts = _with_stencil(xi)
         for f, one, base in zip(batched.triple.fields, alone.triple.fields, rot_triple.fields):
             for q, v in zip(pts, f.components(pts)):
-                assert v.tobytes() == eval_field(one, q).tobytes()
+                assert v.tobytes() == eval_batch(one, [q])[0].tobytes()
                 L, Linv, y = alone.frames([q])[0]
-                assert v.tobytes() == (L @ doubled(eval_field(base, y)) @ Linv).tobytes()
+                assert v.tobytes() == (L @ doubled(eval_batch(base, [y])[0]) @ Linv).tobytes()
             assert fd_gradient(f, xi, H).tobytes() == central_difference(
-                lambda qs: [eval_field(one, q) for q in qs], xi, H
+                lambda qs: [eval_batch(one, [q])[0] for q in qs], xi, H
             ).tobytes()
 
 

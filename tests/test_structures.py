@@ -338,7 +338,7 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
         assert D is covariant_derivative_11(g, rotated.field, [Point(chart8, p.coords)])[0]
         N = structures._nijenhuises(g, rotated, [p])[0]
         assert not N.flags.writeable
-        reference = connection._nijenhuis_tensor(fields.eval_field(real, p), real.jets([p], 1)[1][0])
+        reference = connection._nijenhuis_tensor(fields.eval_batch(real, [p])[0], real.jets([p], 1)[1][0])
         assert N.tobytes() == reference.tobytes()
 
 
@@ -594,7 +594,7 @@ def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
             p = Point(alone.chart, p.coords)
             assert reports[k] == check_product_structure(alone.metric, F1, [p])[0]
             assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, [p])[0]
-            N = connection._nijenhuis_tensor(fields.eval_field(F.field, p), F.field.jets([p], 1)[1][0])
+            N = connection._nijenhuis_tensor(fields.eval_batch(F.field, [p])[0], F.field.jets([p], 1)[1][0])
             assert tensors[k].tobytes() == N.tobytes() and not tensors[k].flags.writeable
         reference = _equivalence_reference(alone.metric, F1, alone.triple, [Point(alone.chart, p.coords) for p in ctx.points])
         assert (eq.parallel_residual, eq.nijenhuis_residual, eq.mixed_residual) == reference

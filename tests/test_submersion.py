@@ -168,7 +168,8 @@ def test_semi_riemannian_projection(proj8to4):
     g8 = METRICS["neutral8"](chart8)
     g4 = METRICS["neutral4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_semi_riemannian(f, g8, g4, pts) < 1e-8
+    residuals = check_semi_riemannian(f, g8, g4, pts)
+    assert len(residuals) == 4 and max(residuals) < 1e-8
 
 
 def test_semi_riemannian_detects_scaling(proj8to4):
@@ -178,7 +179,7 @@ def test_semi_riemannian_detects_scaling(proj8to4):
     g4 = METRICS["neutral4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
     # df(e1) has squared length 0.25 instead of 1
-    assert check_semi_riemannian(f, g8, g4, pts) == pytest.approx(0.75, abs=1e-6)
+    assert check_semi_riemannian(f, g8, g4, pts) == pytest.approx([0.75] * 4, abs=1e-6)
 
 
 def test_paraholomorphic_aligned_triples(proj8to4):
@@ -186,7 +187,8 @@ def test_paraholomorphic_aligned_triples(proj8to4):
     up = TRIPLES["product8-rotated"](chart8)
     down = TRIPLES["rotated4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_paraholomorphic(f, up, down, pts) < 1e-10
+    residuals = check_paraholomorphic(f, up, down, pts)
+    assert len(residuals) == 4 and max(residuals) < 1e-10
 
 
 def test_paraholomorphic_misaligned_triples(proj8to4):
@@ -196,7 +198,7 @@ def test_paraholomorphic_misaligned_triples(proj8to4):
     up = TRIPLES["product8-fiber-rotated"](chart8)
     down = TRIPLES["standard4"](chart4)
     pts = sample_points(chart8, 4, seed=5)
-    assert check_paraholomorphic(f, up, down, pts) > 0.1
+    assert max(check_paraholomorphic(f, up, down, pts)) > 0.1
 
 
 def test_vh_invariance(proj8to4):
@@ -218,6 +220,17 @@ def test_vh_invariance_needs_paraholomorphic(proj8to4):
     pts = sample_points(chart8, 3, seed=5)
     with pytest.raises(PreconditionFailedError):
         check_vh_invariance(f, g8, up, down, pts)
+
+
+def test_the_submersion_checks_of_an_empty_sample(proj8to4):
+    # the pointwise checks return no residual; vh-invariance, which reports
+    # maxima, rejects the sample rather than read 0.0 from it
+    chart8, chart4, f = proj8to4
+    g8, up, down = METRICS["neutral8"](chart8), TRIPLES["product8"](chart8), TRIPLES["standard4"](chart4)
+    assert check_semi_riemannian(f, g8, METRICS["neutral4"](chart4), []) == []
+    assert check_paraholomorphic(f, up, down, []) == []
+    with pytest.raises(ValidationError, match="at least one point"):
+        check_vh_invariance(f, g8, up, down, [])
 
 
 def test_oneill_tensors_vanish_for_product(proj8to4):
