@@ -104,13 +104,6 @@ class MetricField:
         return V
 
 
-@dataclass(frozen=True)
-class FlatnessVerdict:
-    flat: bool
-    max_residual: float
-    points_checked: int
-
-
 def christoffel(g: MetricField, p: Point) -> np.ndarray:
     """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
     read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
@@ -278,13 +271,4 @@ def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
     t3 = np.einsum("...km,...jmi->...kij", Fp, dF)
     t4 = np.einsum("...km,...imj->...kij", Fp, dF)
     return t1 - t2 + t3 - t4
-
-
-def is_flat(g: MetricField, pts: list[Point], tol: float = 1e-3) -> FlatnessVerdict:
-    """Flat iff max |R| over the sample stays below tol; R at the whole
-    sample comes in one batch."""
-    if not pts:
-        raise ValidationError("is_flat needs at least one point")
-    worst = max(float(np.abs(R).max()) for R in riemann(g, pts))
-    return FlatnessVerdict(flat=worst < tol, max_residual=worst, points_checked=len(pts))
 

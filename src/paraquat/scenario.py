@@ -36,7 +36,7 @@ from .catalog import (
     structure_from_config,
     triple_from_config,
 )
-from .connection import MetricField, covariant_derivatives, is_flat
+from .connection import MetricField, covariant_derivatives, riemann
 from .errors import ParaquatError, ParseError, ValidationError
 from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
 from .sasaki import SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle
@@ -133,10 +133,6 @@ class VerificationReport:
         return json.dumps(d, indent=2) + "\n"
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 def _integer(value, what: str, least: int) -> int:
     # bool is a subclass of int, and JSON gives 2.7 as a float
     if type(value) is not int or value < least:
@@ -147,6 +143,13 @@ def _integer(value, what: str, least: int) -> int:
 def _real(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def _from_below(key: str) -> bool:
+    """Whether a check entry's bound is a floor its value must exceed
+    (``threshold``, ``*_above``) rather than a ceiling it must stay under
+    (``tol``, ``*_tol``, ``*_below``)."""
+    return key == "threshold" or key.endswith("_above")
 
 
 def _numbers(value, what: str) -> None:
@@ -171,101 +174,102 @@ def _index_pairs(value, n: int, what: str) -> None:
 
 # ---------------------------------------------------------------- runners
 # A runner's parameters after ``ctx`` are the keys its check entry accepts;
-# a ``points`` cap of None checks the whole sample.
+# a ``points`` cap of None checks the whole sample.  Each runner returns the
+# verdict and data that ``_judge`` makes of its report entries.
+
+
+def _judge(*entries) -> tuple[bool, dict]:
+    """A check entry's verdict and data from its report entries, in report
+    order: ``(key, value)`` records a value, and ``(key, bound, value)``
+    records a bound on the value, which holds when the value exceeds it
+    (``threshold``, ``*_above``) or stays under it (``tol``, ``*_tol``,
+    ``*_below``).  An entry whose bound or value is None is left out, and
+    the check passes when every bound it records holds."""
+    passed, data = True, {}
+    for key, *rest in entries:
+        if any(x is None for x in rest):
+            continue
+        data[key] = rest[0]
+        if len(rest) == 2:
+            bound, value = rest
+            passed = passed and (value > bound if _from_below(key) else value < bound)
+    return passed, data
+
+
+def _worst(reports, *names: str) -> list[float]:
+    """The largest value over a sample's per-point reports of each named residual."""
+    return [max(float(getattr(rep, name)) for rep in reports) for name in names]
 
 
 def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[bool, dict]:
     reps = check_triple_algebra(ctx.triple, ctx.points[:points])
-    worst_sq = max(rep.square_residual for rep in reps)
-    worst_pr = max(rep.product_residual for rep in reps)
-    worst_ac = max(rep.anticommute_residual for rep in reps)
-    min_gram = min(abs(rep.gram_det) for rep in reps)
-    worst = max(worst_sq, worst_pr, worst_ac)
-    return worst < tol, {
-        "tol": tol,
-        "max_residual": _f(worst),
-        "square_residual": _f(worst_sq),
-        "product_residual": _f(worst_pr),
-        "anticommute_residual": _f(worst_ac),
-        "min_gram_det": _f(min_gram),
-    }
+    sq, pr, ac = _worst(reps, "square_residual", "product_residual", "anticommute_residual")
+    worst = max(sq, pr, ac)
+    return _judge(
+        ("tol", tol, worst), ("max_residual", worst),
+        ("square_residual", sq), ("product_residual", pr), ("anticommute_residual", ac),
+        ("min_gram_det", min(abs(float(rep.gram_det)) for rep in reps)),
+    )
 
 
 def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tuple[bool, dict]:
     v = classify_structure(ctx.metric, ctx.triple, ctx.points[:points], tol=tol)
-    return v.cls.value == expected, {
-        "tol": tol,
-        "expected": expected,
-        "got": v.cls.value,
-        "hermitian_max": _f(v.hermitian_max),
-        "nabla_max": _f(v.nabla_max),
-        "fit_residual_max": _f(v.fit_residual_max),
-    }
+    _, data = _judge(
+        ("tol", tol), ("expected", expected), ("got", v.cls.value),
+        ("hermitian_max", float(v.hermitian_max)), ("nabla_max", float(v.nabla_max)),
+        ("fit_residual_max", float(v.fit_residual_max)),
+    )
+    return v.cls.value == expected, data
 
 
 def _run_kahler_fit(
     ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
 ) -> tuple[bool, dict]:
     fits = fit_kahler_oneforms(ctx.metric, ctx.triple, ctx.points[:points])
-    worst_fit = max(fit.residual for fit in fits)
-    worst_val = 0.0
+    (worst_fit,) = _worst(fits, "residual")
+    worst_val = None
     if oneform_values is not None:
         expected = np.asarray(oneform_values, dtype=float)
         worst_val = max(float(np.abs(fit.omega - expected).max()) for fit in fits)
-    passed = worst_fit < tol and (oneform_values is None or worst_val < value_tol)
-    data = {"tol": tol, "max_fit_residual": _f(worst_fit)}
-    if oneform_values is not None:
-        data["value_tol"] = value_tol
-        data["max_value_error"] = _f(worst_val)
-    return passed, data
+    return _judge(
+        ("tol", tol, worst_fit), ("max_fit_residual", worst_fit),
+        ("value_tol", value_tol, worst_val), ("max_value_error", worst_val),
+    )
 
 
 def _run_flatness(
     ctx: ScenarioContext, points=None, expect_flat=True, tol=1e-6, threshold=1e-2
 ) -> tuple[bool, dict]:
-    verdict = is_flat(ctx.metric, ctx.points[:points])
-    if expect_flat:
-        passed = verdict.max_residual < tol
-        data = {"expect_flat": True, "tol": tol, "max_residual": _f(verdict.max_residual)}
-    else:
-        passed = verdict.max_residual > threshold
-        data = {"expect_flat": False, "threshold": threshold, "max_residual": _f(verdict.max_residual)}
-    return passed, data
+    worst = max(float(np.abs(R).max()) for R in riemann(ctx.metric, ctx.points[:points]))
+    return _judge(
+        ("expect_flat", expect_flat),
+        ("tol", tol if expect_flat else None, worst), ("threshold", None if expect_flat else threshold, worst),
+        ("max_residual", worst),
+    )
 
 
 def _run_product_structure(
     ctx: ScenarioContext, structure, points=None, involution_tol=1e-10, metric_tol=1e-10,
     nijenhuis_below=None, nijenhuis_above=None, parallel_below=None, parallel_above=None,
 ) -> tuple[bool, dict]:
-    F = ctx.structure(structure)
-    inv = met = nij = par = 0.0
-    for rep in check_product_structure(ctx.metric, F, ctx.points[:points]):
-        inv = max(inv, rep.involution_residual)
-        met = max(met, rep.metric_residual)
-        nij = max(nij, rep.nijenhuis_residual)
-        par = max(par, rep.parallel_residual)
-    conditions = [inv < involution_tol, met < metric_tol]
-    bounds = ((nij, nijenhuis_below, nijenhuis_above), (par, parallel_below, parallel_above))
-    for value, below, above in bounds:
-        if below is not None:
-            conditions.append(value < below)
-        if above is not None:
-            conditions.append(value > above)
-    return all(conditions), {
-        "structure": structure,
-        "involution_residual": _f(inv),
-        "metric_residual": _f(met),
-        "nijenhuis_residual": _f(nij),
-        "parallel_residual": _f(par),
-    }
+    reps = check_product_structure(ctx.metric, ctx.structure(structure), ctx.points[:points])
+    inv, met, nij, par = _worst(
+        reps, "involution_residual", "metric_residual", "nijenhuis_residual", "parallel_residual"
+    )
+    return _judge(
+        ("structure", structure),
+        ("involution_tol", involution_tol, inv), ("involution_residual", inv),
+        ("metric_tol", metric_tol, met), ("metric_residual", met),
+        ("nijenhuis_below", nijenhuis_below, nij), ("nijenhuis_above", nijenhuis_above, nij),
+        ("nijenhuis_residual", nij),
+        ("parallel_below", parallel_below, par), ("parallel_above", parallel_above, par),
+        ("parallel_residual", par),
+    )
 
 
 def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
-    F = ctx.structure(structure)
-    worst = max(check_sigma_invariant_operator(F, ctx.triple, ctx.points[:points]))
-    return worst < tol, {
-        "structure": structure, "tol": tol, "max_residual": _f(worst),
-    }
+    worst = float(max(check_sigma_invariant_operator(ctx.structure(structure), ctx.triple, ctx.points[:points])))
+    return _judge(("structure", structure), ("tol", tol, worst), ("max_residual", worst))
 
 
 def _run_parallel_equivalence(
@@ -273,90 +277,58 @@ def _run_parallel_equivalence(
 ) -> tuple[bool, dict]:
     F = ctx.structure(structure)
     rep = check_parallel_equivalence(ctx.metric, F, ctx.triple, ctx.points[:points], tol)
-    if expect == "parallel":
-        passed = rep.agree and all(rep.flags)
-    else:
-        residuals = (rep.parallel_residual, rep.nijenhuis_residual, rep.mixed_residual)
-        passed = rep.agree and not any(rep.flags) and min(residuals) > failing_above
-    return passed, {
-        "structure": structure,
-        "tol": tol,
-        "expect": expect,
-        "flags": list(rep.flags),
-        "flags_agree": rep.agree,
-        "parallel_residual": _f(rep.parallel_residual),
-        "nijenhuis_residual": _f(rep.nijenhuis_residual),
-        "mixed_residual": _f(rep.mixed_residual),
-    }
+    par, nij, mix = float(rep.parallel_residual), float(rep.nijenhuis_residual), float(rep.mixed_residual)
+    passed, data = _judge(
+        ("structure", structure), ("tol", tol), ("expect", expect),
+        ("flags", list(rep.flags)), ("flags_agree", rep.agree),
+        ("failing_above", failing_above if expect == "non-parallel" else None, min(par, nij, mix)),
+        ("parallel_residual", par), ("nijenhuis_residual", nij), ("mixed_residual", mix),
+    )
+    # the three flags stand or fall together, as expected
+    return passed and set(rep.flags) == {expect == "parallel"}, data
 
 
 def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
-    rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
-    worst = max(rep.v_residual, rep.h_residual)
-    return worst < tol, {
-        "tol": tol, "v_residual": _f(rep.v_residual), "h_residual": _f(rep.h_residual),
-    }
+    reps = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
+    v, h = _worst(reps, "v_residual", "h_residual")
+    return _judge(("tol", tol, max(v, h)), ("v_residual", v), ("h_residual", h))
 
 
 def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
-    max_a = anti = max_t = 0.0
-    for rep in oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points]):
-        max_a = max(max_a, rep.max_a_horizontal)
-        anti = max(anti, rep.antisymmetry_residual)
-        max_t = max(max_t, float(np.abs(rep.t_full).max()))
-    conditions = [anti < antisymmetry_tol]
-    if a_below is not None:
-        conditions.append(max_a < a_below)
-    if a_above is not None:
-        conditions.append(max_a > a_above)
-    if t_below is not None:
-        conditions.append(max_t < t_below)
-    return all(conditions), {
-        "max_a_horizontal": _f(max_a),
-        "antisymmetry_residual": _f(anti),
-        "max_t": _f(max_t),
-    }
+    reps = oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points])
+    max_a, anti, max_t = _worst(reps, "max_a_horizontal", "antisymmetry_residual", "max_t")
+    return _judge(
+        ("a_below", a_below, max_a), ("a_above", a_above, max_a), ("max_a_horizontal", max_a),
+        ("antisymmetry_tol", antisymmetry_tol, anti), ("antisymmetry_residual", anti),
+        ("t_below", t_below, max_t), ("max_t", max_t),
+    )
 
 
 def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
     rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber])
-    data = {
-        "constancy_tol": constancy_tol,
-        "constancy_residual": _f(rep.constancy_residual),
-        "fit_residual_max": _f(rep.fit_residual_max),
-        "image": [_f(v) for v in rep.image.coords],
-        "omega_base": [[_f(v) for v in row] for row in rep.omega_base],
-    }
-    passed = rep.constancy_residual < constancy_tol
-    if ctx.target_triple is not None and ctx.target_metric is not None:
-        down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])[0]
-        match = float(np.abs(rep.omega_base - down.omega).max())
-        data["match_tol"] = match_tol
-        data["downstairs_match_error"] = _f(match)
-        passed = passed and match < match_tol
-    return passed, data
+    down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])[0]
+    match = float(np.abs(rep.omega_base - down.omega).max())
+    return _judge(
+        ("constancy_tol", constancy_tol, rep.constancy_residual), ("constancy_residual", float(rep.constancy_residual)),
+        ("fit_residual_max", float(rep.fit_residual_max)),
+        ("image", [float(v) for v in rep.image.coords]),
+        ("omega_base", [[float(v) for v in row] for row in rep.omega_base]),
+        ("match_tol", match_tol, match), ("downstairs_match_error", match),
+    )
 
 
 def _run_bracket(
     ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
 ) -> tuple[bool, dict]:
     e = np.eye(ctx.bundle.base_dim)
-    worst = 0.0
-    flipped = 0.0
-    for reps in check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points]):
-        for rep in reps:
-            worst = max(worst, rep.max_residual)
-            flipped = max(flipped, rep.hh_flipped_residual)
-    passed = worst < tol and (flip_above is None or flipped > flip_above)
-    data = {
-        "tol": tol, "pairs": [list(q) for q in pairs],
-        "max_residual": _f(worst), "max_flipped_residual": _f(flipped),
-    }
-    if flip_above is not None:
-        data["flip_above"] = flip_above
-    return passed, data
+    rows = check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points])
+    worst, flipped = _worst([rep for row in rows for rep in row], "max_residual", "hh_flipped_residual")
+    return _judge(
+        ("tol", tol, worst), ("pairs", [list(q) for q in pairs]), ("max_residual", worst),
+        ("max_flipped_residual", flipped), ("flip_above", flip_above, flipped),
+    )
 
 
 def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool, dict]:
@@ -367,9 +339,9 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
     base_fits = fit_kahler_oneforms(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts])
     max_u = max(float(np.abs(fit.omega[:, n:]).max()) for fit in fits)
     max_pull = max(float(np.abs(up.omega[:, :n] - down.omega).max()) for up, down in zip(fits, base_fits))
-    return max(max_u, max_pull) < tol, {
-        "tol": tol, "max_fiber_component": _f(max_u), "max_pullback_error": _f(max_pull),
-    }
+    return _judge(
+        ("tol", tol, max(max_u, max_pull)), ("max_fiber_component", max_u), ("max_pullback_error", max_pull)
+    )
 
 
 def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) -> tuple[bool, dict]:
@@ -378,19 +350,20 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
     worst = max(float(np.abs(D).max()) for D in covariant_derivatives(ctx.metric, witness, pts))
-    return worst < tol, {"tol": tol, "max_nabla": _f(worst), "transition": transition}
+    return _judge(("tol", tol, worst), ("max_nabla", worst), ("transition", transition))
 
 
 def _max_residual(
     default_tol: float,
-    residual: Callable[[ScenarioContext, list[Point]], float],
+    residual: Callable[[ScenarioContext, list[Point]], list[float]],
     default_points: int | None = None,
 ) -> Callable[..., tuple[bool, dict]]:
-    """Runner for a check whose verdict is one residual below a tolerance."""
+    """Runner for a check whose verdict is its largest per-point residual
+    below a tolerance."""
 
     def run(ctx: ScenarioContext, points=default_points, tol=default_tol) -> tuple[bool, dict]:
-        worst = residual(ctx, ctx.points[:points])
-        return worst < tol, {"tol": tol, "max_residual": _f(worst)}
+        worst = float(max(residual(ctx, ctx.points[:points])))
+        return _judge(("tol", tol, worst), ("max_residual", worst))
 
     return run
 
@@ -429,7 +402,7 @@ CHECKS: dict[str, CheckDef] = {
             "hermitian",
             "g(J_a X, Y) + g(X, J_a Y) = 0",
             "Skew-symmetry of each J_a with respect to the metric.",
-            _max_residual(1e-10, lambda ctx, pts: max(check_hermitian(ctx.metric, ctx.triple, pts))),
+            _max_residual(1e-10, lambda ctx, pts: check_hermitian(ctx.metric, ctx.triple, pts)),
         ),
         CheckDef(
             "classify",
@@ -476,18 +449,18 @@ CHECKS: dict[str, CheckDef] = {
             "semi-riemannian",
             "g(X, Y) = g'(df X, df Y)  for horizontal X, Y",
             "The differential restricted to horizontal spaces is a linear isometry.",
-            _max_residual(1e-10, lambda ctx, pts: max(check_semi_riemannian(
+            _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
                 ctx.submersion, ctx.metric, ctx.target_metric, pts
-            ))),
+            )),
             needs="submersion",
         ),
         CheckDef(
             "paraholomorphic",
             "df o J_a = J'_a o df",
             "The map intertwines the upstairs and downstairs triples.",
-            _max_residual(1e-6, lambda ctx, pts: max(check_paraholomorphic(
+            _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
                 ctx.submersion, ctx.triple, ctx.target_triple, pts
-            ))),
+            )),
             needs="submersion",
         ),
         CheckDef(
@@ -529,7 +502,7 @@ CHECKS: dict[str, CheckDef] = {
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
             "The lifted metric's own connection, exact, against the closed form on "
             "the lifted frame, in all four kind combinations.",
-            _max_residual(1e-3, lambda ctx, pts: max(check_connection_oracle(ctx.bundle, pts)), 2),
+            _max_residual(1e-3, lambda ctx, pts: check_connection_oracle(ctx.bundle, pts), 2),
             needs="bundle",
         ),
         CheckDef(
@@ -540,7 +513,7 @@ CHECKS: dict[str, CheckDef] = {
             "The lifted triple's exact derivative under the lifted metric's own "
             "connection against the closed form on the lifted frame, for all "
             "three members.",
-            _max_residual(1e-6, lambda ctx, pts: max(check_nabla_j_oracle(ctx.bundle, pts)), 2),
+            _max_residual(1e-6, lambda ctx, pts: check_nabla_j_oracle(ctx.bundle, pts), 2),
             needs="bundle",
         ),
         CheckDef(
@@ -615,6 +588,10 @@ def _validate(config) -> None:
                 _integer(value, "a check's 'points'", 1)
             elif key in ("tol", "threshold") or key.endswith(("_tol", "_below", "_above")):
                 _real(value, f"{name} '{key}'")
+                # a residual is >= 0: a ceiling <= 0 never holds, a floor < 0 always does
+                floor = _from_below(key)
+                if value < 0 or (value == 0 and not floor):
+                    raise ValidationError(f"{name} '{key}' must be {'>= 0' if floor else '> 0'}, got {value!r}")
             elif key == "expect_flat" and not isinstance(value, bool):
                 raise ParseError(f"flatness 'expect_flat' must be true or false, got {value!r}")
             elif key in ("fiber", "oneform_values"):

@@ -219,8 +219,9 @@ def check_vh_invariance(
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
     tol: float = 1e-6,
-) -> VhInvarianceReport:
-    """Whether each J_a maps vertical to vertical and horizontal to horizontal.
+) -> list[VhInvarianceReport]:
+    """Whether each J_a maps vertical to vertical and horizontal to
+    horizontal, one report per point.
 
     Only meaningful for a paraholomorphic map, so that is checked first and a
     PreconditionFailedError raised when it fails at tol.  An empty sample
@@ -234,19 +235,16 @@ def check_vh_invariance(
             f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
         )
 
-    def compute(qs: list[Point]) -> list[tuple[float, float]]:
+    def compute(qs: list[Point]) -> list[VhInvarianceReport]:
         return [
-            (
-                max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
-                max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
+            VhInvarianceReport(
+                v_residual=max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
+                h_residual=max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
             )
             for fr, J in zip(vh_split(f, g, qs), T.values(qs))
         ]
 
-    leaks = _memo_batch({}, f.source, None, pts, compute)
-    return VhInvarianceReport(
-        v_residual=max(rv for rv, _ in leaks), h_residual=max(rh for _, rh in leaks)
-    )
+    return _memo_batch({}, f.source, None, pts, compute)
 
 
 @dataclass(frozen=True)
@@ -273,6 +271,10 @@ class ONeillTensors:
     @property
     def antisymmetry_residual(self) -> float:
         return float(np.abs(self.a_horizontal + self.a_horizontal.transpose(1, 0, 2)).max())
+
+    @property
+    def max_t(self) -> float:
+        return float(np.abs(self.t_full).max())
 
 
 def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONeillTensors]:

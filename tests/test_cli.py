@@ -384,9 +384,20 @@ def test_malformed_document_exits_two_before_any_work(case, monkeypatch, tmp_pat
         ("product-structure", "nijenhuis_above", float("inf")),
         ("parallel-equivalence", "failing_above", False),
         ("bracket", "flip_above", "1"),
+        # a residual is >= 0: a ceiling <= 0 never holds, a floor < 0 always does
+        ("hermitian", "tol", -1),
+        ("hermitian", "tol", 0),
+        ("kahler-fit", "value_tol", 0),
+        ("oneill", "a_below", 0.0),
+        ("oneill", "antisymmetry_tol", -1e-5),
+        ("product-structure", "involution_tol", 0),
+        ("product-structure", "nijenhuis_above", -1e-9),
+        ("flatness", "threshold", -1),
+        ("parallel-equivalence", "failing_above", -1e-3),
+        ("bracket", "flip_above", -1),
     ],
 )
-def test_non_numeric_bound_exits_two_before_any_work(check, key, value, monkeypatch, tmp_path, capsys):
+def test_non_numeric_or_vacuous_bound_exits_two_before_any_work(check, key, value, monkeypatch, tmp_path, capsys):
     f = tmp_path / "bound.json"
     f.write_text(json.dumps(_inline(checks=[{"check": check, key: value}])))
     monkeypatch.setattr(scenario, "make_chart", _no_geometry)

@@ -29,7 +29,6 @@ from paraquat import (
     curvature_operator,
     eval_batch,
     fit_kahler_oneforms,
-    is_flat,
     jacobian,
     riemann,
     sample_points,
@@ -134,11 +133,9 @@ def test_curvature_operator_values(conformal4):
     )
 
 
-def test_is_flat_verdicts(flat4, conformal4, pts4):
-    assert is_flat(flat4, pts4).flat
-    verdict = is_flat(conformal4, pts4[:2])
-    assert not verdict.flat
-    assert verdict.max_residual > 0.5
+def test_max_riemann_verdicts(flat4, conformal4, pts4):
+    assert max(float(np.abs(R).max()) for R in riemann(flat4, pts4)) < 1e-3
+    assert max(float(np.abs(R).max()) for R in riemann(conformal4, pts4[:2])) > 0.5
 
 
 def test_signature(flat4, euclidean4, chart4):

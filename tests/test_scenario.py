@@ -51,6 +51,17 @@ def test_expected_failure_scenario_fails_where_it_should():
     assert failed == {"classify", "kahler-fit", "flatness"}
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_bound_an_entry_sets_is_in_its_data(name):
+    doc = catalog.load_catalog_scenario(name)
+    for spec, result in zip(doc["checks"], run_scenario(doc).checks):
+        bounds = {
+            key: value for key, value in spec.items()
+            if key in ("tol", "threshold") or key.endswith(("_tol", "_below", "_above"))
+        }
+        assert {key: result.data.get(key, "missing") for key in bounds} == bounds, f"{name} {result.name}"
+
+
 def _inline(**overrides):
     base = {
         "name": "inline",

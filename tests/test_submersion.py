@@ -207,9 +207,10 @@ def test_vh_invariance(proj8to4):
     up = TRIPLES["product8"](chart8)
     down = TRIPLES["standard4"](chart4)
     pts = sample_points(chart8, 3, seed=5)
-    rep = check_vh_invariance(f, g8, up, down, pts)
-    assert rep.v_residual < 1e-9
-    assert rep.h_residual < 1e-9
+    reps = check_vh_invariance(f, g8, up, down, pts)
+    assert len(reps) == len(pts)
+    assert max(rep.v_residual for rep in reps) < 1e-9
+    assert max(rep.h_residual for rep in reps) < 1e-9
 
 
 def test_vh_invariance_needs_paraholomorphic(proj8to4):
