@@ -46,7 +46,9 @@ class MetricField:
     """A (0,2) field validated as a semi-Riemannian metric at evaluation time:
     symmetric within 1e-12 and, at every point it is asked for, |det| above
     1e-9 times the product of its row norms (Hadamard's bound on |det|), a
-    test that does not change when the metric is scaled.
+    test that does not change when the metric is scaled.  It is taken on
+    the rows divided by their largest |entry|, so that neither det nor a
+    norm overflows or underflows at any scale; a zero row is degenerate.
 
     The instance memoises g, and the jets dg and d2g of its field (per
     point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
@@ -94,7 +96,10 @@ class MetricField:
         of several."""
         V = eval_batch(self.field, pts)
         asym = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
-        bad = asym | (np.abs(np.linalg.det(V)) <= DET_FLOOR * np.linalg.norm(V, axis=2).prod(axis=1))
+        # a zero row stays zero, and its det 0 fails the test
+        scale = np.abs(V).max(axis=2, keepdims=True)
+        W = V / np.where(scale == 0.0, 1.0, scale)
+        bad = asym | (np.abs(np.linalg.det(W)) <= DET_FLOOR * np.linalg.norm(W, axis=2).prod(axis=1))
         if bad.any():
             k = int(bad.argmax())
             if asym[k]:

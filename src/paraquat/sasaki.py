@@ -18,7 +18,10 @@ derivatives of G, of Jt_a and of the frame L rather than assumed.  These
 are exact: M and its first and second partials come from Gamma, dGamma and
 d2Gamma, that is from the base's jets to order 3, so G has jets to order 2,
 L and each Jt_a to order 1, and the connection takes the lifted Gamma and R
-from them.  The base metric and members must have jets.
+from them.  The base metric and members must have jets.  A bundle
+memoises M and (dM, d2M) per point (``SasakiBundle.shift`` and
+``shift_partials``); L and L^-1 are filled from an M stack wherever they
+are read (``_frames``), and x is read from the point's coordinates.
 """
 
 from __future__ import annotations
@@ -71,15 +74,6 @@ def tangent_bundle_chart(base: ManifoldSpec, u_box=(-1.0, 1.0)) -> ManifoldSpec:
     return ManifoldSpec(base.coords + fiber_names, np.vstack([base.domain, ub]))
 
 
-def _split_xi(base: ManifoldSpec, xi: Point) -> tuple[Point, np.ndarray]:
-    n = base.dim
-    if xi.chart.dim != 2 * n:
-        raise ValidationError(
-            f"bundle point has dim {xi.chart.dim}, expected {2 * n} over this base"
-        )
-    return Point(base, xi.coords[:n]), np.array(xi.coords[n:])
-
-
 def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     """X^h = (X, -M X) for kind "h", X^v = (0, X) for kind "v".
 
@@ -94,30 +88,28 @@ def lift(kind: str, V, M: np.ndarray | None = None) -> np.ndarray:
     raise ValidationError("kind must be 'h' or 'v'")
 
 
-def _frame_batch(g: MetricField, C: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, Point]]:
-    """The frames (L, L^-1, x) at the bundle points whose coordinates are the
-    rows of C: Gamma from one Christoffel batch over their distinct base
-    points, every M = Gamma(., u) from one ``einsum``, and L, L^-1 filled as
-    stacks.  C, a fresh stack such as ``fields._check_box`` returns, is made
-    read-only, since the base points are views of its rows."""
-    n = g.chart.dim
-    C.flags.writeable = False
-    xs = [_point(g.chart, c[:n]) for c in C]
-    gam = np.array(_christoffels(g, xs, order=3))
-    M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
-    L = np.broadcast_to(np.eye(2 * n), (len(C), 2 * n, 2 * n)).copy()
+def _frames(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames L = [[I, 0], [-M, I]] and L^-1 = [[I, 0], [M, I]] at each
+    point of a stack of shifts M, filled as stacks."""
+    c, n = M.shape[:2]
+    L = np.broadcast_to(np.eye(2 * n), (c, 2 * n, 2 * n)).copy()
     Linv = L.copy()
-    L[:, n:, :n] = -M
-    Linv[:, n:, :n] = M
-    L.flags.writeable = Linv.flags.writeable = False
-    return list(zip(L, Linv, xs))
+    L[:, n:, :n], Linv[:, n:, :n] = -M, M
+    return L, Linv
+
+
+def _base_points(base: ManifoldSpec, xis: Sequence[Point]) -> list[Point]:
+    """The base point x of each bundle point (x, u), whose coordinates are
+    a view of the bundle point's; the bundle points' chart is checked
+    before, by the shift memo."""
+    return [_point(base, xi.coords[: base.dim]) for xi in xis]
 
 
 def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> list[np.ndarray]:
     """[Gamma, dGamma, d2Gamma] at the base points, stacked, with
     dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
     d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
-    memo, where the frames' Gamma put them (one order-3 jet call per base
+    memo, where the shifts' Gamma put them (one order-3 jet call per base
     point), and the partials by differentiating g Gamma = T/2 (T as in
     ``connection._first_kind``) once and twice."""
 
@@ -157,16 +149,10 @@ class SasakiBundle:
     projection: SubmersionMap
     base_metric: MetricField
     base_triple: LocalBasisTriple
-    # (L, L^-1, x) at each of a batch of bundle points, memoised per bundle
-    # (build_tangent_bundle)
-    frames: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, Point]]] = field(
-        repr=False, compare=False
-    )
-    # (M, dM, d2M) at each of a batch of bundle points, memoised per bundle
-    # (build_tangent_bundle)
-    shifts: Callable[[Sequence[Point]], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = field(
-        repr=False, compare=False
-    )
+    # the M stack, and the dM and d2M stacks, of a batch of bundle points,
+    # memoised per bundle (build_tangent_bundle)
+    shift: Callable[[Sequence[Point]], np.ndarray] = field(repr=False, compare=False)
+    shift_partials: Callable[[Sequence[Point]], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
 
     @property
     def base_dim(self) -> int:
@@ -183,7 +169,11 @@ class SasakiBundle:
         return Point(self.spec, np.concatenate(parts))
 
     def base_point(self, xi: Point) -> Point:
-        return _split_xi(self.base_metric.chart, xi)[0]
+        """The base point x of the bundle point xi = (x, u)."""
+        n = self.base_dim
+        if xi.chart.dim != 2 * n:
+            raise ValidationError(f"bundle point has dim {xi.chart.dim}, expected {2 * n} over this base")
+        return Point(self.base_metric.chart, xi.coords[:n])
 
 
 def build_tangent_bundle(
@@ -217,38 +207,40 @@ def build_tangent_bundle(
                 f"hermitian {herm:.3e}"
             )
     bundle = tangent_bundle_chart(base, u_box)
-    # Each bundle point's frame (L, L^-1, x) under ("frame", coordinate
-    # bytes) and its shift and partials (M, dM, d2M) under ("shift", ...),
-    # read and filled by fields._memo_batch.
+    # M under ("shift", coordinate bytes) and (dM, d2M) under ("shift partials", ...)
     memo: dict = {}
 
-    def frames(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, Point]]:
-        """The frame at each bundle point, after the chart check of every
-        point and the box test of the new ones (``fields._check_box``).
-        The shifts M of all the new frames come from one
-        Christoffel batch over their distinct base points and one
-        ``einsum``.  A batch that raises raises what its first failing
-        point raises alone, and stores no frame and no Gamma (g keeps only
-        metric values that passed their checks)."""
+    def shift(xis: Sequence[Point]) -> np.ndarray:
+        """M = Gamma(u, .) at each bundle point, stacked, after the chart
+        check of every point and the box test of the new ones
+        (``fields._check_box``).  The new shifts come from one Christoffel
+        batch over their distinct base points and one ``einsum``.  A batch
+        that raises raises what its first failing point raises alone, and
+        stores no shift and no Gamma (g keeps only metric values that passed
+        their checks)."""
 
-        return _memo_batch(memo, bundle, "frame", xis, lambda fresh: _frame_batch(g, _check_box(bundle, fresh)))
+        def compute(fresh: list[Point]) -> np.ndarray:
+            C = _check_box(bundle, fresh)
+            gam = np.array(_christoffels(g, _base_points(base, fresh), order=3))
+            M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
+            M.flags.writeable = False
+            return M
 
-    def shifts(xis: Sequence[Point]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(M, dM, d2M) at each bundle point, as the memo's read-only
-        arrays, with dM[A, k, i] = d_A M^k_i and d2M[A, B, k, i] =
-        d_A d_B M^k_i over the 2n bundle coordinates; M is the frame's.
-        The misses come from one frame batch and one ``_christoffel_jets``
-        over their base points:
+        return np.array(_memo_batch(memo, bundle, "shift", xis, compute))
+
+    def shift_partials(xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        """(dM, d2M) at each bundle point, stacked, with dM[c, A, k, i] =
+        d_A M^k_i and d2M[c, A, B, k, i] = d_A d_B M^k_i over the 2n bundle
+        coordinates, after the checks of ``shift``.  The misses come from
+        one ``_christoffel_jets`` over their base points:
 
             d_{x_m} M = d_m Gamma(u, .),    d_{u_m} M^k_i = Gamma^k_{mi},
             d_{x_p} d_{x_m} M = d_p d_m Gamma(u, .),
             d_{x_m} d_{u_p} M^k_i = d_m Gamma^k_{pi},    d_u d_u M = 0."""
 
         def compute(fresh: list[Point]) -> list:
-            F = frames(fresh)
-            M = np.array([f[1][n:, :n] for f in F])
-            U = np.array([xi.coords[n:] for xi in fresh])
-            gam, dgam, d2gam = _christoffel_jets(g, [f[2] for f in F])
+            U = np.ascontiguousarray(_check_box(bundle, fresh)[:, n:])
+            gam, dgam, d2gam = _christoffel_jets(g, _base_points(base, fresh))
             dM = np.zeros((len(fresh), 2 * n, n, n))
             d2M = np.zeros((len(fresh), 2 * n, 2 * n, n, n))
             dM[:, :n] = np.einsum("cmkji,cj->cmki", dgam, U)
@@ -256,18 +248,17 @@ def build_tangent_bundle(
             d2M[:, :n, :n] = np.einsum("cpmkji,cj->cpmki", d2gam, U)
             d2M[:, :n, n:] = np.einsum("cmkpi->cmpki", dgam)
             d2M[:, n:, :n] = d2M[:, :n, n:].swapaxes(1, 2)
-            for A in (M, dM, d2M):
-                A.flags.writeable = False
-            return list(zip(M, dM, d2M))
+            dM.flags.writeable = d2M.flags.writeable = False
+            return list(zip(dM, d2M))
 
-        return _memo_batch(memo, bundle, "shift", xis, compute)
+        rows = _memo_batch(memo, bundle, "shift partials", xis, compute)
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
     def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
         """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
-        frame batch, with g from one batch over their base points."""
-        F = frames(xis)
-        Linv = np.array([f[1] for f in F])
-        gx = np.array(g.matrices([f[2] for f in F]))
+        shift batch, with g from one batch over their base points."""
+        Linv = _frames(shift(xis))[1]
+        gx = np.array(g.matrices(_base_points(base, xis)))
         return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
 
     def lifted_metric_jets(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
@@ -277,8 +268,8 @@ def build_tangent_bundle(
         along the fiber), with M, dM, d2M from the shift memo."""
         _order_at_most("lifted metric", order, 2)
         V = lifted_metrics(xis)
-        M, dM, d2M = (np.array(A) for A in zip(*shifts(xis)))
-        xs = [f[2] for f in frames(xis)]
+        M, (dM, d2M) = shift(xis), shift_partials(xis)
+        xs = _base_points(base, xis)
         gx = np.array(g.matrices(xs))
         dg, d2g = _jets(g, xs)
         gA = np.zeros((len(xis), 2 * n, n, n))
@@ -307,15 +298,17 @@ def build_tangent_bundle(
 
     def lifted_triple(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
         """The three lifted members' jets at once (``stacked_triple``) over
-        one frame batch: Jt_a = L diag(J_a, J_a) L^-1 = [[J, 0], [JM - MJ,
+        one shift batch: Jt_a = L diag(J_a, J_a) L^-1 = [[J, 0], [JM - MJ,
         J]] from the base triple's values, and d_A Jt_a, whose blocks are d_A
         J and d_A J M + J d_A M - d_A M J - M d_A J, from one ``jets`` call
         of the base triple and the shift memo."""
-        L, Linv, xs = zip(*frames(xis))
-        V = np.array(L)[:, None] @ doubled(T.values(xs)) @ np.array(Linv)[:, None]
+        M = shift(xis)
+        L, Linv = _frames(M)
+        xs = _base_points(base, xis)
+        V = L[:, None] @ doubled(T.values(xs)) @ Linv[:, None]
         if order == 0:
             return (V,)
-        M, dM = (np.array(A) for A in list(zip(*shifts(xis)))[:2])
+        dM = shift_partials(xis)[0]
         J, dJ = T.jets(xs)
         JA = np.zeros((len(xis), 3, 2 * n, n, n))
         JA[:, :, :n] = dJ
@@ -352,29 +345,29 @@ def build_tangent_bundle(
         projection=projection,
         base_metric=g,
         base_triple=T,
-        frames=frames,
-        shifts=shifts,
+        shift=shift,
+        shift_partials=shift_partials,
     )
 
 
 def _frame_derivatives(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     """(L, D) at each bundle point, stacked, D[c, I, k, J] = E_I(E_J)^k: the
     lifted frame E = L differentiated along its own members, with dL exact,
-    -dM in the lower left block; L and dM from one ``frames`` and one
-    ``shifts`` call."""
+    -dM in the lower left block; L and dM from one ``shift`` and one
+    ``shift_partials`` call."""
     n = bundle.base_dim
-    L = np.array([f[0] for f in bundle.frames(xis)])
+    L = _frames(bundle.shift(xis))[0]
     dL = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
-    dL[:, :, n:, :n] = -np.array([s[1] for s in bundle.shifts(xis)])
+    dL[:, :, n:, :n] = -bundle.shift_partials(xis)[0]
     return L, np.einsum("caI,cakJ->cIkJ", L, dL)
 
 
 def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, list[Point], np.ndarray]:
-    """(L, x, u) at each bundle point: L stacked and x from one ``frames``
-    call, the fiber vectors u stacked."""
-    n = bundle.base_dim
-    F = bundle.frames(xis)
-    return np.array([f[0] for f in F]), [f[2] for f in F], np.array([xi.coords[n:] for xi in xis])
+    """(L, x, u) at each bundle point: L stacked from one ``shift`` call,
+    x from the coordinates, the fiber vectors u stacked."""
+    base = bundle.base_metric.chart
+    L = _frames(bundle.shift(xis))[0]
+    return L, _base_points(base, xis), np.array([xi.coords[base.dim:] for xi in xis])
 
 
 def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
@@ -388,7 +381,7 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
         nabla~_{X^v} Y^h =                 (1/2) (R(u, X) Y)^h
 
     on the base coordinate fields X = e_i, Y = e_j, so that nabla_X Y is
-    Gamma^k_{ij}.  L comes from the bundle's frame memo, Gamma and R from
+    Gamma^k_{ij}.  L comes from the bundle's shift memo, Gamma and R from
     one ``_christoffels`` and one ``riemann`` over the base points.  A
     batch that raises raises what its first failing point raises alone.
     """
@@ -422,7 +415,7 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
 
     Tensorial in both slots, so its values on E determine it.  Each curvature
     term is a commutator [A_i, J_a], A_i being R(u, e_i)., R(e_i, .)u or
-    R(u, .)e_i.  L comes from the bundle's frame memo, R from one
+    R(u, .)e_i.  L comes from the bundle's shift memo, R from one
     ``riemann``, J from one ``T.values`` and nabla J_a from one base Kähler
     fit, all over the base points.  A batch that raises raises what its
     first failing point raises alone.
@@ -469,13 +462,13 @@ def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[
 def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
     """Max residual at each bundle point between (nabla~ Jt_a), from the
     lifted metric's own connection, and the closed form, over the lifted
-    frame and all three members, exact: L from one ``frames`` call,
+    frame and all three members, exact: L from one ``shift`` call,
     nabla~ Jt_a from one Kähler fit of the lifted pair and the closed form
     stacked over the points.  A batch that raises raises what its first
     failing point raises alone."""
 
     def compute(qs: list[Point]) -> list[float]:
-        L = np.array([f[0] for f in bundle.frames(qs)])
+        L = _frames(bundle.shift(qs))[0]
         D = np.array(covariant_derivatives(bundle.metric, bundle.triple, qs))
         C = oracle_tilde_nabla_J(bundle, qs)
         return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()

@@ -572,6 +572,9 @@ def _validate(config) -> None:
     if not isinstance(config, dict):
         raise ParseError(f"a scenario must be a JSON object, got {type(config).__name__}")
     _known_keys(config, "scenario")
+    for key in ("name", "description"):
+        if not isinstance(config.get(key, ""), str):
+            raise ParseError(f"'{key}' must be a string, got {config[key]!r}")
     checks = config.get("checks")
     if not isinstance(checks, list) or not checks or not all(isinstance(spec, dict) for spec in checks):
         raise ParseError("'checks' must be a non-empty list of objects, one per check")

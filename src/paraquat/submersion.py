@@ -11,7 +11,9 @@ signature as long as the fiber metric V^T g V stays nondegenerate).  A
 batch that raises stores nothing, and its first failing point raises what
 it raises alone.  ``SubmersionMap.images``, ``jacobian``, ``vh_split``,
 ``oneill_tensors`` and the checks take a list of points, a point alone
-being a list of one.
+being a list of one.  ``vh_split`` returns the split as five stacks over
+the points, (df, V, H, Pv, Ph), and the checks, the O'Neill tensors and
+the basic lifts of ``descend_one_forms`` are stacked products over them.
 
 The O'Neill tensors are assembled from the derivative of the vertical
 *projector* — projectors, unlike the frames themselves, depend smoothly on
@@ -114,20 +116,8 @@ def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
     return _memo_batch(f._memo, f.source, "df", points, compute)
 
 
-@dataclass(frozen=True)
-class SplitFrame:
-    """Pointwise vertical/horizontal data: differential, frames, projectors."""
-
-    point: Point
-    df: np.ndarray          # (n', n), the Jacobian the split was taken from
-    vertical: np.ndarray    # (n, n - n'), columns span ker(df)
-    horizontal: np.ndarray  # (n, n'), columns span the g-complement
-    v: np.ndarray           # (n, n) projector onto vertical along horizontal
-    h: np.ndarray           # (n, n) projector onto horizontal along vertical
-
-
 def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(V, H, Pv, Ph) of ``SplitFrame`` for stacks of differentials J
+    """(V, H, Pv, Ph) of ``vh_split`` for stacks of differentials J
     (c, n', n) and metric values gp (c, n, n), each formed per point by one
     batched SVD, det, inv and matmul."""
     n = gp.shape[-1]
@@ -150,20 +140,26 @@ def _split_matrices(J: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, H, Pv, Ph
 
 
-def vh_split(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> list[SplitFrame]:
-    """The split at each point, memoised on g under ("split", f) per
-    point: the misses' df from one ``jacobian``, g from one ``matrices``,
-    the frames from one ``_split_matrices``; a point fails in that order,
-    and a batch raises what its first failing point raises alone."""
+def vh_split(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> tuple[np.ndarray, ...]:
+    """The split at the points as five stacks (df, V, H, Pv, Ph): the
+    differentials (c, n', n), the vertical frames (c, n, n - n') spanning
+    ker(df), the horizontal frames (c, n, n') spanning their g-complement,
+    and the projectors (c, n, n) onto vertical along horizontal and onto
+    horizontal along vertical.  Memoised on g under ("split", f), one row
+    per point: the misses' df from one ``jacobian``, g from one
+    ``matrices``, the frames from one ``_split_matrices``; a point fails in
+    that order, and a batch raises what its first failing point raises
+    alone."""
 
-    def compute(qs: list[Point]) -> list[SplitFrame]:
-        dfs = jacobian(f, qs)
-        frames = _split_matrices(np.array(dfs), np.array(g.matrices(qs)))
-        for A in frames:
+    def compute(qs: list[Point]) -> list[tuple[np.ndarray, ...]]:
+        df = np.array(jacobian(f, qs))
+        stacks = (df, *_split_matrices(df, np.array(g.matrices(qs))))
+        for A in stacks:
             A.flags.writeable = False
-        return [SplitFrame(*row) for row in zip(qs, dfs, *frames)]
+        return list(zip(*stacks))
 
-    return _memo_batch(g._memo, g.chart, ("split", f), points, compute)
+    rows = _memo_batch(g._memo, g.chart, ("split", f), points, compute)
+    return tuple(np.array([row[k] for row in rows]) for k in range(5))
 
 
 def check_semi_riemannian(
@@ -173,16 +169,13 @@ def check_semi_riemannian(
     pts: Sequence[Point],
 ) -> list[float]:
     """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at each point,
-    split, then mapped, in one batch each."""
+    split, then mapped, in one batch each, and compared over the stack."""
 
     def compute(qs: list[Point]) -> list[float]:
-        out = []
-        for fr, G, G_target in zip(vh_split(f, g, qs), g.matrices(qs), g_target.matrices(f.images(qs))):
-            down = fr.df @ fr.horizontal
-            up = fr.horizontal.T @ G @ fr.horizontal
-            dn = down.T @ G_target @ down
-            out.append(float(np.abs(up - dn).max()))
-        return out
+        df, _, H, _, _ = vh_split(f, g, qs)
+        G, G_target = np.array(g.matrices(qs)), np.array(g_target.matrices(f.images(qs)))
+        down, Ht = df @ H, H.transpose(0, 2, 1)
+        return np.abs(Ht @ G @ H - down.transpose(0, 2, 1) @ G_target @ down).max(axis=(1, 2)).tolist()
 
     return _memo_batch({}, f.source, None, pts, compute)
 
@@ -194,14 +187,12 @@ def check_paraholomorphic(
     pts: Sequence[Point],
 ) -> list[float]:
     """max_a |df o J_a - J'_a o df| at each point, from one batch each of
-    df, the triple, the images and the target triple."""
+    df, the triple, the images and the target triple, compared over the
+    stack."""
 
     def compute(qs: list[Point]) -> list[float]:
-        dfs, ups = jacobian(f, qs), T.values(qs)
-        return [
-            max(float(np.abs(J @ up[a] - dn[a] @ J).max()) for a in range(3))
-            for J, up, dn in zip(dfs, ups, T_target.values(f.images(qs)))
-        ]
+        J, up = np.array(jacobian(f, qs))[:, None], T.values(qs)
+        return np.abs(J @ up - T_target.values(f.images(qs)) @ J).max(axis=(1, 2, 3)).tolist()
 
     return _memo_batch({}, f.source, None, pts, compute)
 
@@ -236,13 +227,10 @@ def check_vh_invariance(
         )
 
     def compute(qs: list[Point]) -> list[VhInvarianceReport]:
-        return [
-            VhInvarianceReport(
-                v_residual=max(float(np.abs(fr.h @ J[a] @ fr.vertical).max()) for a in range(3)),
-                h_residual=max(float(np.abs(fr.v @ J[a] @ fr.horizontal).max()) for a in range(3)),
-            )
-            for fr, J in zip(vh_split(f, g, qs), T.values(qs))
-        ]
+        _, V, H, Pv, Ph = (A[:, None] for A in vh_split(f, g, qs))
+        J = T.values(qs)
+        leak = lambda P, W: np.abs(P @ J @ W).max(axis=(1, 2, 3)).tolist()
+        return [VhInvarianceReport(*r) for r in zip(leak(Ph, V), leak(Pv, H))]
 
     return _memo_batch({}, f.source, None, pts, compute)
 
@@ -293,9 +281,8 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
         # each point's Gamma read back from the memo the batch filled, through
         # the public christoffel, whose calls perfbench's tracer counts
         gam = np.array([christoffel(g, q) for q in qs])
-        frs = vh_split(f, g, qs)
-        dPv = _projector_partials(f, g, frs)
-        h, v, H = (np.array([getattr(fr, a) for fr in frs]) for a in ("h", "v", "horizontal"))
+        df, _, H, v, h = vh_split(f, g, qs)
+        dPv = _projector_partials(f, g, qs, df)
         U = np.stack([h, v], axis=1)
         # GU[c, u, s] = Gamma(U_u e_i, W_s e_j) as [i, k, j]
         GU = np.einsum("cuikml,cslj->cusikj", np.einsum("ckml,cumi->cuikml", gam, U), np.stack([v, h], axis=1))
@@ -314,16 +301,14 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
     return _memo_batch({}, g.chart, None, pts, compute)
 
 
-def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFrame]) -> np.ndarray:
-    """dPv[c, m] = d_m Pv at each split's point, exactly: with J =
-    ``fr.df`` (the differential Pv was split from), dG from the metric's
-    memoised jets and dJ from one call of the map's second partials,
+def _projector_partials(f: SubmersionMap, g: MetricField, pts: list[Point], J: np.ndarray) -> np.ndarray:
+    """dPv[c, m] = d_m Pv at each point, exactly: with J the stack of
+    differentials Pv was split from (``vh_split``'s df), dG from the
+    metric's memoised jets and dJ from one call of the map's second partials,
 
         N = G^-1 J^T,   K = J N,   Ph = N K^-1 J = 1 - Pv,
         dN = -G^-1 dG N + G^-1 dJ^T,   dK = dJ N + J dN,
         dPv = -(dN K^-1 J - N K^-1 dK K^-1 J + N K^-1 dJ)."""
-    pts = [fr.point for fr in frs]
-    J = np.array([fr.df for fr in frs])
     Ginv = np.linalg.inv(np.array(g.matrices(pts)))
     dG = _jets(g, pts)[0]  # dG[c, m, k, l] = d_m G_kl
     dJt = _jets_of(f)(pts, 2)[2]  # dJt[c, m, i, a] = d_m d_i f^a = d_m (J^T)_ia
@@ -335,12 +320,6 @@ def _projector_partials(f: SubmersionMap, g: MetricField, frs: Sequence[SplitFra
     dK = dJ @ N + J @ dN
     NKinv, KinvJ = N @ Kinv[:, None], Kinv[:, None] @ J
     return -(dN @ KinvJ - NKinv @ dK @ KinvJ + NKinv @ dJ)
-
-
-def _lift(fr: SplitFrame, w: np.ndarray) -> np.ndarray:
-    """The basic lift of a target vector w: the unique horizontal vector at
-    the split's point that pushes forward to w."""
-    return fr.horizontal @ np.linalg.solve(fr.df @ fr.horizontal, w)
 
 
 @dataclass(frozen=True)
@@ -368,34 +347,30 @@ def descend_one_forms(
     the per-direction means and the largest spread across the fiber; a
     small spread is what makes the forms well defined downstairs.  The
     images, the fits (the memo's, from the classification) and the splits
-    each come in one batch.
+    each come in one batch, and the values on every basic lift from one
+    stacked product.
     """
     if len({tuple(q.coords.tolist()) for q in fiber_pts}) < 2:
         raise ValidationError("descend_one_forms needs at least two distinct fiber points")
     images = f.images(fiber_pts)
     base = images[0]
-    for q in images[1:]:
-        if float(np.abs(q.coords - base.coords).max()) > FIBER_IMAGE_TOL:
-            raise NotAFiberError(
-                f"sample points map to different images: {base.coords} vs {q.coords}"
-            )
+    off = np.flatnonzero(np.abs(np.array([q.coords for q in images]) - base.coords).max(axis=1) > FIBER_IMAGE_TOL)
+    if off.size:
+        raise NotAFiberError(f"sample points map to different images: {base.coords} vs {images[off[0]].coords}")
     verdict = classify_structure(g, T, list(fiber_pts), tol=tol)
     if verdict.cls not in (StructureClass.PQK, StructureClass.LHPK_BASIS):
         raise PreconditionFailedError(
             f"pair classifies as {verdict.cls.value} along the fiber, need PQK or LhPK-basis"
         )
-    m = f.target.dim
-    values = np.empty((len(fiber_pts), 3, m))
-    fit_max = 0.0
-    fits, frs = fit_kahler_oneforms(g, T, fiber_pts), vh_split(f, g, fiber_pts)
-    for k, (fit, fr) in enumerate(zip(fits, frs)):
-        fit_max = max(fit_max, fit.residual)
-        for alpha in range(m):
-            values[k, :, alpha] = fit.omega @ _lift(fr, np.eye(m)[alpha])
+    fits = fit_kahler_oneforms(g, T, fiber_pts)
+    df, _, H, _, _ = vh_split(f, g, fiber_pts)
+    # the basic lift of e'_alpha, the horizontal vector pushing forward to
+    # it, is column alpha of H (df H)^-1
+    values = np.array([fit.omega for fit in fits]) @ (H @ np.linalg.solve(df @ H, np.eye(f.target.dim)))
     return DescentReport(
         image=base,
         omega_base=values.mean(axis=0),
         constancy_residual=float((values.max(axis=0) - values.min(axis=0)).max()),
-        fit_residual_max=fit_max,
+        fit_residual_max=max(fit.residual for fit in fits),
         points_used=len(fiber_pts),
     )

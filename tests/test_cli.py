@@ -306,6 +306,13 @@ MALFORMED = {
     "transition missing": _inline(checks=[{"check": "parallel-witness"}]),
     "misspelt geometry key": _inline(geometry={"dim": 4, "metrc": "euclidean4", "triple": "standard4"}),
     "misspelt top-level key": {"chekcs" if k == "checks" else k: v for k, v in _inline().items()},
+    # the report's scenario and description fields are strings
+    "name a number": _inline(name=5),
+    "name a list": _inline(name=["x"]),
+    "name null": _inline(name=None),
+    "description a number": _inline(description=5),
+    "description a list": _inline(description=["x"]),
+    "description null": _inline(description=None),
     "unknown target key": _inline(
         geometry={
             "dim": 8,

@@ -7,6 +7,7 @@ every sign and index convention in one place.
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ def test_signature(flat4, euclidean4, chart4):
     )
     with pytest.raises(DegenerateMetricError):
         signature(degenerate, p)
+
+
+@pytest.mark.parametrize(
+    "value, degenerate",
+    [
+        (np.diag([1e160, 1.0, -1.0, -1.0]), False),  # a row norm squared overflows
+        (1e-100 * ETA, False),  # det underflows to 0
+        (1e160 * np.ones((4, 4)), True),
+        (np.diag([1e160, 1e160, -1.0, 0.0]), True),  # a zero row
+        (1e-100 * np.diag([1.0, 1.0, -1.0, 0.0]), True),
+    ],
+    ids=["huge row", "tiny eta", "huge and singular", "huge with a zero row", "tiny with a zero row"],
+)
+def test_the_determinant_test_is_scale_free_at_extreme_scales(chart4, value, degenerate):
+    # the Hadamard ratio of each nondegenerate value is exactly 1, and the
+    # test reads it without a numpy warning
+    g = MetricField(constant_field(chart4, 0, 2, value, "extreme"))
+    p = Point(chart4, np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if degenerate:
+            with pytest.raises(DegenerateMetricError):
+                g.matrix(p)
+        else:
+            assert np.array_equal(g.matrix(p), value)
 
 
 def test_nijenhuis_hand_case(chart4):

@@ -68,9 +68,8 @@ def reference_shift(g, xi):
 
 
 def memo_shift(bundle, xi):
-    """M at xi from the bundle's frame memo: L^-1 = [[I, 0], [M, I]]."""
-    n = bundle.base_dim
-    return bundle.frames([xi])[0][1][n:, :n]
+    """M at xi from the bundle's shift memo."""
+    return bundle.shift([xi])[0]
 
 
 def test_bundle_chart_names(chart4):
@@ -188,7 +187,7 @@ def test_oracle_over_a_flat_base_is_the_span_combination(flat4, std_triple, rot_
         bundle = build_tangent_bundle(flat4, T)
         xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
         C = oracle_tilde_nabla_J(bundle, [xi])[0]
-        L = bundle.frames([xi])[0][0]
+        L = sasaki._frames(bundle.shift([xi]))[0][0]
         omega = fit_kahler_oneforms(flat4, T, [bundle.base_point(xi)])[0].omega
         Jt = bundle.triple.matrices(xi)
         for i in range(n):
@@ -253,17 +252,23 @@ def _textbook_lift(g, T, xi):
 
 
 @pytest.fixture
-def frame_batches(monkeypatch):
-    """The bundle points of each frame batch that computes new frames, as
-    lists of coordinate bytes, one list per batch."""
-    batches = []
-    real = sasaki._frame_batch
+def shift_batches(monkeypatch):
+    """The bundle points of each batch that computes new shifts, and of each
+    that computes new shift partials, as lists of coordinate bytes, one list
+    per batch, under the memo kinds "shift" and "shift partials"."""
+    batches = {"shift": [], "shift partials": []}
+    real = sasaki._memo_batch
 
-    def counted(g, C):
-        batches.append([c.tobytes() for c in C])
-        return real(g, C)
+    def counted(memo, chart, kind, points, compute):
+        if kind in batches:
+            def recorded(fresh, compute=compute):
+                batches[kind].append([q.coords.tobytes() for q in fresh])
+                return compute(fresh)
 
-    monkeypatch.setattr(sasaki, "_frame_batch", counted)
+            compute = recorded
+        return real(memo, chart, kind, points, compute)
+
+    monkeypatch.setattr(sasaki, "_memo_batch", counted)
     return batches
 
 
@@ -282,43 +287,43 @@ def test_memoised_lift_is_the_block_formula_bit_for_bit(conformal4, rot_triple):
                 assert eval_batch(f, [xi])[0].tobytes() == expected.tobytes()
 
 
-def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, frame_batches):
+def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, shift_batches):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     first = eval_batch(bundle.triple.fields[0], [xi])[0]
-    assert frame_batches == [[xi.coords.tobytes()]]
+    assert shift_batches["shift"] == [[xi.coords.tobytes()]]
     again = eval_batch(bundle.triple.fields[0], [xi])[0]
     for f in bundle.triple.fields[1:]:
         eval_batch(f, [xi])[0]
     eval_batch(bundle.metric.field, [xi])[0]
     bundle.metric.matrices([xi])
-    assert frame_batches == [[xi.coords.tobytes()]]
+    assert shift_batches["shift"] == [[xi.coords.tobytes()]]
     # the lifted triple's values, memoised, are a read-only stack
     memoised = bundle.triple.values([xi, xi])
     assert again.tobytes() == first.tobytes() == memoised[1, 0].tobytes()
-    assert frame_batches == [[xi.coords.tobytes()]]
+    assert shift_batches["shift"] == [[xi.coords.tobytes()]]
     assert not memoised.flags.writeable
     with pytest.raises(ValueError):
         memoised[0, 0, 0, 0] = 0.0
 
 
-def test_failed_lift_stores_nothing(chart4, std_triple, frame_batches):
+def test_failed_lift_stores_nothing(chart4, std_triple, shift_batches):
     bundle = build_tangent_bundle(_spotted(chart4), std_triple)
     # inside the box, but the base metric is degenerate there, so its Gamma fails
     xi = bundle.point(FAILING_BASES["degenerate centre"], [0.2, -0.1, 0.15, 0.3])
     for _ in range(2):
         with pytest.raises(DegenerateMetricError):
             eval_batch(bundle.triple.fields[0], [xi])[0]
-    assert frame_batches == 2 * [[xi.coords.tobytes()]]
+    assert shift_batches["shift"] == 2 * [[xi.coords.tobytes()]]
 
 
-def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, frame_batches):
+def test_bundles_over_one_pair_share_no_memo(conformal4, std_triple, shift_batches):
     one = build_tangent_bundle(conformal4, std_triple)
     two = build_tangent_bundle(conformal4, std_triple)
     xi = one.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     a = eval_batch(one.triple.fields[2], [xi])[0]
     b = eval_batch(two.triple.fields[2], [Point(two.spec, xi.coords)])[0]
-    assert frame_batches == 2 * [[xi.coords.tobytes()]]
+    assert shift_batches["shift"] == 2 * [[xi.coords.tobytes()]]
     assert a is not b
     assert a.tobytes() == b.tobytes()
 
@@ -342,7 +347,7 @@ def _per_vector_reference(bundle, xi, pairs):
         def jets(qs, order):
             dW = np.zeros((len(qs), 2 * n, 2 * n))
             if kind == "h":
-                dW[:, :, n:] = -np.einsum("cAki,i->cAk", np.array([s[1] for s in bundle.shifts(qs)]), Y)
+                dW[:, :, n:] = -np.einsum("cAki,i->cAk", bundle.shift_partials(qs)[0], Y)
             return np.array([lift(kind, Y, memo_shift(bundle, q)) for q in qs]), dW
 
         return TensorField(
@@ -450,14 +455,15 @@ def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple):
     assert set(g._memo) == built
 
 
-def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, frame_batches):
+def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_triple, shift_batches):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     check_connection_oracle(bundle, [xi])
     check_nabla_j_oracle(bundle, [xi])
-    framed = [key for batch in frame_batches for key in batch]
-    assert framed.count(xi.coords.tobytes()) == 1
-    assert len(framed) == len(set(framed))
+    for kind, batches in shift_batches.items():
+        framed = [key for batch in batches for key in batch]
+        assert framed.count(xi.coords.tobytes()) == 1, kind
+        assert len(framed) == len(set(framed)), kind
 
 
 def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, monkeypatch):
@@ -497,7 +503,7 @@ def _with_stencil(xi):
     return [xi] + stencil([xi], H)
 
 
-def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, frame_batches, monkeypatch):
+def test_shift_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, shift_batches, monkeypatch):
     g = MetricField(conformal4.field)  # a fresh memo
     bundle = build_tangent_bundle(g, rot_triple)
     computed = []
@@ -511,18 +517,20 @@ def test_frame_batch_is_connection_shift_bit_for_bit(conformal4, rot_triple, fra
     monkeypatch.setattr(connection, "_jets", counted)
     pts = _with_stencil(bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3]))
     G = bundle.metric.matrices(pts)
-    # one frame batch over the 17 points, Gamma computed for their 9 distinct base points
+    # one shift batch over the 17 points, Gamma computed for their 9 distinct base points
     assert computed == [(9, 3)]
-    assert frame_batches == [[xi.coords.tobytes() for xi in pts]]
-    frames = bundle.frames(pts)
-    assert computed == [(9, 3)] and len(frame_batches) == 1
+    assert shift_batches["shift"] == [[xi.coords.tobytes() for xi in pts]]
+    M = bundle.shift(pts)
+    assert computed == [(9, 3)] and len(shift_batches["shift"]) == 1
+    frames = zip(*sasaki._frames(M), sasaki._base_points(conformal4.chart, pts))
+    M[:] = np.nan  # the stack is the caller's: the memo keeps its own rows
+    assert not np.isnan(bundle.shift(pts)).any()
     ref = MetricField(conformal4.field)
     for xi, (L, Linv, x), Gxi in zip(pts, frames, G):
         M = reference_shift(ref, xi)
         assert np.array_equal(Linv[4:, :4], M) and np.array_equal(L[4:, :4], -M)
         assert np.array_equal(L[:4], np.eye(8)[:4]) and np.array_equal(Linv[4:, 4:], np.eye(4))
         assert np.array_equal(x.coords, xi.coords[:4])
-        assert not L.flags.writeable and not Linv.flags.writeable
         assert np.array_equal(Gxi, _textbook_lift(ref, rot_triple, xi)[0])
 
 
@@ -561,7 +569,7 @@ U = [0.2, -0.1, 0.15, 0.3]
         ("degenerate centre", "jets not finite"),
     ],
 )
-def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, frame_batches, order):
+def test_shift_batch_raises_what_its_first_failing_point_raises_alone(chart4, std_triple, shift_batches, order):
     g = _spotted(chart4)
     bundle = build_tangent_bundle(g, std_triple)
     built = set(g._memo)  # the spot checks of the construction
@@ -569,25 +577,25 @@ def test_frame_batch_raises_what_its_first_failing_point_raises_alone(chart4, st
     first, later = (bundle.point(FAILING_BASES[name], U) for name in order)
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
     with pytest.raises(ParaquatError) as expected:
-        alone.frames([first])
+        alone.shift([first])
     with pytest.raises(ParaquatError) as other:
-        alone.frames([later])
+        alone.shift([later])
     assert str(other.value) != str(expected.value)
     with pytest.raises(type(expected.value)) as got:
-        bundle.frames([good, first, later])
+        bundle.shift([good, first, later])
     assert str(got.value) == str(expected.value)
-    # nothing stored: no frame, no Gamma
+    # nothing stored: no shift, no Gamma
     assert not [key for key in set(g._memo) - built if key[0] != "g"]
-    frame_batches.clear()
-    bundle.frames([good])
-    assert frame_batches == [[good.coords.tobytes()]]
+    shift_batches["shift"].clear()
+    bundle.shift([good])
+    assert shift_batches["shift"] == [[good.coords.tobytes()]]
     with pytest.raises(type(expected.value)) as got:
         bundle.metric.matrices([good, first, later])
     assert str(got.value) == str(expected.value)
     assert not bundle.metric._memo
 
 
-def test_frame_batch_raises_a_failing_frame_before_a_later_point_off_the_box(chart4, std_triple):
+def test_shift_batch_raises_a_failing_shift_before_a_later_point_off_the_box(chart4, std_triple):
     # the stacked domain test finds the later point first; the batch still
     # raises what the earlier point raises alone
     g = _spotted(chart4)
@@ -597,10 +605,10 @@ def test_frame_batch_raises_a_failing_frame_before_a_later_point_off_the_box(cha
     off = bundle.point([0.1, -0.2, 0.3, 0.05], [3.0] + U[1:])
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
     with pytest.raises(DegenerateMetricError) as expected:
-        alone.frames([first])
+        alone.shift([first])
     with pytest.raises(OutOfDomainError):
-        alone.frames([off])
-    for batch in (bundle.frames, bundle.metric.matrices):
+        alone.shift([off])
+    for batch in (bundle.shift, bundle.metric.matrices):
         with pytest.raises(DegenerateMetricError) as got:
             batch([first, off])
         assert str(got.value) == str(expected.value)
@@ -616,7 +624,7 @@ def test_lifted_metric_batch_raises_in_per_point_order(chart4, std_triple):
     later = bundle.point(FAILING_BASES["jets not finite"], U)
     alone = build_tangent_bundle(MetricField(g.field), std_triple)
     with pytest.raises(ValidationError, match="different charts"):
-        alone.frames([elsewhere])
+        alone.shift([elsewhere])
     with pytest.raises(ValidationError) as expected:
         alone.metric.matrix(elsewhere)
     with pytest.raises(EvaluationError):
@@ -645,7 +653,7 @@ def test_lifted_metric_of_a_small_base_metric_evaluates(chart4, std_triple):
 
 @pytest.mark.parametrize("where", ["another chart", "another chart at a memo hit", "fiber outside the box"])
 def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4, std_triple, where):
-    """The frame memo is keyed by coordinates alone, so every frame batch
+    """The shift memo is keyed by coordinates alone, so every shift batch
     checks the chart of each point, memo hits included, and the domain of
     each new one, with eval_batch's errors."""
     bundle = build_tangent_bundle(conformal4, std_triple)
@@ -655,7 +663,7 @@ def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4,
     else:
         xi, error = Point(make_chart(8), np.concatenate([x, U])), ValidationError
         if where == "another chart at a memo hit":
-            bundle.frames([bundle.point(x, U)])
+            bundle.shift([bundle.point(x, U)])
     with pytest.raises(error) as expected:
         check_connection_oracle(bundle, [xi])
     for oracle in (oracle_tilde_nabla, oracle_tilde_nabla_J, lambda b, xis: memo_shift(b, xis[0])):
@@ -687,8 +695,8 @@ def test_lifted_metric_batch_is_the_one_point_product_bit_for_bit(conformal4, ro
     pts += _with_stencil(bundle.point([-0.6, 0.4, 0.0, 0.7], [0.9, -0.0, -0.5, 0.1])) + pts[:2]
     G = bundle.metric.matrices(pts)
     for xi, Gxi in zip(pts, G):
-        _, Linv, x = bundle.frames([xi])[0]
-        assert Gxi.tobytes() == (Linv.T @ doubled(conformal4.matrix(x)) @ Linv).tobytes()
+        Linv = sasaki._frames(bundle.shift([xi]))[1][0]
+        assert Gxi.tobytes() == (Linv.T @ doubled(conformal4.matrix(bundle.base_point(xi))) @ Linv).tobytes()
 
 
 def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot_triple):
@@ -703,7 +711,8 @@ def test_lifted_triple_batch_is_the_one_point_member_bit_for_bit(conformal4, rot
         for f, one, base in zip(batched.triple.fields, alone.triple.fields, rot_triple.fields):
             for q, v in zip(pts, f.components(pts)):
                 assert v.tobytes() == eval_batch(one, [q])[0].tobytes()
-                L, Linv, y = alone.frames([q])[0]
+                L, Linv = (F[0] for F in sasaki._frames(alone.shift([q])))
+                y = alone.base_point(q)
                 assert v.tobytes() == (L @ doubled(eval_batch(base, [y])[0]) @ Linv).tobytes()
             assert fd_gradient(f, xi, H).tobytes() == central_difference(
                 lambda qs: [eval_batch(one, [q])[0] for q in qs], xi, H
@@ -742,7 +751,7 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
         "dJ": np.stack([f.jets(xis, 1)[1] for f in bundle.triple.fields]),
         "dL": sasaki._frame_derivatives(bundle, xis)[1],
     }
-    frame = lambda qs: [f[0] for f in bundle.frames(qs)]
+    frame = lambda qs: sasaki._frames(bundle.shift(qs))[0]
     distance = {key: [] for key in exact}
     for h in (2e-3, 1e-3):
         L = np.array(frame(xis))
@@ -765,8 +774,8 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
 
 
 def test_the_lift_takes_the_base_jets_once_per_base_point(chart4):
-    # the frames' Gamma takes order 3, whose dg and d2g Gamma reads, and the
-    # shifts' partials read d3g from the memo: no order-2 pass besides
+    # the shifts' Gamma takes order 3, whose dg and d2g Gamma reads, and the
+    # shift partials read d3g from the memo: no order-2 pass besides
     base = METRICS["conformal-neutral4"](chart4).field
     calls = []
 
@@ -843,7 +852,7 @@ def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
     Kähler fit and the lifted fit are each asked for once, with the whole
     sample."""
     bundle, pts = _scenario_bundle("sasaki-over-conformal", 7)
-    bundle.frames(pts)  # their Gamma batch, which the frames memoise
+    bundle.shift(pts)  # their Gamma batch, which the shifts memoise
     calls = []
 
     def counted(name, where):  # where: the position of the points argument
@@ -859,8 +868,8 @@ def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
         counted(name, where)
     n = len(pts)
     sasaki.check_nabla_j_oracle(bundle, pts)
-    # the lifted and the base derivatives of all three members; the shifts
-    # the lifted ones read ask for Gamma, memoised with the frames
+    # the lifted and the base derivatives of all three members; the shift
+    # partials the lifted ones read ask for Gamma, memoised with the shifts
     assert [name for name, _ in calls].count("covariant_derivatives") == 2 and ("riemann", n) in calls
     assert {k for _, k in calls} == {n}
     calls.clear()

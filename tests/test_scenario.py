@@ -355,9 +355,9 @@ def _per_member_lift(bundle, xis):
     """The values and first partials of each lifted member, one member at a
     time: L diag(J_a, J_a) L^-1 and the blocks d_A J_a and d_A J_a M + J_a
     d_A M - d_A M J_a - M d_A J_a from J_a's own values and jets."""
-    n, F = bundle.base_dim, bundle.frames(xis)
-    L, Linv, xs = np.array([f[0] for f in F]), np.array([f[1] for f in F]), [f[2] for f in F]
-    M, dM = (np.array(A) for A in list(zip(*bundle.shifts(xis)))[:2])
+    n, M, dM = bundle.base_dim, bundle.shift(xis), bundle.shift_partials(xis)[0]
+    L, Linv = sasaki._frames(M)
+    xs = [bundle.base_point(xi) for xi in xis]
     values, partials = [], []
     for f in bundle.base_triple.fields:
         values.append(L @ doubled(eval_batch(f, xs)) @ Linv)

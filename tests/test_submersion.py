@@ -27,7 +27,8 @@ from paraquat import (
 )
 from paraquat import sasaki, submersion
 from paraquat.catalog import METRICS, TRIPLES, make_chart, metric_from_config
-from paraquat.submersion import _lift, _projector_partials
+from paraquat.scenario import build_context, load_scenario
+from paraquat.submersion import _projector_partials
 
 from fd_reference import H, central_difference
 from conftest import BENT_COMPONENTS, SPACE_FORM_ROWS, expression_map
@@ -151,16 +152,18 @@ def test_vh_split_projectors(proj8to4):
     chart8, _, f = proj8to4
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
-    fr = vh_split(f, g8, [p])[0]
-    for P in (fr.v, fr.h):
+    df, V, H, Pv, Ph = vh_split(f, g8, [p])
+    assert (df.shape, V.shape, H.shape, Pv.shape, Ph.shape) == ((1, 4, 8), (1, 8, 4), (1, 8, 4), (1, 8, 8), (1, 8, 8))
+    v, h = Pv[0], Ph[0]
+    for P in (v, h):
         assert np.abs(P @ P - P).max() < 1e-9  # idempotent
-    assert np.abs(fr.v + fr.h - np.eye(8)).max() < 1e-9
-    assert np.abs(fr.v @ fr.h).max() < 1e-9
+    assert np.abs(v + h - np.eye(8)).max() < 1e-9
+    assert np.abs(v @ h).max() < 1e-9
     # vertical space of the coordinate projection is the last four axes
     for k in range(4, 8):
         e = np.zeros(8)
         e[k] = 1.0
-        assert np.abs(fr.v @ e - e).max() < 1e-9
+        assert np.abs(v @ e - e).max() < 1e-9
 
 
 def test_semi_riemannian_projection(proj8to4):
@@ -249,10 +252,18 @@ def test_basic_lift(proj8to4):
     g8 = METRICS["neutral8"](chart8)
     p = Point(chart8, [0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.2, 0.1])
     X = np.array([1.0, -2.0, 0.5, 0.0])
-    lifted = _lift(vh_split(f, g8, [p])[0], X)
+    df, _, H, _, _ = vh_split(f, g8, [p])
+    lifted = reference_lift(df[0], H[0], X)
     J = jacobian(f, [p])[0]
     assert np.abs(J @ lifted - X).max() < 1e-9  # projects back to X
     assert np.abs(lifted[4:]).max() < 1e-9  # horizontal for this projection
+
+
+def reference_lift(df, H, w):
+    """The basic lift of a target vector w at one point, as the one-point
+    code took it: the horizontal vector H x with df H x = w, from one
+    ``solve``."""
+    return H @ np.linalg.solve(df @ H, w)
 
 
 def test_descend_oneforms(proj8to4):
@@ -348,25 +359,26 @@ def test_descend_detects_fiber_twist(proj8to4):
 def reference_oneill(f, g, p, dPv=None):
     n = f.source.dim
     gam = christoffel(g, p)
-    fr = vh_split(f, g, [p])[0]
+    df, _, horizontal, v, h = vh_split(f, g, [p])
     if dPv is None:
-        dPv = _projector_partials(f, g, [fr])[0]
+        dPv = _projector_partials(f, g, [p], df)[0]
+    horizontal, v, h = horizontal[0], v[0], h[0]
 
     def covd(u, w_proj_is_v, j):
         sgn = 1.0 if w_proj_is_v else -1.0
         dW = sgn * np.einsum("mkl,m->kl", dPv, u)[:, j]
-        wp = (fr.v if w_proj_is_v else fr.h)[:, j]
+        wp = (v if w_proj_is_v else h)[:, j]
         return dW + np.einsum("kml,m,l->k", gam, u, wp)
 
     a_full = np.empty((n, n, n))
     t_full = np.empty((n, n, n))
     for i in range(n):
-        he = fr.h[:, i]
-        ve = fr.v[:, i]
+        he = h[:, i]
+        ve = v[:, i]
         for j in range(n):
-            a_full[i, j] = fr.h @ covd(he, True, j) + fr.v @ covd(he, False, j)
-            t_full[i, j] = fr.h @ covd(ve, True, j) + fr.v @ covd(ve, False, j)
-    a_h = np.einsum("li,mj,lmk->ijk", fr.horizontal, fr.horizontal, a_full)
+            a_full[i, j] = h @ covd(he, True, j) + v @ covd(he, False, j)
+            t_full[i, j] = h @ covd(ve, True, j) + v @ covd(ve, False, j)
+    a_h = np.einsum("li,mj,lmk->ijk", horizontal, horizontal, a_full)
     return a_full, t_full, a_h
 
 
@@ -421,6 +433,88 @@ def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4):
     assert largest_a > 1e-2 and largest_t > 1e-2
 
 
+# ------------------------------------------------------ stacked split checks
+#
+# The submersion checks and the descent as they were first written: one
+# point at a time, each from the split of its point alone, and the descent
+# one basic lift (one ``solve``) per target direction.  The engine takes
+# each of them over the stacks of the split; it must agree bit for bit.
+
+
+def reference_semi_riemannian(f, g, g_target, p):
+    df, _, H, _, _ = (A[0] for A in vh_split(f, g, [p]))
+    G, G_target = g.matrices([p])[0], g_target.matrices(f.images([p]))[0]
+    down = df @ H
+    return float(np.abs(H.T @ G @ H - down.T @ G_target @ down).max())
+
+
+def reference_paraholomorphic(f, T, T_target, p):
+    J, up, dn = jacobian(f, [p])[0], T.values([p])[0], T_target.values(f.images([p]))[0]
+    return max(float(np.abs(J @ up[a] - dn[a] @ J).max()) for a in range(3))
+
+
+def reference_vh_invariance(f, g, T, p):
+    _, V, H, v, h = (A[0] for A in vh_split(f, g, [p]))
+    J = T.values([p])[0]
+    return (
+        max(float(np.abs(h @ J[a] @ V).max()) for a in range(3)),
+        max(float(np.abs(v @ J[a] @ H).max()) for a in range(3)),
+    )
+
+
+def reference_omega_base(f, g, T, fiber):
+    m = f.target.dim
+    values = np.empty((len(fiber), 3, m))
+    for k, q in enumerate(fiber):
+        df, _, H, _, _ = (A[0] for A in vh_split(f, g, [q]))
+        omega = fit_kahler_oneforms(g, T, [q])[0].omega
+        for alpha in range(m):
+            values[k, :, alpha] = omega @ reference_lift(df, H, np.eye(m)[alpha])
+    return values.mean(axis=0)
+
+
+SUBMERSION_SCENARIOS = ("product-submersion-rotated", "sasaki-over-flat", "sasaki-over-rotated", "sasaki-over-conformal")
+
+
+@pytest.mark.parametrize("seed", [1, 6, 7, 600])
+@pytest.mark.parametrize("name", SUBMERSION_SCENARIOS)
+def test_stacked_split_checks_are_the_per_point_loops_bit_for_bit(name, seed):
+    doc = load_scenario(name)
+    ctx, ref = build_context(doc, seed=seed), build_context(doc, seed=seed)  # the reference on memos of its own
+    f, g, T, T_target = ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple
+    sample = ctx.points + ctx.points[:1]
+    semi = check_semi_riemannian(f, g, ctx.target_metric, sample)
+    para = check_paraholomorphic(f, T, T_target, sample)
+    vh = check_vh_invariance(f, g, T, T_target, sample)
+    assert len(semi) == len(para) == len(vh) == len(sample)
+    for k, p in enumerate(sample):
+        p = Point(ref.chart, p.coords)
+        assert semi[k] == reference_semi_riemannian(ref.submersion, ref.metric, ref.target_metric, p)
+        assert para[k] == reference_paraholomorphic(ref.submersion, ref.triple, ref.target_triple, p)
+        assert (vh[k].v_residual, vh[k].h_residual) == reference_vh_invariance(ref.submersion, ref.metric, ref.triple, p)
+    for spec in doc["checks"]:
+        if spec["check"] == "descend-oneforms":
+            fiber = [Point(ctx.chart, c) for c in spec["fiber"]]
+            rep = descend_one_forms(f, g, T, fiber)
+            expected = reference_omega_base(ref.submersion, ref.metric, ref.triple, [Point(ref.chart, c) for c in spec["fiber"]])
+            assert rep.omega_base.tobytes() == expected.tobytes()
+
+
+def test_stacked_split_checks_of_a_bent_map_are_the_per_point_loops_bit_for_bit():
+    # the catalog's maps are linear, and many of their residuals read 0.0;
+    # the bent map over a curved metric leaves every residual nonzero
+    chart8, chart4 = make_chart(8), make_chart(4, domain=[[-2.0, 2.0]] * 4)  # the box holds every image
+    f, g = _bent(chart8, chart4), _curved8(chart8)
+    g4, up, down = METRICS["neutral4"](chart4), TRIPLES["product8-rotated"](chart8), TRIPLES["rotated4"](chart4)
+    pts = sample_points(chart8, 3, seed=4)
+    semi, para = check_semi_riemannian(f, g, g4, pts), check_paraholomorphic(f, up, down, pts)
+    assert min(semi) > 1e-3 and min(para) > 1e-3
+    f_ref, g_ref = _bent(chart8, chart4), MetricField(g.field)
+    for k, p in enumerate(pts):
+        assert semi[k] == reference_semi_riemannian(f_ref, g_ref, g4, p)
+        assert para[k] == reference_paraholomorphic(f_ref, up, down, p)
+
+
 # ------------------------------------------------------------- exact O'Neill
 #
 # d Pv is a closed form in dG and the map's second partials; central
@@ -441,7 +535,7 @@ def test_fd_oneill_converges_to_the_exact_one_at_second_order(chart4):
         distance = []
         for h in (1e-3, 5e-4, 2.5e-4):
             exact = oneill_tensors(f, g, [p])[0]
-            dPv = central_difference(lambda qs: [vh_split(f, g, [q])[0].v for q in qs], p, h)
+            dPv = central_difference(lambda qs: [vh_split(f, g, [q])[3][0] for q in qs], p, h)
             a_full, t_full, _ = reference_oneill(f, g, p, dPv)
             distance.append(max(np.abs(a_full - exact.a_full).max(), np.abs(t_full - exact.t_full).max()))
         assert exact.max_a_horizontal > 1e-2 and np.abs(exact.t_full).max() > 1e-2
@@ -501,18 +595,20 @@ def test_exact_oneill_raises_off_its_box_and_evaluates_within_a_step_of_the_wall
 
 
 def test_exact_oneill_evaluates_the_lift_at_its_own_point_only(chart4, monkeypatch):
-    framed = []
-    real = sasaki._frame_batch
+    # every new shift and shift partial of the lift begins with the box
+    # test of its bundle points
+    shifted = []
+    real = sasaki._check_box
 
-    def counted(g, C):
-        framed.extend(c.tobytes() for c in C)
-        return real(g, C)
+    def counted(chart, points):
+        shifted.extend(q.coords.tobytes() for q in points)
+        return real(chart, points)
 
-    monkeypatch.setattr(sasaki, "_frame_batch", counted)
+    monkeypatch.setattr(sasaki, "_check_box", counted)
     bundle = _conformal_bundle(chart4)
     xi = bundle.point(*BUNDLE_POINTS[0])
     oneill_tensors(bundle.projection, bundle.metric, [xi])
-    assert framed == [xi.coords.tobytes()]
+    assert set(shifted) == {xi.coords.tobytes()}
     assert {key[1] for key in bundle.metric._memo if key[0] == "g"} == {xi.coords.tobytes()}
 
 
@@ -544,9 +640,9 @@ def _batch_cases(chart4):
 
 
 BATCH_FORMS = {
-    # form: (the batch, the arrays of one point's value)
+    # form: (the batch, one value per point, the arrays of one point's value)
     "df": (lambda f, g, pts: jacobian(f, pts), lambda J: [J]),
-    "split": (vh_split, lambda fr: [fr.df, fr.vertical, fr.horizontal, fr.v, fr.h]),
+    "split": (lambda f, g, pts: list(zip(*vh_split(f, g, pts))), list),
     "images": (lambda f, g, pts: f.images(pts), lambda q: [q.coords]),
     "oneill": (oneill_tensors, lambda t: [t.a_full, t.t_full, t.a_horizontal]),
 }
@@ -566,7 +662,12 @@ def test_each_batch_form_is_its_one_point_form_bit_for_bit(chart4, case, form):
         alone = batch_form(f1, g1, [Point(f1.source, p.coords)])[0]
         for x, y in zip(arrays(got), arrays(alone), strict=True):
             assert x.tobytes() == y.tobytes()
-    if form != "oneill":  # a second batch reads the memo
+    if form == "split":  # a second batch stacks the memo's rows and stores nothing
+        memo = dict(g._memo)
+        again = batch_form(f, g, pts)
+        assert g._memo.keys() == memo.keys() and all(g._memo[key] is value for key, value in memo.items())
+        assert all(x.tobytes() == y.tobytes() for a, b in zip(again, batch) for x, y in zip(arrays(a), arrays(b)))
+    elif form != "oneill":  # a second batch reads the memo
         again = batch_form(f, g, pts)
         assert all(x is y for a, b in zip(again, batch) for x, y in zip(arrays(a), arrays(b)))
 
