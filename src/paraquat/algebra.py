@@ -73,7 +73,7 @@ class LocalBasisTriple:
         return self.values([p])[0]
 
     def values(self, points: Sequence[Point]) -> np.ndarray:
-        """``matrices`` at each point, a read-only (len(points), 3, dim, dim)
+        """``matrices`` at each point, a fresh (len(points), 3, dim, dim)
         stack memoised per point (``fields._memo_batch``): the misses from one
         ``stack`` call, else one ``eval_batch`` per member.  A batch that raises
         stores nothing, and its first failing point raises what it raises alone."""
@@ -81,9 +81,7 @@ class LocalBasisTriple:
         def compute(pts: list[Point]) -> np.ndarray:
             return self.stack(pts, 0)[0] if self.stack else np.stack([eval_batch(f, pts) for f in self.fields], axis=1)
 
-        V = np.array(_memo_batch(self._memo, self.chart, "values", points, compute))
-        V.flags.writeable = False
-        return V.reshape(-1, 3, *self.j1.shape)
+        return _memo_batch(self._memo, self.chart, "values", points, compute).reshape(-1, 3, *self.j1.shape)
 
     def jets(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         """The members' jets to order 1, (V[c, a, k, j], dV[c, a, i, k, j]),
@@ -146,17 +144,15 @@ def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> l
     a, b, c = (np.array(CYCLIC) - 1).T
     tau = np.array(TAU)[:, None, None]
 
-    def compute(pts: list[Point]) -> list[AlgebraReport]:
+    def compute(pts: list[Point]) -> np.ndarray:
         J = triple.values(pts)
         JaJb = J[:, a] @ J[:, b]
         residuals = np.stack(
             [J @ J + tau * np.eye(triple.chart.dim), JaJb - tau[c] * J[:, c], JaJb + J[:, b] @ J[:, a]], axis=1
         )
-        sq, prod, anti = np.abs(residuals).max(axis=(2, 3, 4)).T.tolist()
-        det = np.linalg.det(_gram(J)).tolist()
-        return [AlgebraReport(*row) for row in zip(sq, prod, anti, det)]
+        return np.column_stack([np.abs(residuals).max(axis=(2, 3, 4)), np.linalg.det(_gram(J))])
 
-    return _memo_batch({}, triple.chart, None, points, compute)
+    return [AlgebraReport(*row) for row in _memo_batch({}, triple.chart, None, points, compute).tolist()]
 
 
 @dataclass(frozen=True)

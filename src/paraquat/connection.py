@@ -6,8 +6,8 @@ partials of a (1,1) field, behind nabla T and N_F, come from its jets the
 same way.  A field without jets raises ValidationError (``fields._jets_of``).
 
 ``riemann`` and ``covariant_derivatives`` take a list of points and
-return one array per point, stacked over the distinct points under the
-memo rule of ``fields._memo_batch``; ``christoffel`` and
+return a fresh stack, row c for point c, computed over the distinct misses
+under the memo rule of ``fields._memo_batch``; ``christoffel`` and
 ``MetricField.matrix`` read one point from the memo their batches fill.
 
 Index conventions used throughout the package:
@@ -44,11 +44,12 @@ SYMMETRY_TOL = 1e-12
 @dataclass(frozen=True)
 class MetricField:
     """A (0,2) field validated as a semi-Riemannian metric at evaluation time:
-    symmetric within 1e-12 and, at every point it is asked for, |det| above
-    1e-9 times the product of its row norms (Hadamard's bound on |det|), a
-    test that does not change when the metric is scaled.  It is taken on
-    the rows divided by their largest |entry|, so that neither det nor a
-    norm overflows or underflows at any scale; a zero row is degenerate.
+    at every point it is asked for, symmetric within 1e-12 times its largest
+    |entry| and |det| above 1e-9 times the product of its row norms
+    (Hadamard's bound on |det|), tests that do not change when the metric
+    is scaled.  The determinant test is taken on the rows divided by their
+    largest |entry|, so that neither det nor a norm overflows or underflows
+    at any scale; a zero row is degenerate.
 
     The instance memoises g, and the jets dg and d2g of its field (per
     point; d3g too at the base of a Sasaki lift), and, through ``christoffel``,
@@ -58,8 +59,8 @@ class MetricField:
     the hermitian residuals and the Kähler 1-form fits (per point, the last
     five also per field or triple).  Every one of them is read and filled by
     ``fields._memo_batch``: only evaluations that passed every check are
-    stored, as read-only arrays, and a hit repeats the chart check, so a
-    point of another chart still raises.
+    stored, every batch returns a fresh stack, and a hit repeats the chart
+    check, so a point of another chart still raises.
     """
 
     field: TensorField
@@ -76,9 +77,9 @@ class MetricField:
     def matrix(self, p: Point) -> np.ndarray:
         return self.matrices([p])[0]
 
-    def matrices(self, points: Sequence[Point]) -> list[np.ndarray]:
-        """g at each point, as the memo's read-only arrays: the batch form
-        of ``matrix``.
+    def matrices(self, points: Sequence[Point]) -> np.ndarray:
+        """g at each point, a fresh (len(points), dim, dim) stack: the batch
+        form of ``matrix``.
 
         The distinct misses are evaluated together: their domain is tested
         at once, their components come from one ``field.components`` call,
@@ -89,15 +90,16 @@ class MetricField:
         return _memo_batch(self._memo, self.chart, "g", points, self._checked)
 
     def _checked(self, pts: list[Point]) -> np.ndarray:
-        """g at the points, stacked read-only: ``eval_batch``'s checks, then
-        the symmetry and determinant of the whole stack in one test.  A
+        """g at the points, stacked: ``eval_batch``'s checks, then the
+        symmetry and determinant of the whole stack in one test, both
+        relative to each point's largest |entry|.  A
         point that fails one raises the error it raises alone; of one point,
         that is the error of ``matrix``, and ``_memo_batch`` replays a batch
         of several."""
         V = eval_batch(self.field, pts)
-        asym = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
-        # a zero row stays zero, and its det 0 fails the test
         scale = np.abs(V).max(axis=2, keepdims=True)
+        asym = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL * scale.max(axis=(1, 2))
+        # a zero row stays zero, and its det 0 fails the test
         W = V / np.where(scale == 0.0, 1.0, scale)
         bad = asym | (np.abs(np.linalg.det(W)) <= DET_FLOOR * np.linalg.norm(W, axis=2).prod(axis=1))
         if bad.any():
@@ -105,13 +107,12 @@ class MetricField:
             if asym[k]:
                 raise ValidationError(f"metric not symmetric at {pts[k]}")
             raise DegenerateMetricError(f"|det g| <= {DET_FLOOR} x the product of its row norms at {pts[k]}")
-        V.flags.writeable = False
         return V
 
 
 def christoffel(g: MetricField, p: Point) -> np.ndarray:
     """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) as a
-    read-only (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
+    fresh (dim, dim, dim) array, ``gamma[k, i, j] = Gamma^k_{ij}``.
 
     The metric partials come from the field's exact jets at p, which may
     lie anywhere in the closed box.
@@ -132,23 +133,23 @@ def _jets(g: MetricField, pts: list[Point], order: int = 2) -> tuple[np.ndarray,
     memoised per point under "jet".  Order 3 appends d3g[c, p, m, i, l, j] =
     d_p d_m d_i g_{lj}, with all three memoised under "jet3": a miss there is
     one order-3 call, whose dg and d2g, the same bits as order 2's, fill
-    "jet" too."""
+    "jet" where it misses (as they are, where it misses everywhere), and
+    are read back from it."""
 
-    def compute(qs: list[Point]) -> list:
+    def compute(qs: list[Point]) -> tuple[np.ndarray, ...]:
         partials = _jets_of(g.field)(qs, order)[1:]
-        for A in partials:
-            A.flags.writeable = False
         if order == 3:
-            pairs = {q.coords.tobytes(): (D, H) for q, D, H in zip(qs, *partials[:2])}
-            _memo_batch(g._memo, g.chart, "jet", qs, lambda new: [pairs[q.coords.tobytes()] for q in new])
-        return list(zip(*partials))
+            row = {q.coords.tobytes(): c for c, q in enumerate(qs)}
+            pick = lambda new: slice(None) if len(new) == len(qs) else [row[q.coords.tobytes()] for q in new]
+            fill = lambda new: tuple(A[pick(new)] for A in partials[:2])
+            return (*_memo_batch(g._memo, g.chart, "jet", qs, fill), partials[2])
+        return tuple(partials)
 
-    kind = "jet" if order == 2 else "jet3"
-    return tuple(np.array(A) for A in zip(*_memo_batch(g._memo, g.chart, kind, pts, compute)))
+    return _memo_batch(g._memo, g.chart, "jet" if order == 2 else "jet3", pts, compute)
 
 
-def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> list[np.ndarray]:
-    """``christoffel`` at each centre, as the memo's read-only arrays.  The
+def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> np.ndarray:
+    """``christoffel`` at each centre, a fresh stack.  The
     distinct misses are assembled together: g at the centres, then dg from
     the jets (``_jets`` of ``order``: 3 for the base of a Sasaki lift, whose
     shifts read d3g next), one ``inv`` and one ``einsum`` over the stack.
@@ -157,17 +158,15 @@ def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> l
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
-        gam = 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(_jets(g, pts, order)[0]))
-        gam.flags.writeable = False
-        return gam
+        return 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(_jets(g, pts, order)[0]))
 
     return _memo_batch(g._memo, g.chart, "gamma", centres, compute)
 
 
-def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """nabla of each member of a triple T at each point, D[a, i, k, j] =
-    (nabla_i J_a)^k_j, or of a (1,1) field T alone, D[i, k, j], as the
-    memo's read-only arrays, memoised on g per (T, point) under ("nabla", T).
+def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts: Sequence[Point]) -> np.ndarray:
+    """nabla of each member of a triple T at each point, D[c, a, i, k, j] =
+    (nabla_i J_a)^k_j, or of a (1,1) field T alone, D[c, i, k, j], a fresh
+    stack memoised on g per (T, point) under ("nabla", T).
     The distinct misses are one stack: Gamma from one ``_christoffels``, the
     triple's memoised ``values`` and one ``jets`` call (of a field, a member
     axis of length one from ``eval_batch`` and ``_gradients``), and D = dT +
@@ -177,28 +176,27 @@ def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts
     alone = isinstance(T, TensorField)
 
     def compute(qs: list[Point]) -> np.ndarray:
-        gam = np.array(_christoffels(g, qs))
+        gam = _christoffels(g, qs)
         if alone:
-            V, dV = eval_batch(T, qs)[:, None], np.array(_gradients(g, T, qs))[:, None]
+            V, dV = eval_batch(T, qs)[:, None], _gradients(g, T, qs)[:, None]
         else:
             V, dV = T.values(qs), T.jets(qs)[1]
         D = dV + np.einsum("ckil,calj->caikj", gam, V) - np.einsum("clij,cakl->caikj", gam, V)
-        D.flags.writeable = False
         return D[:, 0] if alone else D
 
     return _memo_batch(g._memo, g.chart, ("nabla", T), pts, compute)
 
 
-def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """(nabla_i T)^k_j of a (1,1) field T at each point, D[i, k, j]: ``covariant_derivatives`` of T alone."""
+def covariant_derivative_11(g: MetricField, T: TensorField, pts: Sequence[Point]) -> np.ndarray:
+    """(nabla_i T)^k_j of a (1,1) field T at each point, D[c, i, k, j]: ``covariant_derivatives`` of T alone."""
     if (T.r, T.s) != (1, 1):
         raise ValidationError("covariant_derivative_11 expects a (1,1) field")
     return covariant_derivatives(g, T, pts)
 
 
-def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """dT[m, ...] = d_m T at each point, as the memo's read-only arrays,
-    memoised on g per (field, point), so that nabla T and the Nijenhuis
+def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> np.ndarray:
+    """dT[c, m, ...] = d_m T at each point, a fresh stack memoised on g per
+    (field, point), so that nabla T and the Nijenhuis
     tensor of T read one derivative: T's order-1 jets at points of T's box,
     the distinct misses from one ``T.jets`` call.  A batch that raises
     stores nothing, and its first failing point raises what it raises
@@ -207,28 +205,26 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> list[np.
     def compute(qs: list[Point]) -> np.ndarray:
         jets = _jets_of(T)
         _check_box(T.chart, qs)
-        dT = np.array(jets(qs, 1)[1])
-        dT.flags.writeable = False
-        return dT
+        return jets(qs, 1)[1]
 
     return _memo_batch(g._memo, g.chart, ("d", T), pts, compute)
 
 
-def riemann(g: MetricField, centres: Sequence[Point]) -> list[np.ndarray]:
-    """Riemann curvature R^l_{kij} at each centre as the memo's read-only
-    (dim,)*4 arrays, ``riem[l, k, i, j]`` (convention in the module
-    docstring), from the metric's jets to order 2 at the centres, anywhere
-    in the closed box.  The distinct misses are one stack:
+def riemann(g: MetricField, centres: Sequence[Point]) -> np.ndarray:
+    """Riemann curvature R^l_{kij} at each centre, a fresh (len(centres),
+    dim, dim, dim, dim) stack, ``riem[c, l, k, i, j]`` (convention in the
+    module docstring), from the metric's jets to order 2 at the centres,
+    anywhere in the closed box.  The distinct misses are one stack:
 
         d_m Gamma^k_{ij} = -g^{kp} d_m g_{pq} Gamma^q_{ij} + (1/2) g^{kl} d_m T_{lij}
 
     with T as in ``_first_kind``.  A batch that raises stores nothing, and its
     first failing centre raises what it raises alone."""
 
-    def compute(pts: list[Point]) -> list[np.ndarray]:
-        gam = np.array(_christoffels(g, pts))
+    def compute(pts: list[Point]) -> np.ndarray:
+        gam = _christoffels(g, pts)
         ginv = np.linalg.inv(g.matrices(pts))
-        return list(_curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts))))
+        return _curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts)))
 
     return _memo_batch(g._memo, g.chart, "riem", centres, compute)
 
@@ -243,16 +239,14 @@ def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: n
 
 
 def _curvature(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
-    """R^l_{kij}, read-only, from Gamma and dgam[..., i, l, j, k] =
-    d_i Gamma^l_{jk}, for one point or a stack."""
-    riem = (
+    """R^l_{kij} from Gamma and dgam[..., i, l, j, k] = d_i Gamma^l_{jk},
+    for one point or a stack."""
+    return (
         np.einsum("...iljk->...lkij", dgam)
         - np.einsum("...jlik->...lkij", dgam)
         + np.einsum("...lim,...mjk->...lkij", gam, gam)
         - np.einsum("...ljm,...mik->...lkij", gam, gam)
     )
-    riem.flags.writeable = False
-    return riem
 
 
 def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:

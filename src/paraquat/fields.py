@@ -6,7 +6,9 @@ package takes comes from a field's exact jets (``TensorField.jets``): an
 expression or constant field, a catalog field, or a Sasaki lift over a base
 that has them.  A derivative asked of a field without jets raises
 ValidationError (``_jets_of``).  Jets are read at the point itself, so a
-derivative is taken anywhere in the closed box, walls included.
+derivative is taken anywhere in the closed box, walls included.  Every
+memo of the package is read and filled by ``_memo_batch``, whose batches
+hand out fresh stacks, row c for point c.
 """
 
 from __future__ import annotations
@@ -117,6 +119,13 @@ def _point(chart: ManifoldSpec, coords: np.ndarray) -> Point:
     return q
 
 
+def _points(chart: ManifoldSpec, C: np.ndarray) -> list[Point]:
+    """The Points at the rows of a fresh (N, dim) float stack C, which they
+    own: C is frozen here, and each point's coordinates are a view of it."""
+    C.flags.writeable = False
+    return [_point(chart, c) for c in C]
+
+
 @dataclass(frozen=True)
 class TensorField:
     """A (r, s) tensor field given by a component callable.
@@ -182,7 +191,7 @@ def eval_batch(field: TensorField, points: Sequence[Point]) -> np.ndarray:
             raise EvaluationError(f"field {label} returned non-finite components at {qs[int(finite.argmin())]}")
         return V
 
-    return np.array(_memo_batch({}, chart, None, points, compute)).reshape(len(points), *shape)
+    return _memo_batch({}, chart, None, points, compute).reshape(len(points), *shape)
 
 
 # True while _memo_batch replays a failing batch, whose memo batches then
@@ -195,22 +204,26 @@ def _memo_batch(
     chart: ManifoldSpec,
     kind,
     points: Sequence[Point],
-    compute: Callable[[list[Point]], Sequence],
-) -> list:
-    """The memo's values under (kind, coordinate bytes) at each point:
-    the package's one rule for reading and filling a memo.
+    compute: Callable[[list[Point]], np.ndarray | tuple[np.ndarray, ...]],
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """The memo's values under (kind, coordinate bytes) at each point, as
+    fresh stacks, row c for point c: the package's one rule for reading and
+    filling a memo.
 
     Every point's chart is checked, memo hits included, since a key holds
     coordinates alone.  The distinct misses go to ``compute`` in one call,
-    which returns their values in order, as objects the memo may own and hand
-    out (read-only arrays); they are stored only if the whole batch
-    succeeds.  A batch of more than one point that raises is tried again,
-    point by point in order: the point's chart check, then ``compute`` of
-    the point alone, with every memo batch met on the way reading and
-    filling a throwaway memo, so the replay stores nothing and reads no
-    hit.  The batch raises what its first failing point raises alone, or
-    its own error should no point fail alone.  A bare Point in place of the
-    list raises ValidationError.
+    which returns one array, or a tuple of arrays, with one row per miss in
+    order; its rows are stored only if the whole batch succeeds, and the
+    batch returns the same form over the asked points, the memo's rows
+    stacked afresh, so they are never handed out.  An empty batch has no
+    row to take the form from and returns one empty array.  A batch of
+    more than one point that raises is tried again, point by point in
+    order: the point's chart check, then ``compute`` of the point alone,
+    with every memo batch met on the way reading and filling a throwaway
+    memo, so the replay stores nothing and reads no hit.  The batch raises
+    what its first failing point raises alone, or its own error should no
+    point fail alone.  A bare Point in place of the list raises
+    ValidationError.
     """
     global _replaying
     _check_list(points)
@@ -226,7 +239,8 @@ def _memo_batch(
             if key not in memo and key not in fresh:
                 fresh[key] = q
         if fresh:
-            memo.update(dict(zip(fresh, compute(list(fresh.values())), strict=True)))
+            out = compute(list(fresh.values()))
+            memo.update(dict(zip(fresh, zip(*out, strict=True) if isinstance(out, tuple) else out, strict=True)))
     except Exception:
         if len(points) > 1:
             outer, _replaying = _replaying, True
@@ -237,7 +251,8 @@ def _memo_batch(
             finally:
                 _replaying = outer
         raise
-    return [memo[key] for key in keys]
+    rows = [memo[key] for key in keys]
+    return tuple(map(np.array, zip(*rows))) if rows and isinstance(rows[0], tuple) else np.array(rows)
 
 
 def _check_list(points) -> None:

@@ -20,8 +20,10 @@ d2Gamma, that is from the base's jets to order 3, so G has jets to order 2,
 L and each Jt_a to order 1, and the connection takes the lifted Gamma and R
 from them.  The base metric and members must have jets.  A bundle
 memoises M and (dM, d2M) per point (``SasakiBundle.shift`` and
-``shift_partials``); L and L^-1 are filled from an M stack wherever they
-are read (``_frames``), and x is read from the point's coordinates.
+``shift_partials``), each read as a fresh stack with row c for point c
+under the memo rule of ``fields._memo_batch``; L and L^-1 are filled from
+an M stack wherever they are read (``_frames``), and x is read from the
+point's coordinates.
 """
 
 from __future__ import annotations
@@ -105,16 +107,16 @@ def _base_points(base: ManifoldSpec, xis: Sequence[Point]) -> list[Point]:
     return [_point(base, xi.coords[: base.dim]) for xi in xis]
 
 
-def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> list[np.ndarray]:
-    """[Gamma, dGamma, d2Gamma] at the base points, stacked, with
+def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Gamma, dGamma, d2Gamma) at the base points, stacked, with
     dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
     d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
     memo, where the shifts' Gamma put them (one order-3 jet call per base
     point), and the partials by differentiating g Gamma = T/2 (T as in
     ``connection._first_kind``) once and twice."""
 
-    def compute(qs: list[Point]) -> list:
-        gam = np.array(_christoffels(g, qs, order=3))
+    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        gam = _christoffels(g, qs, order=3)
         ginv = np.linalg.inv(g.matrices(qs))
         D, H, K = _jets(g, qs, 3)
         dgam = _christoffel_partials(ginv, gam, D, H)
@@ -125,9 +127,16 @@ def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> list[np.ndarray]:
             - np.einsum("cmlq,cpqij->cpmlij", D, dgam)
             - np.einsum("cplq,cmqij->cpmlij", D, dgam),
         )
-        return list(zip(gam, dgam, d2gam))
+        return gam, dgam, d2gam
 
-    return [np.array(a) for a in zip(*_memo_batch({}, g.chart, None, xs, compute))]
+    return _memo_batch({}, g.chart, None, xs, compute)
+
+
+def _lifted_metric(M: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """G = L^-T diag(g, g) L^-1 at each point of stacks of shifts M and of
+    base metric values gx."""
+    Linv = _frames(M)[1]
+    return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
 
 
 def _blocks(A: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -197,15 +206,13 @@ def build_tangent_bundle(
     base = g.chart
     n = base.dim
     spots = sample_points(base, 3, seed=20)
-    checks = _memo_batch(
-        {}, base, None, spots, lambda qs: list(zip(check_triple_algebra(T, qs), check_hermitian(g, T, qs)))
+    algebra, hermitian = _memo_batch(
+        {}, base, None, spots,
+        lambda qs: (np.array([rep.max_residual for rep in check_triple_algebra(T, qs)]), check_hermitian(g, T, qs)),
     )
-    for p, (rep, herm) in zip(spots, checks):
-        if rep.max_residual >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
-            raise PreconditionFailedError(
-                f"base pair fails at {p}: algebra {rep.max_residual:.3e}, "
-                f"hermitian {herm:.3e}"
-            )
+    for p, alg, herm in zip(spots, algebra, hermitian):
+        if alg >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
+            raise PreconditionFailedError(f"base pair fails at {p}: algebra {alg:.3e}, hermitian {herm:.3e}")
     bundle = tangent_bundle_chart(base, u_box)
     # M under ("shift", coordinate bytes) and (dM, d2M) under ("shift partials", ...)
     memo: dict = {}
@@ -221,24 +228,23 @@ def build_tangent_bundle(
 
         def compute(fresh: list[Point]) -> np.ndarray:
             C = _check_box(bundle, fresh)
-            gam = np.array(_christoffels(g, _base_points(base, fresh), order=3))
-            M = np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
-            M.flags.writeable = False
-            return M
+            gam = _christoffels(g, _base_points(base, fresh), order=3)
+            return np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
 
-        return np.array(_memo_batch(memo, bundle, "shift", xis, compute))
+        return _memo_batch(memo, bundle, "shift", xis, compute)
 
     def shift_partials(xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         """(dM, d2M) at each bundle point, stacked, with dM[c, A, k, i] =
         d_A M^k_i and d2M[c, A, B, k, i] = d_A d_B M^k_i over the 2n bundle
-        coordinates, after the checks of ``shift``.  The misses come from
-        one ``_christoffel_jets`` over their base points:
+        coordinates, after the checks of ``shift``; an empty list gives two
+        empty arrays.  The misses come from one ``_christoffel_jets`` over
+        their base points:
 
             d_{x_m} M = d_m Gamma(u, .),    d_{u_m} M^k_i = Gamma^k_{mi},
             d_{x_p} d_{x_m} M = d_p d_m Gamma(u, .),
             d_{x_m} d_{u_p} M^k_i = d_m Gamma^k_{pi},    d_u d_u M = 0."""
 
-        def compute(fresh: list[Point]) -> list:
+        def compute(fresh: list[Point]) -> tuple[np.ndarray, np.ndarray]:
             U = np.ascontiguousarray(_check_box(bundle, fresh)[:, n:])
             gam, dgam, d2gam = _christoffel_jets(g, _base_points(base, fresh))
             dM = np.zeros((len(fresh), 2 * n, n, n))
@@ -248,29 +254,26 @@ def build_tangent_bundle(
             d2M[:, :n, :n] = np.einsum("cpmkji,cj->cpmki", d2gam, U)
             d2M[:, :n, n:] = np.einsum("cmkpi->cmpki", dgam)
             d2M[:, n:, :n] = d2M[:, :n, n:].swapaxes(1, 2)
-            dM.flags.writeable = d2M.flags.writeable = False
-            return list(zip(dM, d2M))
+            return dM, d2M
 
-        rows = _memo_batch(memo, bundle, "shift partials", xis, compute)
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        return _memo_batch(memo, bundle, "shift partials", xis, compute) if xis else (np.empty(0), np.empty(0))
 
     def lifted_metrics(xis: Sequence[Point]) -> np.ndarray:
-        """G at each bundle point, stacked: L^-T diag(g, g) L^-1 over one
-        shift batch, with g from one batch over their base points."""
-        Linv = _frames(shift(xis))[1]
-        gx = np.array(g.matrices(_base_points(base, xis)))
-        return Linv.transpose(0, 2, 1) @ doubled(gx) @ Linv
+        """G at each bundle point, stacked: ``_lifted_metric`` of one shift
+        batch and of g from one batch over their base points."""
+        return _lifted_metric(shift(xis), g.matrices(_base_points(base, xis)))
 
     def lifted_metric_jets(xis: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
         """G and its partials to ``order`` (1 or 2) at each bundle point,
         stacked, from the blocks G = [[g + M^T P, P^T], [P, g]], P = g M,
         differentiated along the 2n bundle coordinates (g does not vary
-        along the fiber), with M, dM, d2M from the shift memo."""
+        along the fiber), with M, dM, d2M from one read each of the shift
+        memo and g from one batch over the base points."""
         _order_at_most("lifted metric", order, 2)
-        V = lifted_metrics(xis)
         M, (dM, d2M) = shift(xis), shift_partials(xis)
         xs = _base_points(base, xis)
-        gx = np.array(g.matrices(xs))
+        gx = g.matrices(xs)
+        V = _lifted_metric(M, gx)
         dg, d2g = _jets(g, xs)
         gA = np.zeros((len(xis), 2 * n, n, n))
         gA[:, :n] = dg
@@ -350,16 +353,15 @@ def build_tangent_bundle(
     )
 
 
-def _frame_derivatives(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """(L, D) at each bundle point, stacked, D[c, I, k, J] = E_I(E_J)^k: the
-    lifted frame E = L differentiated along its own members, with dL exact,
-    -dM in the lower left block; L and dM from one ``shift`` and one
+def _frame_derivatives(bundle: SasakiBundle, xis: Sequence[Point], L: np.ndarray) -> np.ndarray:
+    """D[c, I, k, J] = E_I(E_J)^k at each bundle point, stacked: the lifted
+    frame E = L, given stacked, differentiated along its own members, with
+    dL exact, -dM in the lower left block, and dM from one
     ``shift_partials`` call."""
     n = bundle.base_dim
-    L = _frames(bundle.shift(xis))[0]
     dL = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
     dL[:, :, n:, :n] = -bundle.shift_partials(xis)[0]
-    return L, np.einsum("caI,cakJ->cIkJ", L, dL)
+    return np.einsum("caI,cakJ->cIkJ", L, dL)
 
 
 def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, list[Point], np.ndarray]:
@@ -389,7 +391,7 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        gam, R = np.array(_christoffels(g, xs)), np.array(riemann(g, xs))
+        gam, R = _christoffels(g, xs), riemann(g, xs)
         # B[c, I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
         B = np.zeros((len(qs), 2 * n, 2 * n, 2 * n))
         B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
@@ -398,7 +400,7 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
         B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
         return np.einsum("ckl,cIlJ->cIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute))
+    return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
 def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
@@ -424,8 +426,7 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
 
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
-        R, J = np.array(riemann(g, xs)), T.values(xs)
-        nabla = np.array(covariant_derivatives(g, T, xs))
+        R, J, nabla = riemann(g, xs), T.values(xs), covariant_derivatives(g, T, xs)
 
         def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
             return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
@@ -438,40 +439,40 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
         B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
         return np.einsum("ckl,caIlJ->caIkJ", L, B)
 
-    return np.array(_memo_batch({}, bundle.spec, None, xis, compute))
+    return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
-def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
-    """Max residual at each bundle point between the lifted metric's own
-    connection and the closed form, on the lifted frame: nabla~_{E_I} E_J =
-    E_I(E_J) + Gamma~(E_I, E_J), with Gamma~ and the frame's derivative
-    exact.  Gamma~ comes from one ``_christoffels`` of the lifted metric,
-    the frame's derivative and the closed form each stacked over the
-    points.  A batch that raises raises what its first failing point raises
-    alone."""
+def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
+    """Max residual at each bundle point, an (N,) array, between the
+    lifted metric's own connection and the closed form, on the lifted
+    frame: nabla~_{E_I} E_J = E_I(E_J) + Gamma~(E_I, E_J), with Gamma~ and
+    the frame's derivative exact.  Gamma~ comes from one ``_christoffels``
+    of the lifted metric, the frame's derivative and the closed form each
+    stacked over the points.  A batch that raises raises what its first
+    failing point raises alone."""
 
-    def compute(qs: list[Point]) -> list[float]:
-        gamG = np.array(_christoffels(bundle.metric, qs))
-        L, D = _frame_derivatives(bundle, qs)
-        fd = D + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
-        return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3)).tolist()
+    def compute(qs: list[Point]) -> np.ndarray:
+        gamG = _christoffels(bundle.metric, qs)
+        L = _frames(bundle.shift(qs))[0]
+        fd = _frame_derivatives(bundle, qs, L) + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
+        return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
-def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> list[float]:
-    """Max residual at each bundle point between (nabla~ Jt_a), from the
-    lifted metric's own connection, and the closed form, over the lifted
-    frame and all three members, exact: L from one ``shift`` call,
-    nabla~ Jt_a from one Kähler fit of the lifted pair and the closed form
-    stacked over the points.  A batch that raises raises what its first
-    failing point raises alone."""
+def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
+    """Max residual at each bundle point, an (N,) array, between
+    (nabla~ Jt_a), from the lifted metric's own connection, and the closed
+    form, over the lifted frame and all three members, exact: L from one
+    ``shift`` call, nabla~ Jt_a from one Kähler fit of the lifted pair and
+    the closed form stacked over the points.  A batch that raises raises
+    what its first failing point raises alone."""
 
-    def compute(qs: list[Point]) -> list[float]:
+    def compute(qs: list[Point]) -> np.ndarray:
         L = _frames(bundle.shift(qs))[0]
-        D = np.array(covariant_derivatives(bundle.metric, bundle.triple, qs))
+        D = covariant_derivatives(bundle.metric, bundle.triple, qs)
         C = oracle_tilde_nabla_J(bundle, qs)
-        return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4)).tolist()
+        return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
@@ -519,14 +520,14 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
     h = lambda V: np.concatenate([V, zero], axis=1)  # coefficients of V^h and V^v on E
     v = lambda V: np.concatenate([zero, V], axis=1)
 
-    def compute(qs: list[Point]) -> list[list[BracketReport]]:
-        _, D = _frame_derivatives(bundle, qs)
-        _, xs, u = _base_geometry(bundle, qs)
+    def compute(qs: list[Point]) -> np.ndarray:
+        L, xs, u = _base_geometry(bundle, qs)
+        D = _frame_derivatives(bundle, qs, L)
         K = D - np.einsum("cIkJ->cJkI", D)
         bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)  # [c, p, k]
         lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
-        covXY = np.einsum("ckml,pm,pl->cpk", np.array(_christoffels(g, xs)), X, Y)
-        RXYu = np.einsum("clkij,pi,pj,ck->cpl", np.array(riemann(g, xs)), X, Y, u)
+        covXY = np.einsum("ckml,pm,pl->cpk", _christoffels(g, xs), X, Y)
+        RXYu = np.einsum("clkij,pi,pj,ck->cpl", riemann(g, xs), X, Y, u)
         hh_val = bracket(h(X), h(Y))
         residuals = np.stack([
             bracket(v(X), v(Y)),
@@ -534,6 +535,7 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
             hh_val - lift_v(-RXYu),
             hh_val - lift_v(+RXYu),
         ], axis=2)  # [c, p, residual, k]
-        return [[BracketReport(*rep) for rep in row] for row in np.abs(residuals).max(axis=3).tolist()]
+        return np.abs(residuals).max(axis=3)
 
-    return _memo_batch({}, bundle.spec, None, xis, compute)
+    rows = _memo_batch({}, bundle.spec, None, xis, compute).tolist()
+    return [[BracketReport(*rep) for rep in row] for row in rows]

@@ -37,18 +37,18 @@ class StructureClass(str, Enum):
     LHPK_BASIS = "LhPK-basis"
 
 
-def check_hermitian(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
-    """max_a |J_a^T g + g J_a| at each point, over one stack of g and of the
-    triple's values; zero means every J_a is g-skew.  The residuals are
-    memoised on g per (T, point), like the fit, so ``classify_structure``
-    reads those of a ``hermitian`` check of the same run.  A batch that
-    raises stores nothing, and its first failing point raises what it
-    raises alone."""
+def check_hermitian(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> np.ndarray:
+    """max_a |J_a^T g + g J_a| at each point, an (N,) array over one stack
+    of g and of the triple's values; zero means every J_a is g-skew.  The
+    residuals are memoised on g per (T, point), like the fit, so
+    ``classify_structure`` reads those of a ``hermitian`` check of the same
+    run.  A batch that raises stores nothing, and its first failing point
+    raises what it raises alone."""
 
-    def compute(qs: list[Point]) -> list[float]:
-        gp = np.array(g.matrices(qs))[:, None]
+    def compute(qs: list[Point]) -> np.ndarray:
+        gp = g.matrices(qs)[:, None]
         J = T.values(qs)
-        return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3)).tolist()
+        return np.abs(J.transpose(0, 1, 3, 2) @ gp + gp @ J).max(axis=(1, 2, 3))
 
     return _memo_batch(g._memo, g.chart, ("hermitian", T), pts, compute)
 
@@ -77,8 +77,8 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     reconstruction residual.
 
     The fits are memoised on g per (T, point), like Gamma and R: a second
-    fit at a point repeats the chart check and returns the same read-only
-    ``omega`` and ``nabla``, and a batch that raises stores nothing.  The
+    fit at a point repeats the chart check and returns the same bits in
+    fresh arrays, and a batch that raises stores nothing.  The
     distinct misses are one stack: the triple's memoised values and their
     trace pairings, nabla J_a of all three members from one
     ``covariant_derivatives`` batch, then the slots, omega and the residual
@@ -86,7 +86,7 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     failing point raises alone.
     """
 
-    def compute(qs: list[Point]) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = g.chart.dim
         J = T.values(qs)  # [c, a, k, j]
         traces = np.trace(J @ J, axis1=-2, axis2=-1)
@@ -94,7 +94,7 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
         if bad.any():
             k = int(bad.argmax())
             raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
-        D = np.array(covariant_derivatives(g, T, qs))  # [c, a, i, k, j]
+        D = covariant_derivatives(g, T, qs)  # [c, a, i, k, j]
         # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
         # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
         # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
@@ -110,12 +110,10 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
         omega[:, 2] = 0.5 * (C[:, 1, 0] - C[:, 0, 1])
         w = omega.transpose(1, 0, 2)[..., None, None]  # w[a][c, i] as a (c, i, 1, 1) stack
         recon = np.stack(span_combination(w, J.transpose(1, 0, 2, 3)[:, :, None]), axis=1)
-        residual = np.abs(D - recon).max(axis=(1, 2, 3, 4))
-        omega.flags.writeable = D.flags.writeable = False
-        return list(zip(omega, residual.tolist(), D))
+        return omega, np.abs(D - recon).max(axis=(1, 2, 3, 4)), D
 
     fits = _memo_batch(g._memo, g.chart, ("fit", T), pts, compute)
-    return [KahlerFit(q, omega, residual, D) for q, (omega, residual, D) in zip(pts, fits)]
+    return [KahlerFit(q, omega, float(residual), D) for q, omega, residual, D in zip(pts, *fits)]
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,6 @@ class StructureVerdict:
     hermitian_max: float
     nabla_max: float
     fit_residual_max: float
-    points_checked: int
 
 
 def classify_structure(
@@ -159,7 +156,6 @@ def classify_structure(
         hermitian_max=herm,
         nabla_max=nab,
         fit_residual_max=fit_res,
-        points_checked=len(pts),
     )
 
 
@@ -192,8 +188,8 @@ class ProductReport:
         )
 
 
-def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[np.ndarray]:
-    """N_F at each point, read-only and memoised on g per (field, point),
+def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> np.ndarray:
+    """N_F at each point, a fresh stack memoised on g per (field, point),
     so the product and equivalence checks of one run compute it once:
     the misses from one ``eval_batch`` of F and the derivative of F that
     nabla F reads (``_gradients``), contracted over the stack.  A batch that
@@ -201,9 +197,7 @@ def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point])
     raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
-        N = _nijenhuis_tensor(eval_batch(F.field, qs), np.array(_gradients(g, F.field, qs)))
-        N.flags.writeable = False
-        return N
+        return _nijenhuis_tensor(eval_batch(F.field, qs), _gradients(g, F.field, qs))
 
     return _memo_batch(g._memo, g.chart, ("nijenhuis", F.field), pts, compute)
 
@@ -214,29 +208,29 @@ def check_product_structure(g: MetricField, F: ProductStructureField, pts: Seque
     from one batch, and every residual over the stack.  A batch that raises
     raises what its first failing point raises alone."""
 
-    def compute(qs: list[Point]) -> list[ProductReport]:
+    def compute(qs: list[Point]) -> np.ndarray:
         n = g.chart.dim
         Fp = eval_batch(F.field, qs)
-        gp = np.array(g.matrices(qs))
+        gp = g.matrices(qs)
         inv = np.abs(Fp @ Fp - np.eye(n)).max(axis=(1, 2))
         met = np.abs(Fp.transpose(0, 2, 1) @ gp @ Fp - gp).max(axis=(1, 2))
-        nij = np.abs(np.array(_nijenhuises(g, F, qs))).max(axis=(1, 2, 3))
-        par = np.abs(np.array(covariant_derivatives(g, F.field, qs))).max(axis=(1, 2, 3))
-        return [ProductReport(*row) for row in zip(inv.tolist(), met.tolist(), nij.tolist(), par.tolist())]
+        nij = np.abs(_nijenhuises(g, F, qs)).max(axis=(1, 2, 3))
+        par = np.abs(covariant_derivatives(g, F.field, qs)).max(axis=(1, 2, 3))
+        return np.column_stack([inv, met, nij, par])
 
-    return _memo_batch({}, g.chart, None, pts, compute)
+    return [ProductReport(*row) for row in _memo_batch({}, g.chart, None, pts, compute).tolist()]
 
 
-def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[float]:
-    """max_a |J_a F - F J_a| at each point, zero when F preserves the
-    structure bundle: from one ``eval_batch`` of F and one ``values`` of the
-    triple.  A batch that raises raises what its first failing point raises
-    alone."""
+def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> np.ndarray:
+    """max_a |J_a F - F J_a| at each point, an (N,) array, zero when F
+    preserves the structure bundle: from one ``eval_batch`` of F and one
+    ``values`` of the triple.  A batch that raises raises what its first
+    failing point raises alone."""
 
-    def compute(qs: list[Point]) -> list[float]:
+    def compute(qs: list[Point]) -> np.ndarray:
         Fp = eval_batch(F.field, qs)[:, None]
         J = T.values(qs)
-        return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3)).tolist()
+        return np.abs(J @ Fp - Fp @ J).max(axis=(1, 2, 3))
 
     return _memo_batch({}, F.field.chart, None, pts, compute)
 
@@ -285,8 +279,8 @@ def check_parallel_equivalence(
         raise PreconditionFailedError(
             f"(g, T) classifies as {verdict.cls.value}, need PQK or LhPK-basis"
         )
-    D = np.array(covariant_derivatives(g, F.field, pts))  # [c, i, k, j]
-    N = np.array(_nijenhuises(g, F, pts))
+    D = covariant_derivatives(g, F.field, pts)  # [c, i, k, j]
+    N = _nijenhuises(g, F, pts)
     J = T.values(pts)  # [c, a, m, i]
     mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)
     r_par, r_nij, r_mix = (float(np.abs(A).max()) for A in (D, N, mixed))

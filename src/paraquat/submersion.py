@@ -2,8 +2,9 @@
 fundamental tensors, basic lifts, and descent of the structure 1-forms.
 
 Everything is taken a batch of points at a time under the memo rule of
-``fields._memo_batch``: the map memoises df (from one jets call per batch)
-and the images (from one call of its components on the stack), and the
+``fields._memo_batch``, each batch a fresh stack with row c for point c:
+the map memoises df (from one jets call per batch) and the images'
+coordinates (from one call of its components on the stack), and the
 metric the split under ("split", map), from one ``_split_matrices`` over
 the stack: vertical = ker(df) from an SVD, horizontal = the g-orthogonal
 complement of vertical (a second SVD on V^T g, which works in neutral
@@ -38,7 +39,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fields import ManifoldSpec, Point, _check_box, _jets_of, _memo_batch, _point
+from .fields import ManifoldSpec, Point, _check_box, _jets_of, _memo_batch, _points
 from .structures import StructureClass, classify_structure, fit_kahler_oneforms
 
 RANK_FLOOR = 1e-8
@@ -71,26 +72,25 @@ class SubmersionMap:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def images(self, points: Sequence[Point]) -> list[Point]:
-        """The image of each point of the source box, memoised on the map:
-        the box of the misses' stack tested at once, then one call of the
-        components on it.  A batch that raises stores nothing, and its first
-        failing point raises what it raises alone: OutOfDomainError for a
-        point outside the box, walls included in it."""
+        """The image of each point of the source box, its coordinates
+        memoised on the map: the box of the misses' stack tested at once,
+        then one call of the components on it.  A batch that raises stores
+        nothing, and its first failing point raises what it raises alone:
+        OutOfDomainError for a point outside the box, walls included in it."""
         source, m = self.source, self.target.dim
 
-        def compute(qs: list[Point]) -> list[Point]:
+        def compute(qs: list[Point]) -> np.ndarray:
             Y = np.asarray(self.components(_check_box(source, qs)), dtype=float)
             if Y.shape != (len(qs), m):
                 raise ShapeError(f"map returned shape {Y.shape[1:]}, expected ({m},)")
-            Y.flags.writeable = False
-            return [_point(self.target, y) for y in Y]
+            return Y
 
-        return _memo_batch(self._memo, source, "image", points, compute)
+        return _points(self.target, _memo_batch(self._memo, source, "image", points, compute))
 
 
-def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
-    """df at each point as the memo's read-only C-contiguous (n', n)
-    matrices, the map's first partials from its jets at the points,
+def jacobian(f: SubmersionMap, points: Sequence[Point]) -> np.ndarray:
+    """df at each point, a fresh (len(points), n', n) stack, the map's
+    first partials from its jets at the points,
     anywhere in the closed box, memoised on the map per point: the misses'
     domain, then one jets call, then one batched SVD.  A point off the
     map's chart raises ValidationError, one outside its box
@@ -104,13 +104,12 @@ def jacobian(f: SubmersionMap, points: Sequence[Point]) -> list[np.ndarray]:
         D = np.asarray(jets(qs, 1)[1], dtype=float)
         if D.shape != (len(qs), n, m):
             raise ShapeError(f"map differential has shape {D.shape[:0:-1]}, expected ({m}, {n})")
-        J = np.ascontiguousarray(D.transpose(0, 2, 1))
+        J = D.transpose(0, 2, 1)
         sv = np.linalg.svd(J, compute_uv=False)
         bad = np.flatnonzero(sv[:, -1] <= RANK_FLOOR) if sv.shape[-1] == m else [0]
         if len(bad):
             k = bad[0]
             raise RankDeficientError(f"differential drops rank at {qs[k]} (singular values {sv[k]})")
-        J.flags.writeable = False
         return J
 
     return _memo_batch(f._memo, f.source, "df", points, compute)
@@ -146,20 +145,16 @@ def vh_split(f: SubmersionMap, g: MetricField, points: Sequence[Point]) -> tuple
     ker(df), the horizontal frames (c, n, n') spanning their g-complement,
     and the projectors (c, n, n) onto vertical along horizontal and onto
     horizontal along vertical.  Memoised on g under ("split", f), one row
-    per point: the misses' df from one ``jacobian``, g from one
+    of each per point: the misses' df from one ``jacobian``, g from one
     ``matrices``, the frames from one ``_split_matrices``; a point fails in
     that order, and a batch raises what its first failing point raises
-    alone."""
+    alone.  An empty list gives five empty arrays."""
 
-    def compute(qs: list[Point]) -> list[tuple[np.ndarray, ...]]:
-        df = np.array(jacobian(f, qs))
-        stacks = (df, *_split_matrices(df, np.array(g.matrices(qs))))
-        for A in stacks:
-            A.flags.writeable = False
-        return list(zip(*stacks))
+    def compute(qs: list[Point]) -> tuple[np.ndarray, ...]:
+        df = jacobian(f, qs)
+        return (df, *_split_matrices(df, g.matrices(qs)))
 
-    rows = _memo_batch(g._memo, g.chart, ("split", f), points, compute)
-    return tuple(np.array([row[k] for row in rows]) for k in range(5))
+    return _memo_batch(g._memo, g.chart, ("split", f), points, compute) if points else (np.empty(0),) * 5
 
 
 def check_semi_riemannian(
@@ -167,15 +162,16 @@ def check_semi_riemannian(
     g: MetricField,
     g_target: MetricField,
     pts: Sequence[Point],
-) -> list[float]:
+) -> np.ndarray:
     """max |g(X,Y) - g'(df X, df Y)| over horizontal frames at each point,
-    split, then mapped, in one batch each, and compared over the stack."""
+    an (N,) array: split, then mapped, in one batch each, and compared over
+    the stack."""
 
-    def compute(qs: list[Point]) -> list[float]:
+    def compute(qs: list[Point]) -> np.ndarray:
         df, _, H, _, _ = vh_split(f, g, qs)
-        G, G_target = np.array(g.matrices(qs)), np.array(g_target.matrices(f.images(qs)))
+        G, G_target = g.matrices(qs), g_target.matrices(f.images(qs))
         down, Ht = df @ H, H.transpose(0, 2, 1)
-        return np.abs(Ht @ G @ H - down.transpose(0, 2, 1) @ G_target @ down).max(axis=(1, 2)).tolist()
+        return np.abs(Ht @ G @ H - down.transpose(0, 2, 1) @ G_target @ down).max(axis=(1, 2))
 
     return _memo_batch({}, f.source, None, pts, compute)
 
@@ -185,14 +181,14 @@ def check_paraholomorphic(
     T: LocalBasisTriple,
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
-) -> list[float]:
-    """max_a |df o J_a - J'_a o df| at each point, from one batch each of
-    df, the triple, the images and the target triple, compared over the
-    stack."""
+) -> np.ndarray:
+    """max_a |df o J_a - J'_a o df| at each point, an (N,) array, from one
+    batch each of df, the triple, the images and the target triple,
+    compared over the stack."""
 
-    def compute(qs: list[Point]) -> list[float]:
-        J, up = np.array(jacobian(f, qs))[:, None], T.values(qs)
-        return np.abs(J @ up - T_target.values(f.images(qs)) @ J).max(axis=(1, 2, 3)).tolist()
+    def compute(qs: list[Point]) -> np.ndarray:
+        J, up = jacobian(f, qs)[:, None], T.values(qs)
+        return np.abs(J @ up - T_target.values(f.images(qs)) @ J).max(axis=(1, 2, 3))
 
     return _memo_batch({}, f.source, None, pts, compute)
 
@@ -226,13 +222,13 @@ def check_vh_invariance(
             f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
         )
 
-    def compute(qs: list[Point]) -> list[VhInvarianceReport]:
+    def compute(qs: list[Point]) -> np.ndarray:
         _, V, H, Pv, Ph = (A[:, None] for A in vh_split(f, g, qs))
         J = T.values(qs)
-        leak = lambda P, W: np.abs(P @ J @ W).max(axis=(1, 2, 3)).tolist()
-        return [VhInvarianceReport(*r) for r in zip(leak(Ph, V), leak(Pv, H))]
+        leak = lambda P, W: np.abs(P @ J @ W).max(axis=(1, 2, 3))
+        return np.column_stack([leak(Ph, V), leak(Pv, H)])
 
-    return _memo_batch({}, f.source, None, pts, compute)
+    return [VhInvarianceReport(*r) for r in _memo_batch({}, f.source, None, pts, compute).tolist()]
 
 
 @dataclass(frozen=True)
@@ -276,7 +272,7 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
     then reduce over (m, l), in the order and association of the
     three-operand ``einsum("kml,mi,lj->ikj")`` of one point."""
 
-    def compute(qs: list[Point]) -> list[ONeillTensors]:
+    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _christoffels(g, qs)
         # each point's Gamma read back from the memo the batch filled, through
         # the public christoffel, whose calls perfbench's tracer counts
@@ -295,10 +291,9 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
         # einsum here rounds differently
         proj = lambda P, cov: P[:, None, None, None] @ cov.transpose(0, 1, 2, 4, 3)[..., None]
         full = (proj(h, cov_v) + proj(v, cov_h))[..., 0]
-        a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
-        return [ONeillTensors(q, a, t, ah) for q, a, t, ah in zip(qs, full[:, 0], full[:, 1], a_h)]
+        return full[:, 0], full[:, 1], np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
 
-    return _memo_batch({}, g.chart, None, pts, compute)
+    return [ONeillTensors(*rep) for rep in zip(pts, *_memo_batch({}, g.chart, None, pts, compute))]
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, pts: list[Point], J: np.ndarray) -> np.ndarray:
@@ -309,7 +304,7 @@ def _projector_partials(f: SubmersionMap, g: MetricField, pts: list[Point], J: n
         N = G^-1 J^T,   K = J N,   Ph = N K^-1 J = 1 - Pv,
         dN = -G^-1 dG N + G^-1 dJ^T,   dK = dJ N + J dN,
         dPv = -(dN K^-1 J - N K^-1 dK K^-1 J + N K^-1 dJ)."""
-    Ginv = np.linalg.inv(np.array(g.matrices(pts)))
+    Ginv = np.linalg.inv(g.matrices(pts))
     dG = _jets(g, pts)[0]  # dG[c, m, k, l] = d_m G_kl
     dJt = _jets_of(f)(pts, 2)[2]  # dJt[c, m, i, a] = d_m d_i f^a = d_m (J^T)_ia
     dJ = dJt.swapaxes(-1, -2)

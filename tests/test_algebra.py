@@ -234,7 +234,7 @@ def test_a_failing_triple_batch_stores_nothing_and_raises_what_its_first_failing
     assert list(triple._memo) == [("values", pts[0].coords.tobytes())]
 
 
-def test_triple_values_are_memoised_read_only_stacks(rot_triple, pts4):
+def test_triple_values_are_memoised_fresh_stacks(rot_triple, pts4):
     calls = []
 
     def counted(f: TensorField) -> TensorField:
@@ -246,8 +246,11 @@ def test_triple_values_are_memoised_read_only_stacks(rot_triple, pts4):
     again = triple.values([Point(triple.chart, p.coords) for p in reversed(pts4)])
     assert calls == [len(pts4)] * 3
     assert again.tobytes() == first[len(pts4) - 1::-1].tobytes() == rot_triple.values(pts4)[::-1].tobytes()
+    # each call's stack is its own: writing into one leaves the memo clean
     for V in (first, again, triple.matrices(pts4[0])):
-        assert not V.flags.writeable
+        V[...] = np.nan
+    assert triple.values(pts4).tobytes() == rot_triple.values(pts4).tobytes()
+    assert calls == [len(pts4)] * 3
     other = make_chart(4, coords=("a", "b", "c", "d"))
     with pytest.raises(ValidationError, match="different charts"):
         triple.values([Point(other, pts4[0].coords)])

@@ -179,6 +179,18 @@ def test_the_determinant_test_is_scale_free_at_extreme_scales(chart4, value, deg
             assert np.array_equal(g.matrix(p), value)
 
 
+def test_the_symmetry_test_is_relative_to_the_largest_entry(chart4):
+    p = Point(chart4, np.zeros(4))
+    # far from symmetric, however small its entries
+    tiny = 1e-100 * (ETA + np.triu(np.ones((4, 4)), 1))
+    with pytest.raises(ValidationError, match="metric not symmetric"):
+        MetricField(constant_field(chart4, 0, 2, tiny, "tiny")).matrix(p)
+    # symmetric to roundoff: g12 and g21 differ by 1e-15 of the largest |entry|
+    big = 1e6 * ETA
+    big[0, 1] = 1e-9
+    assert np.array_equal(MetricField(constant_field(chart4, 0, 2, big, "big")).matrix(p), big)
+
+
 def test_nijenhuis_hand_case(chart4):
     # F with F^1_2 = x1 and F^2_1 = x2 (all else zero); at (1/2, 1/2, 0, 0)
     # the only nonvanishing components are N^1_12 = -N^1_21 = 1/2 and
@@ -234,7 +246,7 @@ EVALUATIONS = {
 
 
 @pytest.mark.parametrize("what", sorted(EVALUATIONS))
-def test_memo_hit_is_read_only_and_skips_the_components(chart4, what):
+def test_memo_hit_is_a_fresh_copy_and_skips_the_components(chart4, what):
     evaluate = EVALUATIONS[what]
     g, calls = _counted_metric(chart4)
     p = Point(chart4, MEMO_POINT)
@@ -244,9 +256,10 @@ def test_memo_hit_is_read_only_and_skips_the_components(chart4, what):
     again = evaluate(g, Point(chart4, MEMO_POINT))
     assert len(calls) == made
     assert again.tobytes() == first.tobytes()
-    assert not again.flags.writeable
-    with pytest.raises(ValueError):
-        again[(0,) * again.ndim] = 1.0
+    # the hit is the caller's own copy: writing into it leaves the memo clean
+    again[(0,) * again.ndim] = np.nan
+    assert evaluate(g, p).tobytes() == first.tobytes()
+    assert len(calls) == made
     fresh, _ = _counted_metric(chart4)
     assert evaluate(fresh, p).tobytes() == first.tobytes()
 
@@ -255,8 +268,11 @@ def test_memo_never_freezes_the_callers_array(chart4):
     value = np.diag([2.0, 1.0, -1.0, -1.0])
     g, _ = _counted_metric(chart4, lambda p: value)
     p = Point(chart4, MEMO_POINT)
-    assert not g.matrix(p).flags.writeable
+    assert g.matrix(p).tobytes() == value.tobytes()
     assert value.flags.writeable
+    # the memo holds its own copy of the components
+    value[0, 0] = 5.0
+    assert g.matrix(p)[0, 0] == 2.0
     METRICS["neutral4"](chart4).matrix(p)
     assert ETA4.flags.writeable
 
@@ -272,7 +288,7 @@ def test_memo_holds_one_value_per_point_and_no_step(chart4, what):
     first = evaluate(g, p)
     made = len(calls)
     assert [key for key in g._memo if key[0] == kind] == [(kind, p.coords.tobytes())]
-    assert evaluate(g, Point(chart4, p.coords)) is first
+    assert evaluate(g, Point(chart4, p.coords)).tobytes() == first.tobytes()
     assert len(calls) == made
     fresh, _ = _counted_metric(chart4)
     assert evaluate(fresh, p).tobytes() == first.tobytes()
@@ -596,8 +612,8 @@ def test_matrices_is_matrix_per_point_and_evaluates_each_miss_once(chart4):
     assert np.stack(batch).tobytes() == np.stack(
         [ref.matrix(r) for r in (q, p, q, p.shifted(0, -0.5))]
     ).tobytes()
-    assert not any(v.flags.writeable for v in batch)
-    assert g.matrices([q])[0] is g.matrix(q) is batch[0]
+    assert batch.shape == (4, 4, 4)
+    assert g.matrices([q])[0].tobytes() == g.matrix(q).tobytes() == batch[0].tobytes()
     assert len(calls) == 2
     good = p.shifted(2, 0.25)
     far = p.shifted(0, 5.0)  # outside the box: the whole batch raises
@@ -646,7 +662,7 @@ def test_christoffel_batch_computes_a_repeated_centre_once(chart4):
     first, again = connection._christoffels(g, [p, p])
     assert centres == [1]
     assert len(calls) == 1  # the centre, once
-    assert first is again is christoffel(g, p)
+    assert first.tobytes() == again.tobytes() == christoffel(g, p).tobytes()
     assert centres == [1]
 
 
@@ -790,8 +806,7 @@ def test_batched_nabla_is_the_one_point_formula_bit_for_bit(chart4, name):
     batch = covariant_derivative_11(g, T, pts)
     for p, D in zip(pts, batch):
         _assert_same_bits(D, reference_nabla(g, T, p))
-        assert not D.flags.writeable
-        assert covariant_derivative_11(g, T, [Point(chart4, p.coords)])[0] is D
+        _assert_same_bits(covariant_derivative_11(g, T, [Point(chart4, p.coords)])[0], D)
     assert max(np.abs(D).max() for D in batch) > 0 or name == "constant over neutral4"
 
 

@@ -35,6 +35,7 @@ from paraquat import (
     sample_points,
     vh_split,
 )
+from paraquat import algebra, connection, fields, sasaki, structures, submersion
 from paraquat.catalog import METRICS, STRUCTURES, TRIPLES, make_chart
 from paraquat.connection import _gradients, covariant_derivatives
 from paraquat.fields import _memo_batch
@@ -243,7 +244,7 @@ def _summed(calls):
 
     def compute(pts):
         calls.append([q.coords.tobytes() for q in pts])
-        return [float(q.coords.sum()) for q in pts]
+        return np.array([q.coords.sum() for q in pts])
 
     return compute
 
@@ -254,7 +255,7 @@ def test_memo_batch_computes_the_distinct_misses_once_and_checks_every_chart(cha
     memo, calls = {}, []
     out = _memo_batch(memo, chart4, "s", [p, q, p], _summed(calls))
     assert calls == [[p.coords.tobytes(), q.coords.tobytes()]]
-    assert out == [p.coords.sum(), q.coords.sum(), p.coords.sum()]
+    assert out.tolist() == [p.coords.sum(), q.coords.sum(), p.coords.sum()]
     # a key is (kind, coordinate bytes): it holds no step
     assert set(memo) == {("s", r.coords.tobytes()) for r in (p, q)}
     # hits compute nothing; a new point is the only miss of its batch
@@ -294,7 +295,10 @@ def test_memo_batch_stores_nothing_when_compute_raises(chart4):
         _memo_batch(memo, chart4, "s", [p, p.shifted(0, 0.25), p.shifted(1, 0.25)], failing)
     # a compute that returns a value short stores nothing either
     with pytest.raises(ValueError):
-        _memo_batch(memo, chart4, "s", [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: [1.0])
+        _memo_batch(memo, chart4, "s", [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: np.ones(1))
+    # and so does a tuple whose second stack is short
+    with pytest.raises(ValueError):
+        _memo_batch(memo, chart4, "s", [p.shifted(0, 0.25), p.shifted(1, 0.25)], lambda pts: (np.ones(2), np.ones(1)))
     assert memo == stored
 
 
@@ -313,7 +317,7 @@ def test_memo_batch_replays_a_failing_batch_point_by_point(chart4):
         _memo_batch(nested, chart4, "n", [q, q.shifted(0, 0.5)], _summed([]))
         if q is first or q is later:
             raise EvaluationError(f"fails alone at {q}")
-        return [0.0]
+        return np.zeros(1)
 
     with pytest.raises(EvaluationError) as got:
         _memo_batch(memo, chart4, "s", [p, later, first], compute)
@@ -383,6 +387,71 @@ BATCHES = {
     "LocalBasisTriple.jets": lambda o: o.T.jets(o.p),
     "covariant_derivatives": lambda o: covariant_derivatives(o.g, o.T, o.p),
 }
+
+
+MEMO_KINDS = {
+    # memo kind: (the point its batch is asked at, the batch, the arrays of its result)
+    "g": ("p", lambda o, pts: o.g.matrices(pts)),
+    "jet": ("p", lambda o, pts: connection._jets(o.g, pts)),
+    "jet3": ("p", lambda o, pts: connection._jets(o.g, pts, 3)),
+    "gamma": ("p", lambda o, pts: connection._christoffels(o.g, pts)),
+    "riem": ("p", lambda o, pts: riemann(o.g, pts)),
+    "nabla": ("p", lambda o, pts: covariant_derivatives(o.g, o.T, pts)),
+    "d": ("p", lambda o, pts: _gradients(o.g, o.T.j1, pts)),
+    "nijenhuis": ("p8", lambda o, pts: structures._nijenhuises(o.g8, o.F, pts)),
+    "hermitian": ("p", lambda o, pts: check_hermitian(o.g, o.T, pts)),
+    "fit": ("p", lambda o, pts: [a for fit in fit_kahler_oneforms(o.g, o.T, pts) for a in (fit.omega, fit.nabla)]),
+    "values": ("p", lambda o, pts: o.T.values(pts)),
+    "df": ("xi", lambda o, pts: jacobian(o.bundle.projection, pts)),
+    "image": ("xi", lambda o, pts: [q.coords for q in o.bundle.projection.images(pts)]),
+    "split": ("xi", lambda o, pts: vh_split(o.bundle.projection, o.bundle.metric, pts)),
+    "shift": ("xi", lambda o, pts: o.bundle.shift(pts)),
+    "shift partials": ("xi", lambda o, pts: o.bundle.shift_partials(pts)),
+}
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The kind of each memo batch that calls its compute, in order, over
+    every module that reads a memo; a kind ("nabla", T) is recorded as
+    "nabla"."""
+    kinds = []
+    real = fields._memo_batch
+
+    def counted(memo, chart, kind, points, compute):
+        def recorded(fresh):
+            kinds.append(kind[0] if isinstance(kind, tuple) else kind)
+            return compute(fresh)
+
+        return real(memo, chart, kind, points, recorded)
+
+    for module in (fields, connection, algebra, structures, submersion, sasaki):
+        monkeypatch.setattr(module, "_memo_batch", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_KINDS))
+def test_a_memo_hit_hands_out_the_first_bits_in_fresh_arrays_and_computes_nothing(kind, computed):
+    o = _geometry()
+    at, batch = MEMO_KINDS[kind]
+    p = getattr(o, at)
+    ask = lambda: [Point(q.chart, q.coords) for q in (p, p.shifted(1, 0.25), p)]
+    arrays = lambda result: [result] if isinstance(result, np.ndarray) else list(result)
+    first = arrays(batch(o, ask()))
+    assert kind in computed
+    bits = [a.tobytes() for a in first]
+    computed.clear()
+    again = arrays(batch(o, ask()))
+    assert computed == []
+    assert [a.tobytes() for a in again] == bits
+    for a in first + again:
+        if kind == "image":  # an image is a Point, whose coordinates are frozen
+            with pytest.raises(ValueError):
+                a[0] = np.nan
+        else:
+            a[...] = np.nan
+    assert [a.tobytes() for a in arrays(batch(o, ask()))] == bits
+    assert computed == []
 
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))

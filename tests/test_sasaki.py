@@ -255,12 +255,14 @@ def _textbook_lift(g, T, xi):
 def shift_batches(monkeypatch):
     """The bundle points of each batch that computes new shifts, and of each
     that computes new shift partials, as lists of coordinate bytes, one list
-    per batch, under the memo kinds "shift" and "shift partials"."""
-    batches = {"shift": [], "shift partials": []}
+    per batch, under the memo kinds "shift" and "shift partials"; and under
+    "reads" the kind of every batch of ``sasaki``, hit or miss."""
+    batches = {"shift": [], "shift partials": [], "reads": []}
     real = sasaki._memo_batch
 
     def counted(memo, chart, kind, points, compute):
-        if kind in batches:
+        batches["reads"].append(kind)
+        if kind in ("shift", "shift partials"):
             def recorded(fresh, compute=compute):
                 batches[kind].append([q.coords.tobytes() for q in fresh])
                 return compute(fresh)
@@ -298,13 +300,12 @@ def test_repeated_bundle_point_reuses_its_frame(conformal4, std_triple, shift_ba
     eval_batch(bundle.metric.field, [xi])[0]
     bundle.metric.matrices([xi])
     assert shift_batches["shift"] == [[xi.coords.tobytes()]]
-    # the lifted triple's values, memoised, are a read-only stack
+    # the lifted triple's values, memoised, are a fresh stack per call
     memoised = bundle.triple.values([xi, xi])
     assert again.tobytes() == first.tobytes() == memoised[1, 0].tobytes()
     assert shift_batches["shift"] == [[xi.coords.tobytes()]]
-    assert not memoised.flags.writeable
-    with pytest.raises(ValueError):
-        memoised[0, 0, 0, 0] = 0.0
+    memoised[...] = np.nan
+    assert bundle.triple.values([xi])[0, 0].tobytes() == first.tobytes()
 
 
 def test_failed_lift_stores_nothing(chart4, std_triple, shift_batches):
@@ -460,10 +461,30 @@ def test_oracle_checks_ask_for_the_shift_once_per_bundle_point(conformal4, std_t
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
     check_connection_oracle(bundle, [xi])
     check_nabla_j_oracle(bundle, [xi])
-    for kind, batches in shift_batches.items():
-        framed = [key for batch in batches for key in batch]
+    for kind in ("shift", "shift partials"):
+        framed = [key for batch in shift_batches[kind] for key in batch]
         assert framed.count(xi.coords.tobytes()) == 1, kind
         assert len(framed) == len(set(framed)), kind
+
+
+def test_the_lifted_metric_jets_and_the_bracket_read_the_shift_once_per_call(conformal4, rot_triple, shift_batches):
+    bundle = build_tangent_bundle(conformal4, rot_triple)
+    xis = [bundle.point([0.1, -0.2, 0.3, 0.05], U), bundle.point([-0.6, 0.4, 0.0, 0.7], [0.9, 0.0, -0.5, 0.1])]
+    reads, e = shift_batches["reads"], np.eye(4)
+    for order in (1, 2, 2):  # cold, then warm memos
+        reads.clear()
+        bundle.metric.field.jets(xis, order)
+        assert reads.count("shift") == 1 and reads.count("shift partials") == 1
+    for _ in range(2):
+        reads.clear()
+        check_bracket(bundle, [(e[0], e[1]), (e[1], e[2])], xis)
+        assert reads.count("shift") == 1 and reads.count("shift partials") == 1
+
+
+def test_the_shifts_of_an_empty_list_are_empty(conformal4, rot_triple):
+    bundle = build_tangent_bundle(conformal4, rot_triple)
+    dM, d2M = bundle.shift_partials([])
+    assert len(bundle.shift([])) == len(dM) == len(d2M) == 0
 
 
 def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, monkeypatch):
@@ -749,7 +770,7 @@ def test_lift_jets_are_the_limit_of_finite_differences_at_second_order(chart4, n
     exact = {
         "dG": dG, "d2G": d2G,
         "dJ": np.stack([f.jets(xis, 1)[1] for f in bundle.triple.fields]),
-        "dL": sasaki._frame_derivatives(bundle, xis)[1],
+        "dL": sasaki._frame_derivatives(bundle, xis, sasaki._frames(bundle.shift(xis))[0]),
     }
     frame = lambda qs: sasaki._frames(bundle.shift(qs))[0]
     distance = {key: [] for key in exact}

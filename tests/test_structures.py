@@ -184,12 +184,14 @@ def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
     assert made == 1
     again = fit_kahler_oneforms(g, std_triple, [Point(g.chart, p.coords)])[0]
     assert len(nabla_calls) == made
-    assert again.omega is first.omega and again.nabla is first.nabla
+    assert again.omega.tobytes() == first.omega.tobytes() and again.nabla.tobytes() == first.nabla.tobytes()
     assert again.residual == first.residual
+    # each fit's arrays are its own: writing into them leaves the memo clean
     for arr in (again.omega, again.nabla):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1.0
+        arr[(0,) * arr.ndim] = np.nan
+    hit = fit_kahler_oneforms(g, std_triple, [p])[0]
+    assert hit.omega.tobytes() == first.omega.tobytes() and hit.nabla.tobytes() == first.nabla.tobytes()
+    assert len(nabla_calls) == made
     alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, [p])[0]
     assert alone.omega.tobytes() == first.omega.tobytes()
     assert alone.nabla.tobytes() == first.nabla.tobytes()
@@ -205,8 +207,8 @@ def test_fit_memo_computes_another_triple_afresh_and_keys_no_step(conformal4, st
     # one fit per (triple, point): the key holds no step
     fits = [key for key in g._memo if key[0][0] == "fit"]
     assert fits == [(("fit", T), p.coords.tobytes()) for T in (std_triple, rot_triple)]
-    assert fit_kahler_oneforms(g, std_triple, [p])[0].nabla is std.nabla
-    assert fit_kahler_oneforms(g, rot_triple, [p])[0].omega is rot.omega
+    assert fit_kahler_oneforms(g, std_triple, [p])[0].nabla.tobytes() == std.nabla.tobytes()
+    assert fit_kahler_oneforms(g, rot_triple, [p])[0].omega.tobytes() == rot.omega.tobytes()
     assert len(nabla_calls) == 2
 
 
@@ -333,11 +335,9 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
     fresh = MetricField(g8.field)
     for p in pts:
         D = covariant_derivative_11(g, rotated.field, [p])[0]
-        assert not D.flags.writeable
         assert D.tobytes() == covariant_derivative_11(fresh, rotated.field, [p])[0].tobytes()
-        assert D is covariant_derivative_11(g, rotated.field, [Point(chart8, p.coords)])[0]
+        assert D.tobytes() == covariant_derivative_11(g, rotated.field, [Point(chart8, p.coords)])[0].tobytes()
         N = structures._nijenhuises(g, rotated, [p])[0]
-        assert not N.flags.writeable
         reference = connection._nijenhuis_tensor(fields.eval_batch(real, [p])[0], real.jets([p], 1)[1][0])
         assert N.tobytes() == reference.tobytes()
 
@@ -427,10 +427,9 @@ def test_batched_fit_is_the_one_point_fit_bit_for_bit(chart4, name):
             assert got.tobytes() == ref.tobytes()
             # descend-oneforms prints omega, so a zero keeps its sign too
             assert np.array_equal(np.signbit(got), np.signbit(ref))
-            assert not got.flags.writeable
         assert fit.residual == ref_residual
         alone = fit_kahler_oneforms(g, T, [Point(g.chart, p.coords)])[0]
-        assert alone.omega is fit.omega and alone.nabla is fit.nabla
+        assert alone.omega.tobytes() == fit.omega.tobytes() and alone.nabla.tobytes() == fit.nabla.tobytes()
     assert classify_structure(g, T, pts).cls is cls
     if cls is StructureClass.LHPK_BASIS:  # nabla J vanishes: every value is a zero
         assert not any(np.abs(fit.nabla).max() for fit in fits)
@@ -476,7 +475,7 @@ def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, nabla_
     p, q = Point(g.chart, [0.1, -0.2, 0.3, 0.05]), Point(g.chart, [-0.4, 0.2, 0.0, 0.6])
     fits = fit_kahler_oneforms(g, std_triple, [p, q, Point(g.chart, p.coords)])
     assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()]
-    assert fits[2].omega is fits[0].omega and fits[2].nabla is fits[0].nabla
+    assert fits[2].omega.tobytes() == fits[0].omega.tobytes() and fits[2].nabla.tobytes() == fits[0].nabla.tobytes()
 
 
 def _degenerate_at_second(chart4):
@@ -531,7 +530,7 @@ def test_batched_hermitian_is_the_one_point_formula_bit_for_bit(conformal4, eucl
         for p in pts4:
             gp, J = g.matrix(p), T.matrices(p)
             ref.append(max(float(np.abs(J[a].T @ gp + gp @ J[a]).max()) for a in range(3)))
-        assert check_hermitian(g, T, pts4) == ref
+        assert check_hermitian(g, T, pts4).tolist() == ref
         assert [check_hermitian(g, T, [p])[0] for p in pts4] == ref
 
 
@@ -595,7 +594,7 @@ def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
             assert reports[k] == check_product_structure(alone.metric, F1, [p])[0]
             assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, [p])[0]
             N = connection._nijenhuis_tensor(fields.eval_batch(F.field, [p])[0], F.field.jets([p], 1)[1][0])
-            assert tensors[k].tobytes() == N.tobytes() and not tensors[k].flags.writeable
+            assert tensors[k].tobytes() == N.tobytes()
         reference = _equivalence_reference(alone.metric, F1, alone.triple, [Point(alone.chart, p.coords) for p in ctx.points])
         assert (eq.parallel_residual, eq.nijenhuis_residual, eq.mixed_residual) == reference
     assert max(r.parallel_residual for r in reports) > 0.1  # split8-rotated varies
