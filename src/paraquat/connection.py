@@ -231,9 +231,12 @@ def riemann(g: MetricField, centres: Sequence[Point]) -> np.ndarray:
 
 def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarray:
     """dgam[c, m, k, i, j] = d_m Gamma^k_{ij} over a stack, from g^-1, Gamma,
-    dg and d2g (indexed as in ``_jets``)."""
+    dg and d2g (indexed as in ``_jets``).  The term g^{kp} d_m g_{pq}
+    Gamma^q_{ij} is two pairwise contractions, g^-1 with dg over p, then
+    with Gamma over q."""
+    ginv_dg = np.einsum("ckp,cmpq->cmkq", ginv, D)
     return (
-        -np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)
+        -np.einsum("cmkq,cqij->cmkij", ginv_dg, gam)
         + 0.5 * np.einsum("ckl,cmlij->cmkij", ginv, _first_kind(H))
     )
 

@@ -448,13 +448,15 @@ def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.nd
     frame: nabla~_{E_I} E_J = E_I(E_J) + Gamma~(E_I, E_J), with Gamma~ and
     the frame's derivative exact.  Gamma~ comes from one ``_christoffels``
     of the lifted metric, the frame's derivative and the closed form each
-    stacked over the points.  A batch that raises raises what its first
-    failing point raises alone."""
+    stacked over the points; Gamma~(L, L) is two pairwise ``einsum`` calls,
+    one L at a time.  A batch that raises raises what its first failing
+    point raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
         gamG = _christoffels(bundle.metric, qs)
         L = _frames(bundle.shift(qs))[0]
-        fd = _frame_derivatives(bundle, qs, L) + np.einsum("ckab,caI,cbJ->cIkJ", gamG, L, L)
+        gamL = np.einsum("ckab,cbJ->ckaJ", gamG, L)
+        fd = _frame_derivatives(bundle, qs, L) + np.einsum("ckaJ,caI->cIkJ", gamL, L)
         return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
@@ -465,14 +467,16 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
     (nabla~ Jt_a), from the lifted metric's own connection, and the closed
     form, over the lifted frame and all three members, exact: L from one
     ``shift`` call, nabla~ Jt_a from one Kähler fit of the lifted pair and
-    the closed form stacked over the points.  A batch that raises raises
-    what its first failing point raises alone."""
+    the closed form stacked over the points, and nabla~ Jt_a on the frame,
+    D(L, L), from two pairwise ``einsum`` calls, one L at a time.  A batch
+    that raises raises what its first failing point raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
         L = _frames(bundle.shift(qs))[0]
         D = covariant_derivatives(bundle.metric, bundle.triple, qs)
         C = oracle_tilde_nabla_J(bundle, qs)
-        return np.abs(np.einsum("caAkl,cAI,clJ->caIkJ", D, L, L) - C).max(axis=(1, 2, 3, 4))
+        DL = np.einsum("caAkl,clJ->caAkJ", D, L)
+        return np.abs(np.einsum("caAkJ,cAI->caIkJ", DL, L) - C).max(axis=(1, 2, 3, 4))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 

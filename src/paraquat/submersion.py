@@ -268,9 +268,8 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
     each come in one batch over the sample, then every contraction over
     the whole stack, each rounding alike for a point alone or in any batch.
     The products Gamma(U e_i, W e_j) of the projectors U = (h, v) with W =
-    (v, h) come from two ``einsum`` calls, which form Gamma U first and
-    then reduce over (m, l), in the order and association of the
-    three-operand ``einsum("kml,mi,lj->ikj")`` of one point."""
+    (v, h) come from two pairwise ``einsum`` calls, Gamma with U over m,
+    then with W over l, O(n^5) per point."""
 
     def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _christoffels(g, qs)
@@ -281,7 +280,7 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
         dPv = _projector_partials(f, g, qs, df)
         U = np.stack([h, v], axis=1)
         # GU[c, u, s] = Gamma(U_u e_i, W_s e_j) as [i, k, j]
-        GU = np.einsum("cuikml,cslj->cusikj", np.einsum("ckml,cumi->cuikml", gam, U), np.stack([v, h], axis=1))
+        GU = np.einsum("cuikl,cslj->cusikj", np.einsum("ckml,cumi->cuikl", gam, U), np.stack([v, h], axis=1))
         # full[c, u, i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j)
         # for the columns u_i of U_u, with d(Ph) = -d(Pv); cov[..., i, k, j]
         # is component k

@@ -335,7 +335,9 @@ def reference_riemann(g, p):
     gam = reference_christoffel(g, p)
     ginv = np.linalg.inv(g.matrix(p))
     _, D, H = (A[0] for A in g.field.jets([p], 2))
-    dgam = -np.einsum("kp,mpq,qij->mkij", ginv, D, gam) + 0.5 * np.einsum("kl,mlij->mkij", ginv, _first_kind(H))
+    # g^{kp} d_m g_{pq} Gamma^q_{ij} as two pairwise contractions, over p then q
+    ginv_dg = np.einsum("kp,mpq->mkq", ginv, D)
+    dgam = -np.einsum("mkq,qij->mkij", ginv_dg, gam) + 0.5 * np.einsum("kl,mlij->mkij", ginv, _first_kind(H))
     return _curvature(gam, dgam)
 
 

@@ -14,6 +14,8 @@ from paraquat import (
     SubmersionMap,
     ValidationError,
     build_tangent_bundle,
+    check_connection_oracle,
+    check_nabla_j_oracle,
     check_paraholomorphic,
     check_semi_riemannian,
     check_vh_invariance,
@@ -22,6 +24,7 @@ from paraquat import (
     fit_kahler_oneforms,
     jacobian,
     oneill_tensors,
+    riemann,
     sample_points,
     vh_split,
 )
@@ -371,7 +374,8 @@ def reference_oneill(f, g, p, dPv=None):
         sgn = 1.0 if w_proj_is_v else -1.0
         dW = sgn * np.einsum("mkl,m->kl", dPv, u)[:, j]
         wp = (v if w_proj_is_v else h)[:, j]
-        return dW + np.einsum("kml,m,l->k", gam, u, wp)
+        # Gamma(u, wp) as two pairwise contractions, over m then l
+        return dW + np.einsum("kl,l->k", np.einsum("kml,m->kl", gam, u), wp)
 
     a_full = np.empty((n, n, n))
     t_full = np.empty((n, n, n))
@@ -434,6 +438,90 @@ def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4):
         assert np.array_equal(got.a_horizontal, a_h)
         largest_a, largest_t = max(largest_a, np.abs(a_h).max()), max(largest_t, np.abs(t_full).max())
     assert largest_a > 1e-2 and largest_t > 1e-2
+
+
+# ------------------------------------------------- pairwise contractions
+#
+# Four sums over two indices of a product of three arrays are taken as two
+# pairwise ``einsum`` calls, O(n^5) per point where the one three-operand
+# call was O(n^6).  Each pair: its two subscripts, and the call it replaced,
+# of the first call's operands and the second call's other one.
+REPLACED = {
+    # g^{kp} d_m g_{pq} Gamma^q_{ij}, in d_m Gamma
+    "riemann": ("ckp,cmpq->cmkq", "cmkq,cqij->cmkij", lambda ginv, D, gam: np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)),
+    "connection oracle": ("ckab,cbJ->ckaJ", "ckaJ,caI->cIkJ", lambda gam, L, L2: np.einsum("ckab,caI,cbJ->cIkJ", gam, L2, L)),
+    "nabla J oracle": ("caAkl,clJ->caAkJ", "caAkJ,cAI->caIkJ", lambda D, L, L2: np.einsum("caAkl,cAI,clJ->caIkJ", D, L2, L)),
+    # Gamma(U e_i, W e_j): the product Gamma U, summed against W over (m, l)
+    "oneill": (
+        "ckml,cumi->cuikl",
+        "cuikl,cslj->cusikj",
+        lambda gam, U, W: np.einsum("cuikml,cslj->cusikj", np.einsum("ckml,cumi->cuikml", gam, U), W),
+    ),
+}
+
+
+def _lift_case(points=None):
+    ctx = build_context(load_scenario("sasaki-over-conformal"), seed=7, points=points)
+    return ctx.bundle.projection, ctx.bundle.metric, ctx.bundle, ctx.points
+
+
+def _bent_case():
+    chart8 = make_chart(8)
+    return _bent(chart8, make_chart(4)), _curved8(chart8), None, sample_points(chart8, 3, seed=4)
+
+
+@pytest.mark.parametrize("case", ["sasaki-over-conformal", "bent map over curved8"])
+def test_each_pairwise_contraction_is_the_three_operand_einsum_it_replaced_to_roundoff(case, monkeypatch):
+    # the one-point references share the pairwise order, so an index slip
+    # made in both would pass the bit-for-bit tests; the three-operand form
+    # holds each pair to the sum it stands for
+    f, g, bundle, pts = _lift_case() if case == "sasaki-over-conformal" else _bent_case()
+    subscripts = {spec for first, second, _ in REPLACED.values() for spec in (first, second)}
+    calls, einsum = [], np.einsum
+
+    def recording(spec, *operands, **kwargs):
+        out = einsum(spec, *operands, **kwargs)
+        if spec in subscripts:
+            calls.append((spec, operands, out))
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording)
+    riemann(g, pts)
+    oneill_tensors(f, g, pts)
+    if bundle is not None:
+        check_connection_oracle(bundle, pts)
+        check_nabla_j_oracle(bundle, pts)
+    monkeypatch.undo()
+    seen = set()
+    for name, (first, second, replaced) in REPLACED.items():
+        pairs = [
+            (operands, other, got)
+            for spec, (partial, other), got in calls
+            if spec == second
+            for spec1, operands, out in calls
+            if spec1 == first and out is partial
+        ]
+        for operands, other, got in pairs:
+            old = replaced(*operands, other)
+            assert np.abs(old).max() > 0
+            assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max(), name
+            seen.add(name)
+    assert seen == (set(REPLACED) if bundle else {"riemann", "oneill"})
+
+
+def test_the_lift_contractions_of_a_sixteen_point_stack_are_each_points_alone_bit_for_bit():
+    f, g, bundle, pts = _lift_case(16)
+    stacked = riemann(g, pts), oneill_tensors(f, g, pts), check_connection_oracle(bundle, pts), check_nabla_j_oracle(bundle, pts)
+    assert len(pts) == 16
+    f, g, alone, _ = _lift_case(16)
+    for k, xi in enumerate(pts):
+        xi = Point(alone.spec, xi.coords)
+        assert stacked[0][k].tobytes() == riemann(g, [xi])[0].tobytes()
+        got, ref = stacked[1][k], oneill_tensors(f, g, [xi])[0]
+        for name in ("a_full", "t_full", "a_horizontal"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert stacked[2][k] == check_connection_oracle(alone, [xi])[0]
+        assert stacked[3][k] == check_nabla_j_oracle(alone, [xi])[0]
 
 
 # ------------------------------------------------------ stacked split checks
