@@ -109,17 +109,14 @@ def stacked_triple(chart: ManifoldSpec, stack: Callable, names: Sequence[str], l
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    square_residual: float
-    product_residual: float
-    anticommute_residual: float
-    gram_det: float
+    square_residual: np.ndarray  # each field an (N,) stack, row c for point c
+    product_residual: np.ndarray
+    anticommute_residual: np.ndarray
+    gram_det: np.ndarray
 
     @property
-    def max_residual(self) -> float:
-        return max(self.square_residual, self.product_residual, self.anticommute_residual)
-
-    def passed(self, tol: float) -> bool:
-        return self.max_residual < tol
+    def max_residual(self) -> np.ndarray:
+        return np.max([self.square_residual, self.product_residual, self.anticommute_residual], axis=0)
 
 
 def _gram(J: np.ndarray) -> np.ndarray:
@@ -128,8 +125,9 @@ def _gram(J: np.ndarray) -> np.ndarray:
     return np.einsum("...aij,...bij->...ab", J, J)
 
 
-def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> list[AlgebraReport]:
-    """Residuals of the tau-algebra relations at each point:
+def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> AlgebraReport:
+    """Residuals of the tau-algebra relations at each point, one report of
+    (N,) stacks:
 
     square:      max_a  |J_a^2 + tau_a I|
     product:     max    |J_a J_b - tau_c J_c|   over cyclic (a,b,c)
@@ -152,7 +150,7 @@ def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> l
         )
         return np.column_stack([np.abs(residuals).max(axis=(2, 3, 4)), np.linalg.det(_gram(J))])
 
-    return [AlgebraReport(*row) for row in _memo_batch({}, triple.chart, None, points, compute).tolist()]
+    return AlgebraReport(*_memo_batch({}, triple.chart, None, points, compute).reshape(-1, 4).T)
 
 
 @dataclass(frozen=True)

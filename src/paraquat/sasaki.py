@@ -207,11 +207,10 @@ def build_tangent_bundle(
     n = base.dim
     spots = sample_points(base, 3, seed=20)
     algebra, hermitian = _memo_batch(
-        {}, base, None, spots,
-        lambda qs: (np.array([rep.max_residual for rep in check_triple_algebra(T, qs)]), check_hermitian(g, T, qs)),
+        {}, base, None, spots, lambda qs: (check_triple_algebra(T, qs).max_residual, check_hermitian(g, T, qs))
     )
     for p, alg, herm in zip(spots, algebra, hermitian):
-        if alg >= LIFT_PRECONDITION_TOL or herm >= LIFT_PRECONDITION_TOL:
+        if not (alg < LIFT_PRECONDITION_TOL and herm < LIFT_PRECONDITION_TOL):
             raise PreconditionFailedError(f"base pair fails at {p}: algebra {alg:.3e}, hermitian {herm:.3e}")
     bundle = tangent_bundle_chart(base, u_box)
     # M under ("shift", coordinate bytes) and (dM, d2M) under ("shift partials", ...)
@@ -483,8 +482,9 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Residuals of the lifted-frame bracket identities at one bundle point,
-    for constant-component base vectors X, Y:
+    """Residuals of the lifted-frame bracket identities over a sample of
+    bundle points, each an (N, P) array, row c for point c and column p
+    for the pair p of constant-component base vectors X, Y:
 
         [X^v, Y^v] = 0
         [X^h, Y^v] = (nabla_X Y)^v
@@ -494,26 +494,26 @@ class BracketReport:
     whenever curvature is present, which pins the curvature sign convention.
     """
 
-    vv_residual: float
-    hv_residual: float
-    hh_residual: float
-    hh_flipped_residual: float
+    vv_residual: np.ndarray
+    hv_residual: np.ndarray
+    hh_residual: np.ndarray
+    hh_flipped_residual: np.ndarray
 
     @property
-    def max_residual(self) -> float:
-        return max(self.vv_residual, self.hv_residual, self.hh_residual)
+    def max_residual(self) -> np.ndarray:
+        return np.max([self.vv_residual, self.hv_residual, self.hh_residual], axis=0)
 
 
-def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]) -> list[list[BracketReport]]:
+def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Point]) -> BracketReport:
     """The bracket identities for every pair (X, Y) of base vectors at each
-    bundle point: the reports of point c are ``[c][p]``, p in the order of
-    pairs.  The lifts of constant-component fields have constant
-    coefficients on the lifted frame, so each bracket is the frame's
-    [E_I, E_J] = E_I(E_J) - E_J(E_I) contracted with them: the frame's
-    derivative, Gamma and R over the base points each in one batch, every
-    bracket of every pair from one ``einsum``.  The vectors' shapes are
-    checked first; a batch that raises raises what its first failing point
-    raises alone."""
+    bundle point, one report of (N, P) stacks: entry [c, p] is point c and
+    pair p, in the order of pairs.  The lifts of constant-component fields
+    have constant coefficients on the lifted frame, so each bracket is the
+    frame's [E_I, E_J] = E_I(E_J) - E_J(E_I) contracted with them: the
+    frame's derivative, Gamma and R over the base points each in one batch,
+    every bracket of every pair from one ``einsum``.  The vectors' shapes
+    are checked first; a batch that raises raises what its first failing
+    point raises alone."""
     g, n = bundle.base_metric, bundle.base_dim
     X, Y = ([np.asarray(V, dtype=float) for V in vs] for vs in zip(*pairs))
     for V in X + Y:
@@ -541,5 +541,4 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
         ], axis=2)  # [c, p, residual, k]
         return np.abs(residuals).max(axis=3)
 
-    rows = _memo_batch({}, bundle.spec, None, xis, compute).tolist()
-    return [[BracketReport(*rep) for rep in row] for row in rows]
+    return BracketReport(*_memo_batch({}, bundle.spec, None, xis, compute).reshape(-1, len(X), 4).transpose(2, 0, 1))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as _dt
 import inspect
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,7 +38,7 @@ from .catalog import (
     triple_from_config,
 )
 from .connection import MetricField, covariant_derivatives, riemann
-from .errors import ParaquatError, ParseError, ValidationError
+from .errors import EvaluationError, ParaquatError, ParseError, ValidationError
 from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
 from .sasaki import SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle
 from .structures import (
@@ -184,11 +185,14 @@ def _judge(*entries) -> tuple[bool, dict]:
     records a bound on the value, which holds when the value exceeds it
     (``threshold``, ``*_above``) or stays under it (``tol``, ``*_tol``,
     ``*_below``).  An entry whose bound or value is None is left out, and
-    the check passes when every bound it records holds."""
+    the check passes when every bound it records holds.  A value that is not
+    finite, nested lists included, raises EvaluationError naming its key."""
     passed, data = True, {}
     for key, *rest in entries:
         if any(x is None for x in rest):
             continue
+        if not _finite(rest[-1]):
+            raise EvaluationError(f"non-finite value at {key!r}: {rest[-1]}")
         data[key] = rest[0]
         if len(rest) == 2:
             bound, value = rest
@@ -196,19 +200,25 @@ def _judge(*entries) -> tuple[bool, dict]:
     return passed, data
 
 
-def _worst(reports, *names: str) -> list[float]:
-    """The largest value over a sample's per-point reports of each named residual."""
-    return [max(float(getattr(rep, name)) for rep in reports) for name in names]
+def _finite(value) -> bool:
+    """Whether every float in a value, nested lists and tuples included, is finite."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _worst(report, *names: str) -> list[float]:
+    """The largest value over the sample of each named residual stack of a report."""
+    return [float(getattr(report, name).max()) for name in names]
 
 
 def _run_triple_algebra(ctx: ScenarioContext, points=None, tol=1e-12) -> tuple[bool, dict]:
-    reps = check_triple_algebra(ctx.triple, ctx.points[:points])
-    sq, pr, ac = _worst(reps, "square_residual", "product_residual", "anticommute_residual")
-    worst = max(sq, pr, ac)
+    rep = check_triple_algebra(ctx.triple, ctx.points[:points])
+    worst, sq, pr, ac = _worst(rep, "max_residual", "square_residual", "product_residual", "anticommute_residual")
     return _judge(
         ("tol", tol, worst), ("max_residual", worst),
         ("square_residual", sq), ("product_residual", pr), ("anticommute_residual", ac),
-        ("min_gram_det", min(abs(float(rep.gram_det)) for rep in reps)),
+        ("min_gram_det", float(np.abs(rep.gram_det).min())),
     )
 
 
@@ -225,12 +235,11 @@ def _run_classify(ctx: ScenarioContext, expected, points=None, tol=1e-6) -> tupl
 def _run_kahler_fit(
     ctx: ScenarioContext, points=None, tol=1e-6, oneform_values=None, value_tol=1e-5
 ) -> tuple[bool, dict]:
-    fits = fit_kahler_oneforms(ctx.metric, ctx.triple, ctx.points[:points])
-    (worst_fit,) = _worst(fits, "residual")
+    fit = fit_kahler_oneforms(ctx.metric, ctx.triple, ctx.points[:points])
+    (worst_fit,) = _worst(fit, "residual")
     worst_val = None
     if oneform_values is not None:
-        expected = np.asarray(oneform_values, dtype=float)
-        worst_val = max(float(np.abs(fit.omega - expected).max()) for fit in fits)
+        worst_val = float(np.abs(fit.omega - np.asarray(oneform_values, dtype=float)).max())
     return _judge(
         ("tol", tol, worst_fit), ("max_fit_residual", worst_fit),
         ("value_tol", value_tol, worst_val), ("max_value_error", worst_val),
@@ -240,7 +249,7 @@ def _run_kahler_fit(
 def _run_flatness(
     ctx: ScenarioContext, points=None, expect_flat=True, tol=1e-6, threshold=1e-2
 ) -> tuple[bool, dict]:
-    worst = max(float(np.abs(R).max()) for R in riemann(ctx.metric, ctx.points[:points]))
+    worst = float(np.abs(riemann(ctx.metric, ctx.points[:points])).max())
     return _judge(
         ("expect_flat", expect_flat),
         ("tol", tol if expect_flat else None, worst), ("threshold", None if expect_flat else threshold, worst),
@@ -252,9 +261,9 @@ def _run_product_structure(
     ctx: ScenarioContext, structure, points=None, involution_tol=1e-10, metric_tol=1e-10,
     nijenhuis_below=None, nijenhuis_above=None, parallel_below=None, parallel_above=None,
 ) -> tuple[bool, dict]:
-    reps = check_product_structure(ctx.metric, ctx.structure(structure), ctx.points[:points])
+    rep = check_product_structure(ctx.metric, ctx.structure(structure), ctx.points[:points])
     inv, met, nij, par = _worst(
-        reps, "involution_residual", "metric_residual", "nijenhuis_residual", "parallel_residual"
+        rep, "involution_residual", "metric_residual", "nijenhuis_residual", "parallel_residual"
     )
     return _judge(
         ("structure", structure),
@@ -268,7 +277,7 @@ def _run_product_structure(
 
 
 def _run_sigma_invariance(ctx: ScenarioContext, structure, points=None, tol=1e-10) -> tuple[bool, dict]:
-    worst = float(max(check_sigma_invariant_operator(ctx.structure(structure), ctx.triple, ctx.points[:points])))
+    worst = float(check_sigma_invariant_operator(ctx.structure(structure), ctx.triple, ctx.points[:points]).max())
     return _judge(("structure", structure), ("tol", tol, worst), ("max_residual", worst))
 
 
@@ -289,16 +298,16 @@ def _run_parallel_equivalence(
 
 
 def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
-    reps = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
-    v, h = _worst(reps, "v_residual", "h_residual")
+    rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
+    v, h = _worst(rep, "v_residual", "h_residual")
     return _judge(("tol", tol, max(v, h)), ("v_residual", v), ("h_residual", h))
 
 
 def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
-    reps = oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points])
-    max_a, anti, max_t = _worst(reps, "max_a_horizontal", "antisymmetry_residual", "max_t")
+    rep = oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points])
+    max_a, anti, max_t = _worst(rep, "max_a_horizontal", "antisymmetry_residual", "max_t")
     return _judge(
         ("a_below", a_below, max_a), ("a_above", a_above, max_a), ("max_a_horizontal", max_a),
         ("antisymmetry_tol", antisymmetry_tol, anti), ("antisymmetry_residual", anti),
@@ -308,8 +317,8 @@ def _run_oneill(
 
 def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
     rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber])
-    down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])[0]
-    match = float(np.abs(rep.omega_base - down.omega).max())
+    down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])
+    match = float(np.abs(rep.omega_base - down.omega[0]).max())
     return _judge(
         ("constancy_tol", constancy_tol, rep.constancy_residual), ("constancy_residual", float(rep.constancy_residual)),
         ("fit_residual_max", float(rep.fit_residual_max)),
@@ -323,8 +332,8 @@ def _run_bracket(
     ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
 ) -> tuple[bool, dict]:
     e = np.eye(ctx.bundle.base_dim)
-    rows = check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points])
-    worst, flipped = _worst([rep for row in rows for rep in row], "max_residual", "hh_flipped_residual")
+    rep = check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points])
+    worst, flipped = _worst(rep, "max_residual", "hh_flipped_residual")
     return _judge(
         ("tol", tol, worst), ("pairs", [list(q) for q in pairs]), ("max_residual", worst),
         ("max_flipped_residual", flipped), ("flip_above", flip_above, flipped),
@@ -335,10 +344,10 @@ def _run_lifted_oneforms(ctx: ScenarioContext, points=3, tol=1e-5) -> tuple[bool
     bundle = ctx.bundle
     n = bundle.base_dim
     pts = ctx.points[:points]
-    fits = fit_kahler_oneforms(bundle.metric, bundle.triple, pts)
-    base_fits = fit_kahler_oneforms(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts])
-    max_u = max(float(np.abs(fit.omega[:, n:]).max()) for fit in fits)
-    max_pull = max(float(np.abs(up.omega[:, :n] - down.omega).max()) for up, down in zip(fits, base_fits))
+    up = fit_kahler_oneforms(bundle.metric, bundle.triple, pts).omega
+    down = fit_kahler_oneforms(bundle.base_metric, bundle.base_triple, [bundle.base_point(pt) for pt in pts]).omega
+    max_u = float(np.abs(up[:, :, n:]).max())
+    max_pull = float(np.abs(up[:, :, :n] - down).max())
     return _judge(
         ("tol", tol, max(max_u, max_pull)), ("max_fiber_component", max_u), ("max_pullback_error", max_pull)
     )
@@ -349,20 +358,20 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     trans = TransitionMap(s=lambda pts: values(_coords(pts)), label="witness transition", jets=jets)
     witness = apply_transition(ctx.triple, trans, label="witness")
     pts = ctx.points[:points]
-    worst = max(float(np.abs(D).max()) for D in covariant_derivatives(ctx.metric, witness, pts))
+    worst = float(np.abs(covariant_derivatives(ctx.metric, witness, pts)).max())
     return _judge(("tol", tol, worst), ("max_nabla", worst), ("transition", transition))
 
 
 def _max_residual(
     default_tol: float,
-    residual: Callable[[ScenarioContext, list[Point]], list[float]],
+    residual: Callable[[ScenarioContext, list[Point]], np.ndarray],
     default_points: int | None = None,
 ) -> Callable[..., tuple[bool, dict]]:
     """Runner for a check whose verdict is its largest per-point residual
     below a tolerance."""
 
     def run(ctx: ScenarioContext, points=default_points, tol=default_tol) -> tuple[bool, dict]:
-        worst = float(max(residual(ctx, ctx.points[:points])))
+        worst = float(residual(ctx, ctx.points[:points]).max())
         return _judge(("tol", tol, worst), ("max_residual", worst))
 
     return run
@@ -761,22 +770,23 @@ def run_scenario(
     timestamp: str | None = None,
 ) -> VerificationReport:
     config = load_scenario(source)
-    ctx = build_context(config, seed, step, points)
-    expect = config.get("expect", "pass")
-    results: list[CheckResult] = []
-    for spec in config["checks"]:
-        cdef = CHECKS[spec["check"]]
-        params = {k: v for k, v in spec.items() if k != "check"}
-        try:
-            passed, data = cdef.runner(ctx, **params)
-            note = ""
-        except (ParseError, ValidationError):
-            # malformed check parameters are a configuration problem, not a
-            # verification outcome — let the caller exit with a usage error
-            raise
-        except ParaquatError as exc:
-            passed, data, note = False, {"error": type(exc).__name__}, str(exc)
-        results.append(CheckResult(cdef.name, cdef.anchor, passed, data, note))
+    with np.errstate(all="ignore"):  # a NaN or inf is for _judge or a precondition to report
+        ctx = build_context(config, seed, step, points)
+        expect = config.get("expect", "pass")
+        results: list[CheckResult] = []
+        for spec in config["checks"]:
+            cdef = CHECKS[spec["check"]]
+            params = {k: v for k, v in spec.items() if k != "check"}
+            try:
+                passed, data = cdef.runner(ctx, **params)
+                note = ""
+            except (ParseError, ValidationError):
+                # malformed check parameters are a configuration problem, not a
+                # verification outcome — let the caller exit with a usage error
+                raise
+            except ParaquatError as exc:
+                passed, data, note = False, {"error": type(exc).__name__}, str(exc)
+            results.append(CheckResult(cdef.name, cdef.anchor, passed, data, note))
     overall = all(r.passed for r in results)
     # an error is never the failure a negative control documents
     errored = any("error" in r.data for r in results)

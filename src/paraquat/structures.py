@@ -66,15 +66,13 @@ def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KahlerFit:
-    point: Point
-    omega: np.ndarray  # (3, dim): omega[a-1, i] = w_a(d_i)
-    residual: float
-    nabla: np.ndarray  # (3, dim, dim, dim): nabla[a-1] = D[i, k, j] of J_a
+    omega: np.ndarray  # (N, 3, dim): omega[c, a-1, i] = w_a(d_i) at point c
+    residual: np.ndarray  # (N,)
 
 
-def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> list[KahlerFit]:
+def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> KahlerFit:
     """Fit (w1, w2, w3) at each point and report the off-span
-    reconstruction residual.
+    reconstruction residual, one fit of stacks over the sample.
 
     The fits are memoised on g per (T, point), like Gamma and R: a second
     fit at a point repeats the chart check and returns the same bits in
@@ -86,7 +84,7 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     failing point raises alone.
     """
 
-    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray]:
         n = g.chart.dim
         J = T.values(qs)  # [c, a, k, j]
         traces = np.trace(J @ J, axis1=-2, axis2=-1)
@@ -110,10 +108,10 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
         omega[:, 2] = 0.5 * (C[:, 1, 0] - C[:, 0, 1])
         w = omega.transpose(1, 0, 2)[..., None, None]  # w[a][c, i] as a (c, i, 1, 1) stack
         recon = np.stack(span_combination(w, J.transpose(1, 0, 2, 3)[:, :, None]), axis=1)
-        return omega, np.abs(D - recon).max(axis=(1, 2, 3, 4)), D
+        return omega, np.abs(D - recon).max(axis=(1, 2, 3, 4))
 
-    fits = _memo_batch(g._memo, g.chart, ("fit", T), pts, compute)
-    return [KahlerFit(q, omega, float(residual), D) for q, omega, residual, D in zip(pts, *fits)]
+    empty = np.empty((0, 3, g.chart.dim)), np.empty(0)
+    return KahlerFit(*(_memo_batch(g._memo, g.chart, ("fit", T), pts, compute) if pts else empty))
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,14 @@ def classify_structure(
 
     LhPK-basis means this basis is already parallel (max |nabla J_a| < tol);
     PQK means the derivatives stay in the span (fit residual < tol) even though
-    the basis itself is not parallel.  The hermitian residuals and the fits
-    of the whole sample each come in one batch.
+    the basis itself is not parallel.  The hermitian residuals, the fits
+    and nabla J (a hit on the fit's memo) each come in one batch.
     """
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
-    herm = max(check_hermitian(g, T, pts))
-    fits = fit_kahler_oneforms(g, T, pts)
-    fit_res = max(fit.residual for fit in fits)
-    nab = max(float(np.abs(fit.nabla).max()) for fit in fits)
+    herm = check_hermitian(g, T, pts).max()
+    fit_res = fit_kahler_oneforms(g, T, pts).residual.max()
+    nab = np.abs(covariant_derivatives(g, T, pts)).max()
     if herm >= tol:
         cls = StructureClass.NOT_HERMITIAN
     elif nab < tol:
@@ -173,19 +170,15 @@ class ProductStructureField:
 
 @dataclass(frozen=True)
 class ProductReport:
-    involution_residual: float  # |F^2 - I|
-    metric_residual: float      # |F^T g F - g|
-    nijenhuis_residual: float   # |N_F|
-    parallel_residual: float    # |nabla F|
+    involution_residual: np.ndarray  # (N,): |F^2 - I|
+    metric_residual: np.ndarray      # (N,): |F^T g F - g|
+    nijenhuis_residual: np.ndarray   # (N,): |N_F|
+    parallel_residual: np.ndarray    # (N,): |nabla F|
 
     @property
-    def max_residual(self) -> float:
-        return max(
-            self.involution_residual,
-            self.metric_residual,
-            self.nijenhuis_residual,
-            self.parallel_residual,
-        )
+    def max_residual(self) -> np.ndarray:
+        residuals = self.involution_residual, self.metric_residual, self.nijenhuis_residual, self.parallel_residual
+        return np.max(residuals, axis=0)
 
 
 def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> np.ndarray:
@@ -202,8 +195,9 @@ def _nijenhuises(g: MetricField, F: ProductStructureField, pts: Sequence[Point])
     return _memo_batch(g._memo, g.chart, ("nijenhuis", F.field), pts, compute)
 
 
-def check_product_structure(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> list[ProductReport]:
-    """The four residuals of an almost product pair (g, F) at each point: F
+def check_product_structure(g: MetricField, F: ProductStructureField, pts: Sequence[Point]) -> ProductReport:
+    """The four residuals of an almost product pair (g, F) at each point,
+    one report of (N,) stacks: F
     from one ``eval_batch``, g from one ``matrices``, N_F and nabla F each
     from one batch, and every residual over the stack.  A batch that raises
     raises what its first failing point raises alone."""
@@ -218,7 +212,7 @@ def check_product_structure(g: MetricField, F: ProductStructureField, pts: Seque
         par = np.abs(covariant_derivatives(g, F.field, qs)).max(axis=(1, 2, 3))
         return np.column_stack([inv, met, nij, par])
 
-    return [ProductReport(*row) for row in _memo_batch({}, g.chart, None, pts, compute).tolist()]
+    return ProductReport(*_memo_batch({}, g.chart, None, pts, compute).reshape(-1, 4).T)
 
 
 def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple, pts: Sequence[Point]) -> np.ndarray:
@@ -269,11 +263,9 @@ def check_parallel_equivalence(
     """
     if not pts:
         raise ValidationError("check_parallel_equivalence needs points")
-    sig = max(check_sigma_invariant_operator(F, T, pts))
-    if sig >= tol:
-        raise PreconditionFailedError(
-            f"F is not sigma-invariant (residual {sig:.3e} >= {tol:.1e})"
-        )
+    sig = check_sigma_invariant_operator(F, T, pts).max()
+    if not sig < tol:
+        raise PreconditionFailedError(f"F is not sigma-invariant (residual {sig:.3e} >= {tol:.1e})")
     verdict = classify_structure(g, T, pts, tol=tol)
     if verdict.cls not in (StructureClass.PQK, StructureClass.LHPK_BASIS):
         raise PreconditionFailedError(

@@ -195,8 +195,8 @@ def check_paraholomorphic(
 
 @dataclass(frozen=True)
 class VhInvarianceReport:
-    v_residual: float  # leakage of J_a(vertical) into horizontal
-    h_residual: float  # leakage of J_a(horizontal) into vertical
+    v_residual: np.ndarray  # (N,): leakage of J_a(vertical) into horizontal
+    h_residual: np.ndarray  # (N,): leakage of J_a(horizontal) into vertical
 
 
 def check_vh_invariance(
@@ -206,9 +206,9 @@ def check_vh_invariance(
     T_target: LocalBasisTriple,
     pts: Sequence[Point],
     tol: float = 1e-6,
-) -> list[VhInvarianceReport]:
+) -> VhInvarianceReport:
     """Whether each J_a maps vertical to vertical and horizontal to
-    horizontal, one report per point.
+    horizontal at each point, one report of (N,) stacks.
 
     Only meaningful for a paraholomorphic map, so that is checked first and a
     PreconditionFailedError raised when it fails at tol.  An empty sample
@@ -216,11 +216,9 @@ def check_vh_invariance(
     """
     if not pts:
         raise ValidationError("check_vh_invariance needs at least one point")
-    para = max(check_paraholomorphic(f, T, T_target, pts))
-    if para >= tol:
-        raise PreconditionFailedError(
-            f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})"
-        )
+    para = check_paraholomorphic(f, T, T_target, pts).max()
+    if not para < tol:
+        raise PreconditionFailedError(f"map is not paraholomorphic (residual {para:.3e} >= {tol:.1e})")
 
     def compute(qs: list[Point]) -> np.ndarray:
         _, V, H, Pv, Ph = (A[:, None] for A in vh_split(f, g, qs))
@@ -228,42 +226,44 @@ def check_vh_invariance(
         leak = lambda P, W: np.abs(P @ J @ W).max(axis=(1, 2, 3))
         return np.column_stack([leak(Ph, V), leak(Pv, H)])
 
-    return [VhInvarianceReport(*r) for r in _memo_batch({}, f.source, None, pts, compute).tolist()]
+    return VhInvarianceReport(*_memo_batch({}, f.source, None, pts, compute).T)
 
 
 @dataclass(frozen=True)
 class ONeillTensors:
-    """Both fundamental tensors at a point, on the coordinate frame.
+    """Both fundamental tensors over a sample, on the coordinate frame,
+    stacked with row c for point c:
 
-    a_full[i, j] = h nabla_{h e_i} (v e_j) + v nabla_{h e_i} (h e_j)
-    t_full[i, j] = h nabla_{v e_i} (v e_j) + v nabla_{v e_i} (h e_j)
+    a_full[c, i, j] = h nabla_{h e_i} (v e_j) + v nabla_{h e_i} (h e_j)
+    t_full[c, i, j] = h nabla_{v e_i} (v e_j) + v nabla_{v e_i} (h e_j)
 
     a_horizontal is the A-tensor contracted onto the horizontal frame of the
-    split, shape (n', n', n); its antisymmetry in the first two slots is the
-    classical integrability statement.
+    split, shape (N, n', n', n); its antisymmetry in the first two slots is
+    the classical integrability statement.  The three properties are (N,)
+    arrays.
     """
 
-    point: Point
-    a_full: np.ndarray        # (n, n, n)
-    t_full: np.ndarray        # (n, n, n)
-    a_horizontal: np.ndarray  # (n', n', n)
+    a_full: np.ndarray        # (N, n, n, n)
+    t_full: np.ndarray        # (N, n, n, n)
+    a_horizontal: np.ndarray  # (N, n', n', n)
 
     @property
-    def max_a_horizontal(self) -> float:
-        return float(np.abs(self.a_horizontal).max())
+    def max_a_horizontal(self) -> np.ndarray:
+        return np.abs(self.a_horizontal).max(axis=(1, 2, 3))
 
     @property
-    def antisymmetry_residual(self) -> float:
-        return float(np.abs(self.a_horizontal + self.a_horizontal.transpose(1, 0, 2)).max())
+    def antisymmetry_residual(self) -> np.ndarray:
+        return np.abs(self.a_horizontal + self.a_horizontal.transpose(0, 2, 1, 3)).max(axis=(1, 2, 3))
 
     @property
-    def max_t(self) -> float:
-        return float(np.abs(self.t_full).max())
+    def max_t(self) -> np.ndarray:
+        return np.abs(self.t_full).max(axis=(1, 2, 3))
 
 
-def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> list[ONeillTensors]:
-    """A and T at each point from Gamma, the split at the point and d_m Pv
-    in closed form (``_projector_partials``), with no split but the
+def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> ONeillTensors:
+    """A and T at each point, one report of (N, ...) stacks, from Gamma,
+    the split at the point and d_m Pv in closed form
+    (``_projector_partials``), with no split but the
     point's, at any point of the closed box.  Gamma, the splits and d Pv
     each come in one batch over the sample, then every contraction over
     the whole stack, each rounding alike for a point alone or in any batch.
@@ -292,7 +292,9 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> li
         full = (proj(h, cov_v) + proj(v, cov_h))[..., 0]
         return full[:, 0], full[:, 1], np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
 
-    return [ONeillTensors(*rep) for rep in zip(pts, *_memo_batch({}, g.chart, None, pts, compute))]
+    n, m = f.source.dim, f.target.dim
+    empty = (np.empty((0, n, n, n)),) * 2 + (np.empty((0, m, m, n)),)
+    return ONeillTensors(*(_memo_batch({}, g.chart, None, pts, compute) if pts else empty))
 
 
 def _projector_partials(f: SubmersionMap, g: MetricField, pts: list[Point], J: np.ndarray) -> np.ndarray:
@@ -322,7 +324,6 @@ class DescentReport:
     omega_base: np.ndarray  # (3, n'): mean of w_a(basic lift of e'_alpha)
     constancy_residual: float
     fit_residual_max: float
-    points_used: int
 
 
 def descend_one_forms(
@@ -356,15 +357,14 @@ def descend_one_forms(
         raise PreconditionFailedError(
             f"pair classifies as {verdict.cls.value} along the fiber, need PQK or LhPK-basis"
         )
-    fits = fit_kahler_oneforms(g, T, fiber_pts)
+    fit = fit_kahler_oneforms(g, T, fiber_pts)
     df, _, H, _, _ = vh_split(f, g, fiber_pts)
     # the basic lift of e'_alpha, the horizontal vector pushing forward to
     # it, is column alpha of H (df H)^-1
-    values = np.array([fit.omega for fit in fits]) @ (H @ np.linalg.solve(df @ H, np.eye(f.target.dim)))
+    values = fit.omega @ (H @ np.linalg.solve(df @ H, np.eye(f.target.dim)))
     return DescentReport(
         image=base,
         omega_base=values.mean(axis=0),
         constancy_residual=float((values.max(axis=0) - values.min(axis=0)).max()),
-        fit_residual_max=max(fit.residual for fit in fits),
-        points_used=len(fiber_pts),
+        fit_residual_max=float(fit.residual.max()),
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ def pointwise(one):
     """A components callable for a list of points from ``one``, a function
     of one point: the fixtures written a point at a time."""
     return lambda points: [one(p) for p in points]
+
+
+def stacked(report) -> np.ndarray:
+    """The fields of a report of equal-shape stacks, in field order, stacked
+    along a last axis: row c holds point c's values."""
+    return np.stack([getattr(report, f.name) for f in dataclasses.fields(report)], axis=-1)
 
 
 def expression_map(source, target, components, label="map"):

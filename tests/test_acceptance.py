@@ -43,8 +43,7 @@ def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat
         (rot_triple, chart4, 102),
         (TRIPLES["product8"](chart8), chart8, 103),
     ):
-        for p in sample_points(chart, 100, seed=seed):
-            worst = max(worst, check_triple_algebra(triple, [p])[0].max_residual)
+        worst = max(worst, check_triple_algebra(triple, sample_points(chart, 100, seed=seed)).max_residual.max())
     assert worst < 1e-12
     print(f"PASS  algebra residual {worst:.2e} (< 1e-12)")
 
@@ -60,10 +59,9 @@ def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple
     assert v2.cls is StructureClass.PQK
     expected = np.zeros((3, 4))
     expected[2, 0] = -1.0
-    for p in pts:
-        fit = fit_kahler_oneforms(flat4, rot_triple, [p])[0]
-        assert abs(fit.omega[2, 0] + 1.0) < 1e-5
-        assert np.abs(fit.omega - expected).max() < 1e-5
+    omega = fit_kahler_oneforms(flat4, rot_triple, pts).omega
+    assert np.abs(omega[:, 2, 0] + 1.0).max() < 1e-5
+    assert np.abs(omega - expected).max() < 1e-5
 
     v3 = classify_structure(euclidean4, std_triple, pts, tol=1e-6)
     assert v3.cls is StructureClass.NOT_HERMITIAN
@@ -73,17 +71,13 @@ def test_classification_ladder(chart4, flat4, euclidean4, std_triple, rot_triple
 def test_integrability_tensor_vanishes_for_shipped_submersions(chart4, chart8, flat4, std_triple):
     g8 = METRICS["neutral8"](chart8)
     proj = expression_map(chart8, make_chart(4), ["x1", "x2", "x3", "x4"], "proj")
-    worst_a, worst_anti = 0.0, 0.0
-    for p in sample_points(chart8, 5, seed=105):
-        ten = oneill_tensors(proj, g8, [p])[0]
-        worst_a = max(worst_a, ten.max_a_horizontal)
-        worst_anti = max(worst_anti, ten.antisymmetry_residual)
-
     bundle = build_tangent_bundle(flat4, std_triple)
-    for xi in sample_points(bundle.spec, 5, seed=106):
-        ten = oneill_tensors(bundle.projection, bundle.metric, [xi])[0]
-        worst_a = max(worst_a, ten.max_a_horizontal)
-        worst_anti = max(worst_anti, ten.antisymmetry_residual)
+    tensors = (
+        oneill_tensors(proj, g8, sample_points(chart8, 5, seed=105)),
+        oneill_tensors(bundle.projection, bundle.metric, sample_points(bundle.spec, 5, seed=106)),
+    )
+    worst_a = max(ten.max_a_horizontal.max() for ten in tensors)
+    worst_anti = max(ten.antisymmetry_residual.max() for ten in tensors)
     assert worst_a < 1e-5
     assert worst_anti < 1e-5
     print(f"PASS  A-tensor max {worst_a:.2e}, antisymmetry {worst_anti:.2e} (< 1e-5)")
@@ -103,8 +97,8 @@ def test_one_forms_descend_and_match_the_base_fit(chart8):
     chart4 = proj.target
     g4 = METRICS["neutral4"](chart4)
     down = TRIPLES["rotated4"](chart4)
-    fit = fit_kahler_oneforms(g4, down, [rep.image])[0]
-    mismatch = float(np.abs(rep.omega_base - fit.omega).max())
+    fit = fit_kahler_oneforms(g4, down, [rep.image])
+    mismatch = float(np.abs(rep.omega_base - fit.omega[0]).max())
     assert mismatch < 1e-5
     print(f"PASS  fiber constancy {rep.constancy_residual:.2e} (< 1e-6), base-fit mismatch {mismatch:.2e} (< 1e-5)")
 
@@ -137,10 +131,11 @@ def test_lifted_connection_and_bracket_match_the_closed_forms(flat4, conformal4,
 
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point(np.zeros(4), [0.0, 0.0, 0.9, 0.0])
-    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])[0][0]
-    assert rep.max_residual < 1e-3
-    assert rep.hh_flipped_residual > 1e-2  # the curvature term really has that sign
-    print(f"PASS  connection residual {worst:.2e} (< 1e-3), bracket ok, flipped sign residual {rep.hh_flipped_residual:.2f} (> 1e-2)")
+    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])
+    assert rep.max_residual[0, 0] < 1e-3
+    flipped = rep.hh_flipped_residual[0, 0]
+    assert flipped > 1e-2  # the curvature term really has that sign
+    print(f"PASS  connection residual {worst:.2e} (< 1e-3), bracket ok, flipped sign residual {flipped:.2f} (> 1e-2)")
 
 
 def test_lifted_structures_classify_like_the_base(flat4, conformal4, std_triple, rot_triple):
@@ -154,11 +149,10 @@ def test_lifted_structures_classify_like_the_base(flat4, conformal4, std_triple,
     v = classify_structure(b_rot.metric, b_rot.triple, pts, tol=1e-5)
     assert v.cls is StructureClass.PQK
     # the lifted forms are pullbacks: no fiber components, base components intact
-    for xi in pts:
-        fit_up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, [xi])[0]
-        fit_down = fit_kahler_oneforms(flat4, rot_triple, [b_rot.base_point(xi)])[0]
-        assert np.abs(fit_up.omega[:, 4:]).max() < 1e-5
-        assert np.abs(fit_up.omega[:, :4] - fit_down.omega).max() < 1e-5
+    up = fit_kahler_oneforms(b_rot.metric, b_rot.triple, pts).omega
+    down = fit_kahler_oneforms(flat4, rot_triple, [b_rot.base_point(xi) for xi in pts]).omega
+    assert np.abs(up[:, :, 4:]).max() < 1e-5
+    assert np.abs(up[:, :, :4] - down).max() < 1e-5
 
     b_conf = build_tangent_bundle(conformal4, std_triple)
     pts = sample_points(b_conf.spec, 3, seed=112)

@@ -3,10 +3,12 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from paraquat import scenario
-from paraquat.catalog import load_catalog_scenario, scenario_names
+from paraquat.catalog import STD_J1, STD_J2, STD_J3, load_catalog_scenario, scenario_names
+from paraquat.structures import check_hermitian
 from paraquat.cli import main
 
 SCHEMA = json.loads(
@@ -183,6 +185,50 @@ def test_errored_check_is_not_an_expected_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["checks"][0]["data"] == {"error": "EvaluationError"}
     assert not report["overall"] and not report["final"]
+
+
+def _overflowing_document(expect):
+    """exp(x1) eta over x1 in [708, 709.7] with twice standard4: 2 exp(x1)
+    overflows where x1 > 709.09, and there J^T g + g J reads inf - inf."""
+    eta = [1, 1, -1, -1]
+    matrices = [[[str(2 * v) for v in row] for row in J.tolist()] for J in (STD_J1, STD_J2, STD_J3)]
+    return {
+        "name": "overflowing-hermitian",
+        "expect": expect,
+        "points": 5,
+        "geometry": {
+            "dim": 4,
+            "domain": [[708, 709.7], [-1, 1], [-1, 1], [-1, 1]],
+            "metric": {"matrix": [[f"{eta[r]}*exp(x1)" if r == c else "0" for c in range(4)] for r in range(4)]},
+            "triple": {"matrices": matrices},
+        },
+        "checks": [{"check": "hermitian"}],
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_residual_that_is_not_finite_is_a_numerical_failure(seed, tmp_path, capsys):
+    # a NaN point is neither skipped by the sample maximum nor written into
+    # the report, and a negative control does not read it as the failure it
+    # documents; every sample but seed 1's has such a point
+    ctx = scenario.build_context(_overflowing_document("pass"), seed=seed)
+    with np.errstate(all="ignore"):
+        nan_points = np.isnan(check_hermitian(ctx.metric, ctx.triple, ctx.points)).any()
+    assert nan_points == (seed != 1)
+    for expect in ("pass", "fail"):
+        f, out = tmp_path / f"{expect}.json", tmp_path / f"{expect}-report.json"
+        f.write_text(json.dumps(_overflowing_document(expect)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(f), "--seed", str(seed), "--out", str(out)])
+        assert not capsys.readouterr().err
+        text = out.read_text()
+        assert "NaN" not in text
+        data = json.loads(text)["checks"][0]["data"]
+        if nan_points:
+            assert code == 1 and data == {"error": "EvaluationError"}
+        elif expect == "pass":
+            assert code == 0 and data["max_residual"] == 0.0
 
 
 def _fiber_document(fiber):

@@ -400,7 +400,7 @@ MEMO_KINDS = {
     "d": ("p", lambda o, pts: _gradients(o.g, o.T.j1, pts)),
     "nijenhuis": ("p8", lambda o, pts: structures._nijenhuises(o.g8, o.F, pts)),
     "hermitian": ("p", lambda o, pts: check_hermitian(o.g, o.T, pts)),
-    "fit": ("p", lambda o, pts: [a for fit in fit_kahler_oneforms(o.g, o.T, pts) for a in (fit.omega, fit.nabla)]),
+    "fit": ("p", lambda o, pts: vars(fit_kahler_oneforms(o.g, o.T, pts)).values()),  # the omega and residual stacks
     "values": ("p", lambda o, pts: o.T.values(pts)),
     "df": ("xi", lambda o, pts: jacobian(o.bundle.projection, pts)),
     "image": ("xi", lambda o, pts: [q.coords for q in o.bundle.projection.images(pts)]),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from paraquat import (
-    BracketReport,
     DegenerateMetricError,
     EvaluationError,
     MetricField,
@@ -43,7 +42,7 @@ from paraquat.scenario import build_context, load_scenario
 from paraquat.structures import span_combination
 
 from fd_reference import H, central_difference, fd_gradient, stencil
-from conftest import SPACE_FORM_ROWS, rotated4_matrices
+from conftest import SPACE_FORM_ROWS, rotated4_matrices, stacked
 
 
 def conformal_shift_exact(xi):
@@ -188,7 +187,7 @@ def test_oracle_over_a_flat_base_is_the_span_combination(flat4, std_triple, rot_
         xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
         C = oracle_tilde_nabla_J(bundle, [xi])[0]
         L = sasaki._frames(bundle.shift([xi]))[0][0]
-        omega = fit_kahler_oneforms(flat4, T, [bundle.base_point(xi)])[0].omega
+        omega = fit_kahler_oneforms(flat4, T, [bundle.base_point(xi)]).omega[0]
         Jt = bundle.triple.matrices(xi)
         for i in range(n):
             for a, predicted in enumerate(span_combination(omega[:, i], Jt)):
@@ -200,8 +199,9 @@ def test_oracle_over_a_flat_base_is_the_span_combination(flat4, std_triple, rot_
 def test_bracket_flat(flat4, std_triple):
     bundle = build_tangent_bundle(flat4, std_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])[0][0]
-    assert rep.max_residual < 1e-9
+    rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])
+    assert rep.max_residual.shape == (1, 1)
+    assert rep.max_residual[0, 0] < 1e-9
 
 
 def test_bracket_curvature_sign(conformal4, std_triple):
@@ -209,17 +209,17 @@ def test_bracket_curvature_sign(conformal4, std_triple):
     # the identity must leave a residual of order |R| |u|
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point(np.zeros(4), [0.0, 0.0, 0.9, 0.0])
-    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])[0][0]
-    assert rep.vv_residual < 1e-9
-    assert rep.hv_residual < 1e-9
-    assert rep.hh_residual < 1e-9
-    assert rep.hh_flipped_residual > 1.0
+    rep = check_bracket(bundle, [(np.eye(4)[1], np.eye(4)[2])], [xi])
+    assert rep.vv_residual[0, 0] < 1e-9
+    assert rep.hv_residual[0, 0] < 1e-9
+    assert rep.hh_residual[0, 0] < 1e-9
+    assert rep.hh_flipped_residual[0, 0] > 1.0
 
 
 def test_lifted_triple_algebra(conformal4, std_triple):
     bundle = build_tangent_bundle(conformal4, std_triple)
     xi = bundle.point([0.1, -0.2, 0.3, 0.05], [0.2, -0.1, 0.15, 0.3])
-    assert check_triple_algebra(bundle.triple, [xi])[0].max_residual < 1e-12
+    assert check_triple_algebra(bundle.triple, [xi]).max_residual[0] < 1e-12
 
 
 def test_lifted_oneform_components(flat4, rot_triple):
@@ -227,11 +227,11 @@ def test_lifted_oneform_components(flat4, rot_triple):
     # component of the third form survives, every fiber component dies
     bundle = build_tangent_bundle(flat4, rot_triple)
     xi = bundle.point([0.2, -0.1, 0.4, 0.0], [0.3, 0.1, -0.2, 0.5])
-    fit = fit_kahler_oneforms(bundle.metric, bundle.triple, [xi])[0]
-    assert fit.residual < 1e-6
+    fit = fit_kahler_oneforms(bundle.metric, bundle.triple, [xi])
+    assert fit.residual[0] < 1e-6
     expected = np.zeros((3, 8))
     expected[2, 0] = -1.0
-    assert np.abs(fit.omega - expected).max() < 1e-5
+    assert np.abs(fit.omega[0] - expected).max() < 1e-5
 
 
 def _textbook_lift(g, T, xi):
@@ -390,14 +390,15 @@ def _per_vector_reference(bundle, xi, pairs):
         X, Y = e[i], e[j]
         RXYu = curvature_operator(R, X, Y, u)
         hh = bracket(lift_field("h", X), lift_field("h", Y))
-        brackets.append(BracketReport(
-            vv_residual=float(np.abs(bracket(lift_field("v", X), lift_field("v", Y))).max()),
-            hv_residual=float(np.abs(
+        # the vv, hv, hh and flipped hh residuals, in BracketReport's field order
+        brackets.append([
+            float(np.abs(bracket(lift_field("v", X), lift_field("v", Y))).max()),
+            float(np.abs(
                 bracket(lift_field("h", X), lift_field("v", Y)) - lift("v", np.einsum("kml,m,l->k", gam, X, Y))
             ).max()),
-            hh_residual=float(np.abs(hh - lift("v", -RXYu)).max()),
-            hh_flipped_residual=float(np.abs(hh - lift("v", +RXYu)).max()),
-        ))
+            float(np.abs(hh - lift("v", -RXYu)).max()),
+            float(np.abs(hh - lift("v", +RXYu)).max()),
+        ])
     return conn, closed_forms, brackets
 
 
@@ -434,8 +435,8 @@ def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple
         for (kx, i, ky, j), expected in closed_forms.items():
             assert np.array_equal(C[offset[kx] + i, :, offset[ky] + j], expected)
         for (i, j), expected in zip(pairs, brackets):
-            assert check_bracket(bundle, [(np.eye(n)[i], np.eye(n)[j])], [xi])[0][0] == expected
-        assert max(rep.hh_flipped_residual for rep in brackets) > 1e-2
+            assert stacked(check_bracket(bundle, [(np.eye(n)[i], np.eye(n)[j])], [xi]))[0, 0].tolist() == expected
+        assert max(rep[3] for rep in brackets) > 1e-2
 
 
 def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple):
@@ -485,6 +486,9 @@ def test_the_shifts_of_an_empty_list_are_empty(conformal4, rot_triple):
     bundle = build_tangent_bundle(conformal4, rot_triple)
     dM, d2M = bundle.shift_partials([])
     assert len(bundle.shift([])) == len(dM) == len(d2M) == 0
+    # so are the reports of the checks that read them
+    assert check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], []).max_residual.shape == (0, 1)
+    assert check_triple_algebra(bundle.triple, []).max_residual.shape == (0,)
 
 
 def test_lifted_derivatives_come_from_the_memoised_fit(chart4, rot_triple, monkeypatch):
@@ -824,8 +828,8 @@ def test_the_lift_over_a_varying_exponent_metric_is_exact(chart4):
     for xi in sample_points(bundle.spec, 2, seed=5):
         assert check_nabla_j_oracle(bundle, [xi])[0] <= 1e-12
         assert check_connection_oracle(bundle, [xi])[0] <= 1e-12
-        rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])[0][0]
-        assert rep.max_residual <= 1e-12 and rep.hh_flipped_residual > 1e-2
+        rep = check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], [xi])
+        assert rep.max_residual[0, 0] <= 1e-12 and rep.hh_flipped_residual[0, 0] > 1e-2
 
 
 # ------------------------------------------------------- checks over a sample
@@ -856,7 +860,7 @@ def test_sasaki_check_batches_are_their_one_point_forms_bit_for_bit(name, seed):
         "nabla-j": sasaki.check_nabla_j_oracle(bundle, sample),
         "closed form": list(sasaki.oracle_tilde_nabla(bundle, sample)),
         "closed form of nabla J": list(sasaki.oracle_tilde_nabla_J(bundle, sample)),
-        "brackets": sasaki.check_bracket(bundle, pairs, sample),
+        "brackets": stacked(sasaki.check_bracket(bundle, pairs, sample)),
     }
     alone, _ = _scenario_bundle(name, seed)
     for k, xi in enumerate(sample):
@@ -865,7 +869,7 @@ def test_sasaki_check_batches_are_their_one_point_forms_bit_for_bit(name, seed):
         assert batches["nabla-j"][k] == check_nabla_j_oracle(alone, [xi])[0]
         assert batches["closed form"][k].tobytes() == oracle_tilde_nabla(alone, [xi])[0].tobytes()
         assert batches["closed form of nabla J"][k].tobytes() == oracle_tilde_nabla_J(alone, [xi])[0].tobytes()
-        assert batches["brackets"][k] == [check_bracket(alone, [(X, Y)], [xi])[0][0] for X, Y in pairs]
+        assert batches["brackets"][k].tolist() == [stacked(check_bracket(alone, [(X, Y)], [xi]))[0, 0].tolist() for X, Y in pairs]
 
 
 def test_sasaki_check_batches_read_the_base_in_one_batch_each(monkeypatch):
@@ -908,7 +912,7 @@ SASAKI_BATCHES = {
     "nabla-j": check_nabla_j_oracle,
     "closed form": oracle_tilde_nabla,
     "closed form of nabla J": oracle_tilde_nabla_J,
-    "bracket": lambda bundle, xis: check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], xis),
+    "bracket": lambda bundle, xis: stacked(check_bracket(bundle, [(np.eye(4)[0], np.eye(4)[1])], xis)),
 }
 
 
@@ -953,11 +957,11 @@ def test_the_lift_precondition_names_its_first_failing_point(chart4, std_triple)
     # euclidean, where the triple is not skew, at the second spot point only
     comps = lambda ps: [np.eye(4) if np.array_equal(p.coords, spots[1].coords) else real.components([p])[0] for p in ps]
     g = MetricField(dataclasses.replace(real, components=comps, label="bent"))
-    rep, herm = check_triple_algebra(std_triple, [spots[1]])[0], structures.check_hermitian(g, std_triple, [spots[1]])[0]
+    alg, herm = check_triple_algebra(std_triple, [spots[1]]).max_residual[0], structures.check_hermitian(g, std_triple, [spots[1]])[0]
     with pytest.raises(PreconditionFailedError) as got:
         build_tangent_bundle(g, std_triple)
     assert str(got.value) == (
-        f"base pair fails at {spots[1]}: algebra {rep.max_residual:.3e}, hermitian {herm:.3e}"
+        f"base pair fails at {spots[1]}: algebra {alg:.3e}, hermitian {herm:.3e}"
     )
 
 

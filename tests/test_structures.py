@@ -48,7 +48,7 @@ from paraquat.scenario import build_context, load_scenario
 from paraquat.structures import span_combination
 
 from fd_reference import H
-from conftest import pointwise, reference_nabla, rotated4_matrices
+from conftest import pointwise, reference_nabla, rotated4_matrices, stacked
 
 
 def _scaled(M, factor):
@@ -116,12 +116,12 @@ def test_classify_covariant_under_constant_rotation(flat4, std_triple, chart4, p
 
 
 def test_fit_oneforms_rotated(flat4, rot_triple, pts4):
-    for p in pts4:
-        fit = fit_kahler_oneforms(flat4, rot_triple, [p])[0]
-        assert fit.residual < 1e-10
-        expected = np.zeros((3, 4))
-        expected[2, 0] = -1.0  # w3 = -dx1
-        assert np.abs(fit.omega - expected).max() < 1e-5
+    fit = fit_kahler_oneforms(flat4, rot_triple, pts4)
+    assert fit.residual.shape == (len(pts4),) and fit.omega.shape == (len(pts4), 3, 4)
+    assert fit.residual.max() < 1e-10
+    expected = np.zeros((3, 4))
+    expected[2, 0] = -1.0  # w3 = -dx1
+    assert np.abs(fit.omega - expected).max() < 1e-5
 
 
 def test_fit_oneforms_conformal(conformal4, std_triple, pts4):
@@ -129,10 +129,9 @@ def test_fit_oneforms_conformal(conformal4, std_triple, pts4):
     expected[0, 2] = 1.0  # w1 = dx3
     expected[1, 3] = -1.0  # w2 = -dx4
     expected[2, 1] = 1.0  # w3 = dx2
-    for p in pts4:
-        fit = fit_kahler_oneforms(conformal4, std_triple, [p])[0]
-        assert fit.residual < 1e-5
-        assert np.abs(fit.omega - expected).max() < 1e-5
+    fit = fit_kahler_oneforms(conformal4, std_triple, pts4)
+    assert fit.residual.max() < 1e-5
+    assert np.abs(fit.omega - expected).max() < 1e-5
 
 
 def test_fit_oneforms_degenerate_pairing(flat4, chart4):
@@ -179,36 +178,36 @@ def _degenerate_beyond_x2(g, x2=0.9):
 def test_second_fit_is_the_memoised_one(conformal4, std_triple, nabla_calls):
     g = _fresh(conformal4)
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
-    first = fit_kahler_oneforms(g, std_triple, [p])[0]
+    first = fit_kahler_oneforms(g, std_triple, [p])
     made = len(nabla_calls)
     assert made == 1
-    again = fit_kahler_oneforms(g, std_triple, [Point(g.chart, p.coords)])[0]
+    again = fit_kahler_oneforms(g, std_triple, [Point(g.chart, p.coords)])
     assert len(nabla_calls) == made
-    assert again.omega.tobytes() == first.omega.tobytes() and again.nabla.tobytes() == first.nabla.tobytes()
-    assert again.residual == first.residual
+    assert again.omega.tobytes() == first.omega.tobytes()
+    assert again.residual.tobytes() == first.residual.tobytes()
     # each fit's arrays are its own: writing into them leaves the memo clean
-    for arr in (again.omega, again.nabla):
+    for arr in (again.omega, again.residual):
         arr[(0,) * arr.ndim] = np.nan
-    hit = fit_kahler_oneforms(g, std_triple, [p])[0]
-    assert hit.omega.tobytes() == first.omega.tobytes() and hit.nabla.tobytes() == first.nabla.tobytes()
+    hit = fit_kahler_oneforms(g, std_triple, [p])
+    assert hit.omega.tobytes() == first.omega.tobytes() and hit.residual.tobytes() == first.residual.tobytes()
     assert len(nabla_calls) == made
-    alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, [p])[0]
+    alone = fit_kahler_oneforms(_fresh(conformal4), std_triple, [p])
     assert alone.omega.tobytes() == first.omega.tobytes()
-    assert alone.nabla.tobytes() == first.nabla.tobytes()
+    assert alone.residual.tobytes() == first.residual.tobytes()
 
 
 def test_fit_memo_computes_another_triple_afresh_and_keys_no_step(conformal4, std_triple, rot_triple, nabla_calls):
     g = _fresh(conformal4)
     p = Point(g.chart, [0.1, -0.2, 0.3, 0.05])
-    std = fit_kahler_oneforms(g, std_triple, [p])[0]
-    rot = fit_kahler_oneforms(g, rot_triple, [p])[0]
+    std = fit_kahler_oneforms(g, std_triple, [p])
+    rot = fit_kahler_oneforms(g, rot_triple, [p])
     assert len(nabla_calls) == 2
     assert not np.array_equal(std.omega, rot.omega)
     # one fit per (triple, point): the key holds no step
     fits = [key for key in g._memo if key[0][0] == "fit"]
     assert fits == [(("fit", T), p.coords.tobytes()) for T in (std_triple, rot_triple)]
-    assert fit_kahler_oneforms(g, std_triple, [p])[0].nabla.tobytes() == std.nabla.tobytes()
-    assert fit_kahler_oneforms(g, rot_triple, [p])[0].omega.tobytes() == rot.omega.tobytes()
+    assert fit_kahler_oneforms(g, std_triple, [p]).residual.tobytes() == std.residual.tobytes()
+    assert fit_kahler_oneforms(g, rot_triple, [p]).omega.tobytes() == rot.omega.tobytes()
     assert len(nabla_calls) == 2
 
 
@@ -250,19 +249,20 @@ def product_setup():
 def test_split8_is_parallel_product(product_setup):
     chart8, g8, _, split, _ = product_setup
     p = Point(chart8, [0.1, 0.0, -0.2, 0.3, 0.05, -0.1, 0.2, 0.15])
-    rep = check_product_structure(g8, split, [p])[0]
-    assert rep.max_residual < 1e-12
+    rep = check_product_structure(g8, split, [p])
+    assert rep.max_residual.shape == (1,)
+    assert rep.max_residual[0] < 1e-12
 
 
 def test_split8_rotated_fails_both_conditions(product_setup):
     chart8, g8, _, _, rotated = product_setup
     # at x2 = 0 the derivative magnitudes come out exactly 0.2 and 0.4
     p = Point(chart8, [0.1, 0.0, -0.2, 0.3, 0.05, -0.1, 0.2, 0.15])
-    rep = check_product_structure(g8, rotated, [p])[0]
-    assert rep.involution_residual < 1e-12
-    assert rep.metric_residual < 1e-12
-    assert rep.parallel_residual == pytest.approx(0.2, abs=1e-6)
-    assert rep.nijenhuis_residual == pytest.approx(0.4, abs=1e-6)
+    rep = check_product_structure(g8, rotated, [p])
+    assert rep.involution_residual[0] < 1e-12
+    assert rep.metric_residual[0] < 1e-12
+    assert rep.parallel_residual[0] == pytest.approx(0.2, abs=1e-6)
+    assert rep.nijenhuis_residual[0] == pytest.approx(0.4, abs=1e-6)
 
 
 def test_sigma_invariance(product_setup):
@@ -325,13 +325,13 @@ def test_product_and_equivalence_checks_compute_nabla_f_and_n_f_once(product_set
 
     real = rotated.field
     rotated = ProductStructureField(dataclasses.replace(real, jets=counted), rotated.label)
-    reps = [check_product_structure(g, rotated, [p])[0] for p in pts]
+    reps = [check_product_structure(g, rotated, [p]) for p in pts]
     # one derivative of F per point, read by nabla F and by N_F
     assert grads == [p.coords.tobytes() for p in pts]
     eq = check_parallel_equivalence(g, rotated, T8, pts)
     assert len(grads) == len(pts)
-    assert eq.parallel_residual == max(r.parallel_residual for r in reps)
-    assert eq.nijenhuis_residual == max(r.nijenhuis_residual for r in reps)
+    assert eq.parallel_residual == max(r.parallel_residual[0] for r in reps)
+    assert eq.nijenhuis_residual == max(r.nijenhuis_residual[0] for r in reps)
     fresh = MetricField(g8.field)
     for p in pts:
         D = covariant_derivative_11(g, rotated.field, [p])[0]
@@ -351,7 +351,7 @@ def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_tripl
     verdict = classify_structure(MetricField(flat4.field), rot_expr_triple, pts)
     assert verdict.cls is StructureClass.PQK
     assert verdict.fit_residual_max <= 1e-12
-    exact = [fit_kahler_oneforms(MetricField(flat4.field), rot_expr_triple, [p])[0].nabla for p in pts]
+    exact = connection.covariant_derivatives(MetricField(flat4.field), rot_expr_triple, pts)
     distance = []
     for h in (1e-3, 5e-4):
         fd = [np.stack([reference_nabla(flat4, f, p, h) for f in rot_expr_triple.fields]) for p in pts]
@@ -419,20 +419,22 @@ def test_batched_fit_is_the_one_point_fit_bit_for_bit(chart4, name):
     build, cls = FIT_CASES[name]
     g, T = build(chart4)
     pts = _fit_points(g)
-    fits = fit_kahler_oneforms(g, T, pts)
-    for p, fit in zip(pts, fits):
+    fit = fit_kahler_oneforms(g, T, pts)
+    D = connection.covariant_derivatives(g, T, pts)  # the nabla J the fit read, from its memo
+    for k, p in enumerate(pts):
         ref_omega, ref_residual, ref_D = reference_fit(g, T, p)
-        assert fit.point is p
-        for got, ref in ((fit.omega, ref_omega), (fit.nabla, ref_D)):
+        for got, ref in ((fit.omega[k], ref_omega), (D[k], ref_D)):
             assert got.tobytes() == ref.tobytes()
             # descend-oneforms prints omega, so a zero keeps its sign too
             assert np.array_equal(np.signbit(got), np.signbit(ref))
-        assert fit.residual == ref_residual
-        alone = fit_kahler_oneforms(g, T, [Point(g.chart, p.coords)])[0]
-        assert alone.omega.tobytes() == fit.omega.tobytes() and alone.nabla.tobytes() == fit.nabla.tobytes()
+        assert fit.residual[k] == ref_residual
+        q = Point(g.chart, p.coords)
+        alone = fit_kahler_oneforms(g, T, [q])
+        assert alone.omega.tobytes() == fit.omega[k].tobytes() and alone.residual[0] == fit.residual[k]
+        assert connection.covariant_derivatives(g, T, [q]).tobytes() == D[k].tobytes()
     assert classify_structure(g, T, pts).cls is cls
     if cls is StructureClass.LHPK_BASIS:  # nabla J vanishes: every value is a zero
-        assert not any(np.abs(fit.nabla).max() for fit in fits)
+        assert not D.any()
 
 
 def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4, chart4, monkeypatch):
@@ -473,9 +475,9 @@ def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4
 def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, nabla_calls):
     g = _fresh(conformal4)
     p, q = Point(g.chart, [0.1, -0.2, 0.3, 0.05]), Point(g.chart, [-0.4, 0.2, 0.0, 0.6])
-    fits = fit_kahler_oneforms(g, std_triple, [p, q, Point(g.chart, p.coords)])
+    fit = fit_kahler_oneforms(g, std_triple, [p, q, Point(g.chart, p.coords)])
     assert [r.coords.tobytes() for r in nabla_calls] == [p.coords.tobytes(), q.coords.tobytes()]
-    assert fits[2].omega.tobytes() == fits[0].omega.tobytes() and fits[2].nabla.tobytes() == fits[0].nabla.tobytes()
+    assert fit.omega[2].tobytes() == fit.omega[0].tobytes() and fit.residual[2] == fit.residual[0]
 
 
 def _degenerate_at_second(chart4):
@@ -583,7 +585,7 @@ def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
     g, T = ctx.metric, ctx.triple
     pts = ctx.points + [ctx.points[0]]
     for F in structs:
-        reports = check_product_structure(g, F, pts)
+        report = check_product_structure(g, F, pts)
         sigma = check_sigma_invariant_operator(F, T, pts)
         tensors = structures._nijenhuises(g, F, pts)
         eq = check_parallel_equivalence(g, F, T, ctx.points)
@@ -591,13 +593,13 @@ def test_product_check_batches_are_their_one_point_forms_bit_for_bit(seed):
         F1 = alone.structure(F.label)
         for k, p in enumerate(pts):
             p = Point(alone.chart, p.coords)
-            assert reports[k] == check_product_structure(alone.metric, F1, [p])[0]
+            assert stacked(report)[k].tolist() == stacked(check_product_structure(alone.metric, F1, [p]))[0].tolist()
             assert sigma[k] == check_sigma_invariant_operator(F1, alone.triple, [p])[0]
             N = connection._nijenhuis_tensor(fields.eval_batch(F.field, [p])[0], F.field.jets([p], 1)[1][0])
             assert tensors[k].tobytes() == N.tobytes()
         reference = _equivalence_reference(alone.metric, F1, alone.triple, [Point(alone.chart, p.coords) for p in ctx.points])
         assert (eq.parallel_residual, eq.nijenhuis_residual, eq.mixed_residual) == reference
-    assert max(r.parallel_residual for r in reports) > 0.1  # split8-rotated varies
+    assert report.parallel_residual.max() > 0.1  # split8-rotated varies
 
 
 def _failing_product_setup(chart8):
