@@ -121,8 +121,10 @@ class AlgebraReport:
 
 def _gram(J: np.ndarray) -> np.ndarray:
     """The 3x3 Gram matrix of each triple value of a stack J[..., a, i, j]
-    under the Frobenius pairing <A, B> = sum_ij A^i_j B^i_j."""
-    return np.einsum("...aij,...bij->...ab", J, J)
+    under the Frobenius pairing <A, B> = sum_ij A^i_j B^i_j: each member
+    flattened to a row, times the transpose."""
+    rows = J.reshape(J.shape[:-2] + (-1,))
+    return rows @ rows.swapaxes(-1, -2)
 
 
 def check_triple_algebra(triple: LocalBasisTriple, points: Sequence[Point]) -> AlgebraReport:
@@ -194,18 +196,24 @@ class TransitionMap:
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
     """The triple with values B.J_a(p) = sum_b s(p)[a,b] A.J_b(p), its three
     members at once (``stacked_triple``): s at every point from one
-    ``s.matrices`` and A's values from one ``values``, contracted in one
-    ``einsum``, and the jets to order 1, d(s_ab J_b) = ds_ab J_b + s_ab
-    dJ_b, from one jets call of s and one ``jets`` of A."""
+    ``s.matrices`` and A's values from one ``values``, each member's row of
+    s times the values flattened over (i, j), and the jets to order 1,
+    d(s_ab J_b) = ds_ab J_b + s_ab dJ_b, from one jets call of s and one
+    ``jets`` of A, the same products with J flattened over (i, j) and dJ
+    over (m, i, j)."""
     name = label or s.label
 
     def stack(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
-        S = s.matrices(points)
-        V = np.einsum("cab,cbij->caij", S, A.values(points))
+        # s and ds in C order, whatever their source's, so that a member's
+        # row of either is the same vector for a point alone or in any stack
+        S, AJ = np.ascontiguousarray(s.matrices(points)), A.values(points)
+        c, rows = len(S), S[..., None, :]  # [c, a, 1, b]: member a's row of s
+        V = (rows @ AJ.reshape(c, 1, 3, -1)).reshape(AJ.shape)
         if order == 0:
             return (V,)
-        dS = _jets_of(s)(points, 1)[1]  # [c, m, a, b]
+        dS = np.ascontiguousarray(_jets_of(s)(points, 1)[1]).swapaxes(1, 2)  # [c, a, m, b]
         J, dJ = A.jets(points)
-        return V, np.einsum("cmab,cbij->camij", dS, J) + np.einsum("cab,cbmij->camij", S, dJ)
+        dSJ = (dS[..., None, :] @ J.reshape(c, 1, 1, 3, -1)).reshape(dJ.shape)
+        return V, dSJ + (rows @ dJ.reshape(c, 1, 3, -1)).reshape(dJ.shape)
 
     return stacked_triple(A.chart, stack, [f"{name}[{a + 1}]" for a in range(3)], label=name)

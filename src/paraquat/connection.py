@@ -152,13 +152,14 @@ def _christoffels(g: MetricField, centres: Sequence[Point], order: int = 2) -> n
     """``christoffel`` at each centre, a fresh stack.  The
     distinct misses are assembled together: g at the centres, then dg from
     the jets (``_jets`` of ``order``: 3 for the base of a Sasaki lift, whose
-    shifts read d3g next), one ``inv`` and one ``einsum`` over the stack.
-    A batch that raises stores nothing, and its first failing centre raises
-    what it raises alone."""
+    shifts read d3g next), one ``inv`` and one product g^-1 T over the
+    stack, with T flattened over (i, j).  A batch that raises stores
+    nothing, and its first failing centre raises what it raises alone."""
 
     def compute(pts: list[Point]) -> np.ndarray:
         ginv = np.linalg.inv(g.matrices(pts))
-        return 0.5 * np.einsum("ckl,clij->ckij", ginv, _first_kind(_jets(g, pts, order)[0]))
+        T = _first_kind(_jets(g, pts, order)[0])
+        return 0.5 * (ginv @ T.reshape(len(pts), g.chart.dim, -1)).reshape(T.shape)
 
     return _memo_batch(g._memo, g.chart, "gamma", centres, compute)
 
@@ -170,9 +171,11 @@ def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts
     The distinct misses are one stack: Gamma from one ``_christoffels``, the
     triple's memoised ``values`` and one ``jets`` call (of a field, a member
     axis of length one from ``eval_batch`` and ``_gradients``), and D = dT +
-    Gamma T - T Gamma in two ``einsum`` calls, which round alike for a point
-    or a member alone or in any stack.  A batch that raises stores nothing,
-    and its first failing point raises what it raises alone."""
+    Gamma_i T - T Gamma_i in two matrix products per member, Gamma flattened
+    over (i, k) on the left of T and over (i, j) on its right, which round
+    alike for a point or a member alone or in any stack.  A batch that
+    raises stores nothing, and its first failing point raises what it
+    raises alone."""
     alone = isinstance(T, TensorField)
 
     def compute(qs: list[Point]) -> np.ndarray:
@@ -181,7 +184,11 @@ def covariant_derivatives(g: MetricField, T: LocalBasisTriple | TensorField, pts
             V, dV = eval_batch(T, qs)[:, None], _gradients(g, T, qs)[:, None]
         else:
             V, dV = T.values(qs), T.jets(qs)[1]
-        D = dV + np.einsum("ckil,calj->caikj", gam, V) - np.einsum("clij,cakl->caikj", gam, V)
+        c, a, n = V.shape[:3]
+        # (Gamma_i T)[k, j] over rows (i, k), and (T Gamma_i)[k, j] over columns (i, j)
+        left = (gam.transpose(0, 2, 1, 3).reshape(c, 1, n * n, n) @ V).reshape(c, a, n, n, n)
+        right = (V @ gam.reshape(c, 1, n, n * n)).reshape(c, a, n, n, n).transpose(0, 1, 3, 2, 4)
+        D = dV + left - right
         return D[:, 0] if alone else D
 
     return _memo_batch(g._memo, g.chart, ("nabla", T), pts, compute)
@@ -231,30 +238,37 @@ def riemann(g: MetricField, centres: Sequence[Point]) -> np.ndarray:
 
 def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarray:
     """dgam[c, m, k, i, j] = d_m Gamma^k_{ij} over a stack, from g^-1, Gamma,
-    dg and d2g (indexed as in ``_jets``).  The term g^{kp} d_m g_{pq}
-    Gamma^q_{ij} is two pairwise contractions, g^-1 with dg over p, then
-    with Gamma over q."""
-    ginv_dg = np.einsum("ckp,cmpq->cmkq", ginv, D)
+    dg and d2g (indexed as in ``_jets``), as matrix products per point.  The
+    term g^{kp} d_m g_{pq} Gamma^q_{ij} is two of them, g^-1 with d_m g
+    over p for each m, then with Gamma, flattened over (i, j), over q; the
+    term g^{kl} d_m T_{lij} is g^-1 with d_m T, flattened over (i, j)."""
+    c, n = gam.shape[:2]
+    ginv_dg = ginv[:, None] @ D  # [c, m, k, q]
     return (
-        -np.einsum("cmkq,cqij->cmkij", ginv_dg, gam)
-        + 0.5 * np.einsum("ckl,cmlij->cmkij", ginv, _first_kind(H))
+        -(ginv_dg.reshape(c, n * n, n) @ gam.reshape(c, n, n * n)).reshape(c, n, n, n, n)
+        + 0.5 * (ginv[:, None] @ _first_kind(H).reshape(c, n, n, n * n)).reshape(c, n, n, n, n)
     )
 
 
 def _curvature(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
-    """R^l_{kij} from Gamma and dgam[..., i, l, j, k] = d_i Gamma^l_{jk},
-    for one point or a stack."""
+    """R^l_{kij} from stacks of Gamma and dgam[c, i, l, j, k] = d_i
+    Gamma^l_{jk}.  Both Gamma Gamma terms are read from the one product
+    P[c, l, a, b, k] = Gamma^l_{am} Gamma^m_{bk}, Gamma flattened over (l, a)
+    on the left and over (b, k) on the right: the first is P[l, i, j, k],
+    the second P[l, j, i, k]."""
+    c, n = gam.shape[:2]
+    P = (gam.reshape(c, n * n, n) @ gam.reshape(c, n, n * n)).reshape(c, n, n, n, n)
     return (
         np.einsum("...iljk->...lkij", dgam)
         - np.einsum("...jlik->...lkij", dgam)
-        + np.einsum("...lim,...mjk->...lkij", gam, gam)
-        - np.einsum("...ljm,...mik->...lkij", gam, gam)
+        + P.transpose(0, 1, 4, 2, 3)
+        - P.transpose(0, 1, 4, 3, 2)
     )
 
 
 def curvature_operator(riem: np.ndarray, X, Y, Z) -> np.ndarray:
     """R(X, Y, Z)^l = R^l_{kij} X^i Y^j Z^k."""
-    return np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
+    return riem @ Y @ X @ Z
 
 
 def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
@@ -267,10 +281,13 @@ def _nijenhuis_tensor(Fp: np.ndarray, dF: np.ndarray) -> np.ndarray:
 
         N^k_{ij} = F^m_i d_m F^k_j - F^m_j d_m F^k_i
                  + F^k_m d_j F^m_i - F^k_m d_i F^m_j.
+
+    The first two terms are read from one product S[i, k, j] = F^m_i d_m
+    F^k_j, F^T with dF flattened over (k, j), the last two from one product
+    Q[k, i, j] = F^k_m d_i F^m_j, F with dF flattened over (i, j).
     """
-    t1 = np.einsum("...mi,...mkj->...kij", Fp, dF)
-    t2 = np.einsum("...mj,...mki->...kij", Fp, dF)
-    t3 = np.einsum("...km,...jmi->...kij", Fp, dF)
-    t4 = np.einsum("...km,...imj->...kij", Fp, dF)
-    return t1 - t2 + t3 - t4
+    n, lead = Fp.shape[-1], Fp.shape[:-2]
+    S = (Fp.swapaxes(-1, -2) @ dF.reshape(lead + (n, n * n))).reshape(dF.shape)
+    Q = (Fp @ dF.swapaxes(-3, -2).reshape(lead + (n, n * n))).reshape(dF.shape)
+    return S.swapaxes(-3, -2) - np.moveaxis(S, -3, -1) + Q.swapaxes(-1, -2) - Q
 

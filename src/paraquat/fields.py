@@ -308,7 +308,8 @@ def sample_points(
 
     Points stay ``margin`` away from every wall (by default 10 steps of
     ``DEFAULT_STEP``); the margin is the step's only job.  Same (spec,
-    count, seed) -> identical points.
+    count, seed) -> identical points.  A count whose draws numpy cannot
+    form raises ValidationError: the size is the configuration's.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -319,7 +320,10 @@ def sample_points(
             f"domain box has no interior at margin {margin}"
         )
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(lo, hi, size=(count, spec.dim))
+    try:
+        draws = rng.uniform(lo, hi, size=(count, spec.dim))
+    except (ValueError, MemoryError):
+        raise ValidationError(f"a sample of {count} points in {spec.dim} dimensions is too large to form") from None
     return [Point(spec, row) for row in draws]
 
 

@@ -113,23 +113,36 @@ def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> tuple[np.ndarray, 
     d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
     memo, where the shifts' Gamma put them (one order-3 jet call per base
     point), and the partials by differentiating g Gamma = T/2 (T as in
-    ``connection._first_kind``) once and twice."""
+    ``connection._first_kind``) once and twice.  d2Gamma is matrix products
+    per point: d_p d_m g_{lq} Gamma^q_{ij}, and the product E[c, m, l, p, i,
+    j] = d_m g_{lq} d_p Gamma^q_{ij}, whose two transposes are the two
+    mixed terms, each with the summed index on the inside, then g^-1 on the
+    left for each (p, m)."""
 
     def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gam = _christoffels(g, qs, order=3)
         ginv = np.linalg.inv(g.matrices(qs))
         D, H, K = _jets(g, qs, 3)
         dgam = _christoffel_partials(ginv, gam, D, H)
-        d2gam = np.einsum(
-            "ckl,cpmlij->cpmkij", ginv,
+        c, n = gam.shape[:2]
+        shape = (c,) + (n,) * 5
+        E = (D.reshape(c, n * n, n) @ dgam.transpose(0, 2, 1, 3, 4).reshape(c, n, n**3)).reshape(shape)
+        X = (
             0.5 * _first_kind(K)
-            - np.einsum("cpmlq,cqij->cpmlij", H, gam)
-            - np.einsum("cmlq,cpqij->cpmlij", D, dgam)
-            - np.einsum("cplq,cmqij->cpmlij", D, dgam),
+            - (H.reshape(c, n**3, n) @ gam.reshape(c, n, n * n)).reshape(shape)
+            - E.transpose(0, 3, 1, 2, 4, 5)
+            - E.transpose(0, 1, 3, 2, 4, 5)
         )
+        d2gam = (ginv[:, None, None] @ X.reshape(c, n, n, n, n * n)).reshape(shape)
         return gam, dgam, d2gam
 
     return _memo_batch({}, g.chart, None, xs, compute)
+
+
+def _along_u(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A[c, ..., j, i] u[c, j] summed over j at each point of a stack: u as
+    a row vector times each matrix of the point's A."""
+    return (u.reshape(u.shape[:1] + (1,) * (A.ndim - 2) + u.shape[1:]) @ A)[..., 0, :]
 
 
 def _lifted_metric(M: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -220,7 +233,8 @@ def build_tangent_bundle(
         """M = Gamma(u, .) at each bundle point, stacked, after the chart
         check of every point and the box test of the new ones
         (``fields._check_box``).  The new shifts come from one Christoffel
-        batch over their distinct base points and one ``einsum``.  A batch
+        batch over their distinct base points and u times Gamma^k for each
+        k (``_along_u``).  A batch
         that raises raises what its first failing point raises alone, and
         stores no shift and no Gamma (g keeps only metric values that passed
         their checks)."""
@@ -228,7 +242,7 @@ def build_tangent_bundle(
         def compute(fresh: list[Point]) -> np.ndarray:
             C = _check_box(bundle, fresh)
             gam = _christoffels(g, _base_points(base, fresh), order=3)
-            return np.einsum("pkji,pj->pki", gam, np.ascontiguousarray(C[:, n:]))
+            return _along_u(gam, np.ascontiguousarray(C[:, n:]))
 
         return _memo_batch(memo, bundle, "shift", xis, compute)
 
@@ -241,16 +255,18 @@ def build_tangent_bundle(
 
             d_{x_m} M = d_m Gamma(u, .),    d_{u_m} M^k_i = Gamma^k_{mi},
             d_{x_p} d_{x_m} M = d_p d_m Gamma(u, .),
-            d_{x_m} d_{u_p} M^k_i = d_m Gamma^k_{pi},    d_u d_u M = 0."""
+            d_{x_m} d_{u_p} M^k_i = d_m Gamma^k_{pi},    d_u d_u M = 0,
+
+        the sums with u as in ``shift``."""
 
         def compute(fresh: list[Point]) -> tuple[np.ndarray, np.ndarray]:
             U = np.ascontiguousarray(_check_box(bundle, fresh)[:, n:])
             gam, dgam, d2gam = _christoffel_jets(g, _base_points(base, fresh))
             dM = np.zeros((len(fresh), 2 * n, n, n))
             d2M = np.zeros((len(fresh), 2 * n, 2 * n, n, n))
-            dM[:, :n] = np.einsum("cmkji,cj->cmki", dgam, U)
+            dM[:, :n] = _along_u(dgam, U)
             dM[:, n:] = np.einsum("ckmi->cmki", gam)
-            d2M[:, :n, :n] = np.einsum("cpmkji,cj->cpmki", d2gam, U)
+            d2M[:, :n, :n] = _along_u(d2gam, U)
             d2M[:, :n, n:] = np.einsum("cmkpi->cmpki", dgam)
             d2M[:, n:, :n] = d2M[:, :n, n:].swapaxes(1, 2)
             return dM, d2M
@@ -267,7 +283,8 @@ def build_tangent_bundle(
         stacked, from the blocks G = [[g + M^T P, P^T], [P, g]], P = g M,
         differentiated along the 2n bundle coordinates (g does not vary
         along the fiber), with M, dM, d2M from one read each of the shift
-        memo and g from one batch over the base points."""
+        memo and g from one batch over the base points; every term is a
+        matrix product per point and bundle direction."""
         _order_at_most("lifted metric", order, 2)
         M, (dM, d2M) = shift(xis), shift_partials(xis)
         xs = _base_points(base, xis)
@@ -277,20 +294,21 @@ def build_tangent_bundle(
         gA = np.zeros((len(xis), 2 * n, n, n))
         gA[:, :n] = dg
         P = gx @ M
-        PA = np.einsum("cakl,cli->caki", gA, M) + np.einsum("ckl,cali->caki", gx, dM)
-        AA = gA + np.einsum("calk,cli->caki", dM, P) + np.einsum("clk,cali->caki", M, PA)
+        Mt, dMt = M.swapaxes(-1, -2), dM.swapaxes(-1, -2)
+        PA = gA @ M[:, None] + gx[:, None] @ dM
+        AA = gA + dMt @ P[:, None] + Mt[:, None] @ PA
         out = (V, _blocks(AA, PA, gA))
         if order < 2:
             return out
         gAB = np.zeros((len(xis), 2 * n, 2 * n, n, n))
         gAB[:, :n, :n] = d2g
         PAB = (
-            np.einsum("cabkl,cli->cabki", gAB, M) + np.einsum("cakl,cbli->cabki", gA, dM)
-            + np.einsum("cbkl,cali->cabki", gA, dM) + np.einsum("ckl,cabli->cabki", gx, d2M)
+            gAB @ M[:, None, None] + gA[:, :, None] @ dM[:, None]
+            + gA[:, None] @ dM[:, :, None] + gx[:, None, None] @ d2M
         )
         AAB = (
-            gAB + np.einsum("cablk,cli->cabki", d2M, P) + np.einsum("calk,cbli->cabki", dM, PA)
-            + np.einsum("cblk,cali->cabki", dM, PA) + np.einsum("clk,cabli->cabki", M, PAB)
+            gAB + d2M.swapaxes(-1, -2) @ P[:, None, None] + dMt[:, :, None] @ PA[:, None]
+            + dMt[:, None] @ PA[:, :, None] + Mt[:, None, None] @ PAB
         )
         return out + (_blocks(AAB, PAB, gAB),)
 
@@ -303,7 +321,8 @@ def build_tangent_bundle(
         one shift batch: Jt_a = L diag(J_a, J_a) L^-1 = [[J, 0], [JM - MJ,
         J]] from the base triple's values, and d_A Jt_a, whose blocks are d_A
         J and d_A J M + J d_A M - d_A M J - M d_A J, from one ``jets`` call
-        of the base triple and the shift memo."""
+        of the base triple and the shift memo, each term a matrix product
+        per point, member and bundle direction."""
         M = shift(xis)
         L, Linv = _frames(M)
         xs = _base_points(base, xis)
@@ -314,10 +333,7 @@ def build_tangent_bundle(
         J, dJ = T.jets(xs)
         JA = np.zeros((len(xis), 3, 2 * n, n, n))
         JA[:, :, :n] = dJ
-        C = (
-            np.einsum("cbaki,cil->cbakl", JA, M) + np.einsum("cbki,cail->cbakl", J, dM)
-            - np.einsum("caki,cbil->cbakl", dM, J) - np.einsum("cki,cbail->cbakl", M, JA)
-        )
+        C = JA @ M[:, None, None] + J[:, :, None] @ dM[:, None] - dM[:, None] @ J[:, :, None] - M[:, None, None] @ JA
         dJt = np.zeros((len(xis), 3, 2 * n, 2 * n, 2 * n))
         dJt[..., :n, :n] = dJt[..., n:, n:] = JA
         dJt[..., n:, :n] = C
@@ -356,11 +372,11 @@ def _frame_derivatives(bundle: SasakiBundle, xis: Sequence[Point], L: np.ndarray
     """D[c, I, k, J] = E_I(E_J)^k at each bundle point, stacked: the lifted
     frame E = L, given stacked, differentiated along its own members, with
     dL exact, -dM in the lower left block, and dM from one
-    ``shift_partials`` call."""
+    ``shift_partials`` call: L^T dL, dL flattened over (k, J)."""
     n = bundle.base_dim
     dL = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
     dL[:, :, n:, :n] = -bundle.shift_partials(xis)[0]
-    return np.einsum("caI,cakJ->cIkJ", L, dL)
+    return (L.transpose(0, 2, 1) @ dL.reshape(len(xis), 2 * n, -1)).reshape(dL.shape)
 
 
 def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarray, list[Point], np.ndarray]:
@@ -369,6 +385,16 @@ def _base_geometry(bundle: SasakiBundle, xis: Sequence[Point]) -> tuple[np.ndarr
     base = bundle.base_metric.chart
     L = _frames(bundle.shift(xis))[0]
     return L, _base_points(base, xis), np.array([xi.coords[base.dim:] for xi in xis])
+
+
+def _curvature_along_u(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The curvature terms of the lifted connection at each point of stacks
+    of R and of u, each as [c, i, l, j]: R(e_i, e_j) u, R(u, e_j) e_i and
+    R(u, e_i) e_j, the last two transposes of one sum with u
+    (``_along_u``)."""
+    V = _along_u(R.transpose(0, 1, 3, 2, 4), u)  # [c, l, i, j] = R^l_{kij} u^k
+    W = _along_u(R, u)  # [c, l, a, b] = R^l_{amb} u^m
+    return V.transpose(0, 2, 1, 3), W.transpose(0, 2, 1, 3), W.transpose(0, 3, 1, 2)
 
 
 def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray:
@@ -383,8 +409,10 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
 
     on the base coordinate fields X = e_i, Y = e_j, so that nabla_X Y is
     Gamma^k_{ij}.  L comes from the bundle's shift memo, Gamma and R from
-    one ``_christoffels`` and one ``riemann`` over the base points.  A
-    batch that raises raises what its first failing point raises alone.
+    one ``_christoffels`` and one ``riemann`` over the base points, the
+    curvature terms from ``_curvature_along_u``, and L is applied to each
+    frame member's components as a matrix product.  A batch that raises
+    raises what its first failing point raises alone.
     """
     g, n = bundle.base_metric, bundle.base_dim
 
@@ -392,12 +420,13 @@ def oracle_tilde_nabla(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarray
         L, xs, u = _base_geometry(bundle, qs)
         gam, R = _christoffels(g, xs), riemann(g, xs)
         # B[c, I, :, J] = (P, Q) with nabla~_{E_I} E_J = P^h + Q^v = L (P, Q)
+        Rxy, Rux, Ruy = _curvature_along_u(R, u)
         B = np.zeros((len(qs), 2 * n, 2 * n, 2 * n))
         B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
-        B[:, :n, n:, :n] = -0.5 * np.einsum("clkij,ck->cilj", R, u)
-        B[:, :n, :n, n:] = 0.5 * np.einsum("climj,cm->cilj", R, u)
-        B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
-        return np.einsum("ckl,cIlJ->cIkJ", L, B)
+        B[:, :n, n:, :n] = -0.5 * Rxy
+        B[:, :n, :n, n:] = 0.5 * Rux
+        B[:, n:, :n, :n] = 0.5 * Ruy
+        return L[:, None] @ B
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
@@ -418,8 +447,10 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
     term is a commutator [A_i, J_a], A_i being R(u, e_i)., R(e_i, .)u or
     R(u, .)e_i.  L comes from the bundle's shift memo, R from one
     ``riemann``, J from one ``T.values`` and nabla J_a from one base Kähler
-    fit, all over the base points.  A batch that raises raises what its
-    first failing point raises alone.
+    fit, all over the base points; the curvature terms come from
+    ``_curvature_along_u``, and the commutators and L's action are matrix
+    products per point, member and frame member.  A batch that raises
+    raises what its first failing point raises alone.
     """
     g, T, n = bundle.base_metric, bundle.base_triple, bundle.base_dim
 
@@ -428,15 +459,16 @@ def oracle_tilde_nabla_J(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
         R, J, nabla = riemann(g, xs), T.values(xs), covariant_derivatives(g, T, xs)
 
         def commutator(A):  # [A_i, J_a] as [c, a, i, l, j]
-            return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
+            return A[:, None] @ J[:, :, None] - J[:, :, None] @ A[:, None]
 
+        Rxy, Rux, Ruy = _curvature_along_u(R, u)
         # B[c, a, I, :, J] = (P, Q) with (nabla~_{E_I} Jt_a) E_J = P^h + Q^v = L (P, Q)
         B = np.zeros((len(qs), 3, 2 * n, 2 * n, 2 * n))
         B[:, :, :n, :n, :n] = B[:, :, :n, n:, n:] = nabla
-        B[:, :, :n, n:, :n] = -0.5 * commutator(np.einsum("clkij,ck->cilj", R, u))
-        B[:, :, :n, :n, n:] = 0.5 * commutator(np.einsum("climj,cm->cilj", R, u))
-        B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
-        return np.einsum("ckl,caIlJ->caIkJ", L, B)
+        B[:, :, :n, n:, :n] = -0.5 * commutator(Rxy)
+        B[:, :, :n, :n, n:] = 0.5 * commutator(Rux)
+        B[:, :, n:, :n, :n] = 0.5 * commutator(Ruy)
+        return L[:, None, None] @ B
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
@@ -447,15 +479,15 @@ def check_connection_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.nd
     frame: nabla~_{E_I} E_J = E_I(E_J) + Gamma~(E_I, E_J), with Gamma~ and
     the frame's derivative exact.  Gamma~ comes from one ``_christoffels``
     of the lifted metric, the frame's derivative and the closed form each
-    stacked over the points; Gamma~(L, L) is two pairwise ``einsum`` calls,
-    one L at a time.  A batch that raises raises what its first failing
-    point raises alone."""
+    stacked over the points; Gamma~(L, L) is L^T Gamma~^k L for each k, two
+    matrix products, one L at a time.  A batch that raises raises what its
+    first failing point raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
         gamG = _christoffels(bundle.metric, qs)
         L = _frames(bundle.shift(qs))[0]
-        gamL = np.einsum("ckab,cbJ->ckaJ", gamG, L)
-        fd = _frame_derivatives(bundle, qs, L) + np.einsum("ckaJ,caI->cIkJ", gamL, L)
+        gamLL = L.transpose(0, 2, 1)[:, None] @ gamG @ L[:, None]  # [c, k, I, J]
+        fd = _frame_derivatives(bundle, qs, L) + gamLL.transpose(0, 2, 1, 3)
         return np.abs(fd - oracle_tilde_nabla(bundle, qs)).max(axis=(1, 2, 3))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
@@ -467,15 +499,16 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
     form, over the lifted frame and all three members, exact: L from one
     ``shift`` call, nabla~ Jt_a from one Kähler fit of the lifted pair and
     the closed form stacked over the points, and nabla~ Jt_a on the frame,
-    D(L, L), from two pairwise ``einsum`` calls, one L at a time.  A batch
-    that raises raises what its first failing point raises alone."""
+    D(L, L), as L^T D_a[., k, .] L for each member a and component k, two
+    matrix products, one L at a time.  A batch that raises raises what its
+    first failing point raises alone."""
 
     def compute(qs: list[Point]) -> np.ndarray:
         L = _frames(bundle.shift(qs))[0]
         D = covariant_derivatives(bundle.metric, bundle.triple, qs)
         C = oracle_tilde_nabla_J(bundle, qs)
-        DL = np.einsum("caAkl,clJ->caAkJ", D, L)
-        return np.abs(np.einsum("caAkJ,cAI->caIkJ", DL, L) - C).max(axis=(1, 2, 3, 4))
+        DLL = L.transpose(0, 2, 1)[:, None, None] @ D.transpose(0, 1, 3, 2, 4) @ L[:, None, None]  # [c, a, k, I, J]
+        return np.abs(DLL.transpose(0, 1, 3, 2, 4) - C).max(axis=(1, 2, 3, 4))
 
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
@@ -511,9 +544,12 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
     have constant coefficients on the lifted frame, so each bracket is the
     frame's [E_I, E_J] = E_I(E_J) - E_J(E_I) contracted with them: the
     frame's derivative, Gamma and R over the base points each in one batch,
-    every bracket of every pair from one ``einsum``.  The vectors' shapes
-    are checked first; a batch that raises raises what its first failing
-    point raises alone."""
+    every bracket of every pair, like nabla_X Y and R(X, Y) u
+    (``_curvature_along_u``), as two matrix-vector products per pair, its
+    first vector times the array flattened over its other two slots, then
+    its second vector, so that a pair rounds alike alone or among others.
+    The vectors' shapes are checked first; a batch that raises raises what
+    its first failing point raises alone."""
     g, n = bundle.base_metric, bundle.base_dim
     X, Y = ([np.asarray(V, dtype=float) for V in vs] for vs in zip(*pairs))
     for V in X + Y:
@@ -524,14 +560,18 @@ def check_bracket(bundle: SasakiBundle, pairs: Sequence[tuple], xis: Sequence[Po
     h = lambda V: np.concatenate([V, zero], axis=1)  # coefficients of V^h and V^v on E
     v = lambda V: np.concatenate([zero, V], axis=1)
 
+    def pairs_of(A, a, b):  # a[p, i] A[c, i, k, j] b[p, j] as [c, p, k], one pair at a time
+        aA = a[:, None] @ A.reshape(len(A), 1, a.shape[1], -1)  # [c, p, 1, (k, j)]
+        return (aA.reshape(len(A), len(a), -1, b.shape[1]) @ b[:, :, None])[..., 0]
+
     def compute(qs: list[Point]) -> np.ndarray:
         L, xs, u = _base_geometry(bundle, qs)
         D = _frame_derivatives(bundle, qs, L)
         K = D - np.einsum("cIkJ->cJkI", D)
-        bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)  # [c, p, k]
+        bracket = lambda a, b: pairs_of(K, a, b)
         lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
-        covXY = np.einsum("ckml,pm,pl->cpk", _christoffels(g, xs), X, Y)
-        RXYu = np.einsum("clkij,pi,pj,ck->cpl", riemann(g, xs), X, Y, u)
+        covXY = pairs_of(_christoffels(g, xs).transpose(0, 2, 1, 3), X, Y)
+        RXYu = pairs_of(_curvature_along_u(riemann(g, xs), u)[0], X, Y)
         hh_val = bracket(h(X), h(Y))
         residuals = np.stack([
             bracket(v(X), v(Y)),

@@ -68,6 +68,7 @@ def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class KahlerFit:
     omega: np.ndarray  # (N, 3, dim): omega[c, a-1, i] = w_a(d_i) at point c
     residual: np.ndarray  # (N,)
+    nabla_max: np.ndarray  # (N,): max_a |nabla J_a| at point c
 
 
 def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point]) -> KahlerFit:
@@ -79,13 +80,14 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     fresh arrays, and a batch that raises stores nothing.  The
     distinct misses are one stack: the triple's memoised values and their
     trace pairings, nabla J_a of all three members from one
-    ``covariant_derivatives`` batch, then the slots, omega and the residual
-    over the whole stack.  A batch that raises raises what its first
-    failing point raises alone.
+    ``covariant_derivatives`` batch, then the slots, one matrix product of
+    the flattened stacks, and omega, the residual and max |nabla J_a| over
+    the whole stack.  A batch that raises raises what its first failing
+    point raises alone.
     """
 
-    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray]:
-        n = g.chart.dim
+    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        c, n = len(qs), g.chart.dim
         J = T.values(qs)  # [c, a, k, j]
         traces = np.trace(J @ J, axis1=-2, axis2=-1)
         bad = (np.abs(traces) < TRACE_FLOOR).any(axis=1)
@@ -93,24 +95,21 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
             k = int(bad.argmax())
             raise IllConditionedError(f"degenerate trace pairing at {qs[k]}: {traces[k]}")
         D = covariant_derivatives(g, T, qs)  # [c, a, i, k, j]
-        # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), the sum
-        # over k and j of D[a, i, k, j] J_b[j, k] taken over k first, then
-        # over j in sequence from 0.0, as einsum("kj,jk->") of one slot adds
-        # them; a single batched einsum rounds differently
-        P = np.add.reduce(D[:, :, None] * J.transpose(0, 1, 3, 2)[:, None, :, None], axis=-2)
-        C = 0.0 + P[..., 0]
-        for j in range(1, n):
-            C = C + P[..., j]
+        # C[c, a, b, i]: coefficient of J_b inside (nabla_i J_a), tr(D_ai
+        # J_b) = D[a, i, k, j] J_b[j, k] summed over (k, j), one product of
+        # D flattened to rows (a, i) with J^T flattened to columns b
+        Jt = J.transpose(0, 1, 3, 2).reshape(c, 3, n * n)
+        C = (D.reshape(c, 3 * n, n * n) @ Jt.transpose(0, 2, 1)).reshape(c, 3, n, 3).transpose(0, 1, 3, 2)
         C = C / traces[:, None, :, None]
-        omega = np.empty((len(qs), 3, n))
+        omega = np.empty((c, 3, n))
         omega[:, 0] = 0.5 * (C[:, 1, 2] + C[:, 2, 1])
         omega[:, 1] = 0.5 * (C[:, 0, 2] + C[:, 2, 0])
         omega[:, 2] = 0.5 * (C[:, 1, 0] - C[:, 0, 1])
         w = omega.transpose(1, 0, 2)[..., None, None]  # w[a][c, i] as a (c, i, 1, 1) stack
         recon = np.stack(span_combination(w, J.transpose(1, 0, 2, 3)[:, :, None]), axis=1)
-        return omega, np.abs(D - recon).max(axis=(1, 2, 3, 4))
+        return omega, np.abs(D - recon).max(axis=(1, 2, 3, 4)), np.abs(D).max(axis=(1, 2, 3, 4))
 
-    empty = np.empty((0, 3, g.chart.dim)), np.empty(0)
+    empty = np.empty((0, 3, g.chart.dim)), np.empty(0), np.empty(0)
     return KahlerFit(*(_memo_batch(g._memo, g.chart, ("fit", T), pts, compute) if pts else empty))
 
 
@@ -132,14 +131,14 @@ def classify_structure(
 
     LhPK-basis means this basis is already parallel (max |nabla J_a| < tol);
     PQK means the derivatives stay in the span (fit residual < tol) even though
-    the basis itself is not parallel.  The hermitian residuals, the fits
-    and nabla J (a hit on the fit's memo) each come in one batch.
+    the basis itself is not parallel.  The hermitian residuals and the
+    fits, which carry max |nabla J_a|, each come in one batch.
     """
     if not pts:
         raise ValidationError("classify_structure needs at least one point")
     herm = check_hermitian(g, T, pts).max()
-    fit_res = fit_kahler_oneforms(g, T, pts).residual.max()
-    nab = np.abs(covariant_derivatives(g, T, pts)).max()
+    fit = fit_kahler_oneforms(g, T, pts)
+    fit_res, nab = fit.residual.max(), fit.nabla_max.max()
     if herm >= tol:
         cls = StructureClass.NOT_HERMITIAN
     elif nab < tol:
@@ -274,7 +273,11 @@ def check_parallel_equivalence(
     D = covariant_derivatives(g, F.field, pts)  # [c, i, k, j]
     N = _nijenhuises(g, F, pts)
     J = T.values(pts)  # [c, a, m, i]
-    mixed = np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)
+    c, n = D.shape[:2]
+    # (J_a^T D)[i, (k, j)] and (D J_a)[(i, k), j], D flattened on the side it is not summed over
+    mixed = (J.transpose(0, 1, 3, 2) @ D.reshape(c, 1, n, n * n)).reshape(c, 3, n, n, n) - (
+        D.reshape(c, 1, n * n, n) @ J
+    ).reshape(c, 3, n, n, n)
     r_par, r_nij, r_mix = (float(np.abs(A).max()) for A in (D, N, mixed))
     flags = (r_par < tol, r_nij < tol, r_mix < tol)
     return EquivalenceReport(

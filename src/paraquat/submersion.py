@@ -266,10 +266,11 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> ON
     (``_projector_partials``), with no split but the
     point's, at any point of the closed box.  Gamma, the splits and d Pv
     each come in one batch over the sample, then every contraction over
-    the whole stack, each rounding alike for a point alone or in any batch.
-    The products Gamma(U e_i, W e_j) of the projectors U = (h, v) with W =
-    (v, h) come from two pairwise ``einsum`` calls, Gamma with U over m,
-    then with W over l, O(n^5) per point."""
+    the whole stack as matrix products per point, each rounding alike for
+    a point alone or in any batch.  The products Gamma(U e_i, W e_j) of the
+    projectors U = (h, v) with W = (v, h) are two of them, U^T with Gamma
+    flattened over (k, l), summing m, then with W, summing l, O(n^5) per
+    point; a_horizontal is two more, H^T on each side of A."""
 
     def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _christoffels(g, qs)
@@ -280,17 +281,24 @@ def oneill_tensors(f: SubmersionMap, g: MetricField, pts: Sequence[Point]) -> ON
         dPv = _projector_partials(f, g, qs, df)
         U = np.stack([h, v], axis=1)
         # GU[c, u, s] = Gamma(U_u e_i, W_s e_j) as [i, k, j]
-        GU = np.einsum("cuikl,cslj->cusikj", np.einsum("ckml,cumi->cuikl", gam, U), np.stack([v, h], axis=1))
+        c, n = gam.shape[:2]
+        Ut = U.swapaxes(-1, -2)  # [c, u, i, m]
+        GamU = (Ut @ gam.transpose(0, 2, 1, 3).reshape(c, 1, n, n * n)).reshape(c, 2, 1, n * n, n)
+        GU = (GamU @ np.stack([v, h], axis=1)[:, None]).reshape(c, 2, 2, n, n, n)
         # full[c, u, i, j] = h nabla_{u_i} (Pv e_j) + v nabla_{u_i} (Ph e_j)
         # for the columns u_i of U_u, with d(Ph) = -d(Pv); cov[..., i, k, j]
         # is component k
-        dPu = np.einsum("cmkl,cumi->cuikl", dPv, U)
+        dPu = (Ut @ dPv.reshape(c, 1, n, n * n)).reshape(c, 2, n, n, n)
         cov_v, cov_h = dPu + GU[:, :, 0], -dPu + GU[:, :, 1]
-        # one matrix-vector product per (i, j): a matrix-matrix product or an
-        # einsum here rounds differently
+        # one matrix-vector product per (i, j), as the per-(i, j) form
+        # projects: a matrix-matrix product here rounds differently
         proj = lambda P, cov: P[:, None, None, None] @ cov.transpose(0, 1, 2, 4, 3)[..., None]
         full = (proj(h, cov_v) + proj(v, cov_h))[..., 0]
-        return full[:, 0], full[:, 1], np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
+        # a_horizontal[c, i, j, k] = H[l, i] H[m, j] a_full[l, m, k]: over l
+        # with a_full flattened over (m, k), then over m for each i
+        Ht = H.swapaxes(-1, -2)
+        AH = (Ht @ full[:, 0].reshape(c, n, n * n)).reshape(c, -1, n, n)  # [c, i, m, k]
+        return full[:, 0], full[:, 1], Ht[:, None] @ AH
 
     n, m = f.source.dim, f.target.dim
     empty = (np.empty((0, n, n, n)),) * 2 + (np.empty((0, m, m, n)),)

@@ -58,12 +58,16 @@ def expression_map(source, target, components, label="map"):
 def reference_nabla(g, T, p, h=None):
     """(nabla_i T)^k_j at one point as the one-point code formed it: Gamma at
     p on a fresh memo of g, T at p, dT from T's jets at p alone (with a step
-    h, central differences of step h around p alone), and one einsum per
-    connection term."""
+    h, central differences of step h around p alone), and one matrix
+    product per connection term, Gamma flattened over (i, k) on the left of
+    T and over (i, j) on its right."""
     gam = christoffel(MetricField(g.field), p)
     Tp = eval_batch(T, [p])[0]
     dT = T.jets([p], 1)[1][0] if h is None else fd_gradient(T, p, h)
-    return dT + np.einsum("kil,lj->ikj", gam, Tp) - np.einsum("lij,kl->ikj", gam, Tp)
+    n = len(Tp)
+    left = (gam.transpose(1, 0, 2).reshape(n * n, n) @ Tp).reshape(n, n, n)
+    right = (Tp @ gam.reshape(n, n * n)).reshape(n, n, n).transpose(1, 0, 2)
+    return dT + left - right
 
 
 @pytest.fixture(scope="session")

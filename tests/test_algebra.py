@@ -119,7 +119,8 @@ def reference_algebra(triple, p):
     sq = max(float(np.abs(J[a - 1] @ J[a - 1] + TAU[a - 1] * eye).max()) for a in (1, 2, 3))
     prod = max(float(np.abs(J[a - 1] @ J[b - 1] - TAU[c - 1] * J[c - 1]).max()) for (a, b, c) in CYCLIC)
     anti = max(float(np.abs(J[a - 1] @ J[b - 1] + J[b - 1] @ J[a - 1]).max()) for (a, b, c) in CYCLIC)
-    det = float(np.linalg.det(np.einsum("aij,bij->ab", J, J)))
+    rows = J.reshape(3, -1)  # the Frobenius pairing: each member flattened to a row
+    det = float(np.linalg.det(rows @ rows.T))
     return [sq, prod, anti, det]
 
 
@@ -146,7 +147,8 @@ def test_witness_members_batch_is_the_one_point_rotation_bit_for_bit(rot_triple,
     for a, member in enumerate(witness.fields):
         for p, value in zip(pts4, member.components(pts4)):
             s = TransitionMap(s=pointwise(_weighted_rotation)).matrices([p])[0]
-            expected = np.einsum("b,bij->ij", s[a], rot_triple.matrices(p))
+            J = rot_triple.matrices(p)
+            expected = (s[a] @ J.reshape(3, -1)).reshape(J.shape[1:])
             assert value.tobytes() == expected.tobytes()
             assert eval_batch(member, [p])[0].tobytes() == expected.tobytes()
 

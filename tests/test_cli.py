@@ -158,6 +158,18 @@ def test_bad_override_exits_two(flag, value, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_sample_too_large_to_form_exits_two_with_one_line(tmp_path, capsys):
+    # numpy refuses 10**18 draws before it allocates anything, from the
+    # flag and from a document's "points" alike
+    doc = {"points": 10**18, "geometry": {"dim": 4}, "checks": [{"check": "hermitian"}]}
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+    for argv in (["run", "flat-lhpk", "--points", str(10**18)], ["run", str(f)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: a sample of {10**18} points in 4 dimensions is too large to form\n"
+
+
 def test_large_step_keeps_the_sample_inside_its_margin(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", "sasaki-over-flat", "--step", "2e-2", "--out", str(out)]) == 0

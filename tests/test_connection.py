@@ -307,7 +307,7 @@ def test_memo_hit_still_rejects_a_point_of_another_chart(chart4, what):
 # ------------------------------------------------------------ one-point reference
 #
 # Gamma and R as one point at a time: the metric's jets at that point alone,
-# one inv and the einsums per point.  The engine
+# one inv and the matrix products per point.  The engine
 # batches all of this; it must agree bit for bit and error for error.  The
 # central differences of one-point metric values, and of Gamma, are the
 # reference the jets converge to.
@@ -318,26 +318,37 @@ def _first_kind(D):
 
 
 def _curvature(gam, dgam):
+    # both Gamma Gamma terms from P[l, a, b, k] = Gamma^l_{am} Gamma^m_{bk}
+    n = len(gam)
+    P = (gam.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
     return (
         np.einsum("iljk->lkij", dgam)
         - np.einsum("jlik->lkij", dgam)
-        + np.einsum("lim,mjk->lkij", gam, gam)
-        - np.einsum("ljm,mik->lkij", gam, gam)
+        + P.transpose(0, 3, 1, 2)
+        - P.transpose(0, 3, 2, 1)
     )
+
+
+def _raise(ginv, T):
+    """g^{kl} T[..., l, i, j], T flattened over (i, j)."""
+    n = len(ginv)
+    return (ginv @ T.reshape(T.shape[:-2] + (n * n,))).reshape(T.shape)
 
 
 def reference_christoffel(g, p):
     ginv = np.linalg.inv(g.matrix(p))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, _first_kind(g.field.jets([p], 2)[1][0]))
+    return 0.5 * _raise(ginv, _first_kind(g.field.jets([p], 2)[1][0]))
 
 
 def reference_riemann(g, p):
     gam = reference_christoffel(g, p)
     ginv = np.linalg.inv(g.matrix(p))
     _, D, H = (A[0] for A in g.field.jets([p], 2))
-    # g^{kp} d_m g_{pq} Gamma^q_{ij} as two pairwise contractions, over p then q
-    ginv_dg = np.einsum("kp,mpq->mkq", ginv, D)
-    dgam = -np.einsum("mkq,qij->mkij", ginv_dg, gam) + 0.5 * np.einsum("kl,mlij->mkij", ginv, _first_kind(H))
+    n = len(gam)
+    # g^{kp} d_m g_{pq} Gamma^q_{ij} as two products, over p for each m,
+    # then over q with Gamma flattened over (i, j)
+    ginv_dg = ginv @ D
+    dgam = -(ginv_dg.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n) + 0.5 * _raise(ginv, _first_kind(H))
     return _curvature(gam, dgam)
 
 
@@ -347,7 +358,7 @@ def _one_by_one(f):
 
 def fd_christoffel(g, p, h):
     ginv = np.linalg.inv(g.matrix(p))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, _first_kind(central_difference(_one_by_one(g.matrix), p, h)))
+    return 0.5 * _raise(ginv, _first_kind(central_difference(_one_by_one(g.matrix), p, h)))
 
 
 def fd_riemann(g, p, h):

@@ -61,9 +61,10 @@ def conformal_shift_exact(xi):
 
 def reference_shift(g, xi):
     """M^k_i = Gamma^k_{ji}(x) u^j at xi = (x, u) as the one-point code
-    formed it: Gamma at x from one ``christoffel`` call, one ``einsum``."""
+    formed it: Gamma at x from one ``christoffel`` call, then u times
+    Gamma^k for each k."""
     n = g.chart.dim
-    return np.einsum("kji,j->ki", christoffel(g, Point(g.chart, xi.coords[:n])), xi.coords[n:])
+    return xi.coords[n:] @ christoffel(g, Point(g.chart, xi.coords[:n]))
 
 
 def memo_shift(bundle, xi):
@@ -409,14 +410,18 @@ def _nabla_j_reference(bundle, xi):
     M = memo_shift(bundle, xi)
     L = np.hstack([lift("h", e, M), lift("v", e)])
     D = np.stack([covariant_derivative_11(bundle.metric, F, [xi])[0] for F in bundle.triple.fields])
-    lifted = np.einsum("aAkl,AI,lJ->aIkJ", D, L, L)
+    # L^T D_a[., k, .] L for each member a and component k
+    lifted = (L.T @ D.transpose(0, 2, 1, 3) @ L).transpose(0, 2, 1, 3)
     return float(np.abs(lifted - oracle_tilde_nabla_J(bundle, [xi])[0]).max())
 
 
-def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple):
+def test_oracle_checks_are_the_public_oracles(conformal4, rot_triple):
     """The frame forms of the closed form, of both checks and of the
-    bracket residuals are the per-vector loops they replace, bit for bit,
-    over the curved conformal-neutral4 base."""
+    bracket residuals are the per-vector loops they replace, over the
+    curved conformal-neutral4 base: the nabla-J check bit for bit, its
+    reference being the same matrix products, and the rest to roundoff,
+    1e-13 of their scale, since the frame forms multiply whole frames,
+    whose sums BLAS orders otherwise than the loops' products of vectors."""
     bundle = build_tangent_bundle(MetricField(conformal4.field), rot_triple)
     n = bundle.base_dim
     pairs = [(0, 1), (1, 2), (2, 2), (3, 0)]
@@ -428,15 +433,18 @@ def test_oracle_checks_are_the_public_oracles_bit_for_bit(conformal4, rot_triple
         conn, closed_forms, brackets = _per_vector_reference(bundle, xi, pairs)
         nabla_j = _nabla_j_reference(bundle, xi)
         assert conn > 0 and nabla_j > 0
-        assert check_connection_oracle(bundle, [xi])[0] == conn
         assert check_nabla_j_oracle(bundle, [xi])[0] == nabla_j
         C = oracle_tilde_nabla(bundle, [xi])[0]
+        tol = 1e-13 * np.abs(C).max()
+        assert abs(check_connection_oracle(bundle, [xi])[0] - conn) <= tol
         offset = {"h": 0, "v": n}
         for (kx, i, ky, j), expected in closed_forms.items():
-            assert np.array_equal(C[offset[kx] + i, :, offset[ky] + j], expected)
+            assert np.abs(C[offset[kx] + i, :, offset[ky] + j] - expected).max() <= tol
+        scale = max(rep[3] for rep in brackets)
         for (i, j), expected in zip(pairs, brackets):
-            assert stacked(check_bracket(bundle, [(np.eye(n)[i], np.eye(n)[j])], [xi]))[0, 0].tolist() == expected
-        assert max(rep[3] for rep in brackets) > 1e-2
+            got = stacked(check_bracket(bundle, [(np.eye(n)[i], np.eye(n)[j])], [xi]))[0, 0]
+            assert np.abs(got - expected).max() <= 1e-13 * scale
+        assert scale > 1e-2
 
 
 def test_bracket_rejects_what_its_lift_fields_rejected(conformal4, std_triple):
@@ -698,18 +706,18 @@ def test_frame_form_oracles_reject_what_the_connection_check_rejects(conformal4,
 
 
 def test_stacked_products_are_the_per_point_products_bit_for_bit():
-    """The stacked einsum and matrix products of the frame, metric and triple
+    """The stacked matrix products of the shift, frame, metric and triple
     batches give each point's one-point product, bit for bit."""
     rng = np.random.default_rng(14)
     for n in range(2, 9):
         for _ in range(20):
             gam, u = rng.normal(size=(17, n, n, n)), rng.normal(size=(17, n))
             A, B, C = (rng.normal(size=(17, 2 * n, 2 * n)) for _ in range(3))
-            M = np.einsum("pkji,pj->pki", gam, u)
+            M = sasaki._along_u(gam, u)
             G = A.transpose(0, 2, 1) @ B @ A
             J = A @ B @ C
             for p in range(17):
-                assert M[p].tobytes() == np.einsum("kji,j->ki", gam[p], u[p]).tobytes()
+                assert M[p].tobytes() == (u[p] @ gam[p]).tobytes()
                 assert G[p].tobytes() == (A[p].T @ B[p] @ A[p]).tobytes()
                 assert J[p].tobytes() == (A[p] @ B[p] @ C[p]).tobytes()
 

@@ -332,22 +332,34 @@ def _same_bits(a, b):
 def _per_member_nabla(g, T, pts):
     """nabla J_a of each member alone, stacked [c, a, i, k, j], as the
     per-member code formed it: Gamma on a fresh memo of g, J_a from one
-    ``eval_batch``, dJ_a from J_a's own jets and two einsums of one member."""
+    ``eval_batch``, dJ_a from J_a's own jets and two matrix products of one
+    member, Gamma flattened over (i, k) on the left of J_a and over (i, j)
+    on its right."""
     gam = np.array(connection._christoffels(MetricField(g.field), pts))
+    c, n = gam.shape[:2]
     members = []
     for f in T.fields:
         V, dT = eval_batch(f, pts), f.jets(pts, 1)[1]
-        members.append(dT + np.einsum("ckil,clj->cikj", gam, V) - np.einsum("clij,ckl->cikj", gam, V))
+        left = (gam.transpose(0, 2, 1, 3).reshape(c, n * n, n) @ V).reshape(c, n, n, n)
+        right = (V @ gam.reshape(c, n, n * n)).reshape(c, n, n, n).transpose(0, 2, 1, 3)
+        members.append(dT + left - right)
     return np.stack(members, axis=1)
 
 
 def _per_member_transition(A, s, pts):
     """The values and first partials of each member of A turned by s, one
-    member at a time: s_ab J_b and ds_ab J_b + s_ab dJ_b over the points."""
-    S, AJ, dS = s.matrices(pts), A.values(pts), s.jets(pts, 1)[1]
+    member at a time: s_ab J_b and ds_ab J_b + s_ab dJ_b over the points,
+    the row of s or ds times J flattened over (i, j) and dJ over (m, i, j)."""
+    S, AJ = np.ascontiguousarray(s.matrices(pts)), A.values(pts)
+    dS = np.ascontiguousarray(s.jets(pts, 1)[1])
     J, dJ = (np.stack(X, axis=1) for X in zip(*(f.jets(pts, 1) for f in A.fields)))
-    values = [np.einsum("cb,cbij->cij", S[:, a], AJ) for a in range(3)]
-    partials = [np.einsum("cmb,cbij->cmij", dS[:, :, a], J) + np.einsum("cb,cbmij->cmij", S[:, a], dJ) for a in range(3)]
+    c = len(S)
+    values = [(S[:, a, None] @ AJ.reshape(c, 3, -1)).reshape(AJ.shape[:1] + AJ.shape[2:]) for a in range(3)]
+    partials = [
+        (dS[:, :, a, None] @ J.reshape(c, 1, 3, -1)).reshape(dJ.shape[:1] + dJ.shape[2:])
+        + (S[:, a, None] @ dJ.reshape(c, 3, -1)).reshape(dJ.shape[:1] + dJ.shape[2:])
+        for a in range(3)
+    ]
     return np.stack(values, axis=1), np.stack(partials, axis=1)
 
 
@@ -364,10 +376,7 @@ def _per_member_lift(bundle, xis):
         J, dJ = f.jets(xs, 1)
         JA = np.zeros((len(xis), 2 * n, n, n))
         JA[:, :n] = dJ
-        C = (
-            np.einsum("caki,cil->cakl", JA, M) + np.einsum("cki,cail->cakl", J, dM)
-            - np.einsum("caki,cil->cakl", dM, J) - np.einsum("cki,cail->cakl", M, JA)
-        )
+        C = JA @ M[:, None] + J[:, None] @ dM - dM @ J[:, None] - M[:, None] @ JA
         dJt = np.zeros((len(xis), 2 * n, 2 * n, 2 * n))
         dJt[:, :, :n, :n] = dJt[:, :, n:, n:] = JA
         dJt[:, :, n:, :n] = C

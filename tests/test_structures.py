@@ -364,15 +364,17 @@ def test_an_inline_expression_triple_has_exact_derivatives(flat4, rot_expr_tripl
 
 def reference_fit(g, T, p):
     """(omega, residual, nabla) at one point as the one-point fit formed them:
-    nabla J_a per member, and each slot one einsum("kj,jk->") over one
-    (a, b, i)."""
+    nabla J_a per member, and each slot tr(D_ai J_b) / tr(J_b^2) read from
+    the one product of D flattened to rows (a, i) with J^T flattened to
+    columns b."""
     n = g.chart.dim
     J = T.matrices(p)
     traces = np.array([np.trace(J[b] @ J[b]) for b in range(3)])
     D = np.stack([reference_nabla(g, f, p) for f in T.fields])
+    pairing = D.reshape(3 * n, n * n) @ J.transpose(0, 2, 1).reshape(3, n * n).T
 
     def slot(a, b, i):
-        return float(np.einsum("kj,jk->", D[a][i], J[b]) / traces[b])
+        return float(pairing[a * n + i, b] / traces[b])
 
     omega = np.empty((3, n))
     for i in range(n):
@@ -428,9 +430,11 @@ def test_batched_fit_is_the_one_point_fit_bit_for_bit(chart4, name):
             # descend-oneforms prints omega, so a zero keeps its sign too
             assert np.array_equal(np.signbit(got), np.signbit(ref))
         assert fit.residual[k] == ref_residual
+        assert fit.nabla_max[k] == np.abs(ref_D).max()
         q = Point(g.chart, p.coords)
         alone = fit_kahler_oneforms(g, T, [q])
         assert alone.omega.tobytes() == fit.omega[k].tobytes() and alone.residual[0] == fit.residual[k]
+        assert alone.nabla_max[0] == fit.nabla_max[k]
         assert connection.covariant_derivatives(g, T, [q]).tobytes() == D[k].tobytes()
     assert classify_structure(g, T, pts).cls is cls
     if cls is StructureClass.LHPK_BASIS:  # nabla J vanishes: every value is a zero
@@ -470,6 +474,24 @@ def test_classify_hands_the_whole_sample_to_one_evaluation_per_member(conformal4
         classify_structure(MetricField(conformal4.field), rot, sample_points(chart4, n, seed=3))
         counts.append([batches.count(f) for f in rot.fields])
     assert counts[0] == counts[1]
+
+
+def test_classify_reads_max_nabla_from_the_fit_alone(conformal4, std_triple, monkeypatch):
+    # the fit's rows carry max |nabla J_a|: classify asks for nabla J only
+    # through the fit's compute, once, and reports the same maximum
+    calls = []
+    real = structures.covariant_derivatives
+
+    def counted(g, T, pts):
+        calls.append(len(pts))
+        return real(g, T, pts)
+
+    monkeypatch.setattr(structures, "covariant_derivatives", counted)
+    g = _fresh(conformal4)
+    pts = sample_points(g.chart, 4, seed=3)
+    verdict = classify_structure(g, std_triple, pts)
+    assert calls == [4]
+    assert verdict.nabla_max == np.abs(real(_fresh(conformal4), std_triple, pts)).max() > 0
 
 
 def test_fit_batch_computes_a_repeated_point_once(conformal4, std_triple, nabla_calls):
@@ -566,15 +588,18 @@ def _product_context(seed):
 
 def _equivalence_reference(g, F, T, pts):
     """The three residuals of ``check_parallel_equivalence`` as its
-    point-by-point loop formed them."""
+    point-by-point loop formed them, each mixed term (J_a^T D)[i, (k, j)] -
+    (D J_a)[(i, k), j] from two matrix products, D flattened on the side it
+    is not summed over."""
     r_par = r_nij = r_mix = 0.0
     for p in pts:
         D = covariant_derivative_11(g, F.field, [p])[0]
+        n = len(D)
         r_par = max(r_par, float(np.abs(D).max()))
         r_nij = max(r_nij, float(np.abs(structures._nijenhuises(g, F, [p])[0]).max()))
         J = T.matrices(p)
         for a in range(3):
-            mixed = np.einsum("mi,mkj->ikj", J[a], D) - np.einsum("ikm,mj->ikj", D, J[a])
+            mixed = (J[a].T @ D.reshape(n, n * n)).reshape(n, n, n) - (D.reshape(n * n, n) @ J[a]).reshape(n, n, n)
             r_mix = max(r_mix, float(np.abs(mixed).max()))
     return r_par, r_nij, r_mix
 

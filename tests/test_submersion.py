@@ -12,24 +12,32 @@ from paraquat import (
     PreconditionFailedError,
     RankDeficientError,
     SubmersionMap,
+    TransitionMap,
     ValidationError,
+    apply_transition,
     build_tangent_bundle,
+    check_bracket,
     check_connection_oracle,
     check_nabla_j_oracle,
     check_paraholomorphic,
+    check_parallel_equivalence,
     check_semi_riemannian,
     check_vh_invariance,
     christoffel,
+    curvature_operator,
     descend_one_forms,
+    eval_batch,
     fit_kahler_oneforms,
     jacobian,
     oneill_tensors,
+    oracle_tilde_nabla,
+    oracle_tilde_nabla_J,
     riemann,
     sample_points,
     vh_split,
 )
-from paraquat import sasaki, submersion
-from paraquat.catalog import METRICS, TRIPLES, make_chart, metric_from_config
+from paraquat import algebra, connection, sasaki, submersion
+from paraquat.catalog import METRICS, TRIPLES, expression_array, make_chart, metric_from_config
 from paraquat.scenario import build_context, load_scenario
 from paraquat.submersion import _projector_partials
 
@@ -360,8 +368,9 @@ def test_descend_detects_fiber_twist(proj8to4):
 #
 # The O'Neill tensors as they were first written: one covariant derivative
 # per (i, j) and frame kind, from the projector's derivative at p (the
-# closed form unless one is given).  The engine stacks all of this; it must
-# agree bit for bit.
+# closed form unless one is given), each read from the matrix products of
+# the projector U = h or v whose column i it differentiates along.  The
+# engine stacks all of this; it must agree bit for bit.
 
 
 def reference_oneill(f, g, p, dPv=None):
@@ -372,22 +381,24 @@ def reference_oneill(f, g, p, dPv=None):
         dPv = _projector_partials(f, g, [p], df)[0]
     horizontal, v, h = horizontal[0], v[0], h[0]
 
-    def covd(u, w_proj_is_v, j):
+    def covd(U, i, w_proj_is_v, j):
         sgn = 1.0 if w_proj_is_v else -1.0
-        dW = sgn * np.einsum("mkl,m->kl", dPv, u)[:, j]
-        wp = (v if w_proj_is_v else h)[:, j]
-        # Gamma(u, wp) as two pairwise contractions, over m then l
-        return dW + np.einsum("kl,l->k", np.einsum("kml,m->kl", gam, u), wp)
+        # d_{U e_i} Pv: U^T with dPv flattened over (k, l)
+        dW = sgn * (U.T @ dPv.reshape(n, n * n)).reshape(n, n, n)[i, :, j]
+        W = v if w_proj_is_v else h
+        # Gamma(U e_i, W e_j) as two products, U^T with Gamma flattened over
+        # (k, l), summing m, then with W, summing l
+        gam_u = (U.T @ gam.transpose(1, 0, 2).reshape(n, n * n)).reshape(n * n, n)
+        return dW + (gam_u @ W).reshape(n, n, n)[i, :, j]
 
     a_full = np.empty((n, n, n))
     t_full = np.empty((n, n, n))
     for i in range(n):
-        he = h[:, i]
-        ve = v[:, i]
         for j in range(n):
-            a_full[i, j] = h @ covd(he, True, j) + v @ covd(he, False, j)
-            t_full[i, j] = h @ covd(ve, True, j) + v @ covd(ve, False, j)
-    a_h = np.einsum("li,mj,lmk->ijk", horizontal, horizontal, a_full)
+            a_full[i, j] = h @ covd(h, i, True, j) + v @ covd(h, i, False, j)
+            t_full[i, j] = h @ covd(v, i, True, j) + v @ covd(v, i, False, j)
+    # H^T over the first slot with a_full flattened over (m, k), then over the second
+    a_h = horizontal.T @ (horizontal.T @ a_full.reshape(n, n * n)).reshape(-1, n, n)
     return a_full, t_full, a_h
 
 
@@ -442,24 +453,16 @@ def test_stacked_oneill_is_the_per_pair_loop_bit_for_bit(chart4):
     assert largest_a > 1e-2 and largest_t > 1e-2
 
 
-# ------------------------------------------------- pairwise contractions
+# ------------------------------------------------- contractions as products
 #
-# Four sums over two indices of a product of three arrays are taken as two
-# pairwise ``einsum`` calls, O(n^5) per point where the one three-operand
-# call was O(n^6).  Each pair: its two subscripts, and the call it replaced,
-# of the first call's operands and the second call's other one.
-REPLACED = {
-    # g^{kp} d_m g_{pq} Gamma^q_{ij}, in d_m Gamma
-    "riemann": ("ckp,cmpq->cmkq", "cmkq,cqij->cmkij", lambda ginv, D, gam: np.einsum("ckp,cmpq,cqij->cmkij", ginv, D, gam)),
-    "connection oracle": ("ckab,cbJ->ckaJ", "ckaJ,caI->cIkJ", lambda gam, L, L2: np.einsum("ckab,caI,cbJ->cIkJ", gam, L2, L)),
-    "nabla J oracle": ("caAkl,clJ->caAkJ", "caAkJ,cAI->caIkJ", lambda D, L, L2: np.einsum("caAkl,cAI,clJ->caIkJ", D, L2, L)),
-    # Gamma(U e_i, W e_j): the product Gamma U, summed against W over (m, l)
-    "oneill": (
-        "ckml,cumi->cuikl",
-        "cuikl,cslj->cusikj",
-        lambda gam, U, W: np.einsum("cuikml,cslj->cusikj", np.einsum("ckml,cumi->cuikml", gam, U), W),
-    ),
-}
+# Every sum over an index that the layers take is a matrix product over the
+# stack.  The one-point references above and in the other test files spell
+# each product the way the layer does, so that they can hold it bit for
+# bit, and an index slip made in both would pass them.  This table holds
+# each layer's result to the einsum spelling it replaced, which sums in
+# another order, within 1e-13 of the result's scale.  A row takes a context
+# and returns (layer, einsum reference, scale), or None where the context
+# lacks what the row contracts.
 
 
 def _lift_case(points=None):
@@ -472,43 +475,364 @@ def _bent_case():
     return _bent(chart8, make_chart(4)), _curved8(chart8), None, sample_points(chart8, 3, seed=4)
 
 
-@pytest.mark.parametrize("case", ["sasaki-over-conformal", "bent map over curved8"])
-def test_each_pairwise_contraction_is_the_three_operand_einsum_it_replaced_to_roundoff(case, monkeypatch):
-    # the one-point references share the pairwise order, so an index slip
-    # made in both would pass the bit-for-bit tests; the three-operand form
-    # holds each pair to the sum it stands for
-    f, g, bundle, pts = _lift_case() if case == "sasaki-over-conformal" else _bent_case()
-    subscripts = {spec for first, second, _ in REPLACED.values() for spec in (first, second)}
-    calls, einsum = [], np.einsum
+TURN = [["1 + 0.3*sin(x2)", "x1", "0"], ["0", "cos(x3)", "0.2*x4"], ["0.1*x2*x3", "0", "exp(0.1*x1)"]]
 
-    def recording(spec, *operands, **kwargs):
-        out = einsum(spec, *operands, **kwargs)
-        if spec in subscripts:
-            calls.append((spec, operands, out))
-        return out
 
-    monkeypatch.setattr(np, "einsum", recording)
-    riemann(g, pts)
-    oneill_tensors(f, g, pts)
-    if bundle is not None:
-        check_connection_oracle(bundle, pts)
-        check_nabla_j_oracle(bundle, pts)
-    monkeypatch.undo()
-    seen = set()
-    for name, (first, second, replaced) in REPLACED.items():
-        pairs = [
-            (operands, other, got)
-            for spec, (partial, other), got in calls
-            if spec == second
-            for spec1, operands, out in calls
-            if spec1 == first and out is partial
-        ]
-        for operands, other, got in pairs:
-            old = replaced(*operands, other)
-            assert np.abs(old).max() > 0
-            assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max(), name
-            seen.add(name)
-    assert seen == (set(REPLACED) if bundle else {"riemann", "oneill"})
+def _lift_context(bundle, pts):
+    return dict(f=bundle.projection, g=bundle.metric, T=bundle.triple, pts=pts, bundle=bundle, F=None, field=bundle.triple.j2)
+
+
+def _contraction_contexts():
+    """The lift of sasaki-over-conformal at seed 7; the lift over the space
+    form, whose Gamma is not constant, for d2Gamma and the shift's
+    partials; the bent map over curved8 with product8-rotated; and
+    product-8d at seed 7, whose split8-rotated is the one structure that
+    varies, for the mixed term of parallel-equivalence."""
+    _, _, bundle, pts = _lift_case()
+    lift = _lift_context(bundle, pts)
+    chart4 = make_chart(4)
+    bundle = build_tangent_bundle(metric_from_config({"matrix": SPACE_FORM_ROWS}, chart4), TRIPLES["standard4"](chart4))
+    space_form = _lift_context(bundle, sample_points(bundle.spec, 3, seed=7))
+    f, g, _, pts = _bent_case()
+    bent = dict(f=f, g=g, T=TRIPLES["product8-rotated"](g.chart), pts=pts, bundle=None, F=None, field=None)
+    ctx = build_context(load_scenario("product-8d"), seed=7)
+    F = ctx.structure("split8-rotated")
+    product = dict(f=None, g=ctx.metric, T=ctx.triple, pts=ctx.points, bundle=None, F=F, field=F.field)
+    cases = {"sasaki-over-conformal": lift, "lift over the space form": space_form, "bent map over curved8": bent, "product-8d": product}
+    for case in cases.values():
+        values, jets = expression_array(TURN, (3, 3), case["g"].chart, "turn")
+        case["s"] = TransitionMap(lambda qs, values=values: values(np.array([q.coords for q in qs])), "turn", jets=jets)
+    return cases
+
+
+def _array_row(got, ref):
+    return got, ref, np.abs(ref).max()
+
+
+def _christoffel_einsum(g, pts):
+    return 0.5 * np.einsum("ckl,clij->ckij", np.linalg.inv(g.matrices(pts)), connection._first_kind(connection._jets(g, pts)[0]))
+
+
+def _partials_einsum(ginv, gam, D, H):
+    ginv_dg = np.einsum("ckp,cmpq->cmkq", ginv, D)
+    return -np.einsum("cmkq,cqij->cmkij", ginv_dg, gam) + 0.5 * np.einsum(
+        "ckl,cmlij->cmkij", ginv, connection._first_kind(H)
+    )
+
+
+def _riemann_einsum(g, pts):
+    gam, ginv = _christoffel_einsum(g, pts), np.linalg.inv(g.matrices(pts))
+    dgam = _partials_einsum(ginv, gam, *connection._jets(g, pts))
+    return (
+        np.einsum("...iljk->...lkij", dgam)
+        - np.einsum("...jlik->...lkij", dgam)
+        + np.einsum("...lim,...mjk->...lkij", gam, gam)
+        - np.einsum("...ljm,...mik->...lkij", gam, gam)
+    )
+
+
+def _row_partials(c):
+    g, pts = c["g"], c["pts"]
+    ginv, gam, jets = np.linalg.inv(g.matrices(pts)), connection._christoffels(g, pts), connection._jets(g, pts)
+    return _array_row(connection._christoffel_partials(ginv, gam, *jets), _partials_einsum(ginv, gam, *jets))
+
+
+def _row_nabla(c):
+    g, T, pts = c["g"], c["T"], c["pts"]
+    gam, V, dV = connection._christoffels(g, pts), T.values(pts), T.jets(pts)[1]
+    ref = dV + np.einsum("ckil,calj->caikj", gam, V) - np.einsum("clij,cakl->caikj", gam, V)
+    return _array_row(connection.covariant_derivatives(g, T, pts), ref)
+
+
+def _row_nijenhuis(c):
+    if c["field"] is None:
+        return None
+    Fp, dF = eval_batch(c["field"], c["pts"]), connection._gradients(c["g"], c["field"], c["pts"])
+    terms = [np.einsum(spec, Fp, dF) for spec in ("...mi,...mkj->...kij", "...mj,...mki->...kij", "...km,...jmi->...kij", "...km,...imj->...kij")]
+    # N of a lifted member can vanish, so the scale is that of its terms
+    return connection._nijenhuis_tensor(Fp, dF), terms[0] - terms[1] + terms[2] - terms[3], np.abs(terms).max()
+
+
+def _row_curvature_operator(c):
+    R = riemann(c["g"], c["pts"])[0]
+    X, Y, Z = np.random.default_rng(3).normal(size=(3, len(R)))
+    return _array_row(curvature_operator(R, X, Y, Z), np.einsum("lkij,i,j,k->l", R, X, Y, Z))
+
+
+def _row_fit(c):
+    g, T, pts = c["g"], c["T"], c["pts"]
+    D, J = connection.covariant_derivatives(g, T, pts), T.values(pts)
+    C = np.einsum("caikj,cbjk->cabi", D, J) / np.trace(J @ J, axis1=-2, axis2=-1)[:, None, :, None]
+    omega = np.stack([C[:, 1, 2] + C[:, 2, 1], C[:, 0, 2] + C[:, 2, 0], C[:, 1, 0] - C[:, 0, 1]], axis=1) / 2
+    return _array_row(fit_kahler_oneforms(g, T, pts).omega, omega)
+
+
+def _row_mixed(c):
+    if c["F"] is None:
+        return None
+    g, F, T, pts = c["g"], c["F"], c["T"], c["pts"]
+    D, J = connection.covariant_derivatives(g, F.field, pts), T.values(pts)
+    ref = np.abs(np.einsum("cami,cmkj->caikj", J, D) - np.einsum("cikm,camj->caikj", D, J)).max()
+    return check_parallel_equivalence(g, F, T, pts).mixed_residual, ref, ref
+
+
+def _lift_inputs(c):
+    """(bundle, base metric, base points, u, L) of the lift's points."""
+    bundle, pts = c["bundle"], c["pts"]
+    n = bundle.base_dim
+    xs = sasaki._base_points(bundle.base_metric.chart, pts)
+    return bundle, bundle.base_metric, xs, np.array([q.coords[n:] for q in pts]), sasaki._frames(bundle.shift(pts))[0]
+
+
+def _row_d2_christoffel(c):
+    if c["bundle"] is None:
+        return None
+    _, g0, xs, _, _ = _lift_inputs(c)
+    gam, dgam, d2gam = sasaki._christoffel_jets(g0, xs)
+    ginv = np.linalg.inv(g0.matrices(xs))
+    D, H, K = connection._jets(g0, xs, 3)
+    ref = np.einsum(
+        "ckl,cpmlij->cpmkij", ginv,
+        0.5 * connection._first_kind(K)
+        - np.einsum("cpmlq,cqij->cpmlij", H, gam)
+        - np.einsum("cmlq,cpqij->cpmlij", D, dgam)
+        - np.einsum("cplq,cmqij->cpmlij", D, dgam),
+    )
+    return _array_row(d2gam, ref)
+
+
+def _row_shift(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, u, _ = _lift_inputs(c)
+    ref = np.einsum("pkji,pj->pki", connection._christoffels(g0, xs), u)
+    return _array_row(bundle.shift(c["pts"]), ref)
+
+
+def _row_shift_partials(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, u, _ = _lift_inputs(c)
+    _, dgam, d2gam = sasaki._christoffel_jets(g0, xs)
+    n = bundle.base_dim
+    dM, d2M = bundle.shift_partials(c["pts"])
+    got = np.concatenate([dM[:, :n].ravel(), d2M[:, :n, :n].ravel()])
+    ref = np.concatenate([np.einsum("cmkji,cj->cmki", dgam, u).ravel(), np.einsum("cpmkji,cj->cpmki", d2gam, u).ravel()])
+    return _array_row(got, ref)
+
+
+def _row_lifted_metric(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, _, _ = _lift_inputs(c)
+    pts, n = c["pts"], bundle.base_dim
+    M, (dM, d2M) = bundle.shift(pts), bundle.shift_partials(pts)
+    gx, (dg, d2g) = g0.matrices(xs), connection._jets(g0, xs)
+    gA = np.zeros((len(pts), 2 * n, n, n))
+    gA[:, :n] = dg
+    gAB = np.zeros((len(pts), 2 * n, 2 * n, n, n))
+    gAB[:, :n, :n] = d2g
+    P = gx @ M
+    PA = np.einsum("cakl,cli->caki", gA, M) + np.einsum("ckl,cali->caki", gx, dM)
+    AA = gA + np.einsum("calk,cli->caki", dM, P) + np.einsum("clk,cali->caki", M, PA)
+    PAB = (
+        np.einsum("cabkl,cli->cabki", gAB, M) + np.einsum("cakl,cbli->cabki", gA, dM)
+        + np.einsum("cbkl,cali->cabki", gA, dM) + np.einsum("ckl,cabli->cabki", gx, d2M)
+    )
+    AAB = (
+        gAB + np.einsum("cablk,cli->cabki", d2M, P) + np.einsum("calk,cbli->cabki", dM, PA)
+        + np.einsum("cblk,cali->cabki", dM, PA) + np.einsum("clk,cabli->cabki", M, PAB)
+    )
+    _, dG, d2G = bundle.metric.field.jets(pts, 2)
+    ref = np.concatenate([sasaki._blocks(AA, PA, gA).ravel(), sasaki._blocks(AAB, PAB, gAB).ravel()])
+    return _array_row(np.concatenate([dG.ravel(), d2G.ravel()]), ref)
+
+
+def _row_lifted_triple(c):
+    if c["bundle"] is None:
+        return None
+    bundle, _, xs, _, _ = _lift_inputs(c)
+    pts, n = c["pts"], bundle.base_dim
+    M, dM = bundle.shift(pts), bundle.shift_partials(pts)[0]
+    J, dJ = bundle.base_triple.jets(xs)
+    JA = np.zeros((len(pts), 3, 2 * n, n, n))
+    JA[:, :, :n] = dJ
+    ref = (
+        np.einsum("cbaki,cil->cbakl", JA, M) + np.einsum("cbki,cail->cbakl", J, dM)
+        - np.einsum("caki,cbil->cbakl", dM, J) - np.einsum("cki,cbail->cbakl", M, JA)
+    )
+    return _array_row(bundle.triple.jets(pts)[1][..., n:, :n], ref)
+
+
+def _frame_derivative_einsum(c, L):
+    bundle, n = c["bundle"], c["bundle"].base_dim
+    dL = np.zeros((len(L), 2 * n, 2 * n, 2 * n))
+    dL[:, :, n:, :n] = -bundle.shift_partials(c["pts"])[0]
+    return np.einsum("caI,cakJ->cIkJ", L, dL)
+
+
+def _row_frame_derivative(c):
+    if c["bundle"] is None:
+        return None
+    L = _lift_inputs(c)[4]
+    return _array_row(sasaki._frame_derivatives(c["bundle"], c["pts"], L), _frame_derivative_einsum(c, L))
+
+
+def _row_connection_closed_form(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, u, L = _lift_inputs(c)
+    n = bundle.base_dim
+    gam, R = connection._christoffels(g0, xs), riemann(g0, xs)
+    B = np.zeros((len(xs), 2 * n, 2 * n, 2 * n))
+    B[:, :n, :n, :n] = B[:, :n, n:, n:] = np.einsum("ckij->cikj", gam)
+    B[:, :n, n:, :n] = -0.5 * np.einsum("clkij,ck->cilj", R, u)
+    B[:, :n, :n, n:] = 0.5 * np.einsum("climj,cm->cilj", R, u)
+    B[:, n:, :n, :n] = 0.5 * np.einsum("cljmi,cm->cilj", R, u)
+    return _array_row(oracle_tilde_nabla(bundle, c["pts"]), np.einsum("ckl,cIlJ->cIkJ", L, B))
+
+
+def _row_nabla_j_closed_form(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, u, L = _lift_inputs(c)
+    n, T = bundle.base_dim, bundle.base_triple
+    R, J, nabla = riemann(g0, xs), T.values(xs), connection.covariant_derivatives(g0, T, xs)
+
+    def commutator(A):
+        return np.einsum("cilk,cakj->cailj", A, J) - np.einsum("calk,cikj->cailj", J, A)
+
+    B = np.zeros((len(xs), 3, 2 * n, 2 * n, 2 * n))
+    B[:, :, :n, :n, :n] = B[:, :, :n, n:, n:] = nabla
+    B[:, :, :n, n:, :n] = -0.5 * commutator(np.einsum("clkij,ck->cilj", R, u))
+    B[:, :, :n, :n, n:] = 0.5 * commutator(np.einsum("climj,cm->cilj", R, u))
+    B[:, :, n:, :n, :n] = 0.5 * commutator(np.einsum("clkmi,cm->cilk", R, u))
+    return _array_row(oracle_tilde_nabla_J(bundle, c["pts"]), np.einsum("ckl,caIlJ->caIkJ", L, B))
+
+
+def _row_connection_oracle(c):
+    if c["bundle"] is None:
+        return None
+    bundle, pts, L = c["bundle"], c["pts"], _lift_inputs(c)[4]
+    gamL = np.einsum("ckab,cbJ->ckaJ", connection._christoffels(bundle.metric, pts), L)
+    fd = _frame_derivative_einsum(c, L) + np.einsum("ckaJ,caI->cIkJ", gamL, L)
+    ref = np.abs(fd - oracle_tilde_nabla(bundle, pts)).max(axis=(1, 2, 3))
+    return check_connection_oracle(bundle, pts), ref, np.abs(fd).max()
+
+
+def _row_nabla_j_oracle(c):
+    if c["bundle"] is None:
+        return None
+    bundle, pts, L = c["bundle"], c["pts"], _lift_inputs(c)[4]
+    DL = np.einsum("caAkl,clJ->caAkJ", connection.covariant_derivatives(bundle.metric, bundle.triple, pts), L)
+    DLL = np.einsum("caAkJ,cAI->caIkJ", DL, L)
+    ref = np.abs(DLL - oracle_tilde_nabla_J(bundle, pts)).max(axis=(1, 2, 3, 4))
+    return check_nabla_j_oracle(bundle, pts), ref, np.abs(DLL).max()
+
+
+def _row_bracket(c):
+    if c["bundle"] is None:
+        return None
+    bundle, g0, xs, u, L = _lift_inputs(c)
+    pairs = [(np.eye(4)[1], np.eye(4)[2]), ([0.3, -1.0, 0.5, 0.2], [1.0, 0.4, -0.2, 0.7])]
+    X, Y = (np.array(V, dtype=float) for V in zip(*pairs))
+    zero = np.zeros_like(X)
+    h, v = np.concatenate([X, zero], axis=1), np.concatenate([zero, Y], axis=1)
+    hY, vX = np.concatenate([Y, zero], axis=1), np.concatenate([zero, X], axis=1)
+    D = sasaki._frame_derivatives(bundle, c["pts"], L)
+    K = D - np.einsum("cIkJ->cJkI", D)
+    bracket = lambda a, b: np.einsum("pI,cIkJ,pJ->cpk", a, K, b)
+    lift_v = lambda W: np.concatenate([np.zeros_like(W), W], axis=2)
+    covXY = np.einsum("ckml,pm,pl->cpk", connection._christoffels(g0, xs), X, Y)
+    RXYu = np.einsum("clkij,pi,pj,ck->cpl", riemann(g0, xs), X, Y, u)
+    hh = bracket(h, hY)
+    ref = np.abs(np.stack([bracket(vX, v), bracket(h, v) - lift_v(covXY), hh - lift_v(-RXYu), hh - lift_v(RXYu)])).max(axis=3)
+    got = check_bracket(bundle, pairs, c["pts"])
+    return stacked(got).transpose(2, 0, 1), ref, np.abs(hh).max()
+
+
+def _row_oneill(c):
+    if c["f"] is None:
+        return None
+    f, g, pts = c["f"], c["g"], c["pts"]
+    gam = connection._christoffels(g, pts)
+    df, _, H, v, h = vh_split(f, g, pts)
+    dPv = _projector_partials(f, g, pts, df)
+    U = np.stack([h, v], axis=1)
+    GU = np.einsum("cuikl,cslj->cusikj", np.einsum("ckml,cumi->cuikl", gam, U), np.stack([v, h], axis=1))
+    dPu = np.einsum("cmkl,cumi->cuikl", dPv, U)
+    cov_v, cov_h = dPu + GU[:, :, 0], -dPu + GU[:, :, 1]
+    full = np.einsum("ckl,cuilj->cuijk", h, cov_v) + np.einsum("ckl,cuilj->cuijk", v, cov_h)
+    a_h = np.einsum("cli,cmj,clmk->cijk", H, H, full[:, 0])
+    got = oneill_tensors(f, g, pts)
+    return _array_row(
+        np.concatenate([got.a_full.ravel(), got.t_full.ravel(), got.a_horizontal.ravel()]),
+        np.concatenate([full[:, 0].ravel(), full[:, 1].ravel(), a_h.ravel()]),
+    )
+
+
+def _row_transition(c):
+    T, s, pts = c["T"], c["s"], c["pts"]
+    S, dS = s.matrices(pts), s.jets(pts, 1)[1]
+    J, dJ = T.jets(pts)
+    W = apply_transition(T, s)
+    got = np.concatenate([W.values(pts).ravel(), W.jets(pts)[1].ravel()])
+    ref = np.concatenate([
+        np.einsum("cab,cbij->caij", S, T.values(pts)).ravel(),
+        (np.einsum("cmab,cbij->camij", dS, J) + np.einsum("cab,cbmij->camij", S, dJ)).ravel(),
+    ])
+    return _array_row(got, ref)
+
+
+def _row_gram(c):
+    J = c["T"].values(c["pts"])
+    return _array_row(algebra._gram(J), np.einsum("...aij,...bij->...ab", J, J))
+
+
+CONTRACTIONS = {
+    # connection
+    "christoffel": lambda c: _array_row(connection._christoffels(c["g"], c["pts"]), _christoffel_einsum(c["g"], c["pts"])),
+    "christoffel partials": _row_partials,
+    "riemann": lambda c: _array_row(riemann(c["g"], c["pts"]), _riemann_einsum(c["g"], c["pts"])),
+    "covariant derivative": _row_nabla,
+    "nijenhuis": _row_nijenhuis,
+    "curvature operator": _row_curvature_operator,
+    # structures
+    "kahler fit pairing": _row_fit,
+    "parallel-equivalence mixed term": _row_mixed,
+    # sasaki
+    "d2 christoffel": _row_d2_christoffel,
+    "shift": _row_shift,
+    "shift partials": _row_shift_partials,
+    "lifted metric jets": _row_lifted_metric,
+    "lifted triple jets": _row_lifted_triple,
+    "frame derivative": _row_frame_derivative,
+    "connection closed form": _row_connection_closed_form,
+    "nabla J closed form": _row_nabla_j_closed_form,
+    "connection oracle": _row_connection_oracle,
+    "nabla J oracle": _row_nabla_j_oracle,
+    "bracket": _row_bracket,
+    # submersion
+    "oneill": _row_oneill,
+    # algebra
+    "transition": _row_transition,
+    "gram": _row_gram,
+}
+
+
+def test_each_matrix_product_is_the_einsum_it_replaced_to_roundoff():
+    exercised = set()
+    for case, context in _contraction_contexts().items():
+        for name, row in CONTRACTIONS.items():
+            out = row(context)
+            if out is None:
+                continue
+            got, ref, scale = out
+            assert np.shape(got) == np.shape(ref), (case, name)
+            assert np.abs(np.asarray(got) - ref).max() <= 1e-13 * scale, (case, name)
+            if scale > 0:
+                exercised.add(name)
+    assert exercised == set(CONTRACTIONS)
 
 
 def test_the_lift_contractions_of_a_sixteen_point_stack_are_each_points_alone_bit_for_bit():
