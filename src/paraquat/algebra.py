@@ -177,10 +177,13 @@ class TransitionMap:
         one ``s`` call, then the shape and the determinants of the stack
         tested at once: a ValidationError for a value that is not 3x3, a
         SingularTransitionError naming the first point whose |det| is below
-        the floor.  It has no replay of its own: the batches that read it
-        (a triple's ``values``, ``eval_batch`` of a member and the
-        derivatives of ``connection``) run under ``fields._memo_batch``,
-        which replays a failing batch point by point."""
+        the floor.  The stack is in C order whatever the layout of ``s``'s
+        result (an expression array's has the point axis innermost), so a
+        product over it rounds the same for a point alone or in any stack.
+        It has no replay of its own: the batches that read it (a triple's
+        ``values``, ``eval_batch`` of a member and the derivatives of
+        ``connection``) run under ``fields._memo_batch``, which replays a
+        failing batch point by point."""
         _check_list(points)
         if not points:
             return np.empty((0, 3, 3))
@@ -190,7 +193,7 @@ class TransitionMap:
         singular = np.flatnonzero(np.abs(np.linalg.det(S)) < TRANSITION_DET_FLOOR)
         if singular.size:
             raise SingularTransitionError(f"transition singular at {points[singular[0]]}")
-        return S
+        return np.ascontiguousarray(S)
 
 
 def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> LocalBasisTriple:
@@ -204,9 +207,10 @@ def apply_transition(A: LocalBasisTriple, s: TransitionMap, label: str = "") -> 
     name = label or s.label
 
     def stack(points: Sequence[Point], order: int) -> tuple[np.ndarray, ...]:
-        # s and ds in C order, whatever their source's, so that a member's
-        # row of either is the same vector for a point alone or in any stack
-        S, AJ = np.ascontiguousarray(s.matrices(points)), A.values(points)
+        # ds in C order, whatever its source's, as ``matrices`` gives s, so
+        # that a member's row of either is the same vector for a point alone
+        # or in any stack
+        S, AJ = s.matrices(points), A.values(points)
         c, rows = len(S), S[..., None, :]  # [c, a, 1, b]: member a's row of s
         V = (rows @ AJ.reshape(c, 1, 3, -1)).reshape(AJ.shape)
         if order == 0:

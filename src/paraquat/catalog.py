@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import LocalBasisTriple, doubled
 from .connection import MetricField
 from .errors import ParseError, ValidationError
-from .exprlang import Expr, compile_with_jets, parse_expr
+from .exprlang import compile_with_jets
 from .fields import ManifoldSpec, Point, TensorField, _check_list, constant_field
 from .structures import ProductStructureField
 
@@ -197,19 +197,13 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 }
 
 
-def _parsed(entries, shape: tuple[int, ...], what: str):
-    """The expression trees of a nested list of strings, in order; the
-    nesting is checked against ``shape`` as the trees are taken.  Each
-    distinct text is parsed once, at its first entry: a symmetric matrix
-    repeats its off-diagonal texts, and a diagonal one its zeros."""
-    trees: dict[str, Expr] = {}
+def _entries(entries, shape: tuple[int, ...], what: str):
+    """The expression texts of a nested list, in order; the nesting is
+    checked against ``shape`` as the texts are taken."""
 
     def leaves(node, dims: tuple[int, ...]):
         if not dims:
-            text = str(node)
-            if text not in trees:
-                trees[text] = parse_expr(text)
-            yield trees[text]
+            yield str(node)
             return
         if not isinstance(node, (list, tuple)) or len(node) != dims[0]:
             raise ParseError(f"{what} must be nested lists of expressions of shape {shape}")
@@ -234,7 +228,7 @@ def expression_array(
     ``values`` maps an (N, dim) stack of the chart's coordinate vectors to
     the entries there, an (N, *shape) array, each row the same bit for bit
     as alone; ``jets`` gives their exact partials to order 3 from the same
-    trees (no Hessian for order 1).  Both come from ``compile_with_jets``.
+    subexpressions (no Hessian for order 1).  Both come from ``compile_with_jets``.
     ``jets`` is called as ``jets(points, order)`` with ``TensorField.jets``'
     convention: order + 1 stacked arrays, the partial axes first, then
     ``shape``.
@@ -244,7 +238,7 @@ def expression_array(
     scenario-build time rather than mid-run.
     """
     n = chart.dim
-    walk, jets = compile_with_jets(_parsed(entries, shape, what), chart.coords)
+    walk, jets = compile_with_jets(_entries(entries, shape, what), chart.coords)
 
     def values(C: np.ndarray) -> np.ndarray:
         return walk(C).reshape(len(C), *shape)

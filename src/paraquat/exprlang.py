@@ -16,15 +16,21 @@ are fixed (sin, cos, exp, sinh, cosh of one argument; pow of two); anything
 else followed by '(' is a syntax error.  Free names are resolved against a
 coordinate list at bind time.
 
-``parse_expr`` and ``print_expr`` are inverse in the useful direction:
-re-parsing a printed tree reproduces it node for node, which is what lets
-reports quote expressions canonically.
+Text is read once, left to right, by one operator-precedence parser with
+explicit stacks (``_postfix``), which gives the expression in postfix
+order: no tree is built on the way and nothing recurses, so neither the
+depth of nesting nor the length of an expression has a limit but memory.
+``parse_expr`` builds a tree from that postfix and ``print_expr`` prints a
+tree from its own postfix (``_postorder``).  The two are inverse in the
+useful direction: re-parsing a printed tree reproduces it node for node,
+which is what lets reports quote expressions canonically.
 
-An array of trees is evaluated by an interpreted walk of its distinct
-subtrees, one step at a time over a whole batch of points
-(``compile_with_jets``), in the language's order and with its checks; no
-Python source is generated.  An array is read at a few points only, and
-compiling a function for it cost far more than those evaluations.
+An array of entries is compiled (``compile_with_jets``) by entering each
+entry's postfix into one table of distinct subexpressions and scheduling
+them in the language's order; its values are an interpreted walk of those
+steps, one at a time over a whole batch of points, with the language's
+checks.  No Python source is generated.  An array is read at a few points
+only, and compiling a function for it cost far more than those evaluations.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import operator
 import re
 import struct
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from itertools import chain, islice
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -90,166 +96,200 @@ class Call:
 
 Expr = Union[Num, Sym, Neg, Bin, Call]
 
-# a token after optional whitespace: an ASCII number, name or operator, or
-# any other character, which is a syntax error
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))"
-)
+# a token: an ASCII number or name, or any other character but whitespace,
+# which is an operator or a syntax error.  One scan gives every token's
+# text; positions are found again only to raise an error.
+_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_TOKEN_START = _DIGITS | _NAME_START | frozenset("-+*/^(),")
+
+# Postfix items: a float is a literal, a str a free name, and an operator is
+# (op, number of operands), op being "neg", a binary operator or a function.
+_NEG = ("neg", 1)
+
+# The parser's pending operators, as (precedence, item).  A unary minus
+# binds looser than '^' and tighter than '*' and '/'.  An open parenthesis
+# or call is an entry of precedence 0, which no operator pops.
+_PENDING = {op: (p, (op, 2)) for op, p in (("+", 1), ("-", 1), ("*", 2), ("/", 2))}
+_PENDING_NEG = (3, _NEG)
+_PENDING_POW = (4, ("^", 2))
+_OPEN = (0, None)
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+def _syntax_error(src: str, toks: list[str], i: int, message: str):
+    """Raise ``message`` at token ``i`` of ``src`` (its end when ``i`` is
+    past the last token), unless a token of ``src`` is a character the
+    language does not have: the first such one is the error, wherever the
+    parse stopped."""
+    for k, t in enumerate(toks):
+        if t[0] not in _TOKEN_START:
+            i, message = k, f"unexpected character {t!r}"
+            break
+    pos = len(src) if i == len(toks) else next(islice(_TOKEN_RE.finditer(src), i, None)).start()
+    raise ExprSyntaxError(message, pos)
 
 
-def _tokenize(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        text, pos = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
-        toks.append(_Token(kind, text, pos))
-    toks.append(_Token("end", "", len(src)))
-    return toks
+def _postfix(src: str) -> list:
+    """The expression of ``src`` in postfix order, read in one pass.
 
-
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.i]
-
-    def _eat_op(self, chars: str) -> _Token | None:
-        t = self.toks[self.i]
-        if t.kind == "op" and t.text in chars:
-            self.i += 1
-            return t
-        return None
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while (t := self._eat_op("+-")) is not None:
-            node = Bin(t.text, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while (t := self._eat_op("*/")) is not None:
-            node = Bin(t.text, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        if self._eat_op("-") is not None:
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
-        if self._eat_op("^") is not None:
-            return Bin("^", node, self.unary())
-        return node
-
-    def atom(self) -> Expr:
-        t = self.cur
-        if t.kind == "num":
-            self.i += 1
-            value = float(t.text)
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number literal {t.text!r} out of range", t.pos)
-            return Num(value)
-        if t.kind == "name":
-            self.i += 1
-            if self._eat_op("(") is None:
-                return Sym(t.text)
-            if t.text not in FUNCTIONS:
-                raise ExprSyntaxError(f"unknown function {t.text!r}", t.pos)
-            args = [self.expr()]
-            while self._eat_op(",") is not None:
-                args.append(self.expr())
-            if self._eat_op(")") is None:
-                raise ExprSyntaxError("expected ')'", self.cur.pos)
-            if len(args) != FUNCTIONS[t.text]:
-                raise ExprSyntaxError(
-                    f"{t.text} takes {FUNCTIONS[t.text]} argument(s), got {len(args)}",
-                    t.pos,
-                )
-            return Call(t.text, tuple(args))
-        if self._eat_op("(") is not None:
-            node = self.expr()
-            if self._eat_op(")") is None:
-                raise ExprSyntaxError("expected ')'", self.cur.pos)
-            return node
-        raise ExprSyntaxError(
-            f"expected a value, found {t.text!r}" if t.kind != "end" else "unexpected end of input",
-            t.pos,
-        )
+    A value goes straight to the output.  An operator waits in ``pending``
+    until one that binds no tighter comes, except that a '^' pops nothing,
+    so it associates to the right; an open parenthesis or call waits for
+    its ')'.  ``groups`` holds the open ones: None for a parenthesis,
+    [name, token index, arguments so far] for a call.  An error is raised
+    at the first token the grammar cannot take, with the grammar's
+    message."""
+    toks = _TOKEN_RE.findall(src)
+    end = len(toks)
+    out: list = []
+    pending = [_OPEN]
+    groups: list = []
+    i = 0
+    while True:
+        # a value, after any prefix minuses and open groups
+        t = toks[i] if i < end else ""
+        c = t[:1]
+        if c in _DIGITS:
+            value = float(t)
+            if value == math.inf:
+                _syntax_error(src, toks, i, f"number literal {t!r} out of range")
+            out.append(value)
+        elif c in _NAME_START:
+            if i + 1 < end and toks[i + 1] == "(":
+                if t not in FUNCTIONS:
+                    _syntax_error(src, toks, i, f"unknown function {t!r}")
+                pending.append(_OPEN)
+                groups.append([t, i, 1])
+                i += 2
+                continue
+            out.append(t)
+        elif t == "(":
+            pending.append(_OPEN)
+            groups.append(None)
+            i += 1
+            continue
+        elif t == "-":
+            pending.append(_PENDING_NEG)
+            i += 1
+            continue
+        else:
+            _syntax_error(src, toks, i, f"expected a value, found {t!r}" if i < end else "unexpected end of input")
+        i += 1
+        # an operator, after any closing parentheses
+        while True:
+            t = toks[i] if i < end else ""
+            entry = _PENDING.get(t)
+            if entry is not None:
+                while pending[-1][0] >= entry[0]:
+                    out.append(pending.pop()[1])
+                pending.append(entry)
+                break
+            if t == "^":
+                pending.append(_PENDING_POW)
+                break
+            while pending[-1][0]:
+                out.append(pending.pop()[1])
+            if not groups:
+                if i == end:
+                    return out
+                _syntax_error(src, toks, i, f"unexpected trailing {t!r}")
+            group = groups[-1]
+            if t == ")":
+                pending.pop()
+                groups.pop()
+                if group is not None:
+                    fn, at, count = group
+                    if count != FUNCTIONS[fn]:
+                        _syntax_error(src, toks, at, f"{fn} takes {FUNCTIONS[fn]} argument(s), got {count}")
+                    out.append((fn, count))
+                i += 1
+            elif t == "," and group is not None:
+                group[2] += 1
+                break
+            else:
+                _syntax_error(src, toks, i, "expected ')'")
+        i += 1
 
 
 def parse_expr(src: str) -> Expr:
-    p = _Parser(src)
-    node = p.expr()
-    if p.cur.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing {p.cur.text!r}", p.cur.pos)
-    return node
+    """The tree of ``src``, built from its postfix (``_postfix``)."""
+    stack: list = []
+    for item in _postfix(src):
+        if item.__class__ is float:
+            stack.append(Num(item))
+        elif item.__class__ is str:
+            stack.append(Sym(item))
+        else:
+            op, k = item
+            args = stack[len(stack) - k:]
+            del stack[len(stack) - k:]
+            stack.append(Neg(*args) if op == "neg" else Call(op, tuple(args)) if op in FUNCTIONS else Bin(op, *args))
+    return stack[0]
+
+
+def _postorder(e: Expr) -> list:
+    """A tree in postfix order, in ``_postfix``'s items; no recursion."""
+    out: list = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Num):
+            out.append(float(x.value))
+        elif isinstance(x, Sym):
+            out.append(x.name)
+        elif isinstance(x, Neg):
+            todo += (_NEG, x.arg)
+        elif isinstance(x, Bin):
+            todo += ((x.op, 2), x.right, x.left)
+        elif isinstance(x, Call):
+            todo.append((x.fn, len(x.args)))
+            todo.extend(reversed(x.args))
+        else:  # an operator, whose operands are out
+            out.append(x)
+    return out
 
 
 # Precedence levels used by the printer; parenthesize a child whose level is
 # below what its slot requires.
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
+# each binary operator's level, the levels its left and right operands
+# require, and its text between them
+_INFIX = {
+    "+": (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL, " + "),
+    "-": (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL, " - "),
+    "*": (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_NEG, "*"),
+    "/": (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_NEG, "/"),
+    "^": (_LEVEL_POW, _LEVEL_ATOM, _LEVEL_NEG, "^"),
+}
 
-def _level(e: Expr) -> int:
-    if isinstance(e, Bin):
-        return {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}[e.op]
-    if isinstance(e, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
 
-
-def _print(e: Expr, required: int) -> str:
-    if isinstance(e, Num):
-        s = repr(float(e.value))
-        return s
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({', '.join(_print(a, _LEVEL_ADD) for a in e.args)})"
-    if isinstance(e, Neg):
-        body = f"-{_print(e.arg, _LEVEL_NEG)}"
-    elif e.op in "+-":
-        body = f"{_print(e.left, _LEVEL_ADD)} {e.op} {_print(e.right, _LEVEL_MUL)}"
-    elif e.op in "*/":
-        body = f"{_print(e.left, _LEVEL_MUL)}{e.op}{_print(e.right, _LEVEL_NEG)}"
-    else:  # ^
-        body = f"{_print(e.left, _LEVEL_ATOM)}^{_print(e.right, _LEVEL_NEG)}"
-    return f"({body})" if _level(e) < required else body
+def _operand(printed: tuple[str, int], required: int) -> str:
+    text, level = printed
+    return f"({text})" if level < required else text
 
 
 def print_expr(e: Expr) -> str:
     """Canonical text for a tree; re-parsing it reproduces the tree."""
-    return _print(e, _LEVEL_ADD)
-
-
-def _check_symbols(e: Expr, index: dict[str, int], names: Sequence[str]) -> None:
-    """Raise UnknownSymbolError for the first free name of ``e``, read left
-    to right, that is not a coordinate."""
-    if isinstance(e, Sym):
-        if e.name not in index:
-            raise UnknownSymbolError(f"unknown symbol {e.name!r}; coordinates are {tuple(names)}")
-    elif isinstance(e, Neg):
-        _check_symbols(e.arg, index, names)
-    elif isinstance(e, Bin):
-        _check_symbols(e.left, index, names)
-        _check_symbols(e.right, index, names)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _check_symbols(a, index, names)
+    stack: list[tuple[str, int]] = []
+    for item in _postorder(e):
+        if item.__class__ is float:
+            stack.append((repr(item), _LEVEL_ATOM))
+        elif item.__class__ is str:
+            stack.append((item, _LEVEL_ATOM))
+        else:
+            op, k = item
+            args = stack[len(stack) - k:]
+            del stack[len(stack) - k:]
+            if op == "neg":
+                stack.append(("-" + _operand(args[0], _LEVEL_NEG), _LEVEL_NEG))
+            elif op in FUNCTIONS:
+                stack.append((f"{op}({', '.join(_operand(a, _LEVEL_ADD) for a in args)})", _LEVEL_ATOM))
+            else:
+                level, left, right, text = _INFIX[op]
+                stack.append((_operand(args[0], left) + text + _operand(args[1], right), level))
+    return stack[0][0]
 
 
 # Failure paths of the checked steps; each receives the node being evaluated.
@@ -274,80 +314,130 @@ _OPERATORS = {
     "/": operator.truediv, "^": operator.pow,
 }
 
+_pack = struct.Struct("d").pack
+
 
 class _Emitter:
-    """The distinct subtrees of a list of trees, as numbered slots.
+    """The distinct subexpressions of an array's entries, then their steps.
 
-    Every distinct subtree gets one slot: a subtree is keyed on its operator
-    and the slots its children were given, so a repeated subtree is a dict
-    hit and is evaluated once.  A constant's slot holds its value
-    (``constants``); every other slot is filled by one step.  ``steps`` lists
-    them in evaluation order as (slot, key, node), with the zero test of a
-    divisor as (None, ("nonzero", divisor slot), node) after the divisor's
-    steps and before the dividend's: the DAG that :func:`compile_with_jets`
-    walks.
+    ``enter`` takes one entry in postfix order and gives each distinct
+    subexpression one node: a node is keyed on its operator and the nodes
+    of its operands, a literal on its bits (so 0.0 and -0.0 stay apart) and
+    a free name on its coordinate, so a repeated subexpression is a dict
+    hit.  ``schedule`` then numbers the nodes the entries reach as slots,
+    in the language's order: left operand first, except that '/' takes its
+    divisor, and tests it for zero, before its dividend.  ``slots`` maps
+    each slot's key (its operator and its operands' slots) to it,
+    ``constants`` holds the value of each literal's slot, and ``steps``
+    lists every other slot in evaluation order as (slot, key, node), with
+    the zero test of a divisor as (None, ("nonzero", divisor slot),
+    division node) after the divisor's steps and before the dividend's:
+    the DAG that :func:`compile_with_jets` walks.  ``node`` rebuilds the
+    tree of a node, which only an error message needs.
     """
 
-    def __init__(self, index: dict[str, int]):
-        self.index = index
+    def __init__(self, names: Sequence[str]):
+        self.names = tuple(names)
+        self.index = {name: k for k, name in enumerate(self.names)}
+        self.keys: list[tuple] = []  # the key of each node
+        self.nodes: dict[tuple, int] = {}
         self.slots: dict[tuple, int] = {}
         self.constants: dict[int, float] = {}
-        self.nonzero: set[int] = set()  # divisors already tested for zero
-        self.steps: list[tuple[int | None, tuple, Expr]] = []
+        self.steps: list[tuple[int | None, tuple, int]] = []
 
-    def operand(self, e: Expr) -> int:
-        if isinstance(e, Num):
-            value = float(e.value)
-            key = ("num", struct.pack("d", value))  # 0.0 and -0.0 stay apart
-            if key not in self.slots:
-                self.constants[len(self.slots)] = value
-                self.slots[key] = len(self.slots)
-            return self.slots[key]
-        if isinstance(e, Sym):
-            key = ("sym", self.index[e.name])
-        elif isinstance(e, Neg):
-            key = ("neg", self.operand(e.arg))
-        elif isinstance(e, Call):
-            key = (e.fn, *(self.operand(a) for a in e.args))
-        elif e.op == "/":
-            # the divisor is evaluated, and tested for zero, before the dividend
-            right = self.operand(e.right)
-            if right not in self.nonzero:
-                self.steps.append((None, ("nonzero", right), e))
-                self.nonzero.add(right)
-            key = ("/", self.operand(e.left), right)
-        else:
-            left = self.operand(e.left)
-            key = (e.op, left, self.operand(e.right))
-        if key not in self.slots:
-            self.slots[key] = len(self.slots)
-            self.steps.append((self.slots[key], key, e))
-        return self.slots[key]
+    def enter(self, items: list) -> int:
+        """The node of one entry, given in postfix order.  The entry's first
+        free name, read left to right, that is not a coordinate raises
+        UnknownSymbolError once the entry is entered."""
+        keys, nodes, index = self.keys, self.nodes, self.index
+        stack: list[int] = []
+        unknown = None
+        for item in items:
+            if item.__class__ is float:
+                key = ("num", _pack(item))
+            elif item.__class__ is str:
+                k = index.get(item)
+                if k is None and unknown is None:
+                    unknown = item
+                key = ("sym", k)
+            else:
+                op, n = item
+                if n == 1:
+                    key = (op, stack.pop())
+                else:
+                    b = stack.pop()
+                    key = (op, stack.pop(), b)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = len(keys)
+                keys.append(key)
+            stack.append(node)
+        if unknown is not None:
+            raise UnknownSymbolError(f"unknown symbol {unknown!r}; coordinates are {self.names}")
+        return stack[0]
 
+    def schedule(self, roots: Sequence[int]) -> list[int]:
+        """Number the nodes that ``roots`` reach, depth first in the
+        language's order, and return the slot of each root.  ``todo`` holds
+        a node to visit as its number, a node whose operands are done as
+        its complement, and the zero test of a divisor as (division,
+        divisor), between the divisor and the dividend."""
+        keys, slots, steps, constants = self.keys, self.slots, self.steps, self.constants
+        slot_of: list = [None] * len(keys)
+        nonzero: set[int] = set()  # divisors already tested for zero
+        todo = list(reversed(roots))
+        while todo:
+            item = todo.pop()
+            if item.__class__ is tuple:
+                division, divisor = item
+                if slot_of[divisor] not in nonzero:
+                    nonzero.add(slot_of[divisor])
+                    steps.append((None, ("nonzero", slot_of[divisor]), division))
+                continue
+            if item >= 0:
+                if slot_of[item] is not None:
+                    continue
+                key = keys[item]
+                op = key[0]
+                if op != "num" and op != "sym":
+                    todo.append(~item)
+                    if op == "/":
+                        todo += (key[1], (item, key[2]), key[2])
+                    else:
+                        todo += key[:0:-1]
+                    continue
+            else:
+                item = ~item
+                key = keys[item]
+                op = key[0]
+                key = (op, *[slot_of[a] for a in key[1:]])
+            slot = slot_of[item] = len(slots)
+            slots[key] = slot
+            if op == "num":
+                constants[slot] = struct.unpack("d", key[1])[0]
+            else:
+                steps.append((slot, key, item))
+        return [slot_of[root] for root in roots]
 
-def _emit(trees: Iterable[Expr], names: Sequence[str]) -> tuple[_Emitter, list[int]]:
-    """The emitter that has walked the trees, and the slot of each tree.
-
-    The trees are taken in order and each one's free names are checked as it
-    is taken, so an unknown name raises UnknownSymbolError here, before
-    anything a later tree (or the iterable producing it) raises.  A tree
-    object met again, as a parsed array repeats the tree of a repeated
-    text, is checked and walked once."""
-    index = {name: k for k, name in enumerate(names)}
-    taken: dict[int, Expr] = {}
-    order: list[int] = []
-    for e in trees:
-        if id(e) not in taken:
-            _check_symbols(e, index, names)
-            taken[id(e)] = e
-        order.append(id(e))
-    em = _Emitter(index)
-    slots = {key: em.operand(e) for key, e in taken.items()}
-    return em, [slots[key] for key in order]
+    def node(self, at: int) -> Expr:
+        """The tree of node ``at``, rebuilt from the keys."""
+        built: list = []
+        for op, *args in self.keys[: at + 1]:
+            if op == "num":
+                built.append(Num(struct.unpack("d", args[0])[0]))
+            elif op == "sym":
+                built.append(Sym(self.names[args[0]]))
+            elif op == "neg":
+                built.append(Neg(built[args[0]]))
+            elif op in FUNCTIONS:
+                built.append(Call(op, tuple(built[a] for a in args)))
+            else:
+                built.append(Bin(op, *(built[a] for a in args)))
+        return built[at]
 
 
 def _evaluator(em: _Emitter, results: list[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The emitter's trees as one function of an (N, n) float array of
+    """The emitter's entries as one function of an (N, n) float array of
     points, returning their values as an (N, len(results)) array.
 
     It walks ``em.steps`` once; each step is one ``map`` of its scalar
@@ -379,14 +469,14 @@ def _evaluator(em: _Emitter, results: list[int]) -> Callable[[np.ndarray], np.nd
                 try:
                     out = list(map(fn, *[v[a] for a in args]))
                 except _CAUGHT as exc:
-                    _caught(node, exc)
+                    _caught(em.node(node), exc)
                 if any(isinstance(x, complex) for x in out) or not all(map(math.isfinite, out)):
-                    _nonfinite(node)
+                    _nonfinite(em.node(node))
                 v[slot] = out
             elif kind == "sym":
                 v[slot] = coords[args]
             elif 0.0 in v[args]:  # the zero test of a divisor
-                _zero_divisor(node)
+                _zero_divisor(em.node(node))
         return np.fromiter(chain.from_iterable([v[r] for r in results]), float, T * N).reshape(T, N).T
 
     return evaluate
@@ -448,16 +538,23 @@ def _product(a, b, second: bool = True):
 
 
 def _log_abs(a, second: bool = True):
-    """The jet of log|a|, whose derivatives are those of log a."""
+    """The jet of log|a|, whose derivatives are those of log a; none for a
+    constant a, 0.0 included."""
     v, d, H = a
+    if d is None:
+        return np.log(np.abs(v)), None, None
     return _chain(np.log(np.abs(v)), d, H, 1.0 / v, -1.0 / v**2 if second else None)
 
 
 def _power(a, c: float, second: bool = True):
-    """The jet of a^c for a constant exponent c."""
+    """The jet of a^c for a constant exponent c.  a^0 is the constant 1.0,
+    so a node whose value varies always has a gradient, and an exponent
+    with no gradient is a number."""
     v, d, H = a
+    if c == 0.0:
+        return 1.0, None, None
     p = v ** c
-    if d is None or c == 0.0:
+    if d is None:
         return p, None, None
     f2 = (c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0) if second else None
     return _chain(p, d, H, c * v ** (c - 1.0), f2)
@@ -565,47 +662,79 @@ def _third(key: tuple, jet: list, third: list, own: tuple):
     return _scaled(_k(1.0 / vb), K)
 
 
+def _program(entries: Iterable[str | Expr], names: Sequence[str]) -> tuple[_Emitter, list[int]]:
+    """The emitter of an array's entries, scheduled, and the slot of each
+    entry.  The entries are taken in order, and each is read in one pass
+    (``_postfix``, or ``_postorder`` for a tree) straight into the
+    emitter, so an entry's syntax error, and then its first free name
+    that is not one of ``names`` (UnknownSymbolError), raise before
+    anything a later entry, or the iterable producing it, raises.  A text
+    met again is read once."""
+    em = _Emitter(names)
+    read: dict[str, int] = {}
+    roots = []
+    for e in entries:
+        if not isinstance(e, str):
+            roots.append(em.enter(_postorder(e)))
+            continue
+        if e not in read:
+            read[e] = em.enter(_postfix(e))
+        roots.append(read[e])
+    return em, em.schedule(roots)
+
+
 def compile_with_jets(
-    trees: Iterable[Expr], names: Sequence[str]
+    entries: Iterable[str | Expr], names: Sequence[str]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[..., tuple[np.ndarray, ...]]]:
-    """The values of the trees at a batch of points, and their exact partial
-    derivatives to order 1, 2 or 3 by forward mode, both walking the same
-    distinct subtrees (free names checked as in :func:`_emit`).  Nothing is
-    compiled and no Python source is generated.
+    """The values of an array's entries at a batch of points, and their
+    exact partial derivatives to order 1, 2 or 3 by forward mode, both
+    walking the same distinct subexpressions.  Nothing is compiled and no
+    Python source is generated.
+
+    An entry is expression text or a tree.  Each is read into one table of
+    distinct subexpressions, a text in one pass with no tree built, and the
+    steps are then scheduled in the language's order (``_program``); errors
+    come entry by entry: an entry's syntax error, then its first unknown
+    free name (UnknownSymbolError).
 
     The values map an (N, n) array of points, coordinates ordered like
-    ``names``, to the (N, T) array of the T trees' values; an array of any
-    other shape, one coordinate vector included, raises ValidationError.
-    They are
-    evaluated as in :func:`_evaluator`, in the language's order (left
-    operand before right, except that '/' evaluates and tests its divisor
-    first), with the checks and messages of every Call, '/' and '^', one
-    step at a time over the whole batch.  A point's values are the same bit
-    for bit alone or in any batch; a batch raises the error of the first
-    step that fails at any of its points, which need not be what its first
-    failing point raises alone (``fields._memo_batch``, under which
-    ``fields.eval_batch`` runs, tries the points again one at a time).
+    ``names``, to the (N, T) array of the T entries' values; an array of
+    any other shape, one coordinate vector included, raises
+    ValidationError.  They are evaluated as in :func:`_evaluator`, in the
+    language's order (left operand before right, except that '/' evaluates
+    and tests its divisor first), with the checks and messages of every
+    Call, '/' and '^', one step at a time over the whole batch.  A point's
+    values are the same bit for bit alone or in any batch; a batch raises
+    the error of the first step that fails at any of its points, which
+    need not be what its first failing point raises alone
+    (``fields._memo_batch``, under which ``fields.eval_batch`` runs, tries
+    the points again one at a time).
 
     The jets map an (N, n) array of points and an ``order`` of 1, 2 (the
     default) or 3 to (V, D), (V, D, H) or (V, D, H, K), with V[c, t] the
-    value of tree t at point c, D[c, i, t] its i-th partial, H[c, i, j, t]
+    value of entry t at point c, D[c, i, t] its i-th partial, H[c, i, j, t]
     its (i, j) second partial and K[c, i, j, k, t] its (i, j, k) third
     partial.  Order 1 builds no Hessian and order 3 runs the rules of order
     2 unchanged, so each partial is the same bit for bit at every order
-    that has it.  Each distinct subtree is evaluated once, with numpy over
-    the whole stack.  The values are numpy's, so they may differ from the
-    walked ones in the last bit; evaluate the trees with those first, since
-    a jet assumes their values are finite.  A '^' or pow whose exponent
+    that has it.  Each distinct subexpression is evaluated once, with numpy
+    over the whole stack, and each distinct entry's columns are filled
+    once, then copied to the entries that repeat it with one ``take`` per
+    order.  The values are numpy's, so they may differ from the walked
+    ones in the last bit; evaluate the entries with those first, since a
+    jet assumes their values are finite.  A '^' or pow whose exponent
     depends on a coordinate takes the rule of exp(b log|a|).  A derivative
-    that is not finite where the value is, such as that of ``(x1^2)^0.5`` at
-    x1 = 0 or of ``x1^x2`` at x1 = 0, raises EvaluationError naming the
+    that is not finite where the value is, such as that of ``(x1^2)^0.5``
+    at x1 = 0 or of ``x1^x2`` at x1 = 0, raises EvaluationError naming the
     first node where it fails, and numpy warns of nothing.
     """
-    em, results = _emit(trees, names)
+    em, results = _program(entries, names)
     evaluate = _evaluator(em, results)
     temporaries = [step for step in em.steps if step[0] is not None]
     n, size = len(names), len(em.slots)
     unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point
+    distinct = list(dict.fromkeys(results))
+    column = {slot: u for u, slot in enumerate(distinct)}
+    gather = np.array([column[slot] for slot in results], dtype=np.intp)
 
     def values(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -615,7 +744,7 @@ def compile_with_jets(
 
     def jets(X: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         X = np.asarray(X, dtype=float)
-        N, T = len(X), len(results)
+        N, U = len(X), len(distinct)
         jet: list = [None] * size
         for slot, value in em.constants.items():
             jet[slot] = (value, None, None)
@@ -625,21 +754,21 @@ def compile_with_jets(
                 jet[slot] = _jet(key, jet, X, unit, order > 1)
                 if third is not None:
                     third[slot] = _third(key, jet, third, jet[slot])
-        out = [np.empty((N, T)), np.zeros((N, n, T))] + [np.zeros((N,) + (n,) * k + (T,)) for k in range(2, order + 1)]
-        for t, slot in enumerate(results):
+        out = [np.empty((N, U)), np.zeros((N, n, U))] + [np.zeros((N,) + (n,) * k + (U,)) for k in range(2, order + 1)]
+        for u, slot in enumerate(distinct):
             v, d, h = jet[slot]
-            out[0][:, t] = np.reshape(v, -1)
+            out[0][:, u] = np.reshape(v, -1)
             if d is not None:
-                out[1][:, :, t] = d[:, :, 0]
+                out[1][:, :, u] = d[:, :, 0]
             if h is not None:
-                out[2][..., t] = h
+                out[2][..., u] = h
             if third is not None and third[slot] is not None:
-                out[3][..., t] = third[slot]
+                out[3][..., u] = third[slot]
         if not all(np.isfinite(A).all() for A in out[1:]):
             for slot, _, node in temporaries:
                 parts = jet[slot] + ((third[slot],) if third is not None else ())
                 if not all(t is None or np.isfinite(t).all() for t in parts):
-                    raise EvaluationError(f"non-finite derivative from {print_expr(node)!r}")
-        return tuple(out)
+                    raise EvaluationError(f"non-finite derivative from {print_expr(em.node(node))!r}")
+        return tuple(A.take(gather, axis=-1) for A in out)
 
     return values, jets

@@ -190,6 +190,19 @@ def test_transition_matrices_from_a_batch_raise_what_the_first_failing_point_rai
     assert s.matrices(fine).tobytes() == np.concatenate([s.matrices([q]) for q in fine]).tobytes()
 
 
+def test_transition_matrices_of_an_expression_array_are_in_c_order(std_triple):
+    # an expression array's values come with the point axis innermost
+    chart = std_triple.chart
+    rows = [["cos(x1)", "sin(x1)", "0"], ["-sin(x1)", "cos(x1)", "0"], ["0", "0", "1 + x2^2"]]
+    values, jets = expression_array(rows, (3, 3), chart, "transition")
+    s = TransitionMap(s=lambda ps: values(np.array([q.coords for q in ps])), label="turn", jets=jets)
+    pts = [Point(chart, [0.1 * k, -0.2, 0.3, 0.05 * k]) for k in range(4)]
+    assert not values(np.array([q.coords for q in pts])).flags.c_contiguous
+    S = s.matrices(pts)
+    assert S.shape == (4, 3, 3) and S.flags.c_contiguous
+    assert S.tobytes() == np.concatenate([s.matrices([q]) for q in pts]).tobytes()
+
+
 def _nan_where(k, J):
     return pointwise(lambda p: J * (np.nan if p.coords[k] > 0.5 else 1.0))
 

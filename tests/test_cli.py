@@ -553,3 +553,31 @@ def test_malformed_contents_exit_two(case, tmp_path, capsys):
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _deep_metric(depth, terms, bottom=""):
+    """A conformal metric F diag(1, 1, -1, -1) whose F is a sum of ``terms``
+    terms, written inside ``depth`` parentheses, under ``depth`` minuses
+    (an even number) and plainly; ``bottom`` is put inside the parentheses."""
+    f = " + ".join(["1"] + [f"0.00001*x{k % 4 + 1}" for k in range(terms - 1)])
+    nest = "(" * depth + f + bottom + ")" * depth
+    diag = [nest, "-" * depth + f"({f})", f"-{nest}", f"-({f})"]
+    return {"dim": 4, "metric": {"matrix": [[diag[r] if r == c else "0" for c in range(4)] for r in range(4)]}}
+
+
+def test_deep_and_long_expressions_run(tmp_path, capsys):
+    # no recursion limit in the parse, the compile or the walk
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(_inline(geometry=dict(_deep_metric(5000, 5000), triple="standard4"))))
+    assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["overall"]
+
+
+def test_a_syntax_error_deep_in_an_expression_exits_two_with_one_line(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(_inline(geometry=dict(_deep_metric(5000, 3, bottom=" +"), triple="standard4"))))
+    assert main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    position = 5000 + len(" + ".join(["1", "0.00001*x1", "0.00001*x2"])) + 2
+    assert err == f"error: expected a value, found ')' (at position {position})\n"
+    assert "Traceback" not in out + err

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from paraquat import (
     EvaluationError,
     ExprSyntaxError,
+    ParaquatError,
+    ParseError,
     UnknownSymbolError,
     ValidationError,
     parse_expr,
@@ -59,12 +61,76 @@ def test_print_parse_roundtrip(e):
         ("x1²", 2),  # a non-ASCII digit
         ("1e400", 0),  # a literal that overflows
         ("x1 + 1e999", 5),
+        (")", 0),  # a value expected
+        ("sin(", 4),  # the end where an argument should start
+        ("sin()", 4),
+        ("pow(1,)", 6),
+        ("x1^", 3),  # an exponent expected
+        ("-", 1),  # an operand of the minus expected
+        ("1,2", 1),  # a comma outside a call
+        ("sin x1", 4),  # a function name as a free name, then trailing text
+        ("x1 (2)", 0),  # a free name called
     ],
 )
 def test_syntax_errors_carry_positions(src, position):
     with pytest.raises(ExprSyntaxError) as exc:
         parse_expr(src)
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("", "unexpected end of input (at position 0)"),
+        (")", "expected a value, found ')' (at position 0)"),
+        ("sin(", "unexpected end of input (at position 4)"),
+        ("sin()", "expected a value, found ')' (at position 4)"),
+        ("pow(1,)", "expected a value, found ')' (at position 6)"),
+        ("x1^", "unexpected end of input (at position 3)"),
+        ("-", "unexpected end of input (at position 1)"),
+        ("1,2", "unexpected trailing ',' (at position 1)"),
+        ("(1))", "unexpected trailing ')' (at position 3)"),
+        ("sin x1", "unexpected trailing 'x1' (at position 4)"),
+        ("x1 (2)", "unknown function 'x1' (at position 0)"),
+        ("(1,2)", "expected ')' (at position 2)"),
+        ("sin(1 2)", "expected ')' (at position 6)"),
+        ("sin(1,2", "expected ')' (at position 7)"),
+        ("pow(1,2,3)", "pow takes 2 argument(s), got 3 (at position 0)"),
+        ("x1 + 1e999", "number literal '1e999' out of range (at position 5)"),
+        # a character the language does not have is the error wherever it
+        # stands, even after another error
+        ("1 2 @", "unexpected character '@' (at position 4)"),
+        ("1e400 @", "unexpected character '@' (at position 6)"),
+    ],
+)
+def test_syntax_error_messages(src, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(src)
+    assert str(exc.value) == message
+    with pytest.raises(ExprSyntaxError) as compiled:
+        compile_with_jets(["x1", src], ["x1"])
+    assert str(compiled.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        # an entry's unknown name comes before a later entry's syntax error
+        ([["y1", "1 +"], ["0", "0"]], UnknownSymbolError, "unknown symbol 'y1'"),
+        ([["x1 + y1 * z", "1 +"], ["0", "0"]], UnknownSymbolError, "unknown symbol 'y1'"),
+        # an entry's syntax error comes before its own unknown name
+        ([["y1 + (", "0"], ["0", "0"]], ExprSyntaxError, "unexpected end of input (at position 6)"),
+        # the nesting is checked as the entries are taken
+        ([["x1", "1 +"], "bad"], ExprSyntaxError, "unexpected end of input (at position 3)"),
+        ([["y1"], ["0", "0"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
+        ([["x1", "y1"], 5], UnknownSymbolError, "unknown symbol 'y1'"),
+        ([["x1", "0"], ["1 +"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
+    ],
+)
+def test_errors_come_entry_by_entry(rows, error, message):
+    with pytest.raises(ParaquatError) as exc:
+        expression_array(rows, (2, 2), make_chart(2), "metric")
+    assert type(exc.value) is error and str(exc.value).startswith(message)
 
 
 def test_printer_precedence():
@@ -375,6 +441,7 @@ def test_jets_of_a_stack_are_the_jets_of_each_point():
     ("x1^(1/2)", lambda a, b: (0.5 / a**0.5, 0 * b)),
     ("x1^-1", lambda a, b: (-1 / a**2, 0 * b)),
     ("pow(x1, 2^0.5)", lambda a, b: (2**0.5 * a ** (2**0.5 - 1), 0 * b)),
+    ("x1^(x2^0)", lambda a, b: (1 + 0 * a, 0 * b)),  # an exponent whose value is 1 everywhere
 ])
 def test_every_exponent_has_the_jets_of_its_closed_form(src, gradient):
     values, jets = exprlang.compile_with_jets([parse_expr("x2"), parse_expr(src)], ["x1", "x2"])
@@ -418,6 +485,7 @@ def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
     ("1 + x2*pow(x1, 1.5)", 0.0, "pow(x1, 1.5)"),  # no second derivative at 0
     ("2 + (x1 - x1)^0.5", 0.3, "(x1 - x1)^0.5"),
     ("1 + x1^x2", 0.0, "x1^x2"),  # log|x1| at 0
+    ("2 + 0^(x1 + 2)", 0.3, "0.0^(x1 + 2.0)"),  # log|0| of a constant base
 ])
 def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src, x1, node):
     values, jets = exprlang.compile_with_jets([parse_expr(src)], ["x1", "x2"])
@@ -476,3 +544,136 @@ def test_a_third_derivative_that_is_not_finite_names_its_node():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=r"non-finite derivative from 'x1\^2.5'"):
             jets(X, 3)
+
+
+# --- one pass from text: the program of a printed tree, deep and long input --
+
+
+def _program(entries, names):
+    """The step program of an array: its slots, constants, steps (each with
+    the text its error would quote) and the slot of each entry."""
+    em, results = exprlang._program(entries, names)
+    constants = {slot: struct.pack("d", v) for slot, v in em.constants.items()}
+    steps = [(slot, key, print_expr(em.node(node))) for slot, key, node in em.steps]
+    return list(em.slots.items()), constants, steps, results
+
+
+def _reference_program(trees, names):
+    """The step program of a recursive walk of the trees in the language's
+    order: each distinct subtree gets the next slot after its operands',
+    the divisor of a '/' comes first and is tested for zero before the
+    dividend, and a literal's slot holds its value."""
+    index = {name: k for k, name in enumerate(names)}
+    slots, constants, steps, nonzero = {}, {}, [], set()
+
+    def operand(e):
+        if isinstance(e, Num):
+            key = ("num", struct.pack("d", e.value))
+            if key not in slots:
+                constants[len(slots)] = key[1]
+                slots[key] = len(slots)
+            return slots[key]
+        if isinstance(e, Sym):
+            key = ("sym", index[e.name])
+        elif isinstance(e, Neg):
+            key = ("neg", operand(e.arg))
+        elif isinstance(e, Call):
+            key = (e.fn, *(operand(a) for a in e.args))
+        elif e.op == "/":
+            right = operand(e.right)
+            if right not in nonzero:
+                nonzero.add(right)
+                steps.append((None, ("nonzero", right), print_expr(e)))
+            key = ("/", operand(e.left), right)
+        else:
+            left = operand(e.left)
+            key = (e.op, left, operand(e.right))
+        if key not in slots:
+            slots[key] = len(slots)
+            steps.append((slots[key], key, print_expr(e)))
+        return slots[key]
+
+    results = [operand(e) for e in trees]
+    return list(slots.items()), constants, steps, results
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=4).flatmap(
+    lambda ts: st.lists(st.sampled_from(ts), min_size=1, max_size=6).map(lambda more: ts + more)
+))
+def test_the_program_is_the_walk_in_the_languages_order(trees):
+    # arrays with a division and without one, shared subtrees, -0.0 and 0.0
+    names = _NAMES + ("q",)
+    assert _program(trees, names) == _reference_program(trees, names)
+
+
+def _bits(fn):
+    """The bits of the arrays ``fn`` returns, or the error it raises."""
+    try:
+        return "value", [A.tobytes() for A in fn()]
+    except Exception as exc:  # the same failure on both sides, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+_NAMES5 = ["x1", "x2", "x3", "x4", "u1"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.recursive(_nums | _syms, _compound, max_leaves=80))
+def test_a_printed_tree_compiles_to_the_program_and_bits_of_the_tree(e):
+    text = print_expr(e)
+    assert _program([text], _NAMES5) == _program([e], _NAMES5)
+    X = np.array([[0.3, -0.7, 1.1, 0.4, -0.2], [0.05, 0.5, -1.5, 2.0, 0.9]])
+    (tv, tj), (ev, ej) = compile_with_jets([text], _NAMES5), compile_with_jets([e], _NAMES5)
+    walked = _bits(lambda: [tv(X)])
+    assert walked == _bits(lambda: [ev(X)])
+    if walked[0] == "value":  # a jet assumes finite values
+        assert _bits(lambda: tj(X, 3)) == _bits(lambda: ej(X, 3))
+
+
+_N = 5000
+_DEEP = {
+    "nested parentheses": ("(" * _N + "x1 + 2*x2" + ")" * _N, "x1 + 2.0*x2"),
+    "unary minuses": ("-" * _N + "x1*x2", "-" * _N + "x1*x2"),
+    "a long sum": (
+        " + ".join(f"{k % 7}*x{k % 2 + 1}" for k in range(_N)),
+        " + ".join(f"{float(k % 7)!r}*x{k % 2 + 1}" for k in range(_N)),
+    ),
+    "a power chain": ("^".join(["1"] * 1000), "^".join(["1.0"] * 1000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP))
+def test_deep_and_long_expressions_parse_compile_evaluate_and_print(case):
+    # neither depth nor length meets a recursion limit; deep trees are
+    # compared by their text, since a dataclass's == recurses
+    src, printed = _DEEP[case]
+    assert print_expr(parse_expr(src)) == printed
+    assert print_expr(parse_expr(printed)) == printed
+    X = np.array([[0.5, 0.25], [-1.5, 2.0]])
+    a, b = X.T
+    value, gradient, hessian = {
+        "nested parentheses": (a + 2 * b, [1 + 0 * a, 2 + 0 * a], 0 * a),
+        "unary minuses": (a * b, [b, a], 1 + 0 * a),
+        "a long sum": (
+            np.array([sum(k % 7 * x[k % 2] for k in range(_N)) for x in X]),
+            [sum(k % 7 for k in range(0, _N, 2)) + 0 * a, sum(k % 7 for k in range(1, _N, 2)) + 0 * a],
+            0 * a,
+        ),
+        "a power chain": (1 + 0 * a, [0 * a, 0 * a], 0 * a),
+    }[case]
+    for entry in (src, parse_expr(src)):
+        values, jets = compile_with_jets([entry], ["x1", "x2"])
+        assert values(X)[:, 0].tobytes() == value.tobytes()
+        V, D, H, K = jets(X, 3)
+        assert np.array_equal(V[:, 0], value) and np.array_equal(D[..., 0], np.stack(gradient, axis=1))
+        assert np.array_equal(H[:, 0, 1, 0], hessian) and not K.any()
+
+
+def test_a_syntax_error_at_the_bottom_of_a_deep_nest_carries_its_position():
+    src = "(" * _N + "x1 +" + ")" * _N
+    for read in (parse_expr, lambda s: compile_with_jets([s], ["x1"])):
+        with pytest.raises(ExprSyntaxError) as exc:
+            read(src)
+        assert exc.value.position == _N + 4
+        assert str(exc.value) == f"expected a value, found ')' (at position {_N + 4})"
