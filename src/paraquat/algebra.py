@@ -10,7 +10,7 @@ J_a(p).  ``check_triple_algebra`` measures how far a triple is from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,8 +107,7 @@ def stacked_triple(chart: ManifoldSpec, stack: Callable, names: Sequence[str], l
     return LocalBasisTriple(member(0), member(1), member(2), label=label, stack=stack)
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     square_residual: np.ndarray  # each field an (N,) stack, row c for point c
     product_residual: np.ndarray
     anticommute_residual: np.ndarray

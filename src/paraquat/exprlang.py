@@ -20,7 +20,8 @@ Text is read once, left to right, by one operator-precedence parser with
 explicit stacks (``_postfix``), which gives the expression in postfix
 order: no tree is built on the way and nothing recurses, so neither the
 depth of nesting nor the length of an expression has a limit but memory.
-``parse_expr`` builds a tree from that postfix and ``print_expr`` prints a
+``parse_expr`` builds a tree of NamedTuple nodes (``Num``, ``Sym``,
+``Neg``, ``Bin``, ``Call``) from that postfix, and ``print_expr`` prints a
 tree from its own postfix (``_postorder``).  The two are inverse in the
 useful direction: re-parsing a printed tree reproduces it node for node,
 which is what lets reports quote expressions canonically.
@@ -39,9 +40,8 @@ import math
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -66,30 +66,25 @@ _IMPL = {
 }
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple["Expr", ...]
 

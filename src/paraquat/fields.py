@@ -24,7 +24,6 @@ DEFAULT_STEP = 1e-3
 # sampled points keep MARGIN_STEPS steps from the box walls; the step is the
 # sampling margin's unit and nothing else
 MARGIN_STEPS = 10
-INTERIOR_MARGIN = MARGIN_STEPS * DEFAULT_STEP
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,23 +301,23 @@ def sample_points(
     spec: ManifoldSpec,
     count: int,
     seed: int,
-    margin: float = INTERIOR_MARGIN,
+    step: float = DEFAULT_STEP,
 ) -> list[Point]:
     """Deterministic interior sample of the domain box.
 
-    Points stay ``margin`` away from every wall (by default 10 steps of
-    ``DEFAULT_STEP``); the margin is the step's only job.  Same (spec,
-    count, seed) -> identical points.  A count whose draws numpy cannot
-    form raises ValidationError: the size is the configuration's.
+    Points stay MARGIN_STEPS steps away from every wall; the margin is the
+    step's only job.  Same (spec, count, seed, step) -> identical points.
+    A margin that leaves no interior raises EmptyDomainError naming the
+    step, and a count whose draws numpy cannot form ValidationError: both
+    are the configuration's.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    margin = MARGIN_STEPS * step
     lo = spec.domain[:, 0] + margin
     hi = spec.domain[:, 1] - margin
     if np.any(lo >= hi):
-        raise EmptyDomainError(
-            f"domain box has no interior at margin {margin}"
-        )
+        raise EmptyDomainError(f"domain box has no interior at step {step} (margin {margin}, {MARGIN_STEPS} steps)")
     rng = np.random.default_rng(seed)
     try:
         draws = rng.uniform(lo, hi, size=(count, spec.dim))

@@ -29,7 +29,7 @@ point's coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -513,11 +513,10 @@ def check_nabla_j_oracle(bundle: SasakiBundle, xis: Sequence[Point]) -> np.ndarr
     return _memo_batch({}, bundle.spec, None, xis, compute)
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     """Residuals of the lifted-frame bracket identities over a sample of
-    bundle points, each an (N, P) array, row c for point c and column p
-    for the pair p of constant-component base vectors X, Y:
+    bundle points: a NamedTuple of (N, P) arrays, row c for point c and
+    column p for the pair p of constant-component base vectors X, Y:
 
         [X^v, Y^v] = 0
         [X^h, Y^v] = (nabla_X Y)^v

@@ -20,9 +20,9 @@ import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,10 @@ from .catalog import (
 )
 from .connection import MetricField, covariant_derivatives, riemann
 from .errors import EvaluationError, ParaquatError, ParseError, ValidationError
-from .fields import DEFAULT_STEP, MARGIN_STEPS, ManifoldSpec, Point, sample_points
-from .sasaki import SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle
+from .fields import DEFAULT_STEP, ManifoldSpec, Point, _point, sample_points
+from .sasaki import (
+    SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle, tangent_bundle_chart
+)
 from .structures import (
     ProductStructureField,
     StructureClass,
@@ -63,9 +65,9 @@ from .submersion import (
 DEFAULT_POINTS = 5
 
 
-@dataclass
-class ScenarioContext:
-    """Everything a check runner may need, built once per run."""
+class ScenarioContext(NamedTuple):
+    """Everything a check runner may need, a NamedTuple built once per run
+    by ``build_context``; only its ``structures`` memo fills as checks ask."""
 
     chart: ManifoldSpec
     metric: MetricField
@@ -73,39 +75,40 @@ class ScenarioContext:
     points: list[Point]
     step: float  # the sampling margin's unit, and the report's step
     seed: int
+    structures: dict  # the run's product structures by spec, filled by ``structure``
     bundle: SasakiBundle | None = None
     submersion: SubmersionMap | None = None
     target_metric: MetricField | None = None
     target_triple: LocalBasisTriple | None = None
-    _structures: dict = field(default_factory=dict, repr=False)
 
     def structure(self, spec) -> ProductStructureField:
         """The product structure ``spec`` describes, built once per run, so
         that the checks of a run share the derivatives memoised for it."""
         key = json.dumps(spec, sort_keys=True)
-        if key not in self._structures:
-            self._structures[key] = structure_from_config(spec, self.chart)
-        return self._structures[key]
+        if key not in self.structures:
+            self.structures[key] = structure_from_config(spec, self.chart)
+        return self.structures[key]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check of a report: its verdict, its data and any error note."""
+
     name: str
     anchor: str
     passed: bool
-    data: dict[str, Any] = field(default_factory=dict)
+    data: dict[str, Any]
     note: str = ""
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "anchor": self.anchor, "passed": self.passed}
-        out.update({"data": self.data})
-        if self.note:
-            out["note"] = self.note
+        out = self._asdict()  # the fields in report order
+        if not self.note:
+            del out["note"]
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """A run's report, one JSON document (``to_json``); a NamedTuple, read by name."""
+
     scenario: str
     description: str
     expect: str
@@ -116,16 +119,8 @@ class VerificationReport:
     final: bool
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "description": self.description,
-            "expect": self.expect,
-            "environment": self.environment,
-            "generated_at": self.generated_at,
-            "checks": [c.to_dict() for c in self.checks],
-            "overall": self.overall,
-            "final": self.final,
-        }
+        # the fields in report order; "checks" keeps its place
+        return {**self._asdict(), "checks": [c.to_dict() for c in self.checks]}
 
     def to_json(self, omit_timestamp: bool = False) -> str:
         d = self.to_dict()
@@ -694,13 +689,13 @@ def build_context(
     """The geometry, sample and step of a scenario document; seed,
     step and points override the document's.  The step sets the sampling
     margin (10 steps from every wall) and nothing else.  The document is
-    validated first, and its explicit fiber points against the working
-    chart once the geometry is built."""
+    validated first, then the sample is drawn on the working chart before
+    any geometry is built, so a step or size that leaves no sample is a
+    configuration error before any numerics; the explicit fiber points are
+    checked against the working chart once the geometry is built."""
     _validate(config)
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
-    metric = metric_from_config(geo.get("metric", "neutral4"), chart)
-    triple = triple_from_config(geo.get("triple", "standard4"), chart)
     seed = int(config.get("seed", 0)) if seed is None else int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -708,18 +703,20 @@ def build_context(
     if not (np.isfinite(step) and step > 0):
         raise ValidationError(f"step must be finite and positive, got {step}")
     n_points = int(config.get("points", DEFAULT_POINTS)) if points is None else int(points)
+    u_box = geo.get("u_box", (-1.0, 1.0))
+    working_chart = tangent_bundle_chart(chart, u_box) if geo.get("sasaki") else chart
+    sample = sample_points(working_chart, n_points, seed, step)
+    metric = metric_from_config(geo.get("metric", "neutral4"), chart)
+    triple = triple_from_config(geo.get("triple", "standard4"), chart)
 
-    bundle = None
-    submersion = None
-    target_metric = None
-    target_triple = None
-    working_chart, working_metric, working_triple = chart, metric, triple
+    bundle = submersion = target_metric = target_triple = None
+    working_metric, working_triple = metric, triple
 
     if geo.get("sasaki"):
-        bundle = build_tangent_bundle(
-            metric, triple, u_box=geo.get("u_box", (-1.0, 1.0))
-        )
+        bundle = build_tangent_bundle(metric, triple, u_box=u_box)
+        # the same coordinates on the bundle's own chart, whose memos compare charts by identity
         working_chart = bundle.spec
+        sample = [_point(working_chart, q.coords) for q in sample]
         working_metric = bundle.metric
         working_triple = bundle.triple
         submersion = bundle.projection
@@ -752,9 +749,10 @@ def build_context(
         chart=working_chart,
         metric=working_metric,
         triple=working_triple,
-        points=sample_points(working_chart, n_points, seed, margin=MARGIN_STEPS * step),
+        points=sample,
         step=step,
         seed=seed,
+        structures={},
         bundle=bundle,
         submersion=submersion,
         target_metric=target_metric,

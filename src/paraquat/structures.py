@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +64,9 @@ def span_combination(w, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
-class KahlerFit:
+class KahlerFit(NamedTuple):
+    """The Kähler 1-form fit over a sample, a NamedTuple of stacks, row c for point c."""
+
     omega: np.ndarray  # (N, 3, dim): omega[c, a-1, i] = w_a(d_i) at point c
     residual: np.ndarray  # (N,)
     nabla_max: np.ndarray  # (N,): max_a |nabla J_a| at point c
@@ -113,8 +114,9 @@ def fit_kahler_oneforms(g: MetricField, T: LocalBasisTriple, pts: Sequence[Point
     return KahlerFit(*(_memo_batch(g._memo, g.chart, ("fit", T), pts, compute) if pts else empty))
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
+    """The class of a pair over a sample and the sample maxima it rests on."""
+
     cls: StructureClass
     hermitian_max: float
     nabla_max: float
@@ -167,8 +169,7 @@ class ProductStructureField:
             raise ValidationError("product structure must be a (1,1) field")
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(NamedTuple):
     involution_residual: np.ndarray  # (N,): |F^2 - I|
     metric_residual: np.ndarray      # (N,): |F^T g F - g|
     nijenhuis_residual: np.ndarray   # (N,): |N_F|
@@ -228,8 +229,7 @@ def check_sigma_invariant_operator(F: ProductStructureField, T: LocalBasisTriple
     return _memo_batch({}, F.field.chart, None, pts, compute)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     parallel_residual: float
     nijenhuis_residual: float
     mixed_residual: float

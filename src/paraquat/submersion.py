@@ -25,7 +25,7 @@ form in dg and the map's second partials, stacked over the sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,8 +193,7 @@ def check_paraholomorphic(
     return _memo_batch({}, f.source, None, pts, compute)
 
 
-@dataclass(frozen=True)
-class VhInvarianceReport:
+class VhInvarianceReport(NamedTuple):
     v_residual: np.ndarray  # (N,): leakage of J_a(vertical) into horizontal
     h_residual: np.ndarray  # (N,): leakage of J_a(horizontal) into vertical
 
@@ -229,10 +228,9 @@ def check_vh_invariance(
     return VhInvarianceReport(*_memo_batch({}, f.source, None, pts, compute).T)
 
 
-@dataclass(frozen=True)
-class ONeillTensors:
-    """Both fundamental tensors over a sample, on the coordinate frame,
-    stacked with row c for point c:
+class ONeillTensors(NamedTuple):
+    """Both fundamental tensors over a sample, on the coordinate frame: a
+    NamedTuple of stacks, row c for point c:
 
     a_full[c, i, j] = h nabla_{h e_i} (v e_j) + v nabla_{h e_i} (h e_j)
     t_full[c, i, j] = h nabla_{v e_i} (v e_j) + v nabla_{v e_i} (h e_j)
@@ -326,8 +324,7 @@ def _projector_partials(f: SubmersionMap, g: MetricField, pts: list[Point], J: n
     return -(dN @ KinvJ - NKinv @ dK @ KinvJ + NKinv @ dJ)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     image: Point
     omega_base: np.ndarray  # (3, n'): mean of w_a(basic lift of e'_alpha)
     constancy_residual: float

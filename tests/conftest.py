@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -46,7 +44,7 @@ def pointwise(one):
 def stacked(report) -> np.ndarray:
     """The fields of a report of equal-shape stacks, in field order, stacked
     along a last axis: row c holds point c's values."""
-    return np.stack([getattr(report, f.name) for f in dataclasses.fields(report)], axis=-1)
+    return np.stack([getattr(report, name) for name in report._fields], axis=-1)
 
 
 def expression_map(source, target, components, label="map"):

@@ -170,6 +170,31 @@ def test_a_sample_too_large_to_form_exits_two_with_one_line(tmp_path, capsys):
         assert err == f"error: a sample of {10**18} points in 4 dimensions is too large to form\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--step", "0.5", "domain box has no interior at step 0.5 (margin 5.0, 10 steps)"),
+        ("--step", "1e308", "domain box has no interior at step 1e+308 (margin inf, 10 steps)"),
+        ("--points", str(10**18), f"a sample of {10**18} points in 8 dimensions is too large to form"),
+    ],
+)
+def test_an_override_that_leaves_no_sample_exits_two_before_the_lift(flag, value, message, tmp_path, capsys):
+    # a Euclidean base is not Hermitian for standard4, so building the lift
+    # over it fails its precondition (exit 1): the sample is drawn first
+    identity = [["1" if r == c else "0" for c in range(4)] for r in range(4)]
+    doc = {
+        "geometry": {"dim": 4, "metric": {"matrix": identity}, "triple": "standard4", "sasaki": True},
+        "checks": [{"check": "sasaki-nabla-j"}],
+    }
+    f = tmp_path / "euclidean-lift.json"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f)]) == 1
+    assert "base pair fails" in capsys.readouterr().err
+    for target in (str(f), "sasaki-over-flat"):
+        assert main(["run", target, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_large_step_keeps_the_sample_inside_its_margin(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", "sasaki-over-flat", "--step", "2e-2", "--out", str(out)]) == 0

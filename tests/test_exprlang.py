@@ -646,7 +646,7 @@ _DEEP = {
 @pytest.mark.parametrize("case", sorted(_DEEP))
 def test_deep_and_long_expressions_parse_compile_evaluate_and_print(case):
     # neither depth nor length meets a recursion limit; deep trees are
-    # compared by their text, since a dataclass's == recurses
+    # compared by their text, since a tuple's == recurses
     src, printed = _DEEP[case]
     assert print_expr(parse_expr(src)) == printed
     assert print_expr(parse_expr(printed)) == printed

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from paraquat import (
+    EmptyDomainError,
     LocalBasisTriple,
     MetricField,
     ParseError,
@@ -20,6 +21,7 @@ from paraquat import (
     oracle_tilde_nabla,
     oracle_tilde_nabla_J,
     run_scenario,
+    sample_points,
 )
 from paraquat import catalog, connection, sasaki, scenario
 from paraquat.algebra import doubled
@@ -231,6 +233,25 @@ def test_a_step_that_is_not_finite_and_positive_is_a_configuration_error(where, 
         doc["step"] = step
     with pytest.raises(ValidationError, match="finite"):
         build_context(doc, step=step if where == "argument" else None)
+
+
+def test_a_sample_is_drawn_before_any_geometry_is_built(monkeypatch):
+    # an empty sample is found before the metric, the triple or the lift
+    # is built, and a sasaki sample lives on the bundle's own chart object,
+    # which the bundle's memos compare by identity
+    built = []
+    for name in ("build_tangent_bundle", "metric_from_config", "triple_from_config"):
+        real = getattr(scenario, name)
+        monkeypatch.setattr(scenario, name, lambda *a, real=real, name=name, **k: built.append(name) or real(*a, **k))
+    doc = load_scenario("sasaki-over-flat")
+    with pytest.raises(EmptyDomainError, match="at step 0.5"):
+        build_context(doc, step=0.5)
+    assert built == []
+    ctx = build_context(doc, seed=3, step=2e-2)
+    assert built == ["metric_from_config", "triple_from_config", "build_tangent_bundle"]
+    assert ctx.chart is ctx.bundle.spec and all(q.chart is ctx.bundle.spec for q in ctx.points)
+    drawn = sample_points(ctx.bundle.spec, len(ctx.points), 3, 2e-2)
+    assert np.array_equal([q.coords for q in ctx.points], [q.coords for q in drawn])
 
 
 def test_a_run_validates_its_document_once(monkeypatch):

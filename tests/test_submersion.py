@@ -1059,7 +1059,7 @@ BATCH_FORMS = {
     "df": (lambda f, g, pts: jacobian(f, pts), lambda J: [J]),
     "split": (lambda f, g, pts: list(zip(*vh_split(f, g, pts))), list),
     "images": (lambda f, g, pts: f.images(pts), lambda q: [q.coords]),
-    "oneill": (lambda f, g, pts: list(zip(*dataclasses.astuple(oneill_tensors(f, g, pts)))), list),
+    "oneill": (lambda f, g, pts: list(zip(*tuple(oneill_tensors(f, g, pts)))), list),
 }
 
 
