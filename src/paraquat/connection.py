@@ -1,7 +1,10 @@
 """Levi-Civita connection and curvature, from exact jets.
 
 A metric's field gives dg and d2g from its jets, and Gamma and R are closed
-forms in g, dg and d2g, with g itself the field's checked value.  The
+forms in g, dg and d2g, with g itself the field's checked value.  Gamma
+and its partials to order 2 are built in one function,
+``_christoffel_jets``: ``riemann`` reads Gamma and dGamma from it, and the
+shifts of a Sasaki lift read d2Gamma too, from the jets to order 3.  The
 partials of a (1,1) field, behind nabla T and N_F, come from its jets the
 same way.  A field without jets raises ValidationError (``fields._jets_of``).
 
@@ -220,20 +223,46 @@ def _gradients(g: MetricField, T: TensorField, pts: Sequence[Point]) -> np.ndarr
 def riemann(g: MetricField, centres: Sequence[Point]) -> np.ndarray:
     """Riemann curvature R^l_{kij} at each centre, a fresh (len(centres),
     dim, dim, dim, dim) stack, ``riem[c, l, k, i, j]`` (convention in the
-    module docstring), from the metric's jets to order 2 at the centres,
-    anywhere in the closed box.  The distinct misses are one stack:
+    module docstring), from Gamma and dGamma (``_christoffel_jets``) at the
+    centres, anywhere in the closed box.  The distinct misses are one
+    stack.  A batch that raises stores nothing, and its first failing
+    centre raises what it raises alone."""
+    return _memo_batch(g._memo, g.chart, "riem", centres, lambda pts: _curvature(*_christoffel_jets(g, pts)))
+
+
+def _christoffel_jets(g: MetricField, pts: list[Point], order: int = 1) -> tuple[np.ndarray, ...]:
+    """(Gamma, dGamma) at the points, stacked, or (Gamma, dGamma, d2Gamma)
+    with ``order`` 2, with dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and
+    d2Gamma[c, p, m, k, i, j] = d_p d_m Gamma^k_{ij}: Gamma and the metric's
+    jets to one order more from the memo of g (order 3 for the base of a
+    Sasaki lift, whose shifts read d2Gamma), and the partials by
+    differentiating g Gamma = T/2 (T as in ``_first_kind``) once and twice:
 
         d_m Gamma^k_{ij} = -g^{kp} d_m g_{pq} Gamma^q_{ij} + (1/2) g^{kl} d_m T_{lij}
 
-    with T as in ``_first_kind``.  A batch that raises stores nothing, and its
-    first failing centre raises what it raises alone."""
-
-    def compute(pts: list[Point]) -> np.ndarray:
-        gam = _christoffels(g, pts)
-        ginv = np.linalg.inv(g.matrices(pts))
-        return _curvature(gam, _christoffel_partials(ginv, gam, *_jets(g, pts)))
-
-    return _memo_batch(g._memo, g.chart, "riem", centres, compute)
+    (``_christoffel_partials``), and d2Gamma as matrix products per point:
+    d_p d_m g_{lq} Gamma^q_{ij}, and the product E[c, m, l, p, i, j] = d_m
+    g_{lq} d_p Gamma^q_{ij}, whose two transposes are the two mixed terms,
+    each with the summed index on the inside, then g^-1 on the left for
+    each (p, m).  It has no memo of its own: the batch of its caller
+    (``riemann``, or a Sasaki bundle's ``shift_partials``) stores and
+    replays it."""
+    gam = _christoffels(g, pts, order + 1)
+    ginv = np.linalg.inv(g.matrices(pts))
+    D, H, *K = _jets(g, pts, order + 1)
+    dgam = _christoffel_partials(ginv, gam, D, H)
+    if order == 1:
+        return gam, dgam
+    c, n = gam.shape[:2]
+    shape = (c,) + (n,) * 5
+    E = (D.reshape(c, n * n, n) @ dgam.transpose(0, 2, 1, 3, 4).reshape(c, n, n**3)).reshape(shape)
+    X = (
+        0.5 * _first_kind(K[0])
+        - (H.reshape(c, n**3, n) @ gam.reshape(c, n, n * n)).reshape(shape)
+        - E.transpose(0, 3, 1, 2, 4, 5)
+        - E.transpose(0, 1, 3, 2, 4, 5)
+    )
+    return gam, dgam, (ginv[:, None, None] @ X.reshape(c, n, n, n, n * n)).reshape(shape)
 
 
 def _christoffel_partials(ginv: np.ndarray, gam: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -477,12 +477,14 @@ def _evaluator(em: _Emitter, results: list[int]) -> Callable[[np.ndarray], np.nd
     return evaluate
 
 
-# Forward-mode jets.  A jet of a node over a stack of N points is (v, d, H):
-# the value, shape (N, 1, 1) (a float for a constant node); the gradient as
-# columns, shape (N, n, 1) or (1, n, 1); and the Hessian, shape (N, n, n) or
-# (1, n, n).  d or H is None where it vanishes identically, so constants and
-# linear nodes cost no Hessian arithmetic.  Third partials, shape (N, n, n, n)
-# or (1, n, n, n), are kept beside the jets and follow the same rule.
+# Forward-mode jets.  A jet of a node over a stack of N points is (v, d, H,
+# K): the value, shape (N, 1, 1) (a float for a constant node); the gradient
+# as columns, shape (N, n, 1) or (1, n, 1); the Hessian, shape (N, n, n) or
+# (1, n, n); and the third partials, shape (N, n, n, n) or (1, n, n, n).  A
+# part is None where it vanishes identically or lies above the order asked
+# for, so constants and linear nodes cost no Hessian arithmetic, and no
+# order below 3 does any third-order work.  Each operator's rule is written
+# once, in ``_jet``, for every order.
 
 # f, f', f'' and f''' of each function of one argument; the derivatives take
 # the argument a and the value v = f(a)
@@ -507,6 +509,11 @@ def _scaled(c, t):
     return None if t is None else c * t
 
 
+def _k(c):
+    """A jet value or derivative coefficient, shaped to scale third partials."""
+    return c[..., None] if isinstance(c, np.ndarray) else c
+
+
 def _outer(a, b):
     """a b^T for gradient columns a, b; None when either vanishes."""
     return None if a is None or b is None else a * b.swapaxes(-1, -2)
@@ -518,82 +525,6 @@ def _sym_outer(a, b):
     return None if ab is None else ab + ab.swapaxes(-1, -2)
 
 
-def _chain(v, d, H, f1, f2):
-    """The jet of f(a) from a's gradient d and Hessian H, with v = f(a),
-    f1 = f'(a) and f2 = f''(a): d' = f1 d, H' = f1 H + f2 d d^T; no Hessian
-    when f2 is None."""
-    return v, _scaled(f1, d), None if f2 is None else _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
-
-
-def _product(a, b, second: bool = True):
-    """The jet of a b from the jets of a and b; the Hessian only if ``second``."""
-    (va, da, Ha), (vb, db, Hb) = a, b
-    H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db)) if second else None
-    return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H
-
-
-def _log_abs(a, second: bool = True):
-    """The jet of log|a|, whose derivatives are those of log a; none for a
-    constant a, 0.0 included."""
-    v, d, H = a
-    if d is None:
-        return np.log(np.abs(v)), None, None
-    return _chain(np.log(np.abs(v)), d, H, 1.0 / v, -1.0 / v**2 if second else None)
-
-
-def _power(a, c: float, second: bool = True):
-    """The jet of a^c for a constant exponent c.  a^0 is the constant 1.0,
-    so a node whose value varies always has a gradient, and an exponent
-    with no gradient is a number."""
-    v, d, H = a
-    if c == 0.0:
-        return 1.0, None, None
-    p = v ** c
-    if d is None:
-        return p, None, None
-    f2 = (c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0) if second else None
-    return _chain(p, d, H, c * v ** (c - 1.0), f2)
-
-
-def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray, second: bool):
-    """The jet of the temporary under ``key``, from its operands' jets; the
-    Hessian only if ``second``, which changes no bit of the rest."""
-    op = key[0]
-    if op == "sym":
-        return X[:, key[1], None, None], unit[key[1]], None
-    if op == "neg":
-        v, d, H = jet[key[1]]
-        return -v, _scaled(-1.0, d), _scaled(-1.0, H)
-    if op in _NUMPY:
-        (f, f1, f2, _), (v, d, H) = _NUMPY[op], jet[key[1]]
-        fv = f(v)
-        return (fv, None, None) if d is None else _chain(fv, d, H, f1(v, fv), f2(v, fv) if second else None)
-    (va, da, Ha), (vb, db, Hb) = jet[key[1]], jet[key[2]]
-    if op in ("^", "pow"):
-        if db is None:
-            return _power((va, da, Ha), vb, second)
-        # a^b has the derivatives of exp(b log|a|) scaled by its value, so an
-        # a < 0 under an exponent constant in value keeps finite ones
-        v = va ** vb
-        _, dg, Hg = _product((vb, db, Hb), _log_abs((va, da, Ha), second), second)
-        return _chain(v, dg, Hg, v, v if second else None)
-    if op == "+":
-        return va + vb, _add(da, db), _add(Ha, Hb)
-    if op == "-":
-        return va - vb, _sub(da, db), _sub(Ha, Hb)
-    if op == "*":
-        return _product((va, da, Ha), (vb, db, Hb), second)
-    # q = a/b: from q b = a, q' = (a' - q b')/b and q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b
-    q = va / vb
-    dq = _scaled(1.0 / vb, _sub(da, _scaled(q, db)))
-    return q, dq, _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db))) if second else None
-
-
-def _k(c):
-    """A jet value or derivative coefficient, shaped to scale third partials."""
-    return c[..., None] if isinstance(c, np.ndarray) else c
-
-
 def _sym3(H, d):
     """H_ij d_k + H_ik d_j + H_jk d_i for a Hessian H and a gradient column d;
     None when either vanishes."""
@@ -603,58 +534,91 @@ def _sym3(H, d):
     return t + t.swapaxes(-1, -2) + np.moveaxis(t, -1, -3)
 
 
-def _chain3(K, d, H, f1, f2, f3):
-    """The third partials of f(a) from a's gradient d, Hessian H and third
-    partials K, with f1, f2, f3 the first three derivatives of f at a:
-    f1 K + f2 sym3(H, d) + f3 d d d."""
+def _chain(v, d, H, K, f1, f2, f3):
+    """The jet of f(a) from a's gradient d, Hessian H and third partials K,
+    with v = f(a) and f1, f2, f3 the first three derivatives of f at a:
+    d' = f1 d, H' = f1 H + f2 d d^T and K' = f1 K + f2 sym3(H, d) + f3 d d d;
+    no Hessian when f2 is None, and no third partials when f3 is None."""
+    Hf = None if f2 is None else _add(_scaled(f1, H), _scaled(f2, _outer(d, d)))
+    if f3 is None:
+        return v, _scaled(f1, d), Hf, None
     e = d[..., 0]
     cube = e[..., :, None, None] * e[..., None, :, None] * e[..., None, None, :]
-    return _add(_add(_scaled(_k(f1), K), _scaled(_k(f2), _sym3(H, d))), _k(f3) * cube)
+    return v, _scaled(f1, d), Hf, _add(_add(_scaled(_k(f1), K), _scaled(_k(f2), _sym3(H, d))), _k(f3) * cube)
 
 
-def _product3(a, b, Ka, Kb):
-    """The third partials of a b from the jets of a and b and their third
-    partials."""
-    (va, da, Ha), (vb, db, Hb) = a, b
-    return _add(_add(_scaled(_k(vb), Ka), _scaled(_k(va), Kb)), _add(_sym3(Ha, db), _sym3(Hb, da)))
+def _product(a, b, order: int):
+    """The jet of a b from the jets of a and b, to ``order``."""
+    (va, da, Ha, Ka), (vb, db, Hb, Kb) = a, b
+    H = _add(_add(_scaled(vb, Ha), _scaled(va, Hb)), _sym_outer(da, db)) if order > 1 else None
+    K = _add(_add(_scaled(_k(vb), Ka), _scaled(_k(va), Kb)), _add(_sym3(Ha, db), _sym3(Hb, da))) if order > 2 else None
+    return va * vb, _add(_scaled(vb, da), _scaled(va, db)), H, K
 
 
-def _third(key: tuple, jet: list, third: list, own: tuple):
-    """The third partials of the temporary under ``key``, whose own jet is
-    ``own``: shape (N, n, n, n) or (1, n, n, n), or None where they vanish
-    identically.  These are the rules of ``_jet`` differentiated once more,
-    from the operands' jets and their third partials in ``third``."""
+def _log_abs(a, order: int):
+    """The jet of log|a|, whose derivatives are those of log a; none for a
+    constant a, 0.0 included."""
+    v, d, H, K = a
+    if d is None:
+        return np.log(np.abs(v)), None, None, None
+    f2 = -1.0 / v**2 if order > 1 else None
+    return _chain(np.log(np.abs(v)), d, H, K, 1.0 / v, f2, 2.0 / v**3 if order > 2 else None)
+
+
+def _power(a, c: float, order: int):
+    """The jet of a^c for a constant exponent c.  a^0 is the constant 1.0,
+    so a node whose value varies always has a gradient, and an exponent
+    with no gradient is a number."""
+    v, d, H, K = a
+    if c == 0.0:
+        return 1.0, None, None, None
+    p = v ** c
+    if d is None:
+        return p, None, None, None
+    f2 = (c * (c - 1.0) * v ** (c - 2.0) if c != 1.0 else 0.0) if order > 1 else None
+    f3 = (c * (c - 1.0) * (c - 2.0) * v ** (c - 3.0) if c not in (1.0, 2.0) else 0.0) if order > 2 else None
+    return _chain(p, d, H, K, c * v ** (c - 1.0), f2, f3)
+
+
+def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray, order: int):
+    """The jet of the temporary under ``key`` to ``order``, from its
+    operands' jets; the order changes no bit of the parts it has."""
     op = key[0]
     if op == "sym":
-        return None
+        return X[:, key[1], None, None], unit[key[1]], None, None
     if op == "neg":
-        return _scaled(-1.0, third[key[1]])
+        v, d, H, K = jet[key[1]]
+        return -v, _scaled(-1.0, d), _scaled(-1.0, H), _scaled(-1.0, K)
     if op in _NUMPY:
-        (_, f1, f2, f3), (v, d, H), fv = _NUMPY[op], jet[key[1]], own[0]
-        return None if d is None else _chain3(third[key[1]], d, H, f1(v, fv), f2(v, fv), f3(v, fv))
-    (va, da, Ha), (vb, db, Hb), Ka, Kb = jet[key[1]], jet[key[2]], third[key[1]], third[key[2]]
-    if op in ("^", "pow") and db is not None:
-        L, v = _log_abs((va, da, Ha)), own[0]
-        KL = None if da is None else _chain3(Ka, da, Ha, 1.0 / va, -1.0 / va**2, 2.0 / va**3)
-        _, dg, Hg = _product((vb, db, Hb), L)
-        return _chain3(_product3((vb, db, Hb), L, Kb, KL), dg, Hg, v, v, v)
+        (f, f1, f2, f3), (v, d, H, K) = _NUMPY[op], jet[key[1]]
+        fv = f(v)
+        if d is None:
+            return fv, None, None, None
+        return _chain(fv, d, H, K, f1(v, fv), f2(v, fv) if order > 1 else None, f3(v, fv) if order > 2 else None)
+    a, b = jet[key[1]], jet[key[2]]
+    (va, da, Ha, Ka), (vb, db, Hb, Kb) = a, b
     if op in ("^", "pow"):
-        c = vb
-        if da is None or c == 0.0:
-            return None
-        f2 = c * (c - 1.0) * va ** (c - 2.0) if c != 1.0 else 0.0
-        f3 = c * (c - 1.0) * (c - 2.0) * va ** (c - 3.0) if c not in (1.0, 2.0) else 0.0
-        return _chain3(Ka, da, Ha, c * va ** (c - 1.0), f2, f3)
+        if db is None:
+            return _power(a, vb, order)
+        # a^b has the derivatives of exp(b log|a|) scaled by its value, so an
+        # a < 0 under an exponent constant in value keeps finite ones
+        v = va ** vb
+        _, dg, Hg, Kg = _product(b, _log_abs(a, order), order)
+        return _chain(v, dg, Hg, Kg, v, v if order > 1 else None, v if order > 2 else None)
     if op == "+":
-        return _add(Ka, Kb)
+        return va + vb, _add(da, db), _add(Ha, Hb), _add(Ka, Kb)
     if op == "-":
-        return _sub(Ka, Kb)
+        return va - vb, _sub(da, db), _sub(Ha, Hb), _sub(Ka, Kb)
     if op == "*":
-        return _product3((va, da, Ha), (vb, db, Hb), Ka, Kb)
-    # q = a/b: from q b = a, K_q = (K_a - q K_b - sym3(H_q, b') - sym3(H_b, q'))/b
-    q, dq, Hq = own
-    K = _sub(_sub(Ka, _scaled(_k(q), Kb)), _add(_sym3(Hq, db), _sym3(Hb, dq)))
-    return _scaled(_k(1.0 / vb), K)
+        return _product(a, b, order)
+    # q = a/b: from q b = a, q' = (a' - q b')/b, q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b
+    # and K_q = (K_a - q K_b - sym3(H_q, b') - sym3(H_b, q'))/b
+    q = va / vb
+    dq = _scaled(1.0 / vb, _sub(da, _scaled(q, db)))
+    Hq = _scaled(1.0 / vb, _sub(_sub(Ha, _scaled(q, Hb)), _sym_outer(dq, db))) if order > 1 else None
+    if order < 3:
+        return q, dq, Hq, None
+    return q, dq, Hq, _scaled(_k(1.0 / vb), _sub(_sub(Ka, _scaled(_k(q), Kb)), _add(_sym3(Hq, db), _sym3(Hb, dq))))
 
 
 def _program(entries: Iterable[str | Expr], names: Sequence[str]) -> tuple[_Emitter, list[int]]:
@@ -709,22 +673,34 @@ def compile_with_jets(
     default) or 3 to (V, D), (V, D, H) or (V, D, H, K), with V[c, t] the
     value of entry t at point c, D[c, i, t] its i-th partial, H[c, i, j, t]
     its (i, j) second partial and K[c, i, j, k, t] its (i, j, k) third
-    partial.  Order 1 builds no Hessian and order 3 runs the rules of order
-    2 unchanged, so each partial is the same bit for bit at every order
-    that has it.  Each distinct subexpression is evaluated once, with numpy
-    over the whole stack, and each distinct entry's columns are filled
-    once, then copied to the entries that repeat it with one ``take`` per
-    order.  The values are numpy's, so they may differ from the walked
+    partial.  Each operator's rule gives every order (``_jet``): order 1
+    builds no Hessian and no order below 3 any third partial, and each
+    partial is the same bit for bit at every order that has it.  Each
+    distinct subexpression is evaluated once, with numpy over the whole
+    stack, and each distinct entry's columns are filled once, then copied
+    to the entries that repeat it with one ``take`` per order.  The values are numpy's, so they may differ from the walked
     ones in the last bit; evaluate the entries with those first, since a
     jet assumes their values are finite.  A '^' or pow whose exponent
     depends on a coordinate takes the rule of exp(b log|a|).  A derivative
     that is not finite where the value is, such as that of ``(x1^2)^0.5``
     at x1 = 0 or of ``x1^x2`` at x1 = 0, raises EvaluationError naming the
-    first node where it fails, and numpy warns of nothing.
+    first node where it fails, and numpy warns of nothing.  A '/', '^' or
+    Call whose operands are all constants gets the checks of the walk, which
+    a jets call may be the first to make: a Python arithmetic error, or a
+    complex or non-finite value, raises EvaluationError naming the first
+    node that fails, and a constant zero divisor the walk's message.
     """
     em, results = _program(entries, names)
     evaluate = _evaluator(em, results)
-    temporaries = [step for step in em.steps if step[0] is not None]
+    # each step that makes a value, with whether its value is to be checked:
+    # that of a '/', '^' or Call whose operands are all constants, which the
+    # walk checks and a jets call may be the first to make
+    constant, temporaries = set(em.constants), []
+    for slot, key, node in em.steps:
+        if slot is not None:
+            if key[0] != "sym" and constant.issuperset(key[1:]):
+                constant.add(slot)
+            temporaries.append((slot, key, node, slot in constant and (key[0] in _IMPL or key[0] in "/^")))
     n, size = len(names), len(em.slots)
     unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point
     distinct = list(dict.fromkeys(results))
@@ -742,27 +718,30 @@ def compile_with_jets(
         N, U = len(X), len(distinct)
         jet: list = [None] * size
         for slot, value in em.constants.items():
-            jet[slot] = (value, None, None)
-        third = [None] * size if order == 3 else None
-        with np.errstate(all="ignore"):
-            for slot, key, _ in temporaries:
-                jet[slot] = _jet(key, jet, X, unit, order > 1)
-                if third is not None:
-                    third[slot] = _third(key, jet, third, jet[slot])
+            jet[slot] = (value, None, None, None)
+        try:
+            with np.errstate(all="ignore"):
+                for slot, key, node, checked in temporaries:
+                    jet[slot] = _jet(key, jet, X, unit, order)
+                    if checked and (isinstance(jet[slot][0], complex) or not math.isfinite(jet[slot][0])):
+                        _nonfinite(em.node(node))
+        except _CAUGHT as exc:
+            if key[0] == "/" and isinstance(exc, ZeroDivisionError):  # the walk's zero test of a constant divisor
+                _zero_divisor(em.node(node))
+            _caught(em.node(node), exc)
         out = [np.empty((N, U)), np.zeros((N, n, U))] + [np.zeros((N,) + (n,) * k + (U,)) for k in range(2, order + 1)]
         for u, slot in enumerate(distinct):
-            v, d, h = jet[slot]
+            v, d, H, K = jet[slot]
             out[0][:, u] = np.reshape(v, -1)
             if d is not None:
                 out[1][:, :, u] = d[:, :, 0]
-            if h is not None:
-                out[2][..., u] = h
-            if third is not None and third[slot] is not None:
-                out[3][..., u] = third[slot]
+            if H is not None:
+                out[2][..., u] = H
+            if K is not None:
+                out[3][..., u] = K
         if not all(np.isfinite(A).all() for A in out[1:]):
-            for slot, _, node in temporaries:
-                parts = jet[slot] + ((third[slot],) if third is not None else ())
-                if not all(t is None or np.isfinite(t).all() for t in parts):
+            for slot, _, node, _ in temporaries:
+                if not all(t is None or np.isfinite(t).all() for t in jet[slot]):
                     raise EvaluationError(f"non-finite derivative from {print_expr(em.node(node))!r}")
         return tuple(A.take(gather, axis=-1) for A in out)
 

@@ -16,14 +16,14 @@ Everything downstream of these two formulas — the connection cases, the
 derivative of the lifted triple, the brackets — is checked against the
 derivatives of G, of Jt_a and of the frame L rather than assumed.  These
 are exact: M and its first and second partials come from Gamma, dGamma and
-d2Gamma, that is from the base's jets to order 3, so G has jets to order 2,
-L and each Jt_a to order 1, and the connection takes the lifted Gamma and R
-from them.  The base metric and members must have jets.  A bundle
-memoises M and (dM, d2M) per point (``SasakiBundle.shift`` and
-``shift_partials``), each read as a fresh stack with row c for point c
-under the memo rule of ``fields._memo_batch``; L and L^-1 are filled from
-an M stack wherever they are read (``_frames``), and x is read from the
-point's coordinates.
+d2Gamma (``connection._christoffel_jets``), that is from the base's jets
+to order 3, so G has jets to order 2, L and each Jt_a to order 1, and the
+connection takes the lifted Gamma and R from them.  The base metric and
+members must have jets.  A bundle memoises M and (dM, d2M) per point
+(``SasakiBundle.shift`` and ``shift_partials``), each read as a fresh
+stack with row c for point c under the memo rule of
+``fields._memo_batch``; L and L^-1 are filled from an M stack wherever
+they are read (``_frames``), and x is read from the point's coordinates.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ import numpy as np
 from .algebra import LocalBasisTriple, check_triple_algebra, doubled, stacked_triple
 from .connection import (
     MetricField,
-    _christoffel_partials,
+    _christoffel_jets,
     _christoffels,
-    _first_kind,
     _jets,
     christoffel,  # noqa: F401  unused; perfbench's tracer test asserts that it rebinds sasaki.christoffel
     covariant_derivatives,
@@ -105,38 +104,6 @@ def _base_points(base: ManifoldSpec, xis: Sequence[Point]) -> list[Point]:
     a view of the bundle point's; the bundle points' chart is checked
     before, by the shift memo."""
     return [_point(base, xi.coords[: base.dim]) for xi in xis]
-
-
-def _christoffel_jets(g: MetricField, xs: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Gamma, dGamma, d2Gamma) at the base points, stacked, with
-    dGamma[c, m, k, i, j] = d_m Gamma^k_{ij} and d2Gamma[c, p, m, k, i, j] =
-    d_p d_m Gamma^k_{ij}: Gamma and the jets to order 3 from the metric's
-    memo, where the shifts' Gamma put them (one order-3 jet call per base
-    point), and the partials by differentiating g Gamma = T/2 (T as in
-    ``connection._first_kind``) once and twice.  d2Gamma is matrix products
-    per point: d_p d_m g_{lq} Gamma^q_{ij}, and the product E[c, m, l, p, i,
-    j] = d_m g_{lq} d_p Gamma^q_{ij}, whose two transposes are the two
-    mixed terms, each with the summed index on the inside, then g^-1 on the
-    left for each (p, m)."""
-
-    def compute(qs: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gam = _christoffels(g, qs, order=3)
-        ginv = np.linalg.inv(g.matrices(qs))
-        D, H, K = _jets(g, qs, 3)
-        dgam = _christoffel_partials(ginv, gam, D, H)
-        c, n = gam.shape[:2]
-        shape = (c,) + (n,) * 5
-        E = (D.reshape(c, n * n, n) @ dgam.transpose(0, 2, 1, 3, 4).reshape(c, n, n**3)).reshape(shape)
-        X = (
-            0.5 * _first_kind(K)
-            - (H.reshape(c, n**3, n) @ gam.reshape(c, n, n * n)).reshape(shape)
-            - E.transpose(0, 3, 1, 2, 4, 5)
-            - E.transpose(0, 1, 3, 2, 4, 5)
-        )
-        d2gam = (ginv[:, None, None] @ X.reshape(c, n, n, n, n * n)).reshape(shape)
-        return gam, dgam, d2gam
-
-    return _memo_batch({}, g.chart, None, xs, compute)
 
 
 def _along_u(A: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -250,8 +217,8 @@ def build_tangent_bundle(
         """(dM, d2M) at each bundle point, stacked, with dM[c, A, k, i] =
         d_A M^k_i and d2M[c, A, B, k, i] = d_A d_B M^k_i over the 2n bundle
         coordinates, after the checks of ``shift``; an empty list gives two
-        empty arrays.  The misses come from one ``_christoffel_jets`` over
-        their base points:
+        empty arrays.  The misses come from one ``_christoffel_jets`` of
+        order 2 over their base points, which this memo stores and replays:
 
             d_{x_m} M = d_m Gamma(u, .),    d_{u_m} M^k_i = Gamma^k_{mi},
             d_{x_p} d_{x_m} M = d_p d_m Gamma(u, .),
@@ -261,7 +228,7 @@ def build_tangent_bundle(
 
         def compute(fresh: list[Point]) -> tuple[np.ndarray, np.ndarray]:
             U = np.ascontiguousarray(_check_box(bundle, fresh)[:, n:])
-            gam, dgam, d2gam = _christoffel_jets(g, _base_points(base, fresh))
+            gam, dgam, d2gam = _christoffel_jets(g, _base_points(base, fresh), 2)
             dM = np.zeros((len(fresh), 2 * n, n, n))
             d2M = np.zeros((len(fresh), 2 * n, 2 * n, n, n))
             dM[:, :n] = _along_u(dgam, U)

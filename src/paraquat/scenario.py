@@ -122,11 +122,8 @@ class VerificationReport(NamedTuple):
         # the fields in report order; "checks" keeps its place
         return {**self._asdict(), "checks": [c.to_dict() for c in self.checks]}
 
-    def to_json(self, omit_timestamp: bool = False) -> str:
-        d = self.to_dict()
-        if omit_timestamp:
-            d.pop("generated_at")
-        return json.dumps(d, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def _integer(value, what: str, least: int) -> int:
@@ -673,11 +670,6 @@ def _validate(config) -> None:
                 raise ValidationError(
                     f"{name} 'oneform_values' must be 3 rows of {dim} numbers, got {spec['oneform_values']!r}"
                 )
-    for key, least in (("seed", 0), ("points", 1)):
-        if key in config:
-            _integer(config[key], f"'{key}'", least)
-    if "step" in config:
-        _real(config["step"], "'step'")
 
 
 def build_context(
@@ -689,20 +681,23 @@ def build_context(
     """The geometry, sample and step of a scenario document; seed,
     step and points override the document's.  The step sets the sampling
     margin (10 steps from every wall) and nothing else.  The document is
-    validated first, then the sample is drawn on the working chart before
-    any geometry is built, so a step or size that leaves no sample is a
-    configuration error before any numerics; the explicit fiber points are
-    checked against the working chart once the geometry is built."""
+    validated first, and each of the three values, the override, else the
+    document's, else the default, is checked once (an integer seed >= 0
+    and size >= 1, a finite step > 0).  The sample is then drawn on the
+    working chart before any geometry is built, so a step or size that
+    leaves no sample is a configuration error before any numerics; the
+    explicit fiber points are checked against the working chart once the
+    geometry is built."""
     _validate(config)
+    seed = _integer(config.get("seed", 0) if seed is None else seed, "'seed'", 0)
+    n_points = _integer(config.get("points", DEFAULT_POINTS) if points is None else points, "'points'", 1)
+    step = config.get("step", DEFAULT_STEP) if step is None else step
+    _real(step, "'step'")
+    step = float(step)
+    if step <= 0:
+        raise ValidationError(f"step must be finite and positive, got {step}")
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
-    seed = int(config.get("seed", 0)) if seed is None else int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    step = float(config.get("step", DEFAULT_STEP)) if step is None else float(step)
-    if not (np.isfinite(step) and step > 0):
-        raise ValidationError(f"step must be finite and positive, got {step}")
-    n_points = int(config.get("points", DEFAULT_POINTS)) if points is None else int(points)
     u_box = geo.get("u_box", (-1.0, 1.0))
     working_chart = tangent_bundle_chart(chart, u_box) if geo.get("sasaki") else chart
     sample = sample_points(working_chart, n_points, seed, step)

@@ -81,6 +81,29 @@ def test_a_metric_without_a_finite_derivative_exits_one_naming_the_node(tmp_path
     assert report["checks"][1]["data"] == {"error": "EvaluationError"}
 
 
+@pytest.mark.parametrize("check", [{"check": "oneill", "points": 3}, {"check": "semi-riemannian"}])
+@pytest.mark.parametrize("component,node", [
+    ("x1*(-1)^0.5 + x1", "(-1.0)^0.5"),
+    ("x1 + x1*0^(-1)", "0.0^-1.0"),
+    ("x1 + x1*(1/0)", "1.0/0.0"),
+    ("x1 + x1*10^400", "10.0^400.0"),
+])
+def test_a_constant_subexpression_of_a_map_exits_one_naming_the_node(component, node, check, tmp_path, capsys):
+    # the map's jacobian is its first evaluation: a complex or failing
+    # constant node is an EvaluationError there, with no traceback and no
+    # ComplexWarning, where it was dropped or escaped as a Python error
+    geometry = load_catalog_scenario("product-submersion-rotated")["geometry"]
+    geometry["submersion"] = {"components": [component, "x2", "x3", "x4"]}
+    f = tmp_path / "constant.json"
+    f.write_text(json.dumps({"geometry": geometry, "checks": [check]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 1
+    assert not capsys.readouterr().err
+    (result,) = json.loads((tmp_path / "r.json").read_text())["checks"]
+    assert result["data"] == {"error": "EvaluationError"} and repr(node) in result["note"]
+
+
 def test_unknown_scenario_exits_two(capsys):
     assert main(["run", "no-such-scenario"]) == 2
     assert "no-such-scenario" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 
@@ -503,7 +504,7 @@ def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src
 THIRD_ORDER_EXPRS = [
     "x1/x2", "x2^(1/2)*x1", "pow(x1 + x2, 2.5)", "sin(x1*x2)", "cos(x1 + 2*x2)",
     "exp(x1 - x2)*x2", "sinh(x1*x1)", "cosh(x2/x1)", "1/(1 + (x1^2 - x2^2)/4)^2",
-    "x1*sin(x1*x2)", "sin(x1)*cos(x2)*x2^2",
+    "x1*sin(x1*x2)", "sin(x1)*cos(x2)*x2^2", "x2^x1", "pow(x2, x1 - x2)",
 ]
 
 
@@ -544,6 +545,53 @@ def test_a_third_derivative_that_is_not_finite_names_its_node():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=r"non-finite derivative from 'x1\^2.5'"):
             jets(X, 3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=3))
+def test_jets_agree_bit_for_bit_at_every_order(trees):
+    # each order runs the same rules, so a higher one has every part of a
+    # lower one, bit for bit; an error of the values is the same at every
+    # order, and only a higher order's own partials can add a non-finite one
+    _, jets = compile_with_jets(trees, _NAMES + ("q",))
+    X = np.array([[0.3, -0.7, 1.1, 0.4], [0.5, 2.0, -1.5, -0.2]])
+    got = [_bits(lambda: jets(X, order)) for order in (1, 2, 3)]
+    for low in range(3):
+        for high in range(low + 1, 3):
+            (kind, a), (high_kind, b) = got[low], got[high]
+            if kind == "value" and high_kind == "value":
+                assert b[: low + 2] == a
+            elif kind == "value" or a.startswith("non-finite derivative"):
+                assert high_kind == "EvaluationError" and b.startswith("non-finite derivative"), (got[low], got[high])
+            else:
+                assert got[high] == got[low]
+
+
+@pytest.mark.parametrize("src,node", [
+    ("x1*(-1)^0.5 + x1", "(-1.0)^0.5"),  # a complex value
+    ("x1 + x1*0^(-1)", "0.0^-1.0"),
+    ("x1 + x1*(1/0)", "1.0/0.0"),
+    ("x1 + x1*10^400", "10.0^400.0"),
+    ("x2*exp(1000) + x1", "exp(1000.0)"),  # inf, with no Python error
+    ("x1 + exp(1000)*0^(-1)", "exp(1000.0)"),  # the first failing node, as in the walk
+    ("x1/0 + 1", "x1/0.0"),
+])
+def test_a_constant_subexpression_gets_the_checks_of_the_walk_in_the_jets(src, node):
+    # a node whose operands are all constants is the same at every point;
+    # a jets call may be the first to evaluate it, as a map's jacobian is
+    # and it raises the walk's error, message and all, except that a Call
+    # which overflows is math's OverflowError in the walk and numpy's inf here
+    values, jets = compile_with_jets([src], ["x1", "x2"])
+    X = np.array([[0.3, 0.5], [0.7, -0.2]])
+    with pytest.raises(EvaluationError, match=f"'{re.escape(node)}'") as walked:
+        values(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (1, 2, 3):
+            with pytest.raises(EvaluationError) as exc:
+                jets(X, order)
+            assert f"{node!r}" in str(exc.value) and not str(exc.value).startswith("non-finite derivative")
+            assert str(exc.value) == str(walked.value) or node.startswith("exp(")
 
 
 # --- one pass from text: the program of a printed tree, deep and long input --

@@ -136,13 +136,13 @@ def test_sasaki_nabla_j_holds_over_a_curved_base():
 
 
 def test_reports_are_deterministic():
-    a = run_scenario("flat-lhpk", seed=5).to_json(omit_timestamp=True)
-    b = run_scenario("flat-lhpk", seed=5).to_json(omit_timestamp=True)
-    c = run_scenario("flat-lhpk", seed=6).to_json(omit_timestamp=True)
-    assert a == b
-    assert a != c
     # pinning the timestamp makes the full document reproducible
     t = "2026-01-01T00:00:00Z"
+    a = run_scenario("flat-lhpk", seed=5, timestamp=t).to_json()
+    b = run_scenario("flat-lhpk", seed=5, timestamp=t).to_json()
+    c = run_scenario("flat-lhpk", seed=6, timestamp=t).to_json()
+    assert a == b
+    assert a != c
     assert run_scenario("flat-lhpk", timestamp=t).to_json() == run_scenario(
         "flat-lhpk", timestamp=t
     ).to_json()
@@ -233,6 +233,30 @@ def test_a_step_that_is_not_finite_and_positive_is_a_configuration_error(where, 
         doc["step"] = step
     with pytest.raises(ValidationError, match="finite"):
         build_context(doc, step=step if where == "argument" else None)
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"seed": 2.5}, "'seed' must be an integer >= 0, got 2.5"),
+    ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
+    ({"seed": True}, "'seed' must be an integer >= 0, got True"),
+    ({"points": 2.7}, "'points' must be an integer >= 1, got 2.7"),
+    ({"points": 0}, "'points' must be an integer >= 1, got 0"),
+    ({"step": "1e-3"}, "'step' must be a finite number, got '1e-3'"),
+])
+def test_a_library_override_is_checked_as_the_document_value_is(override, message):
+    # an override is not rounded to an integer: seed 2.5 ran seed 2
+    with pytest.raises(ValidationError) as exc:
+        run_scenario("flat-lhpk", **override)
+    assert str(exc.value) == message
+
+
+def test_an_override_replaces_the_document_value_before_the_check():
+    doc = load_scenario("flat-lhpk")
+    doc.update(seed=2.5, points=0, step="x")
+    ctx = build_context(doc, seed=3, step=2e-3, points=2)
+    assert (ctx.seed, ctx.step, len(ctx.points)) == (3, 2e-3, 2)
+    with pytest.raises(ValidationError, match="'seed' must be an integer >= 0, got 2.5"):
+        build_context(doc)
 
 
 def test_a_sample_is_drawn_before_any_geometry_is_built(monkeypatch):

@@ -588,7 +588,7 @@ def _row_d2_christoffel(c):
     if c["bundle"] is None:
         return None
     _, g0, xs, _, _ = _lift_inputs(c)
-    gam, dgam, d2gam = sasaki._christoffel_jets(g0, xs)
+    gam, dgam, d2gam = connection._christoffel_jets(g0, xs, 2)
     ginv = np.linalg.inv(g0.matrices(xs))
     D, H, K = connection._jets(g0, xs, 3)
     ref = np.einsum(
@@ -613,7 +613,7 @@ def _row_shift_partials(c):
     if c["bundle"] is None:
         return None
     bundle, g0, xs, u, _ = _lift_inputs(c)
-    _, dgam, d2gam = sasaki._christoffel_jets(g0, xs)
+    _, dgam, d2gam = connection._christoffel_jets(g0, xs, 2)
     n = bundle.base_dim
     dM, d2M = bundle.shift_partials(c["pts"])
     got = np.concatenate([dM[:, :n].ravel(), d2M[:, :n, :n].ravel()])
