@@ -8,7 +8,14 @@ span-parallel ("PQK") condition and its connection 1-forms, almost product
 structures, semi-Riemannian submersions with their fundamental tensors, and
 the lifted geometry on a tangent bundle.  ``paraquat.scenario`` bundles the
 checks into JSON-driven scenarios; the ``paraquat-verify`` script runs them.
+
+``submersion`` and ``sasaki`` are loaded on first use: by the first geometry
+or check that needs them, or by the first read of one of their names here
+(module ``__getattr__``), so a base-chart or expression run never imports
+them.  Every other layer loads with the package.
 """
+
+from importlib import import_module
 
 from ._version import __version__
 from .algebra import (
@@ -54,18 +61,6 @@ from .fields import (
     eval_batch,
     sample_points,
 )
-from .sasaki import (
-    BracketReport,
-    SasakiBundle,
-    build_tangent_bundle,
-    check_bracket,
-    check_connection_oracle,
-    check_nabla_j_oracle,
-    lift,
-    oracle_tilde_nabla,
-    oracle_tilde_nabla_J,
-    tangent_bundle_chart,
-)
 from .scenario import (
     CHECKS,
     VerificationReport,
@@ -85,17 +80,51 @@ from .structures import (
     classify_structure,
     fit_kahler_oneforms,
 )
-from .submersion import (
-    ONeillTensors,
-    SubmersionMap,
-    check_paraholomorphic,
-    check_semi_riemannian,
-    check_vh_invariance,
-    descend_one_forms,
-    jacobian,
-    oneill_tensors,
-    vh_split,
-)
+
+# the names of the layers loaded on first use, read through __getattr__
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ONeillTensors",
+            "SubmersionMap",
+            "check_paraholomorphic",
+            "check_semi_riemannian",
+            "check_vh_invariance",
+            "descend_one_forms",
+            "jacobian",
+            "oneill_tensors",
+            "vh_split",
+        ),
+        "submersion",
+    ),
+    **dict.fromkeys(
+        (
+            "BracketReport",
+            "SasakiBundle",
+            "build_tangent_bundle",
+            "check_bracket",
+            "check_connection_oracle",
+            "check_nabla_j_oracle",
+            "lift",
+            "oracle_tilde_nabla",
+            "oracle_tilde_nabla_J",
+            "tangent_bundle_chart",
+        ),
+        "sasaki",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # not stored in the package: each read sees the module's current attribute
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "AlgebraReport",

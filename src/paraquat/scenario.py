@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from .catalog import (
 from .connection import MetricField, covariant_derivatives, riemann
 from .errors import EvaluationError, ParaquatError, ParseError, ValidationError
 from .fields import DEFAULT_STEP, ManifoldSpec, Point, _point, sample_points
-from .sasaki import (
-    SasakiBundle, build_tangent_bundle, check_bracket, check_connection_oracle, check_nabla_j_oracle, tangent_bundle_chart
-)
 from .structures import (
     ProductStructureField,
     StructureClass,
@@ -53,14 +50,15 @@ from .structures import (
     classify_structure,
     fit_kahler_oneforms,
 )
-from .submersion import (
-    SubmersionMap,
-    check_paraholomorphic,
-    check_semi_riemannian,
-    check_vh_invariance,
-    descend_one_forms,
-    oneill_tensors,
-)
+
+if TYPE_CHECKING:
+    from .sasaki import SasakiBundle
+    from .submersion import SubmersionMap
+
+# sasaki and submersion load with the first geometry or check that needs
+# them: a base or expression run never imports them.  Each runner imports
+# what it calls in its own body, so a call reads the module attribute and
+# never keeps a stale binding in this module.
 
 DEFAULT_POINTS = 5
 
@@ -290,6 +288,8 @@ def _run_parallel_equivalence(
 
 
 def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[bool, dict]:
+    from .submersion import check_vh_invariance
+
     rep = check_vh_invariance(ctx.submersion, ctx.metric, ctx.triple, ctx.target_triple, ctx.points[:points], tol)
     v, h = _worst(rep, "v_residual", "h_residual")
     return _judge(("tol", tol, max(v, h)), ("v_residual", v), ("h_residual", h))
@@ -298,6 +298,8 @@ def _run_vh_invariance(ctx: ScenarioContext, points=None, tol=1e-6) -> tuple[boo
 def _run_oneill(
     ctx: ScenarioContext, points=3, antisymmetry_tol=1e-5, a_below=None, a_above=None, t_below=None
 ) -> tuple[bool, dict]:
+    from .submersion import oneill_tensors
+
     rep = oneill_tensors(ctx.submersion, ctx.metric, ctx.points[:points])
     max_a, anti, max_t = _worst(rep, "max_a_horizontal", "antisymmetry_residual", "max_t")
     return _judge(
@@ -308,6 +310,8 @@ def _run_oneill(
 
 
 def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match_tol=1e-5) -> tuple[bool, dict]:
+    from .submersion import descend_one_forms
+
     rep = descend_one_forms(ctx.submersion, ctx.metric, ctx.triple, [Point(ctx.chart, c) for c in fiber])
     down = fit_kahler_oneforms(ctx.target_metric, ctx.target_triple, [rep.image])
     match = float(np.abs(rep.omega_base - down.omega[0]).max())
@@ -323,6 +327,8 @@ def _run_descend_oneforms(ctx: ScenarioContext, fiber, constancy_tol=1e-6, match
 def _run_bracket(
     ctx: ScenarioContext, points=2, pairs=((1, 2), (2, 3)), tol=1e-3, flip_above=None
 ) -> tuple[bool, dict]:
+    from .sasaki import check_bracket
+
     e = np.eye(ctx.bundle.base_dim)
     rep = check_bracket(ctx.bundle, [(e[i - 1], e[j - 1]) for i, j in pairs], ctx.points[:points])
     worst, flipped = _worst(rep, "max_residual", "hh_flipped_residual")
@@ -352,6 +358,30 @@ def _run_parallel_witness(ctx: ScenarioContext, transition, points=3, tol=1e-6) 
     pts = ctx.points[:points]
     worst = float(np.abs(covariant_derivatives(ctx.metric, witness, pts)).max())
     return _judge(("tol", tol, worst), ("max_nabla", worst), ("transition", transition))
+
+
+def _semi_riemannian_residual(ctx: ScenarioContext, pts: list[Point]) -> np.ndarray:
+    from .submersion import check_semi_riemannian
+
+    return check_semi_riemannian(ctx.submersion, ctx.metric, ctx.target_metric, pts)
+
+
+def _paraholomorphic_residual(ctx: ScenarioContext, pts: list[Point]) -> np.ndarray:
+    from .submersion import check_paraholomorphic
+
+    return check_paraholomorphic(ctx.submersion, ctx.triple, ctx.target_triple, pts)
+
+
+def _connection_oracle_residual(ctx: ScenarioContext, pts: list[Point]) -> np.ndarray:
+    from .sasaki import check_connection_oracle
+
+    return check_connection_oracle(ctx.bundle, pts)
+
+
+def _nabla_j_oracle_residual(ctx: ScenarioContext, pts: list[Point]) -> np.ndarray:
+    from .sasaki import check_nabla_j_oracle
+
+    return check_nabla_j_oracle(ctx.bundle, pts)
 
 
 def _max_residual(
@@ -450,18 +480,14 @@ CHECKS: dict[str, CheckDef] = {
             "semi-riemannian",
             "g(X, Y) = g'(df X, df Y)  for horizontal X, Y",
             "The differential restricted to horizontal spaces is a linear isometry.",
-            _max_residual(1e-10, lambda ctx, pts: check_semi_riemannian(
-                ctx.submersion, ctx.metric, ctx.target_metric, pts
-            )),
+            _max_residual(1e-10, _semi_riemannian_residual),
             needs="submersion",
         ),
         CheckDef(
             "paraholomorphic",
             "df o J_a = J'_a o df",
             "The map intertwines the upstairs and downstairs triples.",
-            _max_residual(1e-6, lambda ctx, pts: check_paraholomorphic(
-                ctx.submersion, ctx.triple, ctx.target_triple, pts
-            )),
+            _max_residual(1e-6, _paraholomorphic_residual),
             needs="submersion",
         ),
         CheckDef(
@@ -503,7 +529,7 @@ CHECKS: dict[str, CheckDef] = {
             "(h,v) -> (nabla_X Y)^v + (1/2)(R(u,Y)X)^h;  (v,h) -> (1/2)(R(u,X)Y)^h;  (v,v) -> 0",
             "The lifted metric's own connection, exact, against the closed form on "
             "the lifted frame, in all four kind combinations.",
-            _max_residual(1e-3, lambda ctx, pts: check_connection_oracle(ctx.bundle, pts), 2),
+            _max_residual(1e-3, _connection_oracle_residual, 2),
             needs="bundle",
         ),
         CheckDef(
@@ -514,7 +540,7 @@ CHECKS: dict[str, CheckDef] = {
             "The lifted triple's exact derivative under the lifted metric's own "
             "connection against the closed form on the lifted frame, for all "
             "three members.",
-            _max_residual(1e-6, lambda ctx, pts: check_nabla_j_oracle(ctx.bundle, pts), 2),
+            _max_residual(1e-6, _nabla_j_oracle_residual, 2),
             needs="bundle",
         ),
         CheckDef(
@@ -699,7 +725,11 @@ def build_context(
     geo = config["geometry"]
     chart = make_chart(int(geo["dim"]), geo.get("coords"), geo.get("domain"))
     u_box = geo.get("u_box", (-1.0, 1.0))
-    working_chart = tangent_bundle_chart(chart, u_box) if geo.get("sasaki") else chart
+    working_chart = chart
+    if geo.get("sasaki"):
+        from .sasaki import tangent_bundle_chart
+
+        working_chart = tangent_bundle_chart(chart, u_box)
     sample = sample_points(working_chart, n_points, seed, step)
     metric = metric_from_config(geo.get("metric", "neutral4"), chart)
     triple = triple_from_config(geo.get("triple", "standard4"), chart)
@@ -708,6 +738,8 @@ def build_context(
     working_metric, working_triple = metric, triple
 
     if geo.get("sasaki"):
+        from .sasaki import build_tangent_bundle
+
         bundle = build_tangent_bundle(metric, triple, u_box=u_box)
         # the same coordinates on the bundle's own chart, whose memos compare charts by identity
         working_chart = bundle.spec
@@ -717,6 +749,8 @@ def build_context(
         submersion = bundle.projection
         target_metric, target_triple = metric, triple
     elif "submersion" in geo:
+        from .submersion import SubmersionMap
+
         sub = geo["submersion"]
         tgt = geo["target"]
         target_chart = make_chart(int(tgt["dim"]), tgt.get("coords"), tgt.get("domain"))

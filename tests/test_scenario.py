@@ -264,9 +264,9 @@ def test_a_sample_is_drawn_before_any_geometry_is_built(monkeypatch):
     # is built, and a sasaki sample lives on the bundle's own chart object,
     # which the bundle's memos compare by identity
     built = []
-    for name in ("build_tangent_bundle", "metric_from_config", "triple_from_config"):
-        real = getattr(scenario, name)
-        monkeypatch.setattr(scenario, name, lambda *a, real=real, name=name, **k: built.append(name) or real(*a, **k))
+    for module, name in ((sasaki, "build_tangent_bundle"), (scenario, "metric_from_config"), (scenario, "triple_from_config")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: built.append(name) or real(*a, **k))
     doc = load_scenario("sasaki-over-flat")
     with pytest.raises(EmptyDomainError, match="at step 0.5"):
         build_context(doc, step=0.5)
