@@ -8,6 +8,7 @@ is instantiated on.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from typing import Callable, Sequence
@@ -213,6 +214,14 @@ def _entries(entries, shape: tuple[int, ...], what: str):
     return leaves(entries, shape)
 
 
+PROGRAM_CACHE_SIZE = 256  # the (texts, names) programs kept per process
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _compiled(texts: tuple[str, ...], names: tuple[str, ...]):
+    return compile_with_jets(texts, names)
+
+
 def _coords(points: Sequence[Point]) -> np.ndarray:
     """The coordinates of a list of points, one row each; a bare Point
     raises ValidationError (``fields._check_list``)."""
@@ -235,10 +244,17 @@ def expression_array(
 
     The nesting is checked against ``shape`` and every entry is parsed and
     bound here, in order, so a malformed array fails with ParseError at
-    scenario-build time rather than mid-run.
+    scenario-build time rather than mid-run.  The program of each distinct
+    (texts, coordinate names) is compiled once per process (``_compiled``).
     """
     n = chart.dim
-    walk, jets = compile_with_jets(_entries(entries, shape, what), chart.coords)
+    try:
+        texts = tuple(_entries(entries, shape, what))
+    except ParseError:
+        # malformed nesting: compile as the entries come, so they raise in order
+        walk, jets = compile_with_jets(_entries(entries, shape, what), chart.coords)
+    else:
+        walk, jets = _compiled(texts, chart.coords)
 
     def values(C: np.ndarray) -> np.ndarray:
         return walk(C).reshape(len(C), *shape)

@@ -30,8 +30,9 @@ An array of entries is compiled (``compile_with_jets``) by entering each
 entry's postfix into one table of distinct subexpressions and scheduling
 them in the language's order; its values are an interpreted walk of those
 steps, one at a time over a whole batch of points, with the language's
-checks.  No Python source is generated.  An array is read at a few points
-only, and compiling a function for it cost far more than those evaluations.
+checks.  No Python source is generated.  ``catalog.expression_array``
+compiles each distinct array, keyed by its entry texts and coordinate
+names, once per process, and keeps the 256 last used.
 """
 
 from __future__ import annotations
@@ -702,6 +703,7 @@ def compile_with_jets(
                 constant.add(slot)
             temporaries.append((slot, key, node, slot in constant and (key[0] in _IMPL or key[0] in "/^")))
     n, size = len(names), len(em.slots)
+    em.nodes = em.slots = None  # a cached program keeps only what it reads
     unit = np.eye(n).reshape(n, 1, n, 1)  # unit[k] is e_k as a column of one point
     distinct = list(dict.fromkeys(results))
     column = {slot: u for u, slot in enumerate(distinct)}

@@ -711,12 +711,17 @@ def build_context(
     document's, else the default, is checked once (an integer seed >= 0
     and size >= 1, a finite step > 0).  The sample is then drawn on the
     working chart before any geometry is built, so a step or size that
-    leaves no sample is a configuration error before any numerics; the
-    explicit fiber points are checked against the working chart once the
-    geometry is built."""
+    leaves no sample, or a check's ``points`` cap above the size, is a
+    configuration error before any numerics; the explicit fiber points are
+    checked against the working chart once the geometry is built."""
     _validate(config)
     seed = _integer(config.get("seed", 0) if seed is None else seed, "'seed'", 0)
     n_points = _integer(config.get("points", DEFAULT_POINTS) if points is None else points, "'points'", 1)
+    for spec in config["checks"]:
+        if spec.get("points", 0) > n_points:
+            raise ValidationError(
+                f"check {spec['check']!r} caps 'points' at {spec['points']}, above the sample size {n_points}"
+            )
     step = config.get("step", DEFAULT_STEP) if step is None else step
     _real(step, "'step'")
     step = float(step)

@@ -218,6 +218,20 @@ def test_an_override_that_leaves_no_sample_exits_two_before_the_lift(flag, value
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_points_cap_above_the_sample_exits_two(tmp_path, capsys):
+    doc = {"points": 5, "geometry": {"dim": 4}, "checks": [{"check": "hermitian", "points": 500}]}
+    f = tmp_path / "cap.json"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == "error: check 'hermitian' caps 'points' at 500, above the sample size 5\n"
+    # sasaki-over-conformal caps five of its checks at 2 points
+    assert main(["run", "sasaki-over-conformal", "--points", "1"]) == 2
+    assert capsys.readouterr().err == "error: check 'oneill' caps 'points' at 2, above the sample size 1\n"
+    out = tmp_path / "report.json"
+    assert main(["run", "sasaki-over-conformal", "--points", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["environment"]["points"] == 2
+
+
 def test_large_step_keeps_the_sample_inside_its_margin(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", "sasaki-over-flat", "--step", "2e-2", "--out", str(out)]) == 0

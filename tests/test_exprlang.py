@@ -18,7 +18,7 @@ from paraquat import (
     parse_expr,
     print_expr,
 )
-from paraquat import exprlang
+from paraquat import catalog, exprlang
 from paraquat.catalog import expression_array, make_chart
 from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_with_jets
 from paraquat.fields import Point, TensorField, eval_batch
@@ -132,6 +132,73 @@ def test_errors_come_entry_by_entry(rows, error, message):
     with pytest.raises(ParaquatError) as exc:
         expression_array(rows, (2, 2), make_chart(2), "metric")
     assert type(exc.value) is error and str(exc.value).startswith(message)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The coordinate names of each array ``exprlang._program`` compiles,
+    from an empty program cache."""
+    catalog._compiled.cache_clear()
+    names_seen = []
+    real = exprlang._program
+    monkeypatch.setattr(exprlang, "_program", lambda entries, names: names_seen.append(names) or real(entries, names))
+    yield names_seen
+    catalog._compiled.cache_clear()
+
+
+def test_an_array_is_compiled_once_per_texts_and_names(compiles):
+    chart = make_chart(2)
+    rows = [["exp(x1)", "x1*x2"], ["x1*x2", "1"]]
+    values, jets = expression_array(rows, (2, 2), chart, "metric")
+    assert len(compiles) == 1
+    # the same texts and names, under another label, nesting or domain,
+    # reuse the program; the reshaping stays each call's own
+    again, again_jets = expression_array([list(r) for r in rows], (2, 2), chart, "structure")
+    flat, _ = expression_array([*rows[0], *rows[1]], (4,), make_chart(2, domain=[[0, 1], [0, 1]]), "vector")
+    assert len(compiles) == 1
+    C = np.array([[0.3, -0.7], [0.1, 0.2]])
+    pts = [Point(chart, c) for c in C]
+    assert values(C).tobytes() == again(C).tobytes() == flat(C).reshape(2, 2, 2).tobytes()
+    assert flat(C).shape == (2, 4)
+    for order in (1, 2, 3):
+        assert [A.tobytes() for A in jets(pts, order)] == [A.tobytes() for A in again_jets(pts, order)]
+    # one text, or one coordinate name, changed compiles anew
+    expression_array([["exp(x2)", "x1*x2"], ["x1*x2", "1"]], (2, 2), chart, "metric")
+    expression_array(rows, (2, 2), make_chart(2, ["x1", "x2"]), "metric")
+    assert len(compiles) == 2
+    expression_array([["exp(x1)", "x1"], ["x1", "1"]], (2, 2), make_chart(2, ["x1", "y"]), "metric")
+    expression_array([["exp(x1)", "x1"], ["x1", "1"]], (2, 2), make_chart(2, ["x1", "z"]), "metric")
+    assert compiles[2:] == [("x1", "y"), ("x1", "z")]
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        ([["x1", "1 +"], ["0", "0"]], ExprSyntaxError, "unexpected end of input (at position 3)"),
+        ([["x1", "y1"], ["0", "0"]], UnknownSymbolError, "unknown symbol 'y1'; coordinates are ('x1', 'x2')"),
+        # malformed nesting never reaches the cache: it compiles as the entries come
+        ([["x1", "1 +"], "bad"], ExprSyntaxError, "unexpected end of input (at position 3)"),
+        ([["x1"], ["0", "0"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
+    ],
+)
+def test_a_failing_compile_is_not_cached(compiles, rows, error, message):
+    for attempt in (1, 2):
+        with pytest.raises(error) as exc:
+            expression_array(rows, (2, 2), make_chart(2), "metric")
+        assert str(exc.value) == message
+        assert len(compiles) == attempt
+    assert catalog._compiled.cache_info().currsize == 0
+
+
+def test_the_oldest_program_compiles_again_past_the_bound(compiles):
+    chart, bound = make_chart(1), catalog.PROGRAM_CACHE_SIZE
+    for k in range(bound + 1):
+        expression_array([f"x1 + {k}"], (1,), chart, "vector")
+    assert len(compiles) == bound + 1
+    expression_array([f"x1 + {bound}"], (1,), chart, "vector")
+    assert len(compiles) == bound + 1
+    expression_array(["x1 + 0"], (1,), chart, "vector")
+    assert len(compiles) == bound + 2
 
 
 def test_printer_precedence():

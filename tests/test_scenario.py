@@ -30,7 +30,7 @@ from paraquat.connection import covariant_derivatives
 from paraquat.fields import eval_batch
 from paraquat.scenario import build_context
 
-from conftest import SPACE_FORM_ROWS
+from conftest import SPACE_FORM_ROWS, rotated4_matrices
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -276,6 +276,61 @@ def test_a_sample_is_drawn_before_any_geometry_is_built(monkeypatch):
     assert ctx.chart is ctx.bundle.spec and all(q.chart is ctx.bundle.spec for q in ctx.points)
     drawn = sample_points(ctx.bundle.spec, len(ctx.points), 3, 2e-2)
     assert np.array_equal([q.coords for q in ctx.points], [q.coords for q in drawn])
+
+
+def test_a_warm_program_cache_gives_the_cold_reports():
+    # each distinct expression array is compiled once per process
+    # (catalog._compiled): every catalog scenario at its own seed and an
+    # inline expression document at seeds 0-3 give the same bytes from an
+    # empty cache and from a full one, and the warm pass compiles nothing
+    doc = {
+        "geometry": {"dim": 4, "metric": {"matrix": SPACE_FORM_ROWS}, "triple": {"matrices": rotated4_matrices()}},
+        "checks": [{"check": "flatness", "expect_flat": False}, {"check": "classify", "expected": "PQK"}, {"check": "kahler-fit"}],
+    }
+    runs = [(name, None) for name in scenario_names()] + [(doc, seed) for seed in range(4)]
+    cold = []
+    for source, seed in runs:
+        catalog._compiled.cache_clear()
+        report = run_scenario(source, seed=seed, timestamp="2000-01-01T00:00:00Z")
+        assert report.final
+        cold.append(report.to_json())
+    catalog._compiled.cache_clear()
+    for source, seed in runs:
+        run_scenario(source, seed=seed, timestamp="2000-01-01T00:00:00Z")
+    compiled = catalog._compiled.cache_info().misses
+    warm = [run_scenario(source, seed=seed, timestamp="2000-01-01T00:00:00Z").to_json() for source, seed in runs]
+    assert catalog._compiled.cache_info().misses == compiled
+    assert warm == cold
+
+
+def test_a_points_cap_above_the_sample_is_a_configuration_error(monkeypatch):
+    # "points": 500 on a check over a 5-point document used to run 5 points
+    # and pass; the cap is checked before any geometry is built
+    built = []
+    real = scenario.metric_from_config
+    monkeypatch.setattr(scenario, "metric_from_config", lambda *a: built.append(a) or real(*a))
+    doc = {"points": 5, "geometry": {"dim": 4}, "checks": [{"check": "hermitian"}, {"check": "classify", "expected": "LhPK-basis", "points": 500}]}
+    with pytest.raises(ValidationError) as exc:
+        build_context(doc)
+    assert str(exc.value) == "check 'classify' caps 'points' at 500, above the sample size 5"
+    assert built == []
+    # the override is the sample size the cap is held to
+    with pytest.raises(ValidationError, match="caps 'points' at 3, above the sample size 2"):
+        run_scenario("product-submersion-rotated", points=2)
+    doc["checks"][1]["points"] = 5
+    assert len(build_context(doc).points) == 5 and run_scenario(doc).final
+
+
+def test_a_default_cap_is_cut_to_the_sample():
+    # lifted-oneforms, oneill and bracket cap themselves at 3, 3 and 2 points
+    # when the entry sets no cap; over a 1-point sample they check that point
+    doc = {
+        "points": 1,
+        "geometry": {"dim": 4, "metric": "neutral4", "triple": "rotated4", "sasaki": True},
+        "checks": [{"check": "lifted-oneforms"}, {"check": "oneill"}, {"check": "bracket"}],
+    }
+    report = run_scenario(doc)
+    assert report.environment["points"] == 1 and report.final
 
 
 def test_a_run_validates_its_document_once(monkeypatch):

@@ -30,6 +30,7 @@ from paraquat import (
     covariant_derivative_11,
     fields,
     fit_kahler_oneforms,
+    run_scenario,
     sample_points,
     structures,
 )
@@ -676,3 +677,51 @@ def test_a_product_check_batch_raises_what_its_first_failing_point_raises_alone(
     # replay of a check stores those of the point that passes alone
     kinds = {("nijenhuis", F.field), ("d", F.field), ("nabla", F.field)}
     assert {key[1] for key in g._memo if key[0] in kinds} <= {at["good"].coords.tobytes()}
+
+
+# A curved metric with a parallel triple, so that nabla J reads its
+# Christoffel terms: g = E^T eta E for the coframe
+# E = [[s,0,0,0],[0,s,0,0],[0,0,s,0],[0,0,-x2/s,1/s]], s = sqrt(V), V = 2 + x1,
+# and J_a = E^-1 J_a^std E, whose square roots cancel.  Negating E's fourth
+# row keeps g and gives a triple that is not parallel.  On flat-lhpk every
+# Christoffel symbol is 0, so a slip in their sign or index order never
+# shows there.
+_V = "(2 + x1)"
+CURVED_METRIC = [
+    [_V, "0", "0", "0"],
+    ["0", _V, "0", "0"],
+    ["0", "0", f"-{_V} - x2^2/{_V}", f"x2/{_V}"],
+    ["0", "0", f"x2/{_V}", f"-1/{_V}"],
+]
+
+
+def _curved_triple(negated: bool) -> list:
+    n = (lambda e: f"-({e})") if negated else (lambda e: e)
+    row = [n(f"-x2/{_V}"), n(f"1/{_V}")]
+    return [
+        [["0", "0", "1", "0"], ["0", "0", *row], ["1", "0", "0", "0"], ["x2", n(_V), "0", "0"]],
+        [["0", "0", *row], ["0", "0", "-1", "0"], ["0", "-1", "0", "0"], [n(_V), "-x2", "0", "0"]],
+        [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", *row], ["0", "0", n(f"-{_V} - x2^2/{_V}"), n(f"x2/{_V}")]],
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13])
+@pytest.mark.parametrize("negated,expected", [(False, "LhPK-basis"), (True, "PQK")])
+def test_nabla_j_reads_the_christoffel_terms_of_a_curved_metric(seed, negated, expected):
+    doc = {
+        "geometry": {"dim": 4, "metric": {"matrix": CURVED_METRIC}, "triple": {"matrices": _curved_triple(negated)}},
+        "checks": [
+            {"check": "triple-algebra"},
+            {"check": "hermitian"},
+            {"check": "classify", "expected": expected},
+            {"check": "flatness", "expect_flat": False},
+        ],
+    }
+    report = run_scenario(doc, seed=seed)
+    assert report.final, [(c.name, c.data) for c in report.checks]
+    classify, flatness = report.checks[2].data, report.checks[3].data
+    if negated:
+        assert classify["nabla_max"] > 1.0
+    else:
+        assert classify["nabla_max"] < 1e-14
+    assert flatness["max_residual"] > 0.4
