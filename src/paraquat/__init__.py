@@ -52,7 +52,6 @@ from .errors import (
     UnknownSymbolError,
     ValidationError,
 )
-from .exprlang import parse_expr, print_expr
 from .fields import (
     ManifoldSpec,
     Point,
@@ -191,8 +190,6 @@ __all__ = [
     "oneill_tensors",
     "oracle_tilde_nabla",
     "oracle_tilde_nabla_J",
-    "parse_expr",
-    "print_expr",
     "riemann",
     "run_scenario",
     "sample_points",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -200,14 +201,23 @@ STRUCTURES: dict[str, Callable[[ManifoldSpec], ProductStructureField]] = {
 
 def _entries(entries, shape: tuple[int, ...], what: str):
     """The expression texts of a nested list, in order; the nesting is
-    checked against ``shape`` as the texts are taken."""
+    checked against ``shape`` as the texts are taken.  A number is read as
+    its ``str``; a JSON true, false, null or NaN, a number out of float
+    range or a list or object where an entry belongs raises ParseError."""
+    nesting = f"{what} must be nested lists of expressions of shape {shape}"
 
     def leaves(node, dims: tuple[int, ...]):
         if not dims:
+            if node is None or isinstance(node, bool) or isinstance(node, float) and math.isnan(node):
+                raise ParseError(f"{what} has {json.dumps(node)} where an expression belongs")
+            if isinstance(node, float) and math.isinf(node):
+                raise ParseError(f"{what} has a number out of float range where an expression belongs")
+            if isinstance(node, (list, tuple, dict)):
+                raise ParseError(nesting)
             yield str(node)
             return
         if not isinstance(node, (list, tuple)) or len(node) != dims[0]:
-            raise ParseError(f"{what} must be nested lists of expressions of shape {shape}")
+            raise ParseError(nesting)
         for item in node:
             yield from leaves(item, dims[1:])
 

@@ -20,11 +20,8 @@ Text is read once, left to right, by one operator-precedence parser with
 explicit stacks (``_postfix``), which gives the expression in postfix
 order: no tree is built on the way and nothing recurses, so neither the
 depth of nesting nor the length of an expression has a limit but memory.
-``parse_expr`` builds a tree of NamedTuple nodes (``Num``, ``Sym``,
-``Neg``, ``Bin``, ``Call``) from that postfix, and ``print_expr`` prints a
-tree from its own postfix (``_postorder``).  The two are inverse in the
-useful direction: re-parsing a printed tree reproduces it node for node,
-which is what lets reports quote expressions canonically.
+An error quotes its node in canonical text printed from the compiled keys
+(``_text``); reading that text again gives the node's program.
 
 An array of entries is compiled (``compile_with_jets``) by entering each
 entry's postfix into one table of distinct subexpressions and scheduling
@@ -42,7 +39,7 @@ import operator
 import re
 import struct
 from itertools import chain, islice
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,31 +63,6 @@ _IMPL = {
     "pow": lambda a, b: float(a) ** float(b),
 }
 
-
-class Num(NamedTuple):
-    value: float
-
-
-class Sym(NamedTuple):
-    name: str
-
-
-class Neg(NamedTuple):
-    arg: "Expr"
-
-
-class Bin(NamedTuple):
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-class Call(NamedTuple):
-    fn: str
-    args: tuple["Expr", ...]
-
-
-Expr = Union[Num, Sym, Neg, Bin, Call]
 
 # a token: an ASCII number or name, or any other character but whitespace,
 # which is an operator or a syntax error.  One scan gives every token's
@@ -208,44 +180,6 @@ def _postfix(src: str) -> list:
         i += 1
 
 
-def parse_expr(src: str) -> Expr:
-    """The tree of ``src``, built from its postfix (``_postfix``)."""
-    stack: list = []
-    for item in _postfix(src):
-        if item.__class__ is float:
-            stack.append(Num(item))
-        elif item.__class__ is str:
-            stack.append(Sym(item))
-        else:
-            op, k = item
-            args = stack[len(stack) - k:]
-            del stack[len(stack) - k:]
-            stack.append(Neg(*args) if op == "neg" else Call(op, tuple(args)) if op in FUNCTIONS else Bin(op, *args))
-    return stack[0]
-
-
-def _postorder(e: Expr) -> list:
-    """A tree in postfix order, in ``_postfix``'s items; no recursion."""
-    out: list = []
-    todo: list = [e]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Num):
-            out.append(float(x.value))
-        elif isinstance(x, Sym):
-            out.append(x.name)
-        elif isinstance(x, Neg):
-            todo += (_NEG, x.arg)
-        elif isinstance(x, Bin):
-            todo += ((x.op, 2), x.right, x.left)
-        elif isinstance(x, Call):
-            todo.append((x.fn, len(x.args)))
-            todo.extend(reversed(x.args))
-        else:  # an operator, whose operands are out
-            out.append(x)
-    return out
-
-
 # Precedence levels used by the printer; parenthesize a child whose level is
 # below what its slot requires.
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
@@ -266,42 +200,50 @@ def _operand(printed: tuple[str, int], required: int) -> str:
     return f"({text})" if level < required else text
 
 
-def print_expr(e: Expr) -> str:
-    """Canonical text for a tree; re-parsing it reproduces the tree."""
-    stack: list[tuple[str, int]] = []
-    for item in _postorder(e):
-        if item.__class__ is float:
-            stack.append((repr(item), _LEVEL_ATOM))
-        elif item.__class__ is str:
-            stack.append((item, _LEVEL_ATOM))
+def _text(em: _Emitter, at: int) -> str:
+    """Canonical text of node ``at``, printed from ``em``'s keys in postfix
+    order; no recursion.  Reading the text again gives the node's program.
+    ``todo`` holds a node to visit as its number, and a node whose operands
+    are printed as its complement."""
+    keys, stack, todo = em.keys, [], [at]
+    while todo:
+        node = todo.pop()
+        op, *args = keys[node if node >= 0 else ~node]
+        if op == "num":
+            stack.append((repr(struct.unpack("d", args[0])[0]), _LEVEL_ATOM))
+        elif op == "sym":
+            stack.append((em.names[args[0]], _LEVEL_ATOM))
+        elif node >= 0:
+            todo.append(~node)
+            todo += reversed(args)
         else:
-            op, k = item
-            args = stack[len(stack) - k:]
-            del stack[len(stack) - k:]
+            printed = stack[len(stack) - len(args):]
+            del stack[len(stack) - len(args):]
             if op == "neg":
-                stack.append(("-" + _operand(args[0], _LEVEL_NEG), _LEVEL_NEG))
+                stack.append(("-" + _operand(printed[0], _LEVEL_NEG), _LEVEL_NEG))
             elif op in FUNCTIONS:
-                stack.append((f"{op}({', '.join(_operand(a, _LEVEL_ADD) for a in args)})", _LEVEL_ATOM))
+                stack.append((f"{op}({', '.join(_operand(a, _LEVEL_ADD) for a in printed)})", _LEVEL_ATOM))
             else:
                 level, left, right, text = _INFIX[op]
-                stack.append((_operand(args[0], left) + text + _operand(args[1], right), level))
+                stack.append((_operand(printed[0], left) + text + _operand(printed[1], right), level))
     return stack[0][0]
 
 
-# Failure paths of the checked steps; each receives the node being evaluated.
+# Failure paths of the checked steps; each receives the emitter and the node
+# being evaluated.
 _CAUGHT = (ZeroDivisionError, OverflowError, ValueError)
 
 
-def _caught(node: Expr, exc: Exception):
-    raise EvaluationError(f"cannot evaluate {print_expr(node)!r}: {exc}") from exc
+def _caught(em: _Emitter, node: int, exc: Exception):
+    raise EvaluationError(f"cannot evaluate {_text(em, node)!r}: {exc}") from exc
 
 
-def _nonfinite(node: Expr):
-    raise EvaluationError(f"non-finite value from {print_expr(node)!r}")
+def _nonfinite(em: _Emitter, node: int):
+    raise EvaluationError(f"non-finite value from {_text(em, node)!r}")
 
 
-def _zero_divisor(node: Expr):
-    raise EvaluationError(f"division by zero in {print_expr(node)!r}")
+def _zero_divisor(em: _Emitter, node: int):
+    raise EvaluationError(f"division by zero in {_text(em, node)!r}")
 
 
 # the scalar function of each operator; a Call takes its function from _IMPL
@@ -328,8 +270,8 @@ class _Emitter:
     lists every other slot in evaluation order as (slot, key, node), with
     the zero test of a divisor as (None, ("nonzero", divisor slot),
     division node) after the divisor's steps and before the dividend's:
-    the DAG that :func:`compile_with_jets` walks.  ``node`` rebuilds the
-    tree of a node, which only an error message needs.
+    the DAG that :func:`compile_with_jets` walks.  An error message prints
+    its node from ``keys`` (``_text``).
     """
 
     def __init__(self, names: Sequence[str]):
@@ -415,22 +357,6 @@ class _Emitter:
                 steps.append((slot, key, item))
         return [slot_of[root] for root in roots]
 
-    def node(self, at: int) -> Expr:
-        """The tree of node ``at``, rebuilt from the keys."""
-        built: list = []
-        for op, *args in self.keys[: at + 1]:
-            if op == "num":
-                built.append(Num(struct.unpack("d", args[0])[0]))
-            elif op == "sym":
-                built.append(Sym(self.names[args[0]]))
-            elif op == "neg":
-                built.append(Neg(built[args[0]]))
-            elif op in FUNCTIONS:
-                built.append(Call(op, tuple(built[a] for a in args)))
-            else:
-                built.append(Bin(op, *(built[a] for a in args)))
-        return built[at]
-
 
 def _evaluator(em: _Emitter, results: list[int]) -> Callable[[np.ndarray], np.ndarray]:
     """The emitter's entries as one function of an (N, n) float array of
@@ -465,14 +391,14 @@ def _evaluator(em: _Emitter, results: list[int]) -> Callable[[np.ndarray], np.nd
                 try:
                     out = list(map(fn, *[v[a] for a in args]))
                 except _CAUGHT as exc:
-                    _caught(em.node(node), exc)
+                    _caught(em, node, exc)
                 if any(isinstance(x, complex) for x in out) or not all(map(math.isfinite, out)):
-                    _nonfinite(em.node(node))
+                    _nonfinite(em, node)
                 v[slot] = out
             elif kind == "sym":
                 v[slot] = coords[args]
             elif 0.0 in v[args]:  # the zero test of a divisor
-                _zero_divisor(em.node(node))
+                _zero_divisor(em, node)
         return np.fromiter(chain.from_iterable([v[r] for r in results]), float, T * N).reshape(T, N).T
 
     return evaluate
@@ -622,21 +548,17 @@ def _jet(key: tuple, jet: list, X: np.ndarray, unit: np.ndarray, order: int):
     return q, dq, Hq, _scaled(_k(1.0 / vb), _sub(_sub(Ka, _scaled(_k(q), Kb)), _add(_sym3(Hq, db), _sym3(Hb, dq))))
 
 
-def _program(entries: Iterable[str | Expr], names: Sequence[str]) -> tuple[_Emitter, list[int]]:
+def _program(entries: Iterable[str], names: Sequence[str]) -> tuple[_Emitter, list[int]]:
     """The emitter of an array's entries, scheduled, and the slot of each
-    entry.  The entries are taken in order, and each is read in one pass
-    (``_postfix``, or ``_postorder`` for a tree) straight into the
-    emitter, so an entry's syntax error, and then its first free name
-    that is not one of ``names`` (UnknownSymbolError), raise before
-    anything a later entry, or the iterable producing it, raises.  A text
-    met again is read once."""
+    entry.  The entries are taken in order, and each text is read in one
+    pass (``_postfix``) straight into the emitter, so an entry's syntax
+    error, and then its first free name that is not one of ``names``
+    (UnknownSymbolError), raise before anything a later entry, or the
+    iterable producing it, raises.  A text met again is read once."""
     em = _Emitter(names)
     read: dict[str, int] = {}
     roots = []
     for e in entries:
-        if not isinstance(e, str):
-            roots.append(em.enter(_postorder(e)))
-            continue
         if e not in read:
             read[e] = em.enter(_postfix(e))
         roots.append(read[e])
@@ -644,18 +566,18 @@ def _program(entries: Iterable[str | Expr], names: Sequence[str]) -> tuple[_Emit
 
 
 def compile_with_jets(
-    entries: Iterable[str | Expr], names: Sequence[str]
+    entries: Iterable[str], names: Sequence[str]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[..., tuple[np.ndarray, ...]]]:
     """The values of an array's entries at a batch of points, and their
     exact partial derivatives to order 1, 2 or 3 by forward mode, both
     walking the same distinct subexpressions.  Nothing is compiled and no
     Python source is generated.
 
-    An entry is expression text or a tree.  Each is read into one table of
-    distinct subexpressions, a text in one pass with no tree built, and the
-    steps are then scheduled in the language's order (``_program``); errors
-    come entry by entry: an entry's syntax error, then its first unknown
-    free name (UnknownSymbolError).
+    An entry is expression text.  Each is read in one pass, with no tree
+    built, into one table of distinct subexpressions, and the steps are
+    then scheduled in the language's order (``_program``); errors come
+    entry by entry: an entry's syntax error, then its first unknown free
+    name (UnknownSymbolError).
 
     The values map an (N, n) array of points, coordinates ordered like
     ``names``, to the (N, T) array of the T entries' values; an array of
@@ -726,11 +648,11 @@ def compile_with_jets(
                 for slot, key, node, checked in temporaries:
                     jet[slot] = _jet(key, jet, X, unit, order)
                     if checked and (isinstance(jet[slot][0], complex) or not math.isfinite(jet[slot][0])):
-                        _nonfinite(em.node(node))
+                        _nonfinite(em, node)
         except _CAUGHT as exc:
             if key[0] == "/" and isinstance(exc, ZeroDivisionError):  # the walk's zero test of a constant divisor
-                _zero_divisor(em.node(node))
-            _caught(em.node(node), exc)
+                _zero_divisor(em, node)
+            _caught(em, node, exc)
         out = [np.empty((N, U)), np.zeros((N, n, U))] + [np.zeros((N,) + (n,) * k + (U,)) for k in range(2, order + 1)]
         for u, slot in enumerate(distinct):
             v, d, H, K = jet[slot]
@@ -744,7 +666,7 @@ def compile_with_jets(
         if not all(np.isfinite(A).all() for A in out[1:]):
             for slot, _, node, _ in temporaries:
                 if not all(t is None or np.isfinite(t).all() for t in jet[slot]):
-                    raise EvaluationError(f"non-finite derivative from {print_expr(em.node(node))!r}")
+                    raise EvaluationError(f"non-finite derivative from {_text(em, node)!r}")
         return tuple(A.take(gather, axis=-1) for A in out)
 
     return values, jets

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from expr_reference import subtrees, text
 from fd_reference import fd_gradient
-from paraquat import MetricField, SubmersionMap, christoffel, sample_points
+from paraquat import MetricField, SubmersionMap, christoffel, exprlang, sample_points
 from paraquat.fields import eval_batch
 from paraquat.catalog import (
     METRICS,
@@ -51,6 +54,42 @@ def expression_map(source, target, components, label="map"):
     """A SubmersionMap of expression components, with their jets."""
     values, jets = expression_array(components, (target.dim,), source, label)
     return SubmersionMap(source, target, values, label, jets=jets)
+
+
+def keyed(src, names):
+    """The emitter of one expression text, scheduled, and its root's node."""
+    em = exprlang._Emitter(names)
+    root = em.enter(exprlang._postfix(src))
+    em.schedule([root])
+    return em, root
+
+
+def key_program(em):
+    """An emitter's program: its keys, the bits of its constants, and its
+    slots and steps in order."""
+    constants = {slot: struct.pack("d", v) for slot, v in em.constants.items()}
+    return em.keys, constants, list(em.slots.items()), em.steps
+
+
+def assert_printed_key_rereads(tree, names):
+    """The printed key of ``tree``'s root is the reference text
+    (tests/expr_reference.py) and re-reads to the same program: the same
+    keys, constant bits and schedule."""
+    em, root = keyed(text(tree), names)
+    printed = exprlang._text(em, root)
+    again, again_root = keyed(printed, names)
+    assert printed == text(tree) and again_root == root and key_program(again) == key_program(em)
+
+
+def assert_every_node_prints_as_the_reference(tree, names):
+    """Each subtree's node in the program of ``tree``, found again by
+    entering the subtree's text, prints as the reference prints the
+    subtree."""
+    em, _ = keyed(text(tree), names)
+    size = len(em.keys)
+    for sub in subtrees(tree):
+        assert exprlang._text(em, em.enter(exprlang._postfix(text(sub)))) == text(sub)
+    assert len(em.keys) == size
 
 
 def reference_nabla(g, T, p, h=None):

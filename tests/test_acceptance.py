@@ -22,16 +22,14 @@ from paraquat import (
     descend_one_forms,
     fit_kahler_oneforms,
     oneill_tensors,
-    parse_expr,
-    print_expr,
     riemann,
     run_scenario,
     sample_points,
 )
 from paraquat.catalog import METRICS, TRIPLES, make_chart
-from paraquat.exprlang import Bin, Call, Neg, Num, Sym
 
-from conftest import expression_map
+from conftest import assert_every_node_prints_as_the_reference, assert_printed_key_rereads, expression_map
+from expr_reference import random_tree
 
 
 def test_triple_algebra_and_split_quaternion_representation(chart4, chart8, flat4, std_triple, rot_triple):
@@ -173,21 +171,6 @@ def test_lifted_flatness_tracks_the_base(flat4, conformal4, std_triple):
     print(f"PASS  lifted metric flat over flat base (< 1e-6), curvature {curved:.2f} over curved base (> 1e-2)")
 
 
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.5:
-            return Num(rng.uniform(0.0, 100.0))
-        return Sym(rng.choice(["x1", "x2", "x3", "x4", "u1"]))
-    k = rng.randrange(4)
-    if k == 0:
-        return Neg(_random_expr(rng, depth - 1))
-    if k == 1:
-        return Bin(rng.choice("+-*/^"), _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if k == 2:
-        return Call(rng.choice(["sin", "cos", "exp", "sinh", "cosh"]), (_random_expr(rng, depth - 1),))
-    return Call("pow", (_random_expr(rng, depth - 1), _random_expr(rng, depth - 1)))
-
-
 def test_reports_and_parser_are_deterministic():
     t = "2026-01-01T00:00:00Z"
     for name in ("flat-pqk-rotated", "product-8d"):
@@ -196,7 +179,9 @@ def test_reports_and_parser_are_deterministic():
         assert a.encode() == b.encode()
         json.loads(a)  # and it is valid JSON
 
+    names = ["x1", "x2", "x3", "x4", "u1"]
     for case in range(500):
-        e = _random_expr(random.Random(case), 4)
-        assert parse_expr(print_expr(e)) == e
+        e = random_tree(random.Random(case), 4)
+        assert_printed_key_rereads(e, names)
+        assert_every_node_prints_as_the_reference(e, names)
     print("PASS  byte-identical reports at fixed seed; 500/500 expression round-trips")

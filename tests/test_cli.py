@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from paraquat import scenario
+from paraquat import ParseError, scenario
 from paraquat.catalog import STD_J1, STD_J2, STD_J3, load_catalog_scenario, scenario_names
 from paraquat.structures import check_hermitian
 from paraquat.cli import main
@@ -102,6 +102,37 @@ def test_a_constant_subexpression_of_a_map_exits_one_naming_the_node(component, 
     assert not capsys.readouterr().err
     (result,) = json.loads((tmp_path / "r.json").read_text())["checks"]
     assert result["data"] == {"error": "EvaluationError"} and repr(node) in result["note"]
+
+
+_ROWS4 = [["@", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+_NON_TEXT = {
+    "metric": ({"dim": 4, "metric": {"matrix": _ROWS4}}, "expression metric"),
+    "triple": ({"dim": 4, "triple": {"matrices": [STD_J1.tolist(), _ROWS4, STD_J3.tolist()]}}, "J2 (expression)"),
+    "submersion": (
+        {"dim": 8, "metric": "neutral8", "triple": "product8", "submersion": {"components": ["x1", "@", "x3", "x4"]},
+         "target": {"dim": 4}},
+        "submersion 'components'",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NON_TEXT))
+@pytest.mark.parametrize("value", ["true", "false", "null", "1e400", "-1e400"])
+def test_a_non_text_leaf_of_an_expression_array_exits_two_in_the_documents_terms(where, value, tmp_path, capsys):
+    # a JSON true, null or out-of-range number where an entry belongs is
+    # named as the document spells it, not read as the text of its Python value
+    geometry, what = _NON_TEXT[where]
+    doc = {"geometry": geometry, "checks": [{"check": "hermitian"}]}
+    text = json.dumps(doc).replace('"@"', value)
+    spelled = value if value.isalpha() else "a number out of float range"
+    message = f"{what} has {spelled} where an expression belongs"
+    with pytest.raises(ParseError) as exc:
+        scenario.run_scenario(json.loads(text))
+    assert str(exc.value) == message
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_scenario_exits_two(capsys):

@@ -15,13 +15,14 @@ from paraquat import (
     ParseError,
     UnknownSymbolError,
     ValidationError,
-    parse_expr,
-    print_expr,
 )
 from paraquat import catalog, exprlang
 from paraquat.catalog import expression_array, make_chart
-from paraquat.exprlang import Bin, Call, Neg, Num, Sym, compile_with_jets
+from paraquat.exprlang import compile_with_jets
 from paraquat.fields import Point, TensorField, eval_batch
+
+from conftest import assert_every_node_prints_as_the_reference, assert_printed_key_rereads, keyed
+from expr_reference import Bin, Call, Neg, Num, Sym, num, text
 
 # The parser never produces a negative literal (a leading minus becomes Neg),
 # so generated Num values are nonnegative and finite.
@@ -40,12 +41,30 @@ def _compound(inner):
 
 
 _exprs = st.recursive(_nums | _syms, _compound, max_leaves=25)
+_NAMES5 = ["x1", "x2", "x3", "x4", "u1"]
+
+
+def _texts(trees):
+    return [text(e) for e in trees]
+
+
+def _printed(src, names=("x1",)):
+    """The text that the root's key of ``src`` prints."""
+    em, root = keyed(src, names)
+    return exprlang._text(em, root)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_exprs)
 def test_print_parse_roundtrip(e):
-    assert parse_expr(print_expr(e)) == e
+    assert_printed_key_rereads(e, _NAMES5)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_exprs)
+def test_the_key_printer_prints_every_node_as_the_reference_does(e):
+    # tests/test_acceptance.py does the same for 500 random.Random trees
+    assert_every_node_prints_as_the_reference(e, _NAMES5)
 
 
 @pytest.mark.parametrize(
@@ -75,7 +94,7 @@ def test_print_parse_roundtrip(e):
 )
 def test_syntax_errors_carry_positions(src, position):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr(src)
+        compile_with_jets([src], ["x1"])
     assert exc.value.position == position
 
 
@@ -106,7 +125,7 @@ def test_syntax_errors_carry_positions(src, position):
 )
 def test_syntax_error_messages(src, message):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr(src)
+        compile_with_jets([src], ["x1"])
     assert str(exc.value) == message
     with pytest.raises(ExprSyntaxError) as compiled:
         compile_with_jets(["x1", src], ["x1"])
@@ -126,6 +145,13 @@ def test_syntax_error_messages(src, message):
         ([["y1"], ["0", "0"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
         ([["x1", "y1"], 5], UnknownSymbolError, "unknown symbol 'y1'"),
         ([["x1", "0"], ["1 +"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
+        # a leaf that is no text and no finite number, in the document's terms
+        ([[True, "1 +"], ["0", "0"]], ParseError, "metric has true where an expression belongs"),
+        ([["1 +", None], ["0", "0"]], ExprSyntaxError, "unexpected end of input (at position 3)"),
+        ([["x1", None], ["0", "0"]], ParseError, "metric has null where an expression belongs"),
+        ([["x1", float("nan")], ["0", "0"]], ParseError, "metric has NaN where an expression belongs"),
+        ([["x1", ["0"]], ["0", "0"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
+        ([["x1", {"0": 0}], ["0", "0"]], ParseError, "metric must be nested lists of expressions of shape (2, 2)"),
     ],
 )
 def test_errors_come_entry_by_entry(rows, error, message):
@@ -144,6 +170,12 @@ def compiles(monkeypatch):
     monkeypatch.setattr(exprlang, "_program", lambda entries, names: names_seen.append(names) or real(entries, names))
     yield names_seen
     catalog._compiled.cache_clear()
+
+
+def test_numbers_are_read_as_their_text():
+    # a JSON integer or finite float is an entry, read as its str
+    values = expression_array([[1, 0.5], [-2, 10**3]], (2, 2), make_chart(2), "metric")[0]
+    assert values(np.zeros((1, 2)))[0].tolist() == [[1.0, 0.5], [-2.0, 1000.0]]
 
 
 def test_an_array_is_compiled_once_per_texts_and_names(compiles):
@@ -202,19 +234,20 @@ def test_the_oldest_program_compiles_again_past_the_bound(compiles):
 
 
 def test_printer_precedence():
-    assert print_expr(parse_expr("1+2*3")) == "1.0 + 2.0*3.0"
-    assert print_expr(parse_expr("(1+2)*3")) == "(1.0 + 2.0)*3.0"
-    assert print_expr(parse_expr("1-(2-3)")) == "1.0 - (2.0 - 3.0)"
+    assert _printed("1+2*3") == "1.0 + 2.0*3.0"
+    assert _printed("(1+2)*3") == "(1.0 + 2.0)*3.0"
+    assert _printed("1-(2-3)") == "1.0 - (2.0 - 3.0)"
     # unary minus binds looser than the power
-    assert parse_expr("-x1^2") == Neg(Bin("^", Sym("x1"), Num(2.0)))
+    two = ("num", struct.pack("d", 2.0))
+    assert keyed("-x1^2", ["x1"])[0].keys == [("sym", 0), two, ("^", 0, 1), ("neg", 2)]
     # power associates to the right
-    assert parse_expr("2^3^2") == Bin("^", Num(2.0), Bin("^", Num(3.0), Num(2.0)))
-    assert print_expr(parse_expr("2^3^2")) == "2.0^3.0^2.0"
+    assert keyed("2^3^2", ["x1"])[0].keys == [two, ("num", struct.pack("d", 3.0)), ("^", 1, 0), ("^", 0, 2)]
+    assert _printed("2^3^2") == "2.0^3.0^2.0"
 
 
-def _values(trees, names):
+def _values(entries, names):
     """The values function of ``compile_with_jets``."""
-    return compile_with_jets(trees, names)[0]
+    return compile_with_jets(entries, names)[0]
 
 
 def _at(values, x):
@@ -224,7 +257,7 @@ def _at(values, x):
 
 def _evaluate(src, names, coords):
     """The value of one expression at one point, through the evaluator."""
-    return _at(_values([parse_expr(src)], names), coords)[0]
+    return _at(_values([src], names), coords)[0]
 
 
 def test_evaluate():
@@ -238,7 +271,7 @@ def test_values_take_a_stack_of_points_only(x):
     """One coordinate vector, or rows of the wrong length, raise rather than
     being read as some other stack of points."""
     with pytest.raises(ValidationError, match=r"an \(N, 2\) stack of points"):
-        _values([parse_expr("1.5"), parse_expr("x1 + 2*x2")], ["x1", "x2"])(np.array(x))
+        _values(["1.5", "x1 + 2*x2"], ["x1", "x2"])(np.array(x))
     values = expression_array([["1.5", "x1"], ["x2", "0"]], (2, 2), make_chart(2), "metric")[0]
     with pytest.raises(ValidationError, match=r"an \(N, 2\) stack of points"):
         values(np.array(x))
@@ -246,10 +279,10 @@ def test_values_take_a_stack_of_points_only(x):
 
 def test_unknown_symbol_raised_at_bind_time():
     with pytest.raises(UnknownSymbolError):
-        _values([parse_expr("x1 + q")], ["x1", "x2"])
-    # the first unknown name, left to right, across the trees of an array
+        _values(["x1 + q"], ["x1", "x2"])
+    # the first unknown name, left to right, across the entries of an array
     with pytest.raises(UnknownSymbolError) as exc:
-        _values([parse_expr("x1"), parse_expr("a/b"), parse_expr("c")], ["x1"])
+        _values(["x1", "a/b", "c"], ["x1"])
     assert str(exc.value) == "unknown symbol 'a'; coordinates are ('x1',)"
 
 
@@ -272,20 +305,21 @@ def test_evaluation_errors():
 
 # --- the evaluator against a tree-walking reference -------------------------
 #
-# The reference evaluates a tree recursively with the language's rules: left
-# operand before right except that '/' evaluates and tests its divisor first,
-# and every Call, '/' and '^' turns an arithmetic error, a complex or a
-# non-finite value into EvaluationError.  It lives only here, so the package
-# keeps one evaluator.
+# The reference evaluates a tree (tests/expr_reference.py) recursively with
+# the language's rules: left operand before right except that '/' evaluates
+# and tests its divisor first, and every Call, '/' and '^' turns an
+# arithmetic error, a complex or a non-finite value into EvaluationError.  It
+# lives only here, so the package keeps one evaluator; the package is given
+# each tree's text.
 
 
 def _ref_check(fn, args, node):
     try:
         v = fn(*args)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise EvaluationError(f"cannot evaluate {print_expr(node)!r}: {exc}") from exc
+        raise EvaluationError(f"cannot evaluate {text(node)!r}: {exc}") from exc
     if isinstance(v, complex) or not math.isfinite(v):
-        raise EvaluationError(f"non-finite value from {print_expr(node)!r}")
+        raise EvaluationError(f"non-finite value from {text(node)!r}")
     return float(v)
 
 
@@ -302,7 +336,7 @@ def _ref_eval(e, names, c):
     if e.op == "/":
         d = _ref_eval(e.right, names, c)
         if d == 0.0:
-            raise EvaluationError(f"division by zero in {print_expr(e)!r}")
+            raise EvaluationError(f"division by zero in {text(e)!r}")
         return _ref_check(lambda a, b: a / b, (_ref_eval(e.left, names, c), d), e)
     a, b = _ref_eval(e.left, names, c), _ref_eval(e.right, names, c)
     if e.op == "+":
@@ -345,8 +379,9 @@ def _outcome(fn):
 
 _NAMES = ("x1", "x2", "x3")
 # few distinct leaves and coordinates, so that generated arrays repeat
-# subtrees and hit every failure path; -0.0 and 0.0 must never be merged
-_small_nums = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e300]).map(Num)
+# subtrees and hit every failure path; -0.0, a minus on 0.0 in text, and 0.0
+# must never be merged
+_small_nums = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e300]).map(num)
 _trees = st.recursive(_small_nums | st.sampled_from(_NAMES + ("q",)).map(Sym), _compound, max_leaves=10)
 _coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0, -2.5, 1e-300, math.inf, -math.inf, math.nan])
 
@@ -365,7 +400,7 @@ _coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0, -2.5, 1e-300, math.i
 def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(trees, _NAMES, c))
-    assert _outcome(lambda: _at(_values(trees, _NAMES), c)) == expected
+    assert _outcome(lambda: _at(_values(_texts(trees), _NAMES), c)) == expected
     if expected[0] == "UnknownSymbolError":
         return
     # the same row inside a batch: the same bits when every row evaluates
@@ -373,12 +408,12 @@ def test_compiled_array_matches_the_reference_bit_for_bit(trees, coords):
     X = np.stack([c[::-1], c, np.array([1.0, 0.5, -2.5])])
     alone = [_outcome(lambda: _reference(trees, _NAMES, row)) for row in X]
     if all(kind == "value" for kind, _ in alone):
-        V = _values(trees, _NAMES)(X)
+        V = _values(_texts(trees), _NAMES)(X)
         assert V.shape == (3, len(trees))
         assert [[struct.pack("d", v) for v in row] for row in V] == [bits for _, bits in alone]
     else:
         with pytest.raises(EvaluationError) as exc:
-            _values(trees, _NAMES)(X)
+            _values(_texts(trees), _NAMES)(X)
         assert ("EvaluationError", str(exc.value)) in alone
 
 
@@ -394,14 +429,14 @@ _safe_trees = st.recursive(
 def test_subtrees_that_differ_only_in_an_operator_or_a_sign_stay_apart(a, b, coords):
     twins = [
         Bin("+", a, b), Bin("-", a, b), Bin("*", a, b), Neg(a), Neg(b),
-        Call("sin", (a,)), Call("cos", (a,)), Bin("*", a, Num(0.0)), Bin("*", a, Num(-0.0)),
+        Call("sin", (a,)), Call("cos", (a,)), Bin("*", a, Num(0.0)), Bin("*", a, num(-0.0)),
     ]
     c = np.array(coords, dtype=float)
     expected = _outcome(lambda: _reference(twins, _NAMES, c))
-    assert _outcome(lambda: _at(_values(twins, _NAMES), c)) == expected
+    assert _outcome(lambda: _at(_values(_texts(twins), _NAMES), c)) == expected
     if expected[0] == "value":
         for e, v in zip(twins, expected[1]):
-            assert struct.pack("d", _at(_values([e], _NAMES), c)[0]) == v
+            assert struct.pack("d", _at(_values([text(e)], _NAMES), c)[0]) == v
 
 
 def test_a_batch_raises_what_its_first_failing_point_raises_alone():
@@ -448,15 +483,15 @@ def test_shared_subexpression_is_evaluated_once(monkeypatch):
 def test_coordinate_names_never_meet_generated_names():
     names = ("c", "_c", "t0", "exp", "lambda")
     src = ["exp(exp) + c*_c - t0/lambda", "t0", "-lambda", "pow(_c, c)", "1.5"]
-    trees = [parse_expr(s) for s in src]
     x = np.array([0.5, 2.0, -1.25, 0.75, 3.0])
-    got = _at(_values(trees, names), x)
+    got = _at(_values(src, names), x)
+    c, _c, t0, exp, lambda_ = x.tolist()
     assert [struct.pack("d", v) for v in got] == [
-        struct.pack("d", v) for v in _reference(trees, names, x)
+        struct.pack("d", v) for v in (math.exp(exp) + c * _c - t0 / lambda_, t0, -lambda_, _c**c, 1.5)
     ]
     assert got[1] == -1.25 and got[2] == -3.0
     with pytest.raises(UnknownSymbolError, match="'t1'"):
-        _values([parse_expr("t0 + t1")], names)
+        _values(["t0 + t1"], names)
 
 
 # --- exact jets ---------------------------------------------------------------
@@ -472,11 +507,11 @@ JET_EXPRS = [
 def test_jets_are_the_derivatives_of_the_compiled_values():
     # central differences of the walked values: O(h^2) from the jets, with
     # h = 1e-5 for the gradient and 1e-4 for the Hessian
-    trees = [parse_expr(s) for s in JET_EXPRS]
-    values, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    values, jets = exprlang.compile_with_jets(JET_EXPRS, ["x1", "x2"])
     X = np.array([[0.3, 0.7], [-0.45, 1.2]])
     V, D, H = jets(X)
-    assert V.shape == (2, len(trees)) and D.shape == (2, 2, len(trees)) and H.shape == (2, 2, 2, len(trees))
+    T = len(JET_EXPRS)
+    assert V.shape == (2, T) and D.shape == (2, 2, T) and H.shape == (2, 2, 2, T)
     f = lambda x: _at(values, x)
     e = np.eye(2)
     for c, x in enumerate(X):
@@ -494,7 +529,7 @@ def test_jets_are_the_derivatives_of_the_compiled_values():
 
 
 def test_jets_of_a_stack_are_the_jets_of_each_point():
-    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in JET_EXPRS], ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets(JET_EXPRS, ["x1", "x2"])
     X = np.array([[0.3, 0.7], [-0.45, 1.2], [0.9, 0.2]])
     stacked = jets(X)
     for c in range(len(X)):
@@ -512,7 +547,7 @@ def test_jets_of_a_stack_are_the_jets_of_each_point():
     ("x1^(x2^0)", lambda a, b: (1 + 0 * a, 0 * b)),  # an exponent whose value is 1 everywhere
 ])
 def test_every_exponent_has_the_jets_of_its_closed_form(src, gradient):
-    values, jets = exprlang.compile_with_jets([parse_expr("x2"), parse_expr(src)], ["x1", "x2"])
+    values, jets = exprlang.compile_with_jets(["x2", src], ["x1", "x2"])
     assert _at(values, [0.5, 2.0])[0] == 2.0
     X = np.array([[0.5, 2.0], [1.5, -0.7]])
     D = jets(X, 3)[1]
@@ -522,8 +557,7 @@ def test_every_exponent_has_the_jets_of_its_closed_form(src, gradient):
 def test_a_coordinate_in_an_exponent_takes_the_rule_of_exp_b_log_a():
     # d(x1^x2) = x1^x2 (x2/x1, log x1) and d(2^x1) = 2^x1 (log 2, 0); the
     # value of x2^(x1 - x1) is 1, so its derivatives vanish, at x2 < 0 too
-    trees = [parse_expr(s) for s in ("x1^x2", "pow(2, x1)", "x2^(x1 - x1)")]
-    _, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets(["x1^x2", "pow(2, x1)", "x2^(x1 - x1)"], ["x1", "x2"])
     X = np.array([[0.5, 2.0], [1.5, -0.7]])
     V, D, H = jets(X)
     a, b = X.T
@@ -541,7 +575,7 @@ def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
     real, *derivatives = exprlang._NUMPY["exp"]
     monkeypatch.setitem(exprlang._NUMPY, "exp", (lambda a: calls.append(a) or real(a), *derivatives))
     f = "exp(2*(0.1 + (0.5)*x1 - (0.4)*x2))"
-    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in (f, f"-{f}", f, "0")], ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets([f, f"-{f}", f, "0"], ["x1", "x2"])
     V, D, H = jets(np.array([[0.1, -0.2], [0.3, 0.4]]))
     assert len(calls) == 1
     assert (V[:, 1] == -V[:, 0]).all() and (D[..., 3] == 0).all() and (H[..., 3] == 0).all()
@@ -556,7 +590,7 @@ def test_shared_subexpression_has_its_jet_taken_once(monkeypatch):
     ("2 + 0^(x1 + 2)", 0.3, "0.0^(x1 + 2.0)"),  # log|0| of a constant base
 ])
 def test_a_derivative_that_is_not_finite_names_its_node_and_warns_of_nothing(src, x1, node):
-    values, jets = exprlang.compile_with_jets([parse_expr(src)], ["x1", "x2"])
+    values, jets = exprlang.compile_with_jets([src], ["x1", "x2"])
     x = np.array([x1, 0.5])
     assert math.isfinite(_at(values, x)[0])
     with warnings.catch_warnings():
@@ -578,11 +612,10 @@ THIRD_ORDER_EXPRS = [
 def test_third_order_jets_are_the_limit_of_differences_of_the_hessian():
     # central differences of the order-2 Hessian are O(h^2) from the third
     # partials, so halving h divides their distance by 4
-    trees = [parse_expr(s) for s in THIRD_ORDER_EXPRS]
-    _, jets = exprlang.compile_with_jets(trees, ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets(THIRD_ORDER_EXPRS, ["x1", "x2"])
     X = np.array([[0.3, 0.7], [-0.45, 1.2]])
     V, D, H, K = jets(X, 3)
-    assert K.shape == (2, 2, 2, 2, len(trees))
+    assert K.shape == (2, 2, 2, 2, len(THIRD_ORDER_EXPRS))
     for whole, order2 in zip((V, D, H), jets(X)):
         assert whole.tobytes() == order2.tobytes()
     distance = []
@@ -594,7 +627,7 @@ def test_third_order_jets_are_the_limit_of_differences_of_the_hessian():
 
 
 def test_third_order_jets_of_a_stack_are_the_jets_of_each_point():
-    _, jets = exprlang.compile_with_jets([parse_expr(s) for s in JET_EXPRS + THIRD_ORDER_EXPRS], ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets(JET_EXPRS + THIRD_ORDER_EXPRS, ["x1", "x2"])
     X = np.array([[0.3, 0.7], [-0.45, 1.2], [0.9, 0.2]])
     stacked = jets(X, 3)
     assert len(stacked) == 4
@@ -605,7 +638,7 @@ def test_third_order_jets_of_a_stack_are_the_jets_of_each_point():
 
 def test_a_third_derivative_that_is_not_finite_names_its_node():
     # x1^2.5 has finite first and second derivatives at 0, but not a third
-    _, jets = exprlang.compile_with_jets([parse_expr("1 + x2*x1^2.5")], ["x1", "x2"])
+    _, jets = exprlang.compile_with_jets(["1 + x2*x1^2.5"], ["x1", "x2"])
     X = np.array([[0.0, 0.5]])
     assert all(np.isfinite(A).all() for A in jets(X))
     with warnings.catch_warnings():
@@ -620,7 +653,7 @@ def test_jets_agree_bit_for_bit_at_every_order(trees):
     # each order runs the same rules, so a higher one has every part of a
     # lower one, bit for bit; an error of the values is the same at every
     # order, and only a higher order's own partials can add a non-finite one
-    _, jets = compile_with_jets(trees, _NAMES + ("q",))
+    _, jets = compile_with_jets(_texts(trees), _NAMES + ("q",))
     X = np.array([[0.3, -0.7, 1.1, 0.4], [0.5, 2.0, -1.5, -0.2]])
     got = [_bits(lambda: jets(X, order)) for order in (1, 2, 3)]
     for low in range(3):
@@ -669,7 +702,7 @@ def _program(entries, names):
     the text its error would quote) and the slot of each entry."""
     em, results = exprlang._program(entries, names)
     constants = {slot: struct.pack("d", v) for slot, v in em.constants.items()}
-    steps = [(slot, key, print_expr(em.node(node))) for slot, key, node in em.steps]
+    steps = [(slot, key, exprlang._text(em, node)) for slot, key, node in em.steps]
     return list(em.slots.items()), constants, steps, results
 
 
@@ -698,14 +731,14 @@ def _reference_program(trees, names):
             right = operand(e.right)
             if right not in nonzero:
                 nonzero.add(right)
-                steps.append((None, ("nonzero", right), print_expr(e)))
+                steps.append((None, ("nonzero", right), text(e)))
             key = ("/", operand(e.left), right)
         else:
             left = operand(e.left)
             key = (e.op, left, operand(e.right))
         if key not in slots:
             slots[key] = len(slots)
-            steps.append((slots[key], key, print_expr(e)))
+            steps.append((slots[key], key, text(e)))
         return slots[key]
 
     results = [operand(e) for e in trees]
@@ -719,7 +752,7 @@ def _reference_program(trees, names):
 def test_the_program_is_the_walk_in_the_languages_order(trees):
     # arrays with a division and without one, shared subtrees, -0.0 and 0.0
     names = _NAMES + ("q",)
-    assert _program(trees, names) == _reference_program(trees, names)
+    assert _program(_texts(trees), names) == _reference_program(trees, names)
 
 
 def _bits(fn):
@@ -730,20 +763,13 @@ def _bits(fn):
         return type(exc).__name__, str(exc)
 
 
-_NAMES5 = ["x1", "x2", "x3", "x4", "u1"]
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.recursive(_nums | _syms, _compound, max_leaves=80))
 def test_a_printed_tree_compiles_to_the_program_and_bits_of_the_tree(e):
-    text = print_expr(e)
-    assert _program([text], _NAMES5) == _program([e], _NAMES5)
-    X = np.array([[0.3, -0.7, 1.1, 0.4, -0.2], [0.05, 0.5, -1.5, 2.0, 0.9]])
-    (tv, tj), (ev, ej) = compile_with_jets([text], _NAMES5), compile_with_jets([e], _NAMES5)
-    walked = _bits(lambda: [tv(X)])
-    assert walked == _bits(lambda: [ev(X)])
-    if walked[0] == "value":  # a jet assumes finite values
-        assert _bits(lambda: tj(X, 3)) == _bits(lambda: ej(X, 3))
+    assert _program([text(e)], _NAMES5) == _reference_program([e], _NAMES5)
+    values = _values([text(e)], _NAMES5)
+    for c in np.array([[0.3, -0.7, 1.1, 0.4, -0.2], [0.05, 0.5, -1.5, 2.0, 0.9]]):
+        assert _outcome(lambda: _at(values, c)) == _outcome(lambda: _reference([e], _NAMES5, c))
 
 
 _N = 5000
@@ -760,11 +786,11 @@ _DEEP = {
 
 @pytest.mark.parametrize("case", sorted(_DEEP))
 def test_deep_and_long_expressions_parse_compile_evaluate_and_print(case):
-    # neither depth nor length meets a recursion limit; deep trees are
-    # compared by their text, since a tuple's == recurses
+    # neither depth nor length meets a recursion limit in the parse, the
+    # compile, the walk, the jets or the printer
     src, printed = _DEEP[case]
-    assert print_expr(parse_expr(src)) == printed
-    assert print_expr(parse_expr(printed)) == printed
+    assert _printed(src, ["x1", "x2"]) == printed
+    assert _printed(printed, ["x1", "x2"]) == printed
     X = np.array([[0.5, 0.25], [-1.5, 2.0]])
     a, b = X.T
     value, gradient, hessian = {
@@ -777,7 +803,7 @@ def test_deep_and_long_expressions_parse_compile_evaluate_and_print(case):
         ),
         "a power chain": (1 + 0 * a, [0 * a, 0 * a], 0 * a),
     }[case]
-    for entry in (src, parse_expr(src)):
+    for entry in (src, printed):
         values, jets = compile_with_jets([entry], ["x1", "x2"])
         assert values(X)[:, 0].tobytes() == value.tobytes()
         V, D, H, K = jets(X, 3)
@@ -787,7 +813,7 @@ def test_deep_and_long_expressions_parse_compile_evaluate_and_print(case):
 
 def test_a_syntax_error_at_the_bottom_of_a_deep_nest_carries_its_position():
     src = "(" * _N + "x1 +" + ")" * _N
-    for read in (parse_expr, lambda s: compile_with_jets([s], ["x1"])):
+    for read in (exprlang._postfix, lambda s: compile_with_jets([s], ["x1"])):
         with pytest.raises(ExprSyntaxError) as exc:
             read(src)
         assert exc.value.position == _N + 4

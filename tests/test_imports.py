@@ -22,7 +22,7 @@ from conftest import SPACE_FORM_ROWS
 SRC = Path(paraquat.__file__).resolve().parents[1]
 LAZY = ("paraquat.sasaki", "paraquat.submersion")
 
-# the package root's 71 names, by the module that defines each
+# the package root's 69 names, by the module that defines each
 PUBLIC = {
     "_version": ("__version__",),
     "algebra": (
@@ -36,7 +36,6 @@ PUBLIC = {
         "ParseError", "PreconditionFailedError", "RankDeficientError", "ShapeError", "SingularTransitionError",
         "UnknownSymbolError", "ValidationError",
     ),
-    "exprlang": ("parse_expr", "print_expr"),
     "fields": ("ManifoldSpec", "Point", "TensorField", "constant_field", "eval_batch", "sample_points"),
     "sasaki": (
         "BracketReport", "SasakiBundle", "build_tangent_bundle", "check_bracket", "check_connection_oracle",
@@ -105,9 +104,9 @@ def test_a_run_loads_the_layers_its_geometry_needs(scenario, loads, tmp_path):
     assert _loaded(["run", scenario, "--out", str(tmp_path / "r.json")]) == ([0], loads)
 
 
-def test_package_root_keeps_its_71_names_each_from_its_module():
+def test_package_root_keeps_its_69_names_each_from_its_module():
     expected = {name: module for module, names in PUBLIC.items() for name in names}
-    assert len(expected) == 71
+    assert len(expected) == 69
     assert sorted(paraquat.__all__) == sorted(expected)
     for name, module in expected.items():
         assert getattr(paraquat, name) is getattr(import_module(f"paraquat.{module}"), name), name

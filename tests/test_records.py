@@ -11,7 +11,6 @@ import pytest
 
 from paraquat import algebra, connection, fields, run_scenario, sasaki, structures, submersion
 from paraquat.catalog import scenario_names
-from paraquat.exprlang import Bin, Call, Neg, Num, Sym, parse_expr
 
 # the classes that keep @dataclass: __post_init__ validation, frozen
 # coordinates or a cached hash; a default_factory memo; compare=False
@@ -34,11 +33,6 @@ RECORDS = {
     "submersion.ONeillTensors": ("a_full", "t_full", "a_horizontal"),
     "submersion.DescentReport": ("image", "omega_base", "constancy_residual", "fit_residual_max"),
     "sasaki.BracketReport": ("vv_residual", "hv_residual", "hh_residual", "hh_flipped_residual"),
-    "exprlang.Num": ("value",),
-    "exprlang.Sym": ("name",),
-    "exprlang.Neg": ("arg",),
-    "exprlang.Bin": ("op", "left", "right"),
-    "exprlang.Call": ("fn", "args"),
     "scenario.CheckResult": ("name", "anchor", "passed", "data", "note"),
     "scenario.VerificationReport": (
         "scenario", "description", "expect", "environment", "generated_at", "checks", "overall", "final",
@@ -68,14 +62,6 @@ def test_records_are_tuples_with_their_fields_in_order(record):
     cls = getattr(sys.modules[f"paraquat.{module}"], name)
     assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
     assert cls._fields == RECORDS[record]
-
-
-def test_expression_nodes_read_by_name_unpack_in_order_and_equal_plain_tuples():
-    e = parse_expr("-x1 + sin(2)")
-    assert e == Bin("+", Neg(Sym("x1")), Call("sin", (Num(2.0),)))
-    op, left, right = e
-    assert (op, left.arg.name, right.fn) == ("+", "x1", "sin")
-    assert e == ("+", (("x1",),), ("sin", ((2.0,),)))
 
 
 def _tuples_in(value, path="data"):
